@@ -56,7 +56,10 @@ fn bench_index_buffer(c: &mut Criterion) {
             BenchmarkId::from_parameter(entries),
             &entries,
             |b, &entries| {
-                let plfs = Plfs::new(Arc::new(MemBacking::new())).with_index_buffer(entries);
+                let plfs = Plfs::new(Arc::new(MemBacking::new())).with_conf(plfs::Conf {
+                    index_buffer_entries: entries,
+                    ..Default::default()
+                });
                 let fd = plfs
                     .open("/f", OpenFlags::WRONLY | OpenFlags::CREAT, 0)
                     .unwrap();

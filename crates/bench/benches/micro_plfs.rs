@@ -2,10 +2,7 @@
 //! the log-structured write path, the reassembling read path, flatten.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use plfs::{
-    ContainerParams, GlobalIndex, IndexEntry, MemBacking, OpenFlags, Plfs, ReadConf, ReadFile,
-    WriteConf,
-};
+use plfs::{Conf, ContainerParams, GlobalIndex, IndexEntry, MemBacking, OpenFlags, Plfs, ReadFile};
 use std::hint::black_box;
 use std::sync::Arc;
 
@@ -94,8 +91,8 @@ fn bench_multi_writer(c: &mut Criterion) {
     let rows = 64usize;
     let block = 4096usize;
     let volume = (writers * rows * block) as u64;
-    let run = |conf: WriteConf| {
-        let plfs = Plfs::new(Arc::new(MemBacking::new())).with_write_conf(conf);
+    let run = |conf: Conf| {
+        let plfs = Plfs::new(Arc::new(MemBacking::new())).with_conf(conf);
         let fd = plfs
             .open("/w", OpenFlags::RDWR | OpenFlags::CREAT, 0)
             .unwrap();
@@ -123,10 +120,21 @@ fn bench_multi_writer(c: &mut Criterion) {
     let mut g = c.benchmark_group("multi_writer");
     g.throughput(Throughput::Bytes(volume));
     g.bench_function("checkpoint_8_writers_serial", |b| {
-        b.iter(|| run(WriteConf::serial()));
+        b.iter(|| {
+            run(Conf {
+                lock_shards: 1,
+                incremental_refresh: false,
+                ..Conf::default()
+            })
+        });
     });
     g.bench_function("checkpoint_8_writers_sharded", |b| {
-        b.iter(|| run(WriteConf::default().with_data_buffer_bytes(64 << 10)));
+        b.iter(|| {
+            run(Conf {
+                data_buffer_bytes: 64 << 10,
+                ..Conf::default()
+            })
+        });
     });
 
     // Append latency: atomic-EOF fast path, no index merge per append.
@@ -214,10 +222,10 @@ fn bench_open_path(c: &mut Criterion) {
     let rows = 256usize;
     let block = 512usize;
     let (backing, path) = strided_container(droppings, rows, block);
-    let par_conf = ReadConf {
+    let par_conf = Conf {
         threads: 4,
         parallel_merge_min_droppings: 1,
-        ..ReadConf::default()
+        ..Conf::default()
     };
 
     let mut g = c.benchmark_group("open_path");
@@ -227,7 +235,7 @@ fn bench_open_path(c: &mut Criterion) {
     g.bench_function("parallel_open_256_droppings", |b| {
         b.iter(|| {
             black_box(
-                ReadFile::open_with(backing.as_ref(), path, par_conf)
+                ReadFile::open_with(backing.as_ref(), path, &par_conf)
                     .unwrap()
                     .eof(),
             )
@@ -240,7 +248,10 @@ fn bench_open_path(c: &mut Criterion) {
     let fanout_rf = ReadFile::open_with(
         backing.as_ref(),
         path,
-        par_conf.with_fanout_threshold(64 * 1024),
+        &Conf {
+            fanout_threshold: 64 * 1024,
+            ..par_conf
+        },
     )
     .unwrap();
     let read = 4 << 20usize;

@@ -498,7 +498,7 @@ fn best_of<F: FnMut() -> u64>(times: usize, mut f: F) -> (f64, u64) {
 /// `index_merge`/`index_merge_par`/`read_fanout` trace ops land in the
 /// emitted BENCH json.
 pub fn readpath_comparison(scale: Scale) -> Vec<ReadPathRow> {
-    use plfs::{MemBacking, OpenFlags, Plfs, ReadConf};
+    use plfs::{Conf, MemBacking, OpenFlags, Plfs};
     use std::sync::Arc;
 
     let rows_per_writer = match scale {
@@ -528,13 +528,13 @@ pub fn readpath_comparison(scale: Scale) -> Vec<ReadPathRow> {
             }
             writer.close(&fd, 0).unwrap();
 
-            let par_conf = ReadConf {
+            let par_conf = Conf {
                 threads: 4,
                 parallel_merge_min_droppings: 1,
-                ..ReadConf::default()
+                ..Conf::default()
             };
-            let serial = Plfs::new(backing.clone()).with_read_conf(ReadConf::serial());
-            let parallel = Plfs::new(backing.clone()).with_read_conf(par_conf);
+            let serial = Plfs::new(backing.clone());
+            let parallel = Plfs::new(backing.clone()).with_conf(par_conf);
 
             // First-byte latency: open + 1-byte read forces the index build.
             let mut one = [0u8; 1];
@@ -681,11 +681,11 @@ pub const WRITEPATH_WRITERS: [usize; 3] = [1, 4, 8];
 
 /// Wall time for `writers` threads to push a strided checkpoint (and sync)
 /// through one fd under `conf`.
-fn multiwriter_secs(conf: plfs::WriteConf, writers: usize, rows: usize, block: usize) -> f64 {
+fn multiwriter_secs(conf: plfs::Conf, writers: usize, rows: usize, block: usize) -> f64 {
     use plfs::{MemBacking, OpenFlags, Plfs};
     use std::sync::Arc;
     let (secs, _) = best_of(3, || {
-        let plfs = Plfs::new(Arc::new(MemBacking::new())).with_write_conf(conf);
+        let plfs = Plfs::new(Arc::new(MemBacking::new())).with_conf(conf);
         let fd = plfs
             .open("/w", OpenFlags::RDWR | OpenFlags::CREAT, 0)
             .unwrap();
@@ -716,25 +716,37 @@ fn multiwriter_secs(conf: plfs::WriteConf, writers: usize, rows: usize, block: u
 /// public `plfs::Plfs` API so the `append_fastpath`/`data_buffer_flush`/
 /// `index_patch` trace ops land in the emitted BENCH json.
 pub fn writepath_comparison(scale: Scale) -> Vec<WritePathRow> {
-    use plfs::{MemBacking, OpenFlags, Plfs, WriteConf};
+    use plfs::{Conf, MemBacking, OpenFlags, Plfs};
     use std::sync::Arc;
 
     let (rows, block, appends, cycles) = match scale {
         Scale::Paper => (512usize, 4096usize, 4096usize, 64usize),
         Scale::Quick => (96, 512, 512, 16),
     };
-    let sharded = WriteConf::default().with_data_buffer_bytes(64 << 10);
+    let sharded = Conf {
+        data_buffer_bytes: 64 << 10,
+        ..Conf::default()
+    };
     WRITEPATH_WRITERS
         .iter()
         .map(|&writers| {
-            let serial_secs = multiwriter_secs(WriteConf::serial(), writers, rows, block);
+            let serial_secs = multiwriter_secs(
+                Conf {
+                    lock_shards: 1,
+                    incremental_refresh: false,
+                    ..Conf::default()
+                },
+                writers,
+                rows,
+                block,
+            );
             let sharded_secs = multiwriter_secs(sharded, writers, rows, block);
             let volume = (writers * rows * block) as f64;
 
             // O_APPEND latency on the atomic-EOF fast path.
             let chunk = vec![7u8; 64];
             let (append_secs, _) = best_of(3, || {
-                let plfs = Plfs::new(Arc::new(MemBacking::new())).with_write_conf(sharded);
+                let plfs = Plfs::new(Arc::new(MemBacking::new())).with_conf(sharded);
                 let fd = plfs
                     .open("/a", OpenFlags::RDWR | OpenFlags::CREAT, 0)
                     .unwrap();
@@ -748,9 +760,12 @@ pub fn writepath_comparison(scale: Scale) -> Vec<WritePathRow> {
             // Interleaved append+read cycles: every read refreshes the
             // cached reader — by a full re-merge or an incremental patch.
             let refresh_secs = |incremental: bool| {
-                let conf = WriteConf::default().with_incremental_refresh(incremental);
+                let conf = Conf {
+                    incremental_refresh: incremental,
+                    ..Conf::default()
+                };
                 let (secs, _) = best_of(3, || {
-                    let plfs = Plfs::new(Arc::new(MemBacking::new())).with_write_conf(conf);
+                    let plfs = Plfs::new(Arc::new(MemBacking::new())).with_conf(conf);
                     let fd = plfs
                         .open("/r", OpenFlags::RDWR | OpenFlags::CREAT, 0)
                         .unwrap();
@@ -819,7 +834,7 @@ pub fn render_writepath(rows: &[WritePathRow]) -> String {
 pub struct MetadataRow {
     /// Phase label: `reopen`, `getattr`, or `open+write+close`.
     pub phase: String,
-    /// Backing metadata ops with `MetaConf::serial()` (the pre-fast-path
+    /// Backing metadata ops with `meta_cache_entries: 0` (the pre-fast-path
     /// behaviour: cache off, eager markers).
     pub eager_ops: u64,
     /// Backing metadata ops with the cache on and lazy markers.
@@ -886,10 +901,10 @@ impl MetadataReport {
 pub const METADATA_STORM_PROCS: [u64; 4] = [256, 1024, 4096, 8192];
 
 /// Fresh metered mount with the given metadata configuration.
-fn metered(conf: plfs::MetaConf) -> (std::sync::Arc<plfs::MeterBacking>, plfs::Plfs) {
+fn metered(conf: plfs::Conf) -> (std::sync::Arc<plfs::MeterBacking>, plfs::Plfs) {
     use std::sync::Arc;
     let meter = Arc::new(plfs::MeterBacking::new(Arc::new(plfs::MemBacking::new())));
-    let p = plfs::Plfs::new(meter.clone() as Arc<dyn plfs::Backing>).with_meta_conf(conf);
+    let p = plfs::Plfs::new(meter.clone() as Arc<dyn plfs::Backing>).with_conf(conf);
     (meter, p)
 }
 
@@ -942,7 +957,7 @@ struct MetaSide {
     misses: u64,
 }
 
-fn measure_meta_side(conf: plfs::MetaConf, iters: usize) -> MetaSide {
+fn measure_meta_side(conf: plfs::Conf, iters: usize) -> MetaSide {
     use plfs::OpenFlags;
     let flags = OpenFlags::RDWR | OpenFlags::CREAT;
     let (meter, p) = metered(conf);
@@ -1014,9 +1029,18 @@ pub fn metadata_comparison(scale: Scale) -> MetadataReport {
         Scale::Paper => 5_000,
         Scale::Quick => 500,
     };
-    let eager = measure_meta_side(plfs::MetaConf::serial(), iters);
+    let eager = measure_meta_side(
+        plfs::Conf {
+            meta_cache_entries: 0,
+            ..Default::default()
+        },
+        iters,
+    );
     let cached = measure_meta_side(
-        plfs::MetaConf::default().with_open_markers(plfs::OpenMarkers::Lazy),
+        plfs::Conf {
+            open_markers: plfs::OpenMarkers::Lazy,
+            ..Default::default()
+        },
         iters,
     );
     let row = |phase: &str, e: (u64, f64), c: (u64, f64)| MetadataRow {
@@ -1150,7 +1174,7 @@ pub const INDEXSCALE_BUDGET_BYTES: usize = 256 << 10;
 /// bounded path is at its steady state at every factor and the memory
 /// ratio isolates entry-count scaling from window fill.
 pub fn indexscale_comparison(scale: Scale) -> IndexScaleReport {
-    use plfs::{MemBacking, OpenFlags, Plfs, ReadConf, ReadFile};
+    use plfs::{Conf, MemBacking, OpenFlags, Plfs, ReadFile};
     use std::sync::Arc;
 
     let writers = 4usize;
@@ -1171,7 +1195,10 @@ pub fn indexscale_comparison(scale: Scale) -> IndexScaleReport {
             let backing = Arc::new(MemBacking::new());
             // A deep index buffer keeps each writer's flush one pattern
             // record regardless of factor.
-            let writer = Plfs::new(backing.clone()).with_index_buffer(1 << 20);
+            let writer = Plfs::new(backing.clone()).with_conf(Conf {
+                index_buffer_entries: 1 << 20,
+                ..Conf::default()
+            });
             let fd = writer
                 .open("/c", OpenFlags::RDWR | OpenFlags::CREAT, 0)
                 .unwrap();
@@ -1195,7 +1222,10 @@ pub fn indexscale_comparison(scale: Scale) -> IndexScaleReport {
             }
             writer.close(&fd, 0).unwrap();
 
-            let bounded_conf = ReadConf::default().with_index_memory_bytes(INDEXSCALE_BUDGET_BYTES);
+            let bounded_conf = Conf {
+                index_memory_bytes: INDEXSCALE_BUDGET_BYTES,
+                ..Conf::default()
+            };
             let mut buf = vec![0u8; read_len];
             let (eager_t, eager_resident) = best_of(3, || {
                 let r = ReadFile::open(backing.as_ref(), "/c").unwrap();
@@ -1210,7 +1240,7 @@ pub fn indexscale_comparison(scale: Scale) -> IndexScaleReport {
             let (compact_batch_t, compact_resident) = best_of(5, || {
                 let mut resident = 0;
                 for _ in 0..BATCH {
-                    let r = ReadFile::open_with(backing.as_ref(), "/c", bounded_conf).unwrap();
+                    let r = ReadFile::open_with(backing.as_ref(), "/c", &bounded_conf).unwrap();
                     r.pread(backing.as_ref(), &mut buf, 0).unwrap();
                     resident = r.index_resident_bytes() as u64;
                 }
@@ -1566,7 +1596,7 @@ fn staging2_workload(
 /// the foreground while destage — whole sealed droppings, few large ops —
 /// proceeds in the background, so only `max(compute, destage)` remains.
 pub fn staging2_comparison(scale: Scale) -> Staging2Report {
-    use plfs::{BackendConf, Backing, BatchedBacking, MemBacking, MeterBacking, TieredBacking};
+    use plfs::{Backing, BatchedBacking, Conf, MemBacking, MeterBacking, TieredBacking};
     use std::sync::Arc;
 
     // Many small strided writes per rank — the N-1 checkpoint pattern the
@@ -1584,9 +1614,11 @@ pub fn staging2_comparison(scale: Scale) -> Staging2Report {
     let fast_op_lat = fast_p.fs.per_op_latency;
     let slow_op_lat = slow_p.fs.per_op_latency;
 
-    let conf = BackendConf::default()
-        .with_submit_depth(32)
-        .with_submit_workers(2);
+    let conf = Conf {
+        submit_depth: 32,
+        submit_workers: 2,
+        ..Conf::default()
+    };
 
     let rows: Vec<Staging2Row> = ranks_swept
         .iter()
@@ -1602,12 +1634,12 @@ pub fn staging2_comparison(scale: Scale) -> Staging2Report {
             let (tiered, fast_m, slow_m) = TieredBacking::new_metered(
                 Arc::new(MemBacking::new()),
                 Arc::new(MemBacking::new()),
-                conf,
+                &conf,
             );
             let tiered = Arc::new(tiered);
             let batched = Arc::new(BatchedBacking::new(
                 Arc::clone(&tiered) as Arc<dyn Backing>,
-                conf,
+                &conf,
             ));
             let plfs_t = plfs::Plfs::new(Arc::clone(&batched) as Arc<dyn Backing>);
             let bytes2 = staging2_workload(&plfs_t, ranks, phases, writes, chunk);
@@ -1809,14 +1841,14 @@ fn readcache_file(base: &std::sync::Arc<plfs::MemBacking>, bytes: u64, chunk: us
 /// windows issued during the cold pass.
 fn readcache_arm(
     base: &std::sync::Arc<plfs::MemBacking>,
-    conf: plfs::CacheConf,
+    conf: plfs::Conf,
     read: usize,
     file_bytes: u64,
 ) -> (u64, u64, u64) {
     use plfs::{Backing, MeterBacking, OpenFlags};
     use std::sync::Arc;
     let meter = Arc::new(MeterBacking::new(Arc::clone(base) as Arc<dyn Backing>));
-    let plfs = plfs::Plfs::new(Arc::clone(&meter) as Arc<dyn Backing>).with_cache_conf(conf);
+    let plfs = plfs::Plfs::new(Arc::clone(&meter) as Arc<dyn Backing>).with_conf(conf);
     let fd = plfs
         .open("/scan", OpenFlags::RDONLY, 0)
         .expect("readcache open");
@@ -1856,16 +1888,22 @@ fn readcache_arm(
 /// the file is block-aligned), and memory bandwidth for every byte it
 /// returns. The warm re-read fetches nothing, so it pays memory only.
 pub fn readcache_comparison(scale: Scale) -> ReadCacheReport {
-    use plfs::{CacheConf, MemBacking};
+    use plfs::{Conf, MemBacking};
     use std::sync::Arc;
 
     let (file_bytes, reads): (u64, &[usize]) = match scale {
         Scale::Paper => (8 << 20, &READCACHE_READS[..]),
         Scale::Quick => (2 << 20, &READCACHE_READS[..2]),
     };
-    let ra_conf = CacheConf::sized(2 * file_bytes as usize);
-    let nora_conf = ra_conf.with_readahead(0, 0);
-    let block_bytes = ra_conf.block_bytes as u64;
+    let ra_conf = Conf {
+        data_cache_bytes: 2 * file_bytes as usize,
+        ..Conf::default()
+    };
+    let nora_conf = Conf {
+        readahead_max: 0,
+        ..ra_conf
+    };
+    let block_bytes = ra_conf.data_cache_block_bytes as u64;
     assert_eq!(file_bytes % block_bytes, 0, "file must be block-aligned");
 
     let dev = presets::tier_slow();
@@ -1883,8 +1921,7 @@ pub fn readcache_comparison(scale: Scale) -> ReadCacheReport {
     let rows: Vec<ReadCacheRow> = reads
         .iter()
         .map(|&read| {
-            let (uncached_preads, _, _) =
-                readcache_arm(&base, CacheConf::disabled(), read, file_bytes);
+            let (uncached_preads, _, _) = readcache_arm(&base, Conf::default(), read, file_bytes);
             let (nora_preads, nora_warm, _) = readcache_arm(&base, nora_conf, read, file_bytes);
             let (ra_preads, warm_preads, readaheads) =
                 readcache_arm(&base, ra_conf, read, file_bytes);

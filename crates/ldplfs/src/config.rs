@@ -8,10 +8,7 @@
 
 use crate::posix::{Errno, PosixLayer, PosixResult};
 use crate::shim::{LdPlfs, ShimMount};
-use plfs::{
-    BackendConf, BackendKind, Backing, MountSpec, ObjectBacking, Plfs, PlfsRc, SpreadBacking,
-    TieredBacking,
-};
+use plfs::{BackendKind, Backing, Conf, MountSpec, Plfs, PlfsRc, SpreadBacking};
 use std::sync::Arc;
 
 /// Incremental builder for an [`LdPlfs`] shim.
@@ -61,71 +58,30 @@ fn spread(
     }
 }
 
-/// Compose the backend stack the global `backend` plfsrc key asks for.
-///
-/// * `direct`/`batched` — the classic spread over every backend path (the
-///   batched submission layer is layered on later by
-///   [`Plfs::with_backend_conf`]).
-/// * `tiered` — the first backend path is the fast (burst-buffer) tier, the
-///   remaining path(s) the slow tier; fewer than two paths is a config error.
-/// * `object` — the spread is re-exposed as an object store of immutable
-///   whole-dropping objects.
-fn composed_backing(
-    spec: &MountSpec,
-    kind: BackendKind,
-    conf: BackendConf,
-    backing_for: &mut dyn FnMut(&str) -> Arc<dyn Backing>,
-) -> PosixResult<Arc<dyn Backing>> {
-    match kind {
-        BackendKind::Direct | BackendKind::Batched => spread(&spec.backends, backing_for),
-        BackendKind::Object => Ok(Arc::new(ObjectBacking::over(spread(
-            &spec.backends,
-            backing_for,
-        )?))),
-        BackendKind::Tiered => {
-            if spec.backends.len() < 2 {
-                // A burst buffer needs a fast tier AND somewhere to destage.
-                return Err(Errno::EINVAL);
-            }
-            let fast = backing_for(&spec.backends[0]);
-            let slow = spread(&spec.backends[1..], backing_for)?;
-            Ok(Arc::new(TieredBacking::new(fast, slow, conf)))
-        }
-    }
-}
-
-/// Build a [`Plfs`] instance for one parsed [`MountSpec`], resolving backend
-/// paths through `backing_for`. Uses the default direct backend stack; see
-/// [`plfs_for_spec_with_backend`] for the scale-out variants.
+/// Build a [`Plfs`] instance for one parsed [`MountSpec`] under the global
+/// `conf`, resolving backend paths through `backing_for`. With `backend
+/// tiered` the mount's first backend path is the fast (burst-buffer) tier
+/// and the remaining path(s) the slow tier — fewer than two paths is a
+/// configuration error; every other kind spreads over all of them.
 pub fn plfs_for_spec(
     spec: &MountSpec,
+    conf: &Conf,
     backing_for: &mut dyn FnMut(&str) -> Arc<dyn Backing>,
 ) -> PosixResult<Plfs> {
-    plfs_for_spec_with_backend(
-        spec,
-        BackendKind::Direct,
-        BackendConf::default(),
-        backing_for,
-    )
-}
-
-/// Build a [`Plfs`] instance for one parsed [`MountSpec`] with an explicit
-/// backend stack ([`BackendKind`]) and submission-layer knobs.
-pub fn plfs_for_spec_with_backend(
-    spec: &MountSpec,
-    kind: BackendKind,
-    mut conf: BackendConf,
-    backing_for: &mut dyn FnMut(&str) -> Arc<dyn Backing>,
-) -> PosixResult<Plfs> {
-    // `backend batched` with no explicit depth still means "turn it on".
-    if kind == BackendKind::Batched && !conf.batching() {
-        conf = conf.with_submit_depth(plfs::conf::DEFAULT_SUBMIT_DEPTH);
-    }
-    let backing = composed_backing(spec, kind, conf, backing_for)?;
-    Ok(Plfs::new(backing)
+    let (fast, rest) = match (conf.backend, spec.backends.split_first()) {
+        (BackendKind::Tiered, Some((fast, rest))) if !rest.is_empty() => {
+            (Some(backing_for(fast)), rest)
+        }
+        (BackendKind::Tiered, _) => return Err(Errno::EINVAL),
+        _ => (None, &spec.backends[..]),
+    };
+    let stack = plfs::build_stack(conf, spread(rest, backing_for)?, fast).map_err(Errno::from)?;
+    Ok(Plfs::new(stack.backing)
         .with_params(spec.params)
-        .with_index_buffer(spec.index_buffer_entries)
-        .with_backend_conf(conf))
+        .with_conf(Conf {
+            index_buffer_entries: spec.index_buffer_entries,
+            ..*conf
+        }))
 }
 
 /// Build a shim from `plfsrc` text. `backing_for` maps each backend path in
@@ -138,18 +94,7 @@ pub fn from_plfsrc(
     let rc = PlfsRc::parse(plfsrc).map_err(Errno::from)?;
     let mut builder = LdPlfsBuilder::new(under);
     for spec in &rc.mounts {
-        // The write conf replaces the whole struct, so the per-mount index
-        // buffer depth is layered back on top of the global knobs.
-        let write_conf = rc
-            .write_conf()
-            .with_index_buffer_entries(spec.index_buffer_entries);
-        let plfs =
-            plfs_for_spec_with_backend(spec, rc.backend, rc.backend_conf(), &mut backing_for)?
-                .with_read_conf(rc.read_conf())
-                .with_write_conf(write_conf)
-                .with_meta_conf(rc.meta_conf())
-                .with_list_io_conf(rc.list_io_conf())
-                .with_cache_conf(rc.cache_conf());
+        let plfs = plfs_for_spec(spec, &rc.conf, &mut backing_for)?;
         builder = builder.mount(spec.mount_point.clone(), plfs);
     }
     builder.build()
@@ -204,125 +149,56 @@ mod tests {
         assert_eq!(s.stat("/viz/dump").unwrap().size, 6);
     }
 
+    /// One hop: whatever the file's global keys parse to is, field for
+    /// field, what each mount's `Plfs` runs with — plus the mount's own
+    /// index buffer depth. (That every key reaches its field is `plfs`'s
+    /// table-driven parser test.)
     #[test]
-    fn from_plfsrc_plumbs_read_conf() {
-        let rc = "threadpool_size 4\nread_fanout_threshold 2048\nhandle_cache_shards 2\n\
-                  index_memory_bytes 65536\n\
-                  mount_point /ckpt\nbackends /be\n";
-        let s = from_plfsrc(under("conf"), rc, |_| Arc::new(MemBacking::new())).unwrap();
-        let conf = s.mounts()[0].plfs.read_conf();
-        assert_eq!(conf.threads, 4);
-        assert_eq!(conf.fanout_threshold, 2048);
-        assert_eq!(conf.handle_shards, 2);
-        assert_eq!(conf.index_memory_bytes, 65536);
-        assert!(conf.bounded_index());
-    }
-
-    #[test]
-    fn from_plfsrc_plumbs_compaction_threshold() {
-        let rc = "compact_droppings_threshold 32\nmount_point /ckpt\nbackends /be\n";
-        let s = from_plfsrc(under("cconf"), rc, |_| Arc::new(MemBacking::new())).unwrap();
-        assert_eq!(
-            s.mounts()[0].plfs.write_conf().compact_droppings_threshold,
-            32
-        );
-    }
-
-    #[test]
-    fn from_plfsrc_plumbs_write_conf() {
-        let rc = "write_shards 2\ndata_buffer_bytes 8192\nincremental_refresh off\n\
-                  mount_point /ckpt\nbackends /be\nindex_buffer_entries 99\n";
-        let s = from_plfsrc(under("wconf"), rc, |_| Arc::new(MemBacking::new())).unwrap();
-        let conf = s.mounts()[0].plfs.write_conf();
-        assert_eq!(conf.write_shards, 2);
-        assert_eq!(conf.data_buffer_bytes, 8192);
-        assert!(!conf.incremental_refresh);
-        // The per-mount index buffer depth survives the global write conf.
-        assert_eq!(conf.index_buffer_entries, 99);
-    }
-
-    #[test]
-    fn from_plfsrc_plumbs_meta_conf() {
-        let rc = "meta_cache_entries 64\nmeta_cache_shards 2\nopen_markers lazy\n\
-                  mount_point /ckpt\nbackends /be\n";
-        let s = from_plfsrc(under("mconf"), rc, |_| Arc::new(MemBacking::new())).unwrap();
-        let conf = s.mounts()[0].plfs.meta_conf();
-        assert_eq!(conf.meta_cache_entries, 64);
-        assert_eq!(conf.meta_cache_shards, 2);
-        assert_eq!(conf.open_markers, plfs::OpenMarkers::Lazy);
-    }
-
-    #[test]
-    fn from_plfsrc_plumbs_list_io_conf() {
-        let rc = "list_io off\nlist_io_max_extents 7\nmount_point /ckpt\nbackends /be\n";
-        let s = from_plfsrc(under("lconf"), rc, |_| Arc::new(MemBacking::new())).unwrap();
-        let conf = s.mounts()[0].plfs.list_io_conf();
-        assert!(!conf.enabled);
-        assert_eq!(conf.max_extents, 7);
-    }
-
-    #[test]
-    fn from_plfsrc_plumbs_cache_conf() {
-        let rc = "data_cache_mbs 4\ndata_cache_block_kbs 8\nreadahead_kbs 16\n\
-                  readahead_max_kbs 128\nmount_point /ckpt\nbackends /be\n";
-        let s = from_plfsrc(under("dcconf"), rc, |_| Arc::new(MemBacking::new())).unwrap();
-        let conf = s.mounts()[0].plfs.cache_conf();
-        assert!(conf.enabled());
-        assert_eq!(conf.cache_bytes, 4 << 20);
-        assert_eq!(conf.block_bytes, 8 << 10);
-        assert_eq!(conf.readahead_min, 16 << 10);
-        assert_eq!(conf.readahead_max, 128 << 10);
-        // Cached reads still round-trip through the shim.
+    fn from_plfsrc_hands_the_parsed_conf_to_every_mount() {
+        let rc = "threadpool_size 4\nbackend tiered\nsubmit_depth 8\ndata_cache_mbs 1\n\
+                  index_memory_bytes 65536\nopen_markers lazy\n\
+                  mount_point /a\nbackends /f,/s\nindex_buffer_entries 99\n\
+                  mount_point /b\nbackends /f2,/s2\n";
+        let parsed = PlfsRc::parse(rc).unwrap();
+        assert_ne!(parsed.conf, Conf::default());
+        let s = from_plfsrc(under("hop"), rc, |_| Arc::new(MemBacking::new())).unwrap();
+        for (m, depth) in s
+            .mounts()
+            .iter()
+            .zip([99, parsed.conf.index_buffer_entries])
+        {
+            let expect = Conf {
+                index_buffer_entries: depth,
+                ..parsed.conf
+            };
+            assert_eq!(*m.plfs.conf(), expect, "{}", m.mount_point);
+        }
+        // The composed stack (tiered + submission queue + data cache +
+        // bounded index, all at once) still round-trips data end to end.
         let fd = s
-            .open("/ckpt/dump", OpenFlags::RDWR | OpenFlags::CREAT, 0o644)
+            .open("/a/dump", OpenFlags::RDWR | OpenFlags::CREAT, 0o644)
             .unwrap();
-        s.write(fd, b"cached bytes").unwrap();
+        s.write(fd, b"staged bytes").unwrap();
         s.lseek(fd, 0, crate::posix::Whence::Set).unwrap();
         let mut buf = [0u8; 12];
         assert_eq!(s.read(fd, &mut buf).unwrap(), 12);
-        assert_eq!(&buf, b"cached bytes");
+        assert_eq!(&buf, b"staged bytes");
         s.close(fd).unwrap();
-        // Plain plfsrc leaves the data cache off.
-        let s = from_plfsrc(under("dcoff"), "mount_point /ckpt\nbackends /be\n", |_| {
-            Arc::new(MemBacking::new())
-        })
-        .unwrap();
-        assert!(!s.mounts()[0].plfs.cache_conf().enabled());
+        assert_eq!(s.stat("/a/dump").unwrap().size, 12);
     }
 
     #[test]
-    fn from_plfsrc_plumbs_backend_conf() {
-        // Tiered: first backend path is the fast tier, rest the slow tier,
-        // and the submission knobs ride along into the mount's Plfs.
-        let rc = "backend tiered\nsubmit_depth 8\nsubmit_workers 2\ndestage_threshold 16\n\
-                  mount_point /ckpt\nbackends /fast,/slow\n";
-        let s = from_plfsrc(under("bconf"), rc, |_| Arc::new(MemBacking::new())).unwrap();
-        let conf = s.mounts()[0].plfs.backend_conf();
-        assert_eq!(conf.submit_depth, 8);
-        assert_eq!(conf.submit_workers, 2);
-        assert_eq!(conf.destage_threshold, 16);
-        assert!(conf.batching());
-        // The composed stack still round-trips data end to end.
-        let fd = s
-            .open("/ckpt/dump", OpenFlags::RDWR | OpenFlags::CREAT, 0o644)
-            .unwrap();
-        s.write(fd, b"staged").unwrap();
-        s.close(fd).unwrap();
-        assert_eq!(s.stat("/ckpt/dump").unwrap().size, 6);
-    }
-
-    #[test]
-    fn from_plfsrc_batched_defaults_depth_on() {
-        // `backend batched` alone turns the submission layer on.
-        let rc = "backend batched\nmount_point /ckpt\nbackends /be\n";
-        let s = from_plfsrc(under("bdef"), rc, |_| Arc::new(MemBacking::new())).unwrap();
-        assert!(s.mounts()[0].plfs.backend_conf().batching());
-        // Plain plfsrc leaves it off.
-        let s = from_plfsrc(under("bdef2"), "mount_point /ckpt\nbackends /be\n", |_| {
+    fn defaults_have_one_source() {
+        let from_file = PlfsRc::parse("mount_point /m\nbackends /b\n").unwrap().conf;
+        let from_env = Conf::from_env(Vec::<(String, String)>::new());
+        let from_new = *Plfs::new(Arc::new(MemBacking::new())).conf();
+        let s = from_plfsrc(under("one"), "mount_point /m\nbackends /b\n", |_| {
             Arc::new(MemBacking::new())
         })
         .unwrap();
-        assert!(!s.mounts()[0].plfs.backend_conf().batching());
+        for c in [from_file, from_env, from_new, *s.mounts()[0].plfs.conf()] {
+            assert_eq!(c, Conf::default());
+        }
     }
 
     #[test]

@@ -33,7 +33,7 @@ fn data_buffer_mbs_overflow_is_an_error_not_a_panic() {
     }
     // Sane values still parse to MiB.
     let rc = PlfsRc::parse("data_buffer_mbs 4\nmount_point /x\nbackends /be\n").unwrap();
-    assert_eq!(rc.data_buffer_bytes, 4 << 20);
+    assert_eq!(rc.conf.data_buffer_bytes, 4 << 20);
 }
 
 #[test]
@@ -50,11 +50,11 @@ fn num_hostdirs_truncation_is_an_error() {
 #[test]
 fn malformed_plfsrc_maps_to_einval_through_the_shim() {
     for rc in [
-        "mount_point\n",                                             // key without value
-        "mount_point /x\nbackends /be\nnum_hostdirs zap\n",          // non-numeric
-        "mount_point /x\nbackends /be\nincremental_refresh maybe\n", // bad bool
-        "backends /be\n",                                            // key before any mount
-        "mount_point /x\n",                                          // mount with no backends
+        "mount_point\n",                                    // key without value
+        "mount_point /x\nbackends /be\nnum_hostdirs zap\n", // non-numeric
+        "mount_point /x\nbackends /be\nlist_io maybe\n",    // bad bool
+        "backends /be\n",                                   // key before any mount
+        "mount_point /x\n",                                 // mount with no backends
         "mount_point /x\nbackends /be\ndata_buffer_mbs 18446744073709551615\n",
     ] {
         let dir = std::env::temp_dir().join(format!("ldplfs-einval-{}", std::process::id()));

@@ -10,7 +10,7 @@
 //! (`/checkpoint/dump.0001`), mapped onto backend paths internally.
 
 use crate::backing::{join, Backing};
-use crate::conf::{BackendConf, CacheConf, ListIoConf, MetaConf, ReadConf, WriteConf};
+use crate::conf::Conf;
 use crate::container::{self, ContainerParams};
 use crate::error::{Error, Result};
 use crate::fd::PlfsFd;
@@ -52,32 +52,27 @@ pub struct Dirent {
 pub struct Plfs {
     backing: Arc<dyn Backing>,
     defaults: ContainerParams,
-    read_conf: ReadConf,
-    write_conf: WriteConf,
-    meta_conf: MetaConf,
-    list_io_conf: ListIoConf,
-    cache_conf: CacheConf,
-    backend_conf: BackendConf,
+    conf: Conf,
     cache: Arc<MetaCache>,
 }
 
+fn meta_cache_for(conf: &Conf) -> Arc<MetaCache> {
+    Arc::new(MetaCache::new(
+        conf.meta_cache_entries.max(1),
+        conf.lock_shards,
+    ))
+}
+
 impl Plfs {
-    /// Mount over a backing store with default container parameters.
+    /// Mount over a backing store with default container parameters and
+    /// the default [`Conf`].
     pub fn new(backing: Arc<dyn Backing>) -> Plfs {
-        let meta_conf = MetaConf::default();
+        let conf = Conf::default();
         Plfs {
             backing,
             defaults: ContainerParams::default(),
-            read_conf: ReadConf::default(),
-            write_conf: WriteConf::default(),
-            meta_conf,
-            list_io_conf: ListIoConf::default(),
-            cache_conf: CacheConf::default(),
-            backend_conf: BackendConf::default(),
-            cache: Arc::new(MetaCache::new(
-                meta_conf.meta_cache_entries.max(1),
-                meta_conf.meta_cache_shards,
-            )),
+            cache: meta_cache_for(&conf),
+            conf,
         }
     }
 
@@ -87,106 +82,20 @@ impl Plfs {
         self
     }
 
-    /// Override the index write-buffer size (entries per flush).
-    pub fn with_index_buffer(mut self, entries: usize) -> Plfs {
-        self.write_conf = self.write_conf.with_index_buffer_entries(entries);
+    /// Replace the whole configuration (clamped by [`Conf::validated`]);
+    /// every fd opened afterwards inherits it. Rebuilds the metadata
+    /// cache, so apply before serving traffic. The backing is taken as
+    /// given: compose `conf.backend` / `conf.submit_depth` with
+    /// [`crate::backend::build_stack`] and mount over the result.
+    pub fn with_conf(mut self, conf: Conf) -> Plfs {
+        self.conf = conf.validated();
+        self.cache = meta_cache_for(&self.conf);
         self
     }
 
-    /// Fan container reads out over a worker pool (the plfsrc
-    /// `threadpool_size` knob). 1 = serial reads.
-    pub fn with_threads(self, threads: usize) -> Plfs {
-        let conf = self.read_conf.with_threads(threads);
-        self.with_read_conf(conf)
-    }
-
-    /// Set the full read-path configuration: worker threads, the pread
-    /// fan-out threshold, handle-cache shard count, and the parallel-merge
-    /// gate (see [`ReadConf`]).
-    pub fn with_read_conf(mut self, conf: ReadConf) -> Plfs {
-        self.read_conf = conf;
-        self
-    }
-
-    /// The read-path configuration open fds inherit.
-    pub fn read_conf(&self) -> &ReadConf {
-        &self.read_conf
-    }
-
-    /// Set the full write-path configuration: writer-table shard count,
-    /// write-behind data buffering, index buffer depth, and incremental
-    /// reader refresh (see [`WriteConf`]).
-    pub fn with_write_conf(mut self, conf: WriteConf) -> Plfs {
-        self.write_conf = conf;
-        self
-    }
-
-    /// The write-path configuration open fds inherit.
-    pub fn write_conf(&self) -> &WriteConf {
-        &self.write_conf
-    }
-
-    /// Set the metadata fast-path configuration: container-cache size and
-    /// sharding plus the `openhosts/` marker policy (see [`MetaConf`]).
-    /// Rebuilds the cache, so apply before serving traffic.
-    pub fn with_meta_conf(mut self, conf: MetaConf) -> Plfs {
-        self.cache = Arc::new(MetaCache::new(
-            conf.meta_cache_entries.max(1),
-            conf.meta_cache_shards,
-        ));
-        self.meta_conf = conf;
-        self
-    }
-
-    /// The metadata fast-path configuration open fds inherit.
-    pub fn meta_conf(&self) -> &MetaConf {
-        &self.meta_conf
-    }
-
-    /// Set the noncontiguous list-I/O configuration: the master switch and
-    /// per-batch extent cap (see [`ListIoConf`]).
-    pub fn with_list_io_conf(mut self, conf: ListIoConf) -> Plfs {
-        self.list_io_conf = conf;
-        self
-    }
-
-    /// The list-I/O configuration open fds inherit.
-    pub fn list_io_conf(&self) -> &ListIoConf {
-        &self.list_io_conf
-    }
-
-    /// Set the data block cache and readahead configuration (see
-    /// [`CacheConf`]). Each fd opened afterwards gets its own block cache
-    /// under this budget; the default conf keeps caching off.
-    pub fn with_cache_conf(mut self, conf: CacheConf) -> Plfs {
-        self.cache_conf = conf;
-        self
-    }
-
-    /// The data-cache configuration open fds inherit.
-    pub fn cache_conf(&self) -> &CacheConf {
-        &self.cache_conf
-    }
-
-    /// Set the backend-layer configuration (see [`BackendConf`]). When the
-    /// async submission layer is enabled (`submit_depth > 0`) the mount's
-    /// backing is wrapped in a [`crate::BatchedBacking`] here, so every
-    /// subsequent open writes through the bounded queue; with the knobs off
-    /// this is a no-op and the backing is untouched.
-    pub fn with_backend_conf(mut self, conf: BackendConf) -> Plfs {
-        if conf.batching() {
-            self.backing = Arc::new(crate::backend::BatchedBacking::new(
-                Arc::clone(&self.backing),
-                conf,
-            ));
-        }
-        self.backend_conf = conf;
-        self
-    }
-
-    /// The backend-layer configuration this mount was built with.
-    pub fn backend_conf(&self) -> &BackendConf {
-        &self.backend_conf
+    /// The configuration open fds inherit.
+    pub fn conf(&self) -> &Conf {
+        &self.conf
     }
 
     /// Lifetime metadata-cache `(hits, misses)` — exposed for benches and
@@ -236,7 +145,7 @@ impl Plfs {
     /// fills the cache under the generation guard so racing invalidations
     /// can never leave a stale verdict behind.
     fn meta_entry(&self, bp: &str) -> MetaEntry {
-        if !self.meta_conf.cache_enabled() {
+        if !self.conf.meta_cache_enabled() {
             return self.probe_meta(bp);
         }
         let t0 = iotrace::global().start();
@@ -262,7 +171,7 @@ impl Plfs {
         if let Some(p) = e.params {
             return Ok(p);
         }
-        if !self.meta_conf.cache_enabled() {
+        if !self.conf.meta_cache_enabled() {
             return container::read_params(self.backing.as_ref(), bp);
         }
         let generation = self.cache.begin_fill(bp);
@@ -285,7 +194,7 @@ impl Plfs {
         if let Some(m) = e.meta {
             return Ok(m);
         }
-        if !self.meta_conf.cache_enabled() {
+        if !self.conf.meta_cache_enabled() {
             return container::read_meta(self.backing.as_ref(), bp);
         }
         let generation = self.cache.begin_fill(bp);
@@ -299,7 +208,7 @@ impl Plfs {
     /// *after* each backing mutation, so a fill that probed the half-mutated
     /// state loses the generation race and is discarded.
     fn meta_invalidate(&self, bp: &str) {
-        if self.meta_conf.cache_enabled() {
+        if self.conf.meta_cache_enabled() {
             self.cache.invalidate(bp);
         }
     }
@@ -308,7 +217,7 @@ impl Plfs {
     /// removing) a directory moves/kills every descendant, so cached
     /// verdicts below both endpoints must die with it.
     fn meta_invalidate_tree(&self, bp: &str) {
-        if self.meta_conf.cache_enabled() {
+        if self.conf.meta_cache_enabled() {
             self.cache.invalidate_tree(bp);
         }
     }
@@ -316,7 +225,7 @@ impl Plfs {
     /// Install the verdict for a just-created container so the creating
     /// process reopens it warm, without a single backing probe.
     fn meta_install(&self, bp: &str, params: ContainerParams) {
-        if !self.meta_conf.cache_enabled() {
+        if !self.conf.meta_cache_enabled() {
             return;
         }
         // Invalidate first: the pre-create "missing" verdict must never
@@ -347,13 +256,17 @@ impl Plfs {
     fn open_inner(&self, path: &str, flags: OpenFlags, pid: u64) -> Result<Arc<PlfsFd>> {
         let bp = self.backend_path(path);
         let e = self.meta_entry(&bp);
-        if e.exists && !e.is_container {
+        // A directory with no access file is a plain directory — or a
+        // container another process is creating this instant, which a
+        // non-exclusive create must join, not fail on.
+        let maybe_nascent = e.is_dir && !e.is_container && flags.create() && !flags.excl();
+        if e.exists && !e.is_container && !maybe_nascent {
             if e.is_dir {
                 return Err(Error::IsDir(path.to_string()));
             }
             return Err(Error::NotContainer(path.to_string()));
         }
-        let params = if !e.exists {
+        let params = if !e.exists || maybe_nascent {
             if !flags.create() {
                 return Err(Error::NotFound(path.to_string()));
             }
@@ -364,7 +277,11 @@ impl Plfs {
                 &bp,
                 &self.defaults,
                 flags.excl(),
-            )?;
+            )
+            .map_err(|err| match err {
+                Error::Exists(_) if maybe_nascent => Error::IsDir(path.to_string()),
+                err => err,
+            })?;
             self.meta_install(&bp, p);
             p
         } else {
@@ -382,19 +299,8 @@ impl Plfs {
             };
             self.params_for(&bp, e)?
         };
-        let fd = PlfsFd::new(
-            self.backing.clone(),
-            bp,
-            params,
-            flags,
-            self.write_conf,
-            pid,
-        )
-        .with_read_conf(self.read_conf)
-        .with_meta_conf(self.meta_conf)
-        .with_list_io_conf(self.list_io_conf)
-        .with_cache_conf(self.cache_conf);
-        let fd = if self.meta_conf.cache_enabled() {
+        let fd = PlfsFd::new(self.backing.clone(), bp, params, flags, &self.conf, pid);
+        let fd = if self.conf.meta_cache_enabled() {
             fd.with_meta_cache(Arc::clone(&self.cache))
         } else {
             fd
@@ -493,8 +399,8 @@ impl Plfs {
         // (writer close clears it), so a warm getattr skips even the
         // openhosts readdir; a writer in *another* process can make that
         // stale until the verdict is locally dropped or evicted — see the
-        // cross-process consistency note in the README / [`MetaConf`] docs.
-        let local_writers = if self.meta_conf.cache_enabled() {
+        // cross-process consistency note on [`Conf::meta_cache_entries`].
+        let local_writers = if self.conf.meta_cache_enabled() {
             self.cache.local_writers(&bp)
         } else {
             0
@@ -632,7 +538,7 @@ impl Plfs {
             bp,
             &params,
             0,
-            self.write_conf.index_buffer_entries,
+            self.conf.index_buffer_entries,
         )?;
         if !data.is_empty() {
             w.write(&data, 0)?;
@@ -723,9 +629,13 @@ mod tests {
 
     #[test]
     fn open_plumbs_cache_conf_into_fds() {
-        let p = plfs().with_cache_conf(CacheConf::sized(1 << 20).with_block_bytes(512));
+        let p = plfs().with_conf(Conf {
+            data_cache_bytes: 1 << 20,
+            data_cache_block_bytes: 512,
+            ..Conf::default()
+        });
         let fd = p.open("/f", CREATE_RW, 0).unwrap();
-        assert!(fd.cache_conf().enabled());
+        assert!(fd.conf().data_cache_enabled());
         assert!(fd.block_cache().is_some());
         p.write(&fd, &[7u8; 1024], 0, 0).unwrap();
         let mut buf = [0u8; 1024];
@@ -977,12 +887,12 @@ mod tests {
 
     // --- metadata fast path -------------------------------------------------
 
-    use crate::conf::MetaConf;
+    use crate::conf::Conf;
     use crate::meter::MeterBacking;
 
-    fn metered_plfs(conf: MetaConf) -> (Arc<MeterBacking>, Plfs) {
+    fn metered_plfs(conf: Conf) -> (Arc<MeterBacking>, Plfs) {
         let meter = Arc::new(MeterBacking::new(Arc::new(MemBacking::new())));
-        let p = Plfs::new(meter.clone() as Arc<dyn Backing>).with_meta_conf(conf);
+        let p = Plfs::new(meter.clone() as Arc<dyn Backing>).with_conf(conf);
         (meter, p)
     }
 
@@ -991,7 +901,7 @@ mod tests {
     /// (cache-off) path by at least 3x on reopen.
     #[test]
     fn reopen_metadata_ops_pinned() {
-        let (meter, p) = metered_plfs(MetaConf::default());
+        let (meter, p) = metered_plfs(Conf::default());
         let fd = p.open("/f", CREATE_RW, 1).unwrap();
         p.write(&fd, b"x", 0, 1).unwrap();
         p.close(&fd, 1).unwrap();
@@ -1008,7 +918,10 @@ mod tests {
 
         // The same reopen with the cache off (pre-fast-path behaviour):
         // stat + marker exists + access-file open + size.
-        let (meter, p) = metered_plfs(MetaConf::serial());
+        let (meter, p) = metered_plfs(Conf {
+            meta_cache_entries: 0,
+            ..Conf::default()
+        });
         let fd = p.open("/f", CREATE_RW, 1).unwrap();
         p.write(&fd, b"x", 0, 1).unwrap();
         p.close(&fd, 1).unwrap();
@@ -1035,7 +948,7 @@ mod tests {
     /// create itself: create_container returns the params it wrote.
     #[test]
     fn create_open_skips_params_reread() {
-        let (meter, p) = metered_plfs(MetaConf::default());
+        let (meter, p) = metered_plfs(Conf::default());
         let before = meter.snapshot();
         let fd = p.open("/f", CREATE_RW, 1).unwrap();
         let d = meter.snapshot().delta(&before);
@@ -1054,7 +967,7 @@ mod tests {
     /// getattr/access of a warm closed container are also metadata-free.
     #[test]
     fn warm_getattr_and_access_cost_zero_backing_ops() {
-        let (meter, p) = metered_plfs(MetaConf::default());
+        let (meter, p) = metered_plfs(Conf::default());
         let fd = p.open("/f", CREATE_RW, 1).unwrap();
         p.write(&fd, b"hello", 0, 1).unwrap();
         p.close(&fd, 1).unwrap();
@@ -1074,7 +987,10 @@ mod tests {
     /// Serial (cache-off) conf must behave exactly like the pre-cache code.
     #[test]
     fn serial_conf_disables_cache_entirely() {
-        let (meter, p) = metered_plfs(MetaConf::serial());
+        let (meter, p) = metered_plfs(Conf {
+            meta_cache_entries: 0,
+            ..Conf::default()
+        });
         p.create("/f", true).unwrap();
         let before = meter.snapshot();
         p.access("/f").unwrap();
@@ -1133,7 +1049,10 @@ mod tests {
         // behind (remove_container lost its rmdir race), so the paths may
         // or may not exist — what must hold is that the cached view agrees
         // with an uncached probe of the very same backing.
-        let serial = Plfs::new(p.backing().clone()).with_meta_conf(MetaConf::serial());
+        let serial = Plfs::new(p.backing().clone()).with_conf(Conf {
+            meta_cache_entries: 0,
+            ..Conf::default()
+        });
         for path in ["/shared0", "/shared1"] {
             let _ = p.unlink(path);
             assert_eq!(

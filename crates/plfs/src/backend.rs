@@ -22,7 +22,7 @@
 //! fast copy in place and reads keep being served from it.
 
 use crate::backing::{BackStat, Backing, BackingFile};
-use crate::conf::{BackendConf, DEFAULT_SUBMIT_DEPTH};
+use crate::conf::{BackendKind, Conf, DEFAULT_SUBMIT_DEPTH};
 use crate::error::{Error, Result};
 use parking_lot::Mutex;
 use std::collections::{BTreeSet, HashMap, VecDeque};
@@ -276,7 +276,7 @@ impl FileState {
 /// contents act as completion barriers. Deferred errors latch and surface
 /// at the next barrier on the same file.
 ///
-/// With [`BackendConf::batching`] off (`submit_depth == 0`) every call is a
+/// With [`Conf::batching`] off (`submit_depth == 0`) every call is a
 /// direct passthrough — handles are the inner handles, unwrapped.
 pub struct BatchedBacking {
     inner: Arc<dyn Backing>,
@@ -288,7 +288,7 @@ pub struct BatchedBacking {
 impl BatchedBacking {
     /// Wrap `inner`; `conf.submit_depth == 0` turns the decorator into a
     /// pure passthrough.
-    pub fn new(inner: Arc<dyn Backing>, conf: BackendConf) -> BatchedBacking {
+    pub fn new(inner: Arc<dyn Backing>, conf: &Conf) -> BatchedBacking {
         let submit = if conf.batching() {
             Some(Arc::new(Submitter::new(
                 conf.submit_depth,
@@ -582,7 +582,7 @@ struct TierCounters {
 pub struct TieredBacking {
     fast: Arc<dyn Backing>,
     slow: Arc<dyn Backing>,
-    conf: BackendConf,
+    destage_threshold: u64,
     map: Arc<Mutex<BTreeSet<String>>>,
     /// Serializes tier-map persistence (two destage workers must not
     /// interleave rewrites of the map file).
@@ -596,7 +596,7 @@ impl TieredBacking {
     /// (falling back to the default depth when batching is off — destage is
     /// inherent to the tiered backend, not a batching knob) and
     /// `conf.submit_workers` threads.
-    pub fn new(fast: Arc<dyn Backing>, slow: Arc<dyn Backing>, conf: BackendConf) -> TieredBacking {
+    pub fn new(fast: Arc<dyn Backing>, slow: Arc<dyn Backing>, conf: &Conf) -> TieredBacking {
         let depth = if conf.submit_depth == 0 {
             DEFAULT_SUBMIT_DEPTH
         } else {
@@ -606,7 +606,7 @@ impl TieredBacking {
         TieredBacking {
             fast,
             slow,
-            conf,
+            destage_threshold: conf.destage_threshold,
             map,
             persist: Arc::new(Mutex::new(())),
             counters: Arc::new(TierCounters::default()),
@@ -621,7 +621,7 @@ impl TieredBacking {
     pub fn new_metered(
         fast: Arc<dyn Backing>,
         slow: Arc<dyn Backing>,
-        conf: BackendConf,
+        conf: &Conf,
     ) -> (
         TieredBacking,
         Arc<crate::meter::MeterBacking>,
@@ -961,7 +961,7 @@ impl Backing for TieredBacking {
             Err(Error::NotFound(_)) => return Ok(()),
             Err(e) => return Err(e),
         };
-        if st.is_dir || st.size < self.conf.destage_threshold {
+        if st.is_dir || st.size < self.destage_threshold {
             return Ok(());
         }
         let fast = Arc::clone(&self.fast);
@@ -1475,19 +1475,69 @@ impl Backing for ObjectBacking {
     }
 }
 
+// ---------------------------------------------------------------------------
+// The one place a backend stack is composed.
+// ---------------------------------------------------------------------------
+
+/// What [`build_stack`] composed.
+pub struct Stack {
+    /// The backing to mount a [`crate::Plfs`] over.
+    pub backing: Arc<dyn Backing>,
+    /// The tiered layer inside it, when `conf.backend` is `tiered` — for
+    /// callers that must [`TieredBacking::drain`] before exiting.
+    pub tiered: Option<Arc<TieredBacking>>,
+}
+
+/// Compose the backend stack `conf` asks for over `primary` (the mount's
+/// backing, where containers finally live):
+///
+/// * `direct` — `primary` as is;
+/// * `object` — `primary` re-exposed as an object store of immutable
+///   whole-dropping objects;
+/// * `tiered` — `fast` as the burst-buffer tier destaging to `primary`; a
+///   tiered request without a fast tier is a configuration error;
+/// * `batched`, or any kind with `submit_depth > 0` — the above wrapped in
+///   the async submission layer.
+pub fn build_stack(
+    conf: &Conf,
+    primary: Arc<dyn Backing>,
+    fast: Option<Arc<dyn Backing>>,
+) -> Result<Stack> {
+    let conf = conf.validated();
+    let mut tiered = None;
+    let mut backing = match conf.backend {
+        BackendKind::Direct | BackendKind::Batched => primary,
+        BackendKind::Object => Arc::new(ObjectBacking::over(primary)),
+        BackendKind::Tiered => {
+            let fast = fast.ok_or(Error::InvalidArg("tiered backend needs a fast tier"))?;
+            let t = Arc::new(TieredBacking::new(fast, primary, &conf));
+            tiered = Some(Arc::clone(&t));
+            t
+        }
+    };
+    if conf.batching() {
+        backing = Arc::new(BatchedBacking::new(backing, &conf));
+    }
+    Ok(Stack { backing, tiered })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::backing::MemBacking;
 
-    fn conf() -> BackendConf {
-        BackendConf::batched().with_submit_workers(2)
+    fn conf() -> Conf {
+        Conf {
+            submit_depth: DEFAULT_SUBMIT_DEPTH,
+            submit_workers: 2,
+            ..Conf::default()
+        }
     }
 
     #[test]
     fn batched_appends_reserve_disjoint_offsets_and_barrier_on_sync() {
         let inner = Arc::new(MemBacking::new());
-        let b = BatchedBacking::new(inner.clone(), conf());
+        let b = BatchedBacking::new(inner.clone(), &conf());
         let f = b.create("/d", true).unwrap();
         let mut offs = Vec::new();
         for i in 0..50u8 {
@@ -1507,7 +1557,7 @@ mod tests {
     #[test]
     fn batched_two_handles_share_one_append_tail() {
         let inner = Arc::new(MemBacking::new());
-        let b = BatchedBacking::new(inner, conf());
+        let b = BatchedBacking::new(inner, &conf());
         drop(b.create("/shared", true).unwrap());
         let f1 = b.open("/shared", true).unwrap();
         let f2 = b.open("/shared", true).unwrap();
@@ -1521,7 +1571,7 @@ mod tests {
 
     #[test]
     fn batched_pread_sees_deferred_writes() {
-        let b = BatchedBacking::new(Arc::new(MemBacking::new()), conf());
+        let b = BatchedBacking::new(Arc::new(MemBacking::new()), &conf());
         let f = b.create("/x", true).unwrap();
         f.append(b"hello").unwrap();
         let mut buf = [0u8; 5];
@@ -1531,7 +1581,7 @@ mod tests {
 
     #[test]
     fn batched_stat_is_a_barrier() {
-        let b = BatchedBacking::new(Arc::new(MemBacking::new()), conf());
+        let b = BatchedBacking::new(Arc::new(MemBacking::new()), &conf());
         let f = b.create("/x", true).unwrap();
         f.append(&[1u8; 4096]).unwrap();
         assert_eq!(b.stat("/x").unwrap().size, 4096);
@@ -1540,7 +1590,7 @@ mod tests {
     #[test]
     fn batched_disabled_is_passthrough() {
         let inner = Arc::new(MemBacking::new());
-        let b = BatchedBacking::new(inner.clone(), BackendConf::disabled());
+        let b = BatchedBacking::new(inner.clone(), &Conf::default());
         let f = b.create("/p", true).unwrap();
         f.append(b"now").unwrap();
         // No barrier needed: the write was synchronous.
@@ -1551,7 +1601,7 @@ mod tests {
     #[test]
     fn batched_error_latches_until_barrier() {
         let inner = Arc::new(MemBacking::new());
-        let b = BatchedBacking::new(inner.clone(), conf());
+        let b = BatchedBacking::new(inner.clone(), &conf());
         drop(b.create("/e", true).unwrap());
         let f = b.open("/e", false).unwrap(); // read-only: pwrite will fail
         f.append(b"doomed").unwrap();
@@ -1565,7 +1615,7 @@ mod tests {
     fn tiered_writes_land_fast_and_destage_on_seal() {
         let fast = Arc::new(MemBacking::new());
         let slow = Arc::new(MemBacking::new());
-        let t = TieredBacking::new(fast.clone(), slow.clone(), conf());
+        let t = TieredBacking::new(fast.clone(), slow.clone(), &conf());
         let f = t.create("/c", true).unwrap();
         f.append(b"dropping-bytes").unwrap();
         f.sync().unwrap();
@@ -1591,14 +1641,14 @@ mod tests {
         let fast = Arc::new(MemBacking::new());
         let slow = Arc::new(MemBacking::new());
         {
-            let t = TieredBacking::new(fast.clone(), slow.clone(), conf());
+            let t = TieredBacking::new(fast.clone(), slow.clone(), &conf());
             let f = t.create("/a", true).unwrap();
             f.append(b"x").unwrap();
             f.sync().unwrap();
             t.seal("/a").unwrap();
             t.drain();
         }
-        let t2 = TieredBacking::new(Arc::new(MemBacking::new()), slow, conf());
+        let t2 = TieredBacking::new(Arc::new(MemBacking::new()), slow, &conf());
         assert_eq!(t2.slow_resident(), vec!["/a".to_string()]);
         assert!(t2.exists("/a"), "restart still routes to the slow copy");
     }
@@ -1607,7 +1657,7 @@ mod tests {
     fn tiered_readdir_unions_tiers_and_hides_the_map() {
         let fast = Arc::new(MemBacking::new());
         let slow = Arc::new(MemBacking::new());
-        let t = TieredBacking::new(fast, slow, conf());
+        let t = TieredBacking::new(fast, slow, &conf());
         t.mkdir("/d").unwrap();
         drop(t.create("/d/one", true).unwrap());
         drop(t.create("/d/two", true).unwrap());
@@ -1624,7 +1674,10 @@ mod tests {
         let t = TieredBacking::new(
             fast.clone(),
             slow.clone(),
-            conf().with_destage_threshold(100),
+            &Conf {
+                destage_threshold: 100,
+                ..conf()
+            },
         );
         let f = t.create("/small", true).unwrap();
         f.append(&[0u8; 10]).unwrap();
@@ -1646,7 +1699,7 @@ mod tests {
         good.pwrite(b"GOODGOOD", 0).unwrap();
         let torn = slow.create("/c", true).unwrap();
         torn.pwrite(b"TORN", 0).unwrap();
-        let t = TieredBacking::new(fast, slow, conf());
+        let t = TieredBacking::new(fast, slow, &conf());
         let f = t.open("/c", false).unwrap();
         let mut buf = [0u8; 8];
         assert_eq!(f.pread(&mut buf, 0).unwrap(), 8);
@@ -1658,7 +1711,7 @@ mod tests {
     fn tiered_unlink_and_rename_tolerate_single_tier_presence() {
         let fast = Arc::new(MemBacking::new());
         let slow = Arc::new(MemBacking::new());
-        let t = TieredBacking::new(fast, slow, conf());
+        let t = TieredBacking::new(fast, slow, &conf());
         drop(t.create("/a", true).unwrap());
         t.seal("/a").unwrap();
         t.drain();

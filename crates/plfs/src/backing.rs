@@ -637,7 +637,13 @@ mod tests {
     use super::*;
 
     fn backings() -> Vec<(&'static str, Box<dyn Backing>)> {
-        let dir = std::env::temp_dir().join(format!("plfs-backing-test-{}", std::process::id()));
+        // One directory per call: tests run on parallel threads.
+        static SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "plfs-backing-test-{}-{}",
+            std::process::id(),
+            SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+        ));
         let _ = std::fs::remove_dir_all(&dir);
         vec![
             ("mem", Box::new(MemBacking::new()) as Box<dyn Backing>),

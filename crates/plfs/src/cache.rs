@@ -26,7 +26,7 @@
 //! coalescing adjacent missing blocks into single large backing reads —
 //! before the stream arrives there.
 
-use crate::conf::CacheConf;
+use crate::conf::Conf;
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -109,7 +109,7 @@ struct StreamState {
 /// instance per open fd (see module docs for why keys intern dropping
 /// paths).
 pub struct BlockCache {
-    conf: CacheConf,
+    conf: Conf,
     shards: Box<[Mutex<Shard>]>,
     mask: usize,
     /// Per-shard byte budget (total budget split evenly, at least one
@@ -128,10 +128,11 @@ pub struct BlockCache {
 }
 
 impl BlockCache {
-    /// Build a cache for `conf` (which should be enabled — a zero budget
-    /// still works but holds only one block per shard).
-    pub fn new(conf: CacheConf) -> BlockCache {
-        let n = conf.shards.max(1).next_power_of_two();
+    /// Build a cache for `conf` (whose data cache should be enabled — a
+    /// zero budget still works but holds only one block per shard).
+    pub fn new(conf: &Conf) -> BlockCache {
+        let conf = conf.validated();
+        let n = conf.lock_shards.next_power_of_two();
         BlockCache {
             shards: (0..n)
                 .map(|_| {
@@ -143,7 +144,7 @@ impl BlockCache {
                 })
                 .collect(),
             mask: n - 1,
-            shard_budget: (conf.cache_bytes / n).max(conf.block_bytes),
+            shard_budget: (conf.data_cache_bytes / n).max(conf.data_cache_block_bytes),
             ids: RwLock::new(HashMap::new()),
             stream: Mutex::new(StreamState {
                 next_off: 0,
@@ -160,14 +161,9 @@ impl BlockCache {
         }
     }
 
-    /// The configuration this cache was built with.
-    pub fn conf(&self) -> &CacheConf {
-        &self.conf
-    }
-
     /// Cache block size in bytes.
     pub fn block_bytes(&self) -> usize {
-        self.conf.block_bytes
+        self.conf.data_cache_block_bytes
     }
 
     /// Intern a dropping path, returning its stable block-key id.
@@ -287,7 +283,7 @@ impl BlockCache {
         if start >= end {
             return 0;
         }
-        let bs = self.conf.block_bytes as u64;
+        let bs = self.conf.data_cache_block_bytes as u64;
         let first = start / bs;
         let last = (end - 1) / bs;
         let mut dropped = 0;
@@ -379,14 +375,14 @@ impl BlockCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::conf::CacheConf;
 
     fn cache(budget: usize, block: usize) -> BlockCache {
-        BlockCache::new(
-            CacheConf::sized(budget)
-                .with_block_bytes(block)
-                .with_shards(1),
-        )
+        BlockCache::new(&Conf {
+            data_cache_bytes: budget,
+            data_cache_block_bytes: block,
+            lock_shards: 1,
+            ..Conf::default()
+        })
     }
 
     #[test]
@@ -503,10 +499,13 @@ mod tests {
 
     #[test]
     fn readahead_ramps_doubles_and_resets_on_seek() {
-        let conf = CacheConf::sized(1 << 20)
-            .with_block_bytes(1024)
-            .with_readahead(2048, 8192);
-        let c = BlockCache::new(conf);
+        let c = BlockCache::new(&Conf {
+            data_cache_bytes: 1 << 20,
+            data_cache_block_bytes: 1024,
+            readahead_min: 2048,
+            readahead_max: 8192,
+            ..Conf::default()
+        });
         // First read at 0 is sequential (stream starts at 0): window=min,
         // prefetch [1024, 1024+2048).
         assert_eq!(c.plan_readahead(0, 1024), Some((1024, 2048)));
@@ -531,7 +530,11 @@ mod tests {
 
     #[test]
     fn readahead_disabled_plans_nothing() {
-        let c = BlockCache::new(CacheConf::sized(1 << 20).with_readahead(0, 0));
+        let c = BlockCache::new(&Conf {
+            data_cache_bytes: 1 << 20,
+            readahead_max: 0,
+            ..Conf::default()
+        });
         assert_eq!(c.plan_readahead(0, 4096), None);
         assert_eq!(c.plan_readahead(4096, 4096), None);
         assert_eq!(c.stats().readaheads, 0);

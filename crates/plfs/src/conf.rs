@@ -1,262 +1,28 @@
-//! Read- and write-path tuning knobs.
+//! One [`Conf`], one knob table.
 //!
-//! Real PLFS exposes a `threadpool_size` and a `data_buffer_mbs` in
-//! `plfsrc`; LDPLFS inherits them. [`ReadConf`] generalises the former into
-//! the three knobs the parallel read path needs: how many worker threads to
-//! fan `pread`s over, how large a request must be before fanning out pays
-//! for the thread handoff, and how many shards the dropping-handle cache is
-//! split into. [`WriteConf`] is the write-side twin: how many lock shards
-//! the per-pid writer table is split over, how much write-behind data
-//! buffering each writer gets (the `data_buffer_mbs` analogue), the index
-//! buffer depth, and whether a cached merged index is patched incrementally
-//! after local writes instead of re-merged from every dropping. Both are
-//! plumbed from `plfsrc` (`mount::PlfsRc::{read_conf, write_conf}`) through
-//! [`crate::api::Plfs`] and [`crate::fd::PlfsFd`], so the LDPLFS shim and
-//! direct API users share one configuration surface. [`MetaConf`] is the
-//! metadata-path third: the container metadata cache's capacity and shard
-//! count, plus the [`OpenMarkers`] policy deciding how writers announce
-//! themselves in `openhosts/`.
+//! The paper's LDPLFS is configured by one `plfsrc` plus one exported
+//! variable. [`Conf`] is the single flat struct every layer of this stack
+//! reads its tuning from — [`crate::api::Plfs`] hands a `&Conf` to each fd,
+//! reader, writer, block cache and backend decorator — and [`KNOBS`] is the
+//! single table every *spelling* of a knob comes from: the `plfsrc` parser
+//! ([`crate::mount::PlfsRc::parse`]), the `LD_PRELOAD` environment parser
+//! ([`Conf::from_env`]), `plfs-tools rccheck` and the README's
+//! Configuration table ([`knobs_markdown`]). Adding a knob is one row here
+//! plus the code that reads the field.
+//!
+//! A field gets a row (a `plfsrc` key, optionally an `LDPLFS_*` alias) only
+//! if it switches a default-off mechanism on or selects a policy a user has
+//! a reason to reach for. Second-order values (shard counts, thresholds,
+//! block and window sizes, worker counts) are plain fields that tests and
+//! bench comparison arms set programmatically.
 
-/// Tuning knobs for the container read path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReadConf {
-    /// Worker threads for fan-out `pread` (1 = always serial). Also gates
-    /// the parallel index merge: any value above 1 enables it.
-    pub threads: usize,
-    /// Minimum request size in bytes before a `pread` fans out over the
-    /// worker pool; smaller requests take the serial loop, which is faster
-    /// than a thread handoff for little reads.
-    pub fanout_threshold: u64,
-    /// Number of shards the dropping-handle cache is split over (rounded up
-    /// to a power of two). Concurrent readers touching distinct droppings
-    /// only contend when their ids collide in a shard.
-    pub handle_shards: usize,
-    /// Minimum dropping count before the index merge decodes droppings in
-    /// parallel; tiny containers stay serial.
-    pub parallel_merge_min_droppings: usize,
-    /// Resident-memory budget in bytes for the merged index (0 = unbounded:
-    /// the classic eager path expands every record at open). Any nonzero
-    /// value switches the reader to the compact index: pattern records stay
-    /// unexpanded and `pread` materialises per-extent views cached under
-    /// this budget, so index residency is O(on-disk records + budget)
-    /// instead of O(writes).
-    pub index_memory_bytes: usize,
-}
+use crate::error::{Error, Result};
+use crate::writer::DEFAULT_INDEX_BUFFER_ENTRIES;
+use std::fmt::Write as _;
 
-impl Default for ReadConf {
-    fn default() -> ReadConf {
-        ReadConf {
-            threads: 1,
-            fanout_threshold: DEFAULT_FANOUT_THRESHOLD,
-            handle_shards: DEFAULT_HANDLE_SHARDS,
-            parallel_merge_min_droppings: DEFAULT_PARALLEL_MERGE_MIN,
-            index_memory_bytes: 0,
-        }
-    }
-}
-
-/// Default fan-out threshold: 1 MiB.
-pub const DEFAULT_FANOUT_THRESHOLD: u64 = 1 << 20;
-/// Default handle-cache shard count.
-pub const DEFAULT_HANDLE_SHARDS: usize = 16;
-/// Default minimum dropping count for the parallel index merge.
-pub const DEFAULT_PARALLEL_MERGE_MIN: usize = 4;
-
-impl ReadConf {
-    /// A serial configuration (threads = 1), regardless of defaults.
-    pub fn serial() -> ReadConf {
-        ReadConf {
-            threads: 1,
-            ..ReadConf::default()
-        }
-    }
-
-    /// Builder-style: set the worker-thread count (min 1).
-    pub fn with_threads(mut self, threads: usize) -> ReadConf {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// Builder-style: set the fan-out threshold in bytes.
-    pub fn with_fanout_threshold(mut self, bytes: u64) -> ReadConf {
-        self.fanout_threshold = bytes;
-        self
-    }
-
-    /// Builder-style: set the handle-cache shard count (min 1).
-    pub fn with_handle_shards(mut self, shards: usize) -> ReadConf {
-        self.handle_shards = shards.max(1);
-        self
-    }
-
-    /// Builder-style: set the merged-index memory budget in bytes
-    /// (0 = unbounded eager index).
-    pub fn with_index_memory_bytes(mut self, bytes: usize) -> ReadConf {
-        self.index_memory_bytes = bytes;
-        self
-    }
-
-    /// Is the memory-bounded compact index enabled?
-    pub fn bounded_index(&self) -> bool {
-        self.index_memory_bytes > 0
-    }
-
-    /// Should the index merge for a container with `droppings` droppings
-    /// run in parallel under this configuration?
-    pub fn parallel_merge(&self, droppings: usize) -> bool {
-        self.threads > 1 && droppings >= self.parallel_merge_min_droppings
-    }
-
-    /// Should a `pread` of `bytes` bytes fan out under this configuration?
-    pub fn fanout(&self, bytes: u64) -> bool {
-        self.threads > 1 && bytes >= self.fanout_threshold
-    }
-}
-
-/// Tuning knobs for the container write path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WriteConf {
-    /// Number of lock shards the per-pid writer table is split over
-    /// (rounded up to a power of two). Concurrent ranks writing one fd
-    /// only contend when their pids collide in a shard; 1 restores the
-    /// single-lock behaviour.
-    pub write_shards: usize,
-    /// Write-behind aggregation buffer per writer, in bytes (the C
-    /// library's `data_buffer_mbs` analogue). Writes smaller than this are
-    /// coalesced in memory and spilled to the data dropping on threshold,
-    /// sync, or close. 0 disables buffering (every write hits the backing
-    /// store immediately).
-    pub data_buffer_bytes: usize,
-    /// Buffered index entries per writer before an automatic flush (the
-    /// `index_buffer_mbs` analogue, expressed in entries).
-    pub index_buffer_entries: usize,
-    /// After local writes, patch the cached merged index with this
-    /// process's freshly flushed entries instead of re-reading every
-    /// dropping. Off forces a full re-merge on each post-write read.
-    pub incremental_refresh: bool,
-    /// When the last writer closes a container holding more than this many
-    /// droppings, spawn a background task that compacts them into one
-    /// flattened dropping (0 = never compact automatically). Compaction is
-    /// also available on demand via `plfs-tools compact`.
-    pub compact_droppings_threshold: usize,
-}
-
-/// Default writer-table shard count.
-pub const DEFAULT_WRITE_SHARDS: usize = 16;
-/// Default write-behind data buffer size: 0 = buffering off.
-pub const DEFAULT_DATA_BUFFER_BYTES: usize = 0;
-
-impl Default for WriteConf {
-    fn default() -> WriteConf {
-        WriteConf {
-            write_shards: DEFAULT_WRITE_SHARDS,
-            data_buffer_bytes: DEFAULT_DATA_BUFFER_BYTES,
-            index_buffer_entries: crate::writer::DEFAULT_INDEX_BUFFER_ENTRIES,
-            incremental_refresh: true,
-            compact_droppings_threshold: 0,
-        }
-    }
-}
-
-impl WriteConf {
-    /// The fully serial configuration: one writer shard, no data
-    /// buffering, full index re-merge on every post-write read. This is
-    /// the pre-sharding behaviour and the property-test reference path.
-    pub fn serial() -> WriteConf {
-        WriteConf {
-            write_shards: 1,
-            data_buffer_bytes: 0,
-            incremental_refresh: false,
-            ..WriteConf::default()
-        }
-    }
-
-    /// Builder-style: set the writer-table shard count (min 1).
-    pub fn with_write_shards(mut self, shards: usize) -> WriteConf {
-        self.write_shards = shards.max(1);
-        self
-    }
-
-    /// Builder-style: set the write-behind buffer size in bytes (0 = off).
-    pub fn with_data_buffer_bytes(mut self, bytes: usize) -> WriteConf {
-        self.data_buffer_bytes = bytes;
-        self
-    }
-
-    /// Builder-style: set the index buffer depth in entries (min 1).
-    pub fn with_index_buffer_entries(mut self, entries: usize) -> WriteConf {
-        self.index_buffer_entries = entries.max(1);
-        self
-    }
-
-    /// Builder-style: enable or disable incremental reader refresh.
-    pub fn with_incremental_refresh(mut self, on: bool) -> WriteConf {
-        self.incremental_refresh = on;
-        self
-    }
-
-    /// Builder-style: set the background-compaction dropping threshold
-    /// (0 = off).
-    pub fn with_compact_droppings_threshold(mut self, droppings: usize) -> WriteConf {
-        self.compact_droppings_threshold = droppings;
-        self
-    }
-}
-
-/// Tuning knobs for the noncontiguous (list) I/O path.
-///
-/// List I/O takes a whole `(logical_offset, len)` extent vector through the
-/// stack in one call: one index-record batch on the log-structured write
-/// path (the batch flush lets pattern compression fold strided runs into
-/// single records) and one merged-index query fanned out over all extents
-/// on the read path. Disabling it makes [`crate::fd::PlfsFd::write_list`] /
-/// [`crate::fd::PlfsFd::read_list`] degrade to a plain per-extent loop —
-/// the property-test reference path and the behaviour MPI-IO data sieving
-/// falls back to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ListIoConf {
-    /// Master switch: false lowers every list call to single-extent ops.
-    pub enabled: bool,
-    /// Maximum extents handled per internal batch; longer vectors are
-    /// processed in chunks of this size so one huge vector cannot pin an
-    /// unbounded index-entry buffer.
-    pub max_extents: usize,
-}
-
-/// Default per-batch extent cap for list I/O.
-pub const DEFAULT_LIST_IO_MAX_EXTENTS: usize = 1024;
-
-impl Default for ListIoConf {
-    fn default() -> ListIoConf {
-        ListIoConf {
-            enabled: true,
-            max_extents: DEFAULT_LIST_IO_MAX_EXTENTS,
-        }
-    }
-}
-
-impl ListIoConf {
-    /// The disabled configuration: every list call degrades to a
-    /// single-extent loop (the property-test reference path).
-    pub fn disabled() -> ListIoConf {
-        ListIoConf {
-            enabled: false,
-            ..ListIoConf::default()
-        }
-    }
-
-    /// Builder-style: enable or disable list I/O.
-    pub fn with_enabled(mut self, on: bool) -> ListIoConf {
-        self.enabled = on;
-        self
-    }
-
-    /// Builder-style: set the per-batch extent cap (min 1).
-    pub fn with_max_extents(mut self, extents: usize) -> ListIoConf {
-        self.max_extents = extents.max(1);
-        self
-    }
-}
+/// Submission-queue depth `backend batched` turns on when `submit_depth`
+/// is left at 0.
+pub const DEFAULT_SUBMIT_DEPTH: usize = 64;
 
 /// When a writer announces itself in `openhosts/` — the paper's per-open
 /// metadata burst lives here, so the marker policy is a knob.
@@ -287,285 +53,28 @@ impl OpenMarkers {
             _ => None,
         }
     }
-}
 
-/// Tuning knobs for the container metadata path.
-///
-/// Consistency note: with the cache enabled, a warm fast-stat verdict
-/// lets `getattr` skip the `openhosts/` readdir, so another *process*'s
-/// writes stay invisible to a stat here until this process drops the
-/// cached verdict (local open/close/mutation of the path, or capacity
-/// eviction). Cross-process stat freshness is eventual, not
-/// read-your-close; [`MetaConf::serial`] restores the strict pre-cache
-/// behaviour. Same-process stats are always exact.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MetaConf {
-    /// Approximate capacity of the container metadata cache, in entries
-    /// (0 disables caching: every lookup probes the backing store).
-    pub meta_cache_entries: usize,
-    /// Number of lock shards the metadata cache is split over (rounded up
-    /// to a power of two).
-    pub meta_cache_shards: usize,
-    /// When writers announce themselves in `openhosts/`.
-    pub open_markers: OpenMarkers,
-}
-
-/// Default metadata-cache capacity in entries.
-pub const DEFAULT_META_CACHE_ENTRIES: usize = 4096;
-/// Default metadata-cache shard count.
-pub const DEFAULT_META_CACHE_SHARDS: usize = 16;
-
-impl Default for MetaConf {
-    fn default() -> MetaConf {
-        MetaConf {
-            meta_cache_entries: DEFAULT_META_CACHE_ENTRIES,
-            meta_cache_shards: DEFAULT_META_CACHE_SHARDS,
-            open_markers: OpenMarkers::Eager,
+    /// Canonical lower-case name.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            OpenMarkers::Eager => "eager",
+            OpenMarkers::Lazy => "lazy",
+            OpenMarkers::Off => "off",
         }
     }
 }
 
-impl MetaConf {
-    /// The uncached configuration: no metadata cache, eager per-pid open
-    /// markers. This is the pre-cache behaviour and the property-test
-    /// reference path.
-    pub fn serial() -> MetaConf {
-        MetaConf {
-            meta_cache_entries: 0,
-            ..MetaConf::default()
-        }
-    }
-
-    /// Is the metadata cache enabled at all?
-    pub fn cache_enabled(&self) -> bool {
-        self.meta_cache_entries > 0
-    }
-
-    /// Builder-style: set the cache capacity in entries (0 = off).
-    pub fn with_meta_cache_entries(mut self, entries: usize) -> MetaConf {
-        self.meta_cache_entries = entries;
-        self
-    }
-
-    /// Builder-style: set the cache shard count (min 1).
-    pub fn with_meta_cache_shards(mut self, shards: usize) -> MetaConf {
-        self.meta_cache_shards = shards.max(1);
-        self
-    }
-
-    /// Builder-style: set the open-marker policy.
-    pub fn with_open_markers(mut self, policy: OpenMarkers) -> MetaConf {
-        self.open_markers = policy;
-        self
-    }
-}
-
-/// Tuning knobs for the pluggable scale-out backend layer.
-///
-/// `submit_depth`/`submit_workers` configure the async submission queue of
-/// [`crate::BatchedBacking`]: deferred data writes queue up to
-/// `submit_depth` ops (submission blocks beyond that — natural
-/// backpressure) and `submit_workers` threads drain them, with per-file
-/// `sync`/`size`/`pread` and close acting as completion barriers.
-/// `destage_threshold` is the [`crate::TieredBacking`] knob: a sealed
-/// dropping at least this many bytes is copied to the slow tier in the
-/// background (0 = destage everything sealed). The disabled configuration
-/// keeps every backing call synchronous — byte-identical to the
-/// pre-backend-layer behaviour and the property-test reference path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BackendConf {
-    /// Maximum deferred backing ops in flight (0 = submission layer off:
-    /// every op is issued synchronously in the caller's thread).
-    pub submit_depth: usize,
-    /// Worker threads draining the submission queue (min 1 when enabled).
-    pub submit_workers: usize,
-    /// Minimum sealed-dropping size in bytes before a tiered backing
-    /// destages it to the slow tier (0 = destage all sealed droppings).
-    pub destage_threshold: u64,
-}
-
-/// Default submission-queue depth when batching is enabled.
-pub const DEFAULT_SUBMIT_DEPTH: usize = 64;
-/// Default submission worker count when batching is enabled.
-pub const DEFAULT_SUBMIT_WORKERS: usize = 4;
-
-impl Default for BackendConf {
-    fn default() -> BackendConf {
-        BackendConf {
-            submit_depth: 0,
-            submit_workers: DEFAULT_SUBMIT_WORKERS,
-            destage_threshold: 0,
-        }
-    }
-}
-
-impl BackendConf {
-    /// The disabled configuration: synchronous submission, destage
-    /// everything sealed. This is the reference path — with the knobs off
-    /// the backend layer must be byte-identical to direct backing calls.
-    pub fn disabled() -> BackendConf {
-        BackendConf::default()
-    }
-
-    /// A batching configuration with the default depth and worker count.
-    pub fn batched() -> BackendConf {
-        BackendConf {
-            submit_depth: DEFAULT_SUBMIT_DEPTH,
-            submit_workers: DEFAULT_SUBMIT_WORKERS,
-            ..BackendConf::default()
-        }
-    }
-
-    /// Is the async submission layer enabled?
-    pub fn batching(&self) -> bool {
-        self.submit_depth > 0
-    }
-
-    /// Builder-style: set the submission-queue depth (0 = off).
-    pub fn with_submit_depth(mut self, depth: usize) -> BackendConf {
-        self.submit_depth = depth;
-        self
-    }
-
-    /// Builder-style: set the submission worker count (min 1).
-    pub fn with_submit_workers(mut self, workers: usize) -> BackendConf {
-        self.submit_workers = workers.max(1);
-        self
-    }
-
-    /// Builder-style: set the destage size threshold in bytes.
-    pub fn with_destage_threshold(mut self, bytes: u64) -> BackendConf {
-        self.destage_threshold = bytes;
-        self
-    }
-}
-
-/// Tuning knobs for the client-side data block cache and adaptive
-/// readahead.
-///
-/// The cache holds fixed-size blocks of dropping data keyed by
-/// (dropping, block index), LRU-evicted under `cache_bytes`. It sits
-/// below index resolution — every physical dropping read, whether from
-/// the eager or the memory-bounded compact index path, a plain `pread`
-/// or a `read_list` extent, probes it — so it composes with every
-/// backend kind (a tiered read that fell to the slow tier populates the
-/// cache like any other miss). Sequential streams additionally ramp a
-/// readahead window from `readahead_min` to `readahead_max` (doubling
-/// per consecutive sequential read, reset on seek) and batch-fetch the
-/// window ahead of the reader through the pread fan-out pool.
-///
-/// Disabled by default (`cache_bytes = 0`): with the knob off the read
-/// path is byte- and op-identical to the uncached stack, which is the
-/// property-test reference path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheConf {
-    /// Total cache budget in bytes (0 = cache off).
-    pub cache_bytes: usize,
-    /// Cache block size in bytes (clamped to at least 512).
-    pub block_bytes: usize,
-    /// Initial readahead window in bytes once a sequential stream is
-    /// detected.
-    pub readahead_min: usize,
-    /// Readahead window ceiling in bytes (0 = readahead off; the cache
-    /// still works demand-fetch only).
-    pub readahead_max: usize,
-    /// Number of lock shards the block table is split over (rounded up
-    /// to a power of two).
-    pub shards: usize,
-}
-
-/// Default cache block size: 64 KiB.
-pub const DEFAULT_CACHE_BLOCK_BYTES: usize = 64 << 10;
-/// Default data-cache shard count.
-pub const DEFAULT_CACHE_SHARDS: usize = 16;
-/// Default initial readahead window: 2 blocks.
-pub const DEFAULT_READAHEAD_MIN: usize = 2 * DEFAULT_CACHE_BLOCK_BYTES;
-/// Default readahead window ceiling: 1 MiB.
-pub const DEFAULT_READAHEAD_MAX: usize = 1 << 20;
-
-impl Default for CacheConf {
-    fn default() -> CacheConf {
-        CacheConf {
-            cache_bytes: 0,
-            block_bytes: DEFAULT_CACHE_BLOCK_BYTES,
-            readahead_min: DEFAULT_READAHEAD_MIN,
-            readahead_max: DEFAULT_READAHEAD_MAX,
-            shards: DEFAULT_CACHE_SHARDS,
-        }
-    }
-}
-
-impl CacheConf {
-    /// The disabled configuration: no cache, no readahead — the read
-    /// path is identical to the pre-cache stack. This is the
-    /// property-test reference path.
-    pub fn disabled() -> CacheConf {
-        CacheConf::default()
-    }
-
-    /// An enabled configuration with `cache_bytes` of budget and default
-    /// block size, shards, and readahead.
-    pub fn sized(cache_bytes: usize) -> CacheConf {
-        CacheConf {
-            cache_bytes,
-            ..CacheConf::default()
-        }
-    }
-
-    /// Is the data cache enabled at all?
-    pub fn enabled(&self) -> bool {
-        self.cache_bytes > 0
-    }
-
-    /// Is adaptive readahead enabled (requires the cache itself on)?
-    pub fn readahead_enabled(&self) -> bool {
-        self.enabled() && self.readahead_max > 0
-    }
-
-    /// Builder-style: set the cache budget in bytes (0 = off).
-    pub fn with_cache_bytes(mut self, bytes: usize) -> CacheConf {
-        self.cache_bytes = bytes;
-        self
-    }
-
-    /// Builder-style: set the block size in bytes (min 512).
-    pub fn with_block_bytes(mut self, bytes: usize) -> CacheConf {
-        self.block_bytes = bytes.max(512);
-        self
-    }
-
-    /// Builder-style: set the readahead window range in bytes
-    /// (`max` = 0 turns readahead off; `min` is clamped to one block and
-    /// to at most `max` when readahead is on).
-    pub fn with_readahead(mut self, min: usize, max: usize) -> CacheConf {
-        self.readahead_max = max;
-        self.readahead_min = if max == 0 {
-            min
-        } else {
-            min.max(self.block_bytes).min(max)
-        };
-        self
-    }
-
-    /// Builder-style: set the shard count (min 1).
-    pub fn with_shards(mut self, shards: usize) -> CacheConf {
-        self.shards = shards.max(1);
-        self
-    }
-}
-
-/// Which backend stack sits under a mount (the `backend` plfsrc key and the
-/// `LDPLFS_BACKEND` environment knob). Orthogonal to [`BackendConf`]: any
-/// kind can additionally be wrapped in the batched submission layer.
+/// Which backend stack [`crate::backend::build_stack`] composes under a
+/// mount.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BackendKind {
-    /// Plain synchronous backing (the default; today's behaviour).
+    /// Plain synchronous backing (the default).
     #[default]
     Direct,
     /// The mount's backing wrapped in [`crate::BatchedBacking`].
     Batched,
-    /// [`crate::TieredBacking`]: the mount's first backend directory is the
-    /// fast tier, the remaining backends the slow tier.
+    /// [`crate::TieredBacking`]: a fast (burst-buffer) tier in front of the
+    /// mount's backing.
     Tiered,
     /// [`crate::ObjectBacking`] over the mount's backing.
     Object,
@@ -594,190 +103,598 @@ impl BackendKind {
     }
 }
 
+/// Every tuning value of the PLFS stack. [`Conf::default`] is what
+/// [`crate::api::Plfs::new`] runs with; every entry point (plfsrc,
+/// environment, programmatic) starts from it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Conf {
+    /// Worker threads for fan-out `pread` (1 = always serial). Any value
+    /// above 1 also enables the parallel index merge.
+    pub threads: usize,
+    /// Minimum request size in bytes before a `pread` fans out over the
+    /// worker pool; smaller requests take the serial loop.
+    pub fanout_threshold: u64,
+    /// Minimum dropping count before the index merge decodes droppings in
+    /// parallel; tiny containers stay serial.
+    pub parallel_merge_min_droppings: usize,
+    /// Resident-memory budget in bytes for the merged index (0 = the
+    /// classic eager index, every record expanded at open). Nonzero
+    /// switches the reader to the compact index: pattern records stay
+    /// unexpanded and `pread` materialises per-extent views cached under
+    /// this budget.
+    pub index_memory_bytes: usize,
+    /// Lock shards (rounded up to a power of two) of each sharded table:
+    /// the dropping-handle cache, the per-pid writer table, the container
+    /// metadata cache and the data block cache. 1 restores single-lock
+    /// behaviour everywhere.
+    pub lock_shards: usize,
+    /// Write-behind aggregation buffer per writer, in bytes (the C
+    /// library's `data_buffer_mbs`). 0 = every write hits the backing
+    /// store immediately.
+    pub data_buffer_bytes: usize,
+    /// Buffered index entries per writer before an automatic flush. Set
+    /// per mount in `plfsrc` (`index_buffer_entries`).
+    pub index_buffer_entries: usize,
+    /// After local writes, patch the cached merged index with this
+    /// process's freshly flushed entries instead of re-reading every
+    /// dropping. Off forces a full re-merge on each post-write read.
+    pub incremental_refresh: bool,
+    /// When the last writer closes a container holding more than this many
+    /// droppings, compact them into one in the background (0 = never).
+    pub compact_droppings_threshold: usize,
+    /// Native list I/O: one index-record batch per extent vector on write,
+    /// one merged-index query on read. Off lowers every list call to a
+    /// per-extent loop.
+    pub list_io: bool,
+    /// Maximum extents per internal list-I/O batch, so one huge vector
+    /// cannot pin an unbounded index-entry buffer.
+    pub list_io_max_extents: usize,
+    /// Container metadata cache capacity in entries (0 = off: every lookup
+    /// probes the backing store). With the cache on, another *process*'s
+    /// writes stay invisible to a warm `getattr` here until the cached
+    /// verdict is dropped; same-process stats are always exact.
+    pub meta_cache_entries: usize,
+    /// When writers announce themselves in `openhosts/`.
+    pub open_markers: OpenMarkers,
+    /// Which backend stack to compose under the mount.
+    pub backend: BackendKind,
+    /// Maximum deferred backing ops in flight (0 = every op synchronous in
+    /// the caller's thread). Sizes [`crate::BatchedBacking`]'s submission
+    /// queue and [`crate::TieredBacking`]'s destage queue.
+    pub submit_depth: usize,
+    /// Worker threads draining the submission queue.
+    pub submit_workers: usize,
+    /// Minimum sealed-dropping size in bytes before a tiered backing
+    /// destages it to the slow tier (0 = destage every sealed dropping).
+    pub destage_threshold: u64,
+    /// Data block cache budget per fd in bytes (0 = no cache, no
+    /// readahead: the read path is op-identical to the uncached stack).
+    pub data_cache_bytes: usize,
+    /// Cache block size in bytes.
+    pub data_cache_block_bytes: usize,
+    /// Initial readahead window in bytes once a sequential stream is
+    /// detected.
+    pub readahead_min: usize,
+    /// Readahead window ceiling in bytes (0 = readahead off; the cache
+    /// still serves demand fetches).
+    pub readahead_max: usize,
+}
+
+impl Default for Conf {
+    fn default() -> Conf {
+        Conf {
+            threads: 1,
+            fanout_threshold: 1 << 20,
+            parallel_merge_min_droppings: 4,
+            index_memory_bytes: 0,
+            lock_shards: 16,
+            data_buffer_bytes: 0,
+            index_buffer_entries: DEFAULT_INDEX_BUFFER_ENTRIES,
+            incremental_refresh: true,
+            compact_droppings_threshold: 0,
+            list_io: true,
+            list_io_max_extents: 1024,
+            meta_cache_entries: 4096,
+            open_markers: OpenMarkers::Eager,
+            backend: BackendKind::Direct,
+            submit_depth: 0,
+            submit_workers: 4,
+            destage_threshold: 0,
+            data_cache_bytes: 0,
+            data_cache_block_bytes: 64 << 10,
+            readahead_min: 128 << 10,
+            readahead_max: 1 << 20,
+        }
+    }
+}
+
+impl Conf {
+    /// Clamp every field into the range the stack can run with, and turn
+    /// `backend batched` with no explicit depth into a working queue.
+    /// Idempotent; every entry point that accepts a `Conf` from outside
+    /// applies it.
+    pub fn validated(mut self) -> Conf {
+        self.threads = self.threads.max(1);
+        self.lock_shards = self.lock_shards.max(1);
+        self.index_buffer_entries = self.index_buffer_entries.max(1);
+        self.list_io_max_extents = self.list_io_max_extents.max(1);
+        self.submit_workers = self.submit_workers.max(1);
+        if self.backend == BackendKind::Batched && self.submit_depth == 0 {
+            self.submit_depth = DEFAULT_SUBMIT_DEPTH;
+        }
+        self.data_cache_block_bytes = self.data_cache_block_bytes.max(512);
+        if self.readahead_max > 0 {
+            self.readahead_min = self
+                .readahead_min
+                .max(self.data_cache_block_bytes)
+                .min(self.readahead_max);
+        }
+        self
+    }
+
+    /// The configuration an `LD_PRELOAD`ed process asked for through its
+    /// environment: defaults, overridden by every variable that is some
+    /// row's env alias. Names no row claims are skipped, and an unparsable
+    /// value keeps the default — the shim must never refuse to start over a
+    /// tuning knob.
+    pub fn from_env<K, V>(vars: impl IntoIterator<Item = (K, V)>) -> Conf
+    where
+        K: AsRef<str>,
+        V: AsRef<str>,
+    {
+        let mut conf = Conf::default();
+        for (name, value) in vars {
+            if let Some(k) = env_knob(name.as_ref()) {
+                let _ = k.apply(&mut conf, value.as_ref(), true);
+            }
+        }
+        conf.validated()
+    }
+
+    /// Is the memory-bounded compact index enabled?
+    pub fn bounded_index(&self) -> bool {
+        self.index_memory_bytes > 0
+    }
+
+    /// Should the index merge for a container with `droppings` droppings
+    /// run in parallel?
+    pub fn parallel_merge(&self, droppings: usize) -> bool {
+        self.threads > 1 && droppings >= self.parallel_merge_min_droppings
+    }
+
+    /// Should a `pread` of `bytes` bytes fan out over the worker pool?
+    pub fn fanout(&self, bytes: u64) -> bool {
+        self.threads > 1 && bytes >= self.fanout_threshold
+    }
+
+    /// Is the container metadata cache enabled?
+    pub fn meta_cache_enabled(&self) -> bool {
+        self.meta_cache_entries > 0
+    }
+
+    /// Is the async submission layer enabled?
+    pub fn batching(&self) -> bool {
+        self.submit_depth > 0
+    }
+
+    /// Is the data block cache enabled?
+    pub fn data_cache_enabled(&self) -> bool {
+        self.data_cache_bytes > 0
+    }
+
+    /// Is adaptive readahead enabled (requires the cache itself on)?
+    pub fn readahead_enabled(&self) -> bool {
+        self.data_cache_enabled() && self.readahead_max > 0
+    }
+}
+
+/// What one unit of a numeric knob's spelling is worth in its field.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Unit {
+    /// A plain count (entries, threads, ops).
+    Count,
+    /// Bytes.
+    Bytes,
+    /// KiB (× 1024).
+    KiB,
+    /// MiB (× 1048576).
+    MiB,
+}
+
+impl Unit {
+    fn scale(self) -> usize {
+        match self {
+            Unit::Count | Unit::Bytes => 1,
+            Unit::KiB => 1 << 10,
+            Unit::MiB => 1 << 20,
+        }
+    }
+
+    /// Name as printed in the Configuration table.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Unit::Count => "count",
+            Unit::Bytes => "bytes",
+            Unit::KiB => "KiB",
+            Unit::MiB => "MiB",
+        }
+    }
+}
+
+/// How a knob's text becomes its field.
+pub enum Kind {
+    /// A `usize` field: the plfsrc value is in `unit`, the env alias's in
+    /// `env_unit`, and a spelled number below `min` is rejected.
+    Num {
+        /// Unit of the plfsrc spelling.
+        unit: Unit,
+        /// Unit of the env alias's spelling.
+        env_unit: Unit,
+        /// Smallest accepted value.
+        min: usize,
+        /// The field.
+        field: fn(&mut Conf) -> &mut usize,
+    },
+    /// `true|1|yes|on` / `false|0|no|off`.
+    Bool(fn(&mut Conf) -> &mut bool),
+    /// `eager|lazy|off`.
+    Markers(fn(&mut Conf) -> &mut OpenMarkers),
+    /// `direct|batched|tiered|object`.
+    Backend(fn(&mut Conf) -> &mut BackendKind),
+}
+
+/// One row of the knob table: every spelling of one [`Conf`] field.
+pub struct Knob {
+    /// Global `plfsrc` key.
+    pub key: &'static str,
+    /// `LD_PRELOAD`-form environment alias, if the knob has one.
+    pub env: Option<&'static str>,
+    /// One-line description for `rccheck --knobs` / the README.
+    pub doc: &'static str,
+    /// Type, unit, range and field accessor.
+    pub kind: Kind,
+}
+
+/// A [`Kind::Num`] in table-row form: key unit, env-alias unit, minimum,
+/// field.
+const fn num(unit: Unit, env_unit: Unit, min: usize, field: fn(&mut Conf) -> &mut usize) -> Kind {
+    Kind::Num {
+        unit,
+        env_unit,
+        min,
+        field,
+    }
+}
+
+/// The knob table. Order is the order `rccheck` and the README print.
+pub const KNOBS: &[Knob] = &[
+    Knob {
+        key: "threadpool_size",
+        env: None,
+        doc: "reader worker threads; above 1 enables pread fan-out and the parallel index merge",
+        kind: num(Unit::Count, Unit::Count, 1, |c| &mut c.threads),
+    },
+    Knob {
+        key: "index_memory_bytes",
+        env: Some("LDPLFS_INDEX_MEMORY_BYTES"),
+        doc: "resident budget of the merged index; 0 keeps the eager fully expanded index",
+        kind: num(Unit::Bytes, Unit::Bytes, 0, |c| &mut c.index_memory_bytes),
+    },
+    Knob {
+        key: "data_buffer_mbs",
+        env: None,
+        doc: "write-behind data buffer per writer; 0 writes through",
+        kind: num(Unit::MiB, Unit::MiB, 0, |c| &mut c.data_buffer_bytes),
+    },
+    Knob {
+        key: "compact_droppings_threshold",
+        env: Some("LDPLFS_COMPACT_THRESHOLD"),
+        doc: "compact in the background at last close above this many droppings; 0 never",
+        kind: num(Unit::Count, Unit::Count, 0, |c| &mut c.compact_droppings_threshold),
+    },
+    Knob {
+        key: "list_io",
+        env: Some("LDPLFS_LIST_IO"),
+        doc: "native list I/O; off lowers vectored/list calls to per-extent ops",
+        kind: Kind::Bool(|c| &mut c.list_io),
+    },
+    Knob {
+        key: "meta_cache_entries",
+        env: Some("LDPLFS_META_CACHE"),
+        doc: "container metadata cache capacity; 0 = strict cross-process stat freshness",
+        kind: num(Unit::Count, Unit::Count, 0, |c| &mut c.meta_cache_entries),
+    },
+    Knob {
+        key: "open_markers",
+        env: Some("LDPLFS_OPEN_MARKERS"),
+        doc: "openhosts/ marker per writing pid (eager), per fd (lazy), or none (off)",
+        kind: Kind::Markers(|c| &mut c.open_markers),
+    },
+    Knob {
+        key: "backend",
+        env: Some("LDPLFS_BACKEND_KIND"),
+        doc: "backend stack under the mount; tiered takes the first of two or more `backends` as its fast tier",
+        kind: Kind::Backend(|c| &mut c.backend),
+    },
+    Knob {
+        key: "submit_depth",
+        env: Some("LDPLFS_SUBMIT_DEPTH"),
+        doc: "async submission queue depth; 0 keeps every backing op synchronous",
+        kind: num(Unit::Count, Unit::Count, 0, |c| &mut c.submit_depth),
+    },
+    Knob {
+        key: "data_cache_mbs",
+        env: Some("LDPLFS_DATA_CACHE"),
+        doc: "per-fd data block cache budget; 0 = no cache, no readahead",
+        kind: num(Unit::MiB, Unit::Bytes, 0, |c| &mut c.data_cache_bytes),
+    },
+    Knob {
+        key: "readahead_max_kbs",
+        env: Some("LDPLFS_READAHEAD"),
+        doc: "readahead window ceiling for cached sequential streams; 0 keeps the cache, no readahead",
+        kind: num(Unit::KiB, Unit::Bytes, 0, |c| &mut c.readahead_max),
+    },
+];
+
+/// The row whose `plfsrc` key is `key`.
+pub fn knob(key: &str) -> Option<&'static Knob> {
+    KNOBS.iter().find(|k| k.key == key)
+}
+
+/// The row whose environment alias is `name`.
+pub fn env_knob(name: &str) -> Option<&'static Knob> {
+    KNOBS.iter().find(|k| k.env == Some(name))
+}
+
+impl Knob {
+    /// Apply the `plfsrc` spelling `value` to `conf`.
+    pub fn set(&self, conf: &mut Conf, value: &str) -> Result<()> {
+        self.apply(conf, value, false)
+    }
+
+    /// `from_env`: `value` is the env alias's spelling, in the alias's unit.
+    fn apply(&self, conf: &mut Conf, value: &str, from_env: bool) -> Result<()> {
+        let bad = |what: &str| Error::Config(format!("{}: {what} `{value}`", self.key));
+        match &self.kind {
+            Kind::Num {
+                unit,
+                env_unit,
+                min,
+                field,
+            } => {
+                let unit = if from_env { env_unit } else { unit };
+                let n: usize = value.parse().map_err(|_| bad("bad numeric value"))?;
+                if n < *min {
+                    return Err(bad("value below minimum"));
+                }
+                // Checked: `18446744073709551615` must be an error, not a
+                // debug-build multiply overflow.
+                *field(conf) = n
+                    .checked_mul(unit.scale())
+                    .ok_or_else(|| bad("value out of range"))?;
+            }
+            Kind::Bool(field) => {
+                *field(conf) = match value {
+                    "true" | "1" | "yes" | "on" => true,
+                    "false" | "0" | "no" | "off" => false,
+                    _ => return Err(bad("bad boolean value")),
+                }
+            }
+            Kind::Markers(field) => {
+                *field(conf) =
+                    OpenMarkers::parse(value).ok_or_else(|| bad("unknown open_markers policy"))?
+            }
+            Kind::Backend(field) => {
+                *field(conf) =
+                    BackendKind::parse(value).ok_or_else(|| bad("unknown backend kind"))?
+            }
+        }
+        Ok(())
+    }
+
+    /// `conf`'s value of this knob in its `plfsrc` spelling (numeric
+    /// values in the key's unit, rounded down).
+    pub fn render(&self, conf: &Conf) -> String {
+        let mut c = *conf;
+        match &self.kind {
+            Kind::Num { unit, field, .. } => (*field(&mut c) / unit.scale()).to_string(),
+            Kind::Bool(field) => if *field(&mut c) { "on" } else { "off" }.to_string(),
+            Kind::Markers(field) => field(&mut c).as_str().to_string(),
+            Kind::Backend(field) => field(&mut c).as_str().to_string(),
+        }
+    }
+}
+
+/// The Configuration table as markdown: what `plfs-tools rccheck --knobs`
+/// prints and README.md must contain verbatim (CI diffs the two). An env
+/// alias's unit is spelled out where it differs from the key's.
+pub fn knobs_markdown() -> String {
+    let d = Conf::default();
+    let mut out = String::from(
+        "| plfsrc key | env alias | unit | default | range | effect |\n|---|---|---|---|---|---|\n",
+    );
+    for k in KNOBS {
+        let (unit, range) = match &k.kind {
+            Kind::Num { unit, min, .. } => (unit.as_str(), format!("≥ {min}")),
+            Kind::Bool(_) => ("bool", "on, off".to_string()),
+            Kind::Markers(_) => ("enum", "eager, lazy, off".to_string()),
+            Kind::Backend(_) => ("enum", "direct, batched, tiered, object".to_string()),
+        };
+        let env = match (k.env, &k.kind) {
+            (None, _) => "—".to_string(),
+            (Some(e), Kind::Num { unit, env_unit, .. }) if unit != env_unit => {
+                format!("`{e}` ({})", env_unit.as_str())
+            }
+            (Some(e), _) => format!("`{e}`"),
+        };
+        let (key, default, doc) = (k.key, k.render(&d), k.doc);
+        let _ = writeln!(
+            out,
+            "| `{key}` | {env} | {unit} | {default} | {range} | {doc} |"
+        );
+    }
+    out
+}
+
+/// A spelling every row's `set` accepts and that differs from its default
+/// (shared by this module's and the plfsrc parser's table-driven tests).
+#[cfg(test)]
+pub(crate) fn sample(k: &Knob) -> &'static str {
+    match &k.kind {
+        Kind::Num { .. } => "3",
+        Kind::Bool(_) => "off",
+        Kind::Markers(_) => "lazy",
+        Kind::Backend(_) => "object",
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn defaults_are_serial() {
-        let c = ReadConf::default();
-        assert_eq!(c.threads, 1);
-        assert!(!c.parallel_merge(1000));
-        assert!(!c.fanout(u64::MAX));
-        assert_eq!(c.index_memory_bytes, 0, "eager index by default");
-        assert!(!c.bounded_index());
-    }
-
-    #[test]
-    fn index_memory_budget_enables_bounded_index() {
-        let c = ReadConf::default().with_index_memory_bytes(1 << 20);
-        assert_eq!(c.index_memory_bytes, 1 << 20);
-        assert!(c.bounded_index());
-        assert!(!c.with_index_memory_bytes(0).bounded_index());
-    }
-
-    #[test]
-    fn compact_threshold_defaults_off() {
-        assert_eq!(WriteConf::default().compact_droppings_threshold, 0);
-        let c = WriteConf::default().with_compact_droppings_threshold(8);
-        assert_eq!(c.compact_droppings_threshold, 8);
-    }
-
-    #[test]
-    fn builders_clamp_to_one() {
-        let c = ReadConf::default().with_threads(0).with_handle_shards(0);
-        assert_eq!(c.threads, 1);
-        assert_eq!(c.handle_shards, 1);
-    }
-
-    #[test]
-    fn gates_respect_thresholds() {
-        let c = ReadConf::default()
-            .with_threads(8)
-            .with_fanout_threshold(4096);
-        assert!(c.fanout(4096));
-        assert!(!c.fanout(4095));
-        assert!(c.parallel_merge(DEFAULT_PARALLEL_MERGE_MIN));
-        assert!(!c.parallel_merge(DEFAULT_PARALLEL_MERGE_MIN - 1));
-    }
-
-    #[test]
-    fn write_defaults_shard_but_do_not_buffer() {
-        let c = WriteConf::default();
-        assert_eq!(c.write_shards, DEFAULT_WRITE_SHARDS);
-        assert_eq!(c.data_buffer_bytes, 0, "write-behind is opt-in");
-        assert!(c.incremental_refresh);
-        assert_eq!(
-            c.index_buffer_entries,
-            crate::writer::DEFAULT_INDEX_BUFFER_ENTRIES
+    fn defaults_keep_every_optional_mechanism_off() {
+        let c = Conf::default();
+        assert_eq!(c, c.validated(), "defaults are already valid");
+        assert!(
+            !c.parallel_merge(1000) && !c.fanout(u64::MAX),
+            "serial reads"
         );
-    }
-
-    #[test]
-    fn write_serial_is_the_single_lock_path() {
-        let c = WriteConf::serial();
-        assert_eq!(c.write_shards, 1);
-        assert_eq!(c.data_buffer_bytes, 0);
-        assert!(!c.incremental_refresh);
-    }
-
-    #[test]
-    fn meta_serial_disables_cache_and_keeps_eager_markers() {
-        let c = MetaConf::serial();
-        assert_eq!(c.meta_cache_entries, 0);
-        assert!(!c.cache_enabled());
+        assert!(!c.bounded_index(), "eager index");
+        assert_eq!(c.data_buffer_bytes, 0, "write-behind is opt-in");
+        assert!(!c.batching() && !c.data_cache_enabled() && !c.readahead_enabled());
+        assert!(c.list_io && c.incremental_refresh && c.meta_cache_enabled());
         assert_eq!(c.open_markers, OpenMarkers::Eager);
     }
 
     #[test]
-    fn meta_default_caches() {
-        let c = MetaConf::default();
-        assert!(c.cache_enabled());
-        assert_eq!(c.meta_cache_entries, DEFAULT_META_CACHE_ENTRIES);
-        assert_eq!(c.meta_cache_shards, DEFAULT_META_CACHE_SHARDS);
+    fn gates_respect_thresholds() {
+        let c = Conf {
+            threads: 8,
+            fanout_threshold: 4096,
+            ..Conf::default()
+        };
+        assert!(c.fanout(4096));
+        assert!(!c.fanout(4095));
+        assert!(c.parallel_merge(c.parallel_merge_min_droppings));
+        assert!(!c.parallel_merge(c.parallel_merge_min_droppings - 1));
     }
 
     #[test]
-    fn meta_builders_clamp_shards_but_allow_zero_entries() {
-        let c = MetaConf::default()
-            .with_meta_cache_shards(0)
-            .with_meta_cache_entries(0)
-            .with_open_markers(OpenMarkers::Lazy);
-        assert_eq!(c.meta_cache_shards, 1);
-        assert!(!c.cache_enabled());
-        assert_eq!(c.open_markers, OpenMarkers::Lazy);
+    fn validated_clamps_what_the_stack_cannot_run_with() {
+        let c = Conf {
+            threads: 0,
+            lock_shards: 0,
+            index_buffer_entries: 0,
+            list_io_max_extents: 0,
+            submit_workers: 0,
+            data_cache_block_bytes: 1,
+            readahead_min: 0,
+            ..Conf::default()
+        }
+        .validated();
+        assert_eq!(
+            (c.threads, c.lock_shards, c.index_buffer_entries),
+            (1, 1, 1)
+        );
+        assert_eq!((c.list_io_max_extents, c.submit_workers), (1, 1));
+        assert_eq!(c.data_cache_block_bytes, 512);
+        assert_eq!(c.readahead_min, 512, "min clamped up to a block");
+        let c = Conf {
+            readahead_min: 1 << 30,
+            ..Conf::default()
+        }
+        .validated();
+        assert_eq!(c.readahead_min, c.readahead_max, "min clamped to max");
+        let c = Conf {
+            data_cache_bytes: 1 << 20,
+            readahead_max: 0,
+            ..Conf::default()
+        }
+        .validated();
+        assert!(c.data_cache_enabled() && !c.readahead_enabled());
+        // `backend batched` alone turns the submission layer on.
+        let c = Conf {
+            backend: BackendKind::Batched,
+            ..Conf::default()
+        };
+        assert!(!c.batching() && c.validated().batching());
     }
 
     #[test]
-    fn list_io_defaults_on_and_clamps() {
-        let c = ListIoConf::default();
-        assert!(c.enabled);
-        assert_eq!(c.max_extents, DEFAULT_LIST_IO_MAX_EXTENTS);
-        let c = ListIoConf::disabled();
-        assert!(!c.enabled);
-        let c = ListIoConf::default()
-            .with_max_extents(0)
-            .with_enabled(false);
-        assert_eq!(c.max_extents, 1);
-        assert!(!c.enabled);
+    fn every_row_round_trips_and_rejects_garbage() {
+        let default = Conf::default();
+        for k in KNOBS {
+            // render → set → read.
+            let mut c = default;
+            k.set(&mut c, sample(k)).unwrap();
+            assert_eq!(k.render(&c), sample(k), "{}", k.key);
+            assert_ne!(c, default, "{} reaches a field", k.key);
+            let mut again = default;
+            k.set(&mut again, &k.render(&c)).unwrap();
+            assert_eq!(again, c, "{}", k.key);
+            // The default's own rendering is accepted and changes nothing.
+            let mut same = default;
+            k.set(&mut same, &k.render(&default)).unwrap();
+            assert_eq!(same, default, "{}", k.key);
+            // Garbage never lands, whatever the row's type.
+            for junk in ["18446744073709551616", "-1", "lots", ""] {
+                let mut c = default;
+                let err = k.set(&mut c, junk).unwrap_err();
+                assert!(err.to_string().contains(k.key), "{err}");
+                assert_eq!(c, default, "{} = {junk:?} must not land", k.key);
+            }
+            // Scaled units overflow into an error, not a wrapped value.
+            if let Kind::Num { unit, .. } = &k.kind {
+                let mut c = default;
+                let r = k.set(&mut c, "18446744073709551615");
+                assert_eq!(r.is_err(), unit.scale() > 1, "{}", k.key);
+            }
+        }
     }
 
     #[test]
-    fn open_markers_parse_plfsrc_spellings() {
-        assert_eq!(OpenMarkers::parse("eager"), Some(OpenMarkers::Eager));
-        assert_eq!(OpenMarkers::parse("lazy"), Some(OpenMarkers::Lazy));
-        assert_eq!(OpenMarkers::parse("off"), Some(OpenMarkers::Off));
-        assert_eq!(OpenMarkers::parse("sometimes"), None);
+    fn keys_and_env_aliases_are_unique_and_bounded() {
+        for (i, k) in KNOBS.iter().enumerate() {
+            for other in &KNOBS[i + 1..] {
+                assert_ne!(k.key, other.key);
+                assert!(k.env.is_none() || k.env != other.env);
+            }
+            assert!(k.env.is_none_or(|e| e.starts_with("LDPLFS_")));
+        }
+        assert!(KNOBS.len() <= 11, "a row must earn its spelling");
     }
 
     #[test]
-    fn backend_defaults_are_synchronous() {
-        let c = BackendConf::default();
-        assert_eq!(c.submit_depth, 0);
-        assert!(!c.batching());
-        assert_eq!(c.destage_threshold, 0);
-        assert_eq!(BackendConf::disabled(), c);
+    fn from_env_honours_each_alias_unit_and_survives_garbage() {
+        let default = Conf::default();
+        assert_eq!(Conf::from_env(Vec::<(String, String)>::new()), default);
+        // Same field, different unit per spelling.
+        let k = knob("data_cache_mbs").unwrap();
+        let mut rc = default;
+        k.set(&mut rc, "4").unwrap();
+        assert_eq!(rc.data_cache_bytes, 4 << 20);
+        let env = Conf::from_env([("LDPLFS_DATA_CACHE", "4096"), ("LDPLFS_READAHEAD", "2048")]);
+        assert_eq!(env.data_cache_bytes, 4096);
+        assert_eq!(env.readahead_max, 2048);
+        assert_eq!(env.readahead_min, 2048, "validated: min clamped to max");
+        // Every alias reaches its field.
+        for k in KNOBS.iter().filter(|k| k.env.is_some()) {
+            let c = Conf::from_env([(k.env.unwrap(), sample(k))]);
+            assert_ne!(c, default, "{}", k.key);
+            // Unparsable values and names no row claims keep the default.
+            let c = Conf::from_env([(k.env.unwrap(), "-lots"), ("LDPLFS_MOUNT", "/m")]);
+            assert_eq!(c, default, "{}", k.key);
+        }
+        // plfsrc keys are not environment names.
+        assert_eq!(Conf::from_env([("threadpool_size", "8")]), default);
     }
 
     #[test]
-    fn backend_batched_and_builders_clamp() {
-        let c = BackendConf::batched();
-        assert!(c.batching());
-        assert_eq!(c.submit_depth, DEFAULT_SUBMIT_DEPTH);
-        assert_eq!(c.submit_workers, DEFAULT_SUBMIT_WORKERS);
-        let c = BackendConf::default()
-            .with_submit_depth(8)
-            .with_submit_workers(0)
-            .with_destage_threshold(1 << 20);
-        assert_eq!(c.submit_depth, 8);
-        assert_eq!(c.submit_workers, 1);
-        assert_eq!(c.destage_threshold, 1 << 20);
-    }
-
-    #[test]
-    fn cache_defaults_off_and_identical_to_disabled() {
-        let c = CacheConf::default();
-        assert_eq!(c.cache_bytes, 0, "data cache is opt-in");
-        assert!(!c.enabled());
-        assert!(!c.readahead_enabled(), "no readahead without a cache");
-        assert_eq!(c, CacheConf::disabled());
-        assert_eq!(c.block_bytes, DEFAULT_CACHE_BLOCK_BYTES);
-        assert_eq!(c.shards, DEFAULT_CACHE_SHARDS);
-    }
-
-    #[test]
-    fn cache_sized_enables_with_defaults() {
-        let c = CacheConf::sized(8 << 20);
-        assert!(c.enabled());
-        assert!(c.readahead_enabled());
-        assert_eq!(c.readahead_min, DEFAULT_READAHEAD_MIN);
-        assert_eq!(c.readahead_max, DEFAULT_READAHEAD_MAX);
-    }
-
-    #[test]
-    fn cache_builders_clamp() {
-        let c = CacheConf::sized(1 << 20).with_block_bytes(1).with_shards(0);
-        assert_eq!(c.block_bytes, 512);
-        assert_eq!(c.shards, 1);
-        let c = CacheConf::sized(1 << 20).with_readahead(0, 1 << 20);
-        assert_eq!(c.readahead_min, c.block_bytes, "min clamped to a block");
-        let c = CacheConf::sized(1 << 20).with_readahead(1 << 30, 1 << 20);
-        assert_eq!(c.readahead_min, 1 << 20, "min clamped to max");
-        let c = CacheConf::sized(1 << 20).with_readahead(1 << 20, 0);
-        assert!(!c.readahead_enabled(), "max = 0 turns readahead off");
-        assert!(c.enabled(), "cache itself stays on");
-    }
-
-    #[test]
-    fn write_builders_clamp_to_one() {
-        let c = WriteConf::default()
-            .with_write_shards(0)
-            .with_index_buffer_entries(0)
-            .with_data_buffer_bytes(1 << 20)
-            .with_incremental_refresh(false);
-        assert_eq!(c.write_shards, 1);
-        assert_eq!(c.index_buffer_entries, 1);
-        assert_eq!(c.data_buffer_bytes, 1 << 20);
-        assert!(!c.incremental_refresh);
+    fn markdown_table_has_one_line_per_row() {
+        let md = knobs_markdown();
+        assert_eq!(md.lines().count(), KNOBS.len() + 2);
+        assert!(md.contains("| `data_cache_mbs` | `LDPLFS_DATA_CACHE` (bytes) | MiB | 0 |"));
+        assert!(md.contains("| `threadpool_size` | — | count | 1 | ≥ 1 |"));
     }
 }

@@ -18,10 +18,11 @@
 //! spread over `num_hostdirs` subdirectories.
 
 use crate::backing::{join, remove_tree, Backing};
-use crate::conf::ReadConf;
+use crate::conf::Conf;
 use crate::error::{Error, Result};
 use crate::index::{CompactIndex, GlobalIndex, IndexEntry, IndexRecord};
 use rayon::prelude::*;
+use std::time::{Duration, Instant};
 
 /// Name of the marker file that identifies a container.
 pub const ACCESS_FILE: &str = ".plfsaccess";
@@ -191,17 +192,58 @@ pub fn create_container(
         if excl {
             return Err(Error::Exists(path.to_string()));
         }
-        if is_container(b, path) {
-            return read_params(b, path);
-        }
-        return Err(Error::Exists(path.to_string()));
+        return await_creator(b, path);
     }
-    b.mkdir(path)?;
+    match b.mkdir(path) {
+        Ok(()) => {}
+        // Lost the mkdir to a concurrent creator.
+        Err(Error::Exists(_)) if !excl => return await_creator(b, path),
+        Err(e) => return Err(e),
+    }
     b.mkdir(&join(path, OPENHOSTS_DIR))?;
     b.mkdir(&join(path, META_DIR))?;
     let access = b.create(&join(path, ACCESS_FILE), true)?;
     access.pwrite(&encode_params(params), 0)?;
     Ok(*params)
+}
+
+/// How long a non-exclusive creator waits for a concurrent creator of the
+/// same container to finish its skeleton.
+const CREATE_RACE_WAIT: Duration = Duration::from_secs(1);
+
+/// The parameters of the container at `path`, which exists as a directory
+/// but may still be mid-creation by another process: the skeleton is four
+/// backing ops, the access file comes last, and a creator that merely lost
+/// the race must not fail a *non*-exclusive create with `EEXIST`. Reads
+/// the access file, retrying (bounded) while it is missing or still empty
+/// — but only while `path` looks like a nascent container; anything else
+/// in the way is `Exists` at once.
+fn await_creator(b: &dyn Backing, path: &str) -> Result<ContainerParams> {
+    let deadline = Instant::now() + CREATE_RACE_WAIT;
+    let mut pause = Duration::from_micros(50);
+    loop {
+        let err = match read_params(b, path) {
+            Ok(p) => return Ok(p),
+            Err(e @ Error::Corrupt(_)) => e,
+            Err(Error::NotContainer(_)) => Error::Exists(path.to_string()),
+            Err(e) => return Err(e),
+        };
+        if Instant::now() >= deadline || !nascent(b, path) {
+            return Err(err);
+        }
+        std::thread::sleep(pause);
+        pause = (pause * 2).min(Duration::from_millis(10));
+    }
+}
+
+/// Could `path` be a container skeleton under construction — a directory
+/// holding nothing but skeleton entries?
+fn nascent(b: &dyn Backing, path: &str) -> bool {
+    b.readdir(path).is_ok_and(|names| {
+        names
+            .iter()
+            .all(|n| [OPENHOSTS_DIR, META_DIR, ACCESS_FILE].contains(&n.as_str()))
+    })
 }
 
 /// Read back the parameters a container was created with.
@@ -321,7 +363,7 @@ pub fn build_global_index(
 pub fn build_global_index_with(
     b: &dyn Backing,
     container: &str,
-    conf: &ReadConf,
+    conf: &Conf,
 ) -> Result<(GlobalIndex, Vec<DroppingRef>, bool)> {
     let droppings = list_droppings(b, container)?;
     let indexed: Vec<(u32, &str)> = droppings
@@ -365,7 +407,7 @@ fn read_index_dropping_compact(b: &dyn Backing, id: u32, ip: &str) -> Result<Vec
 pub fn build_compact_index(
     b: &dyn Backing,
     container: &str,
-    conf: &ReadConf,
+    conf: &Conf,
 ) -> Result<(CompactIndex, Vec<DroppingRef>, bool)> {
     let droppings = list_droppings(b, container)?;
     let indexed: Vec<(u32, &str)> = droppings

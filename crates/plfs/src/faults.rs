@@ -324,7 +324,10 @@ mod tests {
     fn path_filter_scopes_injection() {
         let faulty = Arc::new(Faulty::new(Arc::new(MemBacking::new())));
         faulty.arm(rule(FaultOp::Write, "dropping.index", 0, u64::MAX));
-        let plfs = Plfs::new(faulty.clone()).with_index_buffer(1);
+        let plfs = Plfs::new(faulty.clone()).with_conf(crate::Conf {
+            index_buffer_entries: 1,
+            ..Default::default()
+        });
         let fd = plfs
             .open("/f", OpenFlags::WRONLY | OpenFlags::CREAT, 0)
             .unwrap();

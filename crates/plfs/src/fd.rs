@@ -9,14 +9,14 @@
 //! path):
 //!
 //! - **Per-pid writer sharding.** The pid → [`WriteFile`] table is split
-//!   over id-hashed lock shards ([`WriteConf::write_shards`]), so N ranks
+//!   over id-hashed lock shards ([`Conf::lock_shards`]), so N ranks
 //!   writing one fd only contend when their pids collide in a shard.
 //! - **O(1) EOF.** A cached atomic max-EOF is bumped on every write, so
 //!   `append()` and `size()` answer without an index merge; the merge (or
 //!   an incremental patch) happens only on actual reads.
 //! - **Incremental reader refresh.** When a merged read view is already
 //!   cached, a post-write read patches it with this process's freshly
-//!   flushed entries ([`WriteConf::incremental_refresh`]) instead of
+//!   flushed entries ([`Conf::incremental_refresh`]) instead of
 //!   re-reading every dropping.
 //!
 //! EOF coherence is per-fd, as in the C library: ranks sharing this fd see
@@ -25,7 +25,7 @@
 
 use crate::backing::Backing;
 use crate::cache::BlockCache;
-use crate::conf::{CacheConf, ListIoConf, MetaConf, OpenMarkers, ReadConf, WriteConf};
+use crate::conf::{Conf, OpenMarkers};
 use crate::container::{self, ContainerParams, DroppingRef};
 use crate::error::{Error, Result};
 use crate::flags::OpenFlags;
@@ -51,12 +51,8 @@ pub struct PlfsFd {
     container: String,
     params: ContainerParams,
     flags: OpenFlags,
-    write_conf: WriteConf,
-    read_conf: ReadConf,
-    meta_conf: MetaConf,
-    list_io_conf: ListIoConf,
-    cache_conf: CacheConf,
-    /// The fd's data block cache ([`CacheConf::cache_bytes`] > 0): shared
+    conf: Conf,
+    /// The fd's data block cache ([`Conf::data_cache_bytes`] > 0): shared
     /// by every read view this fd builds, so warm blocks survive the
     /// write-triggered view refreshes. Holds the readahead stream state.
     block_cache: Option<Arc<BlockCache>>,
@@ -95,23 +91,24 @@ impl PlfsFd {
         container: String,
         params: ContainerParams,
         flags: OpenFlags,
-        write_conf: WriteConf,
+        conf: &Conf,
         pid: u64,
     ) -> PlfsFd {
         let mut refs = HashMap::new();
         refs.insert(pid, 1);
-        let n = write_conf.write_shards.max(1).next_power_of_two();
+        let conf = conf.validated();
+        let n = conf.lock_shards.next_power_of_two();
         PlfsFd {
             backing,
             container,
             params,
             flags,
-            write_conf,
-            read_conf: ReadConf::default(),
-            meta_conf: MetaConf::default(),
-            list_io_conf: ListIoConf::default(),
-            cache_conf: CacheConf::default(),
-            block_cache: None,
+            // A cache is instantiated only when the conf enables one; the
+            // default keeps the fd byte-for-byte on the uncached read path.
+            block_cache: conf
+                .data_cache_enabled()
+                .then(|| Arc::new(BlockCache::new(&conf))),
+            conf,
             cache: None,
             hostdirs_ready: Mutex::new(HashSet::new()),
             lazy_marker: Mutex::new(None),
@@ -126,85 +123,15 @@ impl PlfsFd {
         }
     }
 
-    /// Set the reader thread-pool size (builder style, pre-Arc).
-    pub fn with_read_threads(self, threads: usize) -> PlfsFd {
-        let conf = self.read_conf.with_threads(threads);
-        self.with_read_conf(conf)
-    }
-
-    /// Set the full read-path configuration (builder style, pre-Arc).
-    pub fn with_read_conf(mut self, conf: ReadConf) -> PlfsFd {
-        self.read_conf = conf;
-        self
-    }
-
-    /// Set the full write-path configuration (builder style, pre-Arc;
-    /// the writer table is re-sharded, which is only sound while it is
-    /// still empty).
-    pub fn with_write_conf(mut self, conf: WriteConf) -> PlfsFd {
-        let n = conf.write_shards.max(1).next_power_of_two();
-        self.write_conf = conf;
-        self.shards = (0..n).map(|_| Mutex::new(HashMap::new())).collect();
-        self.shard_mask = n - 1;
-        self
-    }
-
-    /// Set the metadata-path configuration (builder style, pre-Arc).
-    pub fn with_meta_conf(mut self, conf: MetaConf) -> PlfsFd {
-        self.meta_conf = conf;
-        self
-    }
-
-    /// Set the noncontiguous list-I/O configuration (builder style,
-    /// pre-Arc).
-    pub fn with_list_io_conf(mut self, conf: ListIoConf) -> PlfsFd {
-        self.list_io_conf = conf;
-        self
-    }
-
-    /// Set the data block cache configuration (builder style, pre-Arc).
-    /// A cache is instantiated only when the conf enables one
-    /// ([`CacheConf::enabled`]); the default conf keeps the fd cacheless
-    /// and byte-for-byte on the uncached read path.
-    pub fn with_cache_conf(mut self, conf: CacheConf) -> PlfsFd {
-        self.block_cache = if conf.enabled() {
-            Some(Arc::new(BlockCache::new(conf)))
-        } else {
-            None
-        };
-        self.cache_conf = conf;
-        self
-    }
-
     /// Attach the process-wide metadata cache this fd keeps current.
     pub(crate) fn with_meta_cache(mut self, cache: Arc<MetaCache>) -> PlfsFd {
         self.cache = Some(cache);
         self
     }
 
-    /// The read-path configuration readers built from this fd use.
-    pub fn read_conf(&self) -> &ReadConf {
-        &self.read_conf
-    }
-
-    /// The metadata-path configuration this fd runs under.
-    pub fn meta_conf(&self) -> &MetaConf {
-        &self.meta_conf
-    }
-
-    /// The write-path configuration writers opened by this fd use.
-    pub fn write_conf(&self) -> &WriteConf {
-        &self.write_conf
-    }
-
-    /// The noncontiguous list-I/O configuration this fd runs under.
-    pub fn list_io_conf(&self) -> &ListIoConf {
-        &self.list_io_conf
-    }
-
-    /// The data-cache configuration this fd runs under.
-    pub fn cache_conf(&self) -> &CacheConf {
-        &self.cache_conf
+    /// The configuration this fd runs under.
+    pub fn conf(&self) -> &Conf {
+        &self.conf
     }
 
     /// The fd's block cache, when one is configured (for stats and tests).
@@ -291,7 +218,7 @@ impl PlfsFd {
     /// the next `len` bytes. The log-structured write path makes this
     /// nearly free: every extent appends to `pid`'s data dropping, and the
     /// whole batch is flushed as **one** index-record write (chunked at
-    /// [`ListIoConf::max_extents`]), letting pattern compression fold
+    /// [`Conf::list_io_max_extents`]), letting pattern compression fold
     /// strided runs across extents into single records. Extents may
     /// overlap or arrive out of order — later extents win, exactly as a
     /// sequence of single-extent [`PlfsFd::write`] calls would.
@@ -306,7 +233,7 @@ impl PlfsFd {
         if need > data.len() as u64 {
             return Err(Error::InvalidArg("write_list data shorter than extents"));
         }
-        if !self.list_io_conf.enabled {
+        if !self.conf.list_io {
             let mut pos = 0usize;
             let mut total = 0usize;
             for &(off, len) in extents {
@@ -318,7 +245,7 @@ impl PlfsFd {
         let t0 = iotrace::global().start();
         let mut pos = 0usize;
         let mut total = 0usize;
-        for batch in extents.chunks(self.list_io_conf.max_extents.max(1)) {
+        for batch in extents.chunks(self.conf.list_io_max_extents) {
             // One shard-lock acquisition and one index flush per batch: the
             // extents land back-to-back in the data dropping and their index
             // entries leave as a single batched record write.
@@ -359,7 +286,7 @@ impl PlfsFd {
         if need > data.len() as u64 {
             return Err(Error::InvalidArg("read_list buffer shorter than extents"));
         }
-        if !self.list_io_conf.enabled {
+        if !self.conf.list_io {
             let mut pos = 0usize;
             let mut total = 0usize;
             for &(off, len) in extents {
@@ -406,7 +333,7 @@ impl PlfsFd {
                 &self.container,
                 &self.params,
                 pid,
-                &self.write_conf,
+                &self.conf,
             )?;
             self.note_writer_open(pid)?;
             e.insert(w);
@@ -437,7 +364,7 @@ impl PlfsFd {
     /// Record a new writer: bump the cached writer count and place the
     /// `openhosts/` marker the configured policy calls for.
     fn note_writer_open(&self, pid: u64) -> Result<()> {
-        match self.meta_conf.open_markers {
+        match self.conf.open_markers {
             OpenMarkers::Eager => {
                 let t0 = iotrace::global().start();
                 container::mark_open(self.backing.as_ref(), &self.container, pid)?;
@@ -476,7 +403,7 @@ impl PlfsFd {
         if let Some(c) = &self.cache {
             c.writer_dec(&self.container);
         }
-        match self.meta_conf.open_markers {
+        match self.conf.open_markers {
             OpenMarkers::Eager => {
                 let t0 = iotrace::global().start();
                 container::mark_closed(self.backing.as_ref(), &self.container, pid)?;
@@ -582,12 +509,8 @@ impl PlfsFd {
             }
             // The memory-bounded reader has no resident full index to
             // patch; it rebuilds (cheaply — records stay compact) instead.
-            let patchable = !self.read_conf.bounded_index();
-            if self.write_conf.incremental_refresh
-                && patchable
-                && guard.is_some()
-                && !fresh.is_empty()
-            {
+            let patchable = !self.conf.bounded_index();
+            if self.conf.incremental_refresh && patchable && guard.is_some() && !fresh.is_empty() {
                 let prev = guard.take().unwrap();
                 let r = self.patch_reader(&prev, fresh)?;
                 *guard = Some(r.clone());
@@ -601,7 +524,7 @@ impl PlfsFd {
             return Ok(r.clone());
         }
         let t0 = iotrace::global().start();
-        let mut rf = ReadFile::open_with(self.backing.as_ref(), &self.container, self.read_conf)?;
+        let mut rf = ReadFile::open_with(self.backing.as_ref(), &self.container, &self.conf)?;
         if let Some(c) = &self.block_cache {
             rf = rf.with_cache(Arc::clone(c));
         }
@@ -660,7 +583,7 @@ impl PlfsFd {
         for e in entries {
             index.insert(e);
         }
-        let mut rf = ReadFile::from_parts(index, droppings, self.read_conf);
+        let mut rf = ReadFile::from_parts(index, droppings, &self.conf);
         if let Some(c) = &self.block_cache {
             rf = rf.with_cache(Arc::clone(c));
         }
@@ -699,7 +622,7 @@ impl PlfsFd {
                     // plfs-lint: allow(lock-across-io, "intentional: the seed must run exactly once; the reader lock is this fd's seed latch, and racing seeders would each pay a full index merge")
                     self.backing.as_ref(),
                     &self.container,
-                    &self.read_conf,
+                    &self.conf,
                 )?;
                 index.eof()
             }
@@ -741,7 +664,7 @@ impl PlfsFd {
                 if let Some(c) = &self.cache {
                     c.writer_dec(&self.container);
                 }
-                if self.meta_conf.open_markers == OpenMarkers::Eager {
+                if self.conf.open_markers == OpenMarkers::Eager {
                     // plfs-lint: allow(lock-across-io, "intentional quiesce: truncate holds the reader lock while tearing down writers so no refresh observes a half-reset fd")
                     container::mark_closed(self.backing.as_ref(), &self.container, pid)?;
                 }
@@ -831,14 +754,14 @@ impl PlfsFd {
         Ok(remaining)
     }
 
-    /// Opt-in background compaction (`WriteConf::compact_droppings_threshold`):
+    /// Opt-in background compaction ([`Conf::compact_droppings_threshold`]):
     /// when the last reference on a writable fd goes away and the container
     /// has accumulated more droppings than the threshold, fold them into one
     /// flattened dropping off-thread. Best-effort housekeeping: the dropping
     /// census and the compaction itself run detached, errors are swallowed,
     /// and a failed compaction leaves the container readable as it was.
     fn maybe_compact_in_background(&self) {
-        let threshold = self.write_conf.compact_droppings_threshold;
+        let threshold = self.conf.compact_droppings_threshold;
         if threshold == 0 || !self.flags.writable() {
             return;
         }
@@ -870,11 +793,19 @@ mod tests {
     use crate::backing::MemBacking;
     use crate::container::create_container;
 
-    fn open_fd(flags: OpenFlags) -> (Arc<dyn Backing>, Arc<PlfsFd>) {
-        open_fd_with(flags, WriteConf::default().with_index_buffer_entries(64))
+    /// Defaults, with an index buffer small enough for tests to overflow.
+    fn base() -> Conf {
+        Conf {
+            index_buffer_entries: 64,
+            ..Conf::default()
+        }
     }
 
-    fn open_fd_with(flags: OpenFlags, conf: WriteConf) -> (Arc<dyn Backing>, Arc<PlfsFd>) {
+    fn open_fd(flags: OpenFlags) -> (Arc<dyn Backing>, Arc<PlfsFd>) {
+        open_fd_with(flags, base())
+    }
+
+    fn open_fd_with(flags: OpenFlags, conf: Conf) -> (Arc<dyn Backing>, Arc<PlfsFd>) {
         let b: Arc<dyn Backing> = Arc::new(MemBacking::new());
         let params = ContainerParams::default();
         create_container(b.as_ref(), "/f", &params, true).unwrap();
@@ -883,37 +814,30 @@ mod tests {
             "/f".to_string(),
             params,
             flags,
-            conf,
+            &conf,
             100,
         ));
         (b, fd)
     }
 
     fn open_fd_markers(markers: OpenMarkers) -> (Arc<dyn Backing>, Arc<PlfsFd>) {
-        let b: Arc<dyn Backing> = Arc::new(MemBacking::new());
-        let params = ContainerParams::default();
-        create_container(b.as_ref(), "/f", &params, true).unwrap();
-        let fd = Arc::new(
-            PlfsFd::new(
-                b.clone(),
-                "/f".to_string(),
-                params,
-                OpenFlags::RDWR,
-                WriteConf::default().with_index_buffer_entries(64),
-                100,
-            )
-            .with_meta_conf(MetaConf::default().with_open_markers(markers)),
-        );
-        (b, fd)
+        open_fd_with(
+            OpenFlags::RDWR,
+            Conf {
+                open_markers: markers,
+                ..base()
+            },
+        )
     }
 
     #[test]
     fn background_compaction_folds_droppings_after_last_close() {
         let (b, fd) = open_fd_with(
             OpenFlags::RDWR,
-            WriteConf::default()
-                .with_index_buffer_entries(64)
-                .with_compact_droppings_threshold(2),
+            Conf {
+                compact_droppings_threshold: 2,
+                ..base()
+            },
         );
         for pid in 0..4u64 {
             fd.add_ref(pid);
@@ -952,9 +876,10 @@ mod tests {
     fn no_background_compaction_below_threshold_or_readonly() {
         let (b, fd) = open_fd_with(
             OpenFlags::RDWR,
-            WriteConf::default()
-                .with_index_buffer_entries(64)
-                .with_compact_droppings_threshold(8),
+            Conf {
+                compact_droppings_threshold: 8,
+                ..base()
+            },
         );
         fd.add_ref(200);
         fd.write(b"aa", 0, 100).unwrap();
@@ -1065,14 +990,14 @@ mod tests {
         let b: Arc<dyn Backing> = Arc::new(MemBacking::new());
         let params = ContainerParams::default();
         create_container(b.as_ref(), "/f", &params, true).unwrap();
-        let conf = WriteConf::default().with_index_buffer_entries(64);
+        let conf = base();
         {
             let fd = PlfsFd::new(
                 b.clone(),
                 "/f".to_string(),
                 params,
                 OpenFlags::RDWR,
-                conf,
+                &conf,
                 100,
             );
             fd.write(b"0123456789", 0, 100).unwrap();
@@ -1084,7 +1009,7 @@ mod tests {
             "/f".to_string(),
             params,
             OpenFlags::RDWR,
-            conf,
+            &conf,
             200,
         );
         assert_eq!(fd.size().unwrap(), 10);
@@ -1129,10 +1054,7 @@ mod tests {
 
     #[test]
     fn incremental_refresh_observes_writes_after_cached_read() {
-        let (_b, fd) = open_fd_with(
-            OpenFlags::RDWR,
-            WriteConf::default().with_incremental_refresh(true),
-        );
+        let (_b, fd) = open_fd_with(OpenFlags::RDWR, Conf::default());
         fd.write(b"aaaa", 0, 100).unwrap();
         let mut buf = [0u8; 4];
         fd.read(&mut buf, 0).unwrap(); // builds + caches the view
@@ -1150,7 +1072,14 @@ mod tests {
 
     #[test]
     fn serial_write_conf_still_correct() {
-        let (_b, fd) = open_fd_with(OpenFlags::RDWR, WriteConf::serial());
+        let (_b, fd) = open_fd_with(
+            OpenFlags::RDWR,
+            Conf {
+                lock_shards: 1,
+                incremental_refresh: false,
+                ..Conf::default()
+            },
+        );
         fd.write(b"head", 0, 100).unwrap();
         let (off, _) = fd.append(b"tail", 100).unwrap();
         assert_eq!(off, 4);
@@ -1163,9 +1092,10 @@ mod tests {
     fn buffered_writes_read_back_through_fd() {
         let (_b, fd) = open_fd_with(
             OpenFlags::RDWR,
-            WriteConf::default()
-                .with_data_buffer_bytes(1 << 16)
-                .with_incremental_refresh(true),
+            Conf {
+                data_buffer_bytes: 1 << 16,
+                ..Conf::default()
+            },
         );
         for i in 0..32u64 {
             fd.write(&[i as u8 + 1; 16], i * 16, 100).unwrap();
@@ -1223,7 +1153,7 @@ mod tests {
             "/f".to_string(),
             params,
             OpenFlags::RDWR,
-            WriteConf::default(),
+            &Conf::default(),
             1,
         );
         fd.write(b"a", 0, 1).unwrap();
@@ -1291,7 +1221,13 @@ mod tests {
         let extents = [(5u64, 3u64), (0, 5), (100, 7), (3, 4)];
         let data = b"abcdefghijklmnopqrs";
         let mut images = Vec::new();
-        for conf in [ListIoConf::default(), ListIoConf::disabled()] {
+        for conf in [
+            Conf::default(),
+            Conf {
+                list_io: false,
+                ..Conf::default()
+            },
+        ] {
             let b: Arc<dyn Backing> = Arc::new(MemBacking::new());
             let params = ContainerParams::default();
             create_container(b.as_ref(), "/f", &params, true).unwrap();
@@ -1300,10 +1236,12 @@ mod tests {
                 "/f".to_string(),
                 params,
                 OpenFlags::RDWR,
-                WriteConf::default().with_index_buffer_entries(64),
+                &Conf {
+                    index_buffer_entries: 64,
+                    ..conf
+                },
                 100,
-            )
-            .with_list_io_conf(conf);
+            );
             fd.write_list(data, &extents, 100).unwrap();
             let mut img = vec![0u8; 107];
             assert_eq!(fd.read(&mut img, 0).unwrap(), 107);
@@ -1341,12 +1279,13 @@ mod tests {
 
     #[test]
     fn write_list_chunks_at_max_extents() {
-        let (_b, fd) = open_fd(OpenFlags::RDWR);
         // Force tiny batches; correctness must be unaffected.
-        let fd = Arc::new(
-            Arc::try_unwrap(fd)
-                .unwrap_or_else(|_| panic!("sole ref"))
-                .with_list_io_conf(ListIoConf::default().with_max_extents(2)),
+        let (_b, fd) = open_fd_with(
+            OpenFlags::RDWR,
+            Conf {
+                list_io_max_extents: 2,
+                ..base()
+            },
         );
         let extents: Vec<(u64, u64)> = (0..7).map(|i| (i * 10, 4)).collect();
         let data: Vec<u8> = (0..28).map(|i| b'a' + (i / 4) as u8).collect();
@@ -1356,29 +1295,30 @@ mod tests {
         assert_eq!(out, data);
     }
 
-    fn open_cached_fd(cache: CacheConf) -> (Arc<dyn Backing>, Arc<PlfsFd>) {
-        let b: Arc<dyn Backing> = Arc::new(MemBacking::new());
-        let params = ContainerParams::default();
-        create_container(b.as_ref(), "/f", &params, true).unwrap();
-        let fd = Arc::new(
-            PlfsFd::new(
-                b.clone(),
-                "/f".to_string(),
-                params,
-                OpenFlags::RDWR,
-                WriteConf::default().with_index_buffer_entries(64),
-                100,
-            )
-            .with_cache_conf(cache),
-        );
-        (b, fd)
+    /// A 1 MiB data cache of 512-byte blocks: small files still span many.
+    fn small_block_cache() -> Conf {
+        Conf {
+            data_cache_bytes: 1 << 20,
+            data_cache_block_bytes: 512,
+            ..Conf::default()
+        }
+    }
+
+    fn open_cached_fd(cache: Conf) -> (Arc<dyn Backing>, Arc<PlfsFd>) {
+        open_fd_with(
+            OpenFlags::RDWR,
+            Conf {
+                index_buffer_entries: 64,
+                ..cache
+            },
+        )
     }
 
     #[test]
     fn default_cache_conf_attaches_no_cache() {
         let (_b, fd) = open_fd(OpenFlags::RDWR);
         assert!(fd.block_cache().is_none());
-        assert!(!fd.cache_conf().enabled());
+        assert!(!fd.conf().data_cache_enabled());
     }
 
     #[test]
@@ -1393,10 +1333,12 @@ mod tests {
             "/f".to_string(),
             params,
             OpenFlags::RDWR,
-            WriteConf::default().with_index_buffer_entries(64),
+            &Conf {
+                index_buffer_entries: 64,
+                ..small_block_cache()
+            },
             100,
-        )
-        .with_cache_conf(CacheConf::sized(1 << 20).with_block_bytes(512));
+        );
         let data: Vec<u8> = (0..4096u32).map(|i| (i % 251) as u8).collect();
         fd.write(&data, 0, 100).unwrap();
         let mut got = vec![0u8; 4096];
@@ -1420,16 +1362,10 @@ mod tests {
         // Same-fd read-your-writes through the cache, on both refresh
         // paths: full rebuild and incremental patch.
         for incremental in [false, true] {
-            let (_b, fd) = open_cached_fd(CacheConf::sized(1 << 20).with_block_bytes(512));
-            let fd = Arc::new(
-                Arc::try_unwrap(fd)
-                    .unwrap_or_else(|_| panic!("sole ref"))
-                    .with_write_conf(
-                        WriteConf::default()
-                            .with_index_buffer_entries(64)
-                            .with_incremental_refresh(incremental),
-                    ),
-            );
+            let (_b, fd) = open_cached_fd(Conf {
+                incremental_refresh: incremental,
+                ..small_block_cache()
+            });
             fd.write(&[b'a'; 2048], 0, 100).unwrap();
             let mut buf = vec![0u8; 2048];
             fd.read(&mut buf, 0).unwrap(); // warm the cache with old bytes
@@ -1452,16 +1388,18 @@ mod tests {
         let b: Arc<dyn Backing> = Arc::new(MemBacking::new());
         let params = ContainerParams::default();
         create_container(b.as_ref(), "/f", &params, true).unwrap();
-        let cache = CacheConf::sized(1 << 20).with_block_bytes(512);
+        let cache = small_block_cache();
         let wfd = PlfsFd::new(
             b.clone(),
             "/f".to_string(),
             params,
             OpenFlags::RDWR,
-            WriteConf::default().with_index_buffer_entries(64),
+            &Conf {
+                index_buffer_entries: 64,
+                ..cache
+            },
             100,
-        )
-        .with_cache_conf(cache);
+        );
         wfd.write(&[1u8; 1024], 0, 100).unwrap();
         let mut buf = vec![0u8; 1024];
         wfd.read(&mut buf, 0).unwrap(); // warm the writer fd's cache
@@ -1472,10 +1410,9 @@ mod tests {
             "/f".to_string(),
             params,
             OpenFlags::RDONLY,
-            WriteConf::default(),
+            &cache,
             200,
-        )
-        .with_cache_conf(cache);
+        );
         let mut got = vec![0u8; 1024];
         assert_eq!(rfd.read(&mut got, 0).unwrap(), 1024);
         assert!(
@@ -1489,11 +1426,11 @@ mod tests {
 
     #[test]
     fn sequential_reads_trigger_readahead() {
-        let (_b, fd) = open_cached_fd(
-            CacheConf::sized(1 << 20)
-                .with_block_bytes(512)
-                .with_readahead(1024, 4096),
-        );
+        let (_b, fd) = open_cached_fd(Conf {
+            readahead_min: 1024,
+            readahead_max: 4096,
+            ..small_block_cache()
+        });
         let data: Vec<u8> = (0..8192u32).map(|i| (i % 241) as u8).collect();
         fd.write(&data, 0, 100).unwrap();
         let mut buf = vec![0u8; 512];
@@ -1514,7 +1451,7 @@ mod tests {
 
     #[test]
     fn truncate_reset_clears_the_cache() {
-        let (_b, fd) = open_cached_fd(CacheConf::sized(1 << 20).with_block_bytes(512));
+        let (_b, fd) = open_cached_fd(small_block_cache());
         fd.write(&[9u8; 1024], 0, 100).unwrap();
         let mut buf = vec![0u8; 1024];
         fd.read(&mut buf, 0).unwrap();
@@ -1526,21 +1463,19 @@ mod tests {
     #[test]
     fn tiered_backend_composes_with_cache() {
         use crate::backend::TieredBacking;
-        use crate::conf::BackendConf;
         let fast: Arc<dyn Backing> = Arc::new(MemBacking::new());
         let slow: Arc<dyn Backing> = Arc::new(MemBacking::new());
-        let tiered: Arc<dyn Backing> =
-            Arc::new(TieredBacking::new(fast, slow, BackendConf::default()));
+        let tiered: Arc<dyn Backing> = Arc::new(TieredBacking::new(fast, slow, &Conf::default()));
         let params = ContainerParams::default();
         create_container(tiered.as_ref(), "/f", &params, true).unwrap();
-        let cache = CacheConf::sized(1 << 20).with_block_bytes(512);
+        let cache = small_block_cache();
         {
             let wfd = PlfsFd::new(
                 tiered.clone(),
                 "/f".to_string(),
                 params,
                 OpenFlags::RDWR,
-                WriteConf::default().with_index_buffer_entries(64),
+                &base(),
                 100,
             );
             wfd.write(&[5u8; 4096], 0, 100).unwrap();
@@ -1551,10 +1486,9 @@ mod tests {
             "/f".to_string(),
             params,
             OpenFlags::RDONLY,
-            WriteConf::default(),
+            &cache,
             200,
-        )
-        .with_cache_conf(cache);
+        );
         let mut buf = vec![0u8; 4096];
         assert_eq!(fd.read(&mut buf, 0).unwrap(), 4096);
         assert!(buf.iter().all(|&x| x == 5));
@@ -1572,10 +1506,7 @@ mod tests {
 
     #[test]
     fn close_does_not_lose_unmerged_entries() {
-        let (_b, fd) = open_fd_with(
-            OpenFlags::RDWR,
-            WriteConf::default().with_incremental_refresh(true),
-        );
+        let (_b, fd) = open_fd_with(OpenFlags::RDWR, Conf::default());
         fd.write(b"first", 0, 100).unwrap();
         let mut buf = [0u8; 5];
         fd.read(&mut buf, 0).unwrap(); // cache a view

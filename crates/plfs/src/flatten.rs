@@ -322,8 +322,11 @@ mod tests {
         }
         let before = flatten_to_vec(&b, "/c").unwrap();
         compact_container(&b, "/c").unwrap();
-        let conf = crate::conf::ReadConf::default().with_index_memory_bytes(1 << 16);
-        let r = ReadFile::open_with(&b, "/c", conf).unwrap();
+        let conf = crate::Conf {
+            index_memory_bytes: 1 << 16,
+            ..Default::default()
+        };
+        let r = ReadFile::open_with(&b, "/c", &conf).unwrap();
         let mut got = vec![0u8; before.len()];
         assert_eq!(r.pread(&b, &mut got, 0).unwrap(), before.len());
         assert_eq!(got, before);

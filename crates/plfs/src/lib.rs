@@ -71,15 +71,13 @@ pub mod writer;
 
 pub use api::{Dirent, Plfs, Stat};
 pub use backend::{
-    BatchedBacking, FsObjectStore, ObjectBacking, ObjectStore, TierStats, TieredBacking,
-    TIER_MAP_FILE,
+    build_stack, BatchedBacking, FsObjectStore, ObjectBacking, ObjectStore, Stack, TierStats,
+    TieredBacking, TIER_MAP_FILE,
 };
 pub use backing::{BackStat, Backing, BackingFile, MemBacking, RealBacking};
 pub use cache::{BlockCache, CacheStats};
 pub use check::{check, repair, CheckReport, Finding, RepairReport, Severity};
-pub use conf::{
-    BackendConf, BackendKind, CacheConf, ListIoConf, MetaConf, OpenMarkers, ReadConf, WriteConf,
-};
+pub use conf::{BackendKind, Conf, OpenMarkers};
 pub use container::{ContainerParams, LayoutMode};
 pub use error::{Error, Result};
 pub use faults::{FaultKind, FaultOp, FaultRule, Faulty};

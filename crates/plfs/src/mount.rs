@@ -19,13 +19,7 @@
 //! oblivious.
 
 use crate::backing::{BackStat, Backing, BackingFile};
-use crate::conf::{
-    BackendConf, BackendKind, CacheConf, ListIoConf, MetaConf, OpenMarkers, ReadConf, WriteConf,
-    DEFAULT_CACHE_BLOCK_BYTES, DEFAULT_CACHE_SHARDS, DEFAULT_DATA_BUFFER_BYTES,
-    DEFAULT_FANOUT_THRESHOLD, DEFAULT_HANDLE_SHARDS, DEFAULT_LIST_IO_MAX_EXTENTS,
-    DEFAULT_META_CACHE_ENTRIES, DEFAULT_META_CACHE_SHARDS, DEFAULT_READAHEAD_MAX,
-    DEFAULT_READAHEAD_MIN, DEFAULT_SUBMIT_WORKERS, DEFAULT_WRITE_SHARDS,
-};
+use crate::conf::{self, Conf};
 use crate::container::{ContainerParams, LayoutMode, HOSTDIR_PREFIX};
 use crate::error::{Error, Result};
 use crate::writer::DEFAULT_INDEX_BUFFER_ENTRIES;
@@ -44,268 +38,92 @@ pub struct MountSpec {
     pub index_buffer_entries: usize,
 }
 
-impl MountSpec {
-    /// A single-backend mount with default parameters.
-    pub fn simple(mount_point: impl Into<String>, backend: impl Into<String>) -> MountSpec {
-        MountSpec {
-            mount_point: mount_point.into(),
-            backends: vec![backend.into()],
-            params: ContainerParams::default(),
-            index_buffer_entries: DEFAULT_INDEX_BUFFER_ENTRIES,
-        }
-    }
-}
-
-/// Parsed `plfsrc` contents.
-#[derive(Debug, Clone, Default)]
+/// Parsed `plfsrc` contents: the mounts plus the one global [`Conf`].
+#[derive(Debug, Clone)]
 pub struct PlfsRc {
     /// All configured mounts, in file order.
     pub mounts: Vec<MountSpec>,
-    /// Reader worker-thread count (the real plfsrc `threadpool_size` knob):
-    /// values above 1 enable the parallel index merge and pread fan-out.
-    pub threadpool_size: usize,
-    /// Minimum `pread` size in bytes before the request fans out over the
-    /// worker pool (`read_fanout_threshold` key).
-    pub read_fanout_threshold: u64,
-    /// Dropping-handle cache shard count (`handle_cache_shards` key).
-    pub handle_cache_shards: usize,
-    /// Writer-table lock shard count (`write_shards` key).
-    pub write_shards: usize,
-    /// Write-behind data buffer per writer in bytes (`data_buffer_bytes`
-    /// key; `data_buffer_mbs` is also accepted, in MiB, like the C
-    /// library's knob).
-    pub data_buffer_bytes: usize,
-    /// Patch cached merged indices with local writes instead of re-merging
-    /// (`incremental_refresh` key, `true`/`false`/`1`/`0`).
-    pub incremental_refresh: bool,
-    /// Container metadata cache capacity in entries (`meta_cache_entries`
-    /// key; 0 disables the cache).
-    pub meta_cache_entries: usize,
-    /// Metadata cache lock-shard count (`meta_cache_shards` key).
-    pub meta_cache_shards: usize,
-    /// `openhosts/` marker policy (`open_markers` key: `eager`, `lazy`, or
-    /// `off`).
-    pub open_markers: OpenMarkers,
-    /// Merged-index residency budget in bytes (`index_memory_bytes` key;
-    /// 0 keeps the eager fully-expanded index).
-    pub index_memory_bytes: usize,
-    /// Background-compaction dropping threshold (`compact_droppings_threshold`
-    /// key; 0 disables compaction at close).
-    pub compact_droppings_threshold: usize,
-    /// Noncontiguous list I/O master switch (`list_io` key,
-    /// `true`/`false`/`1`/`0`; on by default).
-    pub list_io: bool,
-    /// Per-batch extent cap for list I/O (`list_io_max_extents` key).
-    pub list_io_max_extents: usize,
-    /// Which backend stack to build under each mount (`backend` key:
-    /// `direct`, `batched`, `tiered`, or `object`).
-    pub backend: BackendKind,
-    /// Async submission-queue depth (`submit_depth` key; 0 = synchronous).
-    pub submit_depth: usize,
-    /// Async submission worker count (`submit_workers` key).
-    pub submit_workers: usize,
-    /// Tiered-backend destage size threshold in bytes
-    /// (`destage_threshold` key; 0 = destage every sealed dropping).
-    pub destage_threshold: u64,
-    /// Data block cache budget per fd in bytes (`data_cache_mbs` key, in
-    /// MiB; 0 — the default — disables data caching and readahead).
-    pub data_cache_bytes: usize,
-    /// Cache block size in bytes (`data_cache_block_kbs` key, in KiB).
-    pub data_cache_block_bytes: usize,
-    /// Initial readahead window in bytes (`readahead_kbs` key, in KiB).
-    pub readahead_min_bytes: usize,
-    /// Readahead window ceiling in bytes (`readahead_max_kbs` key, in
-    /// KiB; 0 keeps the cache but turns readahead off).
-    pub readahead_max_bytes: usize,
-    /// Data-cache lock-shard count (`data_cache_shards` key).
-    pub data_cache_shards: usize,
+    /// The global knobs ([`conf::KNOBS`] keys), over [`Conf::default`].
+    pub conf: Conf,
 }
 
 impl PlfsRc {
     /// Parse the line-oriented `plfsrc` format. Unknown keys are ignored
-    /// (like the C parser); malformed values are errors.
+    /// (like the C parser; [`PlfsRc::parse_with_warnings`] names them);
+    /// malformed values are errors.
     pub fn parse(text: &str) -> Result<PlfsRc> {
+        PlfsRc::parse_with_warnings(text).map(|(rc, _)| rc)
+    }
+
+    /// [`PlfsRc::parse`], plus one line-numbered warning per key that is
+    /// neither a [`conf::KNOBS`] row nor a per-mount key — a typo there
+    /// would otherwise disable a mechanism without a word.
+    pub fn parse_with_warnings(text: &str) -> Result<(PlfsRc, Vec<String>)> {
         let mut rc = PlfsRc {
             mounts: Vec::new(),
-            threadpool_size: 16,
-            read_fanout_threshold: DEFAULT_FANOUT_THRESHOLD,
-            handle_cache_shards: DEFAULT_HANDLE_SHARDS,
-            write_shards: DEFAULT_WRITE_SHARDS,
-            data_buffer_bytes: DEFAULT_DATA_BUFFER_BYTES,
-            incremental_refresh: true,
-            meta_cache_entries: DEFAULT_META_CACHE_ENTRIES,
-            meta_cache_shards: DEFAULT_META_CACHE_SHARDS,
-            open_markers: OpenMarkers::default(),
-            index_memory_bytes: 0,
-            compact_droppings_threshold: 0,
-            list_io: true,
-            list_io_max_extents: DEFAULT_LIST_IO_MAX_EXTENTS,
-            backend: BackendKind::default(),
-            submit_depth: 0,
-            submit_workers: DEFAULT_SUBMIT_WORKERS,
-            destage_threshold: 0,
-            data_cache_bytes: 0,
-            data_cache_block_bytes: DEFAULT_CACHE_BLOCK_BYTES,
-            readahead_min_bytes: DEFAULT_READAHEAD_MIN,
-            readahead_max_bytes: DEFAULT_READAHEAD_MAX,
-            data_cache_shards: DEFAULT_CACHE_SHARDS,
+            conf: Conf::default(),
         };
+        let mut warnings = Vec::new();
         for (lineno, raw) in text.lines().enumerate() {
             let line = raw.trim();
             if line.is_empty() || line.starts_with('#') {
                 continue;
             }
-            let (key, value) = match line.split_once(char::is_whitespace) {
-                Some((k, v)) => (k, v.trim()),
-                None => {
-                    return Err(Error::InvalidArg("plfsrc line missing value"))
-                        .map_err(|e| annotate_line(e, lineno));
-                }
+            let Some((key, value)) = line.split_once(char::is_whitespace) else {
+                return Err(config_error("plfsrc line missing value", lineno));
             };
-            match key {
-                "mount_point" => rc.mounts.push(MountSpec {
+            let value = value.trim();
+            if key == "mount_point" {
+                rc.mounts.push(MountSpec {
                     mount_point: value.trim_end_matches('/').to_string(),
                     backends: Vec::new(),
                     params: ContainerParams::default(),
                     index_buffer_entries: DEFAULT_INDEX_BUFFER_ENTRIES,
-                }),
-                "threadpool_size" => {
-                    rc.threadpool_size = parse_num(value, lineno)? as usize;
+                });
+                continue;
+            }
+            if let Some(knob) = conf::knob(key) {
+                knob.set(&mut rc.conf, value).map_err(|e| match e {
+                    Error::Config(m) => config_error(&m, lineno),
+                    other => other,
+                })?;
+                continue;
+            }
+            let Some(m) = rc.mounts.last_mut() else {
+                return Err(config_error(
+                    "plfsrc key appears before any mount_point",
+                    lineno,
+                ));
+            };
+            match key {
+                "backends" => {
+                    m.backends = value
+                        .split(',')
+                        .map(|s| s.trim().to_string())
+                        .filter(|s| !s.is_empty())
+                        .collect();
                 }
-                "read_fanout_threshold" => {
-                    rc.read_fanout_threshold = parse_num(value, lineno)?;
+                "num_hostdirs" => {
+                    // Checked: `as u32` would truncate 2^32+1 to a
+                    // silently-accepted 1.
+                    m.params.num_hostdirs = u32::try_from(parse_num(value, lineno)?)
+                        .map_err(|_| config_error("num_hostdirs out of range", lineno))?;
                 }
-                "handle_cache_shards" => {
-                    rc.handle_cache_shards = parse_num(value, lineno)? as usize;
+                "index_buffer_entries" => {
+                    m.index_buffer_entries = usize::try_from(parse_num(value, lineno)?)
+                        .map_err(|_| config_error("index_buffer_entries out of range", lineno))?;
                 }
-                "write_shards" => {
-                    rc.write_shards = parse_num(value, lineno)? as usize;
-                }
-                "data_buffer_bytes" => {
-                    rc.data_buffer_bytes = parse_num(value, lineno)? as usize;
-                }
-                "data_buffer_mbs" => {
-                    // Checked: `18446744073709551615` in a plfsrc must be a
-                    // parse error, not a debug-build multiply overflow.
-                    rc.data_buffer_bytes = parse_num(value, lineno)?
-                        .checked_mul(1 << 20)
-                        .and_then(|b| usize::try_from(b).ok())
-                        .ok_or_else(|| config_error("data_buffer_mbs out of range", lineno))?;
-                }
-                "incremental_refresh" => {
-                    rc.incremental_refresh = match value {
-                        "true" | "1" | "yes" | "on" => true,
-                        "false" | "0" | "no" | "off" => false,
-                        _ => return Err(config_error("bad boolean value in plfsrc", lineno)),
+                "workload" | "mode" => {
+                    m.params.mode = match value {
+                        "shared_file" | "n-1" | "both" => LayoutMode::Both,
+                        "file_per_proc" | "n-n" | "partitioned" => LayoutMode::PartitionedOnly,
+                        "log" => LayoutMode::LogStructured,
+                        _ => return Err(config_error("unknown workload mode", lineno)),
                     };
                 }
-                "meta_cache_entries" => {
-                    rc.meta_cache_entries = parse_num(value, lineno)? as usize;
-                }
-                "meta_cache_shards" => {
-                    rc.meta_cache_shards = parse_num(value, lineno)? as usize;
-                }
-                "index_memory_bytes" => {
-                    rc.index_memory_bytes = parse_num(value, lineno)? as usize;
-                }
-                "compact_droppings_threshold" => {
-                    rc.compact_droppings_threshold = parse_num(value, lineno)? as usize;
-                }
-                "list_io" => {
-                    rc.list_io = match value {
-                        "true" | "1" | "yes" | "on" => true,
-                        "false" | "0" | "no" | "off" => false,
-                        _ => return Err(config_error("bad boolean value in plfsrc", lineno)),
-                    };
-                }
-                "list_io_max_extents" => {
-                    rc.list_io_max_extents = parse_num(value, lineno)? as usize;
-                }
-                "open_markers" => {
-                    rc.open_markers = OpenMarkers::parse(value).ok_or_else(|| {
-                        config_error("unknown open_markers policy in plfsrc", lineno)
-                    })?;
-                }
-                "backend" => {
-                    rc.backend = BackendKind::parse(value)
-                        .ok_or_else(|| config_error("unknown backend kind in plfsrc", lineno))?;
-                }
-                "submit_depth" => {
-                    rc.submit_depth = parse_num(value, lineno)? as usize;
-                }
-                "submit_workers" => {
-                    rc.submit_workers = parse_num(value, lineno)? as usize;
-                }
-                "destage_threshold" => {
-                    rc.destage_threshold = parse_num(value, lineno)?;
-                }
-                "data_cache_mbs" => {
-                    // Checked like data_buffer_mbs: absurd values are parse
-                    // errors, not debug-build multiply overflows.
-                    rc.data_cache_bytes = parse_num(value, lineno)?
-                        .checked_mul(1 << 20)
-                        .and_then(|b| usize::try_from(b).ok())
-                        .ok_or_else(|| config_error("data_cache_mbs out of range", lineno))?;
-                }
-                "data_cache_block_kbs" => {
-                    rc.data_cache_block_bytes = parse_num(value, lineno)?
-                        .checked_mul(1 << 10)
-                        .and_then(|b| usize::try_from(b).ok())
-                        .ok_or_else(|| config_error("data_cache_block_kbs out of range", lineno))?;
-                }
-                "readahead_kbs" => {
-                    rc.readahead_min_bytes = parse_num(value, lineno)?
-                        .checked_mul(1 << 10)
-                        .and_then(|b| usize::try_from(b).ok())
-                        .ok_or_else(|| config_error("readahead_kbs out of range", lineno))?;
-                }
-                "readahead_max_kbs" => {
-                    rc.readahead_max_bytes = parse_num(value, lineno)?
-                        .checked_mul(1 << 10)
-                        .and_then(|b| usize::try_from(b).ok())
-                        .ok_or_else(|| config_error("readahead_max_kbs out of range", lineno))?;
-                }
-                "data_cache_shards" => {
-                    rc.data_cache_shards = parse_num(value, lineno)? as usize;
-                }
-                _ => {
-                    let Some(m) = rc.mounts.last_mut() else {
-                        return Err(config_error(
-                            "plfsrc key appears before any mount_point",
-                            lineno,
-                        ));
-                    };
-                    match key {
-                        "backends" => {
-                            m.backends = value
-                                .split(',')
-                                .map(|s| s.trim().to_string())
-                                .filter(|s| !s.is_empty())
-                                .collect();
-                        }
-                        "num_hostdirs" => {
-                            // Checked: `as u32` would truncate 2^32+1 to a
-                            // silently-accepted 1.
-                            m.params.num_hostdirs = u32::try_from(parse_num(value, lineno)?)
-                                .map_err(|_| config_error("num_hostdirs out of range", lineno))?;
-                        }
-                        "index_buffer_entries" => {
-                            m.index_buffer_entries = parse_num(value, lineno)? as usize;
-                        }
-                        "workload" | "mode" => {
-                            m.params.mode = match value {
-                                "shared_file" | "n-1" | "both" => LayoutMode::Both,
-                                "file_per_proc" | "n-n" | "partitioned" => {
-                                    LayoutMode::PartitionedOnly
-                                }
-                                "log" => LayoutMode::LogStructured,
-                                _ => return Err(config_error("unknown workload mode", lineno)),
-                            };
-                        }
-                        // Accept-and-ignore keys the real plfsrc has.
-                        _ => {}
-                    }
-                }
+                // Keys the real plfsrc has and this one does not: accepted,
+                // but never silently.
+                _ => warnings.push(format!("line {}: unknown key `{key}` ignored", lineno + 1)),
             }
         }
         for m in &rc.mounts {
@@ -316,66 +134,8 @@ impl PlfsRc {
                 return Err(Error::InvalidArg("num_hostdirs must be nonzero"));
             }
         }
-        Ok(rc)
-    }
-
-    /// The read-path configuration these global knobs describe, ready to
-    /// hand to [`crate::api::Plfs::with_read_conf`].
-    pub fn read_conf(&self) -> ReadConf {
-        ReadConf::default()
-            .with_threads(self.threadpool_size)
-            .with_fanout_threshold(self.read_fanout_threshold)
-            .with_handle_shards(self.handle_cache_shards)
-            .with_index_memory_bytes(self.index_memory_bytes)
-    }
-
-    /// The write-path configuration these global knobs describe, ready to
-    /// hand to [`crate::api::Plfs::with_write_conf`]. The index buffer
-    /// depth is per-mount ([`MountSpec::index_buffer_entries`]), so callers
-    /// layer it on with
-    /// [`WriteConf::with_index_buffer_entries`](crate::conf::WriteConf::with_index_buffer_entries).
-    pub fn write_conf(&self) -> WriteConf {
-        WriteConf::default()
-            .with_write_shards(self.write_shards)
-            .with_data_buffer_bytes(self.data_buffer_bytes)
-            .with_incremental_refresh(self.incremental_refresh)
-            .with_compact_droppings_threshold(self.compact_droppings_threshold)
-    }
-
-    /// The noncontiguous list-I/O configuration these global knobs
-    /// describe, ready to hand to [`crate::api::Plfs::with_list_io_conf`].
-    pub fn list_io_conf(&self) -> ListIoConf {
-        ListIoConf::default()
-            .with_enabled(self.list_io)
-            .with_max_extents(self.list_io_max_extents)
-    }
-
-    /// The backend-layer configuration these global knobs describe, ready
-    /// to hand to [`crate::api::Plfs::with_backend_conf`].
-    pub fn backend_conf(&self) -> BackendConf {
-        BackendConf::default()
-            .with_submit_depth(self.submit_depth)
-            .with_submit_workers(self.submit_workers)
-            .with_destage_threshold(self.destage_threshold)
-    }
-
-    /// The data block cache and readahead configuration these global knobs
-    /// describe, ready to hand to [`crate::api::Plfs::with_cache_conf`].
-    pub fn cache_conf(&self) -> CacheConf {
-        CacheConf::default()
-            .with_cache_bytes(self.data_cache_bytes)
-            .with_block_bytes(self.data_cache_block_bytes)
-            .with_readahead(self.readahead_min_bytes, self.readahead_max_bytes)
-            .with_shards(self.data_cache_shards)
-    }
-
-    /// The metadata fast-path configuration these global knobs describe,
-    /// ready to hand to [`crate::api::Plfs::with_meta_conf`].
-    pub fn meta_conf(&self) -> MetaConf {
-        MetaConf::default()
-            .with_meta_cache_entries(self.meta_cache_entries)
-            .with_meta_cache_shards(self.meta_cache_shards)
-            .with_open_markers(self.open_markers)
+        rc.conf = rc.conf.validated();
+        Ok((rc, warnings))
     }
 
     /// Find the mount whose mount point prefixes `path` (longest match).
@@ -397,13 +157,6 @@ fn parse_num(v: &str, lineno: usize) -> Result<u64> {
 /// other config error.
 fn config_error(msg: &str, lineno: usize) -> Error {
     Error::Config(format!("{msg}, line {}", lineno + 1))
-}
-
-fn annotate_line(e: Error, lineno: usize) -> Error {
-    match e {
-        Error::InvalidArg(m) => config_error(m, lineno),
-        other => other,
-    }
 }
 
 /// True if `path` is `prefix` or lives underneath it.
@@ -562,7 +315,7 @@ mod tests {
              backends /other\n",
         )
         .unwrap();
-        assert_eq!(rc.threadpool_size, 8);
+        assert_eq!(rc.conf.threads, 8);
         assert_eq!(rc.mounts.len(), 2);
         let m = &rc.mounts[0];
         assert_eq!(m.mount_point, "/plfs");
@@ -572,202 +325,70 @@ mod tests {
         assert_eq!(rc.mounts[1].mount_point, "/plfs2");
     }
 
+    /// Every `KNOBS` row parses from a plfsrc line into its field, defaults
+    /// when absent, and fails naming the line on garbage and — for every
+    /// unit-scaled key — on values whose scaling overflows.
     #[test]
-    fn parse_backend_knobs_into_backend_conf() {
-        let rc = PlfsRc::parse(
-            "backend tiered\n\
-             submit_depth 32\n\
-             submit_workers 2\n\
-             destage_threshold 1048576\n\
-             mount_point /p\n\
-             backends /fast,/slow\n",
-        )
-        .unwrap();
-        assert_eq!(rc.backend, BackendKind::Tiered);
-        let conf = rc.backend_conf();
-        assert_eq!(conf.submit_depth, 32);
-        assert_eq!(conf.submit_workers, 2);
-        assert_eq!(conf.destage_threshold, 1 << 20);
-        assert!(conf.batching());
-        // Defaults: direct backend, submission layer off.
-        let rc = PlfsRc::parse("mount_point /p\nbackends /b\n").unwrap();
-        assert_eq!(rc.backend, BackendKind::Direct);
-        assert!(!rc.backend_conf().batching());
-        // Aliases parse; junk is a line-numbered error.
+    fn every_knob_row_parses_from_a_plfsrc_line() {
+        use crate::conf::{sample, Kind, Unit, KNOBS};
+        let mount = "mount_point /p\nbackends /b\n";
+        let default = PlfsRc::parse(mount).unwrap().conf;
+        assert_eq!(default, Conf::default(), "a bare mount is the default conf");
+        for k in KNOBS {
+            let sample = sample(k);
+            let scaled = matches!(&k.kind, Kind::Num { unit, .. } if *unit == Unit::KiB || *unit == Unit::MiB);
+            let rc = PlfsRc::parse(&format!("{} {sample}\n{mount}", k.key)).unwrap();
+            assert_ne!(rc.conf, default, "{} must reach a field", k.key);
+            assert_eq!(k.render(&rc.conf), sample, "{}", k.key);
+            // Global keys may also follow a mount; the error names line 4.
+            for junk in ["-1", "lots", "18446744073709551616"] {
+                let err = PlfsRc::parse(&format!("# c\n{mount}{} {junk}\n", k.key)).unwrap_err();
+                let msg = err.to_string();
+                assert!(msg.contains("line 4") && msg.contains(k.key), "{msg}");
+                assert_eq!(err.errno(), 22, "malformed plfsrc stays EINVAL");
+            }
+            let max = PlfsRc::parse(&format!("{} 18446744073709551615\n{mount}", k.key));
+            if scaled {
+                assert!(max.unwrap_err().to_string().contains("line 1"), "{}", k.key);
+            } else if matches!(k.kind, Kind::Num { .. }) {
+                max.unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn knob_semantics_survive_the_file() {
+        // Aliases parse; `backend batched` alone turns the queue on.
         let rc = PlfsRc::parse("backend burst_buffer\nmount_point /p\nbackends /a,/b\n").unwrap();
-        assert_eq!(rc.backend, BackendKind::Tiered);
-        let err = PlfsRc::parse("mount_point /p\nbackend warp_drive\n").unwrap_err();
-        assert!(err.to_string().contains("line 2"), "{err}");
-        let err = PlfsRc::parse("submit_depth many\n").unwrap_err();
-        assert!(err.to_string().contains("line 1"), "{err}");
-    }
-
-    #[test]
-    fn parse_read_path_knobs_into_read_conf() {
-        let rc = PlfsRc::parse(
-            "threadpool_size 8\n\
-             read_fanout_threshold 4096\n\
-             handle_cache_shards 4\n\
-             mount_point /plfs\n\
-             backends /be\n",
-        )
-        .unwrap();
-        let conf = rc.read_conf();
-        assert_eq!(conf.threads, 8);
-        assert_eq!(conf.fanout_threshold, 4096);
-        assert_eq!(conf.handle_shards, 4);
-        // Defaults when the keys are absent.
-        let rc = PlfsRc::parse("mount_point /p\nbackends /b\n").unwrap();
-        let conf = rc.read_conf();
-        assert_eq!(conf.threads, 16);
-        assert_eq!(conf.fanout_threshold, DEFAULT_FANOUT_THRESHOLD);
-        assert_eq!(conf.handle_shards, DEFAULT_HANDLE_SHARDS);
-    }
-
-    #[test]
-    fn parse_index_residency_knobs() {
-        let rc = PlfsRc::parse(
-            "index_memory_bytes 1048576\n\
-             compact_droppings_threshold 64\n\
-             mount_point /p\n\
-             backends /b\n",
-        )
-        .unwrap();
-        let rconf = rc.read_conf();
-        assert_eq!(rconf.index_memory_bytes, 1 << 20);
-        assert!(rconf.bounded_index());
-        assert_eq!(rc.write_conf().compact_droppings_threshold, 64);
-        // Defaults: eager index, compaction off.
-        let rc = PlfsRc::parse("mount_point /p\nbackends /b\n").unwrap();
-        assert!(!rc.read_conf().bounded_index());
-        assert_eq!(rc.write_conf().compact_droppings_threshold, 0);
-        // Malformed values are line-numbered errors like every other knob.
-        let err = PlfsRc::parse("mount_point /p\nindex_memory_bytes lots\n").unwrap_err();
-        assert!(err.to_string().contains("line 2"), "{err}");
-        let err = PlfsRc::parse("compact_droppings_threshold x\n").unwrap_err();
-        assert!(err.to_string().contains("line 1"), "{err}");
-    }
-
-    #[test]
-    fn parse_list_io_knobs_into_list_io_conf() {
-        let rc = PlfsRc::parse(
-            "list_io off\n\
-             list_io_max_extents 64\n\
-             mount_point /p\n\
-             backends /b\n",
-        )
-        .unwrap();
-        let conf = rc.list_io_conf();
-        assert!(!conf.enabled);
-        assert_eq!(conf.max_extents, 64);
-        // Defaults: enabled, default extent cap.
-        let rc = PlfsRc::parse("mount_point /p\nbackends /b\n").unwrap();
-        let conf = rc.list_io_conf();
-        assert!(conf.enabled);
-        assert_eq!(conf.max_extents, DEFAULT_LIST_IO_MAX_EXTENTS);
-        // Malformed values are line-numbered errors.
-        let err = PlfsRc::parse("list_io maybe\n").unwrap_err();
-        assert!(err.to_string().contains("line 1"), "{err}");
-        let err = PlfsRc::parse("mount_point /p\nlist_io_max_extents many\n").unwrap_err();
-        assert!(err.to_string().contains("line 2"), "{err}");
-    }
-
-    #[test]
-    fn parse_data_cache_knobs_into_cache_conf() {
-        let rc = PlfsRc::parse(
-            "data_cache_mbs 8\n\
-             data_cache_block_kbs 16\n\
-             readahead_kbs 32\n\
-             readahead_max_kbs 256\n\
-             data_cache_shards 4\n\
-             mount_point /p\n\
-             backends /b\n",
-        )
-        .unwrap();
-        let conf = rc.cache_conf();
-        assert!(conf.enabled());
-        assert_eq!(conf.cache_bytes, 8 << 20);
-        assert_eq!(conf.block_bytes, 16 << 10);
-        assert_eq!(conf.readahead_min, 32 << 10);
-        assert_eq!(conf.readahead_max, 256 << 10);
-        assert_eq!(conf.shards, 4);
-        // Defaults: cache (and with it readahead) off.
-        let rc = PlfsRc::parse("mount_point /p\nbackends /b\n").unwrap();
-        let conf = rc.cache_conf();
-        assert!(!conf.enabled());
-        assert_eq!(conf.block_bytes, DEFAULT_CACHE_BLOCK_BYTES);
-        assert_eq!(conf.readahead_max, DEFAULT_READAHEAD_MAX);
+        assert_eq!(rc.conf.backend, crate::conf::BackendKind::Tiered);
+        let rc = PlfsRc::parse("backend batched\nmount_point /p\nbackends /a\n").unwrap();
+        assert!(rc.conf.batching());
         // readahead_max_kbs 0 keeps the cache but turns readahead off.
         let rc =
             PlfsRc::parse("data_cache_mbs 1\nreadahead_max_kbs 0\nmount_point /p\nbackends /b\n")
                 .unwrap();
-        let conf = rc.cache_conf();
-        assert!(conf.enabled());
-        assert!(!conf.readahead_enabled());
-        // Malformed values are line-numbered errors; overflow is a parse
-        // error, not a panic.
-        let err = PlfsRc::parse("data_cache_mbs lots\n").unwrap_err();
-        assert!(err.to_string().contains("line 1"), "{err}");
-        let err =
-            PlfsRc::parse("mount_point /p\ndata_cache_mbs 18446744073709551615\n").unwrap_err();
-        assert!(err.to_string().contains("line 2"), "{err}");
-        let err = PlfsRc::parse("readahead_kbs 18446744073709551615\n").unwrap_err();
-        assert!(err.to_string().contains("line 1"), "{err}");
-    }
-
-    #[test]
-    fn parse_write_path_knobs_into_write_conf() {
-        let rc = PlfsRc::parse(
-            "write_shards 4\n\
-             data_buffer_mbs 2\n\
-             incremental_refresh false\n\
-             mount_point /plfs\n\
-             backends /be\n",
-        )
-        .unwrap();
-        let conf = rc.write_conf();
-        assert_eq!(conf.write_shards, 4);
-        assert_eq!(conf.data_buffer_bytes, 2 << 20);
-        assert!(!conf.incremental_refresh);
-        // data_buffer_bytes gives byte-granular control.
-        let rc =
-            PlfsRc::parse("data_buffer_bytes 4096\nmount_point /plfs\nbackends /be\n").unwrap();
-        assert_eq!(rc.write_conf().data_buffer_bytes, 4096);
-        // Defaults when the keys are absent.
-        let rc = PlfsRc::parse("mount_point /p\nbackends /b\n").unwrap();
-        let conf = rc.write_conf();
-        assert_eq!(conf.write_shards, DEFAULT_WRITE_SHARDS);
-        assert_eq!(conf.data_buffer_bytes, DEFAULT_DATA_BUFFER_BYTES);
-        assert!(conf.incremental_refresh);
-        // Bad booleans are rejected.
-        assert!(PlfsRc::parse("incremental_refresh maybe\n").is_err());
-    }
-
-    #[test]
-    fn parse_meta_knobs_into_meta_conf() {
-        let rc = PlfsRc::parse(
-            "meta_cache_entries 128\n\
-             meta_cache_shards 2\n\
-             open_markers lazy\n\
-             mount_point /p\n\
-             backends /b\n",
-        )
-        .unwrap();
-        let conf = rc.meta_conf();
-        assert_eq!(conf.meta_cache_entries, 128);
-        assert_eq!(conf.meta_cache_shards, 2);
-        assert_eq!(conf.open_markers, OpenMarkers::Lazy);
-        // Defaults when the keys are absent.
-        let rc = PlfsRc::parse("mount_point /p\nbackends /b\n").unwrap();
-        let conf = rc.meta_conf();
-        assert_eq!(conf.meta_cache_entries, DEFAULT_META_CACHE_ENTRIES);
-        assert_eq!(conf.open_markers, OpenMarkers::Eager);
-        assert!(conf.cache_enabled());
-        // The cache can be turned off from the file.
+        assert!(rc.conf.data_cache_enabled() && !rc.conf.readahead_enabled());
+        // The strict-stat escape hatch.
         let rc = PlfsRc::parse("meta_cache_entries 0\nmount_point /p\nbackends /b\n").unwrap();
-        assert!(!rc.meta_conf().cache_enabled());
-        // Bad marker policies are rejected.
-        assert!(PlfsRc::parse("open_markers sometimes\n").is_err());
+        assert!(!rc.conf.meta_cache_enabled());
+        // A thread pool of zero is a typo, not a request.
+        assert!(PlfsRc::parse("threadpool_size 0\n").is_err());
+    }
+
+    #[test]
+    fn unknown_keys_are_ignored_but_named() {
+        let (rc, warnings) = PlfsRc::parse_with_warnings(
+            "mount_point /p\nbackends /b\nglobal_summary_dir /x\nthreadpool_sise 8\n",
+        )
+        .unwrap();
+        assert_eq!(rc.mounts.len(), 1);
+        assert_eq!(rc.conf, Conf::default(), "the typo reached nothing");
+        assert_eq!(warnings.len(), 2, "{warnings:?}");
+        assert!(warnings[0].contains("line 3") && warnings[0].contains("global_summary_dir"));
+        assert!(warnings[1].contains("line 4") && warnings[1].contains("threadpool_sise"));
+        // A clean file has nothing to say.
+        let (_, warnings) = PlfsRc::parse_with_warnings("mount_point /p\nbackends /b\n").unwrap();
+        assert!(warnings.is_empty());
     }
 
     #[test]
@@ -787,7 +408,7 @@ mod tests {
         assert!(err.to_string().contains("line 1"), "{err}");
         let err = PlfsRc::parse("backends /b\n").unwrap_err();
         assert!(err.to_string().contains("line 1"), "{err}");
-        let err = PlfsRc::parse("mount_point /p\nincremental_refresh maybe\n").unwrap_err();
+        let err = PlfsRc::parse("mount_point /p\nlist_io maybe\n").unwrap_err();
         assert!(err.to_string().contains("line 2"), "{err}");
     }
 
@@ -799,12 +420,6 @@ mod tests {
     #[test]
     fn parse_rejects_keys_before_mount() {
         assert!(PlfsRc::parse("backends /be\n").is_err());
-    }
-
-    #[test]
-    fn parse_ignores_unknown_keys() {
-        let rc = PlfsRc::parse("mount_point /p\nbackends /b\nglobal_summary_dir /x\n").unwrap();
-        assert_eq!(rc.mounts.len(), 1);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use crate::backing::{Backing, BackingFile};
 use crate::cache::BlockCache;
-use crate::conf::ReadConf;
+use crate::conf::Conf;
 use crate::container::{self, DroppingRef};
 use crate::error::{Error, Result};
 use crate::index::{ChunkSlice, CompactIndex, GlobalIndex};
@@ -166,7 +166,7 @@ pub struct ReadFile {
     source: IndexSource,
     droppings: Vec<DroppingRef>,
     handles: HandleCache,
-    conf: ReadConf,
+    conf: Conf,
     merged_parallel: bool,
     cache: Option<CacheHandle>,
 }
@@ -175,32 +175,32 @@ impl ReadFile {
     /// Build a read view by merging all index droppings in `container`,
     /// using the default (serial) configuration.
     pub fn open(b: &dyn Backing, container: &str) -> Result<ReadFile> {
-        ReadFile::open_with(b, container, ReadConf::default())
+        ReadFile::open_with(b, container, &Conf::default())
     }
 
-    /// Build a read view under an explicit [`ReadConf`]: the index merge
+    /// Build a read view under an explicit [`Conf`]: the index merge
     /// runs in parallel when the configuration allows it, and the handle
-    /// cache is sharded `conf.handle_shards` ways. A nonzero
+    /// cache is sharded `conf.lock_shards` ways. A nonzero
     /// `index_memory_bytes` switches the merged index to the memory-bounded
     /// compact form: pattern records stay unexpanded and `pread`
     /// materialises per-window views cached under that budget.
-    pub fn open_with(b: &dyn Backing, container: &str, conf: ReadConf) -> Result<ReadFile> {
+    pub fn open_with(b: &dyn Backing, container: &str, conf: &Conf) -> Result<ReadFile> {
         let (source, droppings, merged_parallel) = if conf.bounded_index() {
-            let (compact, droppings, par) = container::build_compact_index(b, container, &conf)?;
+            let (compact, droppings, par) = container::build_compact_index(b, container, conf)?;
             (
                 IndexSource::Compact(CompactSource::new(compact, conf.index_memory_bytes)),
                 droppings,
                 par,
             )
         } else {
-            let (index, droppings, par) = container::build_global_index_with(b, container, &conf)?;
+            let (index, droppings, par) = container::build_global_index_with(b, container, conf)?;
             (IndexSource::Eager(index), droppings, par)
         };
         Ok(ReadFile {
             source,
             droppings,
-            handles: HandleCache::new(conf.handle_shards),
-            conf,
+            handles: HandleCache::new(conf.lock_shards),
+            conf: *conf,
             merged_parallel,
             cache: None,
         })
@@ -229,13 +229,13 @@ impl ReadFile {
     pub(crate) fn from_parts(
         index: GlobalIndex,
         droppings: Vec<DroppingRef>,
-        conf: ReadConf,
+        conf: &Conf,
     ) -> ReadFile {
         ReadFile {
             source: IndexSource::Eager(index),
             droppings,
-            handles: HandleCache::new(conf.handle_shards),
-            conf,
+            handles: HandleCache::new(conf.lock_shards),
+            conf: *conf,
             merged_parallel: false,
             cache: None,
         }
@@ -276,11 +276,6 @@ impl ReadFile {
     /// The droppings backing this view, in `dropping_id` order.
     pub fn droppings(&self) -> &[DroppingRef] {
         &self.droppings
-    }
-
-    /// The configuration this view was opened with.
-    pub fn conf(&self) -> &ReadConf {
-        &self.conf
     }
 
     /// Did the index merge at open time take the parallel path?
@@ -464,7 +459,7 @@ impl ReadFile {
     }
 
     /// Positional read that picks the fan-out path when this view's
-    /// [`ReadConf`] says the request is worth it (`threads > 1` and at
+    /// [`Conf`] says the request is worth it (`threads > 1` and at
     /// least `fanout_threshold` bytes), the serial loop otherwise. Fanned
     /// reads are traced as `read_fanout` ops.
     pub fn pread_auto(&self, b: &dyn Backing, buf: &mut [u8], off: u64) -> Result<usize> {
@@ -595,7 +590,7 @@ impl ReadFile {
     /// `[off, off + want)` that are not yet resident — the readahead
     /// fetch path. Adjacent missing blocks of one dropping are coalesced
     /// into single large backing reads, fanned over the same worker pool
-    /// as [`ReadFile::pread_parallel`] when the view's [`ReadConf`] allows
+    /// as [`ReadFile::pread_parallel`] when the view's [`Conf`] allows
     /// it. Returns device bytes fetched (0 without an attached cache).
     /// Best-effort on short droppings: corruption is only enforced on the
     /// demand path.
@@ -934,7 +929,7 @@ mod tests {
     }
 
     #[test]
-    fn open_with_parallel_conf_matches_serial_open() {
+    fn parallel_open_matches_serial_open() {
         let (b, p) = setup();
         for pid in 0..8u64 {
             let mut w = WriteFile::open(&b, "/c", &p, pid, 64).unwrap();
@@ -945,8 +940,12 @@ mod tests {
         }
         let serial = ReadFile::open(&b, "/c").unwrap();
         assert!(!serial.merged_parallel());
-        let conf = ReadConf::default().with_threads(4).with_handle_shards(4);
-        let par = ReadFile::open_with(&b, "/c", conf).unwrap();
+        let conf = Conf {
+            threads: 4,
+            lock_shards: 4,
+            ..Conf::default()
+        };
+        let par = ReadFile::open_with(&b, "/c", &conf).unwrap();
         assert!(par.merged_parallel(), "8 droppings exceed the merge gate");
         assert_eq!(par.eof(), serial.eof());
         assert_eq!(par.index().raw_entries(), serial.index().raw_entries());
@@ -962,10 +961,12 @@ mod tests {
             w.write(&[pid as u8 + 1; 256], pid * 256).unwrap();
             w.sync().unwrap();
         }
-        let conf = ReadConf::default()
-            .with_threads(4)
-            .with_fanout_threshold(512);
-        let r = ReadFile::open_with(&b, "/c", conf).unwrap();
+        let conf = Conf {
+            threads: 4,
+            fanout_threshold: 512,
+            ..Conf::default()
+        };
+        let r = ReadFile::open_with(&b, "/c", &conf).unwrap();
         let mut expect = vec![0u8; 1024];
         r.pread(&b, &mut expect, 0).unwrap();
         // Above threshold (fans out) and below it (serial): same bytes.
@@ -985,8 +986,11 @@ mod tests {
             w.write(&[pid as u8 + b'0'; 8], pid * 8).unwrap();
             w.sync().unwrap();
         }
-        let conf = ReadConf::default().with_handle_shards(1);
-        let r = ReadFile::open_with(&b, "/c", conf).unwrap();
+        let conf = Conf {
+            lock_shards: 1,
+            ..Conf::default()
+        };
+        let r = ReadFile::open_with(&b, "/c", &conf).unwrap();
         assert_eq!(
             r.read_all(&b).unwrap(),
             b"0000000011111111222222223333333344444444"
@@ -996,8 +1000,11 @@ mod tests {
     /// Open with a bounded index and shrink the view window so small test
     /// files still span many windows.
     fn open_bounded(b: &MemBacking, budget: usize, window: u64) -> ReadFile {
-        let conf = ReadConf::default().with_index_memory_bytes(budget);
-        let mut r = ReadFile::open_with(b, "/c", conf).unwrap();
+        let conf = Conf {
+            index_memory_bytes: budget,
+            ..Conf::default()
+        };
+        let mut r = ReadFile::open_with(b, "/c", &conf).unwrap();
         match &mut r.source {
             IndexSource::Compact(cs) => cs.window = window,
             IndexSource::Eager(_) => unreachable!("budget > 0 must go compact"),
@@ -1091,11 +1098,13 @@ mod tests {
         let (b, _p) = strided_container();
         let eager = ReadFile::open(&b, "/c").unwrap();
         let expect = eager.read_all(&b).unwrap();
-        let conf = ReadConf::default()
-            .with_index_memory_bytes(1 << 20)
-            .with_threads(4)
-            .with_fanout_threshold(64);
-        let r = ReadFile::open_with(&b, "/c", conf).unwrap();
+        let conf = Conf {
+            index_memory_bytes: 1 << 20,
+            threads: 4,
+            fanout_threshold: 64,
+            ..Conf::default()
+        };
+        let r = ReadFile::open_with(&b, "/c", &conf).unwrap();
         let mut buf = vec![0u8; expect.len()];
         assert_eq!(r.pread_auto(&b, &mut buf, 0).unwrap(), expect.len());
         assert_eq!(buf, expect);
@@ -1107,7 +1116,7 @@ mod tests {
     #[test]
     fn bounded_index_zero_budget_stays_eager() {
         let (b, _p) = strided_container();
-        let r = ReadFile::open_with(&b, "/c", ReadConf::default()).unwrap();
+        let r = ReadFile::open_with(&b, "/c", &Conf::default()).unwrap();
         assert!(!r.bounded_index(), "budget 0 keeps the eager path");
     }
 
@@ -1143,15 +1152,21 @@ mod tests {
         );
     }
 
+    /// A 1 MiB cache of 512-byte blocks: small files still span many.
+    fn small_block_cache() -> Arc<BlockCache> {
+        Arc::new(BlockCache::new(&Conf {
+            data_cache_bytes: 1 << 20,
+            data_cache_block_bytes: 512,
+            ..Conf::default()
+        }))
+    }
+
     #[test]
     fn cached_reads_match_uncached() {
-        use crate::conf::CacheConf;
         let (b, _p) = strided_container();
         let plain = ReadFile::open(&b, "/c").unwrap();
         let expect = plain.read_all(&b).unwrap();
-        let cache = Arc::new(BlockCache::new(
-            CacheConf::sized(1 << 20).with_block_bytes(512),
-        ));
+        let cache = small_block_cache();
         let r = ReadFile::open(&b, "/c").unwrap().with_cache(cache.clone());
         // Cold pass fills the cache, warm pass serves from it; both must
         // be byte-identical to the uncached view.
@@ -1171,11 +1186,13 @@ mod tests {
 
     #[test]
     fn warm_reread_skips_the_backing_store() {
-        use crate::conf::CacheConf;
         use crate::meter::MeterBacking;
         let (b, _p) = strided_container();
         let m = MeterBacking::new(Arc::new(b));
-        let cache = Arc::new(BlockCache::new(CacheConf::sized(8 << 20)));
+        let cache = Arc::new(BlockCache::new(&Conf {
+            data_cache_bytes: 8 << 20,
+            ..Conf::default()
+        }));
         let r = ReadFile::open(&m, "/c").unwrap().with_cache(cache);
         let cold = r.read_all(&m).unwrap();
         let before = m.snapshot();
@@ -1190,16 +1207,13 @@ mod tests {
 
     #[test]
     fn prefetch_populates_and_demand_reads_hit() {
-        use crate::conf::CacheConf;
         use crate::meter::MeterBacking;
         let (b, p) = setup();
         let mut w = WriteFile::open(&b, "/c", &p, 1, 64).unwrap();
         w.write(&[5u8; 8192], 0).unwrap();
         w.sync().unwrap();
         let m = MeterBacking::new(Arc::new(b));
-        let cache = Arc::new(BlockCache::new(
-            CacheConf::sized(1 << 20).with_block_bytes(512),
-        ));
+        let cache = small_block_cache();
         let r = ReadFile::open(&m, "/c").unwrap().with_cache(cache.clone());
         let before = m.snapshot();
         assert_eq!(r.prefetch(&m, 0, 8192).unwrap(), 8192);
@@ -1224,15 +1238,15 @@ mod tests {
 
     #[test]
     fn prefetch_fans_out_and_clamps_at_eof() {
-        use crate::conf::CacheConf;
         let (b, _p) = strided_container();
         let plain = ReadFile::open(&b, "/c").unwrap();
         let expect = plain.read_all(&b).unwrap();
-        let conf = ReadConf::default().with_threads(4);
-        let cache = Arc::new(BlockCache::new(
-            CacheConf::sized(1 << 20).with_block_bytes(512),
-        ));
-        let r = ReadFile::open_with(&b, "/c", conf)
+        let conf = Conf {
+            threads: 4,
+            ..Conf::default()
+        };
+        let cache = small_block_cache();
+        let r = ReadFile::open_with(&b, "/c", &conf)
             .unwrap()
             .with_cache(cache.clone());
         // Ask far past EOF: the resolver clamps, nothing explodes.
@@ -1244,15 +1258,15 @@ mod tests {
 
     #[test]
     fn bounded_index_composes_with_cache() {
-        use crate::conf::CacheConf;
         let (b, _p) = strided_container();
         let eager = ReadFile::open(&b, "/c").unwrap();
         let expect = eager.read_all(&b).unwrap();
-        let cache = Arc::new(BlockCache::new(
-            CacheConf::sized(1 << 20).with_block_bytes(512),
-        ));
-        let conf = ReadConf::default().with_index_memory_bytes(1 << 20);
-        let r = ReadFile::open_with(&b, "/c", conf)
+        let cache = small_block_cache();
+        let conf = Conf {
+            index_memory_bytes: 1 << 20,
+            ..Conf::default()
+        };
+        let r = ReadFile::open_with(&b, "/c", &conf)
             .unwrap()
             .with_cache(cache.clone());
         assert!(r.bounded_index());
@@ -1267,17 +1281,16 @@ mod tests {
 
     #[test]
     fn fanned_reads_through_cache_match_serial() {
-        use crate::conf::CacheConf;
         let (b, _p) = strided_container();
         let plain = ReadFile::open(&b, "/c").unwrap();
         let expect = plain.read_all(&b).unwrap();
-        let conf = ReadConf::default()
-            .with_threads(4)
-            .with_fanout_threshold(64);
-        let cache = Arc::new(BlockCache::new(
-            CacheConf::sized(1 << 20).with_block_bytes(512),
-        ));
-        let r = ReadFile::open_with(&b, "/c", conf)
+        let conf = Conf {
+            threads: 4,
+            fanout_threshold: 64,
+            ..Conf::default()
+        };
+        let cache = small_block_cache();
+        let r = ReadFile::open_with(&b, "/c", &conf)
             .unwrap()
             .with_cache(cache.clone());
         for pass in 0..2 {
@@ -1290,14 +1303,16 @@ mod tests {
 
     #[test]
     fn cache_detects_truncated_dropping() {
-        use crate::conf::CacheConf;
         let (b, p) = setup();
         let mut w = WriteFile::open(&b, "/c", &p, 1, 64).unwrap();
         w.write(b"0123456789", 0).unwrap();
         w.sync().unwrap();
         let dp = container::data_dropping_path("/c", &p, 1, 0);
         b.truncate(&dp, 4).unwrap();
-        let cache = Arc::new(BlockCache::new(CacheConf::sized(1 << 20)));
+        let cache = Arc::new(BlockCache::new(&Conf {
+            data_cache_bytes: 1 << 20,
+            ..Conf::default()
+        }));
         let r = ReadFile::open(&b, "/c").unwrap().with_cache(cache);
         let mut buf = [0u8; 10];
         assert!(matches!(r.pread(&b, &mut buf, 0), Err(Error::Corrupt(_))));

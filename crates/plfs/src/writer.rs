@@ -14,7 +14,7 @@
 //! pids.
 
 use crate::backing::{Backing, BackingFile};
-use crate::conf::WriteConf;
+use crate::conf::Conf;
 use crate::container::{self, ContainerParams, LayoutMode};
 use crate::error::{Error, Result};
 use crate::index::{encode_compressed, next_timestamp, IndexEntry};
@@ -74,9 +74,11 @@ impl WriteFile {
         pid: u64,
         buffer_limit: usize,
     ) -> Result<WriteFile> {
-        let conf = WriteConf::default()
-            .with_index_buffer_entries(buffer_limit)
-            .with_incremental_refresh(false);
+        let conf = Conf {
+            index_buffer_entries: buffer_limit,
+            incremental_refresh: false,
+            ..Conf::default()
+        };
         WriteFile::open_with(b, container, params, pid, &conf)
     }
 
@@ -87,7 +89,7 @@ impl WriteFile {
         container: &str,
         params: &ContainerParams,
         pid: u64,
-        conf: &WriteConf,
+        conf: &Conf,
     ) -> Result<WriteFile> {
         container::ensure_hostdir(b, container, params, pid)?;
         WriteFile::open_prepared(b, container, params, pid, conf)
@@ -102,7 +104,7 @@ impl WriteFile {
         container: &str,
         params: &ContainerParams,
         pid: u64,
-        conf: &WriteConf,
+        conf: &Conf,
     ) -> Result<WriteFile> {
         let (data, index, data_path, index_path) = match params.mode {
             LayoutMode::LogStructured => {
@@ -494,10 +496,12 @@ mod tests {
         assert_eq!(b.stat(&ip).unwrap().size, RECORD_SIZE as u64);
     }
 
-    fn buffered_conf(bytes: usize) -> WriteConf {
-        WriteConf::default()
-            .with_data_buffer_bytes(bytes)
-            .with_incremental_refresh(false)
+    fn buffered_conf(bytes: usize) -> Conf {
+        Conf {
+            data_buffer_bytes: bytes,
+            incremental_refresh: false,
+            ..Conf::default()
+        }
     }
 
     #[test]
@@ -577,7 +581,7 @@ mod tests {
     #[test]
     fn unmerged_entries_drain_after_flush() {
         let (b, p) = setup(LayoutMode::Both);
-        let conf = WriteConf::default().with_incremental_refresh(true);
+        let conf = Conf::default();
         let mut w = WriteFile::open_with(&b, "/c", &p, 1, &conf).unwrap();
         w.write(b"abcd", 0).unwrap();
         w.write(b"efgh", 4).unwrap();

@@ -4,7 +4,7 @@
 
 use plfs::container;
 use plfs::index::{IndexEntry, PatternRecord};
-use plfs::{Backing, Error, MemBacking, OpenFlags, Plfs, ReadConf, ReadFile};
+use plfs::{Backing, Conf, Error, MemBacking, OpenFlags, Plfs, ReadFile};
 use std::sync::Arc;
 
 /// A small container whose single index dropping holds several plain
@@ -34,8 +34,11 @@ fn index_path(b: &dyn Backing) -> String {
 fn assert_both_paths_corrupt(b: &Arc<MemBacking>, what: &str) {
     let attempt = |bounded: bool| -> plfs::Result<()> {
         let r = if bounded {
-            let conf = ReadConf::default().with_index_memory_bytes(1 << 16);
-            ReadFile::open_with(b.as_ref(), "/c", conf)?
+            let conf = Conf {
+                index_memory_bytes: 1 << 16,
+                ..Conf::default()
+            };
+            ReadFile::open_with(b.as_ref(), "/c", &conf)?
         } else {
             ReadFile::open(b.as_ref(), "/c")?
         };
@@ -61,8 +64,11 @@ fn pristine_container_reads_through_both_paths() {
         .pread(b.as_ref(), &mut eager, 200)
         .unwrap();
     let mut bounded = [0u8; 16];
-    let conf = ReadConf::default().with_index_memory_bytes(1 << 16);
-    ReadFile::open_with(b.as_ref(), "/c", conf)
+    let conf = Conf {
+        index_memory_bytes: 1 << 16,
+        ..Conf::default()
+    };
+    ReadFile::open_with(b.as_ref(), "/c", &conf)
         .unwrap()
         .pread(b.as_ref(), &mut bounded, 200)
         .unwrap();

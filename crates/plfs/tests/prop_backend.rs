@@ -9,7 +9,7 @@
 //! leaves reads serving the intact fast-tier copy.
 
 use plfs::{
-    BackendConf, Backing, BatchedBacking, IndexEntry, MemBacking, ObjectBacking, OpenFlags, Plfs,
+    Backing, BatchedBacking, Conf, IndexEntry, MemBacking, ObjectBacking, OpenFlags, Plfs,
     RealBacking, TieredBacking,
 };
 use proptest::prelude::*;
@@ -136,8 +136,12 @@ fn normalized_tree(b: &dyn Backing) -> BTreeMap<String, Vec<u8>> {
         .collect()
 }
 
-fn conf() -> BackendConf {
-    BackendConf::batched().with_submit_workers(2)
+fn conf() -> Conf {
+    Conf {
+        submit_depth: plfs::conf::DEFAULT_SUBMIT_DEPTH,
+        submit_workers: 2,
+        ..Conf::default()
+    }
 }
 
 static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -174,7 +178,7 @@ proptest! {
         let inner = Arc::new(MemBacking::new());
         let batched = Arc::new(BatchedBacking::new(
             inner.clone() as Arc<dyn Backing>,
-            conf(),
+            &conf(),
         ));
         prop_assert_eq!(
             &run_workload(&Plfs::new(batched.clone() as Arc<dyn Backing>), &ops),
@@ -188,7 +192,7 @@ proptest! {
         let tiered = Arc::new(TieredBacking::new(
             Arc::new(MemBacking::new()),
             Arc::new(MemBacking::new()),
-            conf(),
+            &conf(),
         ));
         prop_assert_eq!(
             &run_workload(&Plfs::new(tiered.clone() as Arc<dyn Backing>), &ops),
@@ -217,7 +221,7 @@ proptest! {
         let inner = Arc::new(MemBacking::new());
         let passthrough = Arc::new(BatchedBacking::new(
             inner.clone() as Arc<dyn Backing>,
-            BackendConf::disabled(),
+            &Conf::default(),
         ));
         prop_assert_eq!(
             &run_workload(&Plfs::new(passthrough.clone() as Arc<dyn Backing>), &ops),
@@ -259,7 +263,14 @@ fn crash_mid_destage_reads_serve_fast_copy() {
         let f = slow.create(path, true).unwrap();
         f.pwrite(torn, 0).unwrap();
     }
-    let tiered = Arc::new(TieredBacking::new(fast, slow, BackendConf::batched()));
+    let tiered = Arc::new(TieredBacking::new(
+        fast,
+        slow,
+        &Conf {
+            submit_depth: plfs::conf::DEFAULT_SUBMIT_DEPTH,
+            ..Conf::default()
+        },
+    ));
     let plfs = Plfs::new(tiered.clone() as Arc<dyn Backing>);
     let fd = plfs.open("/ckpt", OpenFlags::RDONLY, 0).unwrap();
     let mut buf = vec![0u8; payload.len()];

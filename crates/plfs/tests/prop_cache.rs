@@ -2,7 +2,7 @@
 //! observationally invisible. Any op sequence — overlapping writes, reads
 //! clamped at EOF, noncontiguous list-I/O reads — run through a `Plfs`
 //! with the cache and readahead enabled must observe byte-identical
-//! results to the same sequence with `CacheConf::disabled()`, over every
+//! results to the same sequence with the cache off (the default), over every
 //! backend kind (direct memory, real file system, batched submission,
 //! tiered burst buffer, object store) and with the memory-bounded index.
 //!
@@ -11,8 +11,8 @@
 //! and an aggressive readahead ramp so prefetch runs constantly.
 
 use plfs::{
-    BackendConf, Backing, BatchedBacking, CacheConf, MemBacking, ObjectBacking, OpenFlags, Plfs,
-    RealBacking, TieredBacking,
+    Backing, BatchedBacking, Conf, MemBacking, ObjectBacking, OpenFlags, Plfs, RealBacking,
+    TieredBacking,
 };
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
@@ -132,11 +132,24 @@ fn observe(plfs: &Plfs, ops: &[Op]) -> Vec<(usize, Vec<u8>)> {
 
 /// A hostile cache: tiny blocks, an eviction-churning budget, constant
 /// readahead.
-fn hostile_cache() -> CacheConf {
-    CacheConf::sized(2048)
-        .with_block_bytes(512)
-        .with_readahead(1024, 4096)
-        .with_shards(1)
+fn hostile_cache() -> Conf {
+    Conf {
+        data_cache_bytes: 2048,
+        data_cache_block_bytes: 512,
+        readahead_min: 1024,
+        readahead_max: 4096,
+        lock_shards: 1,
+        ..Conf::default()
+    }
+}
+
+/// Two submit workers over the default queue depth.
+fn queue_conf() -> Conf {
+    Conf {
+        submit_depth: plfs::conf::DEFAULT_SUBMIT_DEPTH,
+        submit_workers: 2,
+        ..Conf::default()
+    }
 }
 
 static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -158,13 +171,13 @@ proptest! {
     fn cached_reads_are_invisible_across_backends(workload in ops()) {
         // Reference: uncached direct memory path.
         let reference = observe(
-            &Plfs::new(Arc::new(MemBacking::new())).with_cache_conf(CacheConf::disabled()),
+            &Plfs::new(Arc::new(MemBacking::new())),
             &workload,
         );
 
         // Cached direct memory.
         let cached = observe(
-            &Plfs::new(Arc::new(MemBacking::new())).with_cache_conf(hostile_cache()),
+            &Plfs::new(Arc::new(MemBacking::new())).with_conf(hostile_cache()),
             &workload,
         );
         prop_assert_eq!(&cached, &reference);
@@ -173,7 +186,7 @@ proptest! {
         let dir = scratch_dir();
         let real = Arc::new(RealBacking::new(&dir).unwrap());
         prop_assert_eq!(
-            &observe(&Plfs::new(real).with_cache_conf(hostile_cache()), &workload),
+            &observe(&Plfs::new(real).with_conf(hostile_cache()), &workload),
             &reference
         );
         std::fs::remove_dir_all(&dir).unwrap();
@@ -181,10 +194,10 @@ proptest! {
         // Cached over batched submission.
         let batched: Arc<dyn Backing> = Arc::new(BatchedBacking::new(
             Arc::new(MemBacking::new()),
-            BackendConf::batched().with_submit_workers(2),
+            &queue_conf(),
         ));
         prop_assert_eq!(
-            &observe(&Plfs::new(batched).with_cache_conf(hostile_cache()), &workload),
+            &observe(&Plfs::new(batched).with_conf(hostile_cache()), &workload),
             &reference
         );
 
@@ -192,10 +205,10 @@ proptest! {
         let tiered: Arc<dyn Backing> = Arc::new(TieredBacking::new(
             Arc::new(MemBacking::new()),
             Arc::new(MemBacking::new()),
-            BackendConf::batched().with_submit_workers(2),
+            &queue_conf(),
         ));
         prop_assert_eq!(
-            &observe(&Plfs::new(tiered).with_cache_conf(hostile_cache()), &workload),
+            &observe(&Plfs::new(tiered).with_conf(hostile_cache()), &workload),
             &reference
         );
 
@@ -203,17 +216,15 @@ proptest! {
         let object: Arc<dyn Backing> =
             Arc::new(ObjectBacking::over(Arc::new(MemBacking::new())));
         prop_assert_eq!(
-            &observe(&Plfs::new(object).with_cache_conf(hostile_cache()), &workload),
+            &observe(&Plfs::new(object).with_conf(hostile_cache()), &workload),
             &reference
         );
 
         // Cached on top of the memory-bounded merged index.
-        let bounded = Plfs::new(Arc::new(MemBacking::new()))
-            .with_cache_conf(hostile_cache());
-        let read_conf = bounded.read_conf().with_index_memory_bytes(4096);
-        prop_assert_eq!(
-            &observe(&bounded.with_read_conf(read_conf), &workload),
-            &reference
-        );
+        let bounded = Plfs::new(Arc::new(MemBacking::new())).with_conf(Conf {
+            index_memory_bytes: 4096,
+            ..hostile_cache()
+        });
+        prop_assert_eq!(&observe(&bounded, &workload), &reference);
     }
 }

@@ -2,7 +2,7 @@
 //! byte-vector reference model.
 
 use plfs::{
-    ContainerParams, GlobalIndex, IndexEntry, LayoutMode, MemBacking, OpenFlags, Plfs, ReadConf,
+    Conf, ContainerParams, GlobalIndex, IndexEntry, LayoutMode, MemBacking, OpenFlags, Plfs,
     ReadFile,
 };
 use proptest::prelude::*;
@@ -226,12 +226,12 @@ proptest! {
         plfs.close(&fd, 0).unwrap();
 
         let serial = ReadFile::open(backing.as_ref(), "/f").unwrap();
-        let conf = ReadConf {
+        let conf = Conf {
             threads: 4,
             parallel_merge_min_droppings: 1,
-            ..ReadConf::default()
+            ..Conf::default()
         };
-        let par = ReadFile::open_with(backing.as_ref(), "/f", conf).unwrap();
+        let par = ReadFile::open_with(backing.as_ref(), "/f", &conf).unwrap();
         prop_assert!(par.merged_parallel());
         prop_assert_eq!(par.eof(), serial.eof());
         prop_assert_eq!(par.index().raw_entries(), serial.index().raw_entries());

@@ -4,7 +4,7 @@
 //! out-of-order extents (later extents win) and short reads at EOF — with
 //! the batching visible only in the index-record accounting.
 
-use plfs::{ListIoConf, MemBacking, OpenFlags, Plfs};
+use plfs::{Conf, MemBacking, OpenFlags, Plfs};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -43,8 +43,8 @@ fn blob_and_extents(call: &ListCall) -> (Vec<u8>, Vec<(u64, u64)>) {
     (blob, extents)
 }
 
-fn plfs_with(conf: ListIoConf) -> Plfs {
-    Plfs::new(Arc::new(MemBacking::new())).with_list_io_conf(conf)
+fn plfs_with(conf: Conf) -> Plfs {
+    Plfs::new(Arc::new(MemBacking::new())).with_conf(conf)
 }
 
 /// Read the whole logical file back through plain reads.
@@ -69,9 +69,12 @@ proptest! {
         calls in list_calls(6, 8),
         max_extents in 1usize..6,
     ) {
-        let listed = plfs_with(ListIoConf::default().with_max_extents(max_extents));
+        let listed = plfs_with(Conf {
+            list_io_max_extents: max_extents,
+            ..Conf::default()
+        });
         let fd_l = listed.open("/f", OpenFlags::RDWR | OpenFlags::CREAT, 0).unwrap();
-        let single = plfs_with(ListIoConf::default());
+        let single = plfs_with(Conf::default());
         let fd_s = single.open("/f", OpenFlags::RDWR | OpenFlags::CREAT, 0).unwrap();
         for (pid, call) in calls.iter().enumerate() {
             let pid = pid as u64;
@@ -97,7 +100,7 @@ proptest! {
         calls in list_calls(4, 6),
         reads in prop::collection::vec((0u64..1024, 1u64..128), 1..6),
     ) {
-        let plfs = plfs_with(ListIoConf::default());
+        let plfs = plfs_with(Conf::default());
         let fd = plfs.open("/f", OpenFlags::RDWR | OpenFlags::CREAT, 0).unwrap();
         for (pid, call) in calls.iter().enumerate() {
             let pid = pid as u64;
@@ -120,13 +123,16 @@ proptest! {
         prop_assert_eq!(listed, singles);
     }
 
-    /// `ListIoConf::disabled()` lowers the same calls to the per-extent
-    /// loop; the logical file must come out identical either way.
+    /// `list_io: false` lowers the same calls to the per-extent loop; the
+    /// logical file must come out identical either way.
     #[test]
     fn disabled_list_io_is_a_pure_lowering(calls in list_calls(6, 8)) {
-        let on = plfs_with(ListIoConf::default());
+        let on = plfs_with(Conf::default());
         let fd_on = on.open("/f", OpenFlags::RDWR | OpenFlags::CREAT, 0).unwrap();
-        let off = plfs_with(ListIoConf::disabled());
+        let off = plfs_with(Conf {
+            list_io: false,
+            ..Conf::default()
+        });
         let fd_off = off.open("/f", OpenFlags::RDWR | OpenFlags::CREAT, 0).unwrap();
         for (pid, call) in calls.iter().enumerate() {
             let pid = pid as u64;

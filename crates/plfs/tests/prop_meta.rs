@@ -1,5 +1,5 @@
 //! Property tests: a cache-enabled mount is observationally equivalent to
-//! a `MetaConf::serial()` mount (the escape hatch that disables the
+//! a `meta_cache_entries: 0` mount (the escape hatch that disables the
 //! container metadata cache) over arbitrary metadata op sequences.
 //!
 //! Each side runs the identical sequence against its own in-memory
@@ -9,7 +9,7 @@
 //! invalidation on unlink, rename, truncate, mkdir/rmdir, or a create
 //! racing its own probe — shows up as a divergence.
 
-use plfs::{Error, MemBacking, MetaConf, OpenFlags, OpenMarkers, Plfs};
+use plfs::{Conf, Error, MemBacking, OpenFlags, OpenMarkers, Plfs};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -148,9 +148,12 @@ fn observe(p: &Plfs, path: &str) -> String {
     )
 }
 
-fn run_equivalence(ops: &[Op], cached_conf: MetaConf) {
-    let cached = Plfs::new(Arc::new(MemBacking::new())).with_meta_conf(cached_conf);
-    let serial = Plfs::new(Arc::new(MemBacking::new())).with_meta_conf(MetaConf::serial());
+fn run_equivalence(ops: &[Op], cached_conf: Conf) {
+    let cached = Plfs::new(Arc::new(MemBacking::new())).with_conf(cached_conf);
+    let serial = Plfs::new(Arc::new(MemBacking::new())).with_conf(Conf {
+        meta_cache_entries: 0,
+        ..Conf::default()
+    });
     for (i, op) in ops.iter().enumerate() {
         let c = apply(&cached, op);
         let s = apply(&serial, op);
@@ -177,13 +180,19 @@ proptest! {
     /// Default conf (cache on, eager markers) ≡ serial conf.
     #[test]
     fn cached_mount_equivalent_to_serial(ops in ops(24)) {
-        run_equivalence(&ops, MetaConf::default());
+        run_equivalence(&ops, Conf::default());
     }
 
     /// Lazy open markers change *when* openhosts entries appear, but no
     /// observable verdict may differ once writers are closed.
     #[test]
     fn lazy_marker_mount_equivalent_to_serial(ops in ops(24)) {
-        run_equivalence(&ops, MetaConf::default().with_open_markers(OpenMarkers::Lazy));
+        run_equivalence(
+            &ops,
+            Conf {
+                open_markers: OpenMarkers::Lazy,
+                ..Conf::default()
+            },
+        );
     }
 }

@@ -33,27 +33,15 @@
 //! I/O (stdio's `fread`, `mmap`) sees them without further interposition.
 //! Set `LDPLFS_SNAPSHOT_READS=0` to force the interposed read path instead.
 //!
-//! Tuning knobs (all optional): `LDPLFS_HOSTDIRS`, `LDPLFS_META_CACHE`,
-//! `LDPLFS_OPEN_MARKERS`, `LDPLFS_INDEX_MEMORY_BYTES` (bound the resident
-//! merged index; 0 keeps the eager index), `LDPLFS_COMPACT_THRESHOLD`
-//! (fold droppings in the background after last close once a container
-//! exceeds this many), `LDPLFS_LIST_IO` (`0` lowers vectored/list calls to
-//! per-extent single ops), `LDPLFS_LIST_IO_MAX_EXTENTS` (extents per
-//! internal list-I/O batch), `LDPLFS_DATA_CACHE` (per-fd data block cache
-//! budget in bytes; 0 or unset keeps caching off), and `LDPLFS_READAHEAD`
-//! (readahead window ceiling in bytes for cached sequential streams; 0
-//! keeps the cache but disables readahead).
-//!
-//! Scale-out backend knobs (mirror the plfsrc `backend`/`submit_*` keys):
-//! `LDPLFS_BACKEND_KIND=direct|batched|tiered|object` picks the backend
-//! stack over the `LDPLFS_BACKEND` directory; `tiered` additionally needs
-//! `LDPLFS_FAST_BACKEND=<dir>` as the burst-buffer tier (writes land there
-//! and sealed droppings destage to `LDPLFS_BACKEND` in the background).
-//! `LDPLFS_SUBMIT_DEPTH` / `LDPLFS_SUBMIT_WORKERS` size the async
-//! submission queue (depth 0 keeps the synchronous path), and
-//! `LDPLFS_DESTAGE_THRESHOLD` keeps droppings smaller than this many bytes
-//! on the fast tier. As with every other knob, unparsable values keep the
-//! defaults — the shim must never refuse to start over tuning.
+//! Configuration rides the environment: `LDPLFS_MOUNT` and `LDPLFS_BACKEND`
+//! (required), `LDPLFS_HOSTDIRS` (hostdirs per new container),
+//! `LDPLFS_FAST_BACKEND` (the burst-buffer directory of a `tiered`
+//! backend), plus the env aliases of the one knob table — see the
+//! "Configuration" table in README.md, or `plfs-tools rccheck --knobs`.
+//! An unparsable value keeps its default (the shim must never refuse to
+//! start over tuning); an `LDPLFS_*` name nothing reads, or a tiered
+//! request without a usable fast directory, is reported in one stderr line
+//! at init.
 //!
 //! Known limitation (shared with the original): descriptors inherited
 //! *across `execve`* lose their PLFS identity, so shell output redirection
@@ -209,146 +197,87 @@ fn shim() -> Option<&'static Shim> {
     .as_ref()
 }
 
+/// Variables the shim itself reads; every other `LDPLFS_*` name must be a
+/// [`plfs::conf::KNOBS`] env alias or it is reported at init.
+const ENV_MOUNT: &str = "LDPLFS_MOUNT";
+const ENV_BACKEND: &str = "LDPLFS_BACKEND";
+const ENV_FAST_BACKEND: &str = "LDPLFS_FAST_BACKEND";
+const ENV_HOSTDIRS: &str = "LDPLFS_HOSTDIRS";
+const ENV_SNAPSHOT_READS: &str = "LDPLFS_SNAPSHOT_READS";
+const SHIM_ENV: [&str; 5] = [
+    ENV_MOUNT,
+    ENV_BACKEND,
+    ENV_FAST_BACKEND,
+    ENV_HOSTDIRS,
+    ENV_SNAPSHOT_READS,
+];
+
+/// One line on the host's stderr, through the real `write(2)`: a
+/// misconfiguration must be visible, but never through an interposed path.
+fn warn(msg: &str) {
+    let line = format!("ldplfs-preload: {msg}\n");
+    let real_write = real!(
+        write,
+        unsafe extern "C" fn(c_int, *const c_void, SizeT) -> SsizeT
+    );
+    // Best effort: a closed stderr must not stop the shim from starting.
+    let _ = unsafe { real_write(2, line.as_ptr() as *const c_void, line.len()) };
+}
+
 fn init_shim() -> Option<Shim> {
-    {
-        let mount = std::env::var("LDPLFS_MOUNT").ok()?;
-        let backend = std::env::var("LDPLFS_BACKEND").ok()?;
-        let mount = mount.trim_end_matches('/').to_string();
-        if mount.is_empty() {
-            return None;
-        }
-        let mut backing: Arc<dyn plfs::Backing> = Arc::new(RealBacking::new(backend).ok()?);
-        // Scale-out backend stack (LDPLFS_BACKEND_KIND + submission knobs).
-        // A tiered request without a usable fast directory degrades to the
-        // direct stack rather than refusing to start.
-        let kind = std::env::var("LDPLFS_BACKEND_KIND")
-            .ok()
-            .and_then(|v| plfs::BackendKind::parse(&v))
-            .unwrap_or_default();
-        let mut bconf = plfs::BackendConf::default();
-        if let Ok(n) = std::env::var("LDPLFS_SUBMIT_DEPTH") {
-            if let Ok(n) = n.parse::<usize>() {
-                bconf = bconf.with_submit_depth(n);
-            }
-        }
-        if let Ok(n) = std::env::var("LDPLFS_SUBMIT_WORKERS") {
-            if let Ok(n) = n.parse::<usize>() {
-                bconf = bconf.with_submit_workers(n);
-            }
-        }
-        if let Ok(n) = std::env::var("LDPLFS_DESTAGE_THRESHOLD") {
-            if let Ok(n) = n.parse::<u64>() {
-                bconf = bconf.with_destage_threshold(n);
-            }
-        }
-        match kind {
-            plfs::BackendKind::Direct => {}
-            plfs::BackendKind::Batched => {
-                if !bconf.batching() {
-                    bconf = bconf.with_submit_depth(plfs::conf::DEFAULT_SUBMIT_DEPTH);
-                }
-            }
-            plfs::BackendKind::Tiered => {
-                if let Some(fast) = std::env::var("LDPLFS_FAST_BACKEND")
-                    .ok()
-                    .and_then(|d| RealBacking::new(d).ok())
-                {
-                    let tiered = Arc::new(plfs::TieredBacking::new(Arc::new(fast), backing, bconf));
-                    // Destage runs on background workers; short-lived hosts
-                    // (dd, cp, md5sum) would exit before the queue drains,
-                    // leaving every dropping fast-resident. Drain on normal
-                    // exit; an actual crash still has the copy→persist→unlink
-                    // ordering to fall back on.
-                    let _ = TIERED.set(Arc::clone(&tiered));
-                    unsafe { atexit(drain_tiered_at_exit) };
-                    backing = tiered;
-                }
-            }
-            plfs::BackendKind::Object => {
-                backing = Arc::new(plfs::ObjectBacking::over(backing));
-            }
-        }
-        let mut plfs = Plfs::new(backing).with_backend_conf(bconf);
-        if let Ok(n) = std::env::var("LDPLFS_HOSTDIRS") {
-            if let Ok(n) = n.parse::<u32>() {
-                plfs = plfs.with_params(plfs::ContainerParams {
-                    num_hostdirs: n.max(1),
-                    mode: plfs::LayoutMode::Both,
-                });
-            }
-        }
-        // Metadata fast-path knobs, mirroring the plfsrc keys:
-        // LDPLFS_META_CACHE=0 disables the container metadata cache (any
-        // other number sizes it), LDPLFS_OPEN_MARKERS=eager|lazy|off picks
-        // the openhosts/ marker policy. Unparsable values keep defaults —
-        // the shim must never refuse to start over a tuning knob.
-        let mut meta_conf = plfs::MetaConf::default();
-        if let Ok(n) = std::env::var("LDPLFS_META_CACHE") {
-            if let Ok(n) = n.parse::<usize>() {
-                meta_conf = meta_conf.with_meta_cache_entries(n);
-            }
-        }
-        if let Ok(m) = std::env::var("LDPLFS_OPEN_MARKERS") {
-            if let Some(m) = plfs::OpenMarkers::parse(&m) {
-                meta_conf = meta_conf.with_open_markers(m);
-            }
-        }
-        plfs = plfs.with_meta_conf(meta_conf);
-        // LDPLFS_INDEX_MEMORY_BYTES bounds the resident merged index
-        // (mirrors the plfsrc index_memory_bytes key; 0 or unset keeps the
-        // eager fully-expanded index). LDPLFS_COMPACT_THRESHOLD opts into
-        // background compaction at last close once a container accumulates
-        // more droppings than the threshold.
-        if let Ok(n) = std::env::var("LDPLFS_INDEX_MEMORY_BYTES") {
-            if let Ok(n) = n.parse::<usize>() {
-                let conf = plfs.read_conf().with_index_memory_bytes(n);
-                plfs = plfs.with_read_conf(conf);
-            }
-        }
-        if let Ok(n) = std::env::var("LDPLFS_COMPACT_THRESHOLD") {
-            if let Ok(n) = n.parse::<usize>() {
-                let conf = plfs.write_conf().with_compact_droppings_threshold(n);
-                plfs = plfs.with_write_conf(conf);
-            }
-        }
-        // LDPLFS_LIST_IO=0 disables the native list-I/O path — vectored
-        // calls then lower to one single-extent op per buffer —
-        // and LDPLFS_LIST_IO_MAX_EXTENTS caps the extents handled per
-        // internal batch (mirrors the plfsrc list_io* keys).
-        let mut list_conf = *plfs.list_io_conf();
-        if let Ok(v) = std::env::var("LDPLFS_LIST_IO") {
-            list_conf = list_conf.with_enabled(!matches!(v.as_str(), "0" | "false" | "off" | "no"));
-        }
-        if let Ok(n) = std::env::var("LDPLFS_LIST_IO_MAX_EXTENTS") {
-            if let Ok(n) = n.parse::<usize>() {
-                list_conf = list_conf.with_max_extents(n);
-            }
-        }
-        plfs = plfs.with_list_io_conf(list_conf);
-        // LDPLFS_DATA_CACHE sizes the per-fd data block cache in bytes
-        // (mirrors the plfsrc data_cache_mbs key; 0 or unset keeps the
-        // uncached read path). LDPLFS_READAHEAD caps the adaptive readahead
-        // window in bytes (mirrors readahead_max_kbs; 0 disables readahead
-        // while keeping the cache).
-        let mut cache_conf = *plfs.cache_conf();
-        if let Ok(n) = std::env::var("LDPLFS_DATA_CACHE") {
-            if let Ok(n) = n.parse::<usize>() {
-                cache_conf = cache_conf.with_cache_bytes(n);
-            }
-        }
-        if let Ok(n) = std::env::var("LDPLFS_READAHEAD") {
-            if let Ok(n) = n.parse::<usize>() {
-                cache_conf = cache_conf.with_readahead(cache_conf.readahead_min, n);
-            }
-        }
-        plfs = plfs.with_cache_conf(cache_conf);
-        Some(Shim {
-            mount,
-            plfs,
-            table: RwLock::new(HashMap::new()),
-            snapshots: RwLock::new(HashMap::new()),
-        })
+    let mount = std::env::var(ENV_MOUNT).ok()?;
+    let backend = std::env::var(ENV_BACKEND).ok()?;
+    let mount = mount.trim_end_matches('/').to_string();
+    if mount.is_empty() {
+        return None;
     }
+    let primary: Arc<dyn plfs::Backing> = Arc::new(RealBacking::new(backend).ok()?);
+    let env: Vec<(String, String)> = std::env::vars_os()
+        .filter_map(|(k, v)| Some((k.into_string().ok()?, v.into_string().ok()?)))
+        .filter(|(k, _)| k.starts_with("LDPLFS_"))
+        .collect();
+    for (name, _) in &env {
+        if !SHIM_ENV.contains(&name.as_str()) && plfs::conf::env_knob(name).is_none() {
+            warn(&format!("unknown variable {name} ignored"));
+        }
+    }
+    let mut conf = plfs::Conf::from_env(env);
+    let fast = std::env::var(ENV_FAST_BACKEND)
+        .ok()
+        .and_then(|d| RealBacking::new(d).ok())
+        .map(|f| Arc::new(f) as Arc<dyn plfs::Backing>);
+    if conf.backend == plfs::BackendKind::Tiered && fast.is_none() {
+        // Degrade rather than refuse to start, but say so.
+        warn(&format!(
+            "tiered backend needs a usable {ENV_FAST_BACKEND}; running direct"
+        ));
+        conf.backend = plfs::BackendKind::Direct;
+    }
+    let stack = plfs::build_stack(&conf, primary, fast).ok()?;
+    if let Some(tiered) = stack.tiered {
+        // Destage runs on background workers; short-lived hosts (dd, cp,
+        // md5sum) would exit before the queue drains, leaving every
+        // dropping fast-resident. Drain on normal exit; an actual crash
+        // still has the copy→persist→unlink ordering to fall back on.
+        let _ = TIERED.set(tiered);
+        unsafe { atexit(drain_tiered_at_exit) };
+    }
+    let mut plfs = Plfs::new(stack.backing).with_conf(conf);
+    if let Some(n) = std::env::var(ENV_HOSTDIRS)
+        .ok()
+        .and_then(|n| n.parse::<u32>().ok())
+    {
+        plfs = plfs.with_params(plfs::ContainerParams {
+            num_hostdirs: n.max(1),
+            mode: plfs::LayoutMode::Both,
+        });
+    }
+    Some(Shim {
+        mount,
+        plfs,
+        table: RwLock::new(HashMap::new()),
+        snapshots: RwLock::new(HashMap::new()),
+    })
 }
 
 /// Mount-relative logical path, if `path` is inside the mount.
@@ -443,7 +372,7 @@ unsafe fn do_open(path: *const c_char, flags: c_int, mode: ModeT) -> c_int {
     // natively in the kernel — which is what makes glibc-internal I/O
     // (fopen/fread in md5sum, grep) work without interposing all of stdio.
     // Writable opens use the interposed bookkeeping path.
-    let snapshot_reads = std::env::var("LDPLFS_SNAPSHOT_READS")
+    let snapshot_reads = std::env::var(ENV_SNAPSHOT_READS)
         .map(|v| v != "0")
         .unwrap_or(true);
     if !oflags.writable() && !oflags.create() && snapshot_reads {

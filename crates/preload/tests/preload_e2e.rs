@@ -176,3 +176,33 @@ fn real_unix_tools_read_containers() {
     assert!(out.status.success());
     assert_eq!(out.stdout.len(), 4096 * 32, "cat streamed every byte");
 }
+
+/// A variable nothing reads, or a tiered request with no fast directory,
+/// used to be accepted in silence; each is now one stderr line at init,
+/// and the host still runs.
+#[test]
+fn misconfiguration_is_reported_once_on_stderr() {
+    ensure_built();
+    let env = setup("loud");
+    let mut cmd = Command::new(smoke_bin());
+    cmd.env("LDPLFS_META_CACHE_ENTRIES", "0") // the alias is LDPLFS_META_CACHE
+        .env("LDPLFS_BACKEND_KIND", "tiered");
+    let out = run_preloaded(&env, cmd);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "stderr: {stderr}");
+    let lines: Vec<_> = stderr
+        .lines()
+        .filter(|l| l.starts_with("ldplfs-preload: "))
+        .collect();
+    assert_eq!(lines.len(), 2, "{stderr}");
+    assert!(lines
+        .iter()
+        .any(|l| l.contains("unknown variable LDPLFS_META_CACHE_ENTRIES")));
+    assert!(lines
+        .iter()
+        .any(|l| l.contains("tiered") && l.contains("LDPLFS_FAST_BACKEND")));
+    // A clean environment has nothing to say.
+    let out = run_preloaded(&setup("quiet"), Command::new(smoke_bin()));
+    assert!(out.status.success());
+    assert!(!String::from_utf8_lossy(&out.stderr).contains("ldplfs-preload: "));
+}

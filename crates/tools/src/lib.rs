@@ -518,20 +518,32 @@ pub fn trace_summary(jsonl: &str) -> ToolResult {
     Ok(out)
 }
 
-/// `rccheck`: validate a plfsrc file, printing the parsed mounts.
+/// `rccheck`: validate a plfsrc file, printing the parsed mounts, the
+/// effective value of every knob (and whether the file set it), and a
+/// line-numbered warning for every key nothing reads.
 pub fn rccheck(text: &str) -> ToolResult {
-    let rc = plfs::PlfsRc::parse(text)?;
+    let (rc, warnings) = plfs::PlfsRc::parse_with_warnings(text)?;
     let mut out = String::new();
     let _ = writeln!(out, "ok: {} mount(s)", rc.mounts.len());
     for m in &rc.mounts {
         let _ = writeln!(
             out,
-            "  {} -> {} ({} hostdirs, {:?})",
+            "  {} -> {} ({} hostdirs, {:?}, index_buffer_entries {})",
             m.mount_point,
             m.backends.join(","),
             m.params.num_hostdirs,
-            m.params.mode
+            m.params.mode,
+            m.index_buffer_entries
         );
+    }
+    let default = plfs::Conf::default();
+    for k in plfs::conf::KNOBS {
+        let (value, was) = (k.render(&rc.conf), k.render(&default));
+        let origin = if value == was { "default" } else { "set" };
+        let _ = writeln!(out, "  {} {value} ({origin})", k.key);
+    }
+    for w in warnings {
+        let _ = writeln!(out, "warning: {w}");
     }
     Ok(out)
 }
@@ -915,6 +927,26 @@ mod tests {
         let b = container();
         let out = version(b.as_ref(), "/c").unwrap();
         assert!(out.contains("plfs-container v1"));
+    }
+
+    #[test]
+    fn rccheck_prints_effective_conf_and_names_typos() {
+        let out = rccheck(
+            "threadpool_size 8\nmount_point /p\nbackends /b\nthreadpool_sise 9\nlist_io on\n",
+        )
+        .unwrap();
+        assert!(out.contains("threadpool_size 8 (set)"), "{out}");
+        assert!(out.contains("list_io on (default)"), "{out}");
+        assert!(out.contains("data_cache_mbs 0 (default)"), "{out}");
+        assert!(
+            out.contains("warning: line 4: unknown key `threadpool_sise` ignored"),
+            "{out}"
+        );
+        assert_eq!(
+            out.lines().count(),
+            2 + plfs::conf::KNOBS.len() + 1,
+            "header, one mount, every knob row, one warning:\n{out}"
+        );
     }
 
     #[test]
@@ -1309,13 +1341,13 @@ mod tests {
 
     #[test]
     fn backend_report_classifies_tiers() {
-        use plfs::{BackendConf, TieredBacking};
+        use plfs::{Conf, TieredBacking};
         let fast = Arc::new(MemBacking::new());
         let slow = Arc::new(MemBacking::new());
         let tiered = TieredBacking::new(
             fast.clone() as Arc<dyn Backing>,
             slow.clone() as Arc<dyn Backing>,
-            BackendConf::default(),
+            &Conf::default(),
         );
         // One dropping sealed and destaged, one still fast-resident.
         let f = tiered.create("/done", true).unwrap();

@@ -13,7 +13,8 @@
 //! plfs-tools rm      /path/to/backend/file      # delete a container
 //! plfs-tools version /path/to/backend/file
 //! plfs-tools backend FAST_DIR SLOW_DIR          # tier residency + destage state
-//! plfs-tools rccheck /path/to/plfsrc            # validate a config file
+//! plfs-tools rccheck /path/to/plfsrc            # validate a config file, print the effective conf
+//! plfs-tools rccheck --knobs                    # the knob table as markdown
 //! plfs-tools trace   /path/to/trace.jsonl       # summarize a recorded trace
 //! plfs-tools trace   /path/to/trace.jsonl --dump  # one line per op
 //! plfs-tools benchcheck BENCH.json [...]        # validate emitted bench JSON
@@ -118,6 +119,9 @@ fn run(args: &[String]) -> plfs_tools::ToolResult {
         return plfs_tools::benchgate(&read(path)?, &read(fresh_path)?, threshold);
     }
     if cmd == "rccheck" {
+        if path == "--knobs" {
+            return Ok(plfs::conf::knobs_markdown());
+        }
         let text = std::fs::read_to_string(path)
             .map_err(|e| plfs_tools::ToolError::Usage(format!("{path}: {e}")))?;
         return plfs_tools::rccheck(&text);

@@ -5,6 +5,10 @@ set -eu
 
 cargo build --release --offline
 cargo test --workspace -q --offline
+# The benchmark harness is a workspace of its own: compile and test it
+# against the product crates here, so an API break under benchmark/ shows
+# up in CI and not only when the benchmark is next run.
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
 cargo clippy --workspace --offline --all-targets -- -D warnings
 
 # plfs-lint gate: the workspace must be clean under the project's own
@@ -22,6 +26,17 @@ sarif_tmp=$(mktemp)
 cargo run --offline --release -q -p plfs-tools -- lint . --sarif > "$sarif_tmp" || true
 cargo run --offline --release -q -p plfs-tools -- sarifcheck "$sarif_tmp"
 rm -f "$sarif_tmp"
+
+# Configuration table drift: README's block must be the knob table
+# (`crates/plfs/src/conf.rs` KNOBS) verbatim.
+knobs_tmp=$(mktemp)
+sed -n '/<!-- knobs:begin -->/,/<!-- knobs:end -->/p' README.md | sed '1d;$d' > "$knobs_tmp"
+cargo run --offline --release -q -p plfs-tools -- rccheck --knobs | diff -u "$knobs_tmp" - || {
+    echo "README.md Configuration table differs from 'plfs-tools rccheck --knobs'" >&2
+    rm -f "$knobs_tmp"
+    exit 1
+}
+rm -f "$knobs_tmp"
 
 # Bench smoke: a fast pass through the micro benches (CRITERION_QUICK
 # shrinks the measurement budget; benches still execute every group).

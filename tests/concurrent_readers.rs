@@ -7,8 +7,7 @@
 //! serially-built reference, whatever interleaving the scheduler picks.
 
 use plfs::{
-    Backing, BlockCache, CacheConf, ContainerParams, LayoutMode, MemBacking, OpenFlags, Plfs,
-    ReadConf, ReadFile,
+    Backing, BlockCache, Conf, ContainerParams, LayoutMode, MemBacking, OpenFlags, Plfs, ReadFile,
 };
 use std::sync::Arc;
 
@@ -86,13 +85,13 @@ fn random_preads_match_serial_under_sharded_cache() {
     let want = build_container(&backing, 8, 16, 4096);
     // Parallel merge on open, default 16-way sharded cache, fan-out enabled
     // for anything over 8 KiB so most random reads exercise both paths.
-    let conf = ReadConf {
+    let conf = Conf {
         threads: 4,
         parallel_merge_min_droppings: 1,
-        ..ReadConf::default()
-    }
-    .with_fanout_threshold(8 * 1024);
-    let rf = ReadFile::open_with(backing.as_ref(), "/shared", conf).unwrap();
+        fanout_threshold: 8 * 1024,
+        ..Conf::default()
+    };
+    let rf = ReadFile::open_with(backing.as_ref(), "/shared", &conf).unwrap();
     assert!(rf.merged_parallel());
     assert_eq!(
         rf.read_all(backing.as_ref()).unwrap(),
@@ -108,13 +107,13 @@ fn fanout_reads_match_with_tiny_threshold() {
     let want = build_container(&backing, 6, 8, 1024);
     // Threshold of 1 byte: every pread (that resolves to 2+ slices) takes
     // the fan-out path, so worker threads race on the handle cache hard.
-    let conf = ReadConf {
+    let conf = Conf {
         threads: 4,
         parallel_merge_min_droppings: 1,
-        ..ReadConf::default()
-    }
-    .with_fanout_threshold(1);
-    let rf = ReadFile::open_with(backing.as_ref(), "/shared", conf).unwrap();
+        fanout_threshold: 1,
+        ..Conf::default()
+    };
+    let rf = ReadFile::open_with(backing.as_ref(), "/shared", &conf).unwrap();
     hammer(&rf, backing.as_ref(), &want, 6, 48);
 }
 
@@ -123,14 +122,14 @@ fn single_shard_cache_is_still_correct_under_contention() {
     let backing = Arc::new(MemBacking::new());
     let want = build_container(&backing, 8, 8, 512);
     // One shard = one global lock: maximum contention, same answers.
-    let conf = ReadConf {
+    let conf = Conf {
         threads: 4,
         parallel_merge_min_droppings: 1,
-        ..ReadConf::default()
-    }
-    .with_handle_shards(1)
-    .with_fanout_threshold(256);
-    let rf = ReadFile::open_with(backing.as_ref(), "/shared", conf).unwrap();
+        lock_shards: 1,
+        fanout_threshold: 256,
+        ..Conf::default()
+    };
+    let rf = ReadFile::open_with(backing.as_ref(), "/shared", &conf).unwrap();
     hammer(&rf, backing.as_ref(), &want, 8, 32);
 }
 
@@ -141,18 +140,19 @@ fn cached_preads_match_under_thread_contention() {
     // Block cache with a budget far below the file size: threads race on
     // the shard locks while LRU eviction churns, and every read must
     // still be byte-identical to the reference.
-    let conf = ReadConf {
+    let conf = Conf {
         threads: 4,
         parallel_merge_min_droppings: 1,
-        ..ReadConf::default()
-    }
-    .with_fanout_threshold(8 * 1024);
-    let cache = Arc::new(BlockCache::new(
-        CacheConf::sized(64 * 1024)
-            .with_block_bytes(4096)
-            .with_shards(4),
-    ));
-    let rf = ReadFile::open_with(backing.as_ref(), "/shared", conf)
+        fanout_threshold: 8 * 1024,
+        ..Conf::default()
+    };
+    let cache = Arc::new(BlockCache::new(&Conf {
+        data_cache_bytes: 64 * 1024,
+        data_cache_block_bytes: 4096,
+        lock_shards: 4,
+        ..Conf::default()
+    }));
+    let rf = ReadFile::open_with(backing.as_ref(), "/shared", &conf)
         .unwrap()
         .with_cache(Arc::clone(&cache));
     hammer(&rf, backing.as_ref(), &want, 8, 64);
@@ -165,16 +165,18 @@ fn cached_preads_match_under_thread_contention() {
 fn concurrent_prefetch_and_preads_agree() {
     let backing = Arc::new(MemBacking::new());
     let want = build_container(&backing, 6, 8, 1024);
-    let conf = ReadConf {
+    let conf = Conf {
         threads: 4,
         parallel_merge_min_droppings: 1,
-        ..ReadConf::default()
-    }
-    .with_fanout_threshold(1);
-    let cache = Arc::new(BlockCache::new(
-        CacheConf::sized(1 << 20).with_block_bytes(512),
-    ));
-    let rf = ReadFile::open_with(backing.as_ref(), "/shared", conf)
+        fanout_threshold: 1,
+        ..Conf::default()
+    };
+    let cache = Arc::new(BlockCache::new(&Conf {
+        data_cache_bytes: 1 << 20,
+        data_cache_block_bytes: 512,
+        ..Conf::default()
+    }));
+    let rf = ReadFile::open_with(backing.as_ref(), "/shared", &conf)
         .unwrap()
         .with_cache(cache);
     // Half the threads prefetch sliding windows (the readahead path),
@@ -218,7 +220,7 @@ fn serial_conf_is_unaffected_by_concurrent_callers() {
     let want = build_container(&backing, 4, 8, 1024);
     // threads=1 disables both the parallel merge and the fan-out; many
     // threads sharing the serial reader must still read true bytes.
-    let rf = ReadFile::open_with(backing.as_ref(), "/shared", ReadConf::serial()).unwrap();
+    let rf = ReadFile::open_with(backing.as_ref(), "/shared", &Conf::default()).unwrap();
     assert!(!rf.merged_parallel());
     hammer(&rf, backing.as_ref(), &want, 8, 32);
 }

@@ -7,7 +7,7 @@
 //! container must show the N-stream structure of Figure 1.
 
 use ldplfs::{set_virtual_pid, LdPlfsBuilder, OpenFlags, PosixLayer, RealPosix};
-use plfs::{CacheConf, MemBacking, Plfs, WriteConf};
+use plfs::{Conf, MemBacking, Plfs};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -186,10 +186,10 @@ fn many_files_concurrently() {
 /// (read-your-writes under contention), and the final file is byte-exact.
 #[test]
 fn racing_pids_share_one_fd_read_your_writes() {
-    racing_read_your_writes(
-        Plfs::new(Arc::new(MemBacking::new()))
-            .with_write_conf(WriteConf::default().with_data_buffer_bytes(512)),
-    );
+    racing_read_your_writes(Plfs::new(Arc::new(MemBacking::new())).with_conf(Conf {
+        data_buffer_bytes: 512,
+        ..Conf::default()
+    }));
 }
 
 /// Same race with the data block cache and readahead in the loop: every
@@ -197,15 +197,14 @@ fn racing_pids_share_one_fd_read_your_writes() {
 /// region touched before the racing re-read observes them.
 #[test]
 fn racing_pids_read_your_writes_with_block_cache() {
-    racing_read_your_writes(
-        Plfs::new(Arc::new(MemBacking::new()))
-            .with_write_conf(WriteConf::default().with_data_buffer_bytes(512))
-            .with_cache_conf(
-                CacheConf::sized(32 * 1024)
-                    .with_block_bytes(512)
-                    .with_readahead(1024, 4096),
-            ),
-    );
+    racing_read_your_writes(Plfs::new(Arc::new(MemBacking::new())).with_conf(Conf {
+        data_buffer_bytes: 512,
+        data_cache_bytes: 32 * 1024,
+        data_cache_block_bytes: 512,
+        readahead_min: 1024,
+        readahead_max: 4096,
+        ..Conf::default()
+    }));
 }
 
 fn racing_read_your_writes(plfs: Plfs) {
@@ -265,8 +264,10 @@ fn racing_read_your_writes(plfs: Plfs) {
 /// write-behind buffer coalescing under the shard locks.
 #[test]
 fn racing_appenders_account_for_every_byte() {
-    let plfs = Plfs::new(Arc::new(MemBacking::new()))
-        .with_write_conf(WriteConf::default().with_data_buffer_bytes(256));
+    let plfs = Plfs::new(Arc::new(MemBacking::new())).with_conf(Conf {
+        data_buffer_bytes: 256,
+        ..Conf::default()
+    });
     let ranks = 8usize;
     let appends = 32usize;
     let fd = plfs
@@ -374,14 +375,8 @@ fn ops_strategy(max_ops: usize) -> impl Strategy<Value = Vec<Op>> {
 /// Apply `ops` single-threaded (deterministic append order) under `conf`
 /// and return the final logical bytes, checking interleaved reads against
 /// the running byte-vector model as we go.
-fn apply_ops(ops: &[Op], conf: WriteConf) -> Vec<u8> {
-    apply_ops_cached(ops, conf, CacheConf::disabled())
-}
-
-fn apply_ops_cached(ops: &[Op], conf: WriteConf, cache: CacheConf) -> Vec<u8> {
-    let plfs = Plfs::new(Arc::new(MemBacking::new()))
-        .with_write_conf(conf)
-        .with_cache_conf(cache);
+fn apply_ops(ops: &[Op], conf: Conf) -> Vec<u8> {
+    let plfs = Plfs::new(Arc::new(MemBacking::new())).with_conf(conf);
     let fd = plfs
         .open("/prop", OpenFlags::RDWR | OpenFlags::CREAT, 0)
         .unwrap();
@@ -437,6 +432,26 @@ fn apply_ops_cached(ops: &[Op], conf: WriteConf, cache: CacheConf) -> Vec<u8> {
     out
 }
 
+/// The fast path under test: sharded writer table, write-behind data
+/// buffer, incremental reader refresh.
+fn sharded_buffered() -> Conf {
+    Conf {
+        lock_shards: 16,
+        data_buffer_bytes: 1024,
+        incremental_refresh: true,
+        ..Conf::default()
+    }
+}
+
+/// The reference path: one lock, no buffering, full re-merge per read.
+fn serial() -> Conf {
+    Conf {
+        lock_shards: 1,
+        incremental_refresh: false,
+        ..Conf::default()
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -444,14 +459,8 @@ proptest! {
     /// byte-identical to the serial reference path for any op sequence.
     #[test]
     fn sharded_buffered_matches_serial_path(ops in ops_strategy(40)) {
-        let fast = apply_ops(
-            &ops,
-            WriteConf::default()
-                .with_write_shards(16)
-                .with_data_buffer_bytes(1024)
-                .with_incremental_refresh(true),
-        );
-        let slow = apply_ops(&ops, WriteConf::serial());
+        let fast = apply_ops(&ops, sharded_buffered());
+        let slow = apply_ops(&ops, serial());
         prop_assert_eq!(fast, slow);
     }
 
@@ -459,17 +468,17 @@ proptest! {
     /// interleave: caching must never let a read observe pre-write bytes.
     #[test]
     fn cached_interleave_matches_serial_path(ops in ops_strategy(40)) {
-        let cached = apply_ops_cached(
+        let cached = apply_ops(
             &ops,
-            WriteConf::default()
-                .with_write_shards(16)
-                .with_data_buffer_bytes(1024)
-                .with_incremental_refresh(true),
-            CacheConf::sized(2048)
-                .with_block_bytes(512)
-                .with_readahead(1024, 4096),
+            Conf {
+                data_cache_bytes: 2048,
+                data_cache_block_bytes: 512,
+                readahead_min: 1024,
+                readahead_max: 4096,
+                ..sharded_buffered()
+            },
         );
-        let slow = apply_ops(&ops, WriteConf::serial());
+        let slow = apply_ops(&ops, serial());
         prop_assert_eq!(cached, slow);
     }
 }
