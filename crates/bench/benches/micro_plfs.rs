@@ -150,6 +150,30 @@ fn bench_multi_writer(c: &mut Criterion) {
     g.finish();
 }
 
+/// One overwrite + read-back on an `O_RDWR` fd whose read view already
+/// holds N segments: the in-place patch must cost the same at every N.
+fn bench_read_after_write(c: &mut Criterion) {
+    let mut g = c.benchmark_group("read_after_write");
+    for segments in [1u64 << 10, 1 << 14, 1 << 18] {
+        let (plfs, fd) = bench::fragmented_fd(segments);
+        let mut buf = [0u8; 16];
+        let mut i = 0u64;
+        g.bench_with_input(
+            BenchmarkId::new("pwrite_pread_16b", segments),
+            &segments,
+            |b, &segments| {
+                b.iter(|| {
+                    i += 1;
+                    let off = (i.wrapping_mul(7919) % segments) * 16;
+                    plfs.write(&fd, &[i as u8; 16], off, 0).unwrap();
+                    black_box(plfs.read(&fd, &mut buf, off).unwrap())
+                });
+            },
+        );
+    }
+    g.finish();
+}
+
 fn bench_read_path(c: &mut Criterion) {
     let mut g = c.benchmark_group("read_path");
     // Container written by 16 interleaved writers, read back sequentially.
@@ -351,6 +375,7 @@ criterion_group!(
     bench_index,
     bench_write_path,
     bench_multi_writer,
+    bench_read_after_write,
     bench_read_path,
     bench_open_path,
     bench_flatten,

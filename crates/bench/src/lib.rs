@@ -679,6 +679,79 @@ impl WritePathRow {
 /// Writer counts swept by the measured write-path comparison.
 pub const WRITEPATH_WRITERS: [usize; 3] = [1, 4, 8];
 
+/// One point of the refresh-cost sweep: a write→read cycle on an fd whose
+/// read view already holds `segments` segments. Measured, this host.
+#[derive(Debug, Clone)]
+pub struct RefreshSweepRow {
+    /// Segments resident in the fd's merged index (none can coalesce).
+    pub segments: usize,
+    /// Mean microseconds per overwrite + read-back cycle.
+    pub incremental_refresh_us_per_cycle: f64,
+}
+
+/// The write-path figure: the per-writer-count rows plus the
+/// refresh-cost-vs-resident-index sweep.
+#[derive(Debug, Clone)]
+pub struct WritePathReport {
+    /// One row per entry of [`WRITEPATH_WRITERS`].
+    pub rows: Vec<WritePathRow>,
+    /// Incremental refresh cost at growing resident index sizes.
+    pub refresh_sweep: Vec<RefreshSweepRow>,
+}
+
+impl WritePathReport {
+    /// Refresh cost at the largest resident index over the smallest: ≈ 1
+    /// for an in-place O(log n) patch, ≈ the size ratio for anything that
+    /// copies or rebuilds the index per read-after-write.
+    pub fn refresh_growth(&self) -> f64 {
+        match (self.refresh_sweep.first(), self.refresh_sweep.last()) {
+            (Some(a), Some(b)) => {
+                b.incremental_refresh_us_per_cycle / a.incremental_refresh_us_per_cycle.max(1e-9)
+            }
+            _ => 1.0,
+        }
+    }
+}
+
+/// An `O_RDWR` fd on an in-memory container whose read view is built and
+/// holds `segments` segments: pids 0 and 1 own alternating 16-byte blocks,
+/// so no two neighbours coalesce. Shared by the `writepath` refresh sweep
+/// and the `read_after_write` criterion group.
+pub fn fragmented_fd(segments: u64) -> (plfs::Plfs, std::sync::Arc<plfs::PlfsFd>) {
+    use plfs::{MemBacking, OpenFlags, Plfs};
+    let plfs = Plfs::new(std::sync::Arc::new(MemBacking::new()));
+    let fd = plfs
+        .open("/s", OpenFlags::RDWR | OpenFlags::CREAT, 0)
+        .unwrap();
+    fd.add_ref(1);
+    for i in 0..segments {
+        plfs.write(&fd, &[i as u8; 16], i * 16, i % 2).unwrap();
+    }
+    plfs.read(&fd, &mut [0u8; 16], 0).unwrap();
+    (plfs, fd)
+}
+
+/// Seconds per write→read cycle (best of three) on a [`fragmented_fd`]:
+/// each cycle overwrites one random block and reads it back, which patches
+/// the view.
+fn refresh_cycle_secs(segments: usize, cycles: usize) -> f64 {
+    let (plfs, fd) = fragmented_fd(segments as u64);
+    let mut buf = [0u8; 16];
+    let mut rng = 0x2545_F491_4F6C_DD1Du64;
+    let (secs, _) = best_of(3, || {
+        for i in 0..cycles {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            let off = (rng % segments as u64) * 16;
+            plfs.write(&fd, &[i as u8; 16], off, 0).unwrap();
+            plfs.read(&fd, &mut buf, off).unwrap();
+        }
+        cycles as u64
+    });
+    secs / cycles as f64
+}
+
 /// Wall time for `writers` threads to push a strided checkpoint (and sync)
 /// through one fd under `conf`.
 fn multiwriter_secs(conf: plfs::Conf, writers: usize, rows: usize, block: usize) -> f64 {
@@ -715,7 +788,7 @@ fn multiwriter_secs(conf: plfs::Conf, writers: usize, rows: usize, block: usize)
 /// Measure the write path across [`WRITEPATH_WRITERS`]. Runs through the
 /// public `plfs::Plfs` API so the `append_fastpath`/`data_buffer_flush`/
 /// `index_patch` trace ops land in the emitted BENCH json.
-pub fn writepath_comparison(scale: Scale) -> Vec<WritePathRow> {
+pub fn writepath_comparison(scale: Scale) -> WritePathReport {
     use plfs::{Conf, MemBacking, OpenFlags, Plfs};
     use std::sync::Arc;
 
@@ -723,11 +796,22 @@ pub fn writepath_comparison(scale: Scale) -> Vec<WritePathRow> {
         Scale::Paper => (512usize, 4096usize, 4096usize, 64usize),
         Scale::Quick => (96, 512, 512, 16),
     };
+    let (sweep, sweep_cycles): ([usize; 3], usize) = match scale {
+        Scale::Paper => ([1 << 10, 1 << 14, 1 << 18], 4096),
+        Scale::Quick => ([1 << 10, 1 << 12, 1 << 14], 1024),
+    };
     let sharded = Conf {
         data_buffer_bytes: 64 << 10,
         ..Conf::default()
     };
-    WRITEPATH_WRITERS
+    let refresh_sweep = sweep
+        .iter()
+        .map(|&segments| RefreshSweepRow {
+            segments,
+            incremental_refresh_us_per_cycle: refresh_cycle_secs(segments, sweep_cycles) * 1e6,
+        })
+        .collect();
+    let rows = WRITEPATH_WRITERS
         .iter()
         .map(|&writers| {
             let serial_secs = multiwriter_secs(
@@ -797,11 +881,16 @@ pub fn writepath_comparison(scale: Scale) -> Vec<WritePathRow> {
                 incremental_refresh_ms: incr * 1e3,
             }
         })
-        .collect()
+        .collect();
+    WritePathReport {
+        rows,
+        refresh_sweep,
+    }
 }
 
 /// Render the measured write-path comparison.
-pub fn render_writepath(rows: &[WritePathRow]) -> String {
+pub fn render_writepath(report: &WritePathReport) -> String {
+    let rows = &report.rows;
     let mut out = String::new();
     out.push_str(&format!(
         "{:>8}{:>13}{:>13}{:>9}{:>11}{:>13}{:>13}{:>9}\n",
@@ -820,6 +909,17 @@ pub fn render_writepath(rows: &[WritePathRow]) -> String {
             r.refresh_speedup()
         ));
     }
+    out.push_str("\nIncremental refresh vs resident index (measured, us per write+read cycle)\n");
+    for s in &report.refresh_sweep {
+        out.push_str(&format!(
+            "{:>10} segments{:>9.2} us\n",
+            s.segments, s.incremental_refresh_us_per_cycle
+        ));
+    }
+    out.push_str(&format!(
+        "growth largest/smallest: {:.2}x\n",
+        report.refresh_growth()
+    ));
     out
 }
 
@@ -2135,6 +2235,27 @@ impl ToJson for WritePathRow {
     }
 }
 
+impl ToJson for RefreshSweepRow {
+    fn to_json_value(&self) -> Value {
+        Value::object()
+            .with("segments", self.segments as u64)
+            .with(
+                "incremental_refresh_us_per_cycle",
+                self.incremental_refresh_us_per_cycle,
+            )
+            .with("kind", "measured")
+    }
+}
+
+impl ToJson for WritePathReport {
+    fn to_json_value(&self) -> Value {
+        Value::object()
+            .with("rows", self.rows.to_json_value())
+            .with("refresh_sweep", self.refresh_sweep.to_json_value())
+            .with("refresh_growth", self.refresh_growth())
+    }
+}
+
 impl ToJson for ReadPathProjection {
     fn to_json_value(&self) -> Value {
         Value::object()
@@ -2305,6 +2426,18 @@ impl ToJson for IorRow {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{RwLock, RwLockReadGuard};
+
+    /// The write clock is process-wide and these tests run on parallel
+    /// threads: another figure's writes split the pattern runs that
+    /// `indexscale`'s bounded-index residency depends on (it failed two
+    /// runs in three). It takes this lock exclusively; the other figures
+    /// that write through `plfs` share it.
+    static WRITE_CLOCK: RwLock<()> = RwLock::new(());
+
+    fn shares_write_clock() -> RwLockReadGuard<'static, ()> {
+        WRITE_CLOCK.read().unwrap_or_else(|e| e.into_inner())
+    }
 
     #[test]
     fn quick_fig3_has_all_panels_and_methods() {
@@ -2373,6 +2506,7 @@ mod tests {
 
     #[test]
     fn quick_readpath_measures_and_projects() {
+        let _clock = shares_write_clock();
         let rows = readpath_comparison(Scale::Quick);
         assert_eq!(rows.len(), READPATH_DROPPINGS.len());
         for r in &rows {
@@ -2400,9 +2534,11 @@ mod tests {
 
     #[test]
     fn quick_writepath_measures() {
-        let rows = writepath_comparison(Scale::Quick);
+        let _clock = shares_write_clock();
+        let report = writepath_comparison(Scale::Quick);
+        let rows = &report.rows;
         assert_eq!(rows.len(), WRITEPATH_WRITERS.len());
-        for r in &rows {
+        for r in rows {
             assert!(r.serial_write_mbs > 0.0 && r.sharded_write_mbs > 0.0);
             assert!(r.append_ns > 0.0 && r.append_ns.is_finite());
             assert!(r.full_refresh_ms > 0.0 && r.incremental_refresh_ms > 0.0);
@@ -2415,12 +2551,21 @@ mod tests {
             big.refresh_speedup() > 1.0,
             "incremental refresh should beat full re-merge at 8 writers: {big:?}"
         );
-        let txt = render_writepath(&rows);
-        assert!(txt.contains("Writers") && txt.contains("speedup"));
+        // The patch is in place: 16x the resident index must not cost
+        // anywhere near 16x per read-after-write (the gate's bar is 4x).
+        assert_eq!(report.refresh_sweep.len(), 3);
+        assert!(
+            report.refresh_growth() < 4.0,
+            "refresh cost grew with the resident index: {:?}",
+            report.refresh_sweep
+        );
+        let txt = render_writepath(&report);
+        assert!(txt.contains("Writers") && txt.contains("speedup") && txt.contains("segments"));
     }
 
     #[test]
     fn quick_metadata_measures_and_projects() {
+        let _clock = shares_write_clock();
         let r = metadata_comparison(Scale::Quick);
         assert_eq!(r.measured.len(), 3);
         let reopen = &r.measured[0];
@@ -2451,6 +2596,7 @@ mod tests {
 
     #[test]
     fn quick_indexscale_memory_stays_bounded() {
+        let _alone = WRITE_CLOCK.write().unwrap_or_else(|e| e.into_inner());
         let r = indexscale_comparison(Scale::Quick);
         assert_eq!(r.rows.len(), INDEXSCALE_FACTORS.len());
         for row in &r.rows {
@@ -2483,6 +2629,7 @@ mod tests {
 
     #[test]
     fn quick_noncontig_listio_beats_sieving() {
+        let _clock = shares_write_clock();
         let r = noncontig_comparison(Scale::Quick);
         assert_eq!(r.rows.len(), NONCONTIG_JOBS.len());
         for row in &r.rows {
@@ -2516,6 +2663,7 @@ mod tests {
 
     #[test]
     fn quick_staging2_overlap_beats_direct() {
+        let _clock = shares_write_clock();
         let r = staging2_comparison(Scale::Quick);
         assert_eq!(r.rows.len(), 2, "quick sweeps the first two rank counts");
         for row in &r.rows {
@@ -2543,6 +2691,7 @@ mod tests {
 
     #[test]
     fn quick_readcache_cache_and_readahead_win() {
+        let _clock = shares_write_clock();
         let r = readcache_comparison(Scale::Quick);
         assert_eq!(r.rows.len(), 2, "quick sweeps the first two read sizes");
         for row in &r.rows {

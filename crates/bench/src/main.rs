@@ -279,11 +279,11 @@ fn cmd_readpath(args: &Args) {
 fn cmd_writepath(args: &Args) {
     println!("# Write path: serial vs sharded + write-behind-buffered writers\n");
     trace_begin(args);
-    let rows = writepath_comparison(scale(args.quick));
+    let report = writepath_comparison(scale(args.quick));
     println!("## Measured (in-memory backing, this host)\n");
-    println!("{}", render_writepath(&rows));
-    dump_json(&args.json, "writepath", &rows);
-    trace_emit(args, "writepath", &rows);
+    println!("{}", render_writepath(&report));
+    dump_json(&args.json, "writepath", &report);
+    trace_emit(args, "writepath", &report);
 }
 
 fn cmd_metadata(args: &Args) {

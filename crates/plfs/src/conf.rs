@@ -135,9 +135,10 @@ pub struct Conf {
     /// Buffered index entries per writer before an automatic flush. Set
     /// per mount in `plfsrc` (`index_buffer_entries`).
     pub index_buffer_entries: usize,
-    /// After local writes, patch the cached merged index with this
-    /// process's freshly flushed entries instead of re-reading every
-    /// dropping. Off forces a full re-merge on each post-write read.
+    /// After local writes, patch the fd's merged index in place with this
+    /// process's fresh entries instead of re-reading every dropping. Off
+    /// forces a full re-merge on each post-write read (the reference arm
+    /// tests and `paperbench writepath` compare the patch against).
     pub incremental_refresh: bool,
     /// When the last writer closes a container holding more than this many
     /// droppings, compact them into one in the background (0 = never).

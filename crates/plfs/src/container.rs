@@ -20,7 +20,7 @@
 use crate::backing::{join, remove_tree, Backing};
 use crate::conf::Conf;
 use crate::error::{Error, Result};
-use crate::index::{CompactIndex, GlobalIndex, IndexEntry, IndexRecord};
+use crate::index::{observe_timestamp, CompactIndex, GlobalIndex, IndexEntry, IndexRecord};
 use rayon::prelude::*;
 use std::time::{Duration, Instant};
 
@@ -351,7 +351,14 @@ pub fn build_global_index(
         let Some(ip) = &d.index_path else { continue };
         entries.extend(read_index_dropping(b, id as u32, ip)?);
     }
-    Ok((GlobalIndex::from_entries(entries), droppings))
+    Ok((merged(GlobalIndex::from_entries(entries)), droppings))
+}
+
+/// Every merged eager view passes through here: step the process write
+/// clock past what was merged (see [`observe_timestamp`]).
+fn merged(index: GlobalIndex) -> GlobalIndex {
+    observe_timestamp(index.max_timestamp());
+    index
 }
 
 /// Like [`build_global_index`], but decoding and expanding index droppings
@@ -376,14 +383,14 @@ pub fn build_global_index_with(
         for (id, ip) in indexed {
             entries.extend(read_index_dropping(b, id, ip)?);
         }
-        return Ok((GlobalIndex::from_entries(entries), droppings, false));
+        return Ok((merged(GlobalIndex::from_entries(entries)), droppings, false));
     }
     let runs: Vec<Result<Vec<IndexEntry>>> = indexed
         .par_iter()
         .map(|&(id, ip)| read_index_dropping(b, id, ip))
         .collect();
     let runs: Vec<Vec<IndexEntry>> = runs.into_iter().collect::<Result<_>>()?;
-    Ok((GlobalIndex::from_sorted_runs(runs), droppings, true))
+    Ok((merged(GlobalIndex::from_sorted_runs(runs)), droppings, true))
 }
 
 /// Read and decode one index dropping into compact records (patterns stay
@@ -429,7 +436,9 @@ pub fn build_compact_index(
         }
         runs
     };
-    Ok((CompactIndex::from_runs(runs), droppings, parallel))
+    let compact = CompactIndex::from_runs(runs);
+    observe_timestamp(compact.max_timestamp());
+    Ok((compact, droppings, parallel))
 }
 
 /// Cached metadata dropped into `meta/` at close: `<eof>.<bytes>.<pid>`.

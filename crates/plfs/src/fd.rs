@@ -14,10 +14,11 @@
 //! - **O(1) EOF.** A cached atomic max-EOF is bumped on every write, so
 //!   `append()` and `size()` answer without an index merge; the merge (or
 //!   an incremental patch) happens only on actual reads.
-//! - **Incremental reader refresh.** When a merged read view is already
-//!   cached, a post-write read patches it with this process's freshly
-//!   flushed entries ([`Conf::incremental_refresh`]) instead of
-//!   re-reading every dropping.
+//! - **Incremental reader refresh.** The fd keeps one long-lived read
+//!   view; a post-write read patches it *in place* with this process's
+//!   freshly flushed entries ([`Conf::incremental_refresh`]) — O(k log n),
+//!   open dropping handles kept — instead of re-reading every dropping.
+//!   Readers share the view lock; only the refresh takes it exclusively.
 //!
 //! EOF coherence is per-fd, as in the C library: ranks sharing this fd see
 //! each other's appends atomically; a *different* fd (or process) appending
@@ -26,14 +27,14 @@
 use crate::backing::Backing;
 use crate::cache::BlockCache;
 use crate::conf::{Conf, OpenMarkers};
-use crate::container::{self, ContainerParams, DroppingRef};
+use crate::container::{self, ContainerParams};
 use crate::error::{Error, Result};
 use crate::flags::OpenFlags;
 use crate::index::IndexEntry;
 use crate::meta::MetaCache;
 use crate::reader::ReadFile;
 use crate::writer::WriteFile;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -44,6 +45,16 @@ type WriterShard = Mutex<HashMap<u64, WriteFile>>;
 /// Entries flushed by writers that have since closed, still owed to the
 /// next incremental reader refresh, keyed by their data-dropping path.
 type Orphans = Vec<(String, Vec<IndexEntry>)>;
+
+/// A shared hold on the fd's read view; exists only over a built view.
+struct View<'a>(RwLockReadGuard<'a, Option<ReadFile>>);
+
+impl std::ops::Deref for View<'_> {
+    type Target = ReadFile;
+    fn deref(&self) -> &ReadFile {
+        self.0.as_ref().expect("View wraps a built read view")
+    }
+}
 
 /// An open PLFS file (the Rust analogue of `Plfs_fd`).
 pub struct PlfsFd {
@@ -73,7 +84,10 @@ pub struct PlfsFd {
     shards: Box<[WriterShard]>,
     shard_mask: usize,
     refs: Mutex<HashMap<u64, u32>>,
-    reader: Mutex<Option<Arc<ReadFile>>>,
+    /// The one long-lived read view: built by the first read, patched in
+    /// place by reads after writes, dropped by truncate. Lock order: this,
+    /// then writer shard locks, then the view's handle-cache shards.
+    reader: RwLock<Option<ReadFile>>,
     orphans: Mutex<Orphans>,
     /// Set on every write; the next read flushes the writers and refreshes
     /// the read view so reads observe this process's own writes
@@ -115,7 +129,7 @@ impl PlfsFd {
             shards: (0..n).map(|_| Mutex::new(HashMap::new())).collect(),
             shard_mask: n - 1,
             refs: Mutex::new(refs),
-            reader: Mutex::new(None),
+            reader: RwLock::new(None),
             orphans: Mutex::new(Vec::new()),
             dirty: AtomicBool::new(false),
             eof: AtomicU64::new(0),
@@ -256,7 +270,10 @@ impl PlfsFd {
                     self.write_sharded(&mut shard, &data[pos..pos + len as usize], off, pid)?;
                 pos += len as usize;
             }
-            shard.get_mut(&pid).unwrap().flush_index()?;
+            // No writer yet: every extent so far was zero-length.
+            if let Some(w) = shard.get_mut(&pid) {
+                w.flush_index()?;
+            }
         }
         if let Some(t0) = t0 {
             iotrace::global().record(
@@ -326,6 +343,11 @@ impl PlfsFd {
         offset: u64,
         pid: u64,
     ) -> Result<usize> {
+        if buf.is_empty() {
+            // POSIX: a zero-length write changes nothing — in particular
+            // not the EOF, which `offset + 0` below would have raised.
+            return Ok(0);
+        }
         if let std::collections::hash_map::Entry::Vacant(e) = shard.entry(pid) {
             self.ensure_hostdir_once(pid)?;
             let w = WriteFile::open_prepared(
@@ -441,6 +463,9 @@ impl PlfsFd {
             return Err(Error::BadMode("file not open for reading"));
         }
         let reader = self.reader()?;
+        // `reader` holds the view lock *shared* across the backing reads
+        // below, so no refresh can mutate the index under them; readers
+        // never block each other, only a refresh excludes them.
         if let Some(c) = &self.block_cache {
             if let Some((start, len)) = c.plan_readahead(offset, buf.len()) {
                 let t0 = iotrace::global().start();
@@ -461,39 +486,59 @@ impl PlfsFd {
         reader.pread_auto(self.backing.as_ref(), buf, offset)
     }
 
-    /// Get (building or refreshing if necessary) the merged read view.
-    pub fn reader(&self) -> Result<Arc<ReadFile>> {
-        let mut guard = self.reader.lock();
-        // plfs-lint: allow(lock-across-io, "intentional: the reader lock must be held while the merged view is (re)built — racing refreshers would flush and merge the same shards twice; same latch rationale as ensure_eof_seeded")
-        self.refresh_reader(&mut guard)
+    /// A shared hold on the merged read view, built or refreshed first if
+    /// need be. Clean reads only ever take the view lock shared; a dirty fd
+    /// (or one with no view yet) takes it exclusively for the refresh and
+    /// downgrades, so no reader sees a half-patched index.
+    fn reader(&self) -> Result<View<'_>> {
+        // relaxed: a write this thread made or synchronized with is visible by coherence; racing a concurrent write, either order is a valid read
+        if !self.dirty.load(Ordering::Relaxed) {
+            let guard = self.reader.read();
+            if guard.is_some() {
+                return Ok(View(guard));
+            }
+        }
+        let mut guard = self.reader.write();
+        // plfs-lint: allow(lock-across-io, "intentional: the view lock must be held exclusively while the view is built or patched — racing refreshers would flush and merge the same shards twice, and readers must not see a half-patched index; same latch rationale as ensure_eof_seeded")
+        self.refresh_reader(&mut guard)?;
+        Ok(View(RwLockWriteGuard::downgrade(guard)))
     }
 
-    /// The view-building body of [`PlfsFd::reader`], for callers already
-    /// holding the (non-reentrant) reader lock.
+    /// Run `f` over the current read view (refreshed first, exactly as a
+    /// read would): the merged index and dropping table, for inspection.
+    pub fn with_view<R>(&self, f: impl FnOnce(&ReadFile) -> R) -> Result<R> {
+        Ok(f(&*self.reader()?))
+    }
+
+    /// The view-refreshing body of [`PlfsFd::reader`], for callers holding
+    /// the view lock exclusively: leaves a current view in `view`.
     ///
-    /// When dirty, every shard's writers are flushed first so their bytes
-    /// and entries are on the backing store. Then either:
+    /// When dirty, every shard's writers are drained first
+    /// ([`PlfsFd::drain_writers`]). Then either:
     ///
-    /// - a cached view exists and incremental refresh is on: its merged
-    ///   index is cloned and patched with the freshly flushed entries
-    ///   (traced as `index_patch`), or
+    /// - a view exists and incremental refresh is on: the freshly flushed
+    ///   entries are inserted into it in place (traced as `index_patch`),
+    ///   or
     /// - the full merge runs — every dropping's index is read and merged,
     ///   the index-merge step of the paper — traced as `index_merge`
     ///   (serial) or `index_merge_par` (concurrent).
-    fn refresh_reader(&self, guard: &mut Option<Arc<ReadFile>>) -> Result<Arc<ReadFile>> {
+    fn refresh_reader(&self, view: &mut Option<ReadFile>) -> Result<()> {
         // relaxed: the swap needs atomicity only (exactly one refresher); banked entries are read under the shard locks taken below
         if self.dirty.swap(false, Ordering::Relaxed) {
-            let mut fresh: Orphans = std::mem::take(&mut *self.orphans.lock());
-            for shard in self.shards.iter() {
-                let mut s = shard.lock();
-                for w in s.values_mut() {
-                    w.flush_index()?;
-                    let ents = w.take_unmerged();
-                    if !ents.is_empty() {
-                        fresh.push((w.data_path().to_string(), ents));
-                    }
+            // The memory-bounded reader has no resident full index to
+            // patch; it rebuilds (cheaply — records stay compact) instead.
+            let patching =
+                view.is_some() && self.conf.incremental_refresh && !self.conf.bounded_index();
+            let fresh = match self.drain_writers(patching) {
+                Ok(fresh) => fresh,
+                Err(e) => {
+                    // Some writers are drained, the view has none of it:
+                    // the next read must rebuild from the backing store.
+                    *view = None;
+                    self.dirty.store(true, Ordering::Relaxed); // relaxed: under the exclusive view lock; same flag-only role as in write_sharded
+                    return Err(e);
                 }
-            }
+            };
             // Freshly flushed entries overwrite logical ranges whose old
             // bytes may be cached: drop every block their physical ranges
             // touch. The length-rule in `BlockCache::lookup` already covers
@@ -507,30 +552,43 @@ impl PlfsFd {
                     }
                 }
             }
-            // The memory-bounded reader has no resident full index to
-            // patch; it rebuilds (cheaply — records stay compact) instead.
-            let patchable = !self.conf.bounded_index();
-            if self.conf.incremental_refresh && patchable && guard.is_some() && !fresh.is_empty() {
-                let prev = guard.take().unwrap();
-                let r = self.patch_reader(&prev, fresh)?;
-                *guard = Some(r.clone());
-                return Ok(r);
+            match view.as_mut().filter(|_| patching) {
+                // Valid because the write clock steps past every view it
+                // builds: `fresh` is stamped after everything merged, the
+                // order `GlobalIndex::insert` requires.
+                Some(v) if !fresh.is_empty() => {
+                    let t0 = iotrace::global().start();
+                    let patched_bytes = v.patch(fresh);
+                    if let Some(t0) = t0 {
+                        iotrace::global().record(
+                            t0,
+                            iotrace::OpEvent::new(
+                                iotrace::Layer::Index,
+                                iotrace::OpKind::IndexPatch,
+                            )
+                            .path(&self.container)
+                            .bytes(patched_bytes),
+                        );
+                    }
+                }
+                // Dirty with nothing owed (a racing refresh already drained
+                // the write that set the flag): the view is current.
+                Some(_) => {}
+                // Full rebuild: the drained entries are on disk, so the
+                // merge below observes them; dropping the copies is safe.
+                None => *view = None,
             }
-            // Full rebuild: the drained entries are on disk, so the merge
-            // below observes them; dropping the in-memory copies is safe.
-            *guard = None;
         }
-        if let Some(r) = &*guard {
-            return Ok(r.clone());
+        if view.is_some() {
+            return Ok(());
         }
         let t0 = iotrace::global().start();
         let mut rf = ReadFile::open_with(self.backing.as_ref(), &self.container, &self.conf)?;
         if let Some(c) = &self.block_cache {
             rf = rf.with_cache(Arc::clone(c));
         }
-        let r = Arc::new(rf);
         if let Some(t0) = t0 {
-            let op = if r.merged_parallel() {
+            let op = if rf.merged_parallel() {
                 iotrace::OpKind::IndexMergePar
             } else {
                 iotrace::OpKind::IndexMerge
@@ -539,67 +597,34 @@ impl PlfsFd {
                 t0,
                 iotrace::OpEvent::new(iotrace::Layer::Index, op)
                     .path(&self.container)
-                    .bytes(r.eof()),
+                    .bytes(rf.eof()),
             );
         }
-        // relaxed: seeded under self.reader lock; the lock release publishes both stores
-        self.eof.fetch_max(r.eof(), Ordering::Relaxed);
+        // relaxed: seeded under the exclusive view lock; the lock release publishes both stores
+        self.eof.fetch_max(rf.eof(), Ordering::Relaxed);
         self.eof_seeded.store(true, Ordering::Relaxed); // relaxed: same critical section
-        *guard = Some(r.clone());
-        Ok(r)
+        *view = Some(rf);
+        Ok(())
     }
 
-    /// Patch `prev`'s merged index with this process's freshly flushed
-    /// entries instead of re-reading every dropping. Valid because writer
-    /// timestamps come from the process-global write clock: entries
-    /// flushed after `prev` was built always timestamp-after everything
-    /// merged into it, which is exactly the order `GlobalIndex::insert`
-    /// requires.
-    fn patch_reader(&self, prev: &Arc<ReadFile>, fresh: Orphans) -> Result<Arc<ReadFile>> {
-        let t0 = iotrace::global().start();
-        let mut index = prev.index().into_owned();
-        let mut droppings = prev.droppings().to_vec();
-        let mut entries: Vec<IndexEntry> = Vec::new();
-        for (data_path, ents) in fresh {
-            let id = match droppings.iter().position(|d| d.data_path == data_path) {
-                Some(i) => i as u32,
-                None => {
-                    droppings.push(DroppingRef {
-                        data_path,
-                        index_path: None,
-                    });
-                    (droppings.len() - 1) as u32
+    /// Put every writer's bytes on the backing store — for a rebuild
+    /// (`!patching`) its index records too, since the merge reads the index
+    /// droppings — and collect the entries the read view has not seen.
+    fn drain_writers(&self, patching: bool) -> Result<Orphans> {
+        let mut fresh: Orphans = std::mem::take(&mut *self.orphans.lock());
+        for shard in self.shards.iter() {
+            let mut s = shard.lock();
+            for w in s.values_mut() {
+                if !patching {
+                    w.flush_index()?;
                 }
-            };
-            entries.extend(ents.into_iter().map(|mut e| {
-                e.dropping_id = id;
-                e
-            }));
+                let ents = w.take_unmerged()?;
+                if !ents.is_empty() {
+                    fresh.push((w.data_path().to_string(), ents));
+                }
+            }
         }
-        // Writers flush independently; restore global write order across
-        // pids before inserting.
-        entries.sort_by_key(|e| e.timestamp);
-        let patched_bytes: u64 = entries.iter().map(|e| e.length).sum();
-        for e in entries {
-            index.insert(e);
-        }
-        let mut rf = ReadFile::from_parts(index, droppings, &self.conf);
-        if let Some(c) = &self.block_cache {
-            rf = rf.with_cache(Arc::clone(c));
-        }
-        let r = Arc::new(rf);
-        if let Some(t0) = t0 {
-            iotrace::global().record(
-                t0,
-                iotrace::OpEvent::new(iotrace::Layer::Index, iotrace::OpKind::IndexPatch)
-                    .path(&self.container)
-                    .bytes(patched_bytes),
-            );
-        }
-        // relaxed: seeded under self.reader lock; the lock release publishes both stores
-        self.eof.fetch_max(r.eof(), Ordering::Relaxed);
-        self.eof_seeded.store(true, Ordering::Relaxed); // relaxed: same critical section
-        Ok(r)
+        Ok(fresh)
     }
 
     /// Seed the cached EOF from the container's on-disk index, once per
@@ -610,7 +635,7 @@ impl PlfsFd {
         if self.eof_seeded.load(Ordering::Relaxed) {
             return Ok(());
         }
-        let guard = self.reader.lock();
+        let guard = self.reader.write();
         // relaxed: checked again under the reader lock; a stale false only costs a redundant seed
         if self.eof_seeded.load(Ordering::Relaxed) {
             return Ok(());
@@ -656,7 +681,7 @@ impl PlfsFd {
     /// to unlinked droppings, and the cached EOF must be re-seeded from the
     /// rewritten container.
     pub fn reset_writers(&self) -> Result<()> {
-        let mut guard = self.reader.lock();
+        let mut guard = self.reader.write();
         for shard in self.shards.iter() {
             let writers = std::mem::take(&mut *shard.lock());
             for (pid, mut w) in writers {
@@ -711,7 +736,7 @@ impl PlfsFd {
                 w.sync()?;
                 // Entries not yet folded into a cached read view stay owed
                 // to the next incremental refresh.
-                let ents = w.take_unmerged();
+                let ents = w.take_unmerged()?;
                 if !ents.is_empty() {
                     self.orphans.lock().push((w.data_path().to_string(), ents));
                 }
@@ -1502,6 +1527,88 @@ mod tests {
         assert!(again.iter().all(|&x| x == 5));
         let warm = fd.block_cache().unwrap().stats();
         assert!(warm.hits > cold.hits, "warm tiered read missed the cache");
+    }
+
+    /// `(logical, length, data path, physical)` per segment of a view.
+    fn segments(r: &ReadFile) -> Vec<(u64, u64, String, u64)> {
+        r.index()
+            .iter_segments()
+            .map(|(lo, len, id, phys)| {
+                (lo, len, r.droppings()[id as usize].data_path.clone(), phys)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn patched_view_equals_fresh_merge_over_records_stamped_ahead() {
+        // Another process — its clock a week ahead of ours — wrote the
+        // file. Building a view over its records must step our write clock
+        // past them (Lamport), or our overwrite wins in the patched view
+        // (insertion order) and loses on the next fresh merge (stamps).
+        let (b, fd) = open_fd_with(OpenFlags::RDWR, Conf::default());
+        let params = ContainerParams::default();
+        let mut w = WriteFile::open(b.as_ref(), "/f", &params, 7, 64).unwrap();
+        w.write(&[b'a'; 4096], 0).unwrap();
+        w.write(&[b'b'; 64], 100).unwrap();
+        w.sync().unwrap();
+        let f = b.open(w.index_path(), true).unwrap();
+        let mut raw = vec![0u8; f.size().unwrap() as usize];
+        f.pread(&mut raw, 0).unwrap();
+        let mut ahead = Vec::new();
+        for mut e in IndexEntry::decode_all(&raw).unwrap() {
+            e.timestamp += 7 * 86_400 * 1_000_000_000;
+            e.encode(&mut ahead);
+        }
+        f.pwrite(&ahead, 0).unwrap();
+
+        let mut buf = vec![0u8; 4096];
+        fd.read(&mut buf, 0).unwrap(); // builds the view
+        fd.write(&[b'C'; 1000], 50, 100).unwrap();
+        fd.read(&mut buf, 0).unwrap(); // patches it
+        assert!(buf[50..1050].iter().all(|&x| x == b'C'));
+        fd.sync(100).unwrap();
+        let fresh = ReadFile::open(b.as_ref(), "/f").unwrap();
+        let patched = fd.with_view(segments).unwrap();
+        assert_eq!(patched, segments(&fresh), "patched view == fresh merge");
+        assert_eq!(fresh.read_all(b.as_ref()).unwrap(), buf);
+    }
+
+    #[test]
+    fn failed_refresh_leaves_no_stale_view() {
+        use crate::faults::{FaultKind, FaultOp, FaultRule, Faulty};
+        let faulty = Arc::new(Faulty::new(Arc::new(MemBacking::new())));
+        let params = ContainerParams::default();
+        create_container(faulty.as_ref(), "/f", &params, true).unwrap();
+        let conf = Conf {
+            data_buffer_bytes: 1024,
+            ..Conf::default()
+        };
+        let fd = PlfsFd::new(
+            faulty.clone(),
+            "/f".into(),
+            params,
+            OpenFlags::RDWR,
+            &conf,
+            100,
+        );
+        fd.add_ref(200);
+        fd.write(b"aaaa", 0, 100).unwrap();
+        let mut buf = [0u8; 8];
+        assert_eq!(fd.read(&mut buf, 0).unwrap(), 4); // builds the view
+        fd.write(b"BBBB", 0, 100).unwrap();
+        fd.write(b"cccc", 4, 200).unwrap();
+        // pid 100's shard drains first; pid 200's data spill then fails.
+        faulty.arm(FaultRule {
+            op: FaultOp::Write,
+            path_contains: "dropping.data.200".into(),
+            after: 0,
+            times: 1,
+            errno_like: FaultKind::Io,
+        });
+        assert!(fd.read(&mut buf, 0).is_err());
+        // The retry must not serve the view that missed pid 100's drain.
+        assert_eq!(fd.read(&mut buf, 0).unwrap(), 8);
+        assert_eq!(&buf, b"BBBBcccc");
     }
 
     #[test]

@@ -18,6 +18,7 @@ use crate::error::{Error, Result};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Once;
 
 /// Size of one serialized index record in bytes.
 pub const RECORD_SIZE: usize = 48;
@@ -49,17 +50,43 @@ fn fits_off_t(e: &IndexEntry) -> bool {
             .is_some_and(|end| end <= OFFSET_MAX)
 }
 
-/// Process-wide monotonic write timestamp source.
+/// Process-wide write timestamp source: overlapping writes resolve
+/// newest-stamp-wins at merge time, across processes too.
 ///
-/// The C library stamps records with wall-clock time; a single in-process
-/// atomic gives us the same "later write wins" ordering deterministically,
-/// which both the real and simulated paths share.
+/// Seeded once, on first use, from `CLOCK_REALTIME` nanoseconds (what the C
+/// library stamps records with), then `+1` per write — so a process that
+/// starts writing after another finished stamps above everything the
+/// earlier one wrote, while stamps inside one process stay dense and
+/// deterministic (the consecutive-stamp rule of [`encode_compressed`]).
+/// [`observe_timestamp`] is the Lamport step that covers a clock stepped
+/// backwards or skewed between hosts.
 static WRITE_CLOCK: AtomicU64 = AtomicU64::new(1);
+static WRITE_CLOCK_SEED: Once = Once::new();
+
+/// Largest stamp the Lamport step will chase. A stamp beyond this is no
+/// plausible wall-clock reading (year 2262); following a corrupt record
+/// there would leave the clock one write away from wrapping to zero.
+const TIMESTAMP_MAX: u64 = i64::MAX as u64;
 
 /// Take the next write timestamp.
 pub fn next_timestamp() -> u64 {
+    WRITE_CLOCK_SEED.call_once(|| {
+        let now = std::time::SystemTime::now()
+            .duration_since(std::time::UNIX_EPOCH)
+            .map_or(0, |d| d.as_nanos().min(TIMESTAMP_MAX as u128) as u64);
+        observe_timestamp(now);
+    });
     // relaxed: logical write clock: only uniqueness/monotonicity of the atomic add matters, never cross-thread ordering
     WRITE_CLOCK.fetch_add(1, Ordering::Relaxed)
+}
+
+/// Lamport step: advance the write clock past `seen`, the largest stamp of
+/// a merged view just built, so that this process's later writes win over
+/// everything the view holds on the *next* fresh merge as well — which is
+/// what an in-place patched view (insertion order) already shows.
+pub fn observe_timestamp(seen: u64) {
+    // relaxed: a monotonic max on the logical clock; no other data is published through it
+    WRITE_CLOCK.fetch_max(seen.min(TIMESTAMP_MAX) + 1, Ordering::Relaxed);
 }
 
 /// One write, as recorded in an index dropping.
@@ -373,6 +400,7 @@ pub struct GlobalIndex {
     map: BTreeMap<u64, Segment>,
     eof: u64,
     entries: usize,
+    max_ts: u64,
 }
 
 impl GlobalIndex {
@@ -431,9 +459,11 @@ impl GlobalIndex {
         let raw = order.len();
         let mut map = BTreeMap::new();
         let mut eof = 0u64;
+        let mut max_ts = 0u64;
         let mut cur: Option<(u64, Segment)> = None;
         for e in order {
             eof = eof.max(e.logical_end());
+            max_ts = max_ts.max(e.timestamp);
             if let Some((s, seg)) = &mut cur {
                 let contiguous = seg.end == e.logical_offset
                     && seg.dropping_id == e.dropping_id
@@ -462,6 +492,7 @@ impl GlobalIndex {
             map,
             eof,
             entries: raw,
+            max_ts,
         })
     }
 
@@ -478,6 +509,12 @@ impl GlobalIndex {
     /// Logical end-of-file: one past the highest byte ever written.
     pub fn eof(&self) -> u64 {
         self.eof
+    }
+
+    /// Largest timestamp merged in (0 for an empty index): what
+    /// [`observe_timestamp`] must pass for later writes to win a re-merge.
+    pub fn max_timestamp(&self) -> u64 {
+        self.max_ts
     }
 
     /// Approximate resident heap footprint of the segment map, used by the
@@ -497,6 +534,7 @@ impl GlobalIndex {
         }
         self.entries += 1;
         self.eof = self.eof.max(e.logical_end());
+        self.max_ts = self.max_ts.max(e.timestamp);
         let (start, end) = (e.logical_offset, e.logical_end());
 
         // Find segments overlapping [start, end) and cut them.
@@ -779,6 +817,7 @@ pub struct CompactIndex {
     eof: u64,
     records: usize,
     entries: usize,
+    max_ts: u64,
 }
 
 impl CompactIndex {
@@ -812,9 +851,14 @@ impl CompactIndex {
         let mut eof = 0u64;
         let mut records = 0usize;
         let mut entries = 0usize;
+        let mut max_ts = 0u64;
         for run in &runs {
             for rec in run {
                 records += 1;
+                max_ts = max_ts.max(match rec {
+                    IndexRecord::Plain(e) => e.timestamp,
+                    IndexRecord::Pattern(p) => p.ts_start + (p.count as u64 - 1),
+                });
                 entries += rec.expanded_len();
                 eof = eof.max(match rec {
                     IndexRecord::Plain(e) => {
@@ -834,12 +878,19 @@ impl CompactIndex {
             eof,
             records,
             entries,
+            max_ts,
         }
     }
 
     /// Logical end-of-file.
     pub fn eof(&self) -> u64 {
         self.eof
+    }
+
+    /// Largest timestamp any record holds (see
+    /// [`GlobalIndex::max_timestamp`]).
+    pub fn max_timestamp(&self) -> u64 {
+        self.max_ts
     }
 
     /// Resident on-disk records (the residency bound: O(records), however

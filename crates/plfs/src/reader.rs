@@ -11,7 +11,7 @@ use crate::cache::BlockCache;
 use crate::conf::Conf;
 use crate::container::{self, DroppingRef};
 use crate::error::{Error, Result};
-use crate::index::{ChunkSlice, CompactIndex, GlobalIndex};
+use crate::index::{ChunkSlice, CompactIndex, GlobalIndex, IndexEntry};
 use iotrace::{Layer, OpEvent, OpKind};
 use parking_lot::Mutex;
 use std::borrow::Cow;
@@ -165,6 +165,9 @@ struct CacheHandle {
 pub struct ReadFile {
     source: IndexSource,
     droppings: Vec<DroppingRef>,
+    /// `data_path` → position in `droppings`; empty until the first
+    /// [`ReadFile::patch`] needs it.
+    ids_by_path: HashMap<String, u32>,
     handles: HandleCache,
     conf: Conf,
     merged_parallel: bool,
@@ -199,6 +202,7 @@ impl ReadFile {
         Ok(ReadFile {
             source,
             droppings,
+            ids_by_path: HashMap::new(),
             handles: HandleCache::new(conf.lock_shards),
             conf: *conf,
             merged_parallel,
@@ -221,24 +225,57 @@ impl ReadFile {
         self
     }
 
-    /// Build a read view from an already-merged index — the incremental
-    /// refresh path, where the fd patches a cached merged index with this
-    /// process's freshly flushed entries instead of re-reading every
-    /// dropping. The handle cache starts cold: `droppings` may contain ids
-    /// the previous view never saw.
-    pub(crate) fn from_parts(
-        index: GlobalIndex,
-        droppings: Vec<DroppingRef>,
-        conf: &Conf,
-    ) -> ReadFile {
-        ReadFile {
-            source: IndexSource::Eager(index),
-            droppings,
-            handles: HandleCache::new(conf.lock_shards),
-            conf: *conf,
-            merged_parallel: false,
-            cache: None,
+    /// Fold freshly flushed entries into this view **in place** — the
+    /// incremental refresh. `fresh` holds one batch per writer: its data
+    /// dropping's path and its entries in write order, every one stamped
+    /// after everything already merged (the process write clock steps past
+    /// each view it builds). O(k log n) for k entries: nothing is cloned,
+    /// and because dropping ids are positions that only grow, an unknown
+    /// dropping is *appended* to the table (and to the block cache's id
+    /// table), so open handles and cached blocks stay valid. Returns the
+    /// bytes patched. Bounded-index views have no resident index to patch.
+    pub(crate) fn patch(&mut self, fresh: Vec<(String, Vec<IndexEntry>)>) -> u64 {
+        let IndexSource::Eager(index) = &mut self.source else {
+            unreachable!("a bounded-index view is rebuilt, never patched");
+        };
+        if self.ids_by_path.is_empty() {
+            // First patch of this view: clean views never pay for the map.
+            self.ids_by_path = (0u32..)
+                .zip(&self.droppings)
+                .map(|(id, d)| (d.data_path.clone(), id))
+                .collect();
         }
+        let mut entries: Vec<IndexEntry> = Vec::new();
+        for (data_path, ents) in fresh {
+            let id = match self.ids_by_path.get(&data_path) {
+                Some(&id) => id,
+                None => {
+                    let id = self.droppings.len() as u32;
+                    if let Some(ch) = &mut self.cache {
+                        ch.ids.push(ch.cache.id_for(&data_path));
+                    }
+                    self.ids_by_path.insert(data_path.clone(), id);
+                    self.droppings.push(DroppingRef {
+                        data_path,
+                        index_path: None,
+                    });
+                    id
+                }
+            };
+            entries.extend(ents.into_iter().map(|e| IndexEntry {
+                dropping_id: id,
+                ..e
+            }));
+        }
+        // Writers flush independently; restore global write order across
+        // pids before inserting.
+        entries.sort_by_key(|e| e.timestamp);
+        let mut bytes = 0;
+        for e in entries {
+            bytes += e.length;
+            index.insert(e);
+        }
+        bytes
     }
 
     /// Logical end-of-file.

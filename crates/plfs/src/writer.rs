@@ -50,6 +50,9 @@ pub struct WriteFile {
     /// every refresh).
     unmerged: Vec<IndexEntry>,
     track_unmerged: bool,
+    /// Leading entries of `buffered` already handed to the fd's read view
+    /// by [`WriteFile::take_unmerged`], ahead of their index flush.
+    fed: usize,
     /// Total bytes this writer has written.
     bytes_written: u64,
     /// Highest logical end offset this writer has produced.
@@ -158,6 +161,7 @@ impl WriteFile {
             fixup: Vec::new(),
             unmerged: Vec::new(),
             track_unmerged: conf.incremental_refresh,
+            fed: 0,
             bytes_written: 0,
             max_eof: 0,
             index_flushes: 0,
@@ -258,8 +262,9 @@ impl WriteFile {
         self.index_records += records as u64;
         self.index.append(&out)?;
         if self.track_unmerged {
-            self.unmerged.extend_from_slice(&self.buffered);
+            self.unmerged.extend_from_slice(&self.buffered[self.fed..]);
         }
+        self.fed = 0;
         self.buffered.clear();
         self.index_flushes += 1;
         Ok(())
@@ -272,11 +277,18 @@ impl WriteFile {
         self.index.sync()
     }
 
-    /// Drain the entries flushed since the last drain (the incremental
-    /// reader-refresh feed). Call after [`WriteFile::flush_index`]; their
-    /// physical offsets are final and their bytes are on the backing store.
-    pub(crate) fn take_unmerged(&mut self) -> Vec<IndexEntry> {
-        std::mem::take(&mut self.unmerged)
+    /// Drain the entries written since the last drain (the incremental
+    /// reader-refresh feed). Spills the data buffer, so their physical
+    /// offsets are final and their bytes are on the backing store; their
+    /// index records may still be buffered — a read view needs the bytes,
+    /// not the records, and index durability stays at buffer-full, sync and
+    /// close.
+    pub(crate) fn take_unmerged(&mut self) -> Result<Vec<IndexEntry>> {
+        self.flush_data()?;
+        let mut out = std::mem::take(&mut self.unmerged);
+        out.extend_from_slice(&self.buffered[self.fed..]);
+        self.fed = self.buffered.len();
+        Ok(out)
     }
 
     /// Backend path of this writer's data dropping.
@@ -397,15 +409,33 @@ mod tests {
         assert_eq!(b.stat(&ip).unwrap().size, (7 * RECORD_SIZE) as u64);
     }
 
+    /// The write clock is process-wide and tests run on parallel threads:
+    /// another test's write landing between two of ours splits a pattern
+    /// run. Repeat `pass` (which makes `writes` writes on a container of its
+    /// own) until one pass had the clock to itself.
+    fn with_quiet_clock<T>(writes: u64, mut pass: impl FnMut() -> T) -> T {
+        for _ in 0..1000 {
+            let t0 = next_timestamp();
+            let out = pass();
+            if next_timestamp() == t0 + writes + 1 {
+                return out;
+            }
+        }
+        panic!("the write clock was never quiet for {writes} writes");
+    }
+
     #[test]
     fn strided_run_compresses_to_one_record() {
-        let (b, p) = setup(LayoutMode::Both);
-        let mut w = WriteFile::open(&b, "/c", &p, 1, 4096).unwrap();
-        // 64 strided writes (the BT shape): stride 256, length 64.
-        for i in 0..64u64 {
-            w.write(&[7u8; 64], i * 256).unwrap();
-        }
-        w.sync().unwrap();
+        let (b, p, w) = with_quiet_clock(64, || {
+            let (b, p) = setup(LayoutMode::Both);
+            let mut w = WriteFile::open(&b, "/c", &p, 1, 4096).unwrap();
+            // 64 strided writes (the BT shape): stride 256, length 64.
+            for i in 0..64u64 {
+                w.write(&[7u8; 64], i * 256).unwrap();
+            }
+            w.sync().unwrap();
+            (b, p, w)
+        });
         assert_eq!(w.index_records(), 1, "one pattern record for the run");
         let ip = container::index_dropping_path("/c", &p, 1, 0);
         assert_eq!(b.stat(&ip).unwrap().size, RECORD_SIZE as u64);
@@ -420,12 +450,15 @@ mod tests {
 
     #[test]
     fn sequential_appends_also_compress() {
-        let (b, p) = setup(LayoutMode::Both);
-        let mut w = WriteFile::open(&b, "/c", &p, 1, 4096).unwrap();
-        for i in 0..100u64 {
-            w.write(&[1u8; 128], i * 128).unwrap();
-        }
-        w.sync().unwrap();
+        let w = with_quiet_clock(100, || {
+            let (b, p) = setup(LayoutMode::Both);
+            let mut w = WriteFile::open(&b, "/c", &p, 1, 4096).unwrap();
+            for i in 0..100u64 {
+                w.write(&[1u8; 128], i * 128).unwrap();
+            }
+            w.sync().unwrap();
+            w
+        });
         assert_eq!(w.index_records(), 1, "contiguous run is stride==length");
     }
 
@@ -579,19 +612,42 @@ mod tests {
     }
 
     #[test]
-    fn unmerged_entries_drain_after_flush() {
+    fn unmerged_entries_drain_once_flushed_or_not() {
         let (b, p) = setup(LayoutMode::Both);
-        let conf = Conf::default();
+        let conf = Conf {
+            data_buffer_bytes: 64,
+            ..Conf::default()
+        };
         let mut w = WriteFile::open_with(&b, "/c", &p, 1, &conf).unwrap();
-        w.write(b"abcd", 0).unwrap();
-        w.write(b"efgh", 4).unwrap();
-        assert!(w.take_unmerged().is_empty(), "nothing flushed yet");
-        w.flush_index().unwrap();
-        let ents = w.take_unmerged();
+        // Irregular offsets: pattern compression stays out of the way.
+        w.write(b"abcd", 100).unwrap();
+        w.write(b"efgh", 7).unwrap();
+        // Drained ahead of the index flush: the data buffer spills so the
+        // physical offsets are final, the index dropping stays empty.
+        let ents = w.take_unmerged().unwrap();
         assert_eq!(ents.len(), 2);
-        assert_eq!(ents[0].logical_offset, 0);
-        assert_eq!(ents[1].logical_offset, 4);
-        assert!(w.take_unmerged().is_empty(), "drain is destructive");
+        assert_eq!((ents[0].logical_offset, ents[0].physical_offset), (100, 0));
+        assert_eq!((ents[1].logical_offset, ents[1].physical_offset), (7, 4));
+        assert_eq!(w.data_flushes(), 1);
+        assert_eq!(w.index_flushes(), 0);
+        assert!(
+            w.take_unmerged().unwrap().is_empty(),
+            "drain is destructive"
+        );
+        // A flush does not hand the same entries out again, and entries
+        // flushed before a drain are still owed to it.
+        w.write(b"ijkl", 50).unwrap();
+        w.flush_index().unwrap();
+        w.write(b"mnop", 900).unwrap();
+        let ents = w.take_unmerged().unwrap();
+        assert_eq!(
+            ents.iter().map(|e| e.logical_offset).collect::<Vec<_>>(),
+            [50, 900]
+        );
+        w.sync().unwrap();
+        assert!(w.take_unmerged().unwrap().is_empty());
+        let ip = container::index_dropping_path("/c", &p, 1, 0);
+        assert_eq!(b.stat(&ip).unwrap().size, (4 * RECORD_SIZE) as u64);
     }
 
     /// Delegating decorator that counts `readdir` calls — the metadata

@@ -152,6 +152,9 @@ struct Shim {
     /// Read-only snapshot fds: fd → (fake inode, logical size), so
     /// fstat answers match the path-stat answers (cp verifies this).
     snapshots: RwLock<HashMap<c_int, (u64, u64)>>,
+    /// `LDPLFS_SNAPSHOT_READS` (anything but `0` = on), read once at init:
+    /// `do_open` must not scan `environ` on every interposed open.
+    snapshot_reads: bool,
 }
 
 static SHIM: OnceLock<Option<Shim>> = OnceLock::new();
@@ -277,6 +280,7 @@ fn init_shim() -> Option<Shim> {
         plfs,
         table: RwLock::new(HashMap::new()),
         snapshots: RwLock::new(HashMap::new()),
+        snapshot_reads: std::env::var(ENV_SNAPSHOT_READS).map_or(true, |v| v != "0"),
     })
 }
 
@@ -372,10 +376,7 @@ unsafe fn do_open(path: *const c_char, flags: c_int, mode: ModeT) -> c_int {
     // natively in the kernel — which is what makes glibc-internal I/O
     // (fopen/fread in md5sum, grep) work without interposing all of stdio.
     // Writable opens use the interposed bookkeeping path.
-    let snapshot_reads = std::env::var(ENV_SNAPSHOT_READS)
-        .map(|v| v != "0")
-        .unwrap_or(true);
-    if !oflags.writable() && !oflags.create() && snapshot_reads {
+    if !oflags.writable() && !oflags.create() && sh.snapshot_reads {
         return match snapshot_open(sh, &rel, pid) {
             Ok(fd) => fd,
             Err(e) => {

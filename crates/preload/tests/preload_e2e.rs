@@ -206,3 +206,44 @@ fn misconfiguration_is_reported_once_on_stderr() {
     assert!(out.status.success());
     assert!(!String::from_utf8_lossy(&out.stderr).contains("ldplfs-preload: "));
 }
+
+/// Overlapping writes from different processes resolve newest-wins on a
+/// fresh merge: process A `dd`s a file in, process B overwrites the middle
+/// (`conv=notrunc`), process C `cat`s it. The write clock used to be a
+/// per-process counter from 1, so B's records (stamped 1, 2) lost to A's
+/// (stamped 5, 6) and C read A's bytes back.
+#[test]
+fn a_later_process_overwrite_wins() {
+    ensure_built();
+    let env = setup("overwrite");
+    let (src, patch) = (env.outside.join("src.bin"), env.outside.join("patch.bin"));
+    std::fs::write(&src, vec![b'A'; 16 * 4096]).unwrap();
+    std::fs::write(&patch, vec![b'B'; 2 * 4096]).unwrap();
+    let target = format!("of={}/f.bin", env.mount.display());
+    let dd = |input: &PathBuf, extra: &[&str]| {
+        let mut dd = Command::new("dd");
+        dd.arg(format!("if={}", input.display()))
+            .arg(&target)
+            .args(["bs=4096", "status=none"])
+            .args(extra);
+        let out = run_preloaded(&env, dd);
+        assert!(
+            out.status.success(),
+            "dd failed: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    };
+    dd(&src, &[]);
+    dd(&patch, &["seek=4", "conv=notrunc"]);
+    let mut cat = Command::new("cat");
+    cat.arg(format!("{}/f.bin", env.mount.display()));
+    let out = run_preloaded(&env, cat);
+    assert!(out.status.success());
+    let mut want = vec![b'A'; 16 * 4096];
+    want[4 * 4096..6 * 4096].fill(b'B');
+    assert!(
+        out.stdout == want,
+        "the second process's overwrite of blocks 4-5 must win; block 4 reads {:?}",
+        out.stdout.get(4 * 4096).map(|&b| b as char)
+    );
+}

@@ -610,11 +610,15 @@ fn gate_metrics(doc: &jsonlite::Value) -> Result<Vec<(String, f64, bool)>, ToolE
             }
         }
         "writepath" => {
-            // Only refresh_speedup is gated: full-re-merge vs incremental
-            // patch is an algorithmic ratio, stable across core counts.
-            // write_speedup depends on how many cores the runner has, so
-            // it is reported but not gated.
-            for row in data.as_array().unwrap_or(&[]) {
+            // refresh_speedup (full re-merge vs incremental patch) and
+            // refresh_growth (patch cost at the largest resident index over
+            // the smallest; held to GATE_CEILINGS) are algorithmic ratios,
+            // stable across core counts. write_speedup depends on
+            // how many cores the runner has, so it is reported, not gated.
+            if let Some(g) = data.get("refresh_growth").and_then(|v| v.as_f64()) {
+                out.push(("refresh_growth".to_string(), g, false));
+            }
+            for row in data.get("rows").and_then(|r| r.as_array()).unwrap_or(&[]) {
                 if let (Some(w), Some(s)) = (
                     row.get("writers").and_then(|v| v.as_u64()),
                     row.get("refresh_speedup").and_then(|v| v.as_f64()),
@@ -710,10 +714,17 @@ fn gate_metrics(doc: &jsonlite::Value) -> Result<Vec<(String, f64, bool)>, ToolE
     Ok(out)
 }
 
+/// Gated metrics held to an absolute bar instead of the baseline-relative
+/// threshold. `writepath`'s `refresh_growth` spans a 256x sweep of the
+/// resident index: in-place patching reads 1-2x (run-to-run spread wider
+/// than any useful relative threshold), anything that copies or rebuilds
+/// the index per read-after-write reads ~256x.
+const GATE_CEILINGS: [(&str, f64); 1] = [("refresh_growth", 4.0)];
+
 /// `benchgate`: compare a fresh `BENCH_*.json` against the committed
 /// baseline and fail if any gated metric regressed by more than
-/// `threshold` (a fraction, e.g. 0.30). Figures with no gated metrics
-/// pass trivially.
+/// `threshold` (a fraction, e.g. 0.30), or broke its [`GATE_CEILINGS`] bar.
+/// Figures with no gated metrics pass trivially.
 pub fn benchgate(baseline: &str, fresh: &str, threshold: f64) -> ToolResult {
     let base = jsonlite::parse(baseline)
         .map_err(|e| ToolError::Usage(format!("baseline: not valid JSON: {e:?}")))?;
@@ -735,10 +746,10 @@ pub fn benchgate(baseline: &str, fresh: &str, threshold: f64) -> ToolResult {
             regressions.push(format!("{name}: missing from fresh snapshot"));
             continue;
         };
-        let regressed = if *higher_is_better {
-            *fresh_v < old * (1.0 - threshold)
-        } else {
-            *fresh_v > old * (1.0 + threshold)
+        let regressed = match GATE_CEILINGS.iter().find(|(n, _)| n == name) {
+            Some((_, ceiling)) => fresh_v > ceiling,
+            None if *higher_is_better => *fresh_v < old * (1.0 - threshold),
+            None => *fresh_v > old * (1.0 + threshold),
         };
         let _ = writeln!(
             out,
@@ -1234,21 +1245,30 @@ mod tests {
     }
 
     #[test]
-    fn benchgate_writepath_gates_refresh_speedup_only() {
-        let doc = |refresh: f64| {
+    fn benchgate_writepath_gates_refresh_speedup_and_growth() {
+        let doc = |refresh: f64, growth: f64| {
             format!(
-                "{{\"figure\":\"writepath\",\"data\":[\
+                "{{\"figure\":\"writepath\",\"data\":{{\"rows\":[\
                  {{\"writers\":8,\"write_speedup\":2.0,\"refresh_speedup\":{refresh}}}],\
+                 \"refresh_sweep\":[],\"refresh_growth\":{growth}}},\
                  \"trace\":{{}}}}"
             )
         };
-        let out = benchcheck(&doc(4.0), "BENCH_writepath.json").unwrap();
-        assert!(out.contains("1 gated metric"), "{out}");
+        let out = benchcheck(&doc(4.0, 1.5), "BENCH_writepath.json").unwrap();
+        assert!(out.contains("2 gated metric"), "{out}");
         // Within threshold passes; a 50% refresh drop fails on that metric.
-        assert!(benchgate(&doc(4.0), &doc(3.5), 0.30).is_ok());
-        let err = benchgate(&doc(4.0), &doc(2.0), 0.30).unwrap_err();
+        assert!(benchgate(&doc(4.0, 1.5), &doc(3.5, 1.7), 0.30).is_ok());
+        let err = benchgate(&doc(4.0, 1.5), &doc(2.0, 1.5), 0.30).unwrap_err();
         assert!(
             matches!(err, ToolError::Gate(ref m) if m.contains("refresh_speedup[8 writers]")),
+            "{err:?}"
+        );
+        // Growth is held to its absolute 4x bar, whatever the baseline:
+        // noise around 1-2x passes, anything near linear fails.
+        assert!(benchgate(&doc(4.0, 1.0), &doc(4.0, 2.5), 0.30).is_ok());
+        let err = benchgate(&doc(4.0, 3.9), &doc(4.0, 4.1), 0.30).unwrap_err();
+        assert!(
+            matches!(err, ToolError::Gate(ref m) if m.contains("refresh_growth")),
             "{err:?}"
         );
     }

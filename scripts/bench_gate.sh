@@ -1,7 +1,8 @@
 #!/bin/sh
 # Benchmark regression gate: regenerate the gated paperbench figures and
 # diff them against the committed baselines in results/. Fails when a
-# gated metric (read-path open speedup, write-path refresh speedup,
+# gated metric (read-path open speedup, write-path refresh speedup and
+# refresh-cost growth across the resident-index sweep — absolute bar 4x,
 # Table II shim-overhead ratio, metadata ops-per-open reduction and
 # MDS-storm speedup, index-residency memory/latency ratios, list-I/O vs
 # sieving/per-extent speedups, burst-buffer destage overlap speedup,

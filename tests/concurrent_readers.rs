@@ -224,3 +224,105 @@ fn serial_conf_is_unaffected_by_concurrent_callers() {
     assert!(!rf.merged_parallel());
     hammer(&rf, backing.as_ref(), &want, 8, 32);
 }
+
+/// Total ops of `kind` the global trace sink has recorded.
+fn traced(kind: iotrace::OpKind) -> u64 {
+    let snap = iotrace::global().snapshot();
+    snap.entries
+        .iter()
+        .filter(|e| e.op == kind)
+        .map(|e| e.ops)
+        .sum()
+}
+
+/// Four reader threads and one overwriting writer share one `O_RDWR` fd —
+/// and so one read view, patched in place under the fd's view lock. Blocks
+/// hold their round number in every word: a reader must never see a torn
+/// block, nor a round older than the one the writer's own read of that block
+/// had already seen when the reader started. The view is merged once and
+/// patched exactly once per write, whichever thread's read gets there first.
+/// (No other test in this binary reads through a `PlfsFd`, so the global
+/// sink's merge/patch counts are this test's.)
+#[test]
+fn readers_share_one_view_while_a_writer_patches_it() {
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    const BLOCKS: usize = 64;
+    const BLOCK: usize = 512;
+    const ROUNDS: u64 = 400;
+    const READERS: u64 = 4;
+    let block_of = |round: u64| round.to_le_bytes().repeat(BLOCK / 8);
+
+    let plfs = Plfs::new(Arc::new(MemBacking::new()));
+    let fd = plfs
+        .open("/rw_shared", OpenFlags::RDWR | OpenFlags::CREAT, 0)
+        .unwrap();
+    let sink = iotrace::global();
+    sink.reset();
+    sink.set_enabled(true);
+    for k in 0..BLOCKS {
+        plfs.write(&fd, &block_of(0), (k * BLOCK) as u64, 0)
+            .unwrap();
+    }
+    let mut buf = vec![0u8; BLOCK];
+    assert_eq!(plfs.read(&fd, &mut buf, 0).unwrap(), BLOCK); // the one merge
+
+    // Round the writer's own read has seen, per block.
+    let seen: Vec<AtomicU64> = (0..BLOCKS).map(|_| AtomicU64::new(0)).collect();
+    let reads = AtomicU64::new(0);
+    let done = AtomicBool::new(false);
+    let start = std::sync::Barrier::new(READERS as usize + 1);
+    std::thread::scope(|s| {
+        for t in 0..READERS {
+            let (plfs, fd, seen, reads, done, start) = (&plfs, &fd, &seen, &reads, &done, &start);
+            s.spawn(move || {
+                let mut rng = 0x9E3779B97F4A7C15u64.wrapping_add(t);
+                let mut buf = vec![0u8; BLOCK];
+                start.wait();
+                while !done.load(Ordering::Acquire) {
+                    let k = (xorshift(&mut rng) % BLOCKS as u64) as usize;
+                    let floor = seen[k].load(Ordering::Acquire);
+                    let n = plfs.read(fd, &mut buf, (k * BLOCK) as u64).unwrap();
+                    assert_eq!(n, BLOCK);
+                    let round = u64::from_le_bytes(buf[..8].try_into().unwrap());
+                    assert!(
+                        buf.chunks(8).all(|w| w == &buf[..8]),
+                        "torn read of block {k}"
+                    );
+                    assert!(
+                        round >= floor,
+                        "stale read of block {k}: round {round} after the writer saw {floor}"
+                    );
+                    reads.fetch_add(1, Ordering::Release);
+                }
+            });
+        }
+        let mut rng = 0xD1B54A32D192ED03u64;
+        let mut buf = vec![0u8; BLOCK];
+        start.wait();
+        for round in 1..=ROUNDS {
+            let k = (xorshift(&mut rng) % BLOCKS as u64) as usize;
+            plfs.write(&fd, &block_of(round), (k * BLOCK) as u64, 0)
+                .unwrap();
+            assert_eq!(plfs.read(&fd, &mut buf, (k * BLOCK) as u64).unwrap(), BLOCK);
+            assert_eq!(buf, block_of(round), "the writer reads its own write");
+            seen[k].store(round, Ordering::Release);
+            // Force the interleaving: no round starts before some reader
+            // has finished a read since the last one.
+            while reads.load(Ordering::Acquire) < round {
+                std::thread::yield_now();
+            }
+        }
+        done.store(true, Ordering::Release);
+    });
+    sink.set_enabled(false);
+    assert_eq!(
+        traced(iotrace::OpKind::IndexMerge) + traced(iotrace::OpKind::IndexMergePar),
+        1,
+        "concurrent readers must not force a re-merge"
+    );
+    assert_eq!(
+        traced(iotrace::OpKind::IndexPatch),
+        ROUNDS,
+        "one in-place patch per read-after-write"
+    );
+}
