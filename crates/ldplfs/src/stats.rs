@@ -29,7 +29,7 @@ pub enum OpClass {
 
 impl OpClass {
     /// The unified trace-schema op kind this class maps to (what shim
-    /// records are tagged with in JSONL output and snapshots).
+    /// records are tagged with in JSONL output and `snapshot()` aggregates).
     pub fn kind(self) -> iotrace::OpKind {
         match self {
             OpClass::Open => iotrace::OpKind::Open,

@@ -29,9 +29,11 @@ use std::collections::BTreeMap;
 const FAMILIES: &[&[&str]] = &[
     &["open", "open64", "openat", "openat64"],
     &["creat"],
-    &["read"],
+    // The `_chk` members are what `_FORTIFY_SOURCE` builds call instead:
+    // the reserved fd holds no data, so a bypassing read sees EOF.
+    &["read", "__read_chk"],
     &["write"],
-    &["pread", "pread64"],
+    &["pread", "pread64", "__pread_chk", "__pread64_chk"],
     &["pwrite", "pwrite64"],
     &["readv"],
     &["writev"],
@@ -54,7 +56,12 @@ const FAMILIES: &[&[&str]] = &[
     &["rmdir"],
     &["truncate", "truncate64"],
     &["ftruncate", "ftruncate64"],
-    &["fopen", "fopen64"],
+    &["fopen", "fopen64", "fdopen"],
+    // I/O the kernel would do on the (empty) reserved fd itself.
+    &["mmap", "mmap64"],
+    &["copy_file_range"],
+    &["sendfile", "sendfile64"],
+    &["splice"],
     // Deliberately single-member: fork needs no hook (the fd table is
     // process-local behind `getpid`, inherited state is COW-correct) and
     // exec* inheriting the shim is environment policy, not interposition.
@@ -69,6 +76,7 @@ const TWINS: &[&[&str]] = &[
     &["open", "open64"],
     &["openat", "openat64"],
     &["pread", "pread64"],
+    &["__pread_chk", "__pread64_chk"],
     &["pwrite", "pwrite64"],
     &["preadv", "preadv64"],
     &["pwritev", "pwritev64"],
@@ -83,6 +91,8 @@ const TWINS: &[&[&str]] = &[
     &["ftruncate", "ftruncate64"],
     &["fopen", "fopen64"],
     &["fsync", "fdatasync"],
+    &["mmap", "mmap64"],
+    &["sendfile", "sendfile64"],
 ];
 
 pub(crate) fn run(graph: &Graph, out: &mut Vec<Finding>) {

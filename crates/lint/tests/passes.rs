@@ -3,7 +3,7 @@
 //! suppressed (or, for signal-safety, annotated) with a justification —
 //! the same contract the PR 4 per-line rules are held to in fixtures.rs.
 //!
-//! Fixture symbols are chosen from single-member alias families (`read`,
+//! Fixture symbols are chosen from single-member alias families (`close`,
 //! `write`, `readv`, …) unless the symbol-coverage matrix itself is under
 //! test, so the coverage pass stays quiet in everyone else's fixtures.
 
@@ -152,12 +152,12 @@ fn lock_across_io_transitive_quiet_when_guard_dropped_or_suppressed() {
 #[test]
 fn signal_safety_fires_on_allocation_before_resolution() {
     let src = "#[no_mangle]\n\
-               pub unsafe extern \"C\" fn read(fd: c_int) -> c_int {\n\
-               \x20   ffi_guard!(-1, do_read(fd))\n\
+               pub unsafe extern \"C\" fn close(fd: c_int) -> c_int {\n\
+               \x20   ffi_guard!(-1, do_close(fd))\n\
                }\n\
-               unsafe fn do_read(fd: c_int) -> c_int {\n\
+               unsafe fn do_close(fd: c_int) -> c_int {\n\
                \x20   let tag = String::from(\"x\");\n\
-               \x20   let f = real!(read, unsafe extern \"C\" fn(c_int) -> c_int);\n\
+               \x20   let f = real!(close, unsafe extern \"C\" fn(c_int) -> c_int);\n\
                \x20   f(fd)\n\
                }\n";
     let findings = lint_source(PRELOAD, src);
@@ -181,9 +181,9 @@ fn signal_safety_fires_on_reentry_and_guard_binding() {
     // Binding a lock guard pre-resolution.
     let locked = "#[no_mangle]\n\
                   pub unsafe extern \"C\" fn readv(fd: c_int) -> c_int {\n\
-                  \x20   ffi_guard!(-1, do_readv(fd))\n\
+                  \x20   ffi_guard!(-1, do_closev(fd))\n\
                   }\n\
-                  unsafe fn do_readv(fd: c_int) -> c_int {\n\
+                  unsafe fn do_closev(fd: c_int) -> c_int {\n\
                   \x20   let t = table.lock();\n\
                   \x20   let f = real!(readv, unsafe extern \"C\" fn(c_int) -> c_int);\n\
                   \x20   f(fd)\n\
@@ -194,11 +194,11 @@ fn signal_safety_fires_on_reentry_and_guard_binding() {
 #[test]
 fn signal_safety_quiet_when_resolution_comes_first() {
     let src = "#[no_mangle]\n\
-               pub unsafe extern \"C\" fn read(fd: c_int) -> c_int {\n\
-               \x20   ffi_guard!(-1, do_read(fd))\n\
+               pub unsafe extern \"C\" fn close(fd: c_int) -> c_int {\n\
+               \x20   ffi_guard!(-1, do_close(fd))\n\
                }\n\
-               unsafe fn do_read(fd: c_int) -> c_int {\n\
-               \x20   let f = real!(read, unsafe extern \"C\" fn(c_int) -> c_int);\n\
+               unsafe fn do_close(fd: c_int) -> c_int {\n\
+               \x20   let f = real!(close, unsafe extern \"C\" fn(c_int) -> c_int);\n\
                \x20   let tag = String::from(\"x\");\n\
                \x20   f(fd)\n\
                }\n";
@@ -208,13 +208,13 @@ fn signal_safety_quiet_when_resolution_comes_first() {
 #[test]
 fn signal_safety_quiet_with_signal_safe_annotation() {
     let src = "#[no_mangle]\n\
-               pub unsafe extern \"C\" fn read(fd: c_int) -> c_int {\n\
-               \x20   ffi_guard!(-1, do_read(fd))\n\
+               pub unsafe extern \"C\" fn close(fd: c_int) -> c_int {\n\
+               \x20   ffi_guard!(-1, do_close(fd))\n\
                }\n\
                // signal-safe: init latch makes nested calls fall through to libc\n\
-               unsafe fn do_read(fd: c_int) -> c_int {\n\
+               unsafe fn do_close(fd: c_int) -> c_int {\n\
                \x20   let tag = String::from(\"x\");\n\
-               \x20   let f = real!(read, unsafe extern \"C\" fn(c_int) -> c_int);\n\
+               \x20   let f = real!(close, unsafe extern \"C\" fn(c_int) -> c_int);\n\
                \x20   f(fd)\n\
                }\n";
     assert!(lint_source(PRELOAD, src).is_empty());
@@ -392,4 +392,79 @@ fn symbol_coverage_quiet_when_suppressed_with_reason() {
                \x20   0\n\
                }\n";
     assert!(lint_source(PRELOAD, src).is_empty());
+}
+
+#[test]
+fn symbol_coverage_catches_read_without_its_fortified_twin() {
+    // `_FORTIFY_SOURCE` builds call `__read_chk`; since the reserved fd
+    // holds no data, a read that bypasses the shim returns EOF.
+    let src = "#[no_mangle]\n\
+               pub unsafe extern \"C\" fn read(fd: c_int) -> c_int {\n\
+               \x20   ffi_guard!(-1, do_read(fd))\n\
+               }\n\
+               unsafe fn do_read(fd: c_int) -> c_int {\n\
+               \x20   0\n\
+               }\n";
+    let findings = lint_source(PRELOAD, src);
+    assert_eq!(rules(&findings), ["symbol-coverage"]);
+    assert!(findings[0].message.contains("__read_chk"));
+}
+
+#[test]
+fn symbol_coverage_knows_the_kernel_side_families() {
+    // mmap without mmap64, fopen pair without fdopen: incomplete families.
+    let partial = "#[no_mangle]\n\
+                   pub unsafe extern \"C\" fn mmap(fd: c_int) -> c_int {\n\
+                   \x20   ffi_guard!(-1, do_mmap(fd))\n\
+                   }\n\
+                   #[no_mangle]\n\
+                   pub unsafe extern \"C\" fn fopen(p: *const c_char) -> c_int {\n\
+                   \x20   ffi_guard!(-1, do_fopen(p))\n\
+                   }\n\
+                   #[no_mangle]\n\
+                   pub unsafe extern \"C\" fn fopen64(p: *const c_char) -> c_int {\n\
+                   \x20   ffi_guard!(-1, do_fopen(p))\n\
+                   }\n\
+                   unsafe fn do_mmap(fd: c_int) -> c_int {\n\
+                   \x20   0\n\
+                   }\n\
+                   unsafe fn do_fopen(p: *const c_char) -> c_int {\n\
+                   \x20   0\n\
+                   }\n";
+    let findings = lint_source(PRELOAD, partial);
+    assert_eq!(rules(&findings), ["symbol-coverage", "symbol-coverage"]);
+    assert!(findings.iter().any(|f| f.message.contains("mmap64")));
+    assert!(findings.iter().any(|f| f.message.contains("fdopen")));
+    // The byte movers are in the matrix; sendfile's twin must not drift.
+    let movers = "#[no_mangle]\n\
+                  pub unsafe extern \"C\" fn copy_file_range(i: c_int, o: c_int) -> c_int {\n\
+                  \x20   ffi_guard!(-1, do_copy_file_range(i, o))\n\
+                  }\n\
+                  #[no_mangle]\n\
+                  pub unsafe extern \"C\" fn splice(i: c_int, o: c_int) -> c_int {\n\
+                  \x20   ffi_guard!(-1, do_splice(i, o))\n\
+                  }\n\
+                  #[no_mangle]\n\
+                  pub unsafe extern \"C\" fn sendfile(o: c_int, i: c_int) -> c_int {\n\
+                  \x20   ffi_guard!(-1, do_sendfile(o, i))\n\
+                  }\n\
+                  #[no_mangle]\n\
+                  pub unsafe extern \"C\" fn sendfile64(o: c_int, i: c_int) -> c_int {\n\
+                  \x20   ffi_guard!(-1, do_sendfile64(o, i))\n\
+                  }\n\
+                  unsafe fn do_copy_file_range(i: c_int, o: c_int) -> c_int {\n\
+                  \x20   0\n\
+                  }\n\
+                  unsafe fn do_splice(i: c_int, o: c_int) -> c_int {\n\
+                  \x20   0\n\
+                  }\n\
+                  unsafe fn do_sendfile(o: c_int, i: c_int) -> c_int {\n\
+                  \x20   0\n\
+                  }\n\
+                  unsafe fn do_sendfile64(o: c_int, i: c_int) -> c_int {\n\
+                  \x20   0\n\
+                  }\n";
+    let findings = lint_source(PRELOAD, movers);
+    assert_eq!(rules(&findings), ["symbol-coverage"]);
+    assert!(findings[0].message.contains("do_sendfile64"));
 }

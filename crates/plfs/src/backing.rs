@@ -13,7 +13,8 @@ use crate::error::{Error, Result};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fs;
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -167,17 +168,28 @@ impl RealBacking {
 }
 
 struct RealFile {
-    file: Mutex<fs::File>,
+    file: fs::File,
+    /// Serialises [`BackingFile::append`]'s seek-to-end + write, the only
+    /// use of the shared cursor; positional I/O is one lock-free syscall.
+    append: Mutex<()>,
     writable: bool,
+}
+
+impl RealFile {
+    fn boxed(file: fs::File, writable: bool) -> Box<dyn BackingFile> {
+        Box::new(RealFile {
+            file,
+            append: Mutex::new(()),
+            writable,
+        })
+    }
 }
 
 impl BackingFile for RealFile {
     fn pread(&self, buf: &mut [u8], off: u64) -> Result<usize> {
-        let mut f = self.file.lock();
-        f.seek(SeekFrom::Start(off)).map_err(Error::Io)?;
         let mut total = 0;
         while total < buf.len() {
-            match f.read(&mut buf[total..]) {
+            match self.file.read_at(&mut buf[total..], off + total as u64) {
                 Ok(0) => break,
                 Ok(n) => total += n,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
@@ -191,9 +203,7 @@ impl BackingFile for RealFile {
         if !self.writable {
             return Err(Error::BadMode("file opened read-only"));
         }
-        let mut f = self.file.lock();
-        f.seek(SeekFrom::Start(off)).map_err(Error::Io)?;
-        f.write_all(buf).map_err(Error::Io)?;
+        self.file.write_all_at(buf, off).map_err(Error::Io)?;
         Ok(buf.len())
     }
 
@@ -201,20 +211,19 @@ impl BackingFile for RealFile {
         if !self.writable {
             return Err(Error::BadMode("file opened read-only"));
         }
-        let mut f = self.file.lock();
+        let _cursor = self.append.lock();
+        let mut f = &self.file;
         let off = f.seek(SeekFrom::End(0)).map_err(Error::Io)?;
         f.write_all(buf).map_err(Error::Io)?;
         Ok(off)
     }
 
     fn size(&self) -> Result<u64> {
-        let f = self.file.lock();
-        Ok(f.metadata().map_err(Error::Io)?.len())
+        Ok(self.file.metadata().map_err(Error::Io)?.len())
     }
 
     fn sync(&self) -> Result<()> {
-        let f = self.file.lock();
-        f.sync_data().map_err(Error::Io)
+        self.file.sync_data().map_err(Error::Io)
     }
 }
 
@@ -231,10 +240,7 @@ impl Backing for RealBacking {
         let file = opts.open(&p).map_err(|e| annotate(e, path))?;
         // relaxed: MemBacking mtime is a logical clock; the atomic add alone gives distinct, increasing stamps
         self.mtime_counter.fetch_add(1, Ordering::Relaxed);
-        Ok(Box::new(RealFile {
-            file: Mutex::new(file),
-            writable: true,
-        }))
+        Ok(RealFile::boxed(file, true))
     }
 
     fn open(&self, path: &str, write: bool) -> Result<Box<dyn BackingFile>> {
@@ -244,10 +250,7 @@ impl Backing for RealBacking {
             .write(write)
             .open(&p)
             .map_err(|e| annotate(e, path))?;
-        Ok(Box::new(RealFile {
-            file: Mutex::new(file),
-            writable: write,
-        }))
+        Ok(RealFile::boxed(file, write))
     }
 
     fn mkdir(&self, path: &str) -> Result<()> {

@@ -635,13 +635,19 @@ impl PlfsFd {
         if self.eof_seeded.load(Ordering::Relaxed) {
             return Ok(());
         }
-        let guard = self.reader.write();
+        let mut guard = self.reader.write();
         // relaxed: checked again under the reader lock; a stale false only costs a redundant seed
         if self.eof_seeded.load(Ordering::Relaxed) {
             return Ok(());
         }
         let on_disk = match &*guard {
             Some(r) => r.eof(),
+            // A read-only fd has no other use for its EOF than the reads
+            // that follow (`fstat` then `read` is what cat, cp and md5sum
+            // do): build the view those reads need — it seeds the EOF — in
+            // place of an index that is merged and thrown away.
+            // plfs-lint: allow(lock-across-io, "intentional: same seed latch as the merge below; the view is built under the lock that publishes it")
+            None if !self.flags.writable() => return self.refresh_reader(&mut guard),
             None => {
                 let (index, _, _) = container::build_global_index_with(
                     // plfs-lint: allow(lock-across-io, "intentional: the seed must run exactly once; the reader lock is this fd's seed latch, and racing seeders would each pay a full index merge")
@@ -995,6 +1001,42 @@ mod tests {
         assert_eq!(fd.size().unwrap(), 0);
         fd.write(b"xyz", 100, 100).unwrap();
         assert_eq!(fd.size().unwrap(), 103);
+    }
+
+    #[test]
+    fn size_then_read_on_a_read_only_fd_merges_the_index_once() {
+        let mem: Arc<dyn Backing> = Arc::new(MemBacking::new());
+        let metered = Arc::new(crate::meter::MeterBacking::new(mem));
+        let b: Arc<dyn Backing> = metered.clone();
+        let params = ContainerParams::default();
+        create_container(b.as_ref(), "/f", &params, true).unwrap();
+        let conf = base();
+        let open = |flags| PlfsFd::new(b.clone(), "/f".to_string(), params, flags, &conf, 7);
+        let w = open(OpenFlags::RDWR);
+        w.write(b"0123456789", 0, 7).unwrap();
+        w.close(7).unwrap();
+
+        let cost_of = |fd: &PlfsFd| {
+            let before = metered.snapshot();
+            let mut buf = [0u8; 10];
+            assert_eq!(fd.read(&mut buf, 0).unwrap(), 10);
+            metered.snapshot().delta(&before)
+        };
+        let cold_read = cost_of(&open(OpenFlags::RDONLY));
+        let fstat_first = open(OpenFlags::RDONLY);
+        let before = metered.snapshot();
+        assert_eq!(fstat_first.size().unwrap(), 10);
+        let size_cost = metered.snapshot().delta(&before);
+        let warm_read = cost_of(&fstat_first);
+        // size() paid for the view; the read after it only for its bytes.
+        assert_eq!(
+            (size_cost.readdir, size_cost.open),
+            (cold_read.readdir, cold_read.open - 1)
+        );
+        assert_eq!(
+            (warm_read.readdir, warm_read.open, warm_read.pread),
+            (0, 1, 1)
+        );
     }
 
     #[test]

@@ -418,35 +418,36 @@ impl GlobalIndex {
     /// Build from per-dropping entry runs, producing a result identical to
     /// `from_entries(runs.concat())`.
     ///
-    /// `from_entries` stable-sorts the concatenation by timestamp, so ties
-    /// resolve in concatenation order (run index, then position within the
-    /// run). This path reproduces that exactly with a k-way merge: each run
+    /// When no two entries overlap — the common case for N-1 checkpoints,
+    /// where each rank owns disjoint ranges — the result does not depend on
+    /// timestamp order at all, so the bulk build is tried on the runs as
+    /// they come. Only on overlap is the order paid for: `from_entries`
+    /// stable-sorts the concatenation by timestamp, so ties resolve in
+    /// concatenation order (run index, then position within the run), and
+    /// the fallback reproduces that exactly with a k-way merge — each run
     /// is stable-sorted on its own (a no-op for writer-produced droppings,
     /// whose timestamps are already non-decreasing), then merged through a
-    /// min-heap whose tie-break is the run index. The merged stream then
-    /// takes a bulk-build fast path when no entries overlap — the common
-    /// case for N-1 checkpoints, where each rank owns disjoint ranges —
-    /// falling back to the incremental newest-wins insert otherwise.
+    /// min-heap whose tie-break is the run index — feeding the incremental
+    /// newest-wins insert.
     pub fn from_sorted_runs(runs: Vec<Vec<IndexEntry>>) -> GlobalIndex {
-        let merged = merge_runs_by_timestamp(runs);
-        if let Some(idx) = GlobalIndex::bulk_build(&merged) {
+        if let Some(idx) = GlobalIndex::bulk_build(runs.iter().flatten()) {
             return idx;
         }
         let mut idx = GlobalIndex::default();
-        for e in merged {
+        for e in merge_runs_by_timestamp(runs) {
             idx.insert(e);
         }
         idx
     }
 
-    /// Try to build directly from timestamp-sorted entries without the
+    /// Try to build directly from entries in any order without the
     /// per-insert overlap machinery. Succeeds only when no two entries
     /// overlap logically, in which case the segment map is just the entries
     /// sorted by logical offset with adjacent contiguous extents coalesced —
     /// byte-identical to what incremental insertion would produce, built in
     /// one linear pass instead of O(log n) map surgery per entry.
-    fn bulk_build(entries: &[IndexEntry]) -> Option<GlobalIndex> {
-        let mut order: Vec<&IndexEntry> = entries.iter().filter(|e| e.length > 0).collect();
+    fn bulk_build<'a>(entries: impl Iterator<Item = &'a IndexEntry>) -> Option<GlobalIndex> {
+        let mut order: Vec<&IndexEntry> = entries.filter(|e| e.length > 0).collect();
         // Unstable sort is fine: equal offsets with nonzero lengths overlap,
         // which sends us to the fallback before order matters.
         order.sort_unstable_by_key(|e| e.logical_offset);
@@ -457,14 +458,13 @@ impl GlobalIndex {
             return None;
         }
         let raw = order.len();
-        let mut map = BTreeMap::new();
+        let mut segs: Vec<(u64, Segment)> = Vec::new();
         let mut eof = 0u64;
         let mut max_ts = 0u64;
-        let mut cur: Option<(u64, Segment)> = None;
         for e in order {
             eof = eof.max(e.logical_end());
             max_ts = max_ts.max(e.timestamp);
-            if let Some((s, seg)) = &mut cur {
+            if let Some((s, seg)) = segs.last_mut() {
                 let contiguous = seg.end == e.logical_offset
                     && seg.dropping_id == e.dropping_id
                     && seg.physical_offset + (seg.end - *s) == e.physical_offset;
@@ -473,9 +473,8 @@ impl GlobalIndex {
                     seg.timestamp = seg.timestamp.max(e.timestamp);
                     continue;
                 }
-                map.insert(*s, *seg);
             }
-            cur = Some((
+            segs.push((
                 e.logical_offset,
                 Segment {
                     end: e.logical_end(),
@@ -485,11 +484,9 @@ impl GlobalIndex {
                 },
             ));
         }
-        if let Some((s, seg)) = cur {
-            map.insert(s, seg);
-        }
         Some(GlobalIndex {
-            map,
+            // Sorted input: the map is built in one pass, not key by key.
+            map: segs.into_iter().collect(),
             eof,
             entries: raw,
             max_ts,

@@ -332,7 +332,16 @@ impl ReadFile {
         // Open outside the lock: a slow backing open must not serialize
         // every other reader hashing to this shard. Racing openers both
         // succeed; the loser's handle is dropped in favor of the cached one.
-        let h: Arc<dyn BackingFile> = Arc::from(b.open(&dr.data_path, false)?);
+        let opened = b.open(&dr.data_path, false).map_err(|e| match e {
+            // The index names it, so it existed when this view was built: a
+            // truncate or unlink raced the reader. To the caller of read()
+            // that is an I/O error on an open file, not "no such file".
+            Error::NotFound(p) => {
+                Error::Corrupt(format!("data dropping {p} vanished under a reader"))
+            }
+            e => e,
+        })?;
+        let h: Arc<dyn BackingFile> = Arc::from(opened);
         Ok(shard.lock().entry(id).or_insert(h).clone())
     }
 

@@ -2,13 +2,18 @@
 //!
 //! Run *under* the preload (`LD_PRELOAD=...libldplfs_preload.so`): its
 //! plain `std::fs` calls route through libc and therefore through the
-//! interposed symbols. Exits 0 after verifying a write/read/seek/stat
-//! round-trip inside the mount and passthrough outside it.
+//! interposed symbols. With no argument it exits 0 after verifying a
+//! write/read/seek/stat round-trip inside the mount and passthrough outside
+//! it. `preload-smoke MODE CONTAINER TWIN` instead runs one check of the
+//! read path on an existing container against its flat twin outside the
+//! mount (same bytes): `fstat`, `movers`, `mmap`, `stdio`, `dup`,
+//! `truncate` — see each `check_*`.
 
 use std::fs;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::os::fd::AsRawFd;
-use std::os::raw::{c_int, c_void};
+use std::os::raw::{c_char, c_int, c_long, c_void};
+use std::os::unix::fs::{FileExt, MetadataExt};
 
 /// `struct iovec` (uapi layout) — declared locally so the binary calls the
 /// genuine libc symbols, which the preload interposes.
@@ -23,6 +28,337 @@ extern "C" {
     fn writev(fd: c_int, iov: *const IoVec, cnt: c_int) -> isize;
     fn preadv(fd: c_int, iov: *const IoVec, cnt: c_int, off: i64) -> isize;
     fn pwritev(fd: c_int, iov: *const IoVec, cnt: c_int, off: i64) -> isize;
+    fn fstat(fd: c_int, out: *mut [u64; 18]) -> c_int;
+    fn copy_file_range(
+        fd_in: c_int,
+        off_in: *mut i64,
+        fd_out: c_int,
+        off_out: *mut i64,
+        len: usize,
+        flags: u32,
+    ) -> isize;
+    fn sendfile(out_fd: c_int, in_fd: c_int, off: *mut i64, count: usize) -> isize;
+    fn splice(
+        fd_in: c_int,
+        off_in: *mut i64,
+        fd_out: c_int,
+        off_out: *mut i64,
+        len: usize,
+        flags: u32,
+    ) -> isize;
+    fn pipe(fds: *mut [c_int; 2]) -> c_int;
+    fn mmap(
+        addr: *mut c_void,
+        len: usize,
+        prot: c_int,
+        flags: c_int,
+        fd: c_int,
+        off: i64,
+    ) -> *mut c_void;
+    fn munmap(addr: *mut c_void, len: usize) -> c_int;
+    fn syscall(num: c_long, ...) -> c_long;
+    fn fopen(path: *const c_char, mode: *const c_char) -> *mut c_void;
+    fn fdopen(fd: c_int, mode: *const c_char) -> *mut c_void;
+    fn fread(buf: *mut c_void, size: usize, n: usize, stream: *mut c_void) -> usize;
+    fn fseek(stream: *mut c_void, off: c_long, whence: c_int) -> c_int;
+    fn ftell(stream: *mut c_void) -> c_long;
+    fn fileno(stream: *mut c_void) -> c_int;
+    fn fclose(stream: *mut c_void) -> c_int;
+    fn dup(fd: c_int) -> c_int;
+}
+
+const EIO: i32 = 5;
+const EXDEV: i32 = 18;
+const ENODEV: i32 = 19;
+const EINVAL: i32 = 22;
+
+fn errno() -> i32 {
+    std::io::Error::last_os_error().raw_os_error().unwrap_or(0)
+}
+
+fn mount_dir() -> String {
+    std::env::var("LDPLFS_MOUNT").expect("LDPLFS_MOUNT not set")
+}
+
+fn outside_dir() -> String {
+    std::env::var("SMOKE_OUTSIDE").expect("SMOKE_OUTSIDE not set")
+}
+
+/// `fstat`, `statx(AT_EMPTY_PATH)` (what `File::metadata` issues) and
+/// path-stat agree on `(st_ino, st_size)` of an open container, read-only
+/// or writable: `cp` compares them and refuses a file "replaced while
+/// being copied".
+fn check_fstat(container: &str, twin: &[u8]) {
+    let by_path = fs::metadata(container).expect("stat container");
+    let want = (by_path.ino(), by_path.len());
+    assert_eq!(want.1 as usize, twin.len(), "path-stat size");
+    let read_only = fs::File::open(container).expect("open container");
+    let read_write = fs::OpenOptions::new()
+        .read(true)
+        .write(true)
+        .open(container);
+    for (tag, f) in [
+        ("O_RDONLY", read_only),
+        ("O_RDWR", read_write.expect("open O_RDWR")),
+    ] {
+        let by_statx = f.metadata().expect("statx on the fd");
+        assert_eq!((by_statx.ino(), by_statx.len()), want, "{tag}: statx");
+        let mut raw = [0u64; 18]; // x86_64 struct stat: st_ino at 8, st_size at 48
+        assert_eq!(unsafe { fstat(f.as_raw_fd(), &mut raw) }, 0, "{tag}: fstat");
+        assert_eq!((raw[1], raw[6]), want, "{tag}: fstat");
+    }
+}
+
+/// The in-kernel byte movers refuse a shim fd with their "use read/write"
+/// errno and move nothing; between two plain files they still work.
+fn check_movers(container: &str, twin: &[u8]) {
+    let null = std::ptr::null_mut::<i64>();
+    let src = fs::File::open(container).expect("open container");
+    let in_mount = format!("{}/movers.dst", mount_dir());
+    let dst = fs::File::create(&in_mount).expect("create in mount");
+    let plain_path = format!("{}/movers.plain", outside_dir());
+    let plain = fs::File::create(&plain_path).expect("create outside");
+    let (s, d, p) = (src.as_raw_fd(), dst.as_raw_fd(), plain.as_raw_fd());
+    let n = twin.len();
+    let mut fds = [0 as c_int; 2];
+    assert_eq!(unsafe { pipe(&mut fds) }, 0);
+    type Mover<'a> = &'a dyn Fn() -> isize;
+    let movers: [(&str, Mover, i32); 6] = [
+        (
+            "copy_file_range mount->mount",
+            &|| unsafe { copy_file_range(s, null, d, null, n, 0) },
+            EXDEV,
+        ),
+        (
+            "copy_file_range mount->plain",
+            &|| unsafe { copy_file_range(s, null, p, null, n, 0) },
+            EXDEV,
+        ),
+        (
+            "copy_file_range plain->mount",
+            &|| unsafe { copy_file_range(p, null, d, null, n, 0) },
+            EXDEV,
+        ),
+        (
+            "sendfile mount->plain",
+            &|| unsafe { sendfile(p, s, null, n) },
+            EINVAL,
+        ),
+        (
+            "sendfile mount->mount",
+            &|| unsafe { sendfile(d, s, null, n) },
+            EINVAL,
+        ),
+        (
+            "splice mount->pipe",
+            &|| unsafe { splice(s, null, fds[1], null, n, 0) },
+            EINVAL,
+        ),
+    ];
+    for (what, call, want) in movers {
+        assert_eq!((call(), errno()), (-1, want), "{what}");
+    }
+    drop((dst, plain));
+    assert_eq!(
+        fs::metadata(&in_mount).expect("stat").len(),
+        0,
+        "nothing written in the mount"
+    );
+    assert_eq!(
+        fs::metadata(&plain_path).expect("stat").len(),
+        0,
+        "nothing written outside"
+    );
+    assert_eq!(cursor(&src), 0, "source cursor untouched");
+    // Passthrough: plain -> plain still copies in the kernel.
+    fs::write(&plain_path, b"kernel copy").expect("write outside");
+    let a = fs::File::open(&plain_path).expect("reopen");
+    let b_path = format!("{}/movers.copy", outside_dir());
+    let b = fs::File::create(&b_path).expect("create copy");
+    let n = unsafe { copy_file_range(a.as_raw_fd(), null, b.as_raw_fd(), null, 11, 0) };
+    assert_eq!(n, 11, "copy_file_range outside the mount");
+    assert_eq!(fs::read(&b_path).expect("read copy"), b"kernel copy");
+}
+
+/// `lseek(fd, 0, SEEK_CUR)`.
+fn cursor(f: &fs::File) -> u64 {
+    let mut f = f;
+    f.stream_position().expect("lseek")
+}
+
+/// A read-only map shows the container's bytes and leaves the cursor alone;
+/// the reserved fd is filled once (a byte scribbled into it by raw syscall
+/// survives a second map); a writable fd cannot be mapped.
+fn check_mmap(container: &str, twin: &[u8]) {
+    const PROT_READ: c_int = 1;
+    const MAP_PRIVATE: c_int = 2;
+    const SYS_PWRITE64: c_long = 18; // x86_64
+    let failed = -1isize as *mut c_void;
+    let f = fs::File::open(container).expect("open container");
+    let fd = f.as_raw_fd();
+    let map =
+        |len: usize| unsafe { mmap(std::ptr::null_mut(), len, PROT_READ, MAP_PRIVATE, fd, 0) };
+    let first = map(twin.len());
+    assert_ne!(first, failed, "mmap failed: errno {}", errno());
+    let mapped = unsafe { std::slice::from_raw_parts(first as *const u8, twin.len()) };
+    assert!(mapped == twin, "mapped bytes differ from the twin");
+    let mut via_pread = vec![0u8; twin.len()];
+    f.read_exact_at(&mut via_pread, 0)
+        .expect("pread whole file");
+    assert!(
+        mapped == via_pread.as_slice(),
+        "mapped bytes differ from pread"
+    );
+    assert_eq!(cursor(&f), 0, "filling the map moved the cursor");
+    unsafe { munmap(first, twin.len()) };
+    // Below the shim: mark the reserved fd itself.
+    let mark = [!twin[0]];
+    assert_eq!(
+        unsafe { syscall(SYS_PWRITE64, fd, mark.as_ptr(), 1usize, 0i64) },
+        1
+    );
+    let second = map(1);
+    assert_ne!(second, failed, "second mmap failed: errno {}", errno());
+    assert_eq!(
+        unsafe { *(second as *const u8) },
+        mark[0],
+        "second map refilled the fd"
+    );
+    let mut b = [0u8; 1];
+    f.read_exact_at(&mut b, 0).expect("pread");
+    assert_eq!(b[0], twin[0], "pread never reads the reserved fd");
+
+    let w = fs::OpenOptions::new()
+        .read(true)
+        .write(true)
+        .open(container)
+        .expect("open container read-write");
+    let got = unsafe {
+        mmap(
+            std::ptr::null_mut(),
+            1,
+            PROT_READ,
+            MAP_PRIVATE,
+            w.as_raw_fd(),
+            0,
+        )
+    };
+    assert_eq!((got, errno()), (failed, ENODEV), "mmap of a writable fd");
+}
+
+/// stdio over the mount: `fopen` and `fdopen` streams read, seek and tell
+/// through the shim; `fileno` of a cookie stream is -1 by glibc's contract.
+fn check_stdio(container: &str, twin: &[u8]) {
+    const SEEK_SET: c_int = 0;
+    const SEEK_END: c_int = 2;
+    assert!(twin.len() > 100_000, "twin too small for the seek pattern");
+    let cpath = std::ffi::CString::new(container).expect("path");
+    let mode = c"r".as_ptr();
+    let by_fopen = unsafe { fopen(cpath.as_ptr(), mode) };
+    assert!(!by_fopen.is_null(), "fopen: errno {}", errno());
+    assert_eq!(
+        unsafe { fileno(by_fopen) },
+        -1,
+        "cookie streams have no fileno"
+    );
+    let file = fs::File::open(container).expect("open container");
+    let fd = unsafe { dup(file.as_raw_fd()) };
+    let by_fdopen = unsafe { fdopen(fd, mode) };
+    assert!(!by_fdopen.is_null(), "fdopen: errno {}", errno());
+    for (tag, stream) in [("fopen", by_fopen), ("fdopen", by_fdopen)] {
+        let mut buf = vec![0u8; 70_000]; // > BUFSIZ: buffered and direct reads
+        let n = unsafe { fread(buf.as_mut_ptr() as *mut c_void, 1, 10, stream) };
+        assert_eq!((n, &buf[..10]), (10, &twin[..10]), "{tag}: first fread");
+        assert_eq!(unsafe { ftell(stream) }, 10, "{tag}: ftell");
+        let n = unsafe { fread(buf.as_mut_ptr() as *mut c_void, 1, buf.len(), stream) };
+        assert_eq!(n, buf.len(), "{tag}: large fread");
+        assert!(buf[..] == twin[10..10 + n], "{tag}: large fread bytes");
+        assert_eq!(unsafe { fseek(stream, 4097, SEEK_SET) }, 0, "{tag}: fseek");
+        let n = unsafe { fread(buf.as_mut_ptr() as *mut c_void, 1, 100, stream) };
+        assert_eq!(
+            (n, &buf[..100]),
+            (100, &twin[4097..4197]),
+            "{tag}: fread after fseek"
+        );
+        assert_eq!(
+            unsafe { fseek(stream, -7, SEEK_END) },
+            0,
+            "{tag}: fseek from the end"
+        );
+        assert_eq!(
+            unsafe { ftell(stream) } as usize,
+            twin.len() - 7,
+            "{tag}: ftell at the end"
+        );
+        let n = unsafe { fread(buf.as_mut_ptr() as *mut c_void, 1, 100, stream) };
+        assert_eq!(
+            (n, &buf[..7]),
+            (7, &twin[twin.len() - 7..]),
+            "{tag}: tail fread"
+        );
+        assert_eq!(unsafe { fclose(stream) }, 0, "{tag}: fclose");
+    }
+    // fclose of the fdopen stream closed `fd`, not the File it was dup'd from.
+    let mut b = [0u8; 4];
+    file.read_exact_at(&mut b, 0).expect("pread after fclose");
+    assert_eq!(b, twin[..4]);
+}
+
+/// `dup`'d descriptors of a read-only open share one cursor, and the open
+/// survives closing either.
+fn check_dup(container: &str, twin: &[u8]) {
+    let mut a = fs::File::open(container).expect("open container");
+    let fd2 = unsafe { dup(a.as_raw_fd()) };
+    assert!(fd2 >= 0, "dup");
+    let mut b: fs::File = unsafe { std::os::fd::FromRawFd::from_raw_fd(fd2) };
+    let mut buf = [0u8; 1000];
+    a.read_exact(&mut buf).expect("read via a");
+    assert_eq!(buf, twin[..1000]);
+    b.read_exact(&mut buf).expect("read via b");
+    assert_eq!(buf, twin[1000..2000], "b continues where a stopped");
+    b.seek(SeekFrom::Start(5000)).expect("seek via b");
+    assert_eq!(cursor(&a), 5000, "a sees b's seek");
+    drop(b);
+    a.read_exact(&mut buf).expect("read via a after closing b");
+    assert_eq!(buf, twin[5000..6000]);
+    let fd3 = unsafe { dup(a.as_raw_fd()) };
+    drop(a);
+    let mut c: fs::File = unsafe { std::os::fd::FromRawFd::from_raw_fd(fd3) };
+    c.read_exact(&mut buf).expect("read via c after closing a");
+    assert_eq!(buf, twin[6000..7000]);
+}
+
+/// Another process truncates the container under an open reader: every
+/// later read returns the bytes of open time (a dropping it already holds
+/// open) or fails with `EIO` (one it has not opened yet) — never other
+/// bytes, never a silent EOF. CONTAINER must be two droppings, the second
+/// starting at half the file.
+fn check_truncate(container: &str, twin: &[u8]) {
+    let f = fs::File::open(container).expect("open container");
+    let mut buf = vec![0u8; 4096];
+    f.read_exact_at(&mut buf, 0).expect("first read");
+    assert!(buf[..] == twin[..4096]);
+    let status = std::process::Command::new("truncate")
+        .args(["-s", "0", container])
+        .status()
+        .expect("spawn truncate");
+    assert!(status.success(), "truncate failed");
+    assert_eq!(fs::metadata(container).expect("stat").len(), 0, "truncated");
+    let (mut intact, mut eio) = (0, 0);
+    for off in (0..twin.len() - 4096).step_by(4096) {
+        match f.read_at(&mut buf, off as u64) {
+            Ok(n) => {
+                assert_eq!(n, 4096, "short read at {off} after the truncate");
+                assert!(buf[..] == twin[off..off + 4096], "garbage at {off}");
+                intact += 1;
+            }
+            Err(e) => {
+                assert_eq!(e.raw_os_error(), Some(EIO), "read at {off}: {e}");
+                eio += 1;
+            }
+        }
+    }
+    assert!(intact > 0 && eio > 0, "intact {intact}, EIO {eio}");
 }
 
 fn iov(buf: &mut [u8]) -> IoVec {
@@ -56,8 +392,27 @@ fn vectored_roundtrip(fd: c_int, tag: &str) {
 }
 
 fn main() {
-    let mount = std::env::var("LDPLFS_MOUNT").expect("LDPLFS_MOUNT not set");
-    let outside = std::env::var("SMOKE_OUTSIDE").expect("SMOKE_OUTSIDE not set");
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if let [mode, container, twin] = args.as_slice() {
+        let twin = fs::read(twin).expect("read the flat twin");
+        match mode.as_str() {
+            "fstat" => check_fstat(container, &twin),
+            "movers" => check_movers(container, &twin),
+            "mmap" => check_mmap(container, &twin),
+            "stdio" => check_stdio(container, &twin),
+            "dup" => check_dup(container, &twin),
+            "truncate" => check_truncate(container, &twin),
+            other => panic!("unknown mode {other}"),
+        }
+        println!("preload smoke {mode} OK");
+        return;
+    }
+    assert!(
+        args.is_empty(),
+        "usage: preload-smoke [MODE CONTAINER TWIN]"
+    );
+    let mount = mount_dir();
+    let outside = outside_dir();
 
     // 1. Write/read/seek inside the mount (intercepted).
     let path = format!("{mount}/smoke.dat");

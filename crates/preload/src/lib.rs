@@ -14,13 +14,15 @@
 //! ```
 //!
 //! Interposed symbols: `open`, `open64`, `openat`, `openat64`, `creat`,
-//! `read`, `write`, `pread(64)`, `pwrite(64)`, `readv`, `writev`,
-//! `preadv(64)`, `pwritev(64)`, `preadv2`/`pwritev2` (and their `64v2`
-//! aliases), `lseek(64)`, `close`, `fsync`, `dup`, `dup2`, `unlink`,
-//! `access`, `mkdir`, `rmdir`, `ftruncate(64)`, and the
-//! `stat`/`lstat`/`fstat` family. Calls on paths outside `LDPLFS_MOUNT`
-//! forward to the real libc via `dlsym(RTLD_NEXT, …)`, exactly like the
-//! original.
+//! `read`, `write`, `pread(64)`, `pwrite(64)` (and the fortified
+//! `__read_chk`/`__pread(64)_chk`), `readv`, `writev`, `preadv(64)`,
+//! `pwritev(64)`, `preadv2`/`pwritev2` (and their `64v2` aliases),
+//! `lseek(64)`, `close`, `fsync`, `dup`, `dup2`, `unlink`, `access`,
+//! `mkdir`, `rmdir`, `ftruncate(64)`, the `stat`/`lstat`/`fstat` family,
+//! `fopen(64)`/`fdopen`, `mmap(64)`, and the in-kernel byte movers
+//! `copy_file_range`, `sendfile(64)`, `splice`. Calls on paths outside
+//! `LDPLFS_MOUNT` forward to the real libc via `dlsym(RTLD_NEXT, …)`,
+//! exactly like the original.
 //!
 //! Faithful to the paper's design, the shim reserves a *genuine* kernel fd
 //! per PLFS open (here via `memfd_create`, avoiding the litter of the
@@ -28,10 +30,13 @@
 //! real `lseek`s — so `dup(2)`'d descriptors share cursors exactly like
 //! ordinary files.
 //!
-//! Read-only opens are served as *snapshots*: the container's logical
-//! bytes are materialised into the reserved `memfd`, so even glibc-internal
-//! I/O (stdio's `fread`, `mmap`) sees them without further interposition.
-//! Set `LDPLFS_SNAPSHOT_READS=0` to force the interposed read path instead.
+//! Every open, read-only ones included, is registered the same way: the
+//! reserved fd holds *no data* and reads are served by `PlfsFd::read`
+//! straight into the caller's buffer. For I/O that passes no interposed
+//! symbol: stdio streams over the mount are `fopencookie` streams on the
+//! shim's own read/seek/close (so `fileno()` is -1); `mmap` of a read-only
+//! fd fills the reserved fd once, on demand (a writable fd fails `ENODEV`);
+//! the kernel's fd-to-fd movers answer `EXDEV`/`EINVAL`. See DESIGN.md.
 //!
 //! Configuration rides the environment: `LDPLFS_MOUNT` and `LDPLFS_BACKEND`
 //! (required), `LDPLFS_HOSTDIRS` (hostdirs per new container),
@@ -50,12 +55,11 @@
 
 #![allow(clippy::missing_safety_doc)]
 
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 use plfs::{OpenFlags, Plfs, PlfsFd, RealBacking};
 use std::collections::HashMap;
 use std::ffi::CStr;
 use std::os::raw::{c_char, c_int, c_long, c_uint, c_void};
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, OnceLock};
 
 // ---------------------------------------------------------------------------
@@ -76,14 +80,19 @@ const O_CREAT: c_int = 0o100;
 const O_EXCL: c_int = 0o200;
 const O_TRUNC: c_int = 0o1000;
 const O_APPEND: c_int = 0o2000;
+const O_DIRECTORY: c_int = 0o200000;
 
 const SEEK_SET: c_int = 0;
 const SEEK_CUR: c_int = 1;
 const SEEK_END: c_int = 2;
+const MAP_FAILED: *mut c_void = -1isize as *mut c_void;
 
 const EIO: c_int = 5;
 const EBADF: c_int = 9;
 const ENOMEM: c_int = 12;
+const EXDEV: c_int = 18;
+const ENODEV: c_int = 19;
+const ENOTDIR: c_int = 20;
 const EINVAL: c_int = 22;
 
 extern "C" {
@@ -92,6 +101,8 @@ extern "C" {
     fn syscall(num: c_long, ...) -> c_long;
     fn getpid() -> c_int;
     fn atexit(cb: extern "C" fn()) -> c_int;
+    fn __chk_fail() -> !;
+    fn fopencookie(cookie: *mut c_void, mode: *const c_char, io: CookieIo) -> *mut c_void;
 }
 
 const SYS_MEMFD_CREATE: c_long = 319; // x86_64
@@ -138,23 +149,21 @@ macro_rules! real {
 // Shim state.
 // ---------------------------------------------------------------------------
 
+/// One PLFS open; `dup`'d fds share it, as they share the reserved fd's
+/// file description.
 struct OpenState {
     plfs_fd: Arc<PlfsFd>,
     append: bool,
-    /// Live fds sharing this state (dup counts).
-    refs: AtomicU32,
+    /// `fake_ino` of the path opened, so fstat agrees with path-stat.
+    ino: u64,
+    /// Whether the reserved fd holds the container's bytes, for `mmap`.
+    mapped: Mutex<bool>,
 }
 
 struct Shim {
     mount: String,
     plfs: Plfs,
     table: RwLock<HashMap<c_int, Arc<OpenState>>>,
-    /// Read-only snapshot fds: fd → (fake inode, logical size), so
-    /// fstat answers match the path-stat answers (cp verifies this).
-    snapshots: RwLock<HashMap<c_int, (u64, u64)>>,
-    /// `LDPLFS_SNAPSHOT_READS` (anything but `0` = on), read once at init:
-    /// `do_open` must not scan `environ` on every interposed open.
-    snapshot_reads: bool,
 }
 
 static SHIM: OnceLock<Option<Shim>> = OnceLock::new();
@@ -206,14 +215,7 @@ const ENV_MOUNT: &str = "LDPLFS_MOUNT";
 const ENV_BACKEND: &str = "LDPLFS_BACKEND";
 const ENV_FAST_BACKEND: &str = "LDPLFS_FAST_BACKEND";
 const ENV_HOSTDIRS: &str = "LDPLFS_HOSTDIRS";
-const ENV_SNAPSHOT_READS: &str = "LDPLFS_SNAPSHOT_READS";
-const SHIM_ENV: [&str; 5] = [
-    ENV_MOUNT,
-    ENV_BACKEND,
-    ENV_FAST_BACKEND,
-    ENV_HOSTDIRS,
-    ENV_SNAPSHOT_READS,
-];
+const SHIM_ENV: [&str; 4] = [ENV_MOUNT, ENV_BACKEND, ENV_FAST_BACKEND, ENV_HOSTDIRS];
 
 /// One line on the host's stderr, through the real `write(2)`: a
 /// misconfiguration must be visible, but never through an interposed path.
@@ -279,8 +281,6 @@ fn init_shim() -> Option<Shim> {
         mount,
         plfs,
         table: RwLock::new(HashMap::new()),
-        snapshots: RwLock::new(HashMap::new()),
-        snapshot_reads: std::env::var(ENV_SNAPSHOT_READS).map_or(true, |v| v != "0"),
     })
 }
 
@@ -367,24 +367,15 @@ unsafe fn do_open(path: *const c_char, flags: c_int, mode: ModeT) -> c_int {
     let Some(rel) = logical(sh, p) else {
         return real_open(path, flags, mode);
     };
+    // A container is a file: cp probes its destination with O_DIRECTORY
+    // and takes anything but ENOTDIR to mean "copy into it".
+    if flags & O_DIRECTORY != 0 && sh.plfs.is_container(&rel) {
+        set_errno(ENOTDIR);
+        return -1;
+    }
     // Translate flags (numeric values match plfs::OpenFlags on Linux).
     let oflags = OpenFlags((flags & (O_ACCMODE | O_CREAT | O_EXCL | O_TRUNC | O_APPEND)) as u32);
     let pid = getpid() as u64;
-    // Read-only opens: materialise a snapshot of the container's logical
-    // bytes into the reserved memfd and hand that fd out *unregistered*.
-    // Every later operation (read, fread, mmap, fstat, lseek) then runs
-    // natively in the kernel — which is what makes glibc-internal I/O
-    // (fopen/fread in md5sum, grep) work without interposing all of stdio.
-    // Writable opens use the interposed bookkeeping path.
-    if !oflags.writable() && !oflags.create() && sh.snapshot_reads {
-        return match snapshot_open(sh, &rel, pid) {
-            Ok(fd) => fd,
-            Err(e) => {
-                set_errno(plfs_errno(&e));
-                -1
-            }
-        };
-    }
     match sh.plfs.open(&rel, oflags, pid) {
         Ok(pfd) => {
             let fd = reserve_fd();
@@ -398,7 +389,8 @@ unsafe fn do_open(path: *const c_char, flags: c_int, mode: ModeT) -> c_int {
                 Arc::new(OpenState {
                     plfs_fd: pfd,
                     append: flags & O_APPEND != 0,
-                    refs: AtomicU32::new(1),
+                    ino: fake_ino(&rel),
+                    mapped: Mutex::new(false),
                 }),
             );
             fd
@@ -460,54 +452,6 @@ pub unsafe extern "C" fn openat64(
     mode: ModeT,
 ) -> c_int {
     ffi_guard!(-1, do_openat(dirfd, path, flags, mode))
-}
-
-/// Copy a container's logical bytes into a fresh memfd; returns the fd
-/// positioned at offset 0.
-fn snapshot_open(sh: &Shim, rel: &str, pid: u64) -> plfs::Result<c_int> {
-    let ino = fake_ino(rel);
-    let pfd = sh.plfs.open(rel, OpenFlags::RDONLY, pid)?;
-    let fd = reserve_fd();
-    if fd < 0 {
-        let _ = pfd.close(pid);
-        return Err(plfs::Error::Io(std::io::Error::from_raw_os_error(ENOMEM)));
-    }
-    let real_write = real!(
-        write,
-        unsafe extern "C" fn(c_int, *const c_void, SizeT) -> SsizeT
-    );
-    let mut off = 0u64;
-    let mut buf = vec![0u8; 1 << 20];
-    loop {
-        let n = match pfd.read(&mut buf, off) {
-            Ok(0) => break,
-            Ok(n) => n,
-            Err(e) => {
-                let _ = pfd.close(pid);
-                let real_close = real!(close, unsafe extern "C" fn(c_int) -> c_int);
-                unsafe { real_close(fd) };
-                return Err(e);
-            }
-        };
-        let mut done = 0usize;
-        while done < n {
-            let w = unsafe { real_write(fd, buf[done..].as_ptr() as *const c_void, n - done) };
-            if w <= 0 {
-                // A short memfd write (ENOSPC/ENOMEM) must not hand out a
-                // truncated snapshot as if it were the whole file.
-                let _ = pfd.close(pid);
-                let real_close = real!(close, unsafe extern "C" fn(c_int) -> c_int);
-                unsafe { real_close(fd) };
-                return Err(plfs::Error::Io(std::io::Error::from_raw_os_error(ENOMEM)));
-            }
-            done += w as usize;
-        }
-        off += n as u64;
-    }
-    let _ = pfd.close(pid);
-    cursor_set(fd, 0);
-    sh.snapshots.write().insert(fd, (ino, off));
-    Ok(fd)
 }
 
 // ---------------------------------------------------------------------------
@@ -624,6 +568,46 @@ pub unsafe extern "C" fn pread64(fd: c_int, buf: *mut c_void, count: SizeT, off:
     ffi_guard!(-1, do_pread(fd, buf, count, off))
 }
 
+/// `__read_chk` — `read` as `_FORTIFY_SOURCE` builds spell it, destination
+/// size last: abort on overflow as glibc does, otherwise the plain call.
+#[no_mangle]
+pub unsafe extern "C" fn __read_chk(fd: c_int, buf: *mut c_void, n: SizeT, len: SizeT) -> SsizeT {
+    if n > len {
+        __chk_fail();
+    }
+    ffi_guard!(-1, do_read(fd, buf, n))
+}
+
+/// `__pread_chk` — fortified `pread`.
+#[no_mangle]
+pub unsafe extern "C" fn __pread_chk(
+    fd: c_int,
+    buf: *mut c_void,
+    n: SizeT,
+    off: OffT,
+    len: SizeT,
+) -> SsizeT {
+    if n > len {
+        __chk_fail();
+    }
+    ffi_guard!(-1, do_pread(fd, buf, n, off))
+}
+
+/// `__pread64_chk` — fortified `pread64`.
+#[no_mangle]
+pub unsafe extern "C" fn __pread64_chk(
+    fd: c_int,
+    buf: *mut c_void,
+    n: SizeT,
+    off: OffT,
+    len: SizeT,
+) -> SsizeT {
+    if n > len {
+        __chk_fail();
+    }
+    ffi_guard!(-1, do_pread(fd, buf, n, off))
+}
+
 unsafe fn do_pwrite(fd: c_int, buf: *const c_void, count: SizeT, off: OffT) -> SsizeT {
     match lookup(fd) {
         None => {
@@ -666,9 +650,8 @@ pub unsafe extern "C" fn pwrite64(
 // ---------------------------------------------------------------------------
 // vectored I/O. On a tracked fd the iovecs are gathered (writes) or
 // scattered (reads) around ONE PlfsFd list call, so an N-buffer vector
-// costs one index record instead of N. Untracked fds — including read-only
-// snapshots, whose memfd serves vectored reads natively — forward to the
-// real libc symbols.
+// costs one index record instead of N. Untracked fds forward to the real
+// libc symbols.
 // ---------------------------------------------------------------------------
 
 /// `struct iovec` (uapi layout).
@@ -1039,20 +1022,12 @@ unsafe fn do_close(fd: c_int) -> c_int {
     let Some(sh) = shim() else {
         return real_close(fd);
     };
-    sh.snapshots.write().remove(&fd);
     let state = sh.table.write().remove(&fd);
-    match state {
-        None => real_close(fd),
-        Some(st) => {
-            if st.refs.fetch_sub(1, Ordering::AcqRel) == 1 {
-                let _ = st.plfs_fd.close(getpid() as u64);
-            } else {
-                // A dup still holds the PLFS open; drop only this fd.
-                let _ = st.plfs_fd.close(getpid() as u64);
-            }
-            real_close(fd)
-        }
+    if let Some(st) = state {
+        // One PLFS reference per fd: a dup keeps the open alive.
+        let _ = st.plfs_fd.close(getpid() as u64);
     }
+    real_close(fd)
 }
 
 /// `close(2)`.
@@ -1095,18 +1070,7 @@ unsafe fn do_dup(fd: c_int) -> c_int {
     let real_dup = real!(dup, unsafe extern "C" fn(c_int) -> c_int);
     let new = real_dup(fd);
     if new >= 0 {
-        if let Some(sh) = shim() {
-            let snap = sh.snapshots.read().get(&fd).copied();
-            if let Some(info) = snap {
-                sh.snapshots.write().insert(new, info);
-            }
-            let state = sh.table.read().get(&fd).cloned();
-            if let Some(st) = state {
-                st.refs.fetch_add(1, Ordering::AcqRel);
-                st.plfs_fd.add_ref(getpid() as u64);
-                sh.table.write().insert(new, st);
-            }
-        }
+        dup_bookkeeping(fd, new);
     }
     new
 }
@@ -1117,24 +1081,19 @@ pub unsafe extern "C" fn dup(fd: c_int) -> c_int {
     ffi_guard!(-1, do_dup(fd))
 }
 
-/// Shared `dup2`/`dup3` fd-table bookkeeping after the real call
+/// Shared `dup`/`dup2`/`dup3` fd-table bookkeeping after the real call
 /// succeeded: newfd silently closed any previous identity, then inherits
-/// oldfd's snapshot and container state.
-unsafe fn dup_bookkeeping(sh: &Shim, oldfd: c_int, newfd: c_int) {
-    {
-        let mut snaps = sh.snapshots.write();
-        snaps.remove(&newfd);
-        if let Some(&info) = snaps.get(&oldfd) {
-            snaps.insert(newfd, info);
-        }
-    }
+/// oldfd's container state.
+unsafe fn dup_bookkeeping(oldfd: c_int, newfd: c_int) {
+    let Some(sh) = shim() else {
+        return;
+    };
     let old_state = {
         let mut t = sh.table.write();
         t.remove(&newfd);
         t.get(&oldfd).cloned()
     };
     if let Some(st) = old_state {
-        st.refs.fetch_add(1, Ordering::AcqRel);
         st.plfs_fd.add_ref(getpid() as u64);
         sh.table.write().insert(newfd, st);
     }
@@ -1144,9 +1103,7 @@ unsafe fn do_dup2(oldfd: c_int, newfd: c_int) -> c_int {
     let real_dup2 = real!(dup2, unsafe extern "C" fn(c_int, c_int) -> c_int);
     let ret = real_dup2(oldfd, newfd);
     if ret >= 0 {
-        if let Some(sh) = shim() {
-            dup_bookkeeping(sh, oldfd, newfd);
-        }
+        dup_bookkeeping(oldfd, newfd);
     }
     ret
 }
@@ -1163,9 +1120,7 @@ unsafe fn do_dup3(oldfd: c_int, newfd: c_int, flags: c_int) -> c_int {
     let real_dup3 = real!(dup3, unsafe extern "C" fn(c_int, c_int, c_int) -> c_int);
     let ret = real_dup3(oldfd, newfd, flags);
     if ret >= 0 {
-        if let Some(sh) = shim() {
-            dup_bookkeeping(sh, oldfd, newfd);
-        }
+        dup_bookkeeping(oldfd, newfd);
     }
     ret
 }
@@ -1174,6 +1129,167 @@ unsafe fn do_dup3(oldfd: c_int, newfd: c_int, flags: c_int) -> c_int {
 #[no_mangle]
 pub unsafe extern "C" fn dup3(oldfd: c_int, newfd: c_int, flags: c_int) -> c_int {
     ffi_guard!(-1, do_dup3(oldfd, newfd, flags))
+}
+
+/// Copy the container's logical bytes into the reserved fd, once per open,
+/// so a mapping of it shows them. By `pwrite`: the fd's offset is the
+/// application's cursor.
+unsafe fn fill_for_mmap(fd: c_int, st: &OpenState) -> Result<(), c_int> {
+    let real_pwrite = real!(
+        pwrite,
+        unsafe extern "C" fn(c_int, *const c_void, SizeT, OffT) -> SsizeT
+    );
+    let mut mapped = st.mapped.lock();
+    if *mapped {
+        return Ok(());
+    }
+    let mut buf = vec![0u8; 1 << 20];
+    let mut off = 0usize;
+    loop {
+        // plfs-lint: allow(lock-across-io, "intentional: `mapped` is this fill's once-latch; a second mapper must wait for the bytes, not map a half-filled fd")
+        let n = st
+            .plfs_fd
+            .read(&mut buf, off as u64)
+            .map_err(|e| e.errno())?;
+        if n == 0 {
+            break;
+        }
+        let mut done = 0usize;
+        while done < n {
+            let src = buf.as_ptr().add(done) as *const c_void;
+            let w = real_pwrite(fd, src, n - done, (off + done) as OffT);
+            if w <= 0 {
+                // A short write (ENOSPC/ENOMEM) must not pass for the file.
+                return Err(ENOMEM);
+            }
+            done += w as usize;
+        }
+        off += n;
+    }
+    *mapped = true;
+    Ok(())
+}
+
+unsafe fn do_mmap(
+    addr: *mut c_void,
+    len: SizeT,
+    prot: c_int,
+    flags: c_int,
+    fd: c_int,
+    off: OffT,
+) -> *mut c_void {
+    let f = real!(
+        mmap,
+        unsafe extern "C" fn(*mut c_void, SizeT, c_int, c_int, c_int, OffT) -> *mut c_void
+    );
+    if let Some(st) = lookup(fd) {
+        // Stores through a map would land in the reserved fd, unseen by PLFS.
+        if st.plfs_fd.flags().writable() {
+            set_errno(ENODEV);
+            return MAP_FAILED;
+        }
+        if let Err(e) = fill_for_mmap(fd, &st) {
+            set_errno(e);
+            return MAP_FAILED;
+        }
+    }
+    f(addr, len, prot, flags, fd, off)
+}
+
+/// `mmap(2)` — read-only maps of a container; a writable one is `ENODEV`.
+#[no_mangle]
+pub unsafe extern "C" fn mmap(
+    addr: *mut c_void,
+    len: SizeT,
+    prot: c_int,
+    flags: c_int,
+    fd: c_int,
+    off: OffT,
+) -> *mut c_void {
+    ffi_guard!(MAP_FAILED, do_mmap(addr, len, prot, flags, fd, off))
+}
+
+/// `mmap64(2)`.
+#[no_mangle]
+pub unsafe extern "C" fn mmap64(
+    addr: *mut c_void,
+    len: SizeT,
+    prot: c_int,
+    flags: c_int,
+    fd: c_int,
+    off: OffT,
+) -> *mut c_void {
+    ffi_guard!(MAP_FAILED, do_mmap(addr, len, prot, flags, fd, off))
+}
+
+/// The in-kernel byte movers would copy from or into the reserved fd (`cp`
+/// inside the mount "succeeded" with an empty destination). When either end
+/// is the shim's they fail with the documented errno every caller follows
+/// with a read/write loop.
+unsafe fn either_owned(a: c_int, b: c_int) -> bool {
+    lookup(a).is_some() || lookup(b).is_some()
+}
+
+type MoverFn = unsafe extern "C" fn(c_int, *mut OffT, c_int, *mut OffT, SizeT, c_uint) -> SsizeT;
+
+/// `copy_file_range(2)` — `EXDEV` on a shim fd.
+#[no_mangle]
+pub unsafe extern "C" fn copy_file_range(
+    src: c_int,
+    off_src: *mut OffT,
+    dst: c_int,
+    off_dst: *mut OffT,
+    len: SizeT,
+    flags: c_uint,
+) -> SsizeT {
+    let f = real!(copy_file_range, MoverFn);
+    if ffi_guard!(true, either_owned(src, dst)) {
+        set_errno(EXDEV);
+        return -1;
+    }
+    f(src, off_src, dst, off_dst, len, flags)
+}
+
+/// `splice(2)` — `EINVAL` on a shim fd.
+#[no_mangle]
+pub unsafe extern "C" fn splice(
+    src: c_int,
+    off_src: *mut OffT,
+    dst: c_int,
+    off_dst: *mut OffT,
+    len: SizeT,
+    flags: c_uint,
+) -> SsizeT {
+    let f = real!(splice, MoverFn);
+    if ffi_guard!(true, either_owned(src, dst)) {
+        set_errno(EINVAL);
+        return -1;
+    }
+    f(src, off_src, dst, off_dst, len, flags)
+}
+
+unsafe fn do_sendfile(out_fd: c_int, in_fd: c_int, off: *mut OffT, count: SizeT) -> SsizeT {
+    let f = real!(
+        sendfile,
+        unsafe extern "C" fn(c_int, c_int, *mut OffT, SizeT) -> SsizeT
+    );
+    if either_owned(out_fd, in_fd) {
+        set_errno(EINVAL);
+        return -1;
+    }
+    f(out_fd, in_fd, off, count)
+}
+
+/// `sendfile(2)` — `EINVAL` on a shim fd.
+#[no_mangle]
+pub unsafe extern "C" fn sendfile(o: c_int, i: c_int, off: *mut OffT, count: SizeT) -> SsizeT {
+    ffi_guard!(-1, do_sendfile(o, i, off, count))
+}
+
+/// `sendfile64(2)`.
+#[no_mangle]
+pub unsafe extern "C" fn sendfile64(o: c_int, i: c_int, off: *mut OffT, count: SizeT) -> SsizeT {
+    ffi_guard!(-1, do_sendfile(o, i, off, count))
 }
 
 // ---------------------------------------------------------------------------
@@ -1290,12 +1406,6 @@ pub unsafe extern "C" fn lstat64(path: *const c_char, out: *mut CStat) -> c_int 
 }
 
 unsafe fn do_fstat(fd: c_int, out: *mut CStat) -> c_int {
-    if let Some(sh) = shim() {
-        if let Some(&(ino, size)) = sh.snapshots.read().get(&fd) {
-            fill_stat(out, size, false, ino);
-            return 0;
-        }
-    }
     match lookup(fd) {
         None => {
             let f = real!(fstat, unsafe extern "C" fn(c_int, *mut CStat) -> c_int);
@@ -1303,7 +1413,7 @@ unsafe fn do_fstat(fd: c_int, out: *mut CStat) -> c_int {
         }
         Some(st) => match st.plfs_fd.size() {
             Ok(size) => {
-                fill_stat(out, size, false, 1);
+                fill_stat(out, size, false, st.ino);
                 0
             }
             Err(e) => {
@@ -1334,6 +1444,9 @@ unsafe fn do_fstatat(dirfd: c_int, path: *const c_char, out: *mut CStat, flags: 
         fstatat,
         unsafe extern "C" fn(c_int, *const c_char, *mut CStat, c_int) -> c_int
     );
+    if flags & AT_EMPTY_PATH != 0 && cstr(path) == Some("") && lookup(dirfd).is_some() {
+        return do_fstat(dirfd, out);
+    }
     let absolute = cstr(path).map(|p| p.starts_with('/')).unwrap_or(false);
     if dirfd == AT_FDCWD || absolute {
         if let Some(sh) = shim() {
@@ -1578,44 +1691,74 @@ pub unsafe extern "C" fn ftruncate64(fd: c_int, len: OffT) -> c_int {
 
 // ---------------------------------------------------------------------------
 // stdio entry points: glibc's fopen does NOT route through the exported
-// `open` symbol, so tools like md5sum and grep need fopen itself
-// interposed. Read modes hand back a FILE* over the snapshot memfd (all
-// stdio I/O then runs natively); write modes are not supported through
-// stdio and fall through to the real fopen (which fails cleanly, since
+// `open` symbol and a FILE's reads never pass `read`, so a stream over the
+// mount is a `fopencookie` stream whose callbacks are the shim's own
+// read/write/seek/close on a registered fd (the cookie). `fileno()` on one
+// is -1, glibc's contract for cookie streams. fopen in a write mode is not
+// supported and falls through to the real fopen (which fails cleanly, since
 // the mount path does not exist on the real file system).
 // ---------------------------------------------------------------------------
+
+/// glibc `cookie_io_functions_t`.
+#[repr(C)]
+struct CookieIo {
+    read: unsafe extern "C" fn(*mut c_void, *mut c_char, SizeT) -> SsizeT,
+    write: unsafe extern "C" fn(*mut c_void, *const c_char, SizeT) -> SsizeT,
+    seek: unsafe extern "C" fn(*mut c_void, *mut OffT, c_int) -> c_int,
+    close: unsafe extern "C" fn(*mut c_void) -> c_int,
+}
+
+unsafe extern "C" fn cookie_read(fd: *mut c_void, buf: *mut c_char, n: SizeT) -> SsizeT {
+    ffi_guard!(-1, do_read(fd as c_int, buf as *mut c_void, n))
+}
+
+/// A cookie write reports failure as 0, never a negative count.
+unsafe extern "C" fn cookie_write(fd: *mut c_void, buf: *const c_char, n: SizeT) -> SsizeT {
+    ffi_guard!(0, do_write(fd as c_int, buf as *const c_void, n).max(0))
+}
+
+unsafe extern "C" fn cookie_seek(fd: *mut c_void, off: *mut OffT, whence: c_int) -> c_int {
+    ffi_guard!(-1, {
+        *off = do_lseek(fd as c_int, *off, whence);
+        -c_int::from(*off < 0)
+    })
+}
+
+unsafe extern "C" fn cookie_close(fd: *mut c_void) -> c_int {
+    ffi_guard!(-1, do_close(fd as c_int))
+}
+
+/// A stream over registered `fd`; on failure the fd stays the caller's.
+unsafe fn cookie_stream(fd: c_int, mode: *const c_char) -> *mut c_void {
+    let io = CookieIo {
+        read: cookie_read,
+        write: cookie_write,
+        seek: cookie_seek,
+        close: cookie_close,
+    };
+    fopencookie(fd as usize as *mut c_void, mode, io)
+}
 
 unsafe fn do_fopen(path: *const c_char, mode: *const c_char) -> *mut c_void {
     let real_fopen = real!(
         fopen,
         unsafe extern "C" fn(*const c_char, *const c_char) -> *mut c_void
     );
-    let Some(sh) = shim() else {
-        return real_fopen(path, mode);
-    };
-    let (Some(p), Some(m)) = (cstr(path), cstr(mode)) else {
-        return real_fopen(path, mode);
-    };
-    let Some(rel) = logical(sh, p) else {
-        return real_fopen(path, mode);
-    };
-    let read_only = m.starts_with('r') && !m.contains('+');
-    if !read_only {
+    let in_mount = shim().is_some_and(|sh| cstr(path).and_then(|p| logical(sh, p)).is_some());
+    let read_only = cstr(mode).is_some_and(|m| m.starts_with('r') && !m.contains('+'));
+    if !in_mount || !read_only {
         // Unsupported: stdio writes into the mount (see module docs).
         return real_fopen(path, mode);
     }
-    match snapshot_open(sh, &rel, getpid() as u64) {
-        Ok(fd) => {
-            extern "C" {
-                fn fdopen(fd: c_int, mode: *const c_char) -> *mut c_void;
-            }
-            fdopen(fd, mode)
-        }
-        Err(e) => {
-            set_errno(plfs_errno(&e));
-            std::ptr::null_mut()
-        }
+    let fd = do_open(path, 0, 0); // O_RDONLY
+    if fd < 0 {
+        return std::ptr::null_mut();
     }
+    let stream = cookie_stream(fd, mode);
+    if stream.is_null() {
+        do_close(fd);
+    }
+    stream
 }
 
 /// `fopen(3)`.
@@ -1628,6 +1771,23 @@ pub unsafe extern "C" fn fopen(path: *const c_char, mode: *const c_char) -> *mut
 #[no_mangle]
 pub unsafe extern "C" fn fopen64(path: *const c_char, mode: *const c_char) -> *mut c_void {
     ffi_guard!(std::ptr::null_mut(), do_fopen(path, mode))
+}
+
+unsafe fn do_fdopen(fd: c_int, mode: *const c_char) -> *mut c_void {
+    let f = real!(
+        fdopen,
+        unsafe extern "C" fn(c_int, *const c_char) -> *mut c_void
+    );
+    if lookup(fd).is_some() {
+        return cookie_stream(fd, mode);
+    }
+    f(fd, mode)
+}
+
+/// `fdopen(3)` — a real stream would read the (empty) reserved fd.
+#[no_mangle]
+pub unsafe extern "C" fn fdopen(fd: c_int, mode: *const c_char) -> *mut c_void {
+    ffi_guard!(std::ptr::null_mut(), do_fdopen(fd, mode))
 }
 
 /// Kernel `struct statx` (uapi, fixed layout).
@@ -1692,14 +1852,10 @@ unsafe fn do_statx(
     };
     // AT_EMPTY_PATH: stat the fd itself (fstat spelling).
     if flags & AT_EMPTY_PATH != 0 {
-        if let Some(&(ino, size)) = sh.snapshots.read().get(&dirfd) {
-            fill_statx(out, size, false, ino);
-            return 0;
-        }
         if let Some(st) = lookup(dirfd) {
             match st.plfs_fd.size() {
                 Ok(size) => {
-                    fill_statx(out, size, false, 1);
+                    fill_statx(out, size, false, st.ino);
                     return 0;
                 }
                 Err(e) => {

@@ -247,3 +247,245 @@ fn a_later_process_overwrite_wins() {
         out.stdout.get(4 * 4096).map(|&b| b as char)
     );
 }
+
+// ---------------------------------------------------------------------------
+// The read path in its deployment form: containers built by real `dd`
+// processes, read back by real tools and by `preload-smoke`'s check modes,
+// always against a flat twin holding the same bytes.
+// ---------------------------------------------------------------------------
+
+/// Seeded bytes with newlines (so `grep -c` has lines to count) — no two
+/// 4 KiB blocks alike.
+fn payload(len: usize) -> Vec<u8> {
+    let mut x = 0x9e37_79b9_7f4a_7c15u64;
+    (0..len)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            match (x >> 32) as u8 {
+                b if b < 8 => b'\n',
+                b => b,
+            }
+        })
+        .collect()
+}
+
+fn ok(out: std::process::Output, what: &str) -> Vec<u8> {
+    assert!(
+        out.status.success(),
+        "{what} failed: {}{}",
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr)
+    );
+    out.stdout
+}
+
+/// `dd` blocks `[skip, skip + count)` of `twin` to the same blocks of
+/// `container`, as one process (one pid = one dropping).
+fn dd_in(env: &Env, twin: &std::path::Path, container: &str, bs: usize, skip: usize, count: usize) {
+    let mut dd = Command::new("dd");
+    dd.arg(format!("if={}", twin.display()))
+        .arg(format!("of={container}"))
+        .arg(format!("bs={bs}"))
+        .arg(format!("skip={skip}"))
+        .arg(format!("seek={skip}"))
+        .arg(format!("count={count}"))
+        .args(["conv=notrunc", "status=none"]);
+    ok(run_preloaded(env, dd), "dd into the mount");
+}
+
+const BLOCK: usize = 4096;
+const BLOCKS: usize = 96;
+
+/// A flat twin outside the mount and two containers with its bytes: one
+/// dropping (a single `cp`), and thirteen (a `dd` process per run of 8
+/// blocks, in an order that is not the logical one, and one for the tail).
+fn twin_and_containers(env: &Env) -> (PathBuf, [String; 2]) {
+    let twin = env.outside.join("twin.bin");
+    std::fs::write(&twin, payload(BLOCK * BLOCKS + 1234)).unwrap();
+    let single = format!("{}/single.bin", env.mount.display());
+    let mut cp = Command::new("cp");
+    cp.arg(&twin).arg(&single);
+    ok(run_preloaded(env, cp), "cp into the mount");
+    let multi = format!("{}/multi.bin", env.mount.display());
+    const RUNS: usize = BLOCKS / 8;
+    for run in (0..RUNS).map(|i| i * 5 % RUNS) {
+        dd_in(env, &twin, &multi, BLOCK, run * 8, 8);
+    }
+    // The 1234-byte tail: "block" 1 at a block size of the whole body.
+    dd_in(env, &twin, &multi, BLOCK * BLOCKS, 1, 1);
+    let droppings = |name: &str| {
+        let mut n = 0;
+        for hostdir in std::fs::read_dir(env.backend.join(name)).unwrap() {
+            let hostdir = hostdir.unwrap().path();
+            if hostdir.is_dir() {
+                n += std::fs::read_dir(hostdir)
+                    .unwrap()
+                    .filter(|e| {
+                        let name = e.as_ref().unwrap().file_name();
+                        name.to_string_lossy().starts_with("dropping.data.")
+                    })
+                    .count();
+            }
+        }
+        n
+    };
+    assert_eq!(droppings("single.bin"), 1);
+    assert_eq!(droppings("multi.bin"), RUNS + 1);
+    (twin, [single, multi])
+}
+
+/// Run `tool args.. FILE` on the container under the preload and on the
+/// twin without it; stdout must match byte for byte.
+fn same_stdout(env: &Env, twin: &std::path::Path, container: &str, tool: &str, args: &[&str]) {
+    let mut on_mount = Command::new(tool);
+    on_mount.args(args).arg(container);
+    let got = ok(run_preloaded(env, on_mount), tool);
+    let want = ok(
+        Command::new(tool).args(args).arg(twin).output().unwrap(),
+        tool,
+    );
+    assert!(!want.is_empty(), "{tool} {args:?} printed nothing");
+    // md5sum prints the path after the digest: compare up to it.
+    let cut = |v: &[u8]| match tool {
+        "md5sum" => v[..32].to_vec(),
+        _ => v.to_vec(),
+    };
+    assert!(
+        cut(&got) == cut(&want),
+        "{tool} {args:?} on {container} differs from the flat twin"
+    );
+}
+
+#[test]
+fn read_tools_match_a_flat_twin_on_one_and_many_droppings() {
+    ensure_built();
+    let env = setup("readtools");
+    let (twin, containers) = twin_and_containers(&env);
+    let want = std::fs::read(&twin).unwrap();
+    for c in &containers {
+        same_stdout(&env, &twin, c, "cat", &[]);
+        same_stdout(&env, &twin, c, "grep", &["-c", "a"]);
+        same_stdout(&env, &twin, c, "md5sum", &[]);
+        same_stdout(&env, &twin, c, "head", &["-c", "5000"]);
+        same_stdout(&env, &twin, c, "tail", &["-c", "5000"]);
+        let mut cmp = Command::new("cmp");
+        cmp.arg(c).arg(&twin);
+        ok(run_preloaded(&env, cmp), "cmp");
+        let out = env.outside.join("out.bin");
+        let mut cp = Command::new("cp");
+        cp.arg(c).arg(&out);
+        ok(run_preloaded(&env, cp), "cp out of the mount");
+        assert!(std::fs::read(&out).unwrap() == want, "cp out of {c}");
+        let mut dd = Command::new("dd");
+        dd.arg(format!("if={c}"))
+            .arg(format!("of={}", out.display()))
+            .args(["bs=4k", "status=none"]);
+        ok(run_preloaded(&env, dd), "dd out of the mount");
+        assert!(std::fs::read(&out).unwrap() == want, "dd bs=4k out of {c}");
+    }
+}
+
+fn smoke_mode(env: &Env, mode: &str, container: &str, twin: &std::path::Path) {
+    let mut cmd = Command::new(smoke_bin());
+    cmd.arg(mode).arg(container).arg(twin);
+    ok(run_preloaded(env, cmd), &format!("preload-smoke {mode}"));
+}
+
+#[test]
+fn mmap_stdio_and_dup_read_one_and_many_droppings() {
+    ensure_built();
+    let env = setup("smokemodes");
+    let (twin, containers) = twin_and_containers(&env);
+    for c in &containers {
+        for mode in ["mmap", "stdio", "dup"] {
+            smoke_mode(&env, mode, c, &twin);
+        }
+    }
+}
+
+/// `fstat` on an open container used to say `st_ino = 1` while path-stat
+/// said `fake_ino(path)`; with reads on the registered path that made
+/// `cp /mount/f out` fail with "skipping file, as it was replaced while
+/// being copied".
+#[test]
+fn fstat_agrees_with_path_stat() {
+    ensure_built();
+    let env = setup("fstat");
+    let (twin, containers) = twin_and_containers(&env);
+    smoke_mode(&env, "fstat", &containers[0], &twin);
+}
+
+/// `cp /mount/a /mount/b` used to exit 0 and leave `b` empty: coreutils'
+/// `copy_file_range` moved the bytes between the two reserved fds, inside
+/// the kernel, and PLFS never saw a write.
+#[test]
+fn cp_between_mount_and_outside_copies_the_bytes() {
+    ensure_built();
+    let env = setup("cp");
+    let (twin, containers) = twin_and_containers(&env);
+    let want = std::fs::read(&twin).unwrap();
+    let read_back = |path: &str| {
+        let mut cat = Command::new("cat");
+        cat.arg(path);
+        ok(run_preloaded(&env, cat), "cat")
+    };
+    for (i, src) in containers.iter().enumerate() {
+        // mount -> mount
+        let copy = format!("{}/copy{i}.bin", env.mount.display());
+        let mut cp = Command::new("cp");
+        cp.arg(src).arg(&copy);
+        ok(run_preloaded(&env, cp), "cp mount->mount");
+        assert!(read_back(&copy) == want, "cp {src} {copy}");
+        // mount -> outside
+        let out = env.outside.join("copy.bin");
+        let mut cp = Command::new("cp");
+        cp.arg(src).arg(&out);
+        ok(run_preloaded(&env, cp), "cp mount->outside");
+        assert!(std::fs::read(&out).unwrap() == want, "cp {src} out");
+    }
+    // outside -> mount is `twin_and_containers`' own cp.
+    assert!(read_back(&containers[0]) == want);
+    smoke_mode(&env, "movers", &containers[1], &twin);
+}
+
+/// `open(container, O_RDONLY|O_DIRECTORY|O_PATH)` — cp's probe of its
+/// destination — used to succeed, so cp took an existing container for a
+/// directory and failed with "cannot stat '/mount/existing/src': Not a
+/// directory".
+#[test]
+fn cp_onto_an_existing_container_replaces_it() {
+    ensure_built();
+    let env = setup("cponto");
+    let (first, second) = (env.outside.join("first"), env.outside.join("second"));
+    std::fs::write(&first, payload(50_000)).unwrap();
+    std::fs::write(&second, &payload(70_000)[20_000..]).unwrap();
+    let dest = format!("{}/dest.bin", env.mount.display());
+    for src in [&first, &second] {
+        let mut cp = Command::new("cp");
+        cp.arg(src).arg(&dest);
+        ok(run_preloaded(&env, cp), "cp onto the mount");
+    }
+    let mut cat = Command::new("cat");
+    cat.arg(&dest);
+    let got = ok(run_preloaded(&env, cat), "cat");
+    assert!(
+        got == std::fs::read(&second).unwrap(),
+        "the second copy wins"
+    );
+}
+
+/// Another process truncates a container under an open reader: open-time
+/// bytes or `EIO`, never anything else.
+#[test]
+fn a_reader_of_a_truncated_container_gets_old_bytes_or_eio() {
+    ensure_built();
+    let env = setup("truncate");
+    let twin = env.outside.join("twin.bin");
+    std::fs::write(&twin, payload(BLOCK * BLOCKS)).unwrap();
+    let container = format!("{}/victim.bin", env.mount.display());
+    dd_in(&env, &twin, &container, BLOCK, 0, BLOCKS / 2);
+    dd_in(&env, &twin, &container, BLOCK, BLOCKS / 2, BLOCKS / 2);
+    smoke_mode(&env, "truncate", &container, &twin);
+}
