@@ -2,7 +2,10 @@
 //! the log-structured write path, the reassembling read path, flatten.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use plfs::{Conf, ContainerParams, GlobalIndex, IndexEntry, MemBacking, OpenFlags, Plfs, ReadFile};
+use plfs::{
+    container, Conf, ContainerParams, GlobalIndex, IndexEntry, MemBacking, OpenFlags, Plfs,
+    ReadFile,
+};
 use std::hint::black_box;
 use std::sync::Arc;
 
@@ -208,8 +211,7 @@ fn bench_read_path(c: &mut Criterion) {
 }
 
 /// Write a strided container with `droppings` writer pids, `rows` blocks
-/// each, `block` bytes per write — the N-to-1 checkpoint shape whose
-/// read-open the parallel path targets.
+/// each, `block` bytes per write — the N-to-1 checkpoint shape.
 fn strided_container(
     droppings: usize,
     rows: usize,
@@ -238,64 +240,37 @@ fn strided_container(
     (backing, "/c")
 }
 
-/// The acceptance benchmark: serial vs parallel open of a 256-dropping
-/// container (open = fetch + decode every index dropping and build the
-/// global index), plus the fan-out vs serial large pread.
+/// The one read-open of a 256-dropping container (fetch + decode every
+/// index dropping, merge the runs) against the `from_entries` reference
+/// fed the same decoded entries, plus one large pread spanning many
+/// droppings.
 fn bench_open_path(c: &mut Criterion) {
     let droppings = 256usize;
     let rows = 256usize;
     let block = 512usize;
     let (backing, path) = strided_container(droppings, rows, block);
-    let par_conf = Conf {
-        threads: 4,
-        parallel_merge_min_droppings: 1,
-        ..Conf::default()
-    };
 
     let mut g = c.benchmark_group("open_path");
-    g.bench_function("serial_open_256_droppings", |b| {
+    g.bench_function("open_256_droppings", |b| {
         b.iter(|| black_box(ReadFile::open(backing.as_ref(), path).unwrap().eof()));
     });
-    g.bench_function("parallel_open_256_droppings", |b| {
+    g.bench_function("reference_from_entries_256_droppings", |b| {
         b.iter(|| {
-            black_box(
-                ReadFile::open_with(backing.as_ref(), path, &par_conf)
-                    .unwrap()
-                    .eof(),
-            )
+            let droppings = container::list_droppings(backing.as_ref(), path).unwrap();
+            let runs = container::read_index_runs(backing.as_ref(), &droppings).unwrap();
+            black_box(GlobalIndex::from_entries(runs.concat()).eof())
         });
     });
 
-    // Large-read fan-out: one pread spanning many droppings, serial loop
-    // vs threshold-gated fan-out through the sharded handle cache.
-    let serial_rf = ReadFile::open(backing.as_ref(), path).unwrap();
-    let fanout_rf = ReadFile::open_with(
-        backing.as_ref(),
-        path,
-        &Conf {
-            fanout_threshold: 64 * 1024,
-            ..par_conf
-        },
-    )
-    .unwrap();
+    let rf = ReadFile::open(backing.as_ref(), path).unwrap();
     let read = 4 << 20usize;
     let total = (droppings * rows * block) as u64;
     let mut buf = vec![0u8; read];
     g.throughput(Throughput::Bytes(read as u64));
-    g.bench_function("pread_4m_serial", |b| {
+    g.bench_function("pread_4m", |b| {
         let mut off = 0u64;
         b.iter(|| {
-            let n = serial_rf.pread(backing.as_ref(), &mut buf, off).unwrap();
-            off = (off + read as u64) % (total - read as u64);
-            black_box(n)
-        });
-    });
-    g.bench_function("pread_4m_fanout", |b| {
-        let mut off = 0u64;
-        b.iter(|| {
-            let n = fanout_rf
-                .pread_auto(backing.as_ref(), &mut buf, off)
-                .unwrap();
+            let n = rf.pread(backing.as_ref(), &mut buf, off).unwrap();
             off = (off + read as u64) % (total - read as u64);
             black_box(n)
         });

@@ -433,55 +433,6 @@ pub fn render_ior(rows: &[IorRow]) -> String {
     out
 }
 
-// ---------------------------------------------------------------------------
-// Beyond the paper: the parallel read path (concurrent index merge +
-// sharded handle cache + pread fan-out).
-// ---------------------------------------------------------------------------
-
-/// One measured row of the read-path comparison: a strided container with
-/// `droppings` writer streams, opened and read serially vs in parallel.
-#[derive(Debug, Clone)]
-pub struct ReadPathRow {
-    /// Index/data dropping pairs in the container (= writer processes).
-    pub droppings: usize,
-    /// Total index entries merged at open.
-    pub entries: usize,
-    /// First-byte latency, serial open (ms): sequential dropping reads,
-    /// insert-based merge.
-    pub serial_open_ms: f64,
-    /// First-byte latency, parallel open (ms): concurrent dropping reads,
-    /// k-way run merge + bulk build.
-    pub parallel_open_ms: f64,
-    /// 4 MiB pread bandwidth through the serial slice loop (MB/s).
-    pub serial_read_mbs: f64,
-    /// Same pread through the threshold-gated fan-out (MB/s).
-    pub fanout_read_mbs: f64,
-}
-
-impl ReadPathRow {
-    /// Serial-over-parallel open speedup.
-    pub fn open_speedup(&self) -> f64 {
-        self.serial_open_ms / self.parallel_open_ms.max(1e-9)
-    }
-}
-
-/// One projected row: the simfs model's estimate of the same comparison at
-/// paper scale, where dropping fetches cost real metadata round-trips.
-#[derive(Debug, Clone)]
-pub struct ReadPathProjection {
-    /// Platform label.
-    pub platform: String,
-    /// Dropping count.
-    pub droppings: usize,
-    /// Modelled serial open (s).
-    pub serial_open_secs: f64,
-    /// Modelled parallel open (s).
-    pub parallel_open_secs: f64,
-}
-
-/// Dropping counts swept by the measured comparison.
-pub const READPATH_DROPPINGS: [usize; 3] = [16, 64, 256];
-
 fn best_of<F: FnMut() -> u64>(times: usize, mut f: F) -> (f64, u64) {
     let mut best = f64::INFINITY;
     let mut out = 0;
@@ -491,145 +442,6 @@ fn best_of<F: FnMut() -> u64>(times: usize, mut f: F) -> (f64, u64) {
         best = best.min(t0.elapsed().as_secs_f64());
     }
     (best, out)
-}
-
-/// Measure serial vs parallel open/read on in-memory containers across
-/// [`READPATH_DROPPINGS`]. Runs through the public `plfs::Plfs` API so the
-/// `index_merge`/`index_merge_par`/`read_fanout` trace ops land in the
-/// emitted BENCH json.
-pub fn readpath_comparison(scale: Scale) -> Vec<ReadPathRow> {
-    use plfs::{Conf, MemBacking, OpenFlags, Plfs};
-    use std::sync::Arc;
-
-    let rows_per_writer = match scale {
-        Scale::Paper => 256usize,
-        Scale::Quick => 64,
-    };
-    let block = 512usize;
-    READPATH_DROPPINGS
-        .iter()
-        .map(|&droppings| {
-            let backing = Arc::new(MemBacking::new());
-            let writer = Plfs::new(backing.clone());
-            let fd = writer
-                .open("/c", OpenFlags::RDWR | OpenFlags::CREAT, 0)
-                .unwrap();
-            for p in 0..droppings as u64 {
-                fd.add_ref(p);
-                let data = vec![p as u8; block];
-                for r in 0..rows_per_writer as u64 {
-                    writer
-                        .write(&fd, &data, (r * droppings as u64 + p) * block as u64, p)
-                        .unwrap();
-                }
-            }
-            for p in 0..droppings as u64 {
-                let _ = writer.close(&fd, p);
-            }
-            writer.close(&fd, 0).unwrap();
-
-            let par_conf = Conf {
-                threads: 4,
-                parallel_merge_min_droppings: 1,
-                ..Conf::default()
-            };
-            let serial = Plfs::new(backing.clone());
-            let parallel = Plfs::new(backing.clone()).with_conf(par_conf);
-
-            // First-byte latency: open + 1-byte read forces the index build.
-            let mut one = [0u8; 1];
-            let (serial_open, _) = best_of(3, || {
-                let fd = serial.open("/c", OpenFlags::RDONLY, 0).unwrap();
-                serial.read(&fd, &mut one, 0).unwrap() as u64
-            });
-            let (parallel_open, _) = best_of(3, || {
-                let fd = parallel.open("/c", OpenFlags::RDONLY, 0).unwrap();
-                parallel.read(&fd, &mut one, 0).unwrap() as u64
-            });
-
-            // Steady-state large reads on warm fds.
-            let read = (1 << 22).min(droppings * rows_per_writer * block);
-            let mut buf = vec![0u8; read];
-            let sfd = serial.open("/c", OpenFlags::RDONLY, 0).unwrap();
-            let (serial_read, n) = best_of(3, || serial.read(&sfd, &mut buf, 0).unwrap() as u64);
-            assert_eq!(n as usize, read);
-            let pfd = parallel.open("/c", OpenFlags::RDONLY, 0).unwrap();
-            let (fanout_read, n) = best_of(3, || parallel.read(&pfd, &mut buf, 0).unwrap() as u64);
-            assert_eq!(n as usize, read);
-
-            ReadPathRow {
-                droppings,
-                entries: droppings * rows_per_writer,
-                serial_open_ms: serial_open * 1e3,
-                parallel_open_ms: parallel_open * 1e3,
-                serial_read_mbs: read as f64 / serial_read.max(1e-9) / 1e6,
-                fanout_read_mbs: read as f64 / fanout_read.max(1e-9) / 1e6,
-            }
-        })
-        .collect()
-}
-
-/// Project the open-time comparison to paper scale with the simfs model,
-/// where each dropping fetch pays a platform metadata round-trip.
-pub fn readpath_projection(threads: usize) -> Vec<ReadPathProjection> {
-    let mut out = Vec::new();
-    for (platform, label) in [
-        (presets::sierra(), "Sierra (Lustre)"),
-        (presets::minerva(), "Minerva (GPFS)"),
-    ] {
-        for &droppings in &READPATH_DROPPINGS {
-            let e = simfs::readpath::open_time(&platform, droppings, 256, threads);
-            out.push(ReadPathProjection {
-                platform: label.to_string(),
-                droppings,
-                serial_open_secs: e.serial_secs,
-                parallel_open_secs: e.parallel_secs,
-            });
-        }
-    }
-    out
-}
-
-/// Render the measured read-path comparison.
-pub fn render_readpath(rows: &[ReadPathRow]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{:>10}{:>9}{:>14}{:>14}{:>9}{:>13}{:>13}\n",
-        "Droppings", "Entries", "serial open", "par open", "speedup", "serial read", "fanout read"
-    ));
-    for r in rows {
-        out.push_str(&format!(
-            "{:>10}{:>9}{:>12.2}ms{:>12.2}ms{:>8.2}x{:>9.0} MB/s{:>9.0} MB/s\n",
-            r.droppings,
-            r.entries,
-            r.serial_open_ms,
-            r.parallel_open_ms,
-            r.open_speedup(),
-            r.serial_read_mbs,
-            r.fanout_read_mbs
-        ));
-    }
-    out
-}
-
-/// Render the simulated at-scale projection.
-pub fn render_readpath_projection(rows: &[ReadPathProjection]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{:<22}{:>10}{:>14}{:>14}{:>9}\n",
-        "Platform", "Droppings", "serial open", "par open", "speedup"
-    ));
-    for r in rows {
-        out.push_str(&format!(
-            "{:<22}{:>10}{:>13.3}s{:>13.3}s{:>8.2}x\n",
-            r.platform,
-            r.droppings,
-            r.serial_open_secs,
-            r.parallel_open_secs,
-            r.serial_open_secs / r.parallel_open_secs.max(1e-12)
-        ));
-    }
-    out
 }
 
 // ---------------------------------------------------------------------------
@@ -1221,182 +1033,6 @@ pub fn render_metadata(r: &MetadataReport) -> String {
 }
 
 // ---------------------------------------------------------------------------
-// Beyond the paper: merged-index residency (compact records + partial
-// loading under an index_memory_bytes budget).
-// ---------------------------------------------------------------------------
-
-/// One row of the index-residency sweep: the same strided checkpoint shape
-/// with `factor`× the writes, opened eagerly (fully-expanded `GlobalIndex`)
-/// vs bounded (`CompactIndex` + windowed views under a byte budget).
-#[derive(Debug, Clone)]
-pub struct IndexScaleRow {
-    /// Entry-count multiplier over the base container.
-    pub factor: usize,
-    /// Total expanded index entries in the container.
-    pub entries: usize,
-    /// Resident index bytes, eager open.
-    pub eager_resident_bytes: usize,
-    /// Resident index bytes, bounded open (records + cached views).
-    pub compact_resident_bytes: usize,
-    /// Cold open + 128 KiB read at offset 0, eager (ms).
-    pub eager_open_read_ms: f64,
-    /// Same, through the bounded index (ms).
-    pub compact_open_read_ms: f64,
-}
-
-/// The sweep plus its two gated summary ratios.
-#[derive(Debug, Clone)]
-pub struct IndexScaleReport {
-    /// One row per [`INDEXSCALE_FACTORS`] entry.
-    pub rows: Vec<IndexScaleRow>,
-    /// Bounded-path resident bytes at the largest factor over the smallest:
-    /// ≈1 when the compact index is truly O(writers), not O(writes).
-    pub memory_ratio: f64,
-    /// Bounded-path cold open+read latency at the largest factor over the
-    /// smallest: flat when partial loading only pays for the read's window.
-    pub latency_ratio: f64,
-}
-
-/// Entry-count multipliers swept (1× to 100× the base container).
-pub const INDEXSCALE_FACTORS: [usize; 3] = [1, 10, 100];
-
-/// Budget handed to the bounded opens: small enough that the eager index
-/// blows through it at every factor, large enough to hold one window view.
-pub const INDEXSCALE_BUDGET_BYTES: usize = 256 << 10;
-
-/// Measure eager vs bounded index residency and cold-read latency while the
-/// entry count scales 100×. Four pattern-friendly strided writers with a
-/// deep index buffer, so the on-disk index stays a handful of pattern
-/// records at every factor — the eager open expands them all, the bounded
-/// open only the 128 KiB the read touches. The checkpoint is sparse
-/// (stride ≫ block, like a real strided dump with per-rank gaps): the
-/// smallest container already spans several 4 MiB index windows, so the
-/// bounded path is at its steady state at every factor and the memory
-/// ratio isolates entry-count scaling from window fill.
-pub fn indexscale_comparison(scale: Scale) -> IndexScaleReport {
-    use plfs::{Conf, MemBacking, OpenFlags, Plfs, ReadFile};
-    use std::sync::Arc;
-
-    let writers = 4usize;
-    let base_writes = match scale {
-        Scale::Paper => 256usize,
-        Scale::Quick => 64,
-    };
-    let block = 512usize;
-    // Logical gap multiplier: each write covers `block` bytes of a
-    // `block * SPARSITY` slot, so 256 writes already span 8 MiB of logical
-    // space (two index windows) while staying 128 KiB of physical data.
-    const SPARSITY: u64 = 64;
-    let read_len = 128 << 10;
-
-    let rows: Vec<IndexScaleRow> = INDEXSCALE_FACTORS
-        .iter()
-        .map(|&factor| {
-            let backing = Arc::new(MemBacking::new());
-            // A deep index buffer keeps each writer's flush one pattern
-            // record regardless of factor.
-            let writer = Plfs::new(backing.clone()).with_conf(Conf {
-                index_buffer_entries: 1 << 20,
-                ..Conf::default()
-            });
-            let fd = writer
-                .open("/c", OpenFlags::RDWR | OpenFlags::CREAT, 0)
-                .unwrap();
-            let writes = base_writes * factor;
-            for p in 0..writers as u64 {
-                fd.add_ref(p);
-                let data = vec![p as u8; block];
-                for r in 0..writes as u64 {
-                    writer
-                        .write(
-                            &fd,
-                            &data,
-                            (r * writers as u64 + p) * block as u64 * SPARSITY,
-                            p,
-                        )
-                        .unwrap();
-                }
-            }
-            for p in 0..writers as u64 {
-                let _ = writer.close(&fd, p);
-            }
-            writer.close(&fd, 0).unwrap();
-
-            let bounded_conf = Conf {
-                index_memory_bytes: INDEXSCALE_BUDGET_BYTES,
-                ..Conf::default()
-            };
-            let mut buf = vec![0u8; read_len];
-            let (eager_t, eager_resident) = best_of(3, || {
-                let r = ReadFile::open(backing.as_ref(), "/c").unwrap();
-                r.pread(backing.as_ref(), &mut buf, 0).unwrap();
-                r.index_resident_bytes() as u64
-            });
-            // A bounded open+read is tens of µs — single-shot timing is
-            // clock noise, and latency_ratio is a gated metric that must
-            // be stable across runs. Time batches of cold opens and
-            // report the per-open mean of the best batch.
-            const BATCH: u64 = 32;
-            let (compact_batch_t, compact_resident) = best_of(5, || {
-                let mut resident = 0;
-                for _ in 0..BATCH {
-                    let r = ReadFile::open_with(backing.as_ref(), "/c", &bounded_conf).unwrap();
-                    r.pread(backing.as_ref(), &mut buf, 0).unwrap();
-                    resident = r.index_resident_bytes() as u64;
-                }
-                resident
-            });
-            let compact_t = compact_batch_t / BATCH as f64;
-
-            IndexScaleRow {
-                factor,
-                entries: writers * writes,
-                eager_resident_bytes: eager_resident as usize,
-                compact_resident_bytes: compact_resident as usize,
-                eager_open_read_ms: eager_t * 1e3,
-                compact_open_read_ms: compact_t * 1e3,
-            }
-        })
-        .collect();
-
-    let first = rows.first().unwrap();
-    let last = rows.last().unwrap();
-    IndexScaleReport {
-        memory_ratio: last.compact_resident_bytes as f64
-            / (first.compact_resident_bytes as f64).max(1.0),
-        latency_ratio: last.compact_open_read_ms / first.compact_open_read_ms.max(1e-9),
-        rows,
-    }
-}
-
-/// Render the index-residency sweep.
-pub fn render_indexscale(r: &IndexScaleReport) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{:>8}{:>10}{:>14}{:>14}{:>13}{:>13}\n",
-        "Factor", "Entries", "eager bytes", "bounded", "eager o+r", "bounded o+r"
-    ));
-    for row in &r.rows {
-        out.push_str(&format!(
-            "{:>8}{:>10}{:>14}{:>14}{:>11.2}ms{:>11.2}ms\n",
-            row.factor,
-            row.entries,
-            row.eager_resident_bytes,
-            row.compact_resident_bytes,
-            row.eager_open_read_ms,
-            row.compact_open_read_ms
-        ));
-    }
-    out.push_str(&format!(
-        "\nbounded residency {}x entries -> {:.2}x memory, {:.2}x cold-read latency\n",
-        r.rows.last().map_or(1, |row| row.factor),
-        r.memory_ratio,
-        r.latency_ratio
-    ));
-    out
-}
-
-// ---------------------------------------------------------------------------
 // Beyond the paper: noncontiguous I/O — list I/O vs data sieving vs the
 // per-extent lowering (romio_plfs_listio in spirit).
 // ---------------------------------------------------------------------------
@@ -1833,279 +1469,6 @@ pub fn render_staging2(r: &Staging2Report) -> String {
 }
 
 // ---------------------------------------------------------------------------
-// readcache: data block cache + adaptive readahead vs direct reads.
-// ---------------------------------------------------------------------------
-
-/// One read-size row of the readcache figure: a sequential whole-file scan
-/// in `read_bytes` calls, run through the real engine four ways — direct
-/// (cache disabled), cached without readahead, cached with readahead
-/// (cold), and the warm re-read — with backing preads measured per arm and
-/// times modelled from the measured counts and the slow-tier preset.
-#[derive(Debug, Clone)]
-pub struct ReadCacheRow {
-    /// Bytes per application read call.
-    pub read_bytes: u64,
-    /// Logical file size scanned (a multiple of the cache block size, so
-    /// each byte crosses the device exactly once on any cold scan).
-    pub file_bytes: u64,
-    /// Backing preads with the cache disabled: one device op per call.
-    pub uncached_preads: u64,
-    /// Backing preads with the cache on but readahead off: one per block.
-    pub nora_preads: u64,
-    /// Backing preads with cache + readahead: coalesced prefetch runs.
-    pub ra_preads: u64,
-    /// Backing preads on the warm re-read (must be zero: every block is
-    /// resident).
-    pub warm_preads: u64,
-    /// Readahead windows issued during the cold cached scan.
-    pub readaheads: u64,
-    /// Modelled scan time with the cache disabled.
-    pub uncached_secs: f64,
-    /// Modelled scan time, cached, readahead off.
-    pub nora_secs: f64,
-    /// Modelled cold scan time, cached, readahead on.
-    pub cold_secs: f64,
-    /// Modelled warm re-read time (memory bandwidth only).
-    pub warm_secs: f64,
-}
-
-impl ReadCacheRow {
-    /// Cold cached scan over the warm re-read.
-    pub fn warm_speedup(&self) -> f64 {
-        self.cold_secs / self.warm_secs.max(1e-12)
-    }
-
-    /// Cache-without-readahead over cache-with-readahead: what prefetch
-    /// coalescing alone buys on top of block caching.
-    pub fn readahead_speedup(&self) -> f64 {
-        self.nora_secs / self.cold_secs.max(1e-12)
-    }
-
-    /// Uncached scan over the cold cached scan: the whole-stack win.
-    pub fn cache_speedup(&self) -> f64 {
-        self.uncached_secs / self.cold_secs.max(1e-12)
-    }
-}
-
-/// The readcache sweep plus its two gated headline ratios and the device
-/// model constants the times were derived from.
-#[derive(Debug, Clone)]
-pub struct ReadCacheReport {
-    /// One row per swept read size.
-    pub rows: Vec<ReadCacheRow>,
-    /// [`ReadCacheRow::warm_speedup`] at the smallest read size — gated:
-    /// a warm re-read must beat the cold scan by ≥3×.
-    pub warm_vs_cold: f64,
-    /// [`ReadCacheRow::readahead_speedup`] at the smallest read size —
-    /// gated: readahead coalescing must beat unprefetched caching by ≥2×.
-    pub readahead_speedup: f64,
-    /// Cache block size used by the cached arms (bytes).
-    pub block_bytes: u64,
-    /// Device streaming bandwidth (bytes/s) from [`presets::tier_slow`].
-    pub dev_bw: f64,
-    /// Device per-op latency (seconds) from [`presets::tier_slow`].
-    pub dev_op_lat: f64,
-    /// Client memory bandwidth (bytes/s) — what a cache hit pays.
-    pub mem_bw: f64,
-}
-
-/// Read sizes swept by the readcache figure, smallest first (the smallest
-/// is the gated headline row — small reads are where per-op latency
-/// dominates and the cache matters most).
-pub const READCACHE_READS: [usize; 3] = [4 << 10, 16 << 10, 64 << 10];
-
-/// Write the `/scan` container once: one writer appending sequential
-/// `chunk`-byte records, so the data dropping is physically contiguous and
-/// prefetch runs can coalesce.
-fn readcache_file(base: &std::sync::Arc<plfs::MemBacking>, bytes: u64, chunk: usize) {
-    use plfs::OpenFlags;
-    use std::sync::Arc;
-    let plfs = plfs::Plfs::new(Arc::clone(base) as Arc<dyn plfs::Backing>);
-    let fd = plfs
-        .open("/scan", OpenFlags::WRONLY | OpenFlags::CREAT, 0)
-        .expect("readcache create");
-    let buf: Vec<u8> = (0..chunk).map(|i| (i % 251) as u8).collect();
-    let mut off = 0u64;
-    while off < bytes {
-        plfs.write(&fd, &buf, off, 0).expect("readcache write");
-        off += chunk as u64;
-    }
-    plfs.close(&fd, 0).expect("readcache close-write");
-}
-
-/// One measured arm: open `/scan` read-only through a fresh meter with the
-/// given cache configuration, warm the index merge with a 1-byte probe,
-/// drop the block the probe populated so the measured pass starts truly
-/// cold, then scan the whole file twice in `read`-byte calls. Returns the
-/// backing preads of the cold pass, of the warm pass, and the readahead
-/// windows issued during the cold pass.
-fn readcache_arm(
-    base: &std::sync::Arc<plfs::MemBacking>,
-    conf: plfs::Conf,
-    read: usize,
-    file_bytes: u64,
-) -> (u64, u64, u64) {
-    use plfs::{Backing, MeterBacking, OpenFlags};
-    use std::sync::Arc;
-    let meter = Arc::new(MeterBacking::new(Arc::clone(base) as Arc<dyn Backing>));
-    let plfs = plfs::Plfs::new(Arc::clone(&meter) as Arc<dyn Backing>).with_conf(conf);
-    let fd = plfs
-        .open("/scan", OpenFlags::RDONLY, 0)
-        .expect("readcache open");
-    let mut probe = [0u8; 1];
-    plfs.read(&fd, &mut probe, 0).expect("readcache probe");
-    if let Some(c) = fd.block_cache() {
-        c.clear();
-    }
-    let scan = |label: &str| -> u64 {
-        let before = meter.snapshot();
-        let mut buf = vec![0u8; read];
-        let mut off = 0u64;
-        while off < file_bytes {
-            let n = plfs.read(&fd, &mut buf, off).expect(label);
-            assert!(n > 0, "short read at {off} during {label} scan");
-            off += n as u64;
-        }
-        meter.snapshot().delta(&before).pread
-    };
-    let ra_before = fd.block_cache().map(|c| c.stats().readaheads).unwrap_or(0);
-    let cold = scan("cold");
-    let ra_cold = fd.block_cache().map(|c| c.stats().readaheads).unwrap_or(0) - ra_before;
-    let warm = scan("warm");
-    plfs.close(&fd, 0).expect("readcache close");
-    (cold, warm, ra_cold)
-}
-
-/// Sweep [`READCACHE_READS`] (the first two at quick scale) over the four
-/// read arms. Every arm runs the identical sequential scan through the
-/// real engine over the same in-memory container; backing preads are
-/// measured per arm, then costed against the [`presets::tier_slow`] per-op
-/// latency and bandwidth plus the client memory rate — so the figure is
-/// deterministic across runners.
-///
-/// Model: a scan pays one device op per backing pread, device bandwidth
-/// for every byte it fetches (each byte exactly once on any cold scan —
-/// the file is block-aligned), and memory bandwidth for every byte it
-/// returns. The warm re-read fetches nothing, so it pays memory only.
-pub fn readcache_comparison(scale: Scale) -> ReadCacheReport {
-    use plfs::{Conf, MemBacking};
-    use std::sync::Arc;
-
-    let (file_bytes, reads): (u64, &[usize]) = match scale {
-        Scale::Paper => (8 << 20, &READCACHE_READS[..]),
-        Scale::Quick => (2 << 20, &READCACHE_READS[..2]),
-    };
-    let ra_conf = Conf {
-        data_cache_bytes: 2 * file_bytes as usize,
-        ..Conf::default()
-    };
-    let nora_conf = Conf {
-        readahead_max: 0,
-        ..ra_conf
-    };
-    let block_bytes = ra_conf.data_cache_block_bytes as u64;
-    assert_eq!(file_bytes % block_bytes, 0, "file must be block-aligned");
-
-    let dev = presets::tier_slow();
-    let dev_bw = dev.peak_storage_bw();
-    let dev_op_lat = dev.fs.per_op_latency;
-    let mem_bw = dev.cluster.mem_bw;
-    // Cost the measured counts: device ops + device bytes + memory copy.
-    let cost = |preads: u64, dev_bytes: u64| {
-        preads as f64 * dev_op_lat + dev_bytes as f64 / dev_bw + file_bytes as f64 / mem_bw
-    };
-
-    let base = Arc::new(MemBacking::new());
-    readcache_file(&base, file_bytes, block_bytes as usize);
-
-    let rows: Vec<ReadCacheRow> = reads
-        .iter()
-        .map(|&read| {
-            let (uncached_preads, _, _) = readcache_arm(&base, Conf::default(), read, file_bytes);
-            let (nora_preads, nora_warm, _) = readcache_arm(&base, nora_conf, read, file_bytes);
-            let (ra_preads, warm_preads, readaheads) =
-                readcache_arm(&base, ra_conf, read, file_bytes);
-            // A silently disabled cache or readahead path must fail figure
-            // generation, not produce a flat row.
-            assert_eq!(nora_warm, 0, "unprefetched warm re-read hit the device");
-            assert_eq!(warm_preads, 0, "warm re-read hit the device");
-            assert!(
-                ra_preads < nora_preads,
-                "readahead must coalesce device ops: {ra_preads} vs {nora_preads}"
-            );
-            ReadCacheRow {
-                read_bytes: read as u64,
-                file_bytes,
-                uncached_preads,
-                nora_preads,
-                ra_preads,
-                warm_preads,
-                readaheads,
-                uncached_secs: cost(uncached_preads, file_bytes),
-                nora_secs: cost(nora_preads, file_bytes),
-                cold_secs: cost(ra_preads, file_bytes),
-                warm_secs: cost(warm_preads, 0),
-            }
-        })
-        .collect();
-
-    let head = &rows[0];
-    ReadCacheReport {
-        warm_vs_cold: head.warm_speedup(),
-        readahead_speedup: head.readahead_speedup(),
-        rows,
-        block_bytes,
-        dev_bw,
-        dev_op_lat,
-        mem_bw,
-    }
-}
-
-/// Render the readcache sweep.
-pub fn render_readcache(r: &ReadCacheReport) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{:>9}{:>12}{:>10}{:>9}{:>9}{:>11}{:>11}{:>11}{:>9}{:>9}\n",
-        "Read KiB",
-        "direct ops",
-        "noRA ops",
-        "RA ops",
-        "warm ops",
-        "direct",
-        "noRA",
-        "cold",
-        "RA x",
-        "warm x"
-    ));
-    for row in &r.rows {
-        out.push_str(&format!(
-            "{:>9}{:>12}{:>10}{:>9}{:>9}{:>10.3}s{:>10.3}s{:>10.3}s{:>8.1}x{:>8.1}x\n",
-            row.read_bytes >> 10,
-            row.uncached_preads,
-            row.nora_preads,
-            row.ra_preads,
-            row.warm_preads,
-            row.uncached_secs,
-            row.nora_secs,
-            row.cold_secs,
-            row.readahead_speedup(),
-            row.warm_speedup(),
-        ));
-    }
-    out.push_str(&format!(
-        "\nwarm re-read {:.1}x cold, readahead {:.1}x unprefetched ({} KiB reads; {} KiB blocks, device {:.0} MB/s / {:.1} ms, mem {:.0} GB/s)\n",
-        r.warm_vs_cold,
-        r.readahead_speedup,
-        r.rows[0].read_bytes >> 10,
-        r.block_bytes >> 10,
-        r.dev_bw / 1e6,
-        r.dev_op_lat * 1e3,
-        r.mem_bw / 1e9,
-    ));
-    out
-}
-
-// ---------------------------------------------------------------------------
 // Rendering helpers.
 // ---------------------------------------------------------------------------
 
@@ -2206,19 +1569,6 @@ impl ToJson for StagingRow {
     }
 }
 
-impl ToJson for ReadPathRow {
-    fn to_json_value(&self) -> Value {
-        Value::object()
-            .with("droppings", self.droppings as u64)
-            .with("entries", self.entries as u64)
-            .with("serial_open_ms", self.serial_open_ms)
-            .with("parallel_open_ms", self.parallel_open_ms)
-            .with("open_speedup", self.open_speedup())
-            .with("serial_read_mbs", self.serial_read_mbs)
-            .with("fanout_read_mbs", self.fanout_read_mbs)
-    }
-}
-
 impl ToJson for WritePathRow {
     fn to_json_value(&self) -> Value {
         Value::object()
@@ -2256,16 +1606,6 @@ impl ToJson for WritePathReport {
     }
 }
 
-impl ToJson for ReadPathProjection {
-    fn to_json_value(&self) -> Value {
-        Value::object()
-            .with("platform", self.platform.as_str())
-            .with("droppings", self.droppings as u64)
-            .with("serial_open_secs", self.serial_open_secs)
-            .with("parallel_open_secs", self.parallel_open_secs)
-    }
-}
-
 impl ToJson for MetadataRow {
     fn to_json_value(&self) -> Value {
         Value::object()
@@ -2298,27 +1638,6 @@ impl ToJson for MetadataReport {
             .with("cache_hits", self.cache_hits)
             .with("cache_misses", self.cache_misses)
             .with("cache_hit_rate", self.cache_hit_rate())
-    }
-}
-
-impl ToJson for IndexScaleRow {
-    fn to_json_value(&self) -> Value {
-        Value::object()
-            .with("factor", self.factor as u64)
-            .with("entries", self.entries as u64)
-            .with("eager_resident_bytes", self.eager_resident_bytes as u64)
-            .with("compact_resident_bytes", self.compact_resident_bytes as u64)
-            .with("eager_open_read_ms", self.eager_open_read_ms)
-            .with("compact_open_read_ms", self.compact_open_read_ms)
-    }
-}
-
-impl ToJson for IndexScaleReport {
-    fn to_json_value(&self) -> Value {
-        Value::object()
-            .with("rows", self.rows.to_json_value())
-            .with("memory_ratio", self.memory_ratio)
-            .with("latency_ratio", self.latency_ratio)
     }
 }
 
@@ -2379,39 +1698,6 @@ impl ToJson for Staging2Report {
     }
 }
 
-impl ToJson for ReadCacheRow {
-    fn to_json_value(&self) -> Value {
-        Value::object()
-            .with("read_bytes", self.read_bytes)
-            .with("file_bytes", self.file_bytes)
-            .with("uncached_preads", self.uncached_preads)
-            .with("nora_preads", self.nora_preads)
-            .with("ra_preads", self.ra_preads)
-            .with("warm_preads", self.warm_preads)
-            .with("readaheads", self.readaheads)
-            .with("uncached_secs", self.uncached_secs)
-            .with("nora_secs", self.nora_secs)
-            .with("cold_secs", self.cold_secs)
-            .with("warm_secs", self.warm_secs)
-            .with("warm_speedup", self.warm_speedup())
-            .with("readahead_speedup", self.readahead_speedup())
-            .with("cache_speedup", self.cache_speedup())
-    }
-}
-
-impl ToJson for ReadCacheReport {
-    fn to_json_value(&self) -> Value {
-        Value::object()
-            .with("rows", self.rows.to_json_value())
-            .with("warm_vs_cold", self.warm_vs_cold)
-            .with("readahead_speedup", self.readahead_speedup)
-            .with("block_bytes", self.block_bytes)
-            .with("dev_bw", self.dev_bw)
-            .with("dev_op_lat", self.dev_op_lat)
-            .with("mem_bw", self.mem_bw)
-    }
-}
-
 impl ToJson for IorRow {
     fn to_json_value(&self) -> Value {
         Value::object()
@@ -2426,18 +1712,6 @@ impl ToJson for IorRow {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::{RwLock, RwLockReadGuard};
-
-    /// The write clock is process-wide and these tests run on parallel
-    /// threads: another figure's writes split the pattern runs that
-    /// `indexscale`'s bounded-index residency depends on (it failed two
-    /// runs in three). It takes this lock exclusively; the other figures
-    /// that write through `plfs` share it.
-    static WRITE_CLOCK: RwLock<()> = RwLock::new(());
-
-    fn shares_write_clock() -> RwLockReadGuard<'static, ()> {
-        WRITE_CLOCK.read().unwrap_or_else(|e| e.into_inner())
-    }
 
     #[test]
     fn quick_fig3_has_all_panels_and_methods() {
@@ -2505,36 +1779,7 @@ mod tests {
     }
 
     #[test]
-    fn quick_readpath_measures_and_projects() {
-        let _clock = shares_write_clock();
-        let rows = readpath_comparison(Scale::Quick);
-        assert_eq!(rows.len(), READPATH_DROPPINGS.len());
-        for r in &rows {
-            assert!(r.serial_open_ms > 0.0 && r.parallel_open_ms > 0.0);
-            assert!(r.serial_read_mbs > 0.0 && r.fanout_read_mbs > 0.0);
-        }
-        // The biggest container is where the merge dominates: the parallel
-        // open must win there (the acceptance bar is checked in micro_plfs).
-        let big = rows.last().unwrap();
-        assert!(
-            big.open_speedup() > 1.0,
-            "parallel open should beat serial at 256 droppings: {big:?}"
-        );
-        let txt = render_readpath(&rows);
-        assert!(txt.contains("Droppings") && txt.contains("speedup"));
-
-        let proj = readpath_projection(16);
-        assert_eq!(proj.len(), 2 * READPATH_DROPPINGS.len());
-        assert!(proj
-            .iter()
-            .all(|p| p.serial_open_secs > p.parallel_open_secs));
-        let txt = render_readpath_projection(&proj);
-        assert!(txt.contains("Sierra"));
-    }
-
-    #[test]
     fn quick_writepath_measures() {
-        let _clock = shares_write_clock();
         let report = writepath_comparison(Scale::Quick);
         let rows = &report.rows;
         assert_eq!(rows.len(), WRITEPATH_WRITERS.len());
@@ -2565,7 +1810,6 @@ mod tests {
 
     #[test]
     fn quick_metadata_measures_and_projects() {
-        let _clock = shares_write_clock();
         let r = metadata_comparison(Scale::Quick);
         assert_eq!(r.measured.len(), 3);
         let reopen = &r.measured[0];
@@ -2595,41 +1839,7 @@ mod tests {
     }
 
     #[test]
-    fn quick_indexscale_memory_stays_bounded() {
-        let _alone = WRITE_CLOCK.write().unwrap_or_else(|e| e.into_inner());
-        let r = indexscale_comparison(Scale::Quick);
-        assert_eq!(r.rows.len(), INDEXSCALE_FACTORS.len());
-        for row in &r.rows {
-            assert!(row.eager_resident_bytes > 0 && row.compact_resident_bytes > 0);
-            assert!(row.eager_open_read_ms > 0.0 && row.compact_open_read_ms > 0.0);
-        }
-        // At 1x the read extent covers the whole file, so the bounded view
-        // holds everything the eager index does; the win appears once the
-        // file outgrows the read. At 100x the bounded open must hold far
-        // less than the fully-expanded index.
-        let big = r.rows.last().unwrap();
-        assert!(
-            big.compact_resident_bytes * 4 < big.eager_resident_bytes,
-            "bounded open should hold a fraction of eager at {}x: {big:?}",
-            big.factor
-        );
-        // The acceptance bar: 100x the entries, at most 2x the resident
-        // bytes (the compact records are O(writers), the cached view is
-        // O(read extent)).
-        assert!(
-            r.memory_ratio <= 2.0,
-            "bounded residency must not scale with entries: {r:?}"
-        );
-        // Latency flatness is asserted loosely here (timing noise at quick
-        // scale); the committed paper-scale baseline gates the real ratio.
-        assert!(r.latency_ratio.is_finite() && r.latency_ratio > 0.0);
-        let txt = render_indexscale(&r);
-        assert!(txt.contains("Factor") && txt.contains("memory"));
-    }
-
-    #[test]
     fn quick_noncontig_listio_beats_sieving() {
-        let _clock = shares_write_clock();
         let r = noncontig_comparison(Scale::Quick);
         assert_eq!(r.rows.len(), NONCONTIG_JOBS.len());
         for row in &r.rows {
@@ -2663,7 +1873,6 @@ mod tests {
 
     #[test]
     fn quick_staging2_overlap_beats_direct() {
-        let _clock = shares_write_clock();
         let r = staging2_comparison(Scale::Quick);
         assert_eq!(r.rows.len(), 2, "quick sweeps the first two rank counts");
         for row in &r.rows {
@@ -2687,47 +1896,6 @@ mod tests {
         );
         let txt = render_staging2(&r);
         assert!(txt.contains("Ranks") && txt.contains("destage") && txt.contains("speedup"));
-    }
-
-    #[test]
-    fn quick_readcache_cache_and_readahead_win() {
-        let _clock = shares_write_clock();
-        let r = readcache_comparison(Scale::Quick);
-        assert_eq!(r.rows.len(), 2, "quick sweeps the first two read sizes");
-        for row in &r.rows {
-            // The workload really ran: the direct arm paid one device op
-            // per call, caching cut that to one per block at most, the
-            // warm re-read never touched the device, and readahead
-            // windows actually fired.
-            assert_eq!(row.warm_preads, 0, "{row:?}");
-            assert!(row.nora_preads <= row.uncached_preads, "{row:?}");
-            assert!(row.ra_preads < row.nora_preads, "{row:?}");
-            assert!(row.readaheads > 0, "{row:?}");
-            assert!(
-                row.warm_secs > 0.0 && row.cold_secs > row.warm_secs,
-                "{row:?}"
-            );
-        }
-        // Small reads are where per-op latency dominates: the cache must
-        // cut device ops by the block/read ratio there.
-        let small = &r.rows[0];
-        assert!(
-            small.nora_preads * 4 < small.uncached_preads,
-            "block caching should collapse small-read device ops: {small:?}"
-        );
-        // The acceptance bars (same ratios the committed baseline gates):
-        // deterministic because the times are modelled from measured op
-        // counts and fixed preset rates, not wall clocks.
-        assert!(
-            r.warm_vs_cold >= 3.0,
-            "warm re-read should be >=3x cold: {r:?}"
-        );
-        assert!(
-            r.readahead_speedup >= 2.0,
-            "readahead should be >=2x unprefetched: {r:?}"
-        );
-        let txt = render_readcache(&r);
-        assert!(txt.contains("Read KiB") && txt.contains("warm re-read"));
     }
 
     #[test]

@@ -7,13 +7,10 @@
 //! paperbench fig4 --class C|D    # NAS BT on Sierra
 //! paperbench fig5 [--subdirs N]  # FLASH-IO on Sierra
 //! paperbench crossover           # where PLFS starts to hurt (future work)
-//! paperbench readpath [--quick]  # serial vs parallel container open/read
 //! paperbench writepath [--quick] # serial vs sharded/buffered writers
 //! paperbench metadata [--quick]  # per-open metadata ops + MDS-storm projection
-//! paperbench indexscale [--quick] # eager vs bounded merged-index residency
 //! paperbench noncontig [--quick] # list I/O vs data sieving on strided views
 //! paperbench staging2 [--quick]  # tiered burst-buffer + batched submission vs direct
-//! paperbench readcache [--quick] # data block cache + adaptive readahead vs direct reads
 //! paperbench all [--quick]       # everything above
 //! paperbench ... --json PATH     # also dump JSON for EXPERIMENTS.md
 //! paperbench ... --emit-json DIR # figure data + per-layer op/latency trace
@@ -21,10 +18,9 @@
 
 use apps::nas_bt::BtClass;
 use bench::{
-    crossover, fig3, fig4, fig5_with, indexscale_comparison, metadata_comparison,
-    noncontig_comparison, readpath_comparison, readpath_projection, render_indexscale,
-    render_metadata, render_noncontig, render_panel, render_readpath, render_readpath_projection,
-    render_table2, render_writepath, table2, writepath_comparison, Scale,
+    crossover, fig3, fig4, fig5_with, metadata_comparison, noncontig_comparison, render_metadata,
+    render_noncontig, render_panel, render_table2, render_writepath, table2, writepath_comparison,
+    Scale,
 };
 use jsonlite::{ToJson, Value};
 use simfs::presets;
@@ -260,22 +256,6 @@ fn cmd_staging(args: &Args) {
     trace_emit(args, "staging", &rows);
 }
 
-fn cmd_readpath(args: &Args) {
-    println!("# Read path: serial vs parallel container open/read\n");
-    trace_begin(args);
-    let rows = readpath_comparison(scale(args.quick));
-    println!("## Measured (in-memory backing, this host)\n");
-    println!("{}", render_readpath(&rows));
-    let proj = readpath_projection(16);
-    println!("## Projected at paper scale (simfs metadata model, 16 threads)\n");
-    println!("{}", render_readpath_projection(&proj));
-    let doc = Value::object()
-        .with("measured", rows.to_json_value())
-        .with("projected", proj.to_json_value());
-    dump_json(&args.json, "readpath", &doc);
-    trace_emit(args, "readpath", &doc);
-}
-
 fn cmd_writepath(args: &Args) {
     println!("# Write path: serial vs sharded + write-behind-buffered writers\n");
     trace_begin(args);
@@ -297,16 +277,6 @@ fn cmd_metadata(args: &Args) {
     );
     dump_json(&args.json, "metadata", &report);
     trace_emit(args, "metadata", &report);
-}
-
-fn cmd_indexscale(args: &Args) {
-    println!("# Index residency: eager vs bounded merged index, 1x-100x entries\n");
-    trace_begin(args);
-    let report = indexscale_comparison(scale(args.quick));
-    println!("## Measured (in-memory backing, this host)\n");
-    println!("{}", render_indexscale(&report));
-    dump_json(&args.json, "indexscale", &report);
-    trace_emit(args, "indexscale", &report);
 }
 
 fn cmd_noncontig(args: &Args) {
@@ -333,19 +303,6 @@ fn cmd_staging2(args: &Args) {
     );
     dump_json(&args.json, "staging2", &report);
     trace_emit(args, "staging2", &report);
-}
-
-fn cmd_readcache(args: &Args) {
-    println!("# Read cache: block cache + adaptive readahead vs direct reads\n");
-    trace_begin(args);
-    let report = bench::readcache_comparison(scale(args.quick));
-    println!("## Measured backing preads (in-memory container), costed at preset rates\n");
-    println!("{}", bench::render_readcache(&report));
-    println!(
-        "(the direct arm pays the device's per-op latency for every\n          application read; the cached arm pays it once per block, readahead\n          coalesces adjacent blocks into prefetch runs, and a warm re-read\n          never touches the device at all)\n"
-    );
-    dump_json(&args.json, "readcache", &report);
-    trace_emit(args, "readcache", &report);
 }
 
 fn cmd_crossover(args: &Args) {
@@ -382,11 +339,8 @@ fn main() {
         "ior" => cmd_ior(&args),
         "staging" => cmd_staging(&args),
         "staging2" => cmd_staging2(&args),
-        "readcache" => cmd_readcache(&args),
-        "readpath" => cmd_readpath(&args),
         "writepath" => cmd_writepath(&args),
         "metadata" => cmd_metadata(&args),
-        "indexscale" => cmd_indexscale(&args),
         "noncontig" => cmd_noncontig(&args),
         "all" => {
             cmd_table1();
@@ -398,16 +352,13 @@ fn main() {
             cmd_ior(&args);
             cmd_staging(&args);
             cmd_staging2(&args);
-            cmd_readcache(&args);
-            cmd_readpath(&args);
             cmd_writepath(&args);
             cmd_metadata(&args);
-            cmd_indexscale(&args);
             cmd_noncontig(&args);
         }
         "--help" | "-h" | "help" => {
             println!(
-                "usage: paperbench [table1|fig3|table2|fig4|fig5|crossover|ior|staging|staging2|readcache|readpath|writepath|metadata|indexscale|noncontig|all] \
+                "usage: paperbench [table1|fig3|table2|fig4|fig5|crossover|ior|staging|staging2|writepath|metadata|noncontig|all] \
                  [--quick] [--gb N] [--class C|D] [--subdirs N] [--json DIR] [--emit-json DIR]"
             );
         }

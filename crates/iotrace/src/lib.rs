@@ -102,10 +102,6 @@ pub enum OpKind {
     Trunc,
     /// Building or merging a global index from droppings.
     IndexMerge,
-    /// Concurrent index merge (the parallel read-open path).
-    IndexMergePar,
-    /// A `pread` fanned out over the reader worker pool.
-    ReadFanout,
     /// A write-behind data buffer spilled to its data dropping.
     DataBufferFlush,
     /// A cached merged index patched in place with fresh local entries
@@ -128,7 +124,7 @@ pub enum OpKind {
     /// (one index-record batch for the whole vector).
     ListWrite,
     /// A noncontiguous extent vector read through the list-I/O path (one
-    /// merged-index query fanned out over all extents).
+    /// merged-index query serving all extents).
     ListRead,
     /// A noncontiguous access lowered to the read-modify-write data-sieving
     /// path because list I/O was unavailable or disabled.
@@ -143,26 +139,11 @@ pub enum OpKind {
     TierHit,
     /// A tiered-backing open/stat that fell through to the slow tier.
     TierMiss,
-    /// A data-block-cache lookup served from memory (no backing pread).
-    /// `hit` = the block was prefetched by readahead and this is its
-    /// first use (a prefetched-and-used block).
-    CacheHit,
-    /// A data-block-cache lookup that fetched the block from the backing
-    /// store (bytes = block bytes fetched).
-    CacheMiss,
-    /// A readahead window issued by the sequential-stream detector
-    /// (offset = prefetch start, bytes = window length).
-    Readahead,
-    /// A data block evicted from the cache under the byte budget.
-    /// `hit` = the block was used at least once; false means it was
-    /// prefetched and evicted without ever serving a read (wasted
-    /// readahead).
-    CacheEvict,
 }
 
 impl OpKind {
     /// Every op kind, in reporting order.
-    pub const ALL: [OpKind; 28] = [
+    pub const ALL: [OpKind; 22] = [
         OpKind::Open,
         OpKind::Close,
         OpKind::Read,
@@ -171,8 +152,6 @@ impl OpKind {
         OpKind::Sync,
         OpKind::Trunc,
         OpKind::IndexMerge,
-        OpKind::IndexMergePar,
-        OpKind::ReadFanout,
         OpKind::DataBufferFlush,
         OpKind::IndexPatch,
         OpKind::AppendFastpath,
@@ -187,10 +166,6 @@ impl OpKind {
         OpKind::BatchSubmit,
         OpKind::TierHit,
         OpKind::TierMiss,
-        OpKind::CacheHit,
-        OpKind::CacheMiss,
-        OpKind::Readahead,
-        OpKind::CacheEvict,
     ];
 
     /// Stable lower-case name (JSON field value).
@@ -204,8 +179,6 @@ impl OpKind {
             OpKind::Sync => "sync",
             OpKind::Trunc => "trunc",
             OpKind::IndexMerge => "index_merge",
-            OpKind::IndexMergePar => "index_merge_par",
-            OpKind::ReadFanout => "read_fanout",
             OpKind::DataBufferFlush => "data_buffer_flush",
             OpKind::IndexPatch => "index_patch",
             OpKind::AppendFastpath => "append_fastpath",
@@ -220,10 +193,6 @@ impl OpKind {
             OpKind::BatchSubmit => "batch_submit",
             OpKind::TierHit => "tier_hit",
             OpKind::TierMiss => "tier_miss",
-            OpKind::CacheHit => "cache_hit",
-            OpKind::CacheMiss => "cache_miss",
-            OpKind::Readahead => "readahead",
-            OpKind::CacheEvict => "cache_evict",
         }
     }
 
@@ -240,7 +209,6 @@ impl OpKind {
             self,
             OpKind::Read
                 | OpKind::Write
-                | OpKind::ReadFanout
                 | OpKind::DataBufferFlush
                 | OpKind::AppendFastpath
                 | OpKind::ListWrite
@@ -248,9 +216,6 @@ impl OpKind {
                 | OpKind::SieveFallback
                 | OpKind::Destage
                 | OpKind::BatchSubmit
-                | OpKind::CacheHit
-                | OpKind::CacheMiss
-                | OpKind::Readahead
         )
     }
 
@@ -264,26 +229,20 @@ impl OpKind {
             OpKind::Sync => 5,
             OpKind::Trunc => 6,
             OpKind::IndexMerge => 7,
-            OpKind::IndexMergePar => 8,
-            OpKind::ReadFanout => 9,
-            OpKind::DataBufferFlush => 10,
-            OpKind::IndexPatch => 11,
-            OpKind::AppendFastpath => 12,
-            OpKind::Meta => 13,
-            OpKind::MetaCacheHit => 14,
-            OpKind::MetaCacheMiss => 15,
-            OpKind::OpenMarker => 16,
-            OpKind::ListWrite => 17,
-            OpKind::ListRead => 18,
-            OpKind::SieveFallback => 19,
-            OpKind::Destage => 20,
-            OpKind::BatchSubmit => 21,
-            OpKind::TierHit => 22,
-            OpKind::TierMiss => 23,
-            OpKind::CacheHit => 24,
-            OpKind::CacheMiss => 25,
-            OpKind::Readahead => 26,
-            OpKind::CacheEvict => 27,
+            OpKind::DataBufferFlush => 8,
+            OpKind::IndexPatch => 9,
+            OpKind::AppendFastpath => 10,
+            OpKind::Meta => 11,
+            OpKind::MetaCacheHit => 12,
+            OpKind::MetaCacheMiss => 13,
+            OpKind::OpenMarker => 14,
+            OpKind::ListWrite => 15,
+            OpKind::ListRead => 16,
+            OpKind::SieveFallback => 17,
+            OpKind::Destage => 18,
+            OpKind::BatchSubmit => 19,
+            OpKind::TierHit => 20,
+            OpKind::TierMiss => 21,
         }
     }
 }
@@ -1145,8 +1104,6 @@ mod tests {
         for op in OpKind::ALL {
             assert_eq!(OpKind::from_str_opt(op.as_str()), Some(op));
         }
-        assert_eq!(OpKind::IndexMergePar.as_str(), "index_merge_par");
-        assert_eq!(OpKind::ReadFanout.as_str(), "read_fanout");
         assert_eq!(OpKind::DataBufferFlush.as_str(), "data_buffer_flush");
         assert_eq!(OpKind::IndexPatch.as_str(), "index_patch");
         assert_eq!(OpKind::AppendFastpath.as_str(), "append_fastpath");

@@ -4,15 +4,29 @@
 
 use iotrace::{global, Layer, OpEvent, OpKind, TraceSink};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Per thread: the two tests and the harness's own bookkeeping run on
+    /// parallel threads, and a process-wide count charges each test with
+    /// the others' allocations (it failed one run in a dozen).
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    // `try_with`: the allocator outlives a thread's locals.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::SeqCst);
+        count();
         System.alloc(layout)
     }
 
@@ -21,7 +35,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::SeqCst);
+        count();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -35,7 +49,7 @@ fn disabled_hot_path_does_not_allocate() {
     let sink = TraceSink::new(1 << 10);
     let _ = global(); // force one-time global init outside the window
 
-    let before = ALLOCS.load(Ordering::SeqCst);
+    let before = allocs();
     for i in 0..10_000u64 {
         // The instrumented-code pattern: start() gates everything.
         if let Some(t0) = sink.start() {
@@ -50,7 +64,7 @@ fn disabled_hot_path_does_not_allocate() {
             global().record(t0, OpEvent::new(Layer::Plfs, OpKind::Read).bytes(i));
         }
     }
-    let after = ALLOCS.load(Ordering::SeqCst);
+    let after = allocs();
     assert_eq!(
         after - before,
         0,
@@ -74,7 +88,7 @@ fn enabled_steady_state_does_not_allocate_after_interning() {
     }
     sink.drain();
 
-    let before = ALLOCS.load(Ordering::SeqCst);
+    let before = allocs();
     for _ in 0..256 {
         if let Some(t0) = sink.start() {
             sink.record(
@@ -83,7 +97,7 @@ fn enabled_steady_state_does_not_allocate_after_interning() {
             );
         }
     }
-    let after = ALLOCS.load(Ordering::SeqCst);
+    let after = allocs();
     assert_eq!(
         after - before,
         0,

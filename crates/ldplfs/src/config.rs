@@ -155,8 +155,7 @@ mod tests {
     /// table-driven parser test.)
     #[test]
     fn from_plfsrc_hands_the_parsed_conf_to_every_mount() {
-        let rc = "threadpool_size 4\nbackend tiered\nsubmit_depth 8\ndata_cache_mbs 1\n\
-                  index_memory_bytes 65536\nopen_markers lazy\n\
+        let rc = "backend tiered\nsubmit_depth 8\nopen_markers lazy\n\
                   mount_point /a\nbackends /f,/s\nindex_buffer_entries 99\n\
                   mount_point /b\nbackends /f2,/s2\n";
         let parsed = PlfsRc::parse(rc).unwrap();
@@ -173,8 +172,8 @@ mod tests {
             };
             assert_eq!(*m.plfs.conf(), expect, "{}", m.mount_point);
         }
-        // The composed stack (tiered + submission queue + data cache +
-        // bounded index, all at once) still round-trips data end to end.
+        // The composed stack (tiered + submission queue) still round-trips
+        // data end to end.
         let fd = s
             .open("/a/dump", OpenFlags::RDWR | OpenFlags::CREAT, 0o644)
             .unwrap();

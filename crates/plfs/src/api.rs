@@ -628,28 +628,6 @@ mod tests {
     const CREATE_RW: OpenFlags = OpenFlags(0o2 | 0o100); // RDWR|CREAT
 
     #[test]
-    fn open_plumbs_cache_conf_into_fds() {
-        let p = plfs().with_conf(Conf {
-            data_cache_bytes: 1 << 20,
-            data_cache_block_bytes: 512,
-            ..Conf::default()
-        });
-        let fd = p.open("/f", CREATE_RW, 0).unwrap();
-        assert!(fd.conf().data_cache_enabled());
-        assert!(fd.block_cache().is_some());
-        p.write(&fd, &[7u8; 1024], 0, 0).unwrap();
-        let mut buf = [0u8; 1024];
-        p.read(&fd, &mut buf, 0).unwrap();
-        p.read(&fd, &mut buf, 0).unwrap();
-        assert!(buf.iter().all(|&x| x == 7));
-        assert!(fd.block_cache().unwrap().stats().hits > 0);
-        // Default mount: no cache attached.
-        let p0 = plfs();
-        let fd0 = p0.open("/g", CREATE_RW, 0).unwrap();
-        assert!(fd0.block_cache().is_none());
-    }
-
-    #[test]
     fn open_create_write_read_close() {
         let p = plfs();
         let fd = p.open("/f", CREATE_RW, 1).unwrap();

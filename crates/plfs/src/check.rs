@@ -12,7 +12,7 @@
 use crate::backing::{join, Backing};
 use crate::container::{self, DroppingRef};
 use crate::error::{Error, Result};
-use crate::index::{IndexEntry, IndexRecord, PatternRecord, PATTERN_MAGIC, RECORD_SIZE};
+use crate::index::{IndexEntry, PatternRecord, PATTERN_MAGIC, RECORD_SIZE};
 use std::fmt;
 
 /// Severity of a finding.
@@ -152,6 +152,12 @@ fn read_all(b: &dyn Backing, path: &str) -> Result<Vec<u8>> {
 
 fn index_path_of(d: &DroppingRef) -> Option<&str> {
     d.index_path.as_deref()
+}
+
+/// One on-disk index record, pattern runs left unexpanded.
+enum IndexRecord {
+    Plain(IndexEntry),
+    Pattern(PatternRecord),
 }
 
 /// Decode one on-disk record of either kind, applying the same bounds

@@ -3,7 +3,7 @@
 //! The paper's LDPLFS is configured by one `plfsrc` plus one exported
 //! variable. [`Conf`] is the single flat struct every layer of this stack
 //! reads its tuning from — [`crate::api::Plfs`] hands a `&Conf` to each fd,
-//! reader, writer, block cache and backend decorator — and [`KNOBS`] is the
+//! reader, writer and backend decorator — and [`KNOBS`] is the
 //! single table every *spelling* of a knob comes from: the `plfsrc` parser
 //! ([`crate::mount::PlfsRc::parse`]), the `LD_PRELOAD` environment parser
 //! ([`Conf::from_env`]), `plfs-tools rccheck` and the README's
@@ -12,9 +12,9 @@
 //!
 //! A field gets a row (a `plfsrc` key, optionally an `LDPLFS_*` alias) only
 //! if it switches a default-off mechanism on or selects a policy a user has
-//! a reason to reach for. Second-order values (shard counts, thresholds,
-//! block and window sizes, worker counts) are plain fields that tests and
-//! bench comparison arms set programmatically.
+//! a reason to reach for. Second-order values (shard counts, batch sizes,
+//! worker counts) are plain fields that tests and bench comparison arms set
+//! programmatically.
 
 use crate::error::{Error, Result};
 use crate::writer::DEFAULT_INDEX_BUFFER_ENTRIES;
@@ -108,25 +108,10 @@ impl BackendKind {
 /// environment, programmatic) starts from it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Conf {
-    /// Worker threads for fan-out `pread` (1 = always serial). Any value
-    /// above 1 also enables the parallel index merge.
-    pub threads: usize,
-    /// Minimum request size in bytes before a `pread` fans out over the
-    /// worker pool; smaller requests take the serial loop.
-    pub fanout_threshold: u64,
-    /// Minimum dropping count before the index merge decodes droppings in
-    /// parallel; tiny containers stay serial.
-    pub parallel_merge_min_droppings: usize,
-    /// Resident-memory budget in bytes for the merged index (0 = the
-    /// classic eager index, every record expanded at open). Nonzero
-    /// switches the reader to the compact index: pattern records stay
-    /// unexpanded and `pread` materialises per-extent views cached under
-    /// this budget.
-    pub index_memory_bytes: usize,
     /// Lock shards (rounded up to a power of two) of each sharded table:
-    /// the dropping-handle cache, the per-pid writer table, the container
-    /// metadata cache and the data block cache. 1 restores single-lock
-    /// behaviour everywhere.
+    /// the dropping-handle cache, the per-pid writer table and the
+    /// container metadata cache. 1 restores single-lock behaviour
+    /// everywhere.
     pub lock_shards: usize,
     /// Write-behind aggregation buffer per writer, in bytes (the C
     /// library's `data_buffer_mbs`). 0 = every write hits the backing
@@ -168,26 +153,11 @@ pub struct Conf {
     /// Minimum sealed-dropping size in bytes before a tiered backing
     /// destages it to the slow tier (0 = destage every sealed dropping).
     pub destage_threshold: u64,
-    /// Data block cache budget per fd in bytes (0 = no cache, no
-    /// readahead: the read path is op-identical to the uncached stack).
-    pub data_cache_bytes: usize,
-    /// Cache block size in bytes.
-    pub data_cache_block_bytes: usize,
-    /// Initial readahead window in bytes once a sequential stream is
-    /// detected.
-    pub readahead_min: usize,
-    /// Readahead window ceiling in bytes (0 = readahead off; the cache
-    /// still serves demand fetches).
-    pub readahead_max: usize,
 }
 
 impl Default for Conf {
     fn default() -> Conf {
         Conf {
-            threads: 1,
-            fanout_threshold: 1 << 20,
-            parallel_merge_min_droppings: 4,
-            index_memory_bytes: 0,
             lock_shards: 16,
             data_buffer_bytes: 0,
             index_buffer_entries: DEFAULT_INDEX_BUFFER_ENTRIES,
@@ -201,10 +171,6 @@ impl Default for Conf {
             submit_depth: 0,
             submit_workers: 4,
             destage_threshold: 0,
-            data_cache_bytes: 0,
-            data_cache_block_bytes: 64 << 10,
-            readahead_min: 128 << 10,
-            readahead_max: 1 << 20,
         }
     }
 }
@@ -215,20 +181,12 @@ impl Conf {
     /// Idempotent; every entry point that accepts a `Conf` from outside
     /// applies it.
     pub fn validated(mut self) -> Conf {
-        self.threads = self.threads.max(1);
         self.lock_shards = self.lock_shards.max(1);
         self.index_buffer_entries = self.index_buffer_entries.max(1);
         self.list_io_max_extents = self.list_io_max_extents.max(1);
         self.submit_workers = self.submit_workers.max(1);
         if self.backend == BackendKind::Batched && self.submit_depth == 0 {
             self.submit_depth = DEFAULT_SUBMIT_DEPTH;
-        }
-        self.data_cache_block_bytes = self.data_cache_block_bytes.max(512);
-        if self.readahead_max > 0 {
-            self.readahead_min = self
-                .readahead_min
-                .max(self.data_cache_block_bytes)
-                .min(self.readahead_max);
         }
         self
     }
@@ -246,26 +204,10 @@ impl Conf {
         let mut conf = Conf::default();
         for (name, value) in vars {
             if let Some(k) = env_knob(name.as_ref()) {
-                let _ = k.apply(&mut conf, value.as_ref(), true);
+                let _ = k.set(&mut conf, value.as_ref());
             }
         }
         conf.validated()
-    }
-
-    /// Is the memory-bounded compact index enabled?
-    pub fn bounded_index(&self) -> bool {
-        self.index_memory_bytes > 0
-    }
-
-    /// Should the index merge for a container with `droppings` droppings
-    /// run in parallel?
-    pub fn parallel_merge(&self, droppings: usize) -> bool {
-        self.threads > 1 && droppings >= self.parallel_merge_min_droppings
-    }
-
-    /// Should a `pread` of `bytes` bytes fan out over the worker pool?
-    pub fn fanout(&self, bytes: u64) -> bool {
-        self.threads > 1 && bytes >= self.fanout_threshold
     }
 
     /// Is the container metadata cache enabled?
@@ -277,27 +219,13 @@ impl Conf {
     pub fn batching(&self) -> bool {
         self.submit_depth > 0
     }
-
-    /// Is the data block cache enabled?
-    pub fn data_cache_enabled(&self) -> bool {
-        self.data_cache_bytes > 0
-    }
-
-    /// Is adaptive readahead enabled (requires the cache itself on)?
-    pub fn readahead_enabled(&self) -> bool {
-        self.data_cache_enabled() && self.readahead_max > 0
-    }
 }
 
 /// What one unit of a numeric knob's spelling is worth in its field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Unit {
-    /// A plain count (entries, threads, ops).
+    /// A plain count (entries, ops).
     Count,
-    /// Bytes.
-    Bytes,
-    /// KiB (× 1024).
-    KiB,
     /// MiB (× 1048576).
     MiB,
 }
@@ -305,8 +233,7 @@ pub enum Unit {
 impl Unit {
     fn scale(self) -> usize {
         match self {
-            Unit::Count | Unit::Bytes => 1,
-            Unit::KiB => 1 << 10,
+            Unit::Count => 1,
             Unit::MiB => 1 << 20,
         }
     }
@@ -315,8 +242,6 @@ impl Unit {
     pub fn as_str(self) -> &'static str {
         match self {
             Unit::Count => "count",
-            Unit::Bytes => "bytes",
-            Unit::KiB => "KiB",
             Unit::MiB => "MiB",
         }
     }
@@ -324,13 +249,11 @@ impl Unit {
 
 /// How a knob's text becomes its field.
 pub enum Kind {
-    /// A `usize` field: the plfsrc value is in `unit`, the env alias's in
-    /// `env_unit`, and a spelled number below `min` is rejected.
+    /// A `usize` field: the spelled value is in `unit`, and a number below
+    /// `min` is rejected.
     Num {
-        /// Unit of the plfsrc spelling.
+        /// Unit of the spelling.
         unit: Unit,
-        /// Unit of the env alias's spelling.
-        env_unit: Unit,
         /// Smallest accepted value.
         min: usize,
         /// The field.
@@ -356,42 +279,24 @@ pub struct Knob {
     pub kind: Kind,
 }
 
-/// A [`Kind::Num`] in table-row form: key unit, env-alias unit, minimum,
-/// field.
-const fn num(unit: Unit, env_unit: Unit, min: usize, field: fn(&mut Conf) -> &mut usize) -> Kind {
-    Kind::Num {
-        unit,
-        env_unit,
-        min,
-        field,
-    }
+/// A [`Kind::Num`] in table-row form: unit, minimum, field.
+const fn num(unit: Unit, min: usize, field: fn(&mut Conf) -> &mut usize) -> Kind {
+    Kind::Num { unit, min, field }
 }
 
 /// The knob table. Order is the order `rccheck` and the README print.
 pub const KNOBS: &[Knob] = &[
     Knob {
-        key: "threadpool_size",
-        env: None,
-        doc: "reader worker threads; above 1 enables pread fan-out and the parallel index merge",
-        kind: num(Unit::Count, Unit::Count, 1, |c| &mut c.threads),
-    },
-    Knob {
-        key: "index_memory_bytes",
-        env: Some("LDPLFS_INDEX_MEMORY_BYTES"),
-        doc: "resident budget of the merged index; 0 keeps the eager fully expanded index",
-        kind: num(Unit::Bytes, Unit::Bytes, 0, |c| &mut c.index_memory_bytes),
-    },
-    Knob {
         key: "data_buffer_mbs",
         env: None,
         doc: "write-behind data buffer per writer; 0 writes through",
-        kind: num(Unit::MiB, Unit::MiB, 0, |c| &mut c.data_buffer_bytes),
+        kind: num(Unit::MiB, 0, |c| &mut c.data_buffer_bytes),
     },
     Knob {
         key: "compact_droppings_threshold",
         env: Some("LDPLFS_COMPACT_THRESHOLD"),
         doc: "compact in the background at last close above this many droppings; 0 never",
-        kind: num(Unit::Count, Unit::Count, 0, |c| &mut c.compact_droppings_threshold),
+        kind: num(Unit::Count, 0, |c| &mut c.compact_droppings_threshold),
     },
     Knob {
         key: "list_io",
@@ -403,7 +308,7 @@ pub const KNOBS: &[Knob] = &[
         key: "meta_cache_entries",
         env: Some("LDPLFS_META_CACHE"),
         doc: "container metadata cache capacity; 0 = strict cross-process stat freshness",
-        kind: num(Unit::Count, Unit::Count, 0, |c| &mut c.meta_cache_entries),
+        kind: num(Unit::Count, 0, |c| &mut c.meta_cache_entries),
     },
     Knob {
         key: "open_markers",
@@ -421,19 +326,7 @@ pub const KNOBS: &[Knob] = &[
         key: "submit_depth",
         env: Some("LDPLFS_SUBMIT_DEPTH"),
         doc: "async submission queue depth; 0 keeps every backing op synchronous",
-        kind: num(Unit::Count, Unit::Count, 0, |c| &mut c.submit_depth),
-    },
-    Knob {
-        key: "data_cache_mbs",
-        env: Some("LDPLFS_DATA_CACHE"),
-        doc: "per-fd data block cache budget; 0 = no cache, no readahead",
-        kind: num(Unit::MiB, Unit::Bytes, 0, |c| &mut c.data_cache_bytes),
-    },
-    Knob {
-        key: "readahead_max_kbs",
-        env: Some("LDPLFS_READAHEAD"),
-        doc: "readahead window ceiling for cached sequential streams; 0 keeps the cache, no readahead",
-        kind: num(Unit::KiB, Unit::Bytes, 0, |c| &mut c.readahead_max),
+        kind: num(Unit::Count, 0, |c| &mut c.submit_depth),
     },
 ];
 
@@ -448,22 +341,12 @@ pub fn env_knob(name: &str) -> Option<&'static Knob> {
 }
 
 impl Knob {
-    /// Apply the `plfsrc` spelling `value` to `conf`.
+    /// Apply the spelling `value` (the same under the `plfsrc` key and the
+    /// env alias) to `conf`.
     pub fn set(&self, conf: &mut Conf, value: &str) -> Result<()> {
-        self.apply(conf, value, false)
-    }
-
-    /// `from_env`: `value` is the env alias's spelling, in the alias's unit.
-    fn apply(&self, conf: &mut Conf, value: &str, from_env: bool) -> Result<()> {
         let bad = |what: &str| Error::Config(format!("{}: {what} `{value}`", self.key));
         match &self.kind {
-            Kind::Num {
-                unit,
-                env_unit,
-                min,
-                field,
-            } => {
-                let unit = if from_env { env_unit } else { unit };
+            Kind::Num { unit, min, field } => {
                 let n: usize = value.parse().map_err(|_| bad("bad numeric value"))?;
                 if n < *min {
                     return Err(bad("value below minimum"));
@@ -507,8 +390,7 @@ impl Knob {
 }
 
 /// The Configuration table as markdown: what `plfs-tools rccheck --knobs`
-/// prints and README.md must contain verbatim (CI diffs the two). An env
-/// alias's unit is spelled out where it differs from the key's.
+/// prints and README.md must contain verbatim (CI diffs the two).
 pub fn knobs_markdown() -> String {
     let d = Conf::default();
     let mut out = String::from(
@@ -521,13 +403,7 @@ pub fn knobs_markdown() -> String {
             Kind::Markers(_) => ("enum", "eager, lazy, off".to_string()),
             Kind::Backend(_) => ("enum", "direct, batched, tiered, object".to_string()),
         };
-        let env = match (k.env, &k.kind) {
-            (None, _) => "—".to_string(),
-            (Some(e), Kind::Num { unit, env_unit, .. }) if unit != env_unit => {
-                format!("`{e}` ({})", env_unit.as_str())
-            }
-            (Some(e), _) => format!("`{e}`"),
-        };
+        let env = k.env.map_or("—".to_string(), |e| format!("`{e}`"));
         let (key, default, doc) = (k.key, k.render(&d), k.doc);
         let _ = writeln!(
             out,
@@ -557,63 +433,24 @@ mod tests {
     fn defaults_keep_every_optional_mechanism_off() {
         let c = Conf::default();
         assert_eq!(c, c.validated(), "defaults are already valid");
-        assert!(
-            !c.parallel_merge(1000) && !c.fanout(u64::MAX),
-            "serial reads"
-        );
-        assert!(!c.bounded_index(), "eager index");
         assert_eq!(c.data_buffer_bytes, 0, "write-behind is opt-in");
-        assert!(!c.batching() && !c.data_cache_enabled() && !c.readahead_enabled());
+        assert!(!c.batching());
         assert!(c.list_io && c.incremental_refresh && c.meta_cache_enabled());
         assert_eq!(c.open_markers, OpenMarkers::Eager);
     }
 
     #[test]
-    fn gates_respect_thresholds() {
-        let c = Conf {
-            threads: 8,
-            fanout_threshold: 4096,
-            ..Conf::default()
-        };
-        assert!(c.fanout(4096));
-        assert!(!c.fanout(4095));
-        assert!(c.parallel_merge(c.parallel_merge_min_droppings));
-        assert!(!c.parallel_merge(c.parallel_merge_min_droppings - 1));
-    }
-
-    #[test]
     fn validated_clamps_what_the_stack_cannot_run_with() {
         let c = Conf {
-            threads: 0,
             lock_shards: 0,
             index_buffer_entries: 0,
             list_io_max_extents: 0,
             submit_workers: 0,
-            data_cache_block_bytes: 1,
-            readahead_min: 0,
             ..Conf::default()
         }
         .validated();
-        assert_eq!(
-            (c.threads, c.lock_shards, c.index_buffer_entries),
-            (1, 1, 1)
-        );
+        assert_eq!((c.lock_shards, c.index_buffer_entries), (1, 1));
         assert_eq!((c.list_io_max_extents, c.submit_workers), (1, 1));
-        assert_eq!(c.data_cache_block_bytes, 512);
-        assert_eq!(c.readahead_min, 512, "min clamped up to a block");
-        let c = Conf {
-            readahead_min: 1 << 30,
-            ..Conf::default()
-        }
-        .validated();
-        assert_eq!(c.readahead_min, c.readahead_max, "min clamped to max");
-        let c = Conf {
-            data_cache_bytes: 1 << 20,
-            readahead_max: 0,
-            ..Conf::default()
-        }
-        .validated();
-        assert!(c.data_cache_enabled() && !c.readahead_enabled());
         // `backend batched` alone turns the submission layer on.
         let c = Conf {
             backend: BackendKind::Batched,
@@ -655,7 +492,7 @@ mod tests {
     }
 
     #[test]
-    fn keys_and_env_aliases_are_unique_and_bounded() {
+    fn keys_and_env_aliases_are_unique() {
         for (i, k) in KNOBS.iter().enumerate() {
             for other in &KNOBS[i + 1..] {
                 assert_ne!(k.key, other.key);
@@ -663,23 +500,39 @@ mod tests {
             }
             assert!(k.env.is_none_or(|e| e.starts_with("LDPLFS_")));
         }
-        assert!(KNOBS.len() <= 11, "a row must earn its spelling");
+    }
+
+    /// Ratchet. The earn-or-delete round (EXPERIMENTS.md) removes knobs the
+    /// benchmark could not justify; each option doubles the configurations
+    /// tests and benchmarks must cover. A new field or row needs two
+    /// callers that exist today and want different values — then raise the
+    /// bound and extend the destructuring in the same change.
+    #[test]
+    fn the_option_count_only_goes_down() {
+        assert!(KNOBS.len() <= 7, "a row must earn its spelling");
+        // Exhaustive: adding a `Conf` field without touching this test
+        // fails to compile.
+        let Conf {
+            lock_shards: _,
+            data_buffer_bytes: _,
+            index_buffer_entries: _,
+            incremental_refresh: _,
+            compact_droppings_threshold: _,
+            list_io: _,
+            list_io_max_extents: _,
+            meta_cache_entries: _,
+            open_markers: _,
+            backend: _,
+            submit_depth: _,
+            submit_workers: _,
+            destage_threshold: _,
+        } = Conf::default();
     }
 
     #[test]
-    fn from_env_honours_each_alias_unit_and_survives_garbage() {
+    fn from_env_reaches_every_alias_and_survives_garbage() {
         let default = Conf::default();
         assert_eq!(Conf::from_env(Vec::<(String, String)>::new()), default);
-        // Same field, different unit per spelling.
-        let k = knob("data_cache_mbs").unwrap();
-        let mut rc = default;
-        k.set(&mut rc, "4").unwrap();
-        assert_eq!(rc.data_cache_bytes, 4 << 20);
-        let env = Conf::from_env([("LDPLFS_DATA_CACHE", "4096"), ("LDPLFS_READAHEAD", "2048")]);
-        assert_eq!(env.data_cache_bytes, 4096);
-        assert_eq!(env.readahead_max, 2048);
-        assert_eq!(env.readahead_min, 2048, "validated: min clamped to max");
-        // Every alias reaches its field.
         for k in KNOBS.iter().filter(|k| k.env.is_some()) {
             let c = Conf::from_env([(k.env.unwrap(), sample(k))]);
             assert_ne!(c, default, "{}", k.key);
@@ -688,14 +541,14 @@ mod tests {
             assert_eq!(c, default, "{}", k.key);
         }
         // plfsrc keys are not environment names.
-        assert_eq!(Conf::from_env([("threadpool_size", "8")]), default);
+        assert_eq!(Conf::from_env([("submit_depth", "8")]), default);
     }
 
     #[test]
     fn markdown_table_has_one_line_per_row() {
         let md = knobs_markdown();
         assert_eq!(md.lines().count(), KNOBS.len() + 2);
-        assert!(md.contains("| `data_cache_mbs` | `LDPLFS_DATA_CACHE` (bytes) | MiB | 0 |"));
-        assert!(md.contains("| `threadpool_size` | — | count | 1 | ≥ 1 |"));
+        assert!(md.contains("| `data_buffer_mbs` | — | MiB | 0 | ≥ 0 |"));
+        assert!(md.contains("| `list_io` | `LDPLFS_LIST_IO` | bool | on | on, off |"));
     }
 }

@@ -18,10 +18,8 @@
 //! spread over `num_hostdirs` subdirectories.
 
 use crate::backing::{join, remove_tree, Backing};
-use crate::conf::Conf;
 use crate::error::{Error, Result};
-use crate::index::{observe_timestamp, CompactIndex, GlobalIndex, IndexEntry, IndexRecord};
-use rayon::prelude::*;
+use crate::index::{observe_timestamp, GlobalIndex, IndexEntry};
 use std::time::{Duration, Instant};
 
 /// Name of the marker file that identifies a container.
@@ -229,7 +227,10 @@ fn await_creator(b: &dyn Backing, path: &str) -> Result<ContainerParams> {
             Err(e) => return Err(e),
         };
         if Instant::now() >= deadline || !nascent(b, path) {
-            return Err(err);
+            // Not a skeleton — or no longer one: a creator that finished
+            // between the two probes (and a writer that already made a
+            // hostdir) left a readable access file.
+            return read_params(b, path).map_err(|_| err);
         }
         std::thread::sleep(pause);
         pause = (pause * 2).min(Duration::from_millis(10));
@@ -339,106 +340,30 @@ fn read_index_dropping(b: &dyn Backing, id: u32, ip: &str) -> Result<Vec<IndexEn
     Ok(entries)
 }
 
+/// Decode every index dropping of `droppings` into a run of its own,
+/// entries numbered by the dropping's position in the slice.
+pub fn read_index_runs(b: &dyn Backing, droppings: &[DroppingRef]) -> Result<Vec<Vec<IndexEntry>>> {
+    let mut runs = Vec::new();
+    for (id, d) in droppings.iter().enumerate() {
+        let Some(ip) = &d.index_path else { continue };
+        runs.push(read_index_dropping(b, id as u32, ip)?);
+    }
+    Ok(runs)
+}
+
 /// Load and merge every index dropping into a [`GlobalIndex`], numbering
-/// droppings by their position in [`list_droppings`] order.
+/// droppings by their position in [`list_droppings`] order: the runs of
+/// [`read_index_runs`] merged by [`GlobalIndex::from_sorted_runs`]. Steps
+/// the process write clock past what was merged (see
+/// [`observe_timestamp`]).
 pub fn build_global_index(
     b: &dyn Backing,
     container: &str,
 ) -> Result<(GlobalIndex, Vec<DroppingRef>)> {
     let droppings = list_droppings(b, container)?;
-    let mut entries = Vec::new();
-    for (id, d) in droppings.iter().enumerate() {
-        let Some(ip) = &d.index_path else { continue };
-        entries.extend(read_index_dropping(b, id as u32, ip)?);
-    }
-    Ok((merged(GlobalIndex::from_entries(entries)), droppings))
-}
-
-/// Every merged eager view passes through here: step the process write
-/// clock past what was merged (see [`observe_timestamp`]).
-fn merged(index: GlobalIndex) -> GlobalIndex {
+    let index = GlobalIndex::from_sorted_runs(read_index_runs(b, &droppings)?);
     observe_timestamp(index.max_timestamp());
-    index
-}
-
-/// Like [`build_global_index`], but decoding and expanding index droppings
-/// concurrently when `conf` allows (threads > 1 and enough droppings), then
-/// merging the per-dropping runs with [`GlobalIndex::from_sorted_runs`] —
-/// guaranteed identical to the serial merge. The third tuple element reports
-/// whether the parallel path actually ran, so callers can trace it
-/// distinctly (`index_merge_par` vs `index_merge`).
-pub fn build_global_index_with(
-    b: &dyn Backing,
-    container: &str,
-    conf: &Conf,
-) -> Result<(GlobalIndex, Vec<DroppingRef>, bool)> {
-    let droppings = list_droppings(b, container)?;
-    let indexed: Vec<(u32, &str)> = droppings
-        .iter()
-        .enumerate()
-        .filter_map(|(id, d)| d.index_path.as_deref().map(|ip| (id as u32, ip)))
-        .collect();
-    if !conf.parallel_merge(indexed.len()) {
-        let mut entries = Vec::new();
-        for (id, ip) in indexed {
-            entries.extend(read_index_dropping(b, id, ip)?);
-        }
-        return Ok((merged(GlobalIndex::from_entries(entries)), droppings, false));
-    }
-    let runs: Vec<Result<Vec<IndexEntry>>> = indexed
-        .par_iter()
-        .map(|&(id, ip)| read_index_dropping(b, id, ip))
-        .collect();
-    let runs: Vec<Vec<IndexEntry>> = runs.into_iter().collect::<Result<_>>()?;
-    Ok((merged(GlobalIndex::from_sorted_runs(runs)), droppings, true))
-}
-
-/// Read and decode one index dropping into compact records (patterns stay
-/// unexpanded), renumbering to the global dropping id.
-fn read_index_dropping_compact(b: &dyn Backing, id: u32, ip: &str) -> Result<Vec<IndexRecord>> {
-    let f = b.open(ip, false)?;
-    let size = f.size()? as usize;
-    let mut buf = vec![0u8; size];
-    let n = f.pread(&mut buf, 0)?;
-    if n != size {
-        return Err(Error::Corrupt(format!("short read of index {ip}")));
-    }
-    CompactIndex::decode_dropping(&buf, id)
-}
-
-/// Load every index dropping into a [`CompactIndex`] without expanding
-/// pattern records — the memory-bounded alternative to
-/// [`build_global_index_with`], numbering droppings identically. Decodes in
-/// parallel under the same `conf` gate as the eager path; the third tuple
-/// element reports whether the parallel path ran.
-pub fn build_compact_index(
-    b: &dyn Backing,
-    container: &str,
-    conf: &Conf,
-) -> Result<(CompactIndex, Vec<DroppingRef>, bool)> {
-    let droppings = list_droppings(b, container)?;
-    let indexed: Vec<(u32, &str)> = droppings
-        .iter()
-        .enumerate()
-        .filter_map(|(id, d)| d.index_path.as_deref().map(|ip| (id as u32, ip)))
-        .collect();
-    let parallel = conf.parallel_merge(indexed.len());
-    let runs: Vec<Vec<IndexRecord>> = if parallel {
-        let runs: Vec<Result<Vec<IndexRecord>>> = indexed
-            .par_iter()
-            .map(|&(id, ip)| read_index_dropping_compact(b, id, ip))
-            .collect();
-        runs.into_iter().collect::<Result<_>>()?
-    } else {
-        let mut runs = Vec::with_capacity(indexed.len());
-        for (id, ip) in indexed {
-            runs.push(read_index_dropping_compact(b, id, ip)?);
-        }
-        runs
-    };
-    let compact = CompactIndex::from_runs(runs);
-    observe_timestamp(compact.max_timestamp());
-    Ok((compact, droppings, parallel))
+    Ok((index, droppings))
 }
 
 /// Cached metadata dropped into `meta/` at close: `<eof>.<bytes>.<pid>`.

@@ -25,7 +25,6 @@
 //! to the same container concurrently is not serialized against this one.
 
 use crate::backing::Backing;
-use crate::cache::BlockCache;
 use crate::conf::{Conf, OpenMarkers};
 use crate::container::{self, ContainerParams};
 use crate::error::{Error, Result};
@@ -63,10 +62,6 @@ pub struct PlfsFd {
     params: ContainerParams,
     flags: OpenFlags,
     conf: Conf,
-    /// The fd's data block cache ([`Conf::data_cache_bytes`] > 0): shared
-    /// by every read view this fd builds, so warm blocks survive the
-    /// write-triggered view refreshes. Holds the readahead stream state.
-    block_cache: Option<Arc<BlockCache>>,
     /// Process-wide container metadata cache, shared with the owning
     /// [`crate::api::Plfs`] (absent for directly constructed fds and when
     /// caching is off). The fd keeps its writer counts and fast-stat
@@ -117,11 +112,6 @@ impl PlfsFd {
             container,
             params,
             flags,
-            // A cache is instantiated only when the conf enables one; the
-            // default keeps the fd byte-for-byte on the uncached read path.
-            block_cache: conf
-                .data_cache_enabled()
-                .then(|| Arc::new(BlockCache::new(&conf))),
             conf,
             cache: None,
             hostdirs_ready: Mutex::new(HashSet::new()),
@@ -146,11 +136,6 @@ impl PlfsFd {
     /// The configuration this fd runs under.
     pub fn conf(&self) -> &Conf {
         &self.conf
-    }
-
-    /// The fd's block cache, when one is configured (for stats and tests).
-    pub fn block_cache(&self) -> Option<&Arc<BlockCache>> {
-        self.block_cache.as_ref()
     }
 
     /// Backend path of the container.
@@ -290,10 +275,9 @@ impl PlfsFd {
     /// Read a noncontiguous extent vector: `extents[i] = (logical_offset,
     /// len)` fills the next `len` bytes of `data`. One merged-index
     /// query serves the whole vector — the read view is resolved once and
-    /// each extent reuses it through the pread fan-out and windowed-view
-    /// machinery. Short reads at EOF behave exactly like a sequence of
-    /// single-extent [`PlfsFd::read`] calls: the extent's slice is
-    /// part-filled and later extents are still attempted. Returns total
+    /// each extent reuses it. Short reads at EOF behave exactly like a
+    /// sequence of single-extent [`PlfsFd::read`] calls: the extent's slice
+    /// is part-filled and later extents are still attempted. Returns total
     /// bytes read.
     pub fn read_list(&self, data: &mut [u8], extents: &[(u64, u64)]) -> Result<usize> {
         if !self.flags.readable() {
@@ -317,7 +301,7 @@ impl PlfsFd {
         let mut pos = 0usize;
         let mut total = 0usize;
         for &(off, len) in extents {
-            total += reader.pread_auto(
+            total += reader.pread(
                 self.backing.as_ref(),
                 &mut data[pos..pos + len as usize],
                 off,
@@ -462,28 +446,10 @@ impl PlfsFd {
         if !self.flags.readable() {
             return Err(Error::BadMode("file not open for reading"));
         }
-        let reader = self.reader()?;
-        // `reader` holds the view lock *shared* across the backing reads
-        // below, so no refresh can mutate the index under them; readers
-        // never block each other, only a refresh excludes them.
-        if let Some(c) = &self.block_cache {
-            if let Some((start, len)) = c.plan_readahead(offset, buf.len()) {
-                let t0 = iotrace::global().start();
-                // Best-effort: a failed prefetch only costs the warm-up;
-                // the demand read below still surfaces real errors.
-                let _ = reader.prefetch(self.backing.as_ref(), start, len);
-                if let Some(t0) = t0 {
-                    iotrace::global().record(
-                        t0,
-                        iotrace::OpEvent::new(iotrace::Layer::Plfs, iotrace::OpKind::Readahead)
-                            .path(&self.container)
-                            .offset(start)
-                            .bytes(len as u64),
-                    );
-                }
-            }
-        }
-        reader.pread_auto(self.backing.as_ref(), buf, offset)
+        // The view lock is held *shared* across the backing reads, so no
+        // refresh can mutate the index under them; readers never block each
+        // other, only a refresh excludes them.
+        self.reader()?.pread(self.backing.as_ref(), buf, offset)
     }
 
     /// A shared hold on the merged read view, built or refreshed first if
@@ -520,15 +486,11 @@ impl PlfsFd {
     ///   entries are inserted into it in place (traced as `index_patch`),
     ///   or
     /// - the full merge runs — every dropping's index is read and merged,
-    ///   the index-merge step of the paper — traced as `index_merge`
-    ///   (serial) or `index_merge_par` (concurrent).
+    ///   the index-merge step of the paper — traced as `index_merge`.
     fn refresh_reader(&self, view: &mut Option<ReadFile>) -> Result<()> {
         // relaxed: the swap needs atomicity only (exactly one refresher); banked entries are read under the shard locks taken below
         if self.dirty.swap(false, Ordering::Relaxed) {
-            // The memory-bounded reader has no resident full index to
-            // patch; it rebuilds (cheaply — records stay compact) instead.
-            let patching =
-                view.is_some() && self.conf.incremental_refresh && !self.conf.bounded_index();
+            let patching = view.is_some() && self.conf.incremental_refresh;
             let fresh = match self.drain_writers(patching) {
                 Ok(fresh) => fresh,
                 Err(e) => {
@@ -539,19 +501,6 @@ impl PlfsFd {
                     return Err(e);
                 }
             };
-            // Freshly flushed entries overwrite logical ranges whose old
-            // bytes may be cached: drop every block their physical ranges
-            // touch. The length-rule in `BlockCache::lookup` already covers
-            // appended tails; this covers rewritten droppings (truncate +
-            // reuse) too, keeping read-your-writes unconditional.
-            if let Some(c) = &self.block_cache {
-                for (data_path, ents) in &fresh {
-                    let id = c.id_for(data_path);
-                    for e in ents {
-                        c.invalidate(id, e.physical_offset, e.physical_offset + e.length);
-                    }
-                }
-            }
             match view.as_mut().filter(|_| patching) {
                 // Valid because the write clock steps past every view it
                 // builds: `fresh` is stamped after everything merged, the
@@ -583,19 +532,11 @@ impl PlfsFd {
             return Ok(());
         }
         let t0 = iotrace::global().start();
-        let mut rf = ReadFile::open_with(self.backing.as_ref(), &self.container, &self.conf)?;
-        if let Some(c) = &self.block_cache {
-            rf = rf.with_cache(Arc::clone(c));
-        }
+        let rf = ReadFile::open_with(self.backing.as_ref(), &self.container, &self.conf)?;
         if let Some(t0) = t0 {
-            let op = if rf.merged_parallel() {
-                iotrace::OpKind::IndexMergePar
-            } else {
-                iotrace::OpKind::IndexMerge
-            };
             iotrace::global().record(
                 t0,
-                iotrace::OpEvent::new(iotrace::Layer::Index, op)
+                iotrace::OpEvent::new(iotrace::Layer::Index, iotrace::OpKind::IndexMerge)
                     .path(&self.container)
                     .bytes(rf.eof()),
             );
@@ -649,13 +590,10 @@ impl PlfsFd {
             // plfs-lint: allow(lock-across-io, "intentional: same seed latch as the merge below; the view is built under the lock that publishes it")
             None if !self.flags.writable() => return self.refresh_reader(&mut guard),
             None => {
-                let (index, _, _) = container::build_global_index_with(
-                    // plfs-lint: allow(lock-across-io, "intentional: the seed must run exactly once; the reader lock is this fd's seed latch, and racing seeders would each pay a full index merge")
-                    self.backing.as_ref(),
-                    &self.container,
-                    &self.conf,
-                )?;
-                index.eof()
+                // plfs-lint: allow(lock-across-io, "intentional: the seed must run exactly once; the reader lock is this fd's seed latch, and racing seeders would each pay a full index merge")
+                container::build_global_index(self.backing.as_ref(), &self.container)?
+                    .0
+                    .eof()
             }
         };
         // relaxed: under the reader lock (see ensure_eof_seeded callers); lock release publishes
@@ -709,11 +647,6 @@ impl PlfsFd {
         // Truncate removes hostdir trees: forget what existed.
         self.hostdirs_ready.lock().clear();
         self.orphans.lock().clear();
-        // Truncate may unlink and re-create droppings at the same paths:
-        // every cached block (and the readahead stream state) is stale.
-        if let Some(c) = &self.block_cache {
-            c.clear();
-        }
         *guard = None;
         // relaxed: truncate path: callers quiesced all writers via reset_writers' shard locks
         self.dirty.store(false, Ordering::Relaxed);
@@ -1360,215 +1293,6 @@ mod tests {
         let mut out = vec![0u8; 28];
         fd.read_list(&mut out, &extents).unwrap();
         assert_eq!(out, data);
-    }
-
-    /// A 1 MiB data cache of 512-byte blocks: small files still span many.
-    fn small_block_cache() -> Conf {
-        Conf {
-            data_cache_bytes: 1 << 20,
-            data_cache_block_bytes: 512,
-            ..Conf::default()
-        }
-    }
-
-    fn open_cached_fd(cache: Conf) -> (Arc<dyn Backing>, Arc<PlfsFd>) {
-        open_fd_with(
-            OpenFlags::RDWR,
-            Conf {
-                index_buffer_entries: 64,
-                ..cache
-            },
-        )
-    }
-
-    #[test]
-    fn default_cache_conf_attaches_no_cache() {
-        let (_b, fd) = open_fd(OpenFlags::RDWR);
-        assert!(fd.block_cache().is_none());
-        assert!(!fd.conf().data_cache_enabled());
-    }
-
-    #[test]
-    fn cached_fd_reads_match_and_warm_reads_skip_the_store() {
-        use crate::meter::MeterBacking;
-        let inner: Arc<dyn Backing> = Arc::new(MemBacking::new());
-        let params = ContainerParams::default();
-        create_container(inner.as_ref(), "/f", &params, true).unwrap();
-        let meter = Arc::new(MeterBacking::new(inner));
-        let fd = PlfsFd::new(
-            meter.clone(),
-            "/f".to_string(),
-            params,
-            OpenFlags::RDWR,
-            &Conf {
-                index_buffer_entries: 64,
-                ..small_block_cache()
-            },
-            100,
-        );
-        let data: Vec<u8> = (0..4096u32).map(|i| (i % 251) as u8).collect();
-        fd.write(&data, 0, 100).unwrap();
-        let mut got = vec![0u8; 4096];
-        assert_eq!(fd.read(&mut got, 0).unwrap(), 4096);
-        assert_eq!(got, data);
-        let before = meter.snapshot();
-        let mut again = vec![0u8; 4096];
-        assert_eq!(fd.read(&mut again, 0).unwrap(), 4096);
-        assert_eq!(again, data);
-        assert_eq!(
-            meter.snapshot().delta(&before).pread,
-            0,
-            "warm re-read must be served from the block cache"
-        );
-        let stats = fd.block_cache().unwrap().stats();
-        assert!(stats.hits > 0, "warm re-read recorded no hits: {stats:?}");
-    }
-
-    #[test]
-    fn overwrite_invalidates_cached_blocks() {
-        // Same-fd read-your-writes through the cache, on both refresh
-        // paths: full rebuild and incremental patch.
-        for incremental in [false, true] {
-            let (_b, fd) = open_cached_fd(Conf {
-                incremental_refresh: incremental,
-                ..small_block_cache()
-            });
-            fd.write(&[b'a'; 2048], 0, 100).unwrap();
-            let mut buf = vec![0u8; 2048];
-            fd.read(&mut buf, 0).unwrap(); // warm the cache with old bytes
-            assert!(buf.iter().all(|&x| x == b'a'));
-            fd.write(&[b'B'; 1024], 512, 100).unwrap();
-            fd.read(&mut buf, 0).unwrap();
-            assert!(buf[..512].iter().all(|&x| x == b'a'), "incr={incremental}");
-            assert!(
-                buf[512..1536].iter().all(|&x| x == b'B'),
-                "stale cached bytes after overwrite (incr={incremental})"
-            );
-            assert!(buf[1536..].iter().all(|&x| x == b'a'), "incr={incremental}");
-        }
-    }
-
-    #[test]
-    fn write_then_read_through_second_fd_returns_new_bytes() {
-        // A writer fd and a freshly opened cached reader fd: the reader
-        // must observe the just-written bytes, never a stale cache image.
-        let b: Arc<dyn Backing> = Arc::new(MemBacking::new());
-        let params = ContainerParams::default();
-        create_container(b.as_ref(), "/f", &params, true).unwrap();
-        let cache = small_block_cache();
-        let wfd = PlfsFd::new(
-            b.clone(),
-            "/f".to_string(),
-            params,
-            OpenFlags::RDWR,
-            &Conf {
-                index_buffer_entries: 64,
-                ..cache
-            },
-            100,
-        );
-        wfd.write(&[1u8; 1024], 0, 100).unwrap();
-        let mut buf = vec![0u8; 1024];
-        wfd.read(&mut buf, 0).unwrap(); // warm the writer fd's cache
-        wfd.write(&[2u8; 1024], 0, 100).unwrap();
-        wfd.sync(100).unwrap();
-        let rfd = PlfsFd::new(
-            b.clone(),
-            "/f".to_string(),
-            params,
-            OpenFlags::RDONLY,
-            &cache,
-            200,
-        );
-        let mut got = vec![0u8; 1024];
-        assert_eq!(rfd.read(&mut got, 0).unwrap(), 1024);
-        assert!(
-            got.iter().all(|&x| x == 2),
-            "second fd read stale bytes through the cache"
-        );
-        // And the writer fd itself still reads its own latest bytes.
-        wfd.read(&mut buf, 0).unwrap();
-        assert!(buf.iter().all(|&x| x == 2));
-    }
-
-    #[test]
-    fn sequential_reads_trigger_readahead() {
-        let (_b, fd) = open_cached_fd(Conf {
-            readahead_min: 1024,
-            readahead_max: 4096,
-            ..small_block_cache()
-        });
-        let data: Vec<u8> = (0..8192u32).map(|i| (i % 241) as u8).collect();
-        fd.write(&data, 0, 100).unwrap();
-        let mut buf = vec![0u8; 512];
-        for i in 0..16u64 {
-            assert_eq!(fd.read(&mut buf, i * 512).unwrap(), 512);
-            assert_eq!(buf[..], data[i as usize * 512..(i as usize + 1) * 512]);
-        }
-        let stats = fd.block_cache().unwrap().stats();
-        assert!(
-            stats.readaheads >= 2,
-            "sequential stream never ramped readahead: {stats:?}"
-        );
-        assert!(
-            stats.prefetched_used > 0,
-            "no prefetched block was ever used: {stats:?}"
-        );
-    }
-
-    #[test]
-    fn truncate_reset_clears_the_cache() {
-        let (_b, fd) = open_cached_fd(small_block_cache());
-        fd.write(&[9u8; 1024], 0, 100).unwrap();
-        let mut buf = vec![0u8; 1024];
-        fd.read(&mut buf, 0).unwrap();
-        assert!(fd.block_cache().unwrap().resident_bytes() > 0);
-        fd.reset_writers().unwrap();
-        assert_eq!(fd.block_cache().unwrap().resident_bytes(), 0);
-    }
-
-    #[test]
-    fn tiered_backend_composes_with_cache() {
-        use crate::backend::TieredBacking;
-        let fast: Arc<dyn Backing> = Arc::new(MemBacking::new());
-        let slow: Arc<dyn Backing> = Arc::new(MemBacking::new());
-        let tiered: Arc<dyn Backing> = Arc::new(TieredBacking::new(fast, slow, &Conf::default()));
-        let params = ContainerParams::default();
-        create_container(tiered.as_ref(), "/f", &params, true).unwrap();
-        let cache = small_block_cache();
-        {
-            let wfd = PlfsFd::new(
-                tiered.clone(),
-                "/f".to_string(),
-                params,
-                OpenFlags::RDWR,
-                &base(),
-                100,
-            );
-            wfd.write(&[5u8; 4096], 0, 100).unwrap();
-            wfd.close(100).unwrap(); // seals droppings; destage may begin
-        }
-        let fd = PlfsFd::new(
-            tiered.clone(),
-            "/f".to_string(),
-            params,
-            OpenFlags::RDONLY,
-            &cache,
-            200,
-        );
-        let mut buf = vec![0u8; 4096];
-        assert_eq!(fd.read(&mut buf, 0).unwrap(), 4096);
-        assert!(buf.iter().all(|&x| x == 5));
-        // The cold read populated the cache through whichever tier held
-        // the dropping; the warm read is pure cache.
-        let cold = fd.block_cache().unwrap().stats();
-        assert!(cold.misses > 0 || cold.readaheads > 0);
-        fd.read(&mut buf, 4096 - 512).unwrap(); // non-sequential: no readahead
-        let mut again = vec![0u8; 4096];
-        assert_eq!(fd.read(&mut again, 0).unwrap(), 4096);
-        assert!(again.iter().all(|&x| x == 5));
-        let warm = fd.block_cache().unwrap().stats();
-        assert!(warm.hits > cold.hits, "warm tiered read missed the cache");
     }
 
     /// `(logical, length, data path, physical)` per segment of a view.

@@ -310,29 +310,6 @@ mod tests {
     }
 
     #[test]
-    fn compact_result_stays_readable_with_bounded_index() {
-        let b = setup();
-        let p = ContainerParams::default();
-        for pid in 0..3u64 {
-            let mut w = WriteFile::open(&b, "/c", &p, pid, 64).unwrap();
-            for i in 0..32u64 {
-                w.write(&[pid as u8 + 1; 16], (i * 3 + pid) * 16).unwrap();
-            }
-            w.sync().unwrap();
-        }
-        let before = flatten_to_vec(&b, "/c").unwrap();
-        compact_container(&b, "/c").unwrap();
-        let conf = crate::Conf {
-            index_memory_bytes: 1 << 16,
-            ..Default::default()
-        };
-        let r = ReadFile::open_with(&b, "/c", &conf).unwrap();
-        let mut got = vec![0u8; before.len()];
-        assert_eq!(r.pread(&b, &mut got, 0).unwrap(), before.len());
-        assert_eq!(got, before);
-    }
-
-    #[test]
     fn flatten_large_multi_chunk() {
         let b = setup();
         let p = ContainerParams::default();

@@ -288,11 +288,6 @@ impl PatternRecord {
             out.push(self.entry_at(i));
         }
     }
-
-    /// Logical end offset (exclusive) of the run's furthest write.
-    pub fn logical_end(&self) -> u64 {
-        self.logical_start + (self.count as u64 - 1) * self.stride as u64 + self.length as u64
-    }
 }
 
 /// Encode a batch of entries, pattern-compressing maximal strided runs
@@ -390,11 +385,7 @@ struct Segment {
 /// # Residency
 ///
 /// A `GlobalIndex` is O(expanded writes) resident: building one expands
-/// every pattern record back into plain entries. Readers that must stay
-/// memory-bounded against large write histories hold a [`CompactIndex`]
-/// (O(on-disk records) resident) and materialise `GlobalIndex` *views* of
-/// just the byte ranges they touch via [`CompactIndex::view`], bounded by
-/// the `index_memory_bytes` read knob.
+/// every pattern record back into plain entries.
 #[derive(Debug, Default, Clone)]
 pub struct GlobalIndex {
     map: BTreeMap<u64, Segment>,
@@ -404,7 +395,9 @@ pub struct GlobalIndex {
 }
 
 impl GlobalIndex {
-    /// Build from raw entries in any order.
+    /// Build from raw entries in any order, one newest-wins insert at a
+    /// time. The reference [`GlobalIndex::from_sorted_runs`] is tested
+    /// against; every open in this crate goes through that one.
     pub fn from_entries(mut entries: Vec<IndexEntry>) -> GlobalIndex {
         // Sort oldest-first so later inserts (newer writes) overwrite earlier.
         entries.sort_by_key(|e| e.timestamp);
@@ -514,9 +507,7 @@ impl GlobalIndex {
         self.max_ts
     }
 
-    /// Approximate resident heap footprint of the segment map, used by the
-    /// partial-loading reader to budget its view cache against the
-    /// `index_memory_bytes` knob.
+    /// Approximate resident heap footprint of the segment map.
     pub fn approx_resident_bytes(&self) -> usize {
         self.map.len() * (std::mem::size_of::<u64>() + std::mem::size_of::<Segment>())
     }
@@ -737,221 +728,6 @@ fn merge_runs_by_timestamp(mut runs: Vec<Vec<IndexEntry>>) -> Vec<IndexEntry> {
         }
     }
     out
-}
-
-/// One on-disk index record in its compact (unexpanded) form.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IndexRecord {
-    /// A plain single-write record.
-    Plain(IndexEntry),
-    /// A pattern record: a compressed run of strided writes.
-    Pattern(PatternRecord),
-}
-
-impl IndexRecord {
-    /// Rebind the record to a global dropping id (droppings are renumbered
-    /// to their position in the container's dropping table at merge time).
-    pub fn with_dropping(self, id: u32) -> IndexRecord {
-        match self {
-            IndexRecord::Plain(e) => IndexRecord::Plain(IndexEntry {
-                dropping_id: id,
-                ..e
-            }),
-            IndexRecord::Pattern(p) => IndexRecord::Pattern(PatternRecord {
-                dropping_id: id,
-                ..p
-            }),
-        }
-    }
-
-    /// Expanded write count: 1 for plain records, `count` for patterns.
-    pub fn expanded_len(&self) -> usize {
-        match self {
-            IndexRecord::Plain(_) => 1,
-            IndexRecord::Pattern(p) => p.count as usize,
-        }
-    }
-}
-
-/// The pattern-run indices of `p` that cover at least one byte of
-/// `[start, end)`, as an inclusive range — computed arithmetically, so a
-/// million-write run costs O(1) to clip, not O(count).
-fn pattern_overlap(p: &PatternRecord, start: u64, end: u64) -> Option<(u64, u64)> {
-    let (count, stride, length) = (p.count as u64, p.stride as u64, p.length as u64);
-    if end <= p.logical_start || start >= p.logical_end() {
-        return None;
-    }
-    if stride == 0 {
-        // Repeated overwrites of one extent: they all cover the same bytes.
-        return Some((0, count - 1));
-    }
-    // First i with logical_start + i*stride + length > start.
-    let lo = if p.logical_start + length > start {
-        0
-    } else {
-        // start >= logical_start + length here, so this cannot underflow.
-        (start - length - p.logical_start) / stride + 1
-    };
-    // Last i with logical_start + i*stride < end (end > logical_start here).
-    let hi = ((end - 1 - p.logical_start) / stride).min(count - 1);
-    (lo <= hi).then_some((lo, hi))
-}
-
-/// The memory-bounded merged index: every index dropping held as its raw
-/// on-disk records, patterns *not* expanded.
-///
-/// # Residency
-///
-/// O(on-disk records) resident — for a pattern-compressed checkpoint that
-/// is O(writers), not O(writes). Queries materialise a [`GlobalIndex`] of
-/// only the byte range they need via [`CompactIndex::view`]; the reader
-/// caches those views under the `index_memory_bytes` budget.
-#[derive(Debug, Default, Clone)]
-pub struct CompactIndex {
-    /// One record run per dropping, in on-disk order (the writer's
-    /// timestamp order within each run).
-    runs: Vec<Vec<IndexRecord>>,
-    eof: u64,
-    records: usize,
-    entries: usize,
-    max_ts: u64,
-}
-
-impl CompactIndex {
-    /// Parse a whole index dropping without expanding pattern records,
-    /// renumbering every record to `dropping_id`. Applies the same bounds
-    /// validation as the eager [`IndexEntry::decode_all`] path.
-    pub fn decode_dropping(buf: &[u8], dropping_id: u32) -> Result<Vec<IndexRecord>> {
-        if !buf.len().is_multiple_of(RECORD_SIZE) {
-            return Err(Error::Corrupt(format!(
-                "index dropping length {} not a record multiple",
-                buf.len()
-            )));
-        }
-        let mut out = Vec::with_capacity(buf.len() / RECORD_SIZE);
-        for rec in buf.chunks_exact(RECORD_SIZE) {
-            let magic = u32::from_le_bytes(rec[0..4].try_into().unwrap());
-            let parsed = match magic {
-                RECORD_MAGIC => IndexRecord::Plain(IndexEntry::decode(rec)?),
-                PATTERN_MAGIC => IndexRecord::Pattern(PatternRecord::decode(rec)?),
-                other => return Err(Error::Corrupt(format!("bad index magic {other:#x}"))),
-            };
-            out.push(parsed.with_dropping(dropping_id));
-        }
-        Ok(out)
-    }
-
-    /// Build from per-dropping record runs (one per dropping, on-disk
-    /// order), computing EOF and the expanded entry count without
-    /// expanding anything.
-    pub fn from_runs(runs: Vec<Vec<IndexRecord>>) -> CompactIndex {
-        let mut eof = 0u64;
-        let mut records = 0usize;
-        let mut entries = 0usize;
-        let mut max_ts = 0u64;
-        for run in &runs {
-            for rec in run {
-                records += 1;
-                max_ts = max_ts.max(match rec {
-                    IndexRecord::Plain(e) => e.timestamp,
-                    IndexRecord::Pattern(p) => p.ts_start + (p.count as u64 - 1),
-                });
-                entries += rec.expanded_len();
-                eof = eof.max(match rec {
-                    IndexRecord::Plain(e) => {
-                        if e.length == 0 {
-                            entries -= 1; // zero-length writes never count
-                            0
-                        } else {
-                            e.logical_end()
-                        }
-                    }
-                    IndexRecord::Pattern(p) => p.logical_end(),
-                });
-            }
-        }
-        CompactIndex {
-            runs,
-            eof,
-            records,
-            entries,
-            max_ts,
-        }
-    }
-
-    /// Logical end-of-file.
-    pub fn eof(&self) -> u64 {
-        self.eof
-    }
-
-    /// Largest timestamp any record holds (see
-    /// [`GlobalIndex::max_timestamp`]).
-    pub fn max_timestamp(&self) -> u64 {
-        self.max_ts
-    }
-
-    /// Resident on-disk records (the residency bound: O(records), however
-    /// many writes they expand to).
-    pub fn records(&self) -> usize {
-        self.records
-    }
-
-    /// Total writes the records expand to (what the eager path would hold).
-    pub fn expanded_entries(&self) -> usize {
-        self.entries
-    }
-
-    /// Approximate resident heap footprint of the record runs.
-    pub fn approx_resident_bytes(&self) -> usize {
-        self.records * std::mem::size_of::<IndexRecord>()
-            + self.runs.capacity() * std::mem::size_of::<Vec<IndexRecord>>()
-    }
-
-    /// Materialise the merged overlap-resolved index for the byte range
-    /// `[offset, offset + length)`: only records overlapping the range are
-    /// expanded, and only the overlapping portion of each pattern run.
-    ///
-    /// Resolution inside the range is identical to the full eager index:
-    /// an entry can only shadow bytes it covers, so entries that do not
-    /// intersect the range cannot affect it. The view's EOF is clamped to
-    /// the window end so holes inside it still resolve as zeros and reads
-    /// never extend past the real EOF.
-    pub fn view(&self, offset: u64, length: u64) -> GlobalIndex {
-        let end = offset.saturating_add(length);
-        let expanded: Vec<Vec<IndexEntry>> = self
-            .runs
-            .iter()
-            .map(|run| {
-                let mut v = Vec::new();
-                for rec in run {
-                    match rec {
-                        IndexRecord::Plain(e) => {
-                            if e.logical_offset < end && e.logical_end() > offset {
-                                v.push(*e);
-                            }
-                        }
-                        IndexRecord::Pattern(p) => {
-                            if let Some((lo, hi)) = pattern_overlap(p, offset, end) {
-                                v.reserve((hi - lo + 1) as usize);
-                                for i in lo..=hi {
-                                    v.push(p.entry_at(i));
-                                }
-                            }
-                        }
-                    }
-                }
-                v
-            })
-            .collect();
-        let mut idx = GlobalIndex::from_sorted_runs(expanded);
-        idx.eof = self.eof.min(end);
-        idx
-    }
-
-    /// Materialise the complete merged index (what the eager open builds).
-    pub fn full_view(&self) -> GlobalIndex {
-        self.view(0, u64::MAX)
-    }
 }
 
 #[cfg(test)]
@@ -1410,170 +1186,5 @@ mod tests {
         let mut buf = Vec::new();
         let records = encode_compressed(&hostile, 3, &mut buf);
         assert_eq!(records, 4, "out-of-range entries stay plain");
-    }
-
-    fn pattern(
-        lo: u64,
-        phys: u64,
-        ts: u64,
-        len: u32,
-        stride: u32,
-        count: u32,
-        drop_id: u32,
-    ) -> PatternRecord {
-        PatternRecord {
-            dropping_id: drop_id,
-            logical_start: lo,
-            physical_start: phys,
-            ts_start: ts,
-            length: len,
-            stride,
-            count,
-            pid: 7,
-        }
-    }
-
-    #[test]
-    fn pattern_overlap_clips_runs_arithmetically() {
-        let p = pattern(1000, 0, 1, 64, 256, 10, 0);
-        // Whole run: [1000, 1000+9*256+64) = [1000, 3368).
-        assert_eq!(pattern_overlap(&p, 0, u64::MAX), Some((0, 9)));
-        assert_eq!(pattern_overlap(&p, 0, 1000), None, "ends at run start");
-        assert_eq!(pattern_overlap(&p, 3368, 4000), None, "starts at run end");
-        assert_eq!(pattern_overlap(&p, 0, 1001), Some((0, 0)));
-        assert_eq!(pattern_overlap(&p, 3367, 4000), Some((9, 9)));
-        // Query inside the gap between writes 3 and 4:
-        // write 3 covers [1768, 1832), write 4 starts at 2024.
-        assert_eq!(pattern_overlap(&p, 1900, 2000), None, "gap between writes");
-        assert_eq!(pattern_overlap(&p, 1831, 2000), Some((3, 3)));
-        assert_eq!(pattern_overlap(&p, 1900, 2025), Some((4, 4)));
-        // Mid-run window spanning several writes.
-        assert_eq!(pattern_overlap(&p, 1500, 2600), Some((2, 6)));
-        // Zero stride: every write covers the queried bytes.
-        let z = pattern(64, 0, 1, 32, 0, 5, 0);
-        assert_eq!(pattern_overlap(&z, 70, 71), Some((0, 4)));
-        assert_eq!(pattern_overlap(&z, 96, 200), None);
-    }
-
-    fn compact_from_droppings(droppings: &[Vec<u8>]) -> CompactIndex {
-        let runs = droppings
-            .iter()
-            .enumerate()
-            .map(|(i, buf)| CompactIndex::decode_dropping(buf, i as u32).unwrap())
-            .collect();
-        CompactIndex::from_runs(runs)
-    }
-
-    // Test droppings below store dropping_id == position, so eager decode
-    // needs no renumbering to compare against decode_dropping's.
-    fn eager_from_droppings(droppings: &[Vec<u8>]) -> GlobalIndex {
-        let runs = droppings
-            .iter()
-            .map(|buf| IndexEntry::decode_all(buf).unwrap())
-            .collect();
-        GlobalIndex::from_sorted_runs(runs)
-    }
-
-    /// Two writers with strided patterns plus a third with overlapping
-    /// plain overwrites — the shapes that stress overlap resolution.
-    fn mixed_droppings() -> Vec<Vec<u8>> {
-        let mut d0 = Vec::new();
-        pattern(0, 0, 1, 100, 300, 20, 0).encode(&mut d0);
-        let mut d1 = Vec::new();
-        pattern(150, 0, 30, 100, 300, 20, 1).encode(&mut d1);
-        let mut d2 = Vec::new();
-        entry(250, 700, 0, 2, 60).encode(&mut d2);
-        entry(50, 25, 700, 2, 61).encode(&mut d2);
-        entry(5800, 600, 725, 2, 62).encode(&mut d2);
-        vec![d0, d1, d2]
-    }
-
-    #[test]
-    fn full_view_identical_to_eager_index() {
-        let droppings = mixed_droppings();
-        let compact = compact_from_droppings(&droppings);
-        let eager = eager_from_droppings(&droppings);
-        assert_identical(&compact.full_view(), &eager);
-        assert_eq!(compact.eof(), eager.eof());
-        assert_eq!(compact.expanded_entries(), eager.raw_entries());
-        assert_eq!(compact.records(), 5);
-        assert!(
-            compact.approx_resident_bytes() < eager.approx_resident_bytes(),
-            "compact form must be smaller than the expanded map"
-        );
-    }
-
-    #[test]
-    fn partial_views_resolve_identically_to_eager_index() {
-        let droppings = mixed_droppings();
-        let compact = compact_from_droppings(&droppings);
-        let eager = eager_from_droppings(&droppings);
-        // Sweep windows over the file; every in-window resolve must match.
-        for start in (0..6500).step_by(137) {
-            let view = compact.view(start, 512);
-            for (qo, ql) in [(start, 512u64), (start + 100, 47), (start, 1)] {
-                let clip = (qo + ql).min(start + 512).saturating_sub(qo);
-                assert_eq!(
-                    view.resolve(qo, clip),
-                    eager.resolve(qo, clip),
-                    "window {start} query ({qo}, {clip})"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn view_eof_clamps_to_window_and_preserves_holes() {
-        // A hole inside the window, with data far past the window: the
-        // clamped view must still read the hole as zeros up to window end.
-        let mut d = Vec::new();
-        entry(0, 10, 0, 0, 1).encode(&mut d);
-        entry(10_000, 10, 10, 0, 2).encode(&mut d);
-        let compact = compact_from_droppings(&[d.clone()]);
-        let view = compact.view(0, 100);
-        assert_eq!(view.eof(), 100, "clamped to window end, not real EOF");
-        let slices = view.resolve(0, 100);
-        assert_eq!(slices.len(), 2);
-        assert_eq!(slices[0].dropping_id, Some(0));
-        assert_eq!(slices[1].dropping_id, None, "hole reads as zeros");
-        assert_eq!(slices[1].length, 90);
-        // Matches the eager resolve over the same range.
-        let eager = eager_from_droppings(&[d]);
-        assert_eq!(view.resolve(0, 100), eager.resolve(0, 100));
-    }
-
-    #[test]
-    fn compact_decode_rejects_what_decode_all_rejects() {
-        // Truncated tail.
-        let mut buf = Vec::new();
-        entry(0, 1, 0, 0, 1).encode(&mut buf);
-        buf.pop();
-        assert!(CompactIndex::decode_dropping(&buf, 0).is_err());
-        // Bad magic.
-        let mut buf = Vec::new();
-        entry(0, 1, 0, 0, 1).encode(&mut buf);
-        buf[0] ^= 0xff;
-        assert!(CompactIndex::decode_dropping(&buf, 0).is_err());
-        // Hostile pattern count.
-        let mut buf = Vec::new();
-        pattern(0, 0, 1, 1, 1, u32::MAX, 0).encode(&mut buf);
-        assert!(matches!(
-            CompactIndex::decode_dropping(&buf, 0),
-            Err(Error::Corrupt(_))
-        ));
-    }
-
-    #[test]
-    fn compact_decode_renumbers_droppings() {
-        let mut buf = Vec::new();
-        entry(0, 10, 0, 99, 1).encode(&mut buf);
-        pattern(100, 10, 2, 5, 10, 3, 77).encode(&mut buf);
-        let run = CompactIndex::decode_dropping(&buf, 4).unwrap();
-        for rec in &run {
-            match rec {
-                IndexRecord::Plain(e) => assert_eq!(e.dropping_id, 4),
-                IndexRecord::Pattern(p) => assert_eq!(p.dropping_id, 4),
-            }
-        }
     }
 }

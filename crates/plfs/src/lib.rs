@@ -42,8 +42,6 @@
 //! * [`check`] — container integrity checking and repair.
 //! * [`faults`] — failure injection for error-path testing.
 //! * [`meta`] — the container metadata cache (the metadata fast path).
-//! * [`cache`] — the data block cache and adaptive readahead (the data
-//!   fast path: re-reads and sequential streams skip the backing store).
 //! * [`meter`] — a counting backing decorator for op-cost measurement.
 //! * [`backend`] — pluggable scale-out backends: batched submission,
 //!   tiered burst-buffer staging, and an object-store mapping.
@@ -53,7 +51,6 @@
 pub mod api;
 pub mod backend;
 pub mod backing;
-pub mod cache;
 pub mod check;
 pub mod conf;
 pub mod container;
@@ -75,7 +72,6 @@ pub use backend::{
     TieredBacking, TIER_MAP_FILE,
 };
 pub use backing::{BackStat, Backing, BackingFile, MemBacking, RealBacking};
-pub use cache::{BlockCache, CacheStats};
 pub use check::{check, repair, CheckReport, Finding, RepairReport, Severity};
 pub use conf::{BackendKind, Conf, OpenMarkers};
 pub use container::{ContainerParams, LayoutMode};
@@ -84,7 +80,7 @@ pub use faults::{FaultKind, FaultOp, FaultRule, Faulty};
 pub use fd::PlfsFd;
 pub use flags::OpenFlags;
 pub use flatten::CompactStats;
-pub use index::{ChunkSlice, CompactIndex, GlobalIndex, IndexEntry, IndexRecord};
+pub use index::{ChunkSlice, GlobalIndex, IndexEntry};
 pub use meta::{MetaCache, MetaEntry};
 pub use meter::{MeterBacking, MeterSnapshot};
 pub use mount::{MountSpec, PlfsRc, SpreadBacking};

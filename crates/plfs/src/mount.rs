@@ -305,7 +305,7 @@ mod tests {
     fn parse_full_plfsrc() {
         let rc = PlfsRc::parse(
             "# comment\n\
-             threadpool_size 8\n\
+             submit_depth 8\n\
              mount_point /plfs\n\
              backends /be1,/be2\n\
              num_hostdirs 16\n\
@@ -315,7 +315,7 @@ mod tests {
              backends /other\n",
         )
         .unwrap();
-        assert_eq!(rc.conf.threads, 8);
+        assert_eq!(rc.conf.submit_depth, 8);
         assert_eq!(rc.mounts.len(), 2);
         let m = &rc.mounts[0];
         assert_eq!(m.mount_point, "/plfs");
@@ -336,7 +336,7 @@ mod tests {
         assert_eq!(default, Conf::default(), "a bare mount is the default conf");
         for k in KNOBS {
             let sample = sample(k);
-            let scaled = matches!(&k.kind, Kind::Num { unit, .. } if *unit == Unit::KiB || *unit == Unit::MiB);
+            let scaled = matches!(&k.kind, Kind::Num { unit, .. } if *unit == Unit::MiB);
             let rc = PlfsRc::parse(&format!("{} {sample}\n{mount}", k.key)).unwrap();
             assert_ne!(rc.conf, default, "{} must reach a field", k.key);
             assert_eq!(k.render(&rc.conf), sample, "{}", k.key);
@@ -363,16 +363,9 @@ mod tests {
         assert_eq!(rc.conf.backend, crate::conf::BackendKind::Tiered);
         let rc = PlfsRc::parse("backend batched\nmount_point /p\nbackends /a\n").unwrap();
         assert!(rc.conf.batching());
-        // readahead_max_kbs 0 keeps the cache but turns readahead off.
-        let rc =
-            PlfsRc::parse("data_cache_mbs 1\nreadahead_max_kbs 0\nmount_point /p\nbackends /b\n")
-                .unwrap();
-        assert!(rc.conf.data_cache_enabled() && !rc.conf.readahead_enabled());
         // The strict-stat escape hatch.
         let rc = PlfsRc::parse("meta_cache_entries 0\nmount_point /p\nbackends /b\n").unwrap();
         assert!(!rc.conf.meta_cache_enabled());
-        // A thread pool of zero is a typo, not a request.
-        assert!(PlfsRc::parse("threadpool_size 0\n").is_err());
     }
 
     #[test]
@@ -404,7 +397,7 @@ mod tests {
         assert!(err.to_string().contains("line 1"), "{err}");
         let err = PlfsRc::parse("mount_point /p\nbackends /b\nworkload strange\n").unwrap_err();
         assert!(err.to_string().contains("line 3"), "{err}");
-        let err = PlfsRc::parse("threadpool_size\n").unwrap_err();
+        let err = PlfsRc::parse("submit_depth\n").unwrap_err();
         assert!(err.to_string().contains("line 1"), "{err}");
         let err = PlfsRc::parse("backends /b\n").unwrap_err();
         assert!(err.to_string().contains("line 1"), "{err}");

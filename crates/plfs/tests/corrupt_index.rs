@@ -1,10 +1,10 @@
 //! Corrupt-index corpus: hostile index droppings must surface as
-//! `Error::Corrupt` through both the eager and the memory-bounded read
-//! paths — never a panic, and never silently-wrong data.
+//! `Error::Corrupt` through the read path — never a panic, and never
+//! silently-wrong data.
 
 use plfs::container;
 use plfs::index::{IndexEntry, PatternRecord};
-use plfs::{Backing, Conf, Error, MemBacking, OpenFlags, Plfs, ReadFile};
+use plfs::{Backing, Error, MemBacking, OpenFlags, Plfs, ReadFile};
 use std::sync::Arc;
 
 /// A small container whose single index dropping holds several plain
@@ -29,51 +29,30 @@ fn index_path(b: &dyn Backing) -> String {
     droppings[0].index_path.clone().unwrap()
 }
 
-/// Open + read through the eager path and the bounded path; both must
-/// fail with `Error::Corrupt` (at open or at first read).
-fn assert_both_paths_corrupt(b: &Arc<MemBacking>, what: &str) {
-    let attempt = |bounded: bool| -> plfs::Result<()> {
-        let r = if bounded {
-            let conf = Conf {
-                index_memory_bytes: 1 << 16,
-                ..Conf::default()
-            };
-            ReadFile::open_with(b.as_ref(), "/c", &conf)?
-        } else {
-            ReadFile::open(b.as_ref(), "/c")?
-        };
+/// Open + read must fail with `Error::Corrupt` (at open or at first read).
+fn assert_corrupt(b: &Arc<MemBacking>, what: &str) {
+    let attempt = || -> plfs::Result<()> {
+        let r = ReadFile::open(b.as_ref(), "/c")?;
         let mut buf = [0u8; 16];
         r.pread(b.as_ref(), &mut buf, 0)?;
         Ok(())
     };
-    for bounded in [false, true] {
-        let err = attempt(bounded).expect_err(&format!("{what} accepted (bounded: {bounded})"));
-        assert!(
-            matches!(err, Error::Corrupt(_)),
-            "{what} (bounded: {bounded}) must be Corrupt, got {err:?}"
-        );
-    }
+    let err = attempt().expect_err(&format!("{what} accepted"));
+    assert!(
+        matches!(err, Error::Corrupt(_)),
+        "{what} must be Corrupt, got {err:?}"
+    );
 }
 
 #[test]
-fn pristine_container_reads_through_both_paths() {
+fn pristine_container_reads() {
     let b = fresh_container();
-    let mut eager = [0u8; 16];
+    let mut got = [0u8; 16];
     ReadFile::open(b.as_ref(), "/c")
         .unwrap()
-        .pread(b.as_ref(), &mut eager, 200)
+        .pread(b.as_ref(), &mut got, 200)
         .unwrap();
-    let mut bounded = [0u8; 16];
-    let conf = Conf {
-        index_memory_bytes: 1 << 16,
-        ..Conf::default()
-    };
-    ReadFile::open_with(b.as_ref(), "/c", &conf)
-        .unwrap()
-        .pread(b.as_ref(), &mut bounded, 200)
-        .unwrap();
-    assert_eq!(eager, [3u8; 16]);
-    assert_eq!(bounded, [3u8; 16]);
+    assert_eq!(got, [3u8; 16]);
 }
 
 #[test]
@@ -83,7 +62,7 @@ fn short_trailing_record_is_corrupt() {
     let f = b.open(&ip, true).unwrap();
     f.append(&[0xabu8; 17]).unwrap();
     drop(f);
-    assert_both_paths_corrupt(&b, "index with 17 trailing garbage bytes");
+    assert_corrupt(&b, "index with 17 trailing garbage bytes");
 }
 
 #[test]
@@ -93,7 +72,7 @@ fn bad_record_magic_is_corrupt() {
     let f = b.open(&ip, true).unwrap();
     f.pwrite(&0xdead_beefu32.to_le_bytes(), 0).unwrap();
     drop(f);
-    assert_both_paths_corrupt(&b, "record with magic 0xdeadbeef");
+    assert_corrupt(&b, "record with magic 0xdeadbeef");
 }
 
 #[test]
@@ -117,7 +96,7 @@ fn hostile_pattern_count_is_corrupt() {
     let f = b.open(&ip, true).unwrap();
     f.append(&rec).unwrap();
     drop(f);
-    assert_both_paths_corrupt(&b, "pattern record with count u32::MAX");
+    assert_corrupt(&b, "pattern record with count u32::MAX");
 }
 
 #[test]
@@ -139,7 +118,7 @@ fn off_t_overflowing_entry_is_corrupt() {
     let f = b.open(&ip, true).unwrap();
     f.append(&rec).unwrap();
     drop(f);
-    assert_both_paths_corrupt(&b, "entry spanning past off_t::MAX");
+    assert_corrupt(&b, "entry spanning past off_t::MAX");
 }
 
 #[test]
@@ -149,5 +128,5 @@ fn truncated_tail_record_is_corrupt() {
     let size = b.stat(&ip).unwrap().size;
     // Cut the last record in half, leaving the valid prefix intact.
     b.truncate(&ip, size - 20).unwrap();
-    assert_both_paths_corrupt(&b, "index truncated mid-record");
+    assert_corrupt(&b, "index truncated mid-record");
 }

@@ -1,10 +1,7 @@
 //! Property tests: the container's logical-file semantics against a
 //! byte-vector reference model.
 
-use plfs::{
-    Conf, ContainerParams, GlobalIndex, IndexEntry, LayoutMode, MemBacking, OpenFlags, Plfs,
-    ReadFile,
-};
+use plfs::{ContainerParams, GlobalIndex, IndexEntry, LayoutMode, MemBacking, OpenFlags, Plfs};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -152,12 +149,11 @@ proptest! {
         }
     }
 
-    /// The k-way run merge behind the parallel read-open produces a
-    /// `GlobalIndex` indistinguishable from the serial
-    /// `from_entries(concat)` — same EOF, same raw-entry count, same
-    /// segment map, same resolution of arbitrary ranges — for any entry
-    /// set (overlaps, timestamp ties, zero lengths) and any partition of
-    /// it into runs.
+    /// The run merge behind every read-open produces a `GlobalIndex`
+    /// indistinguishable from the reference `from_entries(concat)` — same
+    /// EOF, same raw-entry count, same segment map, same resolution of
+    /// arbitrary ranges — for any entry set (overlaps, timestamp ties, zero
+    /// lengths) and any partition of it into runs.
     #[test]
     fn parallel_run_merge_identical_to_serial(
         raw in prop::collection::vec(
@@ -203,46 +199,6 @@ proptest! {
         for (off, len) in reads {
             prop_assert_eq!(merged.resolve(off, len), serial.resolve(off, len));
         }
-    }
-
-    /// End to end: opening a written container with the parallel merge
-    /// enabled yields the same index structure and the same bytes as the
-    /// serial open.
-    #[test]
-    fn parallel_open_reads_same_bytes(ws in writes(24, 4096, 256)) {
-        let backing = Arc::new(MemBacking::new());
-        let plfs = Plfs::new(backing.clone()).with_params(ContainerParams {
-            num_hostdirs: 4,
-            mode: LayoutMode::Both,
-        });
-        let fd = plfs.open("/f", OpenFlags::RDWR | OpenFlags::CREAT, 0).unwrap();
-        for w in &ws {
-            fd.add_ref(w.pid);
-            plfs.write(&fd, &w.data, w.offset, w.pid).unwrap();
-        }
-        for w in &ws {
-            let _ = plfs.close(&fd, w.pid);
-        }
-        plfs.close(&fd, 0).unwrap();
-
-        let serial = ReadFile::open(backing.as_ref(), "/f").unwrap();
-        let conf = Conf {
-            threads: 4,
-            parallel_merge_min_droppings: 1,
-            ..Conf::default()
-        };
-        let par = ReadFile::open_with(backing.as_ref(), "/f", &conf).unwrap();
-        prop_assert!(par.merged_parallel());
-        prop_assert_eq!(par.eof(), serial.eof());
-        prop_assert_eq!(par.index().raw_entries(), serial.index().raw_entries());
-        prop_assert_eq!(
-            par.index().iter_segments().collect::<Vec<_>>(),
-            serial.index().iter_segments().collect::<Vec<_>>()
-        );
-        prop_assert_eq!(
-            par.read_all(backing.as_ref()).unwrap(),
-            serial.read_all(backing.as_ref()).unwrap()
-        );
     }
 
     /// Truncation to an arbitrary length behaves like Vec::resize.

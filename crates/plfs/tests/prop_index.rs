@@ -1,7 +1,7 @@
 //! Property tests: the global index against a brute-force byte map.
 
 use plfs::index::{encode_compressed, OFFSET_MAX};
-use plfs::{CompactIndex, Error, GlobalIndex, IndexEntry};
+use plfs::{Error, GlobalIndex, IndexEntry};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -231,53 +231,6 @@ proptest! {
         let records = encode_compressed(&entries, 3, &mut buf);
         prop_assert_eq!(records, 1);
         prop_assert_eq!(IndexEntry::decode_all(&buf).unwrap(), entries);
-    }
-
-    /// The compact index is byte-identical to the eager path: for any
-    /// window, decode → view → resolve produces exactly the slices the
-    /// fully-expanded GlobalIndex resolves, and the full view matches EOF.
-    #[test]
-    fn compact_view_matches_eager_index(
-        raw in entries(24),
-        min_run in 2usize..6,
-        off in 0u64..3000,
-        len in 1u64..600,
-    ) {
-        // Writer-shaped records: consecutive timestamps, log-contiguous
-        // physical offsets (what encode_compressed actually sees).
-        let mut phys = 0u64;
-        let es: Vec<IndexEntry> = raw
-            .iter()
-            .enumerate()
-            .map(|(i, &(lo, elen, _, _))| {
-                let e = IndexEntry {
-                    logical_offset: lo,
-                    length: elen,
-                    physical_offset: phys,
-                    dropping_id: 3,
-                    timestamp: i as u64 + 1,
-                    pid: 9,
-                };
-                phys += elen;
-                e
-            })
-            .collect();
-        let mut eager = GlobalIndex::default();
-        for e in &es {
-            eager.insert(*e);
-        }
-        let mut buf = Vec::new();
-        encode_compressed(&es, min_run, &mut buf);
-        let run = CompactIndex::decode_dropping(&buf, 3).unwrap();
-        let compact = CompactIndex::from_runs(vec![run]);
-        prop_assert_eq!(compact.eof(), eager.eof());
-        prop_assert_eq!(compact.expanded_entries(), es.len());
-        // Windowed view agrees with the eager index inside the window.
-        let view = compact.view(off, len);
-        prop_assert_eq!(view.resolve(off, len), eager.resolve(off, len));
-        // The full view agrees everywhere.
-        let full = compact.view(0, u64::MAX);
-        prop_assert_eq!(full.resolve(0, eager.eof()), eager.resolve(0, eager.eof()));
     }
 
     /// Truncate never grows EOF and clamps resolution.

@@ -146,7 +146,7 @@ proptest! {
         }
         let bytes_on = read_back(&on, &fd_on);
         prop_assert_eq!(bytes_on.clone(), read_back(&off, &fd_off));
-        // And reads agree between the fan-out path and the lowered loop.
+        // And reads agree between the list path and the lowered loop.
         let mut a = vec![0u8; bytes_on.len()];
         let mut b = vec![0u8; bytes_on.len()];
         if !bytes_on.is_empty() {

@@ -7,7 +7,8 @@
 //! it. `preload-smoke MODE CONTAINER TWIN` instead runs one check of the
 //! read path on an existing container against its flat twin outside the
 //! mount (same bytes): `fstat`, `movers`, `mmap`, `stdio`, `dup`,
-//! `truncate` — see each `check_*`.
+//! `dup2-writer`, `dup2-self`, `close-error`, `truncate` — see each
+//! `check_*`.
 
 use std::fs;
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -65,9 +66,14 @@ extern "C" {
     fn fileno(stream: *mut c_void) -> c_int;
     fn fclose(stream: *mut c_void) -> c_int;
     fn dup(fd: c_int) -> c_int;
+    fn dup2(oldfd: c_int, newfd: c_int) -> c_int;
+    fn close(fd: c_int) -> c_int;
+    fn lseek(fd: c_int, off: i64, whence: c_int) -> i64;
 }
 
+const ENOENT: i32 = 2;
 const EIO: i32 = 5;
+const EBADF: i32 = 9;
 const EXDEV: i32 = 18;
 const ENODEV: i32 = 19;
 const EINVAL: i32 = 22;
@@ -328,6 +334,69 @@ fn check_dup(container: &str, twin: &[u8]) {
     assert_eq!(buf, twin[6000..7000]);
 }
 
+/// `dup2` onto a descriptor that holds a writable open closes that open: a
+/// second process reads what it wrote while this one still runs, and the
+/// number then names the container it was pointed at.
+fn check_dup2_writer(container: &str, twin: &[u8]) {
+    let path = format!("{}/dup2.dst", mount_dir());
+    let w = fs::File::create(&path).expect("create in mount");
+    w.write_all_at(&twin[..5000], 0).expect("write in mount");
+    let r = fs::File::open(container).expect("open container");
+    let fd = w.as_raw_fd();
+    assert_eq!(unsafe { dup2(r.as_raw_fd(), fd) }, fd, "dup2");
+    let cat = std::process::Command::new("cat")
+        .arg(&path)
+        .output()
+        .expect("spawn cat");
+    assert!(cat.status.success(), "cat failed");
+    assert!(
+        cat.stdout == twin[..5000],
+        "a second process read {} of the displaced writer's 5000 bytes",
+        cat.stdout.len()
+    );
+    let mut b = [0u8; 100];
+    w.read_exact_at(&mut b, 0)
+        .expect("pread via the new number");
+    assert_eq!(b, twin[..100], "the number names the container now");
+}
+
+/// `dup2(fd, fd)` closes nothing and duplicates nothing: the descriptor
+/// still reads the container.
+fn check_dup2_self(container: &str, twin: &[u8]) {
+    let f = fs::File::open(container).expect("open container");
+    let fd = f.as_raw_fd();
+    assert_eq!(unsafe { dup2(fd, fd) }, fd, "dup2 onto itself");
+    let mut b = [0u8; 1000];
+    f.read_exact_at(&mut b, 4096)
+        .expect("pread after dup2(fd, fd)");
+    assert_eq!(b, twin[4096..5096]);
+}
+
+/// A PLFS error is the call's error: with the container's backend tree gone
+/// under an open writer, `lseek(SEEK_END)` cannot learn the size and
+/// `close` cannot leave its meta drop. Both report it; `close` still
+/// releases the descriptor.
+fn check_close_error() {
+    const SEEK_END: c_int = 2;
+    let backend = std::env::var("LDPLFS_BACKEND").expect("LDPLFS_BACKEND not set");
+    let f = fs::File::create(format!("{}/doomed.dat", mount_dir())).expect("create in mount");
+    f.write_all_at(b"never indexed", 0).expect("write in mount");
+    fs::remove_dir_all(format!("{backend}/doomed.dat")).expect("remove the backend tree");
+    let fd = std::os::fd::IntoRawFd::into_raw_fd(f);
+    assert_eq!(
+        (unsafe { lseek(fd, 0, SEEK_END) }, errno()),
+        (-1, EINVAL),
+        "lseek(SEEK_END) on what is no container any more"
+    );
+    assert_eq!((unsafe { close(fd) }, errno()), (-1, ENOENT), "close");
+    let mut raw = [0u64; 18];
+    assert_eq!(
+        (unsafe { fstat(fd, &mut raw) }, errno()),
+        (-1, EBADF),
+        "the failed close released the descriptor"
+    );
+}
+
 /// Another process truncates the container under an open reader: every
 /// later read returns the bytes of open time (a dropping it already holds
 /// open) or fails with `EIO` (one it has not opened yet) — never other
@@ -401,6 +470,9 @@ fn main() {
             "mmap" => check_mmap(container, &twin),
             "stdio" => check_stdio(container, &twin),
             "dup" => check_dup(container, &twin),
+            "dup2-writer" => check_dup2_writer(container, &twin),
+            "dup2-self" => check_dup2_self(container, &twin),
+            "close-error" => check_close_error(),
             "truncate" => check_truncate(container, &twin),
             other => panic!("unknown mode {other}"),
         }

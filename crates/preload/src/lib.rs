@@ -990,7 +990,13 @@ unsafe fn do_lseek(fd: c_int, offset: OffT, whence: c_int) -> OffT {
             let target = match whence {
                 SEEK_SET => offset,
                 SEEK_CUR => cursor_get(fd) + offset,
-                SEEK_END => st.plfs_fd.size().unwrap_or(0) as OffT + offset,
+                SEEK_END => match st.plfs_fd.size() {
+                    Ok(size) => size as OffT + offset,
+                    Err(e) => {
+                        set_errno(plfs_errno(&e));
+                        return -1;
+                    }
+                },
                 _ => {
                     set_errno(EINVAL);
                     return -1;
@@ -1023,11 +1029,16 @@ unsafe fn do_close(fd: c_int) -> c_int {
         return real_close(fd);
     };
     let state = sh.table.write().remove(&fd);
-    if let Some(st) = state {
-        // One PLFS reference per fd: a dup keeps the open alive.
-        let _ = st.plfs_fd.close(getpid() as u64);
+    // One PLFS reference per fd: a dup keeps the open alive. Both halves
+    // are released whatever the other does; the first error is reported (a
+    // failed index or meta flush at close is lost data).
+    let plfs_res = state.map(|st| st.plfs_fd.close(getpid() as u64));
+    let ret = real_close(fd);
+    if let Some(Err(e)) = plfs_res {
+        set_errno(plfs_errno(&e));
+        return -1;
     }
-    real_close(fd)
+    ret
 }
 
 /// `close(2)`.
@@ -1082,17 +1093,27 @@ pub unsafe extern "C" fn dup(fd: c_int) -> c_int {
 }
 
 /// Shared `dup`/`dup2`/`dup3` fd-table bookkeeping after the real call
-/// succeeded: newfd silently closed any previous identity, then inherits
-/// oldfd's container state.
+/// succeeded: whatever open newfd was registered for is closed as `close`
+/// would (the real call already closed its reserved fd), then newfd
+/// inherits oldfd's container state. `dup2(fd, fd)` closed and duplicated
+/// nothing.
 unsafe fn dup_bookkeeping(oldfd: c_int, newfd: c_int) {
     let Some(sh) = shim() else {
         return;
     };
-    let old_state = {
+    if oldfd == newfd {
+        return;
+    }
+    let (displaced, old_state) = {
         let mut t = sh.table.write();
-        t.remove(&newfd);
-        t.get(&oldfd).cloned()
+        (t.remove(&newfd), t.get(&oldfd).cloned())
     };
+    if let Some(st) = displaced {
+        // Outside the table lock: releasing the open closes its droppings
+        // through the interposed `close`, which takes that lock.
+        // dup2(2): errors of the implied close are not reported.
+        let _ = st.plfs_fd.close(getpid() as u64);
+    }
     if let Some(st) = old_state {
         st.plfs_fd.add_ref(getpid() as u64);
         sh.table.write().insert(newfd, st);

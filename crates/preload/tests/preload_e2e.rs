@@ -388,7 +388,9 @@ fn read_tools_match_a_flat_twin_on_one_and_many_droppings() {
 }
 
 fn smoke_mode(env: &Env, mode: &str, container: &str, twin: &std::path::Path) {
-    let mut cmd = Command::new(smoke_bin());
+    // Under `timeout`: a shim that deadlocks fails the test, not hangs it.
+    let mut cmd = Command::new("timeout");
+    cmd.arg("120").arg(smoke_bin());
     cmd.arg(mode).arg(container).arg(twin);
     ok(run_preloaded(env, cmd), &format!("preload-smoke {mode}"));
 }
@@ -403,6 +405,32 @@ fn mmap_stdio_and_dup_read_one_and_many_droppings() {
             smoke_mode(&env, mode, c, &twin);
         }
     }
+}
+
+/// `dup2` onto a registered fd used to drop its state under the table lock
+/// without closing it — a writer's droppings then closed through the
+/// interposed `close` and deadlocked on that lock; a reader's reference
+/// leaked — and `dup2(fd, fd)` de-registered the fd (the next read hit the
+/// empty reserved fd).
+#[test]
+fn dup2_closes_what_it_displaces_and_nothing_else() {
+    ensure_built();
+    let env = setup("dup2");
+    let (twin, containers) = twin_and_containers(&env);
+    for mode in ["dup2-writer", "dup2-self"] {
+        smoke_mode(&env, mode, &containers[1], &twin);
+    }
+}
+
+/// `close` used to return the real close's 0 over a failed PLFS close, and
+/// `lseek(SEEK_END)` to seek as if the file were empty over a failed size.
+#[test]
+fn plfs_errors_at_close_and_seek_end_reach_the_caller() {
+    ensure_built();
+    let env = setup("closeerr");
+    let twin = env.outside.join("twin.bin");
+    std::fs::write(&twin, b"unused").unwrap();
+    smoke_mode(&env, "close-error", "unused", &twin);
 }
 
 /// `fstat` on an open container used to say `st_ino = 1` while path-stat

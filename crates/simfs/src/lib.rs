@@ -31,7 +31,6 @@ pub mod mds;
 pub mod mdstorm;
 pub mod presets;
 pub mod queue;
-pub mod readpath;
 pub mod trace;
 
 pub use config::{CacheConfig, ClusterConfig, FsConfig, LockConfig, MdsConfig, Platform};

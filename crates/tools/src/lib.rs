@@ -477,43 +477,6 @@ pub fn trace_summary(jsonl: &str) -> ToolResult {
             100.0 * cache_hits as f64 / (cache_hits + cache_misses) as f64
         );
     }
-    // Data-cache breakout: how well the block cache absorbed demand reads,
-    // and whether readahead's prefetches were worth their device traffic.
-    // A cache_hit with the hit flag is a prefetched block's first use; a
-    // cache_evict without it is a block fetched by readahead and thrown
-    // away unused.
-    let count = |op: iotrace::OpKind| recs.iter().filter(|(r, _)| r.op == op).count() as u64;
-    let dc_hits = count(iotrace::OpKind::CacheHit);
-    let dc_misses = count(iotrace::OpKind::CacheMiss);
-    if dc_hits + dc_misses > 0 {
-        let _ = writeln!(
-            out,
-            "data-cache: {} hits, {} misses ({:.1}% hit rate)",
-            dc_hits,
-            dc_misses,
-            100.0 * dc_hits as f64 / (dc_hits + dc_misses) as f64
-        );
-    }
-    let readaheads = count(iotrace::OpKind::Readahead);
-    let prefetched_used = recs
-        .iter()
-        .filter(|(r, _)| r.op == iotrace::OpKind::CacheHit && r.hit)
-        .count() as u64;
-    let prefetched_wasted = recs
-        .iter()
-        .filter(|(r, _)| r.op == iotrace::OpKind::CacheEvict && !r.hit)
-        .count() as u64;
-    if readaheads + prefetched_used + prefetched_wasted > 0 {
-        let _ = writeln!(
-            out,
-            "readahead: {} windows, {} prefetched blocks used, {} evicted unused ({:.1}% efficiency)",
-            readaheads,
-            prefetched_used,
-            prefetched_wasted,
-            100.0 * prefetched_used as f64
-                / ((prefetched_used + prefetched_wasted) as f64).max(1.0)
-        );
-    }
     let _ = writeln!(out, "{} records total", recs.len());
     Ok(out)
 }
@@ -586,8 +549,8 @@ pub fn benchcheck(text: &str, name: &str) -> ToolResult {
 
 /// The metrics `benchgate` compares for a figure: `(name, value,
 /// higher_is_better)`. Only ratios that are stable across runner speeds
-/// are gated — the shim-overhead ratios of Table II and the read-path
-/// open speedups — not raw wall-clock numbers.
+/// are gated — the shim-overhead ratios of Table II and the modelled or
+/// algorithmic ratios of the later figures — not raw wall-clock numbers.
 fn gate_metrics(doc: &jsonlite::Value) -> Result<Vec<(String, f64, bool)>, ToolError> {
     let figure = doc.get("figure").and_then(|f| f.as_str()).unwrap_or("");
     let data = doc
@@ -595,20 +558,6 @@ fn gate_metrics(doc: &jsonlite::Value) -> Result<Vec<(String, f64, bool)>, ToolE
         .ok_or_else(|| ToolError::Usage("missing \"data\"".to_string()))?;
     let mut out = Vec::new();
     match figure {
-        "readpath" => {
-            for row in data
-                .get("measured")
-                .and_then(|m| m.as_array())
-                .unwrap_or(&[])
-            {
-                if let (Some(d), Some(s)) = (
-                    row.get("droppings").and_then(|v| v.as_u64()),
-                    row.get("open_speedup").and_then(|v| v.as_f64()),
-                ) {
-                    out.push((format!("open_speedup[{d} droppings]"), s, true));
-                }
-            }
-        }
         "writepath" => {
             // refresh_speedup (full re-merge vs incremental patch) and
             // refresh_growth (patch cost at the largest resident index over
@@ -652,18 +601,6 @@ fn gate_metrics(doc: &jsonlite::Value) -> Result<Vec<(String, f64, bool)>, ToolE
                 }
             }
         }
-        "indexscale" => {
-            // Both ratios are algorithmic (resident-byte counts and a
-            // latency ratio between two in-process paths), stable across
-            // runner speeds. Lower is better for both: memory_ratio ≈ 1
-            // means residency does not scale with entries, latency_ratio
-            // ≈ 1 means cold reads stay flat.
-            for name in ["memory_ratio", "latency_ratio"] {
-                if let Some(v) = data.get(name).and_then(|v| v.as_f64()) {
-                    out.push((name.to_string(), v, false));
-                }
-            }
-        }
         "noncontig" => {
             // Both ratios come from simulated clocks — identical on any
             // runner — so they gate directly. listio_vs_sieving is the
@@ -681,17 +618,6 @@ fn gate_metrics(doc: &jsonlite::Value) -> Result<Vec<(String, f64, bool)>, ToolE
             // committed baseline holds the >=2x bar from the issue.
             if let Some(v) = data.get("destage_overlap_speedup").and_then(|v| v.as_f64()) {
                 out.push(("destage_overlap_speedup".to_string(), v, true));
-            }
-        }
-        "readcache" => {
-            // Both ratios are costed from measured op counts at fixed
-            // preset device rates — deterministic on any runner.
-            // warm_vs_cold is the cache's re-read win, readahead_speedup
-            // the coalesced-prefetch win on a strided sequential scan.
-            for name in ["warm_vs_cold", "readahead_speedup"] {
-                if let Some(v) = data.get(name).and_then(|v| v.as_f64()) {
-                    out.push((name.to_string(), v, true));
-                }
             }
         }
         "table2" => {
@@ -942,13 +868,12 @@ mod tests {
 
     #[test]
     fn rccheck_prints_effective_conf_and_names_typos() {
-        let out = rccheck(
-            "threadpool_size 8\nmount_point /p\nbackends /b\nthreadpool_sise 9\nlist_io on\n",
-        )
-        .unwrap();
-        assert!(out.contains("threadpool_size 8 (set)"), "{out}");
+        let out =
+            rccheck("submit_depth 8\nmount_point /p\nbackends /b\nthreadpool_sise 9\nlist_io on\n")
+                .unwrap();
+        assert!(out.contains("submit_depth 8 (set)"), "{out}");
         assert!(out.contains("list_io on (default)"), "{out}");
-        assert!(out.contains("data_cache_mbs 0 (default)"), "{out}");
+        assert!(out.contains("data_buffer_mbs 0 (default)"), "{out}");
         assert!(
             out.contains("warning: line 4: unknown key `threadpool_sise` ignored"),
             "{out}"
@@ -1096,93 +1021,6 @@ mod tests {
     }
 
     #[test]
-    fn trace_summary_breaks_out_data_cache_and_readahead() {
-        use iotrace::{Layer, OpKind, TraceRecord, NO_NODE, NO_PATH};
-        let jsonl = [
-            (OpKind::CacheMiss, false),
-            (OpKind::Readahead, false),
-            (OpKind::CacheHit, true),  // prefetched block, first use
-            (OpKind::CacheHit, false), // plain warm hit
-            (OpKind::CacheHit, false),
-            (OpKind::CacheEvict, true),  // evicted after use
-            (OpKind::CacheEvict, false), // prefetched and wasted
-        ]
-        .iter()
-        .map(|&(op, hit)| {
-            let r = TraceRecord {
-                layer: Layer::Plfs,
-                op,
-                path_id: NO_PATH,
-                node: NO_NODE,
-                fd: -1,
-                offset: 0,
-                bytes: 512,
-                start_ns: 0,
-                latency_ns: 50,
-                hit,
-            };
-            iotrace::record_to_json(&r, Some("/m/f")).to_json()
-        })
-        .collect::<Vec<_>>()
-        .join("\n");
-        let out = trace_summary(&jsonl).unwrap();
-        assert!(
-            out.contains("data-cache: 3 hits, 1 misses (75.0% hit rate)"),
-            "{out}"
-        );
-        assert!(
-            out.contains("readahead: 1 windows, 1 prefetched blocks used, 1 evicted unused (50.0% efficiency)"),
-            "{out}"
-        );
-        // No data-cache traffic, no breakout lines.
-        let quiet = trace_summary(
-            &iotrace::record_to_json(
-                &TraceRecord {
-                    layer: Layer::Plfs,
-                    op: OpKind::Write,
-                    path_id: NO_PATH,
-                    node: NO_NODE,
-                    fd: -1,
-                    offset: 0,
-                    bytes: 1,
-                    start_ns: 0,
-                    latency_ns: 5,
-                    hit: false,
-                },
-                None,
-            )
-            .to_json(),
-        )
-        .unwrap();
-        assert!(!quiet.contains("data-cache:"), "{quiet}");
-        assert!(!quiet.contains("readahead:"), "{quiet}");
-    }
-
-    #[test]
-    fn benchgate_readcache_gates_both_ratios() {
-        let doc = |warm: f64, ra: f64| {
-            format!(
-                "{{\"figure\":\"readcache\",\"data\":{{\"rows\":[],\
-                 \"warm_vs_cold\":{warm},\"readahead_speedup\":{ra}}},\"trace\":{{}}}}"
-            )
-        };
-        let out = benchcheck(&doc(4.0, 3.0), "BENCH_readcache.json").unwrap();
-        assert!(out.contains("2 gated metric"), "{out}");
-        // Within threshold passes; either collapsed ratio trips its gate.
-        assert!(benchgate(&doc(4.0, 3.0), &doc(3.5, 2.5), 0.30).is_ok());
-        let err = benchgate(&doc(4.0, 3.0), &doc(1.5, 3.0), 0.30).unwrap_err();
-        assert!(
-            matches!(err, ToolError::Gate(ref m) if m.contains("warm_vs_cold")),
-            "{err:?}"
-        );
-        let err = benchgate(&doc(4.0, 3.0), &doc(4.0, 1.0), 0.30).unwrap_err();
-        assert!(
-            matches!(err, ToolError::Gate(ref m) if m.contains("readahead_speedup")),
-            "{err:?}"
-        );
-    }
-
-    #[test]
     fn benchgate_metadata_gates_ratios() {
         let doc = |reduction: f64, speedup: f64| {
             format!(
@@ -1209,18 +1047,17 @@ mod tests {
         );
     }
 
-    fn readpath_doc(speedup: f64) -> String {
+    fn staging2_doc(speedup: f64) -> String {
         format!(
-            "{{\"figure\":\"readpath\",\"data\":{{\"measured\":[\
-             {{\"droppings\":256,\"open_speedup\":{speedup}}}]}},\
+            "{{\"figure\":\"staging2\",\"data\":{{\"destage_overlap_speedup\":{speedup}}},\
              \"trace\":{{\"layers\":{{\"plfs\":{{\"per_op\":{{\"open\":{{}},\"read\":{{}}}}}}}}}}}}"
         )
     }
 
     #[test]
     fn benchcheck_validates_shape() {
-        let out = benchcheck(&readpath_doc(3.0), "BENCH_readpath.json").unwrap();
-        assert!(out.contains("figure readpath"), "{out}");
+        let out = benchcheck(&staging2_doc(3.0), "BENCH_staging2.json").unwrap();
+        assert!(out.contains("figure staging2"), "{out}");
         assert!(out.contains("2 trace op rows"), "{out}");
         assert!(out.contains("1 gated metric"), "{out}");
         assert!(benchcheck("not json", "x").is_err());
@@ -1228,19 +1065,6 @@ mod tests {
         assert!(
             benchcheck("{\"figure\":\"f\"}", "x").is_err(),
             "missing data"
-        );
-    }
-
-    #[test]
-    fn benchgate_passes_within_threshold_and_fails_beyond() {
-        // 3.0 -> 2.5 is a 17% drop: inside a 30% threshold.
-        let out = benchgate(&readpath_doc(3.0), &readpath_doc(2.5), 0.30).unwrap();
-        assert!(out.contains("0 regression"), "{out}");
-        // 3.0 -> 1.8 is a 40% drop: gate fails.
-        let err = benchgate(&readpath_doc(3.0), &readpath_doc(1.8), 0.30).unwrap_err();
-        assert!(
-            matches!(err, ToolError::Gate(ref m) if m.contains("open_speedup")),
-            "{err:?}"
         );
     }
 
@@ -1288,32 +1112,6 @@ mod tests {
     }
 
     #[test]
-    fn benchgate_indexscale_gates_memory_and_latency_ratios() {
-        let doc = |mem: f64, lat: f64| {
-            format!(
-                "{{\"figure\":\"indexscale\",\"data\":{{\"rows\":[],\
-                 \"memory_ratio\":{mem},\"latency_ratio\":{lat}}},\"trace\":{{}}}}"
-            )
-        };
-        let out = benchcheck(&doc(1.0, 1.0), "BENCH_indexscale.json").unwrap();
-        assert!(out.contains("2 gated metric"), "{out}");
-        // Both ratios are lower-is-better: shrinking is fine, growing past
-        // the threshold trips the matching metric.
-        assert!(benchgate(&doc(1.5, 1.0), &doc(1.0, 1.0), 0.30).is_ok());
-        assert!(benchgate(&doc(1.0, 1.0), &doc(1.2, 1.1), 0.30).is_ok());
-        let err = benchgate(&doc(1.0, 1.0), &doc(2.0, 1.0), 0.30).unwrap_err();
-        assert!(
-            matches!(err, ToolError::Gate(ref m) if m.contains("memory_ratio")),
-            "{err:?}"
-        );
-        let err = benchgate(&doc(1.0, 1.0), &doc(1.0, 1.5), 0.30).unwrap_err();
-        assert!(
-            matches!(err, ToolError::Gate(ref m) if m.contains("latency_ratio")),
-            "{err:?}"
-        );
-    }
-
-    #[test]
     fn benchgate_noncontig_gates_listio_ratios() {
         let doc = |sieve: f64, per_ext: f64| {
             format!(
@@ -1351,7 +1149,8 @@ mod tests {
         assert!(out.contains("1 gated metric"), "{out}");
         // Higher is better: a small dip passes, a collapse below the
         // threshold fails on the headline metric.
-        assert!(benchgate(&doc(3.5), &doc(3.0), 0.30).is_ok());
+        let out = benchgate(&doc(3.5), &doc(3.0), 0.30).unwrap();
+        assert!(out.contains("0 regression"), "{out}");
         let err = benchgate(&doc(3.5), &doc(2.0), 0.30).unwrap_err();
         assert!(
             matches!(err, ToolError::Gate(ref m) if m.contains("destage_overlap_speedup")),

@@ -1,12 +1,10 @@
 #!/bin/sh
 # Benchmark regression gate: regenerate the gated paperbench figures and
 # diff them against the committed baselines in results/. Fails when a
-# gated metric (read-path open speedup, write-path refresh speedup and
-# refresh-cost growth across the resident-index sweep — absolute bar 4x,
-# Table II shim-overhead ratio, metadata ops-per-open reduction and
-# MDS-storm speedup, index-residency memory/latency ratios, list-I/O vs
-# sieving/per-extent speedups, burst-buffer destage overlap speedup,
-# data-cache warm-vs-cold and readahead speedups)
+# gated metric (write-path refresh speedup and refresh-cost growth across
+# the resident-index sweep — absolute bar 4x, Table II shim-overhead ratio,
+# metadata ops-per-open reduction and MDS-storm speedup, list-I/O vs
+# sieving/per-extent speedups, burst-buffer destage overlap speedup)
 # regresses by more than the threshold.
 # Only runner-speed-independent ratios are gated, so the comparison is
 # meaningful across machines; CI runs this as a blocking job.
@@ -14,9 +12,8 @@
 #   BENCH_GATE_THRESHOLD=0.30 scripts/bench_gate.sh
 #   BENCH_GATE_QUICK=1 scripts/bench_gate.sh    # reduced volumes where the
 #       gated ratios are scale-stable and deterministic (metadata,
-#       indexscale, noncontig); readpath/writepath/table2 always run at
-#       paper scale — their measured speedups get noisy or volume-dependent
-#       at quick scale
+#       noncontig); writepath/table2 always run at paper scale — their
+#       measured speedups get noisy or volume-dependent at quick scale
 set -eu
 
 threshold=${BENCH_GATE_THRESHOLD:-0.30}
@@ -28,28 +25,22 @@ trap 'rm -rf "$tmp"' EXIT
 # Regenerate the gated figures at the same scale as the committed files
 # (or --quick where the gated ratios do not depend on volume).
 cargo run --offline --release -q -p bench --bin paperbench -- \
-    readpath --emit-json "$tmp" > /dev/null
-cargo run --offline --release -q -p bench --bin paperbench -- \
     writepath --emit-json "$tmp" > /dev/null
 cargo run --offline --release -q -p bench --bin paperbench -- \
     table2 --emit-json "$tmp" > /dev/null
 cargo run --offline --release -q -p bench --bin paperbench -- \
     metadata $quick --emit-json "$tmp" > /dev/null
 cargo run --offline --release -q -p bench --bin paperbench -- \
-    indexscale $quick --emit-json "$tmp" > /dev/null
-cargo run --offline --release -q -p bench --bin paperbench -- \
     noncontig $quick --emit-json "$tmp" > /dev/null
-# staging2 and readcache always run at paper scale: their gated ratios are
-# costed from op counts at fixed preset rates (deterministic, sub-second
-# even at paper scale) but their values shift with workload volume, so the
-# regen must match the committed baseline's scale.
+# staging2 always runs at paper scale: its gated ratio is costed from op
+# counts at fixed preset rates (deterministic, sub-second even at paper
+# scale) but its value shifts with workload volume, so the regen must match
+# the committed baseline's scale.
 cargo run --offline --release -q -p bench --bin paperbench -- \
     staging2 --emit-json "$tmp" > /dev/null
-cargo run --offline --release -q -p bench --bin paperbench -- \
-    readcache --emit-json "$tmp" > /dev/null
 
 status=0
-for fig in readpath writepath table2 metadata indexscale noncontig staging2 readcache; do
+for fig in writepath table2 metadata noncontig staging2; do
     base="results/BENCH_${fig}.json"
     fresh="$tmp/BENCH_${fig}.json"
     if [ ! -f "$base" ]; then

@@ -51,21 +51,15 @@ CRITERION_QUICK=1 cargo bench --offline -p bench --bench micro_shim
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 cargo run --offline --release -q -p bench --bin paperbench -- \
-    readpath --quick --emit-json "$tmp" > /dev/null
-cargo run --offline --release -q -p bench --bin paperbench -- \
     writepath --quick --emit-json "$tmp" > /dev/null
 cargo run --offline --release -q -p bench --bin paperbench -- \
     table2 --gb 1 --emit-json "$tmp" > /dev/null
 cargo run --offline --release -q -p bench --bin paperbench -- \
     metadata --quick --emit-json "$tmp" > /dev/null
 cargo run --offline --release -q -p bench --bin paperbench -- \
-    indexscale --quick --emit-json "$tmp" > /dev/null
-cargo run --offline --release -q -p bench --bin paperbench -- \
     noncontig --quick --emit-json "$tmp" > /dev/null
 cargo run --offline --release -q -p bench --bin paperbench -- \
     staging2 --quick --emit-json "$tmp" > /dev/null
-cargo run --offline --release -q -p bench --bin paperbench -- \
-    readcache --quick --emit-json "$tmp" > /dev/null
 cargo run --offline --release -q -p plfs-tools -- benchcheck "$tmp"/BENCH_*.json
 
 echo "verify: OK"

@@ -3,7 +3,7 @@
 //! PR 3's contract for `O_APPEND` workloads: resolving EOF for an append
 //! costs one relaxed atomic `fetch_add`, never an index merge. These tests
 //! turn the global trace sink on and assert on the recorded op mix — a run
-//! of appends must emit zero `index_merge`/`index_merge_par` ops (only
+//! of appends must emit zero `index_merge` ops (only
 //! `append_fastpath`), and interleaving reads with appends must stay
 //! read-your-writes while refreshing the cached reader by `index_patch`
 //! rather than re-merging every dropping.
@@ -78,7 +78,7 @@ fn o_append_run_emits_zero_index_merges() {
 
     sink.set_enabled(false);
     assert_eq!(
-        ops_of(OpKind::IndexMerge) + ops_of(OpKind::IndexMergePar),
+        ops_of(OpKind::IndexMerge),
         0,
         "appends and stats must not trigger an index merge"
     );
@@ -119,7 +119,7 @@ fn interleaved_append_and_read_stays_read_your_writes() {
     shim.close(fd).unwrap();
 
     sink.set_enabled(false);
-    let merges = ops_of(OpKind::IndexMerge) + ops_of(OpKind::IndexMergePar);
+    let merges = ops_of(OpKind::IndexMerge);
     assert!(
         merges <= 1,
         "only the first read may build the index from scratch (saw {merges} merges)"

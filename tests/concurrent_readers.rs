@@ -1,14 +1,12 @@
-//! Integration: thread-parallel reads through the parallel PLFS read path.
+//! Integration: thread-parallel reads through the PLFS read path.
 //!
 //! Counterpart to `concurrent_writers.rs`: a many-dropping container is
 //! written once, then hammered by N OS threads issuing random preads
-//! through one shared `ReadFile`, under the sharded handle cache and the
-//! fan-out configurations. Every read must be byte-identical to the
-//! serially-built reference, whatever interleaving the scheduler picks.
+//! through one shared `ReadFile` and its sharded handle cache. Every read
+//! must be byte-identical to the serially-built reference, whatever
+//! interleaving the scheduler picks.
 
-use plfs::{
-    Backing, BlockCache, Conf, ContainerParams, LayoutMode, MemBacking, OpenFlags, Plfs, ReadFile,
-};
+use plfs::{Backing, Conf, ContainerParams, LayoutMode, MemBacking, OpenFlags, Plfs, ReadFile};
 use std::sync::Arc;
 
 /// Write a strided N-writer pattern and return the expected logical bytes.
@@ -53,8 +51,8 @@ fn xorshift(state: &mut u64) -> u64 {
     *state
 }
 
-/// N threads share one `ReadFile` and issue random preads through
-/// `pread_auto`; each result must match the reference slice exactly.
+/// N threads share one `ReadFile` and issue random preads; each result
+/// must match the reference slice exactly.
 fn hammer(rf: &ReadFile, b: &dyn Backing, want: &[u8], threads: usize, reads_per_thread: usize) {
     crossbeam::scope(|scope| {
         for t in 0..threads {
@@ -64,7 +62,7 @@ fn hammer(rf: &ReadFile, b: &dyn Backing, want: &[u8], threads: usize, reads_per
                     let off = (xorshift(&mut rng) % (want.len() as u64 + 512)) as usize;
                     let len = 1 + (xorshift(&mut rng) % (64 * 1024)) as usize;
                     let mut buf = vec![0xA5u8; len];
-                    let n = rf.pread_auto(b, &mut buf, off as u64).unwrap();
+                    let n = rf.pread(b, &mut buf, off as u64).unwrap();
                     let expect: &[u8] = if off < want.len() {
                         &want[off..(off + len).min(want.len())]
                     } else {
@@ -83,38 +81,14 @@ fn hammer(rf: &ReadFile, b: &dyn Backing, want: &[u8], threads: usize, reads_per
 fn random_preads_match_serial_under_sharded_cache() {
     let backing = Arc::new(MemBacking::new());
     let want = build_container(&backing, 8, 16, 4096);
-    // Parallel merge on open, default 16-way sharded cache, fan-out enabled
-    // for anything over 8 KiB so most random reads exercise both paths.
-    let conf = Conf {
-        threads: 4,
-        parallel_merge_min_droppings: 1,
-        fanout_threshold: 8 * 1024,
-        ..Conf::default()
-    };
-    let rf = ReadFile::open_with(backing.as_ref(), "/shared", &conf).unwrap();
-    assert!(rf.merged_parallel());
+    // The default 16-way sharded handle cache.
+    let rf = ReadFile::open(backing.as_ref(), "/shared").unwrap();
     assert_eq!(
         rf.read_all(backing.as_ref()).unwrap(),
         want,
-        "parallel open must reconstruct the file before we stress it"
+        "the open must reconstruct the file before we stress it"
     );
     hammer(&rf, backing.as_ref(), &want, 8, 64);
-}
-
-#[test]
-fn fanout_reads_match_with_tiny_threshold() {
-    let backing = Arc::new(MemBacking::new());
-    let want = build_container(&backing, 6, 8, 1024);
-    // Threshold of 1 byte: every pread (that resolves to 2+ slices) takes
-    // the fan-out path, so worker threads race on the handle cache hard.
-    let conf = Conf {
-        threads: 4,
-        parallel_merge_min_droppings: 1,
-        fanout_threshold: 1,
-        ..Conf::default()
-    };
-    let rf = ReadFile::open_with(backing.as_ref(), "/shared", &conf).unwrap();
-    hammer(&rf, backing.as_ref(), &want, 6, 48);
 }
 
 #[test]
@@ -123,10 +97,7 @@ fn single_shard_cache_is_still_correct_under_contention() {
     let want = build_container(&backing, 8, 8, 512);
     // One shard = one global lock: maximum contention, same answers.
     let conf = Conf {
-        threads: 4,
-        parallel_merge_min_droppings: 1,
         lock_shards: 1,
-        fanout_threshold: 256,
         ..Conf::default()
     };
     let rf = ReadFile::open_with(backing.as_ref(), "/shared", &conf).unwrap();
@@ -134,94 +105,12 @@ fn single_shard_cache_is_still_correct_under_contention() {
 }
 
 #[test]
-fn cached_preads_match_under_thread_contention() {
-    let backing = Arc::new(MemBacking::new());
-    let want = build_container(&backing, 8, 16, 4096);
-    // Block cache with a budget far below the file size: threads race on
-    // the shard locks while LRU eviction churns, and every read must
-    // still be byte-identical to the reference.
-    let conf = Conf {
-        threads: 4,
-        parallel_merge_min_droppings: 1,
-        fanout_threshold: 8 * 1024,
-        ..Conf::default()
-    };
-    let cache = Arc::new(BlockCache::new(&Conf {
-        data_cache_bytes: 64 * 1024,
-        data_cache_block_bytes: 4096,
-        lock_shards: 4,
-        ..Conf::default()
-    }));
-    let rf = ReadFile::open_with(backing.as_ref(), "/shared", &conf)
-        .unwrap()
-        .with_cache(Arc::clone(&cache));
-    hammer(&rf, backing.as_ref(), &want, 8, 64);
-    let stats = cache.stats();
-    assert!(stats.hits > 0, "contended hammer never hit the cache");
-    assert!(stats.evictions > 0, "undersized cache never evicted");
-}
-
-#[test]
-fn concurrent_prefetch_and_preads_agree() {
-    let backing = Arc::new(MemBacking::new());
-    let want = build_container(&backing, 6, 8, 1024);
-    let conf = Conf {
-        threads: 4,
-        parallel_merge_min_droppings: 1,
-        fanout_threshold: 1,
-        ..Conf::default()
-    };
-    let cache = Arc::new(BlockCache::new(&Conf {
-        data_cache_bytes: 1 << 20,
-        data_cache_block_bytes: 512,
-        ..Conf::default()
-    }));
-    let rf = ReadFile::open_with(backing.as_ref(), "/shared", &conf)
-        .unwrap()
-        .with_cache(cache);
-    // Half the threads prefetch sliding windows (the readahead path),
-    // half issue demand preads over the same ranges, racing on the same
-    // cache blocks.
-    crossbeam::scope(|scope| {
-        for t in 0..4usize {
-            let rf = &rf;
-            let b = backing.as_ref();
-            let want = &want[..];
-            scope.spawn(move |_| {
-                let mut rng = 0xDEADBEEFu64.wrapping_add(t as u64);
-                for _ in 0..48 {
-                    let off = xorshift(&mut rng) % (want.len() as u64 + 512);
-                    let len = 1 + (xorshift(&mut rng) % 8192) as usize;
-                    if t % 2 == 0 {
-                        rf.prefetch(b, off, len).unwrap();
-                    } else {
-                        let mut buf = vec![0xA5u8; len];
-                        let n = rf.pread_auto(b, &mut buf, off).unwrap();
-                        let expect: &[u8] = if (off as usize) < want.len() {
-                            &want[off as usize..(off as usize + len).min(want.len())]
-                        } else {
-                            &[]
-                        };
-                        assert_eq!(n, expect.len());
-                        assert_eq!(&buf[..n], expect, "prefetch race corrupted a read");
-                    }
-                }
-            });
-        }
-    })
-    .expect("prefetch/read thread panicked");
-    // Full verification pass after the races settle.
-    assert_eq!(rf.read_all(backing.as_ref()).unwrap(), want);
-}
-
-#[test]
 fn serial_conf_is_unaffected_by_concurrent_callers() {
     let backing = Arc::new(MemBacking::new());
     let want = build_container(&backing, 4, 8, 1024);
-    // threads=1 disables both the parallel merge and the fan-out; many
-    // threads sharing the serial reader must still read true bytes.
+    // The read loop itself is serial per call; many threads sharing one
+    // reader, more callers than droppings, must still read true bytes.
     let rf = ReadFile::open_with(backing.as_ref(), "/shared", &Conf::default()).unwrap();
-    assert!(!rf.merged_parallel());
     hammer(&rf, backing.as_ref(), &want, 8, 32);
 }
 
@@ -316,7 +205,7 @@ fn readers_share_one_view_while_a_writer_patches_it() {
     });
     sink.set_enabled(false);
     assert_eq!(
-        traced(iotrace::OpKind::IndexMerge) + traced(iotrace::OpKind::IndexMergePar),
+        traced(iotrace::OpKind::IndexMerge),
         1,
         "concurrent readers must not force a re-merge"
     );

@@ -186,28 +186,10 @@ fn many_files_concurrently() {
 /// (read-your-writes under contention), and the final file is byte-exact.
 #[test]
 fn racing_pids_share_one_fd_read_your_writes() {
-    racing_read_your_writes(Plfs::new(Arc::new(MemBacking::new())).with_conf(Conf {
+    let plfs = Plfs::new(Arc::new(MemBacking::new())).with_conf(Conf {
         data_buffer_bytes: 512,
         ..Conf::default()
-    }));
-}
-
-/// Same race with the data block cache and readahead in the loop: every
-/// interleaved write must invalidate or out-date the cached blocks its
-/// region touched before the racing re-read observes them.
-#[test]
-fn racing_pids_read_your_writes_with_block_cache() {
-    racing_read_your_writes(Plfs::new(Arc::new(MemBacking::new())).with_conf(Conf {
-        data_buffer_bytes: 512,
-        data_cache_bytes: 32 * 1024,
-        data_cache_block_bytes: 512,
-        readahead_min: 1024,
-        readahead_max: 4096,
-        ..Conf::default()
-    }));
-}
-
-fn racing_read_your_writes(plfs: Plfs) {
+    });
     let ranks = 8usize;
     let rows = 16usize;
     let block = 64usize;
@@ -462,23 +444,5 @@ proptest! {
         let fast = apply_ops(&ops, sharded_buffered());
         let slow = apply_ops(&ops, serial());
         prop_assert_eq!(fast, slow);
-    }
-
-    /// The same holds with the block cache and readahead in the write/read
-    /// interleave: caching must never let a read observe pre-write bytes.
-    #[test]
-    fn cached_interleave_matches_serial_path(ops in ops_strategy(40)) {
-        let cached = apply_ops(
-            &ops,
-            Conf {
-                data_cache_bytes: 2048,
-                data_cache_block_bytes: 512,
-                readahead_min: 1024,
-                readahead_max: 4096,
-                ..sharded_buffered()
-            },
-        );
-        let slow = apply_ops(&ops, serial());
-        prop_assert_eq!(cached, slow);
     }
 }

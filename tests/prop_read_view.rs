@@ -7,9 +7,12 @@
 //! `deep` read syncs every pid first — which must not feed the view the same
 //! entries twice), the patched view equals a freshly merged
 //! `ReadFile::open` of the same container: same EOF, same segments, and a
-//! dropping table the fresh one contains.
+//! dropping table the fresh one contains. The fresh merge in turn — the one
+//! open there is, runs merged by `from_sorted_runs` — equals the reference
+//! builder `GlobalIndex::from_entries` fed every decoded entry, and reads
+//! back the model's bytes.
 
-use plfs::{Conf, MemBacking, OpenFlags, Plfs, PlfsFd, ReadFile};
+use plfs::{Conf, GlobalIndex, MemBacking, OpenFlags, Plfs, PlfsFd, ReadFile};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -58,11 +61,35 @@ fn segments(r: &ReadFile) -> Vec<(u64, u64, String, u64)> {
         .collect()
 }
 
-fn assert_view_equals_fresh_merge(backing: &MemBacking, fd: &PlfsFd, pids: u64) {
+/// The reference index of the container `fresh` was opened on: every
+/// decoded entry, concatenated, inserted one at a time in timestamp order.
+fn reference_index(backing: &MemBacking, fresh: &ReadFile) -> GlobalIndex {
+    let runs = plfs::container::read_index_runs(backing, fresh.droppings()).unwrap();
+    GlobalIndex::from_entries(runs.concat())
+}
+
+fn assert_view_equals_fresh_merge(backing: &MemBacking, fd: &PlfsFd, pids: u64, model: &[u8]) {
     for pid in 0..pids {
         fd.sync(pid).unwrap();
     }
     let fresh = ReadFile::open(backing, fd.container_path()).unwrap();
+    let reference = reference_index(backing, &fresh);
+    assert_eq!(fresh.eof(), reference.eof(), "open vs reference: eof");
+    assert_eq!(
+        fresh.index().raw_entries(),
+        reference.raw_entries(),
+        "open vs reference: entries"
+    );
+    assert_eq!(
+        fresh.index().iter_segments().collect::<Vec<_>>(),
+        reference.iter_segments().collect::<Vec<_>>(),
+        "open vs reference: segments"
+    );
+    assert_eq!(
+        fresh.read_all(backing).unwrap(),
+        model,
+        "fresh open's bytes"
+    );
     fd.with_view(|view| {
         assert_eq!(view.eof(), fresh.eof(), "eof");
         assert_eq!(segments(view), segments(&fresh), "segments");
@@ -111,7 +138,7 @@ fn run(ops: &[Op], pids: u64, conf: Conf) {
                     .unwrap_or(&[]);
                 assert_eq!(&buf[..n], want, "read({off}, {len})");
                 if *deep {
-                    assert_view_equals_fresh_merge(&backing, &fd, pids);
+                    assert_view_equals_fresh_merge(&backing, &fd, pids, &model);
                 }
             }
             Op::Sync { pid } => plfs.sync(&fd, *pid).unwrap(),
@@ -124,7 +151,7 @@ fn run(ops: &[Op], pids: u64, conf: Conf) {
         }
     }
     assert_eq!(fd.size().unwrap(), model.len() as u64);
-    assert_view_equals_fresh_merge(&backing, &fd, pids);
+    assert_view_equals_fresh_merge(&backing, &fd, pids, &model);
     assert_eq!(
         fd.with_view(|v| v.read_all(backing.as_ref()))
             .unwrap()

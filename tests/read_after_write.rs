@@ -5,7 +5,7 @@
 //! ops at all: no reopen of the data dropping, no `readdir`, no forced
 //! index append.
 
-use plfs::{Backing, MemBacking, MeterBacking, OpenFlags, Plfs};
+use plfs::{Backing, MemBacking, MeterBacking, OpenFlags, Plfs, ReadFile};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -40,6 +40,66 @@ fn thousand_write_read_pairs_reopen_nothing() {
     assert!(
         all.open <= 2,
         "1000 pairs: one index open for the merge, one data open: {all:?}"
+    );
+}
+
+/// What the one read path costs on the shape the benchmark's `restart_read`
+/// reads: 8 pids, 4 KiB records in a shuffled order, so neighbouring records
+/// sit in different droppings. Upper bounds — coalescing adjacent fragments
+/// of one dropping may lower them.
+#[test]
+fn cold_open_and_scan_of_a_shuffled_eight_writer_container() {
+    const PIDS: u64 = 8;
+    const RECORD: usize = 4096;
+    const RECORDS: u64 = 512;
+    let meter = Arc::new(MeterBacking::new(Arc::new(MemBacking::new())));
+    let plfs = Plfs::new(meter.clone() as Arc<dyn Backing>);
+    let fd = plfs
+        .open("/f", OpenFlags::WRONLY | OpenFlags::CREAT, 0)
+        .unwrap();
+    for pid in 1..PIDS {
+        fd.add_ref(pid);
+    }
+    // 211 is coprime to 512: every record once, in no logical order, and
+    // a pid that does not follow from the record's position.
+    for i in 0..RECORDS {
+        let rec = i * 211 % RECORDS;
+        let pid = (rec * 5 + rec / 8) % PIDS;
+        plfs.write(&fd, &[rec as u8; RECORD], rec * RECORD as u64, pid)
+            .unwrap();
+    }
+    for pid in 0..PIDS {
+        plfs.close(&fd, pid).unwrap();
+    }
+
+    let before = meter.snapshot();
+    let r = ReadFile::open(meter.as_ref(), "/f").unwrap();
+    let open = meter.snapshot().delta(&before);
+    assert_eq!(r.droppings().len(), PIDS as usize);
+    assert!(
+        open.open <= PIDS && open.size <= PIDS && open.pread <= PIDS,
+        "one open, one size, one pread per index dropping: {open:?}"
+    );
+    assert_eq!(open.data_ops(), open.pread, "an open writes nothing");
+
+    let before = meter.snapshot();
+    let mut buf = vec![0u8; 16 * RECORD];
+    assert_eq!(
+        r.pread(meter.as_ref(), &mut buf, 64 << 10).unwrap(),
+        buf.len()
+    );
+    for (k, rec) in buf.chunks(RECORD).enumerate() {
+        assert!(rec.iter().all(|&b| b == (16 + k) as u8), "record {k}");
+    }
+    let read = meter.snapshot().delta(&before);
+    assert!(
+        read.pread <= 16 && read.open <= PIDS,
+        "one data pread per 4 KiB fragment, one open per dropping touched: {read:?}"
+    );
+    assert_eq!(
+        read.readdir + read.stat + read.exists + read.size,
+        0,
+        "{read:?}"
     );
 }
 
