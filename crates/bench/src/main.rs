@@ -273,7 +273,7 @@ fn cmd_metadata(args: &Args) {
     println!("## Measured (in-memory backing, this host) + MDS-storm projection\n");
     println!("{}", render_metadata(&report));
     println!(
-        "(storm rows replay the measured open+write+close profile for N\n          simultaneous processes through Sierra's dedicated-MDS model; the\n          speedup column is the projected time-to-open ratio)\n"
+        "(storm rows replay the measured open+write+close profile for N\n          simultaneous processes through Sierra's dedicated-MDS model: the\n          projected time for the slowest to finish its open)\n"
     );
     dump_json(&args.json, "metadata", &report);
     trace_emit(args, "metadata", &report);

@@ -118,7 +118,8 @@ pub enum OpKind {
     /// A container-metadata lookup that missed the cache and probed the
     /// backing store.
     MetaCacheMiss,
-    /// An `openhosts/` writer-marker create or unlink.
+    /// An open-writer marker's create, or its rename into the fast-stat
+    /// drop at close.
     OpenMarker,
     /// A noncontiguous extent vector written through the list-I/O path
     /// (one index-record batch for the whole vector).

@@ -155,7 +155,7 @@ mod tests {
     /// table-driven parser test.)
     #[test]
     fn from_plfsrc_hands_the_parsed_conf_to_every_mount() {
-        let rc = "backend tiered\nsubmit_depth 8\nopen_markers lazy\n\
+        let rc = "backend tiered\nsubmit_depth 8\nlist_io off\n\
                   mount_point /a\nbackends /f,/s\nindex_buffer_entries 99\n\
                   mount_point /b\nbackends /f2,/s2\n";
         let parsed = PlfsRc::parse(rc).unwrap();

@@ -269,16 +269,15 @@ impl PlfsContainer {
         plfs::container::hostdir_for_pid(rank as u64, self.num_hostdirs)
     }
 
-    /// Create the container skeleton: dir, access file, openhosts, meta,
-    /// and all hostdirs (as real PLFS does at container creation — so
-    /// later dropping creates are pure file creates).
+    /// Create the container skeleton — the two ops of
+    /// `plfs::container::create_container`, dir and access file — and all
+    /// hostdirs (as real PLFS does at container creation — so later
+    /// dropping creates are pure file creates).
     fn create_skeleton(&mut self, fs: &mut SimFs, t: f64) -> SimResult<f64> {
         let mut c = fs.mkdir(t, &self.path)?;
         c = fs
             .create(c, &format!("{}/.plfsaccess", self.path), Some(1))?
             .0;
-        c = fs.mkdir(c, &format!("{}/openhosts", self.path))?;
-        c = fs.mkdir(c, &format!("{}/meta", self.path))?;
         for hd in 0..self.num_hostdirs {
             c = fs.mkdir(c, &format!("{}/hostdir.{hd}", self.path))?;
             self.hostdirs_made.insert(hd);
@@ -435,7 +434,7 @@ impl PlfsContainer {
     }
 
     /// Close: flush each closing rank's buffered index (one append) and
-    /// drop a metadata entry into the shared `meta/` dir (one create per
+    /// drop a metadata entry into the container directory (one create per
     /// node, as real PLFS does per host).
     fn close_rank(
         &mut self,
@@ -458,10 +457,10 @@ impl PlfsContainer {
         }
         if drop_meta {
             // Re-closes (restart phases) overwrite the node's meta drop.
-            match fs.create(c, &format!("{}/meta/meta.{rank}", self.path), Some(1)) {
+            match fs.create(c, &format!("{}/meta.{rank}", self.path), Some(1)) {
                 Ok((c2, _)) => c = c2,
                 Err(simfs::SimError::Exists(_)) => {
-                    c = fs.stat(c, &format!("{}/meta/meta.{rank}", self.path))?.0;
+                    c = fs.stat(c, &format!("{}/meta.{rank}", self.path))?.0;
                 }
                 Err(e) => return Err(e),
             }

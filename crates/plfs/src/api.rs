@@ -187,20 +187,20 @@ impl Plfs {
         Ok(p)
     }
 
-    /// Fast-stat info from `meta/` drops for `bp`, answered from the cache
-    /// when warm. Only valid for containers with no open writers — the
-    /// caller checks that, and writer close clears this field.
+    /// Fast-stat info from the container's `meta.*` drops, or `None` while
+    /// some process's open marker stands beside them — both read off one
+    /// listing of the container directory. The closed-container answer is
+    /// cached; writer close clears it.
     fn meta_for(&self, bp: &str, e: MetaEntry) -> Result<Option<(u64, u64)>> {
-        if let Some(m) = e.meta {
-            return Ok(m);
-        }
-        if !self.conf.meta_cache_enabled() {
-            return container::read_meta(self.backing.as_ref(), bp);
-        }
         let generation = self.cache.begin_fill(bp);
-        let m = container::read_meta(self.backing.as_ref(), bp)?;
-        self.cache
-            .complete_fill(bp, generation, MetaEntry { meta: Some(m), ..e });
+        let (writers, m) = container::read_lifecycle(self.backing.as_ref(), bp)?;
+        if writers > 0 {
+            return Ok(None);
+        }
+        if self.conf.meta_cache_enabled() {
+            self.cache
+                .complete_fill(bp, generation, MetaEntry { meta: Some(m), ..e });
+        }
         Ok(m)
     }
 
@@ -394,11 +394,11 @@ impl Plfs {
         }
         // Fast path: closed containers answer from meta drops. This
         // process's own writer count answers "is anyone writing?" without
-        // listing openhosts/. A cached meta verdict implies the container
+        // listing anything. A cached meta verdict implies the container
         // was closed when probed and no local open/close touched it since
-        // (writer close clears it), so a warm getattr skips even the
-        // openhosts readdir; a writer in *another* process can make that
-        // stale until the verdict is locally dropped or evicted — see the
+        // (writer close clears it), so a warm getattr skips even the one
+        // listing; a writer in *another* process can make that stale until
+        // the verdict is locally dropped or evicted — see the
         // cross-process consistency note on [`Conf::meta_cache_entries`].
         let local_writers = if self.conf.meta_cache_enabled() {
             self.cache.local_writers(&bp)
@@ -406,14 +406,11 @@ impl Plfs {
             0
         };
         if local_writers == 0 {
-            let m = if let Some(m) = e.meta {
-                Some(m)
-            } else if container::open_writers(self.backing.as_ref(), &bp)? == 0 {
-                Some(self.meta_for(&bp, e)?)
-            } else {
-                None
+            let m = match e.meta {
+                Some(m) => m,
+                None => self.meta_for(&bp, e)?,
             };
-            if let Some(Some((eof, bytes))) = m {
+            if let Some((eof, bytes)) = m {
                 return Ok(Stat {
                     size: eof,
                     is_dir: false,
@@ -450,7 +447,7 @@ impl Plfs {
         if e.is_container {
             let rm = container::remove_container(self.backing.as_ref(), &bp);
             // Removing a container deletes a directory tree; any cached
-            // probe of an internal path (hostdirs, meta/) dies with it.
+            // probe of an internal path (hostdirs) dies with it.
             self.meta_invalidate_tree(&bp);
             return rm;
         }
@@ -504,21 +501,17 @@ impl Plfs {
     }
 
     fn trunc_backend_inner(&self, bp: &str, len: u64) -> Result<()> {
-        if !container::is_container(self.backing.as_ref(), bp) {
-            return Err(Error::NotContainer(bp.to_string()));
-        }
+        // A missing access file is the "not a container" answer.
         let params = container::read_params(self.backing.as_ref(), bp)?;
         if len == 0 {
-            // Drop every dropping and meta entry, keep the skeleton.
-            let names = self.backing.readdir(bp)?;
-            for n in names {
+            // Drop every dropping and meta drop; the access file stays, and
+            // so do the markers of writers still open (theirs to remove).
+            for n in self.backing.readdir(bp)? {
                 if n.starts_with(container::HOSTDIR_PREFIX) {
                     crate::backing::remove_tree(self.backing.as_ref(), &join(bp, &n))?;
+                } else if n.starts_with(container::META_PREFIX) {
+                    self.backing.unlink(&join(bp, &n))?;
                 }
-            }
-            for m in self.backing.readdir(&join(bp, container::META_DIR))? {
-                self.backing
-                    .unlink(&join(&join(bp, container::META_DIR), &m))?;
             }
             return Ok(());
         }
@@ -549,8 +542,7 @@ impl Plfs {
             w.write(&[0], len - 1)?;
         }
         w.sync()?;
-        container::drop_meta(self.backing.as_ref(), bp, len, data.len() as u64, 0)?;
-        Ok(())
+        container::drop_meta(self.backing.as_ref(), bp, len, data.len() as u64, 0, w.seq)
     }
 
     /// `plfs_mkdir`: create a plain directory inside the mount.
@@ -606,9 +598,6 @@ impl Plfs {
     /// [`Error::InvalidArg`] while writers hold the container open.
     pub fn compact(&self, path: &str) -> Result<crate::flatten::CompactStats> {
         let bp = self.backend_path(path);
-        if !container::is_container(self.backing.as_ref(), &bp) {
-            return Err(Error::NotContainer(bp));
-        }
         let r = crate::flatten::compact_container(self.backing.as_ref(), &bp);
         // Dropping layout and meta drops changed; re-derive fast stat.
         self.meta_invalidate(&bp);
@@ -932,14 +921,14 @@ mod tests {
         let d = meter.snapshot().delta(&before);
         p.close(&fd, 1).unwrap();
         // One failed stat (the miss probe), then the container skeleton:
-        // mkdir + access-file create + openhosts/meta mkdirs. No open() of
-        // the access file — the old code re-read params here.
+        // mkdir + access-file create. No open() of the access file — the
+        // old code re-read params here.
         assert_eq!(
             d.open, 0,
             "create-open must not re-read the access file: {d:?}"
         );
-        assert_eq!(d.create, 1);
-        assert_eq!(d.stat, 1);
+        assert_eq!((d.stat, d.mkdir, d.create), (1, 1, 1));
+        assert_eq!(d.metadata_ops(), 3, "{d:?}");
     }
 
     /// getattr/access of a warm closed container are also metadata-free.

@@ -843,11 +843,10 @@ impl Backing for TieredBacking {
     }
 
     fn mkdir(&self, path: &str) -> Result<()> {
+        // `Exists` from either tier is the answer: a directory only the
+        // slow tier remembers (a fresh fast tier) is not this call's.
         self.fast.mkdir(path)?;
-        match self.slow.mkdir(path) {
-            Ok(()) | Err(Error::Exists(_)) => Ok(()),
-            Err(e) => Err(e),
-        }
+        self.slow.mkdir(path)
     }
 
     fn mkdir_all(&self, path: &str) -> Result<()> {
@@ -1281,7 +1280,9 @@ impl Backing for ObjectBacking {
     }
 
     fn mkdir(&self, path: &str) -> Result<()> {
-        if self.is_file(path)? {
+        // A directory another instance made is implied by the keys under
+        // it: `Exists` must agree with what `stat` and `readdir` say.
+        if self.is_file(path)? || self.is_dir(path)? {
             return Err(Error::Exists(path.to_string()));
         }
         let mut st = self.state.lock();

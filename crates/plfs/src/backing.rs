@@ -56,7 +56,8 @@ pub trait Backing: Send + Sync {
     fn create(&self, path: &str, excl: bool) -> Result<Box<dyn BackingFile>>;
     /// Open an existing file. `write` requests write permission.
     fn open(&self, path: &str, write: bool) -> Result<Box<dyn BackingFile>>;
-    /// Create a directory; parent must exist.
+    /// Create a directory; parent must exist. `Exists` whenever `stat`
+    /// would find anything at `path` — `create_container` probes with it.
     fn mkdir(&self, path: &str) -> Result<()>;
     /// Create a directory and any missing ancestors.
     fn mkdir_all(&self, path: &str) -> Result<()>;

@@ -6,7 +6,7 @@
 //! droppings can be orphaned, and the fast-stat metadata can go stale.
 //! [`check`] diagnoses all of these; [`repair`] fixes what can be fixed
 //! mechanically (truncating torn indices to whole records, trimming index
-//! entries that overrun their data, rebuilding `meta/`), and reports what
+//! entries that overrun their data, rebuilding the `meta.*` drops), and reports what
 //! cannot (missing data).
 
 use crate::backing::{join, Backing};
@@ -64,14 +64,14 @@ pub enum Finding {
         /// Entries affected.
         entries: u64,
     },
-    /// The `meta/` fast-stat cache disagrees with the merged index.
+    /// The `meta.*` fast-stat drops disagree with the merged index.
     StaleMeta {
         /// Size according to meta drops.
         cached: u64,
         /// Size according to the merged index.
         actual: u64,
     },
-    /// Writers appear to still hold the container open (openhosts entries).
+    /// Writers appear to still hold the container open (`open.*` markers).
     /// Expected during use; suspicious after a crash.
     OpenWriters {
         /// Marker count.
@@ -186,13 +186,16 @@ fn pattern_fit(p: &PatternRecord, data_size: u64) -> u64 {
 /// Examine a container and report inconsistencies. Read-only.
 pub fn check(b: &dyn Backing, path: &str) -> Result<CheckReport> {
     let mut report = CheckReport::default();
-    if !container::is_container(b, path) {
-        report.findings.push(Finding::NotAContainer);
-        return Ok(report);
-    }
-
-    // Open-writer markers.
-    let writers = container::open_writers(b, path)?;
+    // Open-writer markers and fast-stat drops, off the one listing that
+    // also says whether this is a container at all.
+    let (writers, meta) = match container::read_lifecycle(b, path) {
+        Ok(lifecycle) => lifecycle,
+        Err(Error::NotContainer(_)) => {
+            report.findings.push(Finding::NotAContainer);
+            return Ok(report);
+        }
+        Err(e) => return Err(e),
+    };
     if writers > 0 {
         report
             .findings
@@ -279,7 +282,7 @@ pub fn check(b: &dyn Backing, path: &str) -> Result<CheckReport> {
 
     // Meta cache consistency (only meaningful with no open writers).
     if writers == 0 {
-        if let Some((cached_eof, _)) = container::read_meta(b, path)? {
+        if let Some((cached_eof, _)) = meta {
             if cached_eof != eof {
                 report.findings.push(Finding::StaleMeta {
                     cached: cached_eof,
@@ -329,12 +332,8 @@ pub fn repair(b: &dyn Backing, path: &str, clear_markers: bool) -> Result<Repair
                 b.unlink(ip)?;
                 report.orphan_indices_removed += 1;
             }
-            Finding::OpenWriters { count } if clear_markers => {
-                let oh = join(path, container::OPENHOSTS_DIR);
-                for name in b.readdir(&oh)? {
-                    b.unlink(&join(&oh, &name))?;
-                }
-                report.markers_cleared += count;
+            Finding::OpenWriters { .. } if clear_markers => {
+                report.markers_cleared += container::clear_names(b, path, container::OPEN_PREFIX)?;
             }
             Finding::CorruptIndexRecord { .. } | Finding::OrphanData { .. } => {
                 report.unrepairable.push(finding.clone());
@@ -387,12 +386,9 @@ pub fn repair(b: &dyn Backing, path: &str, clear_markers: bool) -> Result<Repair
     }
 
     // Rebuild the meta cache from the repaired indices.
-    let meta_dir = join(path, container::META_DIR);
-    for name in b.readdir(&meta_dir)? {
-        b.unlink(&join(&meta_dir, &name))?;
-    }
+    container::clear_names(b, path, container::META_PREFIX)?;
     let (idx, _) = container::build_global_index(b, path)?;
-    container::drop_meta(b, path, idx.eof(), 0, 0)?;
+    container::drop_meta(b, path, idx.eof(), 0, 0, 0)?;
     report.meta_rebuilt = true;
 
     Ok(report)
@@ -634,7 +630,7 @@ mod tests {
     #[test]
     fn stale_markers_cleared_on_request() {
         let b = written_container();
-        container::mark_open(b.as_ref(), "/c", 77).unwrap();
+        container::mark_open(b.as_ref(), "/c", 77, 0).unwrap();
         let r = check(b.as_ref(), "/c").unwrap();
         assert!(r
             .findings
@@ -649,11 +645,8 @@ mod tests {
     fn repair_rebuilds_meta() {
         let b = written_container();
         // Poison the meta cache.
-        let meta = join("/c", container::META_DIR);
-        for n in b.readdir(&meta).unwrap() {
-            b.unlink(&join(&meta, &n)).unwrap();
-        }
-        container::drop_meta(b.as_ref(), "/c", 999_999, 1, 0).unwrap();
+        container::clear_names(b.as_ref(), "/c", container::META_PREFIX).unwrap();
+        container::drop_meta(b.as_ref(), "/c", 999_999, 1, 0, 0).unwrap();
         let r = check(b.as_ref(), "/c").unwrap();
         assert!(r
             .findings
@@ -661,6 +654,13 @@ mod tests {
             .any(|f| matches!(f, Finding::StaleMeta { .. })));
         let rep = repair(b.as_ref(), "/c", false).unwrap();
         assert!(rep.meta_rebuilt);
+        let drops = b.readdir("/c").unwrap();
+        let drops: Vec<_> = drops.iter().filter(|n| n.starts_with("meta.")).collect();
+        assert_eq!(
+            drops,
+            ["meta.300.0.0.0"],
+            "one rebuilt drop, in the container"
+        );
         let plfs = Plfs::new(b.clone());
         assert_eq!(plfs.getattr("/c").unwrap().size, 300);
     }

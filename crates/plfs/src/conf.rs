@@ -24,46 +24,6 @@ use std::fmt::Write as _;
 /// is left at 0.
 pub const DEFAULT_SUBMIT_DEPTH: usize = 64;
 
-/// When a writer announces itself in `openhosts/` — the paper's per-open
-/// metadata burst lives here, so the marker policy is a knob.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum OpenMarkers {
-    /// One `openhosts/` marker per writing pid, created on first write and
-    /// unlinked at close. This is classic PLFS behaviour: `open_writers`
-    /// from any process sees every rank.
-    #[default]
-    Eager,
-    /// One `openhosts/` marker per *fd*: the first writing pid creates it,
-    /// the last closer removes it. Cross-process visibility ("is anyone
-    /// writing?") is preserved at 1 create + 1 unlink per open instead of
-    /// 2 metadata ops per rank.
-    Lazy,
-    /// No backing markers at all; writer counts are tracked in-process
-    /// only. Cheapest, but another process's `open_writers` reads 0.
-    Off,
-}
-
-impl OpenMarkers {
-    /// Parse the plfsrc spelling (`eager` | `lazy` | `off`).
-    pub fn parse(s: &str) -> Option<OpenMarkers> {
-        match s {
-            "eager" => Some(OpenMarkers::Eager),
-            "lazy" => Some(OpenMarkers::Lazy),
-            "off" => Some(OpenMarkers::Off),
-            _ => None,
-        }
-    }
-
-    /// Canonical lower-case name.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            OpenMarkers::Eager => "eager",
-            OpenMarkers::Lazy => "lazy",
-            OpenMarkers::Off => "off",
-        }
-    }
-}
-
 /// Which backend stack [`crate::backend::build_stack`] composes under a
 /// mount.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -140,8 +100,6 @@ pub struct Conf {
     /// writes stay invisible to a warm `getattr` here until the cached
     /// verdict is dropped; same-process stats are always exact.
     pub meta_cache_entries: usize,
-    /// When writers announce themselves in `openhosts/`.
-    pub open_markers: OpenMarkers,
     /// Which backend stack to compose under the mount.
     pub backend: BackendKind,
     /// Maximum deferred backing ops in flight (0 = every op synchronous in
@@ -166,7 +124,6 @@ impl Default for Conf {
             list_io: true,
             list_io_max_extents: 1024,
             meta_cache_entries: 4096,
-            open_markers: OpenMarkers::Eager,
             backend: BackendKind::Direct,
             submit_depth: 0,
             submit_workers: 4,
@@ -261,8 +218,6 @@ pub enum Kind {
     },
     /// `true|1|yes|on` / `false|0|no|off`.
     Bool(fn(&mut Conf) -> &mut bool),
-    /// `eager|lazy|off`.
-    Markers(fn(&mut Conf) -> &mut OpenMarkers),
     /// `direct|batched|tiered|object`.
     Backend(fn(&mut Conf) -> &mut BackendKind),
 }
@@ -309,12 +264,6 @@ pub const KNOBS: &[Knob] = &[
         env: Some("LDPLFS_META_CACHE"),
         doc: "container metadata cache capacity; 0 = strict cross-process stat freshness",
         kind: num(Unit::Count, 0, |c| &mut c.meta_cache_entries),
-    },
-    Knob {
-        key: "open_markers",
-        env: Some("LDPLFS_OPEN_MARKERS"),
-        doc: "openhosts/ marker per writing pid (eager), per fd (lazy), or none (off)",
-        kind: Kind::Markers(|c| &mut c.open_markers),
     },
     Knob {
         key: "backend",
@@ -364,10 +313,6 @@ impl Knob {
                     _ => return Err(bad("bad boolean value")),
                 }
             }
-            Kind::Markers(field) => {
-                *field(conf) =
-                    OpenMarkers::parse(value).ok_or_else(|| bad("unknown open_markers policy"))?
-            }
             Kind::Backend(field) => {
                 *field(conf) =
                     BackendKind::parse(value).ok_or_else(|| bad("unknown backend kind"))?
@@ -383,7 +328,6 @@ impl Knob {
         match &self.kind {
             Kind::Num { unit, field, .. } => (*field(&mut c) / unit.scale()).to_string(),
             Kind::Bool(field) => if *field(&mut c) { "on" } else { "off" }.to_string(),
-            Kind::Markers(field) => field(&mut c).as_str().to_string(),
             Kind::Backend(field) => field(&mut c).as_str().to_string(),
         }
     }
@@ -400,7 +344,6 @@ pub fn knobs_markdown() -> String {
         let (unit, range) = match &k.kind {
             Kind::Num { unit, min, .. } => (unit.as_str(), format!("≥ {min}")),
             Kind::Bool(_) => ("bool", "on, off".to_string()),
-            Kind::Markers(_) => ("enum", "eager, lazy, off".to_string()),
             Kind::Backend(_) => ("enum", "direct, batched, tiered, object".to_string()),
         };
         let env = k.env.map_or("—".to_string(), |e| format!("`{e}`"));
@@ -420,7 +363,6 @@ pub(crate) fn sample(k: &Knob) -> &'static str {
     match &k.kind {
         Kind::Num { .. } => "3",
         Kind::Bool(_) => "off",
-        Kind::Markers(_) => "lazy",
         Kind::Backend(_) => "object",
     }
 }
@@ -436,7 +378,6 @@ mod tests {
         assert_eq!(c.data_buffer_bytes, 0, "write-behind is opt-in");
         assert!(!c.batching());
         assert!(c.list_io && c.incremental_refresh && c.meta_cache_enabled());
-        assert_eq!(c.open_markers, OpenMarkers::Eager);
     }
 
     #[test]
@@ -509,7 +450,7 @@ mod tests {
     /// bound and extend the destructuring in the same change.
     #[test]
     fn the_option_count_only_goes_down() {
-        assert!(KNOBS.len() <= 7, "a row must earn its spelling");
+        assert!(KNOBS.len() <= 6, "a row must earn its spelling");
         // Exhaustive: adding a `Conf` field without touching this test
         // fails to compile.
         let Conf {
@@ -521,7 +462,6 @@ mod tests {
             list_io: _,
             list_io_max_extents: _,
             meta_cache_entries: _,
-            open_markers: _,
             backend: _,
             submit_depth: _,
             submit_workers: _,

@@ -3,19 +3,26 @@
 //! A logical file `/mnt/foo` maps to a *container* directory on the backend:
 //!
 //! ```text
-//! foo/                          container directory
-//!   .plfsaccess                 marker: "this directory is a container"
-//!   openhosts/                  one marker file per open writer
-//!   meta/                       cached stat info written at close
-//!   hostdir.0/ … hostdir.K-1/   subdirectories holding droppings
-//!     dropping.data.<pid>.<n>   log-structured data
-//!     dropping.index.<pid>.<n>  index records for that data
+//! foo/                             container directory
+//!   .plfsaccess                    marker: "this directory is a container"
+//!   open.<pid>.<n>                 empty: writer of pair (pid, n) is open
+//!   meta.<eof>.<bytes>.<pid>.<n>   empty: that writer closed; fast-stat info
+//!   hostdir.0/ … hostdir.K-1/      subdirectories holding droppings
+//!     dropping.data.<pid>.<n>      log-structured data
+//!     dropping.index.<pid>.<n>     index records for that data
 //! ```
 //!
-//! This mirrors Figure 1 of the paper (and the real PLFS layout) closely
-//! enough that every structural statement in the paper can be tested against
-//! it: n writers produce at least n data droppings and n index droppings,
-//! spread over `num_hostdirs` subdirectories.
+//! Droppings mirror Figure 1 of the paper (and the real PLFS layout): n
+//! writers produce at least n data droppings and n index droppings, spread
+//! over `num_hostdirs` subdirectories. Lifecycle state departs from it: the
+//! paper's `openhosts/` and `meta/` subdirectories are *names* in the
+//! container directory here, so one `readdir` of it answers every metadata
+//! question (is it a container, who is writing, how big is it, where are
+//! the hostdirs) and close is one `rename` of a writer's marker into its
+//! drop. (In log mode, where every writer shares pair 0, `n` is the first
+//! number free among its pid's names.) A legacy container still opens,
+//! stats (slow path: no `meta.*` names) and unlinks; its subdirectories
+//! are never read.
 
 use crate::backing::{join, remove_tree, Backing};
 use crate::error::{Error, Result};
@@ -24,10 +31,10 @@ use std::time::{Duration, Instant};
 
 /// Name of the marker file that identifies a container.
 pub const ACCESS_FILE: &str = ".plfsaccess";
-/// Subdirectory recording hosts/pids with the file open for writing.
-pub const OPENHOSTS_DIR: &str = "openhosts";
-/// Subdirectory holding cached metadata dropped at close time.
-pub const META_DIR: &str = "meta";
+/// Prefix of open-writer markers.
+pub const OPEN_PREFIX: &str = "open.";
+/// Prefix of fast-stat drops left at close time.
+pub const META_PREFIX: &str = "meta.";
 /// Prefix of hostdir subdirectories.
 pub const HOSTDIR_PREFIX: &str = "hostdir.";
 /// Prefix of data droppings.
@@ -173,8 +180,9 @@ fn decode_params(data: &[u8]) -> Result<ContainerParams> {
     Ok(p)
 }
 
-/// Create a container directory at `path`. Hostdirs are created lazily by
-/// writers; only the skeleton (access file, openhosts, meta) is made here.
+/// Create a container directory at `path`: the directory and its access
+/// file, nothing else — hostdirs are made by writers, lifecycle names by
+/// open and close.
 ///
 /// Returns the parameters the container now has: the ones just written on a
 /// fresh create, or the ones read back from the access file when the
@@ -186,22 +194,28 @@ pub fn create_container(
     params: &ContainerParams,
     excl: bool,
 ) -> Result<ContainerParams> {
-    if b.exists(path) {
-        if excl {
-            return Err(Error::Exists(path.to_string()));
-        }
-        return await_creator(b, path);
-    }
     match b.mkdir(path) {
         Ok(()) => {}
-        // Lost the mkdir to a concurrent creator.
+        // Already there, or lost the mkdir to a concurrent creator.
         Err(Error::Exists(_)) if !excl => return await_creator(b, path),
         Err(e) => return Err(e),
     }
-    b.mkdir(&join(path, OPENHOSTS_DIR))?;
-    b.mkdir(&join(path, META_DIR))?;
-    let access = b.create(&join(path, ACCESS_FILE), true)?;
-    access.pwrite(&encode_params(params), 0)?;
+    // A bare directory would read as nascent to every later creator: on
+    // failure take back down what this call made (best effort), and only
+    // that — an access file whose exclusive create failed is not ours, and
+    // `rmdir` refuses a directory that holds anything.
+    let access = join(path, ACCESS_FILE);
+    let made = b.create(&access, true).and_then(|f| {
+        let wrote = f.pwrite(&encode_params(params), 0);
+        if wrote.is_err() {
+            let _ = b.unlink(&access);
+        }
+        wrote
+    });
+    if let Err(e) = made {
+        let _ = b.rmdir(path);
+        return Err(e);
+    }
     Ok(*params)
 }
 
@@ -209,13 +223,13 @@ pub fn create_container(
 /// same container to finish its skeleton.
 const CREATE_RACE_WAIT: Duration = Duration::from_secs(1);
 
-/// The parameters of the container at `path`, which exists as a directory
-/// but may still be mid-creation by another process: the skeleton is four
-/// backing ops, the access file comes last, and a creator that merely lost
-/// the race must not fail a *non*-exclusive create with `EEXIST`. Reads
-/// the access file, retrying (bounded) while it is missing or still empty
-/// — but only while `path` looks like a nascent container; anything else
-/// in the way is `Exists` at once.
+/// The parameters of the container at `path`, which exists but may still be
+/// mid-creation by another process: the skeleton is `mkdir` then the access
+/// file (create, then its bytes), and a creator that merely lost the race
+/// must not fail a *non*-exclusive create with `EEXIST`. Reads the access
+/// file, retrying (bounded) while it is missing or still empty — but only
+/// while `path` looks like a nascent container; anything else in the way is
+/// `Exists` at once.
 fn await_creator(b: &dyn Backing, path: &str) -> Result<ContainerParams> {
     let deadline = Instant::now() + CREATE_RACE_WAIT;
     let mut pause = Duration::from_micros(50);
@@ -238,13 +252,10 @@ fn await_creator(b: &dyn Backing, path: &str) -> Result<ContainerParams> {
 }
 
 /// Could `path` be a container skeleton under construction — a directory
-/// holding nothing but skeleton entries?
+/// holding nothing yet, or nothing but the access file?
 fn nascent(b: &dyn Backing, path: &str) -> bool {
-    b.readdir(path).is_ok_and(|names| {
-        names
-            .iter()
-            .all(|n| [OPENHOSTS_DIR, META_DIR, ACCESS_FILE].contains(&n.as_str()))
-    })
+    b.readdir(path)
+        .is_ok_and(|names| names.iter().all(|n| n == ACCESS_FILE))
 }
 
 /// Read back the parameters a container was created with.
@@ -269,14 +280,23 @@ pub fn ensure_hostdir(
         LayoutMode::LogStructured => 0,
         _ => hostdir_for_pid(pid, params.num_hostdirs),
     };
-    let p = hostdir_path(container, hd);
-    if !b.exists(&p) {
-        match b.mkdir(&p) {
-            Ok(()) | Err(Error::Exists(_)) => {}
-            Err(e) => return Err(e),
-        }
+    match b.mkdir(&hostdir_path(container, hd)) {
+        Ok(()) | Err(Error::Exists(_)) => Ok(()),
+        Err(e) => Err(e),
     }
-    Ok(())
+}
+
+/// The container directory's listing: the one question the metadata path
+/// asks. "Is a container" is read off it (the access file is among the
+/// names, and no directory to list is the same answer), so nothing that
+/// lists probes first.
+fn list_container(b: &dyn Backing, container: &str) -> Result<Vec<String>> {
+    use crate::error::libc_errno::{ENOENT, ENOTDIR};
+    match b.readdir(container) {
+        Ok(names) if names.iter().any(|n| n == ACCESS_FILE) => Ok(names),
+        Err(e) if ![ENOENT, ENOTDIR].contains(&e.errno()) => Err(e),
+        _ => Err(Error::NotContainer(container.to_string())),
+    }
 }
 
 /// A discovered dropping pair (data + index) in a container.
@@ -292,12 +312,8 @@ pub struct DroppingRef {
 /// in a deterministic order. The position in the returned vector is the
 /// `dropping_id` used by the global index.
 pub fn list_droppings(b: &dyn Backing, container: &str) -> Result<Vec<DroppingRef>> {
-    if !is_container(b, container) {
-        return Err(Error::NotContainer(container.to_string()));
-    }
     let mut out = Vec::new();
-    let mut hostdirs: Vec<String> = b
-        .readdir(container)?
+    let mut hostdirs: Vec<String> = list_container(b, container)?
         .into_iter()
         .filter(|n| n.starts_with(HOSTDIR_PREFIX))
         .collect();
@@ -366,70 +382,157 @@ pub fn build_global_index(
     Ok((index, droppings))
 }
 
-/// Cached metadata dropped into `meta/` at close: `<eof>.<bytes>.<pid>`.
-/// A subsequent `stat` can take the max over these instead of merging indices
-/// (the real PLFS fast-stat path).
-pub fn drop_meta(b: &dyn Backing, container: &str, eof: u64, bytes: u64, pid: u64) -> Result<()> {
-    let name = format!("{eof}.{bytes}.{pid}");
-    b.create(&join(&join(container, META_DIR), &name), false)?;
+fn marker_path(container: &str, pid: u64, seq: u32) -> String {
+    join(container, &format!("{OPEN_PREFIX}{pid}.{seq}"))
+}
+
+fn meta_path(container: &str, eof: u64, bytes: u64, pid: u64, seq: u32) -> String {
+    join(
+        container,
+        &format!("{META_PREFIX}{eof}.{bytes}.{pid}.{seq}"),
+    )
+}
+
+/// Leave the fast-stat drop `meta.<eof>.<bytes>.<pid>.<seq>` of a closed
+/// writer, `(pid, seq)` being its dropping pair — unique in the container,
+/// so no two drops (or markers) ever share a name. A `stat` takes the max
+/// eof and the byte sum over the drops instead of merging indices (the real
+/// PLFS fast-stat path).
+pub fn drop_meta(
+    b: &dyn Backing,
+    container: &str,
+    eof: u64,
+    bytes: u64,
+    pid: u64,
+    seq: u32,
+) -> Result<()> {
+    b.create(&meta_path(container, eof, bytes, pid, seq), false)?;
     Ok(())
 }
 
-/// Read the fast-stat metadata: `(max eof, total bytes)` over all meta drops,
-/// or `None` if no writer has closed yet.
-pub fn read_meta(b: &dyn Backing, container: &str) -> Result<Option<(u64, u64)>> {
-    let names = match b.readdir(&join(container, META_DIR)) {
-        Ok(n) => n,
-        Err(Error::NotFound(_)) => return Ok(None),
-        Err(e) => return Err(e),
-    };
+/// Unlink every lifecycle name starting with `prefix` ([`META_PREFIX`]:
+/// the drops no longer describe the droppings; [`OPEN_PREFIX`]: crash
+/// recovery, no process holds the container open). Returns how many.
+pub fn clear_names(b: &dyn Backing, container: &str, prefix: &str) -> Result<usize> {
+    let mut cleared = 0;
+    for n in list_container(b, container)? {
+        if n.starts_with(prefix) {
+            b.unlink(&join(container, &n))?;
+            cleared += 1;
+        }
+    }
+    Ok(cleared)
+}
+
+/// Both lifecycle answers from one listing of the container directory:
+/// the count of open-writer markers, and the fast-stat `(max eof, total
+/// bytes)` over all drops (`None` if no writer has closed yet).
+pub fn read_lifecycle(b: &dyn Backing, container: &str) -> Result<(usize, Option<(u64, u64)>)> {
+    let mut writers = 0;
     let mut best: Option<(u64, u64)> = None;
-    for n in names {
-        let mut it = n.split('.');
-        let (Some(eof), Some(bytes)) = (it.next(), it.next()) else {
+    for n in list_container(b, container)? {
+        if n.starts_with(OPEN_PREFIX) {
+            writers += 1;
+        }
+        let Some(rest) = n.strip_prefix(META_PREFIX) else {
             continue;
         };
-        let (Ok(eof), Ok(bytes)) = (eof.parse::<u64>(), bytes.parse::<u64>()) else {
+        let mut it = rest.split('.').map(str::parse::<u64>);
+        let (Some(Ok(eof)), Some(Ok(bytes))) = (it.next(), it.next()) else {
             continue;
         };
         let cur = best.get_or_insert((0, 0));
         cur.0 = cur.0.max(eof);
         cur.1 += bytes;
     }
-    Ok(best)
+    Ok((writers, best))
 }
 
-/// Record that `pid` has the container open for writing.
-pub fn mark_open(b: &dyn Backing, container: &str, pid: u64) -> Result<()> {
-    b.create(
-        &join(&join(container, OPENHOSTS_DIR), &format!("pid.{pid}")),
-        false,
-    )?;
-    Ok(())
+/// Count of writers currently holding the container open.
+pub fn open_writers(b: &dyn Backing, container: &str) -> Result<usize> {
+    Ok(read_lifecycle(b, container)?.0)
 }
 
-/// Remove the open marker for `pid` (ignores a missing marker).
-pub fn mark_closed(b: &dyn Backing, container: &str, pid: u64) -> Result<()> {
-    match b.unlink(&join(
-        &join(container, OPENHOSTS_DIR),
-        &format!("pid.{pid}"),
-    )) {
+/// The first number no lifecycle name of `pid` in the listing carries:
+/// what a log-mode writer — every one of which shares dropping pair 0 —
+/// starts its names from, so that no two share a marker or a drop.
+pub fn free_writer_number(b: &dyn Backing, container: &str, pid: u64) -> Result<u32> {
+    let taken = |name: &String| {
+        let mut it = name.rsplit('.');
+        let n = it.next()?.parse::<u32>().ok()?;
+        (it.next()?.parse() == Ok(pid)).then_some(n + 1)
+    };
+    let names = list_container(b, container)?;
+    Ok(names.iter().filter_map(taken).max().unwrap_or(0))
+}
+
+/// Record that a writer of `pid` has the container open, under the first
+/// free marker name from `seq` (its dropping pair's number) up: the create
+/// is exclusive, so a writer never shares a marker — one racing it in log
+/// mode, or left standing by another fd across a truncate, bumps the
+/// number. Returns the number the writer's names carry.
+pub fn mark_open(b: &dyn Backing, container: &str, pid: u64, mut seq: u32) -> Result<u32> {
+    loop {
+        match b.create(&marker_path(container, pid, seq), true) {
+            Ok(_) => return Ok(seq),
+            Err(Error::Exists(_)) => seq += 1,
+            Err(e) => return Err(e),
+        }
+    }
+}
+
+/// Remove the open marker of `(pid, seq)` (ignores a missing marker).
+pub fn mark_closed(b: &dyn Backing, container: &str, pid: u64, seq: u32) -> Result<()> {
+    match b.unlink(&marker_path(container, pid, seq)) {
         Ok(()) | Err(Error::NotFound(_)) => Ok(()),
         Err(e) => Err(e),
     }
 }
 
-/// Count of writers currently holding the container open.
-pub fn open_writers(b: &dyn Backing, container: &str) -> Result<usize> {
-    Ok(b.readdir(&join(container, OPENHOSTS_DIR))?.len())
+/// Close of writer `(pid, seq)`: its open marker *becomes* its fast-stat
+/// drop in one `rename` (the drop is created when the marker is gone).
+pub fn close_writer(
+    b: &dyn Backing,
+    container: &str,
+    eof: u64,
+    bytes: u64,
+    pid: u64,
+    seq: u32,
+) -> Result<()> {
+    let drop = meta_path(container, eof, bytes, pid, seq);
+    match b.rename(&marker_path(container, pid, seq), &drop) {
+        Err(Error::NotFound(_)) => drop_meta(b, container, eof, bytes, pid, seq),
+        r => r,
+    }
 }
 
-/// Delete a container and everything inside it.
+/// Delete a container and everything inside it, by layout: every entry but
+/// a `hostdir.*` is a file and a hostdir holds only files, so nothing is
+/// probed before it is removed. An entry that says otherwise (a legacy
+/// `openhosts/`, a foreign subdirectory) falls back to [`remove_tree`].
+/// Like it, tolerates pieces vanishing under a racing removal.
 pub fn remove_container(b: &dyn Backing, path: &str) -> Result<()> {
-    if !is_container(b, path) {
-        return Err(Error::NotContainer(path.to_string()));
+    let gone_ok = |r: Result<()>| match r {
+        Err(Error::NotFound(_)) => Ok(()),
+        r => r,
+    };
+    for name in list_container(b, path)? {
+        let child = join(path, &name);
+        let by_layout = if name.starts_with(HOSTDIR_PREFIX) {
+            b.readdir(&child).and_then(|files| {
+                for f in files {
+                    gone_ok(b.unlink(&join(&child, &f)))?;
+                }
+                b.rmdir(&child)
+            })
+        } else {
+            b.unlink(&child)
+        };
+        if gone_ok(by_layout).is_err() {
+            remove_tree(b, &child)?;
+        }
     }
-    remove_tree(b, path)
+    gone_ok(b.rmdir(path))
 }
 
 #[cfg(test)]
@@ -446,9 +549,7 @@ mod tests {
         let b = mem();
         create_container(&b, "/f", &ContainerParams::default(), true).unwrap();
         assert!(is_container(&b, "/f"));
-        assert!(b.exists("/f/.plfsaccess"));
-        assert!(b.exists("/f/openhosts"));
-        assert!(b.exists("/f/meta"));
+        assert_eq!(b.readdir("/f").unwrap(), [ACCESS_FILE], "two-op skeleton");
     }
 
     #[test]
@@ -576,33 +677,43 @@ mod tests {
     fn list_droppings_rejects_non_container() {
         let b = mem();
         b.mkdir("/d").unwrap();
-        assert!(matches!(
-            list_droppings(&b, "/d"),
-            Err(Error::NotContainer(_))
-        ));
+        b.create("/file", true).unwrap();
+        for path in ["/d", "/file", "/missing"] {
+            assert!(matches!(
+                list_droppings(&b, path),
+                Err(Error::NotContainer(_))
+            ));
+        }
     }
 
     #[test]
     fn meta_fast_stat_takes_max_eof_and_sums_bytes() {
         let b = mem();
         create_container(&b, "/c", &ContainerParams::default(), true).unwrap();
-        assert_eq!(read_meta(&b, "/c").unwrap(), None);
-        drop_meta(&b, "/c", 100, 60, 1).unwrap();
-        drop_meta(&b, "/c", 80, 40, 2).unwrap();
-        assert_eq!(read_meta(&b, "/c").unwrap(), Some((100, 100)));
+        assert_eq!(read_lifecycle(&b, "/c").unwrap().1, None);
+        drop_meta(&b, "/c", 100, 60, 1, 0).unwrap();
+        drop_meta(&b, "/c", 80, 40, 2, 0).unwrap();
+        assert_eq!(read_lifecycle(&b, "/c").unwrap().1, Some((100, 100)));
+        assert_eq!(clear_names(&b, "/c", META_PREFIX).unwrap(), 2);
+        assert_eq!(read_lifecycle(&b, "/c").unwrap().1, None);
     }
 
     #[test]
     fn open_markers_track_writers() {
         let b = mem();
         create_container(&b, "/c", &ContainerParams::default(), true).unwrap();
-        mark_open(&b, "/c", 1).unwrap();
-        mark_open(&b, "/c", 2).unwrap();
+        mark_open(&b, "/c", 1, 0).unwrap();
+        mark_open(&b, "/c", 2, 0).unwrap();
         assert_eq!(open_writers(&b, "/c").unwrap(), 2);
-        mark_closed(&b, "/c", 1).unwrap();
+        mark_closed(&b, "/c", 1, 0).unwrap();
         assert_eq!(open_writers(&b, "/c").unwrap(), 1);
         // Closing twice is harmless.
-        mark_closed(&b, "/c", 1).unwrap();
+        mark_closed(&b, "/c", 1, 0).unwrap();
+        // A close turns the marker into the drop; with the marker already
+        // gone the drop is created all the same.
+        close_writer(&b, "/c", 10, 10, 2, 0).unwrap();
+        close_writer(&b, "/c", 30, 5, 1, 0).unwrap();
+        assert_eq!(read_lifecycle(&b, "/c").unwrap(), (0, Some((30, 15))));
     }
 
     #[test]
@@ -612,6 +723,10 @@ mod tests {
         create_container(&b, "/c", &p, true).unwrap();
         ensure_hostdir(&b, "/c", &p, 5).unwrap();
         b.create(&data_dropping_path("/c", &p, 5, 0), true).unwrap();
+        // Entries the layout does not predict take the remove_tree path.
+        b.mkdir_all("/c/openhosts/nested").unwrap();
+        b.mkdir("/c/hostdir.9").unwrap();
+        b.mkdir("/c/hostdir.9/sub").unwrap();
         remove_container(&b, "/c").unwrap();
         assert!(!b.exists("/c"));
     }

@@ -25,7 +25,7 @@
 //! to the same container concurrently is not serialized against this one.
 
 use crate::backing::Backing;
-use crate::conf::{Conf, OpenMarkers};
+use crate::conf::Conf;
 use crate::container::{self, ContainerParams};
 use crate::error::{Error, Result};
 use crate::flags::OpenFlags;
@@ -71,9 +71,6 @@ pub struct PlfsFd {
     /// (container, hostdir) instead of once per writer open. Cleared by
     /// [`PlfsFd::reset_writers`], since truncate removes hostdir trees.
     hostdirs_ready: Mutex<HashSet<u32>>,
-    /// Under [`OpenMarkers::Lazy`]: the pid whose `openhosts/` marker
-    /// stands for every writer on this fd (`None` = no marker yet).
-    lazy_marker: Mutex<Option<u64>>,
     /// Per-pid write streams behind id-hashed lock shards: pids are dense
     /// (MPI ranks), so masking spreads them evenly.
     shards: Box<[WriterShard]>,
@@ -115,7 +112,6 @@ impl PlfsFd {
             conf,
             cache: None,
             hostdirs_ready: Mutex::new(HashSet::new()),
-            lazy_marker: Mutex::new(None),
             shards: (0..n).map(|_| Mutex::new(HashMap::new())).collect(),
             shard_mask: n - 1,
             refs: Mutex::new(refs),
@@ -334,14 +330,14 @@ impl PlfsFd {
         }
         if let std::collections::hash_map::Entry::Vacant(e) = shard.entry(pid) {
             self.ensure_hostdir_once(pid)?;
-            let w = WriteFile::open_prepared(
+            let mut w = WriteFile::open_prepared(
                 self.backing.as_ref(),
                 &self.container,
                 &self.params,
                 pid,
                 &self.conf,
             )?;
-            self.note_writer_open(pid)?;
+            self.note_writer_open(&mut w)?;
             e.insert(w);
         }
         let n = shard.get_mut(&pid).unwrap().write(buf, offset)?;
@@ -352,8 +348,8 @@ impl PlfsFd {
     }
 
     /// Run `ensure_hostdir` for `pid`'s hostdir at most once per fd: after
-    /// the first writer lands there, the exists/mkdir probe is pure
-    /// metadata overhead on every later writer open.
+    /// the first writer lands there, the mkdir is pure metadata overhead
+    /// on every later writer open.
     fn ensure_hostdir_once(&self, pid: u64) -> Result<()> {
         let hd = match self.params.mode {
             container::LayoutMode::LogStructured => 0,
@@ -367,65 +363,19 @@ impl PlfsFd {
         Ok(())
     }
 
-    /// Record a new writer: bump the cached writer count and place the
-    /// `openhosts/` marker the configured policy calls for.
-    fn note_writer_open(&self, pid: u64) -> Result<()> {
-        match self.conf.open_markers {
-            OpenMarkers::Eager => {
-                let t0 = iotrace::global().start();
-                container::mark_open(self.backing.as_ref(), &self.container, pid)?;
-                self.trace_marker(t0);
-            }
-            OpenMarkers::Lazy => {
-                let mut lm = self.lazy_marker.lock();
-                if lm.is_none() {
-                    let t0 = iotrace::global().start();
-                    container::mark_open(
-                        // plfs-lint: allow(lock-across-io, "intentional: the lazy marker must be created exactly once per fd; the Option is the latch and racing writers would each pay a marker create")
-                        self.backing.as_ref(),
-                        &self.container,
-                        pid,
-                    )?;
-                    self.trace_marker(t0);
-                    *lm = Some(pid);
-                }
-            }
-            OpenMarkers::Off => {}
-        }
+    /// Record a new writer: place the open marker of its dropping pair —
+    /// one per pair, so every fd and pid keeps its own, visible to any
+    /// process listing the container — and bump the cached writer count.
+    fn note_writer_open(&self, w: &mut WriteFile) -> Result<()> {
+        let t0 = iotrace::global().start();
+        w.seq = container::mark_open(self.backing.as_ref(), &self.container, w.pid(), w.seq)?;
+        self.trace_marker(t0);
         // Count the writer only once its marker landed: a failed mark_open
         // propagates before the WriteFile is installed, so no close would
         // ever decrement — the count would pin local_writers above zero
         // (and getattr off its fast path) for the life of the process.
         if let Some(c) = &self.cache {
             c.writer_inc(&self.container);
-        }
-        Ok(())
-    }
-
-    /// Record a departing writer: drop the cached writer count and remove
-    /// the `openhosts/` marker when the policy says this writer (or, for
-    /// lazy markers, the last writer) owned one.
-    fn note_writer_close(&self, pid: u64) -> Result<()> {
-        if let Some(c) = &self.cache {
-            c.writer_dec(&self.container);
-        }
-        match self.conf.open_markers {
-            OpenMarkers::Eager => {
-                let t0 = iotrace::global().start();
-                container::mark_closed(self.backing.as_ref(), &self.container, pid)?;
-                self.trace_marker(t0);
-            }
-            OpenMarkers::Lazy => {
-                if self.shards.iter().all(|s| s.lock().is_empty()) {
-                    let marker = self.lazy_marker.lock().take();
-                    if let Some(mp) = marker {
-                        let t0 = iotrace::global().start();
-                        container::mark_closed(self.backing.as_ref(), &self.container, mp)?;
-                        self.trace_marker(t0);
-                    }
-                }
-            }
-            OpenMarkers::Off => {}
         }
         Ok(())
     }
@@ -633,16 +583,9 @@ impl PlfsFd {
                 if let Some(c) = &self.cache {
                     c.writer_dec(&self.container);
                 }
-                if self.conf.open_markers == OpenMarkers::Eager {
-                    // plfs-lint: allow(lock-across-io, "intentional quiesce: truncate holds the reader lock while tearing down writers so no refresh observes a half-reset fd")
-                    container::mark_closed(self.backing.as_ref(), &self.container, pid)?;
-                }
+                // plfs-lint: allow(lock-across-io, "intentional quiesce: truncate holds the reader lock while tearing down writers so no refresh observes a half-reset fd")
+                container::mark_closed(self.backing.as_ref(), &self.container, pid, w.seq)?;
             }
-        }
-        let marker = self.lazy_marker.lock().take();
-        if let Some(mp) = marker {
-            // plfs-lint: allow(lock-across-io, "intentional quiesce: same truncate teardown section as the per-pid markers above")
-            container::mark_closed(self.backing.as_ref(), &self.container, mp)?;
         }
         // Truncate removes hostdir trees: forget what existed.
         self.hostdirs_ready.lock().clear();
@@ -656,8 +599,8 @@ impl PlfsFd {
     }
 
     /// Drop one reference for `pid`; when the pid's last reference goes,
-    /// its writer is flushed, a metadata drop is left for fast stat, and the
-    /// open marker is removed. Returns remaining references across all pids
+    /// its writer is flushed and its open marker becomes the metadata drop
+    /// fast stat reads. Returns remaining references across all pids
     /// (the C `plfs_close` contract).
     pub fn close(&self, pid: u64) -> Result<u32> {
         let mut refs = self.refs.lock();
@@ -679,25 +622,29 @@ impl PlfsFd {
                 if !ents.is_empty() {
                     self.orphans.lock().push((w.data_path().to_string(), ents));
                 }
-                container::drop_meta(
+                if let Some(c) = &self.cache {
+                    c.writer_dec(&self.container);
+                }
+                let t0 = iotrace::global().start();
+                container::close_writer(
                     // plfs-lint: allow(lock-across-io, "intentional: last-reference teardown must be serialized; refs is close-path bookkeeping, never taken on the data plane")
                     self.backing.as_ref(),
                     &self.container,
                     w.max_eof(),
                     w.bytes_written(),
                     pid,
+                    w.seq,
                 )?;
-                // plfs-lint: allow(lock-across-io, "intentional: same close-path teardown section as drop_meta above")
-                self.note_writer_close(pid)?;
+                self.trace_marker(t0);
                 // The departing writer's dropping pair is immutable from
                 // here on (each partitioned pair has exactly one writer);
                 // tell the backing so a tiered backend can destage it.
                 // LogStructured droppings are shared and may gain writers
                 // later, so they are never sealed.
                 if self.params.mode != container::LayoutMode::LogStructured {
-                    // plfs-lint: allow(lock-across-io, "intentional: same close-path teardown section as drop_meta above")
+                    // plfs-lint: allow(lock-across-io, "intentional: same close-path teardown section as close_writer above")
                     self.backing.seal(w.data_path())?;
-                    // plfs-lint: allow(lock-across-io, "intentional: same close-path teardown section as drop_meta above")
+                    // plfs-lint: allow(lock-across-io, "intentional: same close-path teardown section as close_writer above")
                     self.backing.seal(w.index_path())?;
                 }
                 if let Some(c) = &self.cache {
@@ -782,16 +729,6 @@ mod tests {
             100,
         ));
         (b, fd)
-    }
-
-    fn open_fd_markers(markers: OpenMarkers) -> (Arc<dyn Backing>, Arc<PlfsFd>) {
-        open_fd_with(
-            OpenFlags::RDWR,
-            Conf {
-                open_markers: markers,
-                ..base()
-            },
-        )
     }
 
     #[test]
@@ -910,7 +847,7 @@ mod tests {
         fd.close(100).unwrap();
         assert_eq!(container::open_writers(b.as_ref(), "/f").unwrap(), 0);
         assert_eq!(
-            container::read_meta(b.as_ref(), "/f").unwrap(),
+            container::read_lifecycle(b.as_ref(), "/f").unwrap().1,
             Some((10, 10))
         );
     }
@@ -1108,34 +1045,48 @@ mod tests {
         }
     }
 
+    /// Regression: marker and drop were named by pid alone, so the first
+    /// close among two fds of one pid took the marker the other still
+    /// needed and another process trusted the closed fd's drop.
     #[test]
-    fn lazy_markers_cost_one_marker_for_many_writers() {
-        let (b, fd) = open_fd_markers(OpenMarkers::Lazy);
-        fd.add_ref(200);
-        fd.add_ref(300);
-        fd.write(b"a", 0, 100).unwrap();
-        fd.write(b"b", 1, 200).unwrap();
-        fd.write(b"c", 2, 300).unwrap();
-        // Three writers, one shared marker.
-        assert_eq!(container::open_writers(b.as_ref(), "/f").unwrap(), 1);
-        fd.close(100).unwrap();
-        fd.close(200).unwrap();
-        assert_eq!(
-            container::open_writers(b.as_ref(), "/f").unwrap(),
-            1,
-            "marker stays while writers remain"
-        );
-        fd.close(300).unwrap();
-        assert_eq!(container::open_writers(b.as_ref(), "/f").unwrap(), 0);
-    }
-
-    #[test]
-    fn off_markers_leave_openhosts_empty() {
-        let (b, fd) = open_fd_markers(OpenMarkers::Off);
-        fd.write(b"a", 0, 100).unwrap();
-        assert_eq!(container::open_writers(b.as_ref(), "/f").unwrap(), 0);
-        fd.close(100).unwrap();
-        assert_eq!(container::open_writers(b.as_ref(), "/f").unwrap(), 0);
+    fn two_fds_of_one_pid_keep_their_own_marker_and_drop() {
+        use container::LayoutMode::{Both, LogStructured};
+        // Log mode too: there every writer shares dropping pair 0, so the
+        // pair's number alone would not tell the two apart.
+        for mode in [Both, LogStructured] {
+            let b: Arc<dyn Backing> = Arc::new(MemBacking::new());
+            let params = ContainerParams {
+                mode,
+                ..Default::default()
+            };
+            create_container(b.as_ref(), "/f", &params, true).unwrap();
+            let open = || {
+                PlfsFd::new(
+                    b.clone(),
+                    "/f".into(),
+                    params,
+                    OpenFlags::RDWR,
+                    &base(),
+                    100,
+                )
+            };
+            let (a, other) = (open(), open());
+            a.write(b"aaaa", 0, 100).unwrap();
+            other.write(&[b'b'; 24], 0, 100).unwrap();
+            other.sync(100).unwrap();
+            a.close(100).unwrap();
+            // What a fresh process sees: one writer still open, so no fast
+            // stat.
+            assert_eq!(container::open_writers(b.as_ref(), "/f").unwrap(), 1);
+            let fresh = crate::api::Plfs::new(b.clone());
+            assert_eq!(fresh.getattr("/f").unwrap().size, 24, "{mode:?}");
+            other.close(100).unwrap();
+            assert_eq!(
+                container::read_lifecycle(b.as_ref(), "/f").unwrap(),
+                (0, Some((24, 28))),
+                "{mode:?}"
+            );
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! bytes as a plain file, and `map` dumps the logical→physical layout the
 //! way `plfs_query` does.
 
-use crate::backing::{join, Backing};
+use crate::backing::Backing;
 use crate::container;
 use crate::error::{Error, Result};
 use crate::reader::ReadFile;
@@ -89,7 +89,7 @@ pub struct CompactStats {
 /// Fold a container's droppings into one flattened dropping pair, in place:
 /// the logical contents are streamed through a fresh writer (whose
 /// sequential appends compress to pattern records), then every old dropping
-/// is unlinked and the `meta/` fast-stat drops are rebuilt. Logical bytes
+/// is unlinked and the `meta.*` fast-stat drops are rebuilt. Logical bytes
 /// are unchanged; holes become explicit zeros, as in [`flatten`]. Refuses to
 /// run while any writer holds the container open, and containers that are
 /// already compact (≤ 1 dropping) are left untouched.
@@ -126,7 +126,7 @@ pub fn compact_container(b: &dyn Backing, container: &str) -> Result<CompactStat
         off += n as u64;
     }
     w.sync()?;
-    let bytes_written = w.bytes_written();
+    let (bytes_written, seq) = (w.bytes_written(), w.seq);
     let new_data = w.data_path().to_string();
     let new_index = w.index_path().to_string();
     drop(w);
@@ -147,11 +147,8 @@ pub fn compact_container(b: &dyn Backing, container: &str) -> Result<CompactStat
     }
     // Stale fast-stat drops still sum the pre-compaction physical bytes;
     // replace them with one drop describing the flattened container.
-    let meta_dir = join(container, container::META_DIR);
-    for name in b.readdir(&meta_dir)? {
-        b.unlink(&join(&meta_dir, &name))?;
-    }
-    container::drop_meta(b, container, eof, bytes_written, COMPACT_PID)?;
+    container::clear_names(b, container, container::META_PREFIX)?;
+    container::drop_meta(b, container, eof, bytes_written, COMPACT_PID, seq)?;
     Ok(CompactStats {
         droppings_before: old.len(),
         droppings_after: 1,
@@ -277,12 +274,12 @@ mod tests {
             w.write(b"xx", pid * 2).unwrap();
             w.sync().unwrap();
         }
-        container::mark_open(&b, "/c", 1).unwrap();
+        container::mark_open(&b, "/c", 1, 0).unwrap();
         assert!(matches!(
             compact_container(&b, "/c"),
             Err(Error::InvalidArg(_))
         ));
-        container::mark_closed(&b, "/c", 1).unwrap();
+        container::mark_closed(&b, "/c", 1, 0).unwrap();
         assert_eq!(compact_container(&b, "/c").unwrap().droppings_after, 1);
     }
 
@@ -304,7 +301,7 @@ mod tests {
         assert!(v[4..1000].iter().all(|&x| x == 0));
         assert_eq!(&v[1000..], b"tail");
         // The fast-stat drops were rebuilt for the flattened layout.
-        let (eof, bytes) = container::read_meta(&b, "/c").unwrap().unwrap();
+        let (eof, bytes) = container::read_lifecycle(&b, "/c").unwrap().1.unwrap();
         assert_eq!(eof, 1004);
         assert_eq!(bytes, 1004);
     }

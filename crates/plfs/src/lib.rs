@@ -73,7 +73,7 @@ pub use backend::{
 };
 pub use backing::{BackStat, Backing, BackingFile, MemBacking, RealBacking};
 pub use check::{check, repair, CheckReport, Finding, RepairReport, Severity};
-pub use conf::{BackendKind, Conf, OpenMarkers};
+pub use conf::{BackendKind, Conf};
 pub use container::{ContainerParams, LayoutMode};
 pub use error::{Error, Result};
 pub use faults::{FaultKind, FaultOp, FaultRule, Faulty};

@@ -16,9 +16,9 @@
 //! `is_container` verdict.
 //!
 //! The cache also tracks an in-process writer count per container, letting
-//! `getattr` answer "is anyone writing?" without a `readdir` of
-//! `openhosts/` while this process holds writers (cross-process writers
-//! still need the readdir fallback).
+//! `getattr` answer "is anyone writing?" without listing the container
+//! directory while this process holds writers (cross-process writers
+//! still need the listing).
 
 use crate::container::ContainerParams;
 use parking_lot::Mutex;
@@ -38,7 +38,7 @@ pub struct MetaEntry {
     /// (`None` = not read yet; the probe leaves this lazy so `getattr` of
     /// a container never pays for params it does not need).
     pub params: Option<ContainerParams>,
-    /// Cached fast-stat info from `meta/` drops: `None` = not read yet,
+    /// Cached fast-stat info from `meta.*` drops: `None` = not read yet,
     /// `Some(None)` = read, no drops, `Some(Some((max eof, total bytes)))`.
     pub meta: Option<Option<(u64, u64)>>,
 }
@@ -57,7 +57,7 @@ pub struct MetaCache {
     /// Approximate per-shard capacity; one arbitrary entry is evicted when
     /// an insert would exceed it.
     shard_capacity: usize,
-    /// In-process writer counts per container path (openhosts fast path).
+    /// In-process writer counts per container path (open-marker fast path).
     writers: Mutex<HashMap<String, u64>>,
     hits: AtomicU64,
     misses: AtomicU64,

@@ -172,8 +172,8 @@ pub fn path_has_prefix(path: &str, prefix: &str) -> bool {
 // ---------------------------------------------------------------------------
 
 /// Routes container paths across several backings: `hostdir.N` (and anything
-/// under it) goes to backend `N % k`; everything else (skeleton, meta,
-/// openhosts) lives on the canonical backend 0. `readdir` of a container
+/// under it) goes to backend `N % k`; everything else (the access file
+/// and the lifecycle names) lives on the canonical backend 0. `readdir` of a container
 /// directory unions the canonical listing with the hostdirs of the others.
 pub struct SpreadBacking {
     backends: Vec<Arc<dyn Backing>>,
@@ -265,7 +265,12 @@ impl Backing for SpreadBacking {
     }
 
     fn rename(&self, from: &str, to: &str) -> Result<()> {
-        // Rename must move every backend's piece of the tree.
+        // A file (a close's marker → drop) lives on one backend; only a
+        // directory rename must move every backend's piece of the tree.
+        let home = self.route(from);
+        if home.stat(from).is_ok_and(|st| !st.is_dir) {
+            return home.rename(from, to);
+        }
         let mut renamed_any = false;
         for be in &self.backends {
             match be.rename(from, to) {
@@ -393,7 +398,7 @@ mod tests {
         assert!(msg.contains("line 3"), "error must name the line: {msg}");
         assert_eq!(err.errno(), 22, "malformed plfsrc stays EINVAL");
         // Every in-loop error site carries its line.
-        let err = PlfsRc::parse("open_markers never\n").unwrap_err();
+        let err = PlfsRc::parse("backend never\n").unwrap_err();
         assert!(err.to_string().contains("line 1"), "{err}");
         let err = PlfsRc::parse("mount_point /p\nbackends /b\nworkload strange\n").unwrap_err();
         assert!(err.to_string().contains("line 3"), "{err}");

@@ -35,6 +35,10 @@ pub struct WriteFile {
     index_path: String,
     mode: LayoutMode,
     pid: u64,
+    /// The number in this writer's lifecycle names, unique to it among
+    /// its pid's: its dropping pair's — or, in log mode where every writer
+    /// shares pair 0, the first one free — until `mark_open` bumps it.
+    pub(crate) seq: u32,
     buffered: Vec<IndexEntry>,
     buffer_limit: usize,
     /// Write-behind aggregation buffer (0 capacity limit = off). Small
@@ -100,8 +104,7 @@ impl WriteFile {
 
     /// Like [`WriteFile::open_with`], but trusting the caller that the
     /// pid's hostdir already exists — `PlfsFd` memoizes `ensure_hostdir`
-    /// per (container, hostdir), so repeat writers skip the exists/mkdir
-    /// probe entirely.
+    /// per (container, hostdir), so repeat writers skip the mkdir entirely.
     pub(crate) fn open_prepared(
         b: &dyn Backing,
         container: &str,
@@ -109,7 +112,7 @@ impl WriteFile {
         pid: u64,
         conf: &Conf,
     ) -> Result<WriteFile> {
-        let (data, index, data_path, index_path) = match params.mode {
+        let (data, index, data_path, index_path, seq) = match params.mode {
             LayoutMode::LogStructured => {
                 // All pids share dropping pair 0; first creator wins, the
                 // rest open for append.
@@ -125,7 +128,8 @@ impl WriteFile {
                     Err(Error::Exists(_)) => b.open(&ip, true)?,
                     Err(e) => return Err(e),
                 };
-                (data, index, dp, ip)
+                let seq = container::free_writer_number(b, container, pid)?;
+                (data, index, dp, ip, seq)
             }
             _ => {
                 // Probe for the first unused dropping pair with exclusive
@@ -139,7 +143,7 @@ impl WriteFile {
                     match b.create(&dp, true) {
                         Ok(data) => {
                             let ip = container::index_dropping_path(container, params, pid, seq);
-                            break (data, b.create(&ip, true)?, dp, ip);
+                            break (data, b.create(&ip, true)?, dp, ip, seq);
                         }
                         Err(Error::Exists(_)) => seq += 1,
                         Err(e) => return Err(e),
@@ -154,6 +158,7 @@ impl WriteFile {
             index_path,
             mode: params.mode,
             pid,
+            seq,
             buffered: Vec::new(),
             buffer_limit: conf.index_buffer_entries.max(1),
             data_buf: Vec::new(),

@@ -20,9 +20,9 @@ type AccessGate = (Mutex<mpsc::Sender<()>>, Mutex<mpsc::Receiver<()>>);
 /// create so the test decides who observes what.
 struct Gated {
     inner: MemBacking,
-    /// When set: every thread that found `/f` missing waits here, so all of
-    /// them race the `mkdir` and all but one lose it.
-    missing_rendezvous: Option<Barrier>,
+    /// When set: every thread about to `mkdir` `/f` waits here, so all of
+    /// them race it and all but one lose it.
+    mkdir_rendezvous: Option<Barrier>,
     /// When set: the creator is held just before the access-file create.
     access_gate: Option<AccessGate>,
     /// Failed attempts to open the access file: losers that looked.
@@ -44,14 +44,10 @@ impl Backing for Gated {
         }
         r
     }
-    fn exists(&self, path: &str) -> bool {
-        let found = self.inner.exists(path);
-        if let ("/f", false, Some(all)) = (path, found, &self.missing_rendezvous) {
+    fn mkdir(&self, path: &str) -> Result<()> {
+        if let ("/f", Some(all)) = (path, &self.mkdir_rendezvous) {
             all.wait();
         }
-        found
-    }
-    fn mkdir(&self, path: &str) -> Result<()> {
         self.inner.mkdir(path)
     }
     fn mkdir_all(&self, path: &str) -> Result<()> {
@@ -90,9 +86,8 @@ fn mount(b: &Arc<Gated>) -> Plfs {
 }
 
 fn assert_one_container(b: &Arc<Gated>) {
-    let mut names = b.inner.readdir("/f").unwrap();
-    names.sort();
-    assert_eq!(names, [".plfsaccess", "meta", "openhosts"], "one skeleton");
+    let names = b.inner.readdir("/f").unwrap();
+    assert_eq!(names, [".plfsaccess"], "one skeleton");
     let fd = mount(b).open("/f", OpenFlags::RDONLY, 0).unwrap();
     assert_eq!(fd.params().num_hostdirs, 7, "the winner's params");
 }
@@ -104,7 +99,7 @@ fn losers_that_see_the_bare_directory_wait_for_the_access_file() {
     let (release_tx, release_rx) = mpsc::channel();
     let b = Arc::new(Gated {
         inner: MemBacking::new(),
-        missing_rendezvous: None,
+        mkdir_rendezvous: None,
         access_gate: Some((Mutex::new(entered_tx), Mutex::new(release_rx))),
         access_misses: AtomicUsize::new(0),
     });
@@ -157,7 +152,7 @@ fn losers_of_the_mkdir_wait_for_the_access_file() {
     const RACERS: usize = 5;
     let b = Arc::new(Gated {
         inner: MemBacking::new(),
-        missing_rendezvous: Some(Barrier::new(RACERS)),
+        mkdir_rendezvous: Some(Barrier::new(RACERS)),
         access_gate: None,
         access_misses: AtomicUsize::new(0),
     });

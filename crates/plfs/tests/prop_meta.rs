@@ -9,7 +9,7 @@
 //! invalidation on unlink, rename, truncate, mkdir/rmdir, or a create
 //! racing its own probe — shows up as a divergence.
 
-use plfs::{Conf, Error, MemBacking, OpenFlags, OpenMarkers, Plfs};
+use plfs::{Conf, Error, MemBacking, OpenFlags, Plfs};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -181,18 +181,5 @@ proptest! {
     #[test]
     fn cached_mount_equivalent_to_serial(ops in ops(24)) {
         run_equivalence(&ops, Conf::default());
-    }
-
-    /// Lazy open markers change *when* openhosts entries appear, but no
-    /// observable verdict may differ once writers are closed.
-    #[test]
-    fn lazy_marker_mount_equivalent_to_serial(ops in ops(24)) {
-        run_equivalence(
-            &ops,
-            Conf {
-                open_markers: OpenMarkers::Lazy,
-                ..Conf::default()
-            },
-        );
     }
 }

@@ -8,11 +8,11 @@
 //! dedicated-MDS queue that reproduces the paper's Figure 5 collapse) and
 //! reports the time until the storm drains: the projected time-to-open.
 //!
-//! The interesting comparison is not absolute seconds but the *shape*: an
-//! eager profile (every process creating open markers and probing the
-//! container) feeds the superlinear create-contention term, while the
-//! cached/lazy profile keeps the MDS in its flat regime to much higher
-//! process counts.
+//! The interesting comparison is not absolute seconds but the *shape*:
+//! every directory-modifying op (dropping and marker creates, the
+//! close-time rename) feeds the superlinear contention term, so a profile
+//! with fewer of them keeps the MDS in its flat regime to much higher
+//! process counts; probes and listings only add to the linear term.
 
 use crate::config::MdsConfig;
 use crate::mds::{dir_hash, MetaOp, MetadataService};
@@ -21,15 +21,18 @@ use crate::mds::{dir_hash, MetaOp, MetadataService};
 /// assumed (see module docs).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OpenProfile {
-    /// Entry creations (droppings, open markers, hostdirs).
+    /// Entry creations (container skeleton — directory and access file —
+    /// hostdirs, droppings, open markers).
     pub creates: u64,
     /// Lookups/opens of existing entries (access file reads).
     pub opens: u64,
     /// Attribute reads (exists/stat probes).
     pub stats: u64,
-    /// Entry removals.
+    /// Entry removals and renames (a close renames the writer's open
+    /// marker into its fast-stat drop).
     pub removes: u64,
-    /// Directory listings (openhosts scans).
+    /// Directory listings (the container directory: markers, drops and
+    /// hostdirs are all names in it).
     pub readdirs: u64,
 }
 

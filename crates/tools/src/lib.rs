@@ -577,27 +577,34 @@ fn gate_metrics(doc: &jsonlite::Value) -> Result<Vec<(String, f64, bool)>, ToolE
             }
         }
         "metadata" => {
-            // Op-count ratios and storm speedups are pure algorithm/model
-            // quantities — identical on any runner. The microsecond
-            // latencies are not gated.
+            // Op-count ratios and the projected storm seconds are pure
+            // algorithm/model quantities — identical on any runner. The
+            // microsecond latencies are not gated.
             for row in data
                 .get("measured")
                 .and_then(|m| m.as_array())
                 .unwrap_or(&[])
             {
-                if let (Some(phase), Some(r)) = (
-                    row.get("phase").and_then(|v| v.as_str()),
-                    row.get("ops_reduction").and_then(|v| v.as_f64()),
-                ) {
+                let Some(phase) = row.get("phase").and_then(|v| v.as_str()) else {
+                    continue;
+                };
+                if let Some(r) = row.get("ops_reduction").and_then(|v| v.as_f64()) {
                     out.push((format!("ops_reduction[{phase}]"), r, true));
+                }
+                // The counts themselves: exact on any runner, and the
+                // open+write+close pair is held to GATE_CEILINGS.
+                for arm in ["eager_ops", "cached_ops"] {
+                    if let Some(n) = row.get(arm).and_then(|v| v.as_f64()) {
+                        out.push((format!("{arm}[{phase}]"), n, false));
+                    }
                 }
             }
             for row in data.get("storm").and_then(|m| m.as_array()).unwrap_or(&[]) {
                 if let (Some(p), Some(s)) = (
                     row.get("procs").and_then(|v| v.as_u64()),
-                    row.get("speedup").and_then(|v| v.as_f64()),
+                    row.get("secs").and_then(|v| v.as_f64()),
                 ) {
-                    out.push((format!("storm_speedup[{p} procs]"), s, true));
+                    out.push((format!("storm_secs[{p} procs]"), s, false));
                 }
             }
         }
@@ -645,7 +652,13 @@ fn gate_metrics(doc: &jsonlite::Value) -> Result<Vec<(String, f64, bool)>, ToolE
 /// resident index: in-place patching reads 1-2x (run-to-run spread wider
 /// than any useful relative threshold), anything that copies or rebuilds
 /// the index per read-after-write reads ~256x.
-const GATE_CEILINGS: [(&str, f64); 1] = [("refresh_growth", 4.0)];
+/// `metadata`'s `open+write+close` counts are exact: four ranks through one
+/// fd onto an existing container, with the cache off (`eager`) and on.
+const GATE_CEILINGS: [(&str, f64); 3] = [
+    ("refresh_growth", 4.0),
+    ("eager_ops[open+write+close]", 32.0),
+    ("cached_ops[open+write+close]", 28.0),
+];
 
 /// `benchgate`: compare a fresh `BENCH_*.json` against the committed
 /// baseline and fail if any gated metric regressed by more than
@@ -1022,27 +1035,39 @@ mod tests {
 
     #[test]
     fn benchgate_metadata_gates_ratios() {
-        let doc = |reduction: f64, speedup: f64| {
+        let cycle = |reduction: f64, secs: f64, cached_ops: u64| {
             format!(
                 "{{\"figure\":\"metadata\",\"data\":{{\
                  \"measured\":[{{\"phase\":\"reopen\",\"eager_us\":1.5,\
-                 \"ops_reduction\":{reduction}}}],\
-                 \"storm\":[{{\"procs\":1024,\"speedup\":{speedup}}}]}},\
+                 \"ops_reduction\":{reduction}}},\
+                 {{\"phase\":\"open+write+close\",\"cached_ops\":{cached_ops}}}],\
+                 \"storm\":[{{\"procs\":1024,\"secs\":{secs}}}]}},\
                  \"trace\":{{}}}}"
             )
         };
+        let doc = |reduction: f64, secs: f64| cycle(reduction, secs, 28);
         let out = benchcheck(&doc(4.0, 2.0), "BENCH_metadata.json").unwrap();
-        assert!(out.contains("2 gated metric"), "{out}");
+        assert!(out.contains("3 gated metric"), "{out}");
+        // The cycle's op count is held to its absolute ceiling, whatever
+        // the baseline says.
+        assert!(benchgate(&cycle(4.0, 2.0, 40), &doc(4.0, 2.0), 0.30).is_ok());
+        let err = benchgate(&doc(4.0, 2.0), &cycle(4.0, 2.0, 29), 0.30).unwrap_err();
+        assert!(
+            matches!(err, ToolError::Gate(ref m) if m.contains("cached_ops[open+write+close]")),
+            "{err:?}"
+        );
         // Ratios within threshold pass; a collapsed ops_reduction fails.
-        assert!(benchgate(&doc(4.0, 2.0), &doc(3.5, 1.9), 0.30).is_ok());
-        let err = benchgate(&doc(4.0, 2.0), &doc(1.0, 1.9), 0.30).unwrap_err();
+        assert!(benchgate(&doc(4.0, 2.0), &doc(3.5, 2.2), 0.30).is_ok());
+        let err = benchgate(&doc(4.0, 2.0), &doc(1.0, 2.2), 0.30).unwrap_err();
         assert!(
             matches!(err, ToolError::Gate(ref m) if m.contains("ops_reduction[reopen]")),
             "{err:?}"
         );
-        let err = benchgate(&doc(4.0, 2.0), &doc(4.0, 1.0), 0.30).unwrap_err();
+        // The projected storm gates on its seconds: lower is better.
+        assert!(benchgate(&doc(4.0, 2.0), &doc(4.0, 1.0), 0.30).is_ok());
+        let err = benchgate(&doc(4.0, 2.0), &doc(4.0, 3.0), 0.30).unwrap_err();
         assert!(
-            matches!(err, ToolError::Gate(ref m) if m.contains("storm_speedup[1024 procs]")),
+            matches!(err, ToolError::Gate(ref m) if m.contains("storm_secs[1024 procs]")),
             "{err:?}"
         );
     }

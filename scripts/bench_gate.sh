@@ -3,11 +3,13 @@
 # diff them against the committed baselines in results/. Fails when a
 # gated metric (write-path refresh speedup and refresh-cost growth across
 # the resident-index sweep — absolute bar 4x, Table II shim-overhead ratio,
-# metadata ops-per-open reduction and MDS-storm speedup, list-I/O vs
-# sieving/per-extent speedups, burst-buffer destage overlap speedup)
-# regresses by more than the threshold.
-# Only runner-speed-independent ratios are gated, so the comparison is
-# meaningful across machines; CI runs this as a blocking job.
+# metadata ops-per-open reduction, per-phase op counts — the
+# open+write+close cycle held to absolute ceilings, 32 ops cache-off and
+# 28 default — and the projected MDS-storm seconds of the default profile,
+# list-I/O vs sieving/per-extent speedups, burst-buffer destage overlap
+# speedup) regresses by more than the threshold.
+# Only runner-speed-independent ratios and exact counts are gated, so the
+# comparison is meaningful across machines; CI runs this as a blocking job.
 #
 #   BENCH_GATE_THRESHOLD=0.30 scripts/bench_gate.sh
 #   BENCH_GATE_QUICK=1 scripts/bench_gate.sh    # reduced volumes where the

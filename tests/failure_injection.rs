@@ -62,24 +62,31 @@ fn transient_fault_heals_without_reopen() {
 #[test]
 fn open_fault_leaves_no_half_container() {
     let (faulty, shim) = stack("halfopen");
-    // Fail the openhosts mkdir during container creation.
-    faulty.arm(FaultRule {
-        op: FaultOp::Mkdir,
-        path_contains: "openhosts".to_string(),
-        after: 0,
-        times: 1,
-        errno_like: FaultKind::NoSpace,
-    });
-    let r = shim.open("/plfs/f", OpenFlags::WRONLY | OpenFlags::CREAT, 0o644);
-    assert!(r.is_err());
-    // The half-created container is detectable and repair makes the path
-    // reusable: a later create succeeds once storage recovers.
-    let fd = shim
-        .open("/plfs/g", OpenFlags::WRONLY | OpenFlags::CREAT, 0o644)
-        .unwrap();
+    let flags = OpenFlags::WRONLY | OpenFlags::CREAT;
+    let backing: &dyn plfs::Backing = faulty.as_ref();
+    // Fail the access file — the second and last op of the skeleton — at
+    // its create, then at the write of its bytes.
+    for op in [FaultOp::Create, FaultOp::Write] {
+        faulty.arm(FaultRule {
+            op,
+            path_contains: ".plfsaccess".to_string(),
+            after: 0,
+            times: 1,
+            errno_like: FaultKind::NoSpace,
+        });
+        assert_eq!(shim.open("/plfs/f", flags, 0o644).err(), Some(Errno(28)));
+        // What the create made was rolled back — a bare directory would
+        // read as a nascent container to every later create.
+        assert!(!backing.exists("/f"), "{op:?}: half-created skeleton left");
+    }
+    // So the *same* path is creatable the moment storage recovers, with no
+    // wait.
+    let t0 = std::time::Instant::now();
+    let fd = shim.open("/plfs/f", flags, 0o644).unwrap();
+    assert!(t0.elapsed() < std::time::Duration::from_millis(500));
     shim.write(fd, b"fine").unwrap();
     shim.close(fd).unwrap();
-    assert_eq!(shim.stat("/plfs/g").unwrap().size, 4);
+    assert_eq!(shim.stat("/plfs/f").unwrap().size, 4);
 }
 
 #[test]
