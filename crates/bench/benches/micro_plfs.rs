@@ -3,8 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use plfs::{
-    container, Conf, ContainerParams, GlobalIndex, IndexEntry, MemBacking, OpenFlags, Plfs,
-    ReadFile,
+    container, ContainerParams, GlobalIndex, IndexEntry, MemBacking, OpenFlags, Plfs, ReadFile,
 };
 use std::hint::black_box;
 use std::sync::Arc;
@@ -85,17 +84,15 @@ fn bench_write_path(c: &mut Criterion) {
     g.finish();
 }
 
-/// PR 3 acceptance benchmark: `writers` threads racing a strided
-/// checkpoint through one fd — the serial writer table (1 shard, no
-/// buffer) vs the id-hashed shards with write-behind buffering — plus the
-/// O(1) append fast path vs a size() probe per append.
+/// `writers` threads racing a strided checkpoint through one fd, plus the
+/// O(1) append fast path.
 fn bench_multi_writer(c: &mut Criterion) {
     let writers = 8usize;
     let rows = 64usize;
     let block = 4096usize;
     let volume = (writers * rows * block) as u64;
-    let run = |conf: Conf| {
-        let plfs = Plfs::new(Arc::new(MemBacking::new())).with_conf(conf);
+    let run = || {
+        let plfs = Plfs::new(Arc::new(MemBacking::new()));
         let fd = plfs
             .open("/w", OpenFlags::RDWR | OpenFlags::CREAT, 0)
             .unwrap();
@@ -122,23 +119,7 @@ fn bench_multi_writer(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("multi_writer");
     g.throughput(Throughput::Bytes(volume));
-    g.bench_function("checkpoint_8_writers_serial", |b| {
-        b.iter(|| {
-            run(Conf {
-                lock_shards: 1,
-                incremental_refresh: false,
-                ..Conf::default()
-            })
-        });
-    });
-    g.bench_function("checkpoint_8_writers_sharded", |b| {
-        b.iter(|| {
-            run(Conf {
-                data_buffer_bytes: 64 << 10,
-                ..Conf::default()
-            })
-        });
-    });
+    g.bench_function("checkpoint_8_writers", |b| b.iter(run));
 
     // Append latency: atomic-EOF fast path, no index merge per append.
     let plfs = Plfs::new(Arc::new(MemBacking::new()));

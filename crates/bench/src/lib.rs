@@ -446,13 +446,13 @@ fn best_of<F: FnMut() -> u64>(times: usize, mut f: F) -> (f64, u64) {
 
 // ---------------------------------------------------------------------------
 // Beyond the paper: the parallel write path (per-pid writer sharding,
-// atomic-EOF appends, write-behind buffering, incremental reader refresh).
+// atomic-EOF appends, the read view patched in place).
 // ---------------------------------------------------------------------------
 
-/// One measured row of the write-path comparison: `writers` racing pids
-/// pushing a strided checkpoint through ONE fd, serial path vs sharded +
-/// write-behind-buffered path, plus the append/refresh latencies the PR 3
-/// fast paths target.
+/// One measured row of the write-path figure: `writers` racing pids
+/// pushing a strided checkpoint through ONE fd at the default
+/// configuration, plus the append and read-after-write latencies. Absolute
+/// numbers on this host's memory backing — there is no comparison arm.
 #[derive(Debug, Clone)]
 pub struct WritePathRow {
     /// Concurrent writer threads (= pids) sharing the fd.
@@ -461,31 +461,13 @@ pub struct WritePathRow {
     pub writes_per_writer: usize,
     /// Block size (bytes).
     pub block: usize,
-    /// Multi-writer throughput, serial path: one writer-table lock, no
-    /// data buffering (MB/s).
-    pub serial_write_mbs: f64,
-    /// Same workload through id-hashed writer shards with write-behind
-    /// data buffering (MB/s).
-    pub sharded_write_mbs: f64,
+    /// Multi-writer throughput (MB/s).
+    pub write_mbs: f64,
     /// Mean `O_APPEND` write latency on the atomic-EOF fast path (ns).
     pub append_ns: f64,
-    /// Interleaved append+read cycles with a full index re-merge on every
-    /// post-write read (ms total).
-    pub full_refresh_ms: f64,
-    /// Same cycles patching the cached merged index incrementally (ms).
-    pub incremental_refresh_ms: f64,
-}
-
-impl WritePathRow {
-    /// Sharded-over-serial multi-writer throughput ratio.
-    pub fn write_speedup(&self) -> f64 {
-        self.sharded_write_mbs / self.serial_write_mbs.max(1e-9)
-    }
-
-    /// Full-re-merge-over-incremental refresh time ratio.
-    pub fn refresh_speedup(&self) -> f64 {
-        self.full_refresh_ms / self.incremental_refresh_ms.max(1e-9)
-    }
+    /// Interleaved cycles of one append per writer then one read, which
+    /// patches the fd's read view (ms total).
+    pub patch_cycles_ms: f64,
 }
 
 /// Writer counts swept by the measured write-path comparison.
@@ -497,8 +479,8 @@ pub const WRITEPATH_WRITERS: [usize; 3] = [1, 4, 8];
 pub struct RefreshSweepRow {
     /// Segments resident in the fd's merged index (none can coalesce).
     pub segments: usize,
-    /// Mean microseconds per overwrite + read-back cycle.
-    pub incremental_refresh_us_per_cycle: f64,
+    /// Mean microseconds per overwrite + read-back (patch) cycle.
+    pub patch_us_per_cycle: f64,
 }
 
 /// The write-path figure: the per-writer-count rows plus the
@@ -507,7 +489,7 @@ pub struct RefreshSweepRow {
 pub struct WritePathReport {
     /// One row per entry of [`WRITEPATH_WRITERS`].
     pub rows: Vec<WritePathRow>,
-    /// Incremental refresh cost at growing resident index sizes.
+    /// Read-after-write patch cost at growing resident index sizes.
     pub refresh_sweep: Vec<RefreshSweepRow>,
 }
 
@@ -517,9 +499,7 @@ impl WritePathReport {
     /// copies or rebuilds the index per read-after-write.
     pub fn refresh_growth(&self) -> f64 {
         match (self.refresh_sweep.first(), self.refresh_sweep.last()) {
-            (Some(a), Some(b)) => {
-                b.incremental_refresh_us_per_cycle / a.incremental_refresh_us_per_cycle.max(1e-9)
-            }
+            (Some(a), Some(b)) => b.patch_us_per_cycle / a.patch_us_per_cycle.max(1e-9),
             _ => 1.0,
         }
     }
@@ -565,12 +545,12 @@ fn refresh_cycle_secs(segments: usize, cycles: usize) -> f64 {
 }
 
 /// Wall time for `writers` threads to push a strided checkpoint (and sync)
-/// through one fd under `conf`.
-fn multiwriter_secs(conf: plfs::Conf, writers: usize, rows: usize, block: usize) -> f64 {
+/// through one fd.
+fn multiwriter_secs(writers: usize, rows: usize, block: usize) -> f64 {
     use plfs::{MemBacking, OpenFlags, Plfs};
     use std::sync::Arc;
     let (secs, _) = best_of(3, || {
-        let plfs = Plfs::new(Arc::new(MemBacking::new())).with_conf(conf);
+        let plfs = Plfs::new(Arc::new(MemBacking::new()));
         let fd = plfs
             .open("/w", OpenFlags::RDWR | OpenFlags::CREAT, 0)
             .unwrap();
@@ -598,10 +578,10 @@ fn multiwriter_secs(conf: plfs::Conf, writers: usize, rows: usize, block: usize)
 }
 
 /// Measure the write path across [`WRITEPATH_WRITERS`]. Runs through the
-/// public `plfs::Plfs` API so the `append_fastpath`/`data_buffer_flush`/
-/// `index_patch` trace ops land in the emitted BENCH json.
+/// public `plfs::Plfs` API so the `append_fastpath`/`index_patch` trace ops
+/// land in the emitted BENCH json.
 pub fn writepath_comparison(scale: Scale) -> WritePathReport {
-    use plfs::{Conf, MemBacking, OpenFlags, Plfs};
+    use plfs::{MemBacking, OpenFlags, Plfs};
     use std::sync::Arc;
 
     let (rows, block, appends, cycles) = match scale {
@@ -612,37 +592,23 @@ pub fn writepath_comparison(scale: Scale) -> WritePathReport {
         Scale::Paper => ([1 << 10, 1 << 14, 1 << 18], 4096),
         Scale::Quick => ([1 << 10, 1 << 12, 1 << 14], 1024),
     };
-    let sharded = Conf {
-        data_buffer_bytes: 64 << 10,
-        ..Conf::default()
-    };
     let refresh_sweep = sweep
         .iter()
         .map(|&segments| RefreshSweepRow {
             segments,
-            incremental_refresh_us_per_cycle: refresh_cycle_secs(segments, sweep_cycles) * 1e6,
+            patch_us_per_cycle: refresh_cycle_secs(segments, sweep_cycles) * 1e6,
         })
         .collect();
     let rows = WRITEPATH_WRITERS
         .iter()
         .map(|&writers| {
-            let serial_secs = multiwriter_secs(
-                Conf {
-                    lock_shards: 1,
-                    incremental_refresh: false,
-                    ..Conf::default()
-                },
-                writers,
-                rows,
-                block,
-            );
-            let sharded_secs = multiwriter_secs(sharded, writers, rows, block);
+            let write_secs = multiwriter_secs(writers, rows, block);
             let volume = (writers * rows * block) as f64;
 
             // O_APPEND latency on the atomic-EOF fast path.
             let chunk = vec![7u8; 64];
             let (append_secs, _) = best_of(3, || {
-                let plfs = Plfs::new(Arc::new(MemBacking::new())).with_conf(sharded);
+                let plfs = Plfs::new(Arc::new(MemBacking::new()));
                 let fd = plfs
                     .open("/a", OpenFlags::RDWR | OpenFlags::CREAT, 0)
                     .unwrap();
@@ -653,44 +619,33 @@ pub fn writepath_comparison(scale: Scale) -> WritePathReport {
                 appends as u64
             });
 
-            // Interleaved append+read cycles: every read refreshes the
-            // cached reader — by a full re-merge or an incremental patch.
-            let refresh_secs = |incremental: bool| {
-                let conf = Conf {
-                    incremental_refresh: incremental,
-                    ..Conf::default()
-                };
-                let (secs, _) = best_of(3, || {
-                    let plfs = Plfs::new(Arc::new(MemBacking::new())).with_conf(conf);
-                    let fd = plfs
-                        .open("/r", OpenFlags::RDWR | OpenFlags::CREAT, 0)
-                        .unwrap();
-                    for p in 1..writers as u64 {
-                        fd.add_ref(p);
+            // Interleaved append+read cycles: every read patches the fd's
+            // read view with what the writers appended since the last one.
+            let (patch_secs, _) = best_of(3, || {
+                let plfs = Plfs::new(Arc::new(MemBacking::new()));
+                let fd = plfs
+                    .open("/r", OpenFlags::RDWR | OpenFlags::CREAT, 0)
+                    .unwrap();
+                for p in 1..writers as u64 {
+                    fd.add_ref(p);
+                }
+                let mut one = [0u8; 1];
+                for c in 0..cycles {
+                    for p in 0..writers as u64 {
+                        fd.append(&chunk, p).unwrap();
                     }
-                    let mut one = [0u8; 1];
-                    for c in 0..cycles {
-                        for p in 0..writers as u64 {
-                            fd.append(&chunk, p).unwrap();
-                        }
-                        plfs.read(&fd, &mut one, (c * chunk.len()) as u64).unwrap();
-                    }
-                    cycles as u64
-                });
-                secs
-            };
-            let full = refresh_secs(false);
-            let incr = refresh_secs(true);
+                    plfs.read(&fd, &mut one, (c * chunk.len()) as u64).unwrap();
+                }
+                cycles as u64
+            });
 
             WritePathRow {
                 writers,
                 writes_per_writer: rows,
                 block,
-                serial_write_mbs: volume / serial_secs.max(1e-9) / 1e6,
-                sharded_write_mbs: volume / sharded_secs.max(1e-9) / 1e6,
+                write_mbs: volume / write_secs.max(1e-9) / 1e6,
                 append_ns: append_secs * 1e9 / appends as f64,
-                full_refresh_ms: full * 1e3,
-                incremental_refresh_ms: incr * 1e3,
+                patch_cycles_ms: patch_secs * 1e3,
             }
         })
         .collect();
@@ -700,32 +655,26 @@ pub fn writepath_comparison(scale: Scale) -> WritePathReport {
     }
 }
 
-/// Render the measured write-path comparison.
+/// Render the measured write-path figure.
 pub fn render_writepath(report: &WritePathReport) -> String {
-    let rows = &report.rows;
     let mut out = String::new();
     out.push_str(&format!(
-        "{:>8}{:>13}{:>13}{:>9}{:>11}{:>13}{:>13}{:>9}\n",
-        "Writers", "serial", "sharded", "speedup", "append", "full refr", "incr refr", "speedup"
+        "{:>8}{:>13}{:>11}{:>15}\n",
+        "Writers", "write", "append", "patch cycles"
     ));
-    for r in rows {
+    for r in &report.rows {
         out.push_str(&format!(
-            "{:>8}{:>8.0} MB/s{:>8.0} MB/s{:>8.2}x{:>9.0}ns{:>11.2}ms{:>11.2}ms{:>8.2}x\n",
-            r.writers,
-            r.serial_write_mbs,
-            r.sharded_write_mbs,
-            r.write_speedup(),
-            r.append_ns,
-            r.full_refresh_ms,
-            r.incremental_refresh_ms,
-            r.refresh_speedup()
+            "{:>8}{:>8.0} MB/s{:>9.0}ns{:>13.2}ms\n",
+            r.writers, r.write_mbs, r.append_ns, r.patch_cycles_ms
         ));
     }
-    out.push_str("\nIncremental refresh vs resident index (measured, us per write+read cycle)\n");
+    out.push_str(
+        "\nRead-after-write patch vs resident index (measured, us per write+read cycle)\n",
+    );
     for s in &report.refresh_sweep {
         out.push_str(&format!(
             "{:>10} segments{:>9.2} us\n",
-            s.segments, s.incremental_refresh_us_per_cycle
+            s.segments, s.patch_us_per_cycle
         ));
     }
     out.push_str(&format!(
@@ -1327,7 +1276,6 @@ pub fn staging2_comparison(scale: Scale) -> Staging2Report {
 
     let conf = Conf {
         submit_depth: 32,
-        submit_workers: 2,
         ..Conf::default()
     };
 
@@ -1550,13 +1498,9 @@ impl ToJson for WritePathRow {
             .with("writers", self.writers as u64)
             .with("writes_per_writer", self.writes_per_writer as u64)
             .with("block", self.block as u64)
-            .with("serial_write_mbs", self.serial_write_mbs)
-            .with("sharded_write_mbs", self.sharded_write_mbs)
-            .with("write_speedup", self.write_speedup())
+            .with("write_mbs", self.write_mbs)
             .with("append_ns", self.append_ns)
-            .with("full_refresh_ms", self.full_refresh_ms)
-            .with("incremental_refresh_ms", self.incremental_refresh_ms)
-            .with("refresh_speedup", self.refresh_speedup())
+            .with("patch_cycles_ms", self.patch_cycles_ms)
     }
 }
 
@@ -1564,10 +1508,7 @@ impl ToJson for RefreshSweepRow {
     fn to_json_value(&self) -> Value {
         Value::object()
             .with("segments", self.segments as u64)
-            .with(
-                "incremental_refresh_us_per_cycle",
-                self.incremental_refresh_us_per_cycle,
-            )
+            .with("patch_us_per_cycle", self.patch_us_per_cycle)
             .with("kind", "measured")
     }
 }
@@ -1758,18 +1699,9 @@ mod tests {
         let rows = &report.rows;
         assert_eq!(rows.len(), WRITEPATH_WRITERS.len());
         for r in rows {
-            assert!(r.serial_write_mbs > 0.0 && r.sharded_write_mbs > 0.0);
+            assert!(r.write_mbs > 0.0 && r.patch_cycles_ms > 0.0);
             assert!(r.append_ns > 0.0 && r.append_ns.is_finite());
-            assert!(r.full_refresh_ms > 0.0 && r.incremental_refresh_ms > 0.0);
         }
-        // The algorithmic win is core-count independent: patching the
-        // cached index must beat a full re-merge per read once several
-        // writers keep appending.
-        let big = rows.last().unwrap();
-        assert!(
-            big.refresh_speedup() > 1.0,
-            "incremental refresh should beat full re-merge at 8 writers: {big:?}"
-        );
         // The patch is in place: 16x the resident index must not cost
         // anywhere near 16x per read-after-write (the gate's bar is 4x).
         assert_eq!(report.refresh_sweep.len(), 3);
@@ -1779,7 +1711,7 @@ mod tests {
             report.refresh_sweep
         );
         let txt = render_writepath(&report);
-        assert!(txt.contains("Writers") && txt.contains("speedup") && txt.contains("segments"));
+        assert!(txt.contains("Writers") && txt.contains("append") && txt.contains("segments"));
     }
 
     #[test]

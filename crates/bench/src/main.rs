@@ -257,7 +257,7 @@ fn cmd_staging(args: &Args) {
 }
 
 fn cmd_writepath(args: &Args) {
-    println!("# Write path: serial vs sharded + write-behind-buffered writers\n");
+    println!("# Write path: racing writers on one fd, appends, read-after-write patches\n");
     trace_begin(args);
     let report = writepath_comparison(scale(args.quick));
     println!("## Measured (in-memory backing, this host)\n");

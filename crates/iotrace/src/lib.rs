@@ -102,8 +102,6 @@ pub enum OpKind {
     Trunc,
     /// Building or merging a global index from droppings.
     IndexMerge,
-    /// A write-behind data buffer spilled to its data dropping.
-    DataBufferFlush,
     /// A cached merged index patched in place with fresh local entries
     /// (instead of a full re-merge).
     IndexPatch,
@@ -144,7 +142,7 @@ pub enum OpKind {
 
 impl OpKind {
     /// Every op kind, in reporting order.
-    pub const ALL: [OpKind; 22] = [
+    pub const ALL: [OpKind; 21] = [
         OpKind::Open,
         OpKind::Close,
         OpKind::Read,
@@ -153,7 +151,6 @@ impl OpKind {
         OpKind::Sync,
         OpKind::Trunc,
         OpKind::IndexMerge,
-        OpKind::DataBufferFlush,
         OpKind::IndexPatch,
         OpKind::AppendFastpath,
         OpKind::Meta,
@@ -180,7 +177,6 @@ impl OpKind {
             OpKind::Sync => "sync",
             OpKind::Trunc => "trunc",
             OpKind::IndexMerge => "index_merge",
-            OpKind::DataBufferFlush => "data_buffer_flush",
             OpKind::IndexPatch => "index_patch",
             OpKind::AppendFastpath => "append_fastpath",
             OpKind::Meta => "meta",
@@ -210,7 +206,6 @@ impl OpKind {
             self,
             OpKind::Read
                 | OpKind::Write
-                | OpKind::DataBufferFlush
                 | OpKind::AppendFastpath
                 | OpKind::ListWrite
                 | OpKind::ListRead
@@ -230,20 +225,19 @@ impl OpKind {
             OpKind::Sync => 5,
             OpKind::Trunc => 6,
             OpKind::IndexMerge => 7,
-            OpKind::DataBufferFlush => 8,
-            OpKind::IndexPatch => 9,
-            OpKind::AppendFastpath => 10,
-            OpKind::Meta => 11,
-            OpKind::MetaCacheHit => 12,
-            OpKind::MetaCacheMiss => 13,
-            OpKind::OpenMarker => 14,
-            OpKind::ListWrite => 15,
-            OpKind::ListRead => 16,
-            OpKind::SieveFallback => 17,
-            OpKind::Destage => 18,
-            OpKind::BatchSubmit => 19,
-            OpKind::TierHit => 20,
-            OpKind::TierMiss => 21,
+            OpKind::IndexPatch => 8,
+            OpKind::AppendFastpath => 9,
+            OpKind::Meta => 10,
+            OpKind::MetaCacheHit => 11,
+            OpKind::MetaCacheMiss => 12,
+            OpKind::OpenMarker => 13,
+            OpKind::ListWrite => 14,
+            OpKind::ListRead => 15,
+            OpKind::SieveFallback => 16,
+            OpKind::Destage => 17,
+            OpKind::BatchSubmit => 18,
+            OpKind::TierHit => 19,
+            OpKind::TierMiss => 20,
         }
     }
 }
@@ -1105,7 +1099,6 @@ mod tests {
         for op in OpKind::ALL {
             assert_eq!(OpKind::from_str_opt(op.as_str()), Some(op));
         }
-        assert_eq!(OpKind::DataBufferFlush.as_str(), "data_buffer_flush");
         assert_eq!(OpKind::IndexPatch.as_str(), "index_patch");
         assert_eq!(OpKind::AppendFastpath.as_str(), "append_fastpath");
         assert_eq!(OpKind::MetaCacheHit.as_str(), "meta_cache_hit");

@@ -155,7 +155,7 @@ mod tests {
     /// table-driven parser test.)
     #[test]
     fn from_plfsrc_hands_the_parsed_conf_to_every_mount() {
-        let rc = "backend tiered\nsubmit_depth 8\nlist_io off\n\
+        let rc = "backend tiered\nsubmit_depth 8\nmeta_cache_entries 0\n\
                   mount_point /a\nbackends /f,/s\nindex_buffer_entries 99\n\
                   mount_point /b\nbackends /f2,/s2\n";
         let parsed = PlfsRc::parse(rc).unwrap();
@@ -204,18 +204,6 @@ mod tests {
     fn from_plfsrc_tiered_needs_two_backends() {
         let rc = "backend tiered\nmount_point /ckpt\nbackends /only\n";
         assert!(from_plfsrc(under("b1"), rc, |_| Arc::new(MemBacking::new())).is_err());
-    }
-
-    #[test]
-    fn from_plfsrc_object_backend_round_trips() {
-        let rc = "backend object\nmount_point /ckpt\nbackends /be\n";
-        let s = from_plfsrc(under("bobj"), rc, |_| Arc::new(MemBacking::new())).unwrap();
-        let fd = s
-            .open("/ckpt/dump", OpenFlags::RDWR | OpenFlags::CREAT, 0o644)
-            .unwrap();
-        s.write(fd, b"objects").unwrap();
-        s.close(fd).unwrap();
-        assert_eq!(s.stat("/ckpt/dump").unwrap().size, 7);
     }
 
     #[test]

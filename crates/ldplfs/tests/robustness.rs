@@ -21,22 +21,6 @@ fn shim(name: &str) -> LdPlfs {
 // --- silently mis-parse; all must now be clean parse errors.
 
 #[test]
-fn data_buffer_mbs_overflow_is_an_error_not_a_panic() {
-    // u64::MAX MiB: the old `as usize * (1 << 20)` overflowed — a panic in
-    // debug builds, silent wrap in release.
-    for v in [
-        "data_buffer_mbs 18446744073709551615",
-        "data_buffer_mbs 17592186044417", // 2^44 + 1: * 2^20 exceeds u64
-    ] {
-        let rc = format!("{v}\nmount_point /x\nbackends /be\n");
-        assert!(PlfsRc::parse(&rc).is_err(), "{v} must be rejected");
-    }
-    // Sane values still parse to MiB.
-    let rc = PlfsRc::parse("data_buffer_mbs 4\nmount_point /x\nbackends /be\n").unwrap();
-    assert_eq!(rc.conf.data_buffer_bytes, 4 << 20);
-}
-
-#[test]
 fn num_hostdirs_truncation_is_an_error() {
     // 2^32 + 1 used to truncate through `as u32` to a silently-accepted 1.
     let rc = "mount_point /x\nbackends /be\nnum_hostdirs 4294967297\n";
@@ -52,10 +36,10 @@ fn malformed_plfsrc_maps_to_einval_through_the_shim() {
     for rc in [
         "mount_point\n",                                    // key without value
         "mount_point /x\nbackends /be\nnum_hostdirs zap\n", // non-numeric
-        "mount_point /x\nbackends /be\nlist_io maybe\n",    // bad bool
+        "mount_point /x\nbackends /be\nbackend never\n",    // bad enum
         "backends /be\n",                                   // key before any mount
         "mount_point /x\n",                                 // mount with no backends
-        "mount_point /x\nbackends /be\ndata_buffer_mbs 18446744073709551615\n",
+        "mount_point /x\nbackends /be\nsubmit_depth 18446744073709551616\n", // past u64
     ] {
         let dir = std::env::temp_dir().join(format!("ldplfs-einval-{}", std::process::id()));
         let under = Arc::new(RealPosix::rooted(dir).unwrap());

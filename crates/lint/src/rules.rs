@@ -326,7 +326,7 @@ pub fn no_direct_backing_io(ctx: &FileCtx, out: &mut Vec<Finding>) {
         }
         let code = &line.code;
         // `File` at an identifier boundary, so `ReadFile::open` /
-        // `WriteFile::open_with` (the container layer's own types) pass.
+        // `WriteFile::open` (the container layer's own types) pass.
         let std_file = find_word(code, "File").is_some_and(|at| {
             code[at..].starts_with("File::open") || code[at..].starts_with("File::create")
         });

@@ -207,7 +207,7 @@ fn no_direct_backing_io_exempts_backing_rs_and_own_types() {
     let src = "fn f() { let x = std::fs::read(p); }\n";
     assert!(lint_source("crates/plfs/src/backing.rs", src).is_empty());
     // The container layer's own ReadFile/WriteFile are fine anywhere.
-    let own = "fn f(b: &dyn Backing) { let r = ReadFile::open(b, c); let w = WriteFile::open_with(b, c, p); }\n";
+    let own = "fn f(b: &dyn Backing) { let r = ReadFile::open(b, c); let w = WriteFile::open(b, c, p, 1, 64); }\n";
     assert!(lint_source(PLFS, own).is_empty());
 }
 

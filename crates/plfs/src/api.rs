@@ -56,11 +56,11 @@ pub struct Plfs {
     cache: Arc<MetaCache>,
 }
 
+/// Lock shards of the container metadata cache.
+const META_SHARDS: usize = 16;
+
 fn meta_cache_for(conf: &Conf) -> Arc<MetaCache> {
-    Arc::new(MetaCache::new(
-        conf.meta_cache_entries.max(1),
-        conf.lock_shards,
-    ))
+    Arc::new(MetaCache::new(conf.meta_cache_entries.max(1), META_SHARDS))
 }
 
 impl Plfs {

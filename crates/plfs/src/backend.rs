@@ -1,6 +1,6 @@
 //! Pluggable scale-out backends behind the [`Backing`] seam.
 //!
-//! Three layers, composable and individually optional:
+//! Two layers, composable and individually optional:
 //!
 //! * [`BatchedBacking`] — an async/batched submission layer: deferred data
 //!   writes flow through a bounded queue drained by a small worker pool, so
@@ -13,9 +13,6 @@
 //!   slow tier in the background through the same submission layer; reads
 //!   route to whichever tier holds the dropping. Residency is tracked in a
 //!   small persisted tier map on the slow tier.
-//! * [`ObjectBacking`] — an object-store-style backend mapping immutable
-//!   whole-dropping files onto [`ObjectStore`] put/get/list/delete, with
-//!   directory operations becoming key-prefix operations.
 //!
 //! The destage ordering is crash-shaped: copy to slow, persist the tier map,
 //! only then unlink the fast copy. A writer dying mid-destage leaves the
@@ -26,8 +23,8 @@ use crate::conf::{BackendKind, Conf, DEFAULT_SUBMIT_DEPTH};
 use crate::error::{Error, Result};
 use parking_lot::Mutex;
 use std::collections::{BTreeSet, HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex, MutexGuard as StdGuard, Weak};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex as StdMutex, MutexGuard as StdGuard};
 
 /// Lock a condvar-coupled mutex, shrugging off poisoning: a panicking
 /// worker must not wedge every barrier behind a `PoisonError`.
@@ -45,6 +42,9 @@ fn swait<'a, T>(cv: &Condvar, g: StdGuard<'a, T>) -> StdGuard<'a, T> {
 // ---------------------------------------------------------------------------
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
+
+/// Worker threads draining a submission queue.
+const DRAIN_WORKERS: usize = 4;
 
 struct SubmitInner {
     queue: VecDeque<Job>,
@@ -71,7 +71,7 @@ pub(crate) struct Submitter {
 }
 
 impl Submitter {
-    fn new(depth: usize, workers: usize) -> Submitter {
+    fn new(depth: usize) -> Submitter {
         let shared = Arc::new(SubmitShared {
             inner: StdMutex::new(SubmitInner {
                 queue: VecDeque::new(),
@@ -83,7 +83,7 @@ impl Submitter {
             depth: depth.max(1),
         });
         let mut handles = Vec::new();
-        for _ in 0..workers.max(1) {
+        for _ in 0..DRAIN_WORKERS {
             let s = Arc::clone(&shared);
             handles.push(std::thread::spawn(move || Submitter::worker_loop(s)));
         }
@@ -290,10 +290,7 @@ impl BatchedBacking {
     /// pure passthrough.
     pub fn new(inner: Arc<dyn Backing>, conf: &Conf) -> BatchedBacking {
         let submit = if conf.batching() {
-            Some(Arc::new(Submitter::new(
-                conf.submit_depth,
-                conf.submit_workers,
-            )))
+            Some(Arc::new(Submitter::new(conf.submit_depth)))
         } else {
             None
         };
@@ -582,7 +579,6 @@ struct TierCounters {
 pub struct TieredBacking {
     fast: Arc<dyn Backing>,
     slow: Arc<dyn Backing>,
-    destage_threshold: u64,
     map: Arc<Mutex<BTreeSet<String>>>,
     /// Serializes tier-map persistence (two destage workers must not
     /// interleave rewrites of the map file).
@@ -594,8 +590,7 @@ pub struct TieredBacking {
 impl TieredBacking {
     /// Build a tiered pair. The destage queue takes `conf.submit_depth`
     /// (falling back to the default depth when batching is off — destage is
-    /// inherent to the tiered backend, not a batching knob) and
-    /// `conf.submit_workers` threads.
+    /// inherent to the tiered backend, not a batching knob).
     pub fn new(fast: Arc<dyn Backing>, slow: Arc<dyn Backing>, conf: &Conf) -> TieredBacking {
         let depth = if conf.submit_depth == 0 {
             DEFAULT_SUBMIT_DEPTH
@@ -606,11 +601,10 @@ impl TieredBacking {
         TieredBacking {
             fast,
             slow,
-            destage_threshold: conf.destage_threshold,
             map,
             persist: Arc::new(Mutex::new(())),
             counters: Arc::new(TierCounters::default()),
-            submit: Submitter::new(depth, conf.submit_workers),
+            submit: Submitter::new(depth),
         }
     }
 
@@ -960,7 +954,7 @@ impl Backing for TieredBacking {
             Err(Error::NotFound(_)) => return Ok(()),
             Err(e) => return Err(e),
         };
-        if st.is_dir || st.size < self.destage_threshold {
+        if st.is_dir {
             return Ok(());
         }
         let fast = Arc::clone(&self.fast);
@@ -998,485 +992,6 @@ impl Drop for TieredBacking {
 }
 
 // ---------------------------------------------------------------------------
-// ObjectBacking
-// ---------------------------------------------------------------------------
-
-/// A flat put/get/list/delete object store — the minimal surface immutable
-/// droppings need (cf. DAOS-style backends).
-pub trait ObjectStore: Send + Sync {
-    /// Store `data` under `key`, replacing any existing object.
-    fn put(&self, key: &str, data: &[u8]) -> Result<()>;
-    /// Fetch the whole object at `key`.
-    fn get(&self, key: &str) -> Result<Vec<u8>>;
-    /// All keys starting with `prefix`, sorted.
-    fn list(&self, prefix: &str) -> Result<Vec<String>>;
-    /// Remove the object at `key` (`NotFound` if absent).
-    fn delete(&self, key: &str) -> Result<()>;
-}
-
-/// [`ObjectStore`] over any [`Backing`]: objects are files in a single flat
-/// directory, keys percent-encoded into file names (`/` → `%2F`).
-pub struct FsObjectStore {
-    root: Arc<dyn Backing>,
-}
-
-fn encode_key(key: &str) -> String {
-    key.replace('%', "%25").replace('/', "%2F")
-}
-
-fn decode_key(name: &str) -> String {
-    name.replace("%2F", "/").replace("%25", "%")
-}
-
-impl FsObjectStore {
-    /// Store objects as flat files directly under `root`'s top directory.
-    pub fn new(root: Arc<dyn Backing>) -> FsObjectStore {
-        FsObjectStore { root }
-    }
-}
-
-impl ObjectStore for FsObjectStore {
-    fn put(&self, key: &str, data: &[u8]) -> Result<()> {
-        let path = format!("/{}", encode_key(key));
-        let f = self.root.create(&path, false)?;
-        f.pwrite(data, 0)?;
-        f.sync()
-    }
-
-    fn get(&self, key: &str) -> Result<Vec<u8>> {
-        let path = format!("/{}", encode_key(key));
-        let f = self.root.open(&path, false)?;
-        read_all_file(f.as_ref())
-    }
-
-    fn list(&self, prefix: &str) -> Result<Vec<String>> {
-        let names = self.root.readdir("/")?;
-        let mut keys: Vec<String> = names
-            .iter()
-            .map(|n| decode_key(n))
-            .filter(|k| k.starts_with(prefix))
-            .collect();
-        keys.sort();
-        Ok(keys)
-    }
-
-    fn delete(&self, key: &str) -> Result<()> {
-        let path = format!("/{}", encode_key(key));
-        self.root.unlink(&path)
-    }
-}
-
-struct ObjHandle {
-    key: String,
-    store: Arc<dyn ObjectStore>,
-    buf: Mutex<Vec<u8>>,
-    dirty: AtomicBool,
-    unlinked: AtomicBool,
-}
-
-impl ObjHandle {
-    fn flush(&self) -> Result<()> {
-        // relaxed: flag is confirmed under the buf lock before acting
-        if !self.dirty.load(Ordering::Relaxed) || self.unlinked.load(Ordering::Relaxed) {
-            return Ok(());
-        }
-        let snapshot = self.buf.lock().clone();
-        self.store.put(&self.key, &snapshot)?;
-        // relaxed: a racing write after the snapshot re-sets the flag itself
-        self.dirty.store(false, Ordering::Relaxed);
-        Ok(())
-    }
-}
-
-impl Drop for ObjHandle {
-    fn drop(&mut self) {
-        // Last handle gone: publish the buffer like a file system would
-        // keep unsynced writes. Errors have nowhere to go here; the normal
-        // close path flushes through `sync` and surfaces them there.
-        let _ = self.flush();
-    }
-}
-
-struct ObjState {
-    dirs: BTreeSet<String>,
-    open: HashMap<String, Weak<ObjHandle>>,
-}
-
-/// A backend mapping container files onto whole-object put/get: every file
-/// is one immutable object, directories are synthesized from key prefixes
-/// (plus the `mkdir` calls the container layer makes), and open handles
-/// buffer the whole object in memory until `sync` (or last close) publishes
-/// it with a single `put`.
-pub struct ObjectBacking {
-    store: Arc<dyn ObjectStore>,
-    state: Mutex<ObjState>,
-}
-
-impl ObjectBacking {
-    /// Wrap an object store. The root directory exists from the start.
-    pub fn new(store: Arc<dyn ObjectStore>) -> ObjectBacking {
-        let mut dirs = BTreeSet::new();
-        dirs.insert("/".to_string());
-        ObjectBacking {
-            store,
-            state: Mutex::new(ObjState {
-                dirs,
-                open: HashMap::new(),
-            }),
-        }
-    }
-
-    /// Convenience: an [`ObjectBacking`] over [`FsObjectStore`] over `root`.
-    pub fn over(root: Arc<dyn Backing>) -> ObjectBacking {
-        ObjectBacking::new(Arc::new(FsObjectStore::new(root)))
-    }
-
-    fn live_handle(&self, path: &str) -> Option<Arc<ObjHandle>> {
-        let mut st = self.state.lock();
-        match st.open.get(path).and_then(|w| w.upgrade()) {
-            Some(h) => Some(h),
-            None => {
-                st.open.remove(path);
-                None
-            }
-        }
-    }
-
-    fn register(&self, path: &str, buf: Vec<u8>, dirty: bool) -> Arc<ObjHandle> {
-        let h = Arc::new(ObjHandle {
-            key: path.to_string(),
-            store: Arc::clone(&self.store),
-            buf: Mutex::new(buf),
-            dirty: AtomicBool::new(dirty),
-            unlinked: AtomicBool::new(false),
-        });
-        self.state
-            .lock()
-            .open
-            .insert(path.to_string(), Arc::downgrade(&h));
-        h
-    }
-
-    fn is_file(&self, path: &str) -> Result<bool> {
-        if self.live_handle(path).is_some() {
-            return Ok(true);
-        }
-        match self.store.get(path) {
-            Ok(_) => Ok(true),
-            Err(Error::NotFound(_)) => Ok(false),
-            Err(e) => Err(e),
-        }
-    }
-
-    fn file_size(&self, path: &str) -> Result<Option<u64>> {
-        if let Some(h) = self.live_handle(path) {
-            return Ok(Some(h.buf.lock().len() as u64));
-        }
-        match self.store.get(path) {
-            Ok(data) => Ok(Some(data.len() as u64)),
-            Err(Error::NotFound(_)) => Ok(None),
-            Err(e) => Err(e),
-        }
-    }
-
-    fn is_dir(&self, path: &str) -> Result<bool> {
-        let norm = if path == "/" {
-            "/"
-        } else {
-            path.trim_end_matches('/')
-        };
-        if self.state.lock().dirs.contains(norm) {
-            return Ok(true);
-        }
-        let prefix = if norm == "/" {
-            "/".to_string()
-        } else {
-            format!("{norm}/")
-        };
-        Ok(!self.store.list(&prefix)?.is_empty())
-    }
-}
-
-struct ObjectFile {
-    h: Arc<ObjHandle>,
-    writable: bool,
-}
-
-impl BackingFile for ObjectFile {
-    fn pread(&self, buf: &mut [u8], off: u64) -> Result<usize> {
-        let data = self.h.buf.lock();
-        let len = data.len() as u64;
-        if off >= len {
-            return Ok(0);
-        }
-        let n = ((len - off) as usize).min(buf.len());
-        buf[..n].copy_from_slice(&data[off as usize..off as usize + n]);
-        Ok(n)
-    }
-
-    fn pwrite(&self, buf: &[u8], off: u64) -> Result<usize> {
-        if !self.writable {
-            return Err(Error::BadMode("file opened read-only"));
-        }
-        let mut data = self.h.buf.lock();
-        let end = off as usize + buf.len();
-        if data.len() < end {
-            data.resize(end, 0);
-        }
-        data[off as usize..end].copy_from_slice(buf);
-        // relaxed: set under the buf lock; flush re-checks under the same lock discipline
-        self.h.dirty.store(true, Ordering::Relaxed);
-        Ok(buf.len())
-    }
-
-    fn append(&self, buf: &[u8]) -> Result<u64> {
-        if !self.writable {
-            return Err(Error::BadMode("file opened read-only"));
-        }
-        let mut data = self.h.buf.lock();
-        let off = data.len() as u64;
-        data.extend_from_slice(buf);
-        // relaxed: set under the buf lock; flush re-checks under the same lock discipline
-        self.h.dirty.store(true, Ordering::Relaxed);
-        Ok(off)
-    }
-
-    fn size(&self) -> Result<u64> {
-        Ok(self.h.buf.lock().len() as u64)
-    }
-
-    fn sync(&self) -> Result<()> {
-        self.h.flush()
-    }
-}
-
-impl Backing for ObjectBacking {
-    fn create(&self, path: &str, excl: bool) -> Result<Box<dyn BackingFile>> {
-        if excl && self.is_file(path)? {
-            return Err(Error::Exists(path.to_string()));
-        }
-        if self.state.lock().dirs.contains(path) {
-            return Err(Error::IsDir(path.to_string()));
-        }
-        if let Some(h) = self.live_handle(path) {
-            // Truncate-through-create on a live handle: reuse the shared
-            // buffer so other handles see the truncation.
-            h.buf.lock().clear();
-            // relaxed: set under the buf lock; flush re-checks under the same lock discipline
-            h.dirty.store(true, Ordering::Relaxed);
-            return Ok(Box::new(ObjectFile { h, writable: true }));
-        }
-        let h = self.register(path, Vec::new(), true);
-        Ok(Box::new(ObjectFile { h, writable: true }))
-    }
-
-    fn open(&self, path: &str, write: bool) -> Result<Box<dyn BackingFile>> {
-        if let Some(h) = self.live_handle(path) {
-            return Ok(Box::new(ObjectFile { h, writable: write }));
-        }
-        let data = self.store.get(path)?;
-        let h = self.register(path, data, false);
-        Ok(Box::new(ObjectFile { h, writable: write }))
-    }
-
-    fn mkdir(&self, path: &str) -> Result<()> {
-        // A directory another instance made is implied by the keys under
-        // it: `Exists` must agree with what `stat` and `readdir` say.
-        if self.is_file(path)? || self.is_dir(path)? {
-            return Err(Error::Exists(path.to_string()));
-        }
-        let mut st = self.state.lock();
-        if !st.dirs.insert(path.to_string()) {
-            return Err(Error::Exists(path.to_string()));
-        }
-        Ok(())
-    }
-
-    fn mkdir_all(&self, path: &str) -> Result<()> {
-        let mut st = self.state.lock();
-        let mut cur = String::new();
-        for part in path.split('/').filter(|p| !p.is_empty()) {
-            cur.push('/');
-            cur.push_str(part);
-            st.dirs.insert(cur.clone());
-        }
-        Ok(())
-    }
-
-    fn readdir(&self, path: &str) -> Result<Vec<String>> {
-        if !self.is_dir(path)? {
-            if self.is_file(path)? {
-                return Err(Error::NotDir(path.to_string()));
-            }
-            return Err(Error::NotFound(path.to_string()));
-        }
-        let prefix = if path == "/" {
-            "/".to_string()
-        } else {
-            format!("{path}/")
-        };
-        let mut names: BTreeSet<String> = BTreeSet::new();
-        for key in self.store.list(&prefix)? {
-            let rest = &key[prefix.len()..];
-            if let Some(first) = rest.split('/').next() {
-                if !first.is_empty() {
-                    names.insert(first.to_string());
-                }
-            }
-        }
-        let st = self.state.lock();
-        for d in st.dirs.iter() {
-            if d.len() > prefix.len() && d.starts_with(&prefix) {
-                let rest = &d[prefix.len()..];
-                if let Some(first) = rest.split('/').next() {
-                    if !first.is_empty() {
-                        names.insert(first.to_string());
-                    }
-                }
-            }
-        }
-        for k in st.open.keys() {
-            if k.len() > prefix.len() && k.starts_with(&prefix) {
-                let rest = &k[prefix.len()..];
-                if let Some(first) = rest.split('/').next() {
-                    if !first.is_empty() {
-                        names.insert(first.to_string());
-                    }
-                }
-            }
-        }
-        Ok(names.into_iter().collect())
-    }
-
-    fn unlink(&self, path: &str) -> Result<()> {
-        let live = {
-            let mut st = self.state.lock();
-            st.open.remove(path).and_then(|w| w.upgrade())
-        };
-        if let Some(h) = &live {
-            // relaxed: tear-down flag; Drop re-reads it after this store
-            h.unlinked.store(true, Ordering::Relaxed);
-        }
-        match self.store.delete(path) {
-            Ok(()) => Ok(()),
-            Err(Error::NotFound(_)) if live.is_some() => Ok(()),
-            Err(e) => Err(e),
-        }
-    }
-
-    fn rmdir(&self, path: &str) -> Result<()> {
-        if !self.is_dir(path)? {
-            return Err(Error::NotFound(path.to_string()));
-        }
-        if !self.readdir(path)?.is_empty() {
-            return Err(Error::NotEmpty(path.to_string()));
-        }
-        self.state.lock().dirs.remove(path);
-        Ok(())
-    }
-
-    fn rename(&self, from: &str, to: &str) -> Result<()> {
-        // Publish any open buffers first so the move sees current bytes.
-        let live: Vec<Arc<ObjHandle>> = {
-            let st = self.state.lock();
-            st.open
-                .iter()
-                .filter(|(k, _)| k.as_str() == from || k.starts_with(&format!("{from}/")))
-                .filter_map(|(_, w)| w.upgrade())
-                .collect()
-        };
-        for h in &live {
-            h.flush()?;
-        }
-        let prefix = format!("{from}/");
-        let keys: Vec<String> = self
-            .store
-            .list(from)?
-            .into_iter()
-            .filter(|k| k == from || k.starts_with(&prefix))
-            .collect();
-        let mut moved_any = false;
-        for key in keys {
-            let data = self.store.get(&key)?;
-            let new_key = if key == from {
-                to.to_string()
-            } else {
-                format!("{to}{}", &key[from.len()..])
-            };
-            self.store.put(&new_key, &data)?;
-            self.store.delete(&key)?;
-            moved_any = true;
-        }
-        let mut st = self.state.lock();
-        let dirs: Vec<String> = st
-            .dirs
-            .iter()
-            .filter(|d| d.as_str() == from || d.starts_with(&prefix))
-            .cloned()
-            .collect();
-        for d in &dirs {
-            st.dirs.remove(d);
-            let renamed = if d == from {
-                to.to_string()
-            } else {
-                format!("{to}{}", &d[from.len()..])
-            };
-            st.dirs.insert(renamed);
-            moved_any = true;
-        }
-        // Open handles under the old name would republish stale keys;
-        // detach them (PLFS never renames a container with live writers).
-        let stale: Vec<String> = st
-            .open
-            .keys()
-            .filter(|k| k.as_str() == from || k.starts_with(&prefix))
-            .cloned()
-            .collect();
-        for k in stale {
-            if let Some(h) = st.open.remove(&k).and_then(|w| w.upgrade()) {
-                // relaxed: tear-down flag; Drop re-reads it after this store
-                h.unlinked.store(true, Ordering::Relaxed);
-            }
-        }
-        if moved_any {
-            Ok(())
-        } else {
-            Err(Error::NotFound(from.to_string()))
-        }
-    }
-
-    fn stat(&self, path: &str) -> Result<BackStat> {
-        if let Some(size) = self.file_size(path)? {
-            return Ok(BackStat {
-                size,
-                is_dir: false,
-                mtime: 0,
-            });
-        }
-        if self.is_dir(path)? {
-            return Ok(BackStat {
-                size: 0,
-                is_dir: true,
-                mtime: 0,
-            });
-        }
-        Err(Error::NotFound(path.to_string()))
-    }
-
-    fn truncate(&self, path: &str, len: u64) -> Result<()> {
-        if let Some(h) = self.live_handle(path) {
-            h.buf.lock().resize(len as usize, 0);
-            // relaxed: set under the buf lock; flush re-checks under the same lock discipline
-            h.dirty.store(true, Ordering::Relaxed);
-            return Ok(());
-        }
-        let mut data = self.store.get(path)?;
-        data.resize(len as usize, 0);
-        self.store.put(path, &data)
-    }
-}
-
-// ---------------------------------------------------------------------------
 // The one place a backend stack is composed.
 // ---------------------------------------------------------------------------
 
@@ -1493,8 +1008,6 @@ pub struct Stack {
 /// backing, where containers finally live):
 ///
 /// * `direct` — `primary` as is;
-/// * `object` — `primary` re-exposed as an object store of immutable
-///   whole-dropping objects;
 /// * `tiered` — `fast` as the burst-buffer tier destaging to `primary`; a
 ///   tiered request without a fast tier is a configuration error;
 /// * `batched`, or any kind with `submit_depth > 0` — the above wrapped in
@@ -1508,7 +1021,6 @@ pub fn build_stack(
     let mut tiered = None;
     let mut backing = match conf.backend {
         BackendKind::Direct | BackendKind::Batched => primary,
-        BackendKind::Object => Arc::new(ObjectBacking::over(primary)),
         BackendKind::Tiered => {
             let fast = fast.ok_or(Error::InvalidArg("tiered backend needs a fast tier"))?;
             let t = Arc::new(TieredBacking::new(fast, primary, &conf));
@@ -1530,7 +1042,6 @@ mod tests {
     fn conf() -> Conf {
         Conf {
             submit_depth: DEFAULT_SUBMIT_DEPTH,
-            submit_workers: 2,
             ..Conf::default()
         }
     }
@@ -1669,27 +1180,6 @@ mod tests {
     }
 
     #[test]
-    fn tiered_threshold_keeps_small_droppings_fast() {
-        let fast = Arc::new(MemBacking::new());
-        let slow = Arc::new(MemBacking::new());
-        let t = TieredBacking::new(
-            fast.clone(),
-            slow.clone(),
-            &Conf {
-                destage_threshold: 100,
-                ..conf()
-            },
-        );
-        let f = t.create("/small", true).unwrap();
-        f.append(&[0u8; 10]).unwrap();
-        f.sync().unwrap();
-        t.seal("/small").unwrap();
-        t.drain();
-        assert!(fast.exists("/small"), "below threshold: stays on fast");
-        assert!(!slow.exists("/small"));
-    }
-
-    #[test]
     fn tiered_crash_mid_destage_serves_fast_copy() {
         // Simulate a writer dying between the slow-copy and the unlink: both
         // tiers hold the path, the slow copy is torn. Reads must come from
@@ -1723,93 +1213,5 @@ mod tests {
         assert!(!t.exists("/b"));
         assert!(t.slow_resident().is_empty());
         assert!(matches!(t.unlink("/b"), Err(Error::NotFound(_))));
-    }
-
-    #[test]
-    fn object_store_roundtrip_and_prefix_list() {
-        let s = FsObjectStore::new(Arc::new(MemBacking::new()));
-        s.put("/c/hostdir.0/d.1", b"one").unwrap();
-        s.put("/c/hostdir.0/d.2", b"two").unwrap();
-        s.put("/c/meta/m", b"m").unwrap();
-        assert_eq!(s.get("/c/hostdir.0/d.2").unwrap(), b"two");
-        assert_eq!(
-            s.list("/c/hostdir.0/").unwrap(),
-            vec!["/c/hostdir.0/d.1", "/c/hostdir.0/d.2"]
-        );
-        assert_eq!(s.list("/").unwrap().len(), 3);
-        s.delete("/c/meta/m").unwrap();
-        assert!(matches!(s.get("/c/meta/m"), Err(Error::NotFound(_))));
-    }
-
-    #[test]
-    fn object_backing_files_and_synthesized_dirs() {
-        let o = ObjectBacking::over(Arc::new(MemBacking::new()));
-        o.mkdir("/c").unwrap();
-        o.mkdir("/c/hostdir.0").unwrap();
-        let f = o.create("/c/hostdir.0/d", true).unwrap();
-        f.append(b"payload").unwrap();
-        f.sync().unwrap();
-        assert!(o.stat("/c").unwrap().is_dir);
-        assert_eq!(o.stat("/c/hostdir.0/d").unwrap().size, 7);
-        assert_eq!(o.readdir("/c").unwrap(), vec!["hostdir.0"]);
-        assert_eq!(o.readdir("/c/hostdir.0").unwrap(), vec!["d"]);
-        assert!(matches!(
-            o.create("/c/hostdir.0/d", true),
-            Err(Error::Exists(_))
-        ));
-        let g = o.open("/c/hostdir.0/d", false).unwrap();
-        let mut buf = [0u8; 7];
-        g.pread(&mut buf, 0).unwrap();
-        assert_eq!(&buf, b"payload");
-    }
-
-    #[test]
-    fn object_backing_unsynced_buffer_publishes_on_last_close() {
-        let root = Arc::new(MemBacking::new());
-        let o = ObjectBacking::over(root);
-        {
-            let f = o.create("/k", true).unwrap();
-            f.append(b"kept").unwrap();
-            // No sync: the last handle drop must publish.
-        }
-        assert_eq!(o.stat("/k").unwrap().size, 4);
-        let f = o.open("/k", false).unwrap();
-        let mut buf = [0u8; 4];
-        f.pread(&mut buf, 0).unwrap();
-        assert_eq!(&buf, b"kept");
-    }
-
-    #[test]
-    fn object_backing_rename_moves_prefix() {
-        let o = ObjectBacking::over(Arc::new(MemBacking::new()));
-        o.mkdir("/c").unwrap();
-        let f = o.create("/c/d", true).unwrap();
-        f.append(b"z").unwrap();
-        f.sync().unwrap();
-        drop(f);
-        o.rename("/c", "/c2").unwrap();
-        assert!(matches!(o.stat("/c"), Err(Error::NotFound(_))));
-        assert_eq!(o.stat("/c2/d").unwrap().size, 1);
-        assert_eq!(o.readdir("/c2").unwrap(), vec!["d"]);
-    }
-
-    #[test]
-    fn object_backing_unlink_and_rmdir() {
-        let o = ObjectBacking::over(Arc::new(MemBacking::new()));
-        o.mkdir("/c").unwrap();
-        let f = o.create("/c/d", true).unwrap();
-        f.sync().unwrap();
-        drop(f);
-        assert!(matches!(o.rmdir("/c"), Err(Error::NotEmpty(_))));
-        o.unlink("/c/d").unwrap();
-        o.rmdir("/c").unwrap();
-        assert!(matches!(o.readdir("/c"), Err(Error::NotFound(_))));
-    }
-
-    #[test]
-    fn key_encoding_roundtrips() {
-        for key in ["/a/b/c", "/odd%name", "/x%2Fy"] {
-            assert_eq!(decode_key(&encode_key(key)), key);
-        }
     }
 }

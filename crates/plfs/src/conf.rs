@@ -10,11 +10,12 @@
 //! Configuration table ([`knobs_markdown`]). Adding a knob is one row here
 //! plus the code that reads the field.
 //!
-//! A field gets a row (a `plfsrc` key, optionally an `LDPLFS_*` alias) only
-//! if it switches a default-off mechanism on or selects a policy a user has
-//! a reason to reach for. Second-order values (shard counts, batch sizes,
-//! worker counts) are plain fields that tests and bench comparison arms set
-//! programmatically.
+//! A field exists only if two callers want different values of it, and it
+//! gets a row (a `plfsrc` key, optionally an `LDPLFS_*` alias) only if it
+//! switches a default-off mechanism on or selects a policy a user has a
+//! reason to reach for. Shard counts, batch sizes and worker counts are
+//! constants beside the code that uses them; the one field without a row,
+//! `index_buffer_entries`, is a per-mount `plfsrc` key.
 
 use crate::error::{Error, Result};
 use crate::writer::DEFAULT_INDEX_BUFFER_ENTRIES;
@@ -36,8 +37,6 @@ pub enum BackendKind {
     /// [`crate::TieredBacking`]: a fast (burst-buffer) tier in front of the
     /// mount's backing.
     Tiered,
-    /// [`crate::ObjectBacking`] over the mount's backing.
-    Object,
 }
 
 impl BackendKind {
@@ -47,7 +46,6 @@ impl BackendKind {
             "direct" | "sync" | "posix" => Some(BackendKind::Direct),
             "batched" | "async" => Some(BackendKind::Batched),
             "tiered" | "burst" | "burst_buffer" => Some(BackendKind::Tiered),
-            "object" | "object_store" => Some(BackendKind::Object),
             _ => None,
         }
     }
@@ -58,7 +56,6 @@ impl BackendKind {
             BackendKind::Direct => "direct",
             BackendKind::Batched => "batched",
             BackendKind::Tiered => "tiered",
-            BackendKind::Object => "object",
         }
     }
 }
@@ -68,33 +65,12 @@ impl BackendKind {
 /// environment, programmatic) starts from it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Conf {
-    /// Lock shards (rounded up to a power of two) of each sharded table:
-    /// the dropping-handle cache, the per-pid writer table and the
-    /// container metadata cache. 1 restores single-lock behaviour
-    /// everywhere.
-    pub lock_shards: usize,
-    /// Write-behind aggregation buffer per writer, in bytes (the C
-    /// library's `data_buffer_mbs`). 0 = every write hits the backing
-    /// store immediately.
-    pub data_buffer_bytes: usize,
     /// Buffered index entries per writer before an automatic flush. Set
     /// per mount in `plfsrc` (`index_buffer_entries`).
     pub index_buffer_entries: usize,
-    /// After local writes, patch the fd's merged index in place with this
-    /// process's fresh entries instead of re-reading every dropping. Off
-    /// forces a full re-merge on each post-write read (the reference arm
-    /// tests and `paperbench writepath` compare the patch against).
-    pub incremental_refresh: bool,
     /// When the last writer closes a container holding more than this many
     /// droppings, compact them into one in the background (0 = never).
     pub compact_droppings_threshold: usize,
-    /// Native list I/O: one index-record batch per extent vector on write,
-    /// one merged-index query on read. Off lowers every list call to a
-    /// per-extent loop.
-    pub list_io: bool,
-    /// Maximum extents per internal list-I/O batch, so one huge vector
-    /// cannot pin an unbounded index-entry buffer.
-    pub list_io_max_extents: usize,
     /// Container metadata cache capacity in entries (0 = off: every lookup
     /// probes the backing store). With the cache on, another *process*'s
     /// writes stay invisible to a warm `getattr` here until the cached
@@ -106,28 +82,16 @@ pub struct Conf {
     /// the caller's thread). Sizes [`crate::BatchedBacking`]'s submission
     /// queue and [`crate::TieredBacking`]'s destage queue.
     pub submit_depth: usize,
-    /// Worker threads draining the submission queue.
-    pub submit_workers: usize,
-    /// Minimum sealed-dropping size in bytes before a tiered backing
-    /// destages it to the slow tier (0 = destage every sealed dropping).
-    pub destage_threshold: u64,
 }
 
 impl Default for Conf {
     fn default() -> Conf {
         Conf {
-            lock_shards: 16,
-            data_buffer_bytes: 0,
             index_buffer_entries: DEFAULT_INDEX_BUFFER_ENTRIES,
-            incremental_refresh: true,
             compact_droppings_threshold: 0,
-            list_io: true,
-            list_io_max_extents: 1024,
             meta_cache_entries: 4096,
             backend: BackendKind::Direct,
             submit_depth: 0,
-            submit_workers: 4,
-            destage_threshold: 0,
         }
     }
 }
@@ -138,10 +102,7 @@ impl Conf {
     /// Idempotent; every entry point that accepts a `Conf` from outside
     /// applies it.
     pub fn validated(mut self) -> Conf {
-        self.lock_shards = self.lock_shards.max(1);
         self.index_buffer_entries = self.index_buffer_entries.max(1);
-        self.list_io_max_extents = self.list_io_max_extents.max(1);
-        self.submit_workers = self.submit_workers.max(1);
         if self.backend == BackendKind::Batched && self.submit_depth == 0 {
             self.submit_depth = DEFAULT_SUBMIT_DEPTH;
         }
@@ -178,47 +139,17 @@ impl Conf {
     }
 }
 
-/// What one unit of a numeric knob's spelling is worth in its field.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Unit {
-    /// A plain count (entries, ops).
-    Count,
-    /// MiB (× 1048576).
-    MiB,
-}
-
-impl Unit {
-    fn scale(self) -> usize {
-        match self {
-            Unit::Count => 1,
-            Unit::MiB => 1 << 20,
-        }
-    }
-
-    /// Name as printed in the Configuration table.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Unit::Count => "count",
-            Unit::MiB => "MiB",
-        }
-    }
-}
-
 /// How a knob's text becomes its field.
 pub enum Kind {
-    /// A `usize` field: the spelled value is in `unit`, and a number below
-    /// `min` is rejected.
+    /// A `usize` field, spelled as a plain count; a number below `min` is
+    /// rejected.
     Num {
-        /// Unit of the spelling.
-        unit: Unit,
         /// Smallest accepted value.
         min: usize,
         /// The field.
         field: fn(&mut Conf) -> &mut usize,
     },
-    /// `true|1|yes|on` / `false|0|no|off`.
-    Bool(fn(&mut Conf) -> &mut bool),
-    /// `direct|batched|tiered|object`.
+    /// `direct|batched|tiered`.
     Backend(fn(&mut Conf) -> &mut BackendKind),
 }
 
@@ -230,40 +161,28 @@ pub struct Knob {
     pub env: Option<&'static str>,
     /// One-line description for `rccheck --knobs` / the README.
     pub doc: &'static str,
-    /// Type, unit, range and field accessor.
+    /// Type, range and field accessor.
     pub kind: Kind,
 }
 
-/// A [`Kind::Num`] in table-row form: unit, minimum, field.
-const fn num(unit: Unit, min: usize, field: fn(&mut Conf) -> &mut usize) -> Kind {
-    Kind::Num { unit, min, field }
+/// A [`Kind::Num`] in table-row form: minimum, field.
+const fn num(min: usize, field: fn(&mut Conf) -> &mut usize) -> Kind {
+    Kind::Num { min, field }
 }
 
 /// The knob table. Order is the order `rccheck` and the README print.
 pub const KNOBS: &[Knob] = &[
     Knob {
-        key: "data_buffer_mbs",
-        env: None,
-        doc: "write-behind data buffer per writer; 0 writes through",
-        kind: num(Unit::MiB, 0, |c| &mut c.data_buffer_bytes),
-    },
-    Knob {
         key: "compact_droppings_threshold",
         env: Some("LDPLFS_COMPACT_THRESHOLD"),
         doc: "compact in the background at last close above this many droppings; 0 never",
-        kind: num(Unit::Count, 0, |c| &mut c.compact_droppings_threshold),
-    },
-    Knob {
-        key: "list_io",
-        env: Some("LDPLFS_LIST_IO"),
-        doc: "native list I/O; off lowers vectored/list calls to per-extent ops",
-        kind: Kind::Bool(|c| &mut c.list_io),
+        kind: num(0, |c| &mut c.compact_droppings_threshold),
     },
     Knob {
         key: "meta_cache_entries",
         env: Some("LDPLFS_META_CACHE"),
         doc: "container metadata cache capacity; 0 = strict cross-process stat freshness",
-        kind: num(Unit::Count, 0, |c| &mut c.meta_cache_entries),
+        kind: num(0, |c| &mut c.meta_cache_entries),
     },
     Knob {
         key: "backend",
@@ -275,7 +194,7 @@ pub const KNOBS: &[Knob] = &[
         key: "submit_depth",
         env: Some("LDPLFS_SUBMIT_DEPTH"),
         doc: "async submission queue depth; 0 keeps every backing op synchronous",
-        kind: num(Unit::Count, 0, |c| &mut c.submit_depth),
+        kind: num(0, |c| &mut c.submit_depth),
     },
 ];
 
@@ -295,23 +214,12 @@ impl Knob {
     pub fn set(&self, conf: &mut Conf, value: &str) -> Result<()> {
         let bad = |what: &str| Error::Config(format!("{}: {what} `{value}`", self.key));
         match &self.kind {
-            Kind::Num { unit, min, field } => {
+            Kind::Num { min, field } => {
                 let n: usize = value.parse().map_err(|_| bad("bad numeric value"))?;
                 if n < *min {
                     return Err(bad("value below minimum"));
                 }
-                // Checked: `18446744073709551615` must be an error, not a
-                // debug-build multiply overflow.
-                *field(conf) = n
-                    .checked_mul(unit.scale())
-                    .ok_or_else(|| bad("value out of range"))?;
-            }
-            Kind::Bool(field) => {
-                *field(conf) = match value {
-                    "true" | "1" | "yes" | "on" => true,
-                    "false" | "0" | "no" | "off" => false,
-                    _ => return Err(bad("bad boolean value")),
-                }
+                *field(conf) = n;
             }
             Kind::Backend(field) => {
                 *field(conf) =
@@ -321,13 +229,11 @@ impl Knob {
         Ok(())
     }
 
-    /// `conf`'s value of this knob in its `plfsrc` spelling (numeric
-    /// values in the key's unit, rounded down).
+    /// `conf`'s value of this knob in its `plfsrc` spelling.
     pub fn render(&self, conf: &Conf) -> String {
         let mut c = *conf;
         match &self.kind {
-            Kind::Num { unit, field, .. } => (*field(&mut c) / unit.scale()).to_string(),
-            Kind::Bool(field) => if *field(&mut c) { "on" } else { "off" }.to_string(),
+            Kind::Num { field, .. } => field(&mut c).to_string(),
             Kind::Backend(field) => field(&mut c).as_str().to_string(),
         }
     }
@@ -342,9 +248,8 @@ pub fn knobs_markdown() -> String {
     );
     for k in KNOBS {
         let (unit, range) = match &k.kind {
-            Kind::Num { unit, min, .. } => (unit.as_str(), format!("≥ {min}")),
-            Kind::Bool(_) => ("bool", "on, off".to_string()),
-            Kind::Backend(_) => ("enum", "direct, batched, tiered, object".to_string()),
+            Kind::Num { min, .. } => ("count", format!("≥ {min}")),
+            Kind::Backend(_) => ("enum", "direct, batched, tiered".to_string()),
         };
         let env = k.env.map_or("—".to_string(), |e| format!("`{e}`"));
         let (key, default, doc) = (k.key, k.render(&d), k.doc);
@@ -362,8 +267,7 @@ pub fn knobs_markdown() -> String {
 pub(crate) fn sample(k: &Knob) -> &'static str {
     match &k.kind {
         Kind::Num { .. } => "3",
-        Kind::Bool(_) => "off",
-        Kind::Backend(_) => "object",
+        Kind::Backend(_) => "tiered",
     }
 }
 
@@ -375,23 +279,18 @@ mod tests {
     fn defaults_keep_every_optional_mechanism_off() {
         let c = Conf::default();
         assert_eq!(c, c.validated(), "defaults are already valid");
-        assert_eq!(c.data_buffer_bytes, 0, "write-behind is opt-in");
-        assert!(!c.batching());
-        assert!(c.list_io && c.incremental_refresh && c.meta_cache_enabled());
+        assert!(!c.batching() && c.compact_droppings_threshold == 0);
+        assert!(c.meta_cache_enabled());
     }
 
     #[test]
     fn validated_clamps_what_the_stack_cannot_run_with() {
         let c = Conf {
-            lock_shards: 0,
             index_buffer_entries: 0,
-            list_io_max_extents: 0,
-            submit_workers: 0,
             ..Conf::default()
         }
         .validated();
-        assert_eq!((c.lock_shards, c.index_buffer_entries), (1, 1));
-        assert_eq!((c.list_io_max_extents, c.submit_workers), (1, 1));
+        assert_eq!(c.index_buffer_entries, 1);
         // `backend batched` alone turns the submission layer on.
         let c = Conf {
             backend: BackendKind::Batched,
@@ -423,12 +322,6 @@ mod tests {
                 assert!(err.to_string().contains(k.key), "{err}");
                 assert_eq!(c, default, "{} = {junk:?} must not land", k.key);
             }
-            // Scaled units overflow into an error, not a wrapped value.
-            if let Kind::Num { unit, .. } = &k.kind {
-                let mut c = default;
-                let r = k.set(&mut c, "18446744073709551615");
-                assert_eq!(r.is_err(), unit.scale() > 1, "{}", k.key);
-            }
         }
     }
 
@@ -450,22 +343,17 @@ mod tests {
     /// bound and extend the destructuring in the same change.
     #[test]
     fn the_option_count_only_goes_down() {
-        assert!(KNOBS.len() <= 6, "a row must earn its spelling");
+        assert!(KNOBS.len() <= 4, "a row must earn its spelling");
+        let aliases = KNOBS.iter().filter(|k| k.env.is_some()).count();
+        assert!(aliases <= 4, "an env alias must earn its spelling");
         // Exhaustive: adding a `Conf` field without touching this test
         // fails to compile.
         let Conf {
-            lock_shards: _,
-            data_buffer_bytes: _,
             index_buffer_entries: _,
-            incremental_refresh: _,
             compact_droppings_threshold: _,
-            list_io: _,
-            list_io_max_extents: _,
             meta_cache_entries: _,
             backend: _,
             submit_depth: _,
-            submit_workers: _,
-            destage_threshold: _,
         } = Conf::default();
     }
 
@@ -488,7 +376,7 @@ mod tests {
     fn markdown_table_has_one_line_per_row() {
         let md = knobs_markdown();
         assert_eq!(md.lines().count(), KNOBS.len() + 2);
-        assert!(md.contains("| `data_buffer_mbs` | — | MiB | 0 | ≥ 0 |"));
-        assert!(md.contains("| `list_io` | `LDPLFS_LIST_IO` | bool | on | on, off |"));
+        assert!(md.contains("| `submit_depth` | `LDPLFS_SUBMIT_DEPTH` | count | 0 | ≥ 0 |"));
+        assert!(md.contains("| enum | direct | direct, batched, tiered |"));
     }
 }

@@ -9,16 +9,17 @@
 //! path):
 //!
 //! - **Per-pid writer sharding.** The pid → [`WriteFile`] table is split
-//!   over id-hashed lock shards ([`Conf::lock_shards`]), so N ranks
-//!   writing one fd only contend when their pids collide in a shard.
+//!   over [`WRITER_SHARDS`] id-hashed lock shards, so N ranks writing one
+//!   fd only contend when their pids collide in a shard.
 //! - **O(1) EOF.** A cached atomic max-EOF is bumped on every write, so
 //!   `append()` and `size()` answer without an index merge; the merge (or
-//!   an incremental patch) happens only on actual reads.
-//! - **Incremental reader refresh.** The fd keeps one long-lived read
-//!   view; a post-write read patches it *in place* with this process's
-//!   freshly flushed entries ([`Conf::incremental_refresh`]) — O(k log n),
-//!   open dropping handles kept — instead of re-reading every dropping.
-//!   Readers share the view lock; only the refresh takes it exclusively.
+//!   a patch) happens only on actual reads.
+//! - **Read view patched in place.** A readable fd keeps one long-lived
+//!   read view; a post-write read patches it with this process's fresh
+//!   entries — O(k log n), open dropping handles kept — instead of
+//!   re-reading every dropping. Readers share the view lock; only the
+//!   refresh takes it exclusively. A write-only fd has no reads to serve,
+//!   so its writers track nothing.
 //!
 //! EOF coherence is per-fd, as in the C library: ranks sharing this fd see
 //! each other's appends atomically; a *different* fd (or process) appending
@@ -41,8 +42,15 @@ use std::sync::Arc;
 /// One lock shard of the pid → writer table.
 type WriterShard = Mutex<HashMap<u64, WriteFile>>;
 
-/// Entries flushed by writers that have since closed, still owed to the
-/// next incremental reader refresh, keyed by their data-dropping path.
+/// Lock shards of the pid → writer table.
+pub const WRITER_SHARDS: usize = 16;
+
+/// Extents per internal [`PlfsFd::write_list`] batch, so one huge vector
+/// cannot pin an unbounded index-entry buffer.
+pub const LIST_BATCH_EXTENTS: usize = 1024;
+
+/// Entries of writers that have since closed, still owed to the next
+/// refresh of the read view, keyed by their data-dropping path.
 type Orphans = Vec<(String, Vec<IndexEntry>)>;
 
 /// A shared hold on the fd's read view; exists only over a built view.
@@ -72,9 +80,8 @@ pub struct PlfsFd {
     /// [`PlfsFd::reset_writers`], since truncate removes hostdir trees.
     hostdirs_ready: Mutex<HashSet<u32>>,
     /// Per-pid write streams behind id-hashed lock shards: pids are dense
-    /// (MPI ranks), so masking spreads them evenly.
-    shards: Box<[WriterShard]>,
-    shard_mask: usize,
+    /// (MPI ranks), so the modulus spreads them evenly.
+    shards: [WriterShard; WRITER_SHARDS],
     refs: Mutex<HashMap<u64, u32>>,
     /// The one long-lived read view: built by the first read, patched in
     /// place by reads after writes, dropped by truncate. Lock order: this,
@@ -102,18 +109,15 @@ impl PlfsFd {
     ) -> PlfsFd {
         let mut refs = HashMap::new();
         refs.insert(pid, 1);
-        let conf = conf.validated();
-        let n = conf.lock_shards.next_power_of_two();
         PlfsFd {
             backing,
             container,
             params,
             flags,
-            conf,
+            conf: conf.validated(),
             cache: None,
             hostdirs_ready: Mutex::new(HashSet::new()),
-            shards: (0..n).map(|_| Mutex::new(HashMap::new())).collect(),
-            shard_mask: n - 1,
+            shards: std::array::from_fn(|_| Mutex::new(HashMap::new())),
             refs: Mutex::new(refs),
             reader: RwLock::new(None),
             orphans: Mutex::new(Vec::new()),
@@ -161,7 +165,7 @@ impl PlfsFd {
     }
 
     fn shard(&self, pid: u64) -> &WriterShard {
-        &self.shards[pid as usize & self.shard_mask]
+        &self.shards[pid as usize % WRITER_SHARDS]
     }
 
     /// Write `buf` at `offset` on behalf of `pid`. Only `pid`'s shard is
@@ -213,13 +217,11 @@ impl PlfsFd {
     /// the next `len` bytes. The log-structured write path makes this
     /// nearly free: every extent appends to `pid`'s data dropping, and the
     /// whole batch is flushed as **one** index-record write (chunked at
-    /// [`Conf::list_io_max_extents`]), letting pattern compression fold
-    /// strided runs across extents into single records. Extents may
-    /// overlap or arrive out of order — later extents win, exactly as a
-    /// sequence of single-extent [`PlfsFd::write`] calls would.
-    ///
-    /// With list I/O disabled this degrades to that per-extent loop (the
-    /// property-test reference path). Returns total bytes written.
+    /// [`LIST_BATCH_EXTENTS`]), letting pattern compression fold strided
+    /// runs across extents into single records. Extents may overlap or
+    /// arrive out of order — later extents win, exactly as a sequence of
+    /// single-extent [`PlfsFd::write`] calls would. Returns total bytes
+    /// written.
     pub fn write_list(&self, data: &[u8], extents: &[(u64, u64)], pid: u64) -> Result<usize> {
         if !self.flags.writable() {
             return Err(Error::BadMode("file not open for writing"));
@@ -228,19 +230,10 @@ impl PlfsFd {
         if need > data.len() as u64 {
             return Err(Error::InvalidArg("write_list data shorter than extents"));
         }
-        if !self.conf.list_io {
-            let mut pos = 0usize;
-            let mut total = 0usize;
-            for &(off, len) in extents {
-                total += self.write(&data[pos..pos + len as usize], off, pid)?;
-                pos += len as usize;
-            }
-            return Ok(total);
-        }
         let t0 = iotrace::global().start();
         let mut pos = 0usize;
         let mut total = 0usize;
-        for batch in extents.chunks(self.conf.list_io_max_extents) {
+        for batch in extents.chunks(LIST_BATCH_EXTENTS) {
             // One shard-lock acquisition and one index flush per batch: the
             // extents land back-to-back in the data dropping and their index
             // entries leave as a single batched record write.
@@ -282,15 +275,6 @@ impl PlfsFd {
         let need: u64 = extents.iter().map(|&(_, len)| len).sum();
         if need > data.len() as u64 {
             return Err(Error::InvalidArg("read_list buffer shorter than extents"));
-        }
-        if !self.conf.list_io {
-            let mut pos = 0usize;
-            let mut total = 0usize;
-            for &(off, len) in extents {
-                total += self.read(&mut data[pos..pos + len as usize], off)?;
-                pos += len as usize;
-            }
-            return Ok(total);
         }
         let t0 = iotrace::global().start();
         let reader = self.reader()?;
@@ -335,7 +319,8 @@ impl PlfsFd {
                 &self.container,
                 &self.params,
                 pid,
-                &self.conf,
+                self.conf.index_buffer_entries,
+                self.flags.readable(),
             )?;
             self.note_writer_open(&mut w)?;
             e.insert(w);
@@ -429,60 +414,57 @@ impl PlfsFd {
     /// The view-refreshing body of [`PlfsFd::reader`], for callers holding
     /// the view lock exclusively: leaves a current view in `view`.
     ///
-    /// When dirty, every shard's writers are drained first
-    /// ([`PlfsFd::drain_writers`]). Then either:
-    ///
-    /// - a view exists and incremental refresh is on: the freshly flushed
-    ///   entries are inserted into it in place (traced as `index_patch`),
-    ///   or
-    /// - the full merge runs — every dropping's index is read and merged,
-    ///   the index-merge step of the paper — traced as `index_merge`.
+    /// A dirty readable fd with a view patches it in place with the entries
+    /// its writers hold (traced as `index_patch`) — nothing in that arm
+    /// touches the backing store, so it cannot fail. Otherwise the full
+    /// merge runs — every dropping's index is read and merged, the
+    /// index-merge step of the paper — traced as `index_merge`.
     fn refresh_reader(&self, view: &mut Option<ReadFile>) -> Result<()> {
         // relaxed: the swap needs atomicity only (exactly one refresher); banked entries are read under the shard locks taken below
         if self.dirty.swap(false, Ordering::Relaxed) {
-            let patching = view.is_some() && self.conf.incremental_refresh;
-            let fresh = match self.drain_writers(patching) {
-                Ok(fresh) => fresh,
-                Err(e) => {
-                    // Some writers are drained, the view has none of it:
-                    // the next read must rebuild from the backing store.
-                    *view = None;
-                    self.dirty.store(true, Ordering::Relaxed); // relaxed: under the exclusive view lock; same flag-only role as in write_sharded
-                    return Err(e);
-                }
-            };
-            match view.as_mut().filter(|_| patching) {
-                // Valid because the write clock steps past every view it
-                // builds: `fresh` is stamped after everything merged, the
-                // order `GlobalIndex::insert` requires.
-                Some(v) if !fresh.is_empty() => {
-                    let t0 = iotrace::global().start();
-                    let patched_bytes = v.patch(fresh);
-                    if let Some(t0) = t0 {
-                        iotrace::global().record(
-                            t0,
-                            iotrace::OpEvent::new(
-                                iotrace::Layer::Index,
-                                iotrace::OpKind::IndexPatch,
-                            )
-                            .path(&self.container)
-                            .bytes(patched_bytes),
-                        );
+            match view.as_mut().filter(|_| self.flags.readable()) {
+                Some(v) => {
+                    // Valid because the write clock steps past every view
+                    // it builds: `fresh` is stamped after everything
+                    // merged, the order `GlobalIndex::insert` requires.
+                    let fresh = self.drain_writers();
+                    // Dirty with nothing owed (a racing refresh already
+                    // drained the write that set the flag): the view is
+                    // current.
+                    if !fresh.is_empty() {
+                        let t0 = iotrace::global().start();
+                        let patched_bytes = v.patch(fresh);
+                        if let Some(t0) = t0 {
+                            iotrace::global().record(
+                                t0,
+                                iotrace::OpEvent::new(
+                                    iotrace::Layer::Index,
+                                    iotrace::OpKind::IndexPatch,
+                                )
+                                .path(&self.container)
+                                .bytes(patched_bytes),
+                            );
+                        }
                     }
                 }
-                // Dirty with nothing owed (a racing refresh already drained
-                // the write that set the flag): the view is current.
-                Some(_) => {}
-                // Full rebuild: the drained entries are on disk, so the
-                // merge below observes them; dropping the copies is safe.
-                None => *view = None,
+                // No view to patch, or a write-only fd's (its writers track
+                // nothing): rebuild from the backing store.
+                None => {
+                    *view = None;
+                    if let Err(e) = self.flush_writers() {
+                        // Some writers are flushed and forgotten, others
+                        // not: the next read must try the rebuild again.
+                        self.dirty.store(true, Ordering::Relaxed); // relaxed: under the exclusive view lock; same flag-only role as in write_sharded
+                        return Err(e);
+                    }
+                }
             }
         }
         if view.is_some() {
             return Ok(());
         }
         let t0 = iotrace::global().start();
-        let rf = ReadFile::open_with(self.backing.as_ref(), &self.container, &self.conf)?;
+        let rf = ReadFile::open(self.backing.as_ref(), &self.container)?;
         if let Some(t0) = t0 {
             iotrace::global().record(
                 t0,
@@ -498,24 +480,34 @@ impl PlfsFd {
         Ok(())
     }
 
-    /// Put every writer's bytes on the backing store — for a rebuild
-    /// (`!patching`) its index records too, since the merge reads the index
-    /// droppings — and collect the entries the read view has not seen.
-    fn drain_writers(&self, patching: bool) -> Result<Orphans> {
+    /// Collect the entries the read view has not seen: closed writers'
+    /// banked ones and every live writer's since its last drain. Their
+    /// bytes are already on the backing store.
+    fn drain_writers(&self) -> Orphans {
         let mut fresh: Orphans = std::mem::take(&mut *self.orphans.lock());
-        for shard in self.shards.iter() {
-            let mut s = shard.lock();
-            for w in s.values_mut() {
-                if !patching {
-                    w.flush_index()?;
-                }
-                let ents = w.take_unmerged()?;
+        for shard in &self.shards {
+            for w in shard.lock().values_mut() {
+                let ents = w.take_unmerged();
                 if !ents.is_empty() {
                     fresh.push((w.data_path().to_string(), ents));
                 }
             }
         }
-        Ok(fresh)
+        fresh
+    }
+
+    /// Ahead of a rebuild: put every writer's index records on the backing
+    /// store, where the merge reads them, and forget the copies a patch
+    /// would have used.
+    fn flush_writers(&self) -> Result<()> {
+        self.orphans.lock().clear();
+        for shard in &self.shards {
+            for w in shard.lock().values_mut() {
+                w.flush_index()?;
+                w.take_unmerged();
+            }
+        }
+        Ok(())
     }
 
     /// Seed the cached EOF from the container's on-disk index, once per
@@ -616,9 +608,9 @@ impl PlfsFd {
             let writer = self.shard(pid).lock().remove(&pid);
             if let Some(mut w) = writer {
                 w.sync()?;
-                // Entries not yet folded into a cached read view stay owed
-                // to the next incremental refresh.
-                let ents = w.take_unmerged()?;
+                // Entries not yet folded into the read view stay owed to its
+                // next refresh.
+                let ents = w.take_unmerged();
                 if !ents.is_empty() {
                     self.orphans.lock().push((w.data_path().to_string(), ents));
                 }
@@ -990,7 +982,7 @@ mod tests {
     }
 
     #[test]
-    fn incremental_refresh_observes_writes_after_cached_read() {
+    fn patched_view_observes_writes_after_cached_read() {
         let (_b, fd) = open_fd_with(OpenFlags::RDWR, Conf::default());
         fd.write(b"aaaa", 0, 100).unwrap();
         let mut buf = [0u8; 4];
@@ -1005,44 +997,6 @@ mod tests {
         assert_eq!(fd.read(&mut buf, 0).unwrap(), 6);
         assert_eq!(&buf, b"aBBacc");
         assert_eq!(fd.size().unwrap(), 6);
-    }
-
-    #[test]
-    fn serial_write_conf_still_correct() {
-        let (_b, fd) = open_fd_with(
-            OpenFlags::RDWR,
-            Conf {
-                lock_shards: 1,
-                incremental_refresh: false,
-                ..Conf::default()
-            },
-        );
-        fd.write(b"head", 0, 100).unwrap();
-        let (off, _) = fd.append(b"tail", 100).unwrap();
-        assert_eq!(off, 4);
-        let mut buf = [0u8; 8];
-        fd.read(&mut buf, 0).unwrap();
-        assert_eq!(&buf, b"headtail");
-    }
-
-    #[test]
-    fn buffered_writes_read_back_through_fd() {
-        let (_b, fd) = open_fd_with(
-            OpenFlags::RDWR,
-            Conf {
-                data_buffer_bytes: 1 << 16,
-                ..Conf::default()
-            },
-        );
-        for i in 0..32u64 {
-            fd.write(&[i as u8 + 1; 16], i * 16, 100).unwrap();
-        }
-        // Nothing synced explicitly: the read must flush the data buffer.
-        let mut buf = vec![0u8; 32 * 16];
-        assert_eq!(fd.read(&mut buf, 0).unwrap(), 32 * 16);
-        for i in 0..32usize {
-            assert!(buf[i * 16..(i + 1) * 16].iter().all(|&x| x == i as u8 + 1));
-        }
     }
 
     /// Regression: marker and drop were named by pid alone, so the first
@@ -1168,42 +1122,6 @@ mod tests {
     }
 
     #[test]
-    fn list_io_disabled_matches_enabled_byte_for_byte() {
-        let extents = [(5u64, 3u64), (0, 5), (100, 7), (3, 4)];
-        let data = b"abcdefghijklmnopqrs";
-        let mut images = Vec::new();
-        for conf in [
-            Conf::default(),
-            Conf {
-                list_io: false,
-                ..Conf::default()
-            },
-        ] {
-            let b: Arc<dyn Backing> = Arc::new(MemBacking::new());
-            let params = ContainerParams::default();
-            create_container(b.as_ref(), "/f", &params, true).unwrap();
-            let fd = PlfsFd::new(
-                b.clone(),
-                "/f".to_string(),
-                params,
-                OpenFlags::RDWR,
-                &Conf {
-                    index_buffer_entries: 64,
-                    ..conf
-                },
-                100,
-            );
-            fd.write_list(data, &extents, 100).unwrap();
-            let mut img = vec![0u8; 107];
-            assert_eq!(fd.read(&mut img, 0).unwrap(), 107);
-            let mut out = vec![0u8; 19];
-            fd.read_list(&mut out, &extents).unwrap();
-            images.push((img, out));
-        }
-        assert_eq!(images[0], images[1]);
-    }
-
-    #[test]
     fn write_list_rejects_short_data_and_bad_modes() {
         let (_b, fd) = open_fd(OpenFlags::RDWR);
         assert!(matches!(
@@ -1230,19 +1148,15 @@ mod tests {
 
     #[test]
     fn write_list_chunks_at_max_extents() {
-        // Force tiny batches; correctness must be unaffected.
-        let (_b, fd) = open_fd_with(
-            OpenFlags::RDWR,
-            Conf {
-                list_io_max_extents: 2,
-                ..base()
-            },
-        );
-        let extents: Vec<(u64, u64)> = (0..7).map(|i| (i * 10, 4)).collect();
-        let data: Vec<u8> = (0..28).map(|i| b'a' + (i / 4) as u8).collect();
-        assert_eq!(fd.write_list(&data, &extents, 100).unwrap(), 28);
-        let mut out = vec![0u8; 28];
-        fd.read_list(&mut out, &extents).unwrap();
+        // Two full batches and a one-extent tail; correctness must be
+        // unaffected by where the batch boundaries fall.
+        let (_b, fd) = open_fd(OpenFlags::RDWR);
+        let n = 2 * LIST_BATCH_EXTENTS + 1;
+        let extents: Vec<(u64, u64)> = (0..n as u64).map(|i| (i * 3, 1)).collect();
+        let data: Vec<u8> = (0..n).map(|i| i as u8).collect();
+        assert_eq!(fd.write_list(&data, &extents, 100).unwrap(), n);
+        let mut out = vec![0u8; n];
+        assert_eq!(fd.read_list(&mut out, &extents).unwrap(), n);
         assert_eq!(out, data);
     }
 
@@ -1290,42 +1204,59 @@ mod tests {
         assert_eq!(fresh.read_all(b.as_ref()).unwrap(), buf);
     }
 
+    /// Patching a view touches no backing store; what can still fail in a
+    /// refresh is an index flush ahead of a rebuild.
     #[test]
-    fn failed_refresh_leaves_no_stale_view() {
+    fn failed_rebuild_is_retried_in_full() {
         use crate::faults::{FaultKind, FaultOp, FaultRule, Faulty};
         let faulty = Arc::new(Faulty::new(Arc::new(MemBacking::new())));
         let params = ContainerParams::default();
         create_container(faulty.as_ref(), "/f", &params, true).unwrap();
-        let conf = Conf {
-            data_buffer_bytes: 1024,
-            ..Conf::default()
-        };
         let fd = PlfsFd::new(
             faulty.clone(),
             "/f".into(),
             params,
             OpenFlags::RDWR,
-            &conf,
+            &Conf::default(),
             100,
         );
         fd.add_ref(200);
-        fd.write(b"aaaa", 0, 100).unwrap();
-        let mut buf = [0u8; 8];
-        assert_eq!(fd.read(&mut buf, 0).unwrap(), 4); // builds the view
         fd.write(b"BBBB", 0, 100).unwrap();
         fd.write(b"cccc", 4, 200).unwrap();
-        // pid 100's shard drains first; pid 200's data spill then fails.
+        // pid 100's shard flushes first; pid 200's index flush then fails.
         faulty.arm(FaultRule {
             op: FaultOp::Write,
-            path_contains: "dropping.data.200".into(),
+            path_contains: "dropping.index.200".into(),
             after: 0,
             times: 1,
             errno_like: FaultKind::Io,
         });
+        let mut buf = [0u8; 8];
         assert!(fd.read(&mut buf, 0).is_err());
-        // The retry must not serve the view that missed pid 100's drain.
+        // The retry must flush pid 200 before it merges, not serve a view
+        // built without its records.
         assert_eq!(fd.read(&mut buf, 0).unwrap(), 8);
         assert_eq!(&buf, b"BBBBcccc");
+    }
+
+    /// Regression: writers tracked their flushed entries whatever the open
+    /// mode, so a write-only fd — which no read can ever drain — banked 48
+    /// bytes per write until it dropped.
+    #[test]
+    fn write_only_fd_banks_no_index_entries() {
+        let (_b, fd) = open_fd(OpenFlags::WRONLY);
+        fd.add_ref(200);
+        let offsets = (0..1000u64).map(|i| (i * 7919) % 4096);
+        for off in offsets.clone() {
+            fd.write(b"x", off, 100).unwrap();
+        }
+        fd.close(100).unwrap();
+        assert!(fd.orphans.lock().is_empty(), "nothing reads through it");
+        // Inspection still works: it rebuilds from the backing store.
+        let eof = offsets.max().unwrap() + 1;
+        assert_eq!(fd.with_view(|v| v.eof()).unwrap(), eof);
+        fd.write(b"y", 5000, 200).unwrap();
+        assert_eq!(fd.with_view(|v| v.eof()).unwrap(), 5001);
     }
 
     #[test]

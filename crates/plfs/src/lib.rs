@@ -43,8 +43,8 @@
 //! * [`faults`] — failure injection for error-path testing.
 //! * [`meta`] — the container metadata cache (the metadata fast path).
 //! * [`meter`] — a counting backing decorator for op-cost measurement.
-//! * [`backend`] — pluggable scale-out backends: batched submission,
-//!   tiered burst-buffer staging, and an object-store mapping.
+//! * [`backend`] — pluggable scale-out backends: batched submission and
+//!   tiered burst-buffer staging.
 
 #![warn(missing_docs)]
 
@@ -67,10 +67,7 @@ pub mod reader;
 pub mod writer;
 
 pub use api::{Dirent, Plfs, Stat};
-pub use backend::{
-    build_stack, BatchedBacking, FsObjectStore, ObjectBacking, ObjectStore, Stack, TierStats,
-    TieredBacking, TIER_MAP_FILE,
-};
+pub use backend::{build_stack, BatchedBacking, Stack, TierStats, TieredBacking, TIER_MAP_FILE};
 pub use backing::{BackStat, Backing, BackingFile, MemBacking, RealBacking};
 pub use check::{check, repair, CheckReport, Finding, RepairReport, Severity};
 pub use conf::{BackendKind, Conf};

@@ -89,15 +89,16 @@ impl PlfsRc {
                 })?;
                 continue;
             }
-            let Some(m) = rc.mounts.last_mut() else {
-                return Err(config_error(
-                    "plfsrc key appears before any mount_point",
-                    lineno,
-                ));
-            };
+            // Per-mount keys need a mount; an unknown key is only ever a
+            // warning, wherever it sits (a global key this parser no longer
+            // has usually sits above the first mount).
+            let m = rc
+                .mounts
+                .last_mut()
+                .ok_or_else(|| config_error("plfsrc key appears before any mount_point", lineno));
             match key {
                 "backends" => {
-                    m.backends = value
+                    m?.backends = value
                         .split(',')
                         .map(|s| s.trim().to_string())
                         .filter(|s| !s.is_empty())
@@ -106,15 +107,15 @@ impl PlfsRc {
                 "num_hostdirs" => {
                     // Checked: `as u32` would truncate 2^32+1 to a
                     // silently-accepted 1.
-                    m.params.num_hostdirs = u32::try_from(parse_num(value, lineno)?)
+                    m?.params.num_hostdirs = u32::try_from(parse_num(value, lineno)?)
                         .map_err(|_| config_error("num_hostdirs out of range", lineno))?;
                 }
                 "index_buffer_entries" => {
-                    m.index_buffer_entries = usize::try_from(parse_num(value, lineno)?)
+                    m?.index_buffer_entries = usize::try_from(parse_num(value, lineno)?)
                         .map_err(|_| config_error("index_buffer_entries out of range", lineno))?;
                 }
                 "workload" | "mode" => {
-                    m.params.mode = match value {
+                    m?.params.mode = match value {
                         "shared_file" | "n-1" | "both" => LayoutMode::Both,
                         "file_per_proc" | "n-n" | "partitioned" => LayoutMode::PartitionedOnly,
                         "log" => LayoutMode::LogStructured,
@@ -331,17 +332,15 @@ mod tests {
     }
 
     /// Every `KNOBS` row parses from a plfsrc line into its field, defaults
-    /// when absent, and fails naming the line on garbage and — for every
-    /// unit-scaled key — on values whose scaling overflows.
+    /// when absent, and fails naming the line on garbage.
     #[test]
     fn every_knob_row_parses_from_a_plfsrc_line() {
-        use crate::conf::{sample, Kind, Unit, KNOBS};
+        use crate::conf::{sample, Kind, KNOBS};
         let mount = "mount_point /p\nbackends /b\n";
         let default = PlfsRc::parse(mount).unwrap().conf;
         assert_eq!(default, Conf::default(), "a bare mount is the default conf");
         for k in KNOBS {
             let sample = sample(k);
-            let scaled = matches!(&k.kind, Kind::Num { unit, .. } if *unit == Unit::MiB);
             let rc = PlfsRc::parse(&format!("{} {sample}\n{mount}", k.key)).unwrap();
             assert_ne!(rc.conf, default, "{} must reach a field", k.key);
             assert_eq!(k.render(&rc.conf), sample, "{}", k.key);
@@ -352,11 +351,8 @@ mod tests {
                 assert!(msg.contains("line 4") && msg.contains(k.key), "{msg}");
                 assert_eq!(err.errno(), 22, "malformed plfsrc stays EINVAL");
             }
-            let max = PlfsRc::parse(&format!("{} 18446744073709551615\n{mount}", k.key));
-            if scaled {
-                assert!(max.unwrap_err().to_string().contains("line 1"), "{}", k.key);
-            } else if matches!(k.kind, Kind::Num { .. }) {
-                max.unwrap();
+            if matches!(k.kind, Kind::Num { .. }) {
+                PlfsRc::parse(&format!("{} 18446744073709551615\n{mount}", k.key)).unwrap();
             }
         }
     }
@@ -384,6 +380,12 @@ mod tests {
         assert_eq!(warnings.len(), 2, "{warnings:?}");
         assert!(warnings[0].contains("line 3") && warnings[0].contains("global_summary_dir"));
         assert!(warnings[1].contains("line 4") && warnings[1].contains("threadpool_sise"));
+        // A key this parser used to have, where global keys sit: the same.
+        let (rc, warnings) =
+            PlfsRc::parse_with_warnings("threadpool_size 4\nmount_point /p\nbackends /b\n")
+                .unwrap();
+        assert_eq!(rc.conf, Conf::default());
+        assert_eq!(warnings, ["line 1: unknown key `threadpool_size` ignored"]);
         // A clean file has nothing to say.
         let (_, warnings) = PlfsRc::parse_with_warnings("mount_point /p\nbackends /b\n").unwrap();
         assert!(warnings.is_empty());
@@ -406,7 +408,7 @@ mod tests {
         assert!(err.to_string().contains("line 1"), "{err}");
         let err = PlfsRc::parse("backends /b\n").unwrap_err();
         assert!(err.to_string().contains("line 1"), "{err}");
-        let err = PlfsRc::parse("mount_point /p\nlist_io maybe\n").unwrap_err();
+        let err = PlfsRc::parse("mount_point /p\nsubmit_depth maybe\n").unwrap_err();
         assert!(err.to_string().contains("line 2"), "{err}");
     }
 

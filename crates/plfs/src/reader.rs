@@ -7,7 +7,6 @@
 //! thousands of opens to read one block.
 
 use crate::backing::{Backing, BackingFile};
-use crate::conf::Conf;
 use crate::container::{self, DroppingRef};
 use crate::error::{Error, Result};
 use crate::index::{ChunkSlice, GlobalIndex, IndexEntry};
@@ -16,32 +15,12 @@ use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Sharded dropping-handle cache: concurrent readers touching distinct
-/// droppings only contend when their ids collide in a shard, instead of
-/// funneling every lookup through one global mutex.
-/// One shard: dropping id -> cached open handle.
+/// One shard of the dropping-handle cache: dropping id -> cached open
+/// handle.
 type HandleShard = Mutex<HashMap<u32, Arc<dyn BackingFile>>>;
 
-struct HandleCache {
-    shards: Box<[HandleShard]>,
-    mask: usize,
-}
-
-impl HandleCache {
-    fn new(shards: usize) -> HandleCache {
-        // Dropping ids are dense (positions in list_droppings order), so a
-        // power-of-two mask spreads them perfectly.
-        let n = shards.max(1).next_power_of_two();
-        HandleCache {
-            shards: (0..n).map(|_| Mutex::new(HashMap::new())).collect(),
-            mask: n - 1,
-        }
-    }
-
-    fn shard(&self, id: u32) -> &HandleShard {
-        &self.shards[id as usize & self.mask]
-    }
-}
+/// Lock shards of the dropping-handle cache.
+const HANDLE_SHARDS: usize = 16;
 
 /// An open read view of a container.
 pub struct ReadFile {
@@ -50,25 +29,21 @@ pub struct ReadFile {
     /// `data_path` → position in `droppings`; empty until the first
     /// [`ReadFile::patch`] needs it.
     ids_by_path: HashMap<String, u32>,
-    handles: HandleCache,
+    /// Sharded so concurrent readers touching distinct droppings only
+    /// contend when their ids collide in a shard. Ids are dense (positions
+    /// in `list_droppings` order), so the modulus spreads them evenly.
+    handles: [HandleShard; HANDLE_SHARDS],
 }
 
 impl ReadFile {
-    /// Build a read view by merging all index droppings in `container`,
-    /// using the default configuration.
+    /// Build a read view by merging all index droppings in `container`.
     pub fn open(b: &dyn Backing, container: &str) -> Result<ReadFile> {
-        ReadFile::open_with(b, container, &Conf::default())
-    }
-
-    /// Build a read view whose handle cache is sharded `conf.lock_shards`
-    /// ways.
-    pub fn open_with(b: &dyn Backing, container: &str, conf: &Conf) -> Result<ReadFile> {
         let (index, droppings) = container::build_global_index(b, container)?;
         Ok(ReadFile {
             index,
             droppings,
             ids_by_path: HashMap::new(),
-            handles: HandleCache::new(conf.lock_shards),
+            handles: std::array::from_fn(|_| Mutex::new(HashMap::new())),
         })
     }
 
@@ -139,7 +114,7 @@ impl ReadFile {
     }
 
     fn handle(&self, b: &dyn Backing, id: u32) -> Result<Arc<dyn BackingFile>> {
-        let shard = self.handles.shard(id);
+        let shard = &self.handles[id as usize % HANDLE_SHARDS];
         if let Some(h) = shard.lock().get(&id) {
             return Ok(h.clone());
         }
@@ -354,25 +329,6 @@ mod tests {
         w2.sync().unwrap();
         let r = ReadFile::open(&b, "/c").unwrap();
         assert_eq!(r.read_all(&b).unwrap(), b"ABCDEF");
-    }
-
-    #[test]
-    fn handle_cache_single_shard_still_works() {
-        let (b, p) = setup();
-        for pid in 0..5u64 {
-            let mut w = WriteFile::open(&b, "/c", &p, pid, 64).unwrap();
-            w.write(&[pid as u8 + b'0'; 8], pid * 8).unwrap();
-            w.sync().unwrap();
-        }
-        let conf = Conf {
-            lock_shards: 1,
-            ..Conf::default()
-        };
-        let r = ReadFile::open_with(&b, "/c", &conf).unwrap();
-        assert_eq!(
-            r.read_all(&b).unwrap(),
-            b"0000000011111111222222223333333344444444"
-        );
     }
 
     #[test]

@@ -14,7 +14,6 @@
 //! pids.
 
 use crate::backing::{Backing, BackingFile};
-use crate::conf::Conf;
 use crate::container::{self, ContainerParams, LayoutMode};
 use crate::error::{Error, Result};
 use crate::index::{encode_compressed, next_timestamp, IndexEntry};
@@ -41,19 +40,11 @@ pub struct WriteFile {
     pub(crate) seq: u32,
     buffered: Vec<IndexEntry>,
     buffer_limit: usize,
-    /// Write-behind aggregation buffer (0 capacity limit = off). Small
-    /// writes are staged here and spilled in one backing `append`.
-    data_buf: Vec<u8>,
-    data_buffer_bytes: usize,
-    /// Positions in `buffered` whose `physical_offset` is still relative
-    /// to the start of `data_buf`; resolved when the buffer spills.
-    fixup: Vec<usize>,
-    /// Entries flushed to disk but not yet folded into a cached merged
-    /// index — fuel for the incremental reader refresh. Only populated
-    /// when `track_unmerged` is on (bounded by the fd draining it on
-    /// every refresh).
+    /// Entries flushed to disk but not yet folded into the owning fd's
+    /// read view — what its next refresh patches in. Only populated when
+    /// `track` is on (a readable fd, which drains it on every refresh).
     unmerged: Vec<IndexEntry>,
-    track_unmerged: bool,
+    track: bool,
     /// Leading entries of `buffered` already handed to the fd's read view
     /// by [`WriteFile::take_unmerged`], ahead of their index flush.
     fed: usize,
@@ -63,17 +54,14 @@ pub struct WriteFile {
     max_eof: u64,
     /// Count of index flushes (exposed for tests and the bench harness).
     index_flushes: u64,
-    /// Count of data-buffer spills (exposed for tests and the bench
-    /// harness).
-    data_flushes: u64,
     /// On-disk records emitted (≤ writes, thanks to pattern compression).
     index_records: u64,
 }
 
 impl WriteFile {
-    /// Open (creating if needed) the dropping pair for `pid` with the
-    /// default write configuration (no data buffering) and an explicit
-    /// index buffer depth.
+    /// Open (creating if needed) the dropping pair for `pid` with an
+    /// explicit index buffer depth. Nothing drains a bare stream's entries
+    /// into a read view, so it does not track them.
     pub fn open(
         b: &dyn Backing,
         container: &str,
@@ -81,36 +69,22 @@ impl WriteFile {
         pid: u64,
         buffer_limit: usize,
     ) -> Result<WriteFile> {
-        let conf = Conf {
-            index_buffer_entries: buffer_limit,
-            incremental_refresh: false,
-            ..Conf::default()
-        };
-        WriteFile::open_with(b, container, params, pid, &conf)
-    }
-
-    /// Open (creating if needed) the dropping pair for `pid`, taking the
-    /// buffer sizes and unmerged-entry tracking from `conf`.
-    pub fn open_with(
-        b: &dyn Backing,
-        container: &str,
-        params: &ContainerParams,
-        pid: u64,
-        conf: &Conf,
-    ) -> Result<WriteFile> {
         container::ensure_hostdir(b, container, params, pid)?;
-        WriteFile::open_prepared(b, container, params, pid, conf)
+        WriteFile::open_prepared(b, container, params, pid, buffer_limit, false)
     }
 
-    /// Like [`WriteFile::open_with`], but trusting the caller that the
-    /// pid's hostdir already exists — `PlfsFd` memoizes `ensure_hostdir`
-    /// per (container, hostdir), so repeat writers skip the mkdir entirely.
+    /// Like [`WriteFile::open`], but trusting the caller that the pid's
+    /// hostdir already exists — `PlfsFd` memoizes `ensure_hostdir` per
+    /// (container, hostdir), so repeat writers skip the mkdir entirely —
+    /// and, with `track`, keeping flushed entries for
+    /// [`WriteFile::take_unmerged`].
     pub(crate) fn open_prepared(
         b: &dyn Backing,
         container: &str,
         params: &ContainerParams,
         pid: u64,
-        conf: &Conf,
+        buffer_limit: usize,
+        track: bool,
     ) -> Result<WriteFile> {
         let (data, index, data_path, index_path, seq) = match params.mode {
             LayoutMode::LogStructured => {
@@ -160,17 +134,13 @@ impl WriteFile {
             pid,
             seq,
             buffered: Vec::new(),
-            buffer_limit: conf.index_buffer_entries.max(1),
-            data_buf: Vec::new(),
-            data_buffer_bytes: conf.data_buffer_bytes,
-            fixup: Vec::new(),
+            buffer_limit: buffer_limit.max(1),
             unmerged: Vec::new(),
-            track_unmerged: conf.incremental_refresh,
+            track,
             fed: 0,
             bytes_written: 0,
             max_eof: 0,
             index_flushes: 0,
-            data_flushes: 0,
             index_records: 0,
         })
     }
@@ -180,31 +150,13 @@ impl WriteFile {
         if buf.is_empty() {
             return Ok(0);
         }
-        let mut deferred = false;
         let physical = match self.mode {
-            LayoutMode::Both | LayoutMode::LogStructured => {
-                if self.data_buffer_bytes > 0 && buf.len() < self.data_buffer_bytes {
-                    // Write-behind: stage the bytes; the physical offset is
-                    // relative to the staging buffer until it spills.
-                    deferred = true;
-                    let rel = self.data_buf.len() as u64;
-                    self.data_buf.extend_from_slice(buf);
-                    rel
-                } else {
-                    // Too big to stage: spill first so staged bytes keep
-                    // their log position, then append directly.
-                    self.flush_data()?;
-                    self.data.append(buf)?
-                }
-            }
+            LayoutMode::Both | LayoutMode::LogStructured => self.data.append(buf)?,
             LayoutMode::PartitionedOnly => {
                 self.data.pwrite(buf, logical)?;
                 logical
             }
         };
-        if deferred {
-            self.fixup.push(self.buffered.len());
-        }
         self.buffered.push(IndexEntry {
             logical_offset: logical,
             length: buf.len() as u64,
@@ -216,49 +168,18 @@ impl WriteFile {
         });
         self.bytes_written += buf.len() as u64;
         self.max_eof = self.max_eof.max(logical + buf.len() as u64);
-        if self.data_buf.len() >= self.data_buffer_bytes && !self.data_buf.is_empty() {
-            self.flush_data()?;
-        }
         if self.buffered.len() >= self.buffer_limit {
             self.flush_index()?;
         }
         Ok(buf.len())
     }
 
-    /// Spill the write-behind buffer to the data dropping in one append,
-    /// resolving the physical offsets of the staged index entries.
-    pub fn flush_data(&mut self) -> Result<()> {
-        if self.data_buf.is_empty() {
-            return Ok(());
-        }
-        let t0 = iotrace::global().start();
-        let base = self.data.append(&self.data_buf)?;
-        for &i in &self.fixup {
-            self.buffered[i].physical_offset += base;
-        }
-        self.fixup.clear();
-        let spilled = self.data_buf.len() as u64;
-        self.data_buf.clear();
-        self.data_flushes += 1;
-        if let Some(t0) = t0 {
-            iotrace::global().record(
-                t0,
-                iotrace::OpEvent::new(iotrace::Layer::Plfs, iotrace::OpKind::DataBufferFlush)
-                    .path(&self.data_path)
-                    .offset(base)
-                    .bytes(spilled),
-            );
-        }
-        Ok(())
-    }
-
     /// Append all buffered index records to the index dropping,
     /// pattern-compressing strided runs (Pattern-PLFS): a checkpoint of
-    /// thousands of regular strided writes costs one 48-byte record.
-    /// Spills the write-behind data buffer first so no record can reach
-    /// disk ahead of its bytes.
+    /// thousands of regular strided writes costs one 48-byte record. A
+    /// record never reaches disk ahead of its bytes: every entry is
+    /// buffered after its data append returned.
     pub fn flush_index(&mut self) -> Result<()> {
-        self.flush_data()?;
         if self.buffered.is_empty() {
             return Ok(());
         }
@@ -266,7 +187,7 @@ impl WriteFile {
         let records = encode_compressed(&self.buffered, PATTERN_MIN_RUN, &mut out);
         self.index_records += records as u64;
         self.index.append(&out)?;
-        if self.track_unmerged {
+        if self.track {
             self.unmerged.extend_from_slice(&self.buffered[self.fed..]);
         }
         self.fed = 0;
@@ -282,18 +203,16 @@ impl WriteFile {
         self.index.sync()
     }
 
-    /// Drain the entries written since the last drain (the incremental
-    /// reader-refresh feed). Spills the data buffer, so their physical
-    /// offsets are final and their bytes are on the backing store; their
-    /// index records may still be buffered — a read view needs the bytes,
-    /// not the records, and index durability stays at buffer-full, sync and
-    /// close.
-    pub(crate) fn take_unmerged(&mut self) -> Result<Vec<IndexEntry>> {
-        self.flush_data()?;
+    /// Drain the entries written since the last drain (what a refresh
+    /// patches into the fd's read view). Their bytes are on the backing
+    /// store; their index records may still be buffered — a read view needs
+    /// the bytes, not the records, and index durability stays at
+    /// buffer-full, sync and close.
+    pub(crate) fn take_unmerged(&mut self) -> Vec<IndexEntry> {
         let mut out = std::mem::take(&mut self.unmerged);
         out.extend_from_slice(&self.buffered[self.fed..]);
         self.fed = self.buffered.len();
-        Ok(out)
+        out
     }
 
     /// Backend path of this writer's data dropping.
@@ -321,9 +240,11 @@ impl WriteFile {
         self.index_flushes
     }
 
-    /// Number of write-behind data-buffer spills performed so far.
+    /// Always 0: every write is its own backing append. The frozen
+    /// benchmark harness's `plfs.writer.data_flushes` row reads this; it
+    /// goes with that row in the next `[benchmark]` PR.
     pub fn data_flushes(&self) -> u64 {
-        self.data_flushes
+        0
     }
 
     /// On-disk index records emitted so far (pattern compression makes
@@ -534,189 +455,59 @@ mod tests {
         assert_eq!(b.stat(&ip).unwrap().size, RECORD_SIZE as u64);
     }
 
-    fn buffered_conf(bytes: usize) -> Conf {
-        Conf {
-            data_buffer_bytes: bytes,
-            incremental_refresh: false,
-            ..Conf::default()
-        }
-    }
-
-    #[test]
-    fn data_buffer_coalesces_small_writes_into_one_append() {
-        let (b, p) = setup(LayoutMode::Both);
-        let mut w = WriteFile::open_with(&b, "/c", &p, 1, &buffered_conf(64)).unwrap();
-        let dp = container::data_dropping_path("/c", &p, 1, 0);
-        for i in 0..7u64 {
-            w.write(&[i as u8 + 1; 8], i * 8).unwrap();
-        }
-        assert_eq!(b.stat(&dp).unwrap().size, 0, "56 bytes still staged");
-        assert_eq!(w.data_flushes(), 0);
-        w.write(&[8u8; 8], 56).unwrap();
-        assert_eq!(w.data_flushes(), 1, "threshold spill");
-        assert_eq!(b.stat(&dp).unwrap().size, 64, "one coalesced append");
-        w.sync().unwrap();
-        let r = crate::reader::ReadFile::open(&b, "/c").unwrap();
-        let mut buf = [0u8; 64];
-        assert_eq!(r.pread(&b, &mut buf, 0).unwrap(), 64);
-        for i in 0..8usize {
-            assert!(buf[i * 8..(i + 1) * 8].iter().all(|&x| x == i as u8 + 1));
-        }
-    }
-
-    #[test]
-    fn data_buffer_spills_on_sync() {
-        let (b, p) = setup(LayoutMode::Both);
-        let mut w = WriteFile::open_with(&b, "/c", &p, 1, &buffered_conf(1 << 20)).unwrap();
-        let dp = container::data_dropping_path("/c", &p, 1, 0);
-        w.write(b"hello ", 0).unwrap();
-        w.write(b"world", 6).unwrap();
-        assert_eq!(b.stat(&dp).unwrap().size, 0, "staged until sync");
-        w.sync().unwrap();
-        assert_eq!(b.stat(&dp).unwrap().size, 11);
-        let r = crate::reader::ReadFile::open(&b, "/c").unwrap();
-        assert_eq!(r.read_all(&b).unwrap(), b"hello world");
-    }
-
-    #[test]
-    fn large_write_bypasses_buffer_and_keeps_log_order() {
-        let (b, p) = setup(LayoutMode::Both);
-        let mut w = WriteFile::open_with(&b, "/c", &p, 1, &buffered_conf(16)).unwrap();
-        w.write(b"tiny", 0).unwrap();
-        // >= threshold: the staged bytes spill first, then this appends.
-        let big = vec![9u8; 32];
-        w.write(&big, 4).unwrap();
-        let dp = container::data_dropping_path("/c", &p, 1, 0);
-        assert_eq!(b.stat(&dp).unwrap().size, 36, "both on disk, no staging");
-        let f = b.open(&dp, false).unwrap();
-        let mut head = [0u8; 4];
-        f.pread(&mut head, 0).unwrap();
-        assert_eq!(&head, b"tiny", "staged bytes kept their log position");
-        w.sync().unwrap();
-        let r = crate::reader::ReadFile::open(&b, "/c").unwrap();
-        let mut all = r.read_all(&b).unwrap();
-        assert_eq!(all.len(), 36);
-        assert_eq!(&all[..4], b"tiny");
-        assert!(all.split_off(4).iter().all(|&x| x == 9));
-    }
-
-    #[test]
-    fn log_mode_buffered_writers_interleave_correctly() {
-        // Two pids share one data dropping (LogStructured); the spill base
-        // comes from the actual append, so interleaved spills still index
-        // their own bytes.
-        let (b, p) = setup(LayoutMode::LogStructured);
-        let mut w1 = WriteFile::open_with(&b, "/c", &p, 1, &buffered_conf(256)).unwrap();
-        let mut w2 = WriteFile::open_with(&b, "/c", &p, 2, &buffered_conf(256)).unwrap();
-        w1.write(b"one", 0).unwrap();
-        w2.write(b"two", 3).unwrap();
-        w2.sync().unwrap(); // w2 spills first: physical order ≠ pid order
-        w1.sync().unwrap();
-        let r = crate::reader::ReadFile::open(&b, "/c").unwrap();
-        assert_eq!(r.read_all(&b).unwrap(), b"onetwo");
-    }
-
     #[test]
     fn unmerged_entries_drain_once_flushed_or_not() {
         let (b, p) = setup(LayoutMode::Both);
-        let conf = Conf {
-            data_buffer_bytes: 64,
-            ..Conf::default()
-        };
-        let mut w = WriteFile::open_with(&b, "/c", &p, 1, &conf).unwrap();
+        container::ensure_hostdir(&b, "/c", &p, 1).unwrap();
+        let mut w = WriteFile::open_prepared(&b, "/c", &p, 1, 64, true).unwrap();
         // Irregular offsets: pattern compression stays out of the way.
         w.write(b"abcd", 100).unwrap();
         w.write(b"efgh", 7).unwrap();
-        // Drained ahead of the index flush: the data buffer spills so the
-        // physical offsets are final, the index dropping stays empty.
-        let ents = w.take_unmerged().unwrap();
+        // Drained ahead of the index flush: the index dropping stays empty.
+        let ents = w.take_unmerged();
         assert_eq!(ents.len(), 2);
         assert_eq!((ents[0].logical_offset, ents[0].physical_offset), (100, 0));
         assert_eq!((ents[1].logical_offset, ents[1].physical_offset), (7, 4));
-        assert_eq!(w.data_flushes(), 1);
         assert_eq!(w.index_flushes(), 0);
-        assert!(
-            w.take_unmerged().unwrap().is_empty(),
-            "drain is destructive"
-        );
+        assert!(w.take_unmerged().is_empty(), "drain is destructive");
         // A flush does not hand the same entries out again, and entries
         // flushed before a drain are still owed to it.
         w.write(b"ijkl", 50).unwrap();
         w.flush_index().unwrap();
         w.write(b"mnop", 900).unwrap();
-        let ents = w.take_unmerged().unwrap();
+        let ents = w.take_unmerged();
         assert_eq!(
             ents.iter().map(|e| e.logical_offset).collect::<Vec<_>>(),
             [50, 900]
         );
         w.sync().unwrap();
-        assert!(w.take_unmerged().unwrap().is_empty());
+        assert!(w.take_unmerged().is_empty());
         let ip = container::index_dropping_path("/c", &p, 1, 0);
         assert_eq!(b.stat(&ip).unwrap().size, (4 * RECORD_SIZE) as u64);
-    }
-
-    /// Delegating decorator that counts `readdir` calls — the metadata
-    /// op the paper's Lustre analysis singles out.
-    struct CountingBacking {
-        inner: MemBacking,
-        readdirs: std::sync::atomic::AtomicUsize,
-    }
-
-    impl Backing for CountingBacking {
-        fn create(&self, path: &str, excl: bool) -> Result<Box<dyn BackingFile>> {
-            self.inner.create(path, excl)
-        }
-        fn open(&self, path: &str, write: bool) -> Result<Box<dyn BackingFile>> {
-            self.inner.open(path, write)
-        }
-        fn mkdir(&self, path: &str) -> Result<()> {
-            self.inner.mkdir(path)
-        }
-        fn mkdir_all(&self, path: &str) -> Result<()> {
-            self.inner.mkdir_all(path)
-        }
-        fn readdir(&self, path: &str) -> Result<Vec<String>> {
-            self.readdirs
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            self.inner.readdir(path)
-        }
-        fn unlink(&self, path: &str) -> Result<()> {
-            self.inner.unlink(path)
-        }
-        fn rmdir(&self, path: &str) -> Result<()> {
-            self.inner.rmdir(path)
-        }
-        fn rename(&self, from: &str, to: &str) -> Result<()> {
-            self.inner.rename(from, to)
-        }
-        fn stat(&self, path: &str) -> Result<crate::backing::BackStat> {
-            self.inner.stat(path)
-        }
-        fn truncate(&self, path: &str, len: u64) -> Result<()> {
-            self.inner.truncate(path, len)
-        }
+        // A bare stream banks nothing: nobody would ever drain it.
+        let mut bare = WriteFile::open(&b, "/c", &p, 2, 1).unwrap();
+        bare.write(b"qrst", 0).unwrap();
+        assert!(bare.unmerged.is_empty() && bare.buffered.is_empty());
     }
 
     #[test]
     fn reopen_does_at_most_one_readdir() {
-        let b = CountingBacking {
-            inner: MemBacking::new(),
-            readdirs: std::sync::atomic::AtomicUsize::new(0),
-        };
+        use crate::meter::MeterBacking;
+        let b = MeterBacking::new(std::sync::Arc::new(MemBacking::new()));
         let p = ContainerParams {
             num_hostdirs: 4,
             mode: LayoutMode::Both,
         };
-        create_container(&b.inner, "/c", &p, true).unwrap();
+        create_container(&b, "/c", &p, true).unwrap();
         {
             let mut w = WriteFile::open(&b, "/c", &p, 9, 64).unwrap();
             w.write(b"first", 0).unwrap();
             w.sync().unwrap();
         }
-        b.readdirs.store(0, std::sync::atomic::Ordering::Relaxed);
+        let before = b.snapshot();
         let mut w = WriteFile::open(&b, "/c", &p, 9, 64).unwrap();
         assert!(
-            b.readdirs.load(std::sync::atomic::Ordering::Relaxed) <= 1,
+            b.snapshot().delta(&before).readdir <= 1,
             "reopen must not scan the hostdir per pid"
         );
         w.write(b"second", 5).unwrap();

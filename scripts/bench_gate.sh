@@ -1,8 +1,8 @@
 #!/bin/sh
 # Benchmark regression gate: regenerate the gated paperbench figures and
 # diff them against the committed baselines in results/. Fails when a
-# gated metric (write-path refresh speedup and refresh-cost growth across
-# the resident-index sweep — absolute bar 4x, Table II shim-overhead ratio,
+# gated metric (write-path patch-cost growth across the resident-index
+# sweep — absolute bar 4x, Table II shim-overhead ratio,
 # metadata ops-per-open reduction, per-phase op counts — the
 # open+write+close cycle held to absolute ceilings, 32 ops cache-off and
 # 28 default — and the projected MDS-storm seconds of the default profile,
@@ -15,7 +15,7 @@
 #   BENCH_GATE_QUICK=1 scripts/bench_gate.sh    # reduced volumes where the
 #       gated ratios are scale-stable and deterministic (metadata,
 #       noncontig); writepath/table2 always run at paper scale — their
-#       measured speedups get noisy or volume-dependent at quick scale
+#       measured ratios get noisy or volume-dependent at quick scale
 set -eu
 
 threshold=${BENCH_GATE_THRESHOLD:-0.30}

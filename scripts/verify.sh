@@ -5,8 +5,10 @@ set -eu
 
 cargo build --release --offline
 # --workspace includes the root package (what tier-1 `cargo test -q` runs):
-# prop_read_view (patched view == fresh merge == byte model), read_after_write
-# (op counts and refresh scaling) and the concurrent_* suites live there.
+# prop_read_view (patched view == fresh merge == byte model), prop_listio
+# (list call == per-extent loop), prop_backend (batched/tiered == direct),
+# read_after_write (op counts and refresh scaling) and the concurrent_*
+# suites live there.
 cargo test --workspace -q --offline
 # The benchmark harness is a workspace of its own: compile and test it
 # against the product crates here, so an API break under benchmark/ shows

@@ -1,13 +1,13 @@
 //! Integration: real thread-parallel N-to-1 writes through the shim.
 //!
 //! The paper's core workload — N processes checkpointing into one logical
-//! file — exercised with actual OS threads (crossbeam scoped), each with
+//! file — exercised with actual OS threads (scoped), each with
 //! its own virtual pid, all funnelled through one `LdPlfs` instance into
 //! one container. The result must be complete and byte-correct, and the
 //! container must show the N-stream structure of Figure 1.
 
 use ldplfs::{set_virtual_pid, LdPlfsBuilder, OpenFlags, PosixLayer, RealPosix};
-use plfs::{Conf, MemBacking, Plfs};
+use plfs::{MemBacking, Plfs};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -44,10 +44,10 @@ fn strided_checkpoint_from_threads() {
     let rows = 16usize;
     let block = 1024usize;
 
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for r in 0..ranks {
             let shim = shim.clone();
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 set_virtual_pid(1000 + r as u64);
                 let fd = shim
                     .open("/plfs/ckpt", OpenFlags::WRONLY | OpenFlags::CREAT, 0o644)
@@ -60,8 +60,7 @@ fn strided_checkpoint_from_threads() {
                 shim.close(fd).unwrap();
             });
         }
-    })
-    .unwrap();
+    });
 
     // Read back through the shim (fresh fd) and compare.
     let fd = shim.open("/plfs/ckpt", OpenFlags::RDONLY, 0).unwrap();
@@ -81,10 +80,10 @@ fn strided_checkpoint_from_threads() {
 fn container_shows_one_stream_per_writer() {
     let (shim, backing) = shim("streams");
     let ranks = 6;
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for r in 0..ranks {
             let shim = shim.clone();
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 set_virtual_pid(2000 + r as u64);
                 let fd = shim
                     .open("/plfs/f", OpenFlags::WRONLY | OpenFlags::CREAT, 0o644)
@@ -93,8 +92,7 @@ fn container_shows_one_stream_per_writer() {
                 shim.close(fd).unwrap();
             });
         }
-    })
-    .unwrap();
+    });
 
     // Figure 1: n writers → n data droppings (plus indices), spread over
     // hostdirs.
@@ -109,10 +107,10 @@ fn container_shows_one_stream_per_writer() {
 fn mixed_readers_and_writers() {
     let (shim, _) = shim("mixed");
     // Phase 1: writers fill disjoint regions.
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for r in 0..4usize {
             let shim = shim.clone();
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 set_virtual_pid(3000 + r as u64);
                 let fd = shim
                     .open("/plfs/shared", OpenFlags::WRONLY | OpenFlags::CREAT, 0o644)
@@ -122,14 +120,13 @@ fn mixed_readers_and_writers() {
                 shim.close(fd).unwrap();
             });
         }
-    })
-    .unwrap();
+    });
     // Phase 2: concurrent readers each verify a region written by another
     // thread.
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for r in 0..4usize {
             let shim = shim.clone();
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 set_virtual_pid(4000 + r as u64);
                 let fd = shim.open("/plfs/shared", OpenFlags::RDONLY, 0).unwrap();
                 let peer = (r + 1) % 4;
@@ -139,17 +136,16 @@ fn mixed_readers_and_writers() {
                 shim.close(fd).unwrap();
             });
         }
-    })
-    .unwrap();
+    });
 }
 
 #[test]
 fn many_files_concurrently() {
     let (shim, _) = shim("manyfiles");
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for r in 0..8usize {
             let shim = shim.clone();
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 set_virtual_pid(5000 + r as u64);
                 for k in 0..5 {
                     let path = format!("/plfs/job{r}/out{k}");
@@ -164,8 +160,7 @@ fn many_files_concurrently() {
                 }
             });
         }
-    })
-    .unwrap();
+    });
     for r in 0..8 {
         for k in 0..5 {
             let st = shim.stat(&format!("/plfs/job{r}/out{k}")).unwrap();
@@ -177,19 +172,15 @@ fn many_files_concurrently() {
 }
 
 // ---------------------------------------------------------------------------
-// PR 3: one PlfsFd hammered by racing pids through the sharded write path.
+// One PlfsFd hammered by racing pids through the sharded write path.
 // ---------------------------------------------------------------------------
 
-/// Racing threads × pids doing write/sync/read through ONE `PlfsFd` with
-/// the sharded, write-behind-buffered configuration. Each rank re-reads its
-/// own region through the same fd while the others keep writing
+/// Racing threads × pids doing write/sync/read through ONE `PlfsFd`. Each
+/// rank re-reads its own region through the same fd while the others keep writing
 /// (read-your-writes under contention), and the final file is byte-exact.
 #[test]
 fn racing_pids_share_one_fd_read_your_writes() {
-    let plfs = Plfs::new(Arc::new(MemBacking::new())).with_conf(Conf {
-        data_buffer_bytes: 512,
-        ..Conf::default()
-    });
+    let plfs = Plfs::new(Arc::new(MemBacking::new()));
     let ranks = 8usize;
     let rows = 16usize;
     let block = 64usize;
@@ -199,11 +190,11 @@ fn racing_pids_share_one_fd_read_your_writes() {
     for r in 1..ranks as u64 {
         fd.add_ref(r);
     }
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for r in 0..ranks {
             let plfs = &plfs;
             let fd = fd.clone();
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 let pid = r as u64;
                 let pat = vec![r as u8 + 1; block];
                 for row in 0..rows {
@@ -223,8 +214,7 @@ fn racing_pids_share_one_fd_read_your_writes() {
                 }
             });
         }
-    })
-    .unwrap();
+    });
     for r in 0..ranks as u64 {
         plfs.close(&fd, r).unwrap();
     }
@@ -242,14 +232,10 @@ fn racing_pids_share_one_fd_read_your_writes() {
 }
 
 /// Racing appenders on one fd: the atomic EOF hands every append a
-/// disjoint slot, so no byte is lost or overwritten even with the
-/// write-behind buffer coalescing under the shard locks.
+/// disjoint slot, so no byte is lost or overwritten.
 #[test]
 fn racing_appenders_account_for_every_byte() {
-    let plfs = Plfs::new(Arc::new(MemBacking::new())).with_conf(Conf {
-        data_buffer_bytes: 256,
-        ..Conf::default()
-    });
+    let plfs = Plfs::new(Arc::new(MemBacking::new()));
     let ranks = 8usize;
     let appends = 32usize;
     let fd = plfs
@@ -260,12 +246,12 @@ fn racing_appenders_account_for_every_byte() {
     }
     // Every thread records where its appends landed.
     let slots = std::sync::Mutex::new(Vec::new());
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for r in 0..ranks {
             let plfs = &plfs;
             let fd = fd.clone();
             let slots = &slots;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 let pid = r as u64;
                 let len = 16 + r * 3; // distinct lengths per rank
                 let chunk = vec![r as u8 + 1; len];
@@ -281,8 +267,7 @@ fn racing_appenders_account_for_every_byte() {
                 slots.lock().unwrap().extend(mine);
             });
         }
-    })
-    .unwrap();
+    });
     let total: usize = (0..ranks).map(|r| (16 + r * 3) * appends).sum();
     assert_eq!(fd.size().unwrap(), total as u64, "appends lost bytes");
     for r in 0..ranks as u64 {
@@ -315,8 +300,8 @@ fn racing_appenders_account_for_every_byte() {
 }
 
 // ---------------------------------------------------------------------------
-// Property: the sharded + buffered write path is byte-identical to the
-// serial one (1 shard, 0-byte buffer, full re-merge on read).
+// Property: any single-threaded op sequence over four pids on one fd reads
+// back as the byte-vector model says, at every interleaved read.
 // ---------------------------------------------------------------------------
 
 #[derive(Debug, Clone)]
@@ -354,11 +339,11 @@ fn ops_strategy(max_ops: usize) -> impl Strategy<Value = Vec<Op>> {
     )
 }
 
-/// Apply `ops` single-threaded (deterministic append order) under `conf`
-/// and return the final logical bytes, checking interleaved reads against
-/// the running byte-vector model as we go.
-fn apply_ops(ops: &[Op], conf: Conf) -> Vec<u8> {
-    let plfs = Plfs::new(Arc::new(MemBacking::new())).with_conf(conf);
+/// Apply `ops` single-threaded (deterministic append order), checking
+/// interleaved reads and the final logical bytes against the running
+/// byte-vector model.
+fn apply_ops(ops: &[Op]) {
+    let plfs = Plfs::new(Arc::new(MemBacking::new()));
     let fd = plfs
         .open("/prop", OpenFlags::RDWR | OpenFlags::CREAT, 0)
         .unwrap();
@@ -411,38 +396,13 @@ fn apply_ops(ops: &[Op], conf: Conf) -> Vec<u8> {
         plfs.close(&fd, p).unwrap();
     }
     assert_eq!(out, model);
-    out
-}
-
-/// The fast path under test: sharded writer table, write-behind data
-/// buffer, incremental reader refresh.
-fn sharded_buffered() -> Conf {
-    Conf {
-        lock_shards: 16,
-        data_buffer_bytes: 1024,
-        incremental_refresh: true,
-        ..Conf::default()
-    }
-}
-
-/// The reference path: one lock, no buffering, full re-merge per read.
-fn serial() -> Conf {
-    Conf {
-        lock_shards: 1,
-        incremental_refresh: false,
-        ..Conf::default()
-    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Sharded + write-behind-buffered + incrementally-refreshed output is
-    /// byte-identical to the serial reference path for any op sequence.
     #[test]
-    fn sharded_buffered_matches_serial_path(ops in ops_strategy(40)) {
-        let fast = apply_ops(&ops, sharded_buffered());
-        let slow = apply_ops(&ops, serial());
-        prop_assert_eq!(fast, slow);
+    fn op_sequences_match_the_byte_model(ops in ops_strategy(40)) {
+        apply_ops(&ops);
     }
 }

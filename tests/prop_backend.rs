@@ -1,16 +1,15 @@
 //! Property tests: the pluggable scale-out backends are observationally
 //! equivalent to the direct synchronous path. Any op sequence run through
-//! `Plfs` over `RealBacking`, `BatchedBacking`, `TieredBacking` (after
-//! drain), or `ObjectBacking` must read back the same logical bytes AND
-//! leave the same container on the backend — same file tree, byte-identical
+//! `Plfs` over `RealBacking`, `BatchedBacking` or `TieredBacking` (after
+//! drain) must read back the same logical bytes AND leave the same container on the backend — same file tree, byte-identical
 //! droppings (index records compared with the process-global write clock
 //! normalized out, since absolute stamps depend on what else ran in the
 //! process). Plus the crash-shaped guarantee: a writer dying mid-destage
 //! leaves reads serving the intact fast-tier copy.
 
 use plfs::{
-    Backing, BatchedBacking, Conf, IndexEntry, MemBacking, ObjectBacking, OpenFlags, Plfs,
-    RealBacking, TieredBacking,
+    Backing, BatchedBacking, Conf, IndexEntry, MemBacking, OpenFlags, Plfs, RealBacking,
+    TieredBacking,
 };
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
@@ -139,7 +138,6 @@ fn normalized_tree(b: &dyn Backing) -> BTreeMap<String, Vec<u8>> {
 fn conf() -> Conf {
     Conf {
         submit_depth: plfs::conf::DEFAULT_SUBMIT_DEPTH,
-        submit_workers: 2,
         ..Conf::default()
     }
 }
@@ -201,15 +199,6 @@ proptest! {
         tiered.drain();
         prop_assert_eq!(tiered.tier_stats().destage_errors, 0);
         prop_assert_eq!(&normalized_tree(tiered.as_ref()), &ref_tree);
-
-        // Object store over memory: whole-dropping objects, synthesized
-        // directories.
-        let object = Arc::new(ObjectBacking::over(Arc::new(MemBacking::new())));
-        prop_assert_eq!(
-            &run_workload(&Plfs::new(object.clone() as Arc<dyn Backing>), &ops),
-            &reference
-        );
-        prop_assert_eq!(&normalized_tree(object.as_ref()), &ref_tree);
     }
 
     /// Knobs off, `BatchedBacking` is pure passthrough: no worker ever
@@ -263,14 +252,7 @@ fn crash_mid_destage_reads_serve_fast_copy() {
         let f = slow.create(path, true).unwrap();
         f.pwrite(torn, 0).unwrap();
     }
-    let tiered = Arc::new(TieredBacking::new(
-        fast,
-        slow,
-        &Conf {
-            submit_depth: plfs::conf::DEFAULT_SUBMIT_DEPTH,
-            ..Conf::default()
-        },
-    ));
+    let tiered = Arc::new(TieredBacking::new(fast, slow, &conf()));
     let plfs = Plfs::new(tiered.clone() as Arc<dyn Backing>);
     let fd = plfs.open("/ckpt", OpenFlags::RDONLY, 0).unwrap();
     let mut buf = vec![0u8; payload.len()];

@@ -4,7 +4,8 @@
 //! out-of-order extents (later extents win) and short reads at EOF — with
 //! the batching visible only in the index-record accounting.
 
-use plfs::{Conf, MemBacking, OpenFlags, Plfs};
+use plfs::fd::LIST_BATCH_EXTENTS;
+use plfs::{MemBacking, OpenFlags, Plfs};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -33,6 +34,17 @@ fn list_calls(max_calls: usize, max_extents: usize) -> impl Strategy<Value = Vec
     })
 }
 
+/// One call of one-byte extents spanning two full internal batches and a
+/// tail, so both batch boundaries of `write_list` are crossed.
+fn long_call() -> impl Strategy<Value = ListCall> {
+    let n = 2 * LIST_BATCH_EXTENTS + 1;
+    prop::collection::vec(
+        (0u64..512, prop::collection::vec(any::<u8>(), 1..2)),
+        n..n + 32,
+    )
+    .prop_map(|extents| ListCall { extents })
+}
+
 fn blob_and_extents(call: &ListCall) -> (Vec<u8>, Vec<(u64, u64)>) {
     let mut blob = Vec::new();
     let mut extents = Vec::with_capacity(call.extents.len());
@@ -43,8 +55,8 @@ fn blob_and_extents(call: &ListCall) -> (Vec<u8>, Vec<(u64, u64)>) {
     (blob, extents)
 }
 
-fn plfs_with(conf: Conf) -> Plfs {
-    Plfs::new(Arc::new(MemBacking::new())).with_conf(conf)
+fn mem_plfs() -> Plfs {
+    Plfs::new(Arc::new(MemBacking::new()))
 }
 
 /// Read the whole logical file back through plain reads.
@@ -63,20 +75,17 @@ proptest! {
 
     /// `write_list` is byte-identical to the equivalent sequence of
     /// single-extent writes, for any extent vector — overlapping,
-    /// out-of-order, repeated offsets.
+    /// out-of-order, repeated offsets, longer than an internal batch.
     #[test]
     fn write_list_equals_single_extent_writes(
         calls in list_calls(6, 8),
-        max_extents in 1usize..6,
+        long in long_call(),
     ) {
-        let listed = plfs_with(Conf {
-            list_io_max_extents: max_extents,
-            ..Conf::default()
-        });
+        let listed = mem_plfs();
         let fd_l = listed.open("/f", OpenFlags::RDWR | OpenFlags::CREAT, 0).unwrap();
-        let single = plfs_with(Conf::default());
+        let single = mem_plfs();
         let fd_s = single.open("/f", OpenFlags::RDWR | OpenFlags::CREAT, 0).unwrap();
-        for (pid, call) in calls.iter().enumerate() {
+        for (pid, call) in calls.iter().chain([&long]).enumerate() {
             let pid = pid as u64;
             fd_l.add_ref(pid);
             fd_s.add_ref(pid);
@@ -100,7 +109,7 @@ proptest! {
         calls in list_calls(4, 6),
         reads in prop::collection::vec((0u64..1024, 1u64..128), 1..6),
     ) {
-        let plfs = plfs_with(Conf::default());
+        let plfs = mem_plfs();
         let fd = plfs.open("/f", OpenFlags::RDWR | OpenFlags::CREAT, 0).unwrap();
         for (pid, call) in calls.iter().enumerate() {
             let pid = pid as u64;
@@ -121,42 +130,5 @@ proptest! {
         }
         prop_assert_eq!(n_list, n_single);
         prop_assert_eq!(listed, singles);
-    }
-
-    /// `list_io: false` lowers the same calls to the per-extent loop; the
-    /// logical file must come out identical either way.
-    #[test]
-    fn disabled_list_io_is_a_pure_lowering(calls in list_calls(6, 8)) {
-        let on = plfs_with(Conf::default());
-        let fd_on = on.open("/f", OpenFlags::RDWR | OpenFlags::CREAT, 0).unwrap();
-        let off = plfs_with(Conf {
-            list_io: false,
-            ..Conf::default()
-        });
-        let fd_off = off.open("/f", OpenFlags::RDWR | OpenFlags::CREAT, 0).unwrap();
-        for (pid, call) in calls.iter().enumerate() {
-            let pid = pid as u64;
-            fd_on.add_ref(pid);
-            fd_off.add_ref(pid);
-            let (blob, extents) = blob_and_extents(call);
-            prop_assert_eq!(
-                on.write_list(&fd_on, &blob, &extents, pid).unwrap(),
-                off.write_list(&fd_off, &blob, &extents, pid).unwrap()
-            );
-        }
-        let bytes_on = read_back(&on, &fd_on);
-        prop_assert_eq!(bytes_on.clone(), read_back(&off, &fd_off));
-        // And reads agree between the list path and the lowered loop.
-        let mut a = vec![0u8; bytes_on.len()];
-        let mut b = vec![0u8; bytes_on.len()];
-        if !bytes_on.is_empty() {
-            let half = (bytes_on.len() / 2) as u64;
-            let ext = [(0u64, half), (half, bytes_on.len() as u64 - half)];
-            prop_assert_eq!(
-                on.read_list(&fd_on, &mut a, &ext).unwrap(),
-                off.read_list(&fd_off, &mut b, &ext).unwrap()
-            );
-            prop_assert_eq!(a, b);
-        }
     }
 }

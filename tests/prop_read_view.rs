@@ -1,18 +1,17 @@
 //! Property test: the fd's long-lived, patched-in-place read view.
 //!
 //! Random interleavings of write / append / overwrite / zero-length write /
-//! read / sync / ftruncate-to-0 across 1–4 pids on one `O_RDWR` fd, with and
-//! without the write-behind data buffer. After every read the bytes equal an
-//! in-memory model; and wherever the index records have been flushed (a
-//! `deep` read syncs every pid first — which must not feed the view the same
-//! entries twice), the patched view equals a freshly merged
-//! `ReadFile::open` of the same container: same EOF, same segments, and a
-//! dropping table the fresh one contains. The fresh merge in turn — the one
+//! read / sync / ftruncate-to-0 across 1–4 pids on one `O_RDWR` fd. After
+//! every read the bytes equal an in-memory model; and wherever the index
+//! records have been flushed (a `deep` read syncs every pid first — which
+//! must not feed the view the same entries twice), the patched view equals a
+//! freshly merged `ReadFile::open` of the same container: same EOF, same
+//! segments, and a dropping table the fresh one contains. The fresh merge in turn — the one
 //! open there is, runs merged by `from_sorted_runs` — equals the reference
 //! builder `GlobalIndex::from_entries` fed every decoded entry, and reads
 //! back the model's bytes.
 
-use plfs::{Conf, GlobalIndex, MemBacking, OpenFlags, Plfs, PlfsFd, ReadFile};
+use plfs::{GlobalIndex, MemBacking, OpenFlags, Plfs, PlfsFd, ReadFile};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -103,9 +102,9 @@ fn assert_view_equals_fresh_merge(backing: &MemBacking, fd: &PlfsFd, pids: u64, 
     .unwrap();
 }
 
-fn run(ops: &[Op], pids: u64, conf: Conf) {
+fn run(ops: &[Op], pids: u64) {
     let backing = Arc::new(MemBacking::new());
-    let plfs = Plfs::new(backing.clone()).with_conf(conf);
+    let plfs = Plfs::new(backing.clone());
     let fd = plfs
         .open("/f", OpenFlags::RDWR | OpenFlags::CREAT, 0)
         .unwrap();
@@ -174,24 +173,6 @@ proptest! {
                 op => op,
             })
             .collect();
-        run(&ops, pids, Conf::default());
-        run(
-            &ops,
-            pids,
-            Conf {
-                data_buffer_bytes: 256,
-                ..Conf::default()
-            },
-        );
-        // The reference arm the others are measured against: every
-        // read-after-write re-merges from the backing store.
-        run(
-            &ops,
-            pids,
-            Conf {
-                incremental_refresh: false,
-                ..Conf::default()
-            },
-        );
+        run(&ops, pids);
     }
 }

@@ -6,8 +6,8 @@
 
 use plfs::container::{self, ContainerParams, LayoutMode};
 use plfs::{
-    Backing, Conf, FsObjectStore, MemBacking, MeterBacking, MeterSnapshot, ObjectBacking,
-    OpenFlags, Plfs, SpreadBacking, TieredBacking, WriteFile,
+    Backing, Conf, MemBacking, MeterBacking, MeterSnapshot, OpenFlags, Plfs, SpreadBacking,
+    TieredBacking, WriteFile,
 };
 use std::sync::Arc;
 
@@ -202,43 +202,8 @@ fn two_fds_of_one_pid_keep_their_own_marker_and_drop() {
     }
 }
 
-/// A second process on the object backend knows a container's directory
-/// only from the keys under it. Creating over it — exclusively or not —
-/// must answer from what is there and touch none of it.
-#[test]
-fn create_over_a_container_another_object_instance_made_keeps_it() {
-    let store = Arc::new(FsObjectStore::new(Arc::new(MemBacking::new())));
-    let first = Plfs::new(Arc::new(ObjectBacking::new(store.clone())));
-    let fd = first
-        .open("/c", OpenFlags::WRONLY | OpenFlags::CREAT, 1)
-        .unwrap();
-    first.write(&fd, b"kept", 0, 1).unwrap();
-    first.close(&fd, 1).unwrap();
-    first.mkdir("/plain").unwrap();
-    first.create("/plain/inner", true).unwrap();
-
-    let second = ObjectBacking::new(store.clone());
-    let params = ContainerParams::default();
-    let excl = container::create_container(&second, "/c", &params, true);
-    assert!(matches!(excl, Err(plfs::Error::Exists(_))), "{excl:?}");
-    container::create_container(&second, "/c", &params, false).unwrap();
-    assert!(second.exists("/c/.plfsaccess"), "access file survives");
-    let fresh = Plfs::new(Arc::new(ObjectBacking::new(store.clone())));
-    fresh.create("/c", false).unwrap();
-    assert!(fresh.create("/c", true).is_err());
-    let flags = OpenFlags::RDWR | OpenFlags::CREAT;
-    let fd = fresh.open("/c", flags, 2).unwrap();
-    let mut buf = [0u8; 4];
-    assert_eq!(fresh.read(&fd, &mut buf, 0).unwrap(), 4);
-    assert_eq!(&buf, b"kept");
-    fresh.close(&fd, 2).unwrap();
-    // A plain directory it sees only implicitly stays a plain directory.
-    let err = fresh.open("/plain", flags, 2).err();
-    assert!(matches!(err, Some(plfs::Error::IsDir(_))), "{err:?}");
-    assert!(!second.exists("/plain/.plfsaccess"));
-}
-
-/// The same through a tiered mount whose fast tier is fresh: the container
+/// Creating over a container through a tiered mount whose fast tier is
+/// fresh must answer from what is there and touch none of it: the container
 /// only the slow tier holds is there, not half-made by this create.
 #[test]
 fn create_over_a_container_only_the_slow_tier_holds_keeps_it() {
