@@ -729,6 +729,36 @@ pub struct MetadataStormRow {
     pub secs: f64,
 }
 
+/// One call of the small-file cycle and the backing metadata ops it cost.
+#[derive(Debug, Clone)]
+pub struct SmallFileCall {
+    /// The call, as the application makes it.
+    pub call: &'static str,
+    /// Backing metadata ops, measured over `MeterBacking`.
+    pub ops: u64,
+}
+
+/// The small-file cycle — create, write 1 KiB, close, stat, open, read,
+/// close, unlink, the benchmark's `meta_storm` — measured call by call with
+/// the defaults, and that measured profile replayed as N processes each
+/// cycling a file of its own at once through the Sierra dedicated-MDS
+/// model.
+#[derive(Debug, Clone)]
+pub struct SmallFileCycle {
+    /// Measured ops per call, in cycle order.
+    pub calls: Vec<SmallFileCall>,
+    /// Modeled drain time of the measured profile across
+    /// [`METADATA_STORM_PROCS`].
+    pub storm: Vec<MetadataStormRow>,
+}
+
+impl SmallFileCycle {
+    /// Backing metadata ops of one whole cycle.
+    pub fn total_ops(&self) -> u64 {
+        self.calls.iter().map(|c| c.ops).sum()
+    }
+}
+
 /// Everything `paperbench metadata` reports.
 #[derive(Debug, Clone)]
 pub struct MetadataReport {
@@ -736,6 +766,8 @@ pub struct MetadataReport {
     pub measured: Vec<MetadataRow>,
     /// Projected create storms across [`METADATA_STORM_PROCS`].
     pub storm: Vec<MetadataStormRow>,
+    /// The small-file cycle, measured and modeled.
+    pub small_file: SmallFileCycle,
     /// Metadata-cache hits over the cached measurement run.
     pub cache_hits: u64,
     /// Metadata-cache misses over the cached measurement run.
@@ -874,6 +906,62 @@ fn measure_meta_side(conf: plfs::Conf, iters: usize) -> MetaSide {
     }
 }
 
+/// Project `profile` as a storm of [`METADATA_STORM_PROCS`] processes
+/// through the Sierra dedicated-MDS model.
+fn sierra_storm(profile: &simfs::OpenProfile) -> Vec<MetadataStormRow> {
+    let mds = presets::sierra().fs.mds;
+    METADATA_STORM_PROCS
+        .iter()
+        .map(|&n| MetadataStormRow {
+            procs: n,
+            ops_per_open: profile.total(),
+            secs: simfs::create_storm(&mds, n, profile).time_to_open,
+        })
+        .collect()
+}
+
+/// Run one small-file cycle on a fresh default mount, metering each call.
+fn small_file_cycle() -> SmallFileCycle {
+    use plfs::OpenFlags;
+    let (meter, p) = metered(plfs::Conf::default());
+    let start = meter.snapshot();
+    let mut calls = Vec::new();
+    // `f`'s result; its backing metadata ops go on the list under `call`.
+    fn metered_call<T>(
+        meter: &plfs::MeterBacking,
+        calls: &mut Vec<SmallFileCall>,
+        call: &'static str,
+        f: impl FnOnce() -> T,
+    ) -> T {
+        let before = meter.snapshot();
+        let out = f();
+        let ops = meter.snapshot().delta(&before).metadata_ops();
+        calls.push(SmallFileCall { call, ops });
+        out
+    }
+    let create = OpenFlags::WRONLY | OpenFlags::CREAT | OpenFlags::TRUNC;
+    let mut buf = [0u8; 1024];
+    let wfd = metered_call(&meter, &mut calls, "open(O_CREAT)", || {
+        p.open("/small", create, 1).unwrap()
+    });
+    metered_call(&meter, &mut calls, "write 1 KiB", || {
+        p.write(&wfd, &[7u8; 1024], 0, 1).unwrap()
+    });
+    metered_call(&meter, &mut calls, "close", || p.close(&wfd, 1).unwrap());
+    let st = metered_call(&meter, &mut calls, "stat", || p.getattr("/small").unwrap());
+    let rfd = metered_call(&meter, &mut calls, "open(O_RDONLY)", || {
+        p.open("/small", OpenFlags::RDONLY, 1).unwrap()
+    });
+    let n = metered_call(&meter, &mut calls, "read 1 KiB", || {
+        p.read(&rfd, &mut buf, 0).unwrap()
+    });
+    assert_eq!((st.size, n), (1024, 1024));
+    metered_call(&meter, &mut calls, "close", || p.close(&rfd, 1).unwrap());
+    metered_call(&meter, &mut calls, "unlink", || p.unlink("/small").unwrap());
+    let storm = sierra_storm(&storm_profile(&meter.snapshot().delta(&start)));
+    SmallFileCycle { calls, storm }
+}
+
 /// Measure the metadata fast path (eager vs cached, in-memory backing),
 /// then project the defaults' measured open+write+close profile as an
 /// N-process create storm through the Sierra dedicated-MDS model.
@@ -902,18 +990,10 @@ pub fn metadata_comparison(scale: Scale) -> MetadataReport {
         row("getattr", eager.getattr, cached.getattr),
         row("open+write+close", eager.cycle, cached.cycle),
     ];
-    let mds = presets::sierra().fs.mds;
-    let storm = METADATA_STORM_PROCS
-        .iter()
-        .map(|&n| MetadataStormRow {
-            procs: n,
-            ops_per_open: cached.cycle_profile.total(),
-            secs: simfs::create_storm(&mds, n, &cached.cycle_profile).time_to_open,
-        })
-        .collect();
     MetadataReport {
         measured,
-        storm,
+        storm: sierra_storm(&cached.cycle_profile),
+        small_file: small_file_cycle(),
         cache_hits: cached.hits,
         cache_misses: cached.misses,
     }
@@ -952,6 +1032,28 @@ pub fn render_metadata(r: &MetadataReport) -> String {
             "{:>8}{:>14}{:>15.2}s\n",
             s.procs, s.ops_per_open, s.secs
         ));
+    }
+    // The small-file cycle: measured counts on the left, the same profile
+    // modeled at scale on the right.
+    let sf = &r.small_file;
+    out.push_str(&format!(
+        "\nSmall-file cycle, 1 KiB (measured ops | modeled on Sierra)\n{:>18}{:>6}   |{:>8}{:>15}{:>16}\n",
+        "Call", "ops", "Procs", "ops per cycle", "time to drain"
+    ));
+    let total = SmallFileCall {
+        call: "cycle",
+        ops: sf.total_ops(),
+    };
+    let mut storm = sf.storm.iter();
+    for c in sf.calls.iter().chain([&total]) {
+        out.push_str(&format!("{:>18}{:>6}   |", c.call, c.ops));
+        if let Some(s) = storm.next() {
+            out.push_str(&format!(
+                "{:>8}{:>15}{:>15.2}s",
+                s.procs, s.ops_per_open, s.secs
+            ));
+        }
+        out.push('\n');
     }
     out
 }
@@ -1545,11 +1647,30 @@ impl ToJson for MetadataStormRow {
     }
 }
 
+impl ToJson for SmallFileCall {
+    fn to_json_value(&self) -> Value {
+        Value::object()
+            .with("call", self.call)
+            .with("ops", self.ops)
+            .with("kind", "measured")
+    }
+}
+
+impl ToJson for SmallFileCycle {
+    fn to_json_value(&self) -> Value {
+        Value::object()
+            .with("calls", self.calls.to_json_value())
+            .with("total_ops", self.total_ops())
+            .with("storm", self.storm.to_json_value())
+    }
+}
+
 impl ToJson for MetadataReport {
     fn to_json_value(&self) -> Value {
         Value::object()
             .with("measured", self.measured.to_json_value())
             .with("storm", self.storm.to_json_value())
+            .with("small_file", self.small_file.to_json_value())
             .with("cache_hits", self.cache_hits)
             .with("cache_misses", self.cache_misses)
             .with("cache_hit_rate", self.cache_hit_rate())
@@ -1739,8 +1860,18 @@ mod tests {
             assert!(secs > procs as f64, "storm must be superlinear: {w:?}");
         }
         assert!(r.cache_hits > 0 && r.cache_hit_rate() > 0.5);
+        // The small-file cycle: eight calls, 17 ops, and its storm cheaper
+        // per process than the four-rank checkpoint cycle's.
+        let per_call: Vec<u64> = r.small_file.calls.iter().map(|c| c.ops).collect();
+        assert_eq!(per_call, [2, 2, 3, 1, 0, 4, 0, 5], "{:?}", r.small_file);
+        assert_eq!(r.small_file.total_ops(), 17);
+        for (small, ckpt) in r.small_file.storm.iter().zip(&r.storm) {
+            assert_eq!((small.procs, small.ops_per_open), (ckpt.procs, 17));
+            assert!(small.secs < ckpt.secs, "{small:?} vs {ckpt:?}");
+        }
         let txt = render_metadata(&r);
         assert!(txt.contains("reopen") && txt.contains("Procs") && txt.contains("time to open"));
+        assert!(txt.contains("Small-file cycle") && txt.contains("time to drain"));
     }
 
     #[test]

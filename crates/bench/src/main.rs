@@ -8,7 +8,7 @@
 //! paperbench fig5 [--subdirs N]  # FLASH-IO on Sierra
 //! paperbench crossover           # where PLFS starts to hurt (future work)
 //! paperbench writepath [--quick] # serial vs sharded/buffered writers
-//! paperbench metadata [--quick]  # per-open metadata ops + MDS-storm projection
+//! paperbench metadata [--quick]  # per-open and small-file-cycle metadata ops + MDS-storm projection
 //! paperbench noncontig [--quick] # list I/O vs data sieving on strided views
 //! paperbench staging2 [--quick]  # tiered burst-buffer + batched submission vs direct
 //! paperbench all [--quick]       # everything above
@@ -273,7 +273,7 @@ fn cmd_metadata(args: &Args) {
     println!("## Measured (in-memory backing, this host) + MDS-storm projection\n");
     println!("{}", render_metadata(&report));
     println!(
-        "(storm rows replay the measured open+write+close profile for N\n          simultaneous processes through Sierra's dedicated-MDS model: the\n          projected time for the slowest to finish its open)\n"
+        "(storm rows replay the measured open+write+close profile for N\n          simultaneous processes through Sierra's dedicated-MDS model: the\n          projected time for the slowest to finish its open; the small-file\n          rows replay the measured whole-cycle profile the same way, every\n          process cycling a file of its own)\n"
     );
     dump_json(&args.json, "metadata", &report);
     trace_emit(args, "metadata", &report);

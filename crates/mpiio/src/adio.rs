@@ -287,7 +287,10 @@ impl PlfsContainer {
     }
 
     /// Ensure a rank's write stream exists: hostdir + data and index
-    /// droppings (2 creates, the Figure 5 load).
+    /// droppings (2 creates, the Figure 5 load). Every modeled rank keeps
+    /// the hostdir form; the library gives the one rank whose open made
+    /// the container a top-level pair instead, so per file this is an
+    /// upper bound by at most 2 ops.
     fn stream(&mut self, fs: &mut SimFs, t: f64, rank: usize) -> SimResult<(f64, &mut Stream)> {
         if !self.streams.contains_key(&rank) {
             let hd = self.hostdir(rank);

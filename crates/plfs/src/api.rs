@@ -141,22 +141,30 @@ impl Plfs {
         e
     }
 
-    /// Cached (or freshly probed) verdict for a backend path; every miss
-    /// fills the cache under the generation guard so racing invalidations
-    /// can never leave a stale verdict behind.
-    fn meta_entry(&self, bp: &str) -> MetaEntry {
+    /// The cached verdict for a backend path, if the cache is on and holds
+    /// one.
+    fn cached_entry(&self, bp: &str) -> Option<MetaEntry> {
+        if !self.conf.meta_cache_enabled() {
+            return None;
+        }
+        let t0 = iotrace::global().start();
+        let e = self.cache.lookup(bp)?;
+        trace_op(t0, || {
+            OpEvent::new(Layer::Plfs, OpKind::MetaCacheHit)
+                .path(bp)
+                .hit(true)
+        });
+        Some(e)
+    }
+
+    /// Probe the backing store for a path's verdict, filling the cache
+    /// under the generation guard so racing invalidations can never leave a
+    /// stale verdict behind.
+    fn probed_entry(&self, bp: &str) -> MetaEntry {
         if !self.conf.meta_cache_enabled() {
             return self.probe_meta(bp);
         }
         let t0 = iotrace::global().start();
-        if let Some(e) = self.cache.lookup(bp) {
-            trace_op(t0, || {
-                OpEvent::new(Layer::Plfs, OpKind::MetaCacheHit)
-                    .path(bp)
-                    .hit(true)
-            });
-            return e;
-        }
         let generation = self.cache.begin_fill(bp);
         let e = self.probe_meta(bp);
         self.cache.complete_fill(bp, generation, e);
@@ -164,6 +172,12 @@ impl Plfs {
             OpEvent::new(Layer::Plfs, OpKind::MetaCacheMiss).path(bp)
         });
         e
+    }
+
+    /// Cached (or freshly probed) verdict for a backend path.
+    fn meta_entry(&self, bp: &str) -> MetaEntry {
+        self.cached_entry(bp)
+            .unwrap_or_else(|| self.probed_entry(bp))
     }
 
     /// Container params for `bp`, answered from the cache when warm.
@@ -254,64 +268,95 @@ impl Plfs {
     }
 
     fn open_inner(&self, path: &str, flags: OpenFlags, pid: u64) -> Result<Arc<PlfsFd>> {
+        use container::Creation::{Joined, Made};
         let bp = self.backend_path(path);
-        let e = self.meta_entry(&bp);
-        // A directory with no access file is a plain directory — or a
-        // container another process is creating this instant, which a
-        // non-exclusive create must join, not fail on.
-        let maybe_nascent = e.is_dir && !e.is_container && flags.create() && !flags.excl();
-        if e.exists && !e.is_container && !maybe_nascent {
-            if e.is_dir {
-                return Err(Error::IsDir(path.to_string()));
+        let (params, how) = match self.cached_entry(&bp) {
+            // Nothing known about the path and the caller would create it:
+            // the `mkdir` is the probe.
+            None if flags.create() => self.create_for_open(&bp, path, flags)?,
+            cached => {
+                let e = cached.unwrap_or_else(|| self.probed_entry(&bp));
+                if e.exists && flags.create() && flags.excl() {
+                    return Err(Error::Exists(path.to_string()));
+                }
+                if e.is_container {
+                    let e = if flags.trunc() {
+                        self.trunc_backend(&bp, 0)?;
+                        // trunc_backend invalidated the cached verdict;
+                        // feeding the pre-truncate entry back into
+                        // params_for would reinstall its fast-stat field
+                        // and resurrect the old size.
+                        MetaEntry { meta: None, ..e }
+                    } else {
+                        e
+                    };
+                    (self.params_for(&bp, e)?, Joined)
+                } else if flags.create() && (!e.exists || e.is_dir) {
+                    // Missing — or a directory with no access file, which is
+                    // a plain directory or a container another process is
+                    // creating this instant: a non-exclusive create must
+                    // join that one, not fail on it.
+                    self.create_for_open(&bp, path, flags)?
+                } else if !e.exists {
+                    return Err(Error::NotFound(path.to_string()));
+                } else if e.is_dir {
+                    return Err(Error::IsDir(path.to_string()));
+                } else {
+                    return Err(Error::NotContainer(path.to_string()));
+                }
             }
-            return Err(Error::NotContainer(path.to_string()));
+        };
+        let mut fd = PlfsFd::new(self.backing.clone(), bp, params, flags, &self.conf, pid);
+        if how == Made {
+            fd = fd.into_creator();
         }
-        let params = if !e.exists || maybe_nascent {
-            if !flags.create() {
-                return Err(Error::NotFound(path.to_string()));
-            }
-            // create_container hands back the params it wrote (or, losing a
-            // create race, the stored ones) — no re-read of the access file.
-            let p = container::create_container(
-                self.backing.as_ref(),
-                &bp,
-                &self.defaults,
-                flags.excl(),
-            )
-            .map_err(|err| match err {
-                Error::Exists(_) if maybe_nascent => Error::IsDir(path.to_string()),
-                err => err,
-            })?;
-            self.meta_install(&bp, p);
-            p
-        } else {
-            if flags.create() && flags.excl() {
-                return Err(Error::Exists(path.to_string()));
-            }
-            let e = if flags.trunc() {
-                self.trunc_backend(&bp, 0)?;
-                // trunc_backend invalidated the cached verdict; feeding the
-                // pre-truncate entry back into params_for would reinstall
-                // its fast-stat field and resurrect the old size.
-                MetaEntry { meta: None, ..e }
-            } else {
-                e
-            };
-            self.params_for(&bp, e)?
-        };
-        let fd = PlfsFd::new(self.backing.clone(), bp, params, flags, &self.conf, pid);
-        let fd = if self.conf.meta_cache_enabled() {
-            fd.with_meta_cache(Arc::clone(&self.cache))
-        } else {
-            fd
-        };
+        if self.conf.meta_cache_enabled() {
+            fd = fd.with_meta_cache(Arc::clone(&self.cache));
+        }
         Ok(Arc::new(fd))
+    }
+
+    /// The creating half of an `O_CREAT` open: make the container or join
+    /// the one that is there (`O_TRUNC` then empties it), and install the
+    /// verdict — the params come back from the create, with no re-read of
+    /// the access file. A create costs `mkdir` + access file; on an
+    /// existing container `mkdir` (`EEXIST`) + the access file's `open` and
+    /// `size`. Only a failure pays for a probe, to report the precise
+    /// errno for what is in the way.
+    fn create_for_open(
+        &self,
+        bp: &str,
+        path: &str,
+        flags: OpenFlags,
+    ) -> Result<(ContainerParams, container::Creation)> {
+        let b = self.backing.as_ref();
+        match container::create_container(b, bp, &self.defaults, flags.excl()) {
+            Ok((p, how)) => {
+                if how == container::Creation::Joined && flags.trunc() {
+                    self.trunc_backend(bp, 0)?;
+                }
+                self.meta_install(bp, p);
+                Ok((p, how))
+            }
+            // POSIX: O_CREAT|O_EXCL is EEXIST whatever is in the way.
+            Err(Error::Exists(_)) if flags.excl() => Err(Error::Exists(path.to_string())),
+            Err(err) => {
+                let e = self.probe_meta(bp);
+                Err(if e.is_dir && !e.is_container {
+                    Error::IsDir(path.to_string())
+                } else if e.exists && !e.is_dir {
+                    Error::NotContainer(path.to_string())
+                } else {
+                    err
+                })
+            }
+        }
     }
 
     /// `plfs_create`: create a container without holding it open.
     pub fn create(&self, path: &str, excl: bool) -> Result<()> {
         let bp = self.backend_path(path);
-        let p = container::create_container(self.backing.as_ref(), &bp, &self.defaults, excl)?;
+        let (p, _) = container::create_container(self.backing.as_ref(), &bp, &self.defaults, excl)?;
         self.meta_install(&bp, p);
         Ok(())
     }
@@ -504,12 +549,18 @@ impl Plfs {
         // A missing access file is the "not a container" answer.
         let params = container::read_params(self.backing.as_ref(), bp)?;
         if len == 0 {
-            // Drop every dropping and meta drop; the access file stays, and
-            // so do the markers of writers still open (theirs to remove).
+            // Drop every dropping — the hostdirs and the top-level pair —
+            // and every meta drop; the access file stays, and so do the
+            // `open.*` markers of writers still open (theirs to remove).
+            let files = [
+                container::META_PREFIX,
+                container::DATA_PREFIX,
+                container::INDEX_PREFIX,
+            ];
             for n in self.backing.readdir(bp)? {
                 if n.starts_with(container::HOSTDIR_PREFIX) {
                     crate::backing::remove_tree(self.backing.as_ref(), &join(bp, &n))?;
-                } else if n.starts_with(container::META_PREFIX) {
+                } else if files.iter().any(|p| n.starts_with(p)) {
                     self.backing.unlink(&join(bp, &n))?;
                 }
             }
@@ -920,15 +971,54 @@ mod tests {
         let fd = p.open("/f", CREATE_RW, 1).unwrap();
         let d = meter.snapshot().delta(&before);
         p.close(&fd, 1).unwrap();
-        // One failed stat (the miss probe), then the container skeleton:
-        // mkdir + access-file create. No open() of the access file — the
-        // old code re-read params here.
-        assert_eq!(
-            d.open, 0,
-            "create-open must not re-read the access file: {d:?}"
-        );
-        assert_eq!((d.stat, d.mkdir, d.create), (1, 1, 1));
+        // The container skeleton and nothing else: mkdir + access-file
+        // create. No probe before the mkdir (its answer is the probe), no
+        // open() of the access file to re-read the params just written.
+        assert_eq!((d.mkdir, d.create), (1, 1));
+        assert_eq!(d.metadata_ops(), 2, "{d:?}");
+        // O_CREAT over a container nothing is cached about: the mkdir's
+        // EEXIST, then the access file's open + size.
+        let (meter, other) = (meter.clone(), Plfs::new(meter as Arc<dyn Backing>));
+        let before = meter.snapshot();
+        let fd = other.open("/f", CREATE_RW, 2).unwrap();
+        let d = meter.snapshot().delta(&before);
+        other.close(&fd, 2).unwrap();
+        assert_eq!((d.mkdir, d.open, d.size), (1, 1, 1));
         assert_eq!(d.metadata_ops(), 3, "{d:?}");
+    }
+
+    /// What is in the way of an `O_CREAT` decides the errno — and with
+    /// `O_EXCL` it is `EEXIST` whatever it is (regression: a plain
+    /// directory answered `EISDIR`).
+    #[test]
+    fn create_over_something_else_reports_the_posix_errno() {
+        let excl = CREATE_RW | OpenFlags::EXCL;
+        for cached in [false, true] {
+            let p = plfs();
+            p.mkdir("/d").unwrap();
+            // Not empty, so not mistaken for a container being created.
+            p.backing().create("/d/notes", true).unwrap();
+            p.backing().create("/plain", true).unwrap();
+            p.create("/c", true).unwrap();
+            if cached {
+                for path in ["/d", "/plain", "/c"] {
+                    p.access(path).unwrap();
+                }
+            } else {
+                p.meta_invalidate("/c");
+            }
+            for path in ["/d", "/plain", "/c"] {
+                let r = p.open(path, excl, 1);
+                assert!(matches!(r, Err(Error::Exists(_))), "{path}: {:?}", r.err());
+            }
+            let r = p.open("/d", CREATE_RW, 1);
+            assert!(matches!(r, Err(Error::IsDir(_))), "{:?}", r.err());
+            let r = p.open("/plain", CREATE_RW, 1);
+            assert!(matches!(r, Err(Error::NotContainer(_))), "{:?}", r.err());
+            let r = p.open("/missing/f", CREATE_RW, 1);
+            assert!(matches!(r, Err(Error::NotFound(_))), "{:?}", r.err());
+            p.close(&p.open("/c", CREATE_RW, 1).unwrap(), 1).unwrap();
+        }
     }
 
     /// getattr/access of a warm closed container are also metadata-free.

@@ -259,25 +259,27 @@ pub fn check(b: &dyn Backing, path: &str) -> Result<CheckReport> {
         }
     }
 
-    // Index droppings with no data partner.
-    let hostdirs: Vec<String> = b
-        .readdir(path)?
-        .into_iter()
-        .filter(|n| n.starts_with(container::HOSTDIR_PREFIX))
-        .collect();
-    for hd in hostdirs {
-        let hd_path = join(path, &hd);
-        let names = b.readdir(&hd_path)?;
-        for n in &names {
-            if let Some(suffix) = n.strip_prefix(container::INDEX_PREFIX) {
-                let data_name = format!("{}{}", container::DATA_PREFIX, suffix);
+    // Index droppings with no data partner, in the container directory
+    // (the top-level pair) and in every hostdir.
+    let mut orphans = |dir: &str, names: &[String]| {
+        for n in names {
+            if let Some((pair, _)) = container::parse_index_name(n) {
+                let data_name = format!("{}{pair}", container::DATA_PREFIX);
                 if !names.iter().any(|m| m == &data_name) {
-                    report.findings.push(Finding::OrphanIndex {
-                        path: join(&hd_path, n),
-                    });
+                    let path = join(dir, n);
+                    report.findings.push(Finding::OrphanIndex { path });
                 }
             }
         }
+    };
+    let top = b.readdir(path)?;
+    orphans(path, &top);
+    for hd in top
+        .iter()
+        .filter(|n| n.starts_with(container::HOSTDIR_PREFIX))
+    {
+        let hd_path = join(path, hd);
+        orphans(&hd_path, &b.readdir(&hd_path)?);
     }
 
     // Meta cache consistency (only meaningful with no open writers).
@@ -313,7 +315,14 @@ pub struct RepairReport {
 }
 
 /// Repair what can be repaired. `clear_markers` also removes open-writer
-/// markers (only safe when no process holds the container open).
+/// markers (only safe when no process holds the container open): `open.*`
+/// names are unlinked, an un-suffixed top-level index dropping — it holds
+/// its dead writer's records — is renamed to its suffix.
+///
+/// Afterwards the fast-stat drops are exact: every closed top-level index
+/// carries its own records' eof and its data dropping's size, and one
+/// `meta.*` drop carries the merged eof and the hostdir droppings' bytes, so
+/// `getattr`'s fast path reports what its slow path would.
 pub fn repair(b: &dyn Backing, path: &str, clear_markers: bool) -> Result<RepairReport> {
     let before = check(b, path)?;
     if before.findings.contains(&Finding::NotAContainer) {
@@ -385,10 +394,35 @@ pub fn repair(b: &dyn Backing, path: &str, clear_markers: bool) -> Result<Repair
         }
     }
 
-    // Rebuild the meta cache from the repaired indices.
+    // Rebuild the fast-stat drops from the repaired indices.
     container::clear_names(b, path, container::META_PREFIX)?;
-    let (idx, _) = container::build_global_index(b, path)?;
-    container::drop_meta(b, path, idx.eof(), 0, 0, 0)?;
+    let (idx, droppings) = container::build_global_index(b, path)?;
+    // What the one `meta.*` drop answers for: every data dropping's bytes,
+    // less those a top-level index's own name carries.
+    let mut hostdir_bytes = 0;
+    for d in &droppings {
+        hostdir_bytes += b.stat(&d.data_path)?.size;
+    }
+    for n in b.readdir(path)? {
+        let Some((pair, closed)) = container::parse_index_name(&n) else {
+            continue;
+        };
+        let data_name = format!("{}{pair}", container::DATA_PREFIX);
+        let data_size = b.stat(&join(path, &data_name))?.size;
+        hostdir_bytes -= data_size;
+        if closed.is_none() {
+            if !clear_markers {
+                // Its writer may be alive: the name is its to change.
+                continue;
+            }
+            report.markers_cleared += 1;
+        }
+        let ip = join(path, &n);
+        let entries = IndexEntry::decode_all(&read_all(b, &ip)?)?;
+        let eof = entries.iter().map(IndexEntry::logical_end).max();
+        container::close_toplevel(b, &ip, eof.unwrap_or(0), data_size)?;
+    }
+    container::drop_meta(b, path, idx.eof(), hostdir_bytes, 0, 0)?;
     report.meta_rebuilt = true;
 
     Ok(report)
@@ -641,6 +675,76 @@ mod tests {
         assert!(check(b.as_ref(), "/c").unwrap().is_clean());
     }
 
+    /// What `getattr`'s slow path would report: the merged eof and the data
+    /// droppings' sizes.
+    fn slow_stat(b: &dyn Backing) -> (u64, u64) {
+        let (idx, droppings) = container::build_global_index(b, "/c").unwrap();
+        let sizes = droppings.iter().map(|d| b.stat(&d.data_path).unwrap().size);
+        (idx.eof(), sizes.sum())
+    }
+
+    /// Regression: repair rebuilt the drop as `(eof, 0)`, so `getattr`
+    /// reported `physical_bytes` 0 ever after.
+    #[test]
+    fn fast_stat_equals_slow_stat_after_repair() {
+        let fast_stat = |b: &Arc<MemBacking>| {
+            let st = Plfs::new(b.clone()).getattr("/c").unwrap();
+            assert_eq!(container::open_writers(b.as_ref(), "/c").unwrap(), 0);
+            (st.size, st.physical_bytes)
+        };
+        // Nothing wrong with it: the drops come back as they were.
+        let b = written_container();
+        repair(b.as_ref(), "/c", false).unwrap();
+        assert_eq!(fast_stat(&b), (300, 300));
+        assert_eq!(fast_stat(&b), slow_stat(b.as_ref()));
+        // The creator's data dropping cut short: its one record goes, and
+        // its index is re-suffixed to what is left of the pair.
+        let top = container::list_droppings(b.as_ref(), "/c").unwrap()[0].clone();
+        assert_eq!(top.data_path, "/c/dropping.data.0.0");
+        b.truncate(&top.data_path, 10).unwrap();
+        assert_eq!(repair(b.as_ref(), "/c", false).unwrap().entries_dropped, 1);
+        assert!(b.exists("/c/dropping.index.0.0.0.10"));
+        assert_eq!(fast_stat(&b), (300, 210));
+        assert_eq!(fast_stat(&b), slow_stat(b.as_ref()));
+        // A hostdir writer's records lost instead.
+        let b = written_container();
+        let last = container::list_droppings(b.as_ref(), "/c").unwrap()[2].clone();
+        b.truncate(&last.data_path, 0).unwrap();
+        repair(b.as_ref(), "/c", false).unwrap();
+        assert_eq!(fast_stat(&b), slow_stat(b.as_ref()));
+        assert_eq!(fast_stat(&b).1, 200);
+    }
+
+    /// `--clear-markers` on a dead creator: its un-suffixed index holds its
+    /// records, so it is renamed to its suffix, never unlinked.
+    #[test]
+    fn dead_creators_index_is_closed_by_rename_not_unlinked() {
+        let backing = Arc::new(MemBacking::new());
+        let plfs = Plfs::new(backing.clone());
+        let fd = plfs
+            .open("/c", OpenFlags::WRONLY | OpenFlags::CREAT, 4)
+            .unwrap();
+        plfs.write(&fd, &[9u8; 64], 0, 4).unwrap();
+        plfs.sync(&fd, 4).unwrap();
+        std::mem::forget(fd); // killed: no close ever runs
+        let b = backing.as_ref();
+        assert!(b.exists("/c/dropping.index.4.0"));
+        assert_eq!(
+            check(b, "/c").unwrap().findings,
+            [Finding::OpenWriters { count: 1 }]
+        );
+        // Without the flag the writer may be alive: its name is left alone.
+        repair(b, "/c", false).unwrap();
+        assert!(b.exists("/c/dropping.index.4.0"));
+        let rep = repair(b, "/c", true).unwrap();
+        assert_eq!(rep.markers_cleared, 1);
+        assert!(b.exists("/c/dropping.index.4.0.64.64"));
+        assert!(check(b, "/c").unwrap().is_clean());
+        let st = Plfs::new(backing.clone()).getattr("/c").unwrap();
+        assert_eq!((st.size, st.physical_bytes), slow_stat(b));
+        assert_eq!((st.size, st.physical_bytes), (64, 64));
+    }
+
     #[test]
     fn repair_rebuilds_meta() {
         let b = written_container();
@@ -654,12 +758,13 @@ mod tests {
             .any(|f| matches!(f, Finding::StaleMeta { .. })));
         let rep = repair(b.as_ref(), "/c", false).unwrap();
         assert!(rep.meta_rebuilt);
-        let drops = b.readdir("/c").unwrap();
-        let drops: Vec<_> = drops.iter().filter(|n| n.starts_with("meta.")).collect();
+        let mut drops = b.readdir("/c").unwrap();
+        drops.retain(|n| n.starts_with("meta.") || n.starts_with("dropping.index."));
+        drops.sort();
         assert_eq!(
             drops,
-            ["meta.300.0.0.0"],
-            "one rebuilt drop, in the container"
+            ["dropping.index.0.0.100.100", "meta.300.200.0.0"],
+            "the creator's index keeps its own drop; one rebuilt drop for the hostdirs"
         );
         let plfs = Plfs::new(b.clone());
         assert_eq!(plfs.getattr("/c").unwrap().size, 300);

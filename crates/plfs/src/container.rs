@@ -3,26 +3,41 @@
 //! A logical file `/mnt/foo` maps to a *container* directory on the backend:
 //!
 //! ```text
-//! foo/                             container directory
-//!   .plfsaccess                    marker: "this directory is a container"
-//!   open.<pid>.<n>                 empty: writer of pair (pid, n) is open
-//!   meta.<eof>.<bytes>.<pid>.<n>   empty: that writer closed; fast-stat info
-//!   hostdir.0/ … hostdir.K-1/      subdirectories holding droppings
-//!     dropping.data.<pid>.<n>      log-structured data
-//!     dropping.index.<pid>.<n>     index records for that data
+//! foo/                                      container directory
+//!   .plfsaccess                             marker: "this directory is a container"
+//!   dropping.data.<pid>.<n>                 the creator's data dropping
+//!   dropping.index.<pid>.<n>                its index; this name: the creator is open
+//!   dropping.index.<pid>.<n>.<eof>.<bytes>  the same file once it closed; fast-stat info
+//!   open.<pid>.<n>                          empty: hostdir writer (pid, n) is open
+//!   meta.<eof>.<bytes>.<pid>.<n>            empty: that writer closed; fast-stat info
+//!   hostdir.0/ … hostdir.K-1/               subdirectories holding everyone else's droppings
+//!     dropping.data.<pid>.<n>               log-structured data
+//!     dropping.index.<pid>.<n>              index records for that data
 //! ```
 //!
 //! Droppings mirror Figure 1 of the paper (and the real PLFS layout): n
 //! writers produce at least n data droppings and n index droppings, spread
-//! over `num_hostdirs` subdirectories. Lifecycle state departs from it: the
-//! paper's `openhosts/` and `meta/` subdirectories are *names* in the
-//! container directory here, so one `readdir` of it answers every metadata
-//! question (is it a container, who is writing, how big is it, where are
-//! the hostdirs) and close is one `rename` of a writer's marker into its
-//! drop. (In log mode, where every writer shares pair 0, `n` is the first
-//! number free among its pid's names.) A legacy container still opens,
-//! stats (slow path: no `meta.*` names) and unlinks; its subdirectories
-//! are never read.
+//! over `num_hostdirs` subdirectories. Two departures, both so that one
+//! `readdir` of the container directory answers every metadata question
+//! (is it a container, who is writing, how big is it, where are the
+//! droppings) and a small file costs no directory of its own:
+//!
+//! * Lifecycle state — the paper's `openhosts/` and `meta/` subdirectories
+//!   — is *names* in the container directory, and close is one `rename`.
+//! * The writer that *made* the container (its `open`'s `mkdir` succeeded:
+//!   [`Creation::Made`]) keeps a **top-level pair**: its two droppings sit
+//!   beside the access file, with no hostdir and no empty marker — the
+//!   index dropping's own name is its lifecycle. Un-suffixed it is the open
+//!   marker; close renames it to carry `<eof>.<bytes>`, which is the
+//!   fast-stat drop. (A name apart from `meta.*`, so clearing the drops can
+//!   never delete records.) Every other writer — one that joined an
+//!   existing container, a reopener, a bare [`crate::WriteFile::open`], all
+//!   of log mode — keeps the hostdir pair with its `open.*`/`meta.*` names.
+//!   Which shape a writer gets is what the code observed, never a knob.
+//!
+//! (In log mode, where every writer shares pair 0, `n` is the first number
+//! free among its pid's names.) A legacy container still opens, stats (slow
+//! path: no drops) and unlinks; its subdirectories are never read.
 
 use crate::backing::{join, remove_tree, Backing};
 use crate::error::{Error, Result};
@@ -125,6 +140,32 @@ pub fn index_dropping_path(
     join(&hostdir_path(container, hd), &name)
 }
 
+/// Paths of the top-level dropping pair `(pid, seq)`: the data dropping and
+/// the index dropping under its open (un-suffixed) name, in the container
+/// directory itself.
+pub fn toplevel_pair_paths(container: &str, pid: u64, seq: u32) -> (String, String) {
+    (
+        join(container, &format!("{DATA_PREFIX}{pid}.{seq}")),
+        join(container, &format!("{INDEX_PREFIX}{pid}.{seq}")),
+    )
+}
+
+/// An index dropping's name taken apart: the `<pid>.<seq>` it shares with
+/// its data dropping and — on a top-level index whose writer closed — the
+/// `(eof, bytes)` its name carries.
+pub fn parse_index_name(name: &str) -> Option<(&str, Option<(u64, u64)>)> {
+    let rest = name.strip_prefix(INDEX_PREFIX)?;
+    let mut dots = rest.match_indices('.').map(|(i, _)| i);
+    match (dots.next()?, dots.next(), dots.next(), dots.next()) {
+        (_, None, ..) => Some((rest, None)),
+        (_, Some(b), Some(c), None) => {
+            let closed = (rest[b + 1..c].parse().ok()?, rest[c + 1..].parse().ok()?);
+            Some((&rest[..b], Some(closed)))
+        }
+        _ => None,
+    }
+}
+
 /// Is the backend path a PLFS container?
 pub fn is_container(b: &dyn Backing, path: &str) -> bool {
     match b.stat(path) {
@@ -180,24 +221,37 @@ fn decode_params(data: &[u8]) -> Result<ContainerParams> {
     Ok(p)
 }
 
+/// Whether a [`create_container`] call made the container or found it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Creation {
+    /// This call's `mkdir` succeeded: the container is new and the caller
+    /// its creator, entitled to the top-level dropping pair.
+    Made,
+    /// The container was already there, or a concurrent creator won the
+    /// `mkdir`.
+    Joined,
+}
+
 /// Create a container directory at `path`: the directory and its access
 /// file, nothing else — hostdirs are made by writers, lifecycle names by
 /// open and close.
 ///
-/// Returns the parameters the container now has: the ones just written on a
-/// fresh create, or the ones read back from the access file when the
-/// container already existed — so callers never re-read what they just
-/// wrote.
+/// Returns the parameters the container now has — the ones just written on
+/// a fresh create, or the ones read back from the access file when the
+/// container already existed, so callers never re-read what they just
+/// wrote — and which of the two happened.
 pub fn create_container(
     b: &dyn Backing,
     path: &str,
     params: &ContainerParams,
     excl: bool,
-) -> Result<ContainerParams> {
+) -> Result<(ContainerParams, Creation)> {
     match b.mkdir(path) {
         Ok(()) => {}
         // Already there, or lost the mkdir to a concurrent creator.
-        Err(Error::Exists(_)) if !excl => return await_creator(b, path),
+        Err(Error::Exists(_)) if !excl => {
+            return Ok((await_creator(b, path)?, Creation::Joined));
+        }
         Err(e) => return Err(e),
     }
     // A bare directory would read as nascent to every later creator: on
@@ -216,7 +270,7 @@ pub fn create_container(
         let _ = b.rmdir(path);
         return Err(e);
     }
-    Ok(*params)
+    Ok((*params, Creation::Made))
 }
 
 /// How long a non-exclusive creator waits for a concurrent creator of the
@@ -308,33 +362,42 @@ pub struct DroppingRef {
     pub index_path: Option<String>,
 }
 
+/// Pair every data dropping among `names` (the listing of `dir`) with its
+/// index dropping in the same listing, under either spelling of its name.
+fn pair_droppings(dir: &str, names: &[String], out: &mut Vec<DroppingRef>) {
+    let indices: Vec<(&str, &String)> = names
+        .iter()
+        .filter_map(|n| Some((parse_index_name(n)?.0, n)))
+        .collect();
+    for name in names {
+        let Some(pair) = name.strip_prefix(DATA_PREFIX) else {
+            continue;
+        };
+        let index = indices.iter().find(|(p, _)| *p == pair);
+        out.push(DroppingRef {
+            data_path: join(dir, name),
+            index_path: index.map(|(_, n)| join(dir, n)),
+        });
+    }
+}
+
 /// Enumerate all data droppings (with their index droppings) in a container,
-/// in a deterministic order. The position in the returned vector is the
-/// `dropping_id` used by the global index.
+/// in a deterministic order: the top-level pair off the container's own
+/// listing, then hostdir by hostdir (those the listing shows; a container
+/// holding only its creator's pair costs the one `readdir`). The position in
+/// the returned vector is the `dropping_id` used by the global index.
 pub fn list_droppings(b: &dyn Backing, container: &str) -> Result<Vec<DroppingRef>> {
     let mut out = Vec::new();
-    let mut hostdirs: Vec<String> = list_container(b, container)?
-        .into_iter()
+    let names = list_container(b, container)?;
+    pair_droppings(container, &names, &mut out);
+    let mut hostdirs: Vec<&String> = names
+        .iter()
         .filter(|n| n.starts_with(HOSTDIR_PREFIX))
         .collect();
     hostdirs.sort_by_key(|n| n[HOSTDIR_PREFIX.len()..].parse::<u32>().unwrap_or(u32::MAX));
     for hd in hostdirs {
-        let hd_path = join(container, &hd);
-        let names = b.readdir(&hd_path)?;
-        for name in &names {
-            if let Some(suffix) = name.strip_prefix(DATA_PREFIX) {
-                let index_name = format!("{INDEX_PREFIX}{suffix}");
-                let index_path = if names.iter().any(|n| n == &index_name) {
-                    Some(join(&hd_path, &index_name))
-                } else {
-                    None
-                };
-                out.push(DroppingRef {
-                    data_path: join(&hd_path, name),
-                    index_path,
-                });
-            }
-        }
+        let hd_path = join(container, hd);
+        pair_droppings(&hd_path, &b.readdir(&hd_path)?, &mut out);
     }
     Ok(out)
 }
@@ -367,17 +430,33 @@ pub fn read_index_runs(b: &dyn Backing, droppings: &[DroppingRef]) -> Result<Vec
     Ok(runs)
 }
 
+/// How often [`build_global_index`] lists again when an index dropping it
+/// was shown is gone by the time it opens it.
+const RELIST_ATTEMPTS: usize = 4;
+
 /// Load and merge every index dropping into a [`GlobalIndex`], numbering
 /// droppings by their position in [`list_droppings`] order: the runs of
 /// [`read_index_runs`] merged by [`GlobalIndex::from_sorted_runs`]. Steps
 /// the process write clock past what was merged (see
 /// [`observe_timestamp`]).
+///
+/// A top-level index dropping is renamed once in its life, when its writer
+/// closes; a reader that listed the container just before finds the old
+/// name gone and lists again (bounded) for the new one.
 pub fn build_global_index(
     b: &dyn Backing,
     container: &str,
 ) -> Result<(GlobalIndex, Vec<DroppingRef>)> {
-    let droppings = list_droppings(b, container)?;
-    let index = GlobalIndex::from_sorted_runs(read_index_runs(b, &droppings)?);
+    let mut attempt = 1;
+    let (runs, droppings) = loop {
+        let droppings = list_droppings(b, container)?;
+        match read_index_runs(b, &droppings) {
+            Ok(runs) => break (runs, droppings),
+            Err(Error::NotFound(_)) if attempt < RELIST_ATTEMPTS => attempt += 1,
+            Err(e) => return Err(e),
+        }
+    };
+    let index = GlobalIndex::from_sorted_runs(runs);
     observe_timestamp(index.max_timestamp());
     Ok((index, droppings))
 }
@@ -425,25 +504,36 @@ pub fn clear_names(b: &dyn Backing, container: &str, prefix: &str) -> Result<usi
 }
 
 /// Both lifecycle answers from one listing of the container directory:
-/// the count of open-writer markers, and the fast-stat `(max eof, total
-/// bytes)` over all drops (`None` if no writer has closed yet).
+/// the count of open writers — `open.*` markers and un-suffixed top-level
+/// index droppings — and the fast-stat `(max eof, total bytes)` over all
+/// drops, `meta.*` names and suffixed top-level index droppings alike
+/// (`None` if no writer has closed yet).
 pub fn read_lifecycle(b: &dyn Backing, container: &str) -> Result<(usize, Option<(u64, u64)>)> {
     let mut writers = 0;
     let mut best: Option<(u64, u64)> = None;
     for n in list_container(b, container)? {
-        if n.starts_with(OPEN_PREFIX) {
-            writers += 1;
+        // A name is an open writer (`None`), a closed one's drop, or neither.
+        let closed = if n.starts_with(OPEN_PREFIX) {
+            None
+        } else if let Some(rest) = n.strip_prefix(META_PREFIX) {
+            let mut it = rest.split('.').map(str::parse::<u64>);
+            let (Some(Ok(eof)), Some(Ok(bytes))) = (it.next(), it.next()) else {
+                continue;
+            };
+            Some((eof, bytes))
+        } else if let Some((_, closed)) = parse_index_name(&n) {
+            closed
+        } else {
+            continue;
+        };
+        match closed {
+            None => writers += 1,
+            Some((eof, bytes)) => {
+                let cur = best.get_or_insert((0, 0));
+                cur.0 = cur.0.max(eof);
+                cur.1 += bytes;
+            }
         }
-        let Some(rest) = n.strip_prefix(META_PREFIX) else {
-            continue;
-        };
-        let mut it = rest.split('.').map(str::parse::<u64>);
-        let (Some(Ok(eof)), Some(Ok(bytes))) = (it.next(), it.next()) else {
-            continue;
-        };
-        let cur = best.get_or_insert((0, 0));
-        cur.0 = cur.0.max(eof);
-        cur.1 += bytes;
     }
     Ok((writers, best))
 }
@@ -506,6 +596,31 @@ pub fn close_writer(
     }
 }
 
+/// Close of a top-level pair's writer: its index dropping takes the
+/// `<eof>.<bytes>` suffix in one `rename`, which drops its open marker and
+/// leaves its fast-stat drop at once (a suffix it already carries is
+/// replaced: repair). Returns the path the index now has — the one it had
+/// when a truncate took the pair away under its writer, which then has
+/// nothing to publish; with the whole container gone that is an error, as
+/// it is for a hostdir writer.
+pub fn close_toplevel(b: &dyn Backing, index_path: &str, eof: u64, bytes: u64) -> Result<String> {
+    let parsed = index_path
+        .rsplit_once('/')
+        .and_then(|(dir, name)| Some((dir, parse_index_name(name)?.0)));
+    let Some((dir, pair)) = parsed else {
+        return Err(Error::InvalidArg("not the path of an index dropping"));
+    };
+    let closed = join(dir, &format!("{INDEX_PREFIX}{pair}.{eof}.{bytes}"));
+    if closed == index_path {
+        return Ok(closed);
+    }
+    match b.rename(index_path, &closed) {
+        Ok(()) => Ok(closed),
+        Err(Error::NotFound(_)) if b.exists(dir) => Ok(index_path.to_string()),
+        Err(e) => Err(e),
+    }
+}
+
 /// Delete a container and everything inside it, by layout: every entry but
 /// a `hostdir.*` is a file and a hostdir holds only files, so nothing is
 /// probed before it is removed. An entry that says otherwise (a legacy
@@ -559,16 +674,16 @@ mod tests {
             num_hostdirs: 5,
             mode: LayoutMode::Both,
         };
-        let got = create_container(&b, "/f", &p, true).unwrap();
-        assert_eq!(got.num_hostdirs, 5);
+        let (got, how) = create_container(&b, "/f", &p, true).unwrap();
+        assert_eq!((got.num_hostdirs, how), (5, Creation::Made));
         // Reopening an existing container hands back the *stored* params,
         // not the caller's defaults.
         let other = ContainerParams {
             num_hostdirs: 9,
             mode: LayoutMode::Both,
         };
-        let got = create_container(&b, "/f", &other, false).unwrap();
-        assert_eq!(got.num_hostdirs, 5);
+        let (got, how) = create_container(&b, "/f", &other, false).unwrap();
+        assert_eq!((got.num_hostdirs, how), (5, Creation::Joined));
     }
 
     #[test]
@@ -714,6 +829,65 @@ mod tests {
         close_writer(&b, "/c", 10, 10, 2, 0).unwrap();
         close_writer(&b, "/c", 30, 5, 1, 0).unwrap();
         assert_eq!(read_lifecycle(&b, "/c").unwrap(), (0, Some((30, 15))));
+    }
+
+    #[test]
+    fn toplevel_pair_lists_under_either_index_spelling_and_is_its_own_lifecycle() {
+        let b = mem();
+        let p = ContainerParams::default();
+        create_container(&b, "/c", &p, true).unwrap();
+        let (dp, ip) = toplevel_pair_paths("/c", 7, 0);
+        b.create(&dp, true).unwrap();
+        b.create(&ip, true).unwrap();
+        ensure_hostdir(&b, "/c", &p, 9).unwrap();
+        b.create(&data_dropping_path("/c", &p, 9, 0), true).unwrap();
+        b.create(&index_dropping_path("/c", &p, 9, 0), true)
+            .unwrap();
+        mark_open(&b, "/c", 9, 0).unwrap();
+        let listed = |b: &MemBacking| {
+            let d = list_droppings(b, "/c").unwrap();
+            assert_eq!(d.len(), 2);
+            assert_eq!(d[0].data_path, dp, "the top-level pair lists first");
+            d[0].index_path.clone().unwrap()
+        };
+        // Un-suffixed, the index is its writer's open marker.
+        assert_eq!(listed(&b), ip);
+        assert_eq!(read_lifecycle(&b, "/c").unwrap(), (2, None));
+        // Closed, the same file is the fast-stat drop.
+        let closed = close_toplevel(&b, &ip, 100, 60).unwrap();
+        assert_eq!(closed, "/c/dropping.index.7.0.100.60");
+        assert_eq!(listed(&b), closed);
+        close_writer(&b, "/c", 80, 40, 9, 0).unwrap();
+        assert_eq!(read_lifecycle(&b, "/c").unwrap(), (0, Some((100, 100))));
+        // Clearing the `meta.*` drops never takes index records with it.
+        assert_eq!(clear_names(&b, "/c", META_PREFIX).unwrap(), 1);
+        assert_eq!(listed(&b), closed);
+        // The pair gone under its writer: close has nothing to publish.
+        b.unlink(&closed).unwrap();
+        assert_eq!(close_toplevel(&b, &ip, 1, 1).unwrap(), ip);
+    }
+
+    #[test]
+    fn index_names_parse_into_pair_and_suffix() {
+        assert_eq!(parse_index_name("dropping.index.7.0"), Some(("7.0", None)));
+        assert_eq!(
+            parse_index_name("dropping.index.7.12.4096.512"),
+            Some(("7.12", Some((4096, 512))))
+        );
+        assert_eq!(
+            parse_index_name("dropping.index.shared.0"),
+            Some(("shared.0", None))
+        );
+        for junk in [
+            "dropping.index.7",
+            "dropping.index.7.0.1",
+            "dropping.index.7.0.x.1",
+            "dropping.index.7.0.1.2.3",
+            "dropping.data.7.0",
+            "meta.1.2.7.0",
+        ] {
+            assert_eq!(parse_index_name(junk), None, "{junk}");
+        }
     }
 
     #[test]

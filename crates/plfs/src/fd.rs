@@ -75,6 +75,9 @@ pub struct PlfsFd {
     /// caching is off). The fd keeps its writer counts and fast-stat
     /// verdicts honest as writers come and go.
     cache: Option<Arc<MetaCache>>,
+    /// This fd's open made the container, and no writer has been opened
+    /// through it yet: the first one takes the top-level dropping pair.
+    creator: AtomicBool,
     /// Hostdir ids already known to exist — `ensure_hostdir` runs once per
     /// (container, hostdir) instead of once per writer open. Cleared by
     /// [`PlfsFd::reset_writers`], since truncate removes hostdir trees.
@@ -116,6 +119,7 @@ impl PlfsFd {
             flags,
             conf: conf.validated(),
             cache: None,
+            creator: AtomicBool::new(false),
             hostdirs_ready: Mutex::new(HashSet::new()),
             shards: std::array::from_fn(|_| Mutex::new(HashMap::new())),
             refs: Mutex::new(refs),
@@ -130,6 +134,13 @@ impl PlfsFd {
     /// Attach the process-wide metadata cache this fd keeps current.
     pub(crate) fn with_meta_cache(mut self, cache: Arc<MetaCache>) -> PlfsFd {
         self.cache = Some(cache);
+        self
+    }
+
+    /// Mark this fd as the one whose open made the container
+    /// ([`container::Creation::Made`]).
+    pub(crate) fn into_creator(mut self) -> PlfsFd {
+        self.creator = AtomicBool::new(true);
         self
     }
 
@@ -313,7 +324,15 @@ impl PlfsFd {
             return Ok(0);
         }
         if let std::collections::hash_map::Entry::Vacant(e) = shard.entry(pid) {
-            self.ensure_hostdir_once(pid)?;
+            // The creator's first writer, and only that one: whatever else
+            // happens to this fd (a failed open, a truncate) the rest get
+            // hostdir pairs. Log mode shares one pair among all writers.
+            let top_level = self.params.mode != container::LayoutMode::LogStructured
+                // relaxed: a one-shot token; the swap's atomicity is all it needs, it publishes nothing
+                && self.creator.swap(false, Ordering::Relaxed);
+            if !top_level {
+                self.ensure_hostdir_once(pid)?;
+            }
             let mut w = WriteFile::open_prepared(
                 self.backing.as_ref(),
                 &self.container,
@@ -321,6 +340,7 @@ impl PlfsFd {
                 pid,
                 self.conf.index_buffer_entries,
                 self.flags.readable(),
+                top_level,
             )?;
             self.note_writer_open(&mut w)?;
             e.insert(w);
@@ -350,11 +370,14 @@ impl PlfsFd {
 
     /// Record a new writer: place the open marker of its dropping pair —
     /// one per pair, so every fd and pid keeps its own, visible to any
-    /// process listing the container — and bump the cached writer count.
+    /// process listing the container; a top-level pair's index dropping
+    /// already is one — and bump the cached writer count.
     fn note_writer_open(&self, w: &mut WriteFile) -> Result<()> {
-        let t0 = iotrace::global().start();
-        w.seq = container::mark_open(self.backing.as_ref(), &self.container, w.pid(), w.seq)?;
-        self.trace_marker(t0);
+        if !w.top_level() {
+            let t0 = iotrace::global().start();
+            w.seq = container::mark_open(self.backing.as_ref(), &self.container, w.pid(), w.seq)?;
+            self.trace_marker(t0);
+        }
         // Count the writer only once its marker landed: a failed mark_open
         // propagates before the WriteFile is installed, so no close would
         // ever decrement — the count would pin local_writers above zero
@@ -575,8 +598,15 @@ impl PlfsFd {
                 if let Some(c) = &self.cache {
                     c.writer_dec(&self.container);
                 }
-                // plfs-lint: allow(lock-across-io, "intentional quiesce: truncate holds the reader lock while tearing down writers so no refresh observes a half-reset fd")
-                container::mark_closed(self.backing.as_ref(), &self.container, pid, w.seq)?;
+                if w.top_level() {
+                    // Its marker is also its index: closed by rename, for
+                    // the truncate that follows to remove with the rest.
+                    // plfs-lint: allow(lock-across-io, "intentional quiesce: truncate holds the reader lock while tearing down writers so no refresh observes a half-reset fd")
+                    w.close_names(self.backing.as_ref(), &self.container)?;
+                } else {
+                    // plfs-lint: allow(lock-across-io, "intentional quiesce: same section as close_names above")
+                    container::mark_closed(self.backing.as_ref(), &self.container, pid, w.seq)?;
+                }
             }
         }
         // Truncate removes hostdir trees: forget what existed.
@@ -618,15 +648,8 @@ impl PlfsFd {
                     c.writer_dec(&self.container);
                 }
                 let t0 = iotrace::global().start();
-                container::close_writer(
-                    // plfs-lint: allow(lock-across-io, "intentional: last-reference teardown must be serialized; refs is close-path bookkeeping, never taken on the data plane")
-                    self.backing.as_ref(),
-                    &self.container,
-                    w.max_eof(),
-                    w.bytes_written(),
-                    pid,
-                    w.seq,
-                )?;
+                // plfs-lint: allow(lock-across-io, "intentional: last-reference teardown must be serialized; refs is close-path bookkeeping, never taken on the data plane")
+                w.close_names(self.backing.as_ref(), &self.container)?;
                 self.trace_marker(t0);
                 // The departing writer's dropping pair is immutable from
                 // here on (each partitioned pair has exactly one writer);
@@ -634,9 +657,9 @@ impl PlfsFd {
                 // LogStructured droppings are shared and may gain writers
                 // later, so they are never sealed.
                 if self.params.mode != container::LayoutMode::LogStructured {
-                    // plfs-lint: allow(lock-across-io, "intentional: same close-path teardown section as close_writer above")
+                    // plfs-lint: allow(lock-across-io, "intentional: same close-path teardown section as close_names above")
                     self.backing.seal(w.data_path())?;
-                    // plfs-lint: allow(lock-across-io, "intentional: same close-path teardown section as close_writer above")
+                    // plfs-lint: allow(lock-across-io, "intentional: same close-path teardown section as close_names above")
                     self.backing.seal(w.index_path())?;
                 }
                 if let Some(c) = &self.cache {

@@ -1,6 +1,8 @@
 //! The per-pid write path.
 //!
-//! Every writer pid owns a data dropping and an index dropping. A logical
+//! Every writer pid owns a data dropping and an index dropping — in its
+//! hostdir, or, for the writer that made the container, in the container
+//! directory itself (see [`crate::container`]). A logical
 //! `write(buf, offset)` becomes:
 //!
 //! 1. append `buf` to the data dropping (sequential on disk — the
@@ -33,6 +35,9 @@ pub struct WriteFile {
     data_path: String,
     index_path: String,
     mode: LayoutMode,
+    /// The creator's pair, in the container directory: its index dropping's
+    /// name is its lifecycle, and it has no `open.*`/`meta.*` names.
+    top_level: bool,
     pid: u64,
     /// The number in this writer's lifecycle names, unique to it among
     /// its pid's: its dropping pair's — or, in log mode where every writer
@@ -70,14 +75,16 @@ impl WriteFile {
         buffer_limit: usize,
     ) -> Result<WriteFile> {
         container::ensure_hostdir(b, container, params, pid)?;
-        WriteFile::open_prepared(b, container, params, pid, buffer_limit, false)
+        WriteFile::open_prepared(b, container, params, pid, buffer_limit, false, false)
     }
 
     /// Like [`WriteFile::open`], but trusting the caller that the pid's
     /// hostdir already exists — `PlfsFd` memoizes `ensure_hostdir` per
     /// (container, hostdir), so repeat writers skip the mkdir entirely —
     /// and, with `track`, keeping flushed entries for
-    /// [`WriteFile::take_unmerged`].
+    /// [`WriteFile::take_unmerged`]. With `top_level` (the container's
+    /// creator; never in log mode) the pair goes in the container directory
+    /// and needs no hostdir at all.
     pub(crate) fn open_prepared(
         b: &dyn Backing,
         container: &str,
@@ -85,6 +92,7 @@ impl WriteFile {
         pid: u64,
         buffer_limit: usize,
         track: bool,
+        top_level: bool,
     ) -> Result<WriteFile> {
         let (data, index, data_path, index_path, seq) = match params.mode {
             LayoutMode::LogStructured => {
@@ -111,14 +119,20 @@ impl WriteFile {
                 // the per-open metadata storm the paper blames for the
                 // Lustre open() collapse. A reopen costs `seq + 1` creates
                 // and zero readdirs.
+                let pair = |seq| {
+                    if top_level {
+                        return container::toplevel_pair_paths(container, pid, seq);
+                    }
+                    (
+                        container::data_dropping_path(container, params, pid, seq),
+                        container::index_dropping_path(container, params, pid, seq),
+                    )
+                };
                 let mut seq = 0u32;
                 loop {
-                    let dp = container::data_dropping_path(container, params, pid, seq);
+                    let (dp, ip) = pair(seq);
                     match b.create(&dp, true) {
-                        Ok(data) => {
-                            let ip = container::index_dropping_path(container, params, pid, seq);
-                            break (data, b.create(&ip, true)?, dp, ip, seq);
-                        }
+                        Ok(data) => break (data, b.create(&ip, true)?, dp, ip, seq),
                         Err(Error::Exists(_)) => seq += 1,
                         Err(e) => return Err(e),
                     }
@@ -131,6 +145,7 @@ impl WriteFile {
             data_path,
             index_path,
             mode: params.mode,
+            top_level,
             pid,
             seq,
             buffered: Vec::new(),
@@ -213,6 +228,25 @@ impl WriteFile {
         out.extend_from_slice(&self.buffered[self.fed..]);
         self.fed = self.buffered.len();
         out
+    }
+
+    /// Does this writer hold the container's top-level pair?
+    pub(crate) fn top_level(&self) -> bool {
+        self.top_level
+    }
+
+    /// Leave the names of a closed writer, one `rename` either way: a
+    /// top-level pair's index dropping takes its suffix (and this writer's
+    /// [`WriteFile::index_path`] follows it), a hostdir pair's open marker
+    /// becomes its `meta.*` drop. Call after the last [`WriteFile::sync`].
+    pub(crate) fn close_names(&mut self, b: &dyn Backing, container: &str) -> Result<()> {
+        let (eof, bytes) = (self.max_eof, self.bytes_written);
+        if self.top_level {
+            self.index_path = container::close_toplevel(b, &self.index_path, eof, bytes)?;
+            Ok(())
+        } else {
+            container::close_writer(b, container, eof, bytes, self.pid, self.seq)
+        }
     }
 
     /// Backend path of this writer's data dropping.
@@ -417,6 +451,27 @@ mod tests {
     }
 
     #[test]
+    fn toplevel_pair_sits_in_the_container_directory_and_closes_by_rename() {
+        let (b, p) = setup(LayoutMode::Both);
+        let mut w = WriteFile::open_prepared(&b, "/c", &p, 9, 64, false, true).unwrap();
+        w.write(b"first", 10).unwrap();
+        w.sync().unwrap();
+        let mut names = b.readdir("/c").unwrap();
+        names.sort();
+        assert_eq!(
+            names,
+            [".plfsaccess", "dropping.data.9.0", "dropping.index.9.0"],
+            "no hostdir, no marker"
+        );
+        w.close_names(&b, "/c").unwrap();
+        assert_eq!(w.index_path(), "/c/dropping.index.9.0.15.5");
+        assert_eq!(b.stat(w.index_path()).unwrap().size, RECORD_SIZE as u64);
+        // A second pair of the pid beside it: the data name is the arbiter.
+        let again = WriteFile::open_prepared(&b, "/c", &p, 9, 64, false, true).unwrap();
+        assert_eq!(again.index_path(), "/c/dropping.index.9.1");
+    }
+
+    #[test]
     fn log_mode_shares_one_data_dropping() {
         let (b, p) = setup(LayoutMode::LogStructured);
         let mut w1 = WriteFile::open(&b, "/c", &p, 1, 64).unwrap();
@@ -459,7 +514,7 @@ mod tests {
     fn unmerged_entries_drain_once_flushed_or_not() {
         let (b, p) = setup(LayoutMode::Both);
         container::ensure_hostdir(&b, "/c", &p, 1).unwrap();
-        let mut w = WriteFile::open_prepared(&b, "/c", &p, 1, 64, true).unwrap();
+        let mut w = WriteFile::open_prepared(&b, "/c", &p, 1, 64, true, false).unwrap();
         // Irregular offsets: pattern compression stays out of the way.
         w.write(b"abcd", 100).unwrap();
         w.write(b"efgh", 7).unwrap();

@@ -2,7 +2,8 @@
 //! logical file at the same moment race in `create_container` — the loser
 //! sees the directory before the access file exists, or loses the `mkdir`,
 //! and used to get `EEXIST` on a non-exclusive create. Both interleavings
-//! are forced here with a gating backing, never with sleeps.
+//! are forced here with a gating backing, never with sleeps. The loser is
+//! also never the container's creator: whatever it writes goes to a hostdir.
 
 use plfs::{
     BackStat, Backing, BackingFile, ContainerParams, Error, MemBacking, OpenFlags, Plfs, Result,
@@ -86,8 +87,14 @@ fn mount(b: &Arc<Gated>) -> Plfs {
 }
 
 fn assert_one_container(b: &Arc<Gated>) {
-    let names = b.inner.readdir("/f").unwrap();
-    assert_eq!(names, [".plfsaccess"], "one skeleton");
+    let mut names = b.inner.readdir("/f").unwrap();
+    // What the losers wrote: hostdir pairs with their lifecycle names.
+    names.retain(|n| {
+        !["hostdir.", "open.", "meta."]
+            .iter()
+            .any(|p| n.starts_with(p))
+    });
+    assert_eq!(names, [".plfsaccess"], "one skeleton, no top-level pair");
     let fd = mount(b).open("/f", OpenFlags::RDONLY, 0).unwrap();
     assert_eq!(fd.params().num_hostdirs, 7, "the winner's params");
 }
@@ -124,6 +131,8 @@ fn losers_that_see_the_bare_directory_wait_for_the_access_file() {
                         let flags = OpenFlags::WRONLY | OpenFlags::CREAT;
                         p.open("/f", flags, i as u64).map(|fd| {
                             assert_eq!(fd.params().num_hostdirs, 7);
+                            fd.write(b"joined", 0, i as u64).unwrap();
+                            fd.close(i as u64).unwrap();
                         })
                     }
                 })
@@ -172,13 +181,16 @@ fn losers_of_the_mkdir_wait_for_the_access_file() {
                 })
             })
             .collect();
+        let mut made = 0;
         for (i, r) in racers.into_iter().enumerate() {
-            let p = r
+            let (p, how) = r
                 .join()
                 .unwrap()
                 .unwrap_or_else(|e| panic!("racer {i}: {e}"));
             assert_eq!(p.num_hostdirs, 7, "params agree");
+            made += usize::from(how == plfs::container::Creation::Made);
         }
+        assert_eq!(made, 1, "one creator, the rest joined");
     });
     assert_one_container(&b);
 }

@@ -100,15 +100,27 @@ fn container_structure_created_on_backend() {
         "dd failed: {}",
         String::from_utf8_lossy(&out.stderr)
     );
-    // Figure 1 structure visible on the host file system.
+    // The container visible on the host file system. `dd` made the file,
+    // so its droppings are the top-level pair beside the access file: no
+    // hostdir, and the closed index's name is the fast-stat drop.
     let container = env.backend.join("zeros.bin");
     assert!(container.join(".plfsaccess").exists(), "container marker");
-    let hostdirs: Vec<_> = std::fs::read_dir(&container)
+    let names: Vec<String> = std::fs::read_dir(&container)
         .unwrap()
-        .filter_map(|e| e.ok())
-        .filter(|e| e.file_name().to_string_lossy().starts_with("hostdir."))
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
         .collect();
-    assert!(!hostdirs.is_empty(), "droppings live in hostdirs");
+    let has = |prefix: &str| names.iter().any(|n| n.starts_with(prefix));
+    assert!(has("dropping.data."), "{names:?}");
+    assert!(
+        names
+            .iter()
+            .any(|n| n.starts_with("dropping.index.") && n.ends_with(".65536.65536")),
+        "{names:?}"
+    );
+    assert!(
+        !has("hostdir.") && !has("open.") && !has("meta."),
+        "{names:?}"
+    );
 }
 
 #[test]
@@ -315,21 +327,22 @@ fn twin_and_containers(env: &Env) -> (PathBuf, [String; 2]) {
     }
     // The 1234-byte tail: "block" 1 at a block size of the whole body.
     dd_in(env, &twin, &multi, BLOCK * BLOCKS, 1, 1);
+    // The process that made the file left its pair in the container
+    // directory; every later one wrote into a hostdir.
     let droppings = |name: &str| {
-        let mut n = 0;
-        for hostdir in std::fs::read_dir(env.backend.join(name)).unwrap() {
-            let hostdir = hostdir.unwrap().path();
-            if hostdir.is_dir() {
-                n += std::fs::read_dir(hostdir)
-                    .unwrap()
-                    .filter(|e| {
-                        let name = e.as_ref().unwrap().file_name();
-                        name.to_string_lossy().starts_with("dropping.data.")
-                    })
-                    .count();
-            }
-        }
-        n
+        let data_in = |dir: &std::path::Path| {
+            let names = std::fs::read_dir(dir).unwrap();
+            names
+                .filter(|e| {
+                    let name = e.as_ref().unwrap().file_name();
+                    name.to_string_lossy().starts_with("dropping.data.")
+                })
+                .count()
+        };
+        let container = env.backend.join(name);
+        let hostdirs = std::fs::read_dir(&container).unwrap();
+        let hostdirs = hostdirs.map(|e| e.unwrap().path()).filter(|p| p.is_dir());
+        data_in(&container) + hostdirs.map(|hd| data_in(&hd)).sum::<usize>()
     };
     assert_eq!(droppings("single.bin"), 1);
     assert_eq!(droppings("multi.bin"), RUNS + 1);

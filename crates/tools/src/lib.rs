@@ -590,12 +590,24 @@ fn gate_metrics(doc: &jsonlite::Value) -> Result<Vec<(String, f64, bool)>, ToolE
                     }
                 }
             }
-            for row in data.get("storm").and_then(|m| m.as_array()).unwrap_or(&[]) {
-                if let (Some(p), Some(s)) = (
-                    row.get("procs").and_then(|v| v.as_u64()),
-                    row.get("secs").and_then(|v| v.as_f64()),
-                ) {
-                    out.push((format!("storm_secs[{p} procs]"), s, false));
+            // The small-file cycle's count is held to GATE_CEILINGS; its
+            // modeled storm gates like the checkpoint cycle's.
+            let small = data.get("small_file");
+            if let Some(n) = small.and_then(|s| s.get("total_ops")?.as_f64()) {
+                out.push(("small_file_cycle_ops".to_string(), n, false));
+            }
+            let storms = [
+                ("storm_secs", data.get("storm")),
+                ("small_file_storm_secs", small.and_then(|s| s.get("storm"))),
+            ];
+            for (name, rows) in storms {
+                for row in rows.and_then(|m| m.as_array()).unwrap_or(&[]) {
+                    if let (Some(p), Some(s)) = (
+                        row.get("procs").and_then(|v| v.as_u64()),
+                        row.get("secs").and_then(|v| v.as_f64()),
+                    ) {
+                        out.push((format!("{name}[{p} procs]"), s, false));
+                    }
                 }
             }
         }
@@ -644,11 +656,14 @@ fn gate_metrics(doc: &jsonlite::Value) -> Result<Vec<(String, f64, bool)>, ToolE
 /// than any useful relative threshold), anything that copies or rebuilds
 /// the index per read-after-write reads ~256x.
 /// `metadata`'s `open+write+close` counts are exact: four ranks through one
-/// fd onto an existing container, with the cache off (`eager`) and on.
-const GATE_CEILINGS: [(&str, f64); 3] = [
+/// fd onto an existing container, with the cache off (`eager`) and on; so is
+/// its small-file cycle (create, write, close, stat, open, read, close,
+/// unlink of a 1 KiB file with the defaults).
+const GATE_CEILINGS: [(&str, f64); 4] = [
     ("refresh_growth", 4.0),
-    ("eager_ops[open+write+close]", 32.0),
+    ("eager_ops[open+write+close]", 31.0),
     ("cached_ops[open+write+close]", 28.0),
+    ("small_file_cycle_ops", 17.0),
 ];
 
 /// `benchgate`: compare a fresh `BENCH_*.json` against the committed
@@ -1049,6 +1064,27 @@ mod tests {
         let err = benchgate(&doc(4.0, 2.0), &doc(1.0, 2.2), 0.30).unwrap_err();
         assert!(
             matches!(err, ToolError::Gate(ref m) if m.contains("ops_reduction[reopen]")),
+            "{err:?}"
+        );
+        // So is the small-file cycle's, and its modeled storm gates too.
+        let small = |ops: u64, secs: f64| {
+            let tail = format!(
+                ",\"small_file\":{{\"total_ops\":{ops},\
+                 \"storm\":[{{\"procs\":256,\"secs\":{secs}}}]}}}},\"trace\":{{}}}}"
+            );
+            doc(4.0, 2.0).replace("},\"trace\":{}}", &tail)
+        };
+        let out = benchcheck(&small(17, 9.0), "BENCH_metadata.json").unwrap();
+        assert!(out.contains("5 gated metric"), "{out}");
+        assert!(benchgate(&small(24, 9.0), &small(17, 9.0), 0.30).is_ok());
+        let err = benchgate(&small(17, 9.0), &small(18, 9.0), 0.30).unwrap_err();
+        assert!(
+            matches!(err, ToolError::Gate(ref m) if m.contains("small_file_cycle_ops")),
+            "{err:?}"
+        );
+        let err = benchgate(&small(17, 9.0), &small(17, 12.0), 0.30).unwrap_err();
+        assert!(
+            matches!(err, ToolError::Gate(ref m) if m.contains("small_file_storm_secs[256 procs]")),
             "{err:?}"
         );
         // The projected storm gates on its seconds: lower is better.

@@ -4,8 +4,9 @@
 # gated metric (write-path patch-cost growth across the resident-index
 # sweep — absolute bar 4x, Table II shim-overhead ratio,
 # metadata ops-per-open reduction, per-phase op counts — the
-# open+write+close cycle held to absolute ceilings, 32 ops cache-off and
-# 28 default — and the projected MDS-storm seconds of the default profile,
+# open+write+close cycle held to absolute ceilings, 31 ops cache-off and
+# 28 default, the small-file cycle to 17 — and the projected MDS-storm
+# seconds of both measured profiles,
 # list-I/O vs sieving/per-extent speedups, burst-buffer destage overlap
 # speedup) regresses by more than the threshold.
 # Only runner-speed-independent ratios and exact counts are gated, so the

@@ -64,4 +64,18 @@ cargo run --offline --release -q -p bench --bin paperbench -- \
     staging2 --quick --emit-json "$tmp" > /dev/null
 cargo run --offline --release -q -p plfs-tools -- benchcheck "$tmp"/BENCH_*.json
 
+# The harness build above rewrites benchmark/Cargo.lock (it prunes entries
+# the product crates no longer pull in). benchmark/ is frozen between
+# [benchmark] PRs: put the lock file back, then nothing under it — nor
+# BENCHMARK.json — may differ from the commit.
+if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
+    git checkout -- benchmark/Cargo.lock
+    dirty=$(git status --porcelain benchmark BENCHMARK.json)
+    if [ -n "$dirty" ]; then
+        echo "verify: the frozen benchmark differs from the commit:" >&2
+        echo "$dirty" >&2
+        exit 1
+    fi
+fi
+
 echo "verify: OK"

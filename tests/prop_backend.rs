@@ -260,3 +260,35 @@ fn crash_mid_destage_reads_serve_fast_copy() {
     assert_eq!(buf, payload, "fast copy must win over the torn slow copy");
     assert!(tiered.tier_stats().tier_hits > 0);
 }
+
+/// The creator's close over a tiered mount: its index dropping is renamed
+/// while still fast-resident, then sealed under the new name — both
+/// droppings destage, and the closed name is the one the slow tier keeps.
+#[test]
+fn creators_renamed_index_destages_under_its_closed_name() {
+    let (fast, slow) = (Arc::new(MemBacking::new()), Arc::new(MemBacking::new()));
+    let tiered = Arc::new(TieredBacking::new(fast.clone(), slow.clone(), &conf()));
+    let plfs = Plfs::new(tiered.clone() as Arc<dyn Backing>);
+    let fd = plfs
+        .open("/ckpt", OpenFlags::WRONLY | OpenFlags::CREAT, 7)
+        .unwrap();
+    plfs.write(&fd, &[5u8; 300], 0, 7).unwrap();
+    assert!(fast.exists("/ckpt/dropping.index.7.0"));
+    plfs.close(&fd, 7).unwrap();
+    tiered.drain();
+    assert_eq!(tiered.tier_stats().destage_errors, 0);
+    let mut resident = tiered.slow_resident();
+    resident.sort();
+    assert_eq!(
+        resident,
+        [
+            "/ckpt/dropping.data.7.0",
+            "/ckpt/dropping.index.7.0.300.300"
+        ]
+    );
+    assert!(!fast.exists("/ckpt/dropping.index.7.0.300.300"));
+    let st = Plfs::new(tiered.clone() as Arc<dyn Backing>)
+        .getattr("/ckpt")
+        .unwrap();
+    assert_eq!((st.size, st.physical_bytes), (300, 300));
+}

@@ -56,12 +56,8 @@ fn check_repair_cycle_on_real_backend() {
 
     // Crash-tear the index on the host file system directly.
     let container = root.join("backend/f");
-    let hostdir = std::fs::read_dir(&container)
-        .unwrap()
-        .filter_map(|e| e.ok())
-        .find(|e| e.file_name().to_string_lossy().starts_with("hostdir."))
-        .expect("hostdir");
-    let index = std::fs::read_dir(hostdir.path())
+    // The shim made the file: its index is the top-level one.
+    let index = std::fs::read_dir(&container)
         .unwrap()
         .filter_map(|e| e.ok())
         .find(|e| {
