@@ -14,7 +14,10 @@
 //!    check is one `Relaxed` atomic load ([`TraceSink::start`] returns
 //!    `None` without reading the clock), and the disabled path performs no
 //!    allocation — enforced by the `no_alloc` integration test and the
-//!    `micro_shim` criterion bench.
+//!    `micro_shim` criterion bench. The record ring is allocated when a
+//!    sink is first enabled, not when it is built: every process under the
+//!    preload that reaches PLFS touches [`global`], and a ring it never
+//!    fills is megabytes of resident memory it pays for nothing.
 //! 2. **Lock-free when enabled.** Counters and latency histograms are plain
 //!    atomics; full records go to a bounded Vyukov-style MPMC ring buffer
 //!    that drops (and counts) records under overflow rather than blocking
@@ -470,7 +473,10 @@ struct Interner {
 pub struct TraceSink {
     enabled: AtomicBool,
     epoch: Instant,
-    ring: Ring,
+    /// Built by the first [`TraceSink::set_enabled`]`(true)`; records that
+    /// arrive before it (a racing enable) count as dropped.
+    ring: OnceLock<Ring>,
+    capacity: usize,
     ops: [[AtomicU64; NOPS]; NLAYERS],
     bytes: [[AtomicU64; NOPS]; NLAYERS],
     hits: [[AtomicU64; NOPS]; NLAYERS],
@@ -491,13 +497,15 @@ pub fn bucket_of(latency_ns: u64) -> usize {
 }
 
 impl TraceSink {
-    /// A disabled sink whose ring holds up to `capacity` records
-    /// (rounded up to a power of two).
+    /// A disabled sink whose ring will hold up to `capacity` records
+    /// (rounded up to a power of two). Allocates nothing for the ring until
+    /// the sink is first enabled.
     pub fn new(capacity: usize) -> TraceSink {
         TraceSink {
             enabled: AtomicBool::new(false),
             epoch: Instant::now(),
-            ring: Ring::new(capacity),
+            ring: OnceLock::new(),
+            capacity,
             ops: std::array::from_fn(|_| std::array::from_fn(|_| AtomicU64::new(0))),
             bytes: std::array::from_fn(|_| std::array::from_fn(|_| AtomicU64::new(0))),
             hits: std::array::from_fn(|_| std::array::from_fn(|_| AtomicU64::new(0))),
@@ -520,8 +528,11 @@ impl TraceSink {
         self.enabled.load(Ordering::Relaxed)
     }
 
-    /// Turn recording on or off.
+    /// Turn recording on or off. The first switch-on allocates the ring.
     pub fn set_enabled(&self, on: bool) {
+        if on {
+            self.ring.get_or_init(|| Ring::new(self.capacity));
+        }
         // relaxed: see enabled(): records racing an off-switch may still land, which is fine
         self.enabled.store(on, Ordering::Relaxed);
     }
@@ -591,7 +602,7 @@ impl TraceSink {
             latency_ns,
             hit: ev.hit,
         };
-        if self.ring.push(rec) {
+        if self.ring.get().is_some_and(|r| r.push(rec)) {
             // relaxed: ring accounting counters; only totals are read, never used for synchronization
             self.recorded.fetch_add(1, Ordering::Relaxed);
         } else {
@@ -622,8 +633,10 @@ impl TraceSink {
     /// Pop every buffered record (oldest first).
     pub fn drain(&self) -> Vec<TraceRecord> {
         let mut out = Vec::new();
-        while let Some(r) = self.ring.pop() {
-            out.push(r);
+        if let Some(ring) = self.ring.get() {
+            while let Some(r) = ring.pop() {
+                out.push(r);
+            }
         }
         out
     }
@@ -654,7 +667,9 @@ impl TraceSink {
                 }
             }
         }
-        while self.ring.pop().is_some() {}
+        if let Some(ring) = self.ring.get() {
+            while ring.pop().is_some() {}
+        }
         // relaxed: reset is a test/maintenance path; racing increments after the store are acceptable losses
         self.recorded.store(0, Ordering::Relaxed);
         self.dropped.store(0, Ordering::Relaxed); // relaxed: same
@@ -884,7 +899,7 @@ pub fn record_from_json(v: &jsonlite::Value) -> Option<(TraceRecord, Option<Stri
 static GLOBAL: OnceLock<TraceSink> = OnceLock::new();
 
 /// The process-wide sink (disabled until something enables it). Capacity:
-/// 64Ki records.
+/// 64Ki records, allocated (≈ 4 MiB) at the first enable.
 pub fn global() -> &'static TraceSink {
     GLOBAL.get_or_init(|| TraceSink::new(1 << 16))
 }

@@ -13,7 +13,9 @@ use crate::error::{Error, Result};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fs;
-use std::io::{Seek, SeekFrom, Write};
+use std::io::Seek;
+use std::os::fd::AsRawFd;
+use std::os::raw::c_int;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -170,10 +172,26 @@ impl RealBacking {
 
 struct RealFile {
     file: fs::File,
-    /// Serialises [`BackingFile::append`]'s seek-to-end + write, the only
-    /// use of the shared cursor; positional I/O is one lock-free syscall.
+    /// Serialises [`BackingFile::append`]'s write + position read, the
+    /// only use of this handle's cursor; positional I/O is one lock-free
+    /// syscall.
     append: Mutex<()>,
     writable: bool,
+}
+
+#[repr(C)]
+struct IoVec {
+    base: *const u8,
+    len: usize,
+}
+
+/// `RWF_APPEND` (Linux ≥ 4.16): this one write goes to end-of-file, which
+/// the kernel resolves under the inode lock — as `O_APPEND` would, without
+/// turning every `pwrite` on the handle into an append.
+const RWF_APPEND: c_int = 0x10;
+
+extern "C" {
+    fn pwritev2(fd: c_int, iov: *const IoVec, iovcnt: c_int, off: i64, flags: c_int) -> isize;
 }
 
 impl RealFile {
@@ -212,11 +230,37 @@ impl BackingFile for RealFile {
         if !self.writable {
             return Err(Error::BadMode("file opened read-only"));
         }
+        // EOF is found by the kernel in the same step that writes there, so
+        // handles on one file (log mode's shared dropping, written by every
+        // pid) never land on the same offset. Offset -1 writes at this
+        // handle's cursor, which the append moves to the end of the bytes it
+        // wrote: reading it back says where they landed.
         let _cursor = self.append.lock();
-        let mut f = &self.file;
-        let off = f.seek(SeekFrom::End(0)).map_err(Error::Io)?;
-        f.write_all(buf).map_err(Error::Io)?;
-        Ok(off)
+        let iov = IoVec {
+            base: buf.as_ptr(),
+            len: buf.len(),
+        };
+        let n = loop {
+            // SAFETY: `iov` describes `buf`, live and unaliased for the call.
+            let n = unsafe { pwritev2(self.file.as_raw_fd(), &iov, 1, -1, RWF_APPEND) };
+            if n >= 0 {
+                break n as usize;
+            }
+            let e = std::io::Error::last_os_error();
+            if e.kind() != std::io::ErrorKind::Interrupted {
+                return Err(Error::Io(e));
+            }
+        };
+        if n < buf.len() {
+            // The rest could only follow as a second append, which another
+            // handle's may precede: the record would not be contiguous.
+            return Err(Error::Io(std::io::Error::new(
+                std::io::ErrorKind::WriteZero,
+                format!("short append: {n} of {} bytes", buf.len()),
+            )));
+        }
+        let end = (&self.file).stream_position().map_err(Error::Io)?;
+        Ok(end - n as u64)
     }
 
     fn size(&self) -> Result<u64> {
@@ -673,6 +717,45 @@ mod tests {
             assert_eq!(f.append(b"aaaa").unwrap(), 0, "{name}");
             assert_eq!(f.append(b"bb").unwrap(), 4, "{name}");
             assert_eq!(f.size().unwrap(), 6, "{name}");
+        }
+    }
+
+    /// Log mode's shared dropping is appended to by every writer, each
+    /// through a handle of its own: an append must find EOF atomically
+    /// across handles, or two records land on one offset and one is lost.
+    #[test]
+    fn appends_through_two_handles_never_overwrite_each_other() {
+        const RECORDS: usize = 20_000;
+        const REC: usize = 64;
+        let (_, b) = backings().pop().unwrap();
+        drop(b.create("/shared", true).unwrap());
+        let handles: Vec<Box<dyn BackingFile>> =
+            (0..2).map(|_| b.open("/shared", true).unwrap()).collect();
+        let start = std::sync::Barrier::new(2);
+        let offsets: Vec<Vec<u64>> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0u8..)
+                .zip(&handles)
+                .map(|(tag, h)| {
+                    let start = &start;
+                    s.spawn(move || {
+                        start.wait();
+                        (0..RECORDS)
+                            .map(|_| h.append(&[b'a' + tag; REC]).unwrap())
+                            .collect()
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        let size = handles[0].size().unwrap() as usize;
+        assert_eq!(size, 2 * RECORDS * REC, "records were overwritten");
+        let mut all = vec![0u8; size];
+        handles[0].pread(&mut all, 0).unwrap();
+        for (tag, offs) in (0u8..).zip(&offsets) {
+            for &off in offs {
+                let rec = &all[off as usize..off as usize + REC];
+                assert!(rec.iter().all(|&c| c == b'a' + tag), "record at {off}");
+            }
         }
     }
 

@@ -10,17 +10,9 @@ use crate::backing::{Backing, BackingFile};
 use crate::container::{self, DroppingRef};
 use crate::error::{Error, Result};
 use crate::index::{ChunkSlice, GlobalIndex, IndexEntry};
-use parking_lot::Mutex;
 use std::borrow::Cow;
 use std::collections::HashMap;
-use std::sync::Arc;
-
-/// One shard of the dropping-handle cache: dropping id -> cached open
-/// handle.
-type HandleShard = Mutex<HashMap<u32, Arc<dyn BackingFile>>>;
-
-/// Lock shards of the dropping-handle cache.
-const HANDLE_SHARDS: usize = 16;
+use std::sync::OnceLock;
 
 /// An open read view of a container.
 pub struct ReadFile {
@@ -29,10 +21,11 @@ pub struct ReadFile {
     /// `data_path` → position in `droppings`; empty until the first
     /// [`ReadFile::patch`] needs it.
     ids_by_path: HashMap<String, u32>,
-    /// Sharded so concurrent readers touching distinct droppings only
-    /// contend when their ids collide in a shard. Ids are dense (positions
-    /// in `list_droppings` order), so the modulus spreads them evenly.
-    handles: [HandleShard; HANDLE_SHARDS],
+    /// One slot per dropping, indexed by dropping id (ids are dense
+    /// positions in `droppings`), filled by the first read that needs it.
+    /// A read fragment after that costs one atomic load: no lock, no hash,
+    /// no refcount.
+    handles: Vec<OnceLock<Box<dyn BackingFile>>>,
 }
 
 impl ReadFile {
@@ -41,9 +34,9 @@ impl ReadFile {
         let (index, droppings) = container::build_global_index(b, container)?;
         Ok(ReadFile {
             index,
+            handles: droppings.iter().map(|_| OnceLock::new()).collect(),
             droppings,
             ids_by_path: HashMap::new(),
-            handles: std::array::from_fn(|_| Mutex::new(HashMap::new())),
         })
     }
 
@@ -74,6 +67,7 @@ impl ReadFile {
                         data_path,
                         index_path: None,
                     });
+                    self.handles.push(OnceLock::new());
                     id
                 }
             };
@@ -113,18 +107,19 @@ impl ReadFile {
         &self.droppings
     }
 
-    fn handle(&self, b: &dyn Backing, id: u32) -> Result<Arc<dyn BackingFile>> {
-        let shard = &self.handles[id as usize % HANDLE_SHARDS];
-        if let Some(h) = shard.lock().get(&id) {
-            return Ok(h.clone());
+    fn handle(&self, b: &dyn Backing, id: u32) -> Result<&dyn BackingFile> {
+        let (Some(slot), Some(dr)) = (
+            self.handles.get(id as usize),
+            self.droppings.get(id as usize),
+        ) else {
+            return Err(Error::Corrupt(format!("dropping id {id} out of range")));
+        };
+        if let Some(h) = slot.get() {
+            return Ok(h.as_ref());
         }
-        let dr = self
-            .droppings
-            .get(id as usize)
-            .ok_or_else(|| Error::Corrupt(format!("dropping id {id} out of range")))?;
-        // Open outside the lock: a slow backing open must not serialize
-        // every other reader hashing to this shard. Racing openers both
-        // succeed; the loser's handle is dropped in favor of the cached one.
+        // No lock held while opening: a slow backing open must not stall
+        // readers of other droppings. Racing openers both succeed; the
+        // loser's handle is dropped in favor of the one that landed.
         let opened = b.open(&dr.data_path, false).map_err(|e| match e {
             // The index names it, so it existed when this view was built: a
             // truncate or unlink raced the reader. To the caller of read()
@@ -134,8 +129,7 @@ impl ReadFile {
             }
             e => e,
         })?;
-        let h: Arc<dyn BackingFile> = Arc::from(opened);
-        Ok(shard.lock().entry(id).or_insert(h).clone())
+        Ok(slot.get_or_init(|| opened).as_ref())
     }
 
     /// Positional read of logical bytes: resolve `[off, off + buf.len())`

@@ -22,7 +22,9 @@
 //! `fopen(64)`/`fdopen`, `mmap(64)`, and the in-kernel byte movers
 //! `copy_file_range`, `sendfile(64)`, `splice`. Calls on paths outside
 //! `LDPLFS_MOUNT` forward to the real libc via `dlsym(RTLD_NEXT, …)`,
-//! exactly like the original.
+//! exactly like the original; so do the calls PLFS itself makes on its
+//! backing store, without even a lookup (the `InPlfs` latch; DESIGN.md
+//! §13), which is also what lets the backend directory sit under the mount.
 //!
 //! Faithful to the paper's design, the shim reserves a *genuine* kernel fd
 //! per PLFS open (here via `memfd_create`, avoiding the litter of the
@@ -57,8 +59,10 @@
 
 use parking_lot::{Mutex, RwLock};
 use plfs::{OpenFlags, Plfs, PlfsFd, RealBacking};
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::ffi::CStr;
+use std::ops::Deref;
 use std::os::raw::{c_char, c_int, c_long, c_uint, c_void};
 use std::sync::{Arc, OnceLock};
 
@@ -121,7 +125,19 @@ fn set_errno(e: c_int) {
 /// the process-global shim state is lock-guarded (parking_lot poisons
 /// nothing) and a torn `OpenState` at worst fails subsequent calls with
 /// EBADF, never UB.
+///
+/// An interposed symbol names its next-in-chain twin, `name: Type(args)`:
+/// a call made while this thread is inside PLFS ([`InPlfs`]) is PLFS's own
+/// I/O on its backing store and goes straight there — no fd-table lookup,
+/// no path classification, no panic barrier to set up.
 macro_rules! ffi_guard {
+    ($err:expr, $name:ident: $sig:ident($($arg:expr),*), $body:expr) => {
+        if in_plfs() {
+            real!($name, $sig)($($arg),*)
+        } else {
+            ffi_guard!($err, $body)
+        }
+    };
     ($err:expr, $body:expr) => {
         match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| $body)) {
             Ok(v) => v,
@@ -144,6 +160,38 @@ macro_rules! real {
         unsafe { std::mem::transmute::<usize, $sig>(addr) }
     }};
 }
+
+// Next-in-chain signatures, one per distinct C prototype.
+type PathModeFn = unsafe extern "C" fn(*const c_char, ModeT) -> c_int;
+type OpenFn = unsafe extern "C" fn(*const c_char, c_int, ModeT) -> c_int;
+type OpenatFn = unsafe extern "C" fn(c_int, *const c_char, c_int, ModeT) -> c_int;
+type ReadFn = unsafe extern "C" fn(c_int, *mut c_void, SizeT) -> SsizeT;
+type WriteFn = unsafe extern "C" fn(c_int, *const c_void, SizeT) -> SsizeT;
+type PreadFn = unsafe extern "C" fn(c_int, *mut c_void, SizeT, OffT) -> SsizeT;
+type PwriteFn = unsafe extern "C" fn(c_int, *const c_void, SizeT, OffT) -> SsizeT;
+type ReadChkFn = unsafe extern "C" fn(c_int, *mut c_void, SizeT, SizeT) -> SsizeT;
+type PreadChkFn = unsafe extern "C" fn(c_int, *mut c_void, SizeT, OffT, SizeT) -> SsizeT;
+type IovFn = unsafe extern "C" fn(c_int, *const IoVec, c_int) -> SsizeT;
+type IovAtFn = unsafe extern "C" fn(c_int, *const IoVec, c_int, OffT) -> SsizeT;
+type IovAt2Fn = unsafe extern "C" fn(c_int, *const IoVec, c_int, OffT, c_int) -> SsizeT;
+type LseekFn = unsafe extern "C" fn(c_int, OffT, c_int) -> OffT;
+type FdFn = unsafe extern "C" fn(c_int) -> c_int;
+type Dup2Fn = unsafe extern "C" fn(c_int, c_int) -> c_int;
+type Dup3Fn = unsafe extern "C" fn(c_int, c_int, c_int) -> c_int;
+type MmapFn = unsafe extern "C" fn(*mut c_void, SizeT, c_int, c_int, c_int, OffT) -> *mut c_void;
+type MoverFn = unsafe extern "C" fn(c_int, *mut OffT, c_int, *mut OffT, SizeT, c_uint) -> SsizeT;
+type SendfileFn = unsafe extern "C" fn(c_int, c_int, *mut OffT, SizeT) -> SsizeT;
+type StatFn = unsafe extern "C" fn(*const c_char, *mut CStat) -> c_int;
+type FstatFn = unsafe extern "C" fn(c_int, *mut CStat) -> c_int;
+type FstatatFn = unsafe extern "C" fn(c_int, *const c_char, *mut CStat, c_int) -> c_int;
+type StatxFn = unsafe extern "C" fn(c_int, *const c_char, c_int, c_uint, *mut CStatx) -> c_int;
+type PathFn = unsafe extern "C" fn(*const c_char) -> c_int;
+type UnlinkatFn = unsafe extern "C" fn(c_int, *const c_char, c_int) -> c_int;
+type AccessFn = unsafe extern "C" fn(*const c_char, c_int) -> c_int;
+type TruncateFn = unsafe extern "C" fn(*const c_char, OffT) -> c_int;
+type FtruncateFn = unsafe extern "C" fn(c_int, OffT) -> c_int;
+type FopenFn = unsafe extern "C" fn(*const c_char, *const c_char) -> *mut c_void;
+type FdopenFn = unsafe extern "C" fn(c_int, *const c_char) -> *mut c_void;
 
 // ---------------------------------------------------------------------------
 // Shim state.
@@ -184,27 +232,48 @@ extern "C" fn drain_tiered_at_exit() {
 }
 
 thread_local! {
-    /// Guards against re-entrant initialization: building the shim touches
-    /// the file system (create_dir_all on the backend), which re-enters the
-    /// interposed symbols on this same thread. Those nested calls must pass
-    /// straight through to the real libc.
-    static IN_INIT: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    /// Set while this thread is inside PLFS: building the shim, or any call
+    /// the shim makes into `Plfs`/`PlfsFd` (a cookie callback's included).
+    /// PLFS's own I/O on its backing store reaches the interposed symbols
+    /// again; [`ffi_guard!`] sends it straight to libc. Without the latch a
+    /// backend directory under the mount recursed until the stack ran out.
+    static IN_PLFS: Cell<bool> = const { Cell::new(false) };
 }
 
-// One-time init on the first interposed call; nested interposed calls made
-// while init allocates re-enter through the IN_INIT latch above and fall
-// straight through to real libc. After init this is a lock-free read.
-// signal-safe: init's allocation cannot recurse into the shim (IN_INIT
-// latch); every later call is a OnceLock read with no allocation.
-fn shim() -> Option<&'static Shim> {
-    if IN_INIT.with(|c| c.get()) {
-        return None;
+fn in_plfs() -> bool {
+    IN_PLFS.get()
+}
+
+/// This thread is inside PLFS while one of these lives. Restores what it
+/// found, so holding one inside another is harmless.
+struct InPlfs(bool);
+
+impl InPlfs {
+    fn enter() -> InPlfs {
+        InPlfs(IN_PLFS.replace(true))
     }
+}
+
+impl Drop for InPlfs {
+    fn drop(&mut self) {
+        IN_PLFS.set(self.0);
+    }
+}
+
+fn inside_plfs<T>(f: impl FnOnce() -> T) -> T {
+    let _in_plfs = InPlfs::enter();
+    f()
+}
+
+// One-time init on the first interposed call that is not PLFS's own; init
+// runs inside PLFS, so the file-system calls it makes (create_dir_all on the
+// backend) pass straight through. After init this is a lock-free read.
+// signal-safe: init's allocation cannot recurse into the shim (InPlfs latch);
+// every later call is a OnceLock read with no allocation.
+fn shim() -> Option<&'static Shim> {
     SHIM.get_or_init(|| {
-        IN_INIT.with(|c| c.set(true));
-        let out = init_shim();
-        IN_INIT.with(|c| c.set(false));
-        out
+        let _in_plfs = InPlfs::enter();
+        init_shim()
     })
     .as_ref()
 }
@@ -221,10 +290,7 @@ const SHIM_ENV: [&str; 4] = [ENV_MOUNT, ENV_BACKEND, ENV_FAST_BACKEND, ENV_HOSTD
 /// misconfiguration must be visible, but never through an interposed path.
 fn warn(msg: &str) {
     let line = format!("ldplfs-preload: {msg}\n");
-    let real_write = real!(
-        write,
-        unsafe extern "C" fn(c_int, *const c_void, SizeT) -> SsizeT
-    );
+    let real_write = real!(write, WriteFn);
     // Best effort: a closed stderr must not stop the shim from starting.
     let _ = unsafe { real_write(2, line.as_ptr() as *const c_void, line.len()) };
 }
@@ -319,9 +385,28 @@ fn reserve_fd() -> c_int {
     fd as c_int
 }
 
-fn lookup(fd: c_int) -> Option<Arc<OpenState>> {
+/// A registered fd's open. This thread is inside PLFS while it lives:
+/// everything done with one is a call into `PlfsFd`.
+struct Registered {
+    st: Arc<OpenState>,
+    _in_plfs: InPlfs,
+}
+
+impl Deref for Registered {
+    type Target = OpenState;
+
+    fn deref(&self) -> &OpenState {
+        &self.st
+    }
+}
+
+fn lookup(fd: c_int) -> Option<Registered> {
     let shim = shim()?;
-    shim.table.read().get(&fd).cloned()
+    let st = shim.table.read().get(&fd).cloned()?;
+    Some(Registered {
+        st,
+        _in_plfs: InPlfs::enter(),
+    })
 }
 
 fn plfs_errno(e: &plfs::Error) -> c_int {
@@ -340,12 +425,12 @@ fn fake_ino(rel: &str) -> u64 {
 }
 
 fn cursor_get(fd: c_int) -> OffT {
-    let f = real!(lseek, unsafe extern "C" fn(c_int, OffT, c_int) -> OffT);
+    let f = real!(lseek, LseekFn);
     unsafe { f(fd, 0, SEEK_CUR) }
 }
 
 fn cursor_set(fd: c_int, off: OffT) -> OffT {
-    let f = real!(lseek, unsafe extern "C" fn(c_int, OffT, c_int) -> OffT);
+    let f = real!(lseek, LseekFn);
     unsafe { f(fd, off, SEEK_SET) }
 }
 
@@ -354,10 +439,7 @@ fn cursor_set(fd: c_int, off: OffT) -> OffT {
 // ---------------------------------------------------------------------------
 
 unsafe fn do_open(path: *const c_char, flags: c_int, mode: ModeT) -> c_int {
-    let real_open = real!(
-        open,
-        unsafe extern "C" fn(*const c_char, c_int, ModeT) -> c_int
-    );
+    let real_open = real!(open, OpenFn);
     let Some(sh) = shim() else {
         return real_open(path, flags, mode);
     };
@@ -367,6 +449,7 @@ unsafe fn do_open(path: *const c_char, flags: c_int, mode: ModeT) -> c_int {
     let Some(rel) = logical(sh, p) else {
         return real_open(path, flags, mode);
     };
+    let _in_plfs = InPlfs::enter();
     // A container is a file: cp probes its destination with O_DIRECTORY
     // and takes anything but ENOTDIR to mean "copy into it".
     if flags & O_DIRECTORY != 0 && sh.plfs.is_container(&rel) {
@@ -405,19 +488,19 @@ unsafe fn do_open(path: *const c_char, flags: c_int, mode: ModeT) -> c_int {
 /// `open(2)`.
 #[no_mangle]
 pub unsafe extern "C" fn open(path: *const c_char, flags: c_int, mode: ModeT) -> c_int {
-    ffi_guard!(-1, do_open(path, flags, mode))
+    ffi_guard!(-1, open: OpenFn(path, flags, mode), do_open(path, flags, mode))
 }
 
 /// `open64(2)` (LFS alias).
 #[no_mangle]
 pub unsafe extern "C" fn open64(path: *const c_char, flags: c_int, mode: ModeT) -> c_int {
-    ffi_guard!(-1, do_open(path, flags, mode))
+    ffi_guard!(-1, open64: OpenFn(path, flags, mode), do_open(path, flags, mode))
 }
 
 /// `creat(2)`.
 #[no_mangle]
 pub unsafe extern "C" fn creat(path: *const c_char, mode: ModeT) -> c_int {
-    ffi_guard!(-1, do_open(path, 0o1 | O_CREAT | O_TRUNC, mode))
+    ffi_guard!(-1, creat: PathModeFn(path, mode), do_open(path, 0o1 | O_CREAT | O_TRUNC, mode))
 }
 
 unsafe fn do_openat(dirfd: c_int, path: *const c_char, flags: c_int, mode: ModeT) -> c_int {
@@ -425,10 +508,7 @@ unsafe fn do_openat(dirfd: c_int, path: *const c_char, flags: c_int, mode: ModeT
     if dirfd == AT_FDCWD || absolute {
         return do_open(path, flags, mode);
     }
-    let f = real!(
-        openat,
-        unsafe extern "C" fn(c_int, *const c_char, c_int, ModeT) -> c_int
-    );
+    let f = real!(openat, OpenatFn);
     f(dirfd, path, flags, mode)
 }
 
@@ -440,7 +520,7 @@ pub unsafe extern "C" fn openat(
     flags: c_int,
     mode: ModeT,
 ) -> c_int {
-    ffi_guard!(-1, do_openat(dirfd, path, flags, mode))
+    ffi_guard!(-1, openat: OpenatFn(dirfd, path, flags, mode), do_openat(dirfd, path, flags, mode))
 }
 
 /// `openat64(2)`.
@@ -451,7 +531,11 @@ pub unsafe extern "C" fn openat64(
     flags: c_int,
     mode: ModeT,
 ) -> c_int {
-    ffi_guard!(-1, do_openat(dirfd, path, flags, mode))
+    ffi_guard!(
+        -1,
+        openat64: OpenatFn(dirfd, path, flags, mode),
+        do_openat(dirfd, path, flags, mode)
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -461,10 +545,7 @@ pub unsafe extern "C" fn openat64(
 unsafe fn do_read(fd: c_int, buf: *mut c_void, count: SizeT) -> SsizeT {
     match lookup(fd) {
         None => {
-            let f = real!(
-                read,
-                unsafe extern "C" fn(c_int, *mut c_void, SizeT) -> SsizeT
-            );
+            let f = real!(read, ReadFn);
             f(fd, buf, count)
         }
         Some(st) => {
@@ -487,16 +568,13 @@ unsafe fn do_read(fd: c_int, buf: *mut c_void, count: SizeT) -> SsizeT {
 /// `read(2)`.
 #[no_mangle]
 pub unsafe extern "C" fn read(fd: c_int, buf: *mut c_void, count: SizeT) -> SsizeT {
-    ffi_guard!(-1, do_read(fd, buf, count))
+    ffi_guard!(-1, read: ReadFn(fd, buf, count), do_read(fd, buf, count))
 }
 
 unsafe fn do_write(fd: c_int, buf: *const c_void, count: SizeT) -> SsizeT {
     match lookup(fd) {
         None => {
-            let f = real!(
-                write,
-                unsafe extern "C" fn(c_int, *const c_void, SizeT) -> SsizeT
-            );
+            let f = real!(write, WriteFn);
             f(fd, buf, count)
         }
         Some(st) => {
@@ -531,16 +609,13 @@ unsafe fn do_write(fd: c_int, buf: *const c_void, count: SizeT) -> SsizeT {
 /// `write(2)`.
 #[no_mangle]
 pub unsafe extern "C" fn write(fd: c_int, buf: *const c_void, count: SizeT) -> SsizeT {
-    ffi_guard!(-1, do_write(fd, buf, count))
+    ffi_guard!(-1, write: WriteFn(fd, buf, count), do_write(fd, buf, count))
 }
 
 unsafe fn do_pread(fd: c_int, buf: *mut c_void, count: SizeT, off: OffT) -> SsizeT {
     match lookup(fd) {
         None => {
-            let f = real!(
-                pread,
-                unsafe extern "C" fn(c_int, *mut c_void, SizeT, OffT) -> SsizeT
-            );
+            let f = real!(pread, PreadFn);
             f(fd, buf, count, off)
         }
         Some(st) => {
@@ -559,13 +634,13 @@ unsafe fn do_pread(fd: c_int, buf: *mut c_void, count: SizeT, off: OffT) -> Ssiz
 /// `pread(2)`.
 #[no_mangle]
 pub unsafe extern "C" fn pread(fd: c_int, buf: *mut c_void, count: SizeT, off: OffT) -> SsizeT {
-    ffi_guard!(-1, do_pread(fd, buf, count, off))
+    ffi_guard!(-1, pread: PreadFn(fd, buf, count, off), do_pread(fd, buf, count, off))
 }
 
 /// `pread64(2)`.
 #[no_mangle]
 pub unsafe extern "C" fn pread64(fd: c_int, buf: *mut c_void, count: SizeT, off: OffT) -> SsizeT {
-    ffi_guard!(-1, do_pread(fd, buf, count, off))
+    ffi_guard!(-1, pread64: PreadFn(fd, buf, count, off), do_pread(fd, buf, count, off))
 }
 
 /// `__read_chk` — `read` as `_FORTIFY_SOURCE` builds spell it, destination
@@ -575,7 +650,7 @@ pub unsafe extern "C" fn __read_chk(fd: c_int, buf: *mut c_void, n: SizeT, len: 
     if n > len {
         __chk_fail();
     }
-    ffi_guard!(-1, do_read(fd, buf, n))
+    ffi_guard!(-1, __read_chk: ReadChkFn(fd, buf, n, len), do_read(fd, buf, n))
 }
 
 /// `__pread_chk` — fortified `pread`.
@@ -590,7 +665,7 @@ pub unsafe extern "C" fn __pread_chk(
     if n > len {
         __chk_fail();
     }
-    ffi_guard!(-1, do_pread(fd, buf, n, off))
+    ffi_guard!(-1, __pread_chk: PreadChkFn(fd, buf, n, off, len), do_pread(fd, buf, n, off))
 }
 
 /// `__pread64_chk` — fortified `pread64`.
@@ -605,16 +680,13 @@ pub unsafe extern "C" fn __pread64_chk(
     if n > len {
         __chk_fail();
     }
-    ffi_guard!(-1, do_pread(fd, buf, n, off))
+    ffi_guard!(-1, __pread64_chk: PreadChkFn(fd, buf, n, off, len), do_pread(fd, buf, n, off))
 }
 
 unsafe fn do_pwrite(fd: c_int, buf: *const c_void, count: SizeT, off: OffT) -> SsizeT {
     match lookup(fd) {
         None => {
-            let f = real!(
-                pwrite,
-                unsafe extern "C" fn(c_int, *const c_void, SizeT, OffT) -> SsizeT
-            );
+            let f = real!(pwrite, PwriteFn);
             f(fd, buf, count, off)
         }
         Some(st) => {
@@ -633,7 +705,7 @@ unsafe fn do_pwrite(fd: c_int, buf: *const c_void, count: SizeT, off: OffT) -> S
 /// `pwrite(2)`.
 #[no_mangle]
 pub unsafe extern "C" fn pwrite(fd: c_int, buf: *const c_void, count: SizeT, off: OffT) -> SsizeT {
-    ffi_guard!(-1, do_pwrite(fd, buf, count, off))
+    ffi_guard!(-1, pwrite: PwriteFn(fd, buf, count, off), do_pwrite(fd, buf, count, off))
 }
 
 /// `pwrite64(2)`.
@@ -644,7 +716,7 @@ pub unsafe extern "C" fn pwrite64(
     count: SizeT,
     off: OffT,
 ) -> SsizeT {
-    ffi_guard!(-1, do_pwrite(fd, buf, count, off))
+    ffi_guard!(-1, pwrite64: PwriteFn(fd, buf, count, off), do_pwrite(fd, buf, count, off))
 }
 
 // ---------------------------------------------------------------------------
@@ -707,10 +779,7 @@ unsafe fn scatter_iov(iov: *const IoVec, cnt: c_int, data: &[u8]) {
 unsafe fn do_readv(fd: c_int, iov: *const IoVec, cnt: c_int) -> SsizeT {
     match lookup(fd) {
         None => {
-            let f = real!(
-                readv,
-                unsafe extern "C" fn(c_int, *const IoVec, c_int) -> SsizeT
-            );
+            let f = real!(readv, IovFn);
             f(fd, iov, cnt)
         }
         Some(st) => {
@@ -744,16 +813,13 @@ unsafe fn do_readv(fd: c_int, iov: *const IoVec, cnt: c_int) -> SsizeT {
 /// `readv(2)`.
 #[no_mangle]
 pub unsafe extern "C" fn readv(fd: c_int, iov: *const IoVec, cnt: c_int) -> SsizeT {
-    ffi_guard!(-1, do_readv(fd, iov, cnt))
+    ffi_guard!(-1, readv: IovFn(fd, iov, cnt), do_readv(fd, iov, cnt))
 }
 
 unsafe fn do_writev(fd: c_int, iov: *const IoVec, cnt: c_int) -> SsizeT {
     match lookup(fd) {
         None => {
-            let f = real!(
-                writev,
-                unsafe extern "C" fn(c_int, *const IoVec, c_int) -> SsizeT
-            );
+            let f = real!(writev, IovFn);
             f(fd, iov, cnt)
         }
         Some(st) => {
@@ -796,16 +862,13 @@ unsafe fn do_writev(fd: c_int, iov: *const IoVec, cnt: c_int) -> SsizeT {
 /// `writev(2)`.
 #[no_mangle]
 pub unsafe extern "C" fn writev(fd: c_int, iov: *const IoVec, cnt: c_int) -> SsizeT {
-    ffi_guard!(-1, do_writev(fd, iov, cnt))
+    ffi_guard!(-1, writev: IovFn(fd, iov, cnt), do_writev(fd, iov, cnt))
 }
 
 unsafe fn do_preadv(fd: c_int, iov: *const IoVec, cnt: c_int, off: OffT) -> SsizeT {
     match lookup(fd) {
         None => {
-            let f = real!(
-                preadv,
-                unsafe extern "C" fn(c_int, *const IoVec, c_int, OffT) -> SsizeT
-            );
+            let f = real!(preadv, IovAtFn);
             f(fd, iov, cnt, off)
         }
         Some(st) => {
@@ -840,22 +903,19 @@ unsafe fn do_preadv(fd: c_int, iov: *const IoVec, cnt: c_int, off: OffT) -> Ssiz
 /// `preadv(2)`.
 #[no_mangle]
 pub unsafe extern "C" fn preadv(fd: c_int, iov: *const IoVec, cnt: c_int, off: OffT) -> SsizeT {
-    ffi_guard!(-1, do_preadv(fd, iov, cnt, off))
+    ffi_guard!(-1, preadv: IovAtFn(fd, iov, cnt, off), do_preadv(fd, iov, cnt, off))
 }
 
 /// `preadv64(2)`.
 #[no_mangle]
 pub unsafe extern "C" fn preadv64(fd: c_int, iov: *const IoVec, cnt: c_int, off: OffT) -> SsizeT {
-    ffi_guard!(-1, do_preadv(fd, iov, cnt, off))
+    ffi_guard!(-1, preadv64: IovAtFn(fd, iov, cnt, off), do_preadv(fd, iov, cnt, off))
 }
 
 unsafe fn do_pwritev(fd: c_int, iov: *const IoVec, cnt: c_int, off: OffT) -> SsizeT {
     match lookup(fd) {
         None => {
-            let f = real!(
-                pwritev,
-                unsafe extern "C" fn(c_int, *const IoVec, c_int, OffT) -> SsizeT
-            );
+            let f = real!(pwritev, IovAtFn);
             f(fd, iov, cnt, off)
         }
         Some(st) => {
@@ -887,13 +947,13 @@ unsafe fn do_pwritev(fd: c_int, iov: *const IoVec, cnt: c_int, off: OffT) -> Ssi
 /// `pwritev(2)`.
 #[no_mangle]
 pub unsafe extern "C" fn pwritev(fd: c_int, iov: *const IoVec, cnt: c_int, off: OffT) -> SsizeT {
-    ffi_guard!(-1, do_pwritev(fd, iov, cnt, off))
+    ffi_guard!(-1, pwritev: IovAtFn(fd, iov, cnt, off), do_pwritev(fd, iov, cnt, off))
 }
 
 /// `pwritev64(2)`.
 #[no_mangle]
 pub unsafe extern "C" fn pwritev64(fd: c_int, iov: *const IoVec, cnt: c_int, off: OffT) -> SsizeT {
-    ffi_guard!(-1, do_pwritev(fd, iov, cnt, off))
+    ffi_guard!(-1, pwritev64: IovAtFn(fd, iov, cnt, off), do_pwritev(fd, iov, cnt, off))
 }
 
 /// `preadv2(2)` dispatch: offset `-1` means cursor (`readv`) semantics;
@@ -901,10 +961,7 @@ pub unsafe extern "C" fn pwritev64(fd: c_int, iov: *const IoVec, cnt: c_int, off
 // plfs-lint: allow(errno-discipline, "pure dispatch: do_readv/do_preadv set errno on their own -1 returns")
 unsafe fn do_preadv2(fd: c_int, iov: *const IoVec, cnt: c_int, off: OffT, flags: c_int) -> SsizeT {
     if lookup(fd).is_none() {
-        let f = real!(
-            preadv2,
-            unsafe extern "C" fn(c_int, *const IoVec, c_int, OffT, c_int) -> SsizeT
-        );
+        let f = real!(preadv2, IovAt2Fn);
         return f(fd, iov, cnt, off, flags);
     }
     if off == -1 {
@@ -923,7 +980,11 @@ pub unsafe extern "C" fn preadv2(
     off: OffT,
     flags: c_int,
 ) -> SsizeT {
-    ffi_guard!(-1, do_preadv2(fd, iov, cnt, off, flags))
+    ffi_guard!(
+        -1,
+        preadv2: IovAt2Fn(fd, iov, cnt, off, flags),
+        do_preadv2(fd, iov, cnt, off, flags)
+    )
 }
 
 /// `preadv64v2(2)`.
@@ -935,16 +996,17 @@ pub unsafe extern "C" fn preadv64v2(
     off: OffT,
     flags: c_int,
 ) -> SsizeT {
-    ffi_guard!(-1, do_preadv2(fd, iov, cnt, off, flags))
+    ffi_guard!(
+        -1,
+        preadv64v2: IovAt2Fn(fd, iov, cnt, off, flags),
+        do_preadv2(fd, iov, cnt, off, flags)
+    )
 }
 
 // plfs-lint: allow(errno-discipline, "pure dispatch: do_writev/do_pwritev set errno on their own -1 returns")
 unsafe fn do_pwritev2(fd: c_int, iov: *const IoVec, cnt: c_int, off: OffT, flags: c_int) -> SsizeT {
     if lookup(fd).is_none() {
-        let f = real!(
-            pwritev2,
-            unsafe extern "C" fn(c_int, *const IoVec, c_int, OffT, c_int) -> SsizeT
-        );
+        let f = real!(pwritev2, IovAt2Fn);
         return f(fd, iov, cnt, off, flags);
     }
     if off == -1 {
@@ -963,7 +1025,11 @@ pub unsafe extern "C" fn pwritev2(
     off: OffT,
     flags: c_int,
 ) -> SsizeT {
-    ffi_guard!(-1, do_pwritev2(fd, iov, cnt, off, flags))
+    ffi_guard!(
+        -1,
+        pwritev2: IovAt2Fn(fd, iov, cnt, off, flags),
+        do_pwritev2(fd, iov, cnt, off, flags)
+    )
 }
 
 /// `pwritev64v2(2)`.
@@ -975,13 +1041,17 @@ pub unsafe extern "C" fn pwritev64v2(
     off: OffT,
     flags: c_int,
 ) -> SsizeT {
-    ffi_guard!(-1, do_pwritev2(fd, iov, cnt, off, flags))
+    ffi_guard!(
+        -1,
+        pwritev64v2: IovAt2Fn(fd, iov, cnt, off, flags),
+        do_pwritev2(fd, iov, cnt, off, flags)
+    )
 }
 
 unsafe fn do_lseek(fd: c_int, offset: OffT, whence: c_int) -> OffT {
     match lookup(fd) {
         None => {
-            let f = real!(lseek, unsafe extern "C" fn(c_int, OffT, c_int) -> OffT);
+            let f = real!(lseek, LseekFn);
             f(fd, offset, whence)
         }
         Some(st) => {
@@ -1014,17 +1084,17 @@ unsafe fn do_lseek(fd: c_int, offset: OffT, whence: c_int) -> OffT {
 /// `lseek(2)`.
 #[no_mangle]
 pub unsafe extern "C" fn lseek(fd: c_int, offset: OffT, whence: c_int) -> OffT {
-    ffi_guard!(-1, do_lseek(fd, offset, whence))
+    ffi_guard!(-1, lseek: LseekFn(fd, offset, whence), do_lseek(fd, offset, whence))
 }
 
 /// `lseek64(2)`.
 #[no_mangle]
 pub unsafe extern "C" fn lseek64(fd: c_int, offset: OffT, whence: c_int) -> OffT {
-    ffi_guard!(-1, do_lseek(fd, offset, whence))
+    ffi_guard!(-1, lseek64: LseekFn(fd, offset, whence), do_lseek(fd, offset, whence))
 }
 
 unsafe fn do_close(fd: c_int) -> c_int {
-    let real_close = real!(close, unsafe extern "C" fn(c_int) -> c_int);
+    let real_close = real!(close, FdFn);
     let Some(sh) = shim() else {
         return real_close(fd);
     };
@@ -1032,7 +1102,7 @@ unsafe fn do_close(fd: c_int) -> c_int {
     // One PLFS reference per fd: a dup keeps the open alive. Both halves
     // are released whatever the other does; the first error is reported (a
     // failed index or meta flush at close is lost data).
-    let plfs_res = state.map(|st| st.plfs_fd.close(getpid() as u64));
+    let plfs_res = state.map(|st| inside_plfs(|| st.plfs_fd.close(getpid() as u64)));
     let ret = real_close(fd);
     if let Some(Err(e)) = plfs_res {
         set_errno(plfs_errno(&e));
@@ -1044,15 +1114,16 @@ unsafe fn do_close(fd: c_int) -> c_int {
 /// `close(2)`.
 #[no_mangle]
 pub unsafe extern "C" fn close(fd: c_int) -> c_int {
-    ffi_guard!(-1, do_close(fd))
+    ffi_guard!(-1, close: FdFn(fd), do_close(fd))
 }
 
-unsafe fn do_fsync(fd: c_int) -> c_int {
+/// `fsync`/`fdatasync`: containers have no metadata/data distinction the
+/// shim could exploit, so both flush the same (strictly stronger
+/// durability for `fdatasync`); any other fd gets the call it made.
+unsafe fn do_fsync(fd: c_int, data_only: bool) -> c_int {
     match lookup(fd) {
-        None => {
-            let f = real!(fsync, unsafe extern "C" fn(c_int) -> c_int);
-            f(fd)
-        }
+        None if data_only => real!(fdatasync, FdFn)(fd),
+        None => real!(fsync, FdFn)(fd),
         Some(st) => match st.plfs_fd.sync(getpid() as u64) {
             Ok(()) => 0,
             Err(e) => {
@@ -1066,19 +1137,17 @@ unsafe fn do_fsync(fd: c_int) -> c_int {
 /// `fsync(2)`.
 #[no_mangle]
 pub unsafe extern "C" fn fsync(fd: c_int) -> c_int {
-    ffi_guard!(-1, do_fsync(fd))
+    ffi_guard!(-1, fsync: FdFn(fd), do_fsync(fd, false))
 }
 
-/// `fdatasync(2)` — containers have no metadata/data distinction the shim
-/// could exploit, so it shares `do_fsync` (strictly stronger durability;
-/// passthrough fds pay one real fsync instead of fdatasync).
+/// `fdatasync(2)`.
 #[no_mangle]
 pub unsafe extern "C" fn fdatasync(fd: c_int) -> c_int {
-    ffi_guard!(-1, do_fsync(fd))
+    ffi_guard!(-1, fdatasync: FdFn(fd), do_fsync(fd, true))
 }
 
 unsafe fn do_dup(fd: c_int) -> c_int {
-    let real_dup = real!(dup, unsafe extern "C" fn(c_int) -> c_int);
+    let real_dup = real!(dup, FdFn);
     let new = real_dup(fd);
     if new >= 0 {
         dup_bookkeeping(fd, new);
@@ -1089,7 +1158,7 @@ unsafe fn do_dup(fd: c_int) -> c_int {
 /// `dup(2)`.
 #[no_mangle]
 pub unsafe extern "C" fn dup(fd: c_int) -> c_int {
-    ffi_guard!(-1, do_dup(fd))
+    ffi_guard!(-1, dup: FdFn(fd), do_dup(fd))
 }
 
 /// Shared `dup`/`dup2`/`dup3` fd-table bookkeeping after the real call
@@ -1104,6 +1173,7 @@ unsafe fn dup_bookkeeping(oldfd: c_int, newfd: c_int) {
     if oldfd == newfd {
         return;
     }
+    let _in_plfs = InPlfs::enter();
     let (displaced, old_state) = {
         let mut t = sh.table.write();
         (t.remove(&newfd), t.get(&oldfd).cloned())
@@ -1121,7 +1191,7 @@ unsafe fn dup_bookkeeping(oldfd: c_int, newfd: c_int) {
 }
 
 unsafe fn do_dup2(oldfd: c_int, newfd: c_int) -> c_int {
-    let real_dup2 = real!(dup2, unsafe extern "C" fn(c_int, c_int) -> c_int);
+    let real_dup2 = real!(dup2, Dup2Fn);
     let ret = real_dup2(oldfd, newfd);
     if ret >= 0 {
         dup_bookkeeping(oldfd, newfd);
@@ -1132,13 +1202,13 @@ unsafe fn do_dup2(oldfd: c_int, newfd: c_int) -> c_int {
 /// `dup2(2)` — needed for shell redirection bookkeeping.
 #[no_mangle]
 pub unsafe extern "C" fn dup2(oldfd: c_int, newfd: c_int) -> c_int {
-    ffi_guard!(-1, do_dup2(oldfd, newfd))
+    ffi_guard!(-1, dup2: Dup2Fn(oldfd, newfd), do_dup2(oldfd, newfd))
 }
 
 unsafe fn do_dup3(oldfd: c_int, newfd: c_int, flags: c_int) -> c_int {
     // The real call enforces dup3's contract (EINVAL on oldfd == newfd,
     // atomic O_CLOEXEC); the shim only mirrors the fd-table transfer.
-    let real_dup3 = real!(dup3, unsafe extern "C" fn(c_int, c_int, c_int) -> c_int);
+    let real_dup3 = real!(dup3, Dup3Fn);
     let ret = real_dup3(oldfd, newfd, flags);
     if ret >= 0 {
         dup_bookkeeping(oldfd, newfd);
@@ -1149,17 +1219,14 @@ unsafe fn do_dup3(oldfd: c_int, newfd: c_int, flags: c_int) -> c_int {
 /// `dup3(2)` — the O_CLOEXEC-capable dup2, used by modern shells.
 #[no_mangle]
 pub unsafe extern "C" fn dup3(oldfd: c_int, newfd: c_int, flags: c_int) -> c_int {
-    ffi_guard!(-1, do_dup3(oldfd, newfd, flags))
+    ffi_guard!(-1, dup3: Dup3Fn(oldfd, newfd, flags), do_dup3(oldfd, newfd, flags))
 }
 
 /// Copy the container's logical bytes into the reserved fd, once per open,
 /// so a mapping of it shows them. By `pwrite`: the fd's offset is the
 /// application's cursor.
 unsafe fn fill_for_mmap(fd: c_int, st: &OpenState) -> Result<(), c_int> {
-    let real_pwrite = real!(
-        pwrite,
-        unsafe extern "C" fn(c_int, *const c_void, SizeT, OffT) -> SsizeT
-    );
+    let real_pwrite = real!(pwrite, PwriteFn);
     let mut mapped = st.mapped.lock();
     if *mapped {
         return Ok(());
@@ -1199,10 +1266,7 @@ unsafe fn do_mmap(
     fd: c_int,
     off: OffT,
 ) -> *mut c_void {
-    let f = real!(
-        mmap,
-        unsafe extern "C" fn(*mut c_void, SizeT, c_int, c_int, c_int, OffT) -> *mut c_void
-    );
+    let f = real!(mmap, MmapFn);
     if let Some(st) = lookup(fd) {
         // Stores through a map would land in the reserved fd, unseen by PLFS.
         if st.plfs_fd.flags().writable() {
@@ -1227,7 +1291,11 @@ pub unsafe extern "C" fn mmap(
     fd: c_int,
     off: OffT,
 ) -> *mut c_void {
-    ffi_guard!(MAP_FAILED, do_mmap(addr, len, prot, flags, fd, off))
+    ffi_guard!(
+        MAP_FAILED,
+        mmap: MmapFn(addr, len, prot, flags, fd, off),
+        do_mmap(addr, len, prot, flags, fd, off)
+    )
 }
 
 /// `mmap64(2)`.
@@ -1240,18 +1308,20 @@ pub unsafe extern "C" fn mmap64(
     fd: c_int,
     off: OffT,
 ) -> *mut c_void {
-    ffi_guard!(MAP_FAILED, do_mmap(addr, len, prot, flags, fd, off))
+    ffi_guard!(
+        MAP_FAILED,
+        mmap64: MmapFn(addr, len, prot, flags, fd, off),
+        do_mmap(addr, len, prot, flags, fd, off)
+    )
 }
 
 /// The in-kernel byte movers would copy from or into the reserved fd (`cp`
 /// inside the mount "succeeded" with an empty destination). When either end
 /// is the shim's they fail with the documented errno every caller follows
-/// with a read/write loop.
+/// with a read/write loop. Inside PLFS no fd is the shim's.
 unsafe fn either_owned(a: c_int, b: c_int) -> bool {
-    lookup(a).is_some() || lookup(b).is_some()
+    !in_plfs() && (lookup(a).is_some() || lookup(b).is_some())
 }
-
-type MoverFn = unsafe extern "C" fn(c_int, *mut OffT, c_int, *mut OffT, SizeT, c_uint) -> SsizeT;
 
 /// `copy_file_range(2)` — `EXDEV` on a shim fd.
 #[no_mangle]
@@ -1290,10 +1360,7 @@ pub unsafe extern "C" fn splice(
 }
 
 unsafe fn do_sendfile(out_fd: c_int, in_fd: c_int, off: *mut OffT, count: SizeT) -> SsizeT {
-    let f = real!(
-        sendfile,
-        unsafe extern "C" fn(c_int, c_int, *mut OffT, SizeT) -> SsizeT
-    );
+    let f = real!(sendfile, SendfileFn);
     if either_owned(out_fd, in_fd) {
         set_errno(EINVAL);
         return -1;
@@ -1304,13 +1371,13 @@ unsafe fn do_sendfile(out_fd: c_int, in_fd: c_int, off: *mut OffT, count: SizeT)
 /// `sendfile(2)` — `EINVAL` on a shim fd.
 #[no_mangle]
 pub unsafe extern "C" fn sendfile(o: c_int, i: c_int, off: *mut OffT, count: SizeT) -> SsizeT {
-    ffi_guard!(-1, do_sendfile(o, i, off, count))
+    ffi_guard!(-1, sendfile: SendfileFn(o, i, off, count), do_sendfile(o, i, off, count))
 }
 
 /// `sendfile64(2)`.
 #[no_mangle]
 pub unsafe extern "C" fn sendfile64(o: c_int, i: c_int, off: *mut OffT, count: SizeT) -> SsizeT {
-    ffi_guard!(-1, do_sendfile(o, i, off, count))
+    ffi_guard!(-1, sendfile64: SendfileFn(o, i, off, count), do_sendfile(o, i, off, count))
 }
 
 // ---------------------------------------------------------------------------
@@ -1359,10 +1426,7 @@ unsafe fn fill_stat(out: *mut CStat, size: u64, is_dir: bool, ino: u64) {
 }
 
 unsafe fn do_stat(path: *const c_char, out: *mut CStat) -> c_int {
-    let real_stat = real!(
-        stat,
-        unsafe extern "C" fn(*const c_char, *mut CStat) -> c_int
-    );
+    let real_stat = real!(stat, StatFn);
     let Some(sh) = shim() else {
         return real_stat(path, out);
     };
@@ -1376,7 +1440,7 @@ unsafe fn do_stat(path: *const c_char, out: *mut CStat) -> c_int {
         fill_stat(out, 0, true, 1);
         return 0;
     }
-    match sh.plfs.getattr(&rel) {
+    match inside_plfs(|| sh.plfs.getattr(&rel)) {
         Ok(st) => {
             fill_stat(out, st.size, st.is_dir, fake_ino(&rel));
             0
@@ -1391,20 +1455,17 @@ unsafe fn do_stat(path: *const c_char, out: *mut CStat) -> c_int {
 /// `stat(2)`.
 #[no_mangle]
 pub unsafe extern "C" fn stat(path: *const c_char, out: *mut CStat) -> c_int {
-    ffi_guard!(-1, do_stat(path, out))
+    ffi_guard!(-1, stat: StatFn(path, out), do_stat(path, out))
 }
 
 /// `stat64(2)`.
 #[no_mangle]
 pub unsafe extern "C" fn stat64(path: *const c_char, out: *mut CStat) -> c_int {
-    ffi_guard!(-1, do_stat(path, out))
+    ffi_guard!(-1, stat64: StatFn(path, out), do_stat(path, out))
 }
 
 unsafe fn do_lstat(path: *const c_char, out: *mut CStat) -> c_int {
-    let real_lstat = real!(
-        lstat,
-        unsafe extern "C" fn(*const c_char, *mut CStat) -> c_int
-    );
+    let real_lstat = real!(lstat, StatFn);
     let Some(sh) = shim() else {
         return real_lstat(path, out);
     };
@@ -1417,19 +1478,19 @@ unsafe fn do_lstat(path: *const c_char, out: *mut CStat) -> c_int {
 /// `lstat(2)` — containers have no symlinks; same as stat within the mount.
 #[no_mangle]
 pub unsafe extern "C" fn lstat(path: *const c_char, out: *mut CStat) -> c_int {
-    ffi_guard!(-1, do_lstat(path, out))
+    ffi_guard!(-1, lstat: StatFn(path, out), do_lstat(path, out))
 }
 
 /// `lstat64(2)`.
 #[no_mangle]
 pub unsafe extern "C" fn lstat64(path: *const c_char, out: *mut CStat) -> c_int {
-    ffi_guard!(-1, do_lstat(path, out))
+    ffi_guard!(-1, lstat64: StatFn(path, out), do_lstat(path, out))
 }
 
 unsafe fn do_fstat(fd: c_int, out: *mut CStat) -> c_int {
     match lookup(fd) {
         None => {
-            let f = real!(fstat, unsafe extern "C" fn(c_int, *mut CStat) -> c_int);
+            let f = real!(fstat, FstatFn);
             f(fd, out)
         }
         Some(st) => match st.plfs_fd.size() {
@@ -1448,23 +1509,20 @@ unsafe fn do_fstat(fd: c_int, out: *mut CStat) -> c_int {
 /// `fstat(2)`.
 #[no_mangle]
 pub unsafe extern "C" fn fstat(fd: c_int, out: *mut CStat) -> c_int {
-    ffi_guard!(-1, do_fstat(fd, out))
+    ffi_guard!(-1, fstat: FstatFn(fd, out), do_fstat(fd, out))
 }
 
 /// `fstat64(2)`.
 #[no_mangle]
 pub unsafe extern "C" fn fstat64(fd: c_int, out: *mut CStat) -> c_int {
-    ffi_guard!(-1, do_fstat(fd, out))
+    ffi_guard!(-1, fstat64: FstatFn(fd, out), do_fstat(fd, out))
 }
 
 unsafe fn do_fstatat(dirfd: c_int, path: *const c_char, out: *mut CStat, flags: c_int) -> c_int {
     // Resolve the next-in-chain symbol before the logical-path probe: the
     // probe allocates (logical returns an owned String), which is off the
     // table while this symbol is still unresolved.
-    let f = real!(
-        fstatat,
-        unsafe extern "C" fn(c_int, *const c_char, *mut CStat, c_int) -> c_int
-    );
+    let f = real!(fstatat, FstatatFn);
     if flags & AT_EMPTY_PATH != 0 && cstr(path) == Some("") && lookup(dirfd).is_some() {
         return do_fstat(dirfd, out);
     }
@@ -1487,7 +1545,7 @@ pub unsafe extern "C" fn fstatat(
     out: *mut CStat,
     flags: c_int,
 ) -> c_int {
-    ffi_guard!(-1, do_fstatat(dirfd, path, out, flags))
+    ffi_guard!(-1, fstatat: FstatatFn(dirfd, path, out, flags), do_fstatat(dirfd, path, out, flags))
 }
 
 /// `newfstatat` (the syscall-name alias some libcs export).
@@ -1498,17 +1556,18 @@ pub unsafe extern "C" fn newfstatat(
     out: *mut CStat,
     flags: c_int,
 ) -> c_int {
-    ffi_guard!(-1, do_fstatat(dirfd, path, out, flags))
+    // glibc exports no `newfstatat`; `fstatat` is the call it spells.
+    ffi_guard!(-1, fstatat: FstatatFn(dirfd, path, out, flags), do_fstatat(dirfd, path, out, flags))
 }
 
 unsafe fn do_unlink(path: *const c_char) -> c_int {
-    let real_unlink = real!(unlink, unsafe extern "C" fn(*const c_char) -> c_int);
+    let real_unlink = real!(unlink, PathFn);
     let Some(sh) = shim() else {
         return real_unlink(path);
     };
     match cstr(path).and_then(|p| logical(sh, p)) {
         None => real_unlink(path),
-        Some(rel) => match sh.plfs.unlink(&rel) {
+        Some(rel) => match inside_plfs(|| sh.plfs.unlink(&rel)) {
             Ok(()) => 0,
             Err(e) => {
                 set_errno(plfs_errno(&e));
@@ -1521,16 +1580,13 @@ unsafe fn do_unlink(path: *const c_char) -> c_int {
 /// `unlink(2)`.
 #[no_mangle]
 pub unsafe extern "C" fn unlink(path: *const c_char) -> c_int {
-    ffi_guard!(-1, do_unlink(path))
+    ffi_guard!(-1, unlink: PathFn(path), do_unlink(path))
 }
 
 const AT_REMOVEDIR: c_int = 0x200;
 
 unsafe fn do_unlinkat(dirfd: c_int, path: *const c_char, flags: c_int) -> c_int {
-    let f = real!(
-        unlinkat,
-        unsafe extern "C" fn(c_int, *const c_char, c_int) -> c_int
-    );
+    let f = real!(unlinkat, UnlinkatFn);
     let absolute = cstr(path).map(|p| p.starts_with('/')).unwrap_or(false);
     if dirfd == AT_FDCWD || absolute {
         // unlinkat(AT_FDCWD, p, 0) ≡ unlink(p); with AT_REMOVEDIR it is
@@ -1549,11 +1605,11 @@ unsafe fn do_unlinkat(dirfd: c_int, path: *const c_char, flags: c_int) -> c_int 
 /// coreutils `rm` uses); directory-fd-relative paths pass through.
 #[no_mangle]
 pub unsafe extern "C" fn unlinkat(dirfd: c_int, path: *const c_char, flags: c_int) -> c_int {
-    ffi_guard!(-1, do_unlinkat(dirfd, path, flags))
+    ffi_guard!(-1, unlinkat: UnlinkatFn(dirfd, path, flags), do_unlinkat(dirfd, path, flags))
 }
 
 unsafe fn do_access(path: *const c_char, amode: c_int) -> c_int {
-    let real_access = real!(access, unsafe extern "C" fn(*const c_char, c_int) -> c_int);
+    let real_access = real!(access, AccessFn);
     let Some(sh) = shim() else {
         return real_access(path, amode);
     };
@@ -1563,7 +1619,7 @@ unsafe fn do_access(path: *const c_char, amode: c_int) -> c_int {
             if rel == "/" {
                 return 0;
             }
-            match sh.plfs.access(&rel) {
+            match inside_plfs(|| sh.plfs.access(&rel)) {
                 Ok(()) => 0,
                 Err(e) => {
                     set_errno(plfs_errno(&e));
@@ -1577,17 +1633,17 @@ unsafe fn do_access(path: *const c_char, amode: c_int) -> c_int {
 /// `access(2)`.
 #[no_mangle]
 pub unsafe extern "C" fn access(path: *const c_char, amode: c_int) -> c_int {
-    ffi_guard!(-1, do_access(path, amode))
+    ffi_guard!(-1, access: AccessFn(path, amode), do_access(path, amode))
 }
 
 unsafe fn do_mkdir(path: *const c_char, mode: ModeT) -> c_int {
-    let real_mkdir = real!(mkdir, unsafe extern "C" fn(*const c_char, ModeT) -> c_int);
+    let real_mkdir = real!(mkdir, PathModeFn);
     let Some(sh) = shim() else {
         return real_mkdir(path, mode);
     };
     match cstr(path).and_then(|p| logical(sh, p)) {
         None => real_mkdir(path, mode),
-        Some(rel) => match sh.plfs.mkdir(&rel) {
+        Some(rel) => match inside_plfs(|| sh.plfs.mkdir(&rel)) {
             Ok(()) => 0,
             Err(e) => {
                 set_errno(plfs_errno(&e));
@@ -1600,17 +1656,17 @@ unsafe fn do_mkdir(path: *const c_char, mode: ModeT) -> c_int {
 /// `mkdir(2)`.
 #[no_mangle]
 pub unsafe extern "C" fn mkdir(path: *const c_char, mode: ModeT) -> c_int {
-    ffi_guard!(-1, do_mkdir(path, mode))
+    ffi_guard!(-1, mkdir: PathModeFn(path, mode), do_mkdir(path, mode))
 }
 
 unsafe fn do_rmdir(path: *const c_char) -> c_int {
-    let real_rmdir = real!(rmdir, unsafe extern "C" fn(*const c_char) -> c_int);
+    let real_rmdir = real!(rmdir, PathFn);
     let Some(sh) = shim() else {
         return real_rmdir(path);
     };
     match cstr(path).and_then(|p| logical(sh, p)) {
         None => real_rmdir(path),
-        Some(rel) => match sh.plfs.rmdir(&rel) {
+        Some(rel) => match inside_plfs(|| sh.plfs.rmdir(&rel)) {
             Ok(()) => 0,
             Err(e) => {
                 set_errno(plfs_errno(&e));
@@ -1623,16 +1679,16 @@ unsafe fn do_rmdir(path: *const c_char) -> c_int {
 /// `rmdir(2)`.
 #[no_mangle]
 pub unsafe extern "C" fn rmdir(path: *const c_char) -> c_int {
-    ffi_guard!(-1, do_rmdir(path))
+    ffi_guard!(-1, rmdir: PathFn(path), do_rmdir(path))
 }
 
 unsafe fn do_ftruncate(fd: c_int, len: OffT) -> c_int {
-    match lookup(fd) {
+    match shim().zip(lookup(fd)) {
         None => {
-            let f = real!(ftruncate, unsafe extern "C" fn(c_int, OffT) -> c_int);
+            let f = real!(ftruncate, FtruncateFn);
             f(fd, len)
         }
-        Some(st) => {
+        Some((sh, st)) => {
             if len < 0 {
                 set_errno(EINVAL);
                 return -1;
@@ -1642,10 +1698,6 @@ unsafe fn do_ftruncate(fd: c_int, len: OffT) -> c_int {
                 set_errno(EBADF);
                 return -1;
             }
-            let Some(sh) = shim() else {
-                set_errno(EBADF);
-                return -1;
-            };
             // Container path is backend-relative == logical path here.
             let path = st.plfs_fd.container_path().to_string();
             match sh.plfs.trunc(&path, len as u64) {
@@ -1660,7 +1712,7 @@ unsafe fn do_ftruncate(fd: c_int, len: OffT) -> c_int {
 }
 
 unsafe fn do_truncate(path: *const c_char, len: OffT) -> c_int {
-    let real_truncate = real!(truncate, unsafe extern "C" fn(*const c_char, OffT) -> c_int);
+    let real_truncate = real!(truncate, TruncateFn);
     let Some(sh) = shim() else {
         return real_truncate(path, len);
     };
@@ -1675,7 +1727,7 @@ unsafe fn do_truncate(path: *const c_char, len: OffT) -> c_int {
             // there is no fd whose writers need quiescing: an unopened (or
             // other-process) container is rewritten directly, same as the
             // kernel truncates a file nobody has open.
-            match sh.plfs.trunc(&rel, len as u64) {
+            match inside_plfs(|| sh.plfs.trunc(&rel, len as u64)) {
                 Ok(()) => 0,
                 Err(e) => {
                     set_errno(plfs_errno(&e));
@@ -1689,25 +1741,25 @@ unsafe fn do_truncate(path: *const c_char, len: OffT) -> c_int {
 /// `truncate(2)`.
 #[no_mangle]
 pub unsafe extern "C" fn truncate(path: *const c_char, len: OffT) -> c_int {
-    ffi_guard!(-1, do_truncate(path, len))
+    ffi_guard!(-1, truncate: TruncateFn(path, len), do_truncate(path, len))
 }
 
 /// `truncate64(2)` — the LFS twin.
 #[no_mangle]
 pub unsafe extern "C" fn truncate64(path: *const c_char, len: OffT) -> c_int {
-    ffi_guard!(-1, do_truncate(path, len))
+    ffi_guard!(-1, truncate64: TruncateFn(path, len), do_truncate(path, len))
 }
 
 /// `ftruncate(2)`.
 #[no_mangle]
 pub unsafe extern "C" fn ftruncate(fd: c_int, len: OffT) -> c_int {
-    ffi_guard!(-1, do_ftruncate(fd, len))
+    ffi_guard!(-1, ftruncate: FtruncateFn(fd, len), do_ftruncate(fd, len))
 }
 
 /// `ftruncate64(2)`.
 #[no_mangle]
 pub unsafe extern "C" fn ftruncate64(fd: c_int, len: OffT) -> c_int {
-    ffi_guard!(-1, do_ftruncate(fd, len))
+    ffi_guard!(-1, ftruncate64: FtruncateFn(fd, len), do_ftruncate(fd, len))
 }
 
 // ---------------------------------------------------------------------------
@@ -1761,10 +1813,7 @@ unsafe fn cookie_stream(fd: c_int, mode: *const c_char) -> *mut c_void {
 }
 
 unsafe fn do_fopen(path: *const c_char, mode: *const c_char) -> *mut c_void {
-    let real_fopen = real!(
-        fopen,
-        unsafe extern "C" fn(*const c_char, *const c_char) -> *mut c_void
-    );
+    let real_fopen = real!(fopen, FopenFn);
     let in_mount = shim().is_some_and(|sh| cstr(path).and_then(|p| logical(sh, p)).is_some());
     let read_only = cstr(mode).is_some_and(|m| m.starts_with('r') && !m.contains('+'));
     if !in_mount || !read_only {
@@ -1785,20 +1834,17 @@ unsafe fn do_fopen(path: *const c_char, mode: *const c_char) -> *mut c_void {
 /// `fopen(3)`.
 #[no_mangle]
 pub unsafe extern "C" fn fopen(path: *const c_char, mode: *const c_char) -> *mut c_void {
-    ffi_guard!(std::ptr::null_mut(), do_fopen(path, mode))
+    ffi_guard!(std::ptr::null_mut(), fopen: FopenFn(path, mode), do_fopen(path, mode))
 }
 
 /// `fopen64(3)`.
 #[no_mangle]
 pub unsafe extern "C" fn fopen64(path: *const c_char, mode: *const c_char) -> *mut c_void {
-    ffi_guard!(std::ptr::null_mut(), do_fopen(path, mode))
+    ffi_guard!(std::ptr::null_mut(), fopen64: FopenFn(path, mode), do_fopen(path, mode))
 }
 
 unsafe fn do_fdopen(fd: c_int, mode: *const c_char) -> *mut c_void {
-    let f = real!(
-        fdopen,
-        unsafe extern "C" fn(c_int, *const c_char) -> *mut c_void
-    );
+    let f = real!(fdopen, FdopenFn);
     if lookup(fd).is_some() {
         return cookie_stream(fd, mode);
     }
@@ -1808,7 +1854,7 @@ unsafe fn do_fdopen(fd: c_int, mode: *const c_char) -> *mut c_void {
 /// `fdopen(3)` — a real stream would read the (empty) reserved fd.
 #[no_mangle]
 pub unsafe extern "C" fn fdopen(fd: c_int, mode: *const c_char) -> *mut c_void {
-    ffi_guard!(std::ptr::null_mut(), do_fdopen(fd, mode))
+    ffi_guard!(std::ptr::null_mut(), fdopen: FdopenFn(fd, mode), do_fdopen(fd, mode))
 }
 
 /// Kernel `struct statx` (uapi, fixed layout).
@@ -1864,10 +1910,7 @@ unsafe fn do_statx(
     mask: c_uint,
     out: *mut CStatx,
 ) -> c_int {
-    let real_statx = real!(
-        statx,
-        unsafe extern "C" fn(c_int, *const c_char, c_int, c_uint, *mut CStatx) -> c_int
-    );
+    let real_statx = real!(statx, StatxFn);
     let Some(sh) = shim() else {
         return real_statx(dirfd, path, flags, mask, out);
     };
@@ -1898,7 +1941,7 @@ unsafe fn do_statx(
         fill_statx(out, 0, true, 1);
         return 0;
     }
-    match sh.plfs.getattr(&rel) {
+    match inside_plfs(|| sh.plfs.getattr(&rel)) {
         Ok(st) => {
             fill_statx(out, st.size, st.is_dir, fake_ino(&rel));
             0
@@ -1919,7 +1962,11 @@ pub unsafe extern "C" fn statx(
     mask: c_uint,
     out: *mut CStatx,
 ) -> c_int {
-    ffi_guard!(-1, do_statx(dirfd, path, flags, mask, out))
+    ffi_guard!(
+        -1,
+        statx: StatxFn(dirfd, path, flags, mask, out),
+        do_statx(dirfd, path, flags, mask, out)
+    )
 }
 
 /// How many fds the shim currently tracks (exposed for the smoke test).

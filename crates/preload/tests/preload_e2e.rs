@@ -123,6 +123,44 @@ fn container_structure_created_on_backend() {
     );
 }
 
+/// A backend directory under the mount: PLFS's own `mkdir` and `open` of
+/// its droppings reach the interposed symbols with paths inside the mount.
+/// They are PLFS's I/O and must go straight to libc; retargeted into the
+/// container namespace they recursed until the stack ran out (exit 139).
+#[test]
+fn a_backend_under_the_mount_holds_the_droppings() {
+    ensure_built();
+    let env = setup("nested");
+    let backend = env.mount.join(".be");
+    let file = env.mount.join("f");
+    let run = |cmd: &mut Command| {
+        let out = cmd
+            .env("LD_PRELOAD", preload_lib())
+            .env("LDPLFS_MOUNT", &env.mount)
+            .env("LDPLFS_BACKEND", &backend)
+            .output()
+            .expect("spawn preloaded process");
+        assert!(
+            out.status.success(),
+            "{cmd:?}: {:?}\nstderr: {}",
+            out.status,
+            String::from_utf8_lossy(&out.stderr)
+        );
+        out.stdout
+    };
+    run(Command::new("sh")
+        .arg("-c")
+        .arg(format!("echo hello > {}", file.display())));
+    assert_eq!(run(Command::new("cat").arg(&file)), b"hello\n");
+    let names: Vec<String> = std::fs::read_dir(backend.join("f"))
+        .expect("the container is a directory under the backend")
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    for prefix in [".plfsaccess", "dropping.data.", "dropping.index."] {
+        assert!(names.iter().any(|n| n.starts_with(prefix)), "{names:?}");
+    }
+}
+
 #[test]
 fn real_unix_tools_read_containers() {
     ensure_built();

@@ -13,6 +13,7 @@
 
 use plfs::backing::join;
 use plfs::{Backing, RealBacking};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::Path;
 
@@ -728,6 +729,114 @@ pub fn benchgate(baseline: &str, fresh: &str, threshold: f64) -> ToolResult {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Paired benchmark runs (`scripts/bench_pairs.sh`).
+// ---------------------------------------------------------------------------
+
+/// First quartile, median and third quartile of a non-empty sample,
+/// linearly interpolated between ranks.
+fn quartiles(mut v: Vec<f64>) -> [f64; 3] {
+    v.sort_by(f64::total_cmp);
+    let at = |q: f64| {
+        let pos = q * (v.len() - 1) as f64;
+        let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+        v[lo] + (v[hi] - v[lo]) * (pos - lo as f64)
+    };
+    [at(0.25), at(0.5), at(0.75)]
+}
+
+/// `pairs`: summarise parent-vs-change benchmark runs given as JSONL, one
+/// run per line: `{"side": "parent"|"change", "workload", "pair", "result":
+/// <the JSON object benchmark/run.sh prints last>}`. For each (workload,
+/// metric) it prints each side's median and quartiles, how many pairs the
+/// change won (ties count for neither side), and whether a gain may be
+/// claimed: at least ten pairs, the change wins at least nine tenths of
+/// them, and its median beats the parent's by more than the parent's
+/// interquartile range (`holds`; `few` below ten pairs). Every end-to-end
+/// metric of the benchmark is lower-is-better. A run that is not `correct`
+/// or failed operations is counted at the end.
+pub fn pairs(jsonl: &str) -> ToolResult {
+    // (workload, metric) → pair → [parent, change].
+    type ByPair = BTreeMap<u64, [Option<f64>; 2]>;
+    let mut table: BTreeMap<(String, String), ByPair> = BTreeMap::new();
+    let (mut runs, mut bad) = (0usize, 0usize);
+    for (i, line) in jsonl
+        .lines()
+        .enumerate()
+        .filter(|(_, l)| !l.trim().is_empty())
+    {
+        let malformed = |what: &str| ToolError::Usage(format!("line {}: {what}", i + 1));
+        let v = jsonlite::parse(line).map_err(|e| malformed(&format!("not JSON: {e:?}")))?;
+        let side = match v.get("side").and_then(|s| s.as_str()) {
+            Some("parent") => 0,
+            Some("change") => 1,
+            _ => return Err(malformed("\"side\" must be parent or change")),
+        };
+        let workload = v.get("workload").and_then(|w| w.as_str());
+        let pair = v.get("pair").and_then(|p| p.as_u64());
+        let result = v.get("result");
+        let metrics = result.and_then(|r| r.get("metrics")?.as_object());
+        let (Some(workload), Some(pair), Some(result), Some(metrics)) =
+            (workload, pair, result, metrics)
+        else {
+            return Err(malformed("needs workload, pair and result.metrics"));
+        };
+        runs += 1;
+        let correct = result.get("correct").and_then(|c| c.as_bool()) == Some(true);
+        let failed = result.get("failed").and_then(|f| f.as_u64()).unwrap_or(0);
+        if !correct || failed > 0 {
+            bad += 1;
+        }
+        for (name, m) in metrics {
+            if let Some(x) = m.get("value").and_then(|x| x.as_f64()) {
+                let row = table
+                    .entry((workload.to_string(), name.clone()))
+                    .or_default();
+                row.entry(pair).or_default()[side] = Some(x);
+            }
+        }
+    }
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "{:<13} {:<14} {:>28} {:>28} {:>8} {:>6}  gain",
+        "workload", "metric", "parent median [q1, q3]", "change median [q1, q3]", "Δ", "wins"
+    );
+    for ((workload, metric), by_pair) in &table {
+        let both: Vec<(f64, f64)> = by_pair
+            .values()
+            .filter_map(|[p, c]| Some(((*p)?, (*c)?)))
+            .collect();
+        if both.is_empty() {
+            continue;
+        }
+        let [pq1, pm, pq3] = quartiles(both.iter().map(|b| b.0).collect());
+        let [cq1, cm, cq3] = quartiles(both.iter().map(|b| b.1).collect());
+        let wins = both.iter().filter(|(p, c)| c < p).count();
+        let claim = if both.len() < 10 {
+            "few"
+        } else if wins * 10 >= both.len() * 9 && pm - cm > pq3 - pq1 {
+            "holds"
+        } else {
+            "no"
+        };
+        let delta = if pm == 0.0 {
+            0.0
+        } else {
+            (cm - pm) / pm * 100.0
+        };
+        let _ = writeln!(
+            out,
+            "{workload:<13} {metric:<14} {:>28} {:>28} {delta:>+7.1}% {:>6}  {claim}",
+            format!("{pm:.4} [{pq1:.4}, {pq3:.4}]"),
+            format!("{cm:.4} [{cq1:.4}, {cq3:.4}]"),
+            format!("{wins}/{}", both.len()),
+        );
+    }
+    let _ = writeln!(out, "{runs} runs, {bad} not correct or with failed ops");
+    Ok(out)
+}
+
 /// Output format for [`lint`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LintFormat {
@@ -1238,6 +1347,46 @@ mod tests {
         // Ungated figures compare trivially clean.
         let out = benchgate(a, a, 0.3).unwrap();
         assert!(out.contains("0 gated metric(s), 0 regression(s)"), "{out}");
+    }
+
+    #[test]
+    fn pairs_applies_the_gain_rule_per_workload_and_metric() {
+        let out = pairs(include_str!("../fixtures/pairs.jsonl")).unwrap();
+        let row = |workload: &str, metric: &str| {
+            out.lines()
+                .find(|l| l.starts_with(&format!("{workload:<13} {metric:<14} ")))
+                .unwrap_or_else(|| panic!("no {workload}/{metric} row in\n{out}"))
+                .to_string()
+        };
+        // 10 of 10 wins, medians 4 MB apart against a 0.02 MB parent IQR.
+        let rss = row("unix_tools", "peak_rss_MB");
+        assert!(rss.contains("7.5000 [7.4900, 7.5075]"), "{rss}");
+        assert!(rss.ends_with("10/10  holds"), "{rss}");
+        // Wins 7 of 10: not nine tenths.
+        assert!(row("unix_tools", "wall_s").ends_with("7/10  no"));
+        // Wins 9 of 10, but by 0.01 s inside a 0.175 s parent IQR.
+        assert!(row("unix_tools", "cpu_s").ends_with("9/10  no"));
+        // Ties count for neither side.
+        assert!(row("unix_tools", "space_amp").ends_with("0/10  no"));
+        // meta_storm's pair 2 has no change run: one pair is too few.
+        assert!(row("meta_storm", "peak_rss_MB").ends_with("1/1  few"));
+        assert!(
+            out.ends_with("23 runs, 1 not correct or with failed ops\n"),
+            "{out}"
+        );
+    }
+
+    #[test]
+    fn pairs_rejects_malformed_lines() {
+        assert!(matches!(
+            pairs("{\"side\":\"left\"}"),
+            Err(ToolError::Usage(_))
+        ));
+        assert!(matches!(
+            pairs("{\"side\":\"parent\",\"workload\":\"w\"}"),
+            Err(ToolError::Usage(_))
+        ));
+        assert!(matches!(pairs("not json"), Err(ToolError::Usage(_))));
     }
 
     #[test]

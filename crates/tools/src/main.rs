@@ -19,6 +19,7 @@
 //! plfs-tools trace   /path/to/trace.jsonl --dump  # one line per op
 //! plfs-tools benchcheck BENCH.json [...]        # validate emitted bench JSON
 //! plfs-tools benchgate  BASELINE.json FRESH.json [--threshold 0.30]
+//! plfs-tools pairs   RUNS.jsonl                 # parent vs change pairs: medians, wins, gain rule
 //! plfs-tools lint [ROOT] [--json|--sarif]       # workspace static analysis
 //! plfs-tools sarifcheck REPORT.sarif            # validate a SARIF report
 //! ```
@@ -40,7 +41,7 @@ fn run(args: &[String]) -> plfs_tools::ToolResult {
     let usage = || {
         plfs_tools::ToolError::Usage(
             "commands: stat|map|flatten|compact|check|repair|ls|du|rm|version|backend|rccheck|\
-             trace|benchcheck|benchgate|lint|sarifcheck (see --help)"
+             trace|benchcheck|benchgate|pairs|lint|sarifcheck (see --help)"
                 .to_string(),
         )
     };
@@ -117,6 +118,11 @@ fn run(args: &[String]) -> plfs_tools::ToolResult {
                 .map_err(|e| plfs_tools::ToolError::Usage(format!("{p}: {e}")))
         };
         return plfs_tools::benchgate(&read(path)?, &read(fresh_path)?, threshold);
+    }
+    if cmd == "pairs" {
+        let text = std::fs::read_to_string(path)
+            .map_err(|e| plfs_tools::ToolError::Usage(format!("{path}: {e}")))?;
+        return plfs_tools::pairs(&text);
     }
     if cmd == "rccheck" {
         if path == "--knobs" {

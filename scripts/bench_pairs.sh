@@ -1,0 +1,65 @@
+#!/usr/bin/env bash
+# Paired benchmark runs of two checkouts, for judging a change against its
+# parent with identical benchmark code and settings.
+#
+#   scripts/bench_pairs.sh PARENT_DIR CHANGE_DIR N SECONDS WORKLOAD... >> runs.jsonl
+#   cargo run --release -p plfs-tools -- pairs runs.jsonl
+#
+# N is a pair count (pairs 1..N) or a range FIRST-LAST, e.g. 11-20 for
+# seeds not used before. For each workload and each pair i, runs
+#   benchmark/run.sh --workload W --seed i --seconds SECONDS --trace 0
+# in both checkouts, in ABBA order: odd pairs run the parent first, even
+# pairs the change first, so neither side always runs on the warmer
+# machine. Each checkout builds into its own target/ directory. One JSONL
+# line per run goes to stdout:
+#   {"side":"parent"|"change","workload":W,"pair":i,"result":<run.sh's last line>}
+# Build output and progress go to stderr. A run that exits non-zero still
+# prints its line (its result says correct:false); a run that prints no
+# result stops the script.
+set -euo pipefail
+
+if [ $# -lt 5 ]; then
+    sed -n '2,18p' "$0" >&2
+    exit 2
+fi
+PARENT=$(cd "$1" && pwd)
+CHANGE=$(cd "$2" && pwd)
+case $3 in
+    *-*) FIRST=${3%-*} LAST=${3#*-} ;;
+    *) FIRST=1 LAST=$3 ;;
+esac
+SECONDS_PER_RUN=$4
+shift 4
+
+run() { # side dir workload pair
+    local out line
+    echo "bench_pairs: $1 $3 pair $4" >&2
+    out=$(env -u CARGO_TARGET_DIR bash "$2/benchmark/run.sh" --workload "$3" --seed "$4" \
+        --seconds "$SECONDS_PER_RUN" --trace 0) || true
+    line=$(printf '%s\n' "$out" | tail -n 1)
+    case $line in
+        '{'*) printf '{"side":"%s","workload":"%s","pair":%d,"result":%s}\n' "$1" "$3" "$4" "$line" ;;
+        *) echo "bench_pairs: $1 $3 pair $4 printed no result" >&2; exit 1 ;;
+    esac
+}
+
+# Building the harness rewrites each checkout's benchmark/Cargo.lock; put
+# them back, as scripts/verify.sh does.
+restore() {
+    for dir in "$PARENT" "$CHANGE"; do
+        git -C "$dir" checkout -- benchmark/Cargo.lock 2>/dev/null || true
+    done
+}
+trap restore EXIT
+
+for workload in "$@"; do
+    for i in $(seq "$FIRST" "$LAST"); do
+        if [ $((i % 2)) -eq 1 ]; then
+            run parent "$PARENT" "$workload" "$i"
+            run change "$CHANGE" "$workload" "$i"
+        else
+            run change "$CHANGE" "$workload" "$i"
+            run parent "$PARENT" "$workload" "$i"
+        fi
+    done
+done

@@ -32,6 +32,10 @@ cargo run --offline --release -q -p plfs-tools -- lint . --sarif > "$sarif_tmp" 
 cargo run --offline --release -q -p plfs-tools -- sarifcheck "$sarif_tmp"
 rm -f "$sarif_tmp"
 
+# The pair summariser must read its fixture (the unit tests pin its
+# verdicts on it).
+cargo run --offline --release -q -p plfs-tools -- pairs crates/tools/fixtures/pairs.jsonl > /dev/null
+
 # Configuration table drift: README's block must be the knob table
 # (`crates/plfs/src/conf.rs` KNOBS) verbatim.
 knobs_tmp=$(mktemp)
