@@ -41,7 +41,7 @@
 
 use crate::backing::{join, remove_tree, Backing};
 use crate::error::{Error, Result};
-use crate::index::{observe_timestamp, GlobalIndex, IndexEntry};
+use crate::index::{observe_timestamp, GlobalIndex, IndexBuilder, IndexEntry};
 use std::time::{Duration, Instant};
 
 /// Name of the marker file that identifies a container.
@@ -402,9 +402,8 @@ pub fn list_droppings(b: &dyn Backing, container: &str) -> Result<Vec<DroppingRe
     Ok(out)
 }
 
-/// Read, decode and expand one index dropping, renumbering its entries to
-/// the global dropping id (writers store a local id).
-fn read_index_dropping(b: &dyn Backing, id: u32, ip: &str) -> Result<Vec<IndexEntry>> {
+/// Read one whole index dropping.
+fn read_index_bytes(b: &dyn Backing, ip: &str) -> Result<Vec<u8>> {
     let f = b.open(ip, false)?;
     let size = f.size()? as usize;
     let mut buf = vec![0u8; size];
@@ -412,20 +411,21 @@ fn read_index_dropping(b: &dyn Backing, id: u32, ip: &str) -> Result<Vec<IndexEn
     if n != size {
         return Err(Error::Corrupt(format!("short read of index {ip}")));
     }
-    let mut entries = IndexEntry::decode_all(&buf)?;
-    for e in &mut entries {
-        e.dropping_id = id;
-    }
-    Ok(entries)
+    Ok(buf)
 }
 
 /// Decode every index dropping of `droppings` into a run of its own,
-/// entries numbered by the dropping's position in the slice.
+/// entries numbered by the dropping's position in the slice (writers store
+/// a local id).
 pub fn read_index_runs(b: &dyn Backing, droppings: &[DroppingRef]) -> Result<Vec<Vec<IndexEntry>>> {
     let mut runs = Vec::new();
     for (id, d) in droppings.iter().enumerate() {
         let Some(ip) = &d.index_path else { continue };
-        runs.push(read_index_dropping(b, id as u32, ip)?);
+        let mut run = IndexEntry::decode_all(&read_index_bytes(b, ip)?)?;
+        for e in &mut run {
+            e.dropping_id = id as u32;
+        }
+        runs.push(run);
     }
     Ok(runs)
 }
@@ -435,10 +435,11 @@ pub fn read_index_runs(b: &dyn Backing, droppings: &[DroppingRef]) -> Result<Vec
 const RELIST_ATTEMPTS: usize = 4;
 
 /// Load and merge every index dropping into a [`GlobalIndex`], numbering
-/// droppings by their position in [`list_droppings`] order: the runs of
-/// [`read_index_runs`] merged by [`GlobalIndex::from_sorted_runs`]. Steps
-/// the process write clock past what was merged (see
-/// [`observe_timestamp`]).
+/// droppings by their position in [`list_droppings`] order: each dropping's
+/// bytes decoded straight into one builder, which is equivalent to
+/// [`GlobalIndex::from_sorted_runs`] of [`read_index_runs`] without
+/// holding the runs. Steps the process write clock past what was merged
+/// (see [`observe_timestamp`]).
 ///
 /// A top-level index dropping is renamed once in its life, when its writer
 /// closes; a reader that listed the container just before finds the old
@@ -448,15 +449,21 @@ pub fn build_global_index(
     container: &str,
 ) -> Result<(GlobalIndex, Vec<DroppingRef>)> {
     let mut attempt = 1;
-    let (runs, droppings) = loop {
+    let (index, droppings) = loop {
         let droppings = list_droppings(b, container)?;
-        match read_index_runs(b, &droppings) {
-            Ok(runs) => break (runs, droppings),
+        let mut builder = IndexBuilder::default();
+        let fed = (0u32..)
+            .zip(&droppings)
+            .try_for_each(|(id, d)| match &d.index_path {
+                Some(ip) => builder.decode(&read_index_bytes(b, ip)?, id),
+                None => Ok(()),
+            });
+        match fed {
+            Ok(()) => break (builder.build(), droppings),
             Err(Error::NotFound(_)) if attempt < RELIST_ATTEMPTS => attempt += 1,
             Err(e) => return Err(e),
         }
     };
-    let index = GlobalIndex::from_sorted_runs(runs);
     observe_timestamp(index.max_timestamp());
     Ok((index, droppings))
 }

@@ -7,6 +7,9 @@
 //! `(dropping, physical offset)` pairs, resolving overlaps so that the most
 //! recent write wins.
 //!
+//! The global index is a sorted vector built in place from the droppings'
+//! records, plus a small overlay of newer extents; see [`GlobalIndex`].
+//!
 //! On-disk record format (little-endian, 48 bytes):
 //!
 //! ```text
@@ -15,8 +18,8 @@
 //! ```
 
 use crate::error::{Error, Result};
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::{btree_map, BTreeMap};
+use std::iter::Peekable;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Once;
 
@@ -366,38 +369,167 @@ pub struct ChunkSlice {
     pub physical_offset: u64,
 }
 
-/// Segment stored in the interval map: the winning entry for a logical range.
-#[derive(Debug, Clone, Copy)]
-struct Segment {
+/// One extent of the merged index: logical `[start, end)` is held by data
+/// dropping `dropping_id` from `physical_offset` on. 32 bytes.
+#[derive(Debug, Default, Clone, Copy)]
+struct Extent {
+    start: u64,
     end: u64,
-    dropping_id: u32,
-    // Physical offset corresponding to the segment *start*.
     physical_offset: u64,
-    timestamp: u64,
+    dropping_id: u32,
+    /// While the builder sorts: the entry's place in the concatenation of
+    /// runs (the stable sort's tie-break). Nothing reads it after.
+    position: u32,
 }
+
+impl Extent {
+    fn of(e: &IndexEntry, dropping_id: u32, position: u32) -> Extent {
+        Extent {
+            start: e.logical_offset,
+            end: e.logical_end(),
+            physical_offset: e.physical_offset,
+            dropping_id,
+            position,
+        }
+    }
+
+    /// The part of `self` from logical offset `at` on, if `at` is past its
+    /// start.
+    fn tail_from(self, at: u64) -> Extent {
+        let at = at.max(self.start);
+        Extent {
+            start: at,
+            physical_offset: self.physical_offset + (at - self.start),
+            ..self
+        }
+    }
+
+    /// Does `next` carry on, byte for byte, where `self` ends?
+    fn continued_by(&self, next: &Extent) -> bool {
+        self.end == next.start
+            && self.dropping_id == next.dropping_id
+            && self.physical_offset + (self.end - self.start) == next.physical_offset
+    }
+}
+
+/// The overlay folds into the base past this many extents and an eighth of
+/// the base: an insert costs O(log k) plus an amortized O(1) share of a fold.
+const FOLD_MIN: usize = 64;
 
 /// The merged, overlap-resolved view of every index dropping in a container.
 ///
-/// Internally a `BTreeMap<start, Segment>` of disjoint extents. Entries are
-/// inserted newest-wins: an entry only claims the parts of its range not
-/// already claimed by a newer entry.
+/// The *base* is a vector of disjoint extents sorted by logical offset,
+/// built in place by `IndexBuilder` and binary-searched by `resolve`. The
+/// *overlay* is a small map that `insert` adds to; all of it is newer than
+/// the base, so it wins where the two overlap, and past `max(FOLD_MIN,
+/// base / 8)` extents it is folded into the base. Readers of both share one
+/// walk that coalesces contiguous pieces, so a patched view and a fresh
+/// build compare equal segment for segment.
 ///
 /// # Residency
 ///
-/// A `GlobalIndex` is O(expanded writes) resident: building one expands
-/// every pattern record back into plain entries.
+/// O(expanded writes): building one expands every pattern record back into
+/// plain entries. A base extent is 32 bytes; a fresh build keeps the
+/// allocation its 40-byte items were sorted in (converted in place), which
+/// a later patch's folds grow into.
 #[derive(Debug, Default, Clone)]
 pub struct GlobalIndex {
-    map: BTreeMap<u64, Segment>,
+    base: Vec<Extent>,
+    overlay: BTreeMap<u64, Extent>,
     eof: u64,
     entries: usize,
     max_ts: u64,
 }
 
+/// The one way a [`GlobalIndex`] is built from index droppings: entries are
+/// fed run by run, in concatenation order — decoded straight from a
+/// dropping's bytes, or taken from a decoded run — as 40-byte items, an
+/// extent and its stamp; [`IndexBuilder::build`] sorts them in place.
+#[derive(Default)]
+pub(crate) struct IndexBuilder {
+    items: Vec<(Extent, u64)>,
+}
+
+impl IndexBuilder {
+    fn push(&mut self, e: &IndexEntry, dropping_id: u32) -> Result<()> {
+        let Ok(position) = u32::try_from(self.items.len()) else {
+            return Err(Error::Corrupt("more than 2^32 index entries".into()));
+        };
+        if e.length > 0 {
+            self.items
+                .push((Extent::of(e, dropping_id, position), e.timestamp));
+        }
+        Ok(())
+    }
+
+    /// Decode one whole index dropping into the builder, its entries
+    /// numbered `dropping_id` (writers store a local id): what
+    /// [`IndexEntry::decode_all`] reads, without the vector it returns.
+    pub(crate) fn decode(&mut self, buf: &[u8], dropping_id: u32) -> Result<()> {
+        let records = buf.chunks_exact(RECORD_SIZE);
+        if !records.remainder().is_empty() {
+            let n = buf.len();
+            return Err(Error::Corrupt(format!(
+                "index dropping length {n} not a record multiple"
+            )));
+        }
+        self.items.reserve(records.len());
+        for rec in records {
+            match u32::from_le_bytes(rec[0..4].try_into().unwrap()) {
+                RECORD_MAGIC => self.push(&IndexEntry::decode(rec)?, dropping_id)?,
+                PATTERN_MAGIC => {
+                    let p = PatternRecord::decode(rec)?;
+                    self.items.reserve(p.count as usize);
+                    for i in 0..p.count as u64 {
+                        self.push(&p.entry_at(i), dropping_id)?;
+                    }
+                }
+                other => return Err(Error::Corrupt(format!("bad index magic {other:#x}"))),
+            }
+        }
+        Ok(())
+    }
+
+    /// Sort the items by logical offset, in place. Without overlap the
+    /// order of the writes does not matter: adjacent contiguous items
+    /// coalesce in place and become the base. With overlap they are sorted
+    /// again by `(timestamp, position)` — exactly the stable timestamp sort
+    /// of the concatenation that [`GlobalIndex::from_entries`] defines —
+    /// and inserted newest-wins.
+    pub(crate) fn build(self) -> GlobalIndex {
+        let mut items = self.items;
+        let mut idx = GlobalIndex {
+            entries: items.len(),
+            eof: items.iter().map(|(x, _)| x.end).max().unwrap_or(0),
+            max_ts: items.iter().map(|&(_, ts)| ts).max().unwrap_or(0),
+            ..GlobalIndex::default()
+        };
+        items.sort_unstable_by_key(|(x, _)| x.start);
+        if items.windows(2).any(|w| w[1].0.start < w[0].0.end) {
+            items.sort_unstable_by_key(|&(x, ts)| (ts, x.position));
+            items.into_iter().for_each(|(x, _)| idx.put(x));
+            idx.fold();
+            idx.base.shrink_to_fit();
+            return idx;
+        }
+        items.dedup_by(|(next, _), (prev, _)| {
+            let joined = prev.continued_by(next);
+            if joined {
+                prev.end = next.end;
+            }
+            joined
+        });
+        items.shrink_to_fit();
+        // Collected in place: the base reuses the items' allocation.
+        idx.base = items.into_iter().map(|(x, _)| x).collect();
+        idx
+    }
+}
+
 impl GlobalIndex {
     /// Build from raw entries in any order, one newest-wins insert at a
     /// time. The reference [`GlobalIndex::from_sorted_runs`] is tested
-    /// against; every open in this crate goes through that one.
+    /// against; every open in this crate goes through the builder.
     pub fn from_entries(mut entries: Vec<IndexEntry>) -> GlobalIndex {
         // Sort oldest-first so later inserts (newer writes) overwrite earlier.
         entries.sort_by_key(|e| e.timestamp);
@@ -408,82 +540,19 @@ impl GlobalIndex {
         idx
     }
 
-    /// Build from per-dropping entry runs, producing a result identical to
-    /// `from_entries(runs.concat())`.
-    ///
-    /// When no two entries overlap — the common case for N-1 checkpoints,
-    /// where each rank owns disjoint ranges — the result does not depend on
-    /// timestamp order at all, so the bulk build is tried on the runs as
-    /// they come. Only on overlap is the order paid for: `from_entries`
-    /// stable-sorts the concatenation by timestamp, so ties resolve in
-    /// concatenation order (run index, then position within the run), and
-    /// the fallback reproduces that exactly with a k-way merge — each run
-    /// is stable-sorted on its own (a no-op for writer-produced droppings,
-    /// whose timestamps are already non-decreasing), then merged through a
-    /// min-heap whose tie-break is the run index — feeding the incremental
-    /// newest-wins insert.
+    /// Build from per-dropping entry runs through the one builder, producing
+    /// a result identical to `from_entries(runs.concat())`.
     pub fn from_sorted_runs(runs: Vec<Vec<IndexEntry>>) -> GlobalIndex {
-        if let Some(idx) = GlobalIndex::bulk_build(runs.iter().flatten()) {
-            return idx;
-        }
-        let mut idx = GlobalIndex::default();
-        for e in merge_runs_by_timestamp(runs) {
-            idx.insert(e);
-        }
-        idx
-    }
-
-    /// Try to build directly from entries in any order without the
-    /// per-insert overlap machinery. Succeeds only when no two entries
-    /// overlap logically, in which case the segment map is just the entries
-    /// sorted by logical offset with adjacent contiguous extents coalesced —
-    /// byte-identical to what incremental insertion would produce, built in
-    /// one linear pass instead of O(log n) map surgery per entry.
-    fn bulk_build<'a>(entries: impl Iterator<Item = &'a IndexEntry>) -> Option<GlobalIndex> {
-        let mut order: Vec<&IndexEntry> = entries.filter(|e| e.length > 0).collect();
-        // Unstable sort is fine: equal offsets with nonzero lengths overlap,
-        // which sends us to the fallback before order matters.
-        order.sort_unstable_by_key(|e| e.logical_offset);
-        if order
-            .windows(2)
-            .any(|w| w[1].logical_offset < w[0].logical_end())
-        {
-            return None;
-        }
-        let raw = order.len();
-        let mut segs: Vec<(u64, Segment)> = Vec::new();
-        let mut eof = 0u64;
-        let mut max_ts = 0u64;
-        for e in order {
-            eof = eof.max(e.logical_end());
-            max_ts = max_ts.max(e.timestamp);
-            if let Some((s, seg)) = segs.last_mut() {
-                let contiguous = seg.end == e.logical_offset
-                    && seg.dropping_id == e.dropping_id
-                    && seg.physical_offset + (seg.end - *s) == e.physical_offset;
-                if contiguous {
-                    seg.end = e.logical_end();
-                    seg.timestamp = seg.timestamp.max(e.timestamp);
-                    continue;
-                }
+        let mut builder = IndexBuilder::default();
+        for run in runs {
+            builder.items.reserve(run.len());
+            for e in &run {
+                builder
+                    .push(e, e.dropping_id)
+                    .expect("fewer than 2^32 entries in memory");
             }
-            segs.push((
-                e.logical_offset,
-                Segment {
-                    end: e.logical_end(),
-                    dropping_id: e.dropping_id,
-                    physical_offset: e.physical_offset,
-                    timestamp: e.timestamp,
-                },
-            ));
         }
-        Some(GlobalIndex {
-            // Sorted input: the map is built in one pass, not key by key.
-            map: segs.into_iter().collect(),
-            eof,
-            entries: raw,
-            max_ts,
-        })
+        builder.build()
     }
 
     /// Number of raw entries merged in.
@@ -493,7 +562,7 @@ impl GlobalIndex {
 
     /// Number of disjoint segments after merging.
     pub fn segments(&self) -> usize {
-        self.map.len()
+        self.extents(0).count()
     }
 
     /// Logical end-of-file: one past the highest byte ever written.
@@ -507,9 +576,10 @@ impl GlobalIndex {
         self.max_ts
     }
 
-    /// Approximate resident heap footprint of the segment map.
+    /// Approximate resident heap footprint: base allocation plus overlay.
     pub fn approx_resident_bytes(&self) -> usize {
-        self.map.len() * (std::mem::size_of::<u64>() + std::mem::size_of::<Segment>())
+        let extent = std::mem::size_of::<Extent>();
+        self.base.capacity() * extent + self.overlay.len() * (std::mem::size_of::<u64>() + extent)
     }
 
     /// Insert one entry, letting it overwrite any older overlapping extents.
@@ -523,211 +593,197 @@ impl GlobalIndex {
         self.entries += 1;
         self.eof = self.eof.max(e.logical_end());
         self.max_ts = self.max_ts.max(e.timestamp);
-        let (start, end) = (e.logical_offset, e.logical_end());
-
-        // Find segments overlapping [start, end) and cut them.
-        // Candidates begin at the last segment starting at or before `start`.
-        let mut to_fix: Vec<(u64, Segment)> = Vec::new();
-        if let Some((&s, seg)) = self.map.range(..=start).next_back() {
-            if seg.end > start {
-                to_fix.push((s, *seg));
-            }
-        }
-        for (&s, seg) in self.map.range(start..end) {
-            if !to_fix.iter().any(|(ts, _)| *ts == s) {
-                to_fix.push((s, *seg));
-            }
-        }
-        for (s, seg) in to_fix {
-            self.map.remove(&s);
-            if s < start {
-                // Keep the left remnant.
-                self.map.insert(s, Segment { end: start, ..seg });
-            }
-            if seg.end > end {
-                // Keep the right remnant, adjusting its physical offset.
-                let delta = end - s;
-                self.map.insert(
-                    end,
-                    Segment {
-                        end: seg.end,
-                        dropping_id: seg.dropping_id,
-                        physical_offset: seg.physical_offset + delta,
-                        timestamp: seg.timestamp,
-                    },
-                );
-            }
-        }
-        self.map.insert(
-            start,
-            Segment {
-                end,
-                dropping_id: e.dropping_id,
-                physical_offset: e.physical_offset,
-                timestamp: e.timestamp,
-            },
-        );
-        self.coalesce_around(start);
+        self.put(Extent::of(&e, e.dropping_id, 0));
     }
 
-    /// Merge physically- and logically-adjacent segments from the same
-    /// dropping, which keeps the map compact for sequential writes.
-    fn coalesce_around(&mut self, start: u64) {
-        let seg = match self.map.get(&start) {
-            Some(s) => *s,
-            None => return,
-        };
-        // Try to merge with the predecessor.
-        if let Some((&ps, pseg)) = self.map.range(..start).next_back() {
-            let contiguous = pseg.end == start
-                && pseg.dropping_id == seg.dropping_id
-                && pseg.physical_offset + (start - ps) == seg.physical_offset;
-            if contiguous {
-                let merged = Segment {
-                    end: seg.end,
-                    dropping_id: pseg.dropping_id,
-                    physical_offset: pseg.physical_offset,
-                    timestamp: seg.timestamp.max(pseg.timestamp),
-                };
-                self.map.remove(&start);
-                self.map.insert(ps, merged);
-                self.coalesce_around(ps);
-                return;
+    /// Add `x` to the overlay over everything there, then fold if the
+    /// overlay has outgrown its bound.
+    fn put(&mut self, x: Extent) {
+        // The extent that starts before `x` and reaches into it keeps what
+        // lies outside `x` on either side.
+        if let Some((_, &o)) = self.overlay.range(..x.start).next_back() {
+            if o.end > x.start {
+                self.overlay.insert(o.start, Extent { end: x.start, ..o });
+                if o.end > x.end {
+                    self.overlay.insert(x.end, o.tail_from(x.end));
+                }
             }
         }
-        // Try to merge with the successor.
-        if let Some((&ns, nseg)) = self.map.range(seg.end..).next() {
-            let contiguous = ns == seg.end
-                && nseg.dropping_id == seg.dropping_id
-                && seg.physical_offset + (seg.end - start) == nseg.physical_offset;
-            if contiguous {
-                let nend = nseg.end;
-                let nts = nseg.timestamp;
-                self.map.remove(&ns);
-                let entry = self.map.get_mut(&start).unwrap();
-                entry.end = nend;
-                entry.timestamp = entry.timestamp.max(nts);
+        // Those starting inside `x` keep only what reaches past its end.
+        while let Some((_, &o)) = self.overlay.range(x.start..x.end).next() {
+            self.overlay.remove(&o.start);
+            if o.end > x.end {
+                self.overlay.insert(x.end, o.tail_from(x.end));
             }
         }
+        self.overlay.insert(x.start, x);
+        if self.overlay.len() > FOLD_MIN.max(self.base.len() / 8) {
+            self.fold();
+        }
+    }
+
+    /// Merge the overlay into the base in one linear pass, in place: the
+    /// base moves up by twice the overlay's length (each overlay extent adds
+    /// at most itself and one cut), and the walk writes from the front,
+    /// never past what it has read.
+    fn fold(&mut self) {
+        let overlay = std::mem::take(&mut self.overlay);
+        let (n, slack) = (self.base.len(), 2 * overlay.len());
+        self.base.resize(n + slack, Extent::default());
+        self.base.copy_within(..n, slack);
+        let mut walk = Walk::new(overlay.range(..), slack);
+        let mut written = 0;
+        while let Some(x) = walk.next(&self.base) {
+            debug_assert!(written < walk.next_base, "the fold overtook its input");
+            self.base[written] = x;
+            written += 1;
+        }
+        self.base.truncate(written);
+    }
+
+    /// The merged walk from logical offset `from` on: every byte from
+    /// `from` on is right; extents may begin (even end) before it.
+    fn extents(&self, from: u64) -> impl Iterator<Item = Extent> + '_ {
+        let first = self.overlay.range(..=from).next_back();
+        let first = first.map_or(from, |(&s, _)| s);
+        let next_base = self.base.partition_point(|x| x.end <= from);
+        let mut walk = Walk::new(self.overlay.range(first..), next_base);
+        std::iter::from_fn(move || walk.next(&self.base))
     }
 
     /// Resolve a logical byte range into dropping slices, in logical order.
     /// Holes inside EOF come back as `dropping_id: None` (read as zeros);
     /// the returned slices stop at EOF.
     pub fn resolve(&self, offset: u64, length: u64) -> Vec<ChunkSlice> {
-        let mut out = Vec::new();
-        let end = (offset + length).min(self.eof);
+        let end = offset.saturating_add(length).min(self.eof);
         if offset >= end {
-            return out;
+            return Vec::new();
         }
-        let mut cursor = offset;
-        // Start from the last segment beginning at or before the cursor.
-        let mut iter_start = cursor;
-        if let Some((&s, seg)) = self.map.range(..=cursor).next_back() {
-            if seg.end > cursor {
-                iter_start = s;
-            }
+        if self.overlay.is_empty() {
+            // The direct path: the base alone, from one binary search.
+            let first = self.base.partition_point(|x| x.end <= offset);
+            slices(self.base[first..].iter().copied(), offset, end)
+        } else {
+            slices(self.extents(offset), offset, end)
         }
-        for (&s, seg) in self.map.range(iter_start..end) {
-            if seg.end <= cursor {
-                continue;
-            }
-            if s > cursor {
-                // Hole before this segment.
-                let hole_end = s.min(end);
-                out.push(ChunkSlice {
-                    logical_offset: cursor,
-                    length: hole_end - cursor,
-                    dropping_id: None,
-                    physical_offset: 0,
-                });
-                cursor = hole_end;
-                if cursor >= end {
-                    break;
-                }
-            }
-            let slice_start = cursor.max(s);
-            let slice_end = seg.end.min(end);
-            out.push(ChunkSlice {
-                logical_offset: slice_start,
-                length: slice_end - slice_start,
-                dropping_id: Some(seg.dropping_id),
-                physical_offset: seg.physical_offset + (slice_start - s),
-            });
-            cursor = slice_end;
-            if cursor >= end {
-                break;
-            }
-        }
-        if cursor < end {
-            out.push(ChunkSlice {
-                logical_offset: cursor,
-                length: end - cursor,
-                dropping_id: None,
-                physical_offset: 0,
-            });
-        }
-        out
     }
 
     /// Iterate the disjoint segments as index-entry-like tuples
     /// `(logical_offset, length, dropping_id, physical_offset)`.
     pub fn iter_segments(&self) -> impl Iterator<Item = (u64, u64, u32, u64)> + '_ {
-        self.map
-            .iter()
-            .map(|(&s, seg)| (s, seg.end - s, seg.dropping_id, seg.physical_offset))
-    }
-
-    /// Truncate the index to `len` logical bytes, dropping or cutting
-    /// segments beyond it.
-    pub fn truncate(&mut self, len: u64) {
-        let cut: Vec<u64> = self.map.range(len..).map(|(&s, _)| s).collect();
-        for s in cut {
-            self.map.remove(&s);
-        }
-        if let Some((&s, seg)) = self.map.range_mut(..len).next_back() {
-            let _ = s;
-            if seg.end > len {
-                seg.end = len;
-            }
-        }
-        self.eof = self.eof.min(len);
+        self.extents(0)
+            .map(|x| (x.start, x.end - x.start, x.dropping_id, x.physical_offset))
     }
 }
 
-/// Merge per-run entry vectors into one timestamp-sorted stream whose order
-/// is identical to stable-sorting the concatenation by timestamp.
-///
-/// Runs that are not already timestamp-sorted (pattern records interleaved
-/// with plain ones can expand out of order) are stable-sorted first; the
-/// heap then tie-breaks equal timestamps on the run index, which matches
-/// concatenation order.
-fn merge_runs_by_timestamp(mut runs: Vec<Vec<IndexEntry>>) -> Vec<IndexEntry> {
-    for run in &mut runs {
-        if !run.is_sorted_by_key(|e| e.timestamp) {
-            run.sort_by_key(|e| e.timestamp);
+/// Cut sorted, disjoint `extents` to `[offset, end)`, holes included.
+fn slices(extents: impl Iterator<Item = Extent>, offset: u64, end: u64) -> Vec<ChunkSlice> {
+    let hole = |from: u64, to: u64| ChunkSlice {
+        logical_offset: from,
+        length: to - from,
+        dropping_id: None,
+        physical_offset: 0,
+    };
+    let mut out = Vec::new();
+    let mut cursor = offset;
+    for x in extents.take_while(|x| x.start < end) {
+        if x.end <= cursor {
+            continue;
         }
-    }
-    if runs.len() == 1 {
-        return runs.pop().unwrap();
-    }
-    let mut out = Vec::with_capacity(runs.iter().map(Vec::len).sum());
-    let mut cursors = vec![0usize; runs.len()];
-    let mut heap: BinaryHeap<Reverse<(u64, usize)>> = runs
-        .iter()
-        .enumerate()
-        .filter(|(_, r)| !r.is_empty())
-        .map(|(i, r)| Reverse((r[0].timestamp, i)))
-        .collect();
-    while let Some(Reverse((_, i))) = heap.pop() {
-        let c = cursors[i];
-        out.push(runs[i][c]);
-        cursors[i] = c + 1;
-        if let Some(next) = runs[i].get(c + 1) {
-            heap.push(Reverse((next.timestamp, i)));
+        if x.start > cursor {
+            out.push(hole(cursor, x.start));
+            cursor = x.start;
         }
+        let slice_end = x.end.min(end);
+        out.push(ChunkSlice {
+            logical_offset: cursor,
+            length: slice_end - cursor,
+            dropping_id: Some(x.dropping_id),
+            physical_offset: x.physical_offset + (cursor - x.start),
+        });
+        cursor = slice_end;
+    }
+    if cursor < end {
+        out.push(hole(cursor, end));
     }
     out
+}
+
+/// The overlay over the base, in logical order, adjacent contiguous pieces
+/// coalesced. It holds no borrow of the base — each step is handed it — so
+/// the fold can write the base while it walks it.
+struct Walk<'a> {
+    overlay: Peekable<btree_map::Range<'a, u64, Extent>>,
+    /// The next base extent to read; every one before it has been read.
+    next_base: usize,
+    /// The base extent being walked, its front already cut by the overlay.
+    cur: Option<Extent>,
+    pending: Option<Extent>,
+}
+
+impl<'a> Walk<'a> {
+    fn new(overlay: btree_map::Range<'a, u64, Extent>, next_base: usize) -> Walk<'a> {
+        Walk {
+            overlay: overlay.peekable(),
+            next_base,
+            cur: None,
+            pending: None,
+        }
+    }
+
+    fn next(&mut self, base: &[Extent]) -> Option<Extent> {
+        while let Some(piece) = self.piece(base) {
+            if let Some(p) = &mut self.pending {
+                if p.continued_by(&piece) {
+                    p.end = piece.end;
+                    continue;
+                }
+            }
+            if let Some(done) = self.pending.replace(piece) {
+                return Some(done);
+            }
+        }
+        self.pending.take()
+    }
+
+    fn read_base(&mut self, base: &[Extent]) -> Option<Extent> {
+        let x = base.get(self.next_base).copied();
+        self.next_base += usize::from(x.is_some());
+        x
+    }
+
+    /// The next piece, uncoalesced: an overlay extent whole, or the part of
+    /// a base extent up to the next overlay extent.
+    fn piece(&mut self, base: &[Extent]) -> Option<Extent> {
+        if self.cur.is_none() {
+            self.cur = self.read_base(base);
+        }
+        let next = self.overlay.peek().map(|(_, &o)| o);
+        match (self.cur, next) {
+            (Some(b), _) if next.is_none_or(|o| b.start < o.start) => {
+                let to = next.map_or(u64::MAX, |o| o.start);
+                self.cur = (b.end > to).then(|| b.tail_from(to));
+                Some(Extent {
+                    end: b.end.min(to),
+                    ..b
+                })
+            }
+            (_, Some(o)) => {
+                self.overlay.next();
+                // Drop the base the overlay extent covers; cut what it
+                // covers of the next.
+                while let Some(b) = self.cur {
+                    if b.end > o.end {
+                        self.cur = Some(b.tail_from(o.end));
+                        break;
+                    }
+                    self.cur = self.read_base(base);
+                }
+                Some(o)
+            }
+            _ => None,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -846,15 +902,21 @@ mod tests {
     }
 
     #[test]
-    fn truncate_cuts_and_caps_eof() {
+    fn sequential_inserts_keep_the_overlay_within_its_bound() {
         let mut idx = GlobalIndex::default();
-        idx.insert(entry(0, 100, 0, 1, 1));
-        idx.insert(entry(200, 50, 100, 1, 2));
-        idx.truncate(60);
-        assert_eq!(idx.eof(), 60);
-        let slices = idx.resolve(0, 1000);
-        assert_eq!(slices.len(), 1);
-        assert_eq!(slices[0].length, 60);
+        for i in 0..100_000u64 {
+            idx.insert(entry(i * 8, 8, i * 8, 1, i + 1));
+            assert!(
+                idx.overlay.len() <= FOLD_MIN.max(idx.base.len() / 8),
+                "insert {i}"
+            );
+        }
+        assert_eq!(
+            idx.base.len(),
+            1,
+            "each fold coalesces the log into one extent"
+        );
+        assert_eq!(idx.segments(), 1);
     }
 
     #[test]
@@ -946,100 +1008,70 @@ mod tests {
         assert!(b > a);
     }
 
-    /// Full structural equality, including the timestamps the public
-    /// iterator hides.
+    /// Equality of everything a caller can observe.
     fn assert_identical(a: &GlobalIndex, b: &GlobalIndex) {
         assert_eq!(a.eof, b.eof, "eof");
         assert_eq!(a.entries, b.entries, "raw entry count");
-        let dump = |g: &GlobalIndex| {
-            g.map
-                .iter()
-                .map(|(&s, seg)| {
-                    (
-                        s,
-                        seg.end,
-                        seg.dropping_id,
-                        seg.physical_offset,
-                        seg.timestamp,
-                    )
-                })
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(dump(a), dump(b), "segment maps differ");
+        assert_eq!(a.max_ts, b.max_ts, "largest stamp");
+        assert_eq!(
+            a.iter_segments().collect::<Vec<_>>(),
+            b.iter_segments().collect::<Vec<_>>(),
+            "segments differ"
+        );
     }
 
-    #[test]
-    fn sorted_runs_match_concat_on_disjoint_entries() {
-        // Disjoint ranges: exercises the bulk-build fast path.
-        let runs: Vec<Vec<IndexEntry>> = (0..4u64)
-            .map(|r| {
-                (0..8u64)
-                    .map(|i| entry(r * 1000 + i * 100, 100, i * 100, r as u32, r * 8 + i + 1))
-                    .collect()
-            })
-            .collect();
+    /// The builder against the one-insert-at-a-time reference, per shape.
+    fn built_like_the_reference(runs: Vec<Vec<IndexEntry>>) -> GlobalIndex {
         let serial = GlobalIndex::from_entries(runs.concat());
         let merged = GlobalIndex::from_sorted_runs(runs);
         assert_identical(&merged, &serial);
-        assert_eq!(merged.segments(), 4, "per-run entries coalesce");
+        merged
     }
 
     #[test]
-    fn sorted_runs_match_concat_on_overlaps() {
-        // Later run overwrites earlier ranges: forces the incremental path.
-        let runs = vec![
+    fn sorted_runs_match_concat() {
+        // Disjoint ranges coalesce in place, run by run.
+        let disjoint = (0..4u64).map(|r| {
+            let at = |i: u64| entry(r * 1000 + i * 100, 100, i * 100, r as u32, r * 8 + i + 1);
+            (0..8u64).map(at).collect()
+        });
+        assert_eq!(built_like_the_reference(disjoint.collect()).segments(), 4);
+        // Later runs overwrite earlier ranges: the newest-wins path.
+        built_like_the_reference(vec![
             vec![entry(0, 100, 0, 0, 1), entry(100, 100, 100, 0, 2)],
             vec![entry(50, 100, 0, 1, 3)],
             vec![entry(25, 10, 0, 2, 4), entry(180, 40, 10, 2, 5)],
-        ];
-        let serial = GlobalIndex::from_entries(runs.concat());
-        let merged = GlobalIndex::from_sorted_runs(runs);
-        assert_identical(&merged, &serial);
-    }
-
-    #[test]
-    fn sorted_runs_tie_break_matches_stable_sort() {
-        // Equal timestamps across runs: stable sort of the concatenation
-        // keeps run 0 before run 1, so run 1 (inserted later) wins the range.
-        let runs = vec![
+        ]);
+        // Equal stamps across runs: the stable sort keeps run 0 before run
+        // 1, so run 1 (inserted later) wins the range.
+        let tie = vec![
             vec![entry(0, 10, 0, 0, 5), entry(0, 10, 64, 0, 5)],
             vec![entry(0, 10, 0, 1, 5)],
         ];
-        let serial = GlobalIndex::from_entries(runs.concat());
-        let merged = GlobalIndex::from_sorted_runs(runs);
-        assert_identical(&merged, &serial);
-        assert_eq!(merged.resolve(0, 10)[0].dropping_id, Some(1));
-    }
-
-    #[test]
-    fn sorted_runs_sort_unsorted_input_runs() {
-        // A run with out-of-order timestamps (as pattern interleaving can
-        // produce) must behave exactly like the concatenated sort.
-        let runs = vec![
+        assert_eq!(
+            built_like_the_reference(tie).resolve(0, 10)[0].dropping_id,
+            Some(1)
+        );
+        // A run whose stamps are out of order (as pattern interleaving can
+        // produce): stamp 9 wins over stamp 5 in the overlap.
+        let unsorted = vec![
             vec![entry(0, 50, 0, 0, 9), entry(0, 50, 50, 0, 2)],
             vec![entry(20, 10, 0, 1, 5)],
         ];
-        let serial = GlobalIndex::from_entries(runs.concat());
-        let merged = GlobalIndex::from_sorted_runs(runs);
-        assert_identical(&merged, &serial);
-        // ts 9 wins over ts 5 in the overlap.
-        assert_eq!(merged.resolve(20, 10)[0].dropping_id, Some(0));
-    }
-
-    #[test]
-    fn sorted_runs_handle_empty_and_zero_length() {
-        let runs = vec![
+        let idx = built_like_the_reference(unsorted);
+        assert_eq!(idx.resolve(20, 10)[0].dropping_id, Some(0));
+        // Empty runs and zero-length entries, which do not count.
+        let sparse = vec![
             vec![],
             vec![entry(10, 0, 0, 0, 1), entry(100, 10, 0, 0, 2)],
             vec![],
             vec![entry(0, 10, 0, 1, 3)],
         ];
-        let serial = GlobalIndex::from_entries(runs.concat());
-        let merged = GlobalIndex::from_sorted_runs(runs);
-        assert_identical(&merged, &serial);
-        assert_eq!(merged.raw_entries(), 2, "zero-length entries don't count");
-        let empty = GlobalIndex::from_sorted_runs(Vec::new());
-        assert_identical(&empty, &GlobalIndex::default());
+        assert_eq!(built_like_the_reference(sparse).raw_entries(), 2);
+        assert_identical(
+            &GlobalIndex::from_sorted_runs(Vec::new()),
+            &GlobalIndex::default(),
+        );
     }
 
     #[test]

@@ -44,10 +44,10 @@ impl ReadFile {
     /// incremental refresh. `fresh` holds one batch per writer: its data
     /// dropping's path and its entries in write order, every one stamped
     /// after everything already merged (the process write clock steps past
-    /// each view it builds). O(k log n) for k entries: nothing is cloned,
-    /// and because dropping ids are positions that only grow, an unknown
-    /// dropping is *appended* to the table, so open handles stay valid.
-    /// Returns the bytes patched.
+    /// each view it builds). Amortized O(log k) per entry, in the index's
+    /// overlay: nothing is cloned, and as dropping ids are positions that
+    /// only grow, an unknown dropping is *appended* to the table, so open
+    /// handles stay valid. Returns the bytes patched.
     pub(crate) fn patch(&mut self, fresh: Vec<(String, Vec<IndexEntry>)>) -> u64 {
         if self.ids_by_path.is_empty() {
             // First patch of this view: clean views never pay for the map.
@@ -97,7 +97,7 @@ impl ReadFile {
         Cow::Borrowed(&self.index)
     }
 
-    /// Approximate resident bytes of the merged index's segment map.
+    /// Approximate resident bytes of the merged index.
     pub fn index_resident_bytes(&self) -> usize {
         self.index.approx_resident_bytes()
     }

@@ -1,0 +1,125 @@
+//! What a read-open holds on the heap at its highest point. A reader
+//! merges every index dropping of a container before its first byte comes
+//! back; that merge must cost little more than the index it keeps — not
+//! the decoded runs, a sort order and a second copy of the result besides.
+//! A counting global allocator (this binary's only) tracks live heap bytes.
+
+use plfs::{Backing, MemBacking, OpenFlags, Plfs, ReadFile};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::Arc;
+
+struct CountingAlloc;
+
+thread_local! {
+    /// Per thread: the harness's own threads allocate beside the test.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+    static PEAK: Cell<i64> = const { Cell::new(0) };
+}
+
+fn charge(bytes: i64) {
+    // `try_with`: the allocator outlives a thread's locals.
+    let _ = LIVE.try_with(|live| {
+        let now = live.get() + bytes;
+        live.set(now);
+        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(now)));
+    });
+}
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        charge(layout.size() as i64);
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        charge(-(layout.size() as i64));
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        charge(new_size as i64 - layout.size() as i64);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAlloc = CountingAlloc;
+
+/// `f`'s result, and the most live heap bytes this thread held above its
+/// starting point while `f` ran.
+fn high_water<T>(f: impl FnOnce() -> T) -> (T, i64) {
+    let start = LIVE.with(Cell::get);
+    PEAK.with(|peak| peak.set(start));
+    let out = f();
+    (out, PEAK.with(Cell::get) - start)
+}
+
+/// `restart_read`'s shape at a quarter of its record count, with 8-byte
+/// records: 8 pids, every record once in a shuffled order, record `k`
+/// written by pid `k % 8`, so no two neighbours share a dropping and
+/// nothing coalesces.
+#[test]
+fn a_read_open_holds_the_index_plus_two_index_droppings() {
+    const PIDS: u64 = 8;
+    const RECORDS: u64 = 65_536;
+    const RECORD: u64 = 8;
+    let backing = Arc::new(MemBacking::new());
+    let plfs = Plfs::new(backing.clone() as Arc<dyn Backing>);
+    let fd = plfs
+        .open("/f", OpenFlags::WRONLY | OpenFlags::CREAT, 0)
+        .unwrap();
+    for pid in 1..PIDS {
+        fd.add_ref(pid);
+    }
+    let mut order: Vec<u64> = (0..RECORDS).collect();
+    let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+    for i in (1..order.len()).rev() {
+        rng ^= rng << 13;
+        rng ^= rng >> 7;
+        rng ^= rng << 17;
+        order.swap(i, (rng % (i as u64 + 1)) as usize);
+    }
+    for rec in order {
+        plfs.write(&fd, &rec.to_le_bytes(), rec * RECORD, rec % PIDS)
+            .unwrap();
+    }
+    for pid in 0..PIDS {
+        plfs.close(&fd, pid).unwrap();
+    }
+
+    let (reader, peak) = high_water(|| ReadFile::open(backing.as_ref(), "/f").unwrap());
+    assert_eq!(reader.droppings().len(), PIDS as usize);
+    assert_eq!(reader.index().raw_entries(), RECORDS as usize);
+    assert_eq!(
+        reader.index().segments(),
+        RECORDS as usize,
+        "nothing coalesces"
+    );
+    let index = reader.index_resident_bytes() as i64;
+    let largest_dropping = reader
+        .droppings()
+        .iter()
+        .filter_map(|d| d.index_path.as_deref())
+        .map(|ip| backing.stat(ip).unwrap().size)
+        .max()
+        .unwrap() as i64;
+    let bound = index + 2 * largest_dropping + (64 << 10);
+    assert!(
+        peak <= bound,
+        "the open peaked at {peak} B live: {:.2}x the {index} B index it keeps \
+         (bound {bound} B: the index, two {largest_dropping} B index droppings and 64 KiB)",
+        peak as f64 / index as f64
+    );
+
+    let mut buf = [0u8; 8];
+    for rec in [0, 1, 4099, RECORDS - 1] {
+        assert_eq!(
+            reader
+                .pread(backing.as_ref(), &mut buf, rec * RECORD)
+                .unwrap(),
+            8
+        );
+        assert_eq!(u64::from_le_bytes(buf), rec);
+    }
+}

@@ -233,16 +233,131 @@ proptest! {
         prop_assert_eq!(IndexEntry::decode_all(&buf).unwrap(), entries);
     }
 
-    /// Truncate never grows EOF and clamps resolution.
+}
+
+/// Inserts enough to fold the index's overlay into its base several times:
+/// the overlay folds past 64 extents while the base is this small.
+fn fold_crossing() -> impl Strategy<Value = Vec<(u64, u64, u64, u32)>> {
+    prop::collection::vec(
+        (0u64..2000, 1u64..300, 0u64..10_000, 0u32..5),
+        4 * 64..6 * 64,
+    )
+}
+
+/// `idx.resolve(off, len)` tiles the range up to EOF, and every byte of it
+/// is where the model says.
+fn check_resolve(idx: &GlobalIndex, model: &[Option<(u32, u64)>], off: u64, len: u64) {
+    let end = off.saturating_add(len).min(idx.eof());
+    let mut cursor = off;
+    for s in idx.resolve(off, len) {
+        assert_eq!(s.logical_offset, cursor, "resolve({off}, {len}) tiles");
+        assert!(s.length > 0);
+        for i in 0..s.length {
+            let byte = s.logical_offset + i;
+            let got = s.dropping_id.map(|d| (d, s.physical_offset + i));
+            assert_eq!(got, model[byte as usize], "byte {byte}");
+        }
+        cursor += s.length;
+    }
+    assert_eq!(cursor, end.max(off), "resolve({off}, {len}) stops at EOF");
+}
+
+/// Regression: `resolve` added `offset + length` unchecked, which panicked
+/// in debug builds near the top of `u64`.
+#[test]
+fn resolve_near_the_top_of_u64_does_not_overflow() {
+    let mut idx = build(&[(0, 10, 0, 1)]);
+    assert!(idx.resolve(u64::MAX - 1, 10).is_empty());
+    assert_eq!(idx.resolve(5, u64::MAX).len(), 1);
+    let model: Vec<_> = (0..10).map(|i| Some((1, i))).collect();
+    check_resolve(&idx, &model, 5, u64::MAX);
+    idx.insert(IndexEntry {
+        logical_offset: 4,
+        length: 2,
+        physical_offset: 0,
+        dropping_id: 2,
+        timestamp: 9,
+        pid: 0,
+    });
+    assert!(
+        idx.resolve(u64::MAX - 1, 10).is_empty(),
+        "through the overlay"
+    );
+    assert_eq!(idx.resolve(5, u64::MAX).len(), 2);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Across several folds, resolution interleaved with the inserts
+    /// agrees with the byte map after every insert.
     #[test]
-    fn truncate_clamps(es in entries(16), cut in 0u64..2500) {
-        let mut idx = build(&es);
-        let before = idx.eof();
-        idx.truncate(cut);
-        prop_assert!(idx.eof() <= before);
-        prop_assert!(idx.eof() <= cut);
-        for s in idx.resolve(0, u64::MAX / 2) {
-            prop_assert!(s.logical_offset + s.length <= cut);
+    fn folds_keep_resolution_on_the_byte_map(es in fold_crossing()) {
+        let mut idx = GlobalIndex::default();
+        let mut model = vec![None; 2300];
+        for (ts, &(lo, len, phys, drop_id)) in es.iter().enumerate() {
+            idx.insert(IndexEntry {
+                logical_offset: lo,
+                length: len,
+                physical_offset: phys,
+                dropping_id: drop_id,
+                timestamp: ts as u64 + 1,
+                pid: 0,
+            });
+            for i in 0..len {
+                model[(lo + i) as usize] = Some((drop_id, phys + i));
+            }
+            check_resolve(&idx, &model, lo.saturating_sub(64), len + 128);
+        }
+        check_resolve(&idx, &model, 0, u64::MAX);
+        prop_assert_eq!(idx.raw_entries(), es.len());
+    }
+
+    /// The read-open's builder equals the one-insert-at-a-time reference on
+    /// entry sets large enough that the reference folds several times
+    /// (and so does the builder, which inserts when entries overlap).
+    #[test]
+    fn sorted_runs_equal_from_entries_across_folds(
+        es in fold_crossing(),
+        stamps in prop::collection::vec(0u64..64, 6 * 64..6 * 64 + 1),
+        cuts in prop::collection::vec(0usize..6 * 64, 0..8),
+        reads in prop::collection::vec((0u64..2400, 1u64..600), 1..8),
+    ) {
+        let entries: Vec<IndexEntry> = es
+            .iter()
+            .zip(&stamps)
+            .map(|(&(lo, len, phys, drop_id), &ts)| IndexEntry {
+                logical_offset: lo,
+                length: len,
+                physical_offset: phys,
+                dropping_id: drop_id,
+                timestamp: ts,
+                pid: 0,
+            })
+            .collect();
+        let mut cuts: Vec<usize> = cuts.iter().map(|&c| c % (entries.len() + 1)).collect();
+        cuts.sort_unstable();
+        cuts.push(entries.len());
+        let mut prev = 0;
+        let runs: Vec<Vec<IndexEntry>> = cuts
+            .iter()
+            .map(|&c| {
+                let run = entries[prev..c].to_vec();
+                prev = c;
+                run
+            })
+            .collect();
+        let serial = GlobalIndex::from_entries(entries);
+        let merged = GlobalIndex::from_sorted_runs(runs);
+        prop_assert_eq!(merged.eof(), serial.eof());
+        prop_assert_eq!(merged.raw_entries(), serial.raw_entries());
+        prop_assert_eq!(merged.segments(), serial.segments());
+        prop_assert_eq!(
+            merged.iter_segments().collect::<Vec<_>>(),
+            serial.iter_segments().collect::<Vec<_>>()
+        );
+        for (off, len) in reads {
+            prop_assert_eq!(merged.resolve(off, len), serial.resolve(off, len));
         }
     }
 }

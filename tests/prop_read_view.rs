@@ -24,7 +24,7 @@ enum Op {
     Truncate,
 }
 
-fn ops(pids: u64) -> impl Strategy<Value = Vec<Op>> {
+fn ops(pids: u64, len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<Op>> {
     // Lengths start at 0: a zero-length write must change nothing.
     let data = || prop::collection::vec(any::<u8>(), 0..96);
     let write =
@@ -47,7 +47,7 @@ fn ops(pids: u64) -> impl Strategy<Value = Vec<Op>> {
             (0..pids).prop_map(|pid| Op::Sync { pid }),
             Just(Op::Truncate),
         ],
-        1..48,
+        len,
     )
 }
 
@@ -159,20 +159,44 @@ fn run(ops: &[Op], pids: u64) {
     );
 }
 
+/// Bind every op's pid to one of the first `pids`.
+fn for_pids(ops: Vec<Op>, pids: u64) -> Vec<Op> {
+    ops.into_iter()
+        .map(|op| match op {
+            Op::Write { pid, off, data } => Op::Write {
+                pid: pid % pids,
+                off,
+                data,
+            },
+            Op::Append { pid, data } => Op::Append {
+                pid: pid % pids,
+                data,
+            },
+            Op::Sync { pid } => Op::Sync { pid: pid % pids },
+            op => op,
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
-    fn patched_view_equals_fresh_merge_and_model(pids in 1u64..5, ops in ops(4)) {
-        let ops: Vec<Op> = ops
-            .into_iter()
-            .map(|op| match op {
-                Op::Write { pid, off, data } => Op::Write { pid: pid % pids, off, data },
-                Op::Append { pid, data } => Op::Append { pid: pid % pids, data },
-                Op::Sync { pid } => Op::Sync { pid: pid % pids },
-                op => op,
-            })
-            .collect();
-        run(&ops, pids);
+    fn patched_view_equals_fresh_merge_and_model(pids in 1u64..5, ops in ops(4, 1..48)) {
+        run(&for_pids(ops, pids), pids);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Long runs without a truncate, so one view takes well over the 64
+    /// patched entries past which its index folds the overlay into the
+    /// base: folds land between patches and reads, and the view still
+    /// equals a fresh merge and the model.
+    #[test]
+    fn patched_view_survives_folds(pids in 1u64..5, ops in ops(4, 300..400)) {
+        let ops = ops.into_iter().filter(|op| !matches!(op, Op::Truncate)).collect();
+        run(&for_pids(ops, pids), pids);
     }
 }
