@@ -39,9 +39,9 @@
 //! free among its pid's names.) A legacy container still opens, stats (slow
 //! path: no drops) and unlinks; its subdirectories are never read.
 
-use crate::backing::{join, remove_tree, Backing};
+use crate::backing::{join, remove_tree, Backing, BackingFile};
 use crate::error::{Error, Result};
-use crate::index::{observe_timestamp, GlobalIndex, IndexBuilder, IndexEntry};
+use crate::index::{observe_timestamp, GlobalIndex, IndexBuilder, IndexEntry, RECORD_SIZE};
 use std::time::{Duration, Instant};
 
 /// Name of the marker file that identifies a container.
@@ -312,13 +312,23 @@ fn nascent(b: &dyn Backing, path: &str) -> bool {
         .is_ok_and(|names| names.iter().all(|n| n == ACCESS_FILE))
 }
 
-/// Read back the parameters a container was created with.
+/// Largest access file [`read_params`] reads; what [`encode_params`]
+/// writes is a few dozen bytes.
+const ACCESS_FILE_MAX: u64 = 4096;
+
+/// Read back the parameters a container was created with. An access file
+/// longer than [`ACCESS_FILE_MAX`] is corrupt and is not read at all.
 pub fn read_params(b: &dyn Backing, path: &str) -> Result<ContainerParams> {
     let f = b
         .open(&join(path, ACCESS_FILE), false)
         .map_err(|_| Error::NotContainer(path.to_string()))?;
-    let size = f.size()? as usize;
-    let mut buf = vec![0u8; size];
+    let size = f.size()?;
+    if size > ACCESS_FILE_MAX {
+        return Err(Error::Corrupt(format!(
+            "access file of {path} is {size} bytes, over {ACCESS_FILE_MAX}"
+        )));
+    }
+    let mut buf = vec![0u8; size as usize];
     f.pread(&mut buf, 0)?;
     decode_params(&buf)
 }
@@ -402,16 +412,57 @@ pub fn list_droppings(b: &dyn Backing, container: &str) -> Result<Vec<DroppingRe
     Ok(out)
 }
 
-/// Read one whole index dropping.
-fn read_index_bytes(b: &dyn Backing, ip: &str) -> Result<Vec<u8>> {
-    let f = b.open(ip, false)?;
-    let size = f.size()? as usize;
-    let mut buf = vec![0u8; size];
-    let n = f.pread(&mut buf, 0)?;
-    if n != size {
-        return Err(Error::Corrupt(format!("short read of index {ip}")));
+/// Whole records per read of an index dropping: 64,512 bytes, all an open
+/// holds of any dropping's bytes at once.
+const WINDOW_RECORDS: usize = 1344;
+
+/// An index dropping open for reading, a window of whole records at a time.
+struct IndexFile<'p> {
+    path: &'p str,
+    f: Box<dyn BackingFile>,
+    size: u64,
+    read: u64,
+}
+
+impl<'p> IndexFile<'p> {
+    fn open(b: &dyn Backing, path: &'p str) -> Result<IndexFile<'p>> {
+        let f = b.open(path, false)?;
+        let size = f.size()?;
+        if !size.is_multiple_of(RECORD_SIZE as u64) {
+            return Err(Error::Corrupt(format!(
+                "index dropping {path} length {size} not a record multiple"
+            )));
+        }
+        Ok(IndexFile {
+            path,
+            f,
+            size,
+            read: 0,
+        })
     }
-    Ok(buf)
+
+    /// Records the dropping holds.
+    fn records(&self) -> usize {
+        (self.size / RECORD_SIZE as u64) as usize
+    }
+
+    /// The next window's records, read into `window` (grown to at most one
+    /// window); `None` past the last.
+    fn next<'w>(&mut self, window: &'w mut Vec<u8>) -> Result<Option<&'w [u8]>> {
+        let n = (self.size - self.read).min((WINDOW_RECORDS * RECORD_SIZE) as u64) as usize;
+        if n == 0 {
+            return Ok(None);
+        }
+        if window.len() < n {
+            window.resize(n, 0);
+        }
+        let bytes = &mut window[..n];
+        if self.f.pread(bytes, self.read)? != n {
+            return Err(Error::Corrupt(format!("short read of index {}", self.path)));
+        }
+        self.read += n as u64;
+        Ok(Some(bytes))
+    }
 }
 
 /// Decode every index dropping of `droppings` into a run of its own,
@@ -419,9 +470,14 @@ fn read_index_bytes(b: &dyn Backing, ip: &str) -> Result<Vec<u8>> {
 /// a local id).
 pub fn read_index_runs(b: &dyn Backing, droppings: &[DroppingRef]) -> Result<Vec<Vec<IndexEntry>>> {
     let mut runs = Vec::new();
+    let mut window = Vec::new();
     for (id, d) in droppings.iter().enumerate() {
         let Some(ip) = &d.index_path else { continue };
-        let mut run = IndexEntry::decode_all(&read_index_bytes(b, ip)?)?;
+        let mut file = IndexFile::open(b, ip)?;
+        let mut run = Vec::new();
+        while let Some(bytes) = file.next(&mut window)? {
+            run.append(&mut IndexEntry::decode_all(bytes)?);
+        }
         for e in &mut run {
             e.dropping_id = id as u32;
         }
@@ -435,11 +491,13 @@ pub fn read_index_runs(b: &dyn Backing, droppings: &[DroppingRef]) -> Result<Vec
 const RELIST_ATTEMPTS: usize = 4;
 
 /// Load and merge every index dropping into a [`GlobalIndex`], numbering
-/// droppings by their position in [`list_droppings`] order: each dropping's
-/// bytes decoded straight into one builder, which is equivalent to
-/// [`GlobalIndex::from_sorted_runs`] of [`read_index_runs`] without
-/// holding the runs. Steps the process write clock past what was merged
-/// (see [`observe_timestamp`]).
+/// droppings by their position in [`list_droppings`] order: each dropping
+/// read through one reused window of whole records and decoded straight
+/// into the builder — twice, if the first pass finds overlapping writes —
+/// which is equivalent to [`GlobalIndex::from_sorted_runs`] of
+/// [`read_index_runs`] without holding the runs or any dropping whole.
+/// Steps the process write clock past what was merged (see
+/// [`observe_timestamp`]).
 ///
 /// A top-level index dropping is renamed once in its life, when its writer
 /// closes; a reader that listed the container just before finds the old
@@ -451,15 +509,20 @@ pub fn build_global_index(
     let mut attempt = 1;
     let (index, droppings) = loop {
         let droppings = list_droppings(b, container)?;
-        let mut builder = IndexBuilder::default();
-        let fed = (0u32..)
-            .zip(&droppings)
-            .try_for_each(|(id, d)| match &d.index_path {
-                Some(ip) => builder.decode(&read_index_bytes(b, ip)?, id),
-                None => Ok(()),
-            });
-        match fed {
-            Ok(()) => break (builder.build(), droppings),
+        let mut window = Vec::new();
+        let built = IndexBuilder::build(|builder| {
+            for (id, d) in (0u32..).zip(&droppings) {
+                let Some(ip) = &d.index_path else { continue };
+                let mut file = IndexFile::open(b, ip)?;
+                builder.reserve(file.records());
+                while let Some(bytes) = file.next(&mut window)? {
+                    builder.decode(bytes, id)?;
+                }
+            }
+            Ok(())
+        });
+        match built {
+            Ok(index) => break (index, droppings),
             Err(Error::NotFound(_)) if attempt < RELIST_ATTEMPTS => attempt += 1,
             Err(e) => return Err(e),
         }

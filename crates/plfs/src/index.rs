@@ -7,8 +7,13 @@
 //! `(dropping, physical offset)` pairs, resolving overlaps so that the most
 //! recent write wins.
 //!
-//! The global index is a sorted vector built in place from the droppings'
-//! records, plus a small overlay of newer extents; see [`GlobalIndex`].
+//! The global index is a sorted vector of 24-byte extents built in place
+//! from the droppings' records, plus a small overlay of newer extents; see
+//! [`GlobalIndex`]. One canonical rule keeps an extent's length in 32 bits
+//! and makes every way of building a view agree segment for segment: no
+//! extent crosses a multiple of 2 GiB in the logical file. Entries are cut
+//! there as they enter (decode, [`GlobalIndex::insert`]), and two pieces
+//! never join across one.
 //!
 //! On-disk record format (little-endian, 48 bytes):
 //!
@@ -42,6 +47,14 @@ pub const OFFSET_MAX: u64 = i64::MAX as u64;
 /// 48-byte record claiming `count == u32::MAX` would make the eager
 /// expansion path allocate ~200 GB.
 pub const MAX_PATTERN_COUNT: u32 = 1 << 20;
+
+/// No extent of the merged index crosses a multiple of this logical offset
+/// (module docs), so an extent's length fits its `u32`.
+const CUT: u64 = 1 << 31;
+
+/// Longest plain record a build accepts: cut at every [`CUT`], a longer one
+/// would become more extents than a pattern record may expand into.
+const MAX_RECORD_SPAN: u64 = MAX_PATTERN_COUNT as u64 * CUT;
 
 /// Both the logical and physical span of `e` stay within `off_t` range.
 fn fits_off_t(e: &IndexEntry) -> bool {
@@ -369,46 +382,74 @@ pub struct ChunkSlice {
     pub physical_offset: u64,
 }
 
-/// One extent of the merged index: logical `[start, end)` is held by data
-/// dropping `dropping_id` from `physical_offset` on. 32 bytes.
+/// One extent of the merged index: logical `[start, start + len)` is held
+/// by data dropping `dropping_id` from `physical_offset` on. 24 bytes; it
+/// never crosses a multiple of [`CUT`].
 #[derive(Debug, Default, Clone, Copy)]
 struct Extent {
     start: u64,
-    end: u64,
     physical_offset: u64,
+    len: u32,
     dropping_id: u32,
-    /// While the builder sorts: the entry's place in the concatenation of
-    /// runs (the stable sort's tie-break). Nothing reads it after.
-    position: u32,
 }
 
+const _: () = assert!(std::mem::size_of::<Extent>() == 24);
+
 impl Extent {
-    fn of(e: &IndexEntry, dropping_id: u32, position: u32) -> Extent {
-        Extent {
-            start: e.logical_offset,
-            end: e.logical_end(),
-            physical_offset: e.physical_offset,
-            dropping_id,
-            position,
-        }
+    /// `e` as extents of `dropping_id`, cut at every multiple of [`CUT`] it
+    /// crosses: one extent unless it spans a cut.
+    fn pieces(e: &IndexEntry, dropping_id: u32) -> impl Iterator<Item = Extent> {
+        let (e, end) = (*e, e.logical_end());
+        let mut at = e.logical_offset;
+        std::iter::from_fn(move || {
+            (at < end).then(|| {
+                let to = end.min((at | (CUT - 1)).saturating_add(1));
+                let x = Extent {
+                    start: at,
+                    physical_offset: e.physical_offset + (at - e.logical_offset),
+                    len: (to - at) as u32,
+                    dropping_id,
+                };
+                at = to;
+                x
+            })
+        })
     }
 
-    /// The part of `self` from logical offset `at` on, if `at` is past its
-    /// start.
-    fn tail_from(self, at: u64) -> Extent {
-        let at = at.max(self.start);
+    /// Logical end (exclusive).
+    fn end(&self) -> u64 {
+        self.start + self.len as u64
+    }
+
+    /// The part of `self` before logical offset `at`, which is past its
+    /// start and not past its end.
+    fn head_to(self, at: u64) -> Extent {
         Extent {
-            start: at,
-            physical_offset: self.physical_offset + (at - self.start),
+            len: (at - self.start) as u32,
             ..self
         }
     }
 
-    /// Does `next` carry on, byte for byte, where `self` ends?
+    /// The part of `self` from logical offset `at` on, if `at` is past its
+    /// start (and before its end).
+    fn tail_from(self, at: u64) -> Extent {
+        let cut = at.max(self.start) - self.start;
+        Extent {
+            start: self.start + cut,
+            physical_offset: self.physical_offset + cut,
+            len: self.len - cut as u32,
+            ..self
+        }
+    }
+
+    /// Does `next` carry on, byte for byte, where `self` ends — and not
+    /// across a cut? The one join test: the builder's coalesce and the
+    /// [`Walk`] both use it, so every view is cut in the same places.
     fn continued_by(&self, next: &Extent) -> bool {
-        self.end == next.start
+        self.end() == next.start
+            && !next.start.is_multiple_of(CUT)
             && self.dropping_id == next.dropping_id
-            && self.physical_offset + (self.end - self.start) == next.physical_offset
+            && self.physical_offset + self.len as u64 == next.physical_offset
     }
 }
 
@@ -429,9 +470,11 @@ const FOLD_MIN: usize = 64;
 /// # Residency
 ///
 /// O(expanded writes): building one expands every pattern record back into
-/// plain entries. A base extent is 32 bytes; a fresh build keeps the
-/// allocation its 40-byte items were sorted in (converted in place), which
-/// a later patch's folds grow into.
+/// plain entries. A base extent is 24 bytes. A fresh build without overlap
+/// keeps the very vector its extents were decoded, sorted and coalesced
+/// in; one with overlap grows its base by folds, as a patched view does.
+/// The overlay costs an extent and its key per patched extent until it
+/// folds.
 #[derive(Debug, Default, Clone)]
 pub struct GlobalIndex {
     base: Vec<Extent>,
@@ -441,29 +484,71 @@ pub struct GlobalIndex {
     max_ts: u64,
 }
 
-/// The one way a [`GlobalIndex`] is built from index droppings: entries are
-/// fed run by run, in concatenation order — decoded straight from a
-/// dropping's bytes, or taken from a decoded run — as 40-byte items, an
-/// extent and its stamp; [`IndexBuilder::build`] sorts them in place.
-#[derive(Default)]
+/// The one way a [`GlobalIndex`] is built from index droppings, in one
+/// pass or two. [`IndexBuilder::build`]'s caller feeds a builder every
+/// entry, run by run in concatenation order — decoded straight from a
+/// dropping's bytes, a window at a time, or taken from a decoded run.
+/// Pass 1 keeps each entry as bare 24-byte extents; only when those
+/// overlap are they dropped and the entries fed again, as 40-byte items
+/// that keep the stamp and order newest-wins needs.
 pub(crate) struct IndexBuilder {
-    items: Vec<(Extent, u64)>,
+    /// Pass 1: the entries' extents.
+    extents: Vec<Extent>,
+    /// Pass 2: each extent, its entry's stamp and the entry's place in the
+    /// concatenation of runs (the stable sort's tie-break).
+    items: Vec<(Extent, u64, u32)>,
+    /// Pass 2 fills `items`; pass 1 `extents`.
+    stamped: bool,
+    eof: u64,
+    entries: usize,
+    max_ts: u64,
 }
 
 impl IndexBuilder {
+    fn pass(stamped: bool) -> IndexBuilder {
+        IndexBuilder {
+            extents: Vec::new(),
+            items: Vec::new(),
+            stamped,
+            eof: 0,
+            entries: 0,
+            max_ts: 0,
+        }
+    }
+
+    /// Room for exactly `n` more entries (a dropping's or run's record
+    /// count), so the vector ends no larger than what it holds. A count no
+    /// allocation can cover is not reserved: a dropping that claims it is
+    /// corrupt, and its first bad record ends the build.
+    pub(crate) fn reserve(&mut self, n: usize) {
+        let _ = match self.stamped {
+            true => self.items.try_reserve_exact(n),
+            false => self.extents.try_reserve_exact(n),
+        };
+    }
+
     fn push(&mut self, e: &IndexEntry, dropping_id: u32) -> Result<()> {
-        let Ok(position) = u32::try_from(self.items.len()) else {
+        if e.length == 0 {
+            return Ok(());
+        }
+        let Ok(position) = u32::try_from(self.entries) else {
             return Err(Error::Corrupt("more than 2^32 index entries".into()));
         };
-        if e.length > 0 {
-            self.items
-                .push((Extent::of(e, dropping_id, position), e.timestamp));
+        self.entries += 1;
+        self.eof = self.eof.max(e.logical_end());
+        self.max_ts = self.max_ts.max(e.timestamp);
+        let pieces = Extent::pieces(e, dropping_id);
+        match self.stamped {
+            true => self
+                .items
+                .extend(pieces.map(|x| (x, e.timestamp, position))),
+            false => self.extents.extend(pieces),
         }
         Ok(())
     }
 
-    /// Decode one whole index dropping into the builder, its entries
-    /// numbered `dropping_id` (writers store a local id): what
+    /// Decode whole index records into the builder, their entries numbered
+    /// `dropping_id` (writers store a local id): what
     /// [`IndexEntry::decode_all`] reads, without the vector it returns.
     pub(crate) fn decode(&mut self, buf: &[u8], dropping_id: u32) -> Result<()> {
         let records = buf.chunks_exact(RECORD_SIZE);
@@ -473,13 +558,20 @@ impl IndexBuilder {
                 "index dropping length {n} not a record multiple"
             )));
         }
-        self.items.reserve(records.len());
         for rec in records {
             match u32::from_le_bytes(rec[0..4].try_into().unwrap()) {
-                RECORD_MAGIC => self.push(&IndexEntry::decode(rec)?, dropping_id)?,
+                RECORD_MAGIC => {
+                    let e = IndexEntry::decode(rec)?;
+                    if e.length > MAX_RECORD_SPAN {
+                        return Err(Error::Corrupt(format!(
+                            "index record of {} bytes: longer than {MAX_RECORD_SPAN}",
+                            e.length
+                        )));
+                    }
+                    self.push(&e, dropping_id)?;
+                }
                 PATTERN_MAGIC => {
                     let p = PatternRecord::decode(rec)?;
-                    self.items.reserve(p.count as usize);
                     for i in 0..p.count as u64 {
                         self.push(&p.entry_at(i), dropping_id)?;
                     }
@@ -490,39 +582,54 @@ impl IndexBuilder {
         Ok(())
     }
 
-    /// Sort the items by logical offset, in place. Without overlap the
-    /// order of the writes does not matter: adjacent contiguous items
-    /// coalesce in place and become the base. With overlap they are sorted
-    /// again by `(timestamp, position)` — exactly the stable timestamp sort
-    /// of the concatenation that [`GlobalIndex::from_entries`] defines —
-    /// and inserted newest-wins.
-    pub(crate) fn build(self) -> GlobalIndex {
-        let mut items = self.items;
-        let mut idx = GlobalIndex {
-            entries: items.len(),
-            eof: items.iter().map(|(x, _)| x.end).max().unwrap_or(0),
-            max_ts: items.iter().map(|&(_, ts)| ts).max().unwrap_or(0),
-            ..GlobalIndex::default()
-        };
-        items.sort_unstable_by_key(|(x, _)| x.start);
-        if items.windows(2).any(|w| w[1].0.start < w[0].0.end) {
-            items.sort_unstable_by_key(|&(x, ts)| (ts, x.position));
-            items.into_iter().for_each(|(x, _)| idx.put(x));
-            idx.fold();
-            idx.base.shrink_to_fit();
-            return idx;
+    /// Build a [`GlobalIndex`] from what `feed` pushes into a builder:
+    /// once, or twice when the first pass finds overlap.
+    ///
+    /// Pass 1 sorts the extents by logical offset, in place. Without
+    /// overlap the order of the writes does not matter: contiguous extents
+    /// coalesce in place and the vector becomes the base. With overlap it
+    /// is dropped, and pass 2's items are sorted by `(timestamp, position)`
+    /// — exactly the stable timestamp sort of the concatenation that
+    /// [`GlobalIndex::from_entries`] defines — and inserted newest-wins.
+    /// Each pass counts `eof`, entries and the largest stamp as it is fed.
+    pub(crate) fn build(
+        mut feed: impl FnMut(&mut IndexBuilder) -> Result<()>,
+    ) -> Result<GlobalIndex> {
+        let mut pass = IndexBuilder::pass(false);
+        feed(&mut pass)?;
+        let mut extents = std::mem::take(&mut pass.extents);
+        extents.sort_unstable_by_key(|x| x.start);
+        if !extents.windows(2).any(|w| w[1].start < w[0].end()) {
+            extents.dedup_by(|next, prev| {
+                let joined = prev.continued_by(next);
+                if joined {
+                    prev.len += next.len;
+                }
+                joined
+            });
+            extents.shrink_to_fit();
+            return Ok(pass.into_index(extents));
         }
-        items.dedup_by(|(next, _), (prev, _)| {
-            let joined = prev.continued_by(next);
-            if joined {
-                prev.end = next.end;
-            }
-            joined
-        });
-        items.shrink_to_fit();
-        // Collected in place: the base reuses the items' allocation.
-        idx.base = items.into_iter().map(|(x, _)| x).collect();
-        idx
+        drop(extents);
+        let mut pass = IndexBuilder::pass(true);
+        feed(&mut pass)?;
+        let mut items = std::mem::take(&mut pass.items);
+        items.sort_unstable_by_key(|&(_, ts, position)| (ts, position));
+        let mut idx = pass.into_index(Vec::new());
+        items.into_iter().for_each(|(x, ..)| idx.put(x));
+        idx.fold();
+        idx.base.shrink_to_fit();
+        Ok(idx)
+    }
+
+    fn into_index(self, base: Vec<Extent>) -> GlobalIndex {
+        GlobalIndex {
+            base,
+            overlay: BTreeMap::new(),
+            eof: self.eof,
+            entries: self.entries,
+            max_ts: self.max_ts,
+        }
     }
 }
 
@@ -543,16 +650,15 @@ impl GlobalIndex {
     /// Build from per-dropping entry runs through the one builder, producing
     /// a result identical to `from_entries(runs.concat())`.
     pub fn from_sorted_runs(runs: Vec<Vec<IndexEntry>>) -> GlobalIndex {
-        let mut builder = IndexBuilder::default();
-        for run in runs {
-            builder.items.reserve(run.len());
-            for e in &run {
-                builder
-                    .push(e, e.dropping_id)
-                    .expect("fewer than 2^32 entries in memory");
+        let built = IndexBuilder::build(|builder| {
+            for run in &runs {
+                builder.reserve(run.len());
+                run.iter()
+                    .try_for_each(|e| builder.push(e, e.dropping_id))?;
             }
-        }
-        builder.build()
+            Ok(())
+        });
+        built.expect("fewer than 2^32 entries in memory")
     }
 
     /// Number of raw entries merged in.
@@ -593,7 +699,9 @@ impl GlobalIndex {
         self.entries += 1;
         self.eof = self.eof.max(e.logical_end());
         self.max_ts = self.max_ts.max(e.timestamp);
-        self.put(Extent::of(&e, e.dropping_id, 0));
+        for x in Extent::pieces(&e, e.dropping_id) {
+            self.put(x);
+        }
     }
 
     /// Add `x` to the overlay over everything there, then fold if the
@@ -601,19 +709,20 @@ impl GlobalIndex {
     fn put(&mut self, x: Extent) {
         // The extent that starts before `x` and reaches into it keeps what
         // lies outside `x` on either side.
+        let end = x.end();
         if let Some((_, &o)) = self.overlay.range(..x.start).next_back() {
-            if o.end > x.start {
-                self.overlay.insert(o.start, Extent { end: x.start, ..o });
-                if o.end > x.end {
-                    self.overlay.insert(x.end, o.tail_from(x.end));
+            if o.end() > x.start {
+                self.overlay.insert(o.start, o.head_to(x.start));
+                if o.end() > end {
+                    self.overlay.insert(end, o.tail_from(end));
                 }
             }
         }
         // Those starting inside `x` keep only what reaches past its end.
-        while let Some((_, &o)) = self.overlay.range(x.start..x.end).next() {
+        while let Some((_, &o)) = self.overlay.range(x.start..end).next() {
             self.overlay.remove(&o.start);
-            if o.end > x.end {
-                self.overlay.insert(x.end, o.tail_from(x.end));
+            if o.end() > end {
+                self.overlay.insert(end, o.tail_from(end));
             }
         }
         self.overlay.insert(x.start, x);
@@ -646,7 +755,7 @@ impl GlobalIndex {
     fn extents(&self, from: u64) -> impl Iterator<Item = Extent> + '_ {
         let first = self.overlay.range(..=from).next_back();
         let first = first.map_or(from, |(&s, _)| s);
-        let next_base = self.base.partition_point(|x| x.end <= from);
+        let next_base = self.base.partition_point(|x| x.end() <= from);
         let mut walk = Walk::new(self.overlay.range(first..), next_base);
         std::iter::from_fn(move || walk.next(&self.base))
     }
@@ -661,7 +770,7 @@ impl GlobalIndex {
         }
         if self.overlay.is_empty() {
             // The direct path: the base alone, from one binary search.
-            let first = self.base.partition_point(|x| x.end <= offset);
+            let first = self.base.partition_point(|x| x.end() <= offset);
             slices(self.base[first..].iter().copied(), offset, end)
         } else {
             slices(self.extents(offset), offset, end)
@@ -672,7 +781,7 @@ impl GlobalIndex {
     /// `(logical_offset, length, dropping_id, physical_offset)`.
     pub fn iter_segments(&self) -> impl Iterator<Item = (u64, u64, u32, u64)> + '_ {
         self.extents(0)
-            .map(|x| (x.start, x.end - x.start, x.dropping_id, x.physical_offset))
+            .map(|x| (x.start, x.len as u64, x.dropping_id, x.physical_offset))
     }
 }
 
@@ -687,14 +796,14 @@ fn slices(extents: impl Iterator<Item = Extent>, offset: u64, end: u64) -> Vec<C
     let mut out = Vec::new();
     let mut cursor = offset;
     for x in extents.take_while(|x| x.start < end) {
-        if x.end <= cursor {
+        if x.end() <= cursor {
             continue;
         }
         if x.start > cursor {
             out.push(hole(cursor, x.start));
             cursor = x.start;
         }
-        let slice_end = x.end.min(end);
+        let slice_end = x.end().min(end);
         out.push(ChunkSlice {
             logical_offset: cursor,
             length: slice_end - cursor,
@@ -735,7 +844,7 @@ impl<'a> Walk<'a> {
         while let Some(piece) = self.piece(base) {
             if let Some(p) = &mut self.pending {
                 if p.continued_by(&piece) {
-                    p.end = piece.end;
+                    p.len += piece.len;
                     continue;
                 }
             }
@@ -762,19 +871,16 @@ impl<'a> Walk<'a> {
         match (self.cur, next) {
             (Some(b), _) if next.is_none_or(|o| b.start < o.start) => {
                 let to = next.map_or(u64::MAX, |o| o.start);
-                self.cur = (b.end > to).then(|| b.tail_from(to));
-                Some(Extent {
-                    end: b.end.min(to),
-                    ..b
-                })
+                self.cur = (b.end() > to).then(|| b.tail_from(to));
+                Some(b.head_to(b.end().min(to)))
             }
             (_, Some(o)) => {
                 self.overlay.next();
                 // Drop the base the overlay extent covers; cut what it
                 // covers of the next.
                 while let Some(b) = self.cur {
-                    if b.end > o.end {
-                        self.cur = Some(b.tail_from(o.end));
+                    if b.end() > o.end() {
+                        self.cur = Some(b.tail_from(o.end()));
                         break;
                     }
                     self.cur = self.read_base(base);
@@ -1072,6 +1178,93 @@ mod tests {
             &GlobalIndex::from_sorted_runs(Vec::new()),
             &GlobalIndex::default(),
         );
+    }
+
+    const GIB: u64 = 1 << 30;
+
+    #[test]
+    fn an_entry_spanning_a_cut_is_two_extents() {
+        let e = entry(2 * GIB - 100, 300, 5000, 3, 1);
+        let idx = built_like_the_reference(vec![vec![e]]);
+        assert_eq!(
+            idx.iter_segments().collect::<Vec<_>>(),
+            [(2 * GIB - 100, 100, 3, 5000), (2 * GIB, 200, 3, 5100)]
+        );
+        assert_eq!((idx.raw_entries(), idx.eof()), (1, 2 * GIB + 200));
+        // Resolve across the cut: two slices, physically contiguous.
+        let s = idx.resolve(2 * GIB - 10, 20);
+        assert_eq!(
+            s.iter()
+                .map(|s| (s.logical_offset, s.length, s.physical_offset))
+                .collect::<Vec<_>>(),
+            [(2 * GIB - 10, 10, 5090), (2 * GIB, 10, 5100)]
+        );
+    }
+
+    #[test]
+    fn sequential_writes_across_cuts_coalesce_between_them() {
+        // Ten 1 GiB-minus-a-bit writes, log-contiguous, from offset 7.
+        let len = GIB - 3;
+        let writes: Vec<IndexEntry> = (0..10u64)
+            .map(|i| entry(7 + i * len, len, i * len, 1, i + 1))
+            .collect();
+        let end = 7 + 10 * len;
+        let fresh = built_like_the_reference(vec![writes[..4].to_vec(), writes[4..].to_vec()]);
+        let segs: Vec<_> = fresh.iter_segments().collect();
+        // One extent per 2 GiB block the writes touch, each ending at a cut.
+        assert_eq!(segs.len(), end.div_ceil(2 * GIB) as usize);
+        for (k, &(lo, n, id, phys)) in segs.iter().enumerate() {
+            let k = k as u64;
+            assert_eq!(lo, (k * 2 * GIB).max(7));
+            assert_eq!(lo + n, ((k + 1) * 2 * GIB).min(end));
+            assert_eq!((id, phys), (1, lo - 7));
+        }
+        // The same writes patched in one by one over a view of the first
+        // three: segment for segment what the fresh build has.
+        let mut patched = GlobalIndex::from_sorted_runs(vec![writes[..3].to_vec()]);
+        writes[3..].iter().for_each(|&e| patched.insert(e));
+        assert_identical(&patched, &fresh);
+        patched.fold();
+        assert_identical(&patched, &fresh);
+    }
+
+    #[test]
+    fn an_overwrite_straddling_a_cut_stays_cut_there() {
+        let base = vec![entry(0, 4 * GIB, 0, 0, 1)];
+        let over = entry(2 * GIB - 50, 100, 0, 1, 2);
+        let fresh = built_like_the_reference(vec![base.clone(), vec![over]]);
+        assert_eq!(
+            fresh.iter_segments().collect::<Vec<_>>(),
+            [
+                (0, 2 * GIB - 50, 0, 0),
+                (2 * GIB - 50, 50, 1, 0),
+                (2 * GIB, 50, 1, 50),
+                (2 * GIB + 50, 2 * GIB - 50, 0, 2 * GIB + 50),
+            ]
+        );
+        let mut patched = GlobalIndex::from_sorted_runs(vec![base]);
+        patched.insert(over);
+        assert_identical(&patched, &fresh);
+        let s = patched.resolve(2 * GIB - 60, 120);
+        assert_eq!(
+            s.iter()
+                .map(|s| (s.length, s.dropping_id, s.physical_offset))
+                .collect::<Vec<_>>(),
+            [
+                (10, Some(0), 2 * GIB - 60),
+                (50, Some(1), 0),
+                (50, Some(1), 50),
+                (10, Some(0), 2 * GIB + 50)
+            ]
+        );
+    }
+
+    #[test]
+    fn a_build_decodes_records_too_long_to_cut_as_corrupt() {
+        let mut buf = Vec::new();
+        entry(0, MAX_RECORD_SPAN + 1, 0, 0, 1).encode(&mut buf);
+        let built = IndexBuilder::build(|b| b.decode(&buf, 0));
+        assert!(matches!(built, Err(Error::Corrupt(_))));
     }
 
     #[test]

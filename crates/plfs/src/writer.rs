@@ -5,8 +5,9 @@
 //! directory itself (see [`crate::container`]). A logical
 //! `write(buf, offset)` becomes:
 //!
-//! 1. append `buf` to the data dropping (sequential on disk — the
-//!    log-structured half of PLFS), and
+//! 1. write `buf` at the tail of the data dropping, one `pwrite` at the
+//!    offset the writer tracks (sequential on disk — the log-structured
+//!    half of PLFS), and
 //! 2. buffer an [`IndexEntry`] recording where those bytes logically belong,
 //!    flushed to the index dropping when the buffer fills or on sync/close.
 //!
@@ -53,6 +54,9 @@ pub struct WriteFile {
     /// Leading entries of `buffered` already handed to the fd's read view
     /// by [`WriteFile::take_unmerged`], ahead of their index flush.
     fed: usize,
+    /// Where the data dropping's next bytes go outside log mode: its tail,
+    /// which this writer alone moves — it created the dropping exclusively.
+    tail: u64,
     /// Total bytes this writer has written.
     bytes_written: u64,
     /// Highest logical end offset this writer has produced.
@@ -153,6 +157,7 @@ impl WriteFile {
             unmerged: Vec::new(),
             track,
             fed: 0,
+            tail: 0,
             bytes_written: 0,
             max_eof: 0,
             index_flushes: 0,
@@ -166,7 +171,14 @@ impl WriteFile {
             return Ok(0);
         }
         let physical = match self.mode {
-            LayoutMode::Both | LayoutMode::LogStructured => self.data.append(buf)?,
+            // One positional write at the tail: nothing else appends here.
+            LayoutMode::Both => {
+                self.data.pwrite(buf, self.tail)?;
+                self.tail += buf.len() as u64;
+                self.tail - buf.len() as u64
+            }
+            // The dropping every pid shares: the backing finds its end.
+            LayoutMode::LogStructured => self.data.append(buf)?,
             LayoutMode::PartitionedOnly => {
                 self.data.pwrite(buf, logical)?;
                 logical
@@ -372,8 +384,11 @@ mod tests {
     /// The write clock is process-wide and tests run on parallel threads:
     /// another test's write landing between two of ours splits a pattern
     /// run. Repeat `pass` (which makes `writes` writes on a container of its
-    /// own) until one pass had the clock to itself.
+    /// own) until one pass had the clock to itself. Two such tests take
+    /// turns: side by side, each would split the other's every pass.
     fn with_quiet_clock<T>(writes: u64, mut pass: impl FnMut() -> T) -> T {
+        static TURN: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        let _turn = TURN.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
         for _ in 0..1000 {
             let t0 = next_timestamp();
             let out = pass();
@@ -543,6 +558,40 @@ mod tests {
         let mut bare = WriteFile::open(&b, "/c", &p, 2, 1).unwrap();
         bare.write(b"qrst", 0).unwrap();
         assert!(bare.unmerged.is_empty() && bare.buffered.is_empty());
+    }
+
+    #[test]
+    fn a_write_is_one_data_pwrite_except_in_log_mode() {
+        use crate::meter::MeterBacking;
+        const N: u64 = 50;
+        for (mode, pwrites, appends) in
+            [(LayoutMode::Both, N, 0), (LayoutMode::LogStructured, 0, N)]
+        {
+            let b = MeterBacking::new(std::sync::Arc::new(MemBacking::new()));
+            let p = ContainerParams {
+                num_hostdirs: 4,
+                mode,
+            };
+            create_container(&b, "/c", &p, true).unwrap();
+            let mut w = WriteFile::open(&b, "/c", &p, 3, 4096).unwrap();
+            let before = b.snapshot();
+            // Backwards offsets: the log position is the tail, not these.
+            for i in 0..N {
+                w.write(&[i as u8; 10], (N - i) * 100).unwrap();
+            }
+            let d = b.snapshot().delta(&before);
+            assert_eq!((d.pwrite, d.append), (pwrites, appends), "{mode:?}");
+            assert_eq!(d.metadata_ops(), 0, "{mode:?}");
+            w.sync().unwrap();
+            let r = crate::reader::ReadFile::open(&b, "/c").unwrap();
+            for i in 0..N {
+                let mut buf = [0u8; 10];
+                r.pread(&b, &mut buf, (N - i) * 100).unwrap();
+                assert_eq!(buf, [i as u8; 10], "{mode:?} write {i}");
+            }
+            let data = b.open(w.data_path(), false).unwrap();
+            assert_eq!(data.size().unwrap(), 10 * N, "{mode:?}: log-contiguous");
+        }
     }
 
     #[test]

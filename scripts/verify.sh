@@ -9,8 +9,10 @@ cargo build --release --offline
 # (list call == per-extent loop), prop_backend (batched/tiered == direct),
 # prop_index and prop_container (the merged index against byte maps and
 # its reference builder), open_heap_peak (the read-open's heap high-water
-# mark), read_after_write (op counts and refresh scaling) and the
-# concurrent_* suites live there.
+# mark), read_after_write (op counts and refresh scaling), corrupt_index
+# (hostile index droppings and access files are Corrupt), create_race
+# (racing creators of one container), prop_meta (cached mount == uncached)
+# and the concurrent_* suites live there.
 cargo test --workspace -q --offline
 # The benchmark harness is a workspace of its own: compile and test it
 # against the product crates here, so an API break under benchmark/ shows

@@ -1,8 +1,10 @@
 //! What a read-open holds on the heap at its highest point. A reader
 //! merges every index dropping of a container before its first byte comes
-//! back; that merge must cost little more than the index it keeps — not
-//! the decoded runs, a sort order and a second copy of the result besides.
-//! A counting global allocator (this binary's only) tracks live heap bytes.
+//! back; that merge must cost little more than the index it keeps — 24
+//! bytes per extent — and one window of a dropping's bytes: not the
+//! decoded runs, a sort order, a whole dropping or a second copy of the
+//! result. A counting global allocator (this binary's only) tracks live
+//! heap bytes.
 
 use plfs::{Backing, MemBacking, OpenFlags, Plfs, ReadFile};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -60,7 +62,7 @@ fn high_water<T>(f: impl FnOnce() -> T) -> (T, i64) {
 /// written by pid `k % 8`, so no two neighbours share a dropping and
 /// nothing coalesces.
 #[test]
-fn a_read_open_holds_the_index_plus_two_index_droppings() {
+fn a_read_open_holds_the_index_plus_one_window() {
     const PIDS: u64 = 8;
     const RECORDS: u64 = 65_536;
     const RECORD: u64 = 8;
@@ -96,19 +98,17 @@ fn a_read_open_holds_the_index_plus_two_index_droppings() {
         RECORDS as usize,
         "nothing coalesces"
     );
+    let records = RECORDS as i64;
     let index = reader.index_resident_bytes() as i64;
-    let largest_dropping = reader
-        .droppings()
-        .iter()
-        .filter_map(|d| d.index_path.as_deref())
-        .map(|ip| backing.stat(ip).unwrap().size)
-        .max()
-        .unwrap() as i64;
-    let bound = index + 2 * largest_dropping + (64 << 10);
+    assert!(
+        index <= 24 * records,
+        "the index keeps {index} B: over 24 B for each of {records} extents"
+    );
+    let bound = 26 * records + (128 << 10);
     assert!(
         peak <= bound,
         "the open peaked at {peak} B live: {:.2}x the {index} B index it keeps \
-         (bound {bound} B: the index, two {largest_dropping} B index droppings and 64 KiB)",
+         (bound {bound} B: 26 B per record and 128 KiB)",
         peak as f64 / index as f64
     );
 

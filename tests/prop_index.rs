@@ -361,3 +361,70 @@ proptest! {
         }
     }
 }
+
+/// Writes within a few hundred bytes of the first three multiples of 2 GiB,
+/// where no extent of the index may cross: `(offset, length, physical,
+/// dropping)`.
+fn near_cuts() -> impl Strategy<Value = Vec<(u64, u64, u64, u32)>> {
+    prop::collection::vec(
+        (1u64..4, 0u64..600, 1u64..300, 0u64..10_000, 0u32..3),
+        1..40,
+    )
+    .prop_map(|v| {
+        v.into_iter()
+            .map(|(k, d, len, phys, drop_id)| ((k << 31) - 300 + d, len, phys, drop_id))
+            .collect()
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Around the 2 GiB cuts, the read-open's builder, a view patched
+    /// write by write and the reference agree segment for segment; no
+    /// segment crosses a cut, and every byte resolves as the byte map says.
+    #[test]
+    fn views_agree_and_stay_cut_around_2_gib(es in near_cuts(), split in 0usize..40) {
+        let entries: Vec<IndexEntry> = (1u64..)
+            .zip(&es)
+            .map(|(ts, &(lo, len, phys, drop_id))| IndexEntry {
+                logical_offset: lo,
+                length: len,
+                physical_offset: phys,
+                dropping_id: drop_id,
+                timestamp: ts,
+                pid: 0,
+            })
+            .collect();
+        let split = split.min(entries.len());
+        let reference = GlobalIndex::from_entries(entries.clone());
+        let runs = vec![entries[..split].to_vec(), entries[split..].to_vec()];
+        let built = GlobalIndex::from_sorted_runs(runs);
+        let mut patched = GlobalIndex::from_sorted_runs(vec![entries[..split].to_vec()]);
+        entries[split..].iter().for_each(|&e| patched.insert(e));
+        let want: Vec<_> = reference.iter_segments().collect();
+        prop_assert_eq!(built.iter_segments().collect::<Vec<_>>(), want.clone());
+        prop_assert_eq!(patched.iter_segments().collect::<Vec<_>>(), want.clone());
+        prop_assert_eq!(
+            (built.eof(), built.raw_entries()),
+            (reference.eof(), reference.raw_entries())
+        );
+        for &(lo, len, ..) in &want {
+            prop_assert_eq!(lo >> 31, (lo + len - 1) >> 31, "segment at {} crosses a cut", lo);
+        }
+        let map = byte_map(&es);
+        for k in 1u64..4 {
+            let (off, len) = ((k << 31) - 400, 800);
+            let mut cursor = off;
+            for s in built.resolve(off, len) {
+                prop_assert_eq!(s.logical_offset, cursor);
+                for i in 0..s.length {
+                    let got = s.dropping_id.map(|d| (d, s.physical_offset + i));
+                    prop_assert_eq!(got, map.get(&(cursor + i)).copied(), "byte {}", cursor + i);
+                }
+                cursor += s.length;
+            }
+            prop_assert_eq!(cursor, (off + len).min(built.eof()).max(off));
+        }
+    }
+}

@@ -33,8 +33,9 @@ fn thousand_write_read_pairs_reopen_nothing() {
     assert_eq!(rest.readdir, 0, "no dropping census after the first read");
     assert_eq!(rest.open, 0, "the data dropping's handle is kept: {rest:?}");
     assert_eq!(
-        rest.append, 999,
-        "one data append per write; index records wait for buffer-full, sync or close: {rest:?}"
+        (rest.pwrite, rest.append),
+        (999, 0),
+        "one data pwrite per write; index records wait for buffer-full, sync or close: {rest:?}"
     );
     let all = meter.snapshot().delta(&opened);
     assert!(
