@@ -17,8 +17,8 @@
 //!
 //! Families the shim deliberately does not cover are listed as
 //! single-member entries with the rationale in the table comment (`fork`
-//! works through copy-on-write plus per-call `getpid`; `exec*` drops the
-//! preload by design when the environment is scrubbed).
+//! is covered by `pthread_atfork` handlers, not interposition; `exec*`
+//! drops the preload by design when the environment is scrubbed).
 
 use crate::callgraph::Graph;
 use crate::Finding;
@@ -43,8 +43,15 @@ const FAMILIES: &[&[&str]] = &[
     &["pwritev2", "pwritev64v2"],
     &["lseek", "lseek64"],
     &["close"],
+    // `close`'s range forms: one that bypasses the shim leaves a freed
+    // number registered (the next file to take it reads the container), or
+    // the template's number naming another file.
+    &["close_range", "closefrom"],
     &["fsync", "fdatasync"],
     &["dup", "dup2", "dup3"],
+    // `F_DUPFD`/`F_DUPFD_CLOEXEC` are dups too (`File::try_clone` is one):
+    // a missing twin hands out a descriptor of the empty reserved fd.
+    &["fcntl", "fcntl64"],
     &["stat", "stat64"],
     &["lstat", "lstat64"],
     &["fstat", "fstat64"],
@@ -62,9 +69,15 @@ const FAMILIES: &[&[&str]] = &[
     &["copy_file_range"],
     &["sendfile", "sendfile64"],
     &["splice"],
-    // Deliberately single-member: fork needs no hook (the fd table is
-    // process-local behind `getpid`, inherited state is COW-correct) and
-    // exec* inheriting the shim is environment policy, not interposition.
+    // Deliberately single-member, not interposed. fork: the shim's
+    // `pthread_atfork` handlers do its part — the parent writes its index
+    // buffers; the child, waiting on no lock, forgets the cached pid,
+    // counts the fork, moves the fd table to a fresh lock if a parent
+    // thread was reading it and takes cursor slots from a page of its own,
+    // and adopts each inherited open at its first call on it, while the
+    // cursors, in MAP_SHARED pages, stay shared as kernel file offsets are.
+    // vfork's child may only exec or _exit. exec* inheriting the shim is
+    // environment policy, not interposition.
     &["fork"],
     &["vfork"],
     &["execve"],
@@ -93,6 +106,7 @@ const TWINS: &[&[&str]] = &[
     &["fsync", "fdatasync"],
     &["mmap", "mmap64"],
     &["sendfile", "sendfile64"],
+    &["fcntl", "fcntl64"],
 ];
 
 pub(crate) fn run(graph: &Graph, out: &mut Vec<Finding>) {

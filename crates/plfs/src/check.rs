@@ -202,84 +202,46 @@ pub fn check(b: &dyn Backing, path: &str) -> Result<CheckReport> {
             .push(Finding::OpenWriters { count: writers });
     }
 
-    let droppings = container::list_droppings(b, path)?;
-    report.droppings = droppings.len();
+    // The container directory's pairs (the creator's), then each hostdir's.
+    let top = b.readdir(path)?;
+    let hostdirs: Vec<String> = top
+        .iter()
+        .filter(|n| n.starts_with(container::HOSTDIR_PREFIX))
+        .map(|hd| join(path, hd))
+        .collect();
+    let mut dirs = vec![(path.to_string(), top)];
+    for hd_path in hostdirs {
+        let names = b.readdir(&hd_path)?;
+        dirs.push((hd_path, names));
+    }
     let mut eof = 0u64;
 
-    for d in &droppings {
-        let Some(ip) = index_path_of(d) else {
-            report.findings.push(Finding::OrphanData {
-                path: d.data_path.clone(),
-            });
-            continue;
-        };
-        let raw = read_all(b, ip)?;
-        let whole = (raw.len() / RECORD_SIZE) * RECORD_SIZE;
-        if whole != raw.len() {
-            report.findings.push(Finding::TornIndex {
-                path: ip.to_string(),
-                excess: (raw.len() - whole) as u64,
-            });
-        }
-        let data_size = b.stat(&d.data_path)?.size;
-        let mut overruns = 0u64;
-        for (i, rec) in raw[..whole].chunks_exact(RECORD_SIZE).enumerate() {
-            match decode_record(rec) {
-                Ok(IndexRecord::Plain(e)) => {
-                    report.records += 1;
-                    if e.physical_offset + e.length > data_size {
-                        overruns += 1;
-                    } else {
-                        eof = eof.max(e.logical_end());
-                    }
+    for (dir, names) in &dirs {
+        let pairs = container::dropping_pairs(names);
+        report.droppings += pairs.len();
+        for p in &pairs {
+            let data_path = join(dir, p.data);
+            let Some((index, _)) = p.index else {
+                // A creator's data dropping alone is a writer still open
+                // (its index comes at close): `read_lifecycle` counted it.
+                if dir != path {
+                    report
+                        .findings
+                        .push(Finding::OrphanData { path: data_path });
                 }
-                Ok(IndexRecord::Pattern(p)) => {
-                    report.records += 1;
-                    // Overrun accounting is per expanded write, so a torn
-                    // run reports how many writes actually lost bytes.
-                    let fit = pattern_fit(&p, data_size);
-                    overruns += p.count as u64 - fit;
-                    if fit > 0 {
-                        eof = eof.max(p.entry_at(fit - 1).logical_end());
-                    }
-                }
-                Err(_) => {
-                    report.findings.push(Finding::CorruptIndexRecord {
-                        path: ip.to_string(),
-                        record: i as u64,
-                    });
-                }
-            }
+                continue;
+            };
+            check_index(b, &join(dir, index), &data_path, &mut eof, &mut report)?;
         }
-        if overruns > 0 {
-            report.findings.push(Finding::IndexOverrun {
-                path: d.data_path.clone(),
-                entries: overruns,
-            });
-        }
-    }
-
-    // Index droppings with no data partner, in the container directory
-    // (the top-level pair) and in every hostdir.
-    let mut orphans = |dir: &str, names: &[String]| {
+        // Index droppings with no data partner.
         for n in names {
             if let Some((pair, _)) = container::parse_index_name(n) {
-                let data_name = format!("{}{pair}", container::DATA_PREFIX);
-                if !names.iter().any(|m| m == &data_name) {
+                if !pairs.iter().any(|p| p.pair == pair) {
                     let path = join(dir, n);
                     report.findings.push(Finding::OrphanIndex { path });
                 }
             }
         }
-    };
-    let top = b.readdir(path)?;
-    orphans(path, &top);
-    for hd in top
-        .iter()
-        .filter(|n| n.starts_with(container::HOSTDIR_PREFIX))
-    {
-        let hd_path = join(path, hd);
-        orphans(&hd_path, &b.readdir(&hd_path)?);
     }
 
     // Meta cache consistency (only meaningful with no open writers).
@@ -295,6 +257,62 @@ pub fn check(b: &dyn Backing, path: &str) -> Result<CheckReport> {
     }
 
     Ok(report)
+}
+
+/// Examine the index dropping `ip` against its data dropping `data_path`,
+/// raising `eof` to the end of every record whose bytes are there.
+fn check_index(
+    b: &dyn Backing,
+    ip: &str,
+    data_path: &str,
+    eof: &mut u64,
+    report: &mut CheckReport,
+) -> Result<()> {
+    let raw = read_all(b, ip)?;
+    let whole = (raw.len() / RECORD_SIZE) * RECORD_SIZE;
+    if whole != raw.len() {
+        report.findings.push(Finding::TornIndex {
+            path: ip.to_string(),
+            excess: (raw.len() - whole) as u64,
+        });
+    }
+    let data_size = b.stat(data_path)?.size;
+    let mut overruns = 0u64;
+    for (i, rec) in raw[..whole].chunks_exact(RECORD_SIZE).enumerate() {
+        match decode_record(rec) {
+            Ok(IndexRecord::Plain(e)) => {
+                report.records += 1;
+                if e.physical_offset + e.length > data_size {
+                    overruns += 1;
+                } else {
+                    *eof = (*eof).max(e.logical_end());
+                }
+            }
+            Ok(IndexRecord::Pattern(p)) => {
+                report.records += 1;
+                // Overrun accounting is per expanded write, so a torn
+                // run reports how many writes actually lost bytes.
+                let fit = pattern_fit(&p, data_size);
+                overruns += p.count as u64 - fit;
+                if fit > 0 {
+                    *eof = (*eof).max(p.entry_at(fit - 1).logical_end());
+                }
+            }
+            Err(_) => {
+                report.findings.push(Finding::CorruptIndexRecord {
+                    path: ip.to_string(),
+                    record: i as u64,
+                });
+            }
+        }
+    }
+    if overruns > 0 {
+        report.findings.push(Finding::IndexOverrun {
+            path: data_path.to_string(),
+            entries: overruns,
+        });
+    }
+    Ok(())
 }
 
 /// Actions taken by [`repair`].
@@ -317,7 +335,9 @@ pub struct RepairReport {
 /// Repair what can be repaired. `clear_markers` also removes open-writer
 /// markers (only safe when no process holds the container open): `open.*`
 /// names are unlinked, an un-suffixed top-level index dropping — it holds
-/// its dead writer's records — is renamed to its suffix.
+/// its dead writer's records — is renamed to its suffix, and a top-level
+/// data dropping with no index at all (its writer died before close wrote
+/// one) gets an empty closed index.
 ///
 /// Afterwards the fast-stat drops are exact: every closed top-level index
 /// carries its own records' eof and its data dropping's size, and one
@@ -403,21 +423,23 @@ pub fn repair(b: &dyn Backing, path: &str, clear_markers: bool) -> Result<Repair
     for d in &droppings {
         hostdir_bytes += b.stat(&d.data_path)?.size;
     }
-    for n in b.readdir(path)? {
-        let Some((pair, closed)) = container::parse_index_name(&n) else {
-            continue;
-        };
-        let data_name = format!("{}{pair}", container::DATA_PREFIX);
-        let data_size = b.stat(&join(path, &data_name))?.size;
+    let top = b.readdir(path)?;
+    for p in container::dropping_pairs(&top) {
+        let data_size = b.stat(&join(path, p.data))?.size;
         hostdir_bytes -= data_size;
-        if closed.is_none() {
+        if p.creator_open() {
             if !clear_markers {
-                // Its writer may be alive: the name is its to change.
+                // Its writer may be alive: the names are its to make.
                 continue;
             }
             report.markers_cleared += 1;
         }
-        let ip = join(path, &n);
+        let Some((index, _)) = p.index else {
+            let empty = format!("{}{}.0.{data_size}", container::INDEX_PREFIX, p.pair);
+            b.create(&join(path, &empty), true)?;
+            continue;
+        };
+        let ip = join(path, index);
         let entries = IndexEntry::decode_all(&read_all(b, &ip)?)?;
         let eof = entries.iter().map(IndexEntry::logical_end).max();
         container::close_toplevel(b, &ip, eof.unwrap_or(0), data_size)?;
@@ -648,10 +670,13 @@ mod tests {
         assert!(check(b.as_ref(), "/c").unwrap().is_clean());
     }
 
+    /// A hostdir data dropping without its index is data loss; the
+    /// creator's top-level one is a writer still open (its index comes at
+    /// close).
     #[test]
     fn orphan_data_is_data_loss() {
         let b = written_container();
-        let d = &container::list_droppings(b.as_ref(), "/c").unwrap()[0];
+        let d = &container::list_droppings(b.as_ref(), "/c").unwrap()[1];
         b.unlink(d.index_path.as_ref().unwrap()).unwrap();
         let r = check(b.as_ref(), "/c").unwrap();
         assert!(r
@@ -659,6 +684,47 @@ mod tests {
             .iter()
             .any(|f| matches!(f, Finding::OrphanData { .. })));
         assert_eq!(r.worst(), Some(Severity::DataLoss));
+        let b = written_container();
+        let d = &container::list_droppings(b.as_ref(), "/c").unwrap()[0];
+        b.unlink(d.index_path.as_ref().unwrap()).unwrap();
+        assert_eq!(
+            check(b.as_ref(), "/c").unwrap().findings,
+            [Finding::OpenWriters { count: 1 }]
+        );
+    }
+
+    /// `--clear-markers` on a creator killed before anything needed its
+    /// index: the data dropping alone gets an empty closed index.
+    #[test]
+    fn dead_creators_data_alone_gets_an_empty_closed_index() {
+        let backing = Arc::new(MemBacking::new());
+        let plfs = Plfs::new(backing.clone());
+        let fd = plfs
+            .open("/c", OpenFlags::WRONLY | OpenFlags::CREAT, 4)
+            .unwrap();
+        plfs.write(&fd, &[9u8; 64], 0, 4).unwrap();
+        std::mem::forget(fd); // killed: no close ever runs
+        let b = backing.as_ref();
+        assert_eq!(
+            b.readdir("/c").unwrap(),
+            [".plfsaccess", "dropping.data.4.0"]
+        );
+        assert_eq!(
+            check(b, "/c").unwrap().findings,
+            [Finding::OpenWriters { count: 1 }]
+        );
+        repair(b, "/c", false).unwrap();
+        assert!(!b.exists("/c/dropping.index.4.0.0.64"), "it may be alive");
+        assert_eq!(repair(b, "/c", true).unwrap().markers_cleared, 1);
+        assert_eq!(b.stat("/c/dropping.index.4.0.0.64").unwrap().size, 0);
+        assert!(check(b, "/c").unwrap().is_clean());
+        let st = Plfs::new(backing.clone()).getattr("/c").unwrap();
+        assert_eq!((st.size, st.physical_bytes), slow_stat(b));
+        assert_eq!(
+            (st.size, st.physical_bytes),
+            (0, 64),
+            "its records died with it"
+        );
     }
 
     #[test]

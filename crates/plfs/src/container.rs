@@ -5,9 +5,9 @@
 //! ```text
 //! foo/                                      container directory
 //!   .plfsaccess                             marker: "this directory is a container"
-//!   dropping.data.<pid>.<n>                 the creator's data dropping
-//!   dropping.index.<pid>.<n>                its index; this name: the creator is open
-//!   dropping.index.<pid>.<n>.<eof>.<bytes>  the same file once it closed; fast-stat info
+//!   dropping.data.<pid>.<n>                 the creator's data dropping; alone: it is open
+//!   dropping.index.<pid>.<n>                its index, if needed before close; the creator is open
+//!   dropping.index.<pid>.<n>.<eof>.<bytes>  its index once it closed; fast-stat info
 //!   open.<pid>.<n>                          empty: hostdir writer (pid, n) is open
 //!   meta.<eof>.<bytes>.<pid>.<n>            empty: that writer closed; fast-stat info
 //!   hostdir.0/ … hostdir.K-1/               subdirectories holding everyone else's droppings
@@ -23,17 +23,21 @@
 //! droppings) and a small file costs no directory of its own:
 //!
 //! * Lifecycle state — the paper's `openhosts/` and `meta/` subdirectories
-//!   — is *names* in the container directory, and close is one `rename`.
+//!   — is *names* in the container directory, and close is at most one
+//!   `rename`.
 //! * The writer that *made* the container (its `open`'s `mkdir` succeeded:
 //!   [`Creation::Made`]) keeps a **top-level pair**: its two droppings sit
 //!   beside the access file, with no hostdir and no empty marker — the
-//!   index dropping's own name is its lifecycle. Un-suffixed it is the open
-//!   marker; close renames it to carry `<eof>.<bytes>`, which is the
-//!   fast-stat drop. (A name apart from `meta.*`, so clearing the drops can
-//!   never delete records.) Every other writer — one that joined an
-//!   existing container, a reopener, a bare [`crate::WriteFile::open`], all
-//!   of log mode — keeps the hostdir pair with its `open.*`/`meta.*` names.
-//!   Which shape a writer gets is what the code observed, never a knob.
+//!   index dropping's own name is its lifecycle. Close creates it under
+//!   its closed name, carrying `<eof>.<bytes>`: the fast-stat drop. Until
+//!   then the data dropping alone says the creator is open — or, if a full
+//!   buffer, a sync or a truncate needed the index first, the index under
+//!   its un-suffixed name, which close renames. (A name apart from
+//!   `meta.*`, so clearing the drops can never delete records.) Every
+//!   other writer — one that joined an existing container, a reopener, a
+//!   bare [`crate::WriteFile::open`], all of log mode — keeps the hostdir
+//!   pair with its `open.*`/`meta.*` names. Which shape a writer gets is
+//!   what the code observed, never a knob.
 //!
 //! (In log mode, where every writer shares pair 0, `n` is the first number
 //! free among its pid's names.) A legacy container still opens, stats (slow
@@ -363,6 +367,55 @@ fn list_container(b: &dyn Backing, container: &str) -> Result<Vec<String>> {
     }
 }
 
+/// An index dropping's name, with the `(eof, bytes)` a closed top-level
+/// index's name carries.
+pub type IndexName<'a> = (&'a str, Option<(u64, u64)>);
+
+/// A data dropping in one directory's listing, with its index dropping.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PairNames<'a> {
+    /// The `<pid>.<seq>` the two names share.
+    pub pair: &'a str,
+    /// The data dropping's name.
+    pub data: &'a str,
+    /// The index dropping's name, if there is one.
+    pub index: Option<IndexName<'a>>,
+}
+
+impl PairNames<'_> {
+    /// In the container directory, where a pair's names are its writer's
+    /// lifecycle: is the creator still open? Its index is not there yet
+    /// (nothing has needed it before close) or is under its open name.
+    pub fn creator_open(&self) -> bool {
+        self.index.is_none_or(|(_, closed)| closed.is_none())
+    }
+}
+
+/// Every data dropping among `names` (one directory's listing) paired with
+/// its index dropping in the same listing, under any spelling of its name.
+/// An index dropping whose data dropping is gone is in no pair.
+pub fn dropping_pairs(names: &[String]) -> Vec<PairNames<'_>> {
+    let indices: Vec<(&str, IndexName)> = names
+        .iter()
+        .filter_map(|n| {
+            let (pair, closed) = parse_index_name(n)?;
+            Some((pair, (n.as_str(), closed)))
+        })
+        .collect();
+    names
+        .iter()
+        .filter_map(|n| {
+            let pair = n.strip_prefix(DATA_PREFIX)?;
+            let index = indices.iter().find(|(p, _)| *p == pair);
+            Some(PairNames {
+                pair,
+                data: n,
+                index: index.map(|&(_, name)| name),
+            })
+        })
+        .collect()
+}
+
 /// A discovered dropping pair (data + index) in a container.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DroppingRef {
@@ -372,23 +425,12 @@ pub struct DroppingRef {
     pub index_path: Option<String>,
 }
 
-/// Pair every data dropping among `names` (the listing of `dir`) with its
-/// index dropping in the same listing, under either spelling of its name.
+/// The [`dropping_pairs`] of `names`, the listing of `dir`, as paths.
 fn pair_droppings(dir: &str, names: &[String], out: &mut Vec<DroppingRef>) {
-    let indices: Vec<(&str, &String)> = names
-        .iter()
-        .filter_map(|n| Some((parse_index_name(n)?.0, n)))
-        .collect();
-    for name in names {
-        let Some(pair) = name.strip_prefix(DATA_PREFIX) else {
-            continue;
-        };
-        let index = indices.iter().find(|(p, _)| *p == pair);
-        out.push(DroppingRef {
-            data_path: join(dir, name),
-            index_path: index.map(|(_, n)| join(dir, n)),
-        });
-    }
+    out.extend(dropping_pairs(names).into_iter().map(|p| DroppingRef {
+        data_path: join(dir, p.data),
+        index_path: p.index.map(|(n, _)| join(dir, n)),
+    }));
 }
 
 /// Enumerate all data droppings (with their index droppings) in a container,
@@ -574,28 +616,33 @@ pub fn clear_names(b: &dyn Backing, container: &str, prefix: &str) -> Result<usi
 }
 
 /// Both lifecycle answers from one listing of the container directory:
-/// the count of open writers — `open.*` markers and un-suffixed top-level
-/// index droppings — and the fast-stat `(max eof, total bytes)` over all
-/// drops, `meta.*` names and suffixed top-level index droppings alike
-/// (`None` if no writer has closed yet).
+/// the count of open writers — `open.*` markers, un-suffixed top-level
+/// index droppings, and top-level data droppings with no index yet — and
+/// the fast-stat `(max eof, total bytes)` over all drops, `meta.*` names and
+/// suffixed top-level index droppings alike (`None` if no writer has closed
+/// yet). A top-level index whose data dropping is gone (a truncate under its
+/// open writer) describes nothing and counts as neither.
 pub fn read_lifecycle(b: &dyn Backing, container: &str) -> Result<(usize, Option<(u64, u64)>)> {
+    let names = list_container(b, container)?;
+    // Every name is an open writer (`None`), a closed one's drop, or neither.
+    let hostdir_writers = names.iter().filter_map(|n| {
+        if n.starts_with(OPEN_PREFIX) {
+            return Some(None);
+        }
+        let mut it = n
+            .strip_prefix(META_PREFIX)?
+            .split('.')
+            .map(str::parse::<u64>);
+        let (Some(Ok(eof)), Some(Ok(bytes))) = (it.next(), it.next()) else {
+            return None;
+        };
+        Some(Some((eof, bytes)))
+    });
+    let pairs = dropping_pairs(&names);
+    let creators = pairs.iter().map(|p| p.index.and_then(|(_, closed)| closed));
     let mut writers = 0;
     let mut best: Option<(u64, u64)> = None;
-    for n in list_container(b, container)? {
-        // A name is an open writer (`None`), a closed one's drop, or neither.
-        let closed = if n.starts_with(OPEN_PREFIX) {
-            None
-        } else if let Some(rest) = n.strip_prefix(META_PREFIX) {
-            let mut it = rest.split('.').map(str::parse::<u64>);
-            let (Some(Ok(eof)), Some(Ok(bytes))) = (it.next(), it.next()) else {
-                continue;
-            };
-            Some((eof, bytes))
-        } else if let Some((_, closed)) = parse_index_name(&n) {
-            closed
-        } else {
-            continue;
-        };
+    for closed in hostdir_writers.chain(creators) {
         match closed {
             None => writers += 1,
             Some((eof, bytes)) => {
@@ -674,21 +721,31 @@ pub fn close_writer(
 /// nothing to publish; with the whole container gone that is an error, as
 /// it is for a hostdir writer.
 pub fn close_toplevel(b: &dyn Backing, index_path: &str, eof: u64, bytes: u64) -> Result<String> {
+    let closed = closed_index_path(index_path, eof, bytes)?;
+    if closed == index_path {
+        return Ok(closed);
+    }
+    match b.rename(index_path, &closed) {
+        Ok(()) => Ok(closed),
+        Err(Error::NotFound(_)) if b.exists(parent(index_path)) => Ok(index_path.to_string()),
+        Err(e) => Err(e),
+    }
+}
+
+/// The closed name of a top-level index dropping, given either of its
+/// names: `dropping.index.<pid>.<seq>.<eof>.<bytes>` beside it.
+pub fn closed_index_path(index_path: &str, eof: u64, bytes: u64) -> Result<String> {
     let parsed = index_path
         .rsplit_once('/')
         .and_then(|(dir, name)| Some((dir, parse_index_name(name)?.0)));
     let Some((dir, pair)) = parsed else {
         return Err(Error::InvalidArg("not the path of an index dropping"));
     };
-    let closed = join(dir, &format!("{INDEX_PREFIX}{pair}.{eof}.{bytes}"));
-    if closed == index_path {
-        return Ok(closed);
-    }
-    match b.rename(index_path, &closed) {
-        Ok(()) => Ok(closed),
-        Err(Error::NotFound(_)) if b.exists(dir) => Ok(index_path.to_string()),
-        Err(e) => Err(e),
-    }
+    Ok(join(dir, &format!("{INDEX_PREFIX}{pair}.{eof}.{bytes}")))
+}
+
+fn parent(path: &str) -> &str {
+    path.rsplit_once('/').map_or("/", |(dir, _)| dir)
 }
 
 /// Delete a container and everything inside it, by layout: every entry but
@@ -935,6 +992,69 @@ mod tests {
         // The pair gone under its writer: close has nothing to publish.
         b.unlink(&closed).unwrap();
         assert_eq!(close_toplevel(&b, &ip, 1, 1).unwrap(), ip);
+    }
+
+    /// The third spelling: a creator whose index nothing has needed yet is
+    /// its data dropping alone — open, listed with no index. A top-level
+    /// index whose data dropping is gone describes nothing.
+    #[test]
+    fn an_open_creator_may_be_its_data_dropping_alone() {
+        let b = mem();
+        create_container(&b, "/c", &ContainerParams::default(), true).unwrap();
+        let (dp, _) = toplevel_pair_paths("/c", 7, 0);
+        b.create(&dp, true).unwrap();
+        assert_eq!(read_lifecycle(&b, "/c").unwrap(), (1, None));
+        let d = list_droppings(&b, "/c").unwrap();
+        assert_eq!(
+            (d[0].data_path.as_str(), d[0].index_path.as_deref()),
+            (dp.as_str(), None)
+        );
+        let closed = closed_index_path("/c/dropping.index.7.0", 100, 60).unwrap();
+        assert_eq!(closed, "/c/dropping.index.7.0.100.60");
+        b.create(&closed, true).unwrap();
+        assert_eq!(read_lifecycle(&b, "/c").unwrap(), (0, Some((100, 60))));
+        b.unlink(&dp).unwrap();
+        assert_eq!(
+            read_lifecycle(&b, "/c").unwrap(),
+            (0, None),
+            "an orphan index"
+        );
+    }
+
+    /// One pairing of names, all three spellings of a creator among them.
+    #[test]
+    fn dropping_pairs_read_each_spelling() {
+        let names: Vec<String> = [
+            ".plfsaccess",
+            "dropping.data.1.0",
+            "dropping.data.2.0",
+            "dropping.index.2.0",
+            "dropping.index.3.0.100.60",
+            "dropping.data.3.0",
+            "dropping.index.4.0",
+            "open.5.0",
+        ]
+        .map(String::from)
+        .into();
+        let pairs = dropping_pairs(&names);
+        let seen: Vec<_> = pairs
+            .iter()
+            .map(|p| (p.pair, p.index, p.creator_open()))
+            .collect();
+        assert_eq!(
+            seen,
+            [
+                ("1.0", None, true),
+                ("2.0", Some(("dropping.index.2.0", None)), true),
+                (
+                    "3.0",
+                    Some(("dropping.index.3.0.100.60", Some((100, 60)))),
+                    false
+                ),
+            ],
+            "4.0 has no data dropping"
+        );
+        assert_eq!(pairs[2].data, "dropping.data.3.0");
     }
 
     #[test]

@@ -334,7 +334,7 @@ impl PlfsFd {
                 self.ensure_hostdir_once(pid)?;
             }
             let mut w = WriteFile::open_prepared(
-                self.backing.as_ref(),
+                &self.backing,
                 &self.container,
                 &self.params,
                 pid,
@@ -576,6 +576,43 @@ impl PlfsFd {
         Ok(())
     }
 
+    /// Write every writer's buffered index records to the backing store,
+    /// syncing nothing: what a process does ahead of a `fork`, so that the
+    /// child — which drops its copies of the writers ([`PlfsFd::forked`])
+    /// — reads every byte written before it.
+    pub fn flush_index(&self) -> Result<()> {
+        for shard in &self.shards {
+            for w in shard.lock().values_mut() {
+                w.flush_index()?;
+            }
+        }
+        Ok(())
+    }
+
+    /// In a forked child, whose pid is `pid`: every reference this fd holds
+    /// becomes `pid`'s, and every writer is the parent's — dropped without
+    /// writing a record (they are the parent's to write, and
+    /// [`PlfsFd::flush_index`] wrote them at the fork), what the read view
+    /// has not seen of them banked for its next refresh. The child's own
+    /// writes open droppings of their own under `pid`.
+    pub fn forked(&self, pid: u64) {
+        let mut refs = self.refs.lock();
+        let held = refs.values().sum();
+        *refs = HashMap::from([(pid, held)]);
+        for shard in &self.shards {
+            for (_, mut w) in shard.lock().drain() {
+                let ents = w.take_unmerged();
+                if self.flags.readable() && !ents.is_empty() {
+                    self.orphans.lock().push((w.data_path().to_string(), ents));
+                }
+                if let Some(c) = &self.cache {
+                    c.writer_dec(&self.container);
+                }
+                w.abandon();
+            }
+        }
+    }
+
     /// Logical size as visible through this fd right now: answered from
     /// the cached EOF — no index merge.
     pub fn size(&self) -> Result<u64> {
@@ -637,7 +674,7 @@ impl PlfsFd {
             refs.remove(&pid);
             let writer = self.shard(pid).lock().remove(&pid);
             if let Some(mut w) = writer {
-                w.sync()?;
+                w.sync_at_close()?;
                 // Entries not yet folded into the read view stay owed to its
                 // next refresh.
                 let ents = w.take_unmerged();

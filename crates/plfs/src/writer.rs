@@ -9,7 +9,14 @@
 //!    offset the writer tracks (sequential on disk — the log-structured
 //!    half of PLFS), and
 //! 2. buffer an [`IndexEntry`] recording where those bytes logically belong,
-//!    flushed to the index dropping when the buffer fills or on sync/close.
+//!    flushed to the index dropping when the buffer fills or on sync/close —
+//!    one `pwrite` at the index dropping's tail, which the writer tracks too.
+//!
+//! The creator's top-level index dropping is not created until something
+//! needs it: close creates it under its closed name
+//! `dropping.index.<pid>.<seq>.<eof>.<bytes>`, with no `rename`; a full
+//! buffer, a sync or a truncate before that creates it under its open name,
+//! and close then renames it (see [`crate::container`]).
 //!
 //! [`crate::container::LayoutMode`] varies step 1 for the ablation study:
 //! `PartitionedOnly` writes at the logical offset inside the pid's own
@@ -20,6 +27,7 @@ use crate::backing::{Backing, BackingFile};
 use crate::container::{self, ContainerParams, LayoutMode};
 use crate::error::{Error, Result};
 use crate::index::{encode_compressed, next_timestamp, IndexEntry};
+use std::sync::Arc;
 
 /// Default number of buffered index entries before an automatic flush
 /// (mirrors the C library's `index_buffer_mbs` knob, expressed in entries).
@@ -29,10 +37,17 @@ pub const DEFAULT_INDEX_BUFFER_ENTRIES: usize = 4096;
 /// records are emitted; a pattern record costs the same 48 bytes).
 pub const PATTERN_MIN_RUN: usize = 3;
 
+/// A writer's index dropping: open, or — a top-level pair's, until
+/// something needs it — not created yet.
+enum IndexDropping {
+    Open(Box<dyn BackingFile>),
+    Deferred(Arc<dyn Backing>),
+}
+
 /// An open write stream for one `(container, pid)` pair.
 pub struct WriteFile {
     data: Box<dyn BackingFile>,
-    index: Box<dyn BackingFile>,
+    index: IndexDropping,
     data_path: String,
     index_path: String,
     mode: LayoutMode,
@@ -57,6 +72,8 @@ pub struct WriteFile {
     /// Where the data dropping's next bytes go outside log mode: its tail,
     /// which this writer alone moves — it created the dropping exclusively.
     tail: u64,
+    /// The same for the index dropping's next records.
+    index_tail: u64,
     /// Total bytes this writer has written.
     bytes_written: u64,
     /// Highest logical end offset this writer has produced.
@@ -79,7 +96,7 @@ impl WriteFile {
         buffer_limit: usize,
     ) -> Result<WriteFile> {
         container::ensure_hostdir(b, container, params, pid)?;
-        WriteFile::open_prepared(b, container, params, pid, buffer_limit, false, false)
+        WriteFile::open_pair(b, container, params, pid, buffer_limit, false, None)
     }
 
     /// Like [`WriteFile::open`], but trusting the caller that the pid's
@@ -88,9 +105,10 @@ impl WriteFile {
     /// and, with `track`, keeping flushed entries for
     /// [`WriteFile::take_unmerged`]. With `top_level` (the container's
     /// creator; never in log mode) the pair goes in the container directory
-    /// and needs no hostdir at all.
+    /// and needs no hostdir at all; its index dropping is created when
+    /// something first needs it, through `b`.
     pub(crate) fn open_prepared(
-        b: &dyn Backing,
+        b: &Arc<dyn Backing>,
         container: &str,
         params: &ContainerParams,
         pid: u64,
@@ -98,6 +116,30 @@ impl WriteFile {
         track: bool,
         top_level: bool,
     ) -> Result<WriteFile> {
+        let deferred = top_level.then(|| Arc::clone(b));
+        WriteFile::open_pair(
+            b.as_ref(),
+            container,
+            params,
+            pid,
+            buffer_limit,
+            track,
+            deferred,
+        )
+    }
+
+    /// Open the first free dropping pair: a top-level one, whose index
+    /// waits, when `deferred` holds the backing to create it through.
+    fn open_pair(
+        b: &dyn Backing,
+        container: &str,
+        params: &ContainerParams,
+        pid: u64,
+        buffer_limit: usize,
+        track: bool,
+        deferred: Option<Arc<dyn Backing>>,
+    ) -> Result<WriteFile> {
+        let top_level = deferred.is_some();
         let (data, index, data_path, index_path, seq) = match params.mode {
             LayoutMode::LogStructured => {
                 // All pids share dropping pair 0; first creator wins, the
@@ -115,7 +157,7 @@ impl WriteFile {
                     Err(e) => return Err(e),
                 };
                 let seq = container::free_writer_number(b, container, pid)?;
-                (data, index, dp, ip, seq)
+                (data, IndexDropping::Open(index), dp, ip, seq)
             }
             _ => {
                 // Probe for the first unused dropping pair with exclusive
@@ -136,7 +178,15 @@ impl WriteFile {
                 loop {
                     let (dp, ip) = pair(seq);
                     match b.create(&dp, true) {
-                        Ok(data) => break (data, b.create(&ip, true)?, dp, ip, seq),
+                        Ok(data) => {
+                            let index = match &deferred {
+                                // The creator's index waits until something
+                                // needs it.
+                                Some(b) => IndexDropping::Deferred(Arc::clone(b)),
+                                None => IndexDropping::Open(b.create(&ip, true)?),
+                            };
+                            break (data, index, dp, ip, seq);
+                        }
                         Err(Error::Exists(_)) => seq += 1,
                         Err(e) => return Err(e),
                     }
@@ -158,6 +208,7 @@ impl WriteFile {
             track,
             fed: 0,
             tail: 0,
+            index_tail: 0,
             bytes_written: 0,
             max_eof: 0,
             index_flushes: 0,
@@ -201,11 +252,26 @@ impl WriteFile {
         Ok(buf.len())
     }
 
-    /// Append all buffered index records to the index dropping,
+    /// The index dropping, created under [`WriteFile::index_path`] if
+    /// nothing has needed it before.
+    fn index(&mut self) -> Result<&dyn BackingFile> {
+        if let IndexDropping::Deferred(b) = &self.index {
+            let created = b.create(&self.index_path, true)?;
+            self.index = IndexDropping::Open(created);
+        }
+        match &self.index {
+            IndexDropping::Open(f) => Ok(f.as_ref()),
+            IndexDropping::Deferred(_) => unreachable!("created above"),
+        }
+    }
+
+    /// Write all buffered index records to the index dropping,
     /// pattern-compressing strided runs (Pattern-PLFS): a checkpoint of
     /// thousands of regular strided writes costs one 48-byte record. A
     /// record never reaches disk ahead of its bytes: every entry is
-    /// buffered after its data append returned.
+    /// buffered after its data write returned. Outside log mode the
+    /// records are one `pwrite` at the tail this writer tracks; log mode's
+    /// index dropping is shared, and appended to.
     pub fn flush_index(&mut self) -> Result<()> {
         if self.buffered.is_empty() {
             return Ok(());
@@ -213,7 +279,14 @@ impl WriteFile {
         let mut out = Vec::with_capacity(self.buffered.len() * crate::index::RECORD_SIZE);
         let records = encode_compressed(&self.buffered, PATTERN_MIN_RUN, &mut out);
         self.index_records += records as u64;
-        self.index.append(&out)?;
+        let (log, tail) = (self.mode == LayoutMode::LogStructured, self.index_tail);
+        let index = self.index()?;
+        if log {
+            index.append(&out)?;
+        } else {
+            index.pwrite(&out, tail)?;
+        }
+        self.index_tail += out.len() as u64;
         if self.track {
             self.unmerged.extend_from_slice(&self.buffered[self.fed..]);
         }
@@ -227,7 +300,7 @@ impl WriteFile {
     pub fn sync(&mut self) -> Result<()> {
         self.flush_index()?;
         self.data.sync()?;
-        self.index.sync()
+        self.index()?.sync()
     }
 
     /// Drain the entries written since the last drain (what a refresh
@@ -247,10 +320,22 @@ impl WriteFile {
         self.top_level
     }
 
-    /// Leave the names of a closed writer, one `rename` either way: a
-    /// top-level pair's index dropping takes its suffix (and this writer's
-    /// [`WriteFile::index_path`] follows it), a hostdir pair's open marker
-    /// becomes its `meta.*` drop. Call after the last [`WriteFile::sync`].
+    /// [`WriteFile::sync`] at close, ahead of [`WriteFile::close_names`]: a
+    /// top-level index dropping that nothing has needed yet is created here
+    /// under its closed name, so the close costs a `create` and no `rename`.
+    pub(crate) fn sync_at_close(&mut self) -> Result<()> {
+        if let IndexDropping::Deferred(_) = self.index {
+            self.index_path =
+                container::closed_index_path(&self.index_path, self.max_eof, self.bytes_written)?;
+        }
+        self.sync()
+    }
+
+    /// Leave the names of a closed writer, at most one `rename`: a
+    /// top-level pair's index dropping takes its suffix unless it was
+    /// created with it (and this writer's [`WriteFile::index_path`] follows
+    /// it), a hostdir pair's open marker becomes its `meta.*` drop. Call
+    /// after the last sync.
     pub(crate) fn close_names(&mut self, b: &dyn Backing, container: &str) -> Result<()> {
         let (eof, bytes) = (self.max_eof, self.bytes_written);
         if self.top_level {
@@ -259,6 +344,13 @@ impl WriteFile {
         } else {
             container::close_writer(b, container, eof, bytes, self.pid, self.seq)
         }
+    }
+
+    /// Drop a writer that belongs to another process — a forked child's
+    /// copy of its parent's — without writing a record: they are the
+    /// parent's to write.
+    pub(crate) fn abandon(mut self) {
+        self.buffered.clear();
     }
 
     /// Backend path of this writer's data dropping.
@@ -468,6 +560,7 @@ mod tests {
     #[test]
     fn toplevel_pair_sits_in_the_container_directory_and_closes_by_rename() {
         let (b, p) = setup(LayoutMode::Both);
+        let b: Arc<dyn Backing> = Arc::new(b);
         let mut w = WriteFile::open_prepared(&b, "/c", &p, 9, 64, false, true).unwrap();
         w.write(b"first", 10).unwrap();
         w.sync().unwrap();
@@ -478,12 +571,68 @@ mod tests {
             [".plfsaccess", "dropping.data.9.0", "dropping.index.9.0"],
             "no hostdir, no marker"
         );
-        w.close_names(&b, "/c").unwrap();
+        w.close_names(b.as_ref(), "/c").unwrap();
         assert_eq!(w.index_path(), "/c/dropping.index.9.0.15.5");
         assert_eq!(b.stat(w.index_path()).unwrap().size, RECORD_SIZE as u64);
         // A second pair of the pid beside it: the data name is the arbiter.
         let again = WriteFile::open_prepared(&b, "/c", &p, 9, 64, false, true).unwrap();
         assert_eq!(again.index_path(), "/c/dropping.index.9.1");
+    }
+
+    /// A top-level index that nothing needs before close is created there,
+    /// under its closed name: a `create` and two `sync`s, no `rename`.
+    #[test]
+    fn toplevel_index_nothing_needed_is_created_closed_at_close() {
+        use crate::meter::MeterBacking;
+        let (mem, p) = setup(LayoutMode::Both);
+        let meter = Arc::new(MeterBacking::new(Arc::new(mem)));
+        let b: Arc<dyn Backing> = meter.clone();
+        let before = meter.snapshot();
+        let mut w = WriteFile::open_prepared(&b, "/c", &p, 9, 64, false, true).unwrap();
+        w.write(b"first", 10).unwrap();
+        let opened = meter.snapshot().delta(&before);
+        assert_eq!((opened.create, opened.metadata_ops()), (1, 1), "{opened:?}");
+        assert_eq!(
+            b.readdir("/c").unwrap(),
+            [".plfsaccess", "dropping.data.9.0"]
+        );
+        let before = meter.snapshot();
+        w.sync_at_close().unwrap();
+        w.close_names(b.as_ref(), "/c").unwrap();
+        let closed = meter.snapshot().delta(&before);
+        assert_eq!(
+            (closed.create, closed.sync, closed.rename),
+            (1, 2, 0),
+            "{closed:?}"
+        );
+        assert_eq!(closed.metadata_ops(), 3, "{closed:?}");
+        assert_eq!(w.index_path(), "/c/dropping.index.9.0.15.5");
+        assert_eq!(b.stat(w.index_path()).unwrap().size, RECORD_SIZE as u64);
+    }
+
+    /// Outside log mode an index flush is one `pwrite` at the index
+    /// dropping's tail, as a data write is; log mode's shared droppings are
+    /// appended to.
+    #[test]
+    fn an_index_flush_is_one_pwrite_except_in_log_mode() {
+        use crate::meter::MeterBacking;
+        // 6 writes, 3 flushes of 2 records each.
+        for (mode, pwrites, appends) in
+            [(LayoutMode::Both, 9, 0), (LayoutMode::LogStructured, 0, 9)]
+        {
+            let (mem, p) = setup(mode);
+            let b = MeterBacking::new(Arc::new(mem));
+            let mut w = WriteFile::open(&b, "/c", &p, 3, 2).unwrap();
+            let before = b.snapshot();
+            for off in [0u64, 900, 40, 7000, 12, 300] {
+                w.write(b"xy", off).unwrap();
+            }
+            let d = b.snapshot().delta(&before);
+            assert_eq!((d.pwrite, d.append), (pwrites, appends), "{mode:?}");
+            assert_eq!(w.index_flushes(), 3, "{mode:?}");
+            let index = b.open(w.index_path(), false).unwrap();
+            assert_eq!(index.size().unwrap(), 6 * RECORD_SIZE as u64, "{mode:?}");
+        }
     }
 
     #[test]
@@ -529,6 +678,7 @@ mod tests {
     fn unmerged_entries_drain_once_flushed_or_not() {
         let (b, p) = setup(LayoutMode::Both);
         container::ensure_hostdir(&b, "/c", &p, 1).unwrap();
+        let b: Arc<dyn Backing> = Arc::new(b);
         let mut w = WriteFile::open_prepared(&b, "/c", &p, 1, 64, true, false).unwrap();
         // Irregular offsets: pattern compression stays out of the way.
         w.write(b"abcd", 100).unwrap();
@@ -555,7 +705,7 @@ mod tests {
         let ip = container::index_dropping_path("/c", &p, 1, 0);
         assert_eq!(b.stat(&ip).unwrap().size, (4 * RECORD_SIZE) as u64);
         // A bare stream banks nothing: nobody would ever drain it.
-        let mut bare = WriteFile::open(&b, "/c", &p, 2, 1).unwrap();
+        let mut bare = WriteFile::open(b.as_ref(), "/c", &p, 2, 1).unwrap();
         bare.write(b"qrst", 0).unwrap();
         assert!(bare.unmerged.is_empty() && bare.buffered.is_empty());
     }

@@ -4,17 +4,23 @@
 //! plain `std::fs` calls route through libc and therefore through the
 //! interposed symbols. With no argument it exits 0 after verifying a
 //! write/read/seek/stat round-trip inside the mount and passthrough outside
-//! it. `preload-smoke MODE CONTAINER TWIN` instead runs one check of the
-//! read path on an existing container against its flat twin outside the
-//! mount (same bytes): `fstat`, `movers`, `mmap`, `stdio`, `dup`,
-//! `dup2-writer`, `dup2-self`, `close-error`, `truncate` — see each
-//! `check_*`.
+//! it. `preload-smoke MODE CONTAINER TWIN` instead runs one check on an
+//! existing container against its flat twin outside the mount (same
+//! bytes): `fstat`, `movers`, `mmap`, `stdio`, `dup`, `dup2-writer`,
+//! `dup2-self`, `close-error`, `truncate`, `cloexec`, `fcntl-dup`, `fork`,
+//! `fork-exec`, `close-range` — see each `check_*`. `preload-smoke
+//! calls-KIND N [CONTAINER]` makes N calls of one kind and nothing else
+//! that grows with N, for a syscall
+//! counter to difference two runs of (`plfs-tools syscalls`): `write` (N
+//! 4 KiB writes to a new file in the mount), `read` (N 4 KiB reads of
+//! CONTAINER, one fragment each) and `cycle` (N small-file cycles).
 
 use std::fs;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::os::fd::AsRawFd;
 use std::os::raw::{c_char, c_int, c_long, c_void};
 use std::os::unix::fs::{FileExt, MetadataExt};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// `struct iovec` (uapi layout) — declared locally so the binary calls the
 /// genuine libc symbols, which the preload interposes.
@@ -69,7 +75,29 @@ extern "C" {
     fn dup2(oldfd: c_int, newfd: c_int) -> c_int;
     fn close(fd: c_int) -> c_int;
     fn lseek(fd: c_int, off: i64, whence: c_int) -> i64;
+    fn open(path: *const c_char, flags: c_int, mode: u32) -> c_int;
+    fn read(fd: c_int, buf: *mut c_void, n: usize) -> isize;
+    fn write(fd: c_int, buf: *const c_void, n: usize) -> isize;
+    fn stat(path: *const c_char, out: *mut [u64; 18]) -> c_int;
+    fn unlink(path: *const c_char) -> c_int;
+    fn fcntl(fd: c_int, cmd: c_int, ...) -> c_int;
+    fn fork() -> c_int;
+    fn execv(path: *const c_char, argv: *const *const c_char) -> c_int;
+    fn close_range(first: u32, last: u32, flags: c_int) -> c_int;
+    fn closefrom(lowfd: c_int);
+    fn waitpid(pid: c_int, status: *mut c_int, options: c_int) -> c_int;
+    fn _exit(code: c_int) -> !;
 }
+
+const O_RDONLY: c_int = 0;
+const O_WRONLY: c_int = 1;
+const O_CREAT: c_int = 0o100;
+const O_TRUNC: c_int = 0o1000;
+const O_CLOEXEC: c_int = 0o2000000;
+const F_DUPFD: c_int = 0;
+const F_GETFD: c_int = 1;
+const F_DUPFD_CLOEXEC: c_int = 1030;
+const FD_CLOEXEC: c_int = 1;
 
 const ENOENT: i32 = 2;
 const EIO: i32 = 5;
@@ -192,20 +220,33 @@ fn cursor(f: &fs::File) -> u64 {
     f.stream_position().expect("lseek")
 }
 
+/// The memfds `mmap`s of containers map, that this process holds.
+fn map_memfds() -> usize {
+    let fds = fs::read_dir("/proc/self/fd").expect("list /proc/self/fd");
+    let links = fds.filter_map(|e| fs::read_link(e.ok()?.path()).ok());
+    links
+        .filter(|l| l.to_string_lossy().contains("ldplfs-map"))
+        .count()
+}
+
 /// A read-only map shows the container's bytes and leaves the cursor alone;
-/// the reserved fd is filled once (a byte scribbled into it by raw syscall
-/// survives a second map); a writable fd cannot be mapped.
+/// it maps a memfd of its own, filled once per open — a second map of the
+/// open, through the fd or a `dup` of it, makes no new one — while the
+/// reserved fd stays empty; a writable fd cannot be mapped.
 fn check_mmap(container: &str, twin: &[u8]) {
     const PROT_READ: c_int = 1;
     const MAP_PRIVATE: c_int = 2;
-    const SYS_PWRITE64: c_long = 18; // x86_64
+    const SYS_PREAD64: c_long = 17; // x86_64
     let failed = -1isize as *mut c_void;
     let f = fs::File::open(container).expect("open container");
     let fd = f.as_raw_fd();
-    let map =
-        |len: usize| unsafe { mmap(std::ptr::null_mut(), len, PROT_READ, MAP_PRIVATE, fd, 0) };
-    let first = map(twin.len());
+    let map = |fd: c_int, len: usize| unsafe {
+        mmap(std::ptr::null_mut(), len, PROT_READ, MAP_PRIVATE, fd, 0)
+    };
+    let maps_before = map_memfds();
+    let first = map(fd, twin.len());
     assert_ne!(first, failed, "mmap failed: errno {}", errno());
+    assert_eq!(map_memfds(), maps_before + 1, "the map's own memfd");
     let mapped = unsafe { std::slice::from_raw_parts(first as *const u8, twin.len()) };
     assert!(mapped == twin, "mapped bytes differ from the twin");
     let mut via_pread = vec![0u8; twin.len()];
@@ -217,38 +258,38 @@ fn check_mmap(container: &str, twin: &[u8]) {
     );
     assert_eq!(cursor(&f), 0, "filling the map moved the cursor");
     unsafe { munmap(first, twin.len()) };
-    // Below the shim: mark the reserved fd itself.
-    let mark = [!twin[0]];
-    assert_eq!(
-        unsafe { syscall(SYS_PWRITE64, fd, mark.as_ptr(), 1usize, 0i64) },
-        1
-    );
-    let second = map(1);
-    assert_ne!(second, failed, "second mmap failed: errno {}", errno());
-    assert_eq!(
-        unsafe { *(second as *const u8) },
-        mark[0],
-        "second map refilled the fd"
-    );
+    // Below the shim: the reserved fd holds no byte of the container.
     let mut b = [0u8; 1];
-    f.read_exact_at(&mut b, 0).expect("pread");
-    assert_eq!(b[0], twin[0], "pread never reads the reserved fd");
+    let raw = unsafe { syscall(SYS_PREAD64, fd, b.as_mut_ptr(), 1usize, 0i64) };
+    assert_eq!(raw, 0, "the reserved fd is empty");
+    // Through a dup, after the original fd's mapping: the same memfd.
+    let dup_fd = unsafe { dup(fd) };
+    assert!(dup_fd >= 0, "dup");
+    let second = map(dup_fd, twin.len());
+    assert_ne!(
+        second,
+        failed,
+        "mmap through the dup failed: errno {}",
+        errno()
+    );
+    assert_eq!(map_memfds(), maps_before + 1, "no second memfd");
+    let mapped = unsafe { std::slice::from_raw_parts(second as *const u8, twin.len()) };
+    assert!(mapped == twin, "bytes mapped through the dup differ");
+    drop(f);
+    assert_eq!(unsafe { close(dup_fd) }, 0);
+    assert_eq!(map_memfds(), maps_before, "closed with the open");
+    assert!(
+        unsafe { *(second as *const u8) } == twin[0],
+        "the map outlives the open"
+    );
+    unsafe { munmap(second, twin.len()) };
 
     let w = fs::OpenOptions::new()
         .read(true)
         .write(true)
         .open(container)
         .expect("open container read-write");
-    let got = unsafe {
-        mmap(
-            std::ptr::null_mut(),
-            1,
-            PROT_READ,
-            MAP_PRIVATE,
-            w.as_raw_fd(),
-            0,
-        )
-    };
+    let got = map(w.as_raw_fd(), 1);
     assert_eq!((got, errno()), (failed, ENODEV), "mmap of a writable fd");
 }
 
@@ -430,6 +471,392 @@ fn check_truncate(container: &str, twin: &[u8]) {
     assert!(intact > 0 && eio > 0, "intact {intact}, EIO {eio}");
 }
 
+/// `FD_CLOEXEC` of `fd`, as `fcntl(F_GETFD)` reports it.
+fn cloexec(fd: c_int) -> bool {
+    let flags = unsafe { fcntl(fd, F_GETFD) };
+    assert!(flags >= 0, "F_GETFD: errno {}", errno());
+    flags & FD_CLOEXEC != 0
+}
+
+/// Whether a child the shell `exec`s still holds `fd`.
+fn inherited_by_exec(fd: c_int) -> bool {
+    std::process::Command::new("sh")
+        .arg("-c")
+        .arg(format!("test -e /proc/self/fd/{fd}"))
+        .status()
+        .expect("spawn sh")
+        .success()
+}
+
+/// `O_CLOEXEC` on a container open is kept: the descriptor is
+/// close-on-exec, and an exec'd child does not inherit it; without the
+/// flag it is neither.
+fn check_cloexec(container: &str, twin: &[u8]) {
+    let path = std::ffi::CString::new(container).expect("path");
+    for (flags, want) in [(O_RDONLY | O_CLOEXEC, true), (O_RDONLY, false)] {
+        let fd = unsafe { open(path.as_ptr(), flags, 0) };
+        assert!(fd >= 0, "open: errno {}", errno());
+        assert_eq!(cloexec(fd), want, "F_GETFD after open({flags:#o})");
+        assert_eq!(
+            inherited_by_exec(fd),
+            !want,
+            "exec'd child, open({flags:#o})"
+        );
+        let mut b = [0u8; 64];
+        assert_eq!(unsafe { read(fd, b.as_mut_ptr() as *mut c_void, 64) }, 64);
+        assert_eq!(b, twin[..64]);
+        assert_eq!(unsafe { close(fd) }, 0);
+    }
+}
+
+/// `fcntl(F_DUPFD)`, `fcntl(F_DUPFD_CLOEXEC)` and `File::try_clone` (which
+/// is the latter) give a descriptor of the same open: it reads the
+/// container, shares the cursor, outlives the original, and a write through
+/// it lands in the container. Every other command passes through.
+fn check_fcntl_dup(container: &str, twin: &[u8]) {
+    let a = fs::File::open(container).expect("open container");
+    let mut buf = [0u8; 1000];
+    (&a).read_exact(&mut buf).expect("read via a");
+    for (cmd, close_on_exec) in [(F_DUPFD, false), (F_DUPFD_CLOEXEC, true)] {
+        let fd = unsafe { fcntl(a.as_raw_fd(), cmd, 10 as c_int) };
+        assert!(fd >= 10, "fcntl({cmd}): {fd}, errno {}", errno());
+        assert_eq!(cloexec(fd), close_on_exec, "fcntl({cmd})");
+        let at = cursor(&a) as usize;
+        let n = unsafe { read(fd, buf.as_mut_ptr() as *mut c_void, 1000) };
+        assert_eq!(n, 1000, "read through fcntl({cmd})'s fd");
+        assert_eq!(buf[..], twin[at..at + 1000], "fcntl({cmd}): shared cursor");
+        assert_eq!(cursor(&a) as usize, at + 1000, "a sees the dup's read");
+        assert_eq!(unsafe { close(fd) }, 0);
+    }
+    let b = a.try_clone().expect("try_clone");
+    drop(a);
+    let at = cursor(&b) as usize;
+    (&b).read_exact(&mut buf)
+        .expect("read via the clone after closing a");
+    assert_eq!(buf[..], twin[at..at + 1000]);
+
+    let in_mount = format!("{}/fcntl.dst", mount_dir());
+    let w = fs::File::create(&in_mount).expect("create in mount");
+    let fd = unsafe { fcntl(w.as_raw_fd(), F_DUPFD_CLOEXEC, 0 as c_int) };
+    assert!(fd >= 0, "F_DUPFD_CLOEXEC of a writer");
+    (&w).write_all(&twin[..3000])
+        .expect("write via the original");
+    let n = unsafe { write(fd, twin[3000..5000].as_ptr() as *const c_void, 2000) };
+    assert_eq!(n, 2000, "write through the dup");
+    drop(w);
+    assert_eq!(unsafe { close(fd) }, 0);
+    assert!(
+        fs::read(&in_mount).expect("read back") == twin[..5000],
+        "one stream"
+    );
+}
+
+/// Run `child` in a forked child, which exits 0 if it returns; the
+/// parent waits for it and fails if it failed.
+fn in_child(child: impl FnOnce()) {
+    let pid = unsafe { fork() };
+    assert!(pid >= 0, "fork: errno {}", errno());
+    if pid == 0 {
+        let ok = std::panic::catch_unwind(std::panic::AssertUnwindSafe(child)).is_ok();
+        unsafe { _exit(if ok { 0 } else { 1 }) };
+    }
+    let mut status = 0;
+    assert_eq!(unsafe { waitpid(pid, &mut status, 0) }, pid);
+    assert_eq!(status, 0, "the child failed");
+}
+
+/// A parent writes, forks, the child writes through the inherited fd and
+/// exits, the parent writes again: what `dir/name` holds afterwards.
+fn forked_writers(dir: &str, twin: &[u8]) -> Vec<u8> {
+    let path = format!("{dir}/fork.stream");
+    let f = fs::File::create(&path).expect("create");
+    (&f).write_all(&twin[..3000]).expect("parent write");
+    in_child(|| {
+        (&f).write_all(&twin[3000..7000]).expect("child write");
+        // The child's records reach the container at its close.
+        assert_eq!(unsafe { close(f.as_raw_fd()) }, 0);
+    });
+    (&f).write_all(&twin[7000..12_000])
+        .expect("parent write after the fork");
+    drop(f);
+    fs::read(&path).expect("read back")
+}
+
+/// A cursor live at a fork survives the parent closing that fd and opening
+/// another file: what the child, and then the parent, read of `source`
+/// through fds opened before and after the fork.
+fn live_cursor_across_fork(source: &str) -> Vec<u8> {
+    let a = fs::File::open(source).expect("open source");
+    let mut got = vec![0u8; 1000];
+    (&a).read_exact(&mut got).expect("read before the fork");
+    let mut go = [0 as c_int; 2];
+    assert_eq!(unsafe { pipe(&mut go) }, 0);
+    let pid = unsafe { fork() };
+    assert!(pid >= 0, "fork");
+    if pid == 0 {
+        // Wait for the parent to close its fd and open another file.
+        let mut b = [0u8; 1];
+        let ok = unsafe { read(go[0], b.as_mut_ptr() as *mut c_void, 1) } == 1 && {
+            let mut buf = [0u8; 1000];
+            (&a).read_exact(&mut buf).is_ok() && {
+                let out = format!("{}/fork.child", outside_dir());
+                fs::write(out, buf).is_ok()
+            }
+        };
+        unsafe { _exit(if ok { 0 } else { 1 }) };
+    }
+    drop(a);
+    let b = fs::File::open(source).expect("open another file");
+    let mut buf = [0u8; 2000];
+    (&b).read_exact(&mut buf).expect("read through the new fd");
+    got.extend_from_slice(&buf);
+    assert_eq!(
+        unsafe { write(go[1], b"g".as_ptr() as *const c_void, 1) },
+        1
+    );
+    let mut status = 0;
+    assert_eq!(unsafe { waitpid(pid, &mut status, 0) }, pid);
+    assert_eq!(status, 0, "the child failed");
+    got.extend(fs::read(format!("{}/fork.child", outside_dir())).expect("child's bytes"));
+    (&b).read_exact(&mut buf[..500])
+        .expect("read after the child's");
+    got.extend_from_slice(&buf[..500]);
+    unsafe { close(go[0]) };
+    unsafe { close(go[1]) };
+    got
+}
+
+/// `dup`'d writers share one cursor: interleaved writes through two
+/// descriptors of one open make one stream.
+fn dup_writers(dir: &str, twin: &[u8]) -> Vec<u8> {
+    let path = format!("{dir}/dup.stream");
+    let a = fs::File::create(&path).expect("create");
+    let b: fs::File = unsafe { std::os::fd::FromRawFd::from_raw_fd(dup(a.as_raw_fd())) };
+    for (i, chunk) in twin[..10_000].chunks(1000).enumerate() {
+        let mut f = if i % 2 == 0 { &a } else { &b };
+        f.write_all(chunk).expect("write");
+    }
+    drop((a, b));
+    fs::read(&path).expect("read back")
+}
+
+/// The fork and dup contracts, each checked byte for byte against the same
+/// calls on flat files outside the mount: a child's writes through an
+/// inherited fd land between its parent's, in one stream; a cursor live at
+/// a fork survives the parent closing that fd and opening another file;
+/// `dup`'d writers share one cursor.
+fn check_fork(container: &str, twin_path: &str, twin: &[u8]) {
+    let (mount, outside) = (mount_dir(), outside_dir());
+    let on_mount = forked_writers(&mount, twin);
+    assert!(on_mount == forked_writers(&outside, twin), "forked writers");
+    assert!(on_mount == twin[..12_000], "forked writers: one stream");
+    let on_mount = live_cursor_across_fork(container);
+    assert!(
+        on_mount == live_cursor_across_fork(twin_path),
+        "cursor live at a fork"
+    );
+    assert!(on_mount[..1000] == twin[..1000] && on_mount[1000..3000] == twin[..2000]);
+    assert!(
+        on_mount[3000..4000] == twin[1000..2000],
+        "the child's fd kept its offset"
+    );
+    assert!(
+        on_mount[4000..] == twin[2000..2500],
+        "the parent's new fd kept its own"
+    );
+    let on_mount = dup_writers(&mount, twin);
+    assert!(on_mount == dup_writers(&outside, twin), "dup'd writers");
+    assert!(on_mount == twin[..10_000]);
+}
+
+/// A child that only `exec`s runs no PLFS code and waits on no lock of the
+/// shim's: fork, `dup2`, `close_range` and exec `true` over and over while
+/// other threads write, each to a container of its own, then check that
+/// every container holds exactly what its thread wrote. A fork handler
+/// that took a lock a writer held at the fork hung the child, and this
+/// process waiting for it; so did a `close` that found the fd table's lock
+/// as a reading thread of the parent left it.
+fn check_fork_exec(twin: &[u8]) {
+    const FORKS: usize = 200;
+    const WRITERS: usize = 3;
+    const BLOCK: usize = 1000;
+    const MAX_BLOCKS: usize = 8000;
+    let block = |n: usize| {
+        let at = n * 997 % (twin.len() - BLOCK);
+        &twin[at..at + BLOCK]
+    };
+    let paths: Vec<String> = (0..WRITERS)
+        .map(|i| format!("{}/forkexec.{i}", mount_dir()))
+        .collect();
+    let files: Vec<fs::File> = paths
+        .iter()
+        .map(|p| fs::File::create(p).expect("create"))
+        .collect();
+    // Everything the child touches is made before it exists.
+    let prog = std::ffi::CString::new("/bin/true").expect("path");
+    let argv = [prog.as_ptr(), std::ptr::null()];
+    let stop = AtomicBool::new(false);
+    let written: Vec<usize> = std::thread::scope(|s| {
+        let writers: Vec<_> = files
+            .iter()
+            .map(|f| {
+                s.spawn(|| {
+                    // relaxed: a stop flag; the join orders what the writer did
+                    let stopped = || stop.load(Ordering::Relaxed);
+                    let mut n = 0;
+                    while n < 2 || (n < MAX_BLOCKS && !stopped()) {
+                        (&*f).write_all(block(n)).expect("write");
+                        n += 1;
+                    }
+                    // Bounded: a child hung in a fork handler must not
+                    // leave this writing until the test times out.
+                    while !stopped() {
+                        std::thread::sleep(std::time::Duration::from_millis(1));
+                    }
+                    n
+                })
+            })
+            .collect();
+        for _ in 0..FORKS {
+            let pid = unsafe { fork() };
+            assert!(pid >= 0, "fork: errno {}", errno());
+            if pid == 0 {
+                // What a launcher's child does before `exec`: move a
+                // descriptor, then close every other one — containers
+                // among them.
+                unsafe {
+                    dup2(2, 3);
+                    close_range(4, u32::MAX, 0);
+                    execv(prog.as_ptr(), argv.as_ptr());
+                    _exit(127)
+                };
+            }
+            let mut status = 0;
+            assert_eq!(unsafe { waitpid(pid, &mut status, 0) }, pid);
+            assert_eq!(status, 0, "the exec'd child failed");
+        }
+        stop.store(true, Ordering::Relaxed); // relaxed: as above
+        writers
+            .into_iter()
+            .map(|w| w.join().expect("a writer"))
+            .collect()
+    });
+    drop(files);
+    for (path, n) in paths.iter().zip(written) {
+        let want: Vec<u8> = (0..n).flat_map(block).copied().collect();
+        assert!(
+            fs::read(path).expect("read back") == want,
+            "{path}: {n} blocks written across {FORKS} forks"
+        );
+    }
+}
+
+/// `close_range` and `closefrom` free what `close` frees. A container fd in
+/// the range is released, not left registered for the next file to take
+/// its number; the template reserved fds are duplicated from is forgotten
+/// if its number is in the range, not duplicated once a pipe holds it.
+fn check_close_range(container: &str, twin: &[u8]) {
+    let path = std::ffi::CString::new(container).expect("path");
+    for tag in ["close_range", "closefrom"] {
+        let closer = |lo: c_int| match tag {
+            "close_range" => assert_eq!(unsafe { close_range(lo as u32, u32::MAX, 0) }, 0),
+            _ => unsafe { closefrom(lo) },
+        };
+        let lo = unsafe { dup(0) };
+        assert!(
+            lo >= 0 && unsafe { close(lo) } == 0,
+            "{tag}: lowest free fd"
+        );
+        // The template, if this open makes it, and `a` are both ≥ lo.
+        let a = unsafe { open(path.as_ptr(), O_RDONLY, 0) };
+        assert!(a >= lo, "{tag}: open: errno {}", errno());
+        closer(lo);
+        let mut b = [0u8; 64];
+        let n = unsafe { read(a, b.as_mut_ptr() as *mut c_void, 64) };
+        assert_eq!((n, errno()), (-1, EBADF), "{tag}: read of the closed fd");
+        let mut p = [0 as c_int; 2];
+        assert_eq!(unsafe { pipe(&mut p) }, 0);
+        let fd = unsafe { open(path.as_ptr(), O_RDONLY, 0) };
+        assert!(fd >= 0, "{tag}: reopen: errno {}", errno());
+        let names = fs::read_link(format!("/proc/self/fd/{fd}")).expect("readlink");
+        assert!(
+            names
+                .to_string_lossy()
+                .starts_with("/memfd:ldplfs-reserved"),
+            "{tag}: the reserved fd is a duplicate of {names:?}"
+        );
+        assert_eq!(unsafe { write(p[1], b"x".as_ptr() as *const c_void, 1) }, 1);
+        assert_eq!(unsafe { close(p[1]) }, 0);
+        let n = unsafe { read(p[0], b.as_mut_ptr() as *mut c_void, 64) };
+        assert_eq!((n, b[0]), (1, b'x'), "{tag}: the pipe's byte");
+        let n = unsafe { read(p[0], b.as_mut_ptr() as *mut c_void, 64) };
+        assert_eq!(n, 0, "{tag}: EOF once the write end is closed");
+        let n = unsafe { read(fd, b.as_mut_ptr() as *mut c_void, 64) };
+        assert_eq!(n, 64, "{tag}: read of the reopened container");
+        assert_eq!(b, twin[..64]);
+        assert_eq!(unsafe { close(fd) }, 0);
+        assert_eq!(unsafe { close(p[0]) }, 0);
+    }
+}
+
+/// N 4 KiB writes to a new file in the mount.
+fn calls_write(n: usize) {
+    let path = std::ffi::CString::new(format!("{}/calls.w", mount_dir())).expect("path");
+    let fd = unsafe { open(path.as_ptr(), O_WRONLY | O_CREAT | O_TRUNC, 0o644) };
+    assert!(fd >= 0, "open: errno {}", errno());
+    let block = [7u8; 4096];
+    for _ in 0..n {
+        assert_eq!(
+            unsafe { write(fd, block.as_ptr() as *const c_void, 4096) },
+            4096
+        );
+    }
+    assert_eq!(unsafe { close(fd) }, 0);
+}
+
+/// N 4 KiB reads of `container` at the cursor.
+fn calls_read(n: usize, container: &str) {
+    let path = std::ffi::CString::new(container).expect("path");
+    let fd = unsafe { open(path.as_ptr(), O_RDONLY, 0) };
+    assert!(fd >= 0, "open: errno {}", errno());
+    let mut block = [0u8; 4096];
+    for _ in 0..n {
+        assert_eq!(
+            unsafe { read(fd, block.as_mut_ptr() as *mut c_void, 4096) },
+            4096
+        );
+    }
+    assert_eq!(unsafe { close(fd) }, 0);
+}
+
+/// N small-file cycles, as the benchmark's `meta_storm` client makes them:
+/// create, write ≈ 1 KiB, close, stat, open, read, close, unlink.
+fn calls_cycle(n: usize) {
+    let path = std::ffi::CString::new(format!("{}/calls.small", mount_dir())).expect("path");
+    let (p, data) = (path.as_ptr(), [3u8; 1000]);
+    let mut buf = [0u8; 1000];
+    for _ in 0..n {
+        let fd = unsafe { open(p, O_WRONLY | O_CREAT | O_TRUNC, 0o644) };
+        assert!(fd >= 0, "create: errno {}", errno());
+        assert_eq!(
+            unsafe { write(fd, data.as_ptr() as *const c_void, 1000) },
+            1000
+        );
+        assert_eq!(unsafe { close(fd) }, 0);
+        let mut st = [0u64; 18];
+        assert_eq!(unsafe { stat(p, &mut st) }, 0);
+        assert_eq!(st[6], 1000, "st_size");
+        let fd = unsafe { open(p, O_RDONLY, 0) };
+        assert!(fd >= 0, "open: errno {}", errno());
+        assert_eq!(
+            unsafe { read(fd, buf.as_mut_ptr() as *mut c_void, 1000) },
+            1000
+        );
+        assert_eq!(unsafe { close(fd) }, 0);
+        assert_eq!(unsafe { unlink(p) }, 0);
+    }
+}
+
 fn iov(buf: &mut [u8]) -> IoVec {
     IoVec {
         iov_base: buf.as_mut_ptr() as *mut c_void,
@@ -462,8 +889,21 @@ fn vectored_roundtrip(fd: c_int, tag: &str) {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if let [mode, container, twin] = args.as_slice() {
-        let twin = fs::read(twin).expect("read the flat twin");
+    if let Some(kind) = args.first().and_then(|m| m.strip_prefix("calls-")) {
+        let n = args
+            .get(1)
+            .and_then(|n| n.parse().ok())
+            .expect("calls-KIND N");
+        match kind {
+            "write" => calls_write(n),
+            "read" => calls_read(n, args.get(2).expect("calls-read N CONTAINER")),
+            "cycle" => calls_cycle(n),
+            other => panic!("unknown call kind {other}"),
+        }
+        return;
+    }
+    if let [mode, container, twin_path] = args.as_slice() {
+        let twin = fs::read(twin_path).expect("read the flat twin");
         match mode.as_str() {
             "fstat" => check_fstat(container, &twin),
             "movers" => check_movers(container, &twin),
@@ -474,6 +914,11 @@ fn main() {
             "dup2-self" => check_dup2_self(container, &twin),
             "close-error" => check_close_error(),
             "truncate" => check_truncate(container, &twin),
+            "cloexec" => check_cloexec(container, &twin),
+            "fcntl-dup" => check_fcntl_dup(container, &twin),
+            "fork" => check_fork(container, twin_path, &twin),
+            "fork-exec" => check_fork_exec(&twin),
+            "close-range" => check_close_range(container, &twin),
             other => panic!("unknown mode {other}"),
         }
         println!("preload smoke {mode} OK");

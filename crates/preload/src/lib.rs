@@ -17,7 +17,10 @@
 //! `read`, `write`, `pread(64)`, `pwrite(64)` (and the fortified
 //! `__read_chk`/`__pread(64)_chk`), `readv`, `writev`, `preadv(64)`,
 //! `pwritev(64)`, `preadv2`/`pwritev2` (and their `64v2` aliases),
-//! `lseek(64)`, `close`, `fsync`, `dup`, `dup2`, `unlink`, `access`,
+//! `lseek(64)`, `close`, `close_range`, `closefrom`, `fsync`, `dup`,
+//! `dup2`, `dup3`, `fcntl(64)` (its
+//! `F_DUPFD`/`F_DUPFD_CLOEXEC` commands; the rest pass untouched),
+//! `unlink`, `access`,
 //! `mkdir`, `rmdir`, `ftruncate(64)`, the `stat`/`lstat`/`fstat` family,
 //! `fopen(64)`/`fdopen`, `mmap(64)`, and the in-kernel byte movers
 //! `copy_file_range`, `sendfile(64)`, `splice`. Calls on paths outside
@@ -26,19 +29,47 @@
 //! backing store, without even a lookup (the `InPlfs` latch; DESIGN.md
 //! §13), which is also what lets the backend directory sit under the mount.
 //!
-//! Faithful to the paper's design, the shim reserves a *genuine* kernel fd
-//! per PLFS open (here via `memfd_create`, avoiding the litter of the
-//! paper's `/dev/random` trick) and keeps the logical cursor in that fd via
-//! real `lseek`s — so `dup(2)`'d descriptors share cursors exactly like
-//! ordinary files.
+//! As in the paper, every PLFS open reserves a *genuine* kernel fd, so the
+//! application holds a descriptor number no other file can take. Unlike the
+//! paper, the shim keeps no state through that fd: a call on a container
+//! makes no syscall the container does not need (DESIGN.md §13).
+//!
+//! * The reserved fd is `fcntl(F_DUPFD)` — `F_DUPFD_CLOEXEC` when the open
+//!   asked for `O_CLOEXEC` — of one process-private template memfd, made
+//!   at the first open: one syscall and no new kernel file per open. (The
+//!   paper opened `/dev/random`; the template is never a device node,
+//!   because `fchmod`/`fchown` on a reserved fd reach the template.)
+//! * The logical cursor is not the reserved fd's file offset moved by
+//!   `lseek`, as in the paper, but an atomic in a slot of a
+//!   `MAP_SHARED|MAP_ANONYMOUS` page. `dup`'d fds share one open and so one
+//!   slot; a forked child shares the page: both share the cursor exactly as
+//!   they shared the kernel's file offset.
+//! * The pid PLFS writes under is read once, and forgotten in the child of
+//!   a `fork`.
+//!
+//! `fork` (`pthread_atfork`): the parent first writes every writer's
+//! buffered index records, so the child reads every byte written before
+//! the fork. The child's handler waits on no lock — it forgets the pid,
+//! counts the fork, moves the fd table to a fresh lock if a parent thread
+//! was reading it, and takes cursor slots from a page of its own from then
+//! on; a slot live at the fork is never handed out again on either side.
+//! Each inherited open is adopted at the child's first call on it: its
+//! references become the child's, its copies of the parent's writers are
+//! dropped without writing a record, and it writes through droppings of
+//! its own; one the child closes unused is let go without a PLFS call. A
+//! child that moves and closes descriptors and `exec`s runs no PLFS code
+//! at all. A child's writes reach the container when it closes the
+//! descriptor: like any process, one that exits without `close` loses its
+//! unwritten index records.
 //!
 //! Every open, read-only ones included, is registered the same way: the
 //! reserved fd holds *no data* and reads are served by `PlfsFd::read`
 //! straight into the caller's buffer. For I/O that passes no interposed
 //! symbol: stdio streams over the mount are `fopencookie` streams on the
 //! shim's own read/seek/close (so `fileno()` is -1); `mmap` of a read-only
-//! fd fills the reserved fd once, on demand (a writable fd fails `ENODEV`);
-//! the kernel's fd-to-fd movers answer `EXDEV`/`EINVAL`. See DESIGN.md.
+//! fd fills a memfd of its own with the container's bytes once, on demand,
+//! and maps that (a writable fd fails `ENODEV`); the kernel's fd-to-fd
+//! movers answer `EXDEV`/`EINVAL`. See DESIGN.md.
 //!
 //! Configuration rides the environment: `LDPLFS_MOUNT` and `LDPLFS_BACKEND`
 //! (required), `LDPLFS_HOSTDIRS` (hostdirs per new container),
@@ -57,13 +88,14 @@
 
 #![allow(clippy::missing_safety_doc)]
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Mutex, MutexGuard, RwLock};
 use plfs::{OpenFlags, Plfs, PlfsFd, RealBacking};
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::ffi::CStr;
 use std::ops::Deref;
-use std::os::raw::{c_char, c_int, c_long, c_uint, c_void};
+use std::os::raw::{c_char, c_int, c_uint, c_void};
+use std::sync::atomic::{AtomicI32, AtomicPtr, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 // ---------------------------------------------------------------------------
@@ -85,6 +117,15 @@ const O_EXCL: c_int = 0o200;
 const O_TRUNC: c_int = 0o1000;
 const O_APPEND: c_int = 0o2000;
 const O_DIRECTORY: c_int = 0o200000;
+const O_CLOEXEC: c_int = 0o2000000;
+
+const F_DUPFD: c_int = 0;
+const F_DUPFD_CLOEXEC: c_int = 1030;
+const MFD_CLOEXEC: c_uint = 1;
+const PROT_READ: c_int = 1;
+const PROT_WRITE: c_int = 2;
+const MAP_SHARED: c_int = 1;
+const MAP_ANONYMOUS: c_int = 0x20;
 
 const SEEK_SET: c_int = 0;
 const SEEK_CUR: c_int = 1;
@@ -102,17 +143,24 @@ const EINVAL: c_int = 22;
 extern "C" {
     fn dlsym(handle: *mut c_void, symbol: *const c_char) -> *mut c_void;
     fn __errno_location() -> *mut c_int;
-    fn syscall(num: c_long, ...) -> c_long;
+    fn memfd_create(name: *const c_char, flags: c_uint) -> c_int;
     fn getpid() -> c_int;
     fn atexit(cb: extern "C" fn()) -> c_int;
+    fn pthread_atfork(
+        prepare: extern "C" fn(),
+        parent: extern "C" fn(),
+        child: extern "C" fn(),
+    ) -> c_int;
     fn __chk_fail() -> !;
     fn fopencookie(cookie: *mut c_void, mode: *const c_char, io: CookieIo) -> *mut c_void;
 }
 
-const SYS_MEMFD_CREATE: c_long = 319; // x86_64
-
 fn set_errno(e: c_int) {
     unsafe { *__errno_location() = e };
+}
+
+fn errno() -> c_int {
+    unsafe { *__errno_location() }
 }
 
 /// Panic barrier for every `extern "C"` entry point: unwinding across an
@@ -178,6 +226,9 @@ type LseekFn = unsafe extern "C" fn(c_int, OffT, c_int) -> OffT;
 type FdFn = unsafe extern "C" fn(c_int) -> c_int;
 type Dup2Fn = unsafe extern "C" fn(c_int, c_int) -> c_int;
 type Dup3Fn = unsafe extern "C" fn(c_int, c_int, c_int) -> c_int;
+type FcntlFn = unsafe extern "C" fn(c_int, c_int, ...) -> c_int;
+type CloseRangeFn = unsafe extern "C" fn(c_uint, c_uint, c_int) -> c_int;
+type CloseFromFn = unsafe extern "C" fn(c_int);
 type MmapFn = unsafe extern "C" fn(*mut c_void, SizeT, c_int, c_int, c_int, OffT) -> *mut c_void;
 type MoverFn = unsafe extern "C" fn(c_int, *mut OffT, c_int, *mut OffT, SizeT, c_uint) -> SsizeT;
 type SendfileFn = unsafe extern "C" fn(c_int, c_int, *mut OffT, SizeT) -> SsizeT;
@@ -197,22 +248,114 @@ type FdopenFn = unsafe extern "C" fn(c_int, *const c_char) -> *mut c_void;
 // Shim state.
 // ---------------------------------------------------------------------------
 
-/// One PLFS open; `dup`'d fds share it, as they share the reserved fd's
-/// file description.
+/// One PLFS open; `dup`'d fds share it, as they would share an ordinary
+/// file's open file description.
 struct OpenState {
     plfs_fd: Arc<PlfsFd>,
     append: bool,
     /// `fake_ino` of the path opened, so fstat agrees with path-stat.
     ino: u64,
-    /// Whether the reserved fd holds the container's bytes, for `mmap`.
-    mapped: Mutex<bool>,
+    cursor: Cursor,
+    /// The memfd a read-only `mmap` maps: made and filled with the
+    /// container's bytes by the first one, once per open.
+    map: Mutex<Option<c_int>>,
+    /// The [`FORKS`] count this process's PLFS state of the open is for:
+    /// lower, the open was inherited across a `fork` and is not adopted yet.
+    forks: AtomicU64,
+    /// Held by the one thread adopting the open.
+    adopting: Mutex<()>,
 }
+
+/// Forks into this process: the child handler of each `fork` counts one.
+static FORKS: AtomicU64 = AtomicU64::new(0);
+
+impl OpenState {
+    fn new(plfs_fd: Arc<PlfsFd>, append: bool, ino: u64, cursor: Cursor) -> OpenState {
+        OpenState {
+            plfs_fd,
+            append,
+            ino,
+            cursor,
+            map: Mutex::new(None),
+            // relaxed: a count read in this process alone; see adopt
+            forks: AtomicU64::new(FORKS.load(Ordering::Relaxed)),
+            adopting: Mutex::new(()),
+        }
+    }
+
+    /// Is the open's PLFS state this process's? Not while it is inherited
+    /// across a `fork` and not yet adopted.
+    fn ours(&self) -> bool {
+        // acquire: pairs with adopt's release; relaxed: FORKS changes only in the child handler, before any other thread of the child exists
+        self.forks.load(Ordering::Acquire) == FORKS.load(Ordering::Relaxed)
+    }
+
+    /// Adopt an open inherited across a `fork`, once, before anything else
+    /// of this process uses it: its references become this pid's and the
+    /// parent's writers are dropped unwritten ([`PlfsFd::forked`]). Done at
+    /// the child's first call on the open, not in the fork's child handler:
+    /// a child that only `exec`s takes no PLFS lock, any of which another of
+    /// its parent's threads may have held at the fork. Called inside PLFS
+    /// only ([`InPlfs`]).
+    // signal-safe: every caller is inside PLFS, so a handler's interposed call goes straight to libc and never waits on `adopting`
+    fn adopt(&self) {
+        if self.ours() {
+            return;
+        }
+        let _one = self.adopting.lock();
+        // relaxed: see ours
+        let now = FORKS.load(Ordering::Relaxed);
+        // relaxed: `adopting` orders this against the adopter that stored it
+        if self.forks.load(Ordering::Relaxed) != now {
+            self.plfs_fd.forked(pid());
+            // release: a thread that sees the count sees the adoption
+            self.forks.store(now, Ordering::Release);
+        }
+    }
+}
+
+impl Drop for OpenState {
+    fn drop(&mut self) {
+        if let Some(fd) = *self.map.get_mut() {
+            // A mapping holds its own reference to the file.
+            let real_close = real!(close, FdFn);
+            // SAFETY: `fd` is this open's own memfd, closed once, here.
+            let _ = unsafe { real_close(fd) };
+        }
+    }
+}
+
+/// Registered fd → its open.
+type Table = HashMap<c_int, Arc<OpenState>>;
 
 struct Shim {
     mount: String,
     plfs: Plfs,
-    table: RwLock<HashMap<c_int, Arc<OpenState>>>,
+    /// The fd table, behind a pointer so that a fork's child can move it to
+    /// a lock of its own ([`renew_table`]); a table left behind is leaked.
+    table: AtomicPtr<RwLock<Table>>,
 }
+
+impl Shim {
+    fn table(&self) -> &RwLock<Table> {
+        // SAFETY: the pointer is always a leaked `Box`, never freed.
+        // acquire: pairs with renew_table's release
+        unsafe { &*self.table.load(Ordering::Acquire) }
+    }
+
+    /// Change the table under [`TABLE_MUTATION`]. What `f` returns — a
+    /// replaced or removed open among it — is dropped by the caller, after
+    /// both locks.
+    fn mutate<R>(&self, f: impl FnOnce(&mut Table) -> R) -> R {
+        let _one = TABLE_MUTATION.lock();
+        f(&mut self.table().write())
+    }
+}
+
+/// Held around every change to the fd table, and by a forking thread
+/// across the `fork`: the child's copy of the table is never caught half
+/// changed, whatever readers its lock shows.
+static TABLE_MUTATION: Mutex<()> = Mutex::new(());
 
 static SHIM: OnceLock<Option<Shim>> = OnceLock::new();
 
@@ -334,6 +477,8 @@ fn init_shim() -> Option<Shim> {
         unsafe { atexit(drain_tiered_at_exit) };
     }
     let mut plfs = Plfs::new(stack.backing).with_conf(conf);
+    // SAFETY: the handlers are `extern "C" fn()`s that never unwind.
+    unsafe { pthread_atfork(before_fork, after_fork_in_parent, after_fork_in_child) };
     if let Some(n) = std::env::var(ENV_HOSTDIRS)
         .ok()
         .and_then(|n| n.parse::<u32>().ok())
@@ -346,7 +491,7 @@ fn init_shim() -> Option<Shim> {
     Some(Shim {
         mount,
         plfs,
-        table: RwLock::new(HashMap::new()),
+        table: AtomicPtr::new(Box::leak(Box::new(RwLock::new(HashMap::new())))),
     })
 }
 
@@ -370,19 +515,259 @@ unsafe fn cstr<'a>(p: *const c_char) -> Option<&'a str> {
     CStr::from_ptr(p).to_str().ok()
 }
 
-fn reserve_fd() -> c_int {
-    // A genuine kernel fd with a real file description (so lseek works and
-    // dup shares cursors) but no filesystem presence. The name is a static
-    // NUL-terminated literal — no CString allocation, nothing to unwrap.
-    const NAME: &[u8] = b"ldplfs-cursor\0";
-    let fd = unsafe {
-        syscall(
-            SYS_MEMFD_CREATE,
-            NAME.as_ptr() as *const c_char,
-            0 as c_long,
-        )
-    };
-    fd as c_int
+/// The kernel file every reserved fd duplicates: a memfd private to this
+/// process, with no filesystem presence and close-on-exec itself. -1 until
+/// the first open makes it, and again once the application frees its
+/// number — `close`, `close_range`, `closefrom` — or `dup2`s over it
+/// ([`forget_template`]). A number freed under the shim (a raw `syscall`)
+/// is not seen: the next file the application opens may take it.
+static TEMPLATE: AtomicI32 = AtomicI32::new(NO_FD);
+
+/// No descriptor: the template before it is made, an anonymous map's fd.
+const NO_FD: c_int = -1;
+
+/// A memfd named by the static NUL-terminated literal `name`.
+fn new_memfd(name: &'static [u8]) -> c_int {
+    // SAFETY: `name` is a NUL-terminated literal that outlives the call.
+    unsafe { memfd_create(name.as_ptr() as *const c_char, MFD_CLOEXEC) }
+}
+
+/// A reserved fd: a duplicate of the template — one `fcntl`, and no new
+/// kernel file — close-on-exec if the open asked for `O_CLOEXEC`.
+fn reserve_fd(cloexec: bool) -> c_int {
+    let dup = real!(fcntl, FcntlFn);
+    let cmd = if cloexec { F_DUPFD_CLOEXEC } else { F_DUPFD };
+    loop {
+        // relaxed: the template's number is all this publishes; a stale -1 only makes a spare memfd
+        let mut t = TEMPLATE.load(Ordering::Relaxed);
+        if t < 0 {
+            let made = new_memfd(b"ldplfs-reserved\0");
+            if made < 0 {
+                return made; // with memfd_create's errno
+            }
+            // relaxed: as above; the loser of a race closes its spare
+            t = match TEMPLATE.compare_exchange(NO_FD, made, Ordering::Relaxed, Ordering::Relaxed) {
+                Ok(_) => made,
+                Err(theirs) => {
+                    let real_close = real!(close, FdFn);
+                    // SAFETY: `made` is this call's own memfd, used by nothing.
+                    let _ = unsafe { real_close(made) };
+                    theirs
+                }
+            };
+        }
+        // SAFETY: F_DUPFD[_CLOEXEC] takes one int argument.
+        let fd = unsafe { dup(t, cmd, 0 as c_int) };
+        if fd >= 0 || errno() != EBADF {
+            return fd;
+        }
+        // The number was closed under the shim: make another template.
+        forget_template(t);
+    }
+}
+
+/// The application closes `fd` or makes it name another file: if it is
+/// the template's number, the next open makes a new template.
+fn forget_template(fd: c_int) {
+    // relaxed: see reserve_fd
+    let _ = TEMPLATE.compare_exchange(fd, NO_FD, Ordering::Relaxed, Ordering::Relaxed);
+}
+
+/// Cursor slots per page of [`Slots`].
+const SLOTS_PER_PAGE: usize = 4096 / std::mem::size_of::<AtomicU64>();
+
+/// Where cursors live: `AtomicU64` slots in pages mapped
+/// `MAP_SHARED|MAP_ANONYMOUS`, so a forked child shares every slot with its
+/// parent as the two would share an ordinary file's offset.
+struct Slots {
+    /// Bumped by every fork, on both sides: a slot taken in an earlier
+    /// epoch is never handed out again, so one that was live at a fork is
+    /// never reused under the other process's open.
+    epoch: u64,
+    /// Address of the page slots are carved from; 0 before the first, and
+    /// in a child, whose slots come from pages of its own.
+    page: usize,
+    /// Slots of `page` handed out.
+    used: usize,
+    /// Released slots of this epoch, by address.
+    free: Vec<usize>,
+}
+
+static SLOTS: Mutex<Slots> = Mutex::new(Slots {
+    epoch: 0,
+    page: 0,
+    used: 0,
+    free: Vec::new(),
+});
+
+/// A registered open's file offset: one slot, shared by every fd `dup`
+/// made of the open and, across `fork`, by parent and child.
+struct Cursor {
+    at: &'static AtomicU64,
+    epoch: u64,
+}
+
+impl Cursor {
+    /// A fresh slot at offset 0; `None` if no page could be mapped.
+    fn take() -> Option<Cursor> {
+        let mut slots = SLOTS.lock();
+        let addr = match slots.free.pop() {
+            Some(addr) => addr,
+            None => {
+                if slots.page == 0 || slots.used == SLOTS_PER_PAGE {
+                    let map = real!(mmap, MmapFn);
+                    let prot = PROT_READ | PROT_WRITE;
+                    // SAFETY: a fresh anonymous mapping; no memory of ours
+                    // is named by the arguments.
+                    let page = unsafe {
+                        map(
+                            std::ptr::null_mut(),
+                            4096,
+                            prot,
+                            MAP_SHARED | MAP_ANONYMOUS,
+                            NO_FD,
+                            0,
+                        )
+                    };
+                    if page == MAP_FAILED {
+                        return None;
+                    }
+                    (slots.page, slots.used) = (page as usize, 0);
+                }
+                slots.used += 1;
+                slots.page + (slots.used - 1) * std::mem::size_of::<AtomicU64>()
+            }
+        };
+        // SAFETY: `addr` is an aligned slot of a page mapped read-write and
+        // never unmapped, handed to this cursor alone.
+        let at: &'static AtomicU64 = unsafe { &*(addr as *const AtomicU64) };
+        // relaxed: the slot is this cursor's alone until the open is registered
+        at.store(0, Ordering::Relaxed);
+        Some(Cursor {
+            at,
+            epoch: slots.epoch,
+        })
+    }
+
+    fn get(&self) -> OffT {
+        // relaxed: a cursor orders nothing but itself; racing calls on one open may both see one offset, as with a kernel file offset read and set by lseek
+        self.at.load(Ordering::Relaxed) as OffT
+    }
+
+    fn set(&self, off: OffT) {
+        // relaxed: see Cursor::get
+        self.at.store(off as u64, Ordering::Relaxed);
+    }
+}
+
+impl Drop for Cursor {
+    fn drop(&mut self) {
+        let mut slots = SLOTS.lock();
+        if slots.epoch == self.epoch {
+            slots.free.push(self.at as *const AtomicU64 as usize);
+        }
+    }
+}
+
+/// This process's pid, read once: the child handler of a fork forgets it.
+static PID: AtomicU64 = AtomicU64::new(0);
+
+fn pid() -> u64 {
+    // relaxed: a pid publishes nothing; a racing first read stores the same value
+    match PID.load(Ordering::Relaxed) {
+        0 => {
+            // SAFETY: getpid has no preconditions.
+            let p = unsafe { getpid() } as u64;
+            PID.store(p, Ordering::Relaxed); // relaxed: as above
+            p
+        }
+        p => p,
+    }
+}
+
+thread_local! {
+    /// [`TABLE_MUTATION`] and [`SLOTS`], held by the forking thread from
+    /// `pthread_atfork`'s prepare handler to its parent or child handler:
+    /// neither side's copy of the fd table or the slot allocator can be
+    /// caught half changed.
+    static HELD_AT_FORK: RefCell<Option<(MutexGuard<'static, ()>, MutexGuard<'static, Slots>)>> =
+        const { RefCell::new(None) };
+}
+
+/// `pthread_atfork` prepare: write the buffered index records of every
+/// writer this process owns (the child drops its copies of them), then
+/// hold [`HELD_AT_FORK`]'s two locks across the fork.
+// plfs-lint: allow(ffi-barrier, "pthread_atfork handler returns (); has its own catch_unwind, errno is meaningless here")
+extern "C" fn before_fork() {
+    let _ = std::panic::catch_unwind(|| {
+        if let Some(Some(sh)) = SHIM.get() {
+            let _in_plfs = InPlfs::enter();
+            let opens: Vec<Arc<OpenState>> = sh.table().read().values().cloned().collect();
+            // An open inherited and not adopted holds its parent's writers,
+            // which are not this process's to write.
+            for st in opens.iter().filter(|st| st.ours()) {
+                // Best effort: a failed flush leaves the child unable to
+                // read those bytes, never other bytes.
+                let _ = st.plfs_fd.flush_index();
+            }
+        }
+        let held = (TABLE_MUTATION.lock(), SLOTS.lock());
+        HELD_AT_FORK.with(|h| *h.borrow_mut() = Some(held));
+    });
+}
+
+/// Let go of what [`before_fork`] held, on either side, ending the slot
+/// allocator's epoch: slots live at the fork are never reused.
+fn release_at_fork(child: bool) {
+    HELD_AT_FORK.with(|h| {
+        if let Some((_one, mut slots)) = h.borrow_mut().take() {
+            slots.epoch += 1;
+            if child {
+                slots.page = 0;
+                slots.free.clear();
+            }
+        }
+    });
+}
+
+/// `pthread_atfork` parent.
+// plfs-lint: allow(ffi-barrier, "pthread_atfork handler returns (); has its own catch_unwind, errno is meaningless here")
+extern "C" fn after_fork_in_parent() {
+    let _ = std::panic::catch_unwind(|| release_at_fork(false));
+}
+
+/// `pthread_atfork` child: a new pid; one more fork counted, so that each
+/// inherited open is adopted at its first use ([`OpenState::adopt`]); the
+/// fd table on a lock of its own if need be; slots from pages of its own.
+/// Waits on no lock and makes no PLFS call: a child that only `exec`s
+/// runs no PLFS code.
+// plfs-lint: allow(ffi-barrier, "pthread_atfork handler returns (); has its own catch_unwind, errno is meaningless here")
+extern "C" fn after_fork_in_child() {
+    let _ = std::panic::catch_unwind(|| {
+        PID.store(0, Ordering::Relaxed); // relaxed: this thread is the child's only one
+        FORKS.fetch_add(1, Ordering::Relaxed); // relaxed: as above
+        if let Some(Some(sh)) = SHIM.get() {
+            renew_table(sh);
+        }
+        release_at_fork(true);
+    });
+}
+
+/// In a fork's child, whose only thread this is: the fd table's lock is
+/// as the parent's threads left it, and one that was reading the table at
+/// the fork holds it forever here — the child's first `close` would wait
+/// on it. Unless the lock is free, the table moves to a lock of its own. No
+/// change to the table was under way ([`TABLE_MUTATION`] is held across
+/// the fork), so the old lock still lets this thread read it.
+fn renew_table(sh: &Shim) {
+    let old = sh.table();
+    if old.try_write().is_some() {
+        return;
+    }
+    let copy = old.try_read().map(|t| t.clone()).unwrap_or_default();
+    let fresh = Box::leak(Box::new(RwLock::new(copy)));
+    // release: pairs with Shim::table's acquire
+    sh.table.store(fresh, Ordering::Release);
 }
 
 /// A registered fd's open. This thread is inside PLFS while it lives:
@@ -402,11 +787,10 @@ impl Deref for Registered {
 
 fn lookup(fd: c_int) -> Option<Registered> {
     let shim = shim()?;
-    let st = shim.table.read().get(&fd).cloned()?;
-    Some(Registered {
-        st,
-        _in_plfs: InPlfs::enter(),
-    })
+    let st = shim.table().read().get(&fd).cloned()?;
+    let _in_plfs = InPlfs::enter();
+    st.adopt();
+    Some(Registered { st, _in_plfs })
 }
 
 fn plfs_errno(e: &plfs::Error) -> c_int {
@@ -422,16 +806,6 @@ fn fake_ino(rel: &str) -> u64 {
         h = h.wrapping_mul(0x1000_0000_01b3);
     }
     h | 1
-}
-
-fn cursor_get(fd: c_int) -> OffT {
-    let f = real!(lseek, LseekFn);
-    unsafe { f(fd, 0, SEEK_CUR) }
-}
-
-fn cursor_set(fd: c_int, off: OffT) -> OffT {
-    let f = real!(lseek, LseekFn);
-    unsafe { f(fd, off, SEEK_SET) }
 }
 
 // ---------------------------------------------------------------------------
@@ -458,24 +832,24 @@ unsafe fn do_open(path: *const c_char, flags: c_int, mode: ModeT) -> c_int {
     }
     // Translate flags (numeric values match plfs::OpenFlags on Linux).
     let oflags = OpenFlags((flags & (O_ACCMODE | O_CREAT | O_EXCL | O_TRUNC | O_APPEND)) as u32);
-    let pid = getpid() as u64;
+    let pid = pid();
     match sh.plfs.open(&rel, oflags, pid) {
         Ok(pfd) => {
-            let fd = reserve_fd();
-            if fd < 0 {
+            let Some(cursor) = Cursor::take() else {
                 let _ = pfd.close(pid);
                 set_errno(ENOMEM);
                 return -1;
+            };
+            let fd = reserve_fd(flags & O_CLOEXEC != 0);
+            if fd < 0 {
+                // EMFILE and the like are the open's own errno.
+                let e = errno();
+                let _ = pfd.close(pid);
+                set_errno(e);
+                return -1;
             }
-            sh.table.write().insert(
-                fd,
-                Arc::new(OpenState {
-                    plfs_fd: pfd,
-                    append: flags & O_APPEND != 0,
-                    ino: fake_ino(&rel),
-                    mapped: Mutex::new(false),
-                }),
-            );
+            let st = OpenState::new(pfd, flags & O_APPEND != 0, fake_ino(&rel), cursor);
+            sh.mutate(|t| t.insert(fd, Arc::new(st)));
             fd
         }
         Err(e) => {
@@ -550,10 +924,10 @@ unsafe fn do_read(fd: c_int, buf: *mut c_void, count: SizeT) -> SsizeT {
         }
         Some(st) => {
             let slice = std::slice::from_raw_parts_mut(buf as *mut u8, count);
-            let off = cursor_get(fd);
+            let off = st.cursor.get();
             match st.plfs_fd.read(slice, off as u64) {
                 Ok(n) => {
-                    cursor_set(fd, off + n as OffT);
+                    st.cursor.set(off + n as OffT);
                     n as SsizeT
                 }
                 Err(e) => {
@@ -579,7 +953,7 @@ unsafe fn do_write(fd: c_int, buf: *const c_void, count: SizeT) -> SsizeT {
         }
         Some(st) => {
             let slice = std::slice::from_raw_parts(buf as *const u8, count);
-            let pid = getpid() as u64;
+            let pid = pid();
             // O_APPEND resolves EOF atomically inside PlfsFd::append —
             // size()-then-write() would race concurrent appenders.
             let (off, n) = if st.append {
@@ -591,7 +965,7 @@ unsafe fn do_write(fd: c_int, buf: *const c_void, count: SizeT) -> SsizeT {
                     }
                 }
             } else {
-                let off = cursor_get(fd);
+                let off = st.cursor.get();
                 match st.plfs_fd.write(slice, off as u64, pid) {
                     Ok(n) => (off, n),
                     Err(e) => {
@@ -600,7 +974,7 @@ unsafe fn do_write(fd: c_int, buf: *const c_void, count: SizeT) -> SsizeT {
                     }
                 }
             };
-            cursor_set(fd, off + n as OffT);
+            st.cursor.set(off + n as OffT);
             n as SsizeT
         }
     }
@@ -691,7 +1065,7 @@ unsafe fn do_pwrite(fd: c_int, buf: *const c_void, count: SizeT, off: OffT) -> S
         }
         Some(st) => {
             let slice = std::slice::from_raw_parts(buf as *const u8, count);
-            match st.plfs_fd.write(slice, off as u64, getpid() as u64) {
+            match st.plfs_fd.write(slice, off as u64, pid()) {
                 Ok(n) => n as SsizeT,
                 Err(e) => {
                     set_errno(plfs_errno(&e));
@@ -790,7 +1164,7 @@ unsafe fn do_readv(fd: c_int, iov: *const IoVec, cnt: c_int) -> SsizeT {
             if total == 0 {
                 return 0;
             }
-            let off = cursor_get(fd);
+            let off = st.cursor.get();
             let mut data = vec![0u8; total];
             match st
                 .plfs_fd
@@ -798,7 +1172,7 @@ unsafe fn do_readv(fd: c_int, iov: *const IoVec, cnt: c_int) -> SsizeT {
             {
                 Ok(n) => {
                     scatter_iov(iov, cnt, &data[..n]);
-                    cursor_set(fd, off + n as OffT);
+                    st.cursor.set(off + n as OffT);
                     n as SsizeT
                 }
                 Err(e) => {
@@ -831,7 +1205,7 @@ unsafe fn do_writev(fd: c_int, iov: *const IoVec, cnt: c_int) -> SsizeT {
                 return 0;
             }
             let data = gather_iov(iov, cnt, total);
-            let pid = getpid() as u64;
+            let pid = pid();
             let (off, n) = if st.append {
                 match st.plfs_fd.append(&data, pid) {
                     Ok((off, n)) => (off as OffT, n),
@@ -841,7 +1215,7 @@ unsafe fn do_writev(fd: c_int, iov: *const IoVec, cnt: c_int) -> SsizeT {
                     }
                 }
             } else {
-                let off = cursor_get(fd);
+                let off = st.cursor.get();
                 match st
                     .plfs_fd
                     .write_list(&data, &[(off as u64, total as u64)], pid)
@@ -853,7 +1227,7 @@ unsafe fn do_writev(fd: c_int, iov: *const IoVec, cnt: c_int) -> SsizeT {
                     }
                 }
             };
-            cursor_set(fd, off + n as OffT);
+            st.cursor.set(off + n as OffT);
             n as SsizeT
         }
     }
@@ -932,7 +1306,7 @@ unsafe fn do_pwritev(fd: c_int, iov: *const IoVec, cnt: c_int, off: OffT) -> Ssi
             let data = gather_iov(iov, cnt, total);
             match st
                 .plfs_fd
-                .write_list(&data, &[(off as u64, total as u64)], getpid() as u64)
+                .write_list(&data, &[(off as u64, total as u64)], pid())
             {
                 Ok(n) => n as SsizeT,
                 Err(e) => {
@@ -1055,11 +1429,12 @@ unsafe fn do_lseek(fd: c_int, offset: OffT, whence: c_int) -> OffT {
             f(fd, offset, whence)
         }
         Some(st) => {
-            // SEEK_END needs the logical PLFS size; SET/CUR ride the
-            // reserved fd's kernel cursor directly (the paper's trick).
+            // SEEK_END needs the logical PLFS size; SET/CUR are the
+            // cursor's slot alone, no syscall (the paper lseek'd the
+            // reserved fd).
             let target = match whence {
                 SEEK_SET => offset,
-                SEEK_CUR => cursor_get(fd) + offset,
+                SEEK_CUR => st.cursor.get() + offset,
                 SEEK_END => match st.plfs_fd.size() {
                     Ok(size) => size as OffT + offset,
                     Err(e) => {
@@ -1076,7 +1451,8 @@ unsafe fn do_lseek(fd: c_int, offset: OffT, whence: c_int) -> OffT {
                 set_errno(EINVAL);
                 return -1;
             }
-            cursor_set(fd, target)
+            st.cursor.set(target);
+            target
         }
     }
 }
@@ -1098,11 +1474,11 @@ unsafe fn do_close(fd: c_int) -> c_int {
     let Some(sh) = shim() else {
         return real_close(fd);
     };
-    let state = sh.table.write().remove(&fd);
-    // One PLFS reference per fd: a dup keeps the open alive. Both halves
-    // are released whatever the other does; the first error is reported (a
-    // failed index or meta flush at close is lost data).
-    let plfs_res = state.map(|st| inside_plfs(|| st.plfs_fd.close(getpid() as u64)));
+    forget_template(fd);
+    let state = sh.mutate(|t| t.remove(&fd));
+    // Both halves are released whatever the other does; the first error is
+    // reported (a failed index or meta flush at close is lost data).
+    let plfs_res = state.map(|st| release(&st));
     let ret = real_close(fd);
     if let Some(Err(e)) = plfs_res {
         set_errno(plfs_errno(&e));
@@ -1111,10 +1487,101 @@ unsafe fn do_close(fd: c_int) -> c_int {
     ret
 }
 
+/// The PLFS half of closing one fd of `st`, after it left the table: one
+/// PLFS reference per fd, so a dup keeps the open alive. An open inherited
+/// across a `fork` and not used since is let go without a PLFS call: its
+/// state is the parent's, and a child closing descriptors before `exec`
+/// takes no PLFS lock.
+fn release(st: &OpenState) -> plfs::Result<u32> {
+    if !st.ours() {
+        // Never dropped here: its copies of the parent's writers would
+        // write the parent's buffered records.
+        std::mem::forget(Arc::clone(&st.plfs_fd));
+        return Ok(0);
+    }
+    inside_plfs(|| st.plfs_fd.close(pid()))
+}
+
 /// `close(2)`.
 #[no_mangle]
 pub unsafe extern "C" fn close(fd: c_int) -> c_int {
     ffi_guard!(-1, close: FdFn(fd), do_close(fd))
+}
+
+/// What [`do_close`] does before its real close, for every fd in `lo..=hi`
+/// at once, before a call that frees those numbers: the template forgotten
+/// if its number is among them, and every registered fd released. The
+/// errno of the first failed release, if any.
+fn release_range(lo: c_int, hi: c_int) -> Option<c_int> {
+    let sh = shim()?;
+    // relaxed: see reserve_fd
+    let t = TEMPLATE.load(Ordering::Relaxed);
+    if (lo..=hi).contains(&t) {
+        forget_template(t);
+    }
+    let mut released = Vec::new();
+    sh.mutate(|t| {
+        t.retain(|fd, st| {
+            let keep = !(lo..=hi).contains(fd);
+            if !keep {
+                released.push(Arc::clone(st));
+            }
+            keep
+        })
+    });
+    released
+        .iter()
+        .filter_map(|st| release(st).err())
+        .fold(None, |first, e| first.or(Some(e.errno())))
+}
+
+/// The one `close_range(2)` flag with which it still closes: unshare the
+/// fd table first.
+const CLOSE_RANGE_UNSHARE: c_int = 2;
+
+unsafe fn do_close_range(first: c_uint, last: c_uint, flags: c_int) -> c_int {
+    let real_close_range = real!(close_range, CloseRangeFn);
+    // A call that closes nothing — `CLOSE_RANGE_CLOEXEC` only marks the
+    // range; the kernel refuses an unknown flag or `first > last` — is
+    // forwarded without bookkeeping.
+    if flags & !CLOSE_RANGE_UNSHARE != 0 || first > last {
+        return real_close_range(first, last, flags);
+    }
+    let fd_of = |n: c_uint| n.min(c_int::MAX as c_uint) as c_int;
+    let failed = release_range(fd_of(first), fd_of(last));
+    let ret = real_close_range(first, last, flags);
+    match failed {
+        Some(e) if ret == 0 => {
+            set_errno(e);
+            -1
+        }
+        _ => ret,
+    }
+}
+
+/// `close_range(2)`: every registered fd in the range is closed as `close`
+/// would close it.
+#[no_mangle]
+pub unsafe extern "C" fn close_range(first: c_uint, last: c_uint, flags: c_int) -> c_int {
+    ffi_guard!(
+        -1,
+        close_range: CloseRangeFn(first, last, flags),
+        do_close_range(first, last, flags)
+    )
+}
+
+// plfs-lint: allow(errno-discipline, "closefrom(3) returns nothing and reports no failure")
+unsafe fn do_closefrom(lowfd: c_int) {
+    let real_closefrom = real!(closefrom, CloseFromFn);
+    let _ = release_range(lowfd.max(0), c_int::MAX);
+    real_closefrom(lowfd)
+}
+
+/// `closefrom(3)`: every registered fd from `lowfd` up is closed as
+/// `close` would close it.
+#[no_mangle]
+pub unsafe extern "C" fn closefrom(lowfd: c_int) {
+    ffi_guard!((), closefrom: CloseFromFn(lowfd), do_closefrom(lowfd))
 }
 
 /// `fsync`/`fdatasync`: containers have no metadata/data distinction the
@@ -1124,7 +1591,7 @@ unsafe fn do_fsync(fd: c_int, data_only: bool) -> c_int {
     match lookup(fd) {
         None if data_only => real!(fdatasync, FdFn)(fd),
         None => real!(fsync, FdFn)(fd),
-        Some(st) => match st.plfs_fd.sync(getpid() as u64) {
+        Some(st) => match st.plfs_fd.sync(pid()) {
             Ok(()) => 0,
             Err(e) => {
                 set_errno(plfs_errno(&e));
@@ -1173,20 +1640,19 @@ unsafe fn dup_bookkeeping(oldfd: c_int, newfd: c_int) {
     if oldfd == newfd {
         return;
     }
+    forget_template(newfd);
     let _in_plfs = InPlfs::enter();
-    let (displaced, old_state) = {
-        let mut t = sh.table.write();
-        (t.remove(&newfd), t.get(&oldfd).cloned())
-    };
+    let (displaced, old_state) = sh.mutate(|t| (t.remove(&newfd), t.get(&oldfd).cloned()));
     if let Some(st) = displaced {
         // Outside the table lock: releasing the open closes its droppings
         // through the interposed `close`, which takes that lock.
         // dup2(2): errors of the implied close are not reported.
-        let _ = st.plfs_fd.close(getpid() as u64);
+        let _ = release(&st);
     }
     if let Some(st) = old_state {
-        st.plfs_fd.add_ref(getpid() as u64);
-        sh.table.write().insert(newfd, st);
+        st.adopt();
+        st.plfs_fd.add_ref(pid());
+        sh.mutate(|t| t.insert(newfd, st));
     }
 }
 
@@ -1222,40 +1688,74 @@ pub unsafe extern "C" fn dup3(oldfd: c_int, newfd: c_int, flags: c_int) -> c_int
     ffi_guard!(-1, dup3: Dup3Fn(oldfd, newfd, flags), do_dup3(oldfd, newfd, flags))
 }
 
-/// Copy the container's logical bytes into the reserved fd, once per open,
-/// so a mapping of it shows them. By `pwrite`: the fd's offset is the
-/// application's cursor.
-unsafe fn fill_for_mmap(fd: c_int, st: &OpenState) -> Result<(), c_int> {
+/// `fcntl`'s duplicating commands get `dup`'s bookkeeping (the new fd names
+/// the same open; without it, reads through it saw EOF and writes vanished
+/// into the reserved fd); every other command is forwarded untouched.
+unsafe fn do_fcntl(fd: c_int, cmd: c_int, arg: usize) -> c_int {
+    let real_fcntl = real!(fcntl, FcntlFn);
+    let ret = real_fcntl(fd, cmd, arg);
+    if ret >= 0 && (cmd == F_DUPFD || cmd == F_DUPFD_CLOEXEC) {
+        dup_bookkeeping(fd, ret);
+    }
+    ret
+}
+
+/// `fcntl(2)`: C-variadic; every command's argument is an `int`, a `long`
+/// or a pointer, one integer register on x86_64.
+#[no_mangle]
+pub unsafe extern "C" fn fcntl(fd: c_int, cmd: c_int, arg: usize) -> c_int {
+    ffi_guard!(-1, fcntl: FcntlFn(fd, cmd, arg), do_fcntl(fd, cmd, arg))
+}
+
+/// `fcntl64(2)` (LFS alias).
+#[no_mangle]
+pub unsafe extern "C" fn fcntl64(fd: c_int, cmd: c_int, arg: usize) -> c_int {
+    ffi_guard!(-1, fcntl64: FcntlFn(fd, cmd, arg), do_fcntl(fd, cmd, arg))
+}
+
+/// The memfd a read-only map of `st` maps: made and filled with the
+/// container's logical bytes by the first map, once per open (`dup`'d fds
+/// share it). The reserved fd stays empty.
+unsafe fn map_fd(st: &OpenState) -> Result<c_int, c_int> {
     let real_pwrite = real!(pwrite, PwriteFn);
-    let mut mapped = st.mapped.lock();
-    if *mapped {
-        return Ok(());
+    let mut map = st.map.lock();
+    if let Some(fd) = *map {
+        return Ok(fd);
+    }
+    let fd = new_memfd(b"ldplfs-map\0");
+    if fd < 0 {
+        return Err(errno());
     }
     let mut buf = vec![0u8; 1 << 20];
     let mut off = 0usize;
-    loop {
-        // plfs-lint: allow(lock-across-io, "intentional: `mapped` is this fill's once-latch; a second mapper must wait for the bytes, not map a half-filled fd")
-        let n = st
-            .plfs_fd
-            .read(&mut buf, off as u64)
-            .map_err(|e| e.errno())?;
-        if n == 0 {
-            break;
-        }
+    let filled = loop {
+        // plfs-lint: allow(lock-across-io, "intentional: `map` is this fill's once-latch; a second mapper must wait for the bytes, not map a half-filled memfd")
+        let n = match st.plfs_fd.read(&mut buf, off as u64) {
+            Ok(0) => break Ok(()),
+            Ok(n) => n,
+            Err(e) => break Err(e.errno()),
+        };
         let mut done = 0usize;
         while done < n {
             let src = buf.as_ptr().add(done) as *const c_void;
             let w = real_pwrite(fd, src, n - done, (off + done) as OffT);
             if w <= 0 {
                 // A short write (ENOSPC/ENOMEM) must not pass for the file.
-                return Err(ENOMEM);
+                break;
             }
             done += w as usize;
         }
+        if done < n {
+            break Err(ENOMEM);
+        }
         off += n;
+    };
+    if let Err(e) = filled {
+        let _ = real!(close, FdFn)(fd);
+        return Err(e);
     }
-    *mapped = true;
-    Ok(())
+    *map = Some(fd);
+    Ok(fd)
 }
 
 unsafe fn do_mmap(
@@ -1267,18 +1767,21 @@ unsafe fn do_mmap(
     off: OffT,
 ) -> *mut c_void {
     let f = real!(mmap, MmapFn);
-    if let Some(st) = lookup(fd) {
-        // Stores through a map would land in the reserved fd, unseen by PLFS.
-        if st.plfs_fd.flags().writable() {
-            set_errno(ENODEV);
-            return MAP_FAILED;
-        }
-        if let Err(e) = fill_for_mmap(fd, &st) {
+    let Some(st) = lookup(fd) else {
+        return f(addr, len, prot, flags, fd, off);
+    };
+    // Stores through a map would land in a memfd, unseen by PLFS.
+    if st.plfs_fd.flags().writable() {
+        set_errno(ENODEV);
+        return MAP_FAILED;
+    }
+    match map_fd(&st) {
+        Ok(map) => f(addr, len, prot, flags, map, off),
+        Err(e) => {
             set_errno(e);
-            return MAP_FAILED;
+            MAP_FAILED
         }
     }
-    f(addr, len, prot, flags, fd, off)
 }
 
 /// `mmap(2)` — read-only maps of a container; a writable one is `ENODEV`.
@@ -1971,5 +2474,5 @@ pub unsafe extern "C" fn statx(
 
 /// How many fds the shim currently tracks (exposed for the smoke test).
 pub fn tracked_fds() -> usize {
-    shim().map(|s| s.table.read().len()).unwrap_or(0)
+    shim().map(|s| s.table().read().len()).unwrap_or(0)
 }

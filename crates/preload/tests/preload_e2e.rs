@@ -458,6 +458,67 @@ fn mmap_stdio_and_dup_read_one_and_many_droppings() {
     }
 }
 
+/// `O_CLOEXEC` on a container open used to be dropped: the reserved fd was
+/// made with no flags, so it leaked into `exec`'d children and `F_GETFD`
+/// showed no `FD_CLOEXEC`.
+#[test]
+fn o_cloexec_on_a_container_open_is_kept() {
+    ensure_built();
+    let env = setup("cloexec");
+    let (twin, containers) = twin_and_containers(&env);
+    smoke_mode(&env, "cloexec", &containers[0], &twin);
+}
+
+/// `fcntl(F_DUPFD | F_DUPFD_CLOEXEC)` — and so `File::try_clone` — of a
+/// registered fd used to return an unregistered descriptor: reads through
+/// it saw EOF and writes vanished into the reserved fd.
+#[test]
+fn fcntl_dupfd_gives_a_descriptor_of_the_same_open() {
+    ensure_built();
+    let env = setup("fcntldup");
+    let (twin, containers) = twin_and_containers(&env);
+    for c in &containers {
+        smoke_mode(&env, "fcntl-dup", c, &twin);
+    }
+}
+
+/// The fork and dup contracts against a flat twin: a parent writes, forks,
+/// the child writes through the inherited fd and exits, the parent writes
+/// again — one stream; a cursor live at a fork survives the parent closing
+/// that fd and opening another file; `dup`'d fds share one cursor; and
+/// (in `mmap`) a map through a `dup`'d fd after the original's works.
+#[test]
+fn fork_and_dup_behave_as_on_a_flat_file() {
+    ensure_built();
+    let env = setup("fork");
+    let (twin, containers) = twin_and_containers(&env);
+    for c in &containers {
+        smoke_mode(&env, "fork", c, &twin);
+    }
+}
+
+/// A fork's child handler used to adopt every open at once, taking PLFS
+/// locks that another thread of the parent — a writer mid-`write` — may
+/// have held at the fork: a child that only meant to `exec` hung.
+#[test]
+fn a_child_that_only_execs_runs_no_plfs_code() {
+    ensure_built();
+    let env = setup("forkexec");
+    let (twin, containers) = twin_and_containers(&env);
+    smoke_mode(&env, "fork-exec", &containers[0], &twin);
+}
+
+/// `close_range` and `closefrom` used to bypass the shim: a container fd
+/// they freed stayed registered, and the template's number, taken by the
+/// next file, was duplicated as the next open's reserved fd.
+#[test]
+fn close_range_and_closefrom_close_containers_and_the_template() {
+    ensure_built();
+    let env = setup("closerange");
+    let (twin, containers) = twin_and_containers(&env);
+    smoke_mode(&env, "close-range", &containers[0], &twin);
+}
+
 /// `dup2` onto a registered fd used to drop its state under the table lock
 /// without closing it — a writer's droppings then closed through the
 /// interposed `close` and deadlocked on that lock; a reader's reference
@@ -567,4 +628,93 @@ fn a_reader_of_a_truncated_container_gets_old_bytes_or_eio() {
     dd_in(&env, &twin, &container, BLOCK, 0, BLOCKS / 2);
     dd_in(&env, &twin, &container, BLOCK, BLOCKS / 2, BLOCKS / 2);
     smoke_mode(&env, "truncate", &container, &twin);
+}
+
+/// The release builds of the preload, the smoke binary and `plfs-tools`.
+/// Counts are a release build's: a debug build's std checks every fd it
+/// closes with one more `fcntl`.
+fn release_bins() -> [PathBuf; 3] {
+    let status = Command::new(env!("CARGO"))
+        .args([
+            "build",
+            "--release",
+            "-p",
+            "ldplfs-preload",
+            "-p",
+            "plfs-tools",
+        ])
+        .status()
+        .expect("cargo build");
+    assert!(status.success(), "building the release binaries failed");
+    let release = target_dir().with_file_name("release");
+    ["libldplfs_preload.so", "preload-smoke", "plfs-tools"].map(|f| release.join(f))
+}
+
+/// Syscalls `preload-smoke ARGS` enters under the preload, counted by
+/// `plfs-tools syscalls`; `None` where this system refuses ptrace.
+fn syscalls_of(env: &Env, [lib, smoke, tools]: &[PathBuf; 3], args: &[&str]) -> Option<u64> {
+    let out = Command::new(tools)
+        .args(["syscalls", "--"])
+        .arg(smoke)
+        .args(args)
+        .env("LD_PRELOAD", lib)
+        .env("LDPLFS_MOUNT", &env.mount)
+        .env("LDPLFS_BACKEND", &env.backend)
+        .env("SMOKE_OUTSIDE", &env.outside)
+        .output()
+        .expect("spawn plfs-tools");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    if stderr.contains("ptrace refused") {
+        return None;
+    }
+    assert!(out.status.success(), "syscalls -- {args:?}: {stderr}");
+    let header = stderr
+        .lines()
+        .find(|l| l.starts_with("# "))
+        .expect("a histogram");
+    Some(header[2..].split(' ').next().unwrap().parse().unwrap())
+}
+
+/// The per-call syscall counts of DESIGN.md §13, from the tool: a smoke
+/// mode at N and at 2N calls, differenced. A container `write` is 1 (its
+/// `pwrite`), a cursor `read` resolving to one fragment is 1 (its `pread`),
+/// and the small-file cycle is at most 39.
+#[test]
+fn per_call_syscalls_are_pinned() {
+    let bins = release_bins();
+    let env = setup("syscalls");
+    let per_call = |args: &[&str], n: u64| -> Option<f64> {
+        let at = |k: u64| {
+            let k = k.to_string();
+            let mut args = args.to_vec();
+            args.insert(1, &k);
+            syscalls_of(&env, &bins, &args)
+        };
+        let (once, twice) = (at(n)?, at(2 * n)?);
+        Some((twice - once) as f64 / n as f64)
+    };
+    let Some(write) = per_call(&["calls-write"], 1000) else {
+        eprintln!("per_call_syscalls_are_pinned: skipped, this system refuses ptrace");
+        return;
+    };
+    // Allocator growth adds a few syscalls per doubling, not per call.
+    assert!(
+        (write - 1.0).abs() < 0.05,
+        "a container write: {write} syscalls"
+    );
+    let container = format!("{}/calls.r", env.mount.display());
+    let mut dd = Command::new("dd");
+    dd.args(["if=/dev/zero", "bs=4096", "count=2000", "status=none"])
+        .arg(format!("of={container}"));
+    ok(run_preloaded(&env, dd), "dd into the mount");
+    let read = per_call(&["calls-read", &container], 1000).unwrap();
+    assert!(
+        (read - 1.0).abs() < 0.05,
+        "a one-fragment read: {read} syscalls"
+    );
+    let cycle = per_call(&["calls-cycle"], 200).unwrap();
+    assert!(
+        cycle.round() <= 39.0,
+        "the small-file cycle: {cycle} syscalls"
+    );
 }

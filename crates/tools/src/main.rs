@@ -22,6 +22,7 @@
 //! plfs-tools pairs   RUNS.jsonl                 # parent vs change pairs: medians, wins, gain rule
 //! plfs-tools lint [ROOT] [--json|--sarif]       # workspace static analysis
 //! plfs-tools sarifcheck REPORT.sarif            # validate a SARIF report
+//! plfs-tools syscalls -- CMD [ARGS...]          # run CMD under ptrace; syscalls it entered, by name, on stderr
 //! ```
 
 use plfs::RealBacking;
@@ -41,7 +42,7 @@ fn run(args: &[String]) -> plfs_tools::ToolResult {
     let usage = || {
         plfs_tools::ToolError::Usage(
             "commands: stat|map|flatten|compact|check|repair|ls|du|rm|version|backend|rccheck|\
-             trace|benchcheck|benchgate|pairs|lint|sarifcheck (see --help)"
+             trace|benchcheck|benchgate|pairs|lint|sarifcheck|syscalls (see --help)"
                 .to_string(),
         )
     };
@@ -73,6 +74,17 @@ fn run(args: &[String]) -> plfs_tools::ToolResult {
         let (report, count) = plfs_tools::lint(root, format)?;
         print!("{report}");
         if count > 0 {
+            std::process::exit(1);
+        }
+        return Ok(String::new());
+    }
+    if cmd == "syscalls" {
+        let rest = &args[1..];
+        let command = rest.strip_prefix(&["--".to_string()]).unwrap_or(rest);
+        // The command owns stdout; the histogram goes to stderr.
+        let (report, ok) = plfs_tools::syscalls(command)?;
+        eprint!("{report}");
+        if !ok {
             std::process::exit(1);
         }
         return Ok(String::new());

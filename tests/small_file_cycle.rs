@@ -2,10 +2,13 @@
 //! Writer markers (`open.<pid>.<seq>`) and fast-stat drops
 //! (`meta.<eof>.<bytes>.<pid>.<seq>`) are names in the container directory;
 //! the writer that made the container keeps its two droppings there too,
-//! its index dropping's name doing both jobs. One `readdir` of the
-//! container is the only question the metadata path asks. Pins what the
-//! benchmark's `meta_storm` cycle costs the backing store per call, who
-//! gets which pair shape, and that maintenance accepts both.
+//! its index dropping's name doing both jobs — created at close under its
+//! closed name unless something needed it earlier, so an open creator is
+//! its data dropping alone or its index under the un-suffixed name. One
+//! `readdir` of the container is the only question the metadata path asks.
+//! Pins what the benchmark's `meta_storm` cycle costs the backing store per
+//! call, who gets which pair shape, and that maintenance accepts every
+//! spelling.
 
 use plfs::container::{self, ContainerParams, LayoutMode};
 use plfs::{
@@ -50,7 +53,7 @@ fn cost<T>(meter: &MeterBacking, f: impl FnOnce() -> T) -> (T, MeterSnapshot) {
 /// bounds (the inline small-file form may lower them); what no call may do
 /// is probe for something a listing or an error already told it.
 #[test]
-fn small_file_cycle_costs_at_most_17_backing_metadata_ops() {
+fn small_file_cycle_costs_at_most_16_backing_metadata_ops() {
     let meter = Arc::new(MeterBacking::new(Arc::new(MemBacking::new())));
     let plfs = Plfs::new(meter.clone() as Arc<dyn Backing>);
     // Twice over one path: the second cycle starts from the first's
@@ -78,11 +81,15 @@ fn small_file_cycle_costs_at_most_17_backing_metadata_ops() {
         // create: mkdir (its answer is the probe), the access file.
         assert_eq!((create.mkdir, create.create), (1, 1), "{create:?}");
         assert!(create.metadata_ops() <= 2, "create: {create:?}");
-        // first write: the data and index droppings, beside the access file.
-        assert_eq!(write.create, write.metadata_ops(), "{write:?}");
-        assert!(write.metadata_ops() <= 2, "first write: {write:?}");
-        // close: both droppings synced, the index renamed to its suffix.
-        assert_eq!((close.sync, close.rename), (2, 1), "{close:?}");
+        // first write: the data dropping, beside the access file.
+        assert_eq!((write.create, write.metadata_ops()), (1, 1), "{write:?}");
+        // close: the index created under its closed name, both droppings
+        // synced, nothing renamed.
+        assert_eq!(
+            (close.create, close.sync, close.rename),
+            (1, 2, 0),
+            "{close:?}"
+        );
         assert!(close.metadata_ops() <= 3, "close: {close:?}");
         // stat after a local close: one listing, writers and drops both.
         assert_eq!(stat.readdir, stat.metadata_ops(), "{stat:?}");
@@ -99,7 +106,7 @@ fn small_file_cycle_costs_at_most_17_backing_metadata_ops() {
         let probes: u64 = calls.iter().map(|c| c.stat + c.exists).sum();
         assert_eq!(probes, 0, "nothing is probed");
         let total: u64 = calls.iter().map(MeterSnapshot::metadata_ops).sum();
-        assert!(total <= 17, "cycle {cycle}: {total} metadata ops");
+        assert!(total <= 16, "cycle {cycle}: {total} metadata ops");
     }
 }
 
@@ -127,10 +134,12 @@ fn only_the_creators_first_writer_gets_the_toplevel_pair() {
             .unwrap();
     }
     assert_eq!(toplevel_pairs(b.as_ref(), "/f"), 1, "the first writer only");
+    // The creator's index waits for its close.
     assert_eq!(
         lifecycle_names(b.as_ref(), "/f"),
-        ["dropping.index.1.0", "open.2.0", "open.3.0", "open.4.0"]
+        ["open.2.0", "open.3.0", "open.4.0"]
     );
+    assert_eq!(container::open_writers(b.as_ref(), "/f").unwrap(), 4);
     for rank in [1u64, 3, 4] {
         plfs.close(&creator, rank).unwrap();
     }
@@ -176,9 +185,9 @@ fn only_the_creators_first_writer_gets_the_toplevel_pair() {
     assert_eq!(lifecycle_names(b.as_ref(), "/log"), ["meta.6.6.1.0"]);
 }
 
-/// A creator that died left its index dropping un-suffixed: to everyone
-/// else that is one writer still open — no fast stat, no compaction — and
-/// its flushed records still read.
+/// A creator that died after a sync left its index dropping un-suffixed:
+/// to everyone else that is one writer still open — no fast stat, no
+/// compaction — and its flushed records still read.
 #[test]
 fn a_killed_creators_unsuffixed_index_reads_as_one_open_writer() {
     let b = Arc::new(MemBacking::new());
@@ -203,6 +212,72 @@ fn a_killed_creators_unsuffixed_index_reads_as_one_open_writer() {
     let mut buf = [0u8; 48];
     assert_eq!(other.read(&rfd, &mut buf, 0).unwrap(), 48);
     assert_eq!(buf, [3u8; 48]);
+}
+
+/// A creator killed before anything needed its index left its data
+/// dropping alone: one writer still open, whose unflushed records died
+/// with it; `repair --clear-markers` gives it an empty closed index.
+#[test]
+fn a_killed_creators_data_dropping_alone_reads_as_one_open_writer() {
+    let b = Arc::new(MemBacking::new());
+    let plfs = Plfs::new(b.clone());
+    let fd = plfs.open("/f", CREATE_RW, 6).unwrap();
+    plfs.write(&fd, &[3u8; 48], 0, 6).unwrap();
+    std::mem::forget(fd);
+    assert_eq!(lifecycle_names(b.as_ref(), "/f"), [] as [&str; 0]);
+    assert_eq!(toplevel_pairs(b.as_ref(), "/f"), 1);
+
+    let other = Plfs::new(b.clone());
+    assert_eq!(container::open_writers(b.as_ref(), "/f").unwrap(), 1);
+    let st = other.getattr("/f").unwrap();
+    assert_eq!((st.size, st.physical_bytes), (0, 48), "slow path");
+    assert!(matches!(
+        other.compact("/f"),
+        Err(plfs::Error::InvalidArg(_))
+    ));
+    let report = plfs::check(b.as_ref(), "/f").unwrap();
+    assert_eq!(report.findings, [plfs::Finding::OpenWriters { count: 1 }]);
+    let rep = plfs::repair(b.as_ref(), "/f", true).unwrap();
+    assert_eq!(rep.markers_cleared, 1);
+    assert_eq!(
+        lifecycle_names(b.as_ref(), "/f"),
+        ["dropping.index.6.0.0.48", "meta.0.0.0.0"]
+    );
+    assert!(plfs::check(b.as_ref(), "/f").unwrap().is_clean());
+    let st = Plfs::new(b.clone()).getattr("/f").unwrap();
+    assert_eq!((st.size, st.physical_bytes), (0, 48), "fast path");
+}
+
+/// An `fsync` needs the creator's index before close: it is created under
+/// its open name, and close renames it — the path every creator took
+/// before the index waited for close.
+#[test]
+fn fsync_before_close_keeps_the_unsuffixed_then_rename_path() {
+    let meter = Arc::new(MeterBacking::new(Arc::new(MemBacking::new())));
+    let plfs = Plfs::new(meter.clone() as Arc<dyn Backing>);
+    let fd = plfs.open("/f", CREATE_RW, 3).unwrap();
+    plfs.write(&fd, &[1u8; 100], 0, 3).unwrap();
+    let ((), sync) = cost(&meter, || plfs.sync(&fd, 3).unwrap());
+    assert_eq!((sync.create, sync.sync, sync.rename), (1, 2, 0), "{sync:?}");
+    assert_eq!(
+        lifecycle_names(meter.as_ref(), "/f"),
+        ["dropping.index.3.0"]
+    );
+    plfs.write(&fd, &[2u8; 100], 100, 3).unwrap();
+    let (_, close) = cost(&meter, || plfs.close(&fd, 3).unwrap());
+    assert_eq!(
+        (close.create, close.sync, close.rename),
+        (0, 2, 1),
+        "{close:?}"
+    );
+    assert_eq!(
+        lifecycle_names(meter.as_ref(), "/f"),
+        ["dropping.index.3.0.200.200"]
+    );
+    let rfd = plfs.open("/f", OpenFlags::RDONLY, 3).unwrap();
+    let mut buf = [0u8; 200];
+    assert_eq!(plfs.read(&rfd, &mut buf, 0).unwrap(), 200);
+    assert!(buf[..100].iter().all(|&b| b == 1) && buf[100..].iter().all(|&b| b == 2));
 }
 
 /// The contract `benchmark/src/layers.rs::probe_reader` — frozen with the
@@ -334,9 +409,28 @@ fn hostdir_only_container_opens_stats_and_unlinks() {
     assert!(!b.exists("/pr21"));
 }
 
+/// How the creator of [`mixed_shape_container_with`] ended: each leaves
+/// its top-level pair in one of the three spellings.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Creator {
+    /// Closed: its index under the closed name.
+    Closed,
+    /// Killed after a sync: its index under the open name.
+    KilledAfterSync,
+    /// Killed before anything needed its index: its data dropping alone.
+    KilledBeforeIndex,
+}
+
 /// A container holding both shapes: the creator's top-level pair
 /// (`[0, 100)`) and two more ranks' hostdir pairs, all closed.
 fn mixed_shape_container() -> (Arc<MemBacking>, Plfs, Vec<u8>) {
+    mixed_shape_container_with(Creator::Closed)
+}
+
+/// [`mixed_shape_container`] with the creator ending as `creator` says;
+/// the model holds what the container reads, a dead creator's unwritten
+/// records read as a hole.
+fn mixed_shape_container_with(creator: Creator) -> (Arc<MemBacking>, Plfs, Vec<u8>) {
     let b = Arc::new(MemBacking::new());
     let plfs = Plfs::new(b.clone());
     let fd = plfs.open("/c", CREATE_RW, 0).unwrap();
@@ -349,65 +443,89 @@ fn mixed_shape_container() -> (Arc<MemBacking>, Plfs, Vec<u8>) {
             .unwrap();
         model.extend_from_slice(&[pid as u8 + 1; 100]);
     }
-    for pid in 0..3 {
+    for pid in 1..3 {
         plfs.close(&fd, pid).unwrap();
     }
-    assert_eq!(
-        lifecycle_names(b.as_ref(), "/c"),
-        [
-            "dropping.index.0.0.100.100",
-            "meta.200.100.1.0",
-            "meta.300.100.2.0"
-        ]
-    );
+    let creator_name = match creator {
+        Creator::Closed => {
+            plfs.close(&fd, 0).unwrap();
+            vec!["dropping.index.0.0.100.100"]
+        }
+        Creator::KilledAfterSync => {
+            plfs.sync(&fd, 0).unwrap();
+            std::mem::forget(fd);
+            vec!["dropping.index.0.0"]
+        }
+        Creator::KilledBeforeIndex => {
+            std::mem::forget(fd);
+            model[..100].fill(0);
+            vec![]
+        }
+    };
+    let mut names = creator_name;
+    names.extend(["meta.200.100.1.0", "meta.300.100.2.0"]);
+    assert_eq!(lifecycle_names(b.as_ref(), "/c"), names, "{creator:?}");
+    assert_eq!(toplevel_pairs(b.as_ref(), "/c"), 1);
     (b, plfs, model)
 }
 
 /// check, repair --clear-markers, compact and trunc(0) over a mixed-shape
-/// container keep the lifecycle names exact: no stray marker, never more
-/// drops than describe the droppings.
+/// container keep the lifecycle names exact whichever spelling its creator
+/// left: no stray marker, never more drops than describe the droppings.
 #[test]
 fn maintenance_leaves_no_stray_lifecycle_names() {
-    let (b, plfs, model) = mixed_shape_container();
-    assert_eq!(
-        plfs::flatten::flatten_to_vec(b.as_ref(), "/c").unwrap(),
-        model
-    );
+    use Creator::{Closed, KilledAfterSync, KilledBeforeIndex};
+    for creator in [Closed, KilledAfterSync, KilledBeforeIndex] {
+        let (b, _, model) = mixed_shape_container_with(creator);
+        let plfs = Plfs::new(b.clone());
+        assert_eq!(
+            plfs::flatten::flatten_to_vec(b.as_ref(), "/c").unwrap(),
+            model,
+            "{creator:?}"
+        );
 
-    // A writer that crashed left its marker behind.
-    container::mark_open(b.as_ref(), "/c", 77, 0).unwrap();
-    let report = plfs::check(b.as_ref(), "/c").unwrap();
-    assert_eq!(
-        report.findings,
-        [plfs::Finding::OpenWriters { count: 1 }],
-        "check reads, never writes"
-    );
-    assert_eq!(lifecycle_names(b.as_ref(), "/c").len(), 4);
-    let rep = plfs::repair(b.as_ref(), "/c", true).unwrap();
-    assert_eq!(rep.markers_cleared, 1);
-    // The creator's index keeps its records and its drop; the hostdir
-    // pairs' two drops fold into one.
-    assert_eq!(
-        lifecycle_names(b.as_ref(), "/c"),
-        ["dropping.index.0.0.100.100", "meta.300.200.0.0"]
-    );
-    assert!(plfs::check(b.as_ref(), "/c").unwrap().is_clean());
-    let st = Plfs::new(b.clone()).getattr("/c").unwrap();
-    assert_eq!((st.size, st.physical_bytes), (300, 300));
+        // A writer that crashed left its marker behind.
+        container::mark_open(b.as_ref(), "/c", 77, 0).unwrap();
+        let dead = usize::from(creator != Closed);
+        let report = plfs::check(b.as_ref(), "/c").unwrap();
+        assert_eq!(
+            report.findings,
+            [plfs::Finding::OpenWriters { count: 1 + dead }],
+            "check reads, never writes ({creator:?})"
+        );
+        let rep = plfs::repair(b.as_ref(), "/c", true).unwrap();
+        assert_eq!(rep.markers_cleared, 1 + dead, "{creator:?}");
+        // The creator's index keeps its records (a dead creator's unwritten
+        // ones are gone) and carries its drop; the hostdir pairs' two drops
+        // fold into one.
+        let creator_drop = match creator {
+            KilledBeforeIndex => "dropping.index.0.0.0.100",
+            _ => "dropping.index.0.0.100.100",
+        };
+        assert_eq!(
+            lifecycle_names(b.as_ref(), "/c"),
+            [creator_drop, "meta.300.200.0.0"],
+            "{creator:?}"
+        );
+        assert!(plfs::check(b.as_ref(), "/c").unwrap().is_clean());
+        let st = Plfs::new(b.clone()).getattr("/c").unwrap();
+        assert_eq!((st.size, st.physical_bytes), (300, 300), "{creator:?}");
 
-    let stats = plfs.compact("/c").unwrap();
-    assert_eq!((stats.droppings_before, stats.droppings_after), (3, 1));
-    assert_eq!(lifecycle_names(b.as_ref(), "/c"), ["meta.300.300.0.0"]);
-    assert_eq!(toplevel_pairs(b.as_ref(), "/c"), 0, "folded with the rest");
-    assert_eq!(plfs.getattr("/c").unwrap().size, 300);
-    assert_eq!(
-        plfs::flatten::flatten_to_vec(b.as_ref(), "/c").unwrap(),
-        model
-    );
+        let stats = plfs.compact("/c").unwrap();
+        assert_eq!((stats.droppings_before, stats.droppings_after), (3, 1));
+        assert_eq!(lifecycle_names(b.as_ref(), "/c"), ["meta.300.300.0.0"]);
+        assert_eq!(toplevel_pairs(b.as_ref(), "/c"), 0, "folded with the rest");
+        assert_eq!(plfs.getattr("/c").unwrap().size, 300);
+        assert_eq!(
+            plfs::flatten::flatten_to_vec(b.as_ref(), "/c").unwrap(),
+            model,
+            "{creator:?}"
+        );
 
-    plfs.trunc("/c", 0).unwrap();
-    assert_eq!(b.readdir("/c").unwrap(), [".plfsaccess"]);
-    assert_eq!(plfs.getattr("/c").unwrap().size, 0);
+        plfs.trunc("/c", 0).unwrap();
+        assert_eq!(b.readdir("/c").unwrap(), [".plfsaccess"]);
+        assert_eq!(plfs.getattr("/c").unwrap().size, 0);
+    }
 }
 
 /// Truncation over both shapes: `trunc(0)` removes the top-level pair
@@ -435,12 +553,12 @@ fn truncate_accepts_both_shapes() {
     let plfs = Plfs::new(b.clone());
     let fd = plfs.open("/f", CREATE_RW, 8).unwrap();
     plfs.write(&fd, &[1u8; 64], 0, 8).unwrap();
-    assert_eq!(lifecycle_names(b.as_ref(), "/f"), ["dropping.index.8.0"]);
+    assert_eq!(lifecycle_names(b.as_ref(), "/f"), [] as [&str; 0]);
     fd.reset_writers().unwrap();
     assert_eq!(
         lifecycle_names(b.as_ref(), "/f"),
         ["dropping.index.8.0.64.64"],
-        "closed by rename: the marker is also the index"
+        "synced under its open name, closed by rename"
     );
     plfs.trunc("/f", 0).unwrap();
     assert_eq!(b.readdir("/f").unwrap(), [".plfsaccess"]);
@@ -540,7 +658,8 @@ fn create_over_a_container_only_the_slow_tier_holds_keeps_it() {
 
 /// On a spread mount the lifecycle names — and with them the creator's
 /// top-level pair — live on backend 0, and a close costs it alone: the
-/// rename is routed like any other file op, not broadcast to every backend.
+/// index is created there under its closed name, not broadcast to every
+/// backend.
 #[test]
 fn close_on_a_spread_mount_touches_only_the_canonical_backend() {
     let meters: Vec<Arc<MeterBacking>> = (0..3)
@@ -560,11 +679,16 @@ fn close_on_a_spread_mount_touches_only_the_canonical_backend() {
         .zip(&before)
         .map(|(m, b)| m.snapshot().delta(b))
         .collect();
-    // One rename, after one stat that tells a file from a directory tree.
-    assert_eq!((cost[0].rename, cost[0].stat), (1, 1), "{:?}", cost[0]);
-    assert!(cost[1..].iter().all(|c| c.rename == 0), "{cost:?}");
+    // One create, no rename and so no stat telling a file from a tree.
+    assert_eq!(
+        (cost[0].create, cost[0].rename, cost[0].stat),
+        (1, 0, 0),
+        "{:?}",
+        cost[0]
+    );
+    assert!(cost[1..].iter().all(|c| c.metadata_ops() == 0), "{cost:?}");
     let total: u64 = cost.iter().map(MeterSnapshot::metadata_ops).sum();
-    assert!(total <= 4, "two syncs, the stat, the rename: {cost:?}");
+    assert!(total <= 3, "the create, two syncs: {cost:?}");
     assert_eq!(plfs.getattr("/f").unwrap().size, 512);
     assert_eq!(toplevel_pairs(meters[0].as_ref(), "/f"), 1);
     assert_eq!(
