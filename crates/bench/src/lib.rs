@@ -1860,13 +1860,13 @@ mod tests {
             assert!(secs > procs as f64, "storm must be superlinear: {w:?}");
         }
         assert!(r.cache_hits > 0 && r.cache_hit_rate() > 0.5);
-        // The small-file cycle: eight calls, 16 ops, and its storm cheaper
+        // The small-file cycle: eight calls, 15 ops, and its storm cheaper
         // per process than the four-rank checkpoint cycle's.
         let per_call: Vec<u64> = r.small_file.calls.iter().map(|c| c.ops).collect();
-        assert_eq!(per_call, [2, 1, 3, 1, 0, 4, 0, 5], "{:?}", r.small_file);
-        assert_eq!(r.small_file.total_ops(), 16);
+        assert_eq!(per_call, [2, 1, 3, 1, 0, 3, 0, 5], "{:?}", r.small_file);
+        assert_eq!(r.small_file.total_ops(), 15);
         for (small, ckpt) in r.small_file.storm.iter().zip(&r.storm) {
-            assert_eq!((small.procs, small.ops_per_open), (ckpt.procs, 16));
+            assert_eq!((small.procs, small.ops_per_open), (ckpt.procs, 15));
             assert!(small.secs < ckpt.secs, "{small:?} vs {ckpt:?}");
         }
         let txt = render_metadata(&r);

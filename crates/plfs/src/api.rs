@@ -320,8 +320,8 @@ impl Plfs {
     /// the one that is there (`O_TRUNC` then empties it), and install the
     /// verdict — the params come back from the create, with no re-read of
     /// the access file. A create costs `mkdir` + access file; on an
-    /// existing container `mkdir` (`EEXIST`) + the access file's `open` and
-    /// `size`. Only a failure pays for a probe, to report the precise
+    /// existing container `mkdir` (`EEXIST`) + the access file's `open`
+    /// (and one read). Only a failure pays for a probe, to report the precise
     /// errno for what is in the way.
     fn create_for_open(
         &self,
@@ -935,7 +935,7 @@ mod tests {
         );
 
         // The same reopen with the cache off (pre-fast-path behaviour):
-        // stat + marker exists + access-file open + size.
+        // stat + marker exists + access-file open (one read, no size).
         let (meter, p) = metered_plfs(Conf {
             meta_cache_entries: 0,
             ..Conf::default()
@@ -950,10 +950,10 @@ mod tests {
         assert_eq!(serial.stat, 1);
         assert_eq!(serial.exists, 1);
         assert_eq!(serial.open, 1);
-        assert_eq!(serial.size, 1);
+        assert_eq!(serial.size, 0);
         assert_eq!(
             serial.metadata_ops(),
-            4,
+            3,
             "serial reopen cost moved: {serial:?}"
         );
         assert!(
@@ -977,14 +977,14 @@ mod tests {
         assert_eq!((d.mkdir, d.create), (1, 1));
         assert_eq!(d.metadata_ops(), 2, "{d:?}");
         // O_CREAT over a container nothing is cached about: the mkdir's
-        // EEXIST, then the access file's open + size.
+        // EEXIST, then the access file's open (one read, no size).
         let (meter, other) = (meter.clone(), Plfs::new(meter as Arc<dyn Backing>));
         let before = meter.snapshot();
         let fd = other.open("/f", CREATE_RW, 2).unwrap();
         let d = meter.snapshot().delta(&before);
         other.close(&fd, 2).unwrap();
-        assert_eq!((d.mkdir, d.open, d.size), (1, 1, 1));
-        assert_eq!(d.metadata_ops(), 3, "{d:?}");
+        assert_eq!((d.mkdir, d.open, d.size), (1, 1, 0));
+        assert_eq!(d.metadata_ops(), 2, "{d:?}");
     }
 
     /// What is in the way of an `O_CREAT` decides the errno — and with

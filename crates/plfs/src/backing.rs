@@ -10,15 +10,16 @@
 //! separated, and absolute within the backend (they start with `/`).
 
 use crate::error::{Error, Result};
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock, RwLockWriteGuard};
 use std::collections::HashMap;
+use std::ffi::{CStr, CString};
 use std::fs;
 use std::io::Seek;
-use std::os::fd::AsRawFd;
-use std::os::raw::c_int;
+use std::os::fd::{AsRawFd, FromRawFd, IntoRawFd, OwnedFd, RawFd};
+use std::os::raw::{c_char, c_int, c_uint};
 use std::os::unix::fs::{FileExt, OpenOptionsExt};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI32, Ordering};
 
 /// Metadata returned by [`Backing::stat`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -129,16 +130,27 @@ pub fn join(dir: &str, name: &str) -> String {
 }
 
 // ---------------------------------------------------------------------------
-// RealBacking: std::fs implementation rooted at a host directory.
+// RealBacking: the OS file system, every path resolved from one held root.
 // ---------------------------------------------------------------------------
 
 /// Backing store over the real OS file system, rooted at a directory.
 ///
-/// Backend-relative paths are resolved strictly underneath `root`; `..`
-/// components are rejected so a container can never escape its backend.
+/// The root is opened once, at construction (`O_PATH | O_DIRECTORY`), and
+/// every op resolves its backend-relative path against that descriptor
+/// with an `*at` call: the kernel walks the few components under the root,
+/// never the root's own absolute path again. So the root is fixed when the
+/// backing is made — a relative one does not follow a later `chdir`, and a
+/// root renamed afterwards keeps being served. `..` components are rejected
+/// so a container can never escape its backend.
 pub struct RealBacking {
     root: PathBuf,
-    mtime_counter: AtomicU64,
+    /// The root's descriptor: an `O_PATH` fd, close-on-exec.
+    dir: AtomicI32,
+    /// Held shared by every op while it uses `dir`'s number, and
+    /// exclusively by [`RealBacking::renumber_root`] and
+    /// [`RealBacking::pause`]: no op ever resolves against a number the
+    /// backing has given up.
+    in_use: RwLock<()>,
 }
 
 impl RealBacking {
@@ -146,27 +158,118 @@ impl RealBacking {
     pub fn new(root: impl Into<PathBuf>) -> Result<Self> {
         let root = root.into();
         fs::create_dir_all(&root).map_err(Error::Io)?;
+        let dir = fs::OpenOptions::new()
+            .read(true)
+            .custom_flags(O_PATH | O_DIRECTORY)
+            .open(&root)
+            .map_err(Error::Io)?;
         Ok(RealBacking {
             root,
-            mtime_counter: AtomicU64::new(1),
+            dir: AtomicI32::new(dir.into_raw_fd()),
+            in_use: RwLock::new(()),
         })
     }
 
-    /// The host directory this backing is rooted at.
+    /// The host directory this backing was rooted at, as it was named.
     pub fn root(&self) -> &Path {
         &self.root
     }
 
-    fn resolve(&self, path: &str) -> Result<PathBuf> {
-        let mut out = self.root.clone();
-        for comp in path.split('/') {
-            match comp {
-                "" | "." => {}
-                ".." => return Err(Error::InvalidArg("path escapes backend root")),
-                c => out.push(c),
-            }
-        }
-        Ok(out)
+    /// The descriptor every op resolves its path against. It is the
+    /// backing's own: whoever else holds the number must neither close it
+    /// nor make it name another file (the `LD_PRELOAD` shim guards it
+    /// against the application, and moves it first with
+    /// [`RealBacking::renumber_root`]).
+    pub fn root_fd(&self) -> RawFd {
+        // relaxed: a number; `in_use` orders every op against a renumbering
+        self.dir.load(Ordering::Relaxed)
+    }
+
+    /// Give the root descriptor a new number — the lowest free one,
+    /// close-on-exec — once no op is using the old one. The old number is
+    /// still open and is the caller's from then on, to close or to have
+    /// `dup2` take over. Fails with `fcntl`'s error, keeping the old number.
+    pub fn renumber_root(&self) -> std::io::Result<RawFd> {
+        let _no_op = self.in_use.write();
+        let old = self.root_fd();
+        // SAFETY: F_DUPFD_CLOEXEC takes one int argument.
+        // plfs-lint: allow(lock-across-io, "intentional: the new number must be published before any op resolves against the root again; the guarded call is one fcntl")
+        let new = cvt(unsafe { fcntl(old, F_DUPFD_CLOEXEC, 0 as c_int) })?;
+        // relaxed: see root_fd
+        self.dir.store(new, Ordering::Relaxed);
+        Ok(old)
+    }
+
+    /// Hold off every op of this backing until the guard drops: across a
+    /// `fork`, so that neither side's copy of the lock the ops share is
+    /// caught held by an op in flight.
+    pub fn pause(&self) -> RwLockWriteGuard<'_, ()> {
+        self.in_use.write()
+    }
+
+    /// Run `f` on the root's descriptor and `path` relative to it (`.` for
+    /// the root itself); its error is annotated with `path`.
+    fn at<T>(&self, path: &str, f: impl FnOnce(c_int, &CStr) -> std::io::Result<T>) -> Result<T> {
+        let rel = relative(path)?;
+        let _in_use = self.in_use.read();
+        f(self.root_fd(), &rel).map_err(|e| annotate(e, path))
+    }
+
+    /// `openat` of `path` with `flags` (close-on-exec added).
+    fn open_at(&self, path: &str, flags: c_int) -> Result<fs::File> {
+        let fd = self.at(path, |root, rel| {
+            // SAFETY: `rel` is NUL-terminated and outlives the call.
+            cvt(unsafe { openat(root, rel.as_ptr(), flags | O_CLOEXEC, 0o666 as c_uint) })
+        })?;
+        // SAFETY: `fd` was just opened and is owned by nothing else.
+        Ok(unsafe { fs::File::from_raw_fd(fd) })
+    }
+
+    fn statx(&self, path: &str) -> Result<Statx> {
+        self.at(path, |root, rel| {
+            let mut st = std::mem::MaybeUninit::<Statx>::zeroed();
+            // SAFETY: `rel` is NUL-terminated; `st` is a writable `struct
+            // statx`, and all-zero is a valid one.
+            cvt(unsafe { statx(root, rel.as_ptr(), 0, STATX_WANTED, st.as_mut_ptr()) })?;
+            // SAFETY: zeroed, then filled by the kernel.
+            Ok(unsafe { st.assume_init() })
+        })
+    }
+
+    /// `unlinkat` of `path`: a file, or with `AT_REMOVEDIR` an empty
+    /// directory.
+    fn unlink_at(&self, path: &str, flags: c_int) -> Result<()> {
+        self.at(path, |root, rel| {
+            // SAFETY: `rel` is NUL-terminated and outlives the call.
+            cvt(unsafe { unlinkat(root, rel.as_ptr(), flags) }).map(drop)
+        })
+    }
+}
+
+impl Drop for RealBacking {
+    fn drop(&mut self) {
+        // SAFETY: the root descriptor is this backing's own, closed once.
+        drop(unsafe { OwnedFd::from_raw_fd(*self.dir.get_mut()) });
+    }
+}
+
+/// `path` relative to a backing's root, `.` for the root itself; `..`
+/// anywhere is refused.
+fn relative(path: &str) -> Result<CString> {
+    if path.split('/').any(|c| c == "..") {
+        return Err(Error::InvalidArg("path escapes backend root"));
+    }
+    let rel = path.trim_start_matches('/');
+    CString::new(if rel.is_empty() { "." } else { rel })
+        .map_err(|_| Error::InvalidArg("path holds a NUL byte"))
+}
+
+/// A `-1`-on-error syscall result as an [`std::io::Result`].
+fn cvt(ret: c_int) -> std::io::Result<c_int> {
+    if ret < 0 {
+        Err(std::io::Error::last_os_error())
+    } else {
+        Ok(ret)
     }
 }
 
@@ -190,11 +293,68 @@ struct IoVec {
 /// turning every `pwrite` on the handle into an append.
 const RWF_APPEND: c_int = 0x10;
 
+const O_RDONLY: c_int = 0;
+const O_WRONLY: c_int = 0o1;
+const O_RDWR: c_int = 0o2;
+const O_CREAT: c_int = 0o100;
+const O_EXCL: c_int = 0o200;
+const O_TRUNC: c_int = 0o1000;
 const O_DIRECTORY: c_int = 0o200000;
+const O_CLOEXEC: c_int = 0o2000000;
+const O_PATH: c_int = 0o10000000;
+const F_DUPFD_CLOEXEC: c_int = 1030;
+const AT_REMOVEDIR: c_int = 0x200;
+
+/// `struct statx_timestamp`.
+#[repr(C)]
+struct StatxTime {
+    sec: i64,
+    nsec: u32,
+    _reserved: i32,
+}
+
+/// `struct statx`: the same layout on every Linux architecture.
+#[repr(C)]
+struct Statx {
+    mask: u32,
+    blksize: u32,
+    attributes: u64,
+    nlink: u32,
+    uid: u32,
+    gid: u32,
+    mode: u16,
+    _spare0: u16,
+    ino: u64,
+    size: u64,
+    blocks: u64,
+    attributes_mask: u64,
+    atime: StatxTime,
+    btime: StatxTime,
+    ctime: StatxTime,
+    mtime: StatxTime,
+    _spare: [u64; 16],
+}
+
+/// `STATX_TYPE | STATX_MTIME | STATX_SIZE`: what [`BackStat`] needs.
+const STATX_WANTED: c_uint = 0x1 | 0x40 | 0x200;
+const S_IFMT: u16 = 0o170000;
+const S_IFDIR: u16 = 0o040000;
 
 extern "C" {
     fn pwritev2(fd: c_int, iov: *const IoVec, iovcnt: c_int, off: i64, flags: c_int) -> isize;
     fn getdents64(fd: c_int, buf: *mut u8, len: usize) -> isize;
+    fn openat(dirfd: c_int, path: *const c_char, flags: c_int, mode: c_uint) -> c_int;
+    fn mkdirat(dirfd: c_int, path: *const c_char, mode: c_uint) -> c_int;
+    fn unlinkat(dirfd: c_int, path: *const c_char, flags: c_int) -> c_int;
+    fn renameat(olddir: c_int, old: *const c_char, newdir: c_int, new: *const c_char) -> c_int;
+    fn statx(
+        dirfd: c_int,
+        path: *const c_char,
+        flags: c_int,
+        mask: c_uint,
+        out: *mut Statx,
+    ) -> c_int;
+    fn fcntl(fd: c_int, cmd: c_int, ...) -> c_int;
 }
 
 impl RealFile {
@@ -207,12 +367,23 @@ impl RealFile {
     }
 }
 
+/// Most bytes Linux moves in one `read`/`write` call (`MAX_RW_COUNT`).
+const MAX_RW_COUNT: usize = 0x7fff_f000;
+
 impl BackingFile for RealFile {
+    /// A dropping is a regular file, which reads short only at its end:
+    /// a read that returns less than it asked for is the last, so reading
+    /// to the end costs no extra call that returns 0. Only a buffer past
+    /// one call's cap takes more than one.
     fn pread(&self, buf: &mut [u8], off: u64) -> Result<usize> {
         let mut total = 0;
         while total < buf.len() {
-            match self.file.read_at(&mut buf[total..], off + total as u64) {
-                Ok(0) => break,
+            let want = (buf.len() - total).min(MAX_RW_COUNT);
+            match self
+                .file
+                .read_at(&mut buf[total..total + want], off + total as u64)
+            {
+                Ok(n) if n < want => return Ok(total + n),
                 Ok(n) => total += n,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(Error::Io(e)),
@@ -277,47 +448,44 @@ impl BackingFile for RealFile {
 
 impl Backing for RealBacking {
     fn create(&self, path: &str, excl: bool) -> Result<Box<dyn BackingFile>> {
-        let p = self.resolve(path)?;
-        let mut opts = fs::OpenOptions::new();
-        opts.read(true).write(true);
-        if excl {
-            opts.create_new(true);
-        } else {
-            opts.create(true).truncate(true);
-        }
-        let file = opts.open(&p).map_err(|e| annotate(e, path))?;
-        // relaxed: MemBacking mtime is a logical clock; the atomic add alone gives distinct, increasing stamps
-        self.mtime_counter.fetch_add(1, Ordering::Relaxed);
+        let how = if excl { O_EXCL } else { O_TRUNC };
+        let file = self.open_at(path, O_RDWR | O_CREAT | how)?;
         Ok(RealFile::boxed(file, true))
     }
 
     fn open(&self, path: &str, write: bool) -> Result<Box<dyn BackingFile>> {
-        let p = self.resolve(path)?;
-        let file = fs::OpenOptions::new()
-            .read(true)
-            .write(write)
-            .open(&p)
-            .map_err(|e| annotate(e, path))?;
+        let file = self.open_at(path, if write { O_RDWR } else { O_RDONLY })?;
         Ok(RealFile::boxed(file, write))
     }
 
     fn mkdir(&self, path: &str) -> Result<()> {
-        fs::create_dir(self.resolve(path)?).map_err(|e| annotate(e, path))
+        self.at(path, |root, rel| {
+            // SAFETY: `rel` is NUL-terminated and outlives the call.
+            cvt(unsafe { mkdirat(root, rel.as_ptr(), 0o777) }).map(drop)
+        })
     }
 
+    /// One `mkdirat` per component, top down; one that exists already is
+    /// passed, and the last must be a directory.
     fn mkdir_all(&self, path: &str) -> Result<()> {
-        fs::create_dir_all(self.resolve(path)?).map_err(|e| annotate(e, path))
+        let rel = path.trim_matches('/');
+        let ends = rel.match_indices('/').map(|(i, _)| i).chain([rel.len()]);
+        for end in ends.filter(|&end| end > 0) {
+            match self.mkdir(&rel[..end]) {
+                Ok(()) => {}
+                Err(Error::Exists(_)) if end < rel.len() => {}
+                Err(Error::Exists(_)) if self.stat(path)?.is_dir => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(())
     }
 
     /// One `O_DIRECTORY` open and `getdents64` into a fixed buffer until it
     /// returns 0: no `fstat` and no 32 KiB `DIR` stream, which is what
     /// `opendir` costs.
     fn readdir(&self, path: &str) -> Result<Vec<String>> {
-        let dir = fs::OpenOptions::new()
-            .read(true)
-            .custom_flags(O_DIRECTORY)
-            .open(self.resolve(path)?)
-            .map_err(|e| annotate(e, path))?;
+        let dir = self.open_at(path, O_RDONLY | O_DIRECTORY)?;
         let mut buf = [0u8; 8192];
         let mut names = Vec::new();
         loop {
@@ -352,38 +520,39 @@ impl Backing for RealBacking {
     }
 
     fn unlink(&self, path: &str) -> Result<()> {
-        fs::remove_file(self.resolve(path)?).map_err(|e| annotate(e, path))
+        self.unlink_at(path, 0)
     }
 
     fn rmdir(&self, path: &str) -> Result<()> {
-        fs::remove_dir(self.resolve(path)?).map_err(|e| annotate(e, path))
+        self.unlink_at(path, AT_REMOVEDIR)
     }
 
     fn rename(&self, from: &str, to: &str) -> Result<()> {
-        fs::rename(self.resolve(from)?, self.resolve(to)?).map_err(|e| annotate(e, from))
+        let to = relative(to)?;
+        self.at(from, |root, from| {
+            // SAFETY: both paths are NUL-terminated and outlive the call.
+            cvt(unsafe { renameat(root, from.as_ptr(), root, to.as_ptr()) }).map(drop)
+        })
     }
 
     fn stat(&self, path: &str) -> Result<BackStat> {
-        let md = fs::metadata(self.resolve(path)?).map_err(|e| annotate(e, path))?;
-        let mtime = md
-            .modified()
-            .ok()
-            .and_then(|t| t.duration_since(std::time::UNIX_EPOCH).ok())
-            .map(|d| d.as_nanos() as u64)
-            .unwrap_or(0);
+        let st = self.statx(path)?;
+        // Nanoseconds since the epoch; 0 before it, saturating far past it.
+        let mtime = u64::try_from(st.mtime.sec).map_or(0, |s| {
+            s.saturating_mul(1_000_000_000)
+                .saturating_add(st.mtime.nsec.into())
+        });
         Ok(BackStat {
-            size: md.len(),
-            is_dir: md.is_dir(),
+            size: st.size,
+            is_dir: st.mode & S_IFMT == S_IFDIR,
             mtime,
         })
     }
 
     fn truncate(&self, path: &str, len: u64) -> Result<()> {
-        let f = fs::OpenOptions::new()
-            .write(true)
-            .open(self.resolve(path)?)
-            .map_err(|e| annotate(e, path))?;
-        f.set_len(len).map_err(Error::Io)
+        self.open_at(path, O_WRONLY)?
+            .set_len(len)
+            .map_err(Error::Io)
     }
 }
 

@@ -46,6 +46,7 @@
 use crate::backing::{join, remove_tree, Backing, BackingFile};
 use crate::error::{Error, Result};
 use crate::index::{observe_timestamp, GlobalIndex, IndexBuilder, IndexEntry, RECORD_SIZE};
+use std::cell::Cell;
 use std::time::{Duration, Instant};
 
 /// Name of the marker file that identifies a container.
@@ -318,23 +319,23 @@ fn nascent(b: &dyn Backing, path: &str) -> bool {
 
 /// Largest access file [`read_params`] reads; what [`encode_params`]
 /// writes is a few dozen bytes.
-const ACCESS_FILE_MAX: u64 = 4096;
+const ACCESS_FILE_MAX: usize = 4096;
 
-/// Read back the parameters a container was created with. An access file
-/// longer than [`ACCESS_FILE_MAX`] is corrupt and is not read at all.
+/// Read back the parameters a container was created with: one `pread` of
+/// up to one byte past [`ACCESS_FILE_MAX`], so no `size` first. An access
+/// file longer than that is corrupt.
 pub fn read_params(b: &dyn Backing, path: &str) -> Result<ContainerParams> {
     let f = b
         .open(&join(path, ACCESS_FILE), false)
         .map_err(|_| Error::NotContainer(path.to_string()))?;
-    let size = f.size()?;
-    if size > ACCESS_FILE_MAX {
+    let mut buf = [0u8; ACCESS_FILE_MAX + 1];
+    let n = f.pread(&mut buf, 0)?;
+    if n > ACCESS_FILE_MAX {
         return Err(Error::Corrupt(format!(
-            "access file of {path} is {size} bytes, over {ACCESS_FILE_MAX}"
+            "access file of {path} is over {ACCESS_FILE_MAX} bytes"
         )));
     }
-    let mut buf = vec![0u8; size as usize];
-    f.pread(&mut buf, 0)?;
-    decode_params(&buf)
+    decode_params(&buf[..n])
 }
 
 /// Ensure the hostdir a pid writes into exists.
@@ -458,19 +459,53 @@ pub fn list_droppings(b: &dyn Backing, container: &str) -> Result<Vec<DroppingRe
 /// holds of any dropping's bytes at once.
 const WINDOW_RECORDS: usize = 1344;
 
+/// Bytes of one window.
+const WINDOW_BYTES: usize = WINDOW_RECORDS * RECORD_SIZE;
+
+thread_local! {
+    /// The window this thread reads index droppings through. Kept, so it
+    /// is zeroed once per thread: a dropping's first read asks for a whole
+    /// window, and zeroing 64 KiB per read-open cost more than the `size`
+    /// it saves.
+    static WINDOW: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
+}
+
+/// `f` with this thread's window, one window long.
+fn with_window<T>(f: impl FnOnce(&mut [u8]) -> T) -> T {
+    let mut window = WINDOW.take();
+    if window.is_empty() {
+        // Zeroed by the allocator: pages fresh from the system stay
+        // untouched until a read fills them.
+        window = vec![0u8; WINDOW_BYTES];
+    }
+    let out = f(&mut window);
+    WINDOW.set(window);
+    out
+}
+
 /// An index dropping open for reading, a window of whole records at a time.
 struct IndexFile<'p> {
     path: &'p str,
     f: Box<dyn BackingFile>,
     size: u64,
+    /// Bytes of the dropping read into the window so far.
     read: u64,
+    /// Bytes of the window [`IndexFile::open`] filled, not yet handed out.
+    first: usize,
 }
 
 impl<'p> IndexFile<'p> {
-    fn open(b: &dyn Backing, path: &'p str) -> Result<IndexFile<'p>> {
+    /// Open the dropping and read its first window. A short one is the
+    /// whole dropping; only one that comes back full costs a `size`.
+    fn open(b: &dyn Backing, path: &'p str, window: &mut [u8]) -> Result<IndexFile<'p>> {
         let f = b.open(path, false)?;
-        let size = f.size()?;
-        if !size.is_multiple_of(RECORD_SIZE as u64) {
+        let first = f.pread(window, 0)?;
+        let size = if first < window.len() {
+            first as u64
+        } else {
+            f.size()?
+        };
+        if !size.is_multiple_of(RECORD_SIZE as u64) || size < first as u64 {
             return Err(Error::Corrupt(format!(
                 "index dropping {path} length {size} not a record multiple"
             )));
@@ -479,7 +514,8 @@ impl<'p> IndexFile<'p> {
             path,
             f,
             size,
-            read: 0,
+            read: first as u64,
+            first,
         })
     }
 
@@ -488,15 +524,15 @@ impl<'p> IndexFile<'p> {
         (self.size / RECORD_SIZE as u64) as usize
     }
 
-    /// The next window's records, read into `window` (grown to at most one
-    /// window); `None` past the last.
-    fn next<'w>(&mut self, window: &'w mut Vec<u8>) -> Result<Option<&'w [u8]>> {
-        let n = (self.size - self.read).min((WINDOW_RECORDS * RECORD_SIZE) as u64) as usize;
+    /// The next window's records, read into `window`; `None` past the last.
+    fn next<'w>(&mut self, window: &'w mut [u8]) -> Result<Option<&'w [u8]>> {
+        if self.first > 0 {
+            let n = std::mem::take(&mut self.first);
+            return Ok(Some(&window[..n]));
+        }
+        let n = (self.size - self.read).min(window.len() as u64) as usize;
         if n == 0 {
             return Ok(None);
-        }
-        if window.len() < n {
-            window.resize(n, 0);
         }
         let bytes = &mut window[..n];
         if self.f.pread(bytes, self.read)? != n {
@@ -511,21 +547,22 @@ impl<'p> IndexFile<'p> {
 /// entries numbered by the dropping's position in the slice (writers store
 /// a local id).
 pub fn read_index_runs(b: &dyn Backing, droppings: &[DroppingRef]) -> Result<Vec<Vec<IndexEntry>>> {
-    let mut runs = Vec::new();
-    let mut window = Vec::new();
-    for (id, d) in droppings.iter().enumerate() {
-        let Some(ip) = &d.index_path else { continue };
-        let mut file = IndexFile::open(b, ip)?;
-        let mut run = Vec::new();
-        while let Some(bytes) = file.next(&mut window)? {
-            run.append(&mut IndexEntry::decode_all(bytes)?);
+    with_window(|window| {
+        let mut runs = Vec::new();
+        for (id, d) in droppings.iter().enumerate() {
+            let Some(ip) = &d.index_path else { continue };
+            let mut file = IndexFile::open(b, ip, window)?;
+            let mut run = Vec::new();
+            while let Some(bytes) = file.next(window)? {
+                run.append(&mut IndexEntry::decode_all(bytes)?);
+            }
+            for e in &mut run {
+                e.dropping_id = id as u32;
+            }
+            runs.push(run);
         }
-        for e in &mut run {
-            e.dropping_id = id as u32;
-        }
-        runs.push(run);
-    }
-    Ok(runs)
+        Ok(runs)
+    })
 }
 
 /// How often [`build_global_index`] lists again when an index dropping it
@@ -551,17 +588,18 @@ pub fn build_global_index(
     let mut attempt = 1;
     let (index, droppings) = loop {
         let droppings = list_droppings(b, container)?;
-        let mut window = Vec::new();
-        let built = IndexBuilder::build(|builder| {
-            for (id, d) in (0u32..).zip(&droppings) {
-                let Some(ip) = &d.index_path else { continue };
-                let mut file = IndexFile::open(b, ip)?;
-                builder.reserve(file.records());
-                while let Some(bytes) = file.next(&mut window)? {
-                    builder.decode(bytes, id)?;
+        let built = with_window(|window| {
+            IndexBuilder::build(|builder| {
+                for (id, d) in (0u32..).zip(&droppings) {
+                    let Some(ip) = &d.index_path else { continue };
+                    let mut file = IndexFile::open(b, ip, window)?;
+                    builder.reserve(file.records());
+                    while let Some(bytes) = file.next(window)? {
+                        builder.decode(bytes, id)?;
+                    }
                 }
-            }
-            Ok(())
+                Ok(())
+            })
         });
         match built {
             Ok(index) => break (index, droppings),

@@ -8,7 +8,8 @@
 //! existing container against its flat twin outside the mount (same
 //! bytes): `fstat`, `movers`, `mmap`, `stdio`, `dup`, `dup2-writer`,
 //! `dup2-self`, `close-error`, `truncate`, `cloexec`, `fcntl-dup`, `fork`,
-//! `fork-exec`, `close-range` — see each `check_*`. `preload-smoke
+//! `fork-exec`, `close-range`, `chdir`, `backing-root` — see each
+//! `check_*`. `preload-smoke
 //! calls-KIND N [CONTAINER]` makes N calls of one kind and nothing else
 //! that grows with N, for a syscall
 //! counter to difference two runs of (`plfs-tools syscalls`): `write` (N
@@ -116,6 +117,11 @@ fn mount_dir() -> String {
 
 fn outside_dir() -> String {
     std::env::var("SMOKE_OUTSIDE").expect("SMOKE_OUTSIDE not set")
+}
+
+/// The backend directory, as the shim was given it.
+fn backend_dir() -> String {
+    std::env::var("LDPLFS_BACKEND").expect("LDPLFS_BACKEND not set")
 }
 
 /// `fstat`, `statx(AT_EMPTY_PATH)` (what `File::metadata` issues) and
@@ -419,7 +425,7 @@ fn check_dup2_self(container: &str, twin: &[u8]) {
 /// releases the descriptor.
 fn check_close_error() {
     const SEEK_END: c_int = 2;
-    let backend = std::env::var("LDPLFS_BACKEND").expect("LDPLFS_BACKEND not set");
+    let backend = backend_dir();
     let f = fs::File::create(format!("{}/doomed.dat", mount_dir())).expect("create in mount");
     f.write_all_at(b"never indexed", 0).expect("write in mount");
     fs::remove_dir_all(format!("{backend}/doomed.dat")).expect("remove the backend tree");
@@ -799,6 +805,101 @@ fn check_close_range(container: &str, twin: &[u8]) {
     }
 }
 
+/// Write `bytes` to a new container `name` in the mount, read it back
+/// through the shim, and check that the backend holds it: the creator's
+/// data dropping is the bytes written.
+fn container_round_trip(name: &str, bytes: &[u8]) {
+    let path = format!("{}/{name}", mount_dir());
+    fs::write(&path, bytes).unwrap_or_else(|e| panic!("write {name}: {e}"));
+    let back = fs::read(&path).unwrap_or_else(|e| panic!("read {name}: {e}"));
+    assert!(back == bytes, "{name}: read back differs");
+    let dir = format!("{}/{name}", backend_dir());
+    let data: Vec<_> = fs::read_dir(&dir)
+        .unwrap_or_else(|e| panic!("{dir}: {e}"))
+        .map(|e| e.expect("entry").path())
+        .filter(|p| {
+            p.file_name()
+                .unwrap()
+                .to_string_lossy()
+                .starts_with("dropping.data.")
+        })
+        .collect();
+    assert_eq!(data.len(), 1, "{dir}: {data:?}");
+    assert!(
+        fs::read(&data[0]).expect("the dropping") == bytes,
+        "{dir}: the dropping differs"
+    );
+}
+
+/// A relative `LDPLFS_BACKEND` is fixed at the shim's first call: after a
+/// `chdir` the container written before still reads back, and one written
+/// after lands beside it, not under the new working directory.
+fn check_chdir(container: &str, twin: &[u8]) {
+    fs::write(container, &twin[..20_000]).expect("write before the chdir");
+    std::env::set_current_dir(outside_dir()).expect("chdir");
+    let back = fs::read(container).expect("read back after the chdir");
+    assert!(back == twin[..20_000], "the container written before");
+    let after = format!("{container}.after");
+    fs::write(&after, &twin[20_000..50_000]).expect("write after the chdir");
+    assert!(fs::read(&after).expect("read back") == twin[20_000..50_000]);
+}
+
+/// The descriptor of the backend directory the shim holds, found by its
+/// name in `/proc/self/fd`.
+fn backing_root() -> c_int {
+    let backend = fs::canonicalize(backend_dir()).expect("the backend");
+    let fds = fs::read_dir("/proc/self/fd").expect("/proc/self/fd");
+    let mut roots: Vec<c_int> = fds
+        .map(|e| e.expect("entry").file_name())
+        .filter(|fd| {
+            fs::read_link(format!("/proc/self/fd/{}", fd.to_string_lossy()))
+                .is_ok_and(|t| t == backend)
+        })
+        .map(|fd| fd.to_string_lossy().parse().expect("a number"))
+        .collect();
+    assert_eq!(roots.len(), 1, "descriptors of {backend:?}: {roots:?}");
+    roots.pop().unwrap()
+}
+
+/// The backing root descriptor is the shim's own: `closefrom`,
+/// `close_range` and `close` leave it open, and `dup2` onto its number
+/// moves it first. After each, a container is created, written, closed and
+/// read back, and checked against the backend byte for byte.
+fn check_backing_root(twin: &[u8]) {
+    let bytes = |i: usize| &twin[i * 10_000..(i + 5) * 10_000];
+    container_round_trip("root.first", bytes(0));
+    let root = backing_root();
+    unsafe { closefrom(3) };
+    assert_eq!(backing_root(), root, "closefrom closed around the root");
+    container_round_trip("root.closefrom", bytes(1));
+    assert_eq!(unsafe { close_range(3, u32::MAX, 0) }, 0);
+    assert_eq!(backing_root(), root, "close_range closed around the root");
+    container_round_trip("root.close_range", bytes(2));
+    assert_eq!(
+        (unsafe { close(root) }, errno()),
+        (-1, EBADF),
+        "close of the root"
+    );
+    assert_eq!(backing_root(), root, "the root stays open");
+    container_round_trip("root.close", bytes(3));
+    let mut p = [0 as c_int; 2];
+    assert_eq!(unsafe { pipe(&mut p) }, 0);
+    assert_eq!(
+        unsafe { dup2(p[0], root) },
+        root,
+        "dup2 onto the root's number"
+    );
+    assert_ne!(backing_root(), root, "the root moved");
+    assert_eq!(unsafe { write(p[1], b"x".as_ptr() as *const c_void, 1) }, 1);
+    let mut b = [0u8; 1];
+    let n = unsafe { read(root, b.as_mut_ptr() as *mut c_void, 1) };
+    assert_eq!((n, b[0]), (1, b'x'), "the pipe at the root's old number");
+    container_round_trip("root.dup2", bytes(4));
+    for fd in [p[0], p[1], root] {
+        assert_eq!(unsafe { close(fd) }, 0);
+    }
+}
+
 /// N 4 KiB writes to a new file in the mount.
 fn calls_write(n: usize) {
     let path = std::ffi::CString::new(format!("{}/calls.w", mount_dir())).expect("path");
@@ -919,6 +1020,8 @@ fn main() {
             "fork" => check_fork(container, twin_path, &twin),
             "fork-exec" => check_fork_exec(&twin),
             "close-range" => check_close_range(container, &twin),
+            "chdir" => check_chdir(container, &twin),
+            "backing-root" => check_backing_root(&twin),
             other => panic!("unknown mode {other}"),
         }
         println!("preload smoke {mode} OK");

@@ -47,6 +47,13 @@
 //! * The pid PLFS writes under is read once, and forgotten in the child of
 //!   a `fork`.
 //!
+//! Each backend directory is opened once, at the first call, and every
+//! PLFS op resolves its path against that descriptor (so a relative
+//! `LDPLFS_BACKEND` is fixed then). The shim guards those descriptors from
+//! the application as it guards the template: `close` of one is `EBADF`,
+//! `close_range`/`closefrom` close around them, and `dup2`/`dup3` onto one
+//! move it to a new number first (DESIGN.md §11).
+//!
 //! `fork` (`pthread_atfork`): the parent first writes every writer's
 //! buffered index records, so the child reads every byte written before
 //! the fork. The child's handler waits on no lock — it forgets the pid,
@@ -88,7 +95,7 @@
 
 #![allow(clippy::missing_safety_doc)]
 
-use parking_lot::{Mutex, MutexGuard, RwLock};
+use parking_lot::{Mutex, MutexGuard, RwLock, RwLockWriteGuard};
 use plfs::{OpenFlags, Plfs, PlfsFd, RealBacking};
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
@@ -331,6 +338,11 @@ type Table = HashMap<c_int, Arc<OpenState>>;
 struct Shim {
     mount: String,
     plfs: Plfs,
+    /// The real backings under the mount. Each holds its root directory's
+    /// descriptor, which every PLFS op resolves its path against: the
+    /// shim's own, like the template, guarded from the application
+    /// ([`root_at`]).
+    roots: Vec<Arc<RealBacking>>,
     /// The fd table, behind a pointer so that a fork's child can move it to
     /// a lock of its own ([`renew_table`]); a table left behind is leaked.
     table: AtomicPtr<RwLock<Table>>,
@@ -445,7 +457,8 @@ fn init_shim() -> Option<Shim> {
     if mount.is_empty() {
         return None;
     }
-    let primary: Arc<dyn plfs::Backing> = Arc::new(RealBacking::new(backend).ok()?);
+    let primary = Arc::new(RealBacking::new(backend).ok()?);
+    let mut roots = vec![Arc::clone(&primary)];
     let env: Vec<(String, String)> = std::env::vars_os()
         .filter_map(|(k, v)| Some((k.into_string().ok()?, v.into_string().ok()?)))
         .filter(|(k, _)| k.starts_with("LDPLFS_"))
@@ -459,7 +472,11 @@ fn init_shim() -> Option<Shim> {
     let fast = std::env::var(ENV_FAST_BACKEND)
         .ok()
         .and_then(|d| RealBacking::new(d).ok())
-        .map(|f| Arc::new(f) as Arc<dyn plfs::Backing>);
+        .map(|f| {
+            let f = Arc::new(f);
+            roots.push(Arc::clone(&f));
+            f as Arc<dyn plfs::Backing>
+        });
     if conf.backend == plfs::BackendKind::Tiered && fast.is_none() {
         // Degrade rather than refuse to start, but say so.
         warn(&format!(
@@ -491,6 +508,7 @@ fn init_shim() -> Option<Shim> {
     Some(Shim {
         mount,
         plfs,
+        roots,
         table: AtomicPtr::new(Box::leak(Box::new(RwLock::new(HashMap::new())))),
     })
 }
@@ -685,18 +703,26 @@ fn pid() -> u64 {
     }
 }
 
+/// What the forking thread holds across a `fork`.
+type HeldAtFork = (
+    MutexGuard<'static, ()>,
+    MutexGuard<'static, Slots>,
+    Vec<RwLockWriteGuard<'static, ()>>,
+);
+
 thread_local! {
-    /// [`TABLE_MUTATION`] and [`SLOTS`], held by the forking thread from
+    /// [`TABLE_MUTATION`], [`SLOTS`] and every backing root's
+    /// [`RealBacking::pause`], held by the forking thread from
     /// `pthread_atfork`'s prepare handler to its parent or child handler:
     /// neither side's copy of the fd table or the slot allocator can be
-    /// caught half changed.
-    static HELD_AT_FORK: RefCell<Option<(MutexGuard<'static, ()>, MutexGuard<'static, Slots>)>> =
-        const { RefCell::new(None) };
+    /// caught half changed, nor a root's lock caught held by an op in
+    /// flight.
+    static HELD_AT_FORK: RefCell<Option<HeldAtFork>> = const { RefCell::new(None) };
 }
 
 /// `pthread_atfork` prepare: write the buffered index records of every
 /// writer this process owns (the child drops its copies of them), then
-/// hold [`HELD_AT_FORK`]'s two locks across the fork.
+/// hold [`HELD_AT_FORK`]'s locks across the fork.
 // plfs-lint: allow(ffi-barrier, "pthread_atfork handler returns (); has its own catch_unwind, errno is meaningless here")
 extern "C" fn before_fork() {
     let _ = std::panic::catch_unwind(|| {
@@ -711,8 +737,12 @@ extern "C" fn before_fork() {
                 let _ = st.plfs_fd.flush_index();
             }
         }
-        let held = (TABLE_MUTATION.lock(), SLOTS.lock());
-        HELD_AT_FORK.with(|h| *h.borrow_mut() = Some(held));
+        let (one, slots) = (TABLE_MUTATION.lock(), SLOTS.lock());
+        let roots = match SHIM.get() {
+            Some(Some(sh)) => sh.roots.iter().map(|r| r.pause()).collect(),
+            _ => Vec::new(),
+        };
+        HELD_AT_FORK.with(|h| *h.borrow_mut() = Some((one, slots, roots)));
     });
 }
 
@@ -720,7 +750,7 @@ extern "C" fn before_fork() {
 /// allocator's epoch: slots live at the fork are never reused.
 fn release_at_fork(child: bool) {
     HELD_AT_FORK.with(|h| {
-        if let Some((_one, mut slots)) = h.borrow_mut().take() {
+        if let Some((_one, mut slots, _roots)) = h.borrow_mut().take() {
             slots.epoch += 1;
             if child {
                 slots.page = 0;
@@ -1474,6 +1504,11 @@ unsafe fn do_close(fd: c_int) -> c_int {
     let Some(sh) = shim() else {
         return real_close(fd);
     };
+    if root_at(sh, fd).is_some() {
+        // Not the application's to close: as if it never was open.
+        set_errno(EBADF);
+        return -1;
+    }
     forget_template(fd);
     let state = sh.mutate(|t| t.remove(&fd));
     // Both halves are released whatever the other does; the first error is
@@ -1549,13 +1584,45 @@ unsafe fn do_close_range(first: c_uint, last: c_uint, flags: c_int) -> c_int {
     }
     let fd_of = |n: c_uint| n.min(c_int::MAX as c_uint) as c_int;
     let failed = release_range(fd_of(first), fd_of(last));
-    let ret = real_close_range(first, last, flags);
+    let ret = close_around_roots(first, last, |lo, hi| real_close_range(lo, hi, flags));
     match failed {
         Some(e) if ret == 0 => {
             set_errno(e);
             -1
         }
         _ => ret,
+    }
+}
+
+/// `close` each run of `first..=last` that holds no backing root, in
+/// order, stopping at the first that fails: its return, with its errno.
+fn close_around_roots(
+    first: c_uint,
+    last: c_uint,
+    mut close: impl FnMut(c_uint, c_uint) -> c_int,
+) -> c_int {
+    let mut roots: Vec<c_uint> = shim()
+        .into_iter()
+        .flat_map(|sh| &sh.roots)
+        .map(|r| r.root_fd() as c_uint)
+        .filter(|r| (first..=last).contains(r))
+        .collect();
+    roots.sort_unstable();
+    let mut from = first;
+    for root in roots {
+        if from < root {
+            let ret = close(from, root - 1);
+            if ret != 0 {
+                return ret;
+            }
+        }
+        // A root is a file descriptor, so at most `c_int::MAX`.
+        from = root + 1;
+    }
+    if from <= last {
+        close(from, last)
+    } else {
+        0
     }
 }
 
@@ -1573,8 +1640,17 @@ pub unsafe extern "C" fn close_range(first: c_uint, last: c_uint, flags: c_int) 
 // plfs-lint: allow(errno-discipline, "closefrom(3) returns nothing and reports no failure")
 unsafe fn do_closefrom(lowfd: c_int) {
     let real_closefrom = real!(closefrom, CloseFromFn);
-    let _ = release_range(lowfd.max(0), c_int::MAX);
-    real_closefrom(lowfd)
+    let real_close_range = real!(close_range, CloseRangeFn);
+    let lowfd = lowfd.max(0);
+    let _ = release_range(lowfd, c_int::MAX);
+    let _ = close_around_roots(lowfd as c_uint, c_uint::MAX, |lo, hi| {
+        if hi == c_uint::MAX {
+            real_closefrom(lo as c_int);
+            0
+        } else {
+            real_close_range(lo, hi, 0)
+        }
+    });
 }
 
 /// `closefrom(3)`: every registered fd from `lowfd` up is closed as
@@ -1658,9 +1734,41 @@ unsafe fn dup_bookkeeping(oldfd: c_int, newfd: c_int) {
 
 unsafe fn do_dup2(oldfd: c_int, newfd: c_int) -> c_int {
     let real_dup2 = real!(dup2, Dup2Fn);
-    let ret = real_dup2(oldfd, newfd);
+    dup_onto(oldfd, newfd, || real_dup2(oldfd, newfd))
+}
+
+/// The backing whose root descriptor is `fd`, if any.
+fn root_at(sh: &Shim, fd: c_int) -> Option<&RealBacking> {
+    sh.roots
+        .iter()
+        .map(|r| r.as_ref())
+        .find(|r| r.root_fd() == fd)
+}
+
+/// `dup2`/`dup3` of `oldfd` onto `newfd` by `dup`, and its bookkeeping. A
+/// backing root at `newfd` is first moved to a new number, once no PLFS op
+/// is using it ([`RealBacking::renumber_root`]): the call then takes over
+/// a number no op resolves against any more. The move is made inside
+/// PLFS, so its `fcntl` is not taken for the application's.
+unsafe fn dup_onto(oldfd: c_int, newfd: c_int, dup: impl FnOnce() -> c_int) -> c_int {
+    let moved = match shim().and_then(|sh| root_at(sh, newfd)) {
+        Some(root) if oldfd != newfd => match inside_plfs(|| root.renumber_root()) {
+            Ok(old) => Some(old),
+            Err(e) => {
+                set_errno(e.raw_os_error().unwrap_or(EIO));
+                return -1;
+            }
+        },
+        _ => None,
+    };
+    let ret = dup();
     if ret >= 0 {
         dup_bookkeeping(oldfd, newfd);
+    } else if let Some(old) = moved {
+        // The root's old number is still open and nobody's: let it go.
+        let e = errno();
+        let _ = real!(close, FdFn)(old);
+        set_errno(e);
     }
     ret
 }
@@ -1675,11 +1783,7 @@ unsafe fn do_dup3(oldfd: c_int, newfd: c_int, flags: c_int) -> c_int {
     // The real call enforces dup3's contract (EINVAL on oldfd == newfd,
     // atomic O_CLOEXEC); the shim only mirrors the fd-table transfer.
     let real_dup3 = real!(dup3, Dup3Fn);
-    let ret = real_dup3(oldfd, newfd, flags);
-    if ret >= 0 {
-        dup_bookkeeping(oldfd, newfd);
-    }
-    ret
+    dup_onto(oldfd, newfd, || real_dup3(oldfd, newfd, flags))
 }
 
 /// `dup3(2)` — the O_CLOEXEC-capable dup2, used by modern shells.

@@ -670,7 +670,7 @@ const GATE_CEILINGS: [(&str, f64); 4] = [
     ("refresh_growth", 4.0),
     ("eager_ops[open+write+close]", 31.0),
     ("cached_ops[open+write+close]", 28.0),
-    ("small_file_cycle_ops", 16.0),
+    ("small_file_cycle_ops", 15.0),
 ];
 
 /// `benchgate`: compare a fresh `BENCH_*.json` against the committed
@@ -1189,15 +1189,15 @@ mod tests {
             );
             doc(4.0, 2.0).replace("},\"trace\":{}}", &tail)
         };
-        let out = benchcheck(&small(16, 9.0), "BENCH_metadata.json").unwrap();
+        let out = benchcheck(&small(15, 9.0), "BENCH_metadata.json").unwrap();
         assert!(out.contains("5 gated metric"), "{out}");
-        assert!(benchgate(&small(24, 9.0), &small(16, 9.0), 0.30).is_ok());
-        let err = benchgate(&small(16, 9.0), &small(17, 9.0), 0.30).unwrap_err();
+        assert!(benchgate(&small(24, 9.0), &small(15, 9.0), 0.30).is_ok());
+        let err = benchgate(&small(15, 9.0), &small(16, 9.0), 0.30).unwrap_err();
         assert!(
             matches!(err, ToolError::Gate(ref m) if m.contains("small_file_cycle_ops")),
             "{err:?}"
         );
-        let err = benchgate(&small(16, 9.0), &small(16, 12.0), 0.30).unwrap_err();
+        let err = benchgate(&small(15, 9.0), &small(15, 12.0), 0.30).unwrap_err();
         assert!(
             matches!(err, ToolError::Gate(ref m) if m.contains("small_file_storm_secs[256 procs]")),
             "{err:?}"

@@ -5,7 +5,7 @@
 # sweep — absolute bar 4x, Table II shim-overhead ratio,
 # metadata ops-per-open reduction, per-phase op counts — the
 # open+write+close cycle held to absolute ceilings, 31 ops cache-off and
-# 28 default, the small-file cycle to 16 — and the projected MDS-storm
+# 28 default, the small-file cycle to 15 — and the projected MDS-storm
 # seconds of both measured profiles,
 # list-I/O vs sieving/per-extent speedups, burst-buffer destage overlap
 # speedup) regresses by more than the threshold.
