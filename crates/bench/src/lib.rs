@@ -1241,259 +1241,6 @@ pub fn render_noncontig(r: &NoncontigReport) -> String {
 }
 
 // ---------------------------------------------------------------------------
-// staging2: tiered burst-buffer + batched submission vs direct-to-slow.
-// ---------------------------------------------------------------------------
-
-/// One rank-count row of the staging2 figure: the same N-rank, multi-phase
-/// checkpoint workload run through the real container engine over two
-/// backend stacks, with the job time modelled analytically from the
-/// measured backing op/byte counts and the simfs tier presets.
-#[derive(Debug, Clone)]
-pub struct Staging2Row {
-    /// Writing ranks in the job.
-    pub ranks: usize,
-    /// Checkpoint + compute phases.
-    pub phases: usize,
-    /// Checkpoint bytes written by the application (all ranks, all phases).
-    pub ckpt_bytes: u64,
-    /// Backing ops the direct arm issued (all of them hit the slow tier).
-    pub direct_ops: u64,
-    /// Ops the tiered arm sent the fast tier (foreground writes plus the
-    /// destage read-back — everything the NVMe absorbs).
-    pub fast_ops: u64,
-    /// Ops the tiered arm sent the slow tier (background destage puts and
-    /// tier-map persists only).
-    pub slow_ops: u64,
-    /// Sealed droppings destaged fast → slow.
-    pub destages: u64,
-    /// Bytes moved fast → slow in the background.
-    pub destaged_bytes: u64,
-    /// Deferred-op batches the submission layer drained.
-    pub batch_submits: u64,
-    /// Modelled job time writing straight to the slow tier.
-    pub direct_secs: f64,
-    /// Modelled job time on the tiered + batched stack.
-    pub tiered_secs: f64,
-    /// Total compute-window time (identical in both arms).
-    pub compute_secs: f64,
-    /// Modelled background destage time (overlaps the compute windows).
-    pub destage_secs: f64,
-}
-
-impl Staging2Row {
-    /// Direct-to-slow job time over tiered job time at this scale.
-    pub fn overlap_speedup(&self) -> f64 {
-        self.direct_secs / self.tiered_secs.max(1e-12)
-    }
-}
-
-/// The staging2 sweep plus its gated headline ratio and the tier model
-/// constants the times were derived from.
-#[derive(Debug, Clone)]
-pub struct Staging2Report {
-    /// One row per swept rank count.
-    pub rows: Vec<Staging2Row>,
-    /// [`Staging2Row::overlap_speedup`] at the largest job — the gated
-    /// headline: landing checkpoints on the fast tier and destaging during
-    /// compute must beat direct-to-slow by ≥2×.
-    pub destage_overlap_speedup: f64,
-    /// Fast-tier streaming bandwidth (bytes/s) from [`presets::tier_fast`].
-    pub fast_bw: f64,
-    /// Slow-tier streaming bandwidth (bytes/s) from [`presets::tier_slow`].
-    pub slow_bw: f64,
-    /// Fast-tier per-op latency (seconds).
-    pub fast_op_lat: f64,
-    /// Slow-tier per-op latency (seconds).
-    pub slow_op_lat: f64,
-}
-
-/// Rank counts swept, smallest to largest.
-pub const STAGING2_RANKS: [usize; 3] = [2, 4, 8];
-
-/// Run the N-rank strided checkpoint workload through `plfs`: per phase,
-/// every rank opens the shared file, appends `writes` chunks of `chunk`
-/// bytes at rank-strided offsets, and closes (sealing its dropping pair).
-/// Returns the application bytes written.
-fn staging2_workload(
-    plfs: &plfs::Plfs,
-    ranks: usize,
-    phases: usize,
-    writes: usize,
-    chunk: u64,
-) -> u64 {
-    use plfs::OpenFlags;
-    let phase_bytes = ranks as u64 * writes as u64 * chunk;
-    let buf = vec![0xA5u8; chunk as usize];
-    for phase in 0..phases as u64 {
-        let base = phase * phase_bytes;
-        let fds: Vec<_> = (0..ranks as u64)
-            .map(|r| {
-                plfs.open("/ckpt", OpenFlags::WRONLY | OpenFlags::CREAT, r)
-                    .expect("staging2 open")
-            })
-            .collect();
-        for w in 0..writes as u64 {
-            for (r, fd) in fds.iter().enumerate() {
-                let off = base + (w * ranks as u64 + r as u64) * chunk;
-                plfs.write(fd, &buf, off, r as u64).expect("staging2 write");
-            }
-        }
-        for (r, fd) in fds.iter().enumerate() {
-            plfs.close(fd, r as u64).expect("staging2 close");
-        }
-    }
-    phases as u64 * phase_bytes
-}
-
-/// Sweep [`STAGING2_RANKS`] (the first two at quick scale) over the direct
-/// and tiered+batched stacks. Both arms run the identical workload through
-/// the real engine over in-memory tiers; the op and byte counts are
-/// measured with per-tier meters, then costed against the
-/// [`presets::tier_fast`]/[`presets::tier_slow`] bandwidth and per-op
-/// latency — so the figure is deterministic across runners.
-///
-/// Model: each phase's compute window equals one phase checkpoint at slow
-/// streaming rate. The direct arm pays bytes and per-op latency on the
-/// slow tier in the critical path; the tiered arm pays the fast tier in
-/// the foreground while destage — whole sealed droppings, few large ops —
-/// proceeds in the background, so only `max(compute, destage)` remains.
-pub fn staging2_comparison(scale: Scale) -> Staging2Report {
-    use plfs::{Backing, BatchedBacking, Conf, MemBacking, MeterBacking, TieredBacking};
-    use std::sync::Arc;
-
-    // Many small strided writes per rank — the N-1 checkpoint pattern the
-    // paper targets — so the direct arm pays the slow tier's per-op latency
-    // once per application write, while destage moves each sealed dropping
-    // in a handful of large background ops.
-    let (ranks_swept, phases, writes, chunk) = match scale {
-        Scale::Paper => (&STAGING2_RANKS[..], 3usize, 64usize, 32u64 << 10),
-        Scale::Quick => (&STAGING2_RANKS[..2], 2, 48, 16 << 10),
-    };
-    let fast_p = presets::tier_fast();
-    let slow_p = presets::tier_slow();
-    let fast_bw = fast_p.peak_storage_bw();
-    let slow_bw = slow_p.peak_storage_bw();
-    let fast_op_lat = fast_p.fs.per_op_latency;
-    let slow_op_lat = slow_p.fs.per_op_latency;
-
-    let conf = Conf {
-        submit_depth: 32,
-        ..Conf::default()
-    };
-
-    let rows: Vec<Staging2Row> = ranks_swept
-        .iter()
-        .map(|&ranks| {
-            // Direct arm: every backing op lands on the slow tier.
-            let direct_m = Arc::new(MeterBacking::new(Arc::new(MemBacking::new())));
-            let direct = plfs::Plfs::new(Arc::clone(&direct_m) as Arc<dyn Backing>);
-            let ckpt_bytes = staging2_workload(&direct, ranks, phases, writes, chunk);
-            let d = direct_m.snapshot();
-            let direct_ops = d.data_ops() + d.metadata_ops();
-
-            // Tiered arm: batched submission over a metered tier pair.
-            let (tiered, fast_m, slow_m) = TieredBacking::new_metered(
-                Arc::new(MemBacking::new()),
-                Arc::new(MemBacking::new()),
-                &conf,
-            );
-            let tiered = Arc::new(tiered);
-            let batched = Arc::new(BatchedBacking::new(
-                Arc::clone(&tiered) as Arc<dyn Backing>,
-                &conf,
-            ));
-            let plfs_t = plfs::Plfs::new(Arc::clone(&batched) as Arc<dyn Backing>);
-            let bytes2 = staging2_workload(&plfs_t, ranks, phases, writes, chunk);
-            assert_eq!(bytes2, ckpt_bytes, "arms must run the same workload");
-            batched.drain().expect("batched drain");
-            tiered.drain();
-            let stats = tiered.tier_stats();
-            // A silent destage break must fail figure generation, not
-            // produce a flattering row: every checkpoint byte (plus index
-            // droppings) must have moved to the slow tier, cleanly.
-            assert!(
-                stats.destaged_bytes >= ckpt_bytes,
-                "destage moved {} of {} checkpoint bytes",
-                stats.destaged_bytes,
-                ckpt_bytes
-            );
-            assert_eq!(stats.destage_errors, 0, "destage errors");
-            let f = fast_m.snapshot();
-            let s = slow_m.snapshot();
-            let fast_ops = f.data_ops() + f.metadata_ops();
-            let slow_ops = s.data_ops() + s.metadata_ops();
-
-            // Cost the measured counts against the tier presets.
-            let compute_secs = ckpt_bytes as f64 / slow_bw;
-            let direct_secs =
-                ckpt_bytes as f64 / slow_bw + direct_ops as f64 * slow_op_lat + compute_secs;
-            let fast_bytes = ckpt_bytes + stats.destaged_bytes; // written, then read back out
-            let foreground = fast_bytes as f64 / fast_bw + fast_ops as f64 * fast_op_lat;
-            let destage_secs =
-                stats.destaged_bytes as f64 / slow_bw + slow_ops as f64 * slow_op_lat;
-            let tiered_secs = foreground + compute_secs.max(destage_secs);
-
-            Staging2Row {
-                ranks,
-                phases,
-                ckpt_bytes,
-                direct_ops,
-                fast_ops,
-                slow_ops,
-                destages: stats.destages,
-                destaged_bytes: stats.destaged_bytes,
-                batch_submits: batched.batches(),
-                direct_secs,
-                tiered_secs,
-                compute_secs,
-                destage_secs,
-            }
-        })
-        .collect();
-
-    let last = rows.last().unwrap();
-    Staging2Report {
-        destage_overlap_speedup: last.overlap_speedup(),
-        rows,
-        fast_bw,
-        slow_bw,
-        fast_op_lat,
-        slow_op_lat,
-    }
-}
-
-/// Render the staging2 sweep.
-pub fn render_staging2(r: &Staging2Report) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{:>6}{:>10}{:>12}{:>12}{:>11}{:>11}{:>11}{:>9}\n",
-        "Ranks", "MiB", "direct ops", "slow ops", "direct", "tiered", "destage", "speedup"
-    ));
-    for row in &r.rows {
-        out.push_str(&format!(
-            "{:>6}{:>10.1}{:>12}{:>12}{:>10.3}s{:>10.3}s{:>10.3}s{:>8.2}x\n",
-            row.ranks,
-            row.ckpt_bytes as f64 / (1 << 20) as f64,
-            row.direct_ops,
-            row.slow_ops,
-            row.direct_secs,
-            row.tiered_secs,
-            row.destage_secs,
-            row.overlap_speedup()
-        ));
-    }
-    out.push_str(&format!(
-        "\ndestage overlap speedup {:.2}x (largest job; fast {:.1} GB/s / {:.0} us, slow {:.0} MB/s / {:.1} ms)\n",
-        r.destage_overlap_speedup,
-        r.fast_bw / 1e9,
-        r.fast_op_lat * 1e6,
-        r.slow_bw / 1e6,
-        r.slow_op_lat * 1e3,
-    ));
-    out
-}
-
-// ---------------------------------------------------------------------------
 // Rendering helpers.
 // ---------------------------------------------------------------------------
 
@@ -1702,38 +1449,6 @@ impl ToJson for NoncontigReport {
     }
 }
 
-impl ToJson for Staging2Row {
-    fn to_json_value(&self) -> Value {
-        Value::object()
-            .with("ranks", self.ranks as u64)
-            .with("phases", self.phases as u64)
-            .with("ckpt_bytes", self.ckpt_bytes)
-            .with("direct_ops", self.direct_ops)
-            .with("fast_ops", self.fast_ops)
-            .with("slow_ops", self.slow_ops)
-            .with("destages", self.destages)
-            .with("destaged_bytes", self.destaged_bytes)
-            .with("batch_submits", self.batch_submits)
-            .with("direct_secs", self.direct_secs)
-            .with("tiered_secs", self.tiered_secs)
-            .with("compute_secs", self.compute_secs)
-            .with("destage_secs", self.destage_secs)
-            .with("overlap_speedup", self.overlap_speedup())
-    }
-}
-
-impl ToJson for Staging2Report {
-    fn to_json_value(&self) -> Value {
-        Value::object()
-            .with("rows", self.rows.to_json_value())
-            .with("destage_overlap_speedup", self.destage_overlap_speedup)
-            .with("fast_bw", self.fast_bw)
-            .with("slow_bw", self.slow_bw)
-            .with("fast_op_lat", self.fast_op_lat)
-            .with("slow_op_lat", self.slow_op_lat)
-    }
-}
-
 impl ToJson for IorRow {
     fn to_json_value(&self) -> Value {
         Value::object()
@@ -1905,33 +1620,6 @@ mod tests {
         assert!(r.listio_vs_per_extent >= 1.0, "{r:?}");
         let txt = render_noncontig(&r);
         assert!(txt.contains("Ranks") && txt.contains("sieving") && txt.contains("speedup"));
-    }
-
-    #[test]
-    fn quick_staging2_overlap_beats_direct() {
-        let r = staging2_comparison(Scale::Quick);
-        assert_eq!(r.rows.len(), 2, "quick sweeps the first two rank counts");
-        for row in &r.rows {
-            // The workload really ran: droppings sealed and destaged, the
-            // submission layer drained batches, and the direct arm issued
-            // strictly more slow-tier ops than the background destage.
-            assert!(
-                row.destages > 0 && row.destaged_bytes >= row.ckpt_bytes,
-                "{row:?}"
-            );
-            assert!(row.batch_submits > 0, "{row:?}");
-            assert!(row.direct_ops > row.slow_ops, "{row:?}");
-            assert!(row.tiered_secs < row.direct_secs, "{row:?}");
-        }
-        // The acceptance bar (same ratio the committed baseline gates):
-        // deterministic because the times are modelled from measured op
-        // counts and fixed preset rates, not wall clocks.
-        assert!(
-            r.destage_overlap_speedup >= 2.0,
-            "tiered+batched should be >=2x direct-to-slow: {r:?}"
-        );
-        let txt = render_staging2(&r);
-        assert!(txt.contains("Ranks") && txt.contains("destage") && txt.contains("speedup"));
     }
 
     #[test]

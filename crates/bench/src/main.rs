@@ -10,7 +10,6 @@
 //! paperbench writepath [--quick] # serial vs sharded/buffered writers
 //! paperbench metadata [--quick]  # per-open and small-file-cycle metadata ops + MDS-storm projection
 //! paperbench noncontig [--quick] # list I/O vs data sieving on strided views
-//! paperbench staging2 [--quick]  # tiered burst-buffer + batched submission vs direct
 //! paperbench all [--quick]       # everything above
 //! paperbench ... --json PATH     # also dump JSON for EXPERIMENTS.md
 //! paperbench ... --emit-json DIR # figure data + per-layer op/latency trace
@@ -292,19 +291,6 @@ fn cmd_noncontig(args: &Args) {
     trace_emit(args, "noncontig", &report);
 }
 
-fn cmd_staging2(args: &Args) {
-    println!("# Burst-buffer staging: tiered+batched backend vs direct-to-slow\n");
-    trace_begin(args);
-    let report = bench::staging2_comparison(scale(args.quick));
-    println!("## Measured op counts (in-memory tiers), costed at preset rates\n");
-    println!("{}", bench::render_staging2(&report));
-    println!(
-        "(the direct arm pays the slow tier's per-op latency for every\n          application write; the tiered arm lands writes on the fast tier and\n          destages sealed droppings to the slow tier overlapped with compute)\n"
-    );
-    dump_json(&args.json, "staging2", &report);
-    trace_emit(args, "staging2", &report);
-}
-
 fn cmd_crossover(args: &Args) {
     println!("# PLFS benefit crossover (FLASH-IO, LDPLFS vs MPI-IO)\n");
     for (platform, label) in [
@@ -338,7 +324,6 @@ fn main() {
         "crossover" => cmd_crossover(&args),
         "ior" => cmd_ior(&args),
         "staging" => cmd_staging(&args),
-        "staging2" => cmd_staging2(&args),
         "writepath" => cmd_writepath(&args),
         "metadata" => cmd_metadata(&args),
         "noncontig" => cmd_noncontig(&args),
@@ -351,14 +336,13 @@ fn main() {
             cmd_crossover(&args);
             cmd_ior(&args);
             cmd_staging(&args);
-            cmd_staging2(&args);
             cmd_writepath(&args);
             cmd_metadata(&args);
             cmd_noncontig(&args);
         }
         "--help" | "-h" | "help" => {
             println!(
-                "usage: paperbench [table1|fig3|table2|fig4|fig5|crossover|ior|staging|staging2|writepath|metadata|noncontig|all] \
+                "usage: paperbench [table1|fig3|table2|fig4|fig5|crossover|ior|staging|writepath|metadata|noncontig|all] \
                  [--quick] [--gb N] [--class C|D] [--subdirs N] [--json DIR] [--emit-json DIR]"
             );
         }

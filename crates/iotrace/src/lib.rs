@@ -131,21 +131,11 @@ pub enum OpKind {
     /// A noncontiguous access lowered to the read-modify-write data-sieving
     /// path because list I/O was unavailable or disabled.
     SieveFallback,
-    /// A sealed dropping copied from the fast tier to the slow tier of a
-    /// tiered backing (bytes = dropping size).
-    Destage,
-    /// A batch of deferred backing ops drained by a submission worker
-    /// (bytes = payload bytes in the batch).
-    BatchSubmit,
-    /// A tiered-backing open/stat answered by the fast tier.
-    TierHit,
-    /// A tiered-backing open/stat that fell through to the slow tier.
-    TierMiss,
 }
 
 impl OpKind {
     /// Every op kind, in reporting order.
-    pub const ALL: [OpKind; 21] = [
+    pub const ALL: [OpKind; 17] = [
         OpKind::Open,
         OpKind::Close,
         OpKind::Read,
@@ -163,10 +153,6 @@ impl OpKind {
         OpKind::ListWrite,
         OpKind::ListRead,
         OpKind::SieveFallback,
-        OpKind::Destage,
-        OpKind::BatchSubmit,
-        OpKind::TierHit,
-        OpKind::TierMiss,
     ];
 
     /// Stable lower-case name (JSON field value).
@@ -189,10 +175,6 @@ impl OpKind {
             OpKind::ListWrite => "list_write",
             OpKind::ListRead => "list_read",
             OpKind::SieveFallback => "sieve_fallback",
-            OpKind::Destage => "destage",
-            OpKind::BatchSubmit => "batch_submit",
-            OpKind::TierHit => "tier_hit",
-            OpKind::TierMiss => "tier_miss",
         }
     }
 
@@ -213,8 +195,6 @@ impl OpKind {
                 | OpKind::ListWrite
                 | OpKind::ListRead
                 | OpKind::SieveFallback
-                | OpKind::Destage
-                | OpKind::BatchSubmit
         )
     }
 
@@ -237,10 +217,6 @@ impl OpKind {
             OpKind::ListWrite => 14,
             OpKind::ListRead => 15,
             OpKind::SieveFallback => 16,
-            OpKind::Destage => 17,
-            OpKind::BatchSubmit => 18,
-            OpKind::TierHit => 19,
-            OpKind::TierMiss => 20,
         }
     }
 }

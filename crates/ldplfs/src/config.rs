@@ -8,7 +8,7 @@
 
 use crate::posix::{Errno, PosixLayer, PosixResult};
 use crate::shim::{LdPlfs, ShimMount};
-use plfs::{BackendKind, Backing, Conf, MountSpec, Plfs, PlfsRc, SpreadBacking};
+use plfs::{Backing, Conf, MountSpec, Plfs, PlfsRc, SpreadBacking};
 use std::sync::Arc;
 
 /// Incremental builder for an [`LdPlfs`] shim.
@@ -59,24 +59,14 @@ fn spread(
 }
 
 /// Build a [`Plfs`] instance for one parsed [`MountSpec`] under the global
-/// `conf`, resolving backend paths through `backing_for`. With `backend
-/// tiered` the mount's first backend path is the fast (burst-buffer) tier
-/// and the remaining path(s) the slow tier — fewer than two paths is a
-/// configuration error; every other kind spreads over all of them.
+/// `conf`, resolving backend paths through `backing_for` and spreading the
+/// mount over all of them.
 pub fn plfs_for_spec(
     spec: &MountSpec,
     conf: &Conf,
     backing_for: &mut dyn FnMut(&str) -> Arc<dyn Backing>,
 ) -> PosixResult<Plfs> {
-    let (fast, rest) = match (conf.backend, spec.backends.split_first()) {
-        (BackendKind::Tiered, Some((fast, rest))) if !rest.is_empty() => {
-            (Some(backing_for(fast)), rest)
-        }
-        (BackendKind::Tiered, _) => return Err(Errno::EINVAL),
-        _ => (None, &spec.backends[..]),
-    };
-    let stack = plfs::build_stack(conf, spread(rest, backing_for)?, fast).map_err(Errno::from)?;
-    Ok(Plfs::new(stack.backing)
+    Ok(Plfs::new(spread(&spec.backends, backing_for)?)
         .with_params(spec.params)
         .with_conf(Conf {
             index_buffer_entries: spec.index_buffer_entries,
@@ -155,7 +145,7 @@ mod tests {
     /// table-driven parser test.)
     #[test]
     fn from_plfsrc_hands_the_parsed_conf_to_every_mount() {
-        let rc = "backend tiered\nsubmit_depth 8\nmeta_cache_entries 0\n\
+        let rc = "compact_droppings_threshold 8\nmeta_cache_entries 0\n\
                   mount_point /a\nbackends /f,/s\nindex_buffer_entries 99\n\
                   mount_point /b\nbackends /f2,/s2\n";
         let parsed = PlfsRc::parse(rc).unwrap();
@@ -172,8 +162,7 @@ mod tests {
             };
             assert_eq!(*m.plfs.conf(), expect, "{}", m.mount_point);
         }
-        // The composed stack (tiered + submission queue) still round-trips
-        // data end to end.
+        // The spread mount still round-trips data end to end.
         let fd = s
             .open("/a/dump", OpenFlags::RDWR | OpenFlags::CREAT, 0o644)
             .unwrap();
@@ -198,12 +187,6 @@ mod tests {
         for c in [from_file, from_env, from_new, *s.mounts()[0].plfs.conf()] {
             assert_eq!(c, Conf::default());
         }
-    }
-
-    #[test]
-    fn from_plfsrc_tiered_needs_two_backends() {
-        let rc = "backend tiered\nmount_point /ckpt\nbackends /only\n";
-        assert!(from_plfsrc(under("b1"), rc, |_| Arc::new(MemBacking::new())).is_err());
     }
 
     #[test]

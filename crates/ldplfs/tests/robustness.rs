@@ -36,10 +36,10 @@ fn malformed_plfsrc_maps_to_einval_through_the_shim() {
     for rc in [
         "mount_point\n",                                    // key without value
         "mount_point /x\nbackends /be\nnum_hostdirs zap\n", // non-numeric
-        "mount_point /x\nbackends /be\nbackend never\n",    // bad enum
+        "mount_point /x\nbackends /be\nworkload never\n",   // bad enum
         "backends /be\n",                                   // key before any mount
         "mount_point /x\n",                                 // mount with no backends
-        "mount_point /x\nbackends /be\nsubmit_depth 18446744073709551616\n", // past u64
+        "mount_point /x\nbackends /be\nmeta_cache_entries 18446744073709551616\n", // past u64
     ] {
         let dir = std::env::temp_dir().join(format!("ldplfs-einval-{}", std::process::id()));
         let under = Arc::new(RealPosix::rooted(dir).unwrap());

@@ -84,9 +84,7 @@ impl Plfs {
 
     /// Replace the whole configuration (clamped by [`Conf::validated`]);
     /// every fd opened afterwards inherits it. Rebuilds the metadata
-    /// cache, so apply before serving traffic. The backing is taken as
-    /// given: compose `conf.backend` / `conf.submit_depth` with
-    /// [`crate::backend::build_stack`] and mount over the result.
+    /// cache, so apply before serving traffic.
     pub fn with_conf(mut self, conf: Conf) -> Plfs {
         self.conf = conf.validated();
         self.cache = meta_cache_for(&self.conf);

@@ -80,10 +80,9 @@ pub trait Backing: Send + Sync {
     }
     /// Truncate (or extend with zeros) a file by path.
     fn truncate(&self, path: &str, len: u64) -> Result<()>;
-    /// Notify the backing that `path` is sealed: its writer has closed and
-    /// the file is immutable from here on. A hint, not a barrier — plain
-    /// backings ignore it; [`crate::TieredBacking`] uses it to schedule a
-    /// background destage to the slow tier.
+    /// A no-op that nothing in this workspace calls. It stays only because
+    /// the benchmark harness's `TimedBacking` forwards it; delete the two
+    /// together.
     fn seal(&self, path: &str) -> Result<()> {
         let _ = path;
         Ok(())
@@ -92,8 +91,8 @@ pub trait Backing: Send + Sync {
 
 /// Recursively delete a directory tree through any backing.
 ///
-/// Tolerates children vanishing concurrently (a racing destage, unlink, or
-/// background compaction): a `NotFound` on any step means someone else
+/// Tolerates children vanishing concurrently (a racing unlink or background
+/// compaction): a `NotFound` on any step means someone else
 /// already removed that piece, which is exactly the goal state.
 pub fn remove_tree(b: &dyn Backing, path: &str) -> Result<()> {
     let st = match b.stat(path) {
@@ -1061,7 +1060,7 @@ mod tests {
     }
 
     /// A backing whose readdir reports one phantom child that no longer
-    /// exists — the shape a concurrent destage/unlink race leaves behind.
+    /// exists — the shape a concurrent unlink race leaves behind.
     struct PhantomChild(MemBacking);
 
     impl Backing for PhantomChild {
@@ -1079,7 +1078,7 @@ mod tests {
         }
         fn readdir(&self, path: &str) -> Result<Vec<String>> {
             let mut names = self.0.readdir(path)?;
-            names.push("vanished-by-destage".to_string());
+            names.push("vanished-by-unlink".to_string());
             Ok(names)
         }
         fn unlink(&self, path: &str) -> Result<()> {

@@ -244,10 +244,6 @@ impl Backing for Faulty {
         self.shared.maybe_fail(FaultOp::Meta, path)?;
         self.inner.truncate(path, len)
     }
-
-    fn seal(&self, path: &str) -> Result<()> {
-        self.inner.seal(path)
-    }
 }
 
 #[cfg(test)]

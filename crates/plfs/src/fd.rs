@@ -688,17 +688,6 @@ impl PlfsFd {
                 // plfs-lint: allow(lock-across-io, "intentional: last-reference teardown must be serialized; refs is close-path bookkeeping, never taken on the data plane")
                 w.close_names(self.backing.as_ref(), &self.container)?;
                 self.trace_marker(t0);
-                // The departing writer's dropping pair is immutable from
-                // here on (each partitioned pair has exactly one writer);
-                // tell the backing so a tiered backend can destage it.
-                // LogStructured droppings are shared and may gain writers
-                // later, so they are never sealed.
-                if self.params.mode != container::LayoutMode::LogStructured {
-                    // plfs-lint: allow(lock-across-io, "intentional: same close-path teardown section as close_names above")
-                    self.backing.seal(w.data_path())?;
-                    // plfs-lint: allow(lock-across-io, "intentional: same close-path teardown section as close_names above")
-                    self.backing.seal(w.index_path())?;
-                }
                 if let Some(c) = &self.cache {
                     // The meta drop just changed the fast-stat answer;
                     // keep the exists/container verdicts.

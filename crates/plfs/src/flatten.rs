@@ -128,13 +128,8 @@ pub fn compact_container(b: &dyn Backing, container: &str) -> Result<CompactStat
     w.sync()?;
     let (bytes_written, seq) = (w.bytes_written(), w.seq);
     let new_data = w.data_path().to_string();
-    let new_index = w.index_path().to_string();
     drop(w);
     drop(r);
-    // The compacted pair is immutable from here on; a tiered backend may
-    // destage it.
-    b.seal(&new_data)?;
-    b.seal(&new_index)?;
     // The new dropping is durable; retire the old ones.
     for d in &old {
         if d.data_path == new_data {

@@ -43,13 +43,10 @@
 //! * [`faults`] — failure injection for error-path testing.
 //! * [`meta`] — the container metadata cache (the metadata fast path).
 //! * [`meter`] — a counting backing decorator for op-cost measurement.
-//! * [`backend`] — pluggable scale-out backends: batched submission and
-//!   tiered burst-buffer staging.
 
 #![warn(missing_docs)]
 
 pub mod api;
-pub mod backend;
 pub mod backing;
 pub mod check;
 pub mod conf;
@@ -67,10 +64,9 @@ pub mod reader;
 pub mod writer;
 
 pub use api::{Dirent, Plfs, Stat};
-pub use backend::{build_stack, BatchedBacking, Stack, TierStats, TieredBacking, TIER_MAP_FILE};
 pub use backing::{BackStat, Backing, BackingFile, MemBacking, RealBacking};
 pub use check::{check, repair, CheckReport, Finding, RepairReport, Severity};
-pub use conf::{BackendKind, Conf};
+pub use conf::Conf;
 pub use container::{ContainerParams, LayoutMode};
 pub use error::{Error, Result};
 pub use faults::{FaultKind, FaultOp, FaultRule, Faulty};

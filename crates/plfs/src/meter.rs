@@ -55,7 +55,7 @@ macro_rules! meter_fields {
 
 meter_fields!(
     create, open, mkdir, mkdir_all, readdir, unlink, rmdir, rename, stat, exists, truncate, size,
-    sync, pread, pwrite, append, seal,
+    sync, pread, pwrite, append,
 );
 
 impl MeterSnapshot {
@@ -97,13 +97,6 @@ impl MeterBacking {
             inner,
             shared: Arc::new(MeterShared::default()),
         }
-    }
-
-    /// Like [`MeterBacking::new`] but taking a `Box` — lets a meter slot
-    /// between any two layers of a backend stack (e.g. around each tier of
-    /// a [`crate::TieredBacking`]) without the caller re-wrapping in `Arc`.
-    pub fn from_box(inner: Box<dyn Backing>) -> MeterBacking {
-        MeterBacking::new(Arc::from(inner))
     }
 
     /// Copy out the current counters.
@@ -221,15 +214,6 @@ impl Backing for MeterBacking {
         tally!(self, truncate);
         self.inner.truncate(path, len)
     }
-
-    // Counted under its own name but deliberately NOT in `metadata_ops()`:
-    // seal is a backend hint that is free on plain backings, so folding it
-    // in would shift every close-path op count the metadata benchmarks
-    // gate on.
-    fn seal(&self, path: &str) -> Result<()> {
-        tally!(self, seal);
-        self.inner.seal(path)
-    }
 }
 
 #[cfg(test)]
@@ -254,18 +238,6 @@ mod tests {
         assert_eq!(s.pread, 1);
         assert_eq!(s.metadata_ops(), 3);
         assert_eq!(s.data_ops(), 2);
-    }
-
-    #[test]
-    fn seal_is_counted_but_not_a_metadata_op() {
-        let m = MeterBacking::from_box(Box::new(MemBacking::new()));
-        let f = m.create("/f", true).unwrap();
-        f.sync().unwrap();
-        let before = m.snapshot();
-        m.seal("/f").unwrap();
-        let d = m.snapshot().delta(&before);
-        assert_eq!(d.seal, 1);
-        assert_eq!(d.metadata_ops(), 0, "hint, not an MDS op");
     }
 
     #[test]

@@ -294,10 +294,6 @@ impl Backing for SpreadBacking {
     fn truncate(&self, path: &str, len: u64) -> Result<()> {
         self.route(path).truncate(path, len)
     }
-
-    fn seal(&self, path: &str) -> Result<()> {
-        self.route(path).seal(path)
-    }
 }
 
 #[cfg(test)]
@@ -311,7 +307,7 @@ mod tests {
     fn parse_full_plfsrc() {
         let rc = PlfsRc::parse(
             "# comment\n\
-             submit_depth 8\n\
+             meta_cache_entries 8\n\
              mount_point /plfs\n\
              backends /be1,/be2\n\
              num_hostdirs 16\n\
@@ -321,7 +317,7 @@ mod tests {
              backends /other\n",
         )
         .unwrap();
-        assert_eq!(rc.conf.submit_depth, 8);
+        assert_eq!(rc.conf.meta_cache_entries, 8);
         assert_eq!(rc.mounts.len(), 2);
         let m = &rc.mounts[0];
         assert_eq!(m.mount_point, "/plfs");
@@ -335,15 +331,14 @@ mod tests {
     /// when absent, and fails naming the line on garbage.
     #[test]
     fn every_knob_row_parses_from_a_plfsrc_line() {
-        use crate::conf::{sample, Kind, KNOBS};
+        use crate::conf::{KNOBS, SAMPLE};
         let mount = "mount_point /p\nbackends /b\n";
         let default = PlfsRc::parse(mount).unwrap().conf;
         assert_eq!(default, Conf::default(), "a bare mount is the default conf");
         for k in KNOBS {
-            let sample = sample(k);
-            let rc = PlfsRc::parse(&format!("{} {sample}\n{mount}", k.key)).unwrap();
+            let rc = PlfsRc::parse(&format!("{} {SAMPLE}\n{mount}", k.key)).unwrap();
             assert_ne!(rc.conf, default, "{} must reach a field", k.key);
-            assert_eq!(k.render(&rc.conf), sample, "{}", k.key);
+            assert_eq!(k.render(&rc.conf), SAMPLE, "{}", k.key);
             // Global keys may also follow a mount; the error names line 4.
             for junk in ["-1", "lots", "18446744073709551616"] {
                 let err = PlfsRc::parse(&format!("# c\n{mount}{} {junk}\n", k.key)).unwrap_err();
@@ -351,19 +346,12 @@ mod tests {
                 assert!(msg.contains("line 4") && msg.contains(k.key), "{msg}");
                 assert_eq!(err.errno(), 22, "malformed plfsrc stays EINVAL");
             }
-            if matches!(k.kind, Kind::Num { .. }) {
-                PlfsRc::parse(&format!("{} 18446744073709551615\n{mount}", k.key)).unwrap();
-            }
+            PlfsRc::parse(&format!("{} 18446744073709551615\n{mount}", k.key)).unwrap();
         }
     }
 
     #[test]
     fn knob_semantics_survive_the_file() {
-        // Aliases parse; `backend batched` alone turns the queue on.
-        let rc = PlfsRc::parse("backend burst_buffer\nmount_point /p\nbackends /a,/b\n").unwrap();
-        assert_eq!(rc.conf.backend, crate::conf::BackendKind::Tiered);
-        let rc = PlfsRc::parse("backend batched\nmount_point /p\nbackends /a\n").unwrap();
-        assert!(rc.conf.batching());
         // The strict-stat escape hatch.
         let rc = PlfsRc::parse("meta_cache_entries 0\nmount_point /p\nbackends /b\n").unwrap();
         assert!(!rc.conf.meta_cache_enabled());
@@ -386,6 +374,20 @@ mod tests {
                 .unwrap();
         assert_eq!(rc.conf, Conf::default());
         assert_eq!(warnings, ["line 1: unknown key `threadpool_size` ignored"]);
+        // Keys of the removed batched/tiered backends are ordinary unknown
+        // keys: named, and their values never parsed.
+        let (rc, warnings) = PlfsRc::parse_with_warnings(
+            "backend tiered\nsubmit_depth 8\nmount_point /p\nbackends /a,/b\n",
+        )
+        .unwrap();
+        assert_eq!(rc.conf, Conf::default());
+        assert_eq!(
+            warnings,
+            [
+                "line 1: unknown key `backend` ignored",
+                "line 2: unknown key `submit_depth` ignored"
+            ]
+        );
         // A clean file has nothing to say.
         let (_, warnings) = PlfsRc::parse_with_warnings("mount_point /p\nbackends /b\n").unwrap();
         assert!(warnings.is_empty());
@@ -400,15 +402,15 @@ mod tests {
         assert!(msg.contains("line 3"), "error must name the line: {msg}");
         assert_eq!(err.errno(), 22, "malformed plfsrc stays EINVAL");
         // Every in-loop error site carries its line.
-        let err = PlfsRc::parse("backend never\n").unwrap_err();
+        let err = PlfsRc::parse("meta_cache_entries never\n").unwrap_err();
         assert!(err.to_string().contains("line 1"), "{err}");
         let err = PlfsRc::parse("mount_point /p\nbackends /b\nworkload strange\n").unwrap_err();
         assert!(err.to_string().contains("line 3"), "{err}");
-        let err = PlfsRc::parse("submit_depth\n").unwrap_err();
+        let err = PlfsRc::parse("meta_cache_entries\n").unwrap_err();
         assert!(err.to_string().contains("line 1"), "{err}");
         let err = PlfsRc::parse("backends /b\n").unwrap_err();
         assert!(err.to_string().contains("line 1"), "{err}");
-        let err = PlfsRc::parse("mount_point /p\nsubmit_depth maybe\n").unwrap_err();
+        let err = PlfsRc::parse("mount_point /p\nmeta_cache_entries maybe\n").unwrap_err();
         assert!(err.to_string().contains("line 2"), "{err}");
     }
 

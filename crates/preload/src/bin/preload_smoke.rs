@@ -8,8 +8,8 @@
 //! existing container against its flat twin outside the mount (same
 //! bytes): `fstat`, `movers`, `mmap`, `stdio`, `dup`, `dup2-writer`,
 //! `dup2-self`, `close-error`, `truncate`, `cloexec`, `fcntl-dup`, `fork`,
-//! `fork-exec`, `close-range`, `chdir`, `backing-root` — see each
-//! `check_*`. `preload-smoke
+//! `fork-exec`, `close-range`, `chdir`, `backing-root`,
+//! `negative-offset` — see each `check_*`. `preload-smoke
 //! calls-KIND N [CONTAINER]` makes N calls of one kind and nothing else
 //! that grows with N, for a syscall
 //! counter to difference two runs of (`plfs-tools syscalls`): `write` (N
@@ -36,6 +36,11 @@ extern "C" {
     fn writev(fd: c_int, iov: *const IoVec, cnt: c_int) -> isize;
     fn preadv(fd: c_int, iov: *const IoVec, cnt: c_int, off: i64) -> isize;
     fn pwritev(fd: c_int, iov: *const IoVec, cnt: c_int, off: i64) -> isize;
+    fn pread(fd: c_int, buf: *mut c_void, n: usize, off: i64) -> isize;
+    fn pread64(fd: c_int, buf: *mut c_void, n: usize, off: i64) -> isize;
+    fn pwrite(fd: c_int, buf: *const c_void, n: usize, off: i64) -> isize;
+    fn pwrite64(fd: c_int, buf: *const c_void, n: usize, off: i64) -> isize;
+    fn __pread_chk(fd: c_int, buf: *mut c_void, n: usize, off: i64, len: usize) -> isize;
     fn fstat(fd: c_int, out: *mut [u64; 18]) -> c_int;
     fn copy_file_range(
         fd_in: c_int,
@@ -475,6 +480,45 @@ fn check_truncate(container: &str, twin: &[u8]) {
         }
     }
     assert!(intact > 0 && eio > 0, "intact {intact}, EIO {eio}");
+}
+
+/// Every positional call refuses a negative offset with `EINVAL` on the
+/// container, as on its flat twin, and changes nothing: the end `lseek`
+/// and the bytes are still the twin's.
+fn check_negative_offset(container: &str, twin_path: &str, twin: &[u8]) {
+    for path in [container, twin_path] {
+        let f = fs::OpenOptions::new()
+            .read(true)
+            .write(true)
+            .open(path)
+            .expect("open O_RDWR");
+        let fd = f.as_raw_fd();
+        let mut buf = *b"hello";
+        let r = buf.as_mut_ptr() as *mut c_void;
+        let w = r as *const c_void;
+        let calls = [
+            ("pread", unsafe { pread(fd, r, 5, -1) }, errno()),
+            ("pread64", unsafe { pread64(fd, r, 5, -4096) }, errno()),
+            (
+                "__pread_chk",
+                unsafe { __pread_chk(fd, r, 5, -1, 5) },
+                errno(),
+            ),
+            ("pwrite", unsafe { pwrite(fd, w, 5, -1) }, errno()),
+            ("pwrite64", unsafe { pwrite64(fd, w, 5, i64::MIN) }, errno()),
+        ];
+        for (call, ret, err) in calls {
+            assert_eq!(
+                (ret, err),
+                (-1, EINVAL),
+                "{call} at a negative offset on {path}"
+            );
+        }
+        let end = unsafe { lseek(fd, 0, 2) };
+        assert_eq!(end, twin.len() as i64, "lseek(SEEK_END) on {path}");
+        drop(f);
+        assert!(fs::read(path).expect("read back") == twin, "{path} changed");
+    }
 }
 
 /// `FD_CLOEXEC` of `fd`, as `fcntl(F_GETFD)` reports it.
@@ -1022,6 +1066,7 @@ fn main() {
             "close-range" => check_close_range(container, &twin),
             "chdir" => check_chdir(container, &twin),
             "backing-root" => check_backing_root(&twin),
+            "negative-offset" => check_negative_offset(container, twin_path, &twin),
             other => panic!("unknown mode {other}"),
         }
         println!("preload smoke {mode} OK");

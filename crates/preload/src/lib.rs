@@ -79,14 +79,11 @@
 //! movers answer `EXDEV`/`EINVAL`. See DESIGN.md.
 //!
 //! Configuration rides the environment: `LDPLFS_MOUNT` and `LDPLFS_BACKEND`
-//! (required), `LDPLFS_HOSTDIRS` (hostdirs per new container),
-//! `LDPLFS_FAST_BACKEND` (the burst-buffer directory of a `tiered`
-//! backend), plus the env aliases of the one knob table — see the
-//! "Configuration" table in README.md, or `plfs-tools rccheck --knobs`.
-//! An unparsable value keeps its default (the shim must never refuse to
-//! start over tuning); an `LDPLFS_*` name nothing reads, or a tiered
-//! request without a usable fast directory, is reported in one stderr line
-//! at init.
+//! (required), `LDPLFS_HOSTDIRS` (hostdirs per new container), plus the
+//! env aliases of the one knob table — see the "Configuration" table in
+//! README.md, or `plfs-tools rccheck --knobs`. An unparsable value keeps
+//! its default (the shim must never refuse to start over tuning); an
+//! `LDPLFS_*` name nothing reads is reported in one stderr line at init.
 //!
 //! Known limitation (shared with the original): descriptors inherited
 //! *across `execve`* lose their PLFS identity, so shell output redirection
@@ -152,7 +149,6 @@ extern "C" {
     fn __errno_location() -> *mut c_int;
     fn memfd_create(name: *const c_char, flags: c_uint) -> c_int;
     fn getpid() -> c_int;
-    fn atexit(cb: extern "C" fn()) -> c_int;
     fn pthread_atfork(
         prepare: extern "C" fn(),
         parent: extern "C" fn(),
@@ -338,11 +334,11 @@ type Table = HashMap<c_int, Arc<OpenState>>;
 struct Shim {
     mount: String,
     plfs: Plfs,
-    /// The real backings under the mount. Each holds its root directory's
+    /// The real backing under the mount. It holds its root directory's
     /// descriptor, which every PLFS op resolves its path against: the
     /// shim's own, like the template, guarded from the application
     /// ([`root_at`]).
-    roots: Vec<Arc<RealBacking>>,
+    root: Arc<RealBacking>,
     /// The fd table, behind a pointer so that a fork's child can move it to
     /// a lock of its own ([`renew_table`]); a table left behind is leaked.
     table: AtomicPtr<RwLock<Table>>,
@@ -370,21 +366,6 @@ impl Shim {
 static TABLE_MUTATION: Mutex<()> = Mutex::new(());
 
 static SHIM: OnceLock<Option<Shim>> = OnceLock::new();
-
-/// The tiered backing, if the shim built one — kept so the atexit hook
-/// can flush queued destages before a short-lived host process dies.
-static TIERED: OnceLock<Arc<plfs::TieredBacking>> = OnceLock::new();
-
-// plfs-lint: allow(ffi-barrier, "atexit callback returns (); has its own catch_unwind, errno is meaningless here")
-extern "C" fn drain_tiered_at_exit() {
-    // Never unwind into libc's exit machinery; a failed drain just leaves
-    // droppings fast-resident, which the crash-safe read path tolerates.
-    let _ = std::panic::catch_unwind(|| {
-        if let Some(t) = TIERED.get() {
-            t.drain();
-        }
-    });
-}
 
 thread_local! {
     /// Set while this thread is inside PLFS: building the shim, or any call
@@ -437,9 +418,8 @@ fn shim() -> Option<&'static Shim> {
 /// [`plfs::conf::KNOBS`] env alias or it is reported at init.
 const ENV_MOUNT: &str = "LDPLFS_MOUNT";
 const ENV_BACKEND: &str = "LDPLFS_BACKEND";
-const ENV_FAST_BACKEND: &str = "LDPLFS_FAST_BACKEND";
 const ENV_HOSTDIRS: &str = "LDPLFS_HOSTDIRS";
-const SHIM_ENV: [&str; 4] = [ENV_MOUNT, ENV_BACKEND, ENV_FAST_BACKEND, ENV_HOSTDIRS];
+const SHIM_ENV: [&str; 3] = [ENV_MOUNT, ENV_BACKEND, ENV_HOSTDIRS];
 
 /// One line on the host's stderr, through the real `write(2)`: a
 /// misconfiguration must be visible, but never through an interposed path.
@@ -457,8 +437,7 @@ fn init_shim() -> Option<Shim> {
     if mount.is_empty() {
         return None;
     }
-    let primary = Arc::new(RealBacking::new(backend).ok()?);
-    let mut roots = vec![Arc::clone(&primary)];
+    let root = Arc::new(RealBacking::new(backend).ok()?);
     let env: Vec<(String, String)> = std::env::vars_os()
         .filter_map(|(k, v)| Some((k.into_string().ok()?, v.into_string().ok()?)))
         .filter(|(k, _)| k.starts_with("LDPLFS_"))
@@ -468,32 +447,8 @@ fn init_shim() -> Option<Shim> {
             warn(&format!("unknown variable {name} ignored"));
         }
     }
-    let mut conf = plfs::Conf::from_env(env);
-    let fast = std::env::var(ENV_FAST_BACKEND)
-        .ok()
-        .and_then(|d| RealBacking::new(d).ok())
-        .map(|f| {
-            let f = Arc::new(f);
-            roots.push(Arc::clone(&f));
-            f as Arc<dyn plfs::Backing>
-        });
-    if conf.backend == plfs::BackendKind::Tiered && fast.is_none() {
-        // Degrade rather than refuse to start, but say so.
-        warn(&format!(
-            "tiered backend needs a usable {ENV_FAST_BACKEND}; running direct"
-        ));
-        conf.backend = plfs::BackendKind::Direct;
-    }
-    let stack = plfs::build_stack(&conf, primary, fast).ok()?;
-    if let Some(tiered) = stack.tiered {
-        // Destage runs on background workers; short-lived hosts (dd, cp,
-        // md5sum) would exit before the queue drains, leaving every
-        // dropping fast-resident. Drain on normal exit; an actual crash
-        // still has the copy→persist→unlink ordering to fall back on.
-        let _ = TIERED.set(tiered);
-        unsafe { atexit(drain_tiered_at_exit) };
-    }
-    let mut plfs = Plfs::new(stack.backing).with_conf(conf);
+    let conf = plfs::Conf::from_env(env);
+    let mut plfs = Plfs::new(Arc::clone(&root) as Arc<dyn plfs::Backing>).with_conf(conf);
     // SAFETY: the handlers are `extern "C" fn()`s that never unwind.
     unsafe { pthread_atfork(before_fork, after_fork_in_parent, after_fork_in_child) };
     if let Some(n) = std::env::var(ENV_HOSTDIRS)
@@ -508,7 +463,7 @@ fn init_shim() -> Option<Shim> {
     Some(Shim {
         mount,
         plfs,
-        roots,
+        root,
         table: AtomicPtr::new(Box::leak(Box::new(RwLock::new(HashMap::new())))),
     })
 }
@@ -707,11 +662,11 @@ fn pid() -> u64 {
 type HeldAtFork = (
     MutexGuard<'static, ()>,
     MutexGuard<'static, Slots>,
-    Vec<RwLockWriteGuard<'static, ()>>,
+    Option<RwLockWriteGuard<'static, ()>>,
 );
 
 thread_local! {
-    /// [`TABLE_MUTATION`], [`SLOTS`] and every backing root's
+    /// [`TABLE_MUTATION`], [`SLOTS`] and the backing root's
     /// [`RealBacking::pause`], held by the forking thread from
     /// `pthread_atfork`'s prepare handler to its parent or child handler:
     /// neither side's copy of the fd table or the slot allocator can be
@@ -738,11 +693,11 @@ extern "C" fn before_fork() {
             }
         }
         let (one, slots) = (TABLE_MUTATION.lock(), SLOTS.lock());
-        let roots = match SHIM.get() {
-            Some(Some(sh)) => sh.roots.iter().map(|r| r.pause()).collect(),
-            _ => Vec::new(),
+        let root = match SHIM.get() {
+            Some(Some(sh)) => Some(sh.root.pause()),
+            _ => None,
         };
-        HELD_AT_FORK.with(|h| *h.borrow_mut() = Some((one, slots, roots)));
+        HELD_AT_FORK.with(|h| *h.borrow_mut() = Some((one, slots, root)));
     });
 }
 
@@ -750,7 +705,7 @@ extern "C" fn before_fork() {
 /// allocator's epoch: slots live at the fork are never reused.
 fn release_at_fork(child: bool) {
     HELD_AT_FORK.with(|h| {
-        if let Some((_one, mut slots, _roots)) = h.borrow_mut().take() {
+        if let Some((_one, mut slots, _root)) = h.borrow_mut().take() {
             slots.epoch += 1;
             if child {
                 slots.page = 0;
@@ -1022,6 +977,11 @@ unsafe fn do_pread(fd: c_int, buf: *mut c_void, count: SizeT, off: OffT) -> Ssiz
             let f = real!(pread, PreadFn);
             f(fd, buf, count, off)
         }
+        // The kernel refuses a negative offset before anything else.
+        Some(_) if off < 0 => {
+            set_errno(EINVAL);
+            -1
+        }
         Some(st) => {
             let slice = std::slice::from_raw_parts_mut(buf as *mut u8, count);
             match st.plfs_fd.read(slice, off as u64) {
@@ -1092,6 +1052,10 @@ unsafe fn do_pwrite(fd: c_int, buf: *const c_void, count: SizeT, off: OffT) -> S
         None => {
             let f = real!(pwrite, PwriteFn);
             f(fd, buf, count, off)
+        }
+        Some(_) if off < 0 => {
+            set_errno(EINVAL);
+            -1
         }
         Some(st) => {
             let slice = std::slice::from_raw_parts(buf as *const u8, count);
@@ -1584,7 +1548,7 @@ unsafe fn do_close_range(first: c_uint, last: c_uint, flags: c_int) -> c_int {
     }
     let fd_of = |n: c_uint| n.min(c_int::MAX as c_uint) as c_int;
     let failed = release_range(fd_of(first), fd_of(last));
-    let ret = close_around_roots(first, last, |lo, hi| real_close_range(lo, hi, flags));
+    let ret = close_around_root(first, last, |lo, hi| real_close_range(lo, hi, flags));
     match failed {
         Some(e) if ret == 0 => {
             set_errno(e);
@@ -1594,33 +1558,28 @@ unsafe fn do_close_range(first: c_uint, last: c_uint, flags: c_int) -> c_int {
     }
 }
 
-/// `close` each run of `first..=last` that holds no backing root, in
-/// order, stopping at the first that fails: its return, with its errno.
-fn close_around_roots(
+/// `close` each run of `first..=last` on either side of the backing root,
+/// in order, stopping at the first that fails: its return, with its errno.
+fn close_around_root(
     first: c_uint,
     last: c_uint,
     mut close: impl FnMut(c_uint, c_uint) -> c_int,
 ) -> c_int {
-    let mut roots: Vec<c_uint> = shim()
-        .into_iter()
-        .flat_map(|sh| &sh.roots)
-        .map(|r| r.root_fd() as c_uint)
-        .filter(|r| (first..=last).contains(r))
-        .collect();
-    roots.sort_unstable();
-    let mut from = first;
-    for root in roots {
-        if from < root {
-            let ret = close(from, root - 1);
-            if ret != 0 {
-                return ret;
-            }
+    let root = shim()
+        .map(|sh| sh.root.root_fd() as c_uint)
+        .filter(|r| (first..=last).contains(r));
+    let Some(root) = root else {
+        return close(first, last);
+    };
+    if first < root {
+        let ret = close(first, root - 1);
+        if ret != 0 {
+            return ret;
         }
-        // A root is a file descriptor, so at most `c_int::MAX`.
-        from = root + 1;
     }
-    if from <= last {
-        close(from, last)
+    // A root is a file descriptor, so at most `c_int::MAX`.
+    if root < last {
+        close(root + 1, last)
     } else {
         0
     }
@@ -1643,7 +1602,7 @@ unsafe fn do_closefrom(lowfd: c_int) {
     let real_close_range = real!(close_range, CloseRangeFn);
     let lowfd = lowfd.max(0);
     let _ = release_range(lowfd, c_int::MAX);
-    let _ = close_around_roots(lowfd as c_uint, c_uint::MAX, |lo, hi| {
+    let _ = close_around_root(lowfd as c_uint, c_uint::MAX, |lo, hi| {
         if hi == c_uint::MAX {
             real_closefrom(lo as c_int);
             0
@@ -1737,12 +1696,9 @@ unsafe fn do_dup2(oldfd: c_int, newfd: c_int) -> c_int {
     dup_onto(oldfd, newfd, || real_dup2(oldfd, newfd))
 }
 
-/// The backing whose root descriptor is `fd`, if any.
+/// The backing, if its root descriptor is `fd`.
 fn root_at(sh: &Shim, fd: c_int) -> Option<&RealBacking> {
-    sh.roots
-        .iter()
-        .map(|r| r.as_ref())
-        .find(|r| r.root_fd() == fd)
+    Some(sh.root.as_ref()).filter(|r| r.root_fd() == fd)
 }
 
 /// `dup2`/`dup3` of `oldfd` onto `newfd` by `dup`, and its bookkeeping. A

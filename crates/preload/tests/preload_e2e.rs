@@ -227,16 +227,23 @@ fn real_unix_tools_read_containers() {
     assert_eq!(out.stdout.len(), 4096 * 32, "cat streamed every byte");
 }
 
-/// A variable nothing reads, or a tiered request with no fast directory,
-/// used to be accepted in silence; each is now one stderr line at init,
-/// and the host still runs.
+/// A variable nothing reads used to be accepted in silence; it is now one
+/// stderr line at init, and the host still runs. The variables of the
+/// removed batched/tiered backends are such variables.
 #[test]
 fn misconfiguration_is_reported_once_on_stderr() {
     ensure_built();
     let env = setup("loud");
+    let unknown = [
+        "LDPLFS_META_CACHE_ENTRIES", // the alias is LDPLFS_META_CACHE
+        "LDPLFS_BACKEND_KIND",
+        "LDPLFS_SUBMIT_DEPTH",
+        "LDPLFS_FAST_BACKEND",
+    ];
     let mut cmd = Command::new(smoke_bin());
-    cmd.env("LDPLFS_META_CACHE_ENTRIES", "0") // the alias is LDPLFS_META_CACHE
-        .env("LDPLFS_BACKEND_KIND", "tiered");
+    for name in unknown {
+        cmd.env(name, "8");
+    }
     let out = run_preloaded(&env, cmd);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(out.status.success(), "stderr: {stderr}");
@@ -244,13 +251,11 @@ fn misconfiguration_is_reported_once_on_stderr() {
         .lines()
         .filter(|l| l.starts_with("ldplfs-preload: "))
         .collect();
-    assert_eq!(lines.len(), 2, "{stderr}");
-    assert!(lines
-        .iter()
-        .any(|l| l.contains("unknown variable LDPLFS_META_CACHE_ENTRIES")));
-    assert!(lines
-        .iter()
-        .any(|l| l.contains("tiered") && l.contains("LDPLFS_FAST_BACKEND")));
+    assert_eq!(lines.len(), unknown.len(), "{stderr}");
+    for name in unknown {
+        let line = format!("ldplfs-preload: unknown variable {name} ignored");
+        assert_eq!(lines.iter().filter(|l| **l == line).count(), 1, "{stderr}");
+    }
     // A clean environment has nothing to say.
     let out = run_preloaded(&setup("quiet"), Command::new(smoke_bin()));
     assert!(out.status.success());
@@ -589,6 +594,19 @@ fn plfs_errors_at_close_and_seek_end_reach_the_caller() {
     let twin = env.outside.join("twin.bin");
     std::fs::write(&twin, b"unused").unwrap();
     smoke_mode(&env, "close-error", "unused", &twin);
+}
+
+/// `pwrite(fd, buf, 5, -1)` on a container used to return 5, writing at
+/// offset 2^64 - 1, after which `lseek(SEEK_END)` failed; `pread` at a
+/// negative offset failed with `EIO`. A flat file says `EINVAL` to both.
+#[test]
+fn a_negative_offset_is_einval_as_on_a_flat_file() {
+    ensure_built();
+    let env = setup("negoff");
+    let (twin, containers) = twin_and_containers(&env);
+    for c in &containers {
+        smoke_mode(&env, "negative-offset", c, &twin);
+    }
 }
 
 /// `fstat` on an open container used to say `st_ino = 1` while path-stat

@@ -188,96 +188,6 @@ pub fn zest_staging() -> Platform {
     p
 }
 
-/// The fast tier of a burst-buffer pair: a node-local NVMe-class staging
-/// device. One server, one lane, NVMe streaming rate, and microsecond-scale
-/// per-op latency; no shared-lock or cache machinery (the device is
-/// node-private). The `staging2` figure reads its bandwidth/latency numbers
-/// from here to model where `TieredBacking` lands writes.
-pub fn tier_fast() -> Platform {
-    Platform {
-        cluster: ClusterConfig {
-            nodes: 1,
-            cores_per_node: 12,
-            link_bw: 8.0e9,
-            mem_bw: 8.0e9,
-            syscall_overhead: 1.0e-6,
-        },
-        fs: FsConfig {
-            name: "burst-buffer NVMe tier".into(),
-            servers: 1,
-            lanes_per_server: 1,
-            // Effective single-device NVMe streaming write rate.
-            lane_bw: 2.0e9,
-            write_bw_scale: 1.0,
-            // Flash translation layer + kernel path, no network round-trip.
-            per_op_latency: 20.0e-6,
-            read_interference: 0.0,
-            stripe_size: MIB,
-            stripe_width: 1,
-            mds: MdsConfig::Distributed {
-                base_op: 10.0e-6,
-                servers: 1,
-            },
-            lock: LockConfig {
-                acquire_latency: 0.0,
-                hold_transfer_fraction: 0.0,
-                revoke_cache_on_shared: false,
-            },
-            cache: CacheConfig {
-                capacity: 0, // measure the device, not DRAM
-                per_op_threshold: 0,
-                drain_bw: 1.0,
-                read_capacity: 0,
-            },
-        },
-    }
-}
-
-/// The slow tier of a burst-buffer pair: a shared parallel-file-system
-/// volume seen from one client. Modest effective streaming rate and
-/// millisecond-scale per-op latency (RPC + disk seek), the combination that
-/// makes many small synchronous backing ops expensive — exactly what the
-/// batched/tiered backends amortise.
-pub fn tier_slow() -> Platform {
-    Platform {
-        cluster: ClusterConfig {
-            nodes: 1,
-            cores_per_node: 12,
-            link_bw: 2.0e9,
-            mem_bw: 4.0e9,
-            syscall_overhead: 2.0e-6,
-        },
-        fs: FsConfig {
-            name: "shared PFS tier".into(),
-            servers: 2,
-            lanes_per_server: 4,
-            // Effective per-array rate; a single client sees ~200 MB/s.
-            lane_bw: 25.0e6,
-            write_bw_scale: 1.0,
-            // Server RPC + 7.2k-rpm seek per operation.
-            per_op_latency: 3.0e-3,
-            read_interference: 0.05,
-            stripe_size: MIB,
-            stripe_width: 2,
-            mds: MdsConfig::Distributed {
-                base_op: 0.4e-3,
-                servers: 2,
-            },
-            lock: LockConfig {
-                acquire_latency: 1.5e-3,
-                hold_transfer_fraction: 0.5,
-                revoke_cache_on_shared: true,
-            },
-            cache: CacheConfig {
-                capacity: 0, // measure the storage path, not the page cache
-                per_op_threshold: 0,
-                drain_bw: 1.0,
-                read_capacity: 0,
-            },
-        },
-    }
-}
-
 /// A small deterministic platform for unit tests: 4 nodes, 2 servers.
 pub fn toy() -> Platform {
     Platform {
@@ -382,20 +292,6 @@ mod tests {
         // quoted theoretical peaks (4 GB/s and 30 GB/s).
         assert!(minerva().peak_storage_bw() < 4.0e9);
         assert!(sierra().peak_storage_bw() < 30.0e9);
-    }
-
-    #[test]
-    fn tier_presets_are_ordered() {
-        let f = tier_fast();
-        let s = tier_slow();
-        // The whole point of a burst buffer: order-of-magnitude faster
-        // streaming and orders-of-magnitude cheaper per-op latency.
-        assert!(f.peak_storage_bw() >= 5.0 * s.peak_storage_bw());
-        assert!(f.fs.per_op_latency * 50.0 <= s.fs.per_op_latency);
-        // Both are single-client views (the staging2 model multiplies by
-        // ranks itself).
-        assert_eq!(f.cluster.nodes, 1);
-        assert_eq!(s.cluster.nodes, 1);
     }
 
     #[test]

@@ -245,99 +245,6 @@ pub fn du(b: &dyn Backing, dir: &str) -> ToolResult {
     Ok(out)
 }
 
-/// Collect every regular file under `dir` as `path -> size`, recursing
-/// into subdirectories.
-fn walk_files(
-    b: &dyn Backing,
-    dir: &str,
-    out: &mut std::collections::BTreeMap<String, u64>,
-) -> Result<(), ToolError> {
-    for name in b.readdir(dir)? {
-        let child = join(dir, &name);
-        let st = b.stat(&child)?;
-        if st.is_dir {
-            walk_files(b, &child, out)?;
-        } else {
-            out.insert(child, st.size);
-        }
-    }
-    Ok(())
-}
-
-/// `backend`: tier residency report for a tiered (burst-buffer) backend
-/// pair. Walks both tier trees, loads the persisted tier map from the
-/// slow tier, and classifies every dropping: *pending* (fast-resident,
-/// not yet destaged), *destaged* (slow copy present and recorded in the
-/// map), plus two crash signatures — map entries whose slow copy is
-/// missing, and fast copies whose map entry is already durable (a crash
-/// between the map persist and the fast unlink; harmless, the next
-/// destage pass re-unlinks).
-pub fn backend_report(fast: &dyn Backing, slow: &dyn Backing) -> ToolResult {
-    let map = plfs::backend::load_tier_map(slow)?;
-    let mut fast_files = std::collections::BTreeMap::new();
-    let mut slow_files = std::collections::BTreeMap::new();
-    walk_files(fast, "/", &mut fast_files)?;
-    walk_files(slow, "/", &mut slow_files)?;
-    slow_files.remove(&format!("/{}", plfs::TIER_MAP_FILE));
-
-    let mut out = String::new();
-    let _ = writeln!(out, "{:>10} {:>12}  path", "tier", "bytes");
-    let mut fast_bytes = 0u64;
-    let mut slow_bytes = 0u64;
-    let mut stale_fast = 0usize;
-    for (path, size) in &fast_files {
-        fast_bytes += size;
-        let tag = if map.contains(path) {
-            stale_fast += 1;
-            "fast*"
-        } else {
-            "fast"
-        };
-        let _ = writeln!(out, "{tag:>10} {size:>12}  {path}");
-    }
-    for (path, size) in &slow_files {
-        slow_bytes += size;
-        let _ = writeln!(out, "{:>10} {size:>12}  {path}", "slow");
-    }
-    let missing: Vec<&String> = map
-        .iter()
-        .filter(|p| !slow_files.contains_key(*p))
-        .collect();
-    for path in &missing {
-        let _ = writeln!(out, "{:>10} {:>12}  {path}", "MISSING", "-");
-    }
-    let _ = writeln!(out);
-    let _ = writeln!(
-        out,
-        "fast tier: {} file(s), {} byte(s) pending destage",
-        fast_files.len(),
-        fast_bytes
-    );
-    let _ = writeln!(
-        out,
-        "slow tier: {} file(s), {} byte(s); tier map records {} destage(s)",
-        slow_files.len(),
-        slow_bytes,
-        map.len()
-    );
-    if stale_fast > 0 {
-        let _ = writeln!(
-            out,
-            "note: {stale_fast} fast cop(ies) already destaged (crash between map \
-             persist and fast unlink; safe to remove)"
-        );
-    }
-    if !missing.is_empty() {
-        let _ = writeln!(
-            out,
-            "WARNING: {} tier-map entr(ies) have no slow copy — destage \
-             recorded but data missing",
-            missing.len()
-        );
-    }
-    Ok(out)
-}
-
 /// `rm`: delete a container (refuses non-containers).
 pub fn rm(b: &dyn Backing, container: &str) -> ToolResult {
     plfs::container::remove_container(b, container)?;
@@ -627,14 +534,6 @@ fn gate_metrics(doc: &jsonlite::Value) -> Result<Vec<(String, f64, bool)>, ToolE
                 if let Some(v) = data.get(name).and_then(|v| v.as_f64()) {
                     out.push((name.to_string(), v, true));
                 }
-            }
-        }
-        "staging2" => {
-            // The overlap speedup is costed from measured op counts at
-            // fixed preset tier rates — deterministic on any runner. The
-            // committed baseline holds the >=2x bar from the issue.
-            if let Some(v) = data.get("destage_overlap_speedup").and_then(|v| v.as_f64()) {
-                out.push(("destage_overlap_speedup".to_string(), v, true));
             }
         }
         "table2" => {
@@ -1003,20 +902,26 @@ mod tests {
     #[test]
     fn rccheck_prints_effective_conf_and_names_typos() {
         let out = rccheck(
-            "submit_depth 8\nmount_point /p\nbackends /b\nthreadpool_sise 9\nbackend direct\n",
+            "compact_droppings_threshold 8\nmount_point /p\nbackends /b\nthreadpool_sise 9\n\
+             backend tiered\nsubmit_depth 8\n",
         )
         .unwrap();
-        assert!(out.contains("submit_depth 8 (set)"), "{out}");
-        assert!(out.contains("backend direct (default)"), "{out}");
+        assert!(out.contains("compact_droppings_threshold 8 (set)"), "{out}");
         assert!(out.contains("meta_cache_entries 4096 (default)"), "{out}");
-        assert!(
-            out.contains("warning: line 4: unknown key `threadpool_sise` ignored"),
-            "{out}"
-        );
+        // A typo and the keys of the removed batched/tiered backends are
+        // all ordinary unknown keys.
+        for (line, key) in [(4, "threadpool_sise"), (5, "backend"), (6, "submit_depth")] {
+            assert!(
+                out.contains(&format!(
+                    "warning: line {line}: unknown key `{key}` ignored"
+                )),
+                "{out}"
+            );
+        }
         assert_eq!(
             out.lines().count(),
-            2 + plfs::conf::KNOBS.len() + 1,
-            "header, one mount, every knob row, one warning:\n{out}"
+            2 + plfs::conf::KNOBS.len() + 3,
+            "header, one mount, every knob row, three warnings:\n{out}"
         );
     }
 
@@ -1211,17 +1116,12 @@ mod tests {
         );
     }
 
-    fn staging2_doc(speedup: f64) -> String {
-        format!(
-            "{{\"figure\":\"staging2\",\"data\":{{\"destage_overlap_speedup\":{speedup}}},\
-             \"trace\":{{\"layers\":{{\"plfs\":{{\"per_op\":{{\"open\":{{}},\"read\":{{}}}}}}}}}}}}"
-        )
-    }
-
     #[test]
     fn benchcheck_validates_shape() {
-        let out = benchcheck(&staging2_doc(3.0), "BENCH_staging2.json").unwrap();
-        assert!(out.contains("figure staging2"), "{out}");
+        let doc = "{\"figure\":\"writepath\",\"data\":{\"refresh_growth\":1.5},\
+                   \"trace\":{\"layers\":{\"plfs\":{\"per_op\":{\"open\":{},\"read\":{}}}}}}";
+        let out = benchcheck(doc, "BENCH_writepath.json").unwrap();
+        assert!(out.contains("figure writepath"), "{out}");
         assert!(out.contains("2 trace op rows"), "{out}");
         assert!(out.contains("1 gated metric"), "{out}");
         assert!(benchcheck("not json", "x").is_err());
@@ -1292,54 +1192,6 @@ mod tests {
             matches!(err, ToolError::Gate(ref m) if m.contains("listio_vs_per_extent")),
             "{err:?}"
         );
-    }
-
-    #[test]
-    fn benchgate_staging2_gates_overlap_speedup() {
-        let doc = |s: f64| {
-            format!(
-                "{{\"figure\":\"staging2\",\"data\":{{\"rows\":[],\
-                 \"destage_overlap_speedup\":{s}}},\"trace\":{{}}}}"
-            )
-        };
-        let out = benchcheck(&doc(3.5), "BENCH_staging2.json").unwrap();
-        assert!(out.contains("1 gated metric"), "{out}");
-        // Higher is better: a small dip passes, a collapse below the
-        // threshold fails on the headline metric.
-        let out = benchgate(&doc(3.5), &doc(3.0), 0.30).unwrap();
-        assert!(out.contains("0 regression"), "{out}");
-        let err = benchgate(&doc(3.5), &doc(2.0), 0.30).unwrap_err();
-        assert!(
-            matches!(err, ToolError::Gate(ref m) if m.contains("destage_overlap_speedup")),
-            "{err:?}"
-        );
-    }
-
-    #[test]
-    fn backend_report_classifies_tiers() {
-        use plfs::{Conf, TieredBacking};
-        let fast = Arc::new(MemBacking::new());
-        let slow = Arc::new(MemBacking::new());
-        let tiered = TieredBacking::new(
-            fast.clone() as Arc<dyn Backing>,
-            slow.clone() as Arc<dyn Backing>,
-            &Conf::default(),
-        );
-        // One dropping sealed and destaged, one still fast-resident.
-        let f = tiered.create("/done", true).unwrap();
-        f.append(b"destaged").unwrap();
-        drop(f);
-        tiered.seal("/done").unwrap();
-        tiered.drain();
-        let f = tiered.create("/pending", true).unwrap();
-        f.append(b"hot").unwrap();
-        drop(f);
-        let out = backend_report(fast.as_ref(), slow.as_ref()).unwrap();
-        assert!(out.contains("/pending"), "{out}");
-        assert!(out.contains("/done"), "{out}");
-        assert!(out.contains("tier map records 1 destage"), "{out}");
-        assert!(out.contains("1 file(s)"), "{out}");
-        assert!(!out.contains("WARNING"), "{out}");
     }
 
     #[test]

@@ -12,7 +12,6 @@
 //! plfs-tools du      /path/to/backend           # logical vs physical usage
 //! plfs-tools rm      /path/to/backend/file      # delete a container
 //! plfs-tools version /path/to/backend/file
-//! plfs-tools backend FAST_DIR SLOW_DIR          # tier residency + destage state
 //! plfs-tools rccheck /path/to/plfsrc            # validate a config file, print the effective conf
 //! plfs-tools rccheck --knobs                    # the knob table as markdown
 //! plfs-tools trace   /path/to/trace.jsonl       # summarize a recorded trace
@@ -152,14 +151,6 @@ fn run(args: &[String]) -> plfs_tools::ToolResult {
         } else {
             plfs_tools::trace_summary(&text)
         };
-    }
-    if cmd == "backend" {
-        let slow_path = args
-            .get(2)
-            .ok_or_else(|| plfs_tools::ToolError::Usage("backend FAST_DIR SLOW_DIR".to_string()))?;
-        let fast = RealBacking::new(path.as_str())?;
-        let slow = RealBacking::new(slow_path.as_str())?;
-        return plfs_tools::backend_report(&fast, &slow);
     }
     if cmd == "ls" || cmd == "du" {
         let b = RealBacking::new(path.as_str())?;

@@ -7,8 +7,8 @@
 # open+write+close cycle held to absolute ceilings, 31 ops cache-off and
 # 28 default, the small-file cycle to 15 — and the projected MDS-storm
 # seconds of both measured profiles,
-# list-I/O vs sieving/per-extent speedups, burst-buffer destage overlap
-# speedup) regresses by more than the threshold.
+# list-I/O vs sieving/per-extent speedups) regresses by more than the
+# threshold.
 # Only runner-speed-independent ratios and exact counts are gated, so the
 # comparison is meaningful across machines; CI runs this as a blocking job.
 #
@@ -35,15 +35,9 @@ cargo run --offline --release -q -p bench --bin paperbench -- \
     metadata $quick --emit-json "$tmp" > /dev/null
 cargo run --offline --release -q -p bench --bin paperbench -- \
     noncontig $quick --emit-json "$tmp" > /dev/null
-# staging2 always runs at paper scale: its gated ratio is costed from op
-# counts at fixed preset rates (deterministic, sub-second even at paper
-# scale) but its value shifts with workload volume, so the regen must match
-# the committed baseline's scale.
-cargo run --offline --release -q -p bench --bin paperbench -- \
-    staging2 --emit-json "$tmp" > /dev/null
 
 status=0
-for fig in writepath table2 metadata noncontig staging2; do
+for fig in writepath table2 metadata noncontig; do
     base="results/BENCH_${fig}.json"
     fresh="$tmp/BENCH_${fig}.json"
     if [ ! -f "$base" ]; then

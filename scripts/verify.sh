@@ -6,7 +6,7 @@ set -eu
 cargo build --release --offline
 # --workspace includes the root package (what tier-1 `cargo test -q` runs):
 # prop_read_view (patched view == fresh merge == byte model), prop_listio
-# (list call == per-extent loop), prop_backend (batched/tiered == direct),
+# (list call == per-extent loop), prop_backend (real backing == in-memory),
 # prop_index and prop_container (the merged index against byte maps and
 # its reference builder), open_heap_peak (the read-open's heap high-water
 # mark), read_after_write (op counts and refresh scaling), corrupt_index
@@ -68,8 +68,6 @@ cargo run --offline --release -q -p bench --bin paperbench -- \
     metadata --quick --emit-json "$tmp" > /dev/null
 cargo run --offline --release -q -p bench --bin paperbench -- \
     noncontig --quick --emit-json "$tmp" > /dev/null
-cargo run --offline --release -q -p bench --bin paperbench -- \
-    staging2 --quick --emit-json "$tmp" > /dev/null
 cargo run --offline --release -q -p plfs-tools -- benchcheck "$tmp"/BENCH_*.json
 
 # The harness build above rewrites benchmark/Cargo.lock (it prunes entries

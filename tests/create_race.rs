@@ -72,9 +72,6 @@ impl Backing for Gated {
     fn truncate(&self, path: &str, len: u64) -> Result<()> {
         self.inner.truncate(path, len)
     }
-    fn seal(&self, path: &str) -> Result<()> {
-        self.inner.seal(path)
-    }
 }
 
 /// Each caller mounts its own `Plfs` (its own metadata cache), like the

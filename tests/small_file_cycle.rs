@@ -13,7 +13,7 @@
 use plfs::container::{self, ContainerParams, LayoutMode};
 use plfs::{
     Backing, Conf, MemBacking, MeterBacking, MeterSnapshot, OpenFlags, Plfs, SpreadBacking,
-    TieredBacking, WriteFile,
+    WriteFile,
 };
 use std::sync::Arc;
 
@@ -634,27 +634,6 @@ fn two_fds_of_one_pid_keep_their_own_marker_and_drop() {
         let st = Plfs::new(b.clone()).getattr("/f").unwrap();
         assert_eq!((st.size, st.physical_bytes), (24, 32), "{mode:?}");
     }
-}
-
-/// Creating over a container through a tiered mount whose fast tier is
-/// fresh must answer from what is there and touch none of it: the container
-/// only the slow tier holds is there, not half-made by this create.
-#[test]
-fn create_over_a_container_only_the_slow_tier_holds_keeps_it() {
-    let slow = Arc::new(MemBacking::new());
-    let params = ContainerParams {
-        num_hostdirs: 3,
-        ..Default::default()
-    };
-    container::create_container(slow.as_ref(), "/c", &params, true).unwrap();
-    let tiered = TieredBacking::new(Arc::new(MemBacking::new()), slow.clone(), &Conf::default());
-    let excl = container::create_container(&tiered, "/c", &ContainerParams::default(), true);
-    assert!(matches!(excl, Err(plfs::Error::Exists(_))), "{excl:?}");
-    let joined = container::create_container(&tiered, "/c", &ContainerParams::default(), false);
-    let (stored, how) = joined.unwrap();
-    assert_eq!(stored.num_hostdirs, 3, "the stored params");
-    assert_eq!(how, container::Creation::Joined);
-    assert!(slow.exists("/c/.plfsaccess"), "access file survives");
 }
 
 /// On a spread mount the lifecycle names — and with them the creator's
