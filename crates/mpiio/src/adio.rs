@@ -270,14 +270,19 @@ impl PlfsContainer {
     }
 
     /// Create the container skeleton — the two ops of
-    /// `plfs::container::create_container`, dir and access file — and all
-    /// hostdirs (as real PLFS does at container creation — so later
-    /// dropping creates are pure file creates).
+    /// `plfs::container::create_container_as` for a writing open: the dir,
+    /// then the creator's (rank 0's) data dropping with the default params
+    /// or the access file with others — and all hostdirs (as real PLFS does
+    /// at container creation — so later dropping creates are pure file
+    /// creates).
     fn create_skeleton(&mut self, fs: &mut SimFs, t: f64) -> SimResult<f64> {
         let mut c = fs.mkdir(t, &self.path)?;
-        c = fs
-            .create(c, &format!("{}/.plfsaccess", self.path), Some(1))?
-            .0;
+        let marker = if self.num_hostdirs == plfs::ContainerParams::default().num_hostdirs {
+            "dropping.data.0.0"
+        } else {
+            plfs::container::ACCESS_FILE
+        };
+        c = fs.create(c, &format!("{}/{marker}", self.path), Some(1))?.0;
         for hd in 0..self.num_hostdirs {
             c = fs.mkdir(c, &format!("{}/hostdir.{hd}", self.path))?;
             self.hostdirs_made.insert(hd);
@@ -289,8 +294,8 @@ impl PlfsContainer {
     /// Ensure a rank's write stream exists: hostdir + data and index
     /// droppings (2 creates, the Figure 5 load). Every modeled rank keeps
     /// the hostdir form; the library gives the one rank whose open made
-    /// the container a top-level pair instead, so per file this is an
-    /// upper bound by at most 2 ops.
+    /// the container a top-level pair instead (its data dropping the
+    /// skeleton's), so per file this is an upper bound by at most 2 ops.
     fn stream(&mut self, fs: &mut SimFs, t: f64, rank: usize) -> SimResult<(f64, &mut Stream)> {
         if !self.streams.contains_key(&rank) {
             let hd = self.hostdir(rank);
@@ -973,6 +978,22 @@ mod tests {
             sieved_bytes > plain_bytes,
             "sieve RMW moves more bytes: {sieved_bytes} vs {plain_bytes}"
         );
+    }
+
+    /// The skeleton's second op follows the library: the creator's data
+    /// dropping with the default params, the access file with others.
+    #[test]
+    fn the_skeleton_is_marked_as_the_library_marks_it() {
+        for (hostdirs, marker, other) in [
+            (32, "dropping.data.0.0", ".plfsaccess"),
+            (4, ".plfsaccess", "dropping.data.0.0"),
+        ] {
+            let mut fs = fs();
+            let mut d = PlfsRomioDriver::new(hostdirs);
+            d.open(&mut fs, "/ckpt", true, &ranks(2, 2)).unwrap();
+            assert!(fs.exists(&format!("/ckpt/{marker}")), "{hostdirs}");
+            assert!(!fs.exists(&format!("/ckpt/{other}")), "{hostdirs}");
+        }
     }
 
     #[test]

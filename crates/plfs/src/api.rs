@@ -123,18 +123,28 @@ impl Plfs {
     }
 
     /// One backing probe for a path's verdict: a single `stat` plus (for
-    /// directories) the container-marker check. Params and meta drops are
-    /// *not* read here — [`Plfs::params_for`] / [`Plfs::meta_for`] fill
-    /// them lazily, so `getattr`/`access` never pay for fields they do not
-    /// need.
+    /// directories) the marker rule, [`container::probe_marker`]. Params
+    /// and meta drops are *not* read here — [`Plfs::params_for`] /
+    /// [`Plfs::meta_for`] fill them lazily, so `getattr`/`access` never pay
+    /// for fields they do not need — except that a container with no
+    /// access file has the default params, known without a read.
     fn probe_meta(&self, bp: &str) -> MetaEntry {
+        use container::Marker;
         let mut e = MetaEntry::default();
         // A failed stat means "missing", matching the exists() probe the
         // pre-cache open path used.
         if let Ok(st) = self.backing.stat(bp) {
             e.exists = true;
             e.is_dir = st.is_dir;
-            e.is_container = st.is_dir && self.backing.exists(&join(bp, container::ACCESS_FILE));
+            let marker = if st.is_dir {
+                container::probe_marker(self.backing.as_ref(), bp)
+            } else {
+                None
+            };
+            e.is_container = marker.is_some();
+            if marker == Some(Marker::Dropping) {
+                e.params = Some(ContainerParams::default());
+            }
         }
         e
     }
@@ -266,35 +276,31 @@ impl Plfs {
     }
 
     fn open_inner(&self, path: &str, flags: OpenFlags, pid: u64) -> Result<Arc<PlfsFd>> {
-        use container::Creation::{Joined, Made};
         let bp = self.backend_path(path);
-        let (params, how) = match self.cached_entry(&bp) {
+        let (params, creator) = match self.cached_entry(&bp) {
             // Nothing known about the path and the caller would create it:
             // the `mkdir` is the probe.
-            None if flags.create() => self.create_for_open(&bp, path, flags)?,
+            None if flags.create() => self.create_for_open(&bp, path, flags, pid)?,
             cached => {
                 let e = cached.unwrap_or_else(|| self.probed_entry(&bp));
                 if e.exists && flags.create() && flags.excl() {
                     return Err(Error::Exists(path.to_string()));
                 }
                 if e.is_container {
-                    let e = if flags.trunc() {
-                        self.trunc_backend(&bp, 0)?;
-                        // trunc_backend invalidated the cached verdict;
-                        // feeding the pre-truncate entry back into
-                        // params_for would reinstall its fast-stat field
-                        // and resurrect the old size.
-                        MetaEntry { meta: None, ..e }
-                    } else {
-                        e
-                    };
-                    (self.params_for(&bp, e)?, Joined)
+                    // Params first: the truncate drops the whole verdict,
+                    // which filling it afterwards from the pre-truncate
+                    // entry would resurrect, old fast-stat size included.
+                    let params = self.params_for(&bp, e)?;
+                    if flags.trunc() {
+                        self.trunc_backend(&bp, 0, params)?;
+                    }
+                    (params, None)
                 } else if flags.create() && (!e.exists || e.is_dir) {
-                    // Missing — or a directory with no access file, which is
-                    // a plain directory or a container another process is
+                    // Missing — or a directory with no marker, which is a
+                    // plain directory or a container another process is
                     // creating this instant: a non-exclusive create must
                     // join that one, not fail on it.
-                    self.create_for_open(&bp, path, flags)?
+                    self.create_for_open(&bp, path, flags, pid)?
                 } else if !e.exists {
                     return Err(Error::NotFound(path.to_string()));
                 } else if e.is_dir {
@@ -305,8 +311,8 @@ impl Plfs {
             }
         };
         let mut fd = PlfsFd::new(self.backing.clone(), bp, params, flags, &self.conf, pid);
-        if how == Made {
-            fd = fd.into_creator();
+        if let Some(dropping) = creator {
+            fd = fd.into_creator(dropping);
         }
         if self.conf.meta_cache_enabled() {
             fd = fd.with_meta_cache(Arc::clone(&self.cache));
@@ -317,24 +323,29 @@ impl Plfs {
     /// The creating half of an `O_CREAT` open: make the container or join
     /// the one that is there (`O_TRUNC` then empties it), and install the
     /// verdict — the params come back from the create, with no re-read of
-    /// the access file. A create costs `mkdir` + access file; on an
-    /// existing container `mkdir` (`EEXIST`) + the access file's `open`
-    /// (and one read). Only a failure pays for a probe, to report the precise
-    /// errno for what is in the way.
+    /// the access file. A writable open that makes it is its creator, `pid`
+    /// the name of the data dropping the create makes for its first writer
+    /// (with the default params, in place of the access file): `mkdir` +
+    /// that dropping or the access file, or both. On an existing container
+    /// `mkdir` (`EEXIST`) + the access file's `open` (and one read), or its
+    /// failure and the listing that finds the dropping. Only a failure pays
+    /// for a probe, to report the precise errno for what is in the way.
     fn create_for_open(
         &self,
         bp: &str,
         path: &str,
         flags: OpenFlags,
-    ) -> Result<(ContainerParams, container::Creation)> {
+        pid: u64,
+    ) -> Result<(ContainerParams, Option<container::CreatorDropping>)> {
         let b = self.backing.as_ref();
-        match container::create_container(b, bp, &self.defaults, flags.excl()) {
-            Ok((p, how)) => {
+        let creator = flags.writable().then_some(pid);
+        match container::create_container_as(b, bp, &self.defaults, flags.excl(), creator) {
+            Ok((p, how, dropping)) => {
                 if how == container::Creation::Joined && flags.trunc() {
-                    self.trunc_backend(bp, 0)?;
+                    self.trunc_backend(bp, 0, p)?;
                 }
                 self.meta_install(bp, p);
-                Ok((p, how))
+                Ok((p, dropping))
             }
             // POSIX: O_CREAT|O_EXCL is EEXIST whatever is in the way.
             Err(Error::Exists(_)) if flags.excl() => Err(Error::Exists(path.to_string())),
@@ -526,7 +537,14 @@ impl Plfs {
     /// `plfs_trunc` by path.
     pub fn trunc(&self, path: &str, len: u64) -> Result<()> {
         let t0 = iotrace::global().start();
-        let r = self.trunc_backend(&self.backend_path(path), len);
+        let bp = self.backend_path(path);
+        let e = self.meta_entry(&bp);
+        let r = if e.is_container {
+            self.params_for(&bp, e)
+                .and_then(|params| self.trunc_backend(&bp, len, params))
+        } else {
+            Err(Error::NotContainer(path.to_string()))
+        };
         trace_op(t0, || {
             OpEvent::new(Layer::Plfs, OpKind::Trunc)
                 .path(path)
@@ -535,31 +553,37 @@ impl Plfs {
         r
     }
 
-    fn trunc_backend(&self, bp: &str, len: u64) -> Result<()> {
-        let r = self.trunc_backend_inner(bp, len);
+    /// Truncate the container at `bp`, whose params are `params`.
+    fn trunc_backend(&self, bp: &str, len: u64, params: ContainerParams) -> Result<()> {
+        let r = self.trunc_backend_inner(bp, len, params);
         // After any trunc attempt the cached size/params/meta info is
         // suspect; drop the whole verdict and let the next probe rebuild it.
         self.meta_invalidate(bp);
         r
     }
 
-    fn trunc_backend_inner(&self, bp: &str, len: u64) -> Result<()> {
-        // A missing access file is the "not a container" answer.
-        let params = container::read_params(self.backing.as_ref(), bp)?;
+    fn trunc_backend_inner(&self, bp: &str, len: u64, params: ContainerParams) -> Result<()> {
+        let b = self.backing.as_ref();
         if len == 0 {
             // Drop every dropping — the hostdirs and the top-level pair —
-            // and every meta drop; the access file stays, and so do the
-            // `open.*` markers of writers still open (theirs to remove).
+            // and every meta drop; the access file stays (it is written
+            // first if the top-level data dropping was the marker), and so
+            // do the `open.*` markers of writers still open (theirs to
+            // remove).
             let files = [
                 container::META_PREFIX,
                 container::DATA_PREFIX,
                 container::INDEX_PREFIX,
             ];
-            for n in self.backing.readdir(bp)? {
+            let names = b.readdir(bp)?;
+            if !names.iter().any(|n| n == container::ACCESS_FILE) {
+                container::ensure_access_file(b, bp, &params)?;
+            }
+            for n in names {
                 if n.starts_with(container::HOSTDIR_PREFIX) {
-                    crate::backing::remove_tree(self.backing.as_ref(), &join(bp, &n))?;
+                    crate::backing::remove_tree(b, &join(bp, &n))?;
                 } else if files.iter().any(|p| n.starts_with(p)) {
-                    self.backing.unlink(&join(bp, &n))?;
+                    b.unlink(&join(bp, &n))?;
                 }
             }
             return Ok(());
@@ -574,7 +598,7 @@ impl Plfs {
             reader.pread(self.backing.as_ref(), &mut data, 0)?;
         }
         drop(reader);
-        self.trunc_backend(bp, 0)?;
+        self.trunc_backend(bp, 0, params)?;
         let mut w = crate::writer::WriteFile::open(
             self.backing.as_ref(),
             bp,
@@ -932,8 +956,7 @@ mod tests {
             "warm reopen must cost zero backing metadata ops: {warm:?}"
         );
 
-        // The same reopen with the cache off (pre-fast-path behaviour):
-        // stat + marker exists + access-file open (one read, no size).
+        // The same reopen with the cache off (pre-fast-path behaviour).
         let (meter, p) = metered_plfs(Conf {
             meta_cache_entries: 0,
             ..Conf::default()
@@ -941,13 +964,24 @@ mod tests {
         let fd = p.open("/f", CREATE_RW, 1).unwrap();
         p.write(&fd, b"x", 0, 1).unwrap();
         p.close(&fd, 1).unwrap();
-        let before = meter.snapshot();
-        let fd = p.open("/f", OpenFlags::RDONLY, 1).unwrap();
-        let serial = meter.snapshot().delta(&before);
-        p.close(&fd, 1).unwrap();
-        assert_eq!(serial.stat, 1);
-        assert_eq!(serial.exists, 1);
-        assert_eq!(serial.open, 1);
+        p.create("/g", true).unwrap();
+        let reopen = |path| {
+            let before = meter.snapshot();
+            let fd = p.open(path, OpenFlags::RDONLY, 1).unwrap();
+            let serial = meter.snapshot().delta(&before);
+            p.close(&fd, 1).unwrap();
+            serial
+        };
+        // Marked by its creator's dropping: stat, the access file's
+        // exists, the listing, the dropping's stat — and the default
+        // params, with nothing to read.
+        let serial = reopen("/f");
+        assert_eq!((serial.stat, serial.exists, serial.readdir), (2, 1, 1));
+        assert_eq!(serial.metadata_ops(), 4, "{serial:?}");
+        // Marked by its access file: stat, its exists, its open (one read,
+        // no size).
+        let serial = reopen("/g");
+        assert_eq!((serial.stat, serial.exists, serial.open), (1, 1, 1));
         assert_eq!(serial.size, 0);
         assert_eq!(
             serial.metadata_ops(),
@@ -969,20 +1003,41 @@ mod tests {
         let fd = p.open("/f", CREATE_RW, 1).unwrap();
         let d = meter.snapshot().delta(&before);
         p.close(&fd, 1).unwrap();
-        // The container skeleton and nothing else: mkdir + access-file
-        // create. No probe before the mkdir (its answer is the probe), no
-        // open() of the access file to re-read the params just written.
+        // The container skeleton and nothing else: mkdir + the creator's
+        // data dropping. No probe before the mkdir (its answer is the
+        // probe), no access file (the params are the defaults).
         assert_eq!((d.mkdir, d.create), (1, 1));
         assert_eq!(d.metadata_ops(), 2, "{d:?}");
+        // Closed without a write: the dropping and its empty closed index.
+        assert_eq!(
+            meter.readdir("/f").unwrap(),
+            ["dropping.data.1.0", "dropping.index.1.0.0.0"]
+        );
+        p.create("/g", true).unwrap();
         // O_CREAT over a container nothing is cached about: the mkdir's
-        // EEXIST, then the access file's open (one read, no size).
-        let (meter, other) = (meter.clone(), Plfs::new(meter as Arc<dyn Backing>));
-        let before = meter.snapshot();
-        let fd = other.open("/f", CREATE_RW, 2).unwrap();
-        let d = meter.snapshot().delta(&before);
-        other.close(&fd, 2).unwrap();
-        assert_eq!((d.mkdir, d.open, d.size), (1, 1, 0));
-        assert_eq!(d.metadata_ops(), 2, "{d:?}");
+        // EEXIST, then the access file's open (one read, no size) — or,
+        // with none, the listing and the stat that confirm the dropping,
+        // and the access file this first joiner writes for the next.
+        let meter2 = meter.clone();
+        let cold_create = |path| {
+            let other = Plfs::new(meter2.clone() as Arc<dyn Backing>);
+            let before = meter2.snapshot();
+            let fd = other.open(path, CREATE_RW, 2).unwrap();
+            let d = meter2.snapshot().delta(&before);
+            other.close(&fd, 2).unwrap();
+            d
+        };
+        let d = cold_create("/f");
+        assert_eq!(
+            (d.mkdir, d.open, d.readdir, d.stat, d.create),
+            (1, 1, 1, 1, 1)
+        );
+        assert_eq!(d.metadata_ops(), 5, "{d:?}");
+        for path in ["/f", "/g"] {
+            let d = cold_create(path);
+            assert_eq!((d.mkdir, d.open, d.size), (1, 1, 0), "{path}");
+            assert_eq!(d.metadata_ops(), 2, "{path}: {d:?}");
+        }
     }
 
     /// What is in the way of an `O_CREAT` decides the errno — and with

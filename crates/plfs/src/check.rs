@@ -186,9 +186,14 @@ fn pattern_fit(p: &PatternRecord, data_size: u64) -> u64 {
 /// Examine a container and report inconsistencies. Read-only.
 pub fn check(b: &dyn Backing, path: &str) -> Result<CheckReport> {
     let mut report = CheckReport::default();
-    // Open-writer markers and fast-stat drops, off the one listing that
-    // also says whether this is a container at all.
-    let (writers, meta) = match container::read_lifecycle(b, path) {
+    // The marker rule for a path nothing is known about, then open-writer
+    // markers and fast-stat drops off one listing.
+    let lifecycle = if container::is_container(b, path) {
+        container::read_lifecycle(b, path)
+    } else {
+        Err(Error::NotContainer(path.to_string()))
+    };
+    let (writers, meta) = match lifecycle {
         Ok(lifecycle) => lifecycle,
         Err(Error::NotContainer(_)) => {
             report.findings.push(Finding::NotAContainer);
@@ -705,10 +710,7 @@ mod tests {
         plfs.write(&fd, &[9u8; 64], 0, 4).unwrap();
         std::mem::forget(fd); // killed: no close ever runs
         let b = backing.as_ref();
-        assert_eq!(
-            b.readdir("/c").unwrap(),
-            [".plfsaccess", "dropping.data.4.0"]
-        );
+        assert_eq!(b.readdir("/c").unwrap(), ["dropping.data.4.0"]);
         assert_eq!(
             check(b, "/c").unwrap().findings,
             [Finding::OpenWriters { count: 1 }]

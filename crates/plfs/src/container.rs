@@ -4,8 +4,8 @@
 //!
 //! ```text
 //! foo/                                      container directory
-//!   .plfsaccess                             marker: "this directory is a container"
-//!   dropping.data.<pid>.<n>                 the creator's data dropping; alone: it is open
+//!   .plfsaccess                             marker and params; absent if a writer's open made foo with the defaults
+//!   dropping.data.<pid>.<n>                 the creator's data dropping, made by its open; alone: it is open
 //!   dropping.index.<pid>.<n>                its index, if needed before close; the creator is open
 //!   dropping.index.<pid>.<n>.<eof>.<bytes>  its index once it closed; fast-stat info
 //!   open.<pid>.<n>                          empty: hostdir writer (pid, n) is open
@@ -14,6 +14,19 @@
 //!     dropping.data.<pid>.<n>               log-structured data
 //!     dropping.index.<pid>.<n>              index records for that data
 //! ```
+//!
+//! **The marker rule.** A directory is a container when it holds the
+//! access file or a top-level data dropping (a regular file: an
+//! application's container of that name is a directory). No access file
+//! means [`ContainerParams::default`]. A writable `open(O_CREAT)` that
+//! makes a container with the defaults makes its creator's data dropping
+//! in place of the access file (`create_container_as`); every other
+//! create, and a creator with other params, writes the access file first.
+//! The first writer to join such a container writes the access file, so
+//! the joiners after it read the params instead of listing. Only an
+//! unlink leaves the directory unmarked: whatever else removes the last
+//! top-level data dropping writes the access file before it
+//! ([`ensure_access_file`]).
 //!
 //! Droppings mirror Figure 1 of the paper (and the real PLFS layout): n
 //! writers produce at least n data droppings and n index droppings, spread
@@ -28,8 +41,11 @@
 //! * The writer that *made* the container (its `open`'s `mkdir` succeeded:
 //!   [`Creation::Made`]) keeps a **top-level pair**: its two droppings sit
 //!   beside the access file, with no hostdir and no empty marker — the
-//!   index dropping's own name is its lifecycle. Close creates it under
-//!   its closed name, carrying `<eof>.<bytes>`: the fast-stat drop. Until
+//!   index dropping's own name is its lifecycle. The data dropping is made
+//!   by the open, for the first writer opened through its fd (one that
+//!   never writes publishes an empty closed index at close). Close
+//!   creates the index under its closed name, carrying `<eof>.<bytes>`:
+//!   the fast-stat drop. Until
 //!   then the data dropping alone says the creator is open — or, if a full
 //!   buffer, a sync or a truncate needed the index first, the index under
 //!   its un-suffixed name, which close renames. (A name apart from
@@ -78,7 +94,7 @@ pub enum LayoutMode {
 }
 
 /// Static parameters of a container, fixed at create time.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ContainerParams {
     /// Number of `hostdir.N` subdirectories writers are spread over.
     pub num_hostdirs: u32,
@@ -171,12 +187,69 @@ pub fn parse_index_name(name: &str) -> Option<(&str, Option<(u64, u64)>)> {
     }
 }
 
-/// Is the backend path a PLFS container?
+/// Is the backend path a PLFS container? The cold rule of
+/// `probe_marker`, after one `stat` says it is a directory.
 pub fn is_container(b: &dyn Backing, path: &str) -> bool {
     match b.stat(path) {
-        Ok(st) if st.is_dir => b.exists(&join(path, ACCESS_FILE)),
+        Ok(st) if st.is_dir => probe_marker(b, path).is_some(),
         _ => false,
     }
+}
+
+/// What marks a directory as a container.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Marker {
+    /// The access file, which holds the params.
+    AccessFile,
+    /// A top-level data dropping and no access file: the default params.
+    Dropping,
+}
+
+/// The marker rule over one directory's listing, trusting names: the
+/// access file or a top-level data dropping. What a caller that already
+/// has a verdict (or was handed a container) reads off a listing.
+fn marked(names: &[String]) -> bool {
+    names
+        .iter()
+        .any(|n| n == ACCESS_FILE || n.starts_with(DATA_PREFIX))
+}
+
+/// The marker rule for a directory nothing is known about: one `exists`
+/// of the access file; failing it, the listing, and a `stat` confirming a
+/// top-level data dropping it names is a regular file — a plain directory
+/// holding an application's file of that name holds a container, which is
+/// a directory.
+pub(crate) fn probe_marker(b: &dyn Backing, dir: &str) -> Option<Marker> {
+    if b.exists(&join(dir, ACCESS_FILE)) {
+        return Some(Marker::AccessFile);
+    }
+    dropping_marks(b, dir)
+        .unwrap_or(false)
+        .then_some(Marker::Dropping)
+}
+
+/// Is `e` what a path that is missing, or no directory, answers
+/// (`ENOENT`, `ENOTDIR`)?
+fn no_such_dir(e: &Error) -> bool {
+    use crate::error::libc_errno::{ENOENT, ENOTDIR};
+    [ENOENT, ENOTDIR].contains(&e.errno())
+}
+
+/// Does the listing of `dir` name a top-level data dropping that is a
+/// regular file? `false` if `dir` is missing or no directory.
+fn dropping_marks(b: &dyn Backing, dir: &str) -> Result<bool> {
+    let names = match b.readdir(dir) {
+        Ok(names) => names,
+        Err(e) if no_such_dir(&e) => return Ok(false),
+        Err(e) => return Err(e),
+    };
+    let candidates = names.iter().filter(|n| n.starts_with(DATA_PREFIX));
+    for name in candidates {
+        if b.stat(&join(dir, name)).is_ok_and(|st| !st.is_dir) {
+            return Ok(true);
+        }
+    }
+    Ok(false)
 }
 
 /// Serialized container parameters stored in the access file.
@@ -237,6 +310,31 @@ pub enum Creation {
     Joined,
 }
 
+/// A new container's first data dropping, `dropping.data.<pid>.0` in the
+/// container directory: made by the open that made the container, for the
+/// first writer opened through its fd ([`crate::WriteFile`]'s top-level
+/// pair).
+pub(crate) struct CreatorDropping {
+    /// The data dropping, open for writing.
+    pub(crate) file: Box<dyn BackingFile>,
+    /// The pid its name carries.
+    pid: u64,
+}
+
+impl CreatorDropping {
+    /// Create it, exclusively, in `container`.
+    pub(crate) fn create(b: &dyn Backing, container: &str, pid: u64) -> Result<CreatorDropping> {
+        let (data, _) = toplevel_pair_paths(container, pid, 0);
+        let file = b.create(&data, true)?;
+        Ok(CreatorDropping { file, pid })
+    }
+
+    /// Its data and (un-suffixed) index paths in `container`.
+    pub(crate) fn paths(&self, container: &str) -> (String, String) {
+        toplevel_pair_paths(container, self.pid, 0)
+    }
+}
+
 /// Create a container directory at `path`: the directory and its access
 /// file, nothing else — hostdirs are made by writers, lifecycle names by
 /// open and close.
@@ -251,31 +349,86 @@ pub fn create_container(
     params: &ContainerParams,
     excl: bool,
 ) -> Result<(ContainerParams, Creation)> {
+    let (p, how, _) = create_container_as(b, path, params, excl, None)?;
+    Ok((p, how))
+}
+
+/// [`create_container`] for an open that will write, as `creator`: a
+/// container it makes outside log mode gets its [`CreatorDropping`] too,
+/// and, with the default params, no access file — the dropping marks it.
+/// One it joins that only a dropping marks gets the access file from it:
+/// every later joiner reads the params in one `open` instead of listing a
+/// directory that fills with the writers' lifecycle names. With `creator`
+/// `None` this is [`create_container`].
+pub(crate) fn create_container_as(
+    b: &dyn Backing,
+    path: &str,
+    params: &ContainerParams,
+    excl: bool,
+    creator: Option<u64>,
+) -> Result<(ContainerParams, Creation, Option<CreatorDropping>)> {
     match b.mkdir(path) {
         Ok(()) => {}
         // Already there, or lost the mkdir to a concurrent creator.
         Err(Error::Exists(_)) if !excl => {
-            return Ok((await_creator(b, path)?, Creation::Joined));
+            let (p, marker) = await_creator(b, path)?;
+            if creator.is_some() && marker == Marker::Dropping {
+                ensure_access_file(b, path, &p)?;
+            }
+            return Ok((p, Creation::Joined, None));
         }
         Err(e) => return Err(e),
     }
+    let creator = creator.filter(|_| params.mode != LayoutMode::LogStructured);
+    let access = creator.is_none() || *params != ContainerParams::default();
     // A bare directory would read as nascent to every later creator: on
     // failure take back down what this call made (best effort), and only
     // that — an access file whose exclusive create failed is not ours, and
-    // `rmdir` refuses a directory that holds anything.
-    let access = join(path, ACCESS_FILE);
-    let made = b.create(&access, true).and_then(|f| {
-        let wrote = f.pwrite(&encode_params(params), 0);
-        if wrote.is_err() {
-            let _ = b.unlink(&access);
+    // `rmdir` refuses a directory that holds anything. The access file goes
+    // first, so a joiner that sees the dropping finds the params complete.
+    let made = (|| {
+        if access {
+            write_access_file(b, path, params)?;
         }
-        wrote
-    });
-    if let Err(e) = made {
-        let _ = b.rmdir(path);
+        let dropping = creator.map(|pid| CreatorDropping::create(b, path, pid));
+        match dropping.transpose() {
+            Err(e) if access => {
+                let _ = b.unlink(&join(path, ACCESS_FILE));
+                Err(e)
+            }
+            made => made,
+        }
+    })();
+    match made {
+        Ok(dropping) => Ok((*params, Creation::Made, dropping)),
+        Err(e) => {
+            let _ = b.rmdir(path);
+            Err(e)
+        }
+    }
+}
+
+/// Create the access file of the container at `path`, exclusively, and
+/// write `params` into it; a failed write takes the file back down.
+fn write_access_file(b: &dyn Backing, path: &str, params: &ContainerParams) -> Result<()> {
+    let access = join(path, ACCESS_FILE);
+    let f = b.create(&access, true)?;
+    if let Err(e) = f.pwrite(&encode_params(params), 0) {
+        let _ = b.unlink(&access);
         return Err(e);
     }
-    Ok((*params, Creation::Made))
+    Ok(())
+}
+
+/// Give the container at `path` its access file unless it has one: what
+/// anything but an unlink does before it removes the last top-level data
+/// dropping of a container marked by that dropping alone, with the params
+/// it has — the defaults, for such a container.
+pub fn ensure_access_file(b: &dyn Backing, path: &str, params: &ContainerParams) -> Result<()> {
+    match write_access_file(b, path, params) {
+        Err(Error::Exists(_)) => Ok(()),
+        r => r,
+    }
 }
 
 /// How long a non-exclusive creator waits for a concurrent creator of the
@@ -284,17 +437,18 @@ const CREATE_RACE_WAIT: Duration = Duration::from_secs(1);
 
 /// The parameters of the container at `path`, which exists but may still be
 /// mid-creation by another process: the skeleton is `mkdir` then the access
-/// file (create, then its bytes), and a creator that merely lost the race
-/// must not fail a *non*-exclusive create with `EEXIST`. Reads the access
-/// file, retrying (bounded) while it is missing or still empty — but only
-/// while `path` looks like a nascent container; anything else in the way is
-/// `Exists` at once.
-fn await_creator(b: &dyn Backing, path: &str) -> Result<ContainerParams> {
+/// file (create, then its bytes) and/or the creator's data dropping, and a
+/// creator that merely lost the race must not fail a *non*-exclusive create
+/// with `EEXIST`. Reads the params, retrying (bounded) while neither marker
+/// is there or the access file is still empty — but only while `path`
+/// looks like a nascent container; anything else in the way is `Exists` at
+/// once, and an error other than a missing marker is returned as it is.
+fn await_creator(b: &dyn Backing, path: &str) -> Result<(ContainerParams, Marker)> {
     let deadline = Instant::now() + CREATE_RACE_WAIT;
     let mut pause = Duration::from_micros(50);
     loop {
-        let err = match read_params(b, path) {
-            Ok(p) => return Ok(p),
+        let err = match read_marked(b, path) {
+            Ok(found) => return Ok(found),
             Err(e @ Error::Corrupt(_)) => e,
             Err(Error::NotContainer(_)) => Error::Exists(path.to_string()),
             Err(e) => return Err(e),
@@ -302,8 +456,8 @@ fn await_creator(b: &dyn Backing, path: &str) -> Result<ContainerParams> {
         if Instant::now() >= deadline || !nascent(b, path) {
             // Not a skeleton — or no longer one: a creator that finished
             // between the two probes (and a writer that already made a
-            // hostdir) left a readable access file.
-            return read_params(b, path).map_err(|_| err);
+            // hostdir) left a marker.
+            return read_marked(b, path).map_err(|_| err);
         }
         std::thread::sleep(pause);
         pause = (pause * 2).min(Duration::from_millis(10));
@@ -321,21 +475,45 @@ fn nascent(b: &dyn Backing, path: &str) -> bool {
 /// writes is a few dozen bytes.
 const ACCESS_FILE_MAX: usize = 4096;
 
-/// Read back the parameters a container was created with: one `pread` of
-/// up to one byte past [`ACCESS_FILE_MAX`], so no `size` first. An access
-/// file longer than that is corrupt.
-pub fn read_params(b: &dyn Backing, path: &str) -> Result<ContainerParams> {
-    let f = b
-        .open(&join(path, ACCESS_FILE), false)
-        .map_err(|_| Error::NotContainer(path.to_string()))?;
-    let mut buf = [0u8; ACCESS_FILE_MAX + 1];
-    let n = f.pread(&mut buf, 0)?;
-    if n > ACCESS_FILE_MAX {
-        return Err(Error::Corrupt(format!(
-            "access file of {path} is over {ACCESS_FILE_MAX} bytes"
-        )));
+/// Read the container's access file into `buf`: how many bytes it holds,
+/// `None` if it has none (`ENOENT`; or `ENOTDIR`, `path` being no
+/// directory). Any other error is returned as it is. One `pread`, so no
+/// `size` first.
+fn read_access_file(b: &dyn Backing, path: &str, buf: &mut [u8]) -> Result<Option<usize>> {
+    match b.open(&join(path, ACCESS_FILE), false) {
+        Ok(f) => f.pread(buf, 0).map(Some),
+        Err(e) if no_such_dir(&e) => Ok(None),
+        Err(e) => Err(e),
     }
-    decode_params(&buf[..n])
+}
+
+/// Read back the parameters a container was created with, by the marker
+/// rule for a path nothing is known about: the access file's, or — with
+/// none, and a top-level data dropping marking the directory — the
+/// defaults. `NotContainer` when neither marks it.
+pub fn read_params(b: &dyn Backing, path: &str) -> Result<ContainerParams> {
+    read_marked(b, path).map(|(p, _)| p)
+}
+
+/// [`read_params`] and which marker it read them off. The access file is
+/// read with one `pread` of up to one byte past [`ACCESS_FILE_MAX`]; one
+/// longer than that is corrupt. An empty one beside a top-level data
+/// dropping is being written into a container that dropping marked (a
+/// creator writes its own whole before it makes its dropping): the
+/// defaults, as with none.
+fn read_marked(b: &dyn Backing, path: &str) -> Result<(ContainerParams, Marker)> {
+    let mut buf = [0u8; ACCESS_FILE_MAX + 1];
+    match read_access_file(b, path, &mut buf)? {
+        Some(n) if n > ACCESS_FILE_MAX => Err(Error::Corrupt(format!(
+            "access file of {path} is over {ACCESS_FILE_MAX} bytes"
+        ))),
+        Some(n) if n > 0 => decode_params(&buf[..n]).map(|p| (p, Marker::AccessFile)),
+        _ if dropping_marks(b, path)? => Ok((ContainerParams::default(), Marker::Dropping)),
+        // Empty, and nothing else marks the directory: a creator between
+        // its access file's create and its write, or one that died there.
+        Some(_) => decode_params(&[]).map(|p| (p, Marker::AccessFile)),
+        None => Err(Error::NotContainer(path.to_string())),
+    }
 }
 
 /// Ensure the hostdir a pid writes into exists.
@@ -356,14 +534,14 @@ pub fn ensure_hostdir(
 }
 
 /// The container directory's listing: the one question the metadata path
-/// asks. "Is a container" is read off it (the access file is among the
-/// names, and no directory to list is the same answer), so nothing that
-/// lists probes first.
+/// asks. "Is a container" is read off it by the marker rule (no directory
+/// to list is the same answer), so nothing that lists probes first; the
+/// names are trusted, as the caller holds a verdict or was handed a
+/// container.
 fn list_container(b: &dyn Backing, container: &str) -> Result<Vec<String>> {
-    use crate::error::libc_errno::{ENOENT, ENOTDIR};
     match b.readdir(container) {
-        Ok(names) if names.iter().any(|n| n == ACCESS_FILE) => Ok(names),
-        Err(e) if ![ENOENT, ENOTDIR].contains(&e.errno()) => Err(e),
+        Ok(names) if marked(&names) => Ok(names),
+        Err(e) if !no_such_dir(&e) => Err(e),
         _ => Err(Error::NotContainer(container.to_string())),
     }
 }
@@ -874,6 +1052,40 @@ mod tests {
         ));
         // Non-exclusive open of an existing container succeeds.
         create_container(&b, "/f", &ContainerParams::default(), false).unwrap();
+    }
+
+    /// An access file still empty is a creator between its create and its
+    /// write — or, beside a top-level data dropping, one being written into
+    /// a container the dropping marked, which has the defaults.
+    #[test]
+    fn an_empty_access_file_beside_a_dropping_means_the_defaults() {
+        let b = mem();
+        b.mkdir("/nascent").unwrap();
+        b.create("/nascent/.plfsaccess", true).unwrap();
+        assert!(matches!(
+            read_params(&b, "/nascent"),
+            Err(Error::Corrupt(_))
+        ));
+        let p = ContainerParams::default();
+        let (_, how, dropping) = create_container_as(&b, "/c", &p, true, Some(3)).unwrap();
+        assert_eq!(
+            (how, b.readdir("/c").unwrap()),
+            (Creation::Made, vec!["dropping.data.3.0".to_string()])
+        );
+        drop(dropping);
+        b.create("/c/.plfsaccess", true).unwrap();
+        assert_eq!(read_params(&b, "/c").unwrap(), p);
+        // One that is there is left as it is.
+        ensure_access_file(
+            &b,
+            "/c",
+            &ContainerParams {
+                num_hostdirs: 9,
+                ..p
+            },
+        )
+        .unwrap();
+        assert_eq!(b.stat("/c/.plfsaccess").unwrap().size, 0);
     }
 
     #[test]

@@ -286,16 +286,24 @@ mod tests {
         assert!(faulty.injected() >= 1);
     }
 
+    /// The create after the `mkdir`: a writer's creator dropping, or the
+    /// access file of a read-only `O_CREAT`.
     #[test]
     fn create_failure_fails_open_cleanly() {
-        let faulty = Arc::new(Faulty::new(Arc::new(MemBacking::new())));
-        faulty.arm(rule(FaultOp::Create, ".plfsaccess", 0, u64::MAX));
-        let plfs = Plfs::new(faulty.clone());
-        let err = match plfs.open("/f", OpenFlags::WRONLY | OpenFlags::CREAT, 0) {
-            Err(e) => e,
-            Ok(_) => panic!("open should fail on injected create error"),
-        };
-        assert!(matches!(err, Error::Io(_)));
+        for (flags, file) in [
+            (OpenFlags::WRONLY | OpenFlags::CREAT, "dropping.data"),
+            (OpenFlags::RDONLY | OpenFlags::CREAT, ".plfsaccess"),
+        ] {
+            let faulty = Arc::new(Faulty::new(Arc::new(MemBacking::new())));
+            faulty.arm(rule(FaultOp::Create, file, 0, u64::MAX));
+            let plfs = Plfs::new(faulty.clone());
+            let err = match plfs.open("/f", flags, 0) {
+                Err(e) => e,
+                Ok(_) => panic!("open should fail on injected create error"),
+            };
+            assert!(matches!(err, Error::Io(_)), "{file}");
+            assert!(!faulty.exists("/f"), "{file}: rolled back");
+        }
     }
 
     #[test]

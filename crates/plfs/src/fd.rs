@@ -75,9 +75,10 @@ pub struct PlfsFd {
     /// caching is off). The fd keeps its writer counts and fast-stat
     /// verdicts honest as writers come and go.
     cache: Option<Arc<MetaCache>>,
-    /// This fd's open made the container, and no writer has been opened
-    /// through it yet: the first one takes the top-level dropping pair.
-    creator: AtomicBool,
+    /// This fd's open made the container and, with it, this data dropping,
+    /// which no writer opened through the fd has taken yet: the first one
+    /// takes it, as its top-level dropping pair.
+    creator: Mutex<Option<container::CreatorDropping>>,
     /// Hostdir ids already known to exist — `ensure_hostdir` runs once per
     /// (container, hostdir) instead of once per writer open. Cleared by
     /// [`PlfsFd::reset_writers`], since truncate removes hostdir trees.
@@ -119,7 +120,7 @@ impl PlfsFd {
             flags,
             conf: conf.validated(),
             cache: None,
-            creator: AtomicBool::new(false),
+            creator: Mutex::new(None),
             hostdirs_ready: Mutex::new(HashSet::new()),
             shards: std::array::from_fn(|_| Mutex::new(HashMap::new())),
             refs: Mutex::new(refs),
@@ -138,9 +139,10 @@ impl PlfsFd {
     }
 
     /// Mark this fd as the one whose open made the container
-    /// ([`container::Creation::Made`]).
-    pub(crate) fn into_creator(mut self) -> PlfsFd {
-        self.creator = AtomicBool::new(true);
+    /// ([`container::Creation::Made`]), handing it the data dropping the
+    /// create made for its first writer.
+    pub(crate) fn into_creator(mut self, dropping: container::CreatorDropping) -> PlfsFd {
+        self.creator = Mutex::new(Some(dropping));
         self
     }
 
@@ -326,11 +328,10 @@ impl PlfsFd {
         if let std::collections::hash_map::Entry::Vacant(e) = shard.entry(pid) {
             // The creator's first writer, and only that one: whatever else
             // happens to this fd (a failed open, a truncate) the rest get
-            // hostdir pairs. Log mode shares one pair among all writers.
-            let top_level = self.params.mode != container::LayoutMode::LogStructured
-                // relaxed: a one-shot token; the swap's atomicity is all it needs, it publishes nothing
-                && self.creator.swap(false, Ordering::Relaxed);
-            if !top_level {
+            // hostdir pairs. Log mode has no creator's dropping: one pair
+            // is shared among all writers.
+            let top_level = self.creator.lock().take();
+            if top_level.is_none() {
                 self.ensure_hostdir_once(pid)?;
             }
             let mut w = WriteFile::open_prepared(
@@ -599,6 +600,8 @@ impl PlfsFd {
         let mut refs = self.refs.lock();
         let held = refs.values().sum();
         *refs = HashMap::from([(pid, held)]);
+        // The creator's dropping is the parent's, for its first writer.
+        drop(self.creator.lock().take());
         for shard in &self.shards {
             for (_, mut w) in shard.lock().drain() {
                 let ents = w.take_unmerged();
@@ -627,6 +630,9 @@ impl PlfsFd {
     /// to unlinked droppings, and the cached EOF must be re-seeded from the
     /// rewritten container.
     pub fn reset_writers(&self) -> Result<()> {
+        // An untaken creator's dropping closes as a writer that wrote
+        // nothing; the truncate that follows removes it with the rest.
+        self.release_creator()?;
         let mut guard = self.reader.write();
         for shard in self.shards.iter() {
             let writers = std::mem::take(&mut *shard.lock());
@@ -659,8 +665,9 @@ impl PlfsFd {
 
     /// Drop one reference for `pid`; when the pid's last reference goes,
     /// its writer is flushed and its open marker becomes the metadata drop
-    /// fast stat reads. Returns remaining references across all pids
-    /// (the C `plfs_close` contract).
+    /// fast stat reads, and when the fd's last goes, a creator's dropping
+    /// no writer took gets its empty closed index. Returns remaining
+    /// references across all pids (the C `plfs_close` contract).
     pub fn close(&self, pid: u64) -> Result<u32> {
         let mut refs = self.refs.lock();
         let remaining_for_pid = {
@@ -701,9 +708,26 @@ impl PlfsFd {
         // critical section free of the thread-creation syscall.
         drop(refs);
         if remaining == 0 {
+            self.release_creator()?;
             self.maybe_compact_in_background();
         }
         Ok(remaining)
+    }
+
+    /// A creator's dropping no writer took is closed as a writer that wrote
+    /// nothing: its empty index, created under its closed name
+    /// (`<eof>.<bytes>` = `0.0`), says the creator closed.
+    fn release_creator(&self) -> Result<()> {
+        let Some(dropping) = self.creator.lock().take() else {
+            return Ok(());
+        };
+        let (_, index) = dropping.paths(&self.container);
+        self.backing
+            .create(&container::closed_index_path(&index, 0, 0)?, true)?;
+        if let Some(c) = &self.cache {
+            c.clear_meta(&self.container);
+        }
+        Ok(())
     }
 
     /// Opt-in background compaction ([`Conf::compact_droppings_threshold`]):

@@ -130,7 +130,10 @@ pub fn compact_container(b: &dyn Backing, container: &str) -> Result<CompactStat
     let new_data = w.data_path().to_string();
     drop(w);
     drop(r);
-    // The new dropping is durable; retire the old ones.
+    // The new dropping is durable; retire the old ones — after giving the
+    // container an access file if it has none: a top-level data dropping
+    // among them is then its marker.
+    container::ensure_access_file(b, container, &params)?;
     for d in &old {
         if d.data_path == new_data {
             continue;

@@ -32,11 +32,13 @@ pub struct MetaEntry {
     pub exists: bool,
     /// Is it a directory (containers are directories too)?
     pub is_dir: bool,
-    /// Is it a PLFS container (directory holding a `.plfsaccess` marker)?
+    /// Is it a PLFS container (a directory holding its access file or a
+    /// top-level data dropping: `container::probe_marker`)?
     pub is_container: bool,
-    /// Container params, once some caller has read the access file
-    /// (`None` = not read yet; the probe leaves this lazy so `getattr` of
-    /// a container never pays for params it does not need).
+    /// Container params, once some caller has read the access file, or a
+    /// probe found the container has none (the defaults; `None` = not read
+    /// yet; the probe leaves this lazy so `getattr` of a container never
+    /// pays for params it does not need).
     pub params: Option<ContainerParams>,
     /// Cached fast-stat info from `meta.*` drops: `None` = not read yet,
     /// `Some(None)` = read, no drops, `Some(Some((max eof, total bytes)))`.

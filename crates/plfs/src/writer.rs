@@ -2,7 +2,8 @@
 //!
 //! Every writer pid owns a data dropping and an index dropping — in its
 //! hostdir, or, for the writer that made the container, in the container
-//! directory itself (see [`crate::container`]). A logical
+//! directory itself, its data dropping made by the open that made the
+//! container (see [`crate::container`]). A logical
 //! `write(buf, offset)` becomes:
 //!
 //! 1. write `buf` at the tail of the data dropping, one `pwrite` at the
@@ -103,10 +104,11 @@ impl WriteFile {
     /// hostdir already exists — `PlfsFd` memoizes `ensure_hostdir` per
     /// (container, hostdir), so repeat writers skip the mkdir entirely —
     /// and, with `track`, keeping flushed entries for
-    /// [`WriteFile::take_unmerged`]. With `top_level` (the container's
-    /// creator; never in log mode) the pair goes in the container directory
-    /// and needs no hostdir at all; its index dropping is created when
-    /// something first needs it, through `b`.
+    /// [`WriteFile::take_unmerged`]. With the `creator`'s dropping (made
+    /// by the open that made the container; never in log mode) the writer
+    /// holds the top-level pair, in the container directory, and needs no
+    /// hostdir at all; its index dropping is created when something first
+    /// needs it, through `b`.
     pub(crate) fn open_prepared(
         b: &Arc<dyn Backing>,
         container: &str,
@@ -114,9 +116,9 @@ impl WriteFile {
         pid: u64,
         buffer_limit: usize,
         track: bool,
-        top_level: bool,
+        creator: Option<container::CreatorDropping>,
     ) -> Result<WriteFile> {
-        let deferred = top_level.then(|| Arc::clone(b));
+        let creator = creator.map(|d| (d, Arc::clone(b)));
         WriteFile::open_pair(
             b.as_ref(),
             container,
@@ -124,12 +126,13 @@ impl WriteFile {
             pid,
             buffer_limit,
             track,
-            deferred,
+            creator,
         )
     }
 
-    /// Open the first free dropping pair: a top-level one, whose index
-    /// waits, when `deferred` holds the backing to create it through.
+    /// Open the creator's top-level pair, when `creator` holds its data
+    /// dropping and the backing to create its index through; else the
+    /// first free hostdir pair.
     fn open_pair(
         b: &dyn Backing,
         container: &str,
@@ -137,11 +140,16 @@ impl WriteFile {
         pid: u64,
         buffer_limit: usize,
         track: bool,
-        deferred: Option<Arc<dyn Backing>>,
+        creator: Option<(container::CreatorDropping, Arc<dyn Backing>)>,
     ) -> Result<WriteFile> {
-        let top_level = deferred.is_some();
-        let (data, index, data_path, index_path, seq) = match params.mode {
-            LayoutMode::LogStructured => {
+        let top_level = creator.is_some();
+        let (data, index, data_path, index_path, seq) = match (creator, params.mode) {
+            // The creator's index waits until something needs it.
+            (Some((dropping, through)), _) => {
+                let (dp, ip) = dropping.paths(container);
+                (dropping.file, IndexDropping::Deferred(through), dp, ip, 0)
+            }
+            (None, LayoutMode::LogStructured) => {
                 // All pids share dropping pair 0; first creator wins, the
                 // rest open for append.
                 let dp = container::data_dropping_path(container, params, pid, 0);
@@ -159,32 +167,19 @@ impl WriteFile {
                 let seq = container::free_writer_number(b, container, pid)?;
                 (data, IndexDropping::Open(index), dp, ip, seq)
             }
-            _ => {
+            (None, _) => {
                 // Probe for the first unused dropping pair with exclusive
                 // creates instead of readdir-scanning the whole hostdir —
                 // the per-open metadata storm the paper blames for the
                 // Lustre open() collapse. A reopen costs `seq + 1` creates
                 // and zero readdirs.
-                let pair = |seq| {
-                    if top_level {
-                        return container::toplevel_pair_paths(container, pid, seq);
-                    }
-                    (
-                        container::data_dropping_path(container, params, pid, seq),
-                        container::index_dropping_path(container, params, pid, seq),
-                    )
-                };
                 let mut seq = 0u32;
                 loop {
-                    let (dp, ip) = pair(seq);
+                    let dp = container::data_dropping_path(container, params, pid, seq);
+                    let ip = container::index_dropping_path(container, params, pid, seq);
                     match b.create(&dp, true) {
                         Ok(data) => {
-                            let index = match &deferred {
-                                // The creator's index waits until something
-                                // needs it.
-                                Some(b) => IndexDropping::Deferred(Arc::clone(b)),
-                                None => IndexDropping::Open(b.create(&ip, true)?),
-                            };
+                            let index = IndexDropping::Open(b.create(&ip, true)?);
                             break (data, index, dp, ip, seq);
                         }
                         Err(Error::Exists(_)) => seq += 1,
@@ -557,11 +552,18 @@ mod tests {
         assert!(b.exists(&container::data_dropping_path("/c", &p, 9, 1)));
     }
 
+    /// A top-level writer over the creator's dropping of pid 9, made here
+    /// as the open that made `/c` would have.
+    fn creator(b: &Arc<dyn Backing>, p: &ContainerParams) -> WriteFile {
+        let dropping = container::CreatorDropping::create(b.as_ref(), "/c", 9).unwrap();
+        WriteFile::open_prepared(b, "/c", p, 9, 64, false, Some(dropping)).unwrap()
+    }
+
     #[test]
     fn toplevel_pair_sits_in_the_container_directory_and_closes_by_rename() {
         let (b, p) = setup(LayoutMode::Both);
         let b: Arc<dyn Backing> = Arc::new(b);
-        let mut w = WriteFile::open_prepared(&b, "/c", &p, 9, 64, false, true).unwrap();
+        let mut w = creator(&b, &p);
         w.write(b"first", 10).unwrap();
         w.sync().unwrap();
         let mut names = b.readdir("/c").unwrap();
@@ -574,9 +576,6 @@ mod tests {
         w.close_names(b.as_ref(), "/c").unwrap();
         assert_eq!(w.index_path(), "/c/dropping.index.9.0.15.5");
         assert_eq!(b.stat(w.index_path()).unwrap().size, RECORD_SIZE as u64);
-        // A second pair of the pid beside it: the data name is the arbiter.
-        let again = WriteFile::open_prepared(&b, "/c", &p, 9, 64, false, true).unwrap();
-        assert_eq!(again.index_path(), "/c/dropping.index.9.1");
     }
 
     /// A top-level index that nothing needs before close is created there,
@@ -588,10 +587,14 @@ mod tests {
         let meter = Arc::new(MeterBacking::new(Arc::new(mem)));
         let b: Arc<dyn Backing> = meter.clone();
         let before = meter.snapshot();
-        let mut w = WriteFile::open_prepared(&b, "/c", &p, 9, 64, false, true).unwrap();
+        let mut w = creator(&b, &p);
         w.write(b"first", 10).unwrap();
         let opened = meter.snapshot().delta(&before);
-        assert_eq!((opened.create, opened.metadata_ops()), (1, 1), "{opened:?}");
+        assert_eq!(
+            (opened.create, opened.metadata_ops()),
+            (1, 1),
+            "the data dropping, which the open makes: {opened:?}"
+        );
         assert_eq!(
             b.readdir("/c").unwrap(),
             [".plfsaccess", "dropping.data.9.0"]
@@ -679,7 +682,7 @@ mod tests {
         let (b, p) = setup(LayoutMode::Both);
         container::ensure_hostdir(&b, "/c", &p, 1).unwrap();
         let b: Arc<dyn Backing> = Arc::new(b);
-        let mut w = WriteFile::open_prepared(&b, "/c", &p, 1, 64, true, false).unwrap();
+        let mut w = WriteFile::open_prepared(&b, "/c", &p, 1, 64, true, None).unwrap();
         // Irregular offsets: pattern compression stays out of the way.
         w.write(b"abcd", 100).unwrap();
         w.write(b"efgh", 7).unwrap();

@@ -8,7 +8,7 @@
 //! existing container against its flat twin outside the mount (same
 //! bytes): `fstat`, `movers`, `mmap`, `stdio`, `dup`, `dup2-writer`,
 //! `dup2-self`, `close-error`, `truncate`, `cloexec`, `fcntl-dup`, `fork`,
-//! `fork-exec`, `close-range`, `chdir`, `backing-root`,
+//! `fork-exec`, `fork-first`, `close-range`, `chdir`, `backing-root`,
 //! `negative-offset` — see each `check_*`. `preload-smoke
 //! calls-KIND N [CONTAINER]` makes N calls of one kind and nothing else
 //! that grows with N, for a syscall
@@ -632,6 +632,32 @@ fn forked_writers(dir: &str, twin: &[u8]) -> Vec<u8> {
     fs::read(&path).expect("read back")
 }
 
+/// A parent makes a file and forks before it writes a byte; the child
+/// writes through the inherited fd and closes it, then the parent writes:
+/// what `dir/fork.first` holds afterwards.
+fn fork_before_the_first_write(dir: &str, twin: &[u8]) -> Vec<u8> {
+    let path = format!("{dir}/fork.first");
+    let f = fs::File::create(&path).expect("create");
+    in_child(|| {
+        (&f).write_all(&twin[..4000]).expect("child write");
+        assert_eq!(unsafe { close(f.as_raw_fd()) }, 0);
+    });
+    (&f).write_all(&twin[4000..9000]).expect("parent write");
+    drop(f);
+    fs::read(&path).expect("read back")
+}
+
+/// [`fork_before_the_first_write`] in the mount and outside it: one stream,
+/// byte for byte the same.
+fn check_fork_first(twin: &[u8]) {
+    let on_mount = fork_before_the_first_write(&mount_dir(), twin);
+    assert!(
+        on_mount == fork_before_the_first_write(&outside_dir(), twin),
+        "fork before the first write"
+    );
+    assert!(on_mount == twin[..9000], "one stream");
+}
+
 /// A cursor live at a fork survives the parent closing that fd and opening
 /// another file: what the child, and then the parent, read of `source`
 /// through fds opened before and after the fork.
@@ -1063,6 +1089,7 @@ fn main() {
             "fcntl-dup" => check_fcntl_dup(container, &twin),
             "fork" => check_fork(container, twin_path, &twin),
             "fork-exec" => check_fork_exec(&twin),
+            "fork-first" => check_fork_first(&twin),
             "close-range" => check_close_range(container, &twin),
             "chdir" => check_chdir(container, &twin),
             "backing-root" => check_backing_root(&twin),

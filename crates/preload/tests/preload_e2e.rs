@@ -101,10 +101,11 @@ fn container_structure_created_on_backend() {
         String::from_utf8_lossy(&out.stderr)
     );
     // The container visible on the host file system. `dd` made the file,
-    // so its droppings are the top-level pair beside the access file: no
-    // hostdir, and the closed index's name is the fast-stat drop.
+    // so its droppings are the top-level pair, the data dropping its
+    // marker: no access file (the default params), no hostdir, and the
+    // closed index's name is the fast-stat drop.
     let container = env.backend.join("zeros.bin");
-    assert!(container.join(".plfsaccess").exists(), "container marker");
+    assert!(!container.join(".plfsaccess").exists(), "no access file");
     let names: Vec<String> = std::fs::read_dir(&container)
         .unwrap()
         .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
@@ -156,7 +157,7 @@ fn a_backend_under_the_mount_holds_the_droppings() {
         .expect("the container is a directory under the backend")
         .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
         .collect();
-    for prefix in [".plfsaccess", "dropping.data.", "dropping.index."] {
+    for prefix in ["dropping.data.", "dropping.index."] {
         assert!(names.iter().any(|n| n.starts_with(prefix)), "{names:?}");
     }
 }
@@ -502,6 +503,35 @@ fn fork_and_dup_behave_as_on_a_flat_file() {
     }
 }
 
+/// A child that writes through a descriptor whose open made the file,
+/// inherited before its parent's first write, gets a dropping pair of its
+/// own: the creator's data dropping the open made stays the parent's, for
+/// the parent's first write (the child writing into it at the tail it
+/// tracks would overwrite the parent's bytes, or the parent the child's).
+#[test]
+fn a_child_that_writes_before_its_parent_gets_a_pair_of_its_own() {
+    ensure_built();
+    let env = setup("forkfirst");
+    let (twin, containers) = twin_and_containers(&env);
+    smoke_mode(&env, "fork-first", &containers[0], &twin);
+    let names: Vec<String> = std::fs::read_dir(env.backend.join("fork.first"))
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    let one = |what: &str, f: &dyn Fn(&str) -> bool| {
+        let n = names.iter().filter(|n| f(n)).count();
+        assert_eq!(n, 1, "{what}: {names:?}");
+    };
+    // The parent's top-level pair: bytes [4000, 9000).
+    one("parent's pair", &|n| {
+        n.starts_with("dropping.index.") && n.ends_with(".9000.5000")
+    });
+    one("parent's data", &|n| n.starts_with("dropping.data."));
+    // The child's hostdir pair: bytes [0, 4000).
+    one("child's drop", &|n| n.starts_with("meta.4000.4000."));
+    one("child's hostdir", &|n| n.starts_with("hostdir."));
+}
+
 /// A fork's child handler used to adopt every open at once, taking PLFS
 /// locks that another thread of the parent — a writer mid-`write` — may
 /// have held at the fork: a child that only meant to `exec` hung.
@@ -547,8 +577,14 @@ fn a_relative_backend_is_fixed_at_the_first_call() {
         .env("SMOKE_OUTSIDE", &env.outside);
     ok(cmd.output().expect("spawn"), "preload-smoke chdir");
     for name in ["rel.bin", "rel.bin.after"] {
+        let marker = std::fs::read_dir(env.backend.join(name)).is_ok_and(|mut names| {
+            names.any(|n| {
+                let name = n.unwrap().file_name();
+                name.to_string_lossy().starts_with("dropping.data.")
+            })
+        });
         assert!(
-            env.backend.join(name).join(".plfsaccess").exists(),
+            marker,
             "{name} is not under the backend named at the first call"
         );
     }
@@ -778,7 +814,7 @@ fn per_call_syscalls_are_pinned() {
     );
     let cycle = per_call(&["calls-cycle"], 200).unwrap();
     assert!(
-        cycle.round() <= 38.0,
+        cycle.round() <= 34.0,
         "the small-file cycle: {cycle} syscalls"
     );
 }

@@ -227,6 +227,10 @@ fn real_container(tag: &str) -> (std::path::PathBuf, Arc<RealBacking>) {
 #[test]
 fn a_one_tib_access_file_is_corrupt() {
     let (dir, b) = real_container("access");
+    // Its creator's dropping marks it; give it the access file that a
+    // container made by `Plfs::create`, or with other params, has.
+    let params = plfs::ContainerParams::default();
+    container::ensure_access_file(b.as_ref(), "/c", &params).unwrap();
     b.truncate(&format!("/c/{}", container::ACCESS_FILE), TIB)
         .unwrap();
     // A fresh mount: no cached parameters.

@@ -4,6 +4,8 @@
 //! and used to get `EEXIST` on a non-exclusive create. Both interleavings
 //! are forced here with a gating backing, never with sleeps. The loser is
 //! also never the container's creator: whatever it writes goes to a hostdir.
+//! A writer's create with the default params makes its data dropping in
+//! place of the access file; a joiner waits for that dropping the same way.
 
 use plfs::{
     BackStat, Backing, BackingFile, ContainerParams, Error, MemBacking, OpenFlags, Plfs, Result,
@@ -12,9 +14,12 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Barrier, Mutex};
 
 const ACCESS: &str = "/f/.plfsaccess";
+/// The data dropping a writer of pid 1 makes when it creates `/f` with the
+/// default params.
+const DROPPING: &str = "/f/dropping.data.1.0";
 
-/// The creator announces itself on the sender and holds the access-file
-/// create until the receiver yields.
+/// The creator announces itself on the sender and holds the gated create
+/// until the receiver yields.
 type AccessGate = (Mutex<mpsc::Sender<()>>, Mutex<mpsc::Receiver<()>>);
 
 /// Forwards to a [`MemBacking`], stalling chosen steps of a container
@@ -24,17 +29,23 @@ struct Gated {
     /// When set: every thread about to `mkdir` `/f` waits here, so all of
     /// them race it and all but one lose it.
     mkdir_rendezvous: Option<Barrier>,
-    /// When set: the creator is held just before the access-file create.
+    /// When set: the creator is held just before the create of
+    /// `gated_create`.
     access_gate: Option<AccessGate>,
+    /// The create `access_gate` holds: the access file's, or a creator's
+    /// data dropping's.
+    gated_create: &'static str,
     /// Failed attempts to open the access file: losers that looked.
     access_misses: AtomicUsize,
 }
 
 impl Backing for Gated {
     fn create(&self, path: &str, excl: bool) -> Result<Box<dyn BackingFile>> {
-        if let (ACCESS, Some((entered, release))) = (path, &self.access_gate) {
-            entered.lock().unwrap().send(()).unwrap();
-            release.lock().unwrap().recv().unwrap();
+        if let Some((entered, release)) = &self.access_gate {
+            if path == self.gated_create {
+                entered.lock().unwrap().send(()).unwrap();
+                release.lock().unwrap().recv().unwrap();
+            }
         }
         self.inner.create(path, excl)
     }
@@ -105,6 +116,7 @@ fn losers_that_see_the_bare_directory_wait_for_the_access_file() {
         inner: MemBacking::new(),
         mkdir_rendezvous: None,
         access_gate: Some((Mutex::new(entered_tx), Mutex::new(release_rx))),
+        gated_create: ACCESS,
         access_misses: AtomicUsize::new(0),
     });
     std::thread::scope(|s| {
@@ -160,6 +172,7 @@ fn losers_of_the_mkdir_wait_for_the_access_file() {
         inner: MemBacking::new(),
         mkdir_rendezvous: Some(Barrier::new(RACERS)),
         access_gate: None,
+        gated_create: ACCESS,
         access_misses: AtomicUsize::new(0),
     });
     std::thread::scope(|s| {
@@ -206,4 +219,122 @@ fn a_plain_directory_in_the_way_is_still_an_error() {
         t0.elapsed() < std::time::Duration::from_millis(500),
         "a directory with foreign entries is no nascent container: no wait"
     );
+}
+
+/// What a joiner of a container made by a writer with the default params
+/// finds: the creator's data dropping, no access file — which the joiner
+/// then writes, with the defaults, for the joiners after it. Reads back
+/// the creator's bytes at 0 and each joiner's at `100 + 10·pid`, and checks
+/// the directory holds the creator's pair and that access file.
+fn assert_marked_by_the_creators_dropping(b: &Arc<Gated>, joiners: &[u64]) {
+    let mut names = b.inner.readdir("/f").unwrap();
+    names.retain(|n| {
+        !["hostdir.", "open.", "meta."]
+            .iter()
+            .any(|p| n.starts_with(p))
+    });
+    assert_eq!(
+        names,
+        [".plfsaccess", "dropping.data.1.0", "dropping.index.1.0.7.7"],
+        "the creator's pair and the access file a joiner wrote"
+    );
+    let params = plfs::container::read_params(&b.inner, "/f").unwrap();
+    assert_eq!(params, ContainerParams::default());
+    let p = Plfs::new(Arc::clone(b) as Arc<dyn Backing>);
+    let fd = p.open("/f", OpenFlags::RDONLY, 0).unwrap();
+    assert_eq!(fd.params(), ContainerParams::default());
+    let mut buf = [0u8; 7];
+    assert_eq!(fd.read(&mut buf, 0).unwrap(), 7);
+    assert_eq!(&buf, b"creator");
+    for &pid in joiners {
+        let mut buf = [0u8; 6];
+        fd.read(&mut buf, 100 + 10 * pid).unwrap();
+        assert_eq!(&buf, b"joined", "joiner {pid}");
+    }
+}
+
+/// The creator has made the directory and is held before its data
+/// dropping: joiners find no marker in an empty directory and wait for it,
+/// as they wait for an access file; an exclusive create fails at once.
+#[test]
+fn joiners_that_see_the_bare_directory_wait_for_the_creators_dropping() {
+    const JOINERS: u64 = 4;
+    let (entered_tx, entered_rx) = mpsc::channel();
+    let (release_tx, release_rx) = mpsc::channel();
+    let b = Arc::new(Gated {
+        inner: MemBacking::new(),
+        mkdir_rendezvous: None,
+        access_gate: Some((Mutex::new(entered_tx), Mutex::new(release_rx))),
+        gated_create: DROPPING,
+        access_misses: AtomicUsize::new(0),
+    });
+    let default_mount = || Plfs::new(Arc::clone(&b) as Arc<dyn Backing>);
+    let flags = OpenFlags::WRONLY | OpenFlags::CREAT;
+    std::thread::scope(|s| {
+        let creator = s.spawn(|| {
+            let p = default_mount();
+            let fd = p.open("/f", flags, 1)?;
+            p.write(&fd, b"creator", 0, 1)?;
+            p.close(&fd, 1).map(|_| ())
+        });
+        entered_rx.recv().unwrap();
+        assert!(matches!(
+            default_mount().open("/f", flags | OpenFlags::EXCL, 9),
+            Err(Error::Exists(_))
+        ));
+        let joiners: Vec<_> = (10..10 + JOINERS)
+            .map(|pid| {
+                let p = default_mount();
+                s.spawn(move || {
+                    let fd = p.open("/f", flags, pid)?;
+                    assert_eq!(fd.params(), ContainerParams::default());
+                    p.write(&fd, b"joined", 100 + 10 * pid, pid)?;
+                    p.close(&fd, pid).map(|_| ())
+                })
+            })
+            .collect();
+        // Every joiner has looked for the access file and not found it.
+        while b.access_misses.load(Ordering::SeqCst) < JOINERS as usize
+            && !joiners.iter().all(|j| j.is_finished())
+        {
+            std::thread::yield_now();
+        }
+        release_tx.send(()).unwrap();
+        creator.join().unwrap().expect("creator");
+        for (i, j) in joiners.into_iter().enumerate() {
+            j.join()
+                .unwrap()
+                .unwrap_or_else(|e| panic!("joiner {i}: {e}"));
+        }
+    });
+    assert_marked_by_the_creators_dropping(&b, &(10..10 + JOINERS).collect::<Vec<_>>());
+}
+
+/// The creator has made its data dropping and not written yet: a joiner
+/// reads the default params off the dropping at once, with no wait, and
+/// writes to a hostdir pair of its own — the dropping stays the creator's.
+#[test]
+fn a_joiner_of_a_creator_that_made_its_dropping_joins_at_once() {
+    let b = Arc::new(Gated {
+        inner: MemBacking::new(),
+        mkdir_rendezvous: None,
+        access_gate: None,
+        gated_create: ACCESS,
+        access_misses: AtomicUsize::new(0),
+    });
+    let mount = || Plfs::new(Arc::clone(&b) as Arc<dyn Backing>);
+    let flags = OpenFlags::WRONLY | OpenFlags::CREAT;
+    let creator = mount();
+    let fd = creator.open("/f", flags, 1).unwrap();
+    assert_eq!(b.inner.readdir("/f").unwrap(), ["dropping.data.1.0"]);
+    let t0 = std::time::Instant::now();
+    let joiner = mount();
+    let jfd = joiner.open("/f", flags, 2).unwrap();
+    assert!(t0.elapsed() < std::time::Duration::from_millis(500));
+    assert_eq!(jfd.params(), ContainerParams::default());
+    joiner.write(&jfd, b"joined", 120, 2).unwrap();
+    creator.write(&fd, b"creator", 0, 1).unwrap();
+    joiner.close(&jfd, 2).unwrap();
+    creator.close(&fd, 1).unwrap();
+    assert_marked_by_the_creators_dropping(&b, &[2]);
 }

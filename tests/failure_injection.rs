@@ -3,16 +3,21 @@
 //! restores service.
 
 use ldplfs::{Errno, LdPlfsBuilder, OpenFlags, PosixLayer, RealPosix};
-use plfs::{FaultKind, FaultOp, FaultRule, Faulty, MemBacking, Plfs};
+use plfs::{ContainerParams, FaultKind, FaultOp, FaultRule, Faulty, MemBacking, Plfs};
 use std::sync::Arc;
 
 fn stack(tag: &str) -> (Arc<Faulty>, ldplfs::LdPlfs) {
+    stack_with(tag, ContainerParams::default())
+}
+
+/// [`stack`] over a mount whose new files get `params`.
+fn stack_with(tag: &str, params: ContainerParams) -> (Arc<Faulty>, ldplfs::LdPlfs) {
     let dir = std::env::temp_dir().join(format!("ldplfs-faults-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let under = Arc::new(RealPosix::rooted(dir).unwrap());
     let faulty = Arc::new(Faulty::new(Arc::new(MemBacking::new())));
     let shim = LdPlfsBuilder::new(under)
-        .mount("/plfs", Plfs::new(faulty.clone()))
+        .mount("/plfs", Plfs::new(faulty.clone()).with_params(params))
         .build()
         .unwrap();
     (faulty, shim)
@@ -61,32 +66,50 @@ fn transient_fault_heals_without_reopen() {
 
 #[test]
 fn open_fault_leaves_no_half_container() {
-    let (faulty, shim) = stack("halfopen");
-    let flags = OpenFlags::WRONLY | OpenFlags::CREAT;
-    let backing: &dyn plfs::Backing = faulty.as_ref();
-    // Fail the access file — the second and last op of the skeleton — at
-    // its create, then at the write of its bytes.
-    for op in [FaultOp::Create, FaultOp::Write] {
-        faulty.arm(FaultRule {
-            op,
-            path_contains: ".plfsaccess".to_string(),
-            after: 0,
-            times: 1,
-            errno_like: FaultKind::NoSpace,
-        });
-        assert_eq!(shim.open("/plfs/f", flags, 0o644).err(), Some(Errno(28)));
-        // What the create made was rolled back — a bare directory would
-        // read as a nascent container to every later create.
-        assert!(!backing.exists("/f"), "{op:?}: half-created skeleton left");
+    // The skeleton's last op: with the default params, the create of the
+    // creator's data dropping; with others, the access file — its create,
+    // then the write of its bytes.
+    let other = ContainerParams {
+        num_hostdirs: 8,
+        ..ContainerParams::default()
+    };
+    let cases = [
+        (
+            ContainerParams::default(),
+            "dropping.data",
+            &[FaultOp::Create][..],
+        ),
+        (other, ".plfsaccess", &[FaultOp::Create, FaultOp::Write][..]),
+    ];
+    for (params, file, ops) in cases {
+        let (faulty, shim) = stack_with(&format!("halfopen{}", params.num_hostdirs), params);
+        let flags = OpenFlags::WRONLY | OpenFlags::CREAT;
+        let backing: &dyn plfs::Backing = faulty.as_ref();
+        for &op in ops {
+            faulty.arm(FaultRule {
+                op,
+                path_contains: file.to_string(),
+                after: 0,
+                times: 1,
+                errno_like: FaultKind::NoSpace,
+            });
+            assert_eq!(shim.open("/plfs/f", flags, 0o644).err(), Some(Errno(28)));
+            // What the create made was rolled back — a bare directory would
+            // read as a nascent container to every later create.
+            assert!(
+                !backing.exists("/f"),
+                "{op:?} {file}: half-created skeleton left"
+            );
+        }
+        // So the *same* path is creatable the moment storage recovers, with
+        // no wait.
+        let t0 = std::time::Instant::now();
+        let fd = shim.open("/plfs/f", flags, 0o644).unwrap();
+        assert!(t0.elapsed() < std::time::Duration::from_millis(500));
+        shim.write(fd, b"fine").unwrap();
+        shim.close(fd).unwrap();
+        assert_eq!(shim.stat("/plfs/f").unwrap().size, 4);
     }
-    // So the *same* path is creatable the moment storage recovers, with no
-    // wait.
-    let t0 = std::time::Instant::now();
-    let fd = shim.open("/plfs/f", flags, 0o644).unwrap();
-    assert!(t0.elapsed() < std::time::Duration::from_millis(500));
-    shim.write(fd, b"fine").unwrap();
-    shim.close(fd).unwrap();
-    assert_eq!(shim.stat("/plfs/f").unwrap().size, 4);
 }
 
 #[test]
@@ -150,4 +173,42 @@ fn enospc_during_checkpoint_reported_not_swallowed() {
     }
     assert_eq!(written, 3 * 1024, "exactly the writes that fit");
     assert_eq!(failed_errno, Some(Errno(28)), "ENOSPC propagated verbatim");
+}
+
+/// Regression: every error opening the access file read as "no access
+/// file, not a container". A cold `open(O_RDONLY)` answered `EINVAL`
+/// (`NotContainer`), and a cold non-exclusive `open(O_CREAT)` took the
+/// container for a nascent one, slept the whole create-race wait and
+/// answered `EEXIST`. Only `ENOENT` means there is none: anything else is
+/// returned as it is, with no wait.
+#[test]
+fn an_access_file_that_cannot_be_opened_keeps_its_errno() {
+    let faulty = Arc::new(Faulty::new(Arc::new(MemBacking::new())));
+    Plfs::new(faulty.clone()).create("/f", true).unwrap();
+    faulty.arm(FaultRule {
+        op: FaultOp::Open,
+        path_contains: ".plfsaccess".to_string(),
+        after: 0,
+        times: u64::MAX,
+        errno_like: FaultKind::Access,
+    });
+    let flags = [
+        plfs::OpenFlags::RDONLY,
+        plfs::OpenFlags::WRONLY | plfs::OpenFlags::CREAT,
+    ];
+    for flags in flags {
+        // A cold mount: nothing cached about /f.
+        let plfs = Plfs::new(faulty.clone());
+        let t0 = std::time::Instant::now();
+        let err = plfs
+            .open("/f", flags, 1)
+            .err()
+            .expect("an unreadable access file");
+        assert_eq!(err.errno(), 13, "{flags:?}: {err:?}");
+        assert!(
+            t0.elapsed() < std::time::Duration::from_millis(500),
+            "{flags:?}: waited {:?}",
+            t0.elapsed()
+        );
+    }
 }

@@ -53,7 +53,7 @@ fn cost<T>(meter: &MeterBacking, f: impl FnOnce() -> T) -> (T, MeterSnapshot) {
 /// bounds (the inline small-file form may lower them); what no call may do
 /// is probe for something a listing or an error already told it.
 #[test]
-fn small_file_cycle_costs_at_most_15_backing_metadata_ops() {
+fn small_file_cycle_costs_at_most_13_backing_metadata_ops() {
     let meter = Arc::new(MeterBacking::new(Arc::new(MemBacking::new())));
     let plfs = Plfs::new(meter.clone() as Arc<dyn Backing>);
     // Twice over one path: the second cycle starts from the first's
@@ -78,11 +78,12 @@ fn small_file_cycle_costs_at_most_15_backing_metadata_ops() {
         let ((), unlink) = cost(&meter, || plfs.unlink("/small").unwrap());
         assert!(!meter.exists("/small"));
 
-        // create: mkdir (its answer is the probe), the access file.
+        // create: mkdir (its answer is the probe), the creator's data
+        // dropping — no access file: the params are the defaults.
         assert_eq!((create.mkdir, create.create), (1, 1), "{create:?}");
         assert!(create.metadata_ops() <= 2, "create: {create:?}");
-        // first write: the data dropping, beside the access file.
-        assert_eq!((write.create, write.metadata_ops()), (1, 1), "{write:?}");
+        // first write: into the dropping the open made.
+        assert_eq!(write.metadata_ops(), 0, "{write:?}");
         // close: the index created under its closed name, both droppings
         // synced, nothing renamed.
         assert_eq!(
@@ -100,14 +101,14 @@ fn small_file_cycle_costs_at_most_15_backing_metadata_ops() {
         assert_eq!((read.readdir, read.size), (1, 0), "{read:?}");
         assert!(read.metadata_ops() <= 3, "first read: {read:?}");
         assert_eq!(close_rd.metadata_ops(), 0, "{close_rd:?}");
-        // unlink: one listing, three files (access, data, index), one rmdir.
+        // unlink: one listing, two files (data, index), one rmdir.
         assert_eq!((unlink.readdir, unlink.rmdir), (1, 1), "{unlink:?}");
-        assert!(unlink.metadata_ops() <= 5, "unlink: {unlink:?}");
+        assert!(unlink.metadata_ops() <= 4, "unlink: {unlink:?}");
         let calls = [create, write, close, stat, open, read, close_rd, unlink];
         let probes: u64 = calls.iter().map(|c| c.stat + c.exists).sum();
         assert_eq!(probes, 0, "nothing is probed");
         let total: u64 = calls.iter().map(MeterSnapshot::metadata_ops).sum();
-        assert!(total <= 15, "cycle {cycle}: {total} metadata ops");
+        assert!(total <= 13, "cycle {cycle}: {total} metadata ops");
     }
 }
 
@@ -124,7 +125,11 @@ fn only_the_creators_first_writer_gets_the_toplevel_pair() {
     let joiner_mount = Plfs::new(b.clone());
     let joiner = joiner_mount.open("/f", CREATE_RW, 2).unwrap();
     joiner_mount.write(&joiner, b"joiner", 10, 2).unwrap();
-    assert_eq!(toplevel_pairs(b.as_ref(), "/f"), 0, "a joiner never");
+    assert_eq!(
+        toplevel_pairs(b.as_ref(), "/f"),
+        1,
+        "the creator's, made by its open; a joiner's never"
+    );
     assert_eq!(lifecycle_names(b.as_ref(), "/f"), ["open.2.0"]);
 
     for rank in [1u64, 3, 4] {
@@ -678,4 +683,182 @@ fn close_on_a_spread_mount_touches_only_the_canonical_backend() {
     for other in &meters[1..] {
         assert!(!other.exists("/f"), "no hostdir: nothing to spread");
     }
+}
+
+/// The marker rule's cold half: a plain directory holding an application's
+/// file named `dropping.data.1.0` holds a container of that name — a
+/// directory — so it is no container itself, to a mount that knows
+/// nothing of it (`getattr`, `open`, `unlink`) and to `plfs-tools ls`.
+#[test]
+fn a_plain_directory_holding_a_file_named_like_a_dropping_stays_a_directory() {
+    let b = Arc::new(MemBacking::new());
+    let plfs = Plfs::new(b.clone());
+    plfs.mkdir("/d").unwrap();
+    let fd = plfs.open("/d/dropping.data.1.0", CREATE_RW, 1).unwrap();
+    plfs.write(&fd, b"app", 0, 1).unwrap();
+    plfs.close(&fd, 1).unwrap();
+    assert_eq!(b.readdir("/d").unwrap(), ["dropping.data.1.0"]);
+
+    let cold = || Plfs::new(b.clone());
+    assert!(cold().getattr("/d").unwrap().is_dir);
+    for flags in [OpenFlags::RDONLY, CREATE_RW] {
+        let r = cold().open("/d", flags, 2);
+        assert!(matches!(r, Err(plfs::Error::IsDir(_))), "{:?}", r.err());
+    }
+    let r = cold().unlink("/d");
+    assert!(matches!(r, Err(plfs::Error::IsDir(_))), "{:?}", r.err());
+    assert!(!container::is_container(b.as_ref(), "/d"));
+    assert_eq!(
+        plfs::check(b.as_ref(), "/d").unwrap().findings,
+        [plfs::Finding::NotAContainer]
+    );
+    let ls = plfs_tools::ls(b.as_ref(), "/").unwrap();
+    assert_eq!(ls.split_whitespace().collect::<Vec<_>>(), ["dir", "0", "d"]);
+    let ls = plfs_tools::ls(b.as_ref(), "/d").unwrap();
+    assert_eq!(
+        ls.split_whitespace().collect::<Vec<_>>(),
+        ["container", "3", "dropping.data.1.0"]
+    );
+    // The file in it is the container it always was.
+    let names = cold().readdir("/d").unwrap();
+    assert_eq!((names.len(), names[0].is_dir), (1, false));
+    assert_eq!(cold().getattr("/d/dropping.data.1.0").unwrap().size, 3);
+}
+
+/// A container in the layout every earlier writer's create left — the
+/// access file first, here with 8 hostdirs, or made by `Plfs::create` with
+/// the defaults — reads back byte for byte on a mount with the defaults,
+/// keeps its params for a writer that joins it, and unlinks to nothing.
+#[test]
+fn a_container_in_the_access_file_layout_reads_back_and_unlinks_to_nothing() {
+    let b = Arc::new(MemBacking::new());
+    let eight = ContainerParams {
+        num_hostdirs: 8,
+        ..ContainerParams::default()
+    };
+    let old = Plfs::new(b.clone()).with_params(eight);
+    let fd = old.open("/f", CREATE_RW, 1).unwrap();
+    Plfs::new(b.clone()).create("/g", true).unwrap();
+    let gd = old.open("/g", CREATE_RW, 1).unwrap();
+    let mut model = Vec::new();
+    for pid in 1..4u64 {
+        if pid > 1 {
+            fd.add_ref(pid);
+            gd.add_ref(pid);
+        }
+        let bytes = vec![pid as u8; 700];
+        old.write(&fd, &bytes, (pid - 1) * 700, pid).unwrap();
+        old.write(&gd, &bytes, (pid - 1) * 700, pid).unwrap();
+        model.extend_from_slice(&bytes);
+    }
+    for pid in 1..4u64 {
+        old.close(&fd, pid).unwrap();
+        old.close(&gd, pid).unwrap();
+    }
+    let names = b.readdir("/f").unwrap();
+    assert!(names.iter().any(|n| n == ".plfsaccess"), "{names:?}");
+    assert_eq!(toplevel_pairs(b.as_ref(), "/f"), 1);
+    assert!(b.exists("/g/.plfsaccess"));
+    assert_eq!(
+        toplevel_pairs(b.as_ref(), "/g"),
+        0,
+        "it joined what create made"
+    );
+
+    let cold = Plfs::new(b.clone());
+    for (path, hostdirs) in [("/f", 8), ("/g", 32)] {
+        assert_eq!(cold.getattr(path).unwrap().size, 2100, "{path}");
+        let rfd = cold.open(path, OpenFlags::RDONLY, 9).unwrap();
+        let mut buf = vec![0u8; 2200];
+        assert_eq!(cold.read(&rfd, &mut buf, 0).unwrap(), 2100, "{path}");
+        assert!(buf[..2100] == model[..], "{path}");
+        cold.close(&rfd, 9).unwrap();
+        let wfd = cold.open(path, CREATE_RW, 9).unwrap();
+        assert_eq!(wfd.params().num_hostdirs, hostdirs, "{path}");
+        cold.write(&wfd, b"tail", 2100, 9).unwrap();
+        cold.close(&wfd, 9).unwrap();
+        assert!(plfs::check(b.as_ref(), path).unwrap().is_clean(), "{path}");
+        assert_eq!(Plfs::new(b.clone()).getattr(path).unwrap().size, 2104);
+        cold.unlink(path).unwrap();
+        assert!(!b.exists(path), "{path}");
+    }
+    assert_eq!(b.readdir("/").unwrap(), [] as [&str; 0]);
+}
+
+/// `touch`: `O_CREAT`, no write, `close`. The open made the creator's data
+/// dropping; the close, with no writer to take it, publishes its empty
+/// closed index, so the file is closed to everyone — it stats as size 0
+/// on the fast path, reads 0 bytes, checks clean and unlinks to nothing.
+#[test]
+fn touch_stats_as_empty_reads_nothing_and_unlinks_to_nothing() {
+    let meter = Arc::new(MeterBacking::new(Arc::new(MemBacking::new())));
+    let plfs = Plfs::new(meter.clone() as Arc<dyn Backing>);
+    let flags = OpenFlags::WRONLY | OpenFlags::CREAT;
+    let (fd, create) = cost(&meter, || plfs.open("/t", flags, 5).unwrap());
+    assert_eq!((create.mkdir, create.create), (1, 1), "{create:?}");
+    let (_, close) = cost(&meter, || plfs.close(&fd, 5).unwrap());
+    assert_eq!((close.create, close.metadata_ops()), (1, 1), "{close:?}");
+    assert_eq!(
+        meter.readdir("/t").unwrap(),
+        ["dropping.data.5.0", "dropping.index.5.0.0.0"]
+    );
+    assert_eq!(
+        container::read_lifecycle(meter.as_ref(), "/t").unwrap(),
+        (0, Some((0, 0)))
+    );
+    for mount in [&plfs, &Plfs::new(meter.clone())] {
+        let st = mount.getattr("/t").unwrap();
+        assert_eq!((st.size, st.physical_bytes, st.is_dir), (0, 0, false));
+        let rfd = mount.open("/t", OpenFlags::RDONLY, 6).unwrap();
+        let mut buf = [0u8; 16];
+        assert_eq!(mount.read(&rfd, &mut buf, 0).unwrap(), 0);
+        mount.close(&rfd, 6).unwrap();
+    }
+    assert!(plfs::check(meter.as_ref(), "/t").unwrap().is_clean());
+    plfs.unlink("/t").unwrap();
+    assert!(!meter.exists("/t"));
+    assert!(plfs.access("/t").is_err());
+}
+
+/// Only an unlink leaves a container's directory unmarked: a `trunc(0)`
+/// or a `compact` that removes the creator's data dropping — the only
+/// marker a container made with the defaults has — writes the access file
+/// first, and the container stays one, to a cold mount too.
+#[test]
+fn trunc_and_compact_of_a_container_marked_by_its_dropping_keep_it_a_container() {
+    let b = Arc::new(MemBacking::new());
+    let plfs = Plfs::new(b.clone());
+    for path in ["/c", "/t"] {
+        let fd = plfs.open(path, CREATE_RW, 1).unwrap();
+        plfs.write(&fd, &[1u8; 100], 0, 1).unwrap();
+        plfs.close(&fd, 1).unwrap();
+        // A second writer, through the mount that made it (a cold joiner
+        // would write the access file).
+        let fd = plfs.open(path, CREATE_RW, 2).unwrap();
+        plfs.write(&fd, &[2u8; 50], 100, 2).unwrap();
+        plfs.close(&fd, 2).unwrap();
+        assert!(!b.exists(&format!("{path}/.plfsaccess")), "{path}");
+    }
+    let stats = plfs.compact("/c").unwrap();
+    assert_eq!((stats.droppings_before, stats.droppings_after), (2, 1));
+    assert_eq!(toplevel_pairs(b.as_ref(), "/c"), 0, "folded into a hostdir");
+    plfs.trunc("/t", 0).unwrap();
+    assert_eq!(b.readdir("/t").unwrap(), [".plfsaccess"]);
+    for (path, size) in [("/c", 150), ("/t", 0)] {
+        assert!(b.exists(&format!("{path}/.plfsaccess")), "{path}");
+        assert!(container::is_container(b.as_ref(), path), "{path}");
+        let cold = Plfs::new(b.clone());
+        assert_eq!(cold.getattr(path).unwrap().size, size, "{path}");
+        assert_eq!(
+            cold.open(path, OpenFlags::RDONLY, 3).unwrap().params(),
+            ContainerParams::default()
+        );
+        assert!(plfs::check(b.as_ref(), path).unwrap().is_clean(), "{path}");
+    }
+    let mut model = vec![1u8; 100];
+    model.extend([2u8; 50]);
+    assert_eq!(
+        plfs::flatten::flatten_to_vec(b.as_ref(), "/c").unwrap(),
+        model
+    );
 }
