@@ -271,14 +271,14 @@ impl PlfsContainer {
 
     /// Create the container skeleton — the two ops of
     /// `plfs::container::create_container_as` for a writing open: the dir,
-    /// then the creator's (rank 0's) data dropping with the default params
+    /// then the creator's data dropping with the default params
     /// or the access file with others — and all hostdirs (as real PLFS does
     /// at container creation — so later dropping creates are pure file
     /// creates).
     fn create_skeleton(&mut self, fs: &mut SimFs, t: f64) -> SimResult<f64> {
         let mut c = fs.mkdir(t, &self.path)?;
         let marker = if self.num_hostdirs == plfs::ContainerParams::default().num_hostdirs {
-            "dropping.data.0.0"
+            plfs::container::CREATOR_DATA
         } else {
             plfs::container::ACCESS_FILE
         };
@@ -985,8 +985,8 @@ mod tests {
     #[test]
     fn the_skeleton_is_marked_as_the_library_marks_it() {
         for (hostdirs, marker, other) in [
-            (32, "dropping.data.0.0", ".plfsaccess"),
-            (4, ".plfsaccess", "dropping.data.0.0"),
+            (32, "dropping.data.creator.0", ".plfsaccess"),
+            (4, ".plfsaccess", "dropping.data.creator.0"),
         ] {
             let mut fs = fs();
             let mut d = PlfsRomioDriver::new(hostdirs);

@@ -122,28 +122,28 @@ impl Plfs {
         }
     }
 
-    /// One backing probe for a path's verdict: a single `stat` plus (for
-    /// directories) the marker rule, [`container::probe_marker`]. Params
-    /// and meta drops are *not* read here — [`Plfs::params_for`] /
-    /// [`Plfs::meta_for`] fill them lazily, so `getattr`/`access` never pay
-    /// for fields they do not need — except that a container with no
-    /// access file has the default params, known without a read.
-    fn probe_meta(&self, bp: &str) -> MetaEntry {
-        use container::Marker;
-        let mut e = MetaEntry::default();
-        // A failed stat means "missing", matching the exists() probe the
-        // pre-cache open path used.
-        if let Ok(st) = self.backing.stat(bp) {
-            e.exists = true;
-            e.is_dir = st.is_dir;
-            let marker = if st.is_dir {
-                container::probe_marker(self.backing.as_ref(), bp)
-            } else {
-                None
-            };
-            e.is_container = marker.is_some();
-            if marker == Some(Marker::Dropping) {
-                e.params = Some(ContainerParams::default());
+    /// One backing probe for a path's verdict: the marker rule,
+    /// [`container::probe`]. Params and meta drops are *not* read here —
+    /// [`Plfs::params_for`] / [`Plfs::meta_for`] fill them lazily, so
+    /// `getattr`/`access` never pay for fields they do not need — except
+    /// for a container its creator's dropping marks: its params are the
+    /// defaults, and, for a `getattr` (`stat`), the listing that found the
+    /// dropping answers what [`Plfs::meta_for`] would list for.
+    fn probe_meta(&self, bp: &str, stat: bool) -> MetaEntry {
+        let found = container::probe(self.backing.as_ref(), bp);
+        let mut e = MetaEntry {
+            exists: found.exists,
+            is_dir: found.is_dir,
+            is_container: found.marker.is_some(),
+            ..MetaEntry::default()
+        };
+        if found.marker == Some(container::Marker::Dropping) {
+            e.params = Some(ContainerParams::default());
+            if let (true, Some(names)) = (stat, &found.names) {
+                // Only a closed container's answer is kept, as meta_for keeps it.
+                if let (0, m) = container::lifecycle(names) {
+                    e.meta = Some(m);
+                }
             }
         }
         e
@@ -167,14 +167,15 @@ impl Plfs {
 
     /// Probe the backing store for a path's verdict, filling the cache
     /// under the generation guard so racing invalidations can never leave a
-    /// stale verdict behind.
-    fn probed_entry(&self, bp: &str) -> MetaEntry {
+    /// stale verdict behind. With `stat`, the verdict carries a closed
+    /// container's fast-stat answer if the probe came by it.
+    fn probed_entry(&self, bp: &str, stat: bool) -> MetaEntry {
         if !self.conf.meta_cache_enabled() {
-            return self.probe_meta(bp);
+            return self.probe_meta(bp, stat);
         }
         let t0 = iotrace::global().start();
         let generation = self.cache.begin_fill(bp);
-        let e = self.probe_meta(bp);
+        let e = self.probe_meta(bp, stat);
         self.cache.complete_fill(bp, generation, e);
         trace_op(t0, || {
             OpEvent::new(Layer::Plfs, OpKind::MetaCacheMiss).path(bp)
@@ -185,7 +186,7 @@ impl Plfs {
     /// Cached (or freshly probed) verdict for a backend path.
     fn meta_entry(&self, bp: &str) -> MetaEntry {
         self.cached_entry(bp)
-            .unwrap_or_else(|| self.probed_entry(bp))
+            .unwrap_or_else(|| self.probed_entry(bp, false))
     }
 
     /// Container params for `bp`, answered from the cache when warm.
@@ -280,9 +281,9 @@ impl Plfs {
         let (params, creator) = match self.cached_entry(&bp) {
             // Nothing known about the path and the caller would create it:
             // the `mkdir` is the probe.
-            None if flags.create() => self.create_for_open(&bp, path, flags, pid)?,
+            None if flags.create() => self.create_for_open(&bp, path, flags)?,
             cached => {
-                let e = cached.unwrap_or_else(|| self.probed_entry(&bp));
+                let e = cached.unwrap_or_else(|| self.probed_entry(&bp, false));
                 if e.exists && flags.create() && flags.excl() {
                     return Err(Error::Exists(path.to_string()));
                 }
@@ -300,7 +301,7 @@ impl Plfs {
                     // plain directory or a container another process is
                     // creating this instant: a non-exclusive create must
                     // join that one, not fail on it.
-                    self.create_for_open(&bp, path, flags, pid)?
+                    self.create_for_open(&bp, path, flags)?
                 } else if !e.exists {
                     return Err(Error::NotFound(path.to_string()));
                 } else if e.is_dir {
@@ -323,23 +324,22 @@ impl Plfs {
     /// The creating half of an `O_CREAT` open: make the container or join
     /// the one that is there (`O_TRUNC` then empties it), and install the
     /// verdict — the params come back from the create, with no re-read of
-    /// the access file. A writable open that makes it is its creator, `pid`
-    /// the name of the data dropping the create makes for its first writer
-    /// (with the default params, in place of the access file): `mkdir` +
-    /// that dropping or the access file, or both. On an existing container
-    /// `mkdir` (`EEXIST`) + the access file's `open` (and one read), or its
-    /// failure and the listing that finds the dropping. Only a failure pays
-    /// for a probe, to report the precise errno for what is in the way.
+    /// the access file. A writable open that makes it is its creator: the
+    /// create makes the data dropping of its first writer (with the default
+    /// params, in place of the access file), so `mkdir` + that dropping or
+    /// the access file, or both. On an existing container `mkdir`
+    /// (`EEXIST`) + the access file's `open` (and one read), or its failure
+    /// and the `stat` that finds the creator's dropping. Only a failure
+    /// pays for a probe, to report the precise errno for what is in the way.
     fn create_for_open(
         &self,
         bp: &str,
         path: &str,
         flags: OpenFlags,
-        pid: u64,
     ) -> Result<(ContainerParams, Option<container::CreatorDropping>)> {
         let b = self.backing.as_ref();
-        let creator = flags.writable().then_some(pid);
-        match container::create_container_as(b, bp, &self.defaults, flags.excl(), creator) {
+        match container::create_container_as(b, bp, &self.defaults, flags.excl(), flags.writable())
+        {
             Ok((p, how, dropping)) => {
                 if how == container::Creation::Joined && flags.trunc() {
                     self.trunc_backend(bp, 0, p)?;
@@ -350,7 +350,7 @@ impl Plfs {
             // POSIX: O_CREAT|O_EXCL is EEXIST whatever is in the way.
             Err(Error::Exists(_)) if flags.excl() => Err(Error::Exists(path.to_string())),
             Err(err) => {
-                let e = self.probe_meta(bp);
+                let e = self.probe_meta(bp, false);
                 Err(if e.is_dir && !e.is_container {
                     Error::IsDir(path.to_string())
                 } else if e.exists && !e.is_dir {
@@ -432,7 +432,9 @@ impl Plfs {
     /// `plfs_getattr`: stat a logical path.
     pub fn getattr(&self, path: &str) -> Result<Stat> {
         let bp = self.backend_path(path);
-        let e = self.meta_entry(&bp);
+        let e = self
+            .cached_entry(&bp)
+            .unwrap_or_else(|| self.probed_entry(&bp, true));
         if !e.exists {
             return Err(Error::NotFound(path.to_string()));
         }
@@ -566,24 +568,38 @@ impl Plfs {
         let b = self.backing.as_ref();
         if len == 0 {
             // Drop every dropping — the hostdirs and the top-level pair —
-            // and every meta drop; the access file stays (it is written
-            // first if the top-level data dropping was the marker), and so
-            // do the `open.*` markers of writers still open (theirs to
-            // remove).
+            // and every meta drop; the access file stays, and so do the
+            // `open.*` markers of writers still open (theirs to remove).
+            // So does the creator's data dropping while it has no index
+            // and no bytes: its writer, if it has one yet, has written
+            // nothing, so all it will write comes after this truncate.
+            // Removing any other, the last marker of a container it alone
+            // marks, first gives the container its access file.
             let files = [
                 container::META_PREFIX,
                 container::DATA_PREFIX,
                 container::INDEX_PREFIX,
             ];
             let names = b.readdir(bp)?;
-            if !names.iter().any(|n| n == container::ACCESS_FILE) {
-                container::ensure_access_file(b, bp, &params)?;
+            let has = |name: &str| names.iter().any(|n| n == name);
+            let creator_indexed = names.iter().any(|n| {
+                container::parse_index_name(n)
+                    .is_some_and(|(pair, _)| pair == container::CREATOR_PAIR)
+            });
+            let keep_creator = has(container::CREATOR_DATA)
+                && !creator_indexed
+                && b.stat(&join(bp, container::CREATOR_DATA))
+                    .is_ok_and(|st| st.size == 0);
+            if has(container::CREATOR_DATA) && !keep_creator && !has(container::ACCESS_FILE) {
+                container::publish_access_file(b, bp, &params)?;
             }
-            for n in names {
+            for n in &names {
                 if n.starts_with(container::HOSTDIR_PREFIX) {
-                    crate::backing::remove_tree(b, &join(bp, &n))?;
-                } else if files.iter().any(|p| n.starts_with(p)) {
-                    b.unlink(&join(bp, &n))?;
+                    crate::backing::remove_tree(b, &join(bp, n))?;
+                } else if files.iter().any(|p| n.starts_with(p))
+                    && !(keep_creator && n == container::CREATOR_DATA)
+                {
+                    b.unlink(&join(bp, n))?;
                 }
             }
             return Ok(());
@@ -972,20 +988,20 @@ mod tests {
             p.close(&fd, 1).unwrap();
             serial
         };
-        // Marked by its creator's dropping: stat, the access file's
-        // exists, the listing, the dropping's stat — and the default
-        // params, with nothing to read.
+        // Marked by its creator's dropping: the access file's exists, the
+        // listing (which says it is a directory), the dropping's stat —
+        // and the default params, with nothing to read.
         let serial = reopen("/f");
-        assert_eq!((serial.stat, serial.exists, serial.readdir), (2, 1, 1));
-        assert_eq!(serial.metadata_ops(), 4, "{serial:?}");
-        // Marked by its access file: stat, its exists, its open (one read,
-        // no size).
+        assert_eq!((serial.stat, serial.exists, serial.readdir), (1, 1, 1));
+        assert_eq!(serial.metadata_ops(), 3, "{serial:?}");
+        // Marked by its access file: its exists (which says the path is a
+        // directory), its open (one read, no size).
         let serial = reopen("/g");
-        assert_eq!((serial.stat, serial.exists, serial.open), (1, 1, 1));
+        assert_eq!((serial.stat, serial.exists, serial.open), (0, 1, 1));
         assert_eq!(serial.size, 0);
         assert_eq!(
             serial.metadata_ops(),
-            3,
+            2,
             "serial reopen cost moved: {serial:?}"
         );
         assert!(
@@ -1011,13 +1027,12 @@ mod tests {
         // Closed without a write: the dropping and its empty closed index.
         assert_eq!(
             meter.readdir("/f").unwrap(),
-            ["dropping.data.1.0", "dropping.index.1.0.0.0"]
+            ["dropping.data.creator.0", "dropping.index.creator.0.0.0"]
         );
         p.create("/g", true).unwrap();
         // O_CREAT over a container nothing is cached about: the mkdir's
         // EEXIST, then the access file's open (one read, no size) — or,
-        // with none, the listing and the stat that confirm the dropping,
-        // and the access file this first joiner writes for the next.
+        // with none, the stat that finds the creator's dropping.
         let meter2 = meter.clone();
         let cold_create = |path| {
             let other = Plfs::new(meter2.clone() as Arc<dyn Backing>);
@@ -1027,16 +1042,13 @@ mod tests {
             other.close(&fd, 2).unwrap();
             d
         };
-        let d = cold_create("/f");
-        assert_eq!(
-            (d.mkdir, d.open, d.readdir, d.stat, d.create),
-            (1, 1, 1, 1, 1)
-        );
-        assert_eq!(d.metadata_ops(), 5, "{d:?}");
-        for path in ["/f", "/g"] {
-            let d = cold_create(path);
-            assert_eq!((d.mkdir, d.open, d.size), (1, 1, 0), "{path}");
-            assert_eq!(d.metadata_ops(), 2, "{path}: {d:?}");
+        for _ in 0..2 {
+            let d = cold_create("/f");
+            assert_eq!((d.mkdir, d.open, d.stat, d.readdir), (1, 1, 1, 0));
+            assert_eq!(d.metadata_ops(), 3, "{d:?}");
+            let d = cold_create("/g");
+            assert_eq!((d.mkdir, d.open, d.size), (1, 1, 0));
+            assert_eq!(d.metadata_ops(), 2, "{d:?}");
         }
     }
 
@@ -1106,7 +1118,12 @@ mod tests {
         p.access("/f").unwrap();
         p.access("/f").unwrap();
         let d = meter.snapshot().delta(&before);
-        assert_eq!(d.stat, 2, "cache off: every access re-probes");
+        // One probe each: the access file's exists.
+        assert_eq!(
+            (d.stat, d.exists),
+            (0, 2),
+            "cache off: every access re-probes"
+        );
         assert_eq!(p.meta_cache_counters(), (0, 0));
     }
 

@@ -710,15 +710,18 @@ mod tests {
         plfs.write(&fd, &[9u8; 64], 0, 4).unwrap();
         std::mem::forget(fd); // killed: no close ever runs
         let b = backing.as_ref();
-        assert_eq!(b.readdir("/c").unwrap(), ["dropping.data.4.0"]);
+        assert_eq!(b.readdir("/c").unwrap(), ["dropping.data.creator.0"]);
         assert_eq!(
             check(b, "/c").unwrap().findings,
             [Finding::OpenWriters { count: 1 }]
         );
         repair(b, "/c", false).unwrap();
-        assert!(!b.exists("/c/dropping.index.4.0.0.64"), "it may be alive");
+        assert!(
+            !b.exists("/c/dropping.index.creator.0.0.64"),
+            "it may be alive"
+        );
         assert_eq!(repair(b, "/c", true).unwrap().markers_cleared, 1);
-        assert_eq!(b.stat("/c/dropping.index.4.0.0.64").unwrap().size, 0);
+        assert_eq!(b.stat("/c/dropping.index.creator.0.0.64").unwrap().size, 0);
         assert!(check(b, "/c").unwrap().is_clean());
         let st = Plfs::new(backing.clone()).getattr("/c").unwrap();
         assert_eq!((st.size, st.physical_bytes), slow_stat(b));
@@ -727,6 +730,34 @@ mod tests {
             (0, 64),
             "its records died with it"
         );
+    }
+
+    /// A creator killed between its `open(O_CREAT)` and any write leaves
+    /// its data dropping alone, which reads as a writer still open — the
+    /// dropping is the container's only marker, so nothing but its closed
+    /// index can say otherwise: `--clear-markers` gives it one.
+    #[test]
+    fn a_creator_killed_before_its_first_write_is_closed_by_clear_markers() {
+        let backing = Arc::new(MemBacking::new());
+        let plfs = Plfs::new(backing.clone());
+        let fd = plfs
+            .open("/c", OpenFlags::WRONLY | OpenFlags::CREAT, 4)
+            .unwrap();
+        std::mem::forget(fd); // killed: no write, no close
+        let b = backing.as_ref();
+        assert_eq!(b.readdir("/c").unwrap(), ["dropping.data.creator.0"]);
+        assert_eq!(
+            check(b, "/c").unwrap().findings,
+            [Finding::OpenWriters { count: 1 }]
+        );
+        assert_eq!(repair(b, "/c", true).unwrap().markers_cleared, 1);
+        assert!(b.exists("/c/dropping.index.creator.0.0.0"));
+        assert!(check(b, "/c").unwrap().is_clean());
+        let cold = Plfs::new(backing.clone());
+        let st = cold.getattr("/c").unwrap();
+        assert_eq!((st.size, st.physical_bytes), (0, 0));
+        cold.unlink("/c").unwrap();
+        assert!(!b.exists("/c"));
     }
 
     #[test]
@@ -768,10 +799,10 @@ mod tests {
         // The creator's data dropping cut short: its one record goes, and
         // its index is re-suffixed to what is left of the pair.
         let top = container::list_droppings(b.as_ref(), "/c").unwrap()[0].clone();
-        assert_eq!(top.data_path, "/c/dropping.data.0.0");
+        assert_eq!(top.data_path, "/c/dropping.data.creator.0");
         b.truncate(&top.data_path, 10).unwrap();
         assert_eq!(repair(b.as_ref(), "/c", false).unwrap().entries_dropped, 1);
-        assert!(b.exists("/c/dropping.index.0.0.0.10"));
+        assert!(b.exists("/c/dropping.index.creator.0.0.10"));
         assert_eq!(fast_stat(&b), (300, 210));
         assert_eq!(fast_stat(&b), slow_stat(b.as_ref()));
         // A hostdir writer's records lost instead.
@@ -796,17 +827,17 @@ mod tests {
         plfs.sync(&fd, 4).unwrap();
         std::mem::forget(fd); // killed: no close ever runs
         let b = backing.as_ref();
-        assert!(b.exists("/c/dropping.index.4.0"));
+        assert!(b.exists("/c/dropping.index.creator.0"));
         assert_eq!(
             check(b, "/c").unwrap().findings,
             [Finding::OpenWriters { count: 1 }]
         );
         // Without the flag the writer may be alive: its name is left alone.
         repair(b, "/c", false).unwrap();
-        assert!(b.exists("/c/dropping.index.4.0"));
+        assert!(b.exists("/c/dropping.index.creator.0"));
         let rep = repair(b, "/c", true).unwrap();
         assert_eq!(rep.markers_cleared, 1);
-        assert!(b.exists("/c/dropping.index.4.0.64.64"));
+        assert!(b.exists("/c/dropping.index.creator.0.64.64"));
         assert!(check(b, "/c").unwrap().is_clean());
         let st = Plfs::new(backing.clone()).getattr("/c").unwrap();
         assert_eq!((st.size, st.physical_bytes), slow_stat(b));
@@ -831,7 +862,7 @@ mod tests {
         drops.sort();
         assert_eq!(
             drops,
-            ["dropping.index.0.0.100.100", "meta.300.200.0.0"],
+            ["dropping.index.creator.0.100.100", "meta.300.200.0.0"],
             "the creator's index keeps its own drop; one rebuilt drop for the hostdirs"
         );
         let plfs = Plfs::new(b.clone());

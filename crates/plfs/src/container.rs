@@ -3,30 +3,30 @@
 //! A logical file `/mnt/foo` maps to a *container* directory on the backend:
 //!
 //! ```text
-//! foo/                                      container directory
-//!   .plfsaccess                             marker and params; absent if a writer's open made foo with the defaults
-//!   dropping.data.<pid>.<n>                 the creator's data dropping, made by its open; alone: it is open
-//!   dropping.index.<pid>.<n>                its index, if needed before close; the creator is open
-//!   dropping.index.<pid>.<n>.<eof>.<bytes>  its index once it closed; fast-stat info
-//!   open.<pid>.<n>                          empty: hostdir writer (pid, n) is open
-//!   meta.<eof>.<bytes>.<pid>.<n>            empty: that writer closed; fast-stat info
-//!   hostdir.0/ … hostdir.K-1/               subdirectories holding everyone else's droppings
-//!     dropping.data.<pid>.<n>               log-structured data
-//!     dropping.index.<pid>.<n>              index records for that data
+//! foo/                                        container directory
+//!   .plfsaccess                               marker and params; absent if a writer's open made foo with the defaults
+//!   dropping.data.creator.0                   the creator's data dropping, made by its open; alone: it is open
+//!   dropping.index.creator.0                  its index, if needed before close; the creator is open
+//!   dropping.index.creator.0.<eof>.<bytes>    its index once it closed; fast-stat info
+//!   open.<pid>.<n>                            empty: hostdir writer (pid, n) is open
+//!   meta.<eof>.<bytes>.<pid>.<n>              empty: that writer closed; fast-stat info
+//!   hostdir.0/ … hostdir.K-1/                 subdirectories holding everyone else's droppings
+//!     dropping.data.<pid>.<n>                 log-structured data
+//!     dropping.index.<pid>.<n>                index records for that data
 //! ```
 //!
 //! **The marker rule.** A directory is a container when it holds the
-//! access file or a top-level data dropping (a regular file: an
-//! application's container of that name is a directory). No access file
-//! means [`ContainerParams::default`]. A writable `open(O_CREAT)` that
-//! makes a container with the defaults makes its creator's data dropping
-//! in place of the access file (`create_container_as`); every other
-//! create, and a creator with other params, writes the access file first.
-//! The first writer to join such a container writes the access file, so
-//! the joiners after it read the params instead of listing. Only an
-//! unlink leaves the directory unmarked: whatever else removes the last
-//! top-level data dropping writes the access file before it
-//! ([`ensure_access_file`]).
+//! access file or the creator's data dropping, [`CREATOR_DATA`] (a regular
+//! file: an application's container of that name is a directory). No
+//! access file means [`ContainerParams::default`]. A writable
+//! `open(O_CREAT)` that makes a container with the defaults makes its
+//! creator's data dropping in place of the access file
+//! (`create_container_as`); every other create, and a creator with other
+//! params, writes the access file first. The creator's pair has one name
+//! in every container, so a cold probe `stat`s it instead of listing for
+//! it. Only an unlink leaves the directory unmarked: whatever else removes
+//! the creator's data dropping of a container it alone marks publishes the
+//! access file before it ([`publish_access_file`]).
 //!
 //! Droppings mirror Figure 1 of the paper (and the real PLFS layout): n
 //! writers produce at least n data droppings and n index droppings, spread
@@ -39,13 +39,13 @@
 //!   — is *names* in the container directory, and close is at most one
 //!   `rename`.
 //! * The writer that *made* the container (its `open`'s `mkdir` succeeded:
-//!   [`Creation::Made`]) keeps a **top-level pair**: its two droppings sit
-//!   beside the access file, with no hostdir and no empty marker — the
-//!   index dropping's own name is its lifecycle. The data dropping is made
-//!   by the open, for the first writer opened through its fd (one that
-//!   never writes publishes an empty closed index at close). Close
-//!   creates the index under its closed name, carrying `<eof>.<bytes>`:
-//!   the fast-stat drop. Until
+//!   [`Creation::Made`]) keeps a **top-level pair**, [`CREATOR_PAIR`]: its
+//!   two droppings sit in the container directory, with no hostdir and no
+//!   empty marker — the index dropping's own name is its lifecycle. The
+//!   data dropping is made by the open, for the first writer opened
+//!   through its fd (one that never writes publishes an empty closed index
+//!   at close). Close creates the index under its closed name, carrying
+//!   `<eof>.<bytes>`: the fast-stat drop. Until
 //!   then the data dropping alone says the creator is open — or, if a full
 //!   buffer, a sync or a truncate needed the index first, the index under
 //!   its un-suffixed name, which close renames. (A name apart from
@@ -56,13 +56,17 @@
 //!   what the code observed, never a knob.
 //!
 //! (In log mode, where every writer shares pair 0, `n` is the first number
-//! free among its pid's names.) A legacy container still opens, stats (slow
-//! path: no drops) and unlinks; its subdirectories are never read.
+//! free among its pid's names.) A container made before the creator's pair
+//! had a name of its own holds it as `dropping.{data,index}.<pid>.0` beside
+//! the access file, and reads as any other pair. A legacy container still
+//! opens, stats (slow path: no drops) and unlinks; its subdirectories are
+//! never read.
 
 use crate::backing::{join, remove_tree, Backing, BackingFile};
 use crate::error::{Error, Result};
 use crate::index::{observe_timestamp, GlobalIndex, IndexBuilder, IndexEntry, RECORD_SIZE};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 /// Name of the marker file that identifies a container.
@@ -161,13 +165,20 @@ pub fn index_dropping_path(
     join(&hostdir_path(container, hd), &name)
 }
 
-/// Paths of the top-level dropping pair `(pid, seq)`: the data dropping and
-/// the index dropping under its open (un-suffixed) name, in the container
-/// directory itself.
-pub fn toplevel_pair_paths(container: &str, pid: u64, seq: u32) -> (String, String) {
+/// The `<pid>.<seq>` place of the creator's pair: one per container, as
+/// only one open makes it, so its names need no pid — and a probe can
+/// `stat` the data dropping without listing.
+pub const CREATOR_PAIR: &str = "creator.0";
+
+/// Name of the creator's data dropping in the container directory.
+pub const CREATOR_DATA: &str = "dropping.data.creator.0";
+
+/// Paths of the creator's pair: its data dropping and its index dropping
+/// under its open (un-suffixed) name.
+pub fn creator_pair_paths(container: &str) -> (String, String) {
     (
-        join(container, &format!("{DATA_PREFIX}{pid}.{seq}")),
-        join(container, &format!("{INDEX_PREFIX}{pid}.{seq}")),
+        join(container, CREATOR_DATA),
+        join(container, &format!("{INDEX_PREFIX}{CREATOR_PAIR}")),
     )
 }
 
@@ -187,13 +198,10 @@ pub fn parse_index_name(name: &str) -> Option<(&str, Option<(u64, u64)>)> {
     }
 }
 
-/// Is the backend path a PLFS container? The cold rule of
-/// `probe_marker`, after one `stat` says it is a directory.
+/// Is the backend path a PLFS container? The marker rule for a path
+/// nothing is known about (`probe`).
 pub fn is_container(b: &dyn Backing, path: &str) -> bool {
-    match b.stat(path) {
-        Ok(st) if st.is_dir => probe_marker(b, path).is_some(),
-        _ => false,
-    }
+    probe(b, path).marker.is_some()
 }
 
 /// What marks a directory as a container.
@@ -201,31 +209,70 @@ pub fn is_container(b: &dyn Backing, path: &str) -> bool {
 pub(crate) enum Marker {
     /// The access file, which holds the params.
     AccessFile,
-    /// A top-level data dropping and no access file: the default params.
+    /// The creator's data dropping and no access file: the default params.
     Dropping,
 }
 
 /// The marker rule over one directory's listing, trusting names: the
-/// access file or a top-level data dropping. What a caller that already
+/// access file or the creator's data dropping. What a caller that already
 /// has a verdict (or was handed a container) reads off a listing.
 fn marked(names: &[String]) -> bool {
-    names
-        .iter()
-        .any(|n| n == ACCESS_FILE || n.starts_with(DATA_PREFIX))
+    names.iter().any(|n| n == ACCESS_FILE || n == CREATOR_DATA)
 }
 
-/// The marker rule for a directory nothing is known about: one `exists`
-/// of the access file; failing it, the listing, and a `stat` confirming a
-/// top-level data dropping it names is a regular file — a plain directory
-/// holding an application's file of that name holds a container, which is
-/// a directory.
-pub(crate) fn probe_marker(b: &dyn Backing, dir: &str) -> Option<Marker> {
-    if b.exists(&join(dir, ACCESS_FILE)) {
-        return Some(Marker::AccessFile);
+/// What a cold [`probe`] of a backend path found.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct Probe {
+    /// Is there anything at the path?
+    pub(crate) exists: bool,
+    /// Is it a directory (containers are directories too)?
+    pub(crate) is_dir: bool,
+    /// What marks it a container, if anything does.
+    pub(crate) marker: Option<Marker>,
+    /// The directory's listing, when the probe took one: of a container
+    /// its creator's dropping marks, the lifecycle names a `stat` reads.
+    pub(crate) names: Option<Vec<String>>,
+}
+
+/// The marker rule for a path nothing is known about. One `exists` of the
+/// access file: there, the path is a container. Failing it, the path's
+/// listing, which also says it is a directory; and if that names the
+/// creator's data dropping, one `stat` confirming it is a regular file — a
+/// plain directory holding an application's file of that name holds a
+/// container, which is a directory. Only a path that cannot be listed for
+/// a reason other than its absence costs a `stat` of its own.
+pub(crate) fn probe(b: &dyn Backing, path: &str) -> Probe {
+    if b.exists(&join(path, ACCESS_FILE)) {
+        return Probe {
+            exists: true,
+            is_dir: true,
+            marker: Some(Marker::AccessFile),
+            names: None,
+        };
     }
-    dropping_marks(b, dir)
-        .unwrap_or(false)
-        .then_some(Marker::Dropping)
+    match b.readdir(path) {
+        Ok(names) => {
+            let marker = (names.iter().any(|n| n == CREATOR_DATA) && creator_marks(b, path))
+                .then_some(Marker::Dropping);
+            Probe {
+                exists: true,
+                is_dir: true,
+                marker,
+                names: Some(names),
+            }
+        }
+        Err(e) if e.errno() == crate::error::libc_errno::ENOENT => Probe::default(),
+        // A file, or something in the way of listing: a failed stat means
+        // "missing".
+        Err(_) => match b.stat(path) {
+            Ok(st) => Probe {
+                exists: true,
+                is_dir: st.is_dir,
+                ..Probe::default()
+            },
+            Err(_) => Probe::default(),
+        },
+    }
 }
 
 /// Is `e` what a path that is missing, or no directory, answers
@@ -235,21 +282,9 @@ fn no_such_dir(e: &Error) -> bool {
     [ENOENT, ENOTDIR].contains(&e.errno())
 }
 
-/// Does the listing of `dir` name a top-level data dropping that is a
-/// regular file? `false` if `dir` is missing or no directory.
-fn dropping_marks(b: &dyn Backing, dir: &str) -> Result<bool> {
-    let names = match b.readdir(dir) {
-        Ok(names) => names,
-        Err(e) if no_such_dir(&e) => return Ok(false),
-        Err(e) => return Err(e),
-    };
-    let candidates = names.iter().filter(|n| n.starts_with(DATA_PREFIX));
-    for name in candidates {
-        if b.stat(&join(dir, name)).is_ok_and(|st| !st.is_dir) {
-            return Ok(true);
-        }
-    }
-    Ok(false)
+/// Is the creator's data dropping of `dir` there, and a regular file?
+fn creator_marks(b: &dyn Backing, dir: &str) -> bool {
+    b.stat(&join(dir, CREATOR_DATA)).is_ok_and(|st| !st.is_dir)
 }
 
 /// Serialized container parameters stored in the access file.
@@ -310,28 +345,20 @@ pub enum Creation {
     Joined,
 }
 
-/// A new container's first data dropping, `dropping.data.<pid>.0` in the
+/// A new container's first data dropping, [`CREATOR_DATA`] in the
 /// container directory: made by the open that made the container, for the
 /// first writer opened through its fd ([`crate::WriteFile`]'s top-level
 /// pair).
 pub(crate) struct CreatorDropping {
     /// The data dropping, open for writing.
     pub(crate) file: Box<dyn BackingFile>,
-    /// The pid its name carries.
-    pid: u64,
 }
 
 impl CreatorDropping {
     /// Create it, exclusively, in `container`.
-    pub(crate) fn create(b: &dyn Backing, container: &str, pid: u64) -> Result<CreatorDropping> {
-        let (data, _) = toplevel_pair_paths(container, pid, 0);
-        let file = b.create(&data, true)?;
-        Ok(CreatorDropping { file, pid })
-    }
-
-    /// Its data and (un-suffixed) index paths in `container`.
-    pub(crate) fn paths(&self, container: &str) -> (String, String) {
-        toplevel_pair_paths(container, self.pid, 0)
+    pub(crate) fn create(b: &dyn Backing, container: &str) -> Result<CreatorDropping> {
+        let file = b.create(&join(container, CREATOR_DATA), true)?;
+        Ok(CreatorDropping { file })
     }
 }
 
@@ -349,38 +376,31 @@ pub fn create_container(
     params: &ContainerParams,
     excl: bool,
 ) -> Result<(ContainerParams, Creation)> {
-    let (p, how, _) = create_container_as(b, path, params, excl, None)?;
+    let (p, how, _) = create_container_as(b, path, params, excl, false)?;
     Ok((p, how))
 }
 
-/// [`create_container`] for an open that will write, as `creator`: a
-/// container it makes outside log mode gets its [`CreatorDropping`] too,
-/// and, with the default params, no access file — the dropping marks it.
-/// One it joins that only a dropping marks gets the access file from it:
-/// every later joiner reads the params in one `open` instead of listing a
-/// directory that fills with the writers' lifecycle names. With `creator`
-/// `None` this is [`create_container`].
+/// [`create_container`] for an open that will write: a container it makes
+/// outside log mode gets its [`CreatorDropping`] too, and, with the default
+/// params, no access file — the dropping marks it. With `writer` false
+/// this is [`create_container`].
 pub(crate) fn create_container_as(
     b: &dyn Backing,
     path: &str,
     params: &ContainerParams,
     excl: bool,
-    creator: Option<u64>,
+    writer: bool,
 ) -> Result<(ContainerParams, Creation, Option<CreatorDropping>)> {
     match b.mkdir(path) {
         Ok(()) => {}
         // Already there, or lost the mkdir to a concurrent creator.
         Err(Error::Exists(_)) if !excl => {
-            let (p, marker) = await_creator(b, path)?;
-            if creator.is_some() && marker == Marker::Dropping {
-                ensure_access_file(b, path, &p)?;
-            }
-            return Ok((p, Creation::Joined, None));
+            return Ok((await_creator(b, path)?, Creation::Joined, None));
         }
         Err(e) => return Err(e),
     }
-    let creator = creator.filter(|_| params.mode != LayoutMode::LogStructured);
-    let access = creator.is_none() || *params != ContainerParams::default();
+    let creator = writer && params.mode != LayoutMode::LogStructured;
+    let access = !creator || *params != ContainerParams::default();
     // A bare directory would read as nascent to every later creator: on
     // failure take back down what this call made (best effort), and only
     // that — an access file whose exclusive create failed is not ours, and
@@ -390,14 +410,14 @@ pub(crate) fn create_container_as(
         if access {
             write_access_file(b, path, params)?;
         }
-        let dropping = creator.map(|pid| CreatorDropping::create(b, path, pid));
-        match dropping.transpose() {
-            Err(e) if access => {
-                let _ = b.unlink(&join(path, ACCESS_FILE));
-                Err(e)
-            }
-            made => made,
+        if !creator {
+            return Ok(None);
         }
+        CreatorDropping::create(b, path).map(Some).inspect_err(|_| {
+            if access {
+                let _ = b.unlink(&join(path, ACCESS_FILE));
+            }
+        })
     })();
     match made {
         Ok(dropping) => Ok((*params, Creation::Made, dropping)),
@@ -420,15 +440,33 @@ fn write_access_file(b: &dyn Backing, path: &str, params: &ContainerParams) -> R
     Ok(())
 }
 
-/// Give the container at `path` its access file unless it has one: what
-/// anything but an unlink does before it removes the last top-level data
-/// dropping of a container marked by that dropping alone, with the params
-/// it has — the defaults, for such a container.
-pub fn ensure_access_file(b: &dyn Backing, path: &str, params: &ContainerParams) -> Result<()> {
-    match write_access_file(b, path, params) {
-        Err(Error::Exists(_)) => Ok(()),
-        r => r,
+/// Give the container at `path`, which has no access file, one holding
+/// `params` — written whole under a name of its own and renamed into
+/// place, so no reader of a container that already exists ever sees it
+/// empty. What anything but an unlink does before it removes the creator's
+/// data dropping of a container that dropping alone marks (whose params
+/// are the defaults, so two racing publishers write the same bytes).
+pub fn publish_access_file(b: &dyn Backing, path: &str, params: &ContainerParams) -> Result<()> {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    // relaxed: only uniqueness of the number matters
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    let tmp = join(path, &format!("{ACCESS_FILE}.{}.{n}", std::process::id()));
+    let written = b
+        .create(&tmp, true)
+        .and_then(|f| f.pwrite(&encode_params(params), 0));
+    let published = written.and_then(|_| b.rename(&tmp, &join(path, ACCESS_FILE)));
+    if published.is_err() {
+        let _ = b.unlink(&tmp);
     }
+    published
+}
+
+/// [`publish_access_file`] unless the container has an access file.
+pub fn ensure_access_file(b: &dyn Backing, path: &str, params: &ContainerParams) -> Result<()> {
+    if b.exists(&join(path, ACCESS_FILE)) {
+        return Ok(());
+    }
+    publish_access_file(b, path, params)
 }
 
 /// How long a non-exclusive creator waits for a concurrent creator of the
@@ -443,11 +481,11 @@ const CREATE_RACE_WAIT: Duration = Duration::from_secs(1);
 /// is there or the access file is still empty — but only while `path`
 /// looks like a nascent container; anything else in the way is `Exists` at
 /// once, and an error other than a missing marker is returned as it is.
-fn await_creator(b: &dyn Backing, path: &str) -> Result<(ContainerParams, Marker)> {
+fn await_creator(b: &dyn Backing, path: &str) -> Result<ContainerParams> {
     let deadline = Instant::now() + CREATE_RACE_WAIT;
     let mut pause = Duration::from_micros(50);
     loop {
-        let err = match read_marked(b, path) {
+        let err = match read_params(b, path) {
             Ok(found) => return Ok(found),
             Err(e @ Error::Corrupt(_)) => e,
             Err(Error::NotContainer(_)) => Error::Exists(path.to_string()),
@@ -457,7 +495,7 @@ fn await_creator(b: &dyn Backing, path: &str) -> Result<(ContainerParams, Marker
             // Not a skeleton — or no longer one: a creator that finished
             // between the two probes (and a writer that already made a
             // hostdir) left a marker.
-            return read_marked(b, path).map_err(|_| err);
+            return read_params(b, path).map_err(|_| err);
         }
         std::thread::sleep(pause);
         pause = (pause * 2).min(Duration::from_millis(10));
@@ -489,29 +527,19 @@ fn read_access_file(b: &dyn Backing, path: &str, buf: &mut [u8]) -> Result<Optio
 
 /// Read back the parameters a container was created with, by the marker
 /// rule for a path nothing is known about: the access file's, or — with
-/// none, and a top-level data dropping marking the directory — the
-/// defaults. `NotContainer` when neither marks it.
+/// none, and the creator's data dropping marking the directory — the
+/// defaults. `NotContainer` when neither marks it. The access file is read
+/// with one `pread` of up to one byte past [`ACCESS_FILE_MAX`]; one longer
+/// than that is corrupt, and so is an empty one (a creator between its
+/// create and its write, or one that died there).
 pub fn read_params(b: &dyn Backing, path: &str) -> Result<ContainerParams> {
-    read_marked(b, path).map(|(p, _)| p)
-}
-
-/// [`read_params`] and which marker it read them off. The access file is
-/// read with one `pread` of up to one byte past [`ACCESS_FILE_MAX`]; one
-/// longer than that is corrupt. An empty one beside a top-level data
-/// dropping is being written into a container that dropping marked (a
-/// creator writes its own whole before it makes its dropping): the
-/// defaults, as with none.
-fn read_marked(b: &dyn Backing, path: &str) -> Result<(ContainerParams, Marker)> {
     let mut buf = [0u8; ACCESS_FILE_MAX + 1];
     match read_access_file(b, path, &mut buf)? {
         Some(n) if n > ACCESS_FILE_MAX => Err(Error::Corrupt(format!(
             "access file of {path} is over {ACCESS_FILE_MAX} bytes"
         ))),
-        Some(n) if n > 0 => decode_params(&buf[..n]).map(|p| (p, Marker::AccessFile)),
-        _ if dropping_marks(b, path)? => Ok((ContainerParams::default(), Marker::Dropping)),
-        // Empty, and nothing else marks the directory: a creator between
-        // its access file's create and its write, or one that died there.
-        Some(_) => decode_params(&[]).map(|p| (p, Marker::AccessFile)),
+        Some(n) => decode_params(&buf[..n]),
+        None if creator_marks(b, path) => Ok(ContainerParams::default()),
         None => Err(Error::NotContainer(path.to_string())),
     }
 }
@@ -839,7 +867,11 @@ pub fn clear_names(b: &dyn Backing, container: &str, prefix: &str) -> Result<usi
 /// yet). A top-level index whose data dropping is gone (a truncate under its
 /// open writer) describes nothing and counts as neither.
 pub fn read_lifecycle(b: &dyn Backing, container: &str) -> Result<(usize, Option<(u64, u64)>)> {
-    let names = list_container(b, container)?;
+    Ok(lifecycle(&list_container(b, container)?))
+}
+
+/// [`read_lifecycle`] off `names`, the container directory's listing.
+pub(crate) fn lifecycle(names: &[String]) -> (usize, Option<(u64, u64)>) {
     // Every name is an open writer (`None`), a closed one's drop, or neither.
     let hostdir_writers = names.iter().filter_map(|n| {
         if n.starts_with(OPEN_PREFIX) {
@@ -854,7 +886,7 @@ pub fn read_lifecycle(b: &dyn Backing, container: &str) -> Result<(usize, Option
         };
         Some(Some((eof, bytes)))
     });
-    let pairs = dropping_pairs(&names);
+    let pairs = dropping_pairs(names);
     let creators = pairs.iter().map(|p| p.index.and_then(|(_, closed)| closed));
     let mut writers = 0;
     let mut best: Option<(u64, u64)> = None;
@@ -868,7 +900,7 @@ pub fn read_lifecycle(b: &dyn Backing, container: &str) -> Result<(usize, Option
             }
         }
     }
-    Ok((writers, best))
+    (writers, best)
 }
 
 /// Count of writers currently holding the container open.
@@ -1002,6 +1034,16 @@ mod tests {
         MemBacking::new()
     }
 
+    /// Paths of a top-level pair `(pid, seq)`, its index under its open
+    /// name: how a container made before the creator's pair had a name of
+    /// its own holds its creator's pair.
+    fn toplevel_pair_paths(container: &str, pid: u64, seq: u32) -> (String, String) {
+        (
+            join(container, &format!("{DATA_PREFIX}{pid}.{seq}")),
+            join(container, &format!("{INDEX_PREFIX}{pid}.{seq}")),
+        )
+    }
+
     #[test]
     fn create_makes_skeleton() {
         let b = mem();
@@ -1055,10 +1097,10 @@ mod tests {
     }
 
     /// An access file still empty is a creator between its create and its
-    /// write — or, beside a top-level data dropping, one being written into
-    /// a container the dropping marked, which has the defaults.
+    /// write, or one that died there: corrupt, as nothing publishes one
+    /// empty into a container that exists.
     #[test]
-    fn an_empty_access_file_beside_a_dropping_means_the_defaults() {
+    fn an_empty_access_file_is_corrupt_and_a_published_one_is_whole() {
         let b = mem();
         b.mkdir("/nascent").unwrap();
         b.create("/nascent/.plfsaccess", true).unwrap();
@@ -1067,25 +1109,48 @@ mod tests {
             Err(Error::Corrupt(_))
         ));
         let p = ContainerParams::default();
-        let (_, how, dropping) = create_container_as(&b, "/c", &p, true, Some(3)).unwrap();
+        let (_, how, dropping) = create_container_as(&b, "/c", &p, true, true).unwrap();
         assert_eq!(
             (how, b.readdir("/c").unwrap()),
-            (Creation::Made, vec!["dropping.data.3.0".to_string()])
+            (Creation::Made, vec![CREATOR_DATA.to_string()])
         );
         drop(dropping);
-        b.create("/c/.plfsaccess", true).unwrap();
+        assert_eq!(read_params(&b, "/c").unwrap(), p);
+        // Written under a name of its own, then renamed into place.
+        ensure_access_file(&b, "/c", &p).unwrap();
+        assert_eq!(b.readdir("/c").unwrap(), [ACCESS_FILE, CREATOR_DATA]);
         assert_eq!(read_params(&b, "/c").unwrap(), p);
         // One that is there is left as it is.
-        ensure_access_file(
-            &b,
-            "/c",
-            &ContainerParams {
-                num_hostdirs: 9,
-                ..p
-            },
-        )
-        .unwrap();
-        assert_eq!(b.stat("/c/.plfsaccess").unwrap().size, 0);
+        let nine = ContainerParams {
+            num_hostdirs: 9,
+            ..p
+        };
+        create_container(&b, "/g", &nine, true).unwrap();
+        ensure_access_file(&b, "/g", &p).unwrap();
+        assert_eq!(read_params(&b, "/g").unwrap(), nine);
+    }
+
+    /// The cold probe: the access file's `exists`; failing it, the listing
+    /// and a `stat` of the creator's dropping it names — which a plain
+    /// directory may hold as an application's container, a directory.
+    #[test]
+    fn the_probe_reads_either_marker_and_nothing_else() {
+        let b = mem();
+        create_container(&b, "/g", &ContainerParams::default(), true).unwrap();
+        create_container_as(&b, "/f", &ContainerParams::default(), true, true).unwrap();
+        b.mkdir("/d").unwrap();
+        b.mkdir(&join("/d", CREATOR_DATA)).unwrap();
+        drop(b.create("/file", true).unwrap());
+        let seen = |path| {
+            let p = probe(&b, path);
+            (p.exists, p.is_dir, p.marker, p.names.is_some())
+        };
+        assert_eq!(seen("/g"), (true, true, Some(Marker::AccessFile), false));
+        assert_eq!(seen("/f"), (true, true, Some(Marker::Dropping), true));
+        assert_eq!(seen("/d"), (true, true, None, true));
+        assert_eq!(seen("/file"), (true, false, None, false));
+        assert_eq!(seen("/missing"), (false, false, None, false));
+        assert!(matches!(read_params(&b, "/d"), Err(Error::NotContainer(_))));
     }
 
     #[test]

@@ -718,10 +718,10 @@ impl PlfsFd {
     /// nothing: its empty index, created under its closed name
     /// (`<eof>.<bytes>` = `0.0`), says the creator closed.
     fn release_creator(&self) -> Result<()> {
-        let Some(dropping) = self.creator.lock().take() else {
+        if self.creator.lock().take().is_none() {
             return Ok(());
-        };
-        let (_, index) = dropping.paths(&self.container);
+        }
+        let (_, index) = container::creator_pair_paths(&self.container);
         self.backing
             .create(&container::closed_index_path(&index, 0, 0)?, true)?;
         if let Some(c) = &self.cache {

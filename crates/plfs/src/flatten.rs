@@ -131,9 +131,12 @@ pub fn compact_container(b: &dyn Backing, container: &str) -> Result<CompactStat
     drop(w);
     drop(r);
     // The new dropping is durable; retire the old ones — after giving the
-    // container an access file if it has none: a top-level data dropping
-    // among them is then its marker.
-    container::ensure_access_file(b, container, &params)?;
+    // container an access file if the creator's data dropping is among
+    // them and it has none: that dropping may be its marker.
+    let (creator_data, _) = container::creator_pair_paths(container);
+    if old.iter().any(|d| d.data_path == creator_data) {
+        container::ensure_access_file(b, container, &params)?;
+    }
     for d in &old {
         if d.data_path == new_data {
             continue;

@@ -15,7 +15,7 @@
 //!
 //! The creator's top-level index dropping is not created until something
 //! needs it: close creates it under its closed name
-//! `dropping.index.<pid>.<seq>.<eof>.<bytes>`, with no `rename`; a full
+//! `dropping.index.creator.0.<eof>.<bytes>`, with no `rename`; a full
 //! buffer, a sync or a truncate before that creates it under its open name,
 //! and close then renames it (see [`crate::container`]).
 //!
@@ -146,7 +146,7 @@ impl WriteFile {
         let (data, index, data_path, index_path, seq) = match (creator, params.mode) {
             // The creator's index waits until something needs it.
             (Some((dropping, through)), _) => {
-                let (dp, ip) = dropping.paths(container);
+                let (dp, ip) = container::creator_pair_paths(container);
                 (dropping.file, IndexDropping::Deferred(through), dp, ip, 0)
             }
             (None, LayoutMode::LogStructured) => {
@@ -552,10 +552,10 @@ mod tests {
         assert!(b.exists(&container::data_dropping_path("/c", &p, 9, 1)));
     }
 
-    /// A top-level writer over the creator's dropping of pid 9, made here
+    /// A top-level writer of pid 9 over the creator's dropping, made here
     /// as the open that made `/c` would have.
     fn creator(b: &Arc<dyn Backing>, p: &ContainerParams) -> WriteFile {
-        let dropping = container::CreatorDropping::create(b.as_ref(), "/c", 9).unwrap();
+        let dropping = container::CreatorDropping::create(b.as_ref(), "/c").unwrap();
         WriteFile::open_prepared(b, "/c", p, 9, 64, false, Some(dropping)).unwrap()
     }
 
@@ -570,11 +570,15 @@ mod tests {
         names.sort();
         assert_eq!(
             names,
-            [".plfsaccess", "dropping.data.9.0", "dropping.index.9.0"],
+            [
+                ".plfsaccess",
+                "dropping.data.creator.0",
+                "dropping.index.creator.0"
+            ],
             "no hostdir, no marker"
         );
         w.close_names(b.as_ref(), "/c").unwrap();
-        assert_eq!(w.index_path(), "/c/dropping.index.9.0.15.5");
+        assert_eq!(w.index_path(), "/c/dropping.index.creator.0.15.5");
         assert_eq!(b.stat(w.index_path()).unwrap().size, RECORD_SIZE as u64);
     }
 
@@ -597,7 +601,7 @@ mod tests {
         );
         assert_eq!(
             b.readdir("/c").unwrap(),
-            [".plfsaccess", "dropping.data.9.0"]
+            [".plfsaccess", "dropping.data.creator.0"]
         );
         let before = meter.snapshot();
         w.sync_at_close().unwrap();
@@ -609,7 +613,7 @@ mod tests {
             "{closed:?}"
         );
         assert_eq!(closed.metadata_ops(), 3, "{closed:?}");
-        assert_eq!(w.index_path(), "/c/dropping.index.9.0.15.5");
+        assert_eq!(w.index_path(), "/c/dropping.index.creator.0.15.5");
         assert_eq!(b.stat(w.index_path()).unwrap().size, RECORD_SIZE as u64);
     }
 

@@ -812,7 +812,8 @@ mod tests {
     fn map_lists_extents() {
         let b = container();
         let out = map(b.as_ref(), "/c").unwrap();
-        assert!(out.contains("dropping.data.0"));
+        assert!(out.contains("dropping.data.creator.0"));
+        assert!(out.contains("dropping.data.1.0"));
         assert!(out.contains("2 extents"));
     }
 

@@ -14,9 +14,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Barrier, Mutex};
 
 const ACCESS: &str = "/f/.plfsaccess";
-/// The data dropping a writer of pid 1 makes when it creates `/f` with the
-/// default params.
-const DROPPING: &str = "/f/dropping.data.1.0";
+/// The data dropping a writer makes when it creates `/f` with the default
+/// params.
+const DROPPING: &str = "/f/dropping.data.creator.0";
 
 /// The creator announces itself on the sender and holds the gated create
 /// until the receiver yields.
@@ -222,10 +222,10 @@ fn a_plain_directory_in_the_way_is_still_an_error() {
 }
 
 /// What a joiner of a container made by a writer with the default params
-/// finds: the creator's data dropping, no access file — which the joiner
-/// then writes, with the defaults, for the joiners after it. Reads back
-/// the creator's bytes at 0 and each joiner's at `100 + 10·pid`, and checks
-/// the directory holds the creator's pair and that access file.
+/// finds: the creator's data dropping, no access file — and leaves so.
+/// Reads back the creator's bytes at 0 and each joiner's at
+/// `100 + 10·pid`, and checks the directory holds the creator's pair and
+/// no access file.
 fn assert_marked_by_the_creators_dropping(b: &Arc<Gated>, joiners: &[u64]) {
     let mut names = b.inner.readdir("/f").unwrap();
     names.retain(|n| {
@@ -235,8 +235,8 @@ fn assert_marked_by_the_creators_dropping(b: &Arc<Gated>, joiners: &[u64]) {
     });
     assert_eq!(
         names,
-        [".plfsaccess", "dropping.data.1.0", "dropping.index.1.0.7.7"],
-        "the creator's pair and the access file a joiner wrote"
+        ["dropping.data.creator.0", "dropping.index.creator.0.7.7"],
+        "the creator's pair, and no access file"
     );
     let params = plfs::container::read_params(&b.inner, "/f").unwrap();
     assert_eq!(params, ContainerParams::default());
@@ -326,7 +326,7 @@ fn a_joiner_of_a_creator_that_made_its_dropping_joins_at_once() {
     let flags = OpenFlags::WRONLY | OpenFlags::CREAT;
     let creator = mount();
     let fd = creator.open("/f", flags, 1).unwrap();
-    assert_eq!(b.inner.readdir("/f").unwrap(), ["dropping.data.1.0"]);
+    assert_eq!(b.inner.readdir("/f").unwrap(), ["dropping.data.creator.0"]);
     let t0 = std::time::Instant::now();
     let joiner = mount();
     let jfd = joiner.open("/f", flags, 2).unwrap();

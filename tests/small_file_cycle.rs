@@ -153,7 +153,7 @@ fn only_the_creators_first_writer_gets_the_toplevel_pair() {
     assert_eq!(
         lifecycle_names(b.as_ref(), "/f"),
         [
-            "dropping.index.1.0.30.10",
+            "dropping.index.creator.0.30.10",
             "meta.16.6.2.0",
             "meta.70.10.3.0",
             "meta.90.10.4.0"
@@ -202,7 +202,10 @@ fn a_killed_creators_unsuffixed_index_reads_as_one_open_writer() {
     plfs.write(&fd, &[3u8; 48], 0, 6).unwrap();
     plfs.sync(&fd, 6).unwrap();
     std::mem::forget(fd);
-    assert_eq!(lifecycle_names(b.as_ref(), "/f"), ["dropping.index.6.0"]);
+    assert_eq!(
+        lifecycle_names(b.as_ref(), "/f"),
+        ["dropping.index.creator.0"]
+    );
 
     let other = Plfs::new(b.clone());
     assert_eq!(container::open_writers(b.as_ref(), "/f").unwrap(), 1);
@@ -247,7 +250,7 @@ fn a_killed_creators_data_dropping_alone_reads_as_one_open_writer() {
     assert_eq!(rep.markers_cleared, 1);
     assert_eq!(
         lifecycle_names(b.as_ref(), "/f"),
-        ["dropping.index.6.0.0.48", "meta.0.0.0.0"]
+        ["dropping.index.creator.0.0.48", "meta.0.0.0.0"]
     );
     assert!(plfs::check(b.as_ref(), "/f").unwrap().is_clean());
     let st = Plfs::new(b.clone()).getattr("/f").unwrap();
@@ -267,7 +270,7 @@ fn fsync_before_close_keeps_the_unsuffixed_then_rename_path() {
     assert_eq!((sync.create, sync.sync, sync.rename), (1, 2, 0), "{sync:?}");
     assert_eq!(
         lifecycle_names(meter.as_ref(), "/f"),
-        ["dropping.index.3.0"]
+        ["dropping.index.creator.0"]
     );
     plfs.write(&fd, &[2u8; 100], 100, 3).unwrap();
     let (_, close) = cost(&meter, || plfs.close(&fd, 3).unwrap());
@@ -278,7 +281,7 @@ fn fsync_before_close_keeps_the_unsuffixed_then_rename_path() {
     );
     assert_eq!(
         lifecycle_names(meter.as_ref(), "/f"),
-        ["dropping.index.3.0.200.200"]
+        ["dropping.index.creator.0.200.200"]
     );
     let rfd = plfs.open("/f", OpenFlags::RDONLY, 3).unwrap();
     let mut buf = [0u8; 200];
@@ -455,12 +458,12 @@ fn mixed_shape_container_with(creator: Creator) -> (Arc<MemBacking>, Plfs, Vec<u
     let creator_name = match creator {
         Creator::Closed => {
             plfs.close(&fd, 0).unwrap();
-            vec!["dropping.index.0.0.100.100"]
+            vec!["dropping.index.creator.0.100.100"]
         }
         Creator::KilledAfterSync => {
             plfs.sync(&fd, 0).unwrap();
             std::mem::forget(fd);
-            vec!["dropping.index.0.0"]
+            vec!["dropping.index.creator.0"]
         }
         Creator::KilledBeforeIndex => {
             std::mem::forget(fd);
@@ -505,8 +508,8 @@ fn maintenance_leaves_no_stray_lifecycle_names() {
         // ones are gone) and carries its drop; the hostdir pairs' two drops
         // fold into one.
         let creator_drop = match creator {
-            KilledBeforeIndex => "dropping.index.0.0.0.100",
-            _ => "dropping.index.0.0.100.100",
+            KilledBeforeIndex => "dropping.index.creator.0.0.100",
+            _ => "dropping.index.creator.0.100.100",
         };
         assert_eq!(
             lifecycle_names(b.as_ref(), "/c"),
@@ -563,7 +566,7 @@ fn truncate_accepts_both_shapes() {
     fd.reset_writers().unwrap();
     assert_eq!(
         lifecycle_names(b.as_ref(), "/f"),
-        ["dropping.index.8.0.64.64"],
+        ["dropping.index.creator.0.64.64"],
         "synced under its open name, closed by rename"
     );
     plfs.trunc("/f", 0).unwrap();
@@ -618,10 +621,10 @@ fn two_fds_of_one_pid_keep_their_own_marker_and_drop() {
         plfs.sync(&other, 9).unwrap();
         plfs.close(&a, 9).unwrap();
         // A made the container: outside log mode its names are its
-        // top-level index's, and pair (9, 0) exists once in each place.
+        // top-level index's, and the other fd's are pair (9, 0)'s.
         let expect = match mode {
             LayoutMode::LogStructured => ["meta.4.4.9.0", "open.9.1"],
-            _ => ["dropping.index.9.0.4.4", "open.9.0"],
+            _ => ["dropping.index.creator.0.4.4", "open.9.0"],
         };
         assert_eq!(lifecycle_names(b.as_ref(), "/f"), expect, "{mode:?}");
         // A fresh process: one writer still open, so no fast stat off A's
@@ -678,7 +681,7 @@ fn close_on_a_spread_mount_touches_only_the_canonical_backend() {
     assert_eq!(toplevel_pairs(meters[0].as_ref(), "/f"), 1);
     assert_eq!(
         lifecycle_names(meters[0].as_ref(), "/f"),
-        ["dropping.index.5.0.512.512"]
+        ["dropping.index.creator.0.512.512"]
     );
     for other in &meters[1..] {
         assert!(!other.exists("/f"), "no hostdir: nothing to spread");
@@ -686,43 +689,55 @@ fn close_on_a_spread_mount_touches_only_the_canonical_backend() {
 }
 
 /// The marker rule's cold half: a plain directory holding an application's
-/// file named `dropping.data.1.0` holds a container of that name — a
-/// directory — so it is no container itself, to a mount that knows
-/// nothing of it (`getattr`, `open`, `unlink`) and to `plfs-tools ls`.
+/// file named like a dropping — any, or the creator's own name — holds a
+/// container of that name, a directory, so it is no container itself, to
+/// a mount that knows nothing of it (`getattr`, `open`, `unlink`) and to
+/// `plfs-tools ls`.
 #[test]
 fn a_plain_directory_holding_a_file_named_like_a_dropping_stays_a_directory() {
-    let b = Arc::new(MemBacking::new());
-    let plfs = Plfs::new(b.clone());
-    plfs.mkdir("/d").unwrap();
-    let fd = plfs.open("/d/dropping.data.1.0", CREATE_RW, 1).unwrap();
-    plfs.write(&fd, b"app", 0, 1).unwrap();
-    plfs.close(&fd, 1).unwrap();
-    assert_eq!(b.readdir("/d").unwrap(), ["dropping.data.1.0"]);
+    for name in ["dropping.data.1.0", container::CREATOR_DATA] {
+        let b = Arc::new(MemBacking::new());
+        let plfs = Plfs::new(b.clone());
+        plfs.mkdir("/d").unwrap();
+        let file = format!("/d/{name}");
+        let fd = plfs.open(&file, CREATE_RW, 1).unwrap();
+        plfs.write(&fd, b"app", 0, 1).unwrap();
+        plfs.close(&fd, 1).unwrap();
+        assert_eq!(b.readdir("/d").unwrap(), [name]);
 
-    let cold = || Plfs::new(b.clone());
-    assert!(cold().getattr("/d").unwrap().is_dir);
-    for flags in [OpenFlags::RDONLY, CREATE_RW] {
-        let r = cold().open("/d", flags, 2);
-        assert!(matches!(r, Err(plfs::Error::IsDir(_))), "{:?}", r.err());
+        let cold = || Plfs::new(b.clone());
+        assert!(cold().getattr("/d").unwrap().is_dir, "{name}");
+        for flags in [OpenFlags::RDONLY, CREATE_RW] {
+            let r = cold().open("/d", flags, 2);
+            assert!(
+                matches!(r, Err(plfs::Error::IsDir(_))),
+                "{name}: {:?}",
+                r.err()
+            );
+        }
+        let r = cold().unlink("/d");
+        assert!(
+            matches!(r, Err(plfs::Error::IsDir(_))),
+            "{name}: {:?}",
+            r.err()
+        );
+        assert!(!container::is_container(b.as_ref(), "/d"), "{name}");
+        assert_eq!(
+            plfs::check(b.as_ref(), "/d").unwrap().findings,
+            [plfs::Finding::NotAContainer]
+        );
+        let ls = plfs_tools::ls(b.as_ref(), "/").unwrap();
+        assert_eq!(ls.split_whitespace().collect::<Vec<_>>(), ["dir", "0", "d"]);
+        let ls = plfs_tools::ls(b.as_ref(), "/d").unwrap();
+        assert_eq!(
+            ls.split_whitespace().collect::<Vec<_>>(),
+            ["container", "3", name]
+        );
+        // The file in it is the container it always was.
+        let names = cold().readdir("/d").unwrap();
+        assert_eq!((names.len(), names[0].is_dir), (1, false), "{name}");
+        assert_eq!(cold().getattr(&file).unwrap().size, 3, "{name}");
     }
-    let r = cold().unlink("/d");
-    assert!(matches!(r, Err(plfs::Error::IsDir(_))), "{:?}", r.err());
-    assert!(!container::is_container(b.as_ref(), "/d"));
-    assert_eq!(
-        plfs::check(b.as_ref(), "/d").unwrap().findings,
-        [plfs::Finding::NotAContainer]
-    );
-    let ls = plfs_tools::ls(b.as_ref(), "/").unwrap();
-    assert_eq!(ls.split_whitespace().collect::<Vec<_>>(), ["dir", "0", "d"]);
-    let ls = plfs_tools::ls(b.as_ref(), "/d").unwrap();
-    assert_eq!(
-        ls.split_whitespace().collect::<Vec<_>>(),
-        ["container", "3", "dropping.data.1.0"]
-    );
-    // The file in it is the container it always was.
-    let names = cold().readdir("/d").unwrap();
-    assert_eq!((names.len(), names[0].is_dir), (1, false));
-    assert_eq!(cold().getattr("/d/dropping.data.1.0").unwrap().size, 3);
 }
 
 /// A container in the layout every earlier writer's create left — the
@@ -800,7 +815,7 @@ fn touch_stats_as_empty_reads_nothing_and_unlinks_to_nothing() {
     assert_eq!((close.create, close.metadata_ops()), (1, 1), "{close:?}");
     assert_eq!(
         meter.readdir("/t").unwrap(),
-        ["dropping.data.5.0", "dropping.index.5.0.0.0"]
+        ["dropping.data.creator.0", "dropping.index.creator.0.0.0"]
     );
     assert_eq!(
         container::read_lifecycle(meter.as_ref(), "/t").unwrap(),
@@ -832,11 +847,12 @@ fn trunc_and_compact_of_a_container_marked_by_its_dropping_keep_it_a_container()
         let fd = plfs.open(path, CREATE_RW, 1).unwrap();
         plfs.write(&fd, &[1u8; 100], 0, 1).unwrap();
         plfs.close(&fd, 1).unwrap();
-        // A second writer, through the mount that made it (a cold joiner
-        // would write the access file).
-        let fd = plfs.open(path, CREATE_RW, 2).unwrap();
-        plfs.write(&fd, &[2u8; 50], 100, 2).unwrap();
-        plfs.close(&fd, 2).unwrap();
+        // A second writer, on a cold mount: it joins without writing the
+        // access file.
+        let joiner = Plfs::new(b.clone());
+        let fd = joiner.open(path, CREATE_RW, 2).unwrap();
+        joiner.write(&fd, &[2u8; 50], 100, 2).unwrap();
+        joiner.close(&fd, 2).unwrap();
         assert!(!b.exists(&format!("{path}/.plfsaccess")), "{path}");
     }
     let stats = plfs.compact("/c").unwrap();
@@ -861,4 +877,52 @@ fn trunc_and_compact_of_a_container_marked_by_its_dropping_keep_it_a_container()
         plfs::flatten::flatten_to_vec(b.as_ref(), "/c").unwrap(),
         model
     );
+}
+
+/// Regression: the creator's data dropping exists from its `open` on, and
+/// a `trunc(0)` between that open and its first write — a second
+/// `open(O_TRUNC)` (two `fopen(path, "w")`), or a `truncate(path, 0)`, on
+/// the creator's mount or another — used to unlink it, so the creator's
+/// writes went into an unlinked file. A data dropping with no index and no
+/// bytes holds nothing to truncate: it stays, and takes the writes.
+#[test]
+fn a_truncate_before_the_creators_first_write_keeps_what_it_writes() {
+    for other_mount in [false, true] {
+        for by_open in [true, false] {
+            let b = Arc::new(MemBacking::new());
+            let creator = Plfs::new(b.clone());
+            let cold = Plfs::new(b.clone());
+            let other = if other_mount { &cold } else { &creator };
+            let fd1 = creator
+                .open("/f", OpenFlags::WRONLY | OpenFlags::CREAT, 1)
+                .unwrap();
+            let fd2 = if by_open {
+                let flags = OpenFlags::WRONLY | OpenFlags::CREAT | OpenFlags::TRUNC;
+                Some(other.open("/f", flags, 2).unwrap())
+            } else {
+                other.trunc("/f", 0).unwrap();
+                None
+            };
+            let case = format!("other mount {other_mount}, by open {by_open}");
+            assert_eq!(
+                b.readdir("/f").unwrap(),
+                [container::CREATOR_DATA],
+                "{case}: still marked by the creator's dropping"
+            );
+            creator.write(&fd1, b"written after", 0, 1).unwrap();
+            creator.close(&fd1, 1).unwrap();
+            if let Some(fd2) = fd2 {
+                other.close(&fd2, 2).unwrap();
+            }
+            for mount in [&creator, &cold, &Plfs::new(b.clone())] {
+                assert_eq!(mount.getattr("/f").unwrap().size, 13, "{case}");
+                let rfd = mount.open("/f", OpenFlags::RDONLY, 3).unwrap();
+                let mut buf = [0u8; 32];
+                assert_eq!(mount.read(&rfd, &mut buf, 0).unwrap(), 13, "{case}");
+                assert_eq!(&buf[..13], b"written after", "{case}");
+                mount.close(&rfd, 3).unwrap();
+            }
+            assert!(plfs::check(b.as_ref(), "/f").unwrap().is_clean(), "{case}");
+        }
+    }
 }
