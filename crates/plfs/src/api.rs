@@ -1010,6 +1010,40 @@ mod tests {
         );
     }
 
+    /// A cold `getattr` of a closed container: the verdict, then one
+    /// listing — which, for a container its creator's dropping marks, is
+    /// the verdict's own. With the cache on, the answer is kept.
+    #[test]
+    fn cold_getattr_lists_once() {
+        for cache in [0, Conf::default().meta_cache_entries] {
+            let (meter, p) = metered_plfs(Conf {
+                meta_cache_entries: cache,
+                ..Conf::default()
+            });
+            let fd = p.open("/f", CREATE_RW, 1).unwrap();
+            p.write(&fd, b"xyz", 0, 1).unwrap();
+            p.close(&fd, 1).unwrap();
+            p.create("/g", true).unwrap();
+            let fd = p.open("/g", CREATE_RW, 1).unwrap();
+            p.write(&fd, b"xy", 0, 1).unwrap();
+            p.close(&fd, 1).unwrap();
+            for (path, size, ops) in [("/f", 3, 3), ("/g", 2, 2)] {
+                let cold = Plfs::new(meter.clone() as Arc<dyn Backing>).with_conf(Conf {
+                    meta_cache_entries: cache,
+                    ..Conf::default()
+                });
+                let before = meter.snapshot();
+                assert_eq!(cold.getattr(path).unwrap().size, size);
+                let d = meter.snapshot().delta(&before);
+                assert_eq!((d.readdir, d.metadata_ops()), (1, ops), "{path}: {d:?}");
+                let before = meter.snapshot();
+                assert_eq!(cold.getattr(path).unwrap().size, size);
+                let again = meter.snapshot().delta(&before).metadata_ops();
+                assert_eq!(again, if cache == 0 { ops } else { 0 }, "{path}");
+            }
+        }
+    }
+
     /// The create-open path reads the access file zero times beyond the
     /// create itself: create_container returns the params it wrote.
     #[test]

@@ -221,7 +221,7 @@ fn marked(names: &[String]) -> bool {
 }
 
 /// What a cold [`probe`] of a backend path found.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Default)]
 pub(crate) struct Probe {
     /// Is there anything at the path?
     pub(crate) exists: bool,

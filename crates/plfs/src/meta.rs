@@ -33,7 +33,7 @@ pub struct MetaEntry {
     /// Is it a directory (containers are directories too)?
     pub is_dir: bool,
     /// Is it a PLFS container (a directory holding its access file or a
-    /// top-level data dropping: `container::probe_marker`)?
+    /// creator's data dropping: `container::probe`)?
     pub is_container: bool,
     /// Container params, once some caller has read the access file, or a
     /// probe found the container has none (the defaults; `None` = not read
