@@ -926,3 +926,53 @@ fn a_truncate_before_the_creators_first_write_keeps_what_it_writes() {
         }
     }
 }
+
+/// A container as the access-file layout left it: the access file and the
+/// creator's pair under the creator's pid, `dropping.{data,index}.7.0`.
+/// It stats on the fast path, reads back, takes a joiner, truncates and
+/// unlinks to nothing on a mount that names the creator's pair otherwise.
+#[test]
+fn a_creators_pair_under_its_pid_beside_the_access_file_reads_as_any_pair() {
+    let b = Arc::new(MemBacking::new());
+    let plfs = Plfs::new(b.clone()).with_params(ContainerParams {
+        num_hostdirs: 8,
+        ..ContainerParams::default()
+    });
+    let fd = plfs.open("/f", CREATE_RW, 7).unwrap();
+    plfs.write(&fd, b"written by pid 7", 0, 7).unwrap();
+    plfs.close(&fd, 7).unwrap();
+    b.rename("/f/dropping.data.creator.0", "/f/dropping.data.7.0")
+        .unwrap();
+    b.rename(
+        "/f/dropping.index.creator.0.16.16",
+        "/f/dropping.index.7.0.16.16",
+    )
+    .unwrap();
+    assert_eq!(
+        b.readdir("/f").unwrap(),
+        [
+            ".plfsaccess",
+            "dropping.data.7.0",
+            "dropping.index.7.0.16.16"
+        ]
+    );
+
+    let cold = Plfs::new(b.clone());
+    assert_eq!(cold.getattr("/f").unwrap().size, 16);
+    let rfd = cold.open("/f", OpenFlags::RDONLY, 1).unwrap();
+    let mut buf = [0u8; 32];
+    assert_eq!(cold.read(&rfd, &mut buf, 0).unwrap(), 16);
+    assert_eq!(&buf[..16], b"written by pid 7");
+    cold.close(&rfd, 1).unwrap();
+    let wfd = cold.open("/f", CREATE_RW, 2).unwrap();
+    assert_eq!(wfd.params().num_hostdirs, 8);
+    cold.write(&wfd, b"!", 16, 2).unwrap();
+    cold.close(&wfd, 2).unwrap();
+    assert_eq!(Plfs::new(b.clone()).getattr("/f").unwrap().size, 17);
+    assert!(plfs::check(b.as_ref(), "/f").unwrap().is_clean());
+    cold.trunc("/f", 0).unwrap();
+    assert_eq!(b.readdir("/f").unwrap(), [".plfsaccess"]);
+    assert_eq!(Plfs::new(b.clone()).getattr("/f").unwrap().size, 0);
+    cold.unlink("/f").unwrap();
+    assert!(!b.exists("/f"));
+}
