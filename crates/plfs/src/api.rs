@@ -17,6 +17,7 @@ use crate::fd::PlfsFd;
 use crate::flags::OpenFlags;
 use crate::meta::{MetaCache, MetaEntry};
 use iotrace::{Layer, OpEvent, OpKind};
+use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -112,13 +113,13 @@ impl Plfs {
         self.defaults
     }
 
-    fn backend_path(&self, logical: &str) -> String {
+    fn backend_path<'a>(&self, logical: &'a str) -> Cow<'a, str> {
         // Mount-relative logical path == backend-relative path; normalisation
         // happens in the backing.
         if logical.starts_with('/') {
-            logical.to_string()
+            Cow::Borrowed(logical)
         } else {
-            format!("/{logical}")
+            Cow::Owned(join("/", logical))
         }
     }
 
@@ -311,7 +312,14 @@ impl Plfs {
                 }
             }
         };
-        let mut fd = PlfsFd::new(self.backing.clone(), bp, params, flags, &self.conf, pid);
+        let mut fd = PlfsFd::new(
+            self.backing.clone(),
+            bp.into_owned(),
+            params,
+            flags,
+            &self.conf,
+            pid,
+        );
         if let Some(dropping) = creator {
             fd = fd.into_creator(dropping);
         }
@@ -830,6 +838,26 @@ mod tests {
         p.access("/e/f").unwrap();
         assert_eq!(p.getattr("/e/f").unwrap().size, 1);
         assert!(p.is_container("/e/f"));
+    }
+
+    #[test]
+    fn unlink_of_a_container_drops_verdicts_probed_inside_it() {
+        let p = plfs();
+        let fd = p.open("/c", CREATE_RW, 1).unwrap();
+        fd.add_ref(2);
+        p.write(&fd, b"x", 0, 1).unwrap(); // the creator's pair
+        p.write(&fd, b"y", 1, 2).unwrap(); // a hostdir's
+        p.close(&fd, 2).unwrap();
+        p.close(&fd, 1).unwrap();
+        let names = p.backing().readdir("/c").unwrap();
+        let hostdir = names.iter().find(|n| n.starts_with("hostdir."));
+        let inside = join("/c", hostdir.unwrap());
+        p.access(&inside).unwrap(); // a verdict probed inside the container
+        let (hits, _) = p.meta_cache_counters();
+        p.access(&inside).unwrap();
+        assert_eq!(p.meta_cache_counters().0, hits + 1, "cached");
+        p.unlink("/c").unwrap();
+        assert!(matches!(p.access(&inside), Err(Error::NotFound(_))));
     }
 
     #[test]

@@ -119,13 +119,17 @@ pub fn remove_tree(b: &dyn Backing, path: &str) -> Result<()> {
     not_found_ok(b.rmdir(path))
 }
 
-/// Join a backend-relative directory path and an entry name.
+/// Join a backend-relative directory path and an entry name: one
+/// allocation, of the joined length.
 pub fn join(dir: &str, name: &str) -> String {
-    if dir.ends_with('/') {
-        format!("{dir}{name}")
-    } else {
-        format!("{dir}/{name}")
+    let slash = !dir.ends_with('/');
+    let mut path = String::with_capacity(dir.len() + usize::from(slash) + name.len());
+    path.push_str(dir);
+    if slash {
+        path.push('/');
     }
+    path.push_str(name);
+    path
 }
 
 // ---------------------------------------------------------------------------
@@ -209,9 +213,10 @@ impl RealBacking {
     /// Run `f` on the root's descriptor and `path` relative to it (`.` for
     /// the root itself); its error is annotated with `path`.
     fn at<T>(&self, path: &str, f: impl FnOnce(c_int, &CStr) -> std::io::Result<T>) -> Result<T> {
-        let rel = relative(path)?;
-        let _in_use = self.in_use.read();
-        f(self.root_fd(), &rel).map_err(|e| annotate(e, path))
+        with_relative(path, |rel| {
+            let _in_use = self.in_use.read();
+            f(self.root_fd(), rel).map_err(|e| annotate(e, path))
+        })
     }
 
     /// `openat` of `path` with `flags` (close-on-exec added).
@@ -252,15 +257,32 @@ impl Drop for RealBacking {
     }
 }
 
-/// `path` relative to a backing's root, `.` for the root itself; `..`
-/// anywhere is refused.
-fn relative(path: &str) -> Result<CString> {
-    if path.split('/').any(|c| c == "..") {
+/// Longest relative path [`with_relative`] builds on the stack; a longer
+/// one takes one allocation.
+const STACK_PATH: usize = 255;
+
+/// `f` on `path` relative to a backing's root, NUL-terminated: `.` for the
+/// root itself. A `..` component anywhere is refused, and so is a NUL byte.
+fn with_relative<T>(path: &str, f: impl FnOnce(&CStr) -> Result<T>) -> Result<T> {
+    let rel = path.trim_start_matches('/');
+    let rel = if rel.is_empty() { "." } else { rel };
+    if rel
+        .as_bytes()
+        .split(|&c| c == b'/')
+        .any(|component| component == b"..")
+    {
         return Err(Error::InvalidArg("path escapes backend root"));
     }
-    let rel = path.trim_start_matches('/');
-    CString::new(if rel.is_empty() { "." } else { rel })
-        .map_err(|_| Error::InvalidArg("path holds a NUL byte"))
+    fn nul<E>(_: E) -> Error {
+        Error::InvalidArg("path holds a NUL byte")
+    }
+    if rel.len() > STACK_PATH {
+        return f(&CString::new(rel).map_err(nul)?);
+    }
+    let mut buf = [0u8; STACK_PATH + 1];
+    buf[..rel.len()].copy_from_slice(rel.as_bytes());
+    // The terminator is the first NUL unless `rel` holds one of its own.
+    f(CStr::from_bytes_with_nul(&buf[..=rel.len()]).map_err(nul)?)
 }
 
 /// A `-1`-on-error syscall result as an [`std::io::Result`].
@@ -509,7 +531,10 @@ impl Backing for RealBacking {
                 let name = &rec[19..reclen];
                 let name = &name[..name.iter().position(|&c| c == 0).unwrap_or(name.len())];
                 if name != b"." && name != b".." {
-                    names.push(String::from_utf8_lossy(name).into_owned());
+                    names.push(match std::str::from_utf8(name) {
+                        Ok(name) => name.to_owned(),
+                        Err(_) => String::from_utf8_lossy(name).into_owned(),
+                    });
                 }
                 at += reclen;
             }
@@ -527,10 +552,11 @@ impl Backing for RealBacking {
     }
 
     fn rename(&self, from: &str, to: &str) -> Result<()> {
-        let to = relative(to)?;
-        self.at(from, |root, from| {
-            // SAFETY: both paths are NUL-terminated and outlive the call.
-            cvt(unsafe { renameat(root, from.as_ptr(), root, to.as_ptr()) }).map(drop)
+        with_relative(to, |to| {
+            self.at(from, |root, from| {
+                // SAFETY: both paths are NUL-terminated and outlive the call.
+                cvt(unsafe { renameat(root, from.as_ptr(), root, to.as_ptr()) }).map(drop)
+            })
         })
     }
 

@@ -222,7 +222,7 @@ pub fn check(b: &dyn Backing, path: &str) -> Result<CheckReport> {
     let mut eof = 0u64;
 
     for (dir, names) in &dirs {
-        let pairs = container::dropping_pairs(names);
+        let pairs: Vec<_> = container::dropping_pairs(names).collect();
         report.droppings += pairs.len();
         for p in &pairs {
             let data_path = join(dir, p.data);

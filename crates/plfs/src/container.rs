@@ -66,6 +66,7 @@ use crate::backing::{join, remove_tree, Backing, BackingFile};
 use crate::error::{Error, Result};
 use crate::index::{observe_timestamp, GlobalIndex, IndexBuilder, IndexEntry, RECORD_SIZE};
 use std::cell::Cell;
+use std::fmt::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -126,22 +127,53 @@ pub fn hostdir_for_pid(pid: u64, num_hostdirs: u32) -> u32 {
     ((x ^ (x >> 31)) % num_hostdirs as u64) as u32
 }
 
+/// `dir/<name>`, `name` formatted straight into the path: one allocation.
+fn path_of(dir: &str, name: std::fmt::Arguments) -> String {
+    // Room for any name this module makes, two `u64`s included.
+    let mut path = String::with_capacity(dir.len() + 80);
+    path.push_str(dir);
+    if !dir.ends_with('/') {
+        path.push('/');
+    }
+    path.write_fmt(name)
+        .expect("formatting into a String cannot fail");
+    path
+}
+
 /// Path of hostdir `n` within the container.
 pub fn hostdir_path(container: &str, n: u32) -> String {
-    join(container, &format!("{HOSTDIR_PREFIX}{n}"))
+    path_of(container, format_args!("{HOSTDIR_PREFIX}{n}"))
+}
+
+/// Path of the dropping named `prefix` + the `<pid>.<seq>` of `(pid, seq)`
+/// in its hostdir. In log-structured mode every pid shares hostdir 0 and
+/// the pair `shared.<seq>` (records are self-describing, so interleaved
+/// appends from many pids are fine).
+fn hostdir_dropping_path(
+    container: &str,
+    params: &ContainerParams,
+    prefix: &str,
+    pid: u64,
+    seq: u32,
+) -> String {
+    match params.mode {
+        LayoutMode::LogStructured => path_of(
+            container,
+            format_args!("{HOSTDIR_PREFIX}0/{prefix}shared.{seq}"),
+        ),
+        _ => {
+            let hd = hostdir_for_pid(pid, params.num_hostdirs);
+            path_of(
+                container,
+                format_args!("{HOSTDIR_PREFIX}{hd}/{prefix}{pid}.{seq}"),
+            )
+        }
+    }
 }
 
 /// Path of a data dropping for `(pid, seq)`.
 pub fn data_dropping_path(container: &str, params: &ContainerParams, pid: u64, seq: u32) -> String {
-    let hd = match params.mode {
-        LayoutMode::LogStructured => 0,
-        _ => hostdir_for_pid(pid, params.num_hostdirs),
-    };
-    let name = match params.mode {
-        LayoutMode::LogStructured => format!("{DATA_PREFIX}shared.{seq}"),
-        _ => format!("{DATA_PREFIX}{pid}.{seq}"),
-    };
-    join(&hostdir_path(container, hd), &name)
+    hostdir_dropping_path(container, params, DATA_PREFIX, pid, seq)
 }
 
 /// Path of an index dropping for `(pid, seq)`.
@@ -151,18 +183,7 @@ pub fn index_dropping_path(
     pid: u64,
     seq: u32,
 ) -> String {
-    let hd = match params.mode {
-        LayoutMode::LogStructured => 0,
-        _ => hostdir_for_pid(pid, params.num_hostdirs),
-    };
-    // In log-structured mode the shared data dropping pairs with a shared
-    // index dropping (records are self-describing, so interleaved appends
-    // from many pids are fine).
-    let name = match params.mode {
-        LayoutMode::LogStructured => format!("{INDEX_PREFIX}shared.{seq}"),
-        _ => format!("{INDEX_PREFIX}{pid}.{seq}"),
-    };
-    join(&hostdir_path(container, hd), &name)
+    hostdir_dropping_path(container, params, INDEX_PREFIX, pid, seq)
 }
 
 /// The `<pid>.<seq>` place of the creator's pair: one per container, as
@@ -173,13 +194,22 @@ pub const CREATOR_PAIR: &str = "creator.0";
 /// Name of the creator's data dropping in the container directory.
 pub const CREATOR_DATA: &str = "dropping.data.creator.0";
 
+/// Name of the creator's index dropping under its open (un-suffixed) name.
+pub const CREATOR_INDEX: &str = "dropping.index.creator.0";
+
 /// Paths of the creator's pair: its data dropping and its index dropping
 /// under its open (un-suffixed) name.
 pub fn creator_pair_paths(container: &str) -> (String, String) {
     (
         join(container, CREATOR_DATA),
-        join(container, &format!("{INDEX_PREFIX}{CREATOR_PAIR}")),
+        join(container, CREATOR_INDEX),
     )
+}
+
+/// The creator's index dropping under its closed name, for a creator that
+/// wrote `bytes` up to `eof`: the fast-stat drop of a top-level pair.
+pub fn creator_closed_index_path(container: &str, eof: u64, bytes: u64) -> String {
+    path_of(container, format_args!("{CREATOR_INDEX}.{eof}.{bytes}"))
 }
 
 /// An index dropping's name taken apart: the `<pid>.<seq>` it shares with
@@ -352,13 +382,16 @@ pub enum Creation {
 pub(crate) struct CreatorDropping {
     /// The data dropping, open for writing.
     pub(crate) file: Box<dyn BackingFile>,
+    /// Its path, made once for the create and kept for the writer.
+    pub(crate) path: String,
 }
 
 impl CreatorDropping {
     /// Create it, exclusively, in `container`.
     pub(crate) fn create(b: &dyn Backing, container: &str) -> Result<CreatorDropping> {
-        let file = b.create(&join(container, CREATOR_DATA), true)?;
-        Ok(CreatorDropping { file })
+        let path = join(container, CREATOR_DATA);
+        let file = b.create(&path, true)?;
+        Ok(CreatorDropping { file, path })
     }
 }
 
@@ -450,7 +483,10 @@ pub fn publish_access_file(b: &dyn Backing, path: &str, params: &ContainerParams
     static NEXT: AtomicU64 = AtomicU64::new(0);
     // relaxed: only uniqueness of the number matters
     let n = NEXT.fetch_add(1, Ordering::Relaxed);
-    let tmp = join(path, &format!("{ACCESS_FILE}.{}.{n}", std::process::id()));
+    let tmp = path_of(
+        path,
+        format_args!("{ACCESS_FILE}.{}.{n}", std::process::id()),
+    );
     let written = b
         .create(&tmp, true)
         .and_then(|f| f.pwrite(&encode_params(params), 0));
@@ -600,27 +636,26 @@ impl PairNames<'_> {
 
 /// Every data dropping among `names` (one directory's listing) paired with
 /// its index dropping in the same listing, under any spelling of its name.
-/// An index dropping whose data dropping is gone is in no pair.
-pub fn dropping_pairs(names: &[String]) -> Vec<PairNames<'_>> {
-    let indices: Vec<(&str, IndexName)> = names
-        .iter()
-        .filter_map(|n| {
-            let (pair, closed) = parse_index_name(n)?;
-            Some((pair, (n.as_str(), closed)))
+/// An index dropping whose data dropping is gone is in no pair. Paired in
+/// place: each data dropping's index is found by scanning the listing for
+/// names that start with its index prefix, and nothing is collected.
+pub fn dropping_pairs(names: &[String]) -> impl Iterator<Item = PairNames<'_>> {
+    names.iter().filter_map(|n| {
+        let pair = n.strip_prefix(DATA_PREFIX)?;
+        let index = names.iter().find_map(|i| {
+            let rest = i.strip_prefix(INDEX_PREFIX)?.strip_prefix(pair)?;
+            if !rest.is_empty() && !rest.starts_with('.') {
+                return None;
+            }
+            let (of, closed) = parse_index_name(i)?;
+            (of == pair).then_some((i.as_str(), closed))
+        });
+        Some(PairNames {
+            pair,
+            data: n,
+            index,
         })
-        .collect();
-    names
-        .iter()
-        .filter_map(|n| {
-            let pair = n.strip_prefix(DATA_PREFIX)?;
-            let index = indices.iter().find(|(p, _)| *p == pair);
-            Some(PairNames {
-                pair,
-                data: n,
-                index: index.map(|&(_, name)| name),
-            })
-        })
-        .collect()
+    })
 }
 
 /// A discovered dropping pair (data + index) in a container.
@@ -634,7 +669,7 @@ pub struct DroppingRef {
 
 /// The [`dropping_pairs`] of `names`, the listing of `dir`, as paths.
 fn pair_droppings(dir: &str, names: &[String], out: &mut Vec<DroppingRef>) {
-    out.extend(dropping_pairs(names).into_iter().map(|p| DroppingRef {
+    out.extend(dropping_pairs(names).map(|p| DroppingRef {
         data_path: join(dir, p.data),
         index_path: p.index.map(|(n, _)| join(dir, n)),
     }));
@@ -818,13 +853,13 @@ pub fn build_global_index(
 }
 
 fn marker_path(container: &str, pid: u64, seq: u32) -> String {
-    join(container, &format!("{OPEN_PREFIX}{pid}.{seq}"))
+    path_of(container, format_args!("{OPEN_PREFIX}{pid}.{seq}"))
 }
 
 fn meta_path(container: &str, eof: u64, bytes: u64, pid: u64, seq: u32) -> String {
-    join(
+    path_of(
         container,
-        &format!("{META_PREFIX}{eof}.{bytes}.{pid}.{seq}"),
+        format_args!("{META_PREFIX}{eof}.{bytes}.{pid}.{seq}"),
     )
 }
 
@@ -886,8 +921,7 @@ pub(crate) fn lifecycle(names: &[String]) -> (usize, Option<(u64, u64)>) {
         };
         Some(Some((eof, bytes)))
     });
-    let pairs = dropping_pairs(names);
-    let creators = pairs.iter().map(|p| p.index.and_then(|(_, closed)| closed));
+    let creators = dropping_pairs(names).map(|p| p.index.and_then(|(_, closed)| closed));
     let mut writers = 0;
     let mut best: Option<(u64, u64)> = None;
     for closed in hostdir_writers.chain(creators) {
@@ -989,7 +1023,10 @@ pub fn closed_index_path(index_path: &str, eof: u64, bytes: u64) -> Result<Strin
     let Some((dir, pair)) = parsed else {
         return Err(Error::InvalidArg("not the path of an index dropping"));
     };
-    Ok(join(dir, &format!("{INDEX_PREFIX}{pair}.{eof}.{bytes}")))
+    Ok(path_of(
+        dir,
+        format_args!("{INDEX_PREFIX}{pair}.{eof}.{bytes}"),
+    ))
 }
 
 fn parent(path: &str) -> &str {
@@ -1006,8 +1043,16 @@ pub fn remove_container(b: &dyn Backing, path: &str) -> Result<()> {
         Err(Error::NotFound(_)) => Ok(()),
         r => r,
     };
+    // One buffer for every child's path: the container's, then a name.
+    let mut child = String::with_capacity(path.len() + 64);
+    child.push_str(path);
+    if !path.ends_with('/') {
+        child.push('/');
+    }
+    let dir = child.len();
     for name in list_container(b, path)? {
-        let child = join(path, &name);
+        child.truncate(dir);
+        child.push_str(&name);
         let by_layout = if name.starts_with(HOSTDIR_PREFIX) {
             b.readdir(&child).and_then(|files| {
                 for f in files {
@@ -1351,7 +1396,7 @@ mod tests {
         ]
         .map(String::from)
         .into();
-        let pairs = dropping_pairs(&names);
+        let pairs: Vec<_> = dropping_pairs(&names).collect();
         let seen: Vec<_> = pairs
             .iter()
             .map(|p| (p.pair, p.index, p.creator_open()))
@@ -1370,6 +1415,16 @@ mod tests {
             "4.0 has no data dropping"
         );
         assert_eq!(pairs[2].data, "dropping.data.3.0");
+        // A name that only starts like a pair's index is not its index.
+        let names: Vec<String> = [
+            "dropping.data.1.0",
+            "dropping.index.1.00",
+            "dropping.index.1.0.5",
+        ]
+        .map(String::from)
+        .into();
+        let pairs: Vec<_> = dropping_pairs(&names).collect();
+        assert_eq!((pairs.len(), pairs[0].index), (1, None));
     }
 
     #[test]

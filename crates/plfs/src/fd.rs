@@ -31,7 +31,7 @@ use crate::container::{self, ContainerParams};
 use crate::error::{Error, Result};
 use crate::flags::OpenFlags;
 use crate::index::IndexEntry;
-use crate::meta::MetaCache;
+use crate::meta::{FnvBuild, MetaCache};
 use crate::reader::ReadFile;
 use crate::writer::WriteFile;
 use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -39,8 +39,12 @@ use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
+/// The pid → writer table of one lock shard. Pids are this program's own
+/// numbers, hashed with FNV: no random keys to draw per map.
+type Writers = HashMap<u64, WriteFile, FnvBuild>;
+
 /// One lock shard of the pid → writer table.
-type WriterShard = Mutex<HashMap<u64, WriteFile>>;
+type WriterShard = Mutex<Writers>;
 
 /// Lock shards of the pid → writer table.
 pub const WRITER_SHARDS: usize = 16;
@@ -52,6 +56,52 @@ pub const LIST_BATCH_EXTENTS: usize = 1024;
 /// Entries of writers that have since closed, still owed to the next
 /// refresh of the read view, keyed by their data-dropping path.
 type Orphans = Vec<(String, Vec<IndexEntry>)>;
+
+/// References per pid. Nearly every open has one pid, whose count is kept
+/// inline: only a second pid makes a map.
+struct Refs {
+    /// A pid and its count; a count of 0 leaves the slot free.
+    first: (u64, u32),
+    more: HashMap<u64, u32, FnvBuild>,
+}
+
+impl Refs {
+    fn one(pid: u64) -> Refs {
+        Refs {
+            first: (pid, 1),
+            more: HashMap::default(),
+        }
+    }
+
+    fn add(&mut self, pid: u64) {
+        if let Some(n) = self.more.get_mut(&pid) {
+            *n += 1;
+        } else if self.first.1 == 0 || self.first.0 == pid {
+            self.first = (pid, self.first.1 + 1);
+        } else {
+            self.more.insert(pid, 1);
+        }
+    }
+
+    /// `pid`'s count, if it holds a reference.
+    fn get_mut(&mut self, pid: u64) -> Option<&mut u32> {
+        if self.first.1 > 0 && self.first.0 == pid {
+            return Some(&mut self.first.1);
+        }
+        self.more.get_mut(&pid)
+    }
+
+    /// Forget `pid`, whose count went to 0.
+    fn remove(&mut self, pid: u64) {
+        if self.first.0 != pid {
+            self.more.remove(&pid);
+        }
+    }
+
+    fn total(&self) -> u32 {
+        self.first.1 + self.more.values().sum::<u32>()
+    }
+}
 
 /// A shared hold on the fd's read view; exists only over a built view.
 struct View<'a>(RwLockReadGuard<'a, Option<ReadFile>>);
@@ -82,11 +132,11 @@ pub struct PlfsFd {
     /// Hostdir ids already known to exist — `ensure_hostdir` runs once per
     /// (container, hostdir) instead of once per writer open. Cleared by
     /// [`PlfsFd::reset_writers`], since truncate removes hostdir trees.
-    hostdirs_ready: Mutex<HashSet<u32>>,
+    hostdirs_ready: Mutex<HashSet<u32, FnvBuild>>,
     /// Per-pid write streams behind id-hashed lock shards: pids are dense
     /// (MPI ranks), so the modulus spreads them evenly.
     shards: [WriterShard; WRITER_SHARDS],
-    refs: Mutex<HashMap<u64, u32>>,
+    refs: Mutex<Refs>,
     /// The one long-lived read view: built by the first read, patched in
     /// place by reads after writes, dropped by truncate. Lock order: this,
     /// then writer shard locks, then the view's handle-cache shards.
@@ -111,8 +161,6 @@ impl PlfsFd {
         conf: &Conf,
         pid: u64,
     ) -> PlfsFd {
-        let mut refs = HashMap::new();
-        refs.insert(pid, 1);
         PlfsFd {
             backing,
             container,
@@ -121,9 +169,9 @@ impl PlfsFd {
             conf: conf.validated(),
             cache: None,
             creator: Mutex::new(None),
-            hostdirs_ready: Mutex::new(HashSet::new()),
-            shards: std::array::from_fn(|_| Mutex::new(HashMap::new())),
-            refs: Mutex::new(refs),
+            hostdirs_ready: Mutex::default(),
+            shards: Default::default(),
+            refs: Mutex::new(Refs::one(pid)),
             reader: RwLock::new(None),
             orphans: Mutex::new(Vec::new()),
             dirty: AtomicBool::new(false),
@@ -168,13 +216,12 @@ impl PlfsFd {
 
     /// Add a reference for `pid` (another opener sharing this fd).
     pub fn add_ref(&self, pid: u64) {
-        let mut refs = self.refs.lock();
-        *refs.entry(pid).or_insert(0) += 1;
+        self.refs.lock().add(pid);
     }
 
     /// Total outstanding references across all pids.
     pub fn ref_count(&self) -> u32 {
-        self.refs.lock().values().sum()
+        self.refs.lock().total()
     }
 
     fn shard(&self, pid: u64) -> &WriterShard {
@@ -315,7 +362,7 @@ impl PlfsFd {
 
     fn write_sharded(
         &self,
-        shard: &mut HashMap<u64, WriteFile>,
+        shard: &mut Writers,
         buf: &[u8],
         offset: u64,
         pid: u64,
@@ -598,8 +645,10 @@ impl PlfsFd {
     /// writes open droppings of their own under `pid`.
     pub fn forked(&self, pid: u64) {
         let mut refs = self.refs.lock();
-        let held = refs.values().sum();
-        *refs = HashMap::from([(pid, held)]);
+        *refs = Refs {
+            first: (pid, refs.total()),
+            more: HashMap::default(),
+        };
         // The creator's dropping is the parent's, for its first writer.
         drop(self.creator.lock().take());
         for shard in &self.shards {
@@ -672,13 +721,13 @@ impl PlfsFd {
         let mut refs = self.refs.lock();
         let remaining_for_pid = {
             let r = refs
-                .get_mut(&pid)
+                .get_mut(pid)
                 .ok_or(Error::BadMode("close of pid that never opened"))?;
             *r = r.saturating_sub(1);
             *r
         };
         if remaining_for_pid == 0 {
-            refs.remove(&pid);
+            refs.remove(pid);
             let writer = self.shard(pid).lock().remove(&pid);
             if let Some(mut w) = writer {
                 w.sync_at_close()?;
@@ -702,7 +751,7 @@ impl PlfsFd {
                 }
             }
         }
-        let remaining: u32 = refs.values().sum();
+        let remaining = refs.total();
         // The compaction census runs on a detached thread either way;
         // releasing the refs guard before spawning keeps the close path's
         // critical section free of the thread-creation syscall.
@@ -721,9 +770,8 @@ impl PlfsFd {
         if self.creator.lock().take().is_none() {
             return Ok(());
         }
-        let (_, index) = container::creator_pair_paths(&self.container);
-        self.backing
-            .create(&container::closed_index_path(&index, 0, 0)?, true)?;
+        let index = container::creator_closed_index_path(&self.container, 0, 0);
+        self.backing.create(&index, true)?;
         if let Some(c) = &self.cache {
             c.clear_meta(&self.container);
         }

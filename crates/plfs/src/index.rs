@@ -762,18 +762,41 @@ impl GlobalIndex {
 
     /// Resolve a logical byte range into dropping slices, in logical order.
     /// Holes inside EOF come back as `dropping_id: None` (read as zeros);
-    /// the returned slices stop at EOF.
+    /// the returned slices stop at EOF. Off the base alone the list is
+    /// sized once: `n` extents in range cut into at most `2n + 1` slices.
     pub fn resolve(&self, offset: u64, length: u64) -> Vec<ChunkSlice> {
         let end = offset.saturating_add(length).min(self.eof);
+        let mut out = Vec::new();
+        if offset < end && self.overlay.is_empty() {
+            let first = self.base.partition_point(|x| x.end() <= offset);
+            let last = self.base.partition_point(|x| x.start < end);
+            out.reserve_exact(2 * last.saturating_sub(first) + 1);
+        }
+        let Ok(()) = self.for_each_slice(offset, length, |s| {
+            out.push(s);
+            Ok::<(), std::convert::Infallible>(())
+        });
+        out
+    }
+
+    /// [`GlobalIndex::resolve`] without the list: `f` on each slice in
+    /// logical order, stopping at its first error.
+    pub(crate) fn for_each_slice<E>(
+        &self,
+        offset: u64,
+        length: u64,
+        f: impl FnMut(ChunkSlice) -> std::result::Result<(), E>,
+    ) -> std::result::Result<(), E> {
+        let end = offset.saturating_add(length).min(self.eof);
         if offset >= end {
-            return Vec::new();
+            return Ok(());
         }
         if self.overlay.is_empty() {
             // The direct path: the base alone, from one binary search.
             let first = self.base.partition_point(|x| x.end() <= offset);
-            slices(self.base[first..].iter().copied(), offset, end)
+            slices(self.base[first..].iter().copied(), offset, end, f)
         } else {
-            slices(self.extents(offset), offset, end)
+            slices(self.extents(offset), offset, end, f)
         }
     }
 
@@ -785,37 +808,42 @@ impl GlobalIndex {
     }
 }
 
-/// Cut sorted, disjoint `extents` to `[offset, end)`, holes included.
-fn slices(extents: impl Iterator<Item = Extent>, offset: u64, end: u64) -> Vec<ChunkSlice> {
+/// Cut sorted, disjoint `extents` to `[offset, end)`, holes included: `f`
+/// on each slice in logical order, stopping at its first error.
+fn slices<E>(
+    extents: impl Iterator<Item = Extent>,
+    offset: u64,
+    end: u64,
+    mut f: impl FnMut(ChunkSlice) -> std::result::Result<(), E>,
+) -> std::result::Result<(), E> {
     let hole = |from: u64, to: u64| ChunkSlice {
         logical_offset: from,
         length: to - from,
         dropping_id: None,
         physical_offset: 0,
     };
-    let mut out = Vec::new();
     let mut cursor = offset;
     for x in extents.take_while(|x| x.start < end) {
         if x.end() <= cursor {
             continue;
         }
         if x.start > cursor {
-            out.push(hole(cursor, x.start));
+            f(hole(cursor, x.start))?;
             cursor = x.start;
         }
         let slice_end = x.end().min(end);
-        out.push(ChunkSlice {
+        f(ChunkSlice {
             logical_offset: cursor,
             length: slice_end - cursor,
             dropping_id: Some(x.dropping_id),
             physical_offset: x.physical_offset + (cursor - x.start),
-        });
+        })?;
         cursor = slice_end;
     }
     if cursor < end {
-        out.push(hole(cursor, end));
+        f(hole(cursor, end))?;
     }
-    out
+    Ok(())
 }
 
 /// The overlay over the base, in logical order, adjacent contiguous pieces

@@ -6,14 +6,22 @@
 //! module caches those verdicts per backend path in a sharded map so that
 //! reopen/getattr/access of a warm path costs zero backing metadata ops.
 //!
-//! Correctness under racing mutation is handled with a *shard generation*
-//! protocol rather than per-entry versions: a reader that is about to probe
-//! the backing store calls [`MetaCache::begin_fill`] to snapshot the shard
-//! generation, probes, then calls [`MetaCache::complete_fill`] — which
-//! installs the result only if no invalidation (unlink/rename/trunc/create)
-//! bumped the generation in between. A stale probe that lost the race is
-//! simply dropped, so the cache can never resurrect a deleted container's
-//! `is_container` verdict.
+//! Correctness under racing mutation is handled with a *clock* protocol
+//! rather than per-entry versions: a reader that is about to probe the
+//! backing store calls [`MetaCache::begin_fill`] to read the cache's clock,
+//! probes, then calls [`MetaCache::complete_fill`] — which installs the
+//! result only if no invalidation of *that path* (unlink/rename/trunc/
+//! create) ticked the clock in between. Each shard remembers its last few
+//! invalidated paths for the check; a fill older than what it remembers is
+//! dropped. A stale probe that lost the race is simply dropped, so the
+//! cache can never resurrect a deleted container's `is_container` verdict,
+//! and a fill of an unrelated path is never lost to it.
+//!
+//! Removing or renaming a directory tree invalidates every path under it
+//! without visiting them: the tree's root is recorded with the clock, and
+//! a verdict filled before that tick is checked against the record of each
+//! of its ancestors when it is next looked up. So an `unlink` costs the
+//! same however many verdicts the cache holds.
 //!
 //! The cache also tracks an in-process writer count per container, letting
 //! `getattr` answer "is anyone writing?" without listing the container
@@ -23,6 +31,7 @@
 use crate::container::ContainerParams;
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One cached verdict about a backend path.
@@ -45,34 +54,130 @@ pub struct MetaEntry {
     pub meta: Option<Option<(u64, u64)>>,
 }
 
-struct Shard {
-    /// Bumped on every invalidation; fills snapshot it first and install
-    /// only if it is unchanged (see module docs).
-    generation: AtomicU64,
-    map: Mutex<HashMap<String, MetaEntry>>,
+/// FNV-1a, the workspace's path hash: for shard choice and as the hasher
+/// of the cache's maps. Its keys are paths an application names, which
+/// could be made to collide; the per-shard capacity bounds any chain.
+#[derive(Clone, Copy)]
+pub struct Fnv(u64);
+
+impl Default for Fnv {
+    fn default() -> Fnv {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
 }
 
-/// Sharded `backend_path → MetaEntry` cache with generation-guarded fills.
+impl Hasher for Fnv {
+    fn write(&mut self, bytes: &[u8]) {
+        for b in bytes {
+            self.0 ^= *b as u64;
+            self.0 = self.0.wrapping_mul(0x1000_0000_01b3);
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Builds [`Fnv`] hashers: no per-map random keys to draw.
+pub type FnvBuild = BuildHasherDefault<Fnv>;
+
+/// The FNV-1a hash of `path`'s bytes.
+fn hash_path(path: &str) -> u64 {
+    let mut h = Fnv::default();
+    h.write(path.as_bytes());
+    h.finish()
+}
+
+/// Invalidations a shard remembers for [`MetaCache::complete_fill`].
+const RECENT: usize = 8;
+
+/// Tree roots remembered before [`MetaCache::invalidate_tree`] ages every
+/// verdict at once instead.
+const TREE_RECORDS: usize = 1024;
+
+/// A cached verdict and the clock it was probed at.
+#[derive(Clone, Copy)]
+struct Slot {
+    entry: MetaEntry,
+    filled: u64,
+}
+
+#[derive(Default)]
+struct Shard {
+    map: HashMap<String, Slot, FnvBuild>,
+    /// The last [`RECENT`] invalidations of the shard, `(path hash, tick)`,
+    /// in a ring: what a fill begun before them checks its path against.
+    recent: [(u64, u64); RECENT],
+    next: usize,
+    /// The latest tick pushed out of the ring: a fill begun before it
+    /// cannot be checked, and is dropped.
+    forgotten: u64,
+}
+
+impl Shard {
+    /// Record an invalidation of `hash` at `tick`.
+    fn note(&mut self, hash: u64, tick: u64) {
+        let old = std::mem::replace(&mut self.recent[self.next], (hash, tick));
+        self.forgotten = self.forgotten.max(old.1);
+        self.next = (self.next + 1) % RECENT;
+    }
+
+    /// Has `hash` been invalidated since `since` — or may it have been?
+    fn invalidated_since(&self, hash: u64, since: u64) -> bool {
+        self.forgotten > since || self.recent.iter().any(|&(h, t)| t > since && h == hash)
+    }
+}
+
+/// Roots of removed or renamed trees, by path hash, with their ticks.
+#[derive(Default)]
+struct Trees {
+    roots: HashMap<u64, u64, FnvBuild>,
+    /// Every verdict probed before this tick is stale: the roots recorded
+    /// up to it were let go.
+    floor: u64,
+}
+
+impl Trees {
+    /// Is a verdict for `path` probed at `filled` still good — no tree
+    /// holding it removed since?
+    fn holds(&self, path: &str, filled: u64) -> bool {
+        if filled < self.floor {
+            return false;
+        }
+        // Every prefix ending before a `/`, and the path itself: FNV is a
+        // running hash, so one pass yields them all.
+        let mut h = Fnv::default();
+        let bytes = path.as_bytes();
+        for (i, &b) in bytes.iter().enumerate() {
+            if b == b'/' && i > 0 && self.roots.get(&h.finish()).is_some_and(|&t| t > filled) {
+                return false;
+            }
+            h.write(&[b]);
+        }
+        self.roots.get(&h.finish()).is_none_or(|&t| t <= filled)
+    }
+}
+
+/// Sharded `backend_path → MetaEntry` cache with clock-guarded fills.
 pub struct MetaCache {
-    shards: Box<[Shard]>,
+    shards: Box<[Mutex<Shard>]>,
     mask: usize,
     /// Approximate per-shard capacity; one arbitrary entry is evicted when
     /// an insert would exceed it.
     shard_capacity: usize,
-    /// In-process writer counts per container path (open-marker fast path).
-    writers: Mutex<HashMap<String, u64>>,
+    /// Ticks once per invalidation; a fill carries the tick it began at.
+    clock: AtomicU64,
+    trees: Mutex<Trees>,
+    /// The tick of the latest tree invalidation: a verdict probed at or
+    /// after it needs no check against [`MetaCache::trees`].
+    tree_tick: AtomicU64,
+    /// In-process writer counts per container, keyed by the path's hash: a
+    /// collision only overstates a count, which sends `getattr` to its
+    /// slow path, never to a wrong answer.
+    writers: Mutex<HashMap<u64, u64, FnvBuild>>,
     hits: AtomicU64,
     misses: AtomicU64,
-}
-
-fn hash_path(path: &str) -> u64 {
-    // FNV-1a, as elsewhere in the workspace.
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in path.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
 }
 
 impl MetaCache {
@@ -81,30 +186,45 @@ impl MetaCache {
     pub fn new(entries: usize, shards: usize) -> MetaCache {
         let nshards = shards.max(1).next_power_of_two();
         let shard_capacity = (entries.max(1)).div_ceil(nshards).max(1);
-        let shards = (0..nshards)
-            .map(|_| Shard {
-                generation: AtomicU64::new(0),
-                map: Mutex::new(HashMap::new()),
-            })
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
         MetaCache {
-            shards,
+            shards: (0..nshards).map(|_| Mutex::default()).collect(),
             mask: nshards - 1,
             shard_capacity,
-            writers: Mutex::new(HashMap::new()),
+            clock: AtomicU64::new(0),
+            trees: Mutex::default(),
+            tree_tick: AtomicU64::new(0),
+            writers: Mutex::default(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
     }
 
-    fn shard(&self, path: &str) -> &Shard {
-        &self.shards[(hash_path(path) as usize) & self.mask]
+    fn shard(&self, hash: u64) -> &Mutex<Shard> {
+        &self.shards[(hash as usize) & self.mask]
+    }
+
+    /// The next tick. Ticked under the lock of the shard (or of the tree
+    /// records) the invalidation records it in, so a fill that checks
+    /// under that lock sees every tick its own clock read came after.
+    fn tick(&self) -> u64 {
+        // acq_rel: pairs with begin_fill's acquire — a fill that reads this
+        // tick or a later one probes after the mutation it invalidates
+        self.clock.fetch_add(1, Ordering::AcqRel) + 1
     }
 
     /// Cached verdict for `path`, if present. Counts a hit or miss.
     pub fn lookup(&self, path: &str) -> Option<MetaEntry> {
-        let got = self.shard(path).map.lock().get(path).copied();
+        let mut shard = self.shard(hash_path(path)).lock();
+        let got = shard
+            .map
+            .get_mut(path)
+            .map(|slot| self.current(path, slot).then_some(slot.entry));
+        if matches!(got, Some(None)) {
+            // A verdict a tree invalidation outdated goes now.
+            shard.map.remove(path);
+        }
+        let got = got.flatten();
+        drop(shard);
         match got {
             // relaxed: hit/miss tallies are statistics, no ordering needed
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
@@ -114,74 +234,110 @@ impl MetaCache {
         got
     }
 
-    /// Snapshot the shard generation before probing the backing store.
-    pub fn begin_fill(&self, path: &str) -> u64 {
-        // a spuriously stale snapshot only drops a fill, never installs one
-        // relaxed: complete_fill re-checks under the shard lock
-        self.shard(path).generation.load(Ordering::Relaxed)
+    /// Does `slot`, the verdict for `path`, survive every tree invalidated
+    /// since it was probed? One that does is stamped current, so the check
+    /// runs once per tree invalidation at most.
+    fn current(&self, path: &str, slot: &mut Slot) -> bool {
+        // acquire: pairs with the release in invalidate_tree
+        if slot.filled >= self.tree_tick.load(Ordering::Acquire) {
+            return true;
+        }
+        let trees = self.trees.lock();
+        if !trees.holds(path, slot.filled) {
+            return false;
+        }
+        // relaxed: read under the tree lock, which orders every tree tick
+        slot.filled = self.tree_tick.load(Ordering::Relaxed);
+        true
     }
 
-    /// Install a probed verdict, unless an invalidation raced the probe
-    /// (the shard generation moved since [`MetaCache::begin_fill`]).
+    /// Read the clock before probing the backing store for `_path`: one
+    /// clock for every path, which [`MetaCache::complete_fill`] checks
+    /// against the path's own invalidations.
+    pub fn begin_fill(&self, _path: &str) -> u64 {
+        // acquire: see tick
+        self.clock.load(Ordering::Acquire)
+    }
+
+    /// Install a probed verdict, unless an invalidation of `path` raced the
+    /// probe (ticked the clock since [`MetaCache::begin_fill`] returned
+    /// `generation`).
     pub fn complete_fill(&self, path: &str, generation: u64, entry: MetaEntry) {
-        let shard = self.shard(path);
-        let mut map = shard.map.lock();
-        // relaxed: read under the shard lock, which orders every invalidation
-        if shard.generation.load(Ordering::Relaxed) != generation {
+        let hash = hash_path(path);
+        let mut shard = self.shard(hash).lock();
+        if shard.invalidated_since(hash, generation) {
             return;
         }
-        if map.len() >= self.shard_capacity && !map.contains_key(path) {
-            if let Some(victim) = map.keys().next().cloned() {
-                map.remove(&victim);
+        let slot = Slot {
+            entry,
+            filled: generation,
+        };
+        if let Some(old) = shard.map.get_mut(path) {
+            *old = slot;
+            return;
+        }
+        if shard.map.len() >= self.shard_capacity {
+            if let Some(victim) = shard.map.keys().next().cloned() {
+                shard.map.remove(&victim);
             }
         }
-        map.insert(path.to_string(), entry);
+        shard.map.insert(path.to_string(), slot);
     }
 
-    /// Drop any verdict for `path` and kill in-flight fills for its shard.
-    /// Called on unlink, rename (both ends), trunc, and create.
+    /// Drop any verdict for `path` and kill in-flight fills of it. Called
+    /// on unlink, rename (both ends), trunc, and create.
     pub fn invalidate(&self, path: &str) {
-        let shard = self.shard(path);
-        let mut map = shard.map.lock();
-        // relaxed: the shard lock (also taken by complete_fill) orders this
-        shard.generation.fetch_add(1, Ordering::Relaxed);
-        map.remove(path);
+        let hash = hash_path(path);
+        let mut shard = self.shard(hash).lock();
+        let tick = self.tick();
+        shard.note(hash, tick);
+        shard.map.remove(path);
     }
 
     /// Drop every verdict for `path` *and all paths under it*. Called on
-    /// rename, where moving a directory silently relocates each descendant:
-    /// cached `exists` verdicts under the old name and cached `missing`
-    /// verdicts under the new one are both wrong afterwards. Descendant
-    /// keys hash to arbitrary shards, so every shard's generation bumps —
-    /// pricier than [`MetaCache::invalidate`], but rename is rare and the
-    /// point-invalidation alone resurrects children of renamed trees.
+    /// rename, where moving a directory silently relocates each descendant
+    /// (cached `exists` verdicts under the old name and cached `missing`
+    /// verdicts under the new one are both wrong afterwards), and on the
+    /// unlink of a container, whose tree goes with it. Occupancy does not
+    /// matter: `path` is recorded as a tree root, and a descendant's
+    /// verdict probed before it — in flight now or cached — is dropped when
+    /// next looked up. After [`TREE_RECORDS`] roots the records are let go
+    /// and every verdict older than the latest is, the same way.
     pub fn invalidate_tree(&self, path: &str) {
-        let prefix = format!("{}/", path.trim_end_matches('/'));
-        for shard in self.shards.iter() {
-            let mut map = shard.map.lock();
-            // relaxed: the shard lock (also taken by complete_fill) orders this
-            shard.generation.fetch_add(1, Ordering::Relaxed);
-            map.retain(|k, _| k != path && !k.starts_with(&prefix));
+        let root = path.trim_end_matches('/');
+        {
+            let mut trees = self.trees.lock();
+            let tick = self.tick();
+            if root.is_empty() || trees.roots.len() >= TREE_RECORDS {
+                trees.roots.clear();
+                trees.floor = tick;
+            }
+            if !root.is_empty() {
+                trees.roots.insert(hash_path(root), tick);
+            }
+            // release: pairs with the acquire in current
+            self.tree_tick.store(tick, Ordering::Release);
         }
+        self.invalidate(path);
     }
 
     /// Drop only the cached fast-stat info for `path`, keeping the
     /// exists/container verdicts (used at writer close, which changes the
     /// file size but not whether the path is a container).
     pub fn clear_meta(&self, path: &str) {
-        let shard = self.shard(path);
-        let mut map = shard.map.lock();
-        // relaxed: the shard lock (also taken by complete_fill) orders this
-        shard.generation.fetch_add(1, Ordering::Relaxed);
-        if let Some(e) = map.get_mut(path) {
-            e.meta = None;
+        let hash = hash_path(path);
+        let mut shard = self.shard(hash).lock();
+        let tick = self.tick();
+        shard.note(hash, tick);
+        if let Some(slot) = shard.map.get_mut(path) {
+            slot.entry.meta = None;
         }
     }
 
     /// Bump the in-process writer count for a container.
     pub fn writer_inc(&self, path: &str) -> u64 {
         let mut w = self.writers.lock();
-        let c = w.entry(path.to_string()).or_insert(0);
+        let c = w.entry(hash_path(path)).or_insert(0);
         *c += 1;
         *c
     }
@@ -189,13 +345,14 @@ impl MetaCache {
     /// Drop the in-process writer count for a container (returns the new
     /// count; saturates at zero on double-close).
     pub fn writer_dec(&self, path: &str) -> u64 {
+        let key = hash_path(path);
         let mut w = self.writers.lock();
-        match w.get_mut(path) {
+        match w.get_mut(&key) {
             Some(c) => {
                 *c = c.saturating_sub(1);
                 let n = *c;
                 if n == 0 {
-                    w.remove(path);
+                    w.remove(&key);
                 }
                 n
             }
@@ -206,7 +363,11 @@ impl MetaCache {
     /// Writers this process currently has open on `path` (0 = unknown:
     /// other processes may still hold it open).
     pub fn local_writers(&self, path: &str) -> u64 {
-        self.writers.lock().get(path).copied().unwrap_or(0)
+        self.writers
+            .lock()
+            .get(&hash_path(path))
+            .copied()
+            .unwrap_or(0)
     }
 
     /// Lifetime cache hits.
@@ -293,6 +454,51 @@ mod tests {
     }
 
     #[test]
+    fn a_tree_invalidation_keeps_fills_of_other_paths() {
+        // One shard: every path shares it, as no shard choice can help.
+        let c = MetaCache::new(64, 1);
+        let g = c.begin_fill("/d");
+        c.invalidate_tree("/c");
+        c.complete_fill("/d", g, entry(true));
+        assert!(c.lookup("/d").is_some(), "an unrelated fill is lost");
+        // So does a point invalidation: only its own path's fill dies.
+        let (gd, ge) = (c.begin_fill("/d/x"), c.begin_fill("/e"));
+        c.invalidate("/e");
+        c.complete_fill("/d/x", gd, entry(true));
+        c.complete_fill("/e", ge, entry(true));
+        assert!(c.lookup("/d/x").is_some());
+        assert!(c.lookup("/e").is_none());
+    }
+
+    #[test]
+    fn a_fill_older_than_what_its_shard_remembers_is_dropped() {
+        let c = MetaCache::new(64, 1);
+        let g = c.begin_fill("/a");
+        for i in 0..=RECENT {
+            c.invalidate(&format!("/other{i}"));
+        }
+        c.complete_fill("/a", g, entry(true));
+        assert!(c.lookup("/a").is_none(), "could not be checked");
+    }
+
+    #[test]
+    fn tree_records_past_their_bound_age_every_older_verdict() {
+        let c = MetaCache::new(64, 4);
+        let g = c.begin_fill("/keep/f");
+        c.complete_fill("/keep/f", g, entry(true));
+        for i in 0..=TREE_RECORDS {
+            c.invalidate_tree(&format!("/gone{i}"));
+        }
+        assert!(c.lookup("/keep/f").is_none());
+        let g = c.begin_fill("/keep/f");
+        c.complete_fill("/keep/f", g, entry(true));
+        assert!(c.lookup("/keep/f").is_some());
+        // The root: everything.
+        c.invalidate_tree("/");
+        assert!(c.lookup("/keep/f").is_none());
+    }
+
+    #[test]
     fn clear_meta_keeps_container_verdict() {
         let c = MetaCache::new(64, 1);
         let g = c.begin_fill("/a");
@@ -322,7 +528,7 @@ mod tests {
             let g = c.begin_fill(&p);
             c.complete_fill(&p, g, entry(true));
         }
-        let total: usize = c.shards.iter().map(|s| s.map.lock().len()).sum();
+        let total: usize = c.shards.iter().map(|s| s.lock().map.len()).sum();
         assert!(total <= 4, "cache grew past capacity: {total}");
     }
 

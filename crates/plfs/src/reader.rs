@@ -10,6 +10,7 @@ use crate::backing::{Backing, BackingFile};
 use crate::container::{self, DroppingRef};
 use crate::error::{Error, Result};
 use crate::index::{ChunkSlice, GlobalIndex, IndexEntry};
+use crate::meta::FnvBuild;
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::OnceLock;
@@ -20,7 +21,7 @@ pub struct ReadFile {
     droppings: Vec<DroppingRef>,
     /// `data_path` → position in `droppings`; empty until the first
     /// [`ReadFile::patch`] needs it.
-    ids_by_path: HashMap<String, u32>,
+    ids_by_path: HashMap<String, u32, FnvBuild>,
     /// One slot per dropping, indexed by dropping id (ids are dense
     /// positions in `droppings`), filled by the first read that needs it.
     /// A read fragment after that costs one atomic load: no lock, no hash,
@@ -36,7 +37,7 @@ impl ReadFile {
             index,
             handles: droppings.iter().map(|_| OnceLock::new()).collect(),
             droppings,
-            ids_by_path: HashMap::new(),
+            ids_by_path: HashMap::default(),
         })
     }
 
@@ -142,12 +143,14 @@ impl ReadFile {
             return Ok(0);
         }
         let mut total = 0usize;
-        for s in &self.index.resolve(off, buf.len() as u64) {
-            let dst_start = (s.logical_offset - off) as usize;
-            let dst = &mut buf[dst_start..dst_start + s.length as usize];
-            self.read_slice(b, dst, s)?;
-            total = dst_start + s.length as usize;
-        }
+        self.index
+            .for_each_slice(off, buf.len() as u64, |s| -> Result<()> {
+                let dst_start = (s.logical_offset - off) as usize;
+                let dst = &mut buf[dst_start..dst_start + s.length as usize];
+                self.read_slice(b, dst, &s)?;
+                total = dst_start + s.length as usize;
+                Ok(())
+            })?;
         Ok(total)
     }
 

@@ -24,22 +24,36 @@
 //! dropping, and `LogStructured` appends to a single dropping shared by all
 //! pids.
 
-use crate::backing::{Backing, BackingFile};
+use crate::backing::{join, Backing, BackingFile};
 use crate::container::{self, ContainerParams, LayoutMode};
 use crate::error::{Error, Result};
 use crate::index::{encode_compressed, next_timestamp, IndexEntry};
+use std::cell::Cell;
 use std::sync::Arc;
 
 /// Default number of buffered index entries before an automatic flush
 /// (mirrors the C library's `index_buffer_mbs` knob, expressed in entries).
 pub const DEFAULT_INDEX_BUFFER_ENTRIES: usize = 4096;
 
+/// Most bytes of encoded records a thread keeps between flushes.
+const RECORDS_KEPT: usize = 64 << 10;
+
+thread_local! {
+    /// The buffer this thread encodes index records into for a flush. Kept,
+    /// so a flush allocates nothing once the thread has flushed before; one
+    /// grown past [`RECORDS_KEPT`] is let go.
+    static RECORDS: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
+}
+
+/// Index entries a writer's buffer has room for at its first write.
+const INDEX_BUFFER_START: usize = 64;
+
 /// Minimum strided-run length worth a pattern record (below this, plain
 /// records are emitted; a pattern record costs the same 48 bytes).
 pub const PATTERN_MIN_RUN: usize = 3;
 
 /// A writer's index dropping: open, or — a top-level pair's, until
-/// something needs it — not created yet.
+/// something needs it — not created yet, and not named.
 enum IndexDropping {
     Open(Box<dyn BackingFile>),
     Deferred(Arc<dyn Backing>),
@@ -50,6 +64,7 @@ pub struct WriteFile {
     data: Box<dyn BackingFile>,
     index: IndexDropping,
     data_path: String,
+    /// Empty while the index dropping is [`IndexDropping::Deferred`].
     index_path: String,
     mode: LayoutMode,
     /// The creator's pair, in the container directory: its index dropping's
@@ -146,8 +161,8 @@ impl WriteFile {
         let (data, index, data_path, index_path, seq) = match (creator, params.mode) {
             // The creator's index waits until something needs it.
             (Some((dropping, through)), _) => {
-                let (dp, ip) = container::creator_pair_paths(container);
-                (dropping.file, IndexDropping::Deferred(through), dp, ip, 0)
+                let index = IndexDropping::Deferred(through);
+                (dropping.file, index, dropping.path, String::new(), 0)
             }
             (None, LayoutMode::LogStructured) => {
                 // All pids share dropping pair 0; first creator wins, the
@@ -230,6 +245,13 @@ impl WriteFile {
                 logical
             }
         };
+        if self.buffered.capacity() == 0 {
+            // Sized at the first write for what a small file's writer
+            // buffers; one that buffers more grows it, up to the limit,
+            // where a flush empties it.
+            self.buffered
+                .reserve_exact(self.buffer_limit.min(INDEX_BUFFER_START));
+        }
         self.buffered.push(IndexEntry {
             logical_offset: logical,
             length: buf.len() as u64,
@@ -247,10 +269,14 @@ impl WriteFile {
         Ok(buf.len())
     }
 
-    /// The index dropping, created under [`WriteFile::index_path`] if
-    /// nothing has needed it before.
+    /// The index dropping, created if nothing has needed it before: under
+    /// its open name, or — set by [`WriteFile::sync_at_close`] — its
+    /// closed one.
     fn index(&mut self) -> Result<&dyn BackingFile> {
         if let IndexDropping::Deferred(b) = &self.index {
+            if self.index_path.is_empty() {
+                self.index_path = join(self.container(), container::CREATOR_INDEX);
+            }
             let created = b.create(&self.index_path, true)?;
             self.index = IndexDropping::Open(created);
         }
@@ -271,17 +297,24 @@ impl WriteFile {
         if self.buffered.is_empty() {
             return Ok(());
         }
-        let mut out = Vec::with_capacity(self.buffered.len() * crate::index::RECORD_SIZE);
+        let mut out = RECORDS.take();
+        out.clear();
         let records = encode_compressed(&self.buffered, PATTERN_MIN_RUN, &mut out);
-        self.index_records += records as u64;
         let (log, tail) = (self.mode == LayoutMode::LogStructured, self.index_tail);
-        let index = self.index()?;
-        if log {
-            index.append(&out)?;
-        } else {
-            index.pwrite(&out, tail)?;
+        let written = self.index().and_then(|index| {
+            if log {
+                index.append(&out).map(drop)
+            } else {
+                index.pwrite(&out, tail).map(drop)
+            }
+        });
+        let len = out.len() as u64;
+        if out.capacity() <= RECORDS_KEPT {
+            RECORDS.set(out);
         }
-        self.index_tail += out.len() as u64;
+        written?;
+        self.index_records += records as u64;
+        self.index_tail += len;
         if self.track {
             self.unmerged.extend_from_slice(&self.buffered[self.fed..]);
         }
@@ -320,10 +353,18 @@ impl WriteFile {
     /// under its closed name, so the close costs a `create` and no `rename`.
     pub(crate) fn sync_at_close(&mut self) -> Result<()> {
         if let IndexDropping::Deferred(_) = self.index {
-            self.index_path =
-                container::closed_index_path(&self.index_path, self.max_eof, self.bytes_written)?;
+            self.index_path = container::creator_closed_index_path(
+                self.container(),
+                self.max_eof,
+                self.bytes_written,
+            );
         }
         self.sync()
+    }
+
+    /// The container directory a top-level pair sits in.
+    fn container(&self) -> &str {
+        self.data_path.rsplit_once('/').map_or("/", |(dir, _)| dir)
     }
 
     /// Leave the names of a closed writer, at most one `rename`: a
@@ -334,7 +375,11 @@ impl WriteFile {
     pub(crate) fn close_names(&mut self, b: &dyn Backing, container: &str) -> Result<()> {
         let (eof, bytes) = (self.max_eof, self.bytes_written);
         if self.top_level {
-            self.index_path = container::close_toplevel(b, &self.index_path, eof, bytes)?;
+            let name = self.index_path.rsplit_once('/').map_or("", |(_, n)| n);
+            let closed = container::parse_index_name(name).and_then(|(_, closed)| closed);
+            if closed != Some((eof, bytes)) {
+                self.index_path = container::close_toplevel(b, &self.index_path, eof, bytes)?;
+            }
             Ok(())
         } else {
             container::close_writer(b, container, eof, bytes, self.pid, self.seq)
@@ -353,7 +398,9 @@ impl WriteFile {
         &self.data_path
     }
 
-    /// Backend path of this writer's index dropping.
+    /// Backend path of this writer's index dropping; empty for the
+    /// creator's top-level pair until its index dropping is named — at its
+    /// first flush, or at close.
     pub fn index_path(&self) -> &str {
         &self.index_path
     }

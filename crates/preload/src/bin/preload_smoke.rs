@@ -14,7 +14,9 @@
 //! that grows with N, for a syscall
 //! counter to difference two runs of (`plfs-tools syscalls`): `write` (N
 //! 4 KiB writes to a new file in the mount), `read` (N 4 KiB reads of
-//! CONTAINER, one fragment each) and `cycle` (N small-file cycles).
+//! CONTAINER, one fragment each), `fread` (N 32 KiB `fread`s of FILE,
+//! in the mount or not, through one stream) and `cycle` (N small-file
+//! cycles).
 
 use std::fs;
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -1028,6 +1030,20 @@ fn calls_cycle(n: usize) {
     }
 }
 
+/// N 32 KiB `fread`s of FILE, in the mount or not, through one `fopen`
+/// stream.
+fn calls_fread(n: usize, file: &str) {
+    let path = std::ffi::CString::new(file).expect("path");
+    let stream = unsafe { fopen(path.as_ptr(), c"r".as_ptr()) };
+    assert!(!stream.is_null(), "fopen: errno {}", errno());
+    let mut buf = vec![0u8; 32 << 10];
+    for _ in 0..n {
+        let got = unsafe { fread(buf.as_mut_ptr() as *mut c_void, 1, buf.len(), stream) };
+        assert_eq!(got, buf.len(), "a short fread");
+    }
+    assert_eq!(unsafe { fclose(stream) }, 0, "fclose");
+}
+
 fn iov(buf: &mut [u8]) -> IoVec {
     IoVec {
         iov_base: buf.as_mut_ptr() as *mut c_void,
@@ -1068,6 +1084,7 @@ fn main() {
         match kind {
             "write" => calls_write(n),
             "read" => calls_read(n, args.get(2).expect("calls-read N CONTAINER")),
+            "fread" => calls_fread(n, args.get(2).expect("calls-fread N FILE")),
             "cycle" => calls_cycle(n),
             other => panic!("unknown call kind {other}"),
         }

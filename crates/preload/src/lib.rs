@@ -93,10 +93,12 @@
 #![allow(clippy::missing_safety_doc)]
 
 use parking_lot::{Mutex, MutexGuard, RwLock, RwLockWriteGuard};
+use plfs::meta::{Fnv, FnvBuild};
 use plfs::{OpenFlags, Plfs, PlfsFd, RealBacking};
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::ffi::CStr;
+use std::hash::Hasher;
 use std::ops::Deref;
 use std::os::raw::{c_char, c_int, c_uint, c_void};
 use std::sync::atomic::{AtomicI32, AtomicPtr, AtomicU64, Ordering};
@@ -156,7 +158,11 @@ extern "C" {
     ) -> c_int;
     fn __chk_fail() -> !;
     fn fopencookie(cookie: *mut c_void, mode: *const c_char, io: CookieIo) -> *mut c_void;
+    fn setvbuf(stream: *mut c_void, buf: *mut c_char, mode: c_int, size: SizeT) -> c_int;
 }
+
+/// `setvbuf`'s full-buffering mode.
+const IOFBF: c_int = 0;
 
 fn set_errno(e: c_int) {
     unsafe { *__errno_location() = e };
@@ -328,8 +334,9 @@ impl Drop for OpenState {
     }
 }
 
-/// Registered fd → its open.
-type Table = HashMap<c_int, Arc<OpenState>>;
+/// Registered fd → its open. Descriptors are the kernel's small numbers,
+/// hashed with FNV: no random keys to draw.
+type Table = HashMap<c_int, Arc<OpenState>, FnvBuild>;
 
 struct Shim {
     mount: String,
@@ -464,21 +471,21 @@ fn init_shim() -> Option<Shim> {
         mount,
         plfs,
         root,
-        table: AtomicPtr::new(Box::leak(Box::new(RwLock::new(HashMap::new())))),
+        table: AtomicPtr::new(Box::leak(Box::new(RwLock::new(Table::default())))),
     })
 }
 
 /// Mount-relative logical path, if `path` is inside the mount.
-fn logical(shim: &Shim, path: &str) -> Option<String> {
+fn logical<'a>(shim: &Shim, path: &'a str) -> Option<&'a str> {
     let m = &shim.mount;
     if path == m {
-        return Some("/".to_string());
+        return Some("/");
     }
     let rest = path.strip_prefix(m.as_str())?;
     if !rest.starts_with('/') {
         return None;
     }
-    Some(rest.to_string())
+    Some(rest)
 }
 
 unsafe fn cstr<'a>(p: *const c_char) -> Option<&'a str> {
@@ -785,12 +792,9 @@ fn plfs_errno(e: &plfs::Error) -> c_int {
 /// Stable fake inode per logical path (FNV-1a), so path-stat and
 /// fstat-after-open agree.
 fn fake_ino(rel: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in rel.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h | 1
+    let mut h = Fnv::default();
+    h.write(rel.as_bytes());
+    h.finish() | 1
 }
 
 // ---------------------------------------------------------------------------
@@ -811,14 +815,14 @@ unsafe fn do_open(path: *const c_char, flags: c_int, mode: ModeT) -> c_int {
     let _in_plfs = InPlfs::enter();
     // A container is a file: cp probes its destination with O_DIRECTORY
     // and takes anything but ENOTDIR to mean "copy into it".
-    if flags & O_DIRECTORY != 0 && sh.plfs.is_container(&rel) {
+    if flags & O_DIRECTORY != 0 && sh.plfs.is_container(rel) {
         set_errno(ENOTDIR);
         return -1;
     }
     // Translate flags (numeric values match plfs::OpenFlags on Linux).
     let oflags = OpenFlags((flags & (O_ACCMODE | O_CREAT | O_EXCL | O_TRUNC | O_APPEND)) as u32);
     let pid = pid();
-    match sh.plfs.open(&rel, oflags, pid) {
+    match sh.plfs.open(rel, oflags, pid) {
         Ok(pfd) => {
             let Some(cursor) = Cursor::take() else {
                 let _ = pfd.close(pid);
@@ -833,7 +837,7 @@ unsafe fn do_open(path: *const c_char, flags: c_int, mode: ModeT) -> c_int {
                 set_errno(e);
                 return -1;
             }
-            let st = OpenState::new(pfd, flags & O_APPEND != 0, fake_ino(&rel), cursor);
+            let st = OpenState::new(pfd, flags & O_APPEND != 0, fake_ino(rel), cursor);
             sh.mutate(|t| t.insert(fd, Arc::new(st)));
             fd
         }
@@ -2003,9 +2007,9 @@ unsafe fn do_stat(path: *const c_char, out: *mut CStat) -> c_int {
         fill_stat(out, 0, true, 1);
         return 0;
     }
-    match inside_plfs(|| sh.plfs.getattr(&rel)) {
+    match inside_plfs(|| sh.plfs.getattr(rel)) {
         Ok(st) => {
-            fill_stat(out, st.size, st.is_dir, fake_ino(&rel));
+            fill_stat(out, st.size, st.is_dir, fake_ino(rel));
             0
         }
         Err(e) => {
@@ -2130,7 +2134,7 @@ unsafe fn do_unlink(path: *const c_char) -> c_int {
     };
     match cstr(path).and_then(|p| logical(sh, p)) {
         None => real_unlink(path),
-        Some(rel) => match inside_plfs(|| sh.plfs.unlink(&rel)) {
+        Some(rel) => match inside_plfs(|| sh.plfs.unlink(rel)) {
             Ok(()) => 0,
             Err(e) => {
                 set_errno(plfs_errno(&e));
@@ -2182,7 +2186,7 @@ unsafe fn do_access(path: *const c_char, amode: c_int) -> c_int {
             if rel == "/" {
                 return 0;
             }
-            match inside_plfs(|| sh.plfs.access(&rel)) {
+            match inside_plfs(|| sh.plfs.access(rel)) {
                 Ok(()) => 0,
                 Err(e) => {
                     set_errno(plfs_errno(&e));
@@ -2206,7 +2210,7 @@ unsafe fn do_mkdir(path: *const c_char, mode: ModeT) -> c_int {
     };
     match cstr(path).and_then(|p| logical(sh, p)) {
         None => real_mkdir(path, mode),
-        Some(rel) => match inside_plfs(|| sh.plfs.mkdir(&rel)) {
+        Some(rel) => match inside_plfs(|| sh.plfs.mkdir(rel)) {
             Ok(()) => 0,
             Err(e) => {
                 set_errno(plfs_errno(&e));
@@ -2229,7 +2233,7 @@ unsafe fn do_rmdir(path: *const c_char) -> c_int {
     };
     match cstr(path).and_then(|p| logical(sh, p)) {
         None => real_rmdir(path),
-        Some(rel) => match inside_plfs(|| sh.plfs.rmdir(&rel)) {
+        Some(rel) => match inside_plfs(|| sh.plfs.rmdir(rel)) {
             Ok(()) => 0,
             Err(e) => {
                 set_errno(plfs_errno(&e));
@@ -2290,7 +2294,7 @@ unsafe fn do_truncate(path: *const c_char, len: OffT) -> c_int {
             // there is no fd whose writers need quiescing: an unopened (or
             // other-process) container is rewritten directly, same as the
             // kernel truncates a file nobody has open.
-            match inside_plfs(|| sh.plfs.trunc(&rel, len as u64)) {
+            match inside_plfs(|| sh.plfs.trunc(rel, len as u64)) {
                 Ok(()) => 0,
                 Err(e) => {
                     set_errno(plfs_errno(&e));
@@ -2329,7 +2333,7 @@ pub unsafe extern "C" fn ftruncate64(fd: c_int, len: OffT) -> c_int {
 // stdio entry points: glibc's fopen does NOT route through the exported
 // `open` symbol and a FILE's reads never pass `read`, so a stream over the
 // mount is a `fopencookie` stream whose callbacks are the shim's own
-// read/write/seek/close on a registered fd (the cookie). `fileno()` on one
+// read/write/seek/close on a registered fd (in the cookie). `fileno()` on one
 // is -1, glibc's contract for cookie streams. fopen in a write mode is not
 // supported and falls through to the real fopen (which fails cleanly, since
 // the mount path does not exist on the real file system).
@@ -2344,27 +2348,61 @@ struct CookieIo {
     close: unsafe extern "C" fn(*mut c_void) -> c_int,
 }
 
-unsafe extern "C" fn cookie_read(fd: *mut c_void, buf: *mut c_char, n: SizeT) -> SsizeT {
-    ffi_guard!(-1, do_read(fd as c_int, buf as *mut c_void, n))
+/// Bytes of the buffer a stream over the mount reads through. glibc gives
+/// a cookie stream `BUFSIZ` (8 KiB), there being no `st_blksize` to read,
+/// and fills its buffer for every `fread` smaller than the buffer: a loop
+/// of 32 KiB `fread`s (`md5sum`'s) made four 8 KiB container reads each,
+/// where a flat stream reads each straight into the caller's buffer. An
+/// `fread` at least this large is read straight into the caller's buffer
+/// here too, as one container read, and leaves this buffer's pages
+/// untouched; smaller ones share one container read per 32 KiB.
+const STREAM_BUFFER: usize = 32 << 10;
+
+/// A stream's cookie: the registered fd it reads, and the buffer the
+/// stream reads through, the stream's until its close callback frees it.
+struct Cookie {
+    fd: c_int,
+    buf: Box<[std::mem::MaybeUninit<u8>]>,
+}
+
+/// The fd of the stream whose cookie is `cookie`.
+///
+/// # Safety
+/// `cookie` is one [`cookie_stream`] made and the close callback has not
+/// freed.
+unsafe fn cookie_fd(cookie: *mut c_void) -> c_int {
+    (*(cookie as *const Cookie)).fd
+}
+
+unsafe extern "C" fn cookie_read(cookie: *mut c_void, buf: *mut c_char, n: SizeT) -> SsizeT {
+    ffi_guard!(-1, do_read(cookie_fd(cookie), buf as *mut c_void, n))
 }
 
 /// A cookie write reports failure as 0, never a negative count.
-unsafe extern "C" fn cookie_write(fd: *mut c_void, buf: *const c_char, n: SizeT) -> SsizeT {
-    ffi_guard!(0, do_write(fd as c_int, buf as *const c_void, n).max(0))
+unsafe extern "C" fn cookie_write(cookie: *mut c_void, buf: *const c_char, n: SizeT) -> SsizeT {
+    ffi_guard!(
+        0,
+        do_write(cookie_fd(cookie), buf as *const c_void, n).max(0)
+    )
 }
 
-unsafe extern "C" fn cookie_seek(fd: *mut c_void, off: *mut OffT, whence: c_int) -> c_int {
+unsafe extern "C" fn cookie_seek(cookie: *mut c_void, off: *mut OffT, whence: c_int) -> c_int {
     ffi_guard!(-1, {
-        *off = do_lseek(fd as c_int, *off, whence);
+        *off = do_lseek(cookie_fd(cookie), *off, whence);
         -c_int::from(*off < 0)
     })
 }
 
-unsafe extern "C" fn cookie_close(fd: *mut c_void) -> c_int {
-    ffi_guard!(-1, do_close(fd as c_int))
+/// glibc calls this once, last: it reads nothing of the buffer afterwards,
+/// which it does not free either — it is the caller's (`setvbuf`).
+unsafe extern "C" fn cookie_close(cookie: *mut c_void) -> c_int {
+    // SAFETY: the cookie is the `Box` cookie_stream leaked, freed once here.
+    let cookie = Box::from_raw(cookie as *mut Cookie);
+    ffi_guard!(-1, do_close(cookie.fd))
 }
 
-/// A stream over registered `fd`; on failure the fd stays the caller's.
+/// A stream over registered `fd`, reading through a [`STREAM_BUFFER`];
+/// on failure the fd stays the caller's.
 unsafe fn cookie_stream(fd: c_int, mode: *const c_char) -> *mut c_void {
     let io = CookieIo {
         read: cookie_read,
@@ -2372,7 +2410,21 @@ unsafe fn cookie_stream(fd: c_int, mode: *const c_char) -> *mut c_void {
         seek: cookie_seek,
         close: cookie_close,
     };
-    fopencookie(fd as usize as *mut c_void, mode, io)
+    let cookie = Box::into_raw(Box::new(Cookie {
+        fd,
+        buf: Box::new_uninit_slice(STREAM_BUFFER),
+    }));
+    let stream = fopencookie(cookie as *mut c_void, mode, io);
+    if stream.is_null() {
+        // SAFETY: no stream holds the cookie.
+        drop(Box::from_raw(cookie));
+        return stream;
+    }
+    // Before any I/O on the stream, as setvbuf requires. Failing, the
+    // stream keeps glibc's own buffer, and the cookie this one.
+    let buf = (*cookie).buf.as_mut_ptr() as *mut c_char;
+    setvbuf(stream, buf, IOFBF, STREAM_BUFFER);
+    stream
 }
 
 unsafe fn do_fopen(path: *const c_char, mode: *const c_char) -> *mut c_void {
@@ -2504,9 +2556,9 @@ unsafe fn do_statx(
         fill_statx(out, 0, true, 1);
         return 0;
     }
-    match inside_plfs(|| sh.plfs.getattr(&rel)) {
+    match inside_plfs(|| sh.plfs.getattr(rel)) {
         Ok(st) => {
-            fill_statx(out, st.size, st.is_dir, fake_ino(&rel));
+            fill_statx(out, st.size, st.is_dir, fake_ino(rel));
             0
         }
         Err(e) => {

@@ -818,3 +818,41 @@ fn per_call_syscalls_are_pinned() {
         "the small-file cycle: {cycle} syscalls"
     );
 }
+
+/// A loop of 32 KiB `fread`s costs no more syscalls per `fread` over the
+/// mount than over the flat twin, whose stream reads each straight into
+/// the caller's buffer: a stream over the mount reads through a buffer of
+/// 32 KiB, so it does too. glibc's 8 KiB default for a cookie stream made
+/// four container reads of each.
+#[test]
+fn stdio_freads_cost_what_they_cost_on_a_flat_file() {
+    const N: u64 = 64;
+    ensure_built();
+    let bins = release_bins();
+    let env = setup("fread");
+    let twin = env.outside.join("flat");
+    let bytes: Vec<u8> = (0..2 * N as usize * (32 << 10))
+        .map(|i| (i % 251) as u8)
+        .collect();
+    std::fs::write(&twin, &bytes).unwrap();
+    let container = format!("{}/freads", env.mount.display());
+    let mut dd = Command::new("dd");
+    dd.args(["bs=65536", "status=none"])
+        .arg(format!("if={}", twin.display()))
+        .arg(format!("of={container}"));
+    ok(run_preloaded(&env, dd), "dd into the mount");
+    let per_fread = |file: &str| -> Option<f64> {
+        let at = |k: u64| syscalls_of(&env, &bins, &["calls-fread", &k.to_string(), file]);
+        let (once, twice) = (at(N)?, at(2 * N)?);
+        Some((twice - once) as f64 / N as f64)
+    };
+    let Some(flat) = per_fread(twin.to_str().unwrap()) else {
+        eprintln!("stdio_freads_cost_what_they_cost_on_a_flat_file: skipped, no ptrace");
+        return;
+    };
+    let plfs = per_fread(&container).unwrap();
+    assert!(
+        plfs <= flat + 0.05,
+        "a 32 KiB fread: {plfs} syscalls on a container, {flat} on a flat file"
+    );
+}

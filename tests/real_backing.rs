@@ -58,6 +58,46 @@ fn dot_dot_is_refused_everywhere() {
 }
 
 #[test]
+fn a_nul_byte_is_refused_everywhere() {
+    let dir = fresh("nul");
+    let b = RealBacking::new(&dir).unwrap();
+    let nul = |r: Result<(), Error>| matches!(r, Err(Error::InvalidArg(_)));
+    assert!(nul(b.create("/a\0b", true).map(drop)));
+    assert!(nul(b.open("/a\0", false).map(drop)));
+    assert!(nul(b.mkdir("/\0")));
+    assert!(nul(b.readdir("/d\0/e").map(drop)));
+    assert!(nul(b.unlink("/a\0b")));
+    assert!(nul(b.rename("/a", "/a\0b")));
+    assert!(nul(b.stat("/a\0b").map(drop)));
+    // Past the stack buffer, the heap path refuses it too.
+    let long = format!("/{}\0", "x".repeat(300));
+    assert!(nul(b.create(&long, true).map(drop)));
+    assert!(nul(b.stat(&long).map(drop)));
+    assert!(b.readdir("/").unwrap().is_empty(), "nothing made");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_long_path_is_resolved_as_a_short_one() {
+    let dir = fresh("long");
+    let b = RealBacking::new(&dir).unwrap();
+    let deep = format!("/{}", ["component"; 40].join("/"));
+    b.mkdir_all(&deep).unwrap();
+    let file = format!("{deep}/f");
+    b.create(&file, true).unwrap().pwrite(b"long", 0).unwrap();
+    assert_eq!(b.stat(&file).unwrap().size, 4);
+    assert!(matches!(
+        b.stat(&format!("{deep}/none")),
+        Err(Error::NotFound(p)) if p.ends_with("/none")
+    ));
+    assert!(matches!(
+        b.stat(&format!("{deep}/../../x")),
+        Err(Error::InvalidArg(_))
+    ));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn the_root_is_slash_and_lists() {
     let dir = fresh("slash");
     let b = RealBacking::new(&dir).unwrap();
