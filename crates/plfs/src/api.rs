@@ -312,21 +312,23 @@ impl Plfs {
                 }
             }
         };
-        let mut fd = PlfsFd::new(
+        // Finished in place: the fd is over a kilobyte, moved once.
+        let mut fd = Arc::new(PlfsFd::new(
             self.backing.clone(),
             bp.into_owned(),
             params,
             flags,
             &self.conf,
             pid,
-        );
+        ));
+        let new = Arc::get_mut(&mut fd).expect("nothing else holds a new fd");
         if let Some(dropping) = creator {
-            fd = fd.into_creator(dropping);
+            new.set_creator(dropping);
         }
         if self.conf.meta_cache_enabled() {
-            fd = fd.with_meta_cache(Arc::clone(&self.cache));
+            new.set_meta_cache(Arc::clone(&self.cache));
         }
-        Ok(Arc::new(fd))
+        Ok(fd)
     }
 
     /// The creating half of an `O_CREAT` open: make the container or join

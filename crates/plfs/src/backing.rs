@@ -506,12 +506,14 @@ impl Backing for RealBacking {
     /// returns 0: no `fstat` and no 32 KiB `DIR` stream, which is what
     /// `opendir` costs.
     fn readdir(&self, path: &str) -> Result<Vec<String>> {
+        const BUF: usize = 8192;
         let dir = self.open_at(path, O_RDONLY | O_DIRECTORY)?;
-        let mut buf = [0u8; 8192];
+        // Not zeroed first: only what the kernel wrote is read.
+        let mut buf = std::mem::MaybeUninit::<[u8; BUF]>::uninit();
         let mut names = Vec::new();
         loop {
             // SAFETY: `buf` is live and writable for its whole length.
-            let n = unsafe { getdents64(dir.as_raw_fd(), buf.as_mut_ptr(), buf.len()) };
+            let n = unsafe { getdents64(dir.as_raw_fd(), buf.as_mut_ptr().cast(), BUF) };
             if n == 0 {
                 break;
             }
@@ -522,10 +524,12 @@ impl Backing for RealBacking {
                 }
                 return Err(Error::Io(e));
             }
+            // SAFETY: the kernel wrote the first `n` (≤ BUF) bytes.
+            let buf = unsafe { std::slice::from_raw_parts(buf.as_ptr().cast::<u8>(), n as usize) };
             // `struct linux_dirent64`: inode (8), offset (8), record length
             // (2), type (1), then the NUL-terminated name.
             let mut at = 0;
-            while at < n as usize {
+            while at < buf.len() {
                 let rec = &buf[at..];
                 let reclen = u16::from_ne_bytes([rec[16], rec[17]]) as usize;
                 let name = &rec[19..reclen];

@@ -181,17 +181,15 @@ impl PlfsFd {
     }
 
     /// Attach the process-wide metadata cache this fd keeps current.
-    pub(crate) fn with_meta_cache(mut self, cache: Arc<MetaCache>) -> PlfsFd {
+    pub(crate) fn set_meta_cache(&mut self, cache: Arc<MetaCache>) {
         self.cache = Some(cache);
-        self
     }
 
     /// Mark this fd as the one whose open made the container
     /// ([`container::Creation::Made`]), handing it the data dropping the
     /// create made for its first writer.
-    pub(crate) fn into_creator(mut self, dropping: container::CreatorDropping) -> PlfsFd {
-        self.creator = Mutex::new(Some(dropping));
-        self
+    pub(crate) fn set_creator(&mut self, dropping: container::CreatorDropping) {
+        *self.creator.get_mut() = Some(dropping);
     }
 
     /// The configuration this fd runs under.
