@@ -65,6 +65,7 @@
 use crate::backing::{join, remove_tree, Backing, BackingFile};
 use crate::error::{Error, Result};
 use crate::index::{observe_timestamp, GlobalIndex, IndexBuilder, IndexEntry, RECORD_SIZE};
+use std::borrow::Cow;
 use std::cell::Cell;
 use std::fmt::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -1002,14 +1003,20 @@ pub fn close_writer(
 /// when a truncate took the pair away under its writer, which then has
 /// nothing to publish; with the whole container gone that is an error, as
 /// it is for a hostdir writer.
-pub fn close_toplevel(b: &dyn Backing, index_path: &str, eof: u64, bytes: u64) -> Result<String> {
-    let closed = closed_index_path(index_path, eof, bytes)?;
-    if closed == index_path {
-        return Ok(closed);
+pub fn close_toplevel<'a>(
+    b: &dyn Backing,
+    index_path: &'a str,
+    eof: u64,
+    bytes: u64,
+) -> Result<Cow<'a, str>> {
+    let name = index_path.rsplit_once('/').map_or("", |(_, n)| n);
+    if parse_index_name(name).and_then(|(_, closed)| closed) == Some((eof, bytes)) {
+        return Ok(Cow::Borrowed(index_path));
     }
+    let closed = closed_index_path(index_path, eof, bytes)?;
     match b.rename(index_path, &closed) {
-        Ok(()) => Ok(closed),
-        Err(Error::NotFound(_)) if b.exists(parent(index_path)) => Ok(index_path.to_string()),
+        Ok(()) => Ok(Cow::Owned(closed)),
+        Err(Error::NotFound(_)) if b.exists(parent(index_path)) => Ok(Cow::Borrowed(index_path)),
         Err(e) => Err(e),
     }
 }

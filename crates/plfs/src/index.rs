@@ -762,16 +762,9 @@ impl GlobalIndex {
 
     /// Resolve a logical byte range into dropping slices, in logical order.
     /// Holes inside EOF come back as `dropping_id: None` (read as zeros);
-    /// the returned slices stop at EOF. Off the base alone the list is
-    /// sized once: `n` extents in range cut into at most `2n + 1` slices.
+    /// the returned slices stop at EOF.
     pub fn resolve(&self, offset: u64, length: u64) -> Vec<ChunkSlice> {
-        let end = offset.saturating_add(length).min(self.eof);
         let mut out = Vec::new();
-        if offset < end && self.overlay.is_empty() {
-            let first = self.base.partition_point(|x| x.end() <= offset);
-            let last = self.base.partition_point(|x| x.start < end);
-            out.reserve_exact(2 * last.saturating_sub(first) + 1);
-        }
         let Ok(()) = self.for_each_slice(offset, length, |s| {
             out.push(s);
             Ok::<(), std::convert::Infallible>(())

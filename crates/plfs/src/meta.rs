@@ -6,22 +6,21 @@
 //! module caches those verdicts per backend path in a sharded map so that
 //! reopen/getattr/access of a warm path costs zero backing metadata ops.
 //!
-//! Correctness under racing mutation is handled with a *clock* protocol
-//! rather than per-entry versions: a reader that is about to probe the
-//! backing store calls [`MetaCache::begin_fill`] to read the cache's clock,
-//! probes, then calls [`MetaCache::complete_fill`] — which installs the
-//! result only if no invalidation of *that path* (unlink/rename/trunc/
-//! create) ticked the clock in between. Each shard remembers its last few
-//! invalidated paths for the check; a fill older than what it remembers is
-//! dropped. A stale probe that lost the race is simply dropped, so the
-//! cache can never resurrect a deleted container's `is_container` verdict,
-//! and a fill of an unrelated path is never lost to it.
+//! Correctness under racing mutation is handled with a *shard generation*
+//! protocol rather than per-entry versions: a reader that is about to probe
+//! the backing store calls [`MetaCache::begin_fill`] to read the cache's
+//! clock, probes, then calls [`MetaCache::complete_fill`] — which installs
+//! the result only if no invalidation (unlink/rename/trunc/create) of a
+//! path in the same shard ticked the clock in between. A stale probe that
+//! lost the race is simply dropped, so the cache can never resurrect a
+//! deleted container's `is_container` verdict.
 //!
 //! Removing or renaming a directory tree invalidates every path under it
 //! without visiting them: the tree's root is recorded with the clock, and
 //! a verdict filled before that tick is checked against the record of each
 //! of its ancestors when it is next looked up. So an `unlink` costs the
-//! same however many verdicts the cache holds.
+//! same however many verdicts the cache holds, and touches no shard but
+//! its own path's.
 //!
 //! The cache also tracks an in-process writer count per container, letting
 //! `getattr` answer "is anyone writing?" without listing the container
@@ -89,13 +88,6 @@ fn hash_path(path: &str) -> u64 {
     h.finish()
 }
 
-/// Invalidations a shard remembers for [`MetaCache::complete_fill`].
-const RECENT: usize = 8;
-
-/// Tree roots remembered before [`MetaCache::invalidate_tree`] ages every
-/// verdict at once instead.
-const TREE_RECORDS: usize = 1024;
-
 /// A cached verdict and the clock it was probed at.
 #[derive(Clone, Copy)]
 struct Slot {
@@ -106,30 +98,13 @@ struct Slot {
 #[derive(Default)]
 struct Shard {
     map: HashMap<String, Slot, FnvBuild>,
-    /// The last [`RECENT`] invalidations of the shard, `(path hash, tick)`,
-    /// in a ring: what a fill begun before them checks its path against.
-    recent: [(u64, u64); RECENT],
-    next: usize,
-    /// The latest tick pushed out of the ring: a fill begun before it
-    /// cannot be checked, and is dropped.
-    forgotten: u64,
+    /// The tick of the shard's latest invalidation: the generation a fill
+    /// begun before it lost the race to (see module docs).
+    invalidated: u64,
 }
 
-impl Shard {
-    /// Record an invalidation of `hash` at `tick`.
-    fn note(&mut self, hash: u64, tick: u64) {
-        let old = std::mem::replace(&mut self.recent[self.next], (hash, tick));
-        self.forgotten = self.forgotten.max(old.1);
-        self.next = (self.next + 1) % RECENT;
-    }
-
-    /// Has `hash` been invalidated since `since` — or may it have been?
-    fn invalidated_since(&self, hash: u64, since: u64) -> bool {
-        self.forgotten > since || self.recent.iter().any(|&(h, t)| t > since && h == hash)
-    }
-}
-
-/// Roots of removed or renamed trees, by path hash, with their ticks.
+/// Roots of removed or renamed trees, by path hash, with their ticks. A
+/// collision only drops a verdict that was still good.
 #[derive(Default)]
 struct Trees {
     roots: HashMap<u64, u64, FnvBuild>,
@@ -159,7 +134,7 @@ impl Trees {
     }
 }
 
-/// Sharded `backend_path → MetaEntry` cache with clock-guarded fills.
+/// Sharded `backend_path → MetaEntry` cache with generation-guarded fills.
 pub struct MetaCache {
     shards: Box<[Mutex<Shard>]>,
     mask: usize,
@@ -169,13 +144,15 @@ pub struct MetaCache {
     /// Ticks once per invalidation; a fill carries the tick it began at.
     clock: AtomicU64,
     trees: Mutex<Trees>,
+    /// Tree roots recorded before they are all let go at once: the cache's
+    /// capacity, so that letting them go re-probes at most one verdict per
+    /// tree invalidated.
+    tree_records: usize,
     /// The tick of the latest tree invalidation: a verdict probed at or
     /// after it needs no check against [`MetaCache::trees`].
     tree_tick: AtomicU64,
-    /// In-process writer counts per container, keyed by the path's hash: a
-    /// collision only overstates a count, which sends `getattr` to its
-    /// slow path, never to a wrong answer.
-    writers: Mutex<HashMap<u64, u64, FnvBuild>>,
+    /// In-process writer counts per container path (open-marker fast path).
+    writers: Mutex<HashMap<String, u64, FnvBuild>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -192,6 +169,7 @@ impl MetaCache {
             shard_capacity,
             clock: AtomicU64::new(0),
             trees: Mutex::default(),
+            tree_records: entries.max(1),
             tree_tick: AtomicU64::new(0),
             writers: Mutex::default(),
             hits: AtomicU64::new(0),
@@ -199,8 +177,8 @@ impl MetaCache {
         }
     }
 
-    fn shard(&self, hash: u64) -> &Mutex<Shard> {
-        &self.shards[(hash as usize) & self.mask]
+    fn shard(&self, path: &str) -> &Mutex<Shard> {
+        &self.shards[(hash_path(path) as usize) & self.mask]
     }
 
     /// The next tick. Ticked under the lock of the shard (or of the tree
@@ -214,7 +192,7 @@ impl MetaCache {
 
     /// Cached verdict for `path`, if present. Counts a hit or miss.
     pub fn lookup(&self, path: &str) -> Option<MetaEntry> {
-        let mut shard = self.shard(hash_path(path)).lock();
+        let mut shard = self.shard(path).lock();
         let got = shard
             .map
             .get_mut(path)
@@ -251,21 +229,20 @@ impl MetaCache {
         true
     }
 
-    /// Read the clock before probing the backing store for `_path`: one
-    /// clock for every path, which [`MetaCache::complete_fill`] checks
-    /// against the path's own invalidations.
+    /// Snapshot the generation — the cache's clock — before probing the
+    /// backing store for `_path`.
     pub fn begin_fill(&self, _path: &str) -> u64 {
+        // a spuriously stale snapshot only drops a fill, never installs one
         // acquire: see tick
         self.clock.load(Ordering::Acquire)
     }
 
-    /// Install a probed verdict, unless an invalidation of `path` raced the
-    /// probe (ticked the clock since [`MetaCache::begin_fill`] returned
+    /// Install a probed verdict, unless an invalidation raced the probe
+    /// (ticked `path`'s shard since [`MetaCache::begin_fill`] returned
     /// `generation`).
     pub fn complete_fill(&self, path: &str, generation: u64, entry: MetaEntry) {
-        let hash = hash_path(path);
-        let mut shard = self.shard(hash).lock();
-        if shard.invalidated_since(hash, generation) {
+        let mut shard = self.shard(path).lock();
+        if shard.invalidated > generation {
             return;
         }
         let slot = Slot {
@@ -284,13 +261,11 @@ impl MetaCache {
         shard.map.insert(path.to_string(), slot);
     }
 
-    /// Drop any verdict for `path` and kill in-flight fills of it. Called
-    /// on unlink, rename (both ends), trunc, and create.
+    /// Drop any verdict for `path` and kill in-flight fills for its shard.
+    /// Called on unlink, rename (both ends), trunc, and create.
     pub fn invalidate(&self, path: &str) {
-        let hash = hash_path(path);
-        let mut shard = self.shard(hash).lock();
-        let tick = self.tick();
-        shard.note(hash, tick);
+        let mut shard = self.shard(path).lock();
+        shard.invalidated = self.tick();
         shard.map.remove(path);
     }
 
@@ -301,18 +276,17 @@ impl MetaCache {
     /// unlink of a container, whose tree goes with it. Occupancy does not
     /// matter: `path` is recorded as a tree root, and a descendant's
     /// verdict probed before it — in flight now or cached — is dropped when
-    /// next looked up. After [`TREE_RECORDS`] roots the records are let go
-    /// and every verdict older than the latest is, the same way.
+    /// next looked up. Past [`MetaCache::tree_records`] roots the records
+    /// are let go, and every verdict probed before now with them.
     pub fn invalidate_tree(&self, path: &str) {
         let root = path.trim_end_matches('/');
         {
             let mut trees = self.trees.lock();
             let tick = self.tick();
-            if root.is_empty() || trees.roots.len() >= TREE_RECORDS {
+            if root.is_empty() || trees.roots.len() >= self.tree_records {
                 trees.roots.clear();
                 trees.floor = tick;
-            }
-            if !root.is_empty() {
+            } else {
                 trees.roots.insert(hash_path(root), tick);
             }
             // release: pairs with the acquire in current
@@ -325,34 +299,35 @@ impl MetaCache {
     /// exists/container verdicts (used at writer close, which changes the
     /// file size but not whether the path is a container).
     pub fn clear_meta(&self, path: &str) {
-        let hash = hash_path(path);
-        let mut shard = self.shard(hash).lock();
-        let tick = self.tick();
-        shard.note(hash, tick);
+        let mut shard = self.shard(path).lock();
+        shard.invalidated = self.tick();
         if let Some(slot) = shard.map.get_mut(path) {
             slot.entry.meta = None;
         }
     }
 
-    /// Bump the in-process writer count for a container.
+    /// Bump the in-process writer count for a container. Only its first
+    /// writer allocates the key.
     pub fn writer_inc(&self, path: &str) -> u64 {
         let mut w = self.writers.lock();
-        let c = w.entry(hash_path(path)).or_insert(0);
-        *c += 1;
-        *c
+        if let Some(c) = w.get_mut(path) {
+            *c += 1;
+            return *c;
+        }
+        w.insert(path.to_string(), 1);
+        1
     }
 
     /// Drop the in-process writer count for a container (returns the new
     /// count; saturates at zero on double-close).
     pub fn writer_dec(&self, path: &str) -> u64 {
-        let key = hash_path(path);
         let mut w = self.writers.lock();
-        match w.get_mut(&key) {
+        match w.get_mut(path) {
             Some(c) => {
                 *c = c.saturating_sub(1);
                 let n = *c;
                 if n == 0 {
-                    w.remove(&key);
+                    w.remove(path);
                 }
                 n
             }
@@ -363,11 +338,7 @@ impl MetaCache {
     /// Writers this process currently has open on `path` (0 = unknown:
     /// other processes may still hold it open).
     pub fn local_writers(&self, path: &str) -> u64 {
-        self.writers
-            .lock()
-            .get(&hash_path(path))
-            .copied()
-            .unwrap_or(0)
+        self.writers.lock().get(path).copied().unwrap_or(0)
     }
 
     /// Lifetime cache hits.
@@ -453,32 +424,28 @@ mod tests {
         assert!(c.lookup("/e").is_some());
     }
 
-    #[test]
-    fn a_tree_invalidation_keeps_fills_of_other_paths() {
-        // One shard: every path shares it, as no shard choice can help.
-        let c = MetaCache::new(64, 1);
-        let g = c.begin_fill("/d");
-        c.invalidate_tree("/c");
-        c.complete_fill("/d", g, entry(true));
-        assert!(c.lookup("/d").is_some(), "an unrelated fill is lost");
-        // So does a point invalidation: only its own path's fill dies.
-        let (gd, ge) = (c.begin_fill("/d/x"), c.begin_fill("/e"));
-        c.invalidate("/e");
-        c.complete_fill("/d/x", gd, entry(true));
-        c.complete_fill("/e", ge, entry(true));
-        assert!(c.lookup("/d/x").is_some());
-        assert!(c.lookup("/e").is_none());
+    /// Two paths whose verdicts live in different shards of `c`.
+    fn apart(c: &MetaCache, a: &'static str, b: &'static str) -> (&'static str, &'static str) {
+        assert!(
+            !std::ptr::eq(c.shard(a), c.shard(b)),
+            "{a} and {b} share a shard"
+        );
+        (a, b)
     }
 
     #[test]
-    fn a_fill_older_than_what_its_shard_remembers_is_dropped() {
-        let c = MetaCache::new(64, 1);
-        let g = c.begin_fill("/a");
-        for i in 0..=RECENT {
-            c.invalidate(&format!("/other{i}"));
-        }
-        c.complete_fill("/a", g, entry(true));
-        assert!(c.lookup("/a").is_none(), "could not be checked");
+    fn a_tree_invalidation_keeps_fills_of_other_paths() {
+        let c = MetaCache::new(64, 16);
+        let (d, gone) = apart(&c, "/d", "/c");
+        let g = c.begin_fill(d);
+        c.invalidate_tree(gone);
+        c.complete_fill(d, g, entry(true));
+        assert!(c.lookup(d).is_some(), "an unrelated fill is lost");
+        // Under the removed tree, a fill in flight is not served.
+        let g = c.begin_fill("/c/hostdir.0");
+        c.invalidate_tree(gone);
+        c.complete_fill("/c/hostdir.0", g, entry(true));
+        assert!(c.lookup("/c/hostdir.0").is_none());
     }
 
     #[test]
@@ -486,9 +453,13 @@ mod tests {
         let c = MetaCache::new(64, 4);
         let g = c.begin_fill("/keep/f");
         c.complete_fill("/keep/f", g, entry(true));
-        for i in 0..=TREE_RECORDS {
+        // As many trees as the cache holds verdicts: nothing is aged.
+        for i in 0..c.tree_records {
             c.invalidate_tree(&format!("/gone{i}"));
         }
+        assert!(c.lookup("/keep/f").is_some());
+        // One more lets the records go, and every verdict older with them.
+        c.invalidate_tree("/gone");
         assert!(c.lookup("/keep/f").is_none());
         let g = c.begin_fill("/keep/f");
         c.complete_fill("/keep/f", g, entry(true));

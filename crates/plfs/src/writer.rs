@@ -28,6 +28,7 @@ use crate::backing::{join, Backing, BackingFile};
 use crate::container::{self, ContainerParams, LayoutMode};
 use crate::error::{Error, Result};
 use crate::index::{encode_compressed, next_timestamp, IndexEntry};
+use std::borrow::Cow;
 use std::cell::Cell;
 use std::sync::Arc;
 
@@ -375,10 +376,9 @@ impl WriteFile {
     pub(crate) fn close_names(&mut self, b: &dyn Backing, container: &str) -> Result<()> {
         let (eof, bytes) = (self.max_eof, self.bytes_written);
         if self.top_level {
-            let name = self.index_path.rsplit_once('/').map_or("", |(_, n)| n);
-            let closed = container::parse_index_name(name).and_then(|(_, closed)| closed);
-            if closed != Some((eof, bytes)) {
-                self.index_path = container::close_toplevel(b, &self.index_path, eof, bytes)?;
+            let closed = container::close_toplevel(b, &self.index_path, eof, bytes)?;
+            if let Cow::Owned(closed) = closed {
+                self.index_path = closed;
             }
             Ok(())
         } else {

@@ -112,6 +112,36 @@ fn small_file_cycle_costs_at_most_13_backing_metadata_ops() {
     }
 }
 
+/// `rm` over a warm directory — a stat and an unlink per file — asks the
+/// backing store nothing but the unlinks, however many containers the
+/// cache remembers removing: each removal leaves the others' verdicts warm.
+#[test]
+fn an_rm_over_a_warm_directory_probes_nothing_again() {
+    let meter = Arc::new(MeterBacking::new(Arc::new(MemBacking::new())));
+    let plfs = Plfs::new(meter.clone() as Arc<dyn Backing>);
+    // Half the cache's default capacity, past any fixed bound on the
+    // removed trees it remembers below that.
+    let paths: Vec<String> = (0..2048).map(|i| format!("/d/f{i}")).collect();
+    plfs.mkdir("/d").unwrap();
+    for p in &paths {
+        let fd = plfs.open(p, CREATE_RW, 1).unwrap();
+        plfs.write(&fd, b"x", 0, 1).unwrap();
+        plfs.close(&fd, 1).unwrap();
+        plfs.getattr(p).unwrap();
+    }
+    for (i, p) in paths.iter().enumerate() {
+        let (_, stat) = cost(&meter, || plfs.getattr(p).unwrap());
+        assert_eq!(
+            stat.metadata_ops(),
+            0,
+            "stat {i} after {i} unlinks: {stat:?}"
+        );
+        let (_, unlink) = cost(&meter, || plfs.unlink(p).unwrap());
+        let probes = unlink.stat + unlink.exists;
+        assert_eq!(probes, 0, "unlink {i}: {unlink:?}");
+    }
+}
+
 /// Who gets which pair is what the code observed: the writer whose open
 /// made the container gets the top-level pair; one that joined it, one
 /// that reopened it and every further rank of the creating fd get hostdir
