@@ -1,6 +1,7 @@
 //! Micro-benchmarks of the interposition overhead — the constant LDPLFS
-//! adds to each POSIX call (fd-table lookup + two lseeks), which the paper
-//! argues is small enough that LDPLFS matches the ROMIO driver.
+//! adds to each POSIX call (an fd-table lookup, and the cursor's atomic
+//! for a cursor call; no call on the layer below), which the paper argues
+//! is small enough that LDPLFS matches the ROMIO driver.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use ldplfs::{LdPlfsBuilder, OpenFlags, PosixLayer, RealPosix, Whence};

@@ -35,7 +35,8 @@ impl LdPlfsBuilder {
         self
     }
 
-    /// Finish, creating the scratch directory on the underlying layer.
+    /// Finish, opening the template reserved fds duplicate on the
+    /// underlying layer.
     pub fn build(self) -> PosixResult<LdPlfs> {
         if self.mounts.is_empty() {
             return Err(Errno::EINVAL);

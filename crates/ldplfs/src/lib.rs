@@ -9,10 +9,13 @@
 //! ([`RealPosix`]) or over the interposing shim ([`LdPlfs`]) — switching
 //! the layer is this crate's equivalent of exporting `LD_PRELOAD`.
 //!
-//! The shim reproduces the paper's two bookkeeping mechanisms exactly
-//! (§III.A): POSIX descriptor synthesis by opening a scratch file, and PLFS
-//! file-pointer maintenance through `lseek` on that descriptor. See
-//! [`shim`] for details.
+//! The paper's bookkeeping (§III.A) — a genuine descriptor reserved per
+//! PLFS open, and a logical cursor over PLFS's positional API — lives once,
+//! in [`open`]: `LdPlfs` and the `LD_PRELOAD` library (`crates/preload`)
+//! run the same fd table and the same body for every call on a container.
+//! Unlike the paper, the cursor is not the reserved descriptor's file
+//! offset moved by `lseek`, so a call on a container makes no call below it
+//! for bookkeeping. See [`shim`] and [`open`] for details.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -36,6 +39,7 @@
 #![warn(missing_docs)]
 
 pub mod config;
+pub mod open;
 pub mod posix;
 pub mod realposix;
 pub mod shim;

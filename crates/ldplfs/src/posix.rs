@@ -104,9 +104,10 @@ pub struct PosixDirent {
 /// The POSIX file API, fd- and cursor-based.
 ///
 /// `read`/`write` advance an implicit per-description cursor; `dup` shares
-/// that cursor between descriptors, as POSIX requires — the LDPLFS shim
-/// leans on this by storing its PLFS cursor in a reserved descriptor of the
-/// underlying layer.
+/// that cursor between descriptors, as POSIX requires. The LDPLFS shim
+/// keeps that contract for containers in [`crate::open`], with a cursor of
+/// its own per open: the paper kept it in a reserved descriptor of the
+/// layer below, moved by `lseek`.
 pub trait PosixLayer: Send + Sync {
     /// `open(2)`.
     fn open(&self, path: &str, flags: OpenFlags, mode: u32) -> PosixResult<Fd>;

@@ -6,29 +6,27 @@
 //! written against `PosixLayer` cannot tell the difference — that is the
 //! paper's whole point.
 //!
-//! The two bookkeeping duties from §III.A are implemented faithfully:
-//!
-//! * **fd synthesis** — each PLFS open also opens a throwaway *scratch file*
-//!   on the underlying layer (the paper uses `/dev/random`), whose genuine
-//!   descriptor is handed to the application and keyed into a lookup table.
-//! * **cursor maintenance** — the PLFS API is positional, POSIX is
-//!   cursor-based. The cursor is kept in the scratch descriptor itself via
-//!   `lseek`: before each op the shim reads it with `lseek(fd, 0, SEEK_CUR)`,
-//!   and after the op it advances it with `lseek(fd, new, SEEK_SET)`. Because
-//!   `dup(2)` shares the open file description, dup'd descriptors share the
-//!   PLFS cursor for free, exactly like real files.
+//! What a call on a container does is [`crate::open`]'s, the dispatcher
+//! the `LD_PRELOAD` library runs too; this type adds the counters and the
+//! trace events. As in the paper (§III.A), every PLFS open reserves a
+//! genuine descriptor of the underlying layer, so the application holds a
+//! number no other file can take: here a `dup` of one template file, made
+//! and unlinked when the shim is built. Unlike the paper, no state is kept
+//! through that descriptor: the cursor is an atomic of the open's, and a
+//! `read`, `write` or `lseek` on a container makes no call on the layer
+//! below.
 
+use crate::open::{Cursor, Dispatcher};
 use crate::posix::{Errno, Fd, OpenFlags, PosixDirent, PosixLayer, PosixResult, PosixStat, Whence};
 use crate::stats::{OpClass, ShimStats};
 use iotrace::{Layer, OpEvent, OpKind};
-use parking_lot::RwLock;
-use plfs::mount::path_has_prefix;
-use plfs::{Plfs, PlfsFd};
+use parking_lot::Mutex;
 use std::cell::Cell;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
+
+pub use crate::open::ShimMount;
 
 thread_local! {
     static VIRTUAL_PID: Cell<Option<u64>> = const { Cell::new(None) };
@@ -52,59 +50,138 @@ pub fn current_pid() -> u64 {
         .unwrap_or(std::process::id() as u64)
 }
 
-/// One configured mount.
-pub struct ShimMount {
-    /// Logical mount-point prefix.
-    pub mount_point: String,
-    /// The PLFS file system serving it.
-    pub plfs: Plfs,
-}
-
-/// Shared state of one PLFS open (shared between dup'd descriptors).
-struct OpenState {
-    mount: usize,
-    plfs_fd: Arc<PlfsFd>,
-    /// Mount-relative logical path (for ftruncate-by-path).
-    logical: String,
-    scratch_path: String,
-    append: bool,
-    /// Live descriptors sharing this state; last close unlinks the scratch.
-    fds: AtomicU32,
-}
-
-/// One shim descriptor: the reserved underlying fd plus the shared state.
-struct Entry {
-    under_fd: Fd,
-    state: Arc<OpenState>,
+/// What `LdPlfs` keeps with an open: its cursor, and the pid that opened
+/// it, whose references every fd of the open holds.
+struct Handle {
+    cursor: AtomicU64,
     pid: u64,
+}
+
+impl Cursor for Handle {
+    fn offset(&self) -> &AtomicU64 {
+        &self.cursor
+    }
 }
 
 /// The interposing POSIX layer (the `libldplfs` analogue).
 pub struct LdPlfs {
     under: Arc<dyn PosixLayer>,
-    mounts: Vec<ShimMount>,
-    table: RwLock<HashMap<Fd, Entry>>,
-    stats: Arc<ShimStats>,
-    scratch_dir: String,
-    scratch_seq: AtomicU64,
+    opens: Dispatcher<Handle>,
+    stats: ShimStats,
+    /// The underlying fd every reserved fd duplicates.
+    template: Mutex<Fd>,
+}
+
+/// The template: a file of the underlying layer, unlinked as soon as it is
+/// open, so it leaves no name behind.
+fn new_template(under: &dyn PosixLayer) -> PosixResult<Fd> {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    // relaxed: a unique name suffix; only atomicity of the add matters
+    let seq = SEQ.fetch_add(1, Ordering::Relaxed);
+    let path = format!("/.ldplfs-template.{}.{seq}", std::process::id());
+    let flags = OpenFlags::RDWR | OpenFlags::CREAT | OpenFlags::EXCL;
+    let fd = under.open(&path, flags, 0o600)?;
+    if let Err(e) = under.unlink(&path) {
+        let _ = under.close(fd);
+        return Err(e);
+    }
+    Ok(fd)
+}
+
+/// A call on the container `$found` finds: `$mine` on it, or `$theirs` on
+/// the layer below. Counted and traced as a `$kind` call either way, the
+/// event built by `$ev` and completed from the result ([`Detail`]).
+macro_rules! call {
+    ($self:ident, $found:expr, $kind:ident, $ev:expr, |$o:ident| $mine:expr, $theirs:expr) => {{
+        let t0 = iotrace::global().start();
+        let (r, hit) = match $found {
+            Some($o) => ($mine, true),
+            None => ($theirs, false),
+        };
+        $self.track(OpKind::$kind, hit, t0, &r, $ev);
+        r
+    }};
+}
+
+/// The [`call!`]s on an open fd: each `name(fd, args) -> T: Kind.event()
+/// => |o| body` is a method running `body` on the open `fd` names, or the
+/// same call on the layer below.
+macro_rules! on_fd {
+    ($self:ident; $($name:ident($fd:ident $(, $arg:ident: $ty:ty)*) -> $ret:ty:
+        $kind:ident $(.$ev:ident($evarg:expr))* => |$o:ident| $mine:expr;)*) => {$(
+        fn $name(&$self, $fd: Fd $(, $arg: $ty)*) -> PosixResult<$ret> {
+            call!($self, $self.opens.get($fd), $kind, |e| e.fd($fd as i64)$(.$ev($evarg))*,
+                |$o| $mine, $self.under.$name($fd $(, $arg)*))
+        }
+    )*};
+}
+
+/// The [`call!`]s on a path: `name(path, args) -> T: Kind.event() => |at|
+/// body` runs `body` on the mount `path` is in, if any.
+macro_rules! on_path {
+    ($self:ident; $($name:ident($path:ident $(, $arg:ident: $ty:ty)*) -> $ret:ty:
+        $kind:ident $(.$ev:ident($evarg:expr))* => |$at:ident| $mine:expr;)*) => {$(
+        fn $name(&$self, $path: &str $(, $arg: $ty)*) -> PosixResult<$ret> {
+            call!($self, $self.opens.resolve($path), $kind, |e| e.path($path)$(.$ev($evarg))*,
+                |$at| $mine, $self.under.$name($path $(, $arg)*))
+        }
+    )*};
+}
+
+/// What a call's value adds to its trace event.
+trait Detail {
+    fn detail<'a>(&self, e: OpEvent<'a>) -> OpEvent<'a> {
+        e
+    }
+}
+
+/// A byte count.
+impl Detail for usize {
+    fn detail<'a>(&self, e: OpEvent<'a>) -> OpEvent<'a> {
+        e.bytes(*self as u64)
+    }
+}
+
+/// An `lseek`'s new offset.
+impl Detail for u64 {
+    fn detail<'a>(&self, e: OpEvent<'a>) -> OpEvent<'a> {
+        e.offset(*self)
+    }
+}
+
+/// A new descriptor.
+impl Detail for Fd {
+    fn detail<'a>(&self, e: OpEvent<'a>) -> OpEvent<'a> {
+        e.fd(*self as i64)
+    }
+}
+
+impl Detail for () {}
+impl Detail for PosixStat {}
+impl Detail for Vec<PosixDirent> {}
+
+/// The counter class of a trace kind.
+fn class(kind: OpKind) -> OpClass {
+    match kind {
+        OpKind::Open => OpClass::Open,
+        OpKind::Read | OpKind::ListRead => OpClass::Read,
+        OpKind::Write | OpKind::ListWrite => OpClass::Write,
+        OpKind::Seek => OpClass::Seek,
+        OpKind::Close => OpClass::Close,
+        _ => OpClass::Meta,
+    }
 }
 
 impl LdPlfs {
-    /// Build a shim over `under` with the given mounts. Creates the scratch
-    /// directory used for fd reservation.
+    /// Build a shim over `under` with the given mounts, opening the
+    /// template reserved fds duplicate.
     pub fn new(under: Arc<dyn PosixLayer>, mounts: Vec<ShimMount>) -> PosixResult<LdPlfs> {
-        let scratch_dir = "/.ldplfs_scratch".to_string();
-        match under.mkdir(&scratch_dir, 0o700) {
-            Ok(()) | Err(Errno(17)) => {}
-            Err(e) => return Err(e),
-        }
+        let template = Mutex::new(new_template(under.as_ref())?);
         Ok(LdPlfs {
             under,
-            mounts,
-            table: RwLock::new(HashMap::new()),
-            stats: Arc::new(ShimStats::default()),
-            scratch_dir,
-            scratch_seq: AtomicU64::new(0),
+            opens: Dispatcher::new(mounts),
+            stats: ShimStats::default(),
+            template,
         })
     }
 
@@ -120,635 +197,146 @@ impl LdPlfs {
 
     /// The configured mounts.
     pub fn mounts(&self) -> &[ShimMount] {
-        &self.mounts
+        self.opens.mounts()
     }
 
-    /// Which mount (if any) serves `path`; returns `(mount index,
-    /// mount-relative logical path)`. Longest prefix wins.
-    fn match_mount(&self, path: &str) -> Option<(usize, String)> {
-        let mut best: Option<(usize, &str)> = None;
-        for (i, m) in self.mounts.iter().enumerate() {
-            if path_has_prefix(path, &m.mount_point)
-                && best.is_none_or(|(b, _)| m.mount_point.len() > self.mounts[b].mount_point.len())
-            {
-                best = Some((i, &m.mount_point));
-            }
-        }
-        best.map(|(i, mp)| {
-            let rel = &path[mp.len()..];
-            let rel = if rel.is_empty() { "/" } else { rel };
-            (i, rel.to_string())
-        })
-    }
-
-    fn entry_state(&self, fd: Fd) -> Option<(Arc<OpenState>, u64)> {
-        let table = self.table.read();
-        table.get(&fd).map(|e| (e.state.clone(), e.pid))
-    }
-
-    /// Count `op` as intercepted (`hit = true`) or forwarded, and — when
-    /// tracing was on at span start — close the span with the event built
-    /// by `ev`, stamped with the hit flag and the span's latency. Called
-    /// after the operation on both paths, so hit AND miss latencies land in
-    /// the shim-layer histograms.
-    fn track<'a>(
+    /// Count the call as intercepted (`hit = true`) or forwarded, and —
+    /// when tracing was on at span start — close the span with the event
+    /// `ev` builds, completed from the result, stamped with the hit flag and
+    /// the span's latency. Called after the operation on both paths, so hit
+    /// AND miss latencies land in the shim-layer histograms.
+    fn track<'a, T: Detail>(
         &self,
-        op: OpClass,
+        kind: OpKind,
         hit: bool,
         t0: Option<Instant>,
-        ev: impl FnOnce() -> OpEvent<'a>,
+        r: &PosixResult<T>,
+        ev: impl FnOnce(OpEvent<'a>) -> OpEvent<'a>,
     ) {
         if hit {
-            self.stats.hit(op);
+            self.stats.hit(class(kind));
         } else {
-            self.stats.miss(op);
+            self.stats.miss(class(kind));
         }
         if let Some(t0) = t0 {
-            iotrace::global().record(t0, ev().hit(hit));
-        }
-    }
-
-    /// Read the PLFS cursor from the reserved descriptor
-    /// (`lseek(fd, 0, SEEK_CUR)`, as in the paper).
-    fn cursor(&self, fd: Fd) -> PosixResult<u64> {
-        self.under.lseek(fd, 0, Whence::Cur)
-    }
-
-    /// Store the PLFS cursor back into the reserved descriptor.
-    fn set_cursor(&self, fd: Fd, off: u64) -> PosixResult<()> {
-        if off > i64::MAX as u64 {
-            return Err(Errno::EINVAL);
-        }
-        self.under.lseek(fd, off as i64, Whence::Set)?;
-        Ok(())
-    }
-
-    fn open_plfs(&self, mount: usize, logical: &str, flags: OpenFlags) -> PosixResult<Fd> {
-        let pid = current_pid();
-        let plfs_fd = self.mounts[mount].plfs.open(logical, flags, pid)?;
-        // Reserve a genuine descriptor by opening a scratch file.
-        let scratch_path = format!(
-            "{}/fd.{}.{}",
-            self.scratch_dir,
-            pid,
-            // relaxed: unique scratch-name suffix; only atomicity of the add matters
-            self.scratch_seq.fetch_add(1, Ordering::Relaxed)
-        );
-        let under_fd =
-            match self
-                .under
-                .open(&scratch_path, OpenFlags::RDWR | OpenFlags::CREAT, 0o600)
-            {
-                Ok(fd) => fd,
-                Err(e) => {
-                    let _ = plfs_fd.close(pid);
-                    return Err(e);
-                }
+            let e = ev(OpEvent::new(Layer::Shim, kind));
+            let e = match r {
+                Ok(v) => v.detail(e),
+                Err(_) => e,
             };
-        let state = Arc::new(OpenState {
-            mount,
-            plfs_fd,
-            logical: logical.to_string(),
-            scratch_path,
-            append: flags.append(),
-            fds: AtomicU32::new(1),
-        });
-        self.table.write().insert(
-            under_fd,
-            Entry {
-                under_fd,
-                state,
-                pid,
-            },
-        );
-        Ok(under_fd)
+            iotrace::global().record(t0, e.hit(hit));
+        }
+    }
+
+    /// A new reserved fd: a `dup` of the template, remade if the
+    /// application closed it.
+    fn reserve(&self) -> PosixResult<Fd> {
+        let mut template = self.template.lock();
+        match self.under.dup(*template) {
+            Err(Errno::EBADF) => {
+                *template = new_template(self.under.as_ref())?;
+                self.under.dup(*template)
+            }
+            reserved => reserved,
+        }
+    }
+}
+
+impl Drop for LdPlfs {
+    fn drop(&mut self) {
+        let _ = self.under.close(*self.template.get_mut());
     }
 }
 
 impl PosixLayer for LdPlfs {
+    on_fd! { self;
+        read(fd, buf: &mut [u8]) -> usize: Read => |o| o.read(buf);
+        write(fd, buf: &[u8]) -> usize: Write => |o| o.write(buf, current_pid());
+        pread(fd, buf: &mut [u8], off: u64) -> usize: Read.offset(off) => |o| o.pread(buf, off);
+        pwrite(fd, buf: &[u8], off: u64) -> usize:
+            Write.offset(off) => |o| o.pwrite(buf, off, current_pid());
+        readv(fd, bufs: &mut [&mut [u8]]) -> usize: ListRead => |o| o.readv(bufs);
+        writev(fd, bufs: &[&[u8]]) -> usize: ListWrite => |o| o.writev(bufs, current_pid());
+        preadv(fd, bufs: &mut [&mut [u8]], off: u64) -> usize:
+            ListRead.offset(off) => |o| o.preadv(bufs, off);
+        pwritev(fd, bufs: &[&[u8]], off: u64) -> usize:
+            ListWrite.offset(off) => |o| o.pwritev(bufs, off, current_pid());
+        lseek(fd, offset: i64, whence: Whence) -> u64: Seek => |o| o.lseek(offset, whence);
+        fsync(fd) -> (): Sync => |o| o.fsync(current_pid());
+        fstat(fd) -> PosixStat: Meta => |o| o.fstat();
+        ftruncate(fd, len: u64) -> (): Trunc.bytes(len) => |o| self.opens.ftruncate(&o, len);
+    }
+
+    on_path! { self;
+        stat(path) -> PosixStat: Meta => |at| self.opens.stat(at);
+        unlink(path) -> (): Meta => |at| self.opens.unlink(at);
+        mkdir(path, mode: u32) -> (): Meta => |at| self.opens.mkdir(at);
+        rmdir(path) -> (): Meta => |at| self.opens.rmdir(at);
+        access(path) -> (): Meta => |at| self.opens.access(at);
+        truncate(path, len: u64) -> (): Trunc.bytes(len) => |at| self.opens.truncate(at, len);
+        readdir(path) -> Vec<PosixDirent>: Meta => |at| self.opens.readdir(at);
+    }
+
     fn open(&self, path: &str, flags: OpenFlags, mode: u32) -> PosixResult<Fd> {
-        let t0 = iotrace::global().start();
-        let (r, hit) = match self.match_mount(path) {
-            Some((m, rel)) => (self.open_plfs(m, &rel, flags), true),
-            None => (self.under.open(path, flags, mode), false),
+        let pid = current_pid();
+        let reserve = || {
+            let cursor = AtomicU64::new(0);
+            Ok((self.reserve()?, Handle { cursor, pid }))
         };
-        self.track(OpClass::Open, hit, t0, || {
-            OpEvent::new(Layer::Shim, OpKind::Open)
-                .path(path)
-                .fd(*r.as_ref().unwrap_or(&-1) as i64)
-        });
-        r
+        call!(
+            self,
+            self.opens.resolve(path),
+            Open,
+            |e| e.path(path),
+            |at| self.opens.open(at, flags, pid, reserve),
+            self.under.open(path, flags, mode)
+        )
     }
 
     fn close(&self, fd: Fd) -> PosixResult<()> {
-        let t0 = iotrace::global().start();
-        let entry = self.table.write().remove(&fd);
-        let (r, hit) = match entry {
-            Some(e) => {
-                // Release both halves unconditionally: a PLFS-side close
-                // error must not leak the reserved descriptor or the scratch
-                // file (and vice versa). The first error is reported.
-                let plfs_res: PosixResult<()> = e
-                    .state
-                    .plfs_fd
-                    .close(e.pid)
-                    .map(|_| ())
-                    .map_err(Errno::from);
-                let under_res = self.under.close(e.under_fd);
-                if e.state.fds.fetch_sub(1, Ordering::AcqRel) == 1 {
-                    let _ = self.under.unlink(&e.state.scratch_path);
-                }
-                (plfs_res.and(under_res), true)
-            }
-            None => (self.under.close(fd), false),
-        };
-        self.track(OpClass::Close, hit, t0, || {
-            OpEvent::new(Layer::Shim, OpKind::Close).fd(fd as i64)
-        });
-        r
-    }
-
-    fn read(&self, fd: Fd, buf: &mut [u8]) -> PosixResult<usize> {
-        let t0 = iotrace::global().start();
-        let (r, hit) = match self.entry_state(fd) {
-            Some((st, _pid)) => {
-                let r = (|| {
-                    let off = self.cursor(fd)?;
-                    let n = st.plfs_fd.read(buf, off)?;
-                    self.set_cursor(fd, off + n as u64)?;
-                    Ok(n)
-                })();
-                (r, true)
-            }
-            None => (self.under.read(fd, buf), false),
-        };
-        self.track(OpClass::Read, hit, t0, || {
-            OpEvent::new(Layer::Shim, OpKind::Read)
-                .fd(fd as i64)
-                .bytes(*r.as_ref().unwrap_or(&0) as u64)
-        });
-        r
-    }
-
-    fn write(&self, fd: Fd, buf: &[u8]) -> PosixResult<usize> {
-        let t0 = iotrace::global().start();
-        let (r, hit) = match self.entry_state(fd) {
-            Some((st, _open_pid)) => {
-                let r = (|| {
-                    let pid = current_pid();
-                    let (off, n) = if st.append {
-                        // O_APPEND: EOF resolution and the write happen
-                        // atomically inside PLFS, so concurrent appenders
-                        // cannot clobber each other (plain size()-then-write
-                        // raced between the two steps).
-                        st.plfs_fd.append(buf, pid)?
-                    } else {
-                        let off = self.cursor(fd)?;
-                        let n = st.plfs_fd.write(buf, off, pid)?;
-                        (off, n)
-                    };
-                    self.set_cursor(fd, off + n as u64)?;
-                    Ok(n)
-                })();
-                (r, true)
-            }
-            None => (self.under.write(fd, buf), false),
-        };
-        self.track(OpClass::Write, hit, t0, || {
-            OpEvent::new(Layer::Shim, OpKind::Write)
-                .fd(fd as i64)
-                .bytes(*r.as_ref().unwrap_or(&0) as u64)
-        });
-        r
-    }
-
-    fn pread(&self, fd: Fd, buf: &mut [u8], off: u64) -> PosixResult<usize> {
-        let t0 = iotrace::global().start();
-        let (r, hit) = match self.entry_state(fd) {
-            Some((st, _)) => (st.plfs_fd.read(buf, off).map_err(Errno::from), true),
-            None => (self.under.pread(fd, buf, off), false),
-        };
-        self.track(OpClass::Read, hit, t0, || {
-            OpEvent::new(Layer::Shim, OpKind::Read)
-                .fd(fd as i64)
-                .offset(off)
-                .bytes(*r.as_ref().unwrap_or(&0) as u64)
-        });
-        r
-    }
-
-    fn pwrite(&self, fd: Fd, buf: &[u8], off: u64) -> PosixResult<usize> {
-        let t0 = iotrace::global().start();
-        let (r, hit) = match self.entry_state(fd) {
-            Some((st, _open_pid)) => {
-                let pid = current_pid();
-                (st.plfs_fd.write(buf, off, pid).map_err(Errno::from), true)
-            }
-            None => (self.under.pwrite(fd, buf, off), false),
-        };
-        self.track(OpClass::Write, hit, t0, || {
-            OpEvent::new(Layer::Shim, OpKind::Write)
-                .fd(fd as i64)
-                .offset(off)
-                .bytes(*r.as_ref().unwrap_or(&0) as u64)
-        });
-        r
-    }
-
-    fn readv(&self, fd: Fd, bufs: &mut [&mut [u8]]) -> PosixResult<usize> {
-        let t0 = iotrace::global().start();
-        let (r, hit) = match self.entry_state(fd) {
-            Some((st, _)) => {
-                let r = (|| {
-                    let total: usize = bufs.iter().map(|b| b.len()).sum();
-                    if total == 0 {
-                        return Ok(0);
-                    }
-                    // readv is contiguous in the file: one list read covers
-                    // the whole vector (one index query), then the bytes are
-                    // scattered over the caller's buffers.
-                    let off = self.cursor(fd)?;
-                    let mut gather = vec![0u8; total];
-                    let n = st.plfs_fd.read_list(&mut gather, &[(off, total as u64)])?;
-                    let mut pos = 0;
-                    for buf in bufs.iter_mut() {
-                        if pos >= n {
-                            break;
-                        }
-                        let take = buf.len().min(n - pos);
-                        buf[..take].copy_from_slice(&gather[pos..pos + take]);
-                        pos += take;
-                    }
-                    self.set_cursor(fd, off + n as u64)?;
-                    Ok(n)
-                })();
-                (r, true)
-            }
-            None => (self.under.readv(fd, bufs), false),
-        };
-        self.track(OpClass::Read, hit, t0, || {
-            OpEvent::new(Layer::Shim, OpKind::ListRead)
-                .fd(fd as i64)
-                .bytes(*r.as_ref().unwrap_or(&0) as u64)
-        });
-        r
-    }
-
-    fn writev(&self, fd: Fd, bufs: &[&[u8]]) -> PosixResult<usize> {
-        let t0 = iotrace::global().start();
-        let (r, hit) = match self.entry_state(fd) {
-            Some((st, _open_pid)) => {
-                let r = (|| {
-                    let total: usize = bufs.iter().map(|b| b.len()).sum();
-                    if total == 0 {
-                        return Ok(0);
-                    }
-                    let pid = current_pid();
-                    // Gather the iovecs into one contiguous extent so the
-                    // whole vector costs a single PLFS index record instead
-                    // of one per buffer.
-                    let mut gather = Vec::with_capacity(total);
-                    for buf in bufs {
-                        gather.extend_from_slice(buf);
-                    }
-                    let (off, n) = if st.append {
-                        st.plfs_fd.append(&gather, pid)?
-                    } else {
-                        let off = self.cursor(fd)?;
-                        let n = st
-                            .plfs_fd
-                            .write_list(&gather, &[(off, total as u64)], pid)?;
-                        (off, n)
-                    };
-                    self.set_cursor(fd, off + n as u64)?;
-                    Ok(n)
-                })();
-                (r, true)
-            }
-            None => (self.under.writev(fd, bufs), false),
-        };
-        self.track(OpClass::Write, hit, t0, || {
-            OpEvent::new(Layer::Shim, OpKind::ListWrite)
-                .fd(fd as i64)
-                .bytes(*r.as_ref().unwrap_or(&0) as u64)
-        });
-        r
-    }
-
-    fn preadv(&self, fd: Fd, bufs: &mut [&mut [u8]], off: u64) -> PosixResult<usize> {
-        let t0 = iotrace::global().start();
-        let (r, hit) = match self.entry_state(fd) {
-            Some((st, _)) => {
-                let r = (|| {
-                    let total: usize = bufs.iter().map(|b| b.len()).sum();
-                    if total == 0 {
-                        return Ok(0);
-                    }
-                    let mut gather = vec![0u8; total];
-                    let n = st.plfs_fd.read_list(&mut gather, &[(off, total as u64)])?;
-                    let mut pos = 0;
-                    for buf in bufs.iter_mut() {
-                        if pos >= n {
-                            break;
-                        }
-                        let take = buf.len().min(n - pos);
-                        buf[..take].copy_from_slice(&gather[pos..pos + take]);
-                        pos += take;
-                    }
-                    Ok(n)
-                })();
-                (r, true)
-            }
-            None => (self.under.preadv(fd, bufs, off), false),
-        };
-        self.track(OpClass::Read, hit, t0, || {
-            OpEvent::new(Layer::Shim, OpKind::ListRead)
-                .fd(fd as i64)
-                .offset(off)
-                .bytes(*r.as_ref().unwrap_or(&0) as u64)
-        });
-        r
-    }
-
-    fn pwritev(&self, fd: Fd, bufs: &[&[u8]], off: u64) -> PosixResult<usize> {
-        let t0 = iotrace::global().start();
-        let (r, hit) = match self.entry_state(fd) {
-            Some((st, _open_pid)) => {
-                let r = (|| {
-                    let total: usize = bufs.iter().map(|b| b.len()).sum();
-                    if total == 0 {
-                        return Ok(0);
-                    }
-                    let pid = current_pid();
-                    let mut gather = Vec::with_capacity(total);
-                    for buf in bufs {
-                        gather.extend_from_slice(buf);
-                    }
-                    Ok(st
-                        .plfs_fd
-                        .write_list(&gather, &[(off, total as u64)], pid)?)
-                })();
-                (r, true)
-            }
-            None => (self.under.pwritev(fd, bufs, off), false),
-        };
-        self.track(OpClass::Write, hit, t0, || {
-            OpEvent::new(Layer::Shim, OpKind::ListWrite)
-                .fd(fd as i64)
-                .offset(off)
-                .bytes(*r.as_ref().unwrap_or(&0) as u64)
-        });
-        r
-    }
-
-    fn lseek(&self, fd: Fd, offset: i64, whence: Whence) -> PosixResult<u64> {
-        let t0 = iotrace::global().start();
-        let (r, hit) = match self.entry_state(fd) {
-            Some((st, _)) => {
-                let r = (|| {
-                    // SEEK_END must use the *logical* PLFS size, not the
-                    // scratch file's (which is empty); resolve here, then
-                    // store.
-                    let cur = self.cursor(fd)?;
-                    let size = st.plfs_fd.size()?;
-                    let target = crate::posix::seek_target(cur, size, offset, whence)?;
-                    self.set_cursor(fd, target)?;
-                    Ok(target)
-                })();
-                (r, true)
-            }
-            None => (self.under.lseek(fd, offset, whence), false),
-        };
-        self.track(OpClass::Seek, hit, t0, || {
-            OpEvent::new(Layer::Shim, OpKind::Seek)
-                .fd(fd as i64)
-                .offset(*r.as_ref().unwrap_or(&0))
-        });
-        r
-    }
-
-    fn fsync(&self, fd: Fd) -> PosixResult<()> {
-        let t0 = iotrace::global().start();
-        let (r, hit) = match self.entry_state(fd) {
-            Some((st, _open_pid)) => {
-                let pid = current_pid();
-                (st.plfs_fd.sync(pid).map_err(Errno::from), true)
-            }
-            None => (self.under.fsync(fd), false),
-        };
-        self.track(OpClass::Meta, hit, t0, || {
-            OpEvent::new(Layer::Shim, OpKind::Sync).fd(fd as i64)
-        });
-        r
+        // Both halves are released whatever the other does; the first error
+        // is reported.
+        call!(
+            self,
+            self.opens.close(fd),
+            Close,
+            |e| e.fd(fd as i64),
+            |o| o.close(o.own.pid).and(self.under.close(fd)),
+            self.under.close(fd)
+        )
     }
 
     fn dup(&self, fd: Fd) -> PosixResult<Fd> {
-        let t0 = iotrace::global().start();
-        let entry = {
-            let table = self.table.read();
-            table.get(&fd).map(|e| (e.state.clone(), e.pid))
+        let dup = |pid| {
+            let new = self.reserve()?;
+            self.opens.dup(fd, new, pid);
+            Ok(new)
         };
-        let (r, hit) = match entry {
-            Some((state, pid)) => {
-                // dup the reserved descriptor: the new fd shares the cursor.
-                let r = self.under.dup(fd).inspect(|&new_under| {
-                    state.plfs_fd.add_ref(pid);
-                    state.fds.fetch_add(1, Ordering::AcqRel);
-                    self.table.write().insert(
-                        new_under,
-                        Entry {
-                            under_fd: new_under,
-                            state,
-                            pid,
-                        },
-                    );
-                });
-                (r, true)
-            }
-            None => (self.under.dup(fd), false),
-        };
-        self.track(OpClass::Meta, hit, t0, || {
-            OpEvent::new(Layer::Shim, OpKind::Meta).fd(fd as i64)
-        });
-        r
-    }
-
-    fn stat(&self, path: &str) -> PosixResult<PosixStat> {
-        let t0 = iotrace::global().start();
-        let (r, hit) = match self.match_mount(path) {
-            Some((m, rel)) => {
-                let r = self.mounts[m]
-                    .plfs
-                    .getattr(&rel)
-                    .map_err(Errno::from)
-                    .map(|st| PosixStat {
-                        size: st.size,
-                        is_dir: st.is_dir,
-                    });
-                (r, true)
-            }
-            None => (self.under.stat(path), false),
-        };
-        self.track(OpClass::Meta, hit, t0, || {
-            OpEvent::new(Layer::Shim, OpKind::Meta).path(path)
-        });
-        r
-    }
-
-    fn fstat(&self, fd: Fd) -> PosixResult<PosixStat> {
-        let t0 = iotrace::global().start();
-        let (r, hit) = match self.entry_state(fd) {
-            Some((st, _)) => {
-                let r = st
-                    .plfs_fd
-                    .size()
-                    .map_err(Errno::from)
-                    .map(|size| PosixStat {
-                        size,
-                        is_dir: false,
-                    });
-                (r, true)
-            }
-            None => (self.under.fstat(fd), false),
-        };
-        self.track(OpClass::Meta, hit, t0, || {
-            OpEvent::new(Layer::Shim, OpKind::Meta).fd(fd as i64)
-        });
-        r
-    }
-
-    fn unlink(&self, path: &str) -> PosixResult<()> {
-        let t0 = iotrace::global().start();
-        let (r, hit) = match self.match_mount(path) {
-            Some((m, rel)) => (self.mounts[m].plfs.unlink(&rel).map_err(Errno::from), true),
-            None => (self.under.unlink(path), false),
-        };
-        self.track(OpClass::Meta, hit, t0, || {
-            OpEvent::new(Layer::Shim, OpKind::Meta).path(path)
-        });
-        r
-    }
-
-    fn mkdir(&self, path: &str, mode: u32) -> PosixResult<()> {
-        let t0 = iotrace::global().start();
-        let (r, hit) = match self.match_mount(path) {
-            Some((m, rel)) => (self.mounts[m].plfs.mkdir(&rel).map_err(Errno::from), true),
-            None => (self.under.mkdir(path, mode), false),
-        };
-        self.track(OpClass::Meta, hit, t0, || {
-            OpEvent::new(Layer::Shim, OpKind::Meta).path(path)
-        });
-        r
-    }
-
-    fn rmdir(&self, path: &str) -> PosixResult<()> {
-        let t0 = iotrace::global().start();
-        let (r, hit) = match self.match_mount(path) {
-            Some((m, rel)) => (self.mounts[m].plfs.rmdir(&rel).map_err(Errno::from), true),
-            None => (self.under.rmdir(path), false),
-        };
-        self.track(OpClass::Meta, hit, t0, || {
-            OpEvent::new(Layer::Shim, OpKind::Meta).path(path)
-        });
-        r
+        call!(
+            self,
+            self.opens.get(fd),
+            Meta,
+            |e| e,
+            |o| dup(o.own.pid),
+            self.under.dup(fd)
+        )
     }
 
     fn rename(&self, from: &str, to: &str) -> PosixResult<()> {
-        let t0 = iotrace::global().start();
-        let (r, hit) = match (self.match_mount(from), self.match_mount(to)) {
-            (Some((mf, rf)), Some((mt, rt))) => {
-                let r = if mf != mt {
-                    Err(Errno::EXDEV)
-                } else {
-                    self.mounts[mf].plfs.rename(&rf, &rt).map_err(Errno::from)
-                };
-                (r, true)
-            }
-            (None, None) => (self.under.rename(from, to), false),
+        let ends = (self.opens.resolve(from), self.opens.resolve(to));
+        let rename = |ends| match ends {
+            (Some(src), Some(dst)) => self.opens.rename(src, dst),
             // Crossing the mount boundary is a different "device".
-            _ => (Err(Errno::EXDEV), true),
+            _ => Err(Errno::EXDEV),
         };
-        self.track(OpClass::Meta, hit, t0, || {
-            OpEvent::new(Layer::Shim, OpKind::Meta).path(from)
-        });
-        r
-    }
-
-    fn access(&self, path: &str) -> PosixResult<()> {
-        let t0 = iotrace::global().start();
-        let (r, hit) = match self.match_mount(path) {
-            Some((m, rel)) => (self.mounts[m].plfs.access(&rel).map_err(Errno::from), true),
-            None => (self.under.access(path), false),
-        };
-        self.track(OpClass::Meta, hit, t0, || {
-            OpEvent::new(Layer::Shim, OpKind::Meta).path(path)
-        });
-        r
-    }
-
-    fn truncate(&self, path: &str, len: u64) -> PosixResult<()> {
-        let t0 = iotrace::global().start();
-        let (r, hit) = match self.match_mount(path) {
-            Some((m, rel)) => (
-                self.mounts[m].plfs.trunc(&rel, len).map_err(Errno::from),
-                true,
-            ),
-            None => (self.under.truncate(path, len), false),
-        };
-        self.track(OpClass::Meta, hit, t0, || {
-            OpEvent::new(Layer::Shim, OpKind::Trunc)
-                .path(path)
-                .bytes(len)
-        });
-        r
-    }
-
-    fn ftruncate(&self, fd: Fd, len: u64) -> PosixResult<()> {
-        let t0 = iotrace::global().start();
-        let (r, hit) = match self.entry_state(fd) {
-            Some((st, _)) => {
-                let r = (|| {
-                    // Quiesce this process's writers before rewriting
-                    // droppings.
-                    st.plfs_fd.reset_writers()?;
-                    Ok(self.mounts[st.mount].plfs.trunc(&st.logical, len)?)
-                })();
-                (r, true)
-            }
-            None => (self.under.ftruncate(fd, len), false),
-        };
-        self.track(OpClass::Meta, hit, t0, || {
-            OpEvent::new(Layer::Shim, OpKind::Trunc)
-                .fd(fd as i64)
-                .bytes(len)
-        });
-        r
-    }
-
-    fn readdir(&self, path: &str) -> PosixResult<Vec<PosixDirent>> {
-        let t0 = iotrace::global().start();
-        let (r, hit) = match self.match_mount(path) {
-            Some((m, rel)) => {
-                let r = self.mounts[m]
-                    .plfs
-                    .readdir(&rel)
-                    .map_err(Errno::from)
-                    .map(|ents| {
-                        ents.into_iter()
-                            .map(|d| PosixDirent {
-                                name: d.name,
-                                is_dir: d.is_dir,
-                            })
-                            .collect()
-                    });
-                (r, true)
-            }
-            None => (self.under.readdir(path), false),
-        };
-        self.track(OpClass::Meta, hit, t0, || {
-            OpEvent::new(Layer::Shim, OpKind::Meta).path(path)
-        });
-        r
+        call!(
+            self,
+            (ends.0.is_some() || ends.1.is_some()).then_some(ends),
+            Meta,
+            |e| e.path(from),
+            |ends| rename(ends),
+            self.under.rename(from, to)
+        )
     }
 }
 
@@ -760,23 +348,45 @@ mod tests {
 
     const CREATE_RW: OpenFlags = OpenFlags(0o2 | 0o100);
 
-    fn shim() -> LdPlfs {
+    fn sandbox() -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!(
             "ldplfs-shim-{}-{}",
             std::process::id(),
             plfs::index::next_timestamp()
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        let under = Arc::new(RealPosix::rooted(dir).unwrap());
-        let plfs = Plfs::new(Arc::new(MemBacking::new()));
-        LdPlfs::new(
-            under,
-            vec![ShimMount {
-                mount_point: "/plfs".to_string(),
-                plfs,
-            }],
-        )
-        .unwrap()
+        dir
+    }
+
+    fn mount(plfs: Plfs) -> Vec<ShimMount> {
+        vec![ShimMount {
+            mount_point: "/plfs".to_string(),
+            plfs,
+        }]
+    }
+
+    /// A shim with `plfs` at `/plfs`, over a `RealPosix` the caller keeps.
+    fn shim_with(plfs: Plfs) -> (LdPlfs, Arc<RealPosix>) {
+        let under = Arc::new(RealPosix::rooted(sandbox()).unwrap());
+        (LdPlfs::new(under.clone(), mount(plfs)).unwrap(), under)
+    }
+
+    fn shim_over_real() -> (LdPlfs, Arc<RealPosix>) {
+        shim_with(Plfs::new(Arc::new(MemBacking::new())))
+    }
+
+    fn shim() -> LdPlfs {
+        shim_over_real().0
+    }
+
+    fn fault(op: plfs::FaultOp, path: &str) -> plfs::FaultRule {
+        plfs::FaultRule {
+            op,
+            path_contains: path.to_string(),
+            after: 0,
+            times: u64::MAX,
+            errno_like: plfs::FaultKind::Io,
+        }
     }
 
     #[test]
@@ -885,19 +495,18 @@ mod tests {
     }
 
     #[test]
-    fn scratch_files_are_cleaned_up() {
-        let s = shim();
+    fn reserved_fds_are_released_on_last_close() {
+        let (s, under) = shim_over_real();
+        let before = under.open_fds();
         let fd = s.open("/plfs/f", CREATE_RW, 0o644).unwrap();
         let fd2 = s.dup(fd).unwrap();
-        assert_eq!(s.underlying().readdir("/.ldplfs_scratch").unwrap().len(), 1);
+        assert_eq!(under.open_fds(), before + 2, "one reserved fd each");
         s.close(fd).unwrap();
-        assert_eq!(
-            s.underlying().readdir("/.ldplfs_scratch").unwrap().len(),
-            1,
-            "scratch survives while a dup is open"
-        );
+        assert_eq!(s.fstat(fd2).unwrap().size, 0, "the open outlives a dup");
         s.close(fd2).unwrap();
-        assert_eq!(s.underlying().readdir("/.ldplfs_scratch").unwrap().len(), 0);
+        assert_eq!(under.open_fds(), before);
+        // The template left no name on the layer below.
+        assert!(under.readdir("/").unwrap().is_empty());
     }
 
     #[test]
@@ -1075,45 +684,98 @@ mod tests {
     }
 
     #[test]
-    fn failed_plfs_close_still_releases_fd_and_scratch() {
+    fn failed_plfs_close_still_releases_fd() {
         // Regression: a PLFS-side close error used to `?`-return before the
-        // reserved descriptor was closed and the scratch file unlinked,
-        // leaking both for the life of the process.
-        let dir = std::env::temp_dir().join(format!(
-            "ldplfs-shim-faulty-{}-{}",
-            std::process::id(),
-            plfs::index::next_timestamp()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let under = Arc::new(RealPosix::rooted(dir).unwrap());
+        // reserved descriptor was closed, leaking it for the life of the
+        // process.
         let faulty = Arc::new(plfs::Faulty::new(Arc::new(MemBacking::new())));
-        let s = LdPlfs::new(
-            under,
-            vec![ShimMount {
-                mount_point: "/plfs".to_string(),
-                plfs: Plfs::new(faulty.clone()),
-            }],
-        )
-        .unwrap();
-
+        let (s, under) = shim_with(Plfs::new(faulty.clone()));
+        let before = under.open_fds();
         let fd = s.open("/plfs/f", CREATE_RW, 0o644).unwrap();
         s.write(fd, b"payload").unwrap();
-        assert_eq!(s.underlying().readdir("/.ldplfs_scratch").unwrap().len(), 1);
-
         // Fail the data-dropping sync that PlfsFd::close performs.
-        faulty.arm(plfs::FaultRule {
-            op: plfs::FaultOp::Meta,
-            path_contains: "dropping.data".to_string(),
-            after: 0,
-            times: u64::MAX,
-            errno_like: plfs::FaultKind::Io,
-        });
+        faulty.arm(fault(plfs::FaultOp::Meta, "dropping.data"));
         assert_eq!(s.close(fd), Err(Errno::EIO), "PLFS close error surfaces");
-
-        // ...but nothing leaked: the reserved fd is gone from the table and
-        // the underlying layer, and the scratch file was unlinked.
+        // ...but nothing leaked: the fd is gone from the table and from the
+        // underlying layer.
         let mut buf = [0u8; 1];
         assert_eq!(s.read(fd, &mut buf), Err(Errno::EBADF));
-        assert_eq!(s.underlying().readdir("/.ldplfs_scratch").unwrap().len(), 0);
+        assert_eq!(under.open_fds(), before);
+    }
+
+    /// `ftruncate` quiesces the open's writers first; when that flush fails
+    /// the call fails with the flush's errno, not a made-up `EBADF`.
+    #[test]
+    fn ftruncate_reports_the_failed_flush_errno() {
+        let faulty = Arc::new(plfs::Faulty::new(Arc::new(MemBacking::new())));
+        let (s, _) = shim_with(Plfs::new(faulty.clone()));
+        let fd = s.open("/plfs/f", CREATE_RW, 0o644).unwrap();
+        s.write(fd, b"payload").unwrap();
+        faulty.arm(fault(plfs::FaultOp::Write, "dropping.index"));
+        assert_eq!(s.ftruncate(fd, 2), Err(Errno::EIO));
+        faulty.disarm();
+        let _ = s.close(fd);
+    }
+
+    /// A `PosixLayer` that counts the calls it forwards to a `RealPosix`.
+    struct Counting(RealPosix, AtomicU64);
+
+    macro_rules! counted {
+        ($($name:ident($($arg:ident: $ty:ty),*) -> $ret:ty;)*) => {$(
+            fn $name(&self, $($arg: $ty),*) -> PosixResult<$ret> {
+                self.1.fetch_add(1, Ordering::Relaxed);
+                self.0.$name($($arg),*)
+            }
+        )*};
+    }
+
+    impl PosixLayer for Counting {
+        counted! {
+            open(path: &str, flags: OpenFlags, mode: u32) -> Fd;
+            close(fd: Fd) -> ();
+            read(fd: Fd, buf: &mut [u8]) -> usize;
+            write(fd: Fd, buf: &[u8]) -> usize;
+            pread(fd: Fd, buf: &mut [u8], off: u64) -> usize;
+            pwrite(fd: Fd, buf: &[u8], off: u64) -> usize;
+            lseek(fd: Fd, offset: i64, whence: Whence) -> u64;
+            fsync(fd: Fd) -> ();
+            dup(fd: Fd) -> Fd;
+            stat(path: &str) -> PosixStat;
+            fstat(fd: Fd) -> PosixStat;
+            unlink(path: &str) -> ();
+            mkdir(path: &str, mode: u32) -> ();
+            rmdir(path: &str) -> ();
+            rename(from: &str, to: &str) -> ();
+            access(path: &str) -> ();
+            truncate(path: &str, len: u64) -> ();
+            ftruncate(fd: Fd, len: u64) -> ();
+            readdir(path: &str) -> Vec<PosixDirent>;
+        }
+    }
+
+    /// The paper kept the cursor in the reserved fd: two `lseek`s on the
+    /// layer below per cursor call. A container call now makes none.
+    #[test]
+    fn container_calls_make_no_call_below() {
+        let under = Arc::new(Counting(
+            RealPosix::rooted(sandbox()).unwrap(),
+            AtomicU64::new(0),
+        ));
+        let plfs = Plfs::new(Arc::new(MemBacking::new()));
+        let s = LdPlfs::new(under.clone(), mount(plfs)).unwrap();
+        let fd = s.open("/plfs/f", CREATE_RW, 0o644).unwrap();
+        let calls = || under.1.load(Ordering::Relaxed);
+        let before = calls();
+        let mut buf = [0u8; 4];
+        assert_eq!(s.write(fd, b"abcdef").unwrap(), 6);
+        assert_eq!(s.lseek(fd, 1, Whence::Set).unwrap(), 1);
+        assert_eq!(s.read(fd, &mut buf).unwrap(), 4);
+        assert_eq!(s.pwrite(fd, b"XY", 6).unwrap(), 2);
+        assert_eq!(s.pread(fd, &mut buf, 4).unwrap(), 4);
+        assert_eq!(&buf, b"efXY");
+        assert_eq!(s.fstat(fd).unwrap().size, 8);
+        assert_eq!(s.lseek(fd, -1, Whence::End).unwrap(), 7);
+        assert_eq!(calls(), before, "container calls reached the layer below");
+        s.close(fd).unwrap();
     }
 }

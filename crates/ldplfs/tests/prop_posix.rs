@@ -4,7 +4,8 @@
 //! The heart of LDPLFS is cursor bookkeeping. These tests drive random
 //! op sequences through (a) an in-memory reference file model, (b) the
 //! real POSIX layer, and (c) the LDPLFS shim over a PLFS mount — all three
-//! must agree on every return value and every byte.
+//! must agree on every return value and every byte. The ops alternate
+//! between two descriptors of one open (`Dup`), which share its cursor.
 
 use ldplfs::{LdPlfsBuilder, OpenFlags, PosixLayer, RealPosix, Whence};
 use plfs::{MemBacking, Plfs};
@@ -20,6 +21,10 @@ enum Op {
     SeekEnd(i64),
     PWrite(Vec<u8>, u64),
     PRead(usize, u64),
+    /// Go on through the other descriptor of the open.
+    Dup,
+    Writev(Vec<Vec<u8>>),
+    Readv(Vec<usize>),
 }
 
 fn ops(max: usize) -> impl Strategy<Value = Vec<Op>> {
@@ -33,6 +38,10 @@ fn ops(max: usize) -> impl Strategy<Value = Vec<Op>> {
             (prop::collection::vec(any::<u8>(), 1..32), 0u64..512)
                 .prop_map(|(d, o)| Op::PWrite(d, o)),
             ((1usize..32), 0u64..512).prop_map(|(n, o)| Op::PRead(n, o)),
+            Just(Op::Dup),
+            prop::collection::vec(prop::collection::vec(any::<u8>(), 1..16), 1..4)
+                .prop_map(Op::Writev),
+            prop::collection::vec(1usize..24, 1..4).prop_map(Op::Readv),
         ],
         1..max,
     )
@@ -101,19 +110,43 @@ impl Model {
                 let end = (start + n).min(self.data.len());
                 (Some(self.data[start..end].to_vec()), None)
             }
+            // Both descriptors share the one cursor.
+            Op::Dup => (None, None),
+            Op::Writev(bufs) => self.apply(&Op::Write(bufs.concat())),
+            Op::Readv(lens) => self.apply(&Op::Read(lens.iter().sum())),
         }
     }
 }
 
 fn drive(layer: &Arc<dyn PosixLayer>, path: &str, ops: &[Op]) -> (Vec<u8>, Vec<String>) {
     let mut log = Vec::new();
-    let fd = layer
+    let first = layer
         .open(path, OpenFlags::RDWR | OpenFlags::CREAT, 0o644)
         .unwrap();
+    let fds = [first, layer.dup(first).unwrap()];
+    let mut fd = first;
     let mut model = Model::default();
     for op in ops {
         let (want_data, want_val) = model.apply(op);
         match op {
+            Op::Dup => {
+                fd = if fd == fds[0] { fds[1] } else { fds[0] };
+                log.push("dup".into());
+            }
+            Op::Writev(bufs) => {
+                let bufs: Vec<&[u8]> = bufs.iter().map(|b| b.as_slice()).collect();
+                let n = layer.writev(fd, &bufs).unwrap();
+                log.push(format!("writev {n}"));
+                assert_eq!(n as u64, want_val.unwrap());
+            }
+            Op::Readv(lens) => {
+                let mut bufs: Vec<Vec<u8>> = lens.iter().map(|&n| vec![0u8; n]).collect();
+                let mut slices: Vec<&mut [u8]> =
+                    bufs.iter_mut().map(|b| b.as_mut_slice()).collect();
+                let got = layer.readv(fd, &mut slices).unwrap();
+                log.push(format!("readv {got}"));
+                assert_eq!(&bufs.concat()[..got], want_data.unwrap().as_slice());
+            }
             Op::Write(d) => {
                 let n = layer.write(fd, d).unwrap();
                 log.push(format!("write {n}"));
@@ -166,7 +199,9 @@ fn drive(layer: &Arc<dyn PosixLayer>, path: &str, ops: &[Op]) -> (Vec<u8>, Vec<S
         let n = layer.pread(fd, &mut all, 0).unwrap();
         all.truncate(n);
     }
-    layer.close(fd).unwrap();
+    for fd in fds {
+        layer.close(fd).unwrap();
+    }
     assert_eq!(all, model.data, "final contents match the model");
     (all, log)
 }

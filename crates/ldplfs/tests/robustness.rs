@@ -113,7 +113,7 @@ fn tracked_fd_vectored_ops_route_to_plfs_not_backing() {
     assert_eq!(&a, b"123");
     assert_eq!(&b, b"45678");
     s.close(fd).unwrap();
-    // The bytes live in a PLFS container, not in the scratch/backing file:
+    // The bytes live in a PLFS container, not in the reserved/backing fd:
     // before the shim grew vectored overrides, readv/writev fell through to
     // the reserved (empty) backing fd and silently returned its contents.
     assert!(s.mounts()[0].plfs.is_container("/vec.bin"));

@@ -9,7 +9,8 @@
 //! * [`LdplfsDriver`] — the same PLFS container semantics reached through
 //!   the LDPLFS shim: identical file layout plus the shim's small per-call
 //!   bookkeeping (fd table lookup and two `lseek`s) and one scratch-file
-//!   open per rank.
+//!   open per rank. This models the paper's C library; `ldplfs` itself
+//!   keeps the cursor without a call below it (DESIGN.md §13).
 //! * [`FuseDriver`] — PLFS behind the FUSE kernel module: every transfer is
 //!   chopped into kernel-sized requests funnelled through a per-node FUSE
 //!   daemon, paying context switches and an extra copy.
@@ -614,7 +615,9 @@ impl AdioDriver for PlfsRomioDriver {
 
 /// PLFS reached through the LDPLFS shim: same container, plus the shim's
 /// bookkeeping (fd-table lookup, two `lseek`s on the reserved descriptor)
-/// and a scratch-file open per rank at open time.
+/// and a scratch-file open per rank at open time. The costs are those of
+/// the paper's C library, whose cursor is the reserved fd's file offset;
+/// `ldplfs::open` makes neither call.
 pub struct LdplfsDriver {
     container: PlfsContainer,
     /// Shim bookkeeping per operation (s): hash lookup + 2 local lseeks.

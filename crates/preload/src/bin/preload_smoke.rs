@@ -9,7 +9,7 @@
 //! bytes): `fstat`, `movers`, `mmap`, `stdio`, `dup`, `dup2-writer`,
 //! `dup2-self`, `close-error`, `truncate`, `cloexec`, `fcntl-dup`, `fork`,
 //! `fork-exec`, `fork-first`, `close-range`, `chdir`, `backing-root`,
-//! `negative-offset` — see each `check_*`. `preload-smoke
+//! `negative-offset`, `seek-overflow` — see each `check_*`. `preload-smoke
 //! calls-KIND N [CONTAINER]` makes N calls of one kind and nothing else
 //! that grows with N, for a syscall
 //! counter to difference two runs of (`plfs-tools syscalls`): `write` (N
@@ -520,6 +520,24 @@ fn check_negative_offset(container: &str, twin_path: &str, twin: &[u8]) {
         assert_eq!(end, twin.len() as i64, "lseek(SEEK_END) on {path}");
         drop(f);
         assert!(fs::read(path).expect("read back") == twin, "{path} changed");
+    }
+}
+
+/// A seek past `off_t` is `EINVAL`, from the cursor and from the end
+/// alike, and leaves the cursor where it was.
+fn check_seek_overflow(container: &str) {
+    const SEEK_CUR: c_int = 1;
+    const SEEK_END: c_int = 2;
+    let f = fs::File::open(container).expect("open container");
+    let fd = f.as_raw_fd();
+    assert_eq!(unsafe { lseek(fd, i64::MAX, 0) }, i64::MAX, "SEEK_SET");
+    for (off, whence, name) in [(1, SEEK_CUR, "SEEK_CUR"), (i64::MAX, SEEK_END, "SEEK_END")] {
+        assert_eq!(
+            (unsafe { lseek(fd, off, whence) }, errno()),
+            (-1, EINVAL),
+            "{name} past off_t on {container}"
+        );
+        assert_eq!(unsafe { lseek(fd, 0, SEEK_CUR) }, i64::MAX, "{name}");
     }
 }
 
@@ -1111,6 +1129,7 @@ fn main() {
             "chdir" => check_chdir(container, &twin),
             "backing-root" => check_backing_root(&twin),
             "negative-offset" => check_negative_offset(container, twin_path, &twin),
+            "seek-overflow" => check_seek_overflow(container),
             other => panic!("unknown mode {other}"),
         }
         println!("preload smoke {mode} OK");

@@ -29,12 +29,18 @@
 //! backing store, without even a lookup (the `InPlfs` latch; DESIGN.md
 //! §13), which is also what lets the backend directory sit under the mount.
 //!
-//! As in the paper, every PLFS open reserves a *genuine* kernel fd, so the
-//! application holds a descriptor number no other file can take. Unlike the
-//! paper, the shim keeps no state through that fd: a call on a container
-//! makes no syscall the container does not need (DESIGN.md §13).
+//! What a call on a container does — the fd table, the cursor, one body
+//! per call — is `ldplfs::open`'s, the dispatcher `ldplfs::LdPlfs` runs
+//! too. This crate is the C veneer around it: the `extern "C"` symbols and
+//! their panic barrier, the next-in-chain passthrough (a C pointer becomes
+//! a Rust slice only on a container call), the `InPlfs` latch, and what
+//! only a process-wide library has to give the dispatcher:
 //!
-//! * The reserved fd is `fcntl(F_DUPFD)` — `F_DUPFD_CLOEXEC` when the open
+//! * As in the paper, every PLFS open reserves a *genuine* kernel fd, so the
+//!   application holds a descriptor number no other file can take. Unlike
+//!   the paper, no state is kept through that fd: a call on a container
+//!   makes no syscall the container does not need (DESIGN.md §13). The
+//!   reserved fd is `fcntl(F_DUPFD)` — `F_DUPFD_CLOEXEC` when the open
 //!   asked for `O_CLOEXEC` — of one process-private template memfd, made
 //!   at the first open: one syscall and no new kernel file per open. (The
 //!   paper opened `/dev/random`; the template is never a device node,
@@ -70,10 +76,10 @@
 //! unwritten index records.
 //!
 //! Every open, read-only ones included, is registered the same way: the
-//! reserved fd holds *no data* and reads are served by `PlfsFd::read`
-//! straight into the caller's buffer. For I/O that passes no interposed
-//! symbol: stdio streams over the mount are `fopencookie` streams on the
-//! shim's own read/seek/close (so `fileno()` is -1); `mmap` of a read-only
+//! reserved fd holds *no data* and reads are served by PLFS straight into
+//! the caller's buffer. For I/O that passes no interposed symbol: stdio
+//! streams over the mount are `fopencookie` streams on the shim's own
+//! read/seek/close (so `fileno()` is -1); `mmap` of a read-only
 //! fd fills a memfd of its own with the container's bytes once, on demand,
 //! and maps that (a writable fd fails `ENODEV`); the kernel's fd-to-fd
 //! movers answer `EXDEV`/`EINVAL`. See DESIGN.md.
@@ -92,16 +98,17 @@
 
 #![allow(clippy::missing_safety_doc)]
 
-use parking_lot::{Mutex, MutexGuard, RwLock, RwLockWriteGuard};
-use plfs::meta::{Fnv, FnvBuild};
-use plfs::{OpenFlags, Plfs, PlfsFd, RealBacking};
+use ldplfs::open::{At, Cursor, Dispatcher, Open, ShimMount};
+use ldplfs::{Errno, OpenFlags, PosixResult, Whence};
+use parking_lot::{Mutex, MutexGuard, RwLockWriteGuard};
+use plfs::meta::Fnv;
+use plfs::{Plfs, PlfsFd, RealBacking};
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 use std::ffi::CStr;
 use std::hash::Hasher;
 use std::ops::Deref;
 use std::os::raw::{c_char, c_int, c_uint, c_void};
-use std::sync::atomic::{AtomicI32, AtomicPtr, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI32, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 // ---------------------------------------------------------------------------
@@ -117,12 +124,8 @@ pub(crate) type ModeT = c_uint;
 const RTLD_NEXT: *mut c_void = -1isize as *mut c_void;
 const AT_FDCWD: c_int = -100;
 
-const O_ACCMODE: c_int = 0o3;
 const O_CREAT: c_int = 0o100;
-const O_EXCL: c_int = 0o200;
 const O_TRUNC: c_int = 0o1000;
-const O_APPEND: c_int = 0o2000;
-const O_DIRECTORY: c_int = 0o200000;
 const O_CLOEXEC: c_int = 0o2000000;
 
 const F_DUPFD: c_int = 0;
@@ -143,7 +146,6 @@ const EBADF: c_int = 9;
 const ENOMEM: c_int = 12;
 const EXDEV: c_int = 18;
 const ENODEV: c_int = 19;
-const ENOTDIR: c_int = 20;
 const EINVAL: c_int = 22;
 
 extern "C" {
@@ -180,7 +182,7 @@ fn errno() -> c_int {
 ///
 /// `AssertUnwindSafe` is sound because nothing is resumed after a catch:
 /// the process-global shim state is lock-guarded (parking_lot poisons
-/// nothing) and a torn `OpenState` at worst fails subsequent calls with
+/// nothing) and a torn open at worst fails subsequent calls with
 /// EBADF, never UB.
 ///
 /// An interposed symbol names its next-in-chain twin, `name: Type(args)`:
@@ -257,14 +259,11 @@ type FdopenFn = unsafe extern "C" fn(c_int, *const c_char) -> *mut c_void;
 // Shim state.
 // ---------------------------------------------------------------------------
 
-/// One PLFS open; `dup`'d fds share it, as they would share an ordinary
-/// file's open file description.
-struct OpenState {
-    plfs_fd: Arc<PlfsFd>,
-    append: bool,
-    /// `fake_ino` of the path opened, so fstat agrees with path-stat.
-    ino: u64,
-    cursor: Cursor,
+/// What the shim keeps with a PLFS open (the rest is [`Open`]'s): `dup`'d
+/// fds share it, as they would share an ordinary file's open file
+/// description.
+struct Own {
+    slot: Slot,
     /// The memfd a read-only `mmap` maps: made and filled with the
     /// container's bytes by the first one, once per open.
     map: Mutex<Option<c_int>>,
@@ -278,13 +277,16 @@ struct OpenState {
 /// Forks into this process: the child handler of each `fork` counts one.
 static FORKS: AtomicU64 = AtomicU64::new(0);
 
-impl OpenState {
-    fn new(plfs_fd: Arc<PlfsFd>, append: bool, ino: u64, cursor: Cursor) -> OpenState {
-        OpenState {
-            plfs_fd,
-            append,
-            ino,
-            cursor,
+impl Cursor for Own {
+    fn offset(&self) -> &AtomicU64 {
+        self.slot.at
+    }
+}
+
+impl Own {
+    fn new(slot: Slot) -> Own {
+        Own {
+            slot,
             map: Mutex::new(None),
             // relaxed: a count read in this process alone; see adopt
             forks: AtomicU64::new(FORKS.load(Ordering::Relaxed)),
@@ -299,15 +301,15 @@ impl OpenState {
         self.forks.load(Ordering::Acquire) == FORKS.load(Ordering::Relaxed)
     }
 
-    /// Adopt an open inherited across a `fork`, once, before anything else
-    /// of this process uses it: its references become this pid's and the
-    /// parent's writers are dropped unwritten ([`PlfsFd::forked`]). Done at
-    /// the child's first call on the open, not in the fork's child handler:
-    /// a child that only `exec`s takes no PLFS lock, any of which another of
-    /// its parent's threads may have held at the fork. Called inside PLFS
-    /// only ([`InPlfs`]).
+    /// Adopt `plfs`, an open inherited across a `fork`, once, before
+    /// anything else of this process uses it: its references become this
+    /// pid's and the parent's writers are dropped unwritten
+    /// ([`PlfsFd::forked`]). Done at the child's first call on the open,
+    /// not in the fork's child handler: a child that only `exec`s takes no
+    /// PLFS lock, any of which another of its parent's threads may have
+    /// held at the fork. Called inside PLFS only ([`InPlfs`]).
     // signal-safe: every caller is inside PLFS, so a handler's interposed call goes straight to libc and never waits on `adopting`
-    fn adopt(&self) {
+    fn adopt(&self, plfs: &PlfsFd) {
         if self.ours() {
             return;
         }
@@ -316,14 +318,14 @@ impl OpenState {
         let now = FORKS.load(Ordering::Relaxed);
         // relaxed: `adopting` orders this against the adopter that stored it
         if self.forks.load(Ordering::Relaxed) != now {
-            self.plfs_fd.forked(pid());
+            plfs.forked(pid());
             // release: a thread that sees the count sees the adoption
             self.forks.store(now, Ordering::Release);
         }
     }
 }
 
-impl Drop for OpenState {
+impl Drop for Own {
     fn drop(&mut self) {
         if let Some(fd) = *self.map.get_mut() {
             // A mapping holds its own reference to the file.
@@ -334,43 +336,15 @@ impl Drop for OpenState {
     }
 }
 
-/// Registered fd → its open. Descriptors are the kernel's small numbers,
-/// hashed with FNV: no random keys to draw.
-type Table = HashMap<c_int, Arc<OpenState>, FnvBuild>;
-
 struct Shim {
-    mount: String,
-    plfs: Plfs,
+    /// The mount and the fd table: what every container call runs.
+    opens: Dispatcher<Own>,
     /// The real backing under the mount. It holds its root directory's
     /// descriptor, which every PLFS op resolves its path against: the
     /// shim's own, like the template, guarded from the application
     /// ([`root_at`]).
     root: Arc<RealBacking>,
-    /// The fd table, behind a pointer so that a fork's child can move it to
-    /// a lock of its own ([`renew_table`]); a table left behind is leaked.
-    table: AtomicPtr<RwLock<Table>>,
 }
-
-impl Shim {
-    fn table(&self) -> &RwLock<Table> {
-        // SAFETY: the pointer is always a leaked `Box`, never freed.
-        // acquire: pairs with renew_table's release
-        unsafe { &*self.table.load(Ordering::Acquire) }
-    }
-
-    /// Change the table under [`TABLE_MUTATION`]. What `f` returns — a
-    /// replaced or removed open among it — is dropped by the caller, after
-    /// both locks.
-    fn mutate<R>(&self, f: impl FnOnce(&mut Table) -> R) -> R {
-        let _one = TABLE_MUTATION.lock();
-        f(&mut self.table().write())
-    }
-}
-
-/// Held around every change to the fd table, and by a forking thread
-/// across the `fork`: the child's copy of the table is never caught half
-/// changed, whatever readers its lock shows.
-static TABLE_MUTATION: Mutex<()> = Mutex::new(());
 
 static SHIM: OnceLock<Option<Shim>> = OnceLock::new();
 
@@ -467,25 +441,14 @@ fn init_shim() -> Option<Shim> {
             mode: plfs::LayoutMode::Both,
         });
     }
-    Some(Shim {
-        mount,
+    let mount = ShimMount {
+        mount_point: mount,
         plfs,
+    };
+    Some(Shim {
+        opens: Dispatcher::new(vec![mount]),
         root,
-        table: AtomicPtr::new(Box::leak(Box::new(RwLock::new(Table::default())))),
     })
-}
-
-/// Mount-relative logical path, if `path` is inside the mount.
-fn logical<'a>(shim: &Shim, path: &'a str) -> Option<&'a str> {
-    let m = &shim.mount;
-    if path == m {
-        return Some("/");
-    }
-    let rest = path.strip_prefix(m.as_str())?;
-    if !rest.starts_with('/') {
-        return None;
-    }
-    Some(rest)
 }
 
 unsafe fn cstr<'a>(p: *const c_char) -> Option<&'a str> {
@@ -493,6 +456,15 @@ unsafe fn cstr<'a>(p: *const c_char) -> Option<&'a str> {
         return None;
     }
     CStr::from_ptr(p).to_str().ok()
+}
+
+/// The shim, and where in the mount `path` is, if it is inside it.
+///
+/// # Safety
+/// `path` is null or a NUL-terminated string that outlives `'a`.
+unsafe fn resolve<'a>(path: *const c_char) -> Option<(&'static Shim, At<'a>)> {
+    let sh = shim()?;
+    Some((sh, sh.opens.resolve(cstr(path)?)?))
 }
 
 /// The kernel file every reserved fd duplicates: a memfd private to this
@@ -582,14 +554,14 @@ static SLOTS: Mutex<Slots> = Mutex::new(Slots {
 
 /// A registered open's file offset: one slot, shared by every fd `dup`
 /// made of the open and, across `fork`, by parent and child.
-struct Cursor {
+struct Slot {
     at: &'static AtomicU64,
     epoch: u64,
 }
 
-impl Cursor {
+impl Slot {
     /// A fresh slot at offset 0; `None` if no page could be mapped.
-    fn take() -> Option<Cursor> {
+    fn take() -> Option<Slot> {
         let mut slots = SLOTS.lock();
         let addr = match slots.free.pop() {
             Some(addr) => addr,
@@ -623,24 +595,14 @@ impl Cursor {
         let at: &'static AtomicU64 = unsafe { &*(addr as *const AtomicU64) };
         // relaxed: the slot is this cursor's alone until the open is registered
         at.store(0, Ordering::Relaxed);
-        Some(Cursor {
+        Some(Slot {
             at,
             epoch: slots.epoch,
         })
     }
-
-    fn get(&self) -> OffT {
-        // relaxed: a cursor orders nothing but itself; racing calls on one open may both see one offset, as with a kernel file offset read and set by lseek
-        self.at.load(Ordering::Relaxed) as OffT
-    }
-
-    fn set(&self, off: OffT) {
-        // relaxed: see Cursor::get
-        self.at.store(off as u64, Ordering::Relaxed);
-    }
 }
 
-impl Drop for Cursor {
+impl Drop for Slot {
     fn drop(&mut self) {
         let mut slots = SLOTS.lock();
         if slots.epoch == self.epoch {
@@ -667,13 +629,13 @@ fn pid() -> u64 {
 
 /// What the forking thread holds across a `fork`.
 type HeldAtFork = (
-    MutexGuard<'static, ()>,
+    Option<MutexGuard<'static, ()>>,
     MutexGuard<'static, Slots>,
     Option<RwLockWriteGuard<'static, ()>>,
 );
 
 thread_local! {
-    /// [`TABLE_MUTATION`], [`SLOTS`] and the backing root's
+    /// The fd table's [`Dispatcher::hold`], [`SLOTS`] and the backing root's
     /// [`RealBacking::pause`], held by the forking thread from
     /// `pthread_atfork`'s prepare handler to its parent or child handler:
     /// neither side's copy of the fd table or the slot allocator can be
@@ -688,23 +650,23 @@ thread_local! {
 // plfs-lint: allow(ffi-barrier, "pthread_atfork handler returns (); has its own catch_unwind, errno is meaningless here")
 extern "C" fn before_fork() {
     let _ = std::panic::catch_unwind(|| {
-        if let Some(Some(sh)) = SHIM.get() {
+        let sh = SHIM.get().and_then(Option::as_ref);
+        if let Some(sh) = sh {
             let _in_plfs = InPlfs::enter();
-            let opens: Vec<Arc<OpenState>> = sh.table().read().values().cloned().collect();
             // An open inherited and not adopted holds its parent's writers,
             // which are not this process's to write.
-            for st in opens.iter().filter(|st| st.ours()) {
+            for st in sh.opens.opens().iter().filter(|st| st.own.ours()) {
                 // Best effort: a failed flush leaves the child unable to
                 // read those bytes, never other bytes.
-                let _ = st.plfs_fd.flush_index();
+                let _ = st.plfs().flush_index();
             }
         }
-        let (one, slots) = (TABLE_MUTATION.lock(), SLOTS.lock());
-        let root = match SHIM.get() {
-            Some(Some(sh)) => Some(sh.root.pause()),
-            _ => None,
-        };
-        HELD_AT_FORK.with(|h| *h.borrow_mut() = Some((one, slots, root)));
+        let held = (
+            sh.map(|sh| sh.opens.hold()),
+            SLOTS.lock(),
+            sh.map(|sh| sh.root.pause()),
+        );
+        HELD_AT_FORK.with(|h| *h.borrow_mut() = Some(held));
     });
 }
 
@@ -729,7 +691,7 @@ extern "C" fn after_fork_in_parent() {
 }
 
 /// `pthread_atfork` child: a new pid; one more fork counted, so that each
-/// inherited open is adopted at its first use ([`OpenState::adopt`]); the
+/// inherited open is adopted at its first use ([`Own::adopt`]); the
 /// fd table on a lock of its own if need be; slots from pages of its own.
 /// Waits on no lock and makes no PLFS call: a child that only `exec`s
 /// runs no PLFS code.
@@ -739,59 +701,92 @@ extern "C" fn after_fork_in_child() {
         PID.store(0, Ordering::Relaxed); // relaxed: this thread is the child's only one
         FORKS.fetch_add(1, Ordering::Relaxed); // relaxed: as above
         if let Some(Some(sh)) = SHIM.get() {
-            renew_table(sh);
+            sh.opens.renew();
         }
         release_at_fork(true);
     });
 }
 
-/// In a fork's child, whose only thread this is: the fd table's lock is
-/// as the parent's threads left it, and one that was reading the table at
-/// the fork holds it forever here — the child's first `close` would wait
-/// on it. Unless the lock is free, the table moves to a lock of its own. No
-/// change to the table was under way ([`TABLE_MUTATION`] is held across
-/// the fork), so the old lock still lets this thread read it.
-fn renew_table(sh: &Shim) {
-    let old = sh.table();
-    if old.try_write().is_some() {
-        return;
-    }
-    let copy = old.try_read().map(|t| t.clone()).unwrap_or_default();
-    let fresh = Box::leak(Box::new(RwLock::new(copy)));
-    // release: pairs with Shim::table's acquire
-    sh.table.store(fresh, Ordering::Release);
-}
-
 /// A registered fd's open. This thread is inside PLFS while it lives:
-/// everything done with one is a call into `PlfsFd`.
+/// everything done with one is a call into PLFS.
 struct Registered {
-    st: Arc<OpenState>,
+    st: Arc<Open<Own>>,
     _in_plfs: InPlfs,
 }
 
 impl Deref for Registered {
-    type Target = OpenState;
+    type Target = Open<Own>;
 
-    fn deref(&self) -> &OpenState {
+    fn deref(&self) -> &Open<Own> {
         &self.st
     }
 }
 
 fn lookup(fd: c_int) -> Option<Registered> {
-    let shim = shim()?;
-    let st = shim.table().read().get(&fd).cloned()?;
+    let st = shim()?.opens.get(fd)?;
     let _in_plfs = InPlfs::enter();
-    st.adopt();
+    st.own.adopt(st.plfs());
     Some(Registered { st, _in_plfs })
 }
 
-fn plfs_errno(e: &plfs::Error) -> c_int {
-    e.errno()
+/// A container call's result as C returns it: `ok` of its value, or -1
+/// with errno set.
+fn ret<T, R: From<i8>>(r: PosixResult<T>, ok: impl FnOnce(T) -> R) -> R {
+    match r {
+        Ok(v) => ok(v),
+        Err(Errno(e)) => {
+            set_errno(e);
+            R::from(-1)
+        }
+    }
+}
+
+/// A byte count as `read(2)` returns it.
+fn count(r: PosixResult<usize>) -> SsizeT {
+    ret(r, |n| n as SsizeT)
+}
+
+/// 0, or -1 with errno set.
+fn status(r: PosixResult<()>) -> c_int {
+    ret(r, |()| 0)
+}
+
+/// A C offset or length as PLFS takes it: the kernel refuses a negative
+/// one before anything else.
+fn unsigned(off: OffT) -> PosixResult<u64> {
+    u64::try_from(off).map_err(|_| Errno::EINVAL)
+}
+
+/// A C buffer as a slice; a zero-length one may be null.
+///
+/// # Safety
+/// Unless `len` is 0, `buf` points to `len` readable bytes that outlive
+/// `'a` and that nothing writes meanwhile.
+unsafe fn bytes<'a>(buf: *const c_void, len: SizeT) -> &'a [u8] {
+    match len {
+        0 => &[],
+        _ => std::slice::from_raw_parts(buf as *const u8, len),
+    }
+}
+
+/// A C buffer as a mutable slice; a zero-length one may be null.
+///
+/// # Safety
+/// Unless `len` is 0, `buf` points to `len` writable bytes that outlive
+/// `'a` and that nothing else reads or writes meanwhile.
+unsafe fn bytes_mut<'a>(buf: *mut c_void, len: SizeT) -> &'a mut [u8] {
+    match len {
+        0 => &mut [],
+        _ => std::slice::from_raw_parts_mut(buf as *mut u8, len),
+    }
 }
 
 /// Stable fake inode per logical path (FNV-1a), so path-stat and
-/// fstat-after-open agree.
+/// fstat-after-open agree; the mount point's is 1.
 fn fake_ino(rel: &str) -> u64 {
+    if rel == "/" {
+        return 1;
+    }
     let mut h = Fnv::default();
     h.write(rel.as_bytes());
     h.finish() | 1
@@ -803,49 +798,23 @@ fn fake_ino(rel: &str) -> u64 {
 
 unsafe fn do_open(path: *const c_char, flags: c_int, mode: ModeT) -> c_int {
     let real_open = real!(open, OpenFn);
-    let Some(sh) = shim() else {
-        return real_open(path, flags, mode);
-    };
-    let Some(p) = cstr(path) else {
-        return real_open(path, flags, mode);
-    };
-    let Some(rel) = logical(sh, p) else {
+    let Some((sh, at)) = resolve(path) else {
         return real_open(path, flags, mode);
     };
     let _in_plfs = InPlfs::enter();
-    // A container is a file: cp probes its destination with O_DIRECTORY
-    // and takes anything but ENOTDIR to mean "copy into it".
-    if flags & O_DIRECTORY != 0 && sh.plfs.is_container(rel) {
-        set_errno(ENOTDIR);
-        return -1;
-    }
-    // Translate flags (numeric values match plfs::OpenFlags on Linux).
-    let oflags = OpenFlags((flags & (O_ACCMODE | O_CREAT | O_EXCL | O_TRUNC | O_APPEND)) as u32);
-    let pid = pid();
-    match sh.plfs.open(rel, oflags, pid) {
-        Ok(pfd) => {
-            let Some(cursor) = Cursor::take() else {
-                let _ = pfd.close(pid);
-                set_errno(ENOMEM);
-                return -1;
-            };
-            let fd = reserve_fd(flags & O_CLOEXEC != 0);
-            if fd < 0 {
-                // EMFILE and the like are the open's own errno.
-                let e = errno();
-                let _ = pfd.close(pid);
-                set_errno(e);
-                return -1;
-            }
-            let st = OpenState::new(pfd, flags & O_APPEND != 0, fake_ino(rel), cursor);
-            sh.mutate(|t| t.insert(fd, Arc::new(st)));
-            fd
+    let reserve = || {
+        let slot = Slot::take().ok_or(Errno(ENOMEM))?;
+        match reserve_fd(flags & O_CLOEXEC != 0) {
+            // EMFILE and the like are the open's own errno.
+            fd if fd < 0 => Err(Errno(errno())),
+            fd => Ok((fd, Own::new(slot))),
         }
-        Err(e) => {
-            set_errno(plfs_errno(&e));
-            -1
-        }
-    }
+    };
+    // Flag values match plfs::OpenFlags on Linux.
+    ret(
+        sh.opens.open(at, OpenFlags(flags as u32), pid(), reserve),
+        |fd| fd,
+    )
 }
 
 /// `open(2)`.
@@ -907,24 +876,8 @@ pub unsafe extern "C" fn openat64(
 
 unsafe fn do_read(fd: c_int, buf: *mut c_void, count: SizeT) -> SsizeT {
     match lookup(fd) {
-        None => {
-            let f = real!(read, ReadFn);
-            f(fd, buf, count)
-        }
-        Some(st) => {
-            let slice = std::slice::from_raw_parts_mut(buf as *mut u8, count);
-            let off = st.cursor.get();
-            match st.plfs_fd.read(slice, off as u64) {
-                Ok(n) => {
-                    st.cursor.set(off + n as OffT);
-                    n as SsizeT
-                }
-                Err(e) => {
-                    set_errno(plfs_errno(&e));
-                    -1
-                }
-            }
-        }
+        None => real!(read, ReadFn)(fd, buf, count),
+        Some(st) => self::count(st.read(bytes_mut(buf, count))),
     }
 }
 
@@ -936,36 +889,8 @@ pub unsafe extern "C" fn read(fd: c_int, buf: *mut c_void, count: SizeT) -> Ssiz
 
 unsafe fn do_write(fd: c_int, buf: *const c_void, count: SizeT) -> SsizeT {
     match lookup(fd) {
-        None => {
-            let f = real!(write, WriteFn);
-            f(fd, buf, count)
-        }
-        Some(st) => {
-            let slice = std::slice::from_raw_parts(buf as *const u8, count);
-            let pid = pid();
-            // O_APPEND resolves EOF atomically inside PlfsFd::append —
-            // size()-then-write() would race concurrent appenders.
-            let (off, n) = if st.append {
-                match st.plfs_fd.append(slice, pid) {
-                    Ok((off, n)) => (off as OffT, n),
-                    Err(e) => {
-                        set_errno(plfs_errno(&e));
-                        return -1;
-                    }
-                }
-            } else {
-                let off = st.cursor.get();
-                match st.plfs_fd.write(slice, off as u64, pid) {
-                    Ok(n) => (off, n),
-                    Err(e) => {
-                        set_errno(plfs_errno(&e));
-                        return -1;
-                    }
-                }
-            };
-            st.cursor.set(off + n as OffT);
-            n as SsizeT
-        }
+        None => real!(write, WriteFn)(fd, buf, count),
+        Some(st) => self::count(st.write(bytes(buf, count), pid())),
     }
 }
 
@@ -977,25 +902,8 @@ pub unsafe extern "C" fn write(fd: c_int, buf: *const c_void, count: SizeT) -> S
 
 unsafe fn do_pread(fd: c_int, buf: *mut c_void, count: SizeT, off: OffT) -> SsizeT {
     match lookup(fd) {
-        None => {
-            let f = real!(pread, PreadFn);
-            f(fd, buf, count, off)
-        }
-        // The kernel refuses a negative offset before anything else.
-        Some(_) if off < 0 => {
-            set_errno(EINVAL);
-            -1
-        }
-        Some(st) => {
-            let slice = std::slice::from_raw_parts_mut(buf as *mut u8, count);
-            match st.plfs_fd.read(slice, off as u64) {
-                Ok(n) => n as SsizeT,
-                Err(e) => {
-                    set_errno(plfs_errno(&e));
-                    -1
-                }
-            }
-        }
+        None => real!(pread, PreadFn)(fd, buf, count, off),
+        Some(st) => self::count(unsigned(off).and_then(|off| st.pread(bytes_mut(buf, count), off))),
     }
 }
 
@@ -1053,23 +961,9 @@ pub unsafe extern "C" fn __pread64_chk(
 
 unsafe fn do_pwrite(fd: c_int, buf: *const c_void, count: SizeT, off: OffT) -> SsizeT {
     match lookup(fd) {
-        None => {
-            let f = real!(pwrite, PwriteFn);
-            f(fd, buf, count, off)
-        }
-        Some(_) if off < 0 => {
-            set_errno(EINVAL);
-            -1
-        }
+        None => real!(pwrite, PwriteFn)(fd, buf, count, off),
         Some(st) => {
-            let slice = std::slice::from_raw_parts(buf as *const u8, count);
-            match st.plfs_fd.write(slice, off as u64, pid()) {
-                Ok(n) => n as SsizeT,
-                Err(e) => {
-                    set_errno(plfs_errno(&e));
-                    -1
-                }
-            }
+            self::count(unsigned(off).and_then(|off| st.pwrite(bytes(buf, count), off, pid())))
         }
     }
 }
@@ -1092,10 +986,10 @@ pub unsafe extern "C" fn pwrite64(
 }
 
 // ---------------------------------------------------------------------------
-// vectored I/O. On a tracked fd the iovecs are gathered (writes) or
-// scattered (reads) around ONE PlfsFd list call, so an N-buffer vector
-// costs one index record instead of N. Untracked fds forward to the real
-// libc symbols.
+// vectored I/O. On a tracked fd the iovecs become slices for the
+// dispatcher, which gathers (writes) or scatters (reads) them around ONE
+// PLFS list call, so an N-buffer vector costs one index record instead of
+// N. Untracked fds forward to the real libc symbols.
 // ---------------------------------------------------------------------------
 
 /// `struct iovec` (uapi layout).
@@ -1107,78 +1001,48 @@ pub struct IoVec {
     pub iov_len: SizeT,
 }
 
-/// Total byte count of an iovec array; `None` on invalid count/pointer or
-/// length overflow (POSIX caps the sum at `SSIZE_MAX`).
-unsafe fn iov_total(iov: *const IoVec, cnt: c_int) -> Option<usize> {
-    if cnt < 0 || (cnt > 0 && iov.is_null()) {
-        return None;
+/// The `cnt` iovecs at `iov`, checked as the kernel checks them: `EINVAL`
+/// for a negative count or a total past `SSIZE_MAX`.
+///
+/// # Safety
+/// A positive `cnt` is the number of `IoVec`s readable at `iov` for `'a`.
+unsafe fn iovecs<'a>(iov: *const IoVec, cnt: c_int) -> PosixResult<&'a [IoVec]> {
+    let vecs = match cnt {
+        0 => &[],
+        1.. if !iov.is_null() => std::slice::from_raw_parts(iov, cnt as usize),
+        _ => return Err(Errno::EINVAL),
+    };
+    match vecs
+        .iter()
+        .try_fold(0usize, |t, v| t.checked_add(v.iov_len))
+    {
+        Some(total) if total <= isize::MAX as usize => Ok(vecs),
+        _ => Err(Errno::EINVAL),
     }
-    let mut total = 0usize;
-    for v in std::slice::from_raw_parts(iov, cnt as usize) {
-        total = total.checked_add(v.iov_len)?;
-    }
-    if total > isize::MAX as usize {
-        return None;
-    }
-    Some(total)
 }
 
-unsafe fn gather_iov(iov: *const IoVec, cnt: c_int, total: usize) -> Vec<u8> {
-    let mut out = Vec::with_capacity(total);
-    for v in std::slice::from_raw_parts(iov, cnt as usize) {
-        if v.iov_len != 0 {
-            out.extend_from_slice(std::slice::from_raw_parts(
-                v.iov_base as *const u8,
-                v.iov_len,
-            ));
-        }
-    }
-    out
+/// A vectored read's buffers.
+///
+/// # Safety
+/// Each of `vecs` is a buffer as [`bytes_mut`] takes it.
+unsafe fn scatter<'a>(vecs: &[IoVec]) -> Vec<&'a mut [u8]> {
+    vecs.iter()
+        .map(|v| bytes_mut(v.iov_base, v.iov_len))
+        .collect()
 }
 
-unsafe fn scatter_iov(iov: *const IoVec, cnt: c_int, data: &[u8]) {
-    let mut pos = 0usize;
-    for v in std::slice::from_raw_parts(iov, cnt as usize) {
-        if pos >= data.len() {
-            break;
-        }
-        let take = v.iov_len.min(data.len() - pos);
-        std::ptr::copy_nonoverlapping(data[pos..].as_ptr(), v.iov_base as *mut u8, take);
-        pos += take;
-    }
+/// A vectored write's buffers.
+///
+/// # Safety
+/// Each of `vecs` is a buffer as [`bytes`] takes it.
+unsafe fn gather<'a>(vecs: &[IoVec]) -> Vec<&'a [u8]> {
+    vecs.iter().map(|v| bytes(v.iov_base, v.iov_len)).collect()
 }
 
 unsafe fn do_readv(fd: c_int, iov: *const IoVec, cnt: c_int) -> SsizeT {
     match lookup(fd) {
-        None => {
-            let f = real!(readv, IovFn);
-            f(fd, iov, cnt)
-        }
-        Some(st) => {
-            let Some(total) = iov_total(iov, cnt) else {
-                set_errno(EINVAL);
-                return -1;
-            };
-            if total == 0 {
-                return 0;
-            }
-            let off = st.cursor.get();
-            let mut data = vec![0u8; total];
-            match st
-                .plfs_fd
-                .read_list(&mut data, &[(off as u64, total as u64)])
-            {
-                Ok(n) => {
-                    scatter_iov(iov, cnt, &data[..n]);
-                    st.cursor.set(off + n as OffT);
-                    n as SsizeT
-                }
-                Err(e) => {
-                    set_errno(plfs_errno(&e));
-                    -1
-                }
-            }
-        }
+        None => real!(readv, IovFn)(fd, iov, cnt),
+        Some(st) => count(iovecs(iov, cnt).and_then(|v| st.readv(&mut scatter(v)))),
     }
 }
 
@@ -1190,44 +1054,8 @@ pub unsafe extern "C" fn readv(fd: c_int, iov: *const IoVec, cnt: c_int) -> Ssiz
 
 unsafe fn do_writev(fd: c_int, iov: *const IoVec, cnt: c_int) -> SsizeT {
     match lookup(fd) {
-        None => {
-            let f = real!(writev, IovFn);
-            f(fd, iov, cnt)
-        }
-        Some(st) => {
-            let Some(total) = iov_total(iov, cnt) else {
-                set_errno(EINVAL);
-                return -1;
-            };
-            if total == 0 {
-                return 0;
-            }
-            let data = gather_iov(iov, cnt, total);
-            let pid = pid();
-            let (off, n) = if st.append {
-                match st.plfs_fd.append(&data, pid) {
-                    Ok((off, n)) => (off as OffT, n),
-                    Err(e) => {
-                        set_errno(plfs_errno(&e));
-                        return -1;
-                    }
-                }
-            } else {
-                let off = st.cursor.get();
-                match st
-                    .plfs_fd
-                    .write_list(&data, &[(off as u64, total as u64)], pid)
-                {
-                    Ok(n) => (off, n),
-                    Err(e) => {
-                        set_errno(plfs_errno(&e));
-                        return -1;
-                    }
-                }
-            };
-            st.cursor.set(off + n as OffT);
-            n as SsizeT
-        }
+        None => real!(writev, IovFn)(fd, iov, cnt),
+        Some(st) => count(iovecs(iov, cnt).and_then(|v| st.writev(&gather(v), pid()))),
     }
 }
 
@@ -1239,35 +1067,9 @@ pub unsafe extern "C" fn writev(fd: c_int, iov: *const IoVec, cnt: c_int) -> Ssi
 
 unsafe fn do_preadv(fd: c_int, iov: *const IoVec, cnt: c_int, off: OffT) -> SsizeT {
     match lookup(fd) {
-        None => {
-            let f = real!(preadv, IovAtFn);
-            f(fd, iov, cnt, off)
-        }
+        None => real!(preadv, IovAtFn)(fd, iov, cnt, off),
         Some(st) => {
-            let total = match iov_total(iov, cnt) {
-                Some(t) if off >= 0 => t,
-                _ => {
-                    set_errno(EINVAL);
-                    return -1;
-                }
-            };
-            if total == 0 {
-                return 0;
-            }
-            let mut data = vec![0u8; total];
-            match st
-                .plfs_fd
-                .read_list(&mut data, &[(off as u64, total as u64)])
-            {
-                Ok(n) => {
-                    scatter_iov(iov, cnt, &data[..n]);
-                    n as SsizeT
-                }
-                Err(e) => {
-                    set_errno(plfs_errno(&e));
-                    -1
-                }
-            }
+            count(iovecs(iov, cnt).and_then(|v| st.preadv(&mut scatter(v), unsigned(off)?)))
         }
     }
 }
@@ -1286,32 +1088,9 @@ pub unsafe extern "C" fn preadv64(fd: c_int, iov: *const IoVec, cnt: c_int, off:
 
 unsafe fn do_pwritev(fd: c_int, iov: *const IoVec, cnt: c_int, off: OffT) -> SsizeT {
     match lookup(fd) {
-        None => {
-            let f = real!(pwritev, IovAtFn);
-            f(fd, iov, cnt, off)
-        }
+        None => real!(pwritev, IovAtFn)(fd, iov, cnt, off),
         Some(st) => {
-            let total = match iov_total(iov, cnt) {
-                Some(t) if off >= 0 => t,
-                _ => {
-                    set_errno(EINVAL);
-                    return -1;
-                }
-            };
-            if total == 0 {
-                return 0;
-            }
-            let data = gather_iov(iov, cnt, total);
-            match st
-                .plfs_fd
-                .write_list(&data, &[(off as u64, total as u64)], pid())
-            {
-                Ok(n) => n as SsizeT,
-                Err(e) => {
-                    set_errno(plfs_errno(&e));
-                    -1
-                }
-            }
+            count(iovecs(iov, cnt).and_then(|v| st.pwritev(&gather(v), unsigned(off)?, pid())))
         }
     }
 }
@@ -1422,35 +1201,15 @@ pub unsafe extern "C" fn pwritev64v2(
 
 unsafe fn do_lseek(fd: c_int, offset: OffT, whence: c_int) -> OffT {
     match lookup(fd) {
-        None => {
-            let f = real!(lseek, LseekFn);
-            f(fd, offset, whence)
-        }
+        None => real!(lseek, LseekFn)(fd, offset, whence),
         Some(st) => {
-            // SEEK_END needs the logical PLFS size; SET/CUR are the
-            // cursor's slot alone, no syscall (the paper lseek'd the
-            // reserved fd).
-            let target = match whence {
-                SEEK_SET => offset,
-                SEEK_CUR => st.cursor.get() + offset,
-                SEEK_END => match st.plfs_fd.size() {
-                    Ok(size) => size as OffT + offset,
-                    Err(e) => {
-                        set_errno(plfs_errno(&e));
-                        return -1;
-                    }
-                },
-                _ => {
-                    set_errno(EINVAL);
-                    return -1;
-                }
+            let whence = match whence {
+                SEEK_SET => Ok(Whence::Set),
+                SEEK_CUR => Ok(Whence::Cur),
+                SEEK_END => Ok(Whence::End),
+                _ => Err(Errno::EINVAL),
             };
-            if target < 0 {
-                set_errno(EINVAL);
-                return -1;
-            }
-            st.cursor.set(target);
-            target
+            ret(whence.and_then(|w| st.lseek(offset, w)), |at| at as OffT)
         }
     }
 }
@@ -1478,31 +1237,29 @@ unsafe fn do_close(fd: c_int) -> c_int {
         return -1;
     }
     forget_template(fd);
-    let state = sh.mutate(|t| t.remove(&fd));
     // Both halves are released whatever the other does; the first error is
     // reported (a failed index or meta flush at close is lost data).
-    let plfs_res = state.map(|st| release(&st));
+    let released = sh.opens.close(fd).map(|st| release(&st));
     let ret = real_close(fd);
-    if let Some(Err(e)) = plfs_res {
-        set_errno(plfs_errno(&e));
+    if let Some(Err(Errno(e))) = released {
+        set_errno(e);
         return -1;
     }
     ret
 }
 
-/// The PLFS half of closing one fd of `st`, after it left the table: one
-/// PLFS reference per fd, so a dup keeps the open alive. An open inherited
-/// across a `fork` and not used since is let go without a PLFS call: its
-/// state is the parent's, and a child closing descriptors before `exec`
-/// takes no PLFS lock.
-fn release(st: &OpenState) -> plfs::Result<u32> {
-    if !st.ours() {
+/// The PLFS half of closing one fd of `st`, after it left the table. An
+/// open inherited across a `fork` and not used since is let go without a
+/// PLFS call: its state is the parent's, and a child closing descriptors
+/// before `exec` takes no PLFS lock.
+fn release(st: &Open<Own>) -> PosixResult<()> {
+    if !st.own.ours() {
         // Never dropped here: its copies of the parent's writers would
         // write the parent's buffered records.
-        std::mem::forget(Arc::clone(&st.plfs_fd));
-        return Ok(0);
+        std::mem::forget(Arc::clone(st.plfs()));
+        return Ok(());
     }
-    inside_plfs(|| st.plfs_fd.close(pid()))
+    inside_plfs(|| st.close(pid()))
 }
 
 /// `close(2)`.
@@ -1522,20 +1279,11 @@ fn release_range(lo: c_int, hi: c_int) -> Option<c_int> {
     if (lo..=hi).contains(&t) {
         forget_template(t);
     }
-    let mut released = Vec::new();
-    sh.mutate(|t| {
-        t.retain(|fd, st| {
-            let keep = !(lo..=hi).contains(fd);
-            if !keep {
-                released.push(Arc::clone(st));
-            }
-            keep
-        })
-    });
-    released
+    let closed = sh.opens.close_range(lo, hi);
+    closed
         .iter()
         .filter_map(|st| release(st).err())
-        .fold(None, |first, e| first.or(Some(e.errno())))
+        .fold(None, |first, Errno(e)| first.or(Some(e)))
 }
 
 /// The one `close_range(2)` flag with which it still closes: unshare the
@@ -1630,13 +1378,7 @@ unsafe fn do_fsync(fd: c_int, data_only: bool) -> c_int {
     match lookup(fd) {
         None if data_only => real!(fdatasync, FdFn)(fd),
         None => real!(fsync, FdFn)(fd),
-        Some(st) => match st.plfs_fd.sync(pid()) {
-            Ok(()) => 0,
-            Err(e) => {
-                set_errno(plfs_errno(&e));
-                -1
-            }
-        },
+        Some(st) => status(st.fsync(pid())),
     }
 }
 
@@ -1681,17 +1423,14 @@ unsafe fn dup_bookkeeping(oldfd: c_int, newfd: c_int) {
     }
     forget_template(newfd);
     let _in_plfs = InPlfs::enter();
-    let (displaced, old_state) = sh.mutate(|t| (t.remove(&newfd), t.get(&oldfd).cloned()));
-    if let Some(st) = displaced {
+    if let Some(st) = sh.opens.get(oldfd) {
+        st.own.adopt(st.plfs());
+    }
+    if let Some(displaced) = sh.opens.dup(oldfd, newfd, pid()) {
         // Outside the table lock: releasing the open closes its droppings
         // through the interposed `close`, which takes that lock.
         // dup2(2): errors of the implied close are not reported.
-        let _ = release(&st);
-    }
-    if let Some(st) = old_state {
-        st.adopt();
-        st.plfs_fd.add_ref(pid());
-        sh.mutate(|t| t.insert(newfd, st));
+        let _ = release(&displaced);
     }
 }
 
@@ -1780,9 +1519,9 @@ pub unsafe extern "C" fn fcntl64(fd: c_int, cmd: c_int, arg: usize) -> c_int {
 /// The memfd a read-only map of `st` maps: made and filled with the
 /// container's logical bytes by the first map, once per open (`dup`'d fds
 /// share it). The reserved fd stays empty.
-unsafe fn map_fd(st: &OpenState) -> Result<c_int, c_int> {
+unsafe fn map_fd(st: &Open<Own>) -> Result<c_int, c_int> {
     let real_pwrite = real!(pwrite, PwriteFn);
-    let mut map = st.map.lock();
+    let mut map = st.own.map.lock();
     if let Some(fd) = *map {
         return Ok(fd);
     }
@@ -1794,10 +1533,10 @@ unsafe fn map_fd(st: &OpenState) -> Result<c_int, c_int> {
     let mut off = 0usize;
     let filled = loop {
         // plfs-lint: allow(lock-across-io, "intentional: `map` is this fill's once-latch; a second mapper must wait for the bytes, not map a half-filled memfd")
-        let n = match st.plfs_fd.read(&mut buf, off as u64) {
+        let n = match st.pread(&mut buf, off as u64) {
             Ok(0) => break Ok(()),
             Ok(n) => n,
-            Err(e) => break Err(e.errno()),
+            Err(Errno(e)) => break Err(e),
         };
         let mut done = 0usize;
         while done < n {
@@ -1835,7 +1574,7 @@ unsafe fn do_mmap(
         return f(addr, len, prot, flags, fd, off);
     };
     // Stores through a map would land in a memfd, unseen by PLFS.
-    if st.plfs_fd.flags().writable() {
+    if st.writable() {
         set_errno(ENODEV);
         return MAP_FAILED;
     }
@@ -1994,29 +1733,13 @@ unsafe fn fill_stat(out: *mut CStat, size: u64, is_dir: bool, ino: u64) {
 
 unsafe fn do_stat(path: *const c_char, out: *mut CStat) -> c_int {
     let real_stat = real!(stat, StatFn);
-    let Some(sh) = shim() else {
+    let Some((sh, at)) = resolve(path) else {
         return real_stat(path, out);
     };
-    let Some(p) = cstr(path) else {
-        return real_stat(path, out);
-    };
-    let Some(rel) = logical(sh, p) else {
-        return real_stat(path, out);
-    };
-    if rel == "/" {
-        fill_stat(out, 0, true, 1);
-        return 0;
-    }
-    match inside_plfs(|| sh.plfs.getattr(rel)) {
-        Ok(st) => {
-            fill_stat(out, st.size, st.is_dir, fake_ino(rel));
-            0
-        }
-        Err(e) => {
-            set_errno(plfs_errno(&e));
-            -1
-        }
-    }
+    ret(inside_plfs(|| sh.opens.stat(at)), |st| {
+        fill_stat(out, st.size, st.is_dir, fake_ino(at.1));
+        0
+    })
 }
 
 /// `stat(2)`.
@@ -2033,10 +1756,7 @@ pub unsafe extern "C" fn stat64(path: *const c_char, out: *mut CStat) -> c_int {
 
 unsafe fn do_lstat(path: *const c_char, out: *mut CStat) -> c_int {
     let real_lstat = real!(lstat, StatFn);
-    let Some(sh) = shim() else {
-        return real_lstat(path, out);
-    };
-    match cstr(path).and_then(|p| logical(sh, p)) {
+    match resolve(path) {
         Some(_) => do_stat(path, out),
         None => real_lstat(path, out),
     }
@@ -2056,20 +1776,11 @@ pub unsafe extern "C" fn lstat64(path: *const c_char, out: *mut CStat) -> c_int 
 
 unsafe fn do_fstat(fd: c_int, out: *mut CStat) -> c_int {
     match lookup(fd) {
-        None => {
-            let f = real!(fstat, FstatFn);
-            f(fd, out)
-        }
-        Some(st) => match st.plfs_fd.size() {
-            Ok(size) => {
-                fill_stat(out, size, false, st.ino);
-                0
-            }
-            Err(e) => {
-                set_errno(plfs_errno(&e));
-                -1
-            }
-        },
+        None => real!(fstat, FstatFn)(fd, out),
+        Some(st) => ret(st.fstat(), |s| {
+            fill_stat(out, s.size, s.is_dir, fake_ino(st.path()));
+            0
+        }),
     }
 }
 
@@ -2094,12 +1805,8 @@ unsafe fn do_fstatat(dirfd: c_int, path: *const c_char, out: *mut CStat, flags: 
         return do_fstat(dirfd, out);
     }
     let absolute = cstr(path).map(|p| p.starts_with('/')).unwrap_or(false);
-    if dirfd == AT_FDCWD || absolute {
-        if let Some(sh) = shim() {
-            if cstr(path).and_then(|p| logical(sh, p)).is_some() {
-                return do_stat(path, out);
-            }
-        }
+    if (dirfd == AT_FDCWD || absolute) && resolve(path).is_some() {
+        return do_stat(path, out);
     }
     f(dirfd, path, out, flags)
 }
@@ -2129,18 +1836,9 @@ pub unsafe extern "C" fn newfstatat(
 
 unsafe fn do_unlink(path: *const c_char) -> c_int {
     let real_unlink = real!(unlink, PathFn);
-    let Some(sh) = shim() else {
-        return real_unlink(path);
-    };
-    match cstr(path).and_then(|p| logical(sh, p)) {
+    match resolve(path) {
         None => real_unlink(path),
-        Some(rel) => match inside_plfs(|| sh.plfs.unlink(rel)) {
-            Ok(()) => 0,
-            Err(e) => {
-                set_errno(plfs_errno(&e));
-                -1
-            }
-        },
+        Some((sh, at)) => status(inside_plfs(|| sh.opens.unlink(at))),
     }
 }
 
@@ -2177,23 +1875,9 @@ pub unsafe extern "C" fn unlinkat(dirfd: c_int, path: *const c_char, flags: c_in
 
 unsafe fn do_access(path: *const c_char, amode: c_int) -> c_int {
     let real_access = real!(access, AccessFn);
-    let Some(sh) = shim() else {
-        return real_access(path, amode);
-    };
-    match cstr(path).and_then(|p| logical(sh, p)) {
+    match resolve(path) {
         None => real_access(path, amode),
-        Some(rel) => {
-            if rel == "/" {
-                return 0;
-            }
-            match inside_plfs(|| sh.plfs.access(rel)) {
-                Ok(()) => 0,
-                Err(e) => {
-                    set_errno(plfs_errno(&e));
-                    -1
-                }
-            }
-        }
+        Some((sh, at)) => status(inside_plfs(|| sh.opens.access(at))),
     }
 }
 
@@ -2205,18 +1889,9 @@ pub unsafe extern "C" fn access(path: *const c_char, amode: c_int) -> c_int {
 
 unsafe fn do_mkdir(path: *const c_char, mode: ModeT) -> c_int {
     let real_mkdir = real!(mkdir, PathModeFn);
-    let Some(sh) = shim() else {
-        return real_mkdir(path, mode);
-    };
-    match cstr(path).and_then(|p| logical(sh, p)) {
+    match resolve(path) {
         None => real_mkdir(path, mode),
-        Some(rel) => match inside_plfs(|| sh.plfs.mkdir(rel)) {
-            Ok(()) => 0,
-            Err(e) => {
-                set_errno(plfs_errno(&e));
-                -1
-            }
-        },
+        Some((sh, at)) => status(inside_plfs(|| sh.opens.mkdir(at))),
     }
 }
 
@@ -2228,18 +1903,9 @@ pub unsafe extern "C" fn mkdir(path: *const c_char, mode: ModeT) -> c_int {
 
 unsafe fn do_rmdir(path: *const c_char) -> c_int {
     let real_rmdir = real!(rmdir, PathFn);
-    let Some(sh) = shim() else {
-        return real_rmdir(path);
-    };
-    match cstr(path).and_then(|p| logical(sh, p)) {
+    match resolve(path) {
         None => real_rmdir(path),
-        Some(rel) => match inside_plfs(|| sh.plfs.rmdir(rel)) {
-            Ok(()) => 0,
-            Err(e) => {
-                set_errno(plfs_errno(&e));
-                -1
-            }
-        },
+        Some((sh, at)) => status(inside_plfs(|| sh.opens.rmdir(at))),
     }
 }
 
@@ -2251,56 +1917,17 @@ pub unsafe extern "C" fn rmdir(path: *const c_char) -> c_int {
 
 unsafe fn do_ftruncate(fd: c_int, len: OffT) -> c_int {
     match shim().zip(lookup(fd)) {
-        None => {
-            let f = real!(ftruncate, FtruncateFn);
-            f(fd, len)
-        }
-        Some((sh, st)) => {
-            if len < 0 {
-                set_errno(EINVAL);
-                return -1;
-            }
-            // Quiesce, then rewrite via the container truncate path.
-            if st.plfs_fd.reset_writers().is_err() {
-                set_errno(EBADF);
-                return -1;
-            }
-            // Container path is backend-relative == logical path here.
-            let path = st.plfs_fd.container_path().to_string();
-            match sh.plfs.trunc(&path, len as u64) {
-                Ok(()) => 0,
-                Err(e) => {
-                    set_errno(plfs_errno(&e));
-                    -1
-                }
-            }
-        }
+        None => real!(ftruncate, FtruncateFn)(fd, len),
+        Some((sh, st)) => status(unsigned(len).and_then(|len| sh.opens.ftruncate(&st, len))),
     }
 }
 
 unsafe fn do_truncate(path: *const c_char, len: OffT) -> c_int {
     let real_truncate = real!(truncate, TruncateFn);
-    let Some(sh) = shim() else {
-        return real_truncate(path, len);
-    };
-    match cstr(path).and_then(|p| logical(sh, p)) {
+    match resolve(path) {
         None => real_truncate(path, len),
-        Some(rel) => {
-            if len < 0 {
-                set_errno(EINVAL);
-                return -1;
-            }
-            // Path-based truncate of a container. Unlike do_ftruncate
-            // there is no fd whose writers need quiescing: an unopened (or
-            // other-process) container is rewritten directly, same as the
-            // kernel truncates a file nobody has open.
-            match inside_plfs(|| sh.plfs.trunc(rel, len as u64)) {
-                Ok(()) => 0,
-                Err(e) => {
-                    set_errno(plfs_errno(&e));
-                    -1
-                }
-            }
+        Some((sh, at)) => {
+            status(unsigned(len).and_then(|len| inside_plfs(|| sh.opens.truncate(at, len))))
         }
     }
 }
@@ -2429,7 +2056,7 @@ unsafe fn cookie_stream(fd: c_int, mode: *const c_char) -> *mut c_void {
 
 unsafe fn do_fopen(path: *const c_char, mode: *const c_char) -> *mut c_void {
     let real_fopen = real!(fopen, FopenFn);
-    let in_mount = shim().is_some_and(|sh| cstr(path).and_then(|p| logical(sh, p)).is_some());
+    let in_mount = resolve(path).is_some();
     let read_only = cstr(mode).is_some_and(|m| m.starts_with('r') && !m.contains('+'));
     if !in_mount || !read_only {
         // Unsupported: stdio writes into the mount (see module docs).
@@ -2526,45 +2153,25 @@ unsafe fn do_statx(
     out: *mut CStatx,
 ) -> c_int {
     let real_statx = real!(statx, StatxFn);
-    let Some(sh) = shim() else {
-        return real_statx(dirfd, path, flags, mask, out);
-    };
     // AT_EMPTY_PATH: stat the fd itself (fstat spelling).
     if flags & AT_EMPTY_PATH != 0 {
-        if let Some(st) = lookup(dirfd) {
-            match st.plfs_fd.size() {
-                Ok(size) => {
-                    fill_statx(out, size, false, st.ino);
-                    return 0;
-                }
-                Err(e) => {
-                    set_errno(plfs_errno(&e));
-                    return -1;
-                }
-            }
-        }
-        return real_statx(dirfd, path, flags, mask, out);
+        return match lookup(dirfd) {
+            Some(st) => ret(st.fstat(), |s| {
+                fill_statx(out, s.size, s.is_dir, fake_ino(st.path()));
+                0
+            }),
+            None => real_statx(dirfd, path, flags, mask, out),
+        };
     }
     let absolute = cstr(path).map(|p| p.starts_with('/')).unwrap_or(false);
-    if dirfd != AT_FDCWD && !absolute {
-        return real_statx(dirfd, path, flags, mask, out);
-    }
-    let Some(rel) = cstr(path).and_then(|p| logical(sh, p)) else {
-        return real_statx(dirfd, path, flags, mask, out);
-    };
-    if rel == "/" {
-        fill_statx(out, 0, true, 1);
-        return 0;
-    }
-    match inside_plfs(|| sh.plfs.getattr(rel)) {
-        Ok(st) => {
-            fill_statx(out, st.size, st.is_dir, fake_ino(rel));
-            0
+    match resolve(path) {
+        Some((sh, at)) if dirfd == AT_FDCWD || absolute => {
+            ret(inside_plfs(|| sh.opens.stat(at)), |st| {
+                fill_statx(out, st.size, st.is_dir, fake_ino(at.1));
+                0
+            })
         }
-        Err(e) => {
-            set_errno(plfs_errno(&e));
-            -1
-        }
+        _ => real_statx(dirfd, path, flags, mask, out),
     }
 }
 
@@ -2586,5 +2193,5 @@ pub unsafe extern "C" fn statx(
 
 /// How many fds the shim currently tracks (exposed for the smoke test).
 pub fn tracked_fds() -> usize {
-    shim().map(|s| s.table().read().len()).unwrap_or(0)
+    shim().map(|s| s.opens.len()).unwrap_or(0)
 }

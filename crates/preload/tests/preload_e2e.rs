@@ -645,6 +645,22 @@ fn a_negative_offset_is_einval_as_on_a_flat_file() {
     }
 }
 
+/// `lseek` on a container added the offset to the cursor or the size in an
+/// unchecked `off_t`: in a debug build the overflow panicked, and the
+/// panic barrier turned it into `EIO`. Past `off_t` is `EINVAL`.
+#[test]
+fn a_seek_past_off_t_is_einval_without_a_panic() {
+    ensure_built();
+    let env = setup("seekoverflow");
+    let (twin, containers) = twin_and_containers(&env);
+    let mut cmd = Command::new(smoke_bin());
+    cmd.arg("seek-overflow").arg(&containers[0]).arg(&twin);
+    let out = run_preloaded(&env, cmd);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    ok(out, "preload-smoke seek-overflow");
+}
+
 /// `fstat` on an open container used to say `st_ino = 1` while path-stat
 /// said `fake_ino(path)`; with reads on the registered path that made
 /// `cp /mount/f out` fail with "skipping file, as it was replaced while
@@ -778,7 +794,7 @@ fn syscalls_of(env: &Env, [lib, smoke, tools]: &[PathBuf; 3], args: &[&str]) -> 
 /// The per-call syscall counts of DESIGN.md §13, from the tool: a smoke
 /// mode at N and at 2N calls, differenced. A container `write` is 1 (its
 /// `pwrite`), a cursor `read` resolving to one fragment is 1 (its `pread`),
-/// and the small-file cycle is at most 38.
+/// and the small-file cycle is at most 34.
 #[test]
 fn per_call_syscalls_are_pinned() {
     let bins = release_bins();
