@@ -7,17 +7,19 @@
 //! builds the substrate they share: for every named function in the linted
 //! file set, a [`FnNode`] with one [`LineEvent`] per body line recording
 //! the lock classes acquired and held, the calls made, backing-store I/O,
-//! allocation/formatting sites, `real!`/`dlsym` resolution, `set_errno`
-//! and `-1` mentions.
+//! allocation/formatting sites, next-symbol resolution, `set_errno`
+//! and `-1` mentions; and a node for each name of a row of the preload's
+//! symbol table ([`crate::table`]), in the order the generated symbol runs.
 //!
 //! Everything here is lexical, like the rest of the crate: no type
-//! information, no macro expansion. Name resolution is deliberately
+//! information, no macro expansion beyond the symbol table's. Name resolution is deliberately
 //! conservative — same file first, then same crate, and method calls only
 //! resolve when the name is unambiguous within the crate and not on the
 //! common-method blocklist. An unresolved call contributes nothing, so the
 //! passes under-approximate rather than hallucinate.
 
 use crate::rules::{guard_binding, mentions_minus_one};
+use crate::table::Row;
 use crate::{find_word, is_ident_byte, FileCtx};
 use std::collections::{HashMap, HashSet};
 
@@ -52,13 +54,15 @@ pub struct LineEvent {
     pub io: bool,
     /// First allocation/formatting pattern on the line, if any.
     pub alloc: Option<&'static str>,
-    /// Resolves a next-in-chain symbol: `real!(…)` or a direct `dlsym`.
+    /// Resolves a next-in-chain symbol: `real!(…)`, a direct `dlsym`, or a
+    /// call of `next::NAME` (the symbol table's next definitions).
     pub resolves_real: bool,
     /// Calls `set_errno`.
     pub sets_errno: bool,
     /// Mentions a literal `-1` (candidate libc error return).
     pub minus_one: bool,
-    /// Calls through a local `let f = real!(…)` binding from this function.
+    /// Calls a next-in-chain symbol: `next::NAME(…)`, a row's `next`
+    /// binding, or a local `let f = real!(…)` binding from this function.
     pub calls_real_local: bool,
     /// Identifier bound by a `let` on this line, if any.
     pub let_name: Option<String>,
@@ -79,6 +83,8 @@ pub struct FnNode {
     pub is_extern_c: bool,
     /// Carries `#[no_mangle]` — an interposition entry point.
     pub no_mangle: bool,
+    /// Generated by a row of the preload's symbol table ([`crate::table`]).
+    pub row: bool,
     /// Lives inside `#[cfg(test)]` / `#[test]` code.
     pub in_test: bool,
     /// Per-line facts for the body, in source order.
@@ -287,7 +293,7 @@ fn lock_class(code: &str, dot_at: usize) -> String {
     }
 }
 
-/// `let [mut] NAME` prefix of a line, if present.
+/// `let [mut] NAME` prefix of a line, if present; `let _` binds nothing.
 fn let_binding(code: &str) -> Option<String> {
     let at = find_word(code, "let")?;
     let rest = code[at + 3..].trim_start();
@@ -297,7 +303,7 @@ fn let_binding(code: &str) -> Option<String> {
         .take_while(|&b| is_ident_byte(b))
         .map(char::from)
         .collect();
-    if name.is_empty() {
+    if name.is_empty() || name == "_" {
         None
     } else {
         Some(name)
@@ -321,6 +327,9 @@ impl<'a> Graph<'a> {
                     continue; // foreign-block / trait declaration
                 }
                 fns.push(build_fn(file, ctx, span));
+            }
+            for row in ctx.table.iter().flat_map(|t| &t.rows) {
+                fns.extend(row_fns(file, row));
             }
         }
         let mut by_name: HashMap<String, Vec<usize>> = HashMap::new();
@@ -387,6 +396,16 @@ impl<'a> Graph<'a> {
             _ => {}
         }
         None
+    }
+
+    /// Is `f` an interposed entry point: a row of the preload's symbol
+    /// table, or a `#[no_mangle] extern "C"` function of the preload's?
+    pub fn interposed(&self, f: &FnNode) -> bool {
+        f.row
+            || (f.no_mangle
+                && f.is_extern_c
+                && !f.in_test
+                && crate::rules::in_preload(&self.ctxs[f.file].path))
     }
 
     /// Fixpoint: lock classes each function may acquire, directly or via
@@ -473,16 +492,63 @@ impl<'a> Graph<'a> {
     }
 }
 
-/// Build one function node: walk the span tracking brace depth and live
-/// guard bindings, recording a [`LineEvent`] per line.
+/// Build one function node from its span.
 fn build_fn(file: usize, ctx: &FileCtx, span: &crate::FnSpan) -> FnNode {
+    let end = span.end.min(ctx.lines.len() - 1);
+    let lines = (span.start..=end).map(|i| (i, ctx.lines[i].code.as_str()));
+    FnNode {
+        file,
+        name: span.name.clone(),
+        start: span.start,
+        end: span.end,
+        is_extern_c: span.is_extern_c,
+        no_mangle: span.no_mangle,
+        row: false,
+        in_test: ctx.line_in_test(span.start),
+        events: line_events(lines),
+    }
+}
+
+/// The function nodes of a symbol-table row, one per name, all with the
+/// events of what the generated symbol runs: the row's check and class,
+/// the passthrough to the next definition (a resolution), then its body.
+fn row_fns(file: usize, row: &Row) -> Vec<FnNode> {
+    let lines = row.before.iter().chain(&row.body);
+    let mut events = line_events(lines.map(|(i, code)| (*i, code.as_str())));
+    if let Some(line) = row.passthrough {
+        let resolution = LineEvent {
+            line,
+            resolves_real: true,
+            ..LineEvent::default()
+        };
+        events.insert(row.before.len(), resolution);
+    }
+    row.names
+        .iter()
+        .map(|name| FnNode {
+            file,
+            name: name.clone(),
+            start: row.line,
+            end: row.end,
+            is_extern_c: true,
+            no_mangle: true,
+            row: true,
+            in_test: false,
+            events: events.clone(),
+        })
+        .collect()
+}
+
+/// One [`LineEvent`] per `(line, code)` of a body, tracking brace depth and
+/// live guard bindings. A call to the next definition of an interposed
+/// name — `real!`, `dlsym`, `next::NAME(…)`, or a row's `next` binding —
+/// resolves it.
+fn line_events<'s>(lines: impl Iterator<Item = (usize, &'s str)>) -> Vec<LineEvent> {
     let mut events = Vec::new();
     // (guard name, lock class, depth at binding)
     let mut guards: Vec<(String, String, i32)> = Vec::new();
     let mut depth = 0i32;
-    let end = span.end.min(ctx.lines.len() - 1);
-    for i in span.start..=end {
-        let code = &ctx.lines[i].code;
+    for (i, code) in lines {
         let held: Vec<String> = guards.iter().map(|(_, c, _)| c.clone()).collect();
         let sites = lock_sites(code);
         let binding = guard_binding(code);
@@ -494,6 +560,8 @@ fn build_fn(file: usize, ctx: &FileCtx, span: &crate::FnSpan) -> FnNode {
             }
         }
         let calls = extract_calls(code);
+        let calls_next =
+            code.contains("next::") || calls.iter().any(|c| !c.method && c.name == "next");
         events.push(LineEvent {
             line: i,
             depth,
@@ -502,10 +570,12 @@ fn build_fn(file: usize, ctx: &FileCtx, span: &crate::FnSpan) -> FnNode {
             calls,
             io: find_word(code, "backing").is_some(),
             alloc: ALLOC_PATTERNS.iter().find(|p| code.contains(*p)).copied(),
-            resolves_real: code.contains("real!") || find_word(code, "dlsym").is_some(),
+            resolves_real: calls_next
+                || code.contains("real!")
+                || find_word(code, "dlsym").is_some(),
             sets_errno: find_word(code, "set_errno").is_some(),
             minus_one: mentions_minus_one(code),
-            calls_real_local: false, // filled in below
+            calls_real_local: calls_next,
             let_name: let_binding(code),
         });
         // Guard lifetime bookkeeping after the line's own effects.
@@ -532,22 +602,11 @@ fn build_fn(file: usize, ctx: &FileCtx, span: &crate::FnSpan) -> FnNode {
         .filter(|e| e.resolves_real)
         .filter_map(|e| e.let_name.clone())
         .collect();
-    if !real_locals.is_empty() {
-        for e in &mut events {
-            e.calls_real_local = e
-                .calls
-                .iter()
-                .any(|c| !c.method && real_locals.contains(&c.name));
-        }
+    for e in &mut events {
+        e.calls_real_local |= e
+            .calls
+            .iter()
+            .any(|c| !c.method && real_locals.contains(&c.name));
     }
-    FnNode {
-        file,
-        name: span.name.clone(),
-        start: span.start,
-        end: span.end,
-        is_extern_c: span.is_extern_c,
-        no_mangle: span.no_mangle,
-        in_test: ctx.line_in_test(span.start),
-        events,
-    }
+    events
 }

@@ -25,9 +25,13 @@
 //! | rule | scope | invariant |
 //! |------|-------|-----------|
 //! | `deadlock-cycle` | `crates/plfs` | the per-crate lock-order graph (lock class held → lock class acquired, including acquisitions by transitive callees) is acyclic; same-class self-edges are exempt (sharded siblings lock in index order by convention) |
-//! | `signal-safety` | `crates/preload` | on every path from an interposed `#[no_mangle] extern "C"` entry point, no allocation/formatting, no lock-guard binding, and no re-entry into an interposed symbol before the `real!`/`dlsym` next-symbol resolution; escape hatch: `// signal-safe: <why>` within three lines above the `fn` |
-//! | `errno-clobber` | `crates/preload` | nothing that can overwrite errno (a `real!` call, a call through a `real!`-bound local, or a callee that sets errno) runs between `set_errno(e)` and the `-1` return, or between capturing a real libc return value and returning it |
-//! | `symbol-coverage` | `crates/preload` | the interposed symbol set matches the declarative alias-family matrix: no family partially covered (e.g. `open` without `open64`), no unknown symbol outside the matrix, and 64-bit/`at`-twins dispatch to the same `do_*` handler |
+//! | `signal-safety` | `crates/preload` | on every path from an interposed symbol — each name of a row of the preload's symbol table ([`table`]) — no allocation/formatting, no lock-guard binding, and no re-entry into an interposed symbol before the next-symbol resolution (`next::NAME`, a row's `next` binding, `real!`, `dlsym`); escape hatch: `// signal-safe: <why>` within three lines above the `fn` |
+//! | `errno-clobber` | `crates/preload` | nothing that can overwrite errno (a call of a next definition or a callee that sets errno) runs between `set_errno(e)` and the `-1` return, or between capturing a real libc return value and returning it, in the table's rows and every function |
+//! | `symbol-coverage` | `crates/preload` | every interposed symbol is a name in a row of the symbol table: no `#[no_mangle] extern "C"` fn written out by hand, no name both in a row and on the table's not-interposed list |
+//!
+//! The preload's `ffi-barrier` is its table's: every row expands to the
+//! one `extern "C"` template of the `interpose!` macro, which the
+//! per-file rule holds to `ffi_guard!` like any other `extern "C"` fn.
 //!
 //! The graph is deliberately syntactic and conservative: plain calls
 //! resolve same-file → same-crate → workspace-unique; method and
@@ -67,6 +71,7 @@ pub mod lexer;
 mod passes;
 mod rules;
 mod sarif;
+pub mod table;
 
 pub use sarif::{check_sarif, render_sarif};
 
@@ -121,7 +126,7 @@ pub fn rule_description(rule: &str) -> &'static str {
              before dlsym-next resolution in the preload shim"
         }
         "errno-clobber" => "no errno-clobbering call between set_errno/libc return and the return",
-        "symbol-coverage" => "every interposed symbol's alias family is fully covered",
+        "symbol-coverage" => "every interposed symbol is a row of the preload's symbol table",
         "bad-suppression" => "suppressions must carry a non-empty justification",
         _ => "project-specific invariant",
     }
@@ -160,6 +165,8 @@ pub struct FileCtx {
     pub(crate) in_test: Vec<bool>,
     pub(crate) suppressions: Vec<Suppression>,
     pub(crate) fns: Vec<FnSpan>,
+    /// The preload's symbol table, if this file declares it.
+    pub(crate) table: Option<table::Table>,
 }
 
 impl FileCtx {
@@ -169,12 +176,16 @@ impl FileCtx {
         let in_test = mark_test_lines(&lines);
         let suppressions = parse_suppressions(&lines);
         let fns = find_fn_spans(&lines);
+        let table = rules::in_preload(path)
+            .then(|| table::read(&lines))
+            .flatten();
         FileCtx {
             path: path.to_string(),
             lines,
             in_test,
             suppressions,
             fns,
+            table,
         }
     }
 

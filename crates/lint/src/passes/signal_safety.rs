@@ -6,10 +6,12 @@
 //! (the allocator may itself be interposed, or may take a lock the
 //! interrupted thread already holds), formats, takes a guard, or calls
 //! back into another interposed symbol — recursing into the shim and
-//! deadlocking the host application. PR 4's rules could only see the
-//! wrapper body itself; this pass walks the call graph from every
-//! `#[no_mangle] extern "C"` entry point and checks the whole region that
-//! executes before the first `real!` / `dlsym` resolution, across calls.
+//! deadlocking the host application. This pass walks the call graph from
+//! every interposed symbol — each name of a row of the preload's symbol
+//! table ([`crate::table`]), whose fortify check and class run before its
+//! passthrough and whose body runs after it — and checks the whole region
+//! that executes before the first next-symbol resolution (`next::NAME`, a
+//! row's `next` binding, `real!`, `dlsym`), across calls.
 //!
 //! Escape hatch, mirroring `// relaxed:`: a `// signal-safe: <why>`
 //! comment on (or just above) a function's `fn` line vouches for the
@@ -24,31 +26,17 @@ use std::collections::HashSet;
 
 pub(crate) fn run(graph: &Graph, out: &mut Vec<Finding>) {
     const RULE: &str = "signal-safety";
-    // Interposed entry points of the preload crate: the roots, and also
-    // the symbols that must not be re-entered from a hazard region.
+    // Interposed entry points — the rows of the preload's symbol table —
+    // are the roots, and also the symbols that must not be re-entered from
+    // a hazard region.
     let interposed: HashSet<&str> = graph
         .fns
         .iter()
-        .filter(|f| {
-            f.no_mangle
-                && f.is_extern_c
-                && !f.in_test
-                && crate::rules::in_preload(&graph.ctxs[f.file].path)
-        })
+        .filter(|f| graph.interposed(f))
         .map(|f| f.name.as_str())
         .collect();
-    if interposed.is_empty() {
-        return;
-    }
-
     let mut worklist: Vec<usize> = (0..graph.fns.len())
-        .filter(|&i| {
-            let f = &graph.fns[i];
-            f.no_mangle
-                && f.is_extern_c
-                && !f.in_test
-                && crate::rules::in_preload(&graph.ctxs[f.file].path)
-        })
+        .filter(|&i| graph.interposed(&graph.fns[i]))
         .collect();
     let mut visited: HashSet<usize> = worklist.iter().copied().collect();
 

@@ -84,8 +84,9 @@ fn panic_in_ffi_flags_indexing_only_inside_extern_c() {
 fn ffi_barrier_fires_on_unguarded_extern_fn() {
     let src = "#[no_mangle]\npub unsafe extern \"C\" fn close(fd: i32) -> i32 {\n    0\n}\n";
     assert!(rules(&lint_source(PRELOAD, src)).contains(&"ffi-barrier"));
-    // Guarded version is clean.
-    let ok = "#[no_mangle]\npub unsafe extern \"C\" fn close(fd: i32) -> i32 {\n    ffi_guard!(-1, do_close(fd))\n}\n";
+    // Guarded version is clean (a callback: an interposed symbol would be
+    // a symbol-table row, not a hand-written function).
+    let ok = "pub unsafe extern \"C\" fn cookie_close(fd: i32) -> i32 {\n    ffi_guard!(-1, do_close(fd))\n}\n";
     assert!(lint_source(PRELOAD, ok).is_empty());
 }
 

@@ -3,9 +3,9 @@
 //! suppressed (or, for signal-safety, annotated) with a justification —
 //! the same contract the PR 4 per-line rules are held to in fixtures.rs.
 //!
-//! Fixture symbols are chosen from single-member alias families (`close`,
-//! `write`, `readv`, …) unless the symbol-coverage matrix itself is under
-//! test, so the coverage pass stays quiet in everyone else's fixtures.
+//! Interposed symbols are declared as rows of an `interpose!` table, as
+//! `crates/preload` declares them: a hand-written `#[no_mangle]` function
+//! is itself a symbol-coverage finding.
 
 use plfs_lint::{lint_files, lint_source, Finding};
 
@@ -149,81 +149,131 @@ fn lock_across_io_transitive_quiet_when_guard_dropped_or_suppressed() {
 
 // -------------------------------------------------------------- signal-safety
 
+/// A preload source: the symbol table `rows`, then `rest`.
+fn preload(rows: &str, rest: &str) -> String {
+    format!("interpose! {{\n{rows}}}\n{rest}")
+}
+
 #[test]
 fn signal_safety_fires_on_allocation_before_resolution() {
-    let src = "#[no_mangle]\n\
-               pub unsafe extern \"C\" fn close(fd: c_int) -> c_int {\n\
-               \x20   ffi_guard!(-1, do_close(fd))\n\
-               }\n\
-               unsafe fn do_close(fd: c_int) -> c_int {\n\
-               \x20   let tag = String::from(\"x\");\n\
-               \x20   let f = real!(close, unsafe extern \"C\" fn(c_int) -> c_int);\n\
-               \x20   f(fd)\n\
-               }\n";
-    let findings = lint_source(PRELOAD, src);
+    // In a helper the row's body calls before it resolves the next symbol.
+    let helper = preload(
+        "    fn close(fd: c_int) -> c_int = -1;\n\
+         \x20       => |_| do_close(fd);\n",
+        "unsafe fn do_close(fd: c_int) -> c_int {\n\
+         \x20   let tag = String::from(\"x\");\n\
+         \x20   next::close(fd)\n\
+         }\n",
+    );
+    let findings = lint_source(PRELOAD, &helper);
     assert_eq!(rules(&findings), ["signal-safety"]);
     assert!(findings[0].message.contains("before dlsym-next resolution"));
+    assert!(findings[0].snippet.contains("String::from"));
+    // In the row's own body, before its `next` call.
+    let body = preload(
+        "    fn close(fd: c_int) -> c_int = -1;\n\
+         \x20       => |next| {\n\
+         \x20           let tag = format!(\"{fd}\");\n\
+         \x20           next(fd)\n\
+         \x20       };\n",
+        "",
+    );
+    let findings = lint_source(PRELOAD, &body);
+    assert_eq!(rules(&findings), ["signal-safety"]);
+    assert!(findings[0].snippet.contains("format!"));
+    // In a class, which runs before the passthrough.
+    let class = preload(
+        "    fn read(fd: c_int, buf: *mut c_void, n: usize) -> isize = -1;\n\
+         \x20       via lookup(fd) => |st| read_at(&st, buf, n);\n",
+        "fn lookup(fd: c_int) -> Option<Open> {\n\
+         \x20   let key = fd.to_string();\n\
+         \x20   table().get(&key)\n\
+         }\n",
+    );
+    let findings = lint_source(PRELOAD, &class);
+    assert_eq!(rules(&findings), ["signal-safety"]);
+    assert!(findings[0].snippet.contains("to_string"));
 }
 
 #[test]
 fn signal_safety_fires_on_reentry_and_guard_binding() {
     // Calling back into an interposed symbol pre-resolution.
-    let reenter = "#[no_mangle]\n\
-                   pub unsafe extern \"C\" fn write(fd: c_int) -> c_int {\n\
-                   \x20   ffi_guard!(-1, do_write(fd))\n\
-                   }\n\
-                   unsafe fn do_write(fd: c_int) -> c_int {\n\
-                   \x20   write(fd)\n\
-                   }\n";
-    let findings = lint_source(PRELOAD, reenter);
+    let reenter = preload(
+        "    fn write(fd: c_int) -> c_int = -1;\n\
+         \x20       => |_| do_write(fd);\n",
+        "unsafe fn do_write(fd: c_int) -> c_int {\n\
+         \x20   write(fd)\n\
+         }\n",
+    );
+    let findings = lint_source(PRELOAD, &reenter);
     assert_eq!(rules(&findings), ["signal-safety"]);
     assert!(findings[0].message.contains("recurses"));
     // Binding a lock guard pre-resolution.
-    let locked = "#[no_mangle]\n\
-                  pub unsafe extern \"C\" fn readv(fd: c_int) -> c_int {\n\
-                  \x20   ffi_guard!(-1, do_closev(fd))\n\
-                  }\n\
-                  unsafe fn do_closev(fd: c_int) -> c_int {\n\
-                  \x20   let t = table.lock();\n\
-                  \x20   let f = real!(readv, unsafe extern \"C\" fn(c_int) -> c_int);\n\
-                  \x20   f(fd)\n\
-                  }\n";
-    assert_eq!(rules(&lint_source(PRELOAD, locked)), ["signal-safety"]);
+    let locked = preload(
+        "    fn readv(fd: c_int) -> c_int = -1;\n\
+         \x20       => |_| do_readv(fd);\n",
+        "unsafe fn do_readv(fd: c_int) -> c_int {\n\
+         \x20   let t = table.lock();\n\
+         \x20   next::readv(fd)\n\
+         }\n",
+    );
+    assert_eq!(rules(&lint_source(PRELOAD, &locked)), ["signal-safety"]);
 }
 
 #[test]
 fn signal_safety_quiet_when_resolution_comes_first() {
-    let src = "#[no_mangle]\n\
-               pub unsafe extern \"C\" fn close(fd: c_int) -> c_int {\n\
-               \x20   ffi_guard!(-1, do_close(fd))\n\
-               }\n\
-               unsafe fn do_close(fd: c_int) -> c_int {\n\
-               \x20   let f = real!(close, unsafe extern \"C\" fn(c_int) -> c_int);\n\
-               \x20   let tag = String::from(\"x\");\n\
-               \x20   f(fd)\n\
-               }\n";
-    assert!(lint_source(PRELOAD, src).is_empty());
+    let helper = preload(
+        "    fn close(fd: c_int) -> c_int = -1;\n\
+         \x20       => |_| do_close(fd);\n",
+        "unsafe fn do_close(fd: c_int) -> c_int {\n\
+         \x20   let ret = next::close(fd);\n\
+         \x20   let tag = String::from(\"x\");\n\
+         \x20   ret\n\
+         }\n",
+    );
+    assert!(lint_source(PRELOAD, &helper).is_empty());
+    // A class row's body runs past the passthrough.
+    let body = preload(
+        "    fn read(fd: c_int, buf: *mut c_void, n: usize) -> isize = -1;\n\
+         \x20       via lookup(fd) => |st| read_at(&st, buf, n);\n",
+        "unsafe fn read_at(st: &Open, buf: *mut c_void, n: usize) -> isize {\n\
+         \x20   let staging = vec![0u8; n];\n\
+         \x20   st.copy(staging, buf)\n\
+         }\n",
+    );
+    assert!(lint_source(PRELOAD, &body).is_empty());
 }
 
 #[test]
-fn signal_safety_quiet_with_signal_safe_annotation() {
-    let src = "#[no_mangle]\n\
-               pub unsafe extern \"C\" fn close(fd: c_int) -> c_int {\n\
-               \x20   ffi_guard!(-1, do_close(fd))\n\
-               }\n\
-               // signal-safe: init latch makes nested calls fall through to libc\n\
-               unsafe fn do_close(fd: c_int) -> c_int {\n\
-               \x20   let tag = String::from(\"x\");\n\
-               \x20   let f = real!(close, unsafe extern \"C\" fn(c_int) -> c_int);\n\
-               \x20   f(fd)\n\
-               }\n";
-    assert!(lint_source(PRELOAD, src).is_empty());
+fn signal_safety_quiet_with_signal_safe_annotation_or_suppression() {
+    let rows = "    fn close(fd: c_int) -> c_int = -1;\n\
+                \x20       => |_| do_close(fd);\n";
+    let src = preload(
+        rows,
+        "// signal-safe: init latch makes nested calls fall through to libc\n\
+         unsafe fn do_close(fd: c_int) -> c_int {\n\
+         \x20   let tag = String::from(\"x\");\n\
+         \x20   next::close(fd)\n\
+         }\n",
+    );
+    assert!(lint_source(PRELOAD, &src).is_empty());
     // A bare `signal-safe:` with no justification does not count.
     let bare = src.replace(
         "// signal-safe: init latch makes nested calls fall through to libc",
         "// signal-safe:",
     );
     assert_eq!(rules(&lint_source(PRELOAD, &bare)), ["signal-safety"]);
+    // A suppressed row stays quiet.
+    let suppressed = preload(
+        "    fn close(fd: c_int) -> c_int = -1;\n\
+         \x20       => |next| {\n\
+         \x20           // plfs-lint: allow(signal-safety, \"runs once, before any handler is installed\")\n\
+         \x20           let tag = format!(\"{fd}\");\n\
+         \x20           next(fd)\n\
+         \x20       };\n",
+        "",
+    );
+    assert!(lint_source(PRELOAD, &suppressed).is_empty());
 }
 
 // --------------------------------------------------------------- errno-clobber
@@ -281,6 +331,22 @@ fn errno_clobber_quiet_on_adjacent_return_and_success_path_bookkeeping() {
 }
 
 #[test]
+fn errno_clobber_fires_in_a_row_body() {
+    let src = preload(
+        "    fn close(fd: c_int) -> c_int = -1;\n\
+         \x20       => |next| {\n\
+         \x20           set_errno(9);\n\
+         \x20           next(fd);\n\
+         \x20           -1\n\
+         \x20       };\n",
+        "",
+    );
+    let findings = lint_source(PRELOAD, &src);
+    assert_eq!(rules(&findings), ["errno-clobber"]);
+    assert!(findings[0].snippet.contains("next(fd)"));
+}
+
+#[test]
 fn errno_clobber_quiet_when_suppressed_with_reason() {
     let src = "unsafe fn do_x(fd: c_int) -> c_int {\n\
                \x20   let f = real!(close, unsafe extern \"C\" fn(c_int) -> c_int);\n\
@@ -294,177 +360,74 @@ fn errno_clobber_quiet_when_suppressed_with_reason() {
 
 // ------------------------------------------------------------- symbol-coverage
 
+// Whether a family is complete — every `64`, `_chk` and `_2` spelling
+// glibc exports — is the dynamic loader's to say: the preload's
+// `every_glibc_spelling_of_a_row_is_interposed` test asks it.
+
+/// Two rows and the helper their bodies call.
+const ROWS: &str = "    fn open | open64(p: *const c_char, flags: c_int) -> c_int = -1;\n\
+                    \x20       via resolve(p) => |at| open_in(at, flags);\n\
+                    \x20   fn close(fd: c_int) -> c_int = -1;\n\
+                    \x20       => |next| next(fd);\n";
+const HELPER: &str = "fn open_in(at: At, flags: c_int) -> c_int {\n\
+                      \x20   0\n\
+                      }\n";
+
 #[test]
-fn symbol_coverage_catches_removed_open64() {
-    // The acceptance-criterion fixture: open interposed, its 64/at twins
-    // missing — an LFS-built application would silently bypass the shim.
-    let src = "#[no_mangle]\n\
-               pub unsafe extern \"C\" fn open(p: *const c_char) -> c_int {\n\
-               \x20   ffi_guard!(-1, do_open(p))\n\
-               }\n\
-               unsafe fn do_open(p: *const c_char) -> c_int {\n\
-               \x20   0\n\
-               }\n";
-    let findings = lint_source(PRELOAD, src);
+fn symbol_coverage_catches_a_hand_written_symbol() {
+    let src = preload(
+        ROWS,
+        &format!(
+            "{HELPER}#[no_mangle]\n\
+             pub unsafe extern \"C\" fn creat64(p: *const c_char) -> c_int {{\n\
+             \x20   ffi_guard!(-1, open_in(p, 0))\n\
+             }}\n"
+        ),
+    );
+    let findings = lint_source(PRELOAD, &src);
     assert_eq!(rules(&findings), ["symbol-coverage"]);
-    assert!(findings[0].message.contains("open64"));
-    assert!(findings[0].message.contains("openat64"));
+    assert!(findings[0].message.contains("creat64"));
+    assert!(findings[0].message.contains("row"));
 }
 
 #[test]
-fn symbol_coverage_catches_unknown_symbol_and_twin_drift() {
-    // A symbol missing from the matrix entirely.
-    let unknown = "#[no_mangle]\n\
-                   pub unsafe extern \"C\" fn bogus_sym(fd: c_int) -> c_int {\n\
-                   \x20   ffi_guard!(-1, do_bogus(fd))\n\
-                   }\n\
-                   unsafe fn do_bogus(fd: c_int) -> c_int {\n\
-                   \x20   0\n\
-                   }\n";
-    let findings = lint_source(PRELOAD, unknown);
-    assert_eq!(rules(&findings), ["symbol-coverage"]);
-    assert!(findings[0].message.contains("bogus_sym"));
-    // Twins drifting to different dispatchers.
-    let drift = "#[no_mangle]\n\
-                 pub unsafe extern \"C\" fn open(p: *const c_char) -> c_int {\n\
-                 \x20   ffi_guard!(-1, do_open(p))\n\
-                 }\n\
-                 #[no_mangle]\n\
-                 pub unsafe extern \"C\" fn open64(p: *const c_char) -> c_int {\n\
-                 \x20   ffi_guard!(-1, do_open64(p))\n\
-                 }\n\
-                 #[no_mangle]\n\
-                 pub unsafe extern \"C\" fn openat(d: c_int, p: *const c_char) -> c_int {\n\
-                 \x20   ffi_guard!(-1, do_openat(d, p))\n\
-                 }\n\
-                 #[no_mangle]\n\
-                 pub unsafe extern \"C\" fn openat64(d: c_int, p: *const c_char) -> c_int {\n\
-                 \x20   ffi_guard!(-1, do_openat(d, p))\n\
-                 }\n\
-                 unsafe fn do_open(p: *const c_char) -> c_int {\n\
-                 \x20   0\n\
-                 }\n\
-                 unsafe fn do_open64(p: *const c_char) -> c_int {\n\
-                 \x20   0\n\
-                 }\n\
-                 unsafe fn do_openat(d: c_int, p: *const c_char) -> c_int {\n\
-                 \x20   0\n\
-                 }\n";
-    let findings = lint_source(PRELOAD, drift);
-    assert_eq!(rules(&findings), ["symbol-coverage"]);
-    assert!(findings[0].message.contains("do_open64"));
-}
-
-#[test]
-fn symbol_coverage_quiet_on_complete_family() {
-    let src = "#[no_mangle]\n\
-               pub unsafe extern \"C\" fn open(p: *const c_char) -> c_int {\n\
-               \x20   ffi_guard!(-1, do_open(p))\n\
-               }\n\
-               #[no_mangle]\n\
-               pub unsafe extern \"C\" fn open64(p: *const c_char) -> c_int {\n\
-               \x20   ffi_guard!(-1, do_open(p))\n\
-               }\n\
-               #[no_mangle]\n\
-               pub unsafe extern \"C\" fn openat(d: c_int, p: *const c_char) -> c_int {\n\
-               \x20   ffi_guard!(-1, do_openat(d, p))\n\
-               }\n\
-               #[no_mangle]\n\
-               pub unsafe extern \"C\" fn openat64(d: c_int, p: *const c_char) -> c_int {\n\
-               \x20   ffi_guard!(-1, do_openat(d, p))\n\
-               }\n\
-               unsafe fn do_open(p: *const c_char) -> c_int {\n\
-               \x20   0\n\
-               }\n\
-               unsafe fn do_openat(d: c_int, p: *const c_char) -> c_int {\n\
-               \x20   0\n\
-               }\n";
-    assert!(lint_source(PRELOAD, src).is_empty());
+fn symbol_coverage_quiet_when_every_symbol_is_a_row() {
+    assert!(lint_source(PRELOAD, &preload(ROWS, HELPER)).is_empty());
 }
 
 #[test]
 fn symbol_coverage_quiet_when_suppressed_with_reason() {
-    let src = "#[no_mangle] // plfs-lint: allow(symbol-coverage, \"prototype build: LFS twins land with the next batch\")\n\
-               pub unsafe extern \"C\" fn open(p: *const c_char) -> c_int {\n\
-               \x20   ffi_guard!(-1, do_open(p))\n\
-               }\n\
-               unsafe fn do_open(p: *const c_char) -> c_int {\n\
-               \x20   0\n\
-               }\n";
-    assert!(lint_source(PRELOAD, src).is_empty());
+    let src = preload(
+        ROWS,
+        &format!(
+            "{HELPER}#[no_mangle] // plfs-lint: allow(symbol-coverage, \"prototype: joins the table with its family\")\n\
+             pub unsafe extern \"C\" fn creat64(p: *const c_char) -> c_int {{\n\
+             \x20   ffi_guard!(-1, open_in(p, 0))\n\
+             }}\n"
+        ),
+    );
+    assert!(lint_source(PRELOAD, &src).is_empty());
 }
 
 #[test]
-fn symbol_coverage_catches_read_without_its_fortified_twin() {
-    // `_FORTIFY_SOURCE` builds call `__read_chk`; since the reserved fd
-    // holds no data, a read that bypasses the shim returns EOF.
-    let src = "#[no_mangle]\n\
-               pub unsafe extern \"C\" fn read(fd: c_int) -> c_int {\n\
-               \x20   ffi_guard!(-1, do_read(fd))\n\
-               }\n\
-               unsafe fn do_read(fd: c_int) -> c_int {\n\
-               \x20   0\n\
-               }\n";
-    let findings = lint_source(PRELOAD, src);
+fn symbol_coverage_catches_a_name_both_interposed_and_not() {
+    let rows = format!("{ROWS}    !close | vfork = \"the atfork handlers do its part\";\n");
+    let findings = lint_source(PRELOAD, &preload(&rows, HELPER));
     assert_eq!(rules(&findings), ["symbol-coverage"]);
-    assert!(findings[0].message.contains("__read_chk"));
+    assert!(findings[0].message.contains("`close`"));
 }
 
 #[test]
-fn symbol_coverage_knows_the_kernel_side_families() {
-    // mmap without mmap64, fopen pair without fdopen: incomplete families.
-    let partial = "#[no_mangle]\n\
-                   pub unsafe extern \"C\" fn mmap(fd: c_int) -> c_int {\n\
-                   \x20   ffi_guard!(-1, do_mmap(fd))\n\
-                   }\n\
-                   #[no_mangle]\n\
-                   pub unsafe extern \"C\" fn fopen(p: *const c_char) -> c_int {\n\
-                   \x20   ffi_guard!(-1, do_fopen(p))\n\
-                   }\n\
-                   #[no_mangle]\n\
-                   pub unsafe extern \"C\" fn fopen64(p: *const c_char) -> c_int {\n\
-                   \x20   ffi_guard!(-1, do_fopen(p))\n\
-                   }\n\
-                   unsafe fn do_mmap(fd: c_int) -> c_int {\n\
-                   \x20   0\n\
-                   }\n\
-                   unsafe fn do_fopen(p: *const c_char) -> c_int {\n\
-                   \x20   0\n\
-                   }\n";
-    let findings = lint_source(PRELOAD, partial);
-    assert_eq!(rules(&findings), ["symbol-coverage", "symbol-coverage"]);
-    assert!(findings.iter().any(|f| f.message.contains("mmap64")));
-    assert!(findings.iter().any(|f| f.message.contains("fdopen")));
-    // The byte movers are in the matrix; sendfile's twin must not drift.
-    let movers = "#[no_mangle]\n\
-                  pub unsafe extern \"C\" fn copy_file_range(i: c_int, o: c_int) -> c_int {\n\
-                  \x20   ffi_guard!(-1, do_copy_file_range(i, o))\n\
-                  }\n\
-                  #[no_mangle]\n\
-                  pub unsafe extern \"C\" fn splice(i: c_int, o: c_int) -> c_int {\n\
-                  \x20   ffi_guard!(-1, do_splice(i, o))\n\
-                  }\n\
-                  #[no_mangle]\n\
-                  pub unsafe extern \"C\" fn sendfile(o: c_int, i: c_int) -> c_int {\n\
-                  \x20   ffi_guard!(-1, do_sendfile(o, i))\n\
-                  }\n\
-                  #[no_mangle]\n\
-                  pub unsafe extern \"C\" fn sendfile64(o: c_int, i: c_int) -> c_int {\n\
-                  \x20   ffi_guard!(-1, do_sendfile64(o, i))\n\
-                  }\n\
-                  unsafe fn do_copy_file_range(i: c_int, o: c_int) -> c_int {\n\
-                  \x20   0\n\
-                  }\n\
-                  unsafe fn do_splice(i: c_int, o: c_int) -> c_int {\n\
-                  \x20   0\n\
-                  }\n\
-                  unsafe fn do_sendfile(o: c_int, i: c_int) -> c_int {\n\
-                  \x20   0\n\
-                  }\n\
-                  unsafe fn do_sendfile64(o: c_int, i: c_int) -> c_int {\n\
-                  \x20   0\n\
-                  }\n";
-    let findings = lint_source(PRELOAD, movers);
-    assert_eq!(rules(&findings), ["symbol-coverage"]);
-    assert!(findings[0].message.contains("do_sendfile64"));
+fn the_table_reader_reads_names_and_the_not_interposed_list() {
+    let rows =
+        format!("{ROWS}    !fork | vfork\n        = \"the atfork handlers do their part\";\n");
+    let table = plfs_lint::table::read_source(&preload(&rows, HELPER)).expect("a table");
+    let names: Vec<&[String]> = table.rows.iter().map(|r| r.names.as_slice()).collect();
+    assert_eq!(names, [&["open", "open64"][..], &["close"][..]]);
+    assert_eq!((table.rows[0].line, table.rows[1].line), (1, 3));
+    let skip = &table.not_interposed[0];
+    assert_eq!(skip.names, ["fork", "vfork"]);
+    assert_eq!(skip.reason, "the atfork handlers do their part");
+    // No table, no rows: a file without the invocation has none.
+    assert!(plfs_lint::table::read_source(HELPER).is_none());
 }

@@ -9,7 +9,8 @@
 //! bytes): `fstat`, `movers`, `mmap`, `stdio`, `dup`, `dup2-writer`,
 //! `dup2-self`, `close-error`, `truncate`, `cloexec`, `fcntl-dup`, `fork`,
 //! `fork-exec`, `fork-first`, `close-range`, `chdir`, `backing-root`,
-//! `negative-offset`, `seek-overflow` — see each `check_*`. `preload-smoke
+//! `negative-offset`, `seek-overflow`, `glibc-spellings` — see each
+//! `check_*`. `preload-smoke
 //! calls-KIND N [CONTAINER]` makes N calls of one kind and nothing else
 //! that grows with N, for a syscall
 //! counter to difference two runs of (`plfs-tools syscalls`): `write` (N
@@ -95,6 +96,13 @@ extern "C" {
     fn closefrom(lowfd: c_int);
     fn waitpid(pid: c_int, status: *mut c_int, options: c_int) -> c_int;
     fn _exit(code: c_int) -> !;
+    fn setrlimit(resource: c_int, limit: *const [u64; 2]) -> c_int;
+    fn creat64(path: *const c_char, mode: u32) -> c_int;
+    fn fstatat64(dirfd: c_int, path: *const c_char, out: *mut [u64; 18], flags: c_int) -> c_int;
+    fn __open_2(path: *const c_char, flags: c_int) -> c_int;
+    fn __open64_2(path: *const c_char, flags: c_int) -> c_int;
+    fn __openat_2(dirfd: c_int, path: *const c_char, flags: c_int) -> c_int;
+    fn __openat64_2(dirfd: c_int, path: *const c_char, flags: c_int) -> c_int;
 }
 
 const O_RDONLY: c_int = 0;
@@ -539,6 +547,77 @@ fn check_seek_overflow(container: &str) {
         );
         assert_eq!(unsafe { lseek(fd, 0, SEEK_CUR) }, i64::MAX, "{name}");
     }
+}
+
+/// The spellings LFS and `_FORTIFY_SOURCE` builds call in place of
+/// `creat`, `fstatat`, `open` and `openat` (`tar`, `install` and `perl`
+/// import the fortified opens) act on the container as on its flat twin:
+/// each open reads the twin's bytes, `fstatat64` reports the path-stat's
+/// inode and size, and `creat64` in the mount makes a container that reads
+/// back what was written, as it makes a file outside. `__open_2` with
+/// `O_CREAT` aborts, as glibc's does.
+fn check_glibc_spellings(container: &str, twin_path: &str, twin: &[u8]) {
+    const AT_FDCWD: c_int = -100;
+    for path in [container, twin_path] {
+        let c = std::ffi::CString::new(path).expect("path");
+        let opens = [
+            ("__open_2", unsafe { __open_2(c.as_ptr(), O_RDONLY) }),
+            ("__open64_2", unsafe { __open64_2(c.as_ptr(), O_RDONLY) }),
+            ("__openat_2", unsafe {
+                __openat_2(AT_FDCWD, c.as_ptr(), O_RDONLY)
+            }),
+            ("__openat64_2", unsafe {
+                __openat64_2(AT_FDCWD, c.as_ptr(), O_RDONLY)
+            }),
+        ];
+        for (name, fd) in opens {
+            assert!(fd >= 0, "{name}({path}): errno {}", errno());
+            let mut f: fs::File = unsafe { std::os::fd::FromRawFd::from_raw_fd(fd) };
+            let mut got = Vec::new();
+            f.read_to_end(&mut got).expect(name);
+            assert!(got == twin, "{name}({path}) read other bytes");
+        }
+        let mut st = [0u64; 18];
+        let r = unsafe { fstatat64(AT_FDCWD, c.as_ptr(), &mut st, 0) };
+        assert_eq!(r, 0, "fstatat64({path}): errno {}", errno());
+        let md = fs::metadata(path).expect("stat");
+        assert_eq!((st[1], st[6]), (md.ino(), md.len()), "fstatat64({path})");
+    }
+    let made: Vec<Vec<u8>> = [mount_dir(), outside_dir()]
+        .iter()
+        .map(|dir| {
+            let path = format!("{dir}/creat64.out");
+            let c = std::ffi::CString::new(path.as_str()).expect("path");
+            let fd = unsafe { creat64(c.as_ptr(), 0o644) };
+            assert!(fd >= 0, "creat64({path}): errno {}", errno());
+            let mut f: fs::File = unsafe { std::os::fd::FromRawFd::from_raw_fd(fd) };
+            f.write_all(&twin[..5000]).expect("write");
+            drop(f);
+            fs::read(&path).expect("read back")
+        })
+        .collect();
+    assert!(
+        made[0] == twin[..5000] && made[1] == twin[..5000],
+        "creat64"
+    );
+    let container_dir = std::path::Path::new(&backend_dir()).join("creat64.out");
+    assert!(container_dir.is_dir(), "creat64 made no container");
+    let pid = unsafe { fork() };
+    assert!(pid >= 0, "fork: errno {}", errno());
+    if pid == 0 {
+        // RLIMIT_CORE 0: the abort leaves no core file behind.
+        unsafe { setrlimit(4, &[0, 0]) };
+        let c = std::ffi::CString::new(container).expect("path");
+        unsafe { __open_2(c.as_ptr(), O_CREAT) };
+        unsafe { _exit(0) };
+    }
+    let mut status = 0;
+    assert_eq!(unsafe { waitpid(pid, &mut status, 0) }, pid);
+    assert_eq!(
+        status & 0x7f,
+        6,
+        "__open_2(O_CREAT) did not abort: {status:#x}"
+    );
 }
 
 /// `FD_CLOEXEC` of `fd`, as `fcntl(F_GETFD)` reports it.
@@ -1130,6 +1209,7 @@ fn main() {
             "backing-root" => check_backing_root(&twin),
             "negative-offset" => check_negative_offset(container, twin_path, &twin),
             "seek-overflow" => check_seek_overflow(container),
+            "glibc-spellings" => check_glibc_spellings(container, twin_path, &twin),
             other => panic!("unknown mode {other}"),
         }
         println!("preload smoke {mode} OK");

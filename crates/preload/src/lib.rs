@@ -13,28 +13,21 @@
 //! LD_PRELOAD=target/release/libldplfs_preload.so  md5sum /tmp/plfs/file
 //! ```
 //!
-//! Interposed symbols: `open`, `open64`, `openat`, `openat64`, `creat`,
-//! `read`, `write`, `pread(64)`, `pwrite(64)` (and the fortified
-//! `__read_chk`/`__pread(64)_chk`), `readv`, `writev`, `preadv(64)`,
-//! `pwritev(64)`, `preadv2`/`pwritev2` (and their `64v2` aliases),
-//! `lseek(64)`, `close`, `close_range`, `closefrom`, `fsync`, `dup`,
-//! `dup2`, `dup3`, `fcntl(64)` (its
-//! `F_DUPFD`/`F_DUPFD_CLOEXEC` commands; the rest pass untouched),
-//! `unlink`, `access`,
-//! `mkdir`, `rmdir`, `ftruncate(64)`, the `stat`/`lstat`/`fstat` family,
-//! `fopen(64)`/`fdopen`, `mmap(64)`, and the in-kernel byte movers
-//! `copy_file_range`, `sendfile(64)`, `splice`. Calls on paths outside
-//! `LDPLFS_MOUNT` forward to the real libc via `dlsym(RTLD_NEXT, …)`,
-//! exactly like the original; so do the calls PLFS itself makes on its
-//! backing store, without even a lookup (the `InPlfs` latch; DESIGN.md
-//! §13), which is also what lets the backend directory sit under the mount.
+//! The interposed symbols are the rows of one table, `interpose!`'s
+//! invocation below: one row per alias family, with every spelling glibc
+//! exports of it (`open64`, `__open_2`, `__read_chk`, …). Calls on paths
+//! outside `LDPLFS_MOUNT` forward to the next definition of the same name
+//! (`dlsym(RTLD_NEXT, …)`), exactly like the original; so do the calls PLFS
+//! itself makes on its backing store, without even a lookup (the `InPlfs`
+//! latch; DESIGN.md §13), which is also what lets the backend directory sit
+//! under the mount.
 //!
 //! What a call on a container does — the fd table, the cursor, one body
 //! per call — is `ldplfs::open`'s, the dispatcher `ldplfs::LdPlfs` runs
-//! too. This crate is the C veneer around it: the `extern "C"` symbols and
-//! their panic barrier, the next-in-chain passthrough (a C pointer becomes
-//! a Rust slice only on a container call), the `InPlfs` latch, and what
-//! only a process-wide library has to give the dispatcher:
+//! too. This crate is the C veneer around it: the table, which makes the
+//! `extern "C"` symbols with their panic barrier, latch and passthrough (a
+//! C pointer becomes a Rust slice only on a container call), and what only
+//! a process-wide library has to give the dispatcher:
 //!
 //! * As in the paper, every PLFS open reserves a *genuine* kernel fd, so the
 //!   application holds a descriptor number no other file can take. Unlike
@@ -99,7 +92,7 @@
 #![allow(clippy::missing_safety_doc)]
 
 use ldplfs::open::{At, Cursor, Dispatcher, Open, ShimMount};
-use ldplfs::{Errno, OpenFlags, PosixResult, Whence};
+use ldplfs::{Errno, OpenFlags, PosixResult, PosixStat, Whence};
 use parking_lot::{Mutex, MutexGuard, RwLockWriteGuard};
 use plfs::meta::Fnv;
 use plfs::{Plfs, PlfsFd, RealBacking};
@@ -123,10 +116,15 @@ pub(crate) type ModeT = c_uint;
 
 const RTLD_NEXT: *mut c_void = -1isize as *mut c_void;
 const AT_FDCWD: c_int = -100;
+const AT_REMOVEDIR: c_int = 0x200;
+const AT_EMPTY_PATH: c_int = 0x1000;
 
+const O_RDONLY: c_int = 0;
+const O_WRONLY: c_int = 1;
 const O_CREAT: c_int = 0o100;
 const O_TRUNC: c_int = 0o1000;
 const O_CLOEXEC: c_int = 0o2000000;
+const O_TMPFILE: c_int = 0o20200000;
 
 const F_DUPFD: c_int = 0;
 const F_DUPFD_CLOEXEC: c_int = 1030;
@@ -184,19 +182,7 @@ fn errno() -> c_int {
 /// the process-global shim state is lock-guarded (parking_lot poisons
 /// nothing) and a torn open at worst fails subsequent calls with
 /// EBADF, never UB.
-///
-/// An interposed symbol names its next-in-chain twin, `name: Type(args)`:
-/// a call made while this thread is inside PLFS ([`InPlfs`]) is PLFS's own
-/// I/O on its backing store and goes straight there — no fd-table lookup,
-/// no path classification, no panic barrier to set up.
 macro_rules! ffi_guard {
-    ($err:expr, $name:ident: $sig:ident($($arg:expr),*), $body:expr) => {
-        if in_plfs() {
-            real!($name, $sig)($($arg),*)
-        } else {
-            ffi_guard!($err, $body)
-        }
-    };
     ($err:expr, $body:expr) => {
         match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| $body)) {
             Ok(v) => v,
@@ -208,52 +194,100 @@ macro_rules! ffi_guard {
     };
 }
 
-macro_rules! real {
-    ($name:ident, $sig:ty) => {{
-        static SLOT: OnceLock<usize> = OnceLock::new();
-        let addr = *SLOT.get_or_init(|| {
-            let sym = concat!(stringify!($name), "\0");
-            unsafe { dlsym(RTLD_NEXT, sym.as_ptr() as *const c_char) as usize }
-        });
-        debug_assert!(addr != 0, concat!("dlsym failed for ", stringify!($name)));
-        unsafe { std::mem::transmute::<usize, $sig>(addr) }
+/// The C surface, declared once: one row per alias family.
+///
+/// ```text
+/// fn NAME | NAME…(PARAMS) -> RET = ERR [, chk_fail if CHECK];
+///     [via CLASS] => |BIND| BODY;
+/// ```
+///
+/// For each NAME of a row the table makes `next::NAME`, the next definition
+/// of NAME in the loader's chain (`dlsym(RTLD_NEXT)`, resolved at its first
+/// call), and the `#[no_mangle] extern "C"` symbol NAME, which
+/// 1. calls `__chk_fail` if CHECK holds: a `_FORTIFY_SOURCE` spelling's
+///    abort, made before anything else, as glibc makes it;
+/// 2. goes straight to `next::NAME` while this thread is inside PLFS
+///    ([`InPlfs`]): that is PLFS's own I/O on its backing store;
+/// 3. behind the panic barrier ([`ffi_guard!`], failing with ERR) evaluates
+///    CLASS, an `Option` — [`lookup`] of a fd, [`resolve`] of a path, … —
+///    and hands the call to `next::NAME` if it is `None`, or runs BODY with
+///    its value bound to BIND. A row without a CLASS always runs BODY, with
+///    `next::NAME` bound to BIND.
+///
+/// A parameter written `...arg` is C-variadic in the next definition. A
+/// line `!NAME | … = "why";` lists spellings libc exports that the shim
+/// leaves alone on purpose. An alias is one more NAME in its row. plfs-lint
+/// reads this table (its rows are the roots of `signal-safety`,
+/// `errno-clobber` and `symbol-coverage`), and
+/// `preload_e2e::every_glibc_spelling_of_a_row_is_interposed` asks the
+/// loader for the `64`, `_chk` and `_2` spellings of every name.
+macro_rules! interpose {
+    (
+        $(
+            fn $($name:ident)|+ ($($params:tt)*) -> $ret:ty = $err:expr $(, chk_fail if $chk:expr)?;
+                $(via $class:expr)? => |$bind:pat_param| $body:expr;
+        )*
+        $(! $($skip:ident)|+ = $why:literal;)*
+    ) => {
+        /// The next definition of each interposed name in the loader's chain:
+        /// the C function of that name, with its contract.
+        pub(crate) mod next {
+            use super::*;
+            $(interpose!(@next [$($name)+] ($($params)*) $ret);)*
+        }
+        $(interpose!(
+            @row [$($name)+] ($($params)*) $ret, $err, [$($chk)?] [$($class)?] $bind, $body
+        );)*
+    };
+    (@next [$($name:ident)+] $params:tt $ret:ty) => {
+        $(interpose!(@next $name $params $ret);)+
+    };
+    (@next $name:ident ($($arg:ident: $ty:ty),* $(, ...$va:ident: $vty:ty)?) $ret:ty) => {
+        pub unsafe fn $name($($arg: $ty),* $(, $va: $vty)?) -> $ret {
+            static ADDR: OnceLock<usize> = OnceLock::new();
+            let addr = *ADDR.get_or_init(|| {
+                let sym = concat!(stringify!($name), "\0");
+                dlsym(RTLD_NEXT, sym.as_ptr() as *const c_char) as usize
+            });
+            debug_assert!(addr != 0, concat!("dlsym failed for ", stringify!($name)));
+            let next: interpose!(@sig ($($ty),* $(; $vty)?) $ret) = std::mem::transmute(addr);
+            next($($arg),* $(, $va)?)
+        }
+    };
+    (@sig ($($ty:ty),*) $ret:ty) => {
+        unsafe extern "C" fn($($ty),*) -> $ret
+    };
+    (@sig ($($ty:ty),*; $va:ty) $ret:ty) => {
+        unsafe extern "C" fn($($ty,)* ...) -> $ret
+    };
+    (@row [$($name:ident)+] $params:tt $ret:ty, $err:expr,
+        $chk:tt $class:tt $bind:pat_param, $body:expr) => {
+        $(interpose!(@fn $name $params $ret, $err, $chk $class $bind, $body);)+
+    };
+    (@fn $name:ident ($($arg:ident: $ty:ty),* $(, ...$va:ident: $vty:ty)?) $ret:ty, $err:expr,
+        [$($chk:expr)?] $class:tt $bind:pat_param, $body:expr) => {
+        #[no_mangle]
+        pub unsafe extern "C" fn $name($($arg: $ty),* $(, $va: $vty)?) -> $ret {
+            $(if $chk {
+                __chk_fail();
+            })?
+            if in_plfs() {
+                return next::$name($($arg),* $(, $va)?);
+            }
+            ffi_guard!($err, interpose!(@arm $class $bind, $body, $name($($arg),* $(, $va)?)))
+        }
+    };
+    (@arm [] $bind:pat_param, $body:expr, $name:ident $args:tt) => {{
+        let $bind = next::$name;
+        $body
     }};
+    (@arm [$class:expr] $bind:pat_param, $body:expr, $name:ident ($($a:expr),*)) => {
+        match $class {
+            None => next::$name($($a),*),
+            Some($bind) => $body,
+        }
+    };
 }
-
-// Next-in-chain signatures, one per distinct C prototype.
-type PathModeFn = unsafe extern "C" fn(*const c_char, ModeT) -> c_int;
-type OpenFn = unsafe extern "C" fn(*const c_char, c_int, ModeT) -> c_int;
-type OpenatFn = unsafe extern "C" fn(c_int, *const c_char, c_int, ModeT) -> c_int;
-type ReadFn = unsafe extern "C" fn(c_int, *mut c_void, SizeT) -> SsizeT;
-type WriteFn = unsafe extern "C" fn(c_int, *const c_void, SizeT) -> SsizeT;
-type PreadFn = unsafe extern "C" fn(c_int, *mut c_void, SizeT, OffT) -> SsizeT;
-type PwriteFn = unsafe extern "C" fn(c_int, *const c_void, SizeT, OffT) -> SsizeT;
-type ReadChkFn = unsafe extern "C" fn(c_int, *mut c_void, SizeT, SizeT) -> SsizeT;
-type PreadChkFn = unsafe extern "C" fn(c_int, *mut c_void, SizeT, OffT, SizeT) -> SsizeT;
-type IovFn = unsafe extern "C" fn(c_int, *const IoVec, c_int) -> SsizeT;
-type IovAtFn = unsafe extern "C" fn(c_int, *const IoVec, c_int, OffT) -> SsizeT;
-type IovAt2Fn = unsafe extern "C" fn(c_int, *const IoVec, c_int, OffT, c_int) -> SsizeT;
-type LseekFn = unsafe extern "C" fn(c_int, OffT, c_int) -> OffT;
-type FdFn = unsafe extern "C" fn(c_int) -> c_int;
-type Dup2Fn = unsafe extern "C" fn(c_int, c_int) -> c_int;
-type Dup3Fn = unsafe extern "C" fn(c_int, c_int, c_int) -> c_int;
-type FcntlFn = unsafe extern "C" fn(c_int, c_int, ...) -> c_int;
-type CloseRangeFn = unsafe extern "C" fn(c_uint, c_uint, c_int) -> c_int;
-type CloseFromFn = unsafe extern "C" fn(c_int);
-type MmapFn = unsafe extern "C" fn(*mut c_void, SizeT, c_int, c_int, c_int, OffT) -> *mut c_void;
-type MoverFn = unsafe extern "C" fn(c_int, *mut OffT, c_int, *mut OffT, SizeT, c_uint) -> SsizeT;
-type SendfileFn = unsafe extern "C" fn(c_int, c_int, *mut OffT, SizeT) -> SsizeT;
-type StatFn = unsafe extern "C" fn(*const c_char, *mut CStat) -> c_int;
-type FstatFn = unsafe extern "C" fn(c_int, *mut CStat) -> c_int;
-type FstatatFn = unsafe extern "C" fn(c_int, *const c_char, *mut CStat, c_int) -> c_int;
-type StatxFn = unsafe extern "C" fn(c_int, *const c_char, c_int, c_uint, *mut CStatx) -> c_int;
-type PathFn = unsafe extern "C" fn(*const c_char) -> c_int;
-type UnlinkatFn = unsafe extern "C" fn(c_int, *const c_char, c_int) -> c_int;
-type AccessFn = unsafe extern "C" fn(*const c_char, c_int) -> c_int;
-type TruncateFn = unsafe extern "C" fn(*const c_char, OffT) -> c_int;
-type FtruncateFn = unsafe extern "C" fn(c_int, OffT) -> c_int;
-type FopenFn = unsafe extern "C" fn(*const c_char, *const c_char) -> *mut c_void;
-type FdopenFn = unsafe extern "C" fn(c_int, *const c_char) -> *mut c_void;
 
 // ---------------------------------------------------------------------------
 // Shim state.
@@ -329,9 +363,8 @@ impl Drop for Own {
     fn drop(&mut self) {
         if let Some(fd) = *self.map.get_mut() {
             // A mapping holds its own reference to the file.
-            let real_close = real!(close, FdFn);
             // SAFETY: `fd` is this open's own memfd, closed once, here.
-            let _ = unsafe { real_close(fd) };
+            let _ = unsafe { next::close(fd) };
         }
     }
 }
@@ -352,8 +385,9 @@ thread_local! {
     /// Set while this thread is inside PLFS: building the shim, or any call
     /// the shim makes into `Plfs`/`PlfsFd` (a cookie callback's included).
     /// PLFS's own I/O on its backing store reaches the interposed symbols
-    /// again; [`ffi_guard!`] sends it straight to libc. Without the latch a
-    /// backend directory under the mount recursed until the stack ran out.
+    /// again; each sends it straight to the next definition of its name.
+    /// Without the latch a backend directory under the mount recursed until
+    /// the stack ran out.
     static IN_PLFS: Cell<bool> = const { Cell::new(false) };
 }
 
@@ -406,9 +440,8 @@ const SHIM_ENV: [&str; 3] = [ENV_MOUNT, ENV_BACKEND, ENV_HOSTDIRS];
 /// misconfiguration must be visible, but never through an interposed path.
 fn warn(msg: &str) {
     let line = format!("ldplfs-preload: {msg}\n");
-    let real_write = real!(write, WriteFn);
     // Best effort: a closed stderr must not stop the shim from starting.
-    let _ = unsafe { real_write(2, line.as_ptr() as *const c_void, line.len()) };
+    let _ = unsafe { next::write(2, line.as_ptr() as *const c_void, line.len()) };
 }
 
 fn init_shim() -> Option<Shim> {
@@ -458,15 +491,6 @@ unsafe fn cstr<'a>(p: *const c_char) -> Option<&'a str> {
     CStr::from_ptr(p).to_str().ok()
 }
 
-/// The shim, and where in the mount `path` is, if it is inside it.
-///
-/// # Safety
-/// `path` is null or a NUL-terminated string that outlives `'a`.
-unsafe fn resolve<'a>(path: *const c_char) -> Option<(&'static Shim, At<'a>)> {
-    let sh = shim()?;
-    Some((sh, sh.opens.resolve(cstr(path)?)?))
-}
-
 /// The kernel file every reserved fd duplicates: a memfd private to this
 /// process, with no filesystem presence and close-on-exec itself. -1 until
 /// the first open makes it, and again once the application frees its
@@ -487,7 +511,6 @@ fn new_memfd(name: &'static [u8]) -> c_int {
 /// A reserved fd: a duplicate of the template — one `fcntl`, and no new
 /// kernel file — close-on-exec if the open asked for `O_CLOEXEC`.
 fn reserve_fd(cloexec: bool) -> c_int {
-    let dup = real!(fcntl, FcntlFn);
     let cmd = if cloexec { F_DUPFD_CLOEXEC } else { F_DUPFD };
     loop {
         // relaxed: the template's number is all this publishes; a stale -1 only makes a spare memfd
@@ -501,15 +524,14 @@ fn reserve_fd(cloexec: bool) -> c_int {
             t = match TEMPLATE.compare_exchange(NO_FD, made, Ordering::Relaxed, Ordering::Relaxed) {
                 Ok(_) => made,
                 Err(theirs) => {
-                    let real_close = real!(close, FdFn);
                     // SAFETY: `made` is this call's own memfd, used by nothing.
-                    let _ = unsafe { real_close(made) };
+                    let _ = unsafe { next::close(made) };
                     theirs
                 }
             };
         }
         // SAFETY: F_DUPFD[_CLOEXEC] takes one int argument.
-        let fd = unsafe { dup(t, cmd, 0 as c_int) };
+        let fd = unsafe { next::fcntl(t, cmd, 0) };
         if fd >= 0 || errno() != EBADF {
             return fd;
         }
@@ -567,20 +589,12 @@ impl Slot {
             Some(addr) => addr,
             None => {
                 if slots.page == 0 || slots.used == SLOTS_PER_PAGE {
-                    let map = real!(mmap, MmapFn);
                     let prot = PROT_READ | PROT_WRITE;
+                    let flags = MAP_SHARED | MAP_ANONYMOUS;
                     // SAFETY: a fresh anonymous mapping; no memory of ours
                     // is named by the arguments.
-                    let page = unsafe {
-                        map(
-                            std::ptr::null_mut(),
-                            4096,
-                            prot,
-                            MAP_SHARED | MAP_ANONYMOUS,
-                            NO_FD,
-                            0,
-                        )
-                    };
+                    let page =
+                        unsafe { next::mmap(std::ptr::null_mut(), 4096, prot, flags, NO_FD, 0) };
                     if page == MAP_FAILED {
                         return None;
                     }
@@ -707,6 +721,11 @@ extern "C" fn after_fork_in_child() {
     });
 }
 
+// ---------------------------------------------------------------------------
+// The classes a row routes by: what in its arguments makes a call the
+// shim's. `None` sends the call to the next definition of its name.
+// ---------------------------------------------------------------------------
+
 /// A registered fd's open. This thread is inside PLFS while it lives:
 /// everything done with one is a call into PLFS.
 struct Registered {
@@ -722,6 +741,8 @@ impl Deref for Registered {
     }
 }
 
+/// The open registered for `fd`, adopted if it was inherited across a
+/// `fork`.
 fn lookup(fd: c_int) -> Option<Registered> {
     let st = shim()?.opens.get(fd)?;
     let _in_plfs = InPlfs::enter();
@@ -729,15 +750,250 @@ fn lookup(fd: c_int) -> Option<Registered> {
     Some(Registered { st, _in_plfs })
 }
 
+/// The shim, and where in the mount `path` is, if it is inside it.
+///
+/// # Safety
+/// `path` is null or a NUL-terminated string that outlives `'a`.
+unsafe fn resolve<'a>(path: *const c_char) -> Option<(&'static Shim, At<'a>)> {
+    let sh = shim()?;
+    Some((sh, sh.opens.resolve(cstr(path)?)?))
+}
+
+/// [`resolve`] for a `*at` call: a path relative to a directory fd other
+/// than `AT_FDCWD` is not the shim's.
+///
+/// # Safety
+/// As [`resolve`]'s.
+unsafe fn resolve_at<'a>(dirfd: c_int, path: *const c_char) -> Option<(&'static Shim, At<'a>)> {
+    let absolute = cstr(path).is_some_and(|p| p.starts_with('/'));
+    if dirfd == AT_FDCWD || absolute {
+        resolve(path)
+    } else {
+        None
+    }
+}
+
+/// What a stat of a container names: an open of it, or a path to it.
+enum Target<'a> {
+    Open(Registered),
+    Path(&'static Shim, At<'a>),
+}
+
+impl Target<'_> {
+    /// The container's stat, and its fake inode.
+    fn attrs(&self) -> PosixResult<(PosixStat, u64)> {
+        match self {
+            Target::Open(st) => st.fstat().map(|s| (s, fake_ino(st.path()))),
+            Target::Path(sh, at) => inside_plfs(|| sh.opens.stat(*at)).map(|s| (s, fake_ino(at.1))),
+        }
+    }
+}
+
+/// A `*at` stat's target: with `AT_EMPTY_PATH` and an empty path, the open
+/// at `dirfd` itself; otherwise what [`resolve_at`] finds.
+///
+/// # Safety
+/// As [`resolve`]'s.
+unsafe fn stat_at<'a>(dirfd: c_int, path: *const c_char, flags: c_int) -> Option<Target<'a>> {
+    if flags & AT_EMPTY_PATH != 0 && (path.is_null() || *path == 0) {
+        return lookup(dirfd).map(Target::Open);
+    }
+    resolve_at(dirfd, path).map(|(sh, at)| Target::Path(sh, at))
+}
+
+/// `Some` if either end of an in-kernel byte mover is registered: the kernel
+/// would move bytes from or into the (empty) reserved fd (`cp` inside the
+/// mount "succeeded" with an empty destination). The mover fails instead,
+/// with the documented errno every caller follows with a read/write loop.
+fn owned_pair(a: c_int, b: c_int) -> Option<()> {
+    (lookup(a).is_some() || lookup(b).is_some()).then_some(())
+}
+
+/// Whether `open` flags need a mode: the fortified `__open_2` family,
+/// which takes none, aborts on them.
+fn needs_mode(flags: c_int) -> bool {
+    flags & O_CREAT != 0 || flags & O_TMPFILE == O_TMPFILE
+}
+
+/// A stream `mode` that only reads: stdio writes into the mount are not
+/// supported (they fall through to the real `fopen`, which fails cleanly,
+/// since the mount path does not exist on the real file system).
+///
+/// # Safety
+/// `mode` is null or a NUL-terminated string.
+unsafe fn read_only(mode: *const c_char) -> bool {
+    cstr(mode).is_some_and(|m| m.starts_with('r') && !m.contains('+'))
+}
+
+// ---------------------------------------------------------------------------
+// The table.
+// ---------------------------------------------------------------------------
+
+interpose! {
+    // Opens. Flag values match plfs::OpenFlags on Linux.
+    fn open | open64(path: *const c_char, flags: c_int, mode: ModeT) -> c_int = -1;
+        via resolve(path) => |(sh, at)| open_in(sh, at, flags);
+    fn creat | creat64(path: *const c_char, mode: ModeT) -> c_int = -1;
+        via resolve(path) => |(sh, at)| open_in(sh, at, O_WRONLY | O_CREAT | O_TRUNC);
+    fn openat | openat64(dirfd: c_int, path: *const c_char, flags: c_int, mode: ModeT)
+        -> c_int = -1;
+        via resolve_at(dirfd, path) => |(sh, at)| open_in(sh, at, flags);
+    // `_FORTIFY_SOURCE`'s opens without a mode (`tar`, `install` and `perl`
+    // call them): an open whose flags need one aborts, as in glibc.
+    fn __open_2 | __open64_2(path: *const c_char, flags: c_int) -> c_int = -1,
+        chk_fail if needs_mode(flags);
+        via resolve(path) => |(sh, at)| open_in(sh, at, flags);
+    fn __openat_2 | __openat64_2(dirfd: c_int, path: *const c_char, flags: c_int) -> c_int = -1,
+        chk_fail if needs_mode(flags);
+        via resolve_at(dirfd, path) => |(sh, at)| open_in(sh, at, flags);
+
+    // Data. A `_chk` spelling is what `_FORTIFY_SOURCE` builds call: the
+    // reserved fd holds no data, so a read that bypassed the shim saw EOF.
+    fn read(fd: c_int, buf: *mut c_void, n: SizeT) -> SsizeT = -1;
+        via lookup(fd) => |st| read_at(&st, buf, n, None);
+    fn __read_chk(fd: c_int, buf: *mut c_void, n: SizeT, len: SizeT) -> SsizeT = -1,
+        chk_fail if n > len;
+        via lookup(fd) => |st| read_at(&st, buf, n, None);
+    fn pread | pread64(fd: c_int, buf: *mut c_void, n: SizeT, off: OffT) -> SsizeT = -1;
+        via lookup(fd) => |st| read_at(&st, buf, n, Some(off));
+    fn __pread_chk | __pread64_chk(fd: c_int, buf: *mut c_void, n: SizeT, off: OffT, len: SizeT)
+        -> SsizeT = -1, chk_fail if n > len;
+        via lookup(fd) => |st| read_at(&st, buf, n, Some(off));
+    fn write(fd: c_int, buf: *const c_void, n: SizeT) -> SsizeT = -1;
+        via lookup(fd) => |st| write_at(&st, buf, n, None);
+    fn pwrite | pwrite64(fd: c_int, buf: *const c_void, n: SizeT, off: OffT) -> SsizeT = -1;
+        via lookup(fd) => |st| write_at(&st, buf, n, Some(off));
+    // Vectored I/O: one PLFS list call, so N buffers cost one index record.
+    // Offset -1 of the `v2` forms is the cursor; `RWF_*` flags are ignored.
+    fn readv(fd: c_int, iov: *const IoVec, cnt: c_int) -> SsizeT = -1;
+        via lookup(fd) => |st| read_vec(&st, iov, cnt, None);
+    fn preadv | preadv64(fd: c_int, iov: *const IoVec, cnt: c_int, off: OffT) -> SsizeT = -1;
+        via lookup(fd) => |st| read_vec(&st, iov, cnt, Some(off));
+    fn preadv2 | preadv64v2(fd: c_int, iov: *const IoVec, cnt: c_int, off: OffT, flags: c_int)
+        -> SsizeT = -1;
+        via lookup(fd) => |st| read_vec(&st, iov, cnt, (off != -1).then_some(off));
+    fn writev(fd: c_int, iov: *const IoVec, cnt: c_int) -> SsizeT = -1;
+        via lookup(fd) => |st| write_vec(&st, iov, cnt, None);
+    fn pwritev | pwritev64(fd: c_int, iov: *const IoVec, cnt: c_int, off: OffT) -> SsizeT = -1;
+        via lookup(fd) => |st| write_vec(&st, iov, cnt, Some(off));
+    fn pwritev2 | pwritev64v2(fd: c_int, iov: *const IoVec, cnt: c_int, off: OffT, flags: c_int)
+        -> SsizeT = -1;
+        via lookup(fd) => |st| write_vec(&st, iov, cnt, (off != -1).then_some(off));
+    fn lseek | lseek64(fd: c_int, off: OffT, whence: c_int) -> OffT = -1;
+        via lookup(fd) => |st| lseek_in(&st, off, whence);
+    // A container has no metadata/data split to exploit: both flush all.
+    fn fsync | fdatasync(fd: c_int) -> c_int = -1;
+        via lookup(fd) => |st| status(st.fsync(pid()));
+    fn ftruncate | ftruncate64(fd: c_int, len: OffT) -> c_int = -1;
+        via shim().zip(lookup(fd)) => |(sh, st)| {
+            status(unsigned(len).and_then(|len| sh.opens.ftruncate(&st, len)))
+        };
+
+    // Descriptors. `fcntl`'s duplicating commands are `dup`s (without the
+    // bookkeeping, reads through the new fd saw EOF and writes vanished
+    // into the reserved fd); every other command is the next definition's.
+    fn close(fd: c_int) -> c_int = -1;
+        => |_| close_fd(fd);
+    fn close_range(first: c_uint, last: c_uint, flags: c_int) -> c_int = -1;
+        => |_| close_fds(first, last, flags);
+    fn closefrom(lowfd: c_int) -> () = ();
+        => |_| close_from(lowfd);
+    fn dup(fd: c_int) -> c_int = -1;
+        => |next| duped(fd, next(fd));
+    fn dup2(oldfd: c_int, newfd: c_int) -> c_int = -1;
+        => |next| dup_onto(oldfd, newfd, || next(oldfd, newfd));
+    fn dup3(oldfd: c_int, newfd: c_int, flags: c_int) -> c_int = -1;
+        => |next| dup_onto(oldfd, newfd, || next(oldfd, newfd, flags));
+    fn fcntl | fcntl64(fd: c_int, cmd: c_int, ...arg: usize) -> c_int = -1;
+        => |next| match cmd {
+            F_DUPFD | F_DUPFD_CLOEXEC => duped(fd, next(fd, cmd, arg)),
+            _ => next(fd, cmd, arg),
+        };
+
+    // I/O the kernel would do on the (empty) reserved fd itself.
+    fn mmap | mmap64(addr: *mut c_void, len: SizeT, prot: c_int, flags: c_int, fd: c_int, off: OffT)
+        -> *mut c_void = MAP_FAILED;
+        via lookup(fd) => |st| map_container(&st, addr, len, prot, flags, off);
+    fn copy_file_range(
+        src: c_int, off_src: *mut OffT, dst: c_int, off_dst: *mut OffT, len: SizeT, flags: c_uint
+    ) -> SsizeT = -1;
+        via owned_pair(src, dst) => |()| fail(EXDEV);
+    fn splice(
+        src: c_int, off_src: *mut OffT, dst: c_int, off_dst: *mut OffT, len: SizeT, flags: c_uint
+    ) -> SsizeT = -1;
+        via owned_pair(src, dst) => |()| fail(EINVAL);
+    fn sendfile | sendfile64(out: c_int, src: c_int, off: *mut OffT, n: SizeT) -> SsizeT = -1;
+        via owned_pair(out, src) => |()| fail(EINVAL);
+
+    // Metadata. Containers have no symlinks: `lstat` is `stat`.
+    fn stat | stat64 | lstat | lstat64(path: *const c_char, out: *mut CStat) -> c_int = -1;
+        via resolve(path) => |(sh, at)| fill_stat(out, Target::Path(sh, at));
+    fn fstat | fstat64(fd: c_int, out: *mut CStat) -> c_int = -1;
+        via lookup(fd) => |st| fill_stat(out, Target::Open(st));
+    fn fstatat | fstatat64(dirfd: c_int, path: *const c_char, out: *mut CStat, flags: c_int)
+        -> c_int = -1;
+        via stat_at(dirfd, path, flags) => |t| fill_stat(out, t);
+    fn statx(dirfd: c_int, path: *const c_char, flags: c_int, mask: c_uint, out: *mut CStatx)
+        -> c_int = -1;
+        via stat_at(dirfd, path, flags) => |t| fill_statx(out, t);
+    fn access(path: *const c_char, amode: c_int) -> c_int = -1;
+        via resolve(path) => |(sh, at)| status(inside_plfs(|| sh.opens.access(at)));
+    fn unlink(path: *const c_char) -> c_int = -1;
+        via resolve(path) => |(sh, at)| status(inside_plfs(|| sh.opens.unlink(at)));
+    fn unlinkat(dirfd: c_int, path: *const c_char, flags: c_int) -> c_int = -1;
+        via resolve_at(dirfd, path) => |(sh, at)| status(inside_plfs(|| match flags & AT_REMOVEDIR {
+            0 => sh.opens.unlink(at),
+            _ => sh.opens.rmdir(at),
+        }));
+    fn mkdir(path: *const c_char, mode: ModeT) -> c_int = -1;
+        via resolve(path) => |(sh, at)| status(inside_plfs(|| sh.opens.mkdir(at)));
+    fn rmdir(path: *const c_char) -> c_int = -1;
+        via resolve(path) => |(sh, at)| status(inside_plfs(|| sh.opens.rmdir(at)));
+    fn truncate | truncate64(path: *const c_char, len: OffT) -> c_int = -1;
+        via resolve(path) => |(sh, at)| {
+            status(unsigned(len).and_then(|len| inside_plfs(|| sh.opens.truncate(at, len))))
+        };
+
+    // stdio: glibc's `fopen` does not call the exported `open`, and a
+    // FILE's reads never pass `read`.
+    fn fopen | fopen64(path: *const c_char, mode: *const c_char)
+        -> *mut c_void = std::ptr::null_mut();
+        via resolve(path).filter(|_| read_only(mode)) => |(sh, at)| open_stream(sh, at, mode);
+    fn fdopen(fd: c_int, mode: *const c_char) -> *mut c_void = std::ptr::null_mut();
+        via lookup(fd) => |_| cookie_stream(fd, mode);
+
+    // fork: the `pthread_atfork` handlers do its part — the parent writes
+    // its index buffers; the child, waiting on no lock, forgets the cached
+    // pid, counts the fork, moves the fd table to a fresh lock if a parent
+    // thread was reading it, takes cursor slots from a page of its own and
+    // adopts each inherited open at its first call on it, while the
+    // cursors, in MAP_SHARED pages, stay shared as kernel file offsets are.
+    // vfork's child may only exec or _exit. exec* inheriting the shim is
+    // environment policy, not interposition.
+    !fork | vfork | execve = "the atfork handlers and the environment do their part";
+    // The pre-2.33 stat ABI (`sqlite3` imports `__xstat64`, `__lxstat64`,
+    // `__fxstat64`): a bypass on a container today, with the rest of the
+    // unseen calls (ROADMAP items 5 and 6).
+    !__xstat | __xstat64 | __lxstat | __lxstat64 | __fxstat | __fxstat64 | __fxstatat | __fxstatat64
+        = "the old stat ABI, not interposed yet";
+}
+
+// ---------------------------------------------------------------------------
+// The rows' bodies: what a call on a container does, as C returns it.
+// ---------------------------------------------------------------------------
+
+/// -1 with errno `e`.
+fn fail<R: From<i8>>(e: c_int) -> R {
+    set_errno(e);
+    R::from(-1)
+}
+
 /// A container call's result as C returns it: `ok` of its value, or -1
 /// with errno set.
 fn ret<T, R: From<i8>>(r: PosixResult<T>, ok: impl FnOnce(T) -> R) -> R {
     match r {
         Ok(v) => ok(v),
-        Err(Errno(e)) => {
-            set_errno(e);
-            R::from(-1)
-        }
+        Err(Errno(e)) => fail(e),
     }
 }
 
@@ -792,15 +1048,8 @@ fn fake_ino(rel: &str) -> u64 {
     h.finish() | 1
 }
 
-// ---------------------------------------------------------------------------
-// open family.
-// ---------------------------------------------------------------------------
-
-unsafe fn do_open(path: *const c_char, flags: c_int, mode: ModeT) -> c_int {
-    let real_open = real!(open, OpenFn);
-    let Some((sh, at)) = resolve(path) else {
-        return real_open(path, flags, mode);
-    };
+/// A container open: a reserved fd registered for `at`.
+fn open_in(sh: &Shim, at: At, flags: c_int) -> c_int {
     let _in_plfs = InPlfs::enter();
     let reserve = || {
         let slot = Slot::take().ok_or(Errno(ENOMEM))?;
@@ -810,187 +1059,35 @@ unsafe fn do_open(path: *const c_char, flags: c_int, mode: ModeT) -> c_int {
             fd => Ok((fd, Own::new(slot))),
         }
     };
-    // Flag values match plfs::OpenFlags on Linux.
     ret(
         sh.opens.open(at, OpenFlags(flags as u32), pid(), reserve),
         |fd| fd,
     )
 }
 
-/// `open(2)`.
-#[no_mangle]
-pub unsafe extern "C" fn open(path: *const c_char, flags: c_int, mode: ModeT) -> c_int {
-    ffi_guard!(-1, open: OpenFn(path, flags, mode), do_open(path, flags, mode))
+/// A read into the C buffer, at `off` or at the cursor.
+///
+/// # Safety
+/// `buf` and `n` are as [`bytes_mut`] takes them.
+unsafe fn read_at(st: &Open<Own>, buf: *mut c_void, n: SizeT, off: Option<OffT>) -> SsizeT {
+    let buf = bytes_mut(buf, n);
+    count(match off {
+        None => st.read(buf),
+        Some(off) => unsigned(off).and_then(|off| st.pread(buf, off)),
+    })
 }
 
-/// `open64(2)` (LFS alias).
-#[no_mangle]
-pub unsafe extern "C" fn open64(path: *const c_char, flags: c_int, mode: ModeT) -> c_int {
-    ffi_guard!(-1, open64: OpenFn(path, flags, mode), do_open(path, flags, mode))
+/// A write of the C buffer, at `off` or at the cursor.
+///
+/// # Safety
+/// `buf` and `n` are as [`bytes`] takes them.
+unsafe fn write_at(st: &Open<Own>, buf: *const c_void, n: SizeT, off: Option<OffT>) -> SsizeT {
+    let buf = bytes(buf, n);
+    count(match off {
+        None => st.write(buf, pid()),
+        Some(off) => unsigned(off).and_then(|off| st.pwrite(buf, off, pid())),
+    })
 }
-
-/// `creat(2)`.
-#[no_mangle]
-pub unsafe extern "C" fn creat(path: *const c_char, mode: ModeT) -> c_int {
-    ffi_guard!(-1, creat: PathModeFn(path, mode), do_open(path, 0o1 | O_CREAT | O_TRUNC, mode))
-}
-
-unsafe fn do_openat(dirfd: c_int, path: *const c_char, flags: c_int, mode: ModeT) -> c_int {
-    let absolute = cstr(path).map(|p| p.starts_with('/')).unwrap_or(false);
-    if dirfd == AT_FDCWD || absolute {
-        return do_open(path, flags, mode);
-    }
-    let f = real!(openat, OpenatFn);
-    f(dirfd, path, flags, mode)
-}
-
-/// `openat(2)` — handled for `AT_FDCWD` / absolute paths.
-#[no_mangle]
-pub unsafe extern "C" fn openat(
-    dirfd: c_int,
-    path: *const c_char,
-    flags: c_int,
-    mode: ModeT,
-) -> c_int {
-    ffi_guard!(-1, openat: OpenatFn(dirfd, path, flags, mode), do_openat(dirfd, path, flags, mode))
-}
-
-/// `openat64(2)`.
-#[no_mangle]
-pub unsafe extern "C" fn openat64(
-    dirfd: c_int,
-    path: *const c_char,
-    flags: c_int,
-    mode: ModeT,
-) -> c_int {
-    ffi_guard!(
-        -1,
-        openat64: OpenatFn(dirfd, path, flags, mode),
-        do_openat(dirfd, path, flags, mode)
-    )
-}
-
-// ---------------------------------------------------------------------------
-// data plane.
-// ---------------------------------------------------------------------------
-
-unsafe fn do_read(fd: c_int, buf: *mut c_void, count: SizeT) -> SsizeT {
-    match lookup(fd) {
-        None => real!(read, ReadFn)(fd, buf, count),
-        Some(st) => self::count(st.read(bytes_mut(buf, count))),
-    }
-}
-
-/// `read(2)`.
-#[no_mangle]
-pub unsafe extern "C" fn read(fd: c_int, buf: *mut c_void, count: SizeT) -> SsizeT {
-    ffi_guard!(-1, read: ReadFn(fd, buf, count), do_read(fd, buf, count))
-}
-
-unsafe fn do_write(fd: c_int, buf: *const c_void, count: SizeT) -> SsizeT {
-    match lookup(fd) {
-        None => real!(write, WriteFn)(fd, buf, count),
-        Some(st) => self::count(st.write(bytes(buf, count), pid())),
-    }
-}
-
-/// `write(2)`.
-#[no_mangle]
-pub unsafe extern "C" fn write(fd: c_int, buf: *const c_void, count: SizeT) -> SsizeT {
-    ffi_guard!(-1, write: WriteFn(fd, buf, count), do_write(fd, buf, count))
-}
-
-unsafe fn do_pread(fd: c_int, buf: *mut c_void, count: SizeT, off: OffT) -> SsizeT {
-    match lookup(fd) {
-        None => real!(pread, PreadFn)(fd, buf, count, off),
-        Some(st) => self::count(unsigned(off).and_then(|off| st.pread(bytes_mut(buf, count), off))),
-    }
-}
-
-/// `pread(2)`.
-#[no_mangle]
-pub unsafe extern "C" fn pread(fd: c_int, buf: *mut c_void, count: SizeT, off: OffT) -> SsizeT {
-    ffi_guard!(-1, pread: PreadFn(fd, buf, count, off), do_pread(fd, buf, count, off))
-}
-
-/// `pread64(2)`.
-#[no_mangle]
-pub unsafe extern "C" fn pread64(fd: c_int, buf: *mut c_void, count: SizeT, off: OffT) -> SsizeT {
-    ffi_guard!(-1, pread64: PreadFn(fd, buf, count, off), do_pread(fd, buf, count, off))
-}
-
-/// `__read_chk` — `read` as `_FORTIFY_SOURCE` builds spell it, destination
-/// size last: abort on overflow as glibc does, otherwise the plain call.
-#[no_mangle]
-pub unsafe extern "C" fn __read_chk(fd: c_int, buf: *mut c_void, n: SizeT, len: SizeT) -> SsizeT {
-    if n > len {
-        __chk_fail();
-    }
-    ffi_guard!(-1, __read_chk: ReadChkFn(fd, buf, n, len), do_read(fd, buf, n))
-}
-
-/// `__pread_chk` — fortified `pread`.
-#[no_mangle]
-pub unsafe extern "C" fn __pread_chk(
-    fd: c_int,
-    buf: *mut c_void,
-    n: SizeT,
-    off: OffT,
-    len: SizeT,
-) -> SsizeT {
-    if n > len {
-        __chk_fail();
-    }
-    ffi_guard!(-1, __pread_chk: PreadChkFn(fd, buf, n, off, len), do_pread(fd, buf, n, off))
-}
-
-/// `__pread64_chk` — fortified `pread64`.
-#[no_mangle]
-pub unsafe extern "C" fn __pread64_chk(
-    fd: c_int,
-    buf: *mut c_void,
-    n: SizeT,
-    off: OffT,
-    len: SizeT,
-) -> SsizeT {
-    if n > len {
-        __chk_fail();
-    }
-    ffi_guard!(-1, __pread64_chk: PreadChkFn(fd, buf, n, off, len), do_pread(fd, buf, n, off))
-}
-
-unsafe fn do_pwrite(fd: c_int, buf: *const c_void, count: SizeT, off: OffT) -> SsizeT {
-    match lookup(fd) {
-        None => real!(pwrite, PwriteFn)(fd, buf, count, off),
-        Some(st) => {
-            self::count(unsigned(off).and_then(|off| st.pwrite(bytes(buf, count), off, pid())))
-        }
-    }
-}
-
-/// `pwrite(2)`.
-#[no_mangle]
-pub unsafe extern "C" fn pwrite(fd: c_int, buf: *const c_void, count: SizeT, off: OffT) -> SsizeT {
-    ffi_guard!(-1, pwrite: PwriteFn(fd, buf, count, off), do_pwrite(fd, buf, count, off))
-}
-
-/// `pwrite64(2)`.
-#[no_mangle]
-pub unsafe extern "C" fn pwrite64(
-    fd: c_int,
-    buf: *const c_void,
-    count: SizeT,
-    off: OffT,
-) -> SsizeT {
-    ffi_guard!(-1, pwrite64: PwriteFn(fd, buf, count, off), do_pwrite(fd, buf, count, off))
-}
-
-// ---------------------------------------------------------------------------
-// vectored I/O. On a tracked fd the iovecs become slices for the
-// dispatcher, which gathers (writes) or scatters (reads) them around ONE
-// PLFS list call, so an N-buffer vector costs one index record instead of
-// N. Untracked fds forward to the real libc symbols.
-// ---------------------------------------------------------------------------
 
 /// `struct iovec` (uapi layout).
 #[repr(C)]
@@ -1021,229 +1118,66 @@ unsafe fn iovecs<'a>(iov: *const IoVec, cnt: c_int) -> PosixResult<&'a [IoVec]> 
     }
 }
 
-/// A vectored read's buffers.
+/// A vectored read, scattered from one PLFS list read, at `off` or at the
+/// cursor.
 ///
 /// # Safety
-/// Each of `vecs` is a buffer as [`bytes_mut`] takes it.
-unsafe fn scatter<'a>(vecs: &[IoVec]) -> Vec<&'a mut [u8]> {
-    vecs.iter()
-        .map(|v| bytes_mut(v.iov_base, v.iov_len))
-        .collect()
+/// `iov` and `cnt` are as [`iovecs`] takes them, each a buffer as
+/// [`bytes_mut`] takes it.
+unsafe fn read_vec(st: &Open<Own>, iov: *const IoVec, cnt: c_int, off: Option<OffT>) -> SsizeT {
+    count(iovecs(iov, cnt).and_then(|v| {
+        let mut bufs: Vec<&mut [u8]> = v.iter().map(|v| bytes_mut(v.iov_base, v.iov_len)).collect();
+        match off {
+            None => st.readv(&mut bufs),
+            Some(off) => st.preadv(&mut bufs, unsigned(off)?),
+        }
+    }))
 }
 
-/// A vectored write's buffers.
+/// A vectored write, gathered into one PLFS list write, at `off` or at the
+/// cursor.
 ///
 /// # Safety
-/// Each of `vecs` is a buffer as [`bytes`] takes it.
-unsafe fn gather<'a>(vecs: &[IoVec]) -> Vec<&'a [u8]> {
-    vecs.iter().map(|v| bytes(v.iov_base, v.iov_len)).collect()
-}
-
-unsafe fn do_readv(fd: c_int, iov: *const IoVec, cnt: c_int) -> SsizeT {
-    match lookup(fd) {
-        None => real!(readv, IovFn)(fd, iov, cnt),
-        Some(st) => count(iovecs(iov, cnt).and_then(|v| st.readv(&mut scatter(v)))),
-    }
-}
-
-/// `readv(2)`.
-#[no_mangle]
-pub unsafe extern "C" fn readv(fd: c_int, iov: *const IoVec, cnt: c_int) -> SsizeT {
-    ffi_guard!(-1, readv: IovFn(fd, iov, cnt), do_readv(fd, iov, cnt))
-}
-
-unsafe fn do_writev(fd: c_int, iov: *const IoVec, cnt: c_int) -> SsizeT {
-    match lookup(fd) {
-        None => real!(writev, IovFn)(fd, iov, cnt),
-        Some(st) => count(iovecs(iov, cnt).and_then(|v| st.writev(&gather(v), pid()))),
-    }
-}
-
-/// `writev(2)`.
-#[no_mangle]
-pub unsafe extern "C" fn writev(fd: c_int, iov: *const IoVec, cnt: c_int) -> SsizeT {
-    ffi_guard!(-1, writev: IovFn(fd, iov, cnt), do_writev(fd, iov, cnt))
-}
-
-unsafe fn do_preadv(fd: c_int, iov: *const IoVec, cnt: c_int, off: OffT) -> SsizeT {
-    match lookup(fd) {
-        None => real!(preadv, IovAtFn)(fd, iov, cnt, off),
-        Some(st) => {
-            count(iovecs(iov, cnt).and_then(|v| st.preadv(&mut scatter(v), unsigned(off)?)))
+/// `iov` and `cnt` are as [`iovecs`] takes them, each a buffer as
+/// [`bytes`] takes it.
+unsafe fn write_vec(st: &Open<Own>, iov: *const IoVec, cnt: c_int, off: Option<OffT>) -> SsizeT {
+    count(iovecs(iov, cnt).and_then(|v| {
+        let bufs: Vec<&[u8]> = v.iter().map(|v| bytes(v.iov_base, v.iov_len)).collect();
+        match off {
+            None => st.writev(&bufs, pid()),
+            Some(off) => st.pwritev(&bufs, unsigned(off)?, pid()),
         }
-    }
+    }))
 }
 
-/// `preadv(2)`.
-#[no_mangle]
-pub unsafe extern "C" fn preadv(fd: c_int, iov: *const IoVec, cnt: c_int, off: OffT) -> SsizeT {
-    ffi_guard!(-1, preadv: IovAtFn(fd, iov, cnt, off), do_preadv(fd, iov, cnt, off))
+fn lseek_in(st: &Open<Own>, off: OffT, whence: c_int) -> OffT {
+    let whence = match whence {
+        SEEK_SET => Ok(Whence::Set),
+        SEEK_CUR => Ok(Whence::Cur),
+        SEEK_END => Ok(Whence::End),
+        _ => Err(Errno::EINVAL),
+    };
+    ret(whence.and_then(|w| st.lseek(off, w)), |at| at as OffT)
 }
 
-/// `preadv64(2)`.
-#[no_mangle]
-pub unsafe extern "C" fn preadv64(fd: c_int, iov: *const IoVec, cnt: c_int, off: OffT) -> SsizeT {
-    ffi_guard!(-1, preadv64: IovAtFn(fd, iov, cnt, off), do_preadv(fd, iov, cnt, off))
-}
-
-unsafe fn do_pwritev(fd: c_int, iov: *const IoVec, cnt: c_int, off: OffT) -> SsizeT {
-    match lookup(fd) {
-        None => real!(pwritev, IovAtFn)(fd, iov, cnt, off),
-        Some(st) => {
-            count(iovecs(iov, cnt).and_then(|v| st.pwritev(&gather(v), unsigned(off)?, pid())))
-        }
-    }
-}
-
-/// `pwritev(2)`.
-#[no_mangle]
-pub unsafe extern "C" fn pwritev(fd: c_int, iov: *const IoVec, cnt: c_int, off: OffT) -> SsizeT {
-    ffi_guard!(-1, pwritev: IovAtFn(fd, iov, cnt, off), do_pwritev(fd, iov, cnt, off))
-}
-
-/// `pwritev64(2)`.
-#[no_mangle]
-pub unsafe extern "C" fn pwritev64(fd: c_int, iov: *const IoVec, cnt: c_int, off: OffT) -> SsizeT {
-    ffi_guard!(-1, pwritev64: IovAtFn(fd, iov, cnt, off), do_pwritev(fd, iov, cnt, off))
-}
-
-/// `preadv2(2)` dispatch: offset `-1` means cursor (`readv`) semantics;
-/// `RWF_*` flags are accepted and ignored on the PLFS path.
-// plfs-lint: allow(errno-discipline, "pure dispatch: do_readv/do_preadv set errno on their own -1 returns")
-unsafe fn do_preadv2(fd: c_int, iov: *const IoVec, cnt: c_int, off: OffT, flags: c_int) -> SsizeT {
-    if lookup(fd).is_none() {
-        let f = real!(preadv2, IovAt2Fn);
-        return f(fd, iov, cnt, off, flags);
-    }
-    if off == -1 {
-        do_readv(fd, iov, cnt)
-    } else {
-        do_preadv(fd, iov, cnt, off)
-    }
-}
-
-/// `preadv2(2)`.
-#[no_mangle]
-pub unsafe extern "C" fn preadv2(
-    fd: c_int,
-    iov: *const IoVec,
-    cnt: c_int,
-    off: OffT,
-    flags: c_int,
-) -> SsizeT {
-    ffi_guard!(
-        -1,
-        preadv2: IovAt2Fn(fd, iov, cnt, off, flags),
-        do_preadv2(fd, iov, cnt, off, flags)
-    )
-}
-
-/// `preadv64v2(2)`.
-#[no_mangle]
-pub unsafe extern "C" fn preadv64v2(
-    fd: c_int,
-    iov: *const IoVec,
-    cnt: c_int,
-    off: OffT,
-    flags: c_int,
-) -> SsizeT {
-    ffi_guard!(
-        -1,
-        preadv64v2: IovAt2Fn(fd, iov, cnt, off, flags),
-        do_preadv2(fd, iov, cnt, off, flags)
-    )
-}
-
-// plfs-lint: allow(errno-discipline, "pure dispatch: do_writev/do_pwritev set errno on their own -1 returns")
-unsafe fn do_pwritev2(fd: c_int, iov: *const IoVec, cnt: c_int, off: OffT, flags: c_int) -> SsizeT {
-    if lookup(fd).is_none() {
-        let f = real!(pwritev2, IovAt2Fn);
-        return f(fd, iov, cnt, off, flags);
-    }
-    if off == -1 {
-        do_writev(fd, iov, cnt)
-    } else {
-        do_pwritev(fd, iov, cnt, off)
-    }
-}
-
-/// `pwritev2(2)`.
-#[no_mangle]
-pub unsafe extern "C" fn pwritev2(
-    fd: c_int,
-    iov: *const IoVec,
-    cnt: c_int,
-    off: OffT,
-    flags: c_int,
-) -> SsizeT {
-    ffi_guard!(
-        -1,
-        pwritev2: IovAt2Fn(fd, iov, cnt, off, flags),
-        do_pwritev2(fd, iov, cnt, off, flags)
-    )
-}
-
-/// `pwritev64v2(2)`.
-#[no_mangle]
-pub unsafe extern "C" fn pwritev64v2(
-    fd: c_int,
-    iov: *const IoVec,
-    cnt: c_int,
-    off: OffT,
-    flags: c_int,
-) -> SsizeT {
-    ffi_guard!(
-        -1,
-        pwritev64v2: IovAt2Fn(fd, iov, cnt, off, flags),
-        do_pwritev2(fd, iov, cnt, off, flags)
-    )
-}
-
-unsafe fn do_lseek(fd: c_int, offset: OffT, whence: c_int) -> OffT {
-    match lookup(fd) {
-        None => real!(lseek, LseekFn)(fd, offset, whence),
-        Some(st) => {
-            let whence = match whence {
-                SEEK_SET => Ok(Whence::Set),
-                SEEK_CUR => Ok(Whence::Cur),
-                SEEK_END => Ok(Whence::End),
-                _ => Err(Errno::EINVAL),
-            };
-            ret(whence.and_then(|w| st.lseek(offset, w)), |at| at as OffT)
-        }
-    }
-}
-
-/// `lseek(2)`.
-#[no_mangle]
-pub unsafe extern "C" fn lseek(fd: c_int, offset: OffT, whence: c_int) -> OffT {
-    ffi_guard!(-1, lseek: LseekFn(fd, offset, whence), do_lseek(fd, offset, whence))
-}
-
-/// `lseek64(2)`.
-#[no_mangle]
-pub unsafe extern "C" fn lseek64(fd: c_int, offset: OffT, whence: c_int) -> OffT {
-    ffi_guard!(-1, lseek64: LseekFn(fd, offset, whence), do_lseek(fd, offset, whence))
-}
-
-unsafe fn do_close(fd: c_int) -> c_int {
-    let real_close = real!(close, FdFn);
+/// `close`: a registered fd's two halves, the PLFS open and the reserved
+/// fd, are released whatever the other does, and the first error is
+/// reported (a failed index or meta flush at close is lost data). A backing
+/// root is not the application's to close: as if it never was open.
+fn close_fd(fd: c_int) -> c_int {
     let Some(sh) = shim() else {
-        return real_close(fd);
+        // SAFETY: close(2) takes any number.
+        return unsafe { next::close(fd) };
     };
     if root_at(sh, fd).is_some() {
-        // Not the application's to close: as if it never was open.
-        set_errno(EBADF);
-        return -1;
+        return fail(EBADF);
     }
     forget_template(fd);
-    // Both halves are released whatever the other does; the first error is
-    // reported (a failed index or meta flush at close is lost data).
     let released = sh.opens.close(fd).map(|st| release(&st));
-    let ret = real_close(fd);
+    // SAFETY: as above.
+    let ret = unsafe { next::close(fd) };
     if let Some(Err(Errno(e))) = released {
-        set_errno(e);
-        return -1;
+        return fail(e);
     }
     ret
 }
@@ -1262,13 +1196,7 @@ fn release(st: &Open<Own>) -> PosixResult<()> {
     inside_plfs(|| st.close(pid()))
 }
 
-/// `close(2)`.
-#[no_mangle]
-pub unsafe extern "C" fn close(fd: c_int) -> c_int {
-    ffi_guard!(-1, close: FdFn(fd), do_close(fd))
-}
-
-/// What [`do_close`] does before its real close, for every fd in `lo..=hi`
+/// What [`close_fd`] does before its real close, for every fd in `lo..=hi`
 /// at once, before a call that frees those numbers: the template forgotten
 /// if its number is among them, and every registered fd released. The
 /// errno of the first failed release, if any.
@@ -1290,22 +1218,24 @@ fn release_range(lo: c_int, hi: c_int) -> Option<c_int> {
 /// fd table first.
 const CLOSE_RANGE_UNSHARE: c_int = 2;
 
-unsafe fn do_close_range(first: c_uint, last: c_uint, flags: c_int) -> c_int {
-    let real_close_range = real!(close_range, CloseRangeFn);
+/// `close_range`: every registered fd in the range is closed as `close`
+/// would close it.
+fn close_fds(first: c_uint, last: c_uint, flags: c_int) -> c_int {
     // A call that closes nothing — `CLOSE_RANGE_CLOEXEC` only marks the
     // range; the kernel refuses an unknown flag or `first > last` — is
     // forwarded without bookkeeping.
     if flags & !CLOSE_RANGE_UNSHARE != 0 || first > last {
-        return real_close_range(first, last, flags);
+        // SAFETY: close_range(2) takes any range and flags.
+        return unsafe { next::close_range(first, last, flags) };
     }
     let fd_of = |n: c_uint| n.min(c_int::MAX as c_uint) as c_int;
     let failed = release_range(fd_of(first), fd_of(last));
-    let ret = close_around_root(first, last, |lo, hi| real_close_range(lo, hi, flags));
+    // SAFETY: as above.
+    let ret = close_around_root(first, last, |lo, hi| unsafe {
+        next::close_range(lo, hi, flags)
+    });
     match failed {
-        Some(e) if ret == 0 => {
-            set_errno(e);
-            -1
-        }
+        Some(e) if ret == 0 => fail(e),
         _ => ret,
     }
 }
@@ -1315,98 +1245,50 @@ unsafe fn do_close_range(first: c_uint, last: c_uint, flags: c_int) -> c_int {
 fn close_around_root(
     first: c_uint,
     last: c_uint,
-    mut close: impl FnMut(c_uint, c_uint) -> c_int,
+    mut run: impl FnMut(c_uint, c_uint) -> c_int,
 ) -> c_int {
     let root = shim()
         .map(|sh| sh.root.root_fd() as c_uint)
         .filter(|r| (first..=last).contains(r));
     let Some(root) = root else {
-        return close(first, last);
+        return run(first, last);
     };
     if first < root {
-        let ret = close(first, root - 1);
+        let ret = run(first, root - 1);
         if ret != 0 {
             return ret;
         }
     }
     // A root is a file descriptor, so at most `c_int::MAX`.
     if root < last {
-        close(root + 1, last)
+        run(root + 1, last)
     } else {
         0
     }
 }
 
-/// `close_range(2)`: every registered fd in the range is closed as `close`
-/// would close it.
-#[no_mangle]
-pub unsafe extern "C" fn close_range(first: c_uint, last: c_uint, flags: c_int) -> c_int {
-    ffi_guard!(
-        -1,
-        close_range: CloseRangeFn(first, last, flags),
-        do_close_range(first, last, flags)
-    )
-}
-
-// plfs-lint: allow(errno-discipline, "closefrom(3) returns nothing and reports no failure")
-unsafe fn do_closefrom(lowfd: c_int) {
-    let real_closefrom = real!(closefrom, CloseFromFn);
-    let real_close_range = real!(close_range, CloseRangeFn);
+/// `closefrom(3)`: every registered fd from `lowfd` up is closed as
+/// `close` would close it.
+fn close_from(lowfd: c_int) {
     let lowfd = lowfd.max(0);
     let _ = release_range(lowfd, c_int::MAX);
-    let _ = close_around_root(lowfd as c_uint, c_uint::MAX, |lo, hi| {
+    // SAFETY: closefrom(3) and close_range(2) take any numbers.
+    let _ = close_around_root(lowfd as c_uint, c_uint::MAX, |lo, hi| unsafe {
         if hi == c_uint::MAX {
-            real_closefrom(lo as c_int);
+            next::closefrom(lo as c_int);
             0
         } else {
-            real_close_range(lo, hi, 0)
+            next::close_range(lo, hi, 0)
         }
     });
 }
 
-/// `closefrom(3)`: every registered fd from `lowfd` up is closed as
-/// `close` would close it.
-#[no_mangle]
-pub unsafe extern "C" fn closefrom(lowfd: c_int) {
-    ffi_guard!((), closefrom: CloseFromFn(lowfd), do_closefrom(lowfd))
-}
-
-/// `fsync`/`fdatasync`: containers have no metadata/data distinction the
-/// shim could exploit, so both flush the same (strictly stronger
-/// durability for `fdatasync`); any other fd gets the call it made.
-unsafe fn do_fsync(fd: c_int, data_only: bool) -> c_int {
-    match lookup(fd) {
-        None if data_only => real!(fdatasync, FdFn)(fd),
-        None => real!(fsync, FdFn)(fd),
-        Some(st) => status(st.fsync(pid())),
-    }
-}
-
-/// `fsync(2)`.
-#[no_mangle]
-pub unsafe extern "C" fn fsync(fd: c_int) -> c_int {
-    ffi_guard!(-1, fsync: FdFn(fd), do_fsync(fd, false))
-}
-
-/// `fdatasync(2)`.
-#[no_mangle]
-pub unsafe extern "C" fn fdatasync(fd: c_int) -> c_int {
-    ffi_guard!(-1, fdatasync: FdFn(fd), do_fsync(fd, true))
-}
-
-unsafe fn do_dup(fd: c_int) -> c_int {
-    let real_dup = real!(dup, FdFn);
-    let new = real_dup(fd);
+/// A duplicating call's result, with its bookkeeping if it made `new`.
+fn duped(oldfd: c_int, new: c_int) -> c_int {
     if new >= 0 {
-        dup_bookkeeping(fd, new);
+        dup_bookkeeping(oldfd, new);
     }
     new
-}
-
-/// `dup(2)`.
-#[no_mangle]
-pub unsafe extern "C" fn dup(fd: c_int) -> c_int {
-    ffi_guard!(-1, dup: FdFn(fd), do_dup(fd))
 }
 
 /// Shared `dup`/`dup2`/`dup3` fd-table bookkeeping after the real call
@@ -1414,7 +1296,7 @@ pub unsafe extern "C" fn dup(fd: c_int) -> c_int {
 /// would (the real call already closed its reserved fd), then newfd
 /// inherits oldfd's container state. `dup2(fd, fd)` closed and duplicated
 /// nothing.
-unsafe fn dup_bookkeeping(oldfd: c_int, newfd: c_int) {
+fn dup_bookkeeping(oldfd: c_int, newfd: c_int) {
     let Some(sh) = shim() else {
         return;
     };
@@ -1434,11 +1316,6 @@ unsafe fn dup_bookkeeping(oldfd: c_int, newfd: c_int) {
     }
 }
 
-unsafe fn do_dup2(oldfd: c_int, newfd: c_int) -> c_int {
-    let real_dup2 = real!(dup2, Dup2Fn);
-    dup_onto(oldfd, newfd, || real_dup2(oldfd, newfd))
-}
-
 /// The backing, if its root descriptor is `fd`.
 fn root_at(sh: &Shim, fd: c_int) -> Option<&RealBacking> {
     Some(sh.root.as_ref()).filter(|r| r.root_fd() == fd)
@@ -1448,15 +1325,14 @@ fn root_at(sh: &Shim, fd: c_int) -> Option<&RealBacking> {
 /// backing root at `newfd` is first moved to a new number, once no PLFS op
 /// is using it ([`RealBacking::renumber_root`]): the call then takes over
 /// a number no op resolves against any more. The move is made inside
-/// PLFS, so its `fcntl` is not taken for the application's.
-unsafe fn dup_onto(oldfd: c_int, newfd: c_int, dup: impl FnOnce() -> c_int) -> c_int {
+/// PLFS, so its `fcntl` is not taken for the application's. The real call
+/// enforces dup3's contract (`EINVAL` on oldfd == newfd, atomic
+/// `O_CLOEXEC`); the shim only mirrors the fd-table transfer.
+fn dup_onto(oldfd: c_int, newfd: c_int, dup: impl FnOnce() -> c_int) -> c_int {
     let moved = match shim().and_then(|sh| root_at(sh, newfd)) {
         Some(root) if oldfd != newfd => match inside_plfs(|| root.renumber_root()) {
             Ok(old) => Some(old),
-            Err(e) => {
-                set_errno(e.raw_os_error().unwrap_or(EIO));
-                return -1;
-            }
+            Err(e) => return fail(e.raw_os_error().unwrap_or(EIO)),
         },
         _ => None,
     };
@@ -1466,61 +1342,17 @@ unsafe fn dup_onto(oldfd: c_int, newfd: c_int, dup: impl FnOnce() -> c_int) -> c
     } else if let Some(old) = moved {
         // The root's old number is still open and nobody's: let it go.
         let e = errno();
-        let _ = real!(close, FdFn)(old);
+        // SAFETY: `old` is the root's old number, closed once, here.
+        let _ = unsafe { next::close(old) };
         set_errno(e);
     }
     ret
-}
-
-/// `dup2(2)` — needed for shell redirection bookkeeping.
-#[no_mangle]
-pub unsafe extern "C" fn dup2(oldfd: c_int, newfd: c_int) -> c_int {
-    ffi_guard!(-1, dup2: Dup2Fn(oldfd, newfd), do_dup2(oldfd, newfd))
-}
-
-unsafe fn do_dup3(oldfd: c_int, newfd: c_int, flags: c_int) -> c_int {
-    // The real call enforces dup3's contract (EINVAL on oldfd == newfd,
-    // atomic O_CLOEXEC); the shim only mirrors the fd-table transfer.
-    let real_dup3 = real!(dup3, Dup3Fn);
-    dup_onto(oldfd, newfd, || real_dup3(oldfd, newfd, flags))
-}
-
-/// `dup3(2)` — the O_CLOEXEC-capable dup2, used by modern shells.
-#[no_mangle]
-pub unsafe extern "C" fn dup3(oldfd: c_int, newfd: c_int, flags: c_int) -> c_int {
-    ffi_guard!(-1, dup3: Dup3Fn(oldfd, newfd, flags), do_dup3(oldfd, newfd, flags))
-}
-
-/// `fcntl`'s duplicating commands get `dup`'s bookkeeping (the new fd names
-/// the same open; without it, reads through it saw EOF and writes vanished
-/// into the reserved fd); every other command is forwarded untouched.
-unsafe fn do_fcntl(fd: c_int, cmd: c_int, arg: usize) -> c_int {
-    let real_fcntl = real!(fcntl, FcntlFn);
-    let ret = real_fcntl(fd, cmd, arg);
-    if ret >= 0 && (cmd == F_DUPFD || cmd == F_DUPFD_CLOEXEC) {
-        dup_bookkeeping(fd, ret);
-    }
-    ret
-}
-
-/// `fcntl(2)`: C-variadic; every command's argument is an `int`, a `long`
-/// or a pointer, one integer register on x86_64.
-#[no_mangle]
-pub unsafe extern "C" fn fcntl(fd: c_int, cmd: c_int, arg: usize) -> c_int {
-    ffi_guard!(-1, fcntl: FcntlFn(fd, cmd, arg), do_fcntl(fd, cmd, arg))
-}
-
-/// `fcntl64(2)` (LFS alias).
-#[no_mangle]
-pub unsafe extern "C" fn fcntl64(fd: c_int, cmd: c_int, arg: usize) -> c_int {
-    ffi_guard!(-1, fcntl64: FcntlFn(fd, cmd, arg), do_fcntl(fd, cmd, arg))
 }
 
 /// The memfd a read-only map of `st` maps: made and filled with the
 /// container's logical bytes by the first map, once per open (`dup`'d fds
 /// share it). The reserved fd stays empty.
 unsafe fn map_fd(st: &Open<Own>) -> Result<c_int, c_int> {
-    let real_pwrite = real!(pwrite, PwriteFn);
     let mut map = st.own.map.lock();
     if let Some(fd) = *map {
         return Ok(fd);
@@ -1541,7 +1373,7 @@ unsafe fn map_fd(st: &Open<Own>) -> Result<c_int, c_int> {
         let mut done = 0usize;
         while done < n {
             let src = buf.as_ptr().add(done) as *const c_void;
-            let w = real_pwrite(fd, src, n - done, (off + done) as OffT);
+            let w = next::pwrite(fd, src, n - done, (off + done) as OffT);
             if w <= 0 {
                 // A short write (ENOSPC/ENOMEM) must not pass for the file.
                 break;
@@ -1554,141 +1386,39 @@ unsafe fn map_fd(st: &Open<Own>) -> Result<c_int, c_int> {
         off += n;
     };
     if let Err(e) = filled {
-        let _ = real!(close, FdFn)(fd);
+        let _ = next::close(fd);
         return Err(e);
     }
     *map = Some(fd);
     Ok(fd)
 }
 
-unsafe fn do_mmap(
+/// `mmap` of a container: a read-only fd maps its memfd ([`map_fd`]); a
+/// writable one is `ENODEV`, since stores through the map would land in a
+/// memfd, unseen by PLFS.
+///
+/// # Safety
+/// As `mmap(2)`'s: a map at `addr` with `MAP_FIXED` replaces what was there.
+unsafe fn map_container(
+    st: &Open<Own>,
     addr: *mut c_void,
     len: SizeT,
     prot: c_int,
     flags: c_int,
-    fd: c_int,
     off: OffT,
 ) -> *mut c_void {
-    let f = real!(mmap, MmapFn);
-    let Some(st) = lookup(fd) else {
-        return f(addr, len, prot, flags, fd, off);
+    let fd = match st.writable() {
+        true => Err(ENODEV),
+        false => map_fd(st),
     };
-    // Stores through a map would land in a memfd, unseen by PLFS.
-    if st.writable() {
-        set_errno(ENODEV);
-        return MAP_FAILED;
-    }
-    match map_fd(&st) {
-        Ok(map) => f(addr, len, prot, flags, map, off),
+    match fd {
+        Ok(fd) => next::mmap(addr, len, prot, flags, fd, off),
         Err(e) => {
             set_errno(e);
             MAP_FAILED
         }
     }
 }
-
-/// `mmap(2)` — read-only maps of a container; a writable one is `ENODEV`.
-#[no_mangle]
-pub unsafe extern "C" fn mmap(
-    addr: *mut c_void,
-    len: SizeT,
-    prot: c_int,
-    flags: c_int,
-    fd: c_int,
-    off: OffT,
-) -> *mut c_void {
-    ffi_guard!(
-        MAP_FAILED,
-        mmap: MmapFn(addr, len, prot, flags, fd, off),
-        do_mmap(addr, len, prot, flags, fd, off)
-    )
-}
-
-/// `mmap64(2)`.
-#[no_mangle]
-pub unsafe extern "C" fn mmap64(
-    addr: *mut c_void,
-    len: SizeT,
-    prot: c_int,
-    flags: c_int,
-    fd: c_int,
-    off: OffT,
-) -> *mut c_void {
-    ffi_guard!(
-        MAP_FAILED,
-        mmap64: MmapFn(addr, len, prot, flags, fd, off),
-        do_mmap(addr, len, prot, flags, fd, off)
-    )
-}
-
-/// The in-kernel byte movers would copy from or into the reserved fd (`cp`
-/// inside the mount "succeeded" with an empty destination). When either end
-/// is the shim's they fail with the documented errno every caller follows
-/// with a read/write loop. Inside PLFS no fd is the shim's.
-unsafe fn either_owned(a: c_int, b: c_int) -> bool {
-    !in_plfs() && (lookup(a).is_some() || lookup(b).is_some())
-}
-
-/// `copy_file_range(2)` — `EXDEV` on a shim fd.
-#[no_mangle]
-pub unsafe extern "C" fn copy_file_range(
-    src: c_int,
-    off_src: *mut OffT,
-    dst: c_int,
-    off_dst: *mut OffT,
-    len: SizeT,
-    flags: c_uint,
-) -> SsizeT {
-    let f = real!(copy_file_range, MoverFn);
-    if ffi_guard!(true, either_owned(src, dst)) {
-        set_errno(EXDEV);
-        return -1;
-    }
-    f(src, off_src, dst, off_dst, len, flags)
-}
-
-/// `splice(2)` — `EINVAL` on a shim fd.
-#[no_mangle]
-pub unsafe extern "C" fn splice(
-    src: c_int,
-    off_src: *mut OffT,
-    dst: c_int,
-    off_dst: *mut OffT,
-    len: SizeT,
-    flags: c_uint,
-) -> SsizeT {
-    let f = real!(splice, MoverFn);
-    if ffi_guard!(true, either_owned(src, dst)) {
-        set_errno(EINVAL);
-        return -1;
-    }
-    f(src, off_src, dst, off_dst, len, flags)
-}
-
-unsafe fn do_sendfile(out_fd: c_int, in_fd: c_int, off: *mut OffT, count: SizeT) -> SsizeT {
-    let f = real!(sendfile, SendfileFn);
-    if either_owned(out_fd, in_fd) {
-        set_errno(EINVAL);
-        return -1;
-    }
-    f(out_fd, in_fd, off, count)
-}
-
-/// `sendfile(2)` — `EINVAL` on a shim fd.
-#[no_mangle]
-pub unsafe extern "C" fn sendfile(o: c_int, i: c_int, off: *mut OffT, count: SizeT) -> SsizeT {
-    ffi_guard!(-1, sendfile: SendfileFn(o, i, off, count), do_sendfile(o, i, off, count))
-}
-
-/// `sendfile64(2)`.
-#[no_mangle]
-pub unsafe extern "C" fn sendfile64(o: c_int, i: c_int, off: *mut OffT, count: SizeT) -> SsizeT {
-    ffi_guard!(-1, sendfile64: SendfileFn(o, i, off, count), do_sendfile(o, i, off, count))
-}
-
-// ---------------------------------------------------------------------------
-// metadata plane.
-// ---------------------------------------------------------------------------
 
 /// Minimal glibc x86_64 `struct stat` layout.
 #[repr(C)]
@@ -1716,254 +1446,85 @@ pub struct CStat {
 const S_IFREG: u32 = 0o100000;
 const S_IFDIR: u32 = 0o040000;
 
-unsafe fn fill_stat(out: *mut CStat, size: u64, is_dir: bool, ino: u64) {
-    std::ptr::write_bytes(out as *mut u8, 0, std::mem::size_of::<CStat>());
-    let st = &mut *out;
-    st.st_mode = if is_dir {
-        S_IFDIR | 0o755
-    } else {
-        S_IFREG | 0o644
-    };
-    st.st_nlink = 1;
-    st.st_size = size as i64;
-    st.st_blksize = 4096;
-    st.st_blocks = (size as i64 + 511) / 512;
-    st.st_ino = ino;
+/// A container's `st_mode`.
+fn mode_of(s: &PosixStat) -> u32 {
+    match s.is_dir {
+        true => S_IFDIR | 0o755,
+        false => S_IFREG | 0o644,
+    }
 }
 
-unsafe fn do_stat(path: *const c_char, out: *mut CStat) -> c_int {
-    let real_stat = real!(stat, StatFn);
-    let Some((sh, at)) = resolve(path) else {
-        return real_stat(path, out);
-    };
-    ret(inside_plfs(|| sh.opens.stat(at)), |st| {
-        fill_stat(out, st.size, st.is_dir, fake_ino(at.1));
+/// `what`'s stat in `out`, or -1 with errno set.
+///
+/// # Safety
+/// `out` points to a writable [`CStat`].
+unsafe fn fill_stat(out: *mut CStat, what: Target) -> c_int {
+    ret(what.attrs(), |(s, ino)| {
+        std::ptr::write_bytes(out as *mut u8, 0, std::mem::size_of::<CStat>());
+        let st = &mut *out;
+        st.st_mode = mode_of(&s);
+        st.st_nlink = 1;
+        st.st_size = s.size as i64;
+        st.st_blksize = 4096;
+        st.st_blocks = s.size.div_ceil(512) as i64;
+        st.st_ino = ino;
         0
     })
 }
 
-/// `stat(2)`.
-#[no_mangle]
-pub unsafe extern "C" fn stat(path: *const c_char, out: *mut CStat) -> c_int {
-    ffi_guard!(-1, stat: StatFn(path, out), do_stat(path, out))
+/// Kernel `struct statx` (uapi, fixed layout).
+#[repr(C)]
+pub struct CStatx {
+    stx_mask: u32,
+    stx_blksize: u32,
+    stx_attributes: u64,
+    stx_nlink: u32,
+    stx_uid: u32,
+    stx_gid: u32,
+    stx_mode: u16,
+    __spare0: u16,
+    stx_ino: u64,
+    stx_size: u64,
+    stx_blocks: u64,
+    stx_attributes_mask: u64,
+    stx_atime: [u8; 16],
+    stx_btime: [u8; 16],
+    stx_ctime: [u8; 16],
+    stx_mtime: [u8; 16],
+    stx_rdev_major: u32,
+    stx_rdev_minor: u32,
+    stx_dev_major: u32,
+    stx_dev_minor: u32,
+    stx_mnt_id: u64,
+    __spare2: [u64; 13],
 }
 
-/// `stat64(2)`.
-#[no_mangle]
-pub unsafe extern "C" fn stat64(path: *const c_char, out: *mut CStat) -> c_int {
-    ffi_guard!(-1, stat64: StatFn(path, out), do_stat(path, out))
-}
+const STATX_BASIC_STATS: u32 = 0x7ff;
 
-unsafe fn do_lstat(path: *const c_char, out: *mut CStat) -> c_int {
-    let real_lstat = real!(lstat, StatFn);
-    match resolve(path) {
-        Some(_) => do_stat(path, out),
-        None => real_lstat(path, out),
-    }
-}
-
-/// `lstat(2)` — containers have no symlinks; same as stat within the mount.
-#[no_mangle]
-pub unsafe extern "C" fn lstat(path: *const c_char, out: *mut CStat) -> c_int {
-    ffi_guard!(-1, lstat: StatFn(path, out), do_lstat(path, out))
-}
-
-/// `lstat64(2)`.
-#[no_mangle]
-pub unsafe extern "C" fn lstat64(path: *const c_char, out: *mut CStat) -> c_int {
-    ffi_guard!(-1, lstat64: StatFn(path, out), do_lstat(path, out))
-}
-
-unsafe fn do_fstat(fd: c_int, out: *mut CStat) -> c_int {
-    match lookup(fd) {
-        None => real!(fstat, FstatFn)(fd, out),
-        Some(st) => ret(st.fstat(), |s| {
-            fill_stat(out, s.size, s.is_dir, fake_ino(st.path()));
-            0
-        }),
-    }
-}
-
-/// `fstat(2)`.
-#[no_mangle]
-pub unsafe extern "C" fn fstat(fd: c_int, out: *mut CStat) -> c_int {
-    ffi_guard!(-1, fstat: FstatFn(fd, out), do_fstat(fd, out))
-}
-
-/// `fstat64(2)`.
-#[no_mangle]
-pub unsafe extern "C" fn fstat64(fd: c_int, out: *mut CStat) -> c_int {
-    ffi_guard!(-1, fstat64: FstatFn(fd, out), do_fstat(fd, out))
-}
-
-unsafe fn do_fstatat(dirfd: c_int, path: *const c_char, out: *mut CStat, flags: c_int) -> c_int {
-    // Resolve the next-in-chain symbol before the logical-path probe: the
-    // probe allocates (logical returns an owned String), which is off the
-    // table while this symbol is still unresolved.
-    let f = real!(fstatat, FstatatFn);
-    if flags & AT_EMPTY_PATH != 0 && cstr(path) == Some("") && lookup(dirfd).is_some() {
-        return do_fstat(dirfd, out);
-    }
-    let absolute = cstr(path).map(|p| p.starts_with('/')).unwrap_or(false);
-    if (dirfd == AT_FDCWD || absolute) && resolve(path).is_some() {
-        return do_stat(path, out);
-    }
-    f(dirfd, path, out, flags)
-}
-
-/// `fstatat(2)` / `newfstatat` for `AT_FDCWD` and absolute paths.
-#[no_mangle]
-pub unsafe extern "C" fn fstatat(
-    dirfd: c_int,
-    path: *const c_char,
-    out: *mut CStat,
-    flags: c_int,
-) -> c_int {
-    ffi_guard!(-1, fstatat: FstatatFn(dirfd, path, out, flags), do_fstatat(dirfd, path, out, flags))
-}
-
-/// `newfstatat` (the syscall-name alias some libcs export).
-#[no_mangle]
-pub unsafe extern "C" fn newfstatat(
-    dirfd: c_int,
-    path: *const c_char,
-    out: *mut CStat,
-    flags: c_int,
-) -> c_int {
-    // glibc exports no `newfstatat`; `fstatat` is the call it spells.
-    ffi_guard!(-1, fstatat: FstatatFn(dirfd, path, out, flags), do_fstatat(dirfd, path, out, flags))
-}
-
-unsafe fn do_unlink(path: *const c_char) -> c_int {
-    let real_unlink = real!(unlink, PathFn);
-    match resolve(path) {
-        None => real_unlink(path),
-        Some((sh, at)) => status(inside_plfs(|| sh.opens.unlink(at))),
-    }
-}
-
-/// `unlink(2)`.
-#[no_mangle]
-pub unsafe extern "C" fn unlink(path: *const c_char) -> c_int {
-    ffi_guard!(-1, unlink: PathFn(path), do_unlink(path))
-}
-
-const AT_REMOVEDIR: c_int = 0x200;
-
-unsafe fn do_unlinkat(dirfd: c_int, path: *const c_char, flags: c_int) -> c_int {
-    let f = real!(unlinkat, UnlinkatFn);
-    let absolute = cstr(path).map(|p| p.starts_with('/')).unwrap_or(false);
-    if dirfd == AT_FDCWD || absolute {
-        // unlinkat(AT_FDCWD, p, 0) ≡ unlink(p); with AT_REMOVEDIR it is
-        // rmdir(p). Both helpers fall through to their own real symbol for
-        // paths outside the mount, which matches the real unlinkat.
-        return if flags & AT_REMOVEDIR != 0 {
-            do_rmdir(path)
-        } else {
-            do_unlink(path)
-        };
-    }
-    f(dirfd, path, flags)
-}
-
-/// `unlinkat(2)` for `AT_FDCWD` and absolute paths (the spellings modern
-/// coreutils `rm` uses); directory-fd-relative paths pass through.
-#[no_mangle]
-pub unsafe extern "C" fn unlinkat(dirfd: c_int, path: *const c_char, flags: c_int) -> c_int {
-    ffi_guard!(-1, unlinkat: UnlinkatFn(dirfd, path, flags), do_unlinkat(dirfd, path, flags))
-}
-
-unsafe fn do_access(path: *const c_char, amode: c_int) -> c_int {
-    let real_access = real!(access, AccessFn);
-    match resolve(path) {
-        None => real_access(path, amode),
-        Some((sh, at)) => status(inside_plfs(|| sh.opens.access(at))),
-    }
-}
-
-/// `access(2)`.
-#[no_mangle]
-pub unsafe extern "C" fn access(path: *const c_char, amode: c_int) -> c_int {
-    ffi_guard!(-1, access: AccessFn(path, amode), do_access(path, amode))
-}
-
-unsafe fn do_mkdir(path: *const c_char, mode: ModeT) -> c_int {
-    let real_mkdir = real!(mkdir, PathModeFn);
-    match resolve(path) {
-        None => real_mkdir(path, mode),
-        Some((sh, at)) => status(inside_plfs(|| sh.opens.mkdir(at))),
-    }
-}
-
-/// `mkdir(2)`.
-#[no_mangle]
-pub unsafe extern "C" fn mkdir(path: *const c_char, mode: ModeT) -> c_int {
-    ffi_guard!(-1, mkdir: PathModeFn(path, mode), do_mkdir(path, mode))
-}
-
-unsafe fn do_rmdir(path: *const c_char) -> c_int {
-    let real_rmdir = real!(rmdir, PathFn);
-    match resolve(path) {
-        None => real_rmdir(path),
-        Some((sh, at)) => status(inside_plfs(|| sh.opens.rmdir(at))),
-    }
-}
-
-/// `rmdir(2)`.
-#[no_mangle]
-pub unsafe extern "C" fn rmdir(path: *const c_char) -> c_int {
-    ffi_guard!(-1, rmdir: PathFn(path), do_rmdir(path))
-}
-
-unsafe fn do_ftruncate(fd: c_int, len: OffT) -> c_int {
-    match shim().zip(lookup(fd)) {
-        None => real!(ftruncate, FtruncateFn)(fd, len),
-        Some((sh, st)) => status(unsigned(len).and_then(|len| sh.opens.ftruncate(&st, len))),
-    }
-}
-
-unsafe fn do_truncate(path: *const c_char, len: OffT) -> c_int {
-    let real_truncate = real!(truncate, TruncateFn);
-    match resolve(path) {
-        None => real_truncate(path, len),
-        Some((sh, at)) => {
-            status(unsigned(len).and_then(|len| inside_plfs(|| sh.opens.truncate(at, len))))
-        }
-    }
-}
-
-/// `truncate(2)`.
-#[no_mangle]
-pub unsafe extern "C" fn truncate(path: *const c_char, len: OffT) -> c_int {
-    ffi_guard!(-1, truncate: TruncateFn(path, len), do_truncate(path, len))
-}
-
-/// `truncate64(2)` — the LFS twin.
-#[no_mangle]
-pub unsafe extern "C" fn truncate64(path: *const c_char, len: OffT) -> c_int {
-    ffi_guard!(-1, truncate64: TruncateFn(path, len), do_truncate(path, len))
-}
-
-/// `ftruncate(2)`.
-#[no_mangle]
-pub unsafe extern "C" fn ftruncate(fd: c_int, len: OffT) -> c_int {
-    ffi_guard!(-1, ftruncate: FtruncateFn(fd, len), do_ftruncate(fd, len))
-}
-
-/// `ftruncate64(2)`.
-#[no_mangle]
-pub unsafe extern "C" fn ftruncate64(fd: c_int, len: OffT) -> c_int {
-    ffi_guard!(-1, ftruncate64: FtruncateFn(fd, len), do_ftruncate(fd, len))
+/// `what`'s statx in `out`, or -1 with errno set.
+///
+/// # Safety
+/// `out` points to a writable [`CStatx`].
+unsafe fn fill_statx(out: *mut CStatx, what: Target) -> c_int {
+    ret(what.attrs(), |(s, ino)| {
+        std::ptr::write_bytes(out as *mut u8, 0, std::mem::size_of::<CStatx>());
+        let st = &mut *out;
+        st.stx_mask = STATX_BASIC_STATS;
+        st.stx_blksize = 4096;
+        st.stx_nlink = 1;
+        st.stx_mode = mode_of(&s) as u16;
+        st.stx_ino = ino;
+        st.stx_size = s.size;
+        st.stx_blocks = s.size.div_ceil(512);
+        0
+    })
 }
 
 // ---------------------------------------------------------------------------
-// stdio entry points: glibc's fopen does NOT route through the exported
-// `open` symbol and a FILE's reads never pass `read`, so a stream over the
-// mount is a `fopencookie` stream whose callbacks are the shim's own
-// read/write/seek/close on a registered fd (in the cookie). `fileno()` on one
-// is -1, glibc's contract for cookie streams. fopen in a write mode is not
-// supported and falls through to the real fopen (which fails cleanly, since
-// the mount path does not exist on the real file system).
+// stdio: a stream over the mount is a `fopencookie` stream whose callbacks
+// are the shim's own `read`/`write`/`lseek`/`close` on a registered fd (in
+// the cookie). `fileno()` on one is -1, glibc's contract for cookie
+// streams.
 // ---------------------------------------------------------------------------
 
 /// glibc `cookie_io_functions_t`.
@@ -2002,20 +1563,17 @@ unsafe fn cookie_fd(cookie: *mut c_void) -> c_int {
 }
 
 unsafe extern "C" fn cookie_read(cookie: *mut c_void, buf: *mut c_char, n: SizeT) -> SsizeT {
-    ffi_guard!(-1, do_read(cookie_fd(cookie), buf as *mut c_void, n))
+    ffi_guard!(-1, read(cookie_fd(cookie), buf as *mut c_void, n))
 }
 
 /// A cookie write reports failure as 0, never a negative count.
 unsafe extern "C" fn cookie_write(cookie: *mut c_void, buf: *const c_char, n: SizeT) -> SsizeT {
-    ffi_guard!(
-        0,
-        do_write(cookie_fd(cookie), buf as *const c_void, n).max(0)
-    )
+    ffi_guard!(0, write(cookie_fd(cookie), buf as *const c_void, n).max(0))
 }
 
 unsafe extern "C" fn cookie_seek(cookie: *mut c_void, off: *mut OffT, whence: c_int) -> c_int {
     ffi_guard!(-1, {
-        *off = do_lseek(cookie_fd(cookie), *off, whence);
+        *off = lseek(cookie_fd(cookie), *off, whence);
         -c_int::from(*off < 0)
     })
 }
@@ -2025,7 +1583,7 @@ unsafe extern "C" fn cookie_seek(cookie: *mut c_void, off: *mut OffT, whence: c_
 unsafe extern "C" fn cookie_close(cookie: *mut c_void) -> c_int {
     // SAFETY: the cookie is the `Box` cookie_stream leaked, freed once here.
     let cookie = Box::from_raw(cookie as *mut Cookie);
-    ffi_guard!(-1, do_close(cookie.fd))
+    ffi_guard!(-1, close(cookie.fd))
 }
 
 /// A stream over registered `fd`, reading through a [`STREAM_BUFFER`];
@@ -2054,144 +1612,18 @@ unsafe fn cookie_stream(fd: c_int, mode: *const c_char) -> *mut c_void {
     stream
 }
 
-unsafe fn do_fopen(path: *const c_char, mode: *const c_char) -> *mut c_void {
-    let real_fopen = real!(fopen, FopenFn);
-    let in_mount = resolve(path).is_some();
-    let read_only = cstr(mode).is_some_and(|m| m.starts_with('r') && !m.contains('+'));
-    if !in_mount || !read_only {
-        // Unsupported: stdio writes into the mount (see module docs).
-        return real_fopen(path, mode);
-    }
-    let fd = do_open(path, 0, 0); // O_RDONLY
+/// A read-only stream over the container at `at`.
+///
+/// # Safety
+/// `mode` is a NUL-terminated stream mode.
+unsafe fn open_stream(sh: &Shim, at: At, mode: *const c_char) -> *mut c_void {
+    let fd = open_in(sh, at, O_RDONLY);
     if fd < 0 {
         return std::ptr::null_mut();
     }
     let stream = cookie_stream(fd, mode);
     if stream.is_null() {
-        do_close(fd);
+        close(fd);
     }
     stream
-}
-
-/// `fopen(3)`.
-#[no_mangle]
-pub unsafe extern "C" fn fopen(path: *const c_char, mode: *const c_char) -> *mut c_void {
-    ffi_guard!(std::ptr::null_mut(), fopen: FopenFn(path, mode), do_fopen(path, mode))
-}
-
-/// `fopen64(3)`.
-#[no_mangle]
-pub unsafe extern "C" fn fopen64(path: *const c_char, mode: *const c_char) -> *mut c_void {
-    ffi_guard!(std::ptr::null_mut(), fopen64: FopenFn(path, mode), do_fopen(path, mode))
-}
-
-unsafe fn do_fdopen(fd: c_int, mode: *const c_char) -> *mut c_void {
-    let f = real!(fdopen, FdopenFn);
-    if lookup(fd).is_some() {
-        return cookie_stream(fd, mode);
-    }
-    f(fd, mode)
-}
-
-/// `fdopen(3)` — a real stream would read the (empty) reserved fd.
-#[no_mangle]
-pub unsafe extern "C" fn fdopen(fd: c_int, mode: *const c_char) -> *mut c_void {
-    ffi_guard!(std::ptr::null_mut(), fdopen: FdopenFn(fd, mode), do_fdopen(fd, mode))
-}
-
-/// Kernel `struct statx` (uapi, fixed layout).
-#[repr(C)]
-pub struct CStatx {
-    stx_mask: u32,
-    stx_blksize: u32,
-    stx_attributes: u64,
-    stx_nlink: u32,
-    stx_uid: u32,
-    stx_gid: u32,
-    stx_mode: u16,
-    __spare0: u16,
-    stx_ino: u64,
-    stx_size: u64,
-    stx_blocks: u64,
-    stx_attributes_mask: u64,
-    stx_atime: [u8; 16],
-    stx_btime: [u8; 16],
-    stx_ctime: [u8; 16],
-    stx_mtime: [u8; 16],
-    stx_rdev_major: u32,
-    stx_rdev_minor: u32,
-    stx_dev_major: u32,
-    stx_dev_minor: u32,
-    stx_mnt_id: u64,
-    __spare2: [u64; 13],
-}
-
-const STATX_BASIC_STATS: u32 = 0x7ff;
-const AT_EMPTY_PATH: c_int = 0x1000;
-
-unsafe fn fill_statx(out: *mut CStatx, size: u64, is_dir: bool, ino: u64) {
-    std::ptr::write_bytes(out as *mut u8, 0, std::mem::size_of::<CStatx>());
-    let st = &mut *out;
-    st.stx_mask = STATX_BASIC_STATS;
-    st.stx_blksize = 4096;
-    st.stx_nlink = 1;
-    st.stx_mode = if is_dir {
-        (S_IFDIR | 0o755) as u16
-    } else {
-        (S_IFREG | 0o644) as u16
-    };
-    st.stx_ino = ino;
-    st.stx_size = size;
-    st.stx_blocks = size.div_ceil(512);
-}
-
-unsafe fn do_statx(
-    dirfd: c_int,
-    path: *const c_char,
-    flags: c_int,
-    mask: c_uint,
-    out: *mut CStatx,
-) -> c_int {
-    let real_statx = real!(statx, StatxFn);
-    // AT_EMPTY_PATH: stat the fd itself (fstat spelling).
-    if flags & AT_EMPTY_PATH != 0 {
-        return match lookup(dirfd) {
-            Some(st) => ret(st.fstat(), |s| {
-                fill_statx(out, s.size, s.is_dir, fake_ino(st.path()));
-                0
-            }),
-            None => real_statx(dirfd, path, flags, mask, out),
-        };
-    }
-    let absolute = cstr(path).map(|p| p.starts_with('/')).unwrap_or(false);
-    match resolve(path) {
-        Some((sh, at)) if dirfd == AT_FDCWD || absolute => {
-            ret(inside_plfs(|| sh.opens.stat(at)), |st| {
-                fill_statx(out, st.size, st.is_dir, fake_ino(at.1));
-                0
-            })
-        }
-        _ => real_statx(dirfd, path, flags, mask, out),
-    }
-}
-
-/// `statx(2)` — the stat entry point modern glibc and coreutils use.
-#[no_mangle]
-pub unsafe extern "C" fn statx(
-    dirfd: c_int,
-    path: *const c_char,
-    flags: c_int,
-    mask: c_uint,
-    out: *mut CStatx,
-) -> c_int {
-    ffi_guard!(
-        -1,
-        statx: StatxFn(dirfd, path, flags, mask, out),
-        do_statx(dirfd, path, flags, mask, out)
-    )
-}
-
-/// How many fds the shim currently tracks (exposed for the smoke test).
-pub fn tracked_fds() -> usize {
-    shim().map(|s| s.opens.len()).unwrap_or(0)
 }

@@ -3,6 +3,8 @@
 //! interposed libc), then genuine system tools (`cat`, `md5sum`, `cp`) on
 //! a PLFS container, which is exactly the paper's §III.D demonstration.
 
+use std::ffi::{CStr, CString};
+use std::os::raw::{c_char, c_int, c_void};
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -79,6 +81,140 @@ fn smoke_binary_roundtrips_under_preload() {
         String::from_utf8_lossy(&out.stderr)
     );
     assert!(String::from_utf8_lossy(&out.stdout).contains("preload smoke OK"));
+}
+
+extern "C" {
+    fn dlopen(file: *const c_char, mode: c_int) -> *mut c_void;
+    fn dlsym(handle: *mut c_void, name: *const c_char) -> *mut c_void;
+    fn dladdr(addr: *const c_void, info: *mut DlInfo) -> c_int;
+}
+
+/// glibc's `Dl_info`.
+#[repr(C)]
+struct DlInfo {
+    fname: *const c_char,
+    fbase: *mut c_void,
+    sname: *const c_char,
+    saddr: *mut c_void,
+}
+
+/// The file of the object in which the loader finds `name` from `handle`.
+fn defined_in(handle: *mut c_void, name: &str) -> Option<String> {
+    let name = CString::new(name).unwrap();
+    let addr = unsafe { dlsym(handle, name.as_ptr()) };
+    let mut info = DlInfo {
+        fname: std::ptr::null(),
+        fbase: std::ptr::null_mut(),
+        sname: std::ptr::null(),
+        saddr: std::ptr::null_mut(),
+    };
+    if addr.is_null() || unsafe { dladdr(addr, &mut info) } == 0 || info.fname.is_null() {
+        return None;
+    }
+    Some(
+        unsafe { CStr::from_ptr(info.fname) }
+            .to_string_lossy()
+            .into_owned(),
+    )
+}
+
+/// glibc is the oracle for alias families: for every name of the symbol
+/// table (`interpose!` in `src/lib.rs`), each of its `64`, `__*_chk`,
+/// `__*64_chk`, `__*_2` and `__*64_2` spellings that libc exports is a
+/// symbol of the built library, unless the table lists it as not
+/// interposed — and a listed one is libc's and not the library's. A
+/// spelling missing here is a call an unmodified binary makes past the
+/// shim (`creat64` wrote a plain file into the mount directory; `tar`'s
+/// `__openat_2` found no such file).
+#[test]
+fn every_glibc_spelling_of_a_row_is_interposed() {
+    ensure_built();
+    let src = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/src/lib.rs")).unwrap();
+    let table = plfs_lint::table::read_source(&src).expect("the symbol table");
+    let lib = CString::new(preload_lib().to_str().unwrap()).unwrap();
+    // RTLD_NOW, RTLD_LOCAL: nothing of this process binds to it.
+    let handle = unsafe { dlopen(lib.as_ptr(), 2) };
+    assert!(!handle.is_null(), "dlopen {:?}", preload_lib());
+    let ours = |s: &str| defined_in(handle, s).is_some_and(|f| f.ends_with("libldplfs_preload.so"));
+    let libc_has =
+        |s: &str| defined_in(std::ptr::null_mut(), s).is_some_and(|f| f.contains("libc.so"));
+    let skipped: Vec<&str> = table
+        .not_interposed
+        .iter()
+        .flat_map(|s| s.names.iter().map(String::as_str))
+        .collect();
+    let names: Vec<&str> = table
+        .rows
+        .iter()
+        .flat_map(|r| r.names.iter().map(String::as_str))
+        .collect();
+    assert!(
+        names.len() > 60,
+        "read {} names from the table",
+        names.len()
+    );
+    let mut missing = Vec::new();
+    for name in &names {
+        assert!(
+            ours(name),
+            "the row name {name} is not a symbol of the library"
+        );
+        let spellings = ["64", "_chk", "64_chk", "_2", "64_2"].map(|suffix| match suffix {
+            "64" => format!("{name}64"),
+            _ => format!("__{name}{suffix}"),
+        });
+        for s in spellings {
+            if libc_has(&s) && !ours(&s) && !skipped.contains(&s.as_str()) {
+                missing.push(s);
+            }
+        }
+    }
+    missing.sort();
+    missing.dedup();
+    assert!(
+        missing.is_empty(),
+        "libc exports {missing:?}, spellings of the table's names the library does not define: \
+         add each to its family's row"
+    );
+    for s in skipped {
+        assert!(
+            libc_has(s),
+            "{s} is listed as not interposed, but libc does not export it"
+        );
+        assert!(
+            !ours(s),
+            "{s} is listed as not interposed, but the library defines it"
+        );
+    }
+}
+
+/// `tar` opens what it archives with `__openat_2`/`__open_2` (a fortified
+/// build's `openat`/`open`) and stats it with `fstatat`: before those
+/// spellings were interposed it failed "Cannot open" on a container.
+#[test]
+fn tar_archives_a_container_by_its_absolute_path() {
+    ensure_built();
+    let env = setup("tar");
+    let (twin, containers) = twin_and_containers(&env);
+    let want = std::fs::read(&twin).unwrap();
+    for c in &containers {
+        let mut tar = Command::new("sh");
+        tar.arg("-c").arg(format!("tar cf - {c} | tar xOf -"));
+        let got = ok(run_preloaded(&env, tar), "tar");
+        assert!(got == want, "tar of {c} differs from the flat twin");
+    }
+}
+
+/// The spellings LFS and `_FORTIFY_SOURCE` builds call in place of
+/// `creat`, `fstatat`, `open` and `openat` reach the container.
+#[test]
+fn glibc_spellings_reach_the_container() {
+    ensure_built();
+    let env = setup("spellings");
+    let (twin, containers) = twin_and_containers(&env);
+    for c in &containers {
+        smoke_mode(&env, "glibc-spellings", c, &twin);
+    }
 }
 
 #[test]
