@@ -54,16 +54,13 @@ pub struct LineEvent {
     pub io: bool,
     /// First allocation/formatting pattern on the line, if any.
     pub alloc: Option<&'static str>,
-    /// Resolves a next-in-chain symbol: `real!(…)`, a direct `dlsym`, or a
-    /// call of `next::NAME` (the symbol table's next definitions).
-    pub resolves_real: bool,
+    /// Calls the next definition of an interposed name: `next::NAME(…)`, a
+    /// row's `next` binding, or a row's class passthrough.
+    pub calls_next: bool,
     /// Calls `set_errno`.
     pub sets_errno: bool,
     /// Mentions a literal `-1` (candidate libc error return).
     pub minus_one: bool,
-    /// Calls a next-in-chain symbol: `next::NAME(…)`, a row's `next`
-    /// binding, or a local `let f = real!(…)` binding from this function.
-    pub calls_real_local: bool,
     /// Identifier bound by a `let` on this line, if any.
     pub let_name: Option<String>,
 }
@@ -459,7 +456,7 @@ impl<'a> Graph<'a> {
             .map(|f| {
                 f.events
                     .iter()
-                    .any(|e| e.resolves_real || e.sets_errno || e.calls_real_local || e.io)
+                    .any(|e| e.calls_next || e.sets_errno || e.io)
             })
             .collect();
         self.fixpoint(
@@ -518,7 +515,7 @@ fn row_fns(file: usize, row: &Row) -> Vec<FnNode> {
     if let Some(line) = row.passthrough {
         let resolution = LineEvent {
             line,
-            resolves_real: true,
+            calls_next: true,
             ..LineEvent::default()
         };
         events.insert(row.before.len(), resolution);
@@ -540,9 +537,7 @@ fn row_fns(file: usize, row: &Row) -> Vec<FnNode> {
 }
 
 /// One [`LineEvent`] per `(line, code)` of a body, tracking brace depth and
-/// live guard bindings. A call to the next definition of an interposed
-/// name — `real!`, `dlsym`, `next::NAME(…)`, or a row's `next` binding —
-/// resolves it.
+/// live guard bindings.
 fn line_events<'s>(lines: impl Iterator<Item = (usize, &'s str)>) -> Vec<LineEvent> {
     let mut events = Vec::new();
     // (guard name, lock class, depth at binding)
@@ -570,12 +565,9 @@ fn line_events<'s>(lines: impl Iterator<Item = (usize, &'s str)>) -> Vec<LineEve
             calls,
             io: find_word(code, "backing").is_some(),
             alloc: ALLOC_PATTERNS.iter().find(|p| code.contains(*p)).copied(),
-            resolves_real: calls_next
-                || code.contains("real!")
-                || find_word(code, "dlsym").is_some(),
+            calls_next,
             sets_errno: find_word(code, "set_errno").is_some(),
             minus_one: mentions_minus_one(code),
-            calls_real_local: calls_next,
             let_name: let_binding(code),
         });
         // Guard lifetime bookkeeping after the line's own effects.
@@ -595,18 +587,6 @@ fn line_events<'s>(lines: impl Iterator<Item = (usize, &'s str)>) -> Vec<LineEve
             }
         }
         guards.retain(|(_, _, d)| depth > *d || (depth == *d && *d > 0));
-    }
-    // Calls through `let f = real!(…)` locals.
-    let real_locals: HashSet<String> = events
-        .iter()
-        .filter(|e| e.resolves_real)
-        .filter_map(|e| e.let_name.clone())
-        .collect();
-    for e in &mut events {
-        e.calls_real_local |= e
-            .calls
-            .iter()
-            .any(|c| !c.method && real_locals.contains(&c.name));
     }
     events
 }

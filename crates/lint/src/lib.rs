@@ -25,9 +25,9 @@
 //! | rule | scope | invariant |
 //! |------|-------|-----------|
 //! | `deadlock-cycle` | `crates/plfs` | the per-crate lock-order graph (lock class held → lock class acquired, including acquisitions by transitive callees) is acyclic; same-class self-edges are exempt (sharded siblings lock in index order by convention) |
-//! | `signal-safety` | `crates/preload` | on every path from an interposed symbol — each name of a row of the preload's symbol table ([`table`]) — no allocation/formatting, no lock-guard binding, and no re-entry into an interposed symbol before the next-symbol resolution (`next::NAME`, a row's `next` binding, `real!`, `dlsym`); escape hatch: `// signal-safe: <why>` within three lines above the `fn` |
+//! | `signal-safety` | `crates/preload` | on every path from an interposed symbol — each name of a row of the preload's symbol table ([`table`]) — no allocation/formatting, no lock-guard binding, and no re-entry into an interposed symbol before the next-symbol resolution (`next::NAME`, a row's `next` binding or passthrough); escape hatch: `// signal-safe: <why>` within three lines above the `fn` |
 //! | `errno-clobber` | `crates/preload` | nothing that can overwrite errno (a call of a next definition or a callee that sets errno) runs between `set_errno(e)` and the `-1` return, or between capturing a real libc return value and returning it, in the table's rows and every function |
-//! | `symbol-coverage` | `crates/preload` | every interposed symbol is a name in a row of the symbol table: no `#[no_mangle] extern "C"` fn written out by hand, no name both in a row and on the table's not-interposed list |
+//! | `symbol-coverage` | `crates/preload` | every interposed symbol is a name in a row of the symbol table: no `#[no_mangle] extern "C"` fn written out by hand |
 //!
 //! The preload's `ffi-barrier` is its table's: every row expands to the
 //! one `extern "C"` template of the `interpose!` macro, which the

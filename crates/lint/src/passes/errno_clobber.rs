@@ -3,12 +3,12 @@
 //! Two contracts in `crates/preload`:
 //!
 //! 1. After `set_errno(E)`, the function must reach its `-1` return with
-//!    errno intact. Any intervening call that can clobber errno — another
-//!    `real!` resolution, a call through a `real!`-bound local, a callee
-//!    that transitively does either — silently replaces the error the
-//!    caller will read.
+//!    errno intact. Any intervening call that can clobber errno — a call of
+//!    a next definition (`next::NAME`, a row's `next` binding), a callee
+//!    that transitively makes one — silently replaces the error the caller
+//!    will read.
 //! 2. When a wrapper captures a next-in-chain return (`let new =
-//!    real_dup(fd);`) and later returns it, the bookkeeping in between
+//!    next::dup(fd);`) and later returns it, the bookkeeping in between
 //!    must not clobber errno either, or the host sees the right `-1` with
 //!    the wrong errno. Only same-depth statements are checked: bookkeeping
 //!    nested under `if new >= 0 { … }` runs on the success path, where
@@ -27,11 +27,8 @@ pub(crate) fn run(graph: &Graph, out: &mut Vec<Finding>) {
             continue;
         }
         let clobber_call = |e: &LineEvent| -> Option<String> {
-            if e.resolves_real {
-                return Some("real!".to_string());
-            }
-            if e.calls_real_local {
-                return Some("a real!-bound call".to_string());
+            if e.calls_next {
+                return Some("a next-definition call".to_string());
             }
             e.calls
                 .iter()
@@ -77,7 +74,7 @@ pub(crate) fn run(graph: &Graph, out: &mut Vec<Finding>) {
             let Some(name) = e.let_name.as_deref() else {
                 continue;
             };
-            if !e.calls_real_local || ctx.line_in_test(e.line) {
+            if !e.calls_next || ctx.line_in_test(e.line) {
                 continue;
             }
             let d = e.depth;

@@ -11,7 +11,7 @@
 //! table ([`crate::table`]), whose fortify check and class run before its
 //! passthrough and whose body runs after it — and checks the whole region
 //! that executes before the first next-symbol resolution (`next::NAME`, a
-//! row's `next` binding, `real!`, `dlsym`), across calls.
+//! row's `next` binding or passthrough), across calls.
 //!
 //! Escape hatch, mirroring `// relaxed:`: a `// signal-safe: <why>`
 //! comment on (or just above) a function's `fn` line vouches for the
@@ -52,7 +52,7 @@ pub(crate) fn run(graph: &Graph, out: &mut Vec<Finding>) {
         let boundary = f
             .events
             .iter()
-            .position(|e| e.resolves_real)
+            .position(|e| e.calls_next)
             .unwrap_or(f.events.len());
         for e in &f.events[..boundary] {
             if ctx.line_in_test(e.line) || ctx.suppressed(RULE, e.line) {

@@ -8,16 +8,14 @@
 //! a row of its `interpose!` table ([`crate::table`]), which generates the
 //! `extern "C"` function, its next definition, the latch forward and the
 //! panic barrier for each: twins cannot drift, and adding an alias is one
-//! name. This pass keeps the surface in the table:
+//! name. This pass keeps the surface in the table: a `#[no_mangle]
+//! extern "C"` function written out by hand in `crates/preload` is a
+//! finding — declare it as a row.
 //!
-//! * a `#[no_mangle] extern "C"` function written out by hand in
-//!   `crates/preload` is a finding — declare it as a row;
-//! * a name both in a row and on the table's not-interposed list is a
-//!   finding.
-//!
-//! Which spellings a family has is glibc's to say, not a list's: the
-//! preload's `every_glibc_spelling_of_a_row_is_interposed` test asks the
-//! dynamic loader for the `64`, `_chk` and `_2` spellings of every name.
+//! Which suffix and prefix spellings a name has is glibc's to say, not a
+//! list's: the preload's `every_glibc_spelling_of_a_row_is_interposed`
+//! test asks the dynamic loader for them, and checks the table's
+//! not-interposed list against the built library.
 
 use crate::callgraph::Graph;
 use crate::Finding;
@@ -33,23 +31,6 @@ pub(crate) fn run(graph: &Graph, out: &mut Vec<Finding>) {
                 f.name
             );
             out.push(ctx.finding(RULE, f.start, message));
-        }
-    }
-    for ctx in graph.ctxs {
-        let Some(table) = &ctx.table else {
-            continue;
-        };
-        for skip in &table.not_interposed {
-            let rows = table.rows.iter().flat_map(|r| &r.names);
-            for name in rows.filter(|n| skip.names.contains(n)) {
-                if !ctx.suppressed(RULE, skip.line) {
-                    let message = format!(
-                        "`{name}` is both a row of the symbol table and on its \
-                         not-interposed list"
-                    );
-                    out.push(ctx.finding(RULE, skip.line, message));
-                }
-            }
         }
     }
 }

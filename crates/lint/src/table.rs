@@ -57,8 +57,6 @@ pub struct NotInterposed {
     pub names: Vec<String>,
     /// Why the shim leaves them alone.
     pub reason: String,
-    /// 0-based line.
-    pub line: usize,
 }
 
 /// The table of `src`, if it has one.
@@ -79,7 +77,6 @@ pub fn read(lines: &[Line]) -> Option<Table> {
             table.not_interposed.push(NotInterposed {
                 names: split_names(&names[..eq]),
                 reason: body.literal(lines, stmt.start + 1 + eq),
-                line: body.line_of(stmt.start),
             });
             continue;
         }

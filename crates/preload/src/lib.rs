@@ -220,7 +220,8 @@ macro_rules! ffi_guard {
 /// reads this table (its rows are the roots of `signal-safety`,
 /// `errno-clobber` and `symbol-coverage`), and
 /// `preload_e2e::every_glibc_spelling_of_a_row_is_interposed` asks the
-/// loader for the `64`, `_chk` and `_2` spellings of every name.
+/// loader for the `64`, `__NAME`, `_chk`, `_2` and old-stat spellings of
+/// every name.
 macro_rules! interpose {
     (
         $(
@@ -976,6 +977,12 @@ interpose! {
     // unseen calls (ROADMAP items 5 and 6).
     !__xstat | __xstat64 | __lxstat | __lxstat64 | __fxstat | __fxstat64 | __fxstatat | __fxstatat64
         = "the old stat ABI, not interposed yet";
+    // glibc's internal names for calls of the rows above, exported for
+    // glibc's own libraries (`libc_malloc_debug` imports `__mmap`): no
+    // header emits a call to them, so no program makes one.
+    !__open | __open64 | __read | __write | __pread64 | __pwrite64 | __lseek | __close | __dup2
+        | __fcntl | __mmap | __fstat64
+        = "glibc-internal aliases, called by no program";
 }
 
 // ---------------------------------------------------------------------------

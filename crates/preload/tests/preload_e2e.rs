@@ -118,14 +118,30 @@ fn defined_in(handle: *mut c_void, name: &str) -> Option<String> {
     )
 }
 
+/// The spellings glibc may export for the C name `name`: its LFS twin
+/// (`NAME64`), its internal aliases (`__NAME`, `__NAME64`), its
+/// `_FORTIFY_SOURCE` forms (`__NAME_chk`, `__NAME64_chk`, `__NAME_2`,
+/// `__NAME64_2`) and, for a stat call, the pre-2.33 stat ABI's (`__xstat`
+/// for `stat`, `__fxstatat64` for `fstatat64`, …).
+fn spellings(name: &str) -> Vec<String> {
+    let mut out = vec![format!("{name}64")];
+    for suffix in ["", "64", "_chk", "64_chk", "_2", "64_2"] {
+        out.push(format!("__{name}{suffix}"));
+    }
+    if name.contains("stat") {
+        let old = name.replacen("stat", "xstat", 1);
+        out.extend([format!("__{old}"), format!("__{old}64")]);
+    }
+    out
+}
+
 /// glibc is the oracle for alias families: for every name of the symbol
-/// table (`interpose!` in `src/lib.rs`), each of its `64`, `__*_chk`,
-/// `__*64_chk`, `__*_2` and `__*64_2` spellings that libc exports is a
-/// symbol of the built library, unless the table lists it as not
-/// interposed — and a listed one is libc's and not the library's. A
-/// spelling missing here is a call an unmodified binary makes past the
-/// shim (`creat64` wrote a plain file into the mount directory; `tar`'s
-/// `__openat_2` found no such file).
+/// table (`interpose!` in `src/lib.rs`), each of its [`spellings`] that
+/// libc exports is a symbol of the built library, unless the table lists
+/// it as not interposed — and a listed one is libc's and not the
+/// library's. A spelling missing here is a call an unmodified binary makes
+/// past the shim (`creat64` wrote a plain file into the mount directory;
+/// `tar`'s `__openat_2` found no such file).
 #[test]
 fn every_glibc_spelling_of_a_row_is_interposed() {
     ensure_built();
@@ -159,11 +175,7 @@ fn every_glibc_spelling_of_a_row_is_interposed() {
             ours(name),
             "the row name {name} is not a symbol of the library"
         );
-        let spellings = ["64", "_chk", "64_chk", "_2", "64_2"].map(|suffix| match suffix {
-            "64" => format!("{name}64"),
-            _ => format!("__{name}{suffix}"),
-        });
-        for s in spellings {
+        for s in spellings(name) {
             if libc_has(&s) && !ours(&s) && !skipped.contains(&s.as_str()) {
                 missing.push(s);
             }
