@@ -22,7 +22,6 @@ pub mod ior;
 pub mod md5;
 pub mod mpi_io_test;
 pub mod nas_bt;
-pub mod restart;
 pub mod result;
 pub mod unix_tools;
 

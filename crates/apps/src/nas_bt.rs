@@ -28,14 +28,6 @@ pub enum BtClass {
 }
 
 impl BtClass {
-    /// Grid points per dimension.
-    pub fn grid(self) -> u64 {
-        match self {
-            BtClass::C => 162,
-            BtClass::D => 408,
-        }
-    }
-
     /// Total bytes written during a run (paper §IV).
     pub fn total_bytes(self) -> u64 {
         match self {

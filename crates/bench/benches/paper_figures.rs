@@ -1,111 +1,27 @@
-//! One Criterion bench per table/figure of the paper: each measures the
-//! wall time of regenerating a representative point of that experiment on
-//! the simulator. `paperbench` produces the full sweeps; these keep the
-//! regeneration cost tracked and the pipelines exercised under `cargo
+//! One Criterion bench per row of the figure registry: the wall time of
+//! regenerating that table or figure at quick scale (Table II at 1 GB),
+//! without emitting it. `paperbench` produces the full sweeps; these keep
+//! the regeneration cost tracked and the pipelines exercised under `cargo
 //! bench`.
 
-use apps::flash_io::{self, FlashConfig};
-use apps::mpi_io_test::{self, MpiIoTestConfig, Phase};
-use apps::nas_bt::{self, BtClass, BtConfig};
-use apps::unix_tools::sim::{tool_time, FileKind, Tool};
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mpiio::Method;
-use simfs::presets;
+use bench::figures::{Opts, FIGURES};
+use bench::Scale;
+use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-/// Figure 3: MPI-IO Test on Minerva, one write point per method.
-fn bench_fig3(c: &mut Criterion) {
-    let platform = presets::minerva();
-    let mut g = c.benchmark_group("fig3_mpiio_test");
-    g.sample_size(20);
-    for method in Method::ALL {
-        g.bench_with_input(
-            BenchmarkId::new("write_16n_2ppn", method.label()),
-            &method,
-            |b, &m| {
-                let mut cfg = MpiIoTestConfig::paper(16, 2);
-                cfg.bytes_per_proc = 64 << 20;
-                b.iter(|| black_box(mpi_io_test::run(&platform, &cfg, m, Phase::Write).unwrap()));
-            },
-        );
-    }
-    g.finish();
-}
-
-/// Table II: serial UNIX tools on the login node (512 MB point).
-fn bench_table2(c: &mut Criterion) {
-    let platform = presets::login_node();
-    let mut g = c.benchmark_group("table2_unix_tools");
-    g.sample_size(20);
-    for tool in Tool::ALL {
-        g.bench_with_input(BenchmarkId::new("plfs", tool.label()), &tool, |b, &t| {
-            b.iter(|| {
-                black_box(
-                    tool_time(
-                        &platform,
-                        t,
-                        FileKind::PlfsContainer { droppings: 16 },
-                        512 << 20,
-                    )
-                    .unwrap(),
-                )
-            });
-        });
-        g.bench_with_input(
-            BenchmarkId::new("standard", tool.label()),
-            &tool,
-            |b, &t| {
-                b.iter(|| {
-                    black_box(tool_time(&platform, t, FileKind::Standard, 512 << 20).unwrap())
-                });
-            },
-        );
-    }
-    g.finish();
-}
-
-/// Figure 4: BT classes C and D at a mid-sweep point per method.
-fn bench_fig4(c: &mut Criterion) {
-    let platform = presets::sierra();
-    let mut g = c.benchmark_group("fig4_nas_bt");
+fn bench_figures(c: &mut Criterion) {
+    let opts = Opts {
+        scale: Scale::Quick,
+        gb: 1,
+        ..Opts::default()
+    };
+    let mut g = c.benchmark_group("paper_figures");
     g.sample_size(10);
-    for (class, cores) in [(BtClass::C, 256usize), (BtClass::D, 256)] {
-        for method in [Method::MpiIo, Method::Romio, Method::Ldplfs] {
-            g.bench_with_input(
-                BenchmarkId::new(
-                    format!("class{}_{}cores", class.label(), cores),
-                    method.label(),
-                ),
-                &method,
-                |b, &m| {
-                    let cfg = BtConfig::paper(class, cores);
-                    b.iter(|| black_box(nas_bt::run(&platform, &cfg, m).unwrap()));
-                },
-            );
-        }
+    for f in FIGURES {
+        g.bench_function(f.name, |b| b.iter(|| black_box(f.regenerate(&opts, None))));
     }
     g.finish();
 }
 
-/// Figure 5: FLASH-IO at the peak (192) and collapse (1536) points.
-fn bench_fig5(c: &mut Criterion) {
-    let platform = presets::sierra();
-    let mut g = c.benchmark_group("fig5_flash_io");
-    g.sample_size(10);
-    for cores in [192usize, 1536] {
-        for method in [Method::MpiIo, Method::Ldplfs] {
-            g.bench_with_input(
-                BenchmarkId::new(format!("{cores}cores"), method.label()),
-                &method,
-                |b, &m| {
-                    let cfg = FlashConfig::paper(cores);
-                    b.iter(|| black_box(flash_io::run(&platform, &cfg, m).unwrap()));
-                },
-            );
-        }
-    }
-    g.finish();
-}
-
-criterion_group!(benches, bench_fig3, bench_table2, bench_fig4, bench_fig5);
+criterion_group!(benches, bench_figures);
 criterion_main!(benches);

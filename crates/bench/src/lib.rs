@@ -1,8 +1,10 @@
 //! # bench — the figure/table regeneration harness
 //!
 //! Library behind the `paperbench` binary: one function per table/figure of
-//! the paper, each returning structured data that the binary renders as
-//! aligned text tables (and optionally JSON for EXPERIMENTS.md).
+//! the paper, each returning structured data that renders as aligned text
+//! tables and as the `data` of its emitted `BENCH_*.json`. The
+//! [`figures`] registry declares each figure once; [`gate`] checks and
+//! gates what it emits.
 //!
 //! Every experiment can run at `Scale::Paper` (the exact sweep of the
 //! paper) or `Scale::Quick` (same shapes, smaller volumes — used by CI and
@@ -10,13 +12,15 @@
 
 #![warn(missing_docs)]
 
+pub mod figures;
+pub mod gate;
+
 use apps::flash_io::{self, FlashConfig};
 use apps::mpi_io_test::{self, MpiIoTestConfig, Phase};
 use apps::nas_bt::{self, BtClass, BtConfig};
 use apps::unix_tools::sim::{tool_time, FileKind, Tool};
 use jsonlite::{ToJson, Value};
 use mpiio::{FileView, Job, Method, MpiFile, MpiInfo};
-use rayon::prelude::*;
 use simfs::{presets, Platform, SimFs};
 
 /// How big to run the experiments.
@@ -26,6 +30,18 @@ pub enum Scale {
     Paper,
     /// Reduced volumes (same process sweeps) for fast iteration.
     Quick,
+}
+
+/// `f` over `items`, one scoped thread each, results in input order.
+fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+    std::thread::scope(|s| {
+        let f = &f;
+        let workers: Vec<_> = items.iter().map(|x| s.spawn(move || f(x))).collect();
+        workers
+            .into_iter()
+            .map(|w| w.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
+    })
 }
 
 impl Scale {
@@ -76,40 +92,38 @@ pub fn fig3(scale: Scale) -> Vec<Panel> {
             jobs.push((phase, ppn));
         }
     }
-    jobs.par_iter()
-        .map(|&(phase, ppn)| {
-            let series = Method::ALL
-                .iter()
-                .map(|&m| {
-                    let points = FIG3_NODES
-                        .iter()
-                        .map(|&nodes| {
-                            let mut cfg = MpiIoTestConfig::paper(nodes, ppn);
-                            cfg.bytes_per_proc = scale.divide(cfg.bytes_per_proc, 16);
-                            let b = mpi_io_test::run(&platform, &cfg, m, phase).expect("fig3 run");
-                            (nodes, b.bandwidth_mbs())
-                        })
-                        .collect();
-                    Series {
-                        label: m.label().to_string(),
-                        points,
-                    }
-                })
-                .collect();
-            Panel {
-                title: format!(
-                    "{} ({} Proc/Node)",
-                    match phase {
-                        Phase::Write => "Write",
-                        Phase::Read => "Read",
-                    },
-                    ppn
-                ),
-                xlabel: "Nodes".to_string(),
-                series,
-            }
-        })
-        .collect()
+    par_map(&jobs, |&(phase, ppn)| {
+        let series = Method::ALL
+            .iter()
+            .map(|&m| {
+                let points = FIG3_NODES
+                    .iter()
+                    .map(|&nodes| {
+                        let mut cfg = MpiIoTestConfig::paper(nodes, ppn);
+                        cfg.bytes_per_proc = scale.divide(cfg.bytes_per_proc, 16);
+                        let b = mpi_io_test::run(&platform, &cfg, m, phase).expect("fig3 run");
+                        (nodes, b.bandwidth_mbs())
+                    })
+                    .collect();
+                Series {
+                    label: m.label().to_string(),
+                    points,
+                }
+            })
+            .collect();
+        Panel {
+            title: format!(
+                "{} ({} Proc/Node)",
+                match phase {
+                    Phase::Write => "Write",
+                    Phase::Read => "Read",
+                },
+                ppn
+            ),
+            xlabel: "Nodes".to_string(),
+            series,
+        }
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -163,25 +177,22 @@ pub const SIERRA_METHODS: [Method; 3] = [Method::MpiIo, Method::Romio, Method::L
 /// Regenerate one Figure 4 panel (class C or D).
 pub fn fig4(class: BtClass, scale: Scale) -> Panel {
     let platform = presets::sierra();
-    let series: Vec<Series> = SIERRA_METHODS
-        .par_iter()
-        .map(|&m| {
-            let points = class
-                .core_sweep()
-                .iter()
-                .map(|&cores| {
-                    let cfg = BtConfig::paper(class, cores);
-                    let _ = scale; // BT volumes are fixed by problem class
-                    let b = nas_bt::run(&platform, &cfg, m).expect("fig4 run");
-                    (cores, b.bandwidth_mbs())
-                })
-                .collect();
-            Series {
-                label: m.label().to_string(),
-                points,
-            }
-        })
-        .collect();
+    let series = par_map(&SIERRA_METHODS, |&m| {
+        let points = class
+            .core_sweep()
+            .iter()
+            .map(|&cores| {
+                let cfg = BtConfig::paper(class, cores);
+                let _ = scale; // BT volumes are fixed by problem class
+                let b = nas_bt::run(&platform, &cfg, m).expect("fig4 run");
+                (cores, b.bandwidth_mbs())
+            })
+            .collect();
+        Series {
+            label: m.label().to_string(),
+            points,
+        }
+    });
     Panel {
         title: format!("BT Problem Class {}", class.label()),
         xlabel: "Cores".to_string(),
@@ -197,35 +208,27 @@ pub fn fig4(class: BtClass, scale: Scale) -> Panel {
 /// paper's future-work knob for taming the MDS storm).
 pub fn fig5_with(num_hostdirs: u32, scale: Scale) -> Panel {
     let platform = presets::sierra();
-    let series: Vec<Series> = SIERRA_METHODS
-        .par_iter()
-        .map(|&m| {
-            let points = FlashConfig::core_sweep()
-                .iter()
-                .map(|&cores| {
-                    let mut cfg = FlashConfig::paper(cores);
-                    cfg.num_hostdirs = num_hostdirs;
-                    let _ = scale;
-                    let b = flash_io::run(&platform, &cfg, m).expect("fig5 run");
-                    (cores, b.bandwidth_mbs())
-                })
-                .collect();
-            Series {
-                label: m.label().to_string(),
-                points,
-            }
-        })
-        .collect();
+    let series = par_map(&SIERRA_METHODS, |&m| {
+        let points = FlashConfig::core_sweep()
+            .iter()
+            .map(|&cores| {
+                let mut cfg = FlashConfig::paper(cores);
+                cfg.num_hostdirs = num_hostdirs;
+                let _ = scale;
+                let b = flash_io::run(&platform, &cfg, m).expect("fig5 run");
+                (cores, b.bandwidth_mbs())
+            })
+            .collect();
+        Series {
+            label: m.label().to_string(),
+            points,
+        }
+    });
     Panel {
         title: "FLASH-IO (weak scaled, 24³ blocks)".to_string(),
         xlabel: "Cores".to_string(),
         series,
     }
-}
-
-/// Figure 5 with the paper's default 32 hostdirs.
-pub fn fig5(scale: Scale) -> Panel {
-    fig5_with(32, scale)
 }
 
 // ---------------------------------------------------------------------------
@@ -254,15 +257,12 @@ pub fn crossover(platform: &Platform, label: &str) -> Crossover {
         .copied()
         .filter(|&c| c <= platform.cluster.nodes * platform.cluster.cores_per_node)
         .collect();
-    let speedup: Vec<f64> = cores
-        .par_iter()
-        .map(|&c| {
-            let cfg = FlashConfig::paper(c);
-            let base = flash_io::run(platform, &cfg, Method::MpiIo).expect("crossover base");
-            let plfs = flash_io::run(platform, &cfg, Method::Ldplfs).expect("crossover plfs");
-            plfs.bandwidth_mbs() / base.bandwidth_mbs()
-        })
-        .collect();
+    let speedup = par_map(&cores, |&c| {
+        let cfg = FlashConfig::paper(c);
+        let base = flash_io::run(platform, &cfg, Method::MpiIo).expect("crossover base");
+        let plfs = flash_io::run(platform, &cfg, Method::Ldplfs).expect("crossover plfs");
+        plfs.bandwidth_mbs() / base.bandwidth_mbs()
+    });
     let harmful_at = cores
         .iter()
         .zip(&speedup)
@@ -1281,7 +1281,7 @@ pub fn render_table2(rows: &[Table2Row]) -> String {
 }
 
 // ---------------------------------------------------------------------------
-// JSON output (paperbench --json / --emit-json).
+// JSON output (the `data` of paperbench --emit-json).
 // ---------------------------------------------------------------------------
 
 impl ToJson for Series {

@@ -76,7 +76,6 @@ pub mod table;
 pub use sarif::{check_sarif, render_sarif};
 
 use lexer::Line;
-use rayon::prelude::*;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -433,23 +432,39 @@ fn run_file_rules(ctx: &FileCtx, findings: &mut Vec<Finding>) {
 /// Lint a set of files together: per-file line rules, then the four
 /// call-graph passes (deadlock cycles, signal safety, errno clobber,
 /// symbol coverage) over the combined workspace graph. Each `(path, src)`
-/// pair is a workspace-relative path and its source text. Per-file work is
-/// parallelized with rayon; the graph passes run once over the whole set.
+/// pair is a workspace-relative path and its source text. The per-file
+/// work is split over one scoped thread per core; the graph passes run once
+/// over the whole set.
 pub fn lint_files(files: &[(String, String)]) -> Vec<Finding> {
-    let per_file: Vec<(FileCtx, Vec<Finding>)> = files
-        .par_iter()
-        .map(|(path, src)| {
-            let ctx = FileCtx::new(path, src);
-            let mut findings = Vec::new();
-            run_file_rules(&ctx, &mut findings);
-            (ctx, findings)
-        })
-        .collect();
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let per_worker: Vec<(Vec<FileCtx>, Vec<Finding>)> = std::thread::scope(|s| {
+        let workers: Vec<_> = files
+            .chunks(files.len().div_ceil(cores).max(1))
+            .map(|chunk| {
+                s.spawn(move || {
+                    let mut findings = Vec::new();
+                    let ctxs: Vec<FileCtx> = chunk
+                        .iter()
+                        .map(|(path, src)| {
+                            let ctx = FileCtx::new(path, src);
+                            run_file_rules(&ctx, &mut findings);
+                            ctx
+                        })
+                        .collect();
+                    (ctxs, findings)
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .map(|w| w.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
+    });
     let mut findings: Vec<Finding> = Vec::new();
-    let mut ctxs: Vec<FileCtx> = Vec::with_capacity(per_file.len());
-    for (ctx, f) in per_file {
+    let mut ctxs: Vec<FileCtx> = Vec::with_capacity(files.len());
+    for (c, f) in per_worker {
+        ctxs.extend(c);
         findings.extend(f);
-        ctxs.push(ctx);
     }
     let graph = callgraph::Graph::build(&ctxs);
     passes::deadlock::run(&graph, &mut findings);
@@ -494,8 +509,8 @@ pub fn lint_workspace(root: &Path) -> Result<Vec<Finding>, std::io::Error> {
             format!("no .rs sources under {} — wrong root?", root.display()),
         ));
     }
-    let sources: Vec<Result<(String, String), std::io::Error>> = files
-        .par_iter()
+    let pairs = files
+        .iter()
         .map(|f| {
             let src = std::fs::read_to_string(f)?;
             let rel = f
@@ -505,11 +520,7 @@ pub fn lint_workspace(root: &Path) -> Result<Vec<Finding>, std::io::Error> {
                 .replace('\\', "/");
             Ok((rel, src))
         })
-        .collect();
-    let mut pairs = Vec::with_capacity(sources.len());
-    for s in sources {
-        pairs.push(s?);
-    }
+        .collect::<Result<Vec<_>, std::io::Error>>()?;
     Ok(lint_files(&pairs))
 }
 

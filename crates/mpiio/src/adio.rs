@@ -38,9 +38,6 @@ pub struct IoReq {
 
 /// One of the four I/O paths.
 pub trait AdioDriver {
-    /// Short name for reports ("MPI-IO", "ROMIO", "LDPLFS", "FUSE").
-    fn name(&self) -> &'static str;
-
     /// Collective open: every rank arrives at its clock; returns per-rank
     /// completion times (same order as `ranks`).
     fn open(
@@ -163,10 +160,6 @@ impl UfsDriver {
 }
 
 impl AdioDriver for UfsDriver {
-    fn name(&self) -> &'static str {
-        "MPI-IO"
-    }
-
     fn open(
         &mut self,
         fs: &mut SimFs,
@@ -540,10 +533,6 @@ impl PlfsRomioDriver {
 }
 
 impl AdioDriver for PlfsRomioDriver {
-    fn name(&self) -> &'static str {
-        "ROMIO"
-    }
-
     fn open(
         &mut self,
         fs: &mut SimFs,
@@ -640,10 +629,6 @@ impl LdplfsDriver {
 }
 
 impl AdioDriver for LdplfsDriver {
-    fn name(&self) -> &'static str {
-        "LDPLFS"
-    }
-
     fn open(
         &mut self,
         fs: &mut SimFs,
@@ -756,10 +741,6 @@ impl FuseDriver {
 }
 
 impl AdioDriver for FuseDriver {
-    fn name(&self) -> &'static str {
-        "FUSE"
-    }
-
     fn open(
         &mut self,
         fs: &mut SimFs,

@@ -46,12 +46,6 @@ impl Job {
         }
     }
 
-    /// Override communication constants.
-    pub fn with_costs(mut self, costs: CommCosts) -> Job {
-        self.costs = costs;
-        self
-    }
-
     /// Number of ranks.
     pub fn ranks(&self) -> usize {
         self.ranks
@@ -70,11 +64,6 @@ impl Job {
     /// Node hosting a rank (block placement, like `mpirun -bynode` off).
     pub fn node_of(&self, rank: usize) -> usize {
         rank / self.ppn
-    }
-
-    /// Ranks hosted on a node.
-    pub fn ranks_on(&self, node: usize) -> impl Iterator<Item = usize> + '_ {
-        (node * self.ppn..((node + 1) * self.ppn).min(self.ranks)).filter(move |_| true)
     }
 
     /// The lead (lowest) rank of each node — the default ROMIO aggregator
@@ -119,11 +108,6 @@ impl Job {
     pub fn max_time(&self) -> f64 {
         self.clocks.iter().cloned().fold(0.0, f64::max)
     }
-
-    /// Earliest rank clock.
-    pub fn min_time(&self) -> f64 {
-        self.clocks.iter().cloned().fold(f64::INFINITY, f64::min)
-    }
 }
 
 #[cfg(test)]
@@ -137,11 +121,7 @@ mod tests {
         assert_eq!(j.node_of(0), 0);
         assert_eq!(j.node_of(3), 0);
         assert_eq!(j.node_of(4), 1);
-        assert_eq!(j.node_of(9), 2);
-        let on1: Vec<_> = j.ranks_on(1).collect();
-        assert_eq!(on1, vec![4, 5, 6, 7]);
-        let on2: Vec<_> = j.ranks_on(2).collect();
-        assert_eq!(on2, vec![8, 9], "partial last node");
+        assert_eq!(j.node_of(9), 2, "partial last node");
     }
 
     #[test]

@@ -58,11 +58,6 @@ impl MpiFile {
         &self.path
     }
 
-    /// The driver's display name.
-    pub fn method_name(&self) -> &'static str {
-        self.driver.name()
-    }
-
     /// `MPI_File_set_view` for one rank: subsequent `write_view` /
     /// `read_view` offsets are interpreted through the view.
     pub fn set_view(&mut self, rank: usize, view: crate::view::FileView) {

@@ -87,18 +87,6 @@ impl FileView {
         }
         merged
     }
-
-    /// Total physical span touched by a view-relative extent (distance from
-    /// the first byte to one past the last) — what a data-sieve buffer must
-    /// cover to service it in one read-modify-write.
-    pub fn physical_span(&self, view_off: u64, len: u64) -> u64 {
-        if len == 0 {
-            return 0;
-        }
-        let first = self.physical(view_off);
-        let last = self.physical(view_off + len - 1);
-        last - first + 1
-    }
 }
 
 #[cfg(test)]
@@ -148,16 +136,6 @@ mod tests {
             }
         }
         assert!(covered.iter().all(|&c| c == 1), "{covered:?}");
-    }
-
-    #[test]
-    fn physical_span_measures_sieve_window() {
-        let v = FileView::interleaved(0, 4, 10);
-        // 25 view bytes spread over 3 blocks: span = 0..85.
-        assert_eq!(v.physical_span(0, 25), 85);
-        // A within-block write has a tight span.
-        assert_eq!(v.physical_span(2, 5), 5);
-        assert_eq!(v.physical_span(0, 0), 0);
     }
 
     #[test]

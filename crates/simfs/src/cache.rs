@@ -11,12 +11,9 @@
 //! writes at 1,024 cores miss the threshold and fall back to disk speed;
 //! class D at 4,096 cores (<2 MB writes) is absorbed again.
 //!
-//! The cache also carries a *clean* read side (`read_capacity`): merged
-//! `[start, end)` extents a node has fetched before, evicted whole-file
-//! LRU under the byte budget. A read fully covered by a node's extents is
-//! absorbed at memory bandwidth; any write invalidates the overlapping
-//! extents on every node. This is the cache-aware read cost term that the
-//! `readcache` figure measures at the PLFS layer.
+//! Only writes are absorbed: this is the cache-absorbed write model that
+//! Figure 4 needs. There is no clean read cache; every read pays the
+//! servers.
 
 use crate::config::CacheConfig;
 use std::collections::HashMap;
@@ -34,55 +31,6 @@ pub struct NodeCache {
     per_file: HashMap<u64, f64>,
     hits: u64,
     misses: u64,
-    /// Clean read-cache byte budget (0 = read caching off).
-    read_capacity: u64,
-    /// Clean bytes currently resident across all files.
-    read_resident: u64,
-    /// Files with resident extents, least recently touched first.
-    read_lru: Vec<u64>,
-    /// Sorted, disjoint `[start, end)` extents per file.
-    read_extents: HashMap<u64, Vec<(u64, u64)>>,
-    read_hits: u64,
-    read_misses: u64,
-}
-
-/// Insert `[start, end)` into a sorted, disjoint extent list, merging
-/// overlapping and adjacent neighbours.
-fn insert_extent(ext: &mut Vec<(u64, u64)>, mut start: u64, mut end: u64) {
-    let mut out = Vec::with_capacity(ext.len() + 1);
-    for &(s, e) in ext.iter() {
-        if e < start || end < s {
-            out.push((s, e));
-        } else {
-            start = start.min(s);
-            end = end.max(e);
-        }
-    }
-    out.push((start, end));
-    out.sort_unstable();
-    *ext = out;
-}
-
-/// Remove `[start, end)` from a sorted, disjoint extent list.
-fn subtract_extent(ext: &mut Vec<(u64, u64)>, start: u64, end: u64) {
-    let mut out = Vec::with_capacity(ext.len() + 1);
-    for &(s, e) in ext.iter() {
-        if e <= start || end <= s {
-            out.push((s, e));
-            continue;
-        }
-        if s < start {
-            out.push((s, start));
-        }
-        if end < e {
-            out.push((end, e));
-        }
-    }
-    *ext = out;
-}
-
-fn extent_bytes(ext: &[(u64, u64)]) -> u64 {
-    ext.iter().map(|&(s, e)| e - s).sum()
 }
 
 impl NodeCache {
@@ -97,12 +45,6 @@ impl NodeCache {
             per_file: HashMap::new(),
             hits: 0,
             misses: 0,
-            read_capacity: cfg.read_capacity,
-            read_resident: 0,
-            read_lru: Vec::new(),
-            read_extents: HashMap::new(),
-            read_hits: 0,
-            read_misses: 0,
         }
     }
 
@@ -168,12 +110,6 @@ impl NodeCache {
         done
     }
 
-    /// Current dirty bytes (after settling to `t`).
-    pub fn dirty_at(&mut self, t: f64) -> f64 {
-        self.settle(t);
-        self.dirty
-    }
-
     /// Absorbed write count.
     pub fn hits(&self) -> u64 {
         self.hits
@@ -182,93 +118,6 @@ impl NodeCache {
     /// Write-through count.
     pub fn misses(&self) -> u64 {
         self.misses
-    }
-
-    /// Is all of `[offset, offset+len)` of `file` clean-resident on this
-    /// node? A hit bumps the file's recency; the caller completes the
-    /// read at memory speed. A miss is what the caller sends to the
-    /// servers (and should [`NodeCache::fill_read`] afterwards).
-    pub fn absorb_read(&mut self, file: u64, offset: u64, len: u64) -> bool {
-        if self.read_capacity == 0 || len == 0 {
-            self.read_misses += 1;
-            return false;
-        }
-        let end = offset + len;
-        // Extents are merged, so full coverage means one extent spans the
-        // whole range.
-        let covered = self
-            .read_extents
-            .get(&file)
-            .is_some_and(|ext| ext.iter().any(|&(s, e)| s <= offset && end <= e));
-        if covered {
-            self.touch_read(file);
-            self.read_hits += 1;
-        } else {
-            self.read_misses += 1;
-        }
-        covered
-    }
-
-    /// Record that this node fetched `[offset, offset+len)` of `file`
-    /// from the servers; evicts least-recently-touched files once the
-    /// clean budget is exceeded (the file just filled is evicted only
-    /// when it alone exceeds the budget).
-    pub fn fill_read(&mut self, file: u64, offset: u64, len: u64) {
-        if self.read_capacity == 0 || len == 0 {
-            return;
-        }
-        let ext = self.read_extents.entry(file).or_default();
-        let before = extent_bytes(ext);
-        insert_extent(ext, offset, offset + len);
-        self.read_resident += extent_bytes(ext) - before;
-        self.touch_read(file);
-        while self.read_resident > self.read_capacity && !self.read_lru.is_empty() {
-            let victim = self.read_lru.remove(0);
-            if let Some(gone) = self.read_extents.remove(&victim) {
-                self.read_resident -= extent_bytes(&gone);
-            }
-        }
-    }
-
-    /// A write to `[offset, offset+len)` of `file` — by any node — makes
-    /// this node's overlapping clean extents stale.
-    pub fn invalidate_read(&mut self, file: u64, offset: u64, len: u64) {
-        if len == 0 {
-            return;
-        }
-        let Some(ext) = self.read_extents.get_mut(&file) else {
-            return;
-        };
-        let before = extent_bytes(ext);
-        subtract_extent(ext, offset, offset + len);
-        let after = extent_bytes(ext);
-        self.read_resident -= before - after;
-        if ext.is_empty() {
-            self.read_extents.remove(&file);
-            self.read_lru.retain(|&f| f != file);
-        }
-    }
-
-    /// Reads absorbed clean (count).
-    pub fn read_hits(&self) -> u64 {
-        self.read_hits
-    }
-
-    /// Reads that went to the servers (count).
-    pub fn read_misses(&self) -> u64 {
-        self.read_misses
-    }
-
-    /// Clean bytes currently resident.
-    pub fn read_resident_bytes(&self) -> u64 {
-        self.read_resident
-    }
-
-    fn touch_read(&mut self, file: u64) {
-        if let Some(i) = self.read_lru.iter().position(|&f| f == file) {
-            self.read_lru.remove(i);
-        }
-        self.read_lru.push(file);
     }
 }
 
@@ -282,7 +131,6 @@ mod tests {
             capacity: 64 * MIB,
             per_op_threshold: 4 * MIB,
             drain_bw: 1.0 * MIB as f64, // 1 MiB/s for easy arithmetic
-            read_capacity: 0,
         })
     }
 
@@ -310,8 +158,11 @@ mod tests {
     fn bucket_drains_over_time() {
         let mut c = cache();
         c.absorb(0.0, 1, 4 * MIB, true);
-        assert!((c.dirty_at(1.0) - 3.0 * MIB as f64).abs() < 1.0);
-        assert_eq!(c.dirty_at(10.0), 0.0);
+        // 1 MiB drained by t = 1: the flush waits out the other 3.
+        assert!((c.flush_file(1.0, 1) - 4.0).abs() < 1e-9);
+        c.absorb(4.0, 1, 4 * MIB, true);
+        // All of it drained by t = 10: nothing left to wait for.
+        assert_eq!(c.flush_file(10.0, 1), 10.0);
         // Budget regenerated: can absorb again.
         assert!(c.absorb(10.0, 1, 4 * MIB, true));
     }
@@ -322,7 +173,6 @@ mod tests {
         c.absorb(0.0, 7, 4 * MIB, true);
         let done = c.flush_file(0.0, 7);
         assert!((done - 4.0).abs() < 1e-9, "4 MiB at 1 MiB/s");
-        assert_eq!(c.dirty_at(done), 0.0);
         // Flushing a clean file is free.
         assert_eq!(c.flush_file(done, 7), done);
         assert_eq!(c.flush_file(done, 99), done);
@@ -339,84 +189,12 @@ mod tests {
         assert!((done - 4.0).abs() < 1e-9);
     }
 
-    fn read_cache(read_capacity: u64) -> NodeCache {
-        NodeCache::new(&CacheConfig {
-            capacity: 0,
-            per_op_threshold: 0,
-            drain_bw: 1.0,
-            read_capacity,
-        })
-    }
-
-    #[test]
-    fn reread_of_filled_range_is_absorbed() {
-        let mut c = read_cache(64 * MIB);
-        assert!(!c.absorb_read(1, 0, MIB), "cold read pays the servers");
-        c.fill_read(1, 0, MIB);
-        assert!(c.absorb_read(1, 0, MIB), "full re-read absorbed");
-        assert!(c.absorb_read(1, 4096, 8192), "sub-range absorbed");
-        assert!(!c.absorb_read(1, MIB - 4096, 8192), "straddles the edge");
-        assert!(!c.absorb_read(2, 0, 4096), "other files unaffected");
-        assert_eq!((c.read_hits(), c.read_misses()), (2, 3));
-        assert_eq!(c.read_resident_bytes(), MIB);
-    }
-
-    #[test]
-    fn adjacent_fills_merge_into_one_extent() {
-        let mut c = read_cache(64 * MIB);
-        c.fill_read(1, 0, 4096);
-        c.fill_read(1, 8192, 4096);
-        assert!(!c.absorb_read(1, 0, 12288), "hole at [4096, 8192)");
-        c.fill_read(1, 4096, 4096);
-        assert!(c.absorb_read(1, 0, 12288), "extents merged across fills");
-        assert_eq!(c.read_resident_bytes(), 12288);
-    }
-
-    #[test]
-    fn read_budget_evicts_least_recent_file() {
-        let mut c = read_cache(2 * MIB);
-        c.fill_read(1, 0, MIB);
-        c.fill_read(2, 0, MIB);
-        // Touch file 1 so file 2 is the LRU victim when 3 arrives.
-        assert!(c.absorb_read(1, 0, MIB));
-        c.fill_read(3, 0, MIB);
-        assert!(c.absorb_read(1, 0, MIB), "recently touched survives");
-        assert!(!c.absorb_read(2, 0, MIB), "oldest file evicted");
-        assert!(c.absorb_read(3, 0, MIB));
-        assert_eq!(c.read_resident_bytes(), 2 * MIB);
-    }
-
-    #[test]
-    fn invalidation_punches_holes() {
-        let mut c = read_cache(64 * MIB);
-        c.fill_read(1, 0, MIB);
-        c.invalidate_read(1, 4096, 4096);
-        assert!(c.absorb_read(1, 0, 4096), "prefix still clean");
-        assert!(!c.absorb_read(1, 4096, 4096), "written range stale");
-        assert!(c.absorb_read(1, 8192, MIB - 8192), "suffix still clean");
-        assert_eq!(c.read_resident_bytes(), MIB - 4096);
-        // Invalidating the rest drops the file entirely.
-        c.invalidate_read(1, 0, MIB);
-        assert_eq!(c.read_resident_bytes(), 0);
-        assert!(!c.absorb_read(1, 0, 1));
-    }
-
-    #[test]
-    fn zero_read_capacity_disables_read_cache() {
-        let mut c = read_cache(0);
-        c.fill_read(1, 0, MIB);
-        assert!(!c.absorb_read(1, 0, MIB));
-        assert_eq!(c.read_resident_bytes(), 0);
-        assert_eq!(c.read_hits(), 0);
-    }
-
     #[test]
     fn zero_capacity_disables_cache() {
         let mut c = NodeCache::new(&CacheConfig {
             capacity: 0,
             per_op_threshold: 4 * MIB,
             drain_bw: 1e6,
-            read_capacity: 0,
         });
         assert!(!c.absorb(0.0, 1, 1024, true));
     }

@@ -81,12 +81,6 @@ pub struct CacheConfig {
     pub per_op_threshold: u64,
     /// Background drain rate to the servers (bytes/s).
     pub drain_bw: f64,
-    /// Per-node *clean* read-cache capacity (bytes). 0 disables read
-    /// caching: every read pays the device. When set, a re-read of bytes
-    /// this node already fetched completes at memory bandwidth instead —
-    /// the cache-aware read cost term the `readcache` figure models at
-    /// the PLFS layer.
-    pub read_capacity: u64,
 }
 
 /// The storage side.
@@ -134,11 +128,6 @@ impl Platform {
     /// Aggregate theoretical storage bandwidth (bytes/s).
     pub fn peak_storage_bw(&self) -> f64 {
         self.fs.servers as f64 * self.fs.lanes_per_server as f64 * self.fs.lane_bw
-    }
-
-    /// Total cores available.
-    pub fn total_cores(&self) -> usize {
-        self.cluster.nodes * self.cluster.cores_per_node
     }
 }
 
@@ -275,22 +264,14 @@ impl CacheConfig {
             .with("capacity", self.capacity)
             .with("per_op_threshold", self.per_op_threshold)
             .with("drain_bw", self.drain_bw)
-            .with("read_capacity", self.read_capacity)
     }
 
-    /// Parse from a JSON object. `read_capacity` is optional (defaults to
-    /// 0 = no read caching) so platform files written before the field
-    /// existed keep loading; the write-cache fields stay mandatory.
+    /// Parse from a JSON object.
     pub fn from_json(v: &Value) -> Result<CacheConfig, ParseError> {
         Ok(CacheConfig {
             capacity: get_u64(v, "capacity")?,
             per_op_threshold: get_u64(v, "per_op_threshold")?,
             drain_bw: get_f64(v, "drain_bw")?,
-            read_capacity: if v.get("read_capacity").is_some() {
-                get_u64(v, "read_capacity")?
-            } else {
-                0
-            },
         })
     }
 }
@@ -405,12 +386,10 @@ mod tests {
                     capacity: units::GIB,
                     per_op_threshold: 4 * units::MIB,
                     drain_bw: 100e6,
-                    read_capacity: 0,
                 },
             },
         };
         assert!((p.peak_storage_bw() - 600e6).abs() < 1.0);
-        assert_eq!(p.total_cores(), 48);
     }
 
     #[test]
@@ -436,17 +415,15 @@ mod tests {
 
     #[test]
     fn read_capacity_is_optional_in_json() {
-        // Round trip keeps an explicit value.
-        let mut p = presets::minerva();
-        p.fs.cache.read_capacity = 64 * units::MIB;
-        let back = Platform::from_json_str(&p.to_json().to_json()).unwrap();
-        assert_eq!(back.fs.cache.read_capacity, 64 * units::MIB);
-        // A cache object written before the field existed still parses,
-        // with read caching off...
-        let legacy =
-            jsonlite::parse("{\"capacity\": 1024, \"per_op_threshold\": 64, \"drain_bw\": 1.5}")
-                .unwrap();
-        assert_eq!(CacheConfig::from_json(&legacy).unwrap().read_capacity, 0);
+        // A cache object written when the model had a clean read cache
+        // still parses (the key is ignored), as does one without it...
+        for extra in ["", ", \"read_capacity\": 65536"] {
+            let legacy = jsonlite::parse(&format!(
+                "{{\"capacity\": 1024, \"per_op_threshold\": 64, \"drain_bw\": 1.5{extra}}}"
+            ))
+            .unwrap();
+            assert_eq!(CacheConfig::from_json(&legacy).unwrap().capacity, 1024);
+        }
         // ...while the write-cache fields stay mandatory.
         let broken = jsonlite::parse("{\"per_op_threshold\": 64, \"drain_bw\": 1.5}").unwrap();
         assert!(CacheConfig::from_json(&broken).is_err());

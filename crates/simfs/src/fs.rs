@@ -16,7 +16,8 @@ use crate::locks::FileLock;
 use crate::mds::{dir_hash, MetaOp, MetadataService};
 use crate::queue::MultiQueue;
 use crate::queue::SingleQueue;
-use crate::trace::{Trace, TraceKind, TraceRecord};
+use crate::trace::{self, TraceRecord};
+use iotrace::OpKind;
 use std::collections::HashMap;
 
 /// Handle to a simulated file.
@@ -53,9 +54,6 @@ impl std::error::Error for SimError {}
 pub type SimResult<T> = Result<T, SimError>;
 
 struct FileState {
-    /// Kept for diagnostics and future trace output.
-    #[allow(dead_code)]
-    path: String,
     size: u64,
     stripe_start: usize,
     stripe_width: usize,
@@ -87,13 +85,6 @@ pub struct FsStats {
     pub cache_hits: u64,
     /// Writes that went write-through.
     pub cache_misses: u64,
-    /// Reads absorbed by a node's clean read cache (memory speed).
-    pub read_cache_hits: u64,
-    /// Reads that went to the servers.
-    pub read_cache_misses: u64,
-    /// Bytes served from clean read caches (device bytes read are
-    /// `bytes_read - bytes_read_cached`).
-    pub bytes_read_cached: u64,
     /// Contended lock acquisitions.
     pub lock_conflicts: u64,
     /// Metadata operations served.
@@ -115,7 +106,6 @@ pub struct SimFs {
     by_path: HashMap<String, usize>,
     files: Vec<FileState>,
     stats: FsStats,
-    trace: Trace,
 }
 
 fn parent_of(path: &str) -> String {
@@ -150,18 +140,7 @@ impl SimFs {
             by_path: HashMap::new(),
             files: Vec::new(),
             stats: FsStats::default(),
-            trace: Trace::disabled(),
         }
-    }
-
-    /// Turn on operation tracing (records every data/metadata op).
-    pub fn enable_trace(&mut self) {
-        self.trace = Trace::enabled();
-    }
-
-    /// The recorded trace.
-    pub fn trace(&self) -> &Trace {
-        &self.trace
     }
 
     /// The platform this FS simulates.
@@ -186,10 +165,9 @@ impl SimFs {
 
     fn meta(&mut self, t: f64, op: MetaOp, dir: &str) -> f64 {
         let c = self.mds.op(t, op, dir_hash(dir));
-        self.trace.record(TraceRecord {
-            kind: TraceKind::Meta,
-            node: usize::MAX,
-            file: usize::MAX,
+        trace::record(TraceRecord {
+            op: OpKind::Meta,
+            node: None,
             offset: 0,
             len: 0,
             start: t,
@@ -252,7 +230,6 @@ impl SimFs {
         // (data + index droppings).
         let start = (crate::mds::dir_hash(path) % self.platform.fs.servers.max(1) as u64) as usize;
         self.files.push(FileState {
-            path: path.to_string(),
             size: 0,
             stripe_start: start,
             stripe_width: width,
@@ -364,11 +341,6 @@ impl SimFs {
         Ok(self.state(fid)?.size)
     }
 
-    /// Current writer count of a file.
-    pub fn writers_of(&self, fid: FileId) -> SimResult<usize> {
-        Ok(self.state(fid)?.writers)
-    }
-
     // ----- data operations -------------------------------------------------
 
     /// Write `len` bytes at `offset` from `node`. Returns completion time.
@@ -414,11 +386,6 @@ impl SimFs {
         }
         self.stats.write_ops += 1;
         self.stats.bytes_written += len;
-        // Whether absorbed or written through, the new bytes supersede any
-        // clean cached copy of the range on every node.
-        for cache in self.node_caches.iter_mut() {
-            cache.invalidate_read(fid.0 as u64, offset, len);
-        }
         let t0 = t + self.platform.cluster.syscall_overhead;
 
         // 1. Client cache: absorb small writes unless shared-file locking
@@ -433,10 +400,9 @@ impl SimFs {
             let f = &mut self.files[fid.0];
             f.size = f.size.max(offset + len);
             let c = t0 + len as f64 / self.platform.cluster.mem_bw;
-            self.trace.record(TraceRecord {
-                kind: TraceKind::Write,
-                node,
-                file: fid.0,
+            trace::record(TraceRecord {
+                op: OpKind::Write,
+                node: Some(node),
                 offset,
                 len,
                 start: t,
@@ -473,10 +439,9 @@ impl SimFs {
         let c = self.transfer(t2, fid, offset, len, true);
         let f = &mut self.files[fid.0];
         f.size = f.size.max(offset + len);
-        self.trace.record(TraceRecord {
-            kind: TraceKind::Write,
-            node,
-            file: fid.0,
+        trace::record(TraceRecord {
+            op: OpKind::Write,
+            node: Some(node),
             offset,
             len,
             start: t,
@@ -536,37 +501,14 @@ impl SimFs {
         self.stats.read_ops += 1;
         self.stats.bytes_read += len;
         let t0 = t + self.platform.cluster.syscall_overhead;
-
-        // Clean read cache: a range this node already fetched completes at
-        // memory speed and adds no disk-head interference stream.
-        if self.node_caches[node].absorb_read(fid.0 as u64, offset, len) {
-            self.stats.read_cache_hits += 1;
-            self.stats.bytes_read_cached += len;
-            let c = t0 + len as f64 / self.platform.cluster.mem_bw;
-            self.trace.record(TraceRecord {
-                kind: TraceKind::Read,
-                node,
-                file: fid.0,
-                offset,
-                len,
-                start: t,
-                end: c,
-                cached: true,
-            });
-            return Ok(self.note(c));
-        }
-        self.stats.read_cache_misses += 1;
-
         if interference {
             self.files[fid.0].reading_nodes.insert(node);
         }
         let t1 = self.node_links[node].serve(t0, len as f64 / self.platform.cluster.link_bw);
         let c = self.transfer(t1, fid, offset, len, false);
-        self.node_caches[node].fill_read(fid.0 as u64, offset, len);
-        self.trace.record(TraceRecord {
-            kind: TraceKind::Read,
-            node,
-            file: fid.0,
+        trace::record(TraceRecord {
+            op: OpKind::Read,
+            node: Some(node),
             offset,
             len,
             start: t,
@@ -796,68 +738,19 @@ mod tests {
         assert_eq!(f.stats().bytes_read, 16 * MIB);
     }
 
-    fn read_cached_fs(read_capacity: u64) -> SimFs {
-        let mut p = presets::toy();
-        p.fs.cache.read_capacity = read_capacity;
-        SimFs::new(p)
-    }
-
-    #[test]
-    fn reread_absorbs_at_memory_speed() {
-        let mut f = read_cached_fs(64 * MIB);
-        let (t, id) = f.create(0.0, "/f", None).unwrap();
-        f.open(t, "/f", true).unwrap();
-        let wrote = f.write(t, 0, id, 0, 16 * MIB).unwrap();
-        let cold = f.read(wrote, 1, id, 0, 16 * MIB).unwrap();
-        let warm = f.read(cold, 1, id, 0, 16 * MIB).unwrap();
-        // The warm re-read never leaves the node: memory copy plus the
-        // syscall, orders of magnitude under the server path.
-        assert!(
-            (warm - cold) * 10.0 < cold - wrote,
-            "warm={} cold={}",
-            warm - cold,
-            cold - wrote
-        );
-        let s = f.stats();
-        assert_eq!((s.read_cache_hits, s.read_cache_misses), (1, 1));
-        assert_eq!(s.bytes_read_cached, 16 * MIB);
-        assert_eq!(s.bytes_read, 32 * MIB);
-        // Another node is still cold.
-        f.read(warm, 0, id, 0, 16 * MIB).unwrap();
-        assert_eq!(f.stats().read_cache_hits, 1);
-    }
-
-    #[test]
-    fn write_invalidates_cached_reads_on_every_node() {
-        let mut f = read_cached_fs(64 * MIB);
-        let (t, id) = f.create(0.0, "/f", None).unwrap();
-        f.open(t, "/f", true).unwrap();
-        let c = f.write(t, 0, id, 0, 8 * MIB).unwrap();
-        let c = f.read(c, 1, id, 0, 8 * MIB).unwrap();
-        // Node 0 overwrites the middle; node 1's cached copy is stale
-        // there but still clean at the prefix.
-        let c = f.write(c, 0, id, MIB, MIB).unwrap();
-        let c = f.read(c, 1, id, 0, MIB).unwrap();
-        let _ = f.read(c, 1, id, MIB, MIB).unwrap();
-        let s = f.stats();
-        assert_eq!(
-            (s.read_cache_hits, s.read_cache_misses),
-            (1, 2),
-            "prefix hits, overwritten range refetches: {s:?}"
-        );
-    }
-
     #[test]
     fn read_cache_off_by_default_in_presets() {
-        let mut f = fs(); // toy preset: read_capacity 0
+        let mut f = fs();
         let (t, id) = f.create(0.0, "/f", None).unwrap();
         f.open(t, "/f", true).unwrap();
-        let c = f.write(t, 0, id, 0, 4 * MIB).unwrap();
-        let c = f.read(c, 1, id, 0, 4 * MIB).unwrap();
-        f.read(c, 1, id, 0, 4 * MIB).unwrap();
-        let s = f.stats();
-        assert_eq!(s.read_cache_hits, 0, "no read caching unless configured");
-        assert_eq!(s.bytes_read_cached, 0);
+        let wrote = f.write(t, 0, id, 0, 4 * MIB).unwrap();
+        let cold = f.read(wrote, 1, id, 0, 4 * MIB).unwrap();
+        let warm = f.read(cold, 1, id, 0, 4 * MIB).unwrap();
+        // Only writes are absorbed: a re-read pays the servers again, far
+        // above the memory copy a cached read would cost.
+        let memory = (4 * MIB) as f64 / f.platform().cluster.mem_bw;
+        assert!(warm - cold > memory * 10.0, "re-read {}", warm - cold);
+        assert_eq!(f.stats().bytes_read, 8 * MIB);
     }
 
     #[test]
@@ -894,18 +787,29 @@ mod tests {
 
     #[test]
     fn trace_records_ops_when_enabled() {
+        // The process-wide sink: other tests' ops may land in it too while
+        // it is on, so the counts are lower bounds.
+        let sink = iotrace::global();
+        sink.set_enabled(true);
         let mut f = fs();
-        f.enable_trace();
         let (t, id) = f.create(0.0, "/f", None).unwrap();
         f.open(t, "/f", true).unwrap();
         f.write(t, 0, id, 0, 8 * MIB).unwrap();
         f.read(1.0, 0, id, 0, MIB).unwrap();
-        use crate::trace::TraceKind;
-        let (wc, wb, _) = f.trace().summary(TraceKind::Write);
-        assert_eq!((wc, wb), (1, 8 * MIB));
-        let (rc, rb, _) = f.trace().summary(TraceKind::Read);
-        assert_eq!((rc, rb), (1, MIB));
-        assert!(f.trace().summary(TraceKind::Meta).0 >= 2, "create + open");
+        sink.set_enabled(false);
+        let sim = |op| {
+            let snap = sink.snapshot();
+            let e = snap
+                .entries
+                .iter()
+                .find(|e| e.layer == iotrace::Layer::Sim && e.op == op);
+            e.map_or((0, 0), |e| (e.ops, e.bytes))
+        };
+        let (wc, wb) = sim(OpKind::Write);
+        assert!(wc >= 1 && wb >= 8 * MIB, "{wc} writes, {wb} bytes");
+        let (rc, rb) = sim(OpKind::Read);
+        assert!(rc >= 1 && rb >= MIB, "{rc} reads, {rb} bytes");
+        assert!(sim(OpKind::Meta).0 >= 2, "create + open");
     }
 
     #[test]

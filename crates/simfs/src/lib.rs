@@ -31,11 +31,10 @@ pub mod mds;
 pub mod mdstorm;
 pub mod presets;
 pub mod queue;
-pub mod trace;
+mod trace;
 
 pub use config::{CacheConfig, ClusterConfig, FsConfig, LockConfig, MdsConfig, Platform};
 pub use fs::{FileId, FsStats, SimError, SimFs, SimResult};
 pub use mds::{MetaOp, MetadataService};
 pub use mdstorm::{create_storm, storm_sweep, OpenProfile, StormOutcome};
 pub use queue::{MultiQueue, SingleQueue};
-pub use trace::{Trace, TraceKind, TraceRecord};

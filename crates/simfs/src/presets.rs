@@ -58,7 +58,6 @@ pub fn minerva() -> Platform {
                 capacity: 256 * MIB,
                 per_op_threshold: 4 * MIB,
                 drain_bw: 120.0e6,
-                read_capacity: 0,
             },
         },
     }
@@ -115,7 +114,6 @@ pub fn sierra() -> Platform {
                 per_op_threshold: 4 * MIB,
                 // Background writeback per client under a loaded system.
                 drain_bw: 40.0e6,
-                read_capacity: 0,
             },
         },
     }
@@ -162,7 +160,6 @@ pub fn login_node() -> Platform {
                 capacity: 0, // measure the storage path, not the page cache
                 per_op_threshold: 0,
                 drain_bw: 1.0,
-                read_capacity: 0,
             },
         },
     }
@@ -181,7 +178,6 @@ pub fn zest_staging() -> Platform {
         capacity: 8 * 1024 * MIB,
         per_op_threshold: 1024 * MIB,
         drain_bw: 80.0e6,
-        read_capacity: 0,
     };
     // The staging tier is per-node and lock-free.
     p.fs.lock.revoke_cache_on_shared = false;
@@ -222,16 +218,9 @@ pub fn toy() -> Platform {
                 capacity: 16 * MIB,
                 per_op_threshold: MIB,
                 drain_bw: 50.0e6,
-                read_capacity: 0,
             },
         },
     }
-}
-
-/// Scale helper: fraction of a platform's nodes (sweeps never exceed the
-/// machine).
-pub fn check_scale(p: &Platform, nodes: usize) -> bool {
-    nodes >= 1 && nodes <= p.cluster.nodes
 }
 
 #[cfg(test)]
@@ -259,15 +248,6 @@ mod tests {
         let l = login_node();
         assert_eq!(l.cluster.nodes, 1);
         assert_eq!(l.fs.cache.capacity, 0);
-    }
-
-    #[test]
-    fn scale_check() {
-        let m = minerva();
-        assert!(check_scale(&m, 1));
-        assert!(check_scale(&m, 258));
-        assert!(!check_scale(&m, 0));
-        assert!(!check_scale(&m, 259));
     }
 
     #[test]

@@ -92,11 +92,6 @@ impl MultiQueue {
         self.lanes.len()
     }
 
-    /// Earliest time any lane is free.
-    pub fn earliest_free(&self) -> f64 {
-        self.lanes.iter().cloned().fold(f64::INFINITY, f64::min)
-    }
-
     /// Total busy seconds across lanes.
     pub fn busy_time(&self) -> f64 {
         self.busy
@@ -145,7 +140,6 @@ mod tests {
         q.serve(0.0, 5.0); // lane 0 busy until 5
         q.serve(0.0, 1.0); // lane 1 busy until 1
         assert_eq!(q.serve(1.0, 1.0), 2.0, "goes to lane 1");
-        assert_eq!(q.earliest_free(), 2.0);
     }
 
     #[test]

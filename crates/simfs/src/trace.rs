@@ -1,63 +1,23 @@
-//! Operation tracing: a Darshan-style record of what the simulated file
-//! system was asked to do.
+//! Operation tracing: every simulated op, mirrored into an [`iotrace`]
+//! sink under layer `sim`.
 //!
 //! The related work the paper builds on (its ref [10] is the authors' own
-//! I/O tracer) characterises applications by their op streams; the same
-//! capability is useful here for debugging workloads and for asserting, in
-//! tests, *why* a configuration is slow (how many ops, how many bytes, what
-//! sizes) rather than just how slow. Tracing is opt-in and costs one vector
-//! push per op when enabled.
-//!
-//! Records are stored in the unified [`iotrace`] schema (layer `sim`), so a
-//! simulated run and a real `ldplfs` run emit byte-compatible JSONL and the
-//! same `plfs-tools trace` / `paperbench --emit-json` machinery consumes
-//! both. Simulated time (f64 seconds since sim start) is mapped onto the
-//! schema's nanosecond fields. Every recorded op is additionally mirrored
-//! into [`iotrace::global`] when that sink is enabled, which is how
-//! `paperbench` collects per-layer counters without touching each `SimFs`.
+//! I/O tracer) characterises applications by their op streams. `paperbench
+//! --emit-json` enables [`iotrace::global`] around each figure, and every
+//! op the simulator serves lands there — how the emitted per-layer
+//! counters see `SimFs` without touching each instance. Simulated time
+//! (f64 seconds since sim start) is mapped onto the schema's nanosecond
+//! fields. Nothing is recorded while the sink is off.
 
-use iotrace::{Layer, OpEvent, OpKind};
+use iotrace::{Layer, OpEvent, OpKind, TraceSink};
 
-/// The kind of a traced operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceKind {
-    /// Data write (cached or not).
-    Write,
-    /// Data read.
-    Read,
-    /// Metadata operation (create/open/stat/…).
-    Meta,
-}
-
-impl TraceKind {
-    /// The unified-schema op class this kind maps to.
-    pub fn op(self) -> OpKind {
-        match self {
-            TraceKind::Write => OpKind::Write,
-            TraceKind::Read => OpKind::Read,
-            TraceKind::Meta => OpKind::Meta,
-        }
-    }
-
-    fn from_op(op: OpKind) -> Option<TraceKind> {
-        match op {
-            OpKind::Write => Some(TraceKind::Write),
-            OpKind::Read => Some(TraceKind::Read),
-            OpKind::Meta => Some(TraceKind::Meta),
-            _ => None,
-        }
-    }
-}
-
-/// One traced operation, in simulator terms (seconds, file ids).
+/// One traced operation, in simulator terms (seconds).
 #[derive(Debug, Clone)]
-pub struct TraceRecord {
-    /// Operation class.
-    pub kind: TraceKind,
-    /// Issuing node (metadata ops: usize::MAX).
-    pub node: usize,
-    /// File id (metadata ops on paths: usize::MAX).
-    pub file: usize,
+pub(crate) struct TraceRecord {
+    /// Operation class: read, write or meta.
+    pub op: OpKind,
+    /// Issuing node (`None` for metadata ops).
+    pub node: Option<usize>,
     /// Byte offset (0 for metadata).
     pub offset: u64,
     /// Byte count (0 for metadata).
@@ -78,183 +38,35 @@ fn secs_to_ns(s: f64) -> u64 {
     }
 }
 
-impl TraceRecord {
-    /// Convert into the unified schema (layer `sim`, sim-time nanoseconds).
-    pub fn to_unified(&self) -> iotrace::TraceRecord {
-        let start_ns = secs_to_ns(self.start);
-        let end_ns = secs_to_ns(self.end);
-        iotrace::TraceRecord {
-            layer: Layer::Sim,
-            op: self.kind.op(),
-            path_id: if self.file == usize::MAX {
-                iotrace::NO_PATH
-            } else {
-                self.file as u32
-            },
-            node: if self.node == usize::MAX {
-                iotrace::NO_NODE
-            } else {
-                self.node as u32
-            },
-            fd: -1,
-            offset: self.offset,
-            bytes: self.len,
-            start_ns,
-            latency_ns: end_ns.saturating_sub(start_ns),
-            hit: self.cached,
-        }
+/// Record `rec` into `sink` if it is enabled.
+pub(crate) fn record_into(sink: &TraceSink, rec: TraceRecord) {
+    if !sink.is_enabled() {
+        return;
     }
+    let start_ns = secs_to_ns(rec.start);
+    let mut ev = OpEvent::new(Layer::Sim, rec.op)
+        .offset(rec.offset)
+        .bytes(rec.len)
+        .hit(rec.cached);
+    if let Some(node) = rec.node {
+        ev = ev.node(node as u32);
+    }
+    sink.record_at(start_ns, secs_to_ns(rec.end).saturating_sub(start_ns), ev);
 }
 
-/// An in-memory trace buffer over unified records.
-#[derive(Debug, Default)]
-pub struct Trace {
-    records: Vec<iotrace::TraceRecord>,
-    enabled: bool,
-}
-
-impl Trace {
-    /// A disabled trace (records nothing locally; still mirrors into the
-    /// global sink when that is enabled).
-    pub fn disabled() -> Trace {
-        Trace::default()
-    }
-
-    /// An enabled trace.
-    pub fn enabled() -> Trace {
-        Trace {
-            records: Vec::new(),
-            enabled: true,
-        }
-    }
-
-    /// Is local recording on?
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Record one op (no local push when disabled). Always mirrored into
-    /// [`iotrace::global`] if that sink is enabled, so benchmark harnesses
-    /// see `sim`-layer counters without reaching into each file system.
-    pub fn record(&mut self, rec: TraceRecord) {
-        let g = iotrace::global();
-        if !self.enabled && !g.is_enabled() {
-            return;
-        }
-        let unified = rec.to_unified();
-        if g.is_enabled() {
-            let mut ev = OpEvent::new(Layer::Sim, unified.op)
-                .offset(unified.offset)
-                .bytes(unified.bytes)
-                .hit(unified.hit);
-            if unified.node != iotrace::NO_NODE {
-                ev = ev.node(unified.node);
-            }
-            g.record_at(unified.start_ns, unified.latency_ns, ev);
-        }
-        if self.enabled {
-            self.records.push(unified);
-        }
-    }
-
-    /// All records, in issue order (unified schema).
-    pub fn records(&self) -> &[iotrace::TraceRecord] {
-        &self.records
-    }
-
-    /// Summary statistics per kind: (count, bytes, busy seconds).
-    pub fn summary(&self, kind: TraceKind) -> (usize, u64, f64) {
-        let op = kind.op();
-        let mut count = 0;
-        let mut bytes = 0;
-        let mut busy_ns = 0u64;
-        for r in &self.records {
-            if r.op == op {
-                count += 1;
-                bytes += r.bytes;
-                busy_ns += r.latency_ns;
-            }
-        }
-        (count, bytes, busy_ns as f64 / 1e9)
-    }
-
-    /// Histogram of op sizes by power-of-two bucket (bucket i holds sizes
-    /// in `[2^i, 2^(i+1))`); index 0 also holds zero-length ops.
-    pub fn size_histogram(&self, kind: TraceKind) -> Vec<(u64, usize)> {
-        let op = kind.op();
-        let mut buckets = std::collections::BTreeMap::new();
-        for r in &self.records {
-            if r.op == op {
-                let b = if r.bytes == 0 {
-                    0
-                } else {
-                    63 - r.bytes.leading_zeros() as u64
-                };
-                *buckets.entry(1u64 << b).or_insert(0) += 1;
-            }
-        }
-        buckets.into_iter().collect()
-    }
-
-    /// Per-op latency histogram in the unified log2-ns bucketing, for one
-    /// kind. Bucket i counts ops with latency in `[2^i, 2^(i+1))` ns.
-    pub fn latency_histogram(&self, kind: TraceKind) -> [u64; iotrace::NBUCKETS] {
-        let op = kind.op();
-        let mut hist = [0u64; iotrace::NBUCKETS];
-        for r in &self.records {
-            if r.op == op {
-                hist[iotrace::bucket_of(r.latency_ns)] += 1;
-            }
-        }
-        hist
-    }
-
-    /// Render the trace as JSON lines (one unified record per line). Paths
-    /// are not interned in the simulator, so records carry file ids only.
-    pub fn to_jsonl(&self) -> String {
-        self.records
-            .iter()
-            .map(|r| iotrace::record_to_json(r, None).to_json())
-            .collect::<Vec<_>>()
-            .join("\n")
-    }
-
-    /// Decode one JSONL line back into simulator terms (best effort; ops
-    /// outside read/write/meta come back as `None`).
-    pub fn record_from_jsonl(line: &str) -> Option<TraceRecord> {
-        let v = jsonlite::parse(line).ok()?;
-        let (r, _path) = iotrace::record_from_json(&v)?;
-        let kind = TraceKind::from_op(r.op)?;
-        Some(TraceRecord {
-            kind,
-            node: if r.node == iotrace::NO_NODE {
-                usize::MAX
-            } else {
-                r.node as usize
-            },
-            file: if r.path_id == iotrace::NO_PATH {
-                usize::MAX
-            } else {
-                r.path_id as usize
-            },
-            offset: r.offset,
-            len: r.bytes,
-            start: r.start_ns as f64 / 1e9,
-            end: (r.start_ns + r.latency_ns) as f64 / 1e9,
-            cached: r.hit,
-        })
-    }
+/// Record `rec` into the process-wide sink.
+pub(crate) fn record(rec: TraceRecord) {
+    record_into(iotrace::global(), rec)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn rec(kind: TraceKind, len: u64, start: f64, end: f64) -> TraceRecord {
+    fn rec(op: OpKind, len: u64, start: f64, end: f64) -> TraceRecord {
         TraceRecord {
-            kind,
-            node: 0,
-            file: 0,
+            op,
+            node: Some(0),
             offset: 0,
             len,
             start,
@@ -263,58 +75,62 @@ mod tests {
         }
     }
 
+    fn sim_op(sink: &TraceSink, op: OpKind) -> Option<iotrace::OpMetrics> {
+        let snap = sink.snapshot();
+        snap.entries
+            .into_iter()
+            .find(|e| e.layer == Layer::Sim && e.op == op)
+    }
+
     #[test]
     fn disabled_trace_records_nothing() {
-        let mut t = Trace::disabled();
-        t.record(rec(TraceKind::Write, 100, 0.0, 1.0));
-        assert!(t.records().is_empty());
+        let sink = TraceSink::new(16);
+        record_into(&sink, rec(OpKind::Write, 100, 0.0, 1.0));
+        assert!(sink.snapshot().entries.is_empty());
     }
 
     #[test]
     fn summary_aggregates_per_kind() {
-        let mut t = Trace::enabled();
-        t.record(rec(TraceKind::Write, 100, 0.0, 1.0));
-        t.record(rec(TraceKind::Write, 200, 1.0, 1.5));
-        t.record(rec(TraceKind::Read, 50, 0.0, 0.25));
-        let (c, b, busy) = t.summary(TraceKind::Write);
-        assert_eq!((c, b), (2, 300));
-        assert!((busy - 1.5).abs() < 1e-9);
-        assert_eq!(t.summary(TraceKind::Meta).0, 0);
-    }
-
-    #[test]
-    fn histogram_buckets_by_power_of_two() {
-        let mut t = Trace::enabled();
-        for len in [1u64, 3, 4, 5, 1024, 1500] {
-            t.record(rec(TraceKind::Write, len, 0.0, 0.0));
-        }
-        let h = t.size_histogram(TraceKind::Write);
-        // 1 -> bucket 1; 3 -> 2; 4,5 -> 4; 1024,1500 -> 1024.
-        assert_eq!(h, vec![(1, 1), (2, 1), (4, 2), (1024, 2)]);
+        let sink = TraceSink::new(16);
+        sink.set_enabled(true);
+        record_into(&sink, rec(OpKind::Write, 100, 0.0, 1.0));
+        record_into(&sink, rec(OpKind::Write, 200, 1.0, 1.5));
+        record_into(&sink, rec(OpKind::Read, 50, 0.0, 0.25));
+        let w = sim_op(&sink, OpKind::Write).unwrap();
+        assert_eq!((w.ops, w.bytes), (2, 300));
+        assert_eq!(sim_op(&sink, OpKind::Read).unwrap().ops, 1);
+        assert!(sim_op(&sink, OpKind::Meta).is_none());
     }
 
     #[test]
     fn jsonl_round_trips_fields() {
-        let mut t = Trace::enabled();
-        t.record(rec(TraceKind::Read, 42, 1.0, 2.0));
-        let line = t.to_jsonl();
+        let sink = TraceSink::new(16);
+        sink.set_enabled(true);
+        record_into(&sink, rec(OpKind::Read, 42, 1.0, 2.0));
+        let line = sink.drain_jsonl();
         // Unified schema: layer/op tags plus byte counts.
         assert!(line.contains("\"layer\":\"sim\""), "line: {line}");
         assert!(line.contains("\"op\":\"read\""), "line: {line}");
         assert!(line.contains("\"bytes\":42"), "line: {line}");
-        let back = Trace::record_from_jsonl(&line).expect("decodes");
-        assert_eq!(back.len, 42);
-        assert!(matches!(back.kind, TraceKind::Read));
-        assert!((back.start - 1.0).abs() < 1e-9);
-        assert!((back.end - 2.0).abs() < 1e-9);
+        let (back, _) = iotrace::record_from_json(&jsonlite::parse(&line).unwrap()).unwrap();
+        assert_eq!(
+            (back.layer, back.op, back.bytes),
+            (Layer::Sim, OpKind::Read, 42)
+        );
+        // Sim seconds land on the schema's nanoseconds.
+        assert_eq!(
+            (back.start_ns, back.latency_ns),
+            (1_000_000_000, 1_000_000_000)
+        );
     }
 
     #[test]
     fn latency_histogram_uses_log2_ns_buckets() {
-        let mut t = Trace::enabled();
+        let sink = TraceSink::new(16);
+        sink.set_enabled(true);
         // 1s latency = 1e9 ns -> bucket floor(log2(1e9)) = 29.
-        t.record(rec(TraceKind::Write, 8, 0.0, 1.0));
-        let h = t.latency_histogram(TraceKind::Write);
+        record_into(&sink, rec(OpKind::Write, 8, 0.0, 1.0));
+        let h = sim_op(&sink, OpKind::Write).unwrap().hist;
         assert_eq!(h[29], 1);
         assert_eq!(h.iter().sum::<u64>(), 1);
     }

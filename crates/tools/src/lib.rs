@@ -20,16 +20,14 @@ use std::path::Path;
 mod syscalls;
 pub use syscalls::syscalls;
 
-/// Tool errors: a container-layer error, a usage problem, or a failed
-/// benchmark gate.
+/// Tool errors: a container-layer error, a usage problem, or a system that
+/// refuses what a command needs.
 #[derive(Debug)]
 pub enum ToolError {
     /// Underlying PLFS error.
     Plfs(plfs::Error),
     /// Bad invocation.
     Usage(String),
-    /// A `benchgate` comparison found a regression.
-    Gate(String),
     /// This system refuses what the command needs (ptrace).
     Unsupported(String),
 }
@@ -39,7 +37,6 @@ impl std::fmt::Display for ToolError {
         match self {
             ToolError::Plfs(e) => write!(f, "{e}"),
             ToolError::Usage(m) => write!(f, "usage error: {m}"),
-            ToolError::Gate(m) => write!(f, "bench gate: {m}"),
             ToolError::Unsupported(m) => write!(f, "unsupported here: {m}"),
         }
     }
@@ -423,215 +420,6 @@ pub fn rccheck(text: &str) -> ToolResult {
         let _ = writeln!(out, "warning: {w}");
     }
     Ok(out)
-}
-
-// ---------------------------------------------------------------------------
-// BENCH_*.json checking and gating (CI).
-// ---------------------------------------------------------------------------
-
-/// `benchcheck`: parse one emitted `BENCH_*.json` and verify its shape —
-/// a `figure` name, a `data` payload, and a `trace` section. The CI smoke
-/// stage round-trips every file `paperbench --emit-json` wrote through
-/// this to catch emitter/schema drift.
-pub fn benchcheck(text: &str, name: &str) -> ToolResult {
-    let doc = jsonlite::parse(text)
-        .map_err(|e| ToolError::Usage(format!("{name}: not valid JSON: {e:?}")))?;
-    let figure = doc
-        .get("figure")
-        .and_then(|f| f.as_str())
-        .ok_or_else(|| ToolError::Usage(format!("{name}: missing \"figure\"")))?;
-    if doc.get("data").is_none() {
-        return Err(ToolError::Usage(format!("{name}: missing \"data\"")));
-    }
-    let trace_rows = doc
-        .get("trace")
-        .and_then(|t| t.get("layers"))
-        .and_then(|l| l.as_object())
-        .map(|layers| {
-            layers
-                .iter()
-                .filter_map(|(_, v)| v.get("per_op").and_then(|p| p.as_object()))
-                .map(<[(String, jsonlite::Value)]>::len)
-                .sum::<usize>()
-        });
-    let gated = gate_metrics(&doc).map(|m| m.len()).unwrap_or(0);
-    Ok(format!(
-        "ok: {name}: figure {figure}, {} trace op rows, {gated} gated metric(s)\n",
-        trace_rows.map_or("no".to_string(), |n| n.to_string()),
-    ))
-}
-
-/// The metrics `benchgate` compares for a figure: `(name, value,
-/// higher_is_better)`. Only ratios that are stable across runner speeds
-/// are gated — the shim-overhead ratios of Table II and the modelled or
-/// algorithmic ratios of the later figures — not raw wall-clock numbers.
-fn gate_metrics(doc: &jsonlite::Value) -> Result<Vec<(String, f64, bool)>, ToolError> {
-    let figure = doc.get("figure").and_then(|f| f.as_str()).unwrap_or("");
-    let data = doc
-        .get("data")
-        .ok_or_else(|| ToolError::Usage("missing \"data\"".to_string()))?;
-    let mut out = Vec::new();
-    match figure {
-        "writepath" => {
-            // refresh_growth (patch cost at the largest resident index over
-            // the smallest; held to GATE_CEILINGS) is an algorithmic ratio,
-            // stable across core counts. Throughputs and latencies depend
-            // on the runner, so they are reported, not gated.
-            if let Some(g) = data.get("refresh_growth").and_then(|v| v.as_f64()) {
-                out.push(("refresh_growth".to_string(), g, false));
-            }
-        }
-        "metadata" => {
-            // Op-count ratios and the projected storm seconds are pure
-            // algorithm/model quantities — identical on any runner. The
-            // microsecond latencies are not gated.
-            for row in data
-                .get("measured")
-                .and_then(|m| m.as_array())
-                .unwrap_or(&[])
-            {
-                let Some(phase) = row.get("phase").and_then(|v| v.as_str()) else {
-                    continue;
-                };
-                if let Some(r) = row.get("ops_reduction").and_then(|v| v.as_f64()) {
-                    out.push((format!("ops_reduction[{phase}]"), r, true));
-                }
-                // The counts themselves: exact on any runner, and the
-                // open+write+close pair is held to GATE_CEILINGS.
-                for arm in ["eager_ops", "cached_ops"] {
-                    if let Some(n) = row.get(arm).and_then(|v| v.as_f64()) {
-                        out.push((format!("{arm}[{phase}]"), n, false));
-                    }
-                }
-            }
-            // The small-file cycle's count is held to GATE_CEILINGS; its
-            // modeled storm gates like the checkpoint cycle's.
-            let small = data.get("small_file");
-            if let Some(n) = small.and_then(|s| s.get("total_ops")?.as_f64()) {
-                out.push(("small_file_cycle_ops".to_string(), n, false));
-            }
-            let storms = [
-                ("storm_secs", data.get("storm")),
-                ("small_file_storm_secs", small.and_then(|s| s.get("storm"))),
-            ];
-            for (name, rows) in storms {
-                for row in rows.and_then(|m| m.as_array()).unwrap_or(&[]) {
-                    if let (Some(p), Some(s)) = (
-                        row.get("procs").and_then(|v| v.as_u64()),
-                        row.get("secs").and_then(|v| v.as_f64()),
-                    ) {
-                        out.push((format!("{name}[{p} procs]"), s, false));
-                    }
-                }
-            }
-        }
-        "noncontig" => {
-            // Both ratios come from simulated clocks — identical on any
-            // runner — so they gate directly. listio_vs_sieving is the
-            // headline: list I/O must stay ≥2x over data sieving, and the
-            // committed baseline holds that bar.
-            for name in ["listio_vs_sieving", "listio_vs_per_extent"] {
-                if let Some(v) = data.get(name).and_then(|v| v.as_f64()) {
-                    out.push((name.to_string(), v, true));
-                }
-            }
-        }
-        "table2" => {
-            for row in data.as_array().unwrap_or(&[]) {
-                if let (Some(tool), Some(plfs), Some(std_)) = (
-                    row.get("tool").and_then(|v| v.as_str()),
-                    row.get("plfs_secs").and_then(|v| v.as_f64()),
-                    row.get("standard_secs").and_then(|v| v.as_f64()),
-                ) {
-                    out.push((
-                        format!("shim_overhead[{tool}]"),
-                        plfs / std_.max(1e-12),
-                        false,
-                    ));
-                }
-            }
-        }
-        _ => {}
-    }
-    Ok(out)
-}
-
-/// Gated metrics held to an absolute bar instead of the baseline-relative
-/// threshold. `writepath`'s `refresh_growth` spans a 256x sweep of the
-/// resident index: in-place patching reads 1-2x (run-to-run spread wider
-/// than any useful relative threshold), anything that copies or rebuilds
-/// the index per read-after-write reads ~256x.
-/// `metadata`'s `open+write+close` counts are exact: four ranks through one
-/// fd onto an existing container, with the cache off (`eager`) and on; so is
-/// its small-file cycle (create, write, close, stat, open, read, close,
-/// unlink of a 1 KiB file with the defaults).
-const GATE_CEILINGS: [(&str, f64); 4] = [
-    ("refresh_growth", 4.0),
-    ("eager_ops[open+write+close]", 31.0),
-    ("cached_ops[open+write+close]", 28.0),
-    ("small_file_cycle_ops", 13.0),
-];
-
-/// `benchgate`: compare a fresh `BENCH_*.json` against the committed
-/// baseline and fail if any gated metric regressed by more than
-/// `threshold` (a fraction, e.g. 0.30), or broke its [`GATE_CEILINGS`] bar.
-/// Figures with no gated metrics pass trivially.
-pub fn benchgate(baseline: &str, fresh: &str, threshold: f64) -> ToolResult {
-    let base = jsonlite::parse(baseline)
-        .map_err(|e| ToolError::Usage(format!("baseline: not valid JSON: {e:?}")))?;
-    let new = jsonlite::parse(fresh)
-        .map_err(|e| ToolError::Usage(format!("fresh: not valid JSON: {e:?}")))?;
-    let bf = base.get("figure").and_then(|f| f.as_str()).unwrap_or("?");
-    let nf = new.get("figure").and_then(|f| f.as_str()).unwrap_or("?");
-    if bf != nf {
-        return Err(ToolError::Usage(format!(
-            "figure mismatch: baseline {bf}, fresh {nf}"
-        )));
-    }
-    let base_metrics = gate_metrics(&base)?;
-    let new_metrics = gate_metrics(&new)?;
-    let mut out = String::new();
-    let mut regressions = Vec::new();
-    for (name, old, higher_is_better) in &base_metrics {
-        let Some((_, fresh_v, _)) = new_metrics.iter().find(|(n, _, _)| n == name) else {
-            regressions.push(format!("{name}: missing from fresh snapshot"));
-            continue;
-        };
-        let regressed = match GATE_CEILINGS.iter().find(|(n, _)| n == name) {
-            Some((_, ceiling)) => fresh_v > ceiling,
-            None if *higher_is_better => *fresh_v < old * (1.0 - threshold),
-            None => *fresh_v > old * (1.0 + threshold),
-        };
-        let _ = writeln!(
-            out,
-            "{:<34} baseline {:>8.3}  fresh {:>8.3}  {}",
-            name,
-            old,
-            fresh_v,
-            if regressed { "REGRESSED" } else { "ok" }
-        );
-        if regressed {
-            regressions.push(format!(
-                "{name}: baseline {old:.3}, fresh {fresh_v:.3} (>{:.0}% worse)",
-                threshold * 100.0
-            ));
-        }
-    }
-    let _ = writeln!(
-        out,
-        "{} gated metric(s), {} regression(s)",
-        base_metrics.len(),
-        regressions.len()
-    );
-    if regressions.is_empty() {
-        Ok(out)
-    } else {
-        Err(ToolError::Gate(format!(
-            "{}\n{}",
-            out.trim_end(),
-            regressions.join("\n")
-        )))
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1055,157 +843,6 @@ mod tests {
             out.contains("meta-cache: 2 hits, 1 misses (66.7% hit rate)"),
             "{out}"
         );
-    }
-
-    #[test]
-    fn benchgate_metadata_gates_ratios() {
-        let cycle = |reduction: f64, secs: f64, cached_ops: u64| {
-            format!(
-                "{{\"figure\":\"metadata\",\"data\":{{\
-                 \"measured\":[{{\"phase\":\"reopen\",\"eager_us\":1.5,\
-                 \"ops_reduction\":{reduction}}},\
-                 {{\"phase\":\"open+write+close\",\"cached_ops\":{cached_ops}}}],\
-                 \"storm\":[{{\"procs\":1024,\"secs\":{secs}}}]}},\
-                 \"trace\":{{}}}}"
-            )
-        };
-        let doc = |reduction: f64, secs: f64| cycle(reduction, secs, 28);
-        let out = benchcheck(&doc(4.0, 2.0), "BENCH_metadata.json").unwrap();
-        assert!(out.contains("3 gated metric"), "{out}");
-        // The cycle's op count is held to its absolute ceiling, whatever
-        // the baseline says.
-        assert!(benchgate(&cycle(4.0, 2.0, 40), &doc(4.0, 2.0), 0.30).is_ok());
-        let err = benchgate(&doc(4.0, 2.0), &cycle(4.0, 2.0, 29), 0.30).unwrap_err();
-        assert!(
-            matches!(err, ToolError::Gate(ref m) if m.contains("cached_ops[open+write+close]")),
-            "{err:?}"
-        );
-        // Ratios within threshold pass; a collapsed ops_reduction fails.
-        assert!(benchgate(&doc(4.0, 2.0), &doc(3.5, 2.2), 0.30).is_ok());
-        let err = benchgate(&doc(4.0, 2.0), &doc(1.0, 2.2), 0.30).unwrap_err();
-        assert!(
-            matches!(err, ToolError::Gate(ref m) if m.contains("ops_reduction[reopen]")),
-            "{err:?}"
-        );
-        // So is the small-file cycle's, and its modeled storm gates too.
-        let small = |ops: u64, secs: f64| {
-            let tail = format!(
-                ",\"small_file\":{{\"total_ops\":{ops},\
-                 \"storm\":[{{\"procs\":256,\"secs\":{secs}}}]}}}},\"trace\":{{}}}}"
-            );
-            doc(4.0, 2.0).replace("},\"trace\":{}}", &tail)
-        };
-        let out = benchcheck(&small(13, 9.0), "BENCH_metadata.json").unwrap();
-        assert!(out.contains("5 gated metric"), "{out}");
-        assert!(benchgate(&small(24, 9.0), &small(13, 9.0), 0.30).is_ok());
-        let err = benchgate(&small(13, 9.0), &small(14, 9.0), 0.30).unwrap_err();
-        assert!(
-            matches!(err, ToolError::Gate(ref m) if m.contains("small_file_cycle_ops")),
-            "{err:?}"
-        );
-        let err = benchgate(&small(13, 9.0), &small(13, 12.0), 0.30).unwrap_err();
-        assert!(
-            matches!(err, ToolError::Gate(ref m) if m.contains("small_file_storm_secs[256 procs]")),
-            "{err:?}"
-        );
-        // The projected storm gates on its seconds: lower is better.
-        assert!(benchgate(&doc(4.0, 2.0), &doc(4.0, 1.0), 0.30).is_ok());
-        let err = benchgate(&doc(4.0, 2.0), &doc(4.0, 3.0), 0.30).unwrap_err();
-        assert!(
-            matches!(err, ToolError::Gate(ref m) if m.contains("storm_secs[1024 procs]")),
-            "{err:?}"
-        );
-    }
-
-    #[test]
-    fn benchcheck_validates_shape() {
-        let doc = "{\"figure\":\"writepath\",\"data\":{\"refresh_growth\":1.5},\
-                   \"trace\":{\"layers\":{\"plfs\":{\"per_op\":{\"open\":{},\"read\":{}}}}}}";
-        let out = benchcheck(doc, "BENCH_writepath.json").unwrap();
-        assert!(out.contains("figure writepath"), "{out}");
-        assert!(out.contains("2 trace op rows"), "{out}");
-        assert!(out.contains("1 gated metric"), "{out}");
-        assert!(benchcheck("not json", "x").is_err());
-        assert!(benchcheck("{\"data\":1}", "x").is_err(), "missing figure");
-        assert!(
-            benchcheck("{\"figure\":\"f\"}", "x").is_err(),
-            "missing data"
-        );
-    }
-
-    #[test]
-    fn benchgate_writepath_gates_refresh_growth() {
-        let doc = |growth: f64| {
-            format!(
-                "{{\"figure\":\"writepath\",\"data\":{{\"rows\":[\
-                 {{\"writers\":8,\"mbps\":200.0}}],\
-                 \"refresh_sweep\":[],\"refresh_growth\":{growth}}},\
-                 \"trace\":{{}}}}"
-            )
-        };
-        let out = benchcheck(&doc(1.5), "BENCH_writepath.json").unwrap();
-        assert!(out.contains("1 gated metric"), "{out}");
-        // Growth is held to its absolute 4x bar, whatever the baseline:
-        // noise around 1-2x passes, anything near linear fails.
-        assert!(benchgate(&doc(1.0), &doc(2.5), 0.30).is_ok());
-        let err = benchgate(&doc(3.9), &doc(4.1), 0.30).unwrap_err();
-        assert!(
-            matches!(err, ToolError::Gate(ref m) if m.contains("refresh_growth")),
-            "{err:?}"
-        );
-    }
-
-    #[test]
-    fn benchgate_table2_overhead_is_lower_is_better() {
-        let doc = |plfs: f64| {
-            format!(
-                "{{\"figure\":\"table2\",\"data\":[\
-                 {{\"tool\":\"cat\",\"plfs_secs\":{plfs},\"standard_secs\":10.0}}],\
-                 \"trace\":{{}}}}"
-            )
-        };
-        assert!(benchgate(&doc(10.0), &doc(11.0), 0.30).is_ok());
-        let err = benchgate(&doc(10.0), &doc(14.0), 0.30).unwrap_err();
-        assert!(matches!(err, ToolError::Gate(_)), "{err:?}");
-    }
-
-    #[test]
-    fn benchgate_noncontig_gates_listio_ratios() {
-        let doc = |sieve: f64, per_ext: f64| {
-            format!(
-                "{{\"figure\":\"noncontig\",\"data\":{{\"rows\":[],\
-                 \"listio_vs_sieving\":{sieve},\"listio_vs_per_extent\":{per_ext}}},\
-                 \"trace\":{{}}}}"
-            )
-        };
-        let out = benchcheck(&doc(3.0, 1.5), "BENCH_noncontig.json").unwrap();
-        assert!(out.contains("2 gated metric"), "{out}");
-        // Higher is better: a small dip passes, a collapse of either ratio
-        // fails on that metric.
-        assert!(benchgate(&doc(3.0, 1.5), &doc(2.5, 1.4), 0.30).is_ok());
-        let err = benchgate(&doc(3.0, 1.5), &doc(1.5, 1.4), 0.30).unwrap_err();
-        assert!(
-            matches!(err, ToolError::Gate(ref m) if m.contains("listio_vs_sieving")),
-            "{err:?}"
-        );
-        let err = benchgate(&doc(3.0, 1.5), &doc(3.0, 0.5), 0.30).unwrap_err();
-        assert!(
-            matches!(err, ToolError::Gate(ref m) if m.contains("listio_vs_per_extent")),
-            "{err:?}"
-        );
-    }
-
-    #[test]
-    fn benchgate_rejects_figure_mismatch_and_unknown_passes() {
-        let a = "{\"figure\":\"fig3\",\"data\":[],\"trace\":{}}";
-        let b = "{\"figure\":\"fig5\",\"data\":[],\"trace\":{}}";
-        assert!(matches!(
-            benchgate(a, b, 0.3).unwrap_err(),
-            ToolError::Usage(_)
-        ));
-        // Ungated figures compare trivially clean.
-        let out = benchgate(a, a, 0.3).unwrap();
-        assert!(out.contains("0 gated metric(s), 0 regression(s)"), "{out}");
     }
 
     #[test]

@@ -16,8 +16,6 @@
 //! plfs-tools rccheck --knobs                    # the knob table as markdown
 //! plfs-tools trace   /path/to/trace.jsonl       # summarize a recorded trace
 //! plfs-tools trace   /path/to/trace.jsonl --dump  # one line per op
-//! plfs-tools benchcheck BENCH.json [...]        # validate emitted bench JSON
-//! plfs-tools benchgate  BASELINE.json FRESH.json [--threshold 0.30]
 //! plfs-tools pairs   RUNS.jsonl                 # parent vs change pairs: medians, wins, gain rule
 //! plfs-tools lint [ROOT] [--json|--sarif]       # workspace static analysis
 //! plfs-tools sarifcheck REPORT.sarif            # validate a SARIF report
@@ -41,7 +39,7 @@ fn run(args: &[String]) -> plfs_tools::ToolResult {
     let usage = || {
         plfs_tools::ToolError::Usage(
             "commands: stat|map|flatten|compact|check|repair|ls|du|rm|version|backend|rccheck|\
-             trace|benchcheck|benchgate|pairs|lint|sarifcheck|syscalls (see --help)"
+             trace|pairs|lint|sarifcheck|syscalls (see --help)"
                 .to_string(),
         )
     };
@@ -100,36 +98,6 @@ fn run(args: &[String]) -> plfs_tools::ToolResult {
         .get(1)
         .ok_or_else(|| plfs_tools::ToolError::Usage(format!("{cmd} needs a path")))?;
 
-    if cmd == "benchcheck" {
-        let mut out = String::new();
-        for p in &args[1..] {
-            let text = std::fs::read_to_string(p)
-                .map_err(|e| plfs_tools::ToolError::Usage(format!("{p}: {e}")))?;
-            out.push_str(&plfs_tools::benchcheck(&text, p)?);
-        }
-        return Ok(out);
-    }
-    if cmd == "benchgate" {
-        let fresh_path = args
-            .get(2)
-            .ok_or_else(|| plfs_tools::ToolError::Usage("benchgate BASELINE FRESH".to_string()))?;
-        let threshold = args
-            .iter()
-            .position(|a| a == "--threshold")
-            .and_then(|i| args.get(i + 1))
-            .map(|v| {
-                v.parse::<f64>().map_err(|_| {
-                    plfs_tools::ToolError::Usage("--threshold needs a fraction".to_string())
-                })
-            })
-            .transpose()?
-            .unwrap_or(0.30);
-        let read = |p: &str| {
-            std::fs::read_to_string(p)
-                .map_err(|e| plfs_tools::ToolError::Usage(format!("{p}: {e}")))
-        };
-        return plfs_tools::benchgate(&read(path)?, &read(fresh_path)?, threshold);
-    }
     if cmd == "pairs" {
         let text = std::fs::read_to_string(path)
             .map_err(|e| plfs_tools::ToolError::Usage(format!("{path}: {e}")))?;

@@ -4,15 +4,16 @@
 set -eu
 
 cargo build --release --offline
-# --workspace includes the root package (what tier-1 `cargo test -q` runs):
-# prop_read_view (patched view == fresh merge == byte model), prop_listio
-# (list call == per-extent loop), prop_backend (real backing == in-memory),
-# prop_index and prop_container (the merged index against byte maps and
-# its reference builder), open_heap_peak (the read-open's heap high-water
-# mark), read_after_write (op counts and refresh scaling), corrupt_index
-# (hostile index droppings and access files are Corrupt), create_race
-# (racing creators of one container), prop_meta (cached mount == uncached)
-# and the concurrent_* suites live there.
+# Tier-1's bare `cargo test -q` already runs every crate's suite through
+# `default-members`; --workspace adds the vendored stand-ins'. The root
+# package's suites: prop_read_view (patched view == fresh merge == byte
+# model), prop_listio (list call == per-extent loop), prop_backend (real
+# backing == in-memory), prop_index and prop_container (the merged index
+# against byte maps and its reference builder), open_heap_peak (the
+# read-open's heap high-water mark), read_after_write (op counts and
+# refresh scaling), corrupt_index (hostile index droppings and access files
+# are Corrupt), create_race (racing creators of one container), prop_meta
+# (cached mount == uncached) and the concurrent_* suites.
 cargo test --workspace -q --offline
 # The benchmark harness is a workspace of its own: compile and test it
 # against the product crates here, so an API break under benchmark/ shows
@@ -56,19 +57,14 @@ rm -f "$knobs_tmp"
 CRITERION_QUICK=1 cargo bench --offline -p bench --bench micro_plfs
 CRITERION_QUICK=1 cargo bench --offline -p bench --bench micro_shim
 
-# paperbench --emit-json round-trip: the emitted BENCH_*.json must parse
-# back through jsonlite (schema drift in the emitter fails here).
+# paperbench --emit-json round-trip: every figure of the registry, at
+# quick scale; each emitted BENCH_*.json must pass `paperbench check`
+# (schema drift in the emitter fails here).
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 cargo run --offline --release -q -p bench --bin paperbench -- \
-    writepath --quick --emit-json "$tmp" > /dev/null
-cargo run --offline --release -q -p bench --bin paperbench -- \
-    table2 --gb 1 --emit-json "$tmp" > /dev/null
-cargo run --offline --release -q -p bench --bin paperbench -- \
-    metadata --quick --emit-json "$tmp" > /dev/null
-cargo run --offline --release -q -p bench --bin paperbench -- \
-    noncontig --quick --emit-json "$tmp" > /dev/null
-cargo run --offline --release -q -p plfs-tools -- benchcheck "$tmp"/BENCH_*.json
+    all --quick --emit-json "$tmp" > /dev/null
+cargo run --offline --release -q -p bench --bin paperbench -- check "$tmp"/BENCH_*.json
 
 # The harness build above rewrites benchmark/Cargo.lock (it prunes entries
 # the product crates no longer pull in). benchmark/ is frozen between
