@@ -90,14 +90,6 @@ pub fn md5sum(layer: &Arc<dyn PosixLayer>, path: &str) -> PosixResult<[u8; 16]> 
     Ok(h.finalize())
 }
 
-/// `wc -c`-style size via seek (cheap sanity tool; exercises `lseek` END).
-pub fn file_size(layer: &Arc<dyn PosixLayer>, path: &str) -> PosixResult<u64> {
-    let fd = layer.open(path, ldplfs::OpenFlags::RDONLY, 0)?;
-    let size = layer.lseek(fd, 0, Whence::End)?;
-    layer.close(fd)?;
-    Ok(size)
-}
-
 /// `wc`: (lines, words, bytes).
 pub fn wc(layer: &Arc<dyn PosixLayer>, path: &str) -> PosixResult<(u64, u64, u64)> {
     let mut f = CFile::open(layer.clone(), path, "r")?;
@@ -440,7 +432,9 @@ mod tests {
     fn file_size_via_lseek_end() {
         let l = shim("size");
         write_file(&l, "/plfs/f", &[1u8; 4242]);
-        assert_eq!(file_size(&l, "/plfs/f").unwrap(), 4242);
+        let fd = l.open("/plfs/f", ldplfs::OpenFlags::RDONLY, 0).unwrap();
+        assert_eq!(l.lseek(fd, 0, Whence::End).unwrap(), 4242);
+        l.close(fd).unwrap();
     }
 
     #[test]

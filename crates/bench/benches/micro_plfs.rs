@@ -161,10 +161,8 @@ fn bench_read_after_write(c: &mut Criterion) {
 fn bench_read_path(c: &mut Criterion) {
     let mut g = c.benchmark_group("read_path");
     // Container written by 16 interleaved writers, read back sequentially.
-    let plfs = Plfs::new(Arc::new(MemBacking::new())).with_params(ContainerParams {
-        num_hostdirs: 8,
-        mode: plfs::LayoutMode::Both,
-    });
+    let plfs =
+        Plfs::new(Arc::new(MemBacking::new())).with_params(ContainerParams { num_hostdirs: 8 });
     let fd = plfs
         .open("/f", OpenFlags::RDWR | OpenFlags::CREAT, 0)
         .unwrap();
@@ -199,10 +197,7 @@ fn strided_container(
     block: usize,
 ) -> (Arc<MemBacking>, &'static str) {
     let backing = Arc::new(MemBacking::new());
-    let plfs = Plfs::new(backing.clone()).with_params(ContainerParams {
-        num_hostdirs: 16,
-        mode: plfs::LayoutMode::Both,
-    });
+    let plfs = Plfs::new(backing.clone()).with_params(ContainerParams { num_hostdirs: 16 });
     let fd = plfs
         .open("/c", OpenFlags::RDWR | OpenFlags::CREAT, 0)
         .unwrap();

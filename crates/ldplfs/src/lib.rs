@@ -46,7 +46,7 @@ pub mod shim;
 pub mod stats;
 pub mod stdio;
 
-pub use config::{from_plfsrc, plfs_for_spec, LdPlfsBuilder};
+pub use config::LdPlfsBuilder;
 pub use posix::{Errno, Fd, OpenFlags, PosixDirent, PosixLayer, PosixResult, PosixStat, Whence};
 pub use realposix::RealPosix;
 pub use shim::{clear_virtual_pid, current_pid, set_virtual_pid, LdPlfs, ShimMount};

@@ -18,7 +18,6 @@ use crate::posix::{
 };
 use parking_lot::{Mutex, MutexGuard, RwLock};
 use plfs::meta::FnvBuild;
-use plfs::mount::path_has_prefix;
 use plfs::{Plfs, PlfsFd};
 use std::collections::HashMap;
 use std::marker::PhantomData;
@@ -261,7 +260,8 @@ impl<C: Cursor> Dispatcher<C> {
     }
 
     /// The mount serving `path`, if any, and the path inside it. The
-    /// longest mount point wins.
+    /// longest mount point wins; a mount point matches whole components
+    /// only.
     pub fn resolve<'p>(&self, path: &'p str) -> Option<At<'p>> {
         let (i, m) = self
             .mounts
@@ -461,5 +461,26 @@ impl<C: Cursor> Dispatcher<C> {
         let fresh = Box::into_raw(Box::new(RwLock::new(copy)));
         // release: pairs with table's acquire
         self.table.store(fresh, Ordering::Release);
+    }
+}
+
+/// True if `path` is `prefix` or lives underneath it.
+fn path_has_prefix(path: &str, prefix: &str) -> bool {
+    if prefix == "/" {
+        return path.starts_with('/');
+    }
+    path == prefix || (path.starts_with(prefix) && path.as_bytes().get(prefix.len()) == Some(&b'/'))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn path_prefix_respects_components() {
+        assert!(path_has_prefix("/plfs/a", "/plfs"));
+        assert!(path_has_prefix("/plfs", "/plfs"));
+        assert!(!path_has_prefix("/plfsfoo", "/plfs"));
+        assert!(path_has_prefix("/any/thing", "/"));
     }
 }

@@ -1,53 +1,20 @@
 //! Regression tests for shim robustness on hostile input — the bugs the
-//! `plfs-lint` sweep surfaced (PR 4). An interposition shim runs inside
-//! unsuspecting host processes, so a malformed `plfsrc` or an fd it never
-//! tracked must come back as an error return, never a panic.
+//! `plfs-lint` sweep surfaced. An interposition shim runs inside
+//! unsuspecting host processes, so an fd it never tracked must come back
+//! as an error return, never a panic.
 
-use ldplfs::{from_plfsrc, Errno, LdPlfs, OpenFlags, PosixLayer, RealPosix, Whence};
-use plfs::{MemBacking, PlfsRc};
+use ldplfs::{LdPlfs, LdPlfsBuilder, OpenFlags, PosixLayer, RealPosix, Whence};
+use plfs::{MemBacking, Plfs};
 use std::sync::Arc;
 
 fn shim(name: &str) -> LdPlfs {
     let dir = std::env::temp_dir().join(format!("ldplfs-robust-{}-{}", name, std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let under = Arc::new(RealPosix::rooted(dir).unwrap());
-    from_plfsrc(under, "mount_point /plfs\nbackends /be\n", |_| {
-        Arc::new(MemBacking::new())
-    })
-    .unwrap()
-}
-
-// --- malformed plfsrc: every line below used to panic (debug overflow) or
-// --- silently mis-parse; all must now be clean parse errors.
-
-#[test]
-fn num_hostdirs_truncation_is_an_error() {
-    // 2^32 + 1 used to truncate through `as u32` to a silently-accepted 1.
-    let rc = "mount_point /x\nbackends /be\nnum_hostdirs 4294967297\n";
-    assert!(PlfsRc::parse(rc).is_err());
-    // 2^32 exactly truncated to 0 and was caught only by the nonzero check;
-    // now it is rejected as out of range up front.
-    let rc = "mount_point /x\nbackends /be\nnum_hostdirs 4294967296\n";
-    assert!(PlfsRc::parse(rc).is_err());
-}
-
-#[test]
-fn malformed_plfsrc_maps_to_einval_through_the_shim() {
-    for rc in [
-        "mount_point\n",                                    // key without value
-        "mount_point /x\nbackends /be\nnum_hostdirs zap\n", // non-numeric
-        "mount_point /x\nbackends /be\nworkload never\n",   // bad enum
-        "backends /be\n",                                   // key before any mount
-        "mount_point /x\n",                                 // mount with no backends
-        "mount_point /x\nbackends /be\nmeta_cache_entries 18446744073709551616\n", // past u64
-    ] {
-        let dir = std::env::temp_dir().join(format!("ldplfs-einval-{}", std::process::id()));
-        let under = Arc::new(RealPosix::rooted(dir).unwrap());
-        let err = from_plfsrc(under, rc, |_| Arc::new(MemBacking::new()))
-            .err()
-            .unwrap_or_else(|| panic!("plfsrc {rc:?} must be rejected"));
-        assert_eq!(err, Errno::EINVAL, "{rc:?}");
-    }
+    LdPlfsBuilder::new(under)
+        .mount("/plfs", Plfs::new(Arc::new(MemBacking::new())))
+        .build()
+        .unwrap()
 }
 
 // --- untracked fds: operations on descriptors the shim never opened must

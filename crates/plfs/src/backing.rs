@@ -426,8 +426,7 @@ impl BackingFile for RealFile {
             return Err(Error::BadMode("file opened read-only"));
         }
         // EOF is found by the kernel in the same step that writes there, so
-        // handles on one file (log mode's shared dropping, written by every
-        // pid) never land on the same offset. Offset -1 writes at this
+        // handles on one file never land on the same offset. Offset -1 writes at this
         // handle's cursor, which the append moves to the end of the bytes it
         // wrote: reading it back says where they landed.
         let _cursor = self.append.lock();
@@ -949,9 +948,8 @@ mod tests {
         }
     }
 
-    /// Log mode's shared dropping is appended to by every writer, each
-    /// through a handle of its own: an append must find EOF atomically
-    /// across handles, or two records land on one offset and one is lost.
+    /// Appends through two handles on one file must each find EOF
+    /// atomically, or two records land on one offset and one is lost.
     #[test]
     fn appends_through_two_handles_never_overwrite_each_other() {
         const RECORDS: usize = 20_000;

@@ -1,33 +1,33 @@
 //! One [`Conf`], one knob table.
 //!
-//! The paper's LDPLFS is configured by one `plfsrc` plus one exported
-//! variable. [`Conf`] is the single flat struct every layer of this stack
-//! reads its tuning from — [`crate::api::Plfs`] hands a `&Conf` to each fd,
-//! reader, writer and backend decorator — and [`KNOBS`] is the
-//! single table every *spelling* of a knob comes from: the `plfsrc` parser
-//! ([`crate::mount::PlfsRc::parse`]), the `LD_PRELOAD` environment parser
-//! ([`Conf::from_env`]), `plfs-tools rccheck` and the README's
-//! Configuration table ([`knobs_markdown`]). Adding a knob is one row here
-//! plus the code that reads the field.
+//! The paper's LDPLFS is configured by one exported variable plus PLFS's
+//! `plfsrc`; here the environment is the only way to configure a mount.
+//! [`SHIM_ENV`] names the variables the preload reads itself — one mount
+//! and one backend per process — and [`KNOBS`] is the single table every
+//! tuning variable comes from: the `LD_PRELOAD` environment parser
+//! ([`Conf::from_env`]) and the README's Configuration table
+//! ([`knobs_markdown`]). [`Conf`] is the single flat struct every layer of
+//! this stack reads its tuning from — [`crate::api::Plfs`] hands a `&Conf`
+//! to each fd, reader, writer and backend decorator. Adding a knob is one
+//! row here plus the code that reads the field.
 //!
 //! A field exists only if two callers want different values of it, and it
-//! gets a row (a `plfsrc` key, optionally an `LDPLFS_*` alias) only if it
-//! switches a default-off mechanism on or selects a policy a user has a
-//! reason to reach for. Shard counts and batch sizes are constants beside
-//! the code that uses them; the one field without a row,
-//! `index_buffer_entries`, is a per-mount `plfsrc` key.
+//! gets a row (an `LDPLFS_*` variable) only if it switches a default-off
+//! mechanism on or selects a policy a user has a reason to reach for.
+//! Shard counts and batch sizes are constants beside the code that uses
+//! them; the one field without a row, `index_buffer_entries`, is set only
+//! through [`crate::api::Plfs::with_conf`].
 
 use crate::error::{Error, Result};
 use crate::writer::DEFAULT_INDEX_BUFFER_ENTRIES;
 use std::fmt::Write as _;
 
 /// Every tuning value of the PLFS stack. [`Conf::default`] is what
-/// [`crate::api::Plfs::new`] runs with; every entry point (plfsrc,
-/// environment, programmatic) starts from it.
+/// [`crate::api::Plfs::new`] runs with; both entry points (environment,
+/// programmatic) start from it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Conf {
-    /// Buffered index entries per writer before an automatic flush. Set
-    /// per mount in `plfsrc` (`index_buffer_entries`).
+    /// Buffered index entries per writer before an automatic flush.
     pub index_buffer_entries: usize,
     /// When the last writer closes a container holding more than this many
     /// droppings, compact them into one in the background (0 = never).
@@ -83,83 +83,84 @@ impl Conf {
     }
 }
 
-/// One row of the knob table: every spelling of one [`Conf`] field.
+/// The mount point the preload serves (required).
+pub const MOUNT_ENV: &str = "LDPLFS_MOUNT";
+/// The backend directory holding the mount's containers (required).
+pub const BACKEND_ENV: &str = "LDPLFS_BACKEND";
+/// The variables the preload reads itself; every other `LDPLFS_*` name it
+/// accepts is a [`KNOBS`] row.
+pub const SHIM_ENV: &[&str] = &[MOUNT_ENV, BACKEND_ENV];
+
+/// One row of the knob table: the variable that sets one [`Conf`] field.
 pub struct Knob {
-    /// Global `plfsrc` key.
-    pub key: &'static str,
-    /// `LD_PRELOAD`-form environment alias, if the knob has one.
-    pub env: Option<&'static str>,
-    /// One-line description for `rccheck --knobs` / the README.
+    /// The `LDPLFS_*` environment variable.
+    pub env: &'static str,
+    /// One-line description for the README.
     pub doc: &'static str,
     /// The field, a count spelled as a plain number.
     pub field: fn(&mut Conf) -> &mut usize,
 }
 
-/// The knob table. Order is the order `rccheck` and the README print.
+/// The knob table. Order is the order the README prints.
 pub const KNOBS: &[Knob] = &[
     Knob {
-        key: "compact_droppings_threshold",
-        env: Some("LDPLFS_COMPACT_THRESHOLD"),
+        env: "LDPLFS_COMPACT_THRESHOLD",
         doc: "compact in the background at last close above this many droppings; 0 never",
         field: |c| &mut c.compact_droppings_threshold,
     },
     Knob {
-        key: "meta_cache_entries",
-        env: Some("LDPLFS_META_CACHE"),
+        env: "LDPLFS_META_CACHE",
         doc: "container metadata cache capacity; 0 = strict cross-process stat freshness",
         field: |c| &mut c.meta_cache_entries,
     },
 ];
 
-/// The row whose `plfsrc` key is `key`.
-pub fn knob(key: &str) -> Option<&'static Knob> {
-    KNOBS.iter().find(|k| k.key == key)
+/// The row whose variable is `name`.
+pub fn env_knob(name: &str) -> Option<&'static Knob> {
+    KNOBS.iter().find(|k| k.env == name)
 }
 
-/// The row whose environment alias is `name`.
-pub fn env_knob(name: &str) -> Option<&'static Knob> {
-    KNOBS.iter().find(|k| k.env == Some(name))
+/// Does the preload read the variable `name`: a [`SHIM_ENV`] name or a
+/// [`KNOBS`] row?
+pub fn known_env(name: &str) -> bool {
+    SHIM_ENV.contains(&name) || env_knob(name).is_some()
 }
 
 impl Knob {
-    /// Apply the spelling `value` (the same under the `plfsrc` key and the
-    /// env alias) to `conf`.
+    /// Apply the spelling `value` to `conf`.
     pub fn set(&self, conf: &mut Conf, value: &str) -> Result<()> {
         *(self.field)(conf) = value
             .parse()
-            .map_err(|_| Error::Config(format!("{}: bad numeric value `{value}`", self.key)))?;
+            .map_err(|_| Error::Config(format!("{}: bad numeric value `{value}`", self.env)))?;
         Ok(())
     }
 
-    /// `conf`'s value of this knob in its `plfsrc` spelling.
+    /// `conf`'s value of this knob, spelled as the variable takes it.
     pub fn render(&self, conf: &Conf) -> String {
         let mut c = *conf;
         (self.field)(&mut c).to_string()
     }
 }
 
-/// The Configuration table as markdown: what `plfs-tools rccheck --knobs`
-/// prints and README.md must contain verbatim (CI diffs the two).
+/// The Configuration table as markdown, which README.md must contain
+/// verbatim (a test holds it there).
 pub fn knobs_markdown() -> String {
     let d = Conf::default();
-    let mut out =
-        String::from("| plfsrc key | env alias | default | effect |\n|---|---|---|---|\n");
+    let mut out = String::from("| variable | default | effect |\n|---|---|---|\n");
     for k in KNOBS {
-        let env = k.env.map_or("—".to_string(), |e| format!("`{e}`"));
-        let (key, default, doc) = (k.key, k.render(&d), k.doc);
-        let _ = writeln!(out, "| `{key}` | {env} | {default} | {doc} |");
+        let (env, default, doc) = (k.env, k.render(&d), k.doc);
+        let _ = writeln!(out, "| `{env}` | {default} | {doc} |");
     }
     out
 }
 
-/// A spelling every row's `set` accepts and that differs from its default
-/// (shared by this module's and the plfsrc parser's table-driven tests).
-#[cfg(test)]
-pub(crate) const SAMPLE: &str = "3";
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A spelling every row's `set` accepts and that differs from its
+    /// default.
+    const SAMPLE: &str = "3";
 
     #[test]
     fn defaults_keep_every_optional_mechanism_off() {
@@ -186,46 +187,51 @@ mod tests {
             // render → set → read.
             let mut c = default;
             k.set(&mut c, SAMPLE).unwrap();
-            assert_eq!(k.render(&c), SAMPLE, "{}", k.key);
-            assert_ne!(c, default, "{} reaches a field", k.key);
+            assert_eq!(k.render(&c), SAMPLE, "{}", k.env);
+            assert_ne!(c, default, "{} reaches a field", k.env);
             let mut again = default;
             k.set(&mut again, &k.render(&c)).unwrap();
-            assert_eq!(again, c, "{}", k.key);
+            assert_eq!(again, c, "{}", k.env);
             // The default's own rendering is accepted and changes nothing.
             let mut same = default;
             k.set(&mut same, &k.render(&default)).unwrap();
-            assert_eq!(same, default, "{}", k.key);
+            assert_eq!(same, default, "{}", k.env);
             // Garbage never lands, whatever the row's type.
             for junk in ["18446744073709551616", "-1", "lots", ""] {
                 let mut c = default;
                 let err = k.set(&mut c, junk).unwrap_err();
-                assert!(err.to_string().contains(k.key), "{err}");
-                assert_eq!(c, default, "{} = {junk:?} must not land", k.key);
+                assert!(err.to_string().contains(k.env), "{err}");
+                assert_eq!(c, default, "{} = {junk:?} must not land", k.env);
             }
         }
     }
 
     #[test]
-    fn keys_and_env_aliases_are_unique() {
-        for (i, k) in KNOBS.iter().enumerate() {
-            for other in &KNOBS[i + 1..] {
-                assert_ne!(k.key, other.key);
-                assert!(k.env.is_none() || k.env != other.env);
-            }
-            assert!(k.env.is_none_or(|e| e.starts_with("LDPLFS_")));
+    fn variable_names_are_unique() {
+        let names: Vec<&str> = KNOBS
+            .iter()
+            .map(|k| k.env)
+            .chain(SHIM_ENV.iter().copied())
+            .collect();
+        for (i, name) in names.iter().enumerate() {
+            assert!(name.starts_with("LDPLFS_"), "{name}");
+            assert!(!names[i + 1..].contains(name), "{name}");
+            assert!(known_env(name), "{name}");
         }
     }
 
     /// Ratchet. The earn-or-delete round (EXPERIMENTS.md) removes knobs the
     /// benchmark could not justify; each option doubles the configurations
-    /// tests and benchmarks must cover. A new field or row needs two
-    /// callers that exist today and want different values — then raise the
-    /// bound and extend the destructuring in the same change.
+    /// tests and benchmarks must cover. A new field, row or variable needs
+    /// two callers that exist today and want different values — then raise
+    /// the bound and extend the destructuring in the same change.
     #[test]
     fn the_option_count_only_goes_down() {
-        assert!(KNOBS.len() <= 2, "a row must earn its spelling");
-        let aliases = KNOBS.iter().filter(|k| k.env.is_some()).count();
-        assert!(aliases <= 2, "an env alias must earn its spelling");
+        assert!(KNOBS.len() <= 2, "a row must earn its variable");
+        assert!(
+            SHIM_ENV.len() <= 2,
+            "the preload reads one mount and one backend"
+        );
         // Exhaustive: adding a `Conf` field without touching this test
         // fails to compile.
         let Conf {
@@ -239,14 +245,14 @@ mod tests {
     fn from_env_reaches_every_alias_and_survives_garbage() {
         let default = Conf::default();
         assert_eq!(Conf::from_env(Vec::<(String, String)>::new()), default);
-        for k in KNOBS.iter().filter(|k| k.env.is_some()) {
-            let c = Conf::from_env([(k.env.unwrap(), SAMPLE)]);
-            assert_ne!(c, default, "{}", k.key);
+        for k in KNOBS {
+            let c = Conf::from_env([(k.env, SAMPLE)]);
+            assert_ne!(c, default, "{}", k.env);
             // Unparsable values and names no row claims keep the default.
-            let c = Conf::from_env([(k.env.unwrap(), "-lots"), ("LDPLFS_MOUNT", "/m")]);
-            assert_eq!(c, default, "{}", k.key);
+            let c = Conf::from_env([(k.env, "-lots"), (MOUNT_ENV, "/m")]);
+            assert_eq!(c, default, "{}", k.env);
         }
-        // plfsrc keys are not environment names.
+        // Only the variable spells a knob.
         assert_eq!(Conf::from_env([("meta_cache_entries", "8")]), default);
     }
 
@@ -254,6 +260,21 @@ mod tests {
     fn markdown_table_has_one_line_per_row() {
         let md = knobs_markdown();
         assert_eq!(md.lines().count(), KNOBS.len() + 2);
-        assert!(md.contains("| `meta_cache_entries` | `LDPLFS_META_CACHE` | 4096 |"));
+        assert!(md.contains("| `LDPLFS_META_CACHE` | 4096 |"));
+    }
+
+    /// README's Configuration block, between its two markers, is the knob
+    /// table verbatim: regenerate it from [`knobs_markdown`] after touching
+    /// [`KNOBS`].
+    #[test]
+    fn the_readme_prints_the_knob_table() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../README.md");
+        let readme = std::fs::read_to_string(path).unwrap();
+        let block = readme
+            .split_once("<!-- knobs:begin -->\n")
+            .and_then(|(_, rest)| rest.split_once("<!-- knobs:end -->"))
+            .map(|(block, _)| block)
+            .expect("README.md has a knobs:begin/knobs:end block");
+        assert_eq!(block, knobs_markdown(), "README.md's Configuration table");
     }
 }

@@ -51,16 +51,15 @@
 //!   its un-suffixed name, which close renames. (A name apart from
 //!   `meta.*`, so clearing the drops can never delete records.) Every
 //!   other writer — one that joined an existing container, a reopener, a
-//!   bare [`crate::WriteFile::open`], all of log mode — keeps the hostdir
-//!   pair with its `open.*`/`meta.*` names. Which shape a writer gets is
-//!   what the code observed, never a knob.
+//!   bare [`crate::WriteFile::open`] — keeps the hostdir pair with its
+//!   `open.*`/`meta.*` names. Which shape a writer gets is what the code
+//!   observed, never a knob.
 //!
-//! (In log mode, where every writer shares pair 0, `n` is the first number
-//! free among its pid's names.) A container made before the creator's pair
-//! had a name of its own holds it as `dropping.{data,index}.<pid>.0` beside
-//! the access file, and reads as any other pair. A legacy container still
-//! opens, stats (slow path: no drops) and unlinks; its subdirectories are
-//! never read.
+//! A container made before the creator's pair had a name of its own holds
+//! it as `dropping.{data,index}.<pid>.0` beside the access file, and reads
+//! as any other pair. A legacy container still opens, stats (slow path: no
+//! drops) and unlinks; its subdirectories are never read. A legacy access
+//! file's `mode` line must say `both`, the one layout there is.
 
 use crate::backing::{join, remove_tree, Backing, BackingFile};
 use crate::error::{Error, Result};
@@ -84,37 +83,17 @@ pub const DATA_PREFIX: &str = "dropping.data.";
 /// Prefix of index droppings.
 pub const INDEX_PREFIX: &str = "dropping.index.";
 
-/// How the container lays data out. `Both` is classic PLFS. The other two
-/// modes exist to study the paper's future-work question — log structure and
-/// file partitioning in isolation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LayoutMode {
-    /// Log-structured writes into per-pid partitioned droppings (PLFS).
-    #[default]
-    Both,
-    /// Per-pid droppings, but data written *at its logical offset* within
-    /// the pid's dropping (partitioning without the log).
-    PartitionedOnly,
-    /// A single shared log dropping for all pids (log without partitioning).
-    LogStructured,
-}
-
 /// Static parameters of a container, fixed at create time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ContainerParams {
     /// Number of `hostdir.N` subdirectories writers are spread over.
     pub num_hostdirs: u32,
-    /// Layout mode (see [`LayoutMode`]).
-    pub mode: LayoutMode,
 }
 
 impl Default for ContainerParams {
     fn default() -> Self {
         // 32 hostdirs is the real PLFS default.
-        ContainerParams {
-            num_hostdirs: 32,
-            mode: LayoutMode::Both,
-        }
+        ContainerParams { num_hostdirs: 32 }
     }
 }
 
@@ -147,9 +126,7 @@ pub fn hostdir_path(container: &str, n: u32) -> String {
 }
 
 /// Path of the dropping named `prefix` + the `<pid>.<seq>` of `(pid, seq)`
-/// in its hostdir. In log-structured mode every pid shares hostdir 0 and
-/// the pair `shared.<seq>` (records are self-describing, so interleaved
-/// appends from many pids are fine).
+/// in its hostdir.
 fn hostdir_dropping_path(
     container: &str,
     params: &ContainerParams,
@@ -157,19 +134,11 @@ fn hostdir_dropping_path(
     pid: u64,
     seq: u32,
 ) -> String {
-    match params.mode {
-        LayoutMode::LogStructured => path_of(
-            container,
-            format_args!("{HOSTDIR_PREFIX}0/{prefix}shared.{seq}"),
-        ),
-        _ => {
-            let hd = hostdir_for_pid(pid, params.num_hostdirs);
-            path_of(
-                container,
-                format_args!("{HOSTDIR_PREFIX}{hd}/{prefix}{pid}.{seq}"),
-            )
-        }
-    }
+    let hd = hostdir_for_pid(pid, params.num_hostdirs);
+    path_of(
+        container,
+        format_args!("{HOSTDIR_PREFIX}{hd}/{prefix}{pid}.{seq}"),
+    )
 }
 
 /// Path of a data dropping for `(pid, seq)`.
@@ -320,16 +289,7 @@ fn creator_marks(b: &dyn Backing, dir: &str) -> bool {
 
 /// Serialized container parameters stored in the access file.
 fn encode_params(p: &ContainerParams) -> Vec<u8> {
-    let mode = match p.mode {
-        LayoutMode::Both => "both",
-        LayoutMode::PartitionedOnly => "partitioned",
-        LayoutMode::LogStructured => "log",
-    };
-    format!(
-        "plfs-container v1\nnum_hostdirs {}\nmode {}\n",
-        p.num_hostdirs, mode
-    )
-    .into_bytes()
+    format!("plfs-container v1\nnum_hostdirs {}\n", p.num_hostdirs).into_bytes()
 }
 
 fn decode_params(data: &[u8]) -> Result<ContainerParams> {
@@ -347,13 +307,11 @@ fn decode_params(data: &[u8]) -> Result<ContainerParams> {
                     .parse()
                     .map_err(|_| Error::Corrupt("bad num_hostdirs".into()))?;
             }
-            (Some("mode"), Some(v)) => {
-                p.mode = match v {
-                    "both" => LayoutMode::Both,
-                    "partitioned" => LayoutMode::PartitionedOnly,
-                    "log" => LayoutMode::LogStructured,
-                    other => return Err(Error::Corrupt(format!("bad mode {other}"))),
-                };
+            // Written by older versions, which had other layouts: only
+            // classic PLFS's reads as what it says.
+            (Some("mode"), Some("both")) => {}
+            (Some("mode"), Some(other)) => {
+                return Err(Error::Corrupt(format!("unsupported layout mode {other}")))
             }
             (None, _) => {}
             _ => {}
@@ -415,9 +373,9 @@ pub fn create_container(
 }
 
 /// [`create_container`] for an open that will write: a container it makes
-/// outside log mode gets its [`CreatorDropping`] too, and, with the default
-/// params, no access file — the dropping marks it. With `writer` false
-/// this is [`create_container`].
+/// gets its [`CreatorDropping`] too, and, with the default params, no
+/// access file — the dropping marks it. With `writer` false this is
+/// [`create_container`].
 pub(crate) fn create_container_as(
     b: &dyn Backing,
     path: &str,
@@ -433,8 +391,7 @@ pub(crate) fn create_container_as(
         }
         Err(e) => return Err(e),
     }
-    let creator = writer && params.mode != LayoutMode::LogStructured;
-    let access = !creator || *params != ContainerParams::default();
+    let access = !writer || *params != ContainerParams::default();
     // A bare directory would read as nascent to every later creator: on
     // failure take back down what this call made (best effort), and only
     // that — an access file whose exclusive create failed is not ours, and
@@ -444,7 +401,7 @@ pub(crate) fn create_container_as(
         if access {
             write_access_file(b, path, params)?;
         }
-        if !creator {
+        if !writer {
             return Ok(None);
         }
         CreatorDropping::create(b, path).map(Some).inspect_err(|_| {
@@ -588,10 +545,7 @@ pub fn ensure_hostdir(
     params: &ContainerParams,
     pid: u64,
 ) -> Result<()> {
-    let hd = match params.mode {
-        LayoutMode::LogStructured => 0,
-        _ => hostdir_for_pid(pid, params.num_hostdirs),
-    };
+    let hd = hostdir_for_pid(pid, params.num_hostdirs);
     match b.mkdir(&hostdir_path(container, hd)) {
         Ok(()) | Err(Error::Exists(_)) => Ok(()),
         Err(e) => Err(e),
@@ -943,24 +897,11 @@ pub fn open_writers(b: &dyn Backing, container: &str) -> Result<usize> {
     Ok(read_lifecycle(b, container)?.0)
 }
 
-/// The first number no lifecycle name of `pid` in the listing carries:
-/// what a log-mode writer — every one of which shares dropping pair 0 —
-/// starts its names from, so that no two share a marker or a drop.
-pub fn free_writer_number(b: &dyn Backing, container: &str, pid: u64) -> Result<u32> {
-    let taken = |name: &String| {
-        let mut it = name.rsplit('.');
-        let n = it.next()?.parse::<u32>().ok()?;
-        (it.next()?.parse() == Ok(pid)).then_some(n + 1)
-    };
-    let names = list_container(b, container)?;
-    Ok(names.iter().filter_map(taken).max().unwrap_or(0))
-}
-
 /// Record that a writer of `pid` has the container open, under the first
 /// free marker name from `seq` (its dropping pair's number) up: the create
-/// is exclusive, so a writer never shares a marker — one racing it in log
-/// mode, or left standing by another fd across a truncate, bumps the
-/// number. Returns the number the writer's names carry.
+/// is exclusive, so a writer never shares a marker — one left standing by
+/// another fd across a truncate bumps the number. Returns the number the
+/// writer's names carry.
 pub fn mark_open(b: &dyn Backing, container: &str, pid: u64, mut seq: u32) -> Result<u32> {
     loop {
         match b.create(&marker_path(container, pid, seq), true) {
@@ -1107,18 +1048,12 @@ mod tests {
     #[test]
     fn create_returns_params_without_reread() {
         let b = mem();
-        let p = ContainerParams {
-            num_hostdirs: 5,
-            mode: LayoutMode::Both,
-        };
+        let p = ContainerParams { num_hostdirs: 5 };
         let (got, how) = create_container(&b, "/f", &p, true).unwrap();
         assert_eq!((got.num_hostdirs, how), (5, Creation::Made));
         // Reopening an existing container hands back the *stored* params,
         // not the caller's defaults.
-        let other = ContainerParams {
-            num_hostdirs: 9,
-            mode: LayoutMode::Both,
-        };
+        let other = ContainerParams { num_hostdirs: 9 };
         let (got, how) = create_container(&b, "/f", &other, false).unwrap();
         assert_eq!((got.num_hostdirs, how), (5, Creation::Joined));
     }
@@ -1126,14 +1061,9 @@ mod tests {
     #[test]
     fn params_roundtrip_through_access_file() {
         let b = mem();
-        let p = ContainerParams {
-            num_hostdirs: 7,
-            mode: LayoutMode::PartitionedOnly,
-        };
+        let p = ContainerParams { num_hostdirs: 7 };
         create_container(&b, "/f", &p, true).unwrap();
-        let got = read_params(&b, "/f").unwrap();
-        assert_eq!(got.num_hostdirs, 7);
-        assert_eq!(got.mode, LayoutMode::PartitionedOnly);
+        assert_eq!(read_params(&b, "/f").unwrap(), p);
     }
 
     #[test]
@@ -1173,10 +1103,7 @@ mod tests {
         assert_eq!(b.readdir("/c").unwrap(), [ACCESS_FILE, CREATOR_DATA]);
         assert_eq!(read_params(&b, "/c").unwrap(), p);
         // One that is there is left as it is.
-        let nine = ContainerParams {
-            num_hostdirs: 9,
-            ..p
-        };
+        let nine = ContainerParams { num_hostdirs: 9 };
         create_container(&b, "/g", &nine, true).unwrap();
         ensure_access_file(&b, "/g", &p).unwrap();
         assert_eq!(read_params(&b, "/g").unwrap(), nine);
@@ -1231,10 +1158,7 @@ mod tests {
 
     #[test]
     fn dropping_paths_follow_figure_1() {
-        let p = ContainerParams {
-            num_hostdirs: 4,
-            mode: LayoutMode::Both,
-        };
+        let p = ContainerParams { num_hostdirs: 4 };
         let d = data_dropping_path("/c", &p, 42, 0);
         assert!(d.starts_with("/c/hostdir."));
         assert!(d.ends_with("/dropping.data.42.0"));
@@ -1244,23 +1168,6 @@ mod tests {
         let dh = d.split('/').nth(2).unwrap().to_string();
         let ih = i.split('/').nth(2).unwrap().to_string();
         assert_eq!(dh, ih);
-    }
-
-    #[test]
-    fn log_structured_mode_shares_one_data_dropping() {
-        let p = ContainerParams {
-            num_hostdirs: 8,
-            mode: LayoutMode::LogStructured,
-        };
-        assert_eq!(
-            data_dropping_path("/c", &p, 1, 0),
-            data_dropping_path("/c", &p, 2, 0)
-        );
-        // The shared data dropping pairs with a shared index dropping.
-        assert_eq!(
-            index_dropping_path("/c", &p, 1, 0),
-            index_dropping_path("/c", &p, 2, 0)
-        );
     }
 
     #[test]
@@ -1440,10 +1347,6 @@ mod tests {
         assert_eq!(
             parse_index_name("dropping.index.7.12.4096.512"),
             Some(("7.12", Some((4096, 512))))
-        );
-        assert_eq!(
-            parse_index_name("dropping.index.shared.0"),
-            Some(("shared.0", None))
         );
         for junk in [
             "dropping.index.7",

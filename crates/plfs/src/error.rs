@@ -23,8 +23,7 @@ pub enum Error {
     BadMode(&'static str),
     /// Invalid argument (`EINVAL`).
     InvalidArg(&'static str),
-    /// Malformed configuration, with context such as the plfsrc line
-    /// number (`EINVAL`).
+    /// Malformed configuration, naming the knob (`EINVAL`).
     Config(String),
     /// Directory not empty (`ENOTEMPTY`).
     NotEmpty(String),
@@ -32,7 +31,7 @@ pub enum Error {
     Corrupt(String),
     /// Error from the backing store.
     Io(std::io::Error),
-    /// Operation not supported by this backing or layout mode.
+    /// Operation not supported by this backing.
     Unsupported(&'static str),
 }
 
@@ -122,7 +121,7 @@ mod tests {
         assert_eq!(Error::IsDir("x".into()).errno(), 21);
         assert_eq!(Error::BadMode("r").errno(), 9);
         assert_eq!(Error::NotEmpty("d".into()).errno(), 39);
-        assert_eq!(Error::Config("bad knob, line 3".into()).errno(), 22);
+        assert_eq!(Error::Config("LDPLFS_X: bad value".into()).errno(), 22);
     }
 
     #[test]

@@ -373,8 +373,7 @@ impl PlfsFd {
         if let std::collections::hash_map::Entry::Vacant(e) = shard.entry(pid) {
             // The creator's first writer, and only that one: whatever else
             // happens to this fd (a failed open, a truncate) the rest get
-            // hostdir pairs. Log mode has no creator's dropping: one pair
-            // is shared among all writers.
+            // hostdir pairs.
             let top_level = self.creator.lock().take();
             if top_level.is_none() {
                 self.ensure_hostdir_once(pid)?;
@@ -402,10 +401,7 @@ impl PlfsFd {
     /// the first writer lands there, the mkdir is pure metadata overhead
     /// on every later writer open.
     fn ensure_hostdir_once(&self, pid: u64) -> Result<()> {
-        let hd = match self.params.mode {
-            container::LayoutMode::LogStructured => 0,
-            _ => container::hostdir_for_pid(pid, self.params.num_hostdirs),
-        };
+        let hd = container::hostdir_for_pid(pid, self.params.num_hostdirs);
         if self.hostdirs_ready.lock().contains(&hd) {
             return Ok(());
         }
@@ -1123,43 +1119,34 @@ mod tests {
     /// needed and another process trusted the closed fd's drop.
     #[test]
     fn two_fds_of_one_pid_keep_their_own_marker_and_drop() {
-        use container::LayoutMode::{Both, LogStructured};
-        // Log mode too: there every writer shares dropping pair 0, so the
-        // pair's number alone would not tell the two apart.
-        for mode in [Both, LogStructured] {
-            let b: Arc<dyn Backing> = Arc::new(MemBacking::new());
-            let params = ContainerParams {
-                mode,
-                ..Default::default()
-            };
-            create_container(b.as_ref(), "/f", &params, true).unwrap();
-            let open = || {
-                PlfsFd::new(
-                    b.clone(),
-                    "/f".into(),
-                    params,
-                    OpenFlags::RDWR,
-                    &base(),
-                    100,
-                )
-            };
-            let (a, other) = (open(), open());
-            a.write(b"aaaa", 0, 100).unwrap();
-            other.write(&[b'b'; 24], 0, 100).unwrap();
-            other.sync(100).unwrap();
-            a.close(100).unwrap();
-            // What a fresh process sees: one writer still open, so no fast
-            // stat.
-            assert_eq!(container::open_writers(b.as_ref(), "/f").unwrap(), 1);
-            let fresh = crate::api::Plfs::new(b.clone());
-            assert_eq!(fresh.getattr("/f").unwrap().size, 24, "{mode:?}");
-            other.close(100).unwrap();
-            assert_eq!(
-                container::read_lifecycle(b.as_ref(), "/f").unwrap(),
-                (0, Some((24, 28))),
-                "{mode:?}"
-            );
-        }
+        let b: Arc<dyn Backing> = Arc::new(MemBacking::new());
+        let params = ContainerParams::default();
+        create_container(b.as_ref(), "/f", &params, true).unwrap();
+        let open = || {
+            PlfsFd::new(
+                b.clone(),
+                "/f".into(),
+                params,
+                OpenFlags::RDWR,
+                &base(),
+                100,
+            )
+        };
+        let (a, other) = (open(), open());
+        a.write(b"aaaa", 0, 100).unwrap();
+        other.write(&[b'b'; 24], 0, 100).unwrap();
+        other.sync(100).unwrap();
+        a.close(100).unwrap();
+        // What a fresh process sees: one writer still open, so no fast
+        // stat.
+        assert_eq!(container::open_writers(b.as_ref(), "/f").unwrap(), 1);
+        let fresh = crate::api::Plfs::new(b.clone());
+        assert_eq!(fresh.getattr("/f").unwrap().size, 24);
+        other.close(100).unwrap();
+        assert_eq!(
+            container::read_lifecycle(b.as_ref(), "/f").unwrap(),
+            (0, Some((24, 28)))
+        );
     }
 
     #[test]
@@ -1168,7 +1155,6 @@ mod tests {
         let inner: Arc<dyn Backing> = Arc::new(MemBacking::new());
         let params = ContainerParams {
             num_hostdirs: 1, // every pid maps to hostdir.0
-            mode: container::LayoutMode::Both,
         };
         create_container(inner.as_ref(), "/f", &params, true).unwrap();
         let meter = Arc::new(MeterBacking::new(inner));

@@ -10,8 +10,8 @@
 //! This crate is the substrate for the LDPLFS reproduction (Wright et al.,
 //! IPDPS Workshops 2012): it provides the container format, the
 //! positional/pid-based API that the LDPLFS shim retargets POSIX calls to
-//! (see Listing 1 of the paper), and the layout knobs the paper's
-//! evaluation varies.
+//! (see Listing 1 of the paper), and the one [`Conf`] its layers read their
+//! tuning from.
 //!
 //! ## Quick start
 //!
@@ -37,7 +37,6 @@
 //! * [`writer`] / [`reader`] — the log-structured write path and the
 //!   reassembling read path.
 //! * [`fd`] / [`api`] — `Plfs_fd` and the `plfs_*` API surface.
-//! * [`mount`] — `plfsrc` parsing and multi-backend spreading.
 //! * [`flatten`] — extracting raw data from containers.
 //! * [`check`] — container integrity checking and repair.
 //! * [`faults`] — failure injection for error-path testing.
@@ -59,7 +58,6 @@ pub mod flatten;
 pub mod index;
 pub mod meta;
 pub mod meter;
-pub mod mount;
 pub mod reader;
 pub mod writer;
 
@@ -67,7 +65,7 @@ pub use api::{Dirent, Plfs, Stat};
 pub use backing::{BackStat, Backing, BackingFile, MemBacking, RealBacking};
 pub use check::{check, repair, CheckReport, Finding, RepairReport, Severity};
 pub use conf::Conf;
-pub use container::{ContainerParams, LayoutMode};
+pub use container::ContainerParams;
 pub use error::{Error, Result};
 pub use faults::{FaultKind, FaultOp, FaultRule, Faulty};
 pub use fd::PlfsFd;
@@ -76,6 +74,5 @@ pub use flatten::CompactStats;
 pub use index::{ChunkSlice, GlobalIndex, IndexEntry};
 pub use meta::{MetaCache, MetaEntry};
 pub use meter::{MeterBacking, MeterSnapshot};
-pub use mount::{MountSpec, PlfsRc, SpreadBacking};
 pub use reader::ReadFile;
 pub use writer::WriteFile;

@@ -189,15 +189,12 @@ impl ReadFile {
 mod tests {
     use super::*;
     use crate::backing::MemBacking;
-    use crate::container::{create_container, ContainerParams, LayoutMode};
+    use crate::container::{create_container, ContainerParams};
     use crate::writer::WriteFile;
 
     fn setup() -> (MemBacking, ContainerParams) {
         let b = MemBacking::new();
-        let p = ContainerParams {
-            num_hostdirs: 4,
-            mode: LayoutMode::Both,
-        };
+        let p = ContainerParams { num_hostdirs: 4 };
         create_container(&b, "/c", &p, true).unwrap();
         (b, p)
     }
@@ -307,41 +304,5 @@ mod tests {
         let r = ReadFile::open(&b, "/c").unwrap();
         let mut buf = [0u8; 10];
         assert!(matches!(r.pread(&b, &mut buf, 0), Err(Error::Corrupt(_))));
-    }
-
-    #[test]
-    fn log_structured_mode_roundtrip() {
-        let b = MemBacking::new();
-        let p = ContainerParams {
-            num_hostdirs: 4,
-            mode: LayoutMode::LogStructured,
-        };
-        create_container(&b, "/c", &p, true).unwrap();
-        let mut w1 = WriteFile::open(&b, "/c", &p, 1, 64).unwrap();
-        let mut w2 = WriteFile::open(&b, "/c", &p, 2, 64).unwrap();
-        w1.write(b"AB", 0).unwrap();
-        w2.write(b"CD", 2).unwrap();
-        w1.write(b"EF", 4).unwrap();
-        w1.sync().unwrap();
-        w2.sync().unwrap();
-        let r = ReadFile::open(&b, "/c").unwrap();
-        assert_eq!(r.read_all(&b).unwrap(), b"ABCDEF");
-    }
-
-    #[test]
-    fn partitioned_only_mode_roundtrip() {
-        let b = MemBacking::new();
-        let p = ContainerParams {
-            num_hostdirs: 4,
-            mode: LayoutMode::PartitionedOnly,
-        };
-        create_container(&b, "/c", &p, true).unwrap();
-        for pid in 0..3u64 {
-            let mut w = WriteFile::open(&b, "/c", &p, pid, 64).unwrap();
-            w.write(&[b'0' + pid as u8; 3], pid * 3).unwrap();
-            w.sync().unwrap();
-        }
-        let r = ReadFile::open(&b, "/c").unwrap();
-        assert_eq!(r.read_all(&b).unwrap(), b"000111222");
     }
 }

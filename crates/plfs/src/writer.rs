@@ -18,14 +18,9 @@
 //! `dropping.index.creator.0.<eof>.<bytes>`, with no `rename`; a full
 //! buffer, a sync or a truncate before that creates it under its open name,
 //! and close then renames it (see [`crate::container`]).
-//!
-//! [`crate::container::LayoutMode`] varies step 1 for the ablation study:
-//! `PartitionedOnly` writes at the logical offset inside the pid's own
-//! dropping, and `LogStructured` appends to a single dropping shared by all
-//! pids.
 
 use crate::backing::{join, Backing, BackingFile};
-use crate::container::{self, ContainerParams, LayoutMode};
+use crate::container::{self, ContainerParams};
 use crate::error::{Error, Result};
 use crate::index::{encode_compressed, next_timestamp, IndexEntry};
 use std::borrow::Cow;
@@ -67,14 +62,12 @@ pub struct WriteFile {
     data_path: String,
     /// Empty while the index dropping is [`IndexDropping::Deferred`].
     index_path: String,
-    mode: LayoutMode,
     /// The creator's pair, in the container directory: its index dropping's
     /// name is its lifecycle, and it has no `open.*`/`meta.*` names.
     top_level: bool,
     pid: u64,
     /// The number in this writer's lifecycle names, unique to it among
-    /// its pid's: its dropping pair's — or, in log mode where every writer
-    /// shares pair 0, the first one free — until `mark_open` bumps it.
+    /// its pid's: its dropping pair's, until `mark_open` bumps it.
     pub(crate) seq: u32,
     buffered: Vec<IndexEntry>,
     buffer_limit: usize,
@@ -86,8 +79,8 @@ pub struct WriteFile {
     /// Leading entries of `buffered` already handed to the fd's read view
     /// by [`WriteFile::take_unmerged`], ahead of their index flush.
     fed: usize,
-    /// Where the data dropping's next bytes go outside log mode: its tail,
-    /// which this writer alone moves — it created the dropping exclusively.
+    /// Where the data dropping's next bytes go: its tail, which this writer
+    /// alone moves — it created the dropping exclusively.
     tail: u64,
     /// The same for the index dropping's next records.
     index_tail: u64,
@@ -121,10 +114,10 @@ impl WriteFile {
     /// (container, hostdir), so repeat writers skip the mkdir entirely —
     /// and, with `track`, keeping flushed entries for
     /// [`WriteFile::take_unmerged`]. With the `creator`'s dropping (made
-    /// by the open that made the container; never in log mode) the writer
-    /// holds the top-level pair, in the container directory, and needs no
-    /// hostdir at all; its index dropping is created when something first
-    /// needs it, through `b`.
+    /// by the open that made the container) the writer holds the top-level
+    /// pair, in the container directory, and needs no hostdir at all; its
+    /// index dropping is created when something first needs it, through
+    /// `b`.
     pub(crate) fn open_prepared(
         b: &Arc<dyn Backing>,
         container: &str,
@@ -159,31 +152,13 @@ impl WriteFile {
         creator: Option<(container::CreatorDropping, Arc<dyn Backing>)>,
     ) -> Result<WriteFile> {
         let top_level = creator.is_some();
-        let (data, index, data_path, index_path, seq) = match (creator, params.mode) {
+        let (data, index, data_path, index_path, seq) = match creator {
             // The creator's index waits until something needs it.
-            (Some((dropping, through)), _) => {
+            Some((dropping, through)) => {
                 let index = IndexDropping::Deferred(through);
                 (dropping.file, index, dropping.path, String::new(), 0)
             }
-            (None, LayoutMode::LogStructured) => {
-                // All pids share dropping pair 0; first creator wins, the
-                // rest open for append.
-                let dp = container::data_dropping_path(container, params, pid, 0);
-                let ip = container::index_dropping_path(container, params, pid, 0);
-                let data = match b.create(&dp, true) {
-                    Ok(f) => f,
-                    Err(Error::Exists(_)) => b.open(&dp, true)?,
-                    Err(e) => return Err(e),
-                };
-                let index = match b.create(&ip, true) {
-                    Ok(f) => f,
-                    Err(Error::Exists(_)) => b.open(&ip, true)?,
-                    Err(e) => return Err(e),
-                };
-                let seq = container::free_writer_number(b, container, pid)?;
-                (data, IndexDropping::Open(index), dp, ip, seq)
-            }
-            (None, _) => {
+            None => {
                 // Probe for the first unused dropping pair with exclusive
                 // creates instead of readdir-scanning the whole hostdir —
                 // the per-open metadata storm the paper blames for the
@@ -209,7 +184,6 @@ impl WriteFile {
             index,
             data_path,
             index_path,
-            mode: params.mode,
             top_level,
             pid,
             seq,
@@ -232,20 +206,10 @@ impl WriteFile {
         if buf.is_empty() {
             return Ok(0);
         }
-        let physical = match self.mode {
-            // One positional write at the tail: nothing else appends here.
-            LayoutMode::Both => {
-                self.data.pwrite(buf, self.tail)?;
-                self.tail += buf.len() as u64;
-                self.tail - buf.len() as u64
-            }
-            // The dropping every pid shares: the backing finds its end.
-            LayoutMode::LogStructured => self.data.append(buf)?,
-            LayoutMode::PartitionedOnly => {
-                self.data.pwrite(buf, logical)?;
-                logical
-            }
-        };
+        // One positional write at the tail: nothing else appends here.
+        let physical = self.tail;
+        self.data.pwrite(buf, physical)?;
+        self.tail += buf.len() as u64;
         if self.buffered.capacity() == 0 {
             // Sized at the first write for what a small file's writer
             // buffers; one that buffers more grows it, up to the limit,
@@ -291,9 +255,8 @@ impl WriteFile {
     /// pattern-compressing strided runs (Pattern-PLFS): a checkpoint of
     /// thousands of regular strided writes costs one 48-byte record. A
     /// record never reaches disk ahead of its bytes: every entry is
-    /// buffered after its data write returned. Outside log mode the
-    /// records are one `pwrite` at the tail this writer tracks; log mode's
-    /// index dropping is shared, and appended to.
+    /// buffered after its data write returned. The records are one
+    /// `pwrite` at the tail this writer tracks.
     pub fn flush_index(&mut self) -> Result<()> {
         if self.buffered.is_empty() {
             return Ok(());
@@ -301,14 +264,10 @@ impl WriteFile {
         let mut out = RECORDS.take();
         out.clear();
         let records = encode_compressed(&self.buffered, PATTERN_MIN_RUN, &mut out);
-        let (log, tail) = (self.mode == LayoutMode::LogStructured, self.index_tail);
-        let written = self.index().and_then(|index| {
-            if log {
-                index.append(&out).map(drop)
-            } else {
-                index.pwrite(&out, tail).map(drop)
-            }
-        });
+        let tail = self.index_tail;
+        let written = self
+            .index()
+            .and_then(|index| index.pwrite(&out, tail).map(drop));
         let len = out.len() as u64;
         if out.capacity() <= RECORDS_KEPT {
             RECORDS.set(out);
@@ -454,19 +413,16 @@ mod tests {
     use crate::container::{create_container, ContainerParams};
     use crate::index::RECORD_SIZE;
 
-    fn setup(mode: LayoutMode) -> (MemBacking, ContainerParams) {
+    fn setup() -> (MemBacking, ContainerParams) {
         let b = MemBacking::new();
-        let params = ContainerParams {
-            num_hostdirs: 4,
-            mode,
-        };
+        let params = ContainerParams { num_hostdirs: 4 };
         create_container(&b, "/c", &params, true).unwrap();
         (b, params)
     }
 
     #[test]
     fn writes_append_sequentially_regardless_of_offset() {
-        let (b, p) = setup(LayoutMode::Both);
+        let (b, p) = setup();
         let mut w = WriteFile::open(&b, "/c", &p, 7, 64).unwrap();
         // Backwards logical offsets still append forward physically.
         w.write(b"BBBB", 1000).unwrap();
@@ -482,22 +438,8 @@ mod tests {
     }
 
     #[test]
-    fn partitioned_only_writes_at_logical_offset() {
-        let (b, p) = setup(LayoutMode::PartitionedOnly);
-        let mut w = WriteFile::open(&b, "/c", &p, 7, 64).unwrap();
-        w.write(b"XY", 10).unwrap();
-        w.flush_index().unwrap();
-        let dp = container::data_dropping_path("/c", &p, 7, 0);
-        let f = b.open(&dp, false).unwrap();
-        assert_eq!(f.size().unwrap(), 12, "sparse file up to logical end");
-        let mut buf = [0u8; 2];
-        f.pread(&mut buf, 10).unwrap();
-        assert_eq!(&buf, b"XY");
-    }
-
-    #[test]
     fn index_buffer_flushes_at_limit() {
-        let (b, p) = setup(LayoutMode::Both);
+        let (b, p) = setup();
         let mut w = WriteFile::open(&b, "/c", &p, 1, 3).unwrap();
         // Irregular offsets so pattern compression stays out of the way.
         for &off in &[0u64, 17, 5, 900, 32, 451, 7] {
@@ -536,7 +478,7 @@ mod tests {
     #[test]
     fn strided_run_compresses_to_one_record() {
         let (b, p, w) = with_quiet_clock(64, || {
-            let (b, p) = setup(LayoutMode::Both);
+            let (b, p) = setup();
             let mut w = WriteFile::open(&b, "/c", &p, 1, 4096).unwrap();
             // 64 strided writes (the BT shape): stride 256, length 64.
             for i in 0..64u64 {
@@ -560,7 +502,7 @@ mod tests {
     #[test]
     fn sequential_appends_also_compress() {
         let w = with_quiet_clock(100, || {
-            let (b, p) = setup(LayoutMode::Both);
+            let (b, p) = setup();
             let mut w = WriteFile::open(&b, "/c", &p, 1, 4096).unwrap();
             for i in 0..100u64 {
                 w.write(&[1u8; 128], i * 128).unwrap();
@@ -573,7 +515,7 @@ mod tests {
 
     #[test]
     fn irregular_writes_do_not_compress() {
-        let (b, p) = setup(LayoutMode::Both);
+        let (b, p) = setup();
         let mut w = WriteFile::open(&b, "/c", &p, 1, 4096).unwrap();
         for &(off, len) in &[(0u64, 10usize), (100, 20), (7, 3), (500, 10)] {
             w.write(&vec![2u8; len], off).unwrap();
@@ -584,7 +526,7 @@ mod tests {
 
     #[test]
     fn reopen_gets_fresh_dropping_pair() {
-        let (b, p) = setup(LayoutMode::Both);
+        let (b, p) = setup();
         {
             let mut w = WriteFile::open(&b, "/c", &p, 9, 64).unwrap();
             w.write(b"first", 0).unwrap();
@@ -608,7 +550,7 @@ mod tests {
 
     #[test]
     fn toplevel_pair_sits_in_the_container_directory_and_closes_by_rename() {
-        let (b, p) = setup(LayoutMode::Both);
+        let (b, p) = setup();
         let b: Arc<dyn Backing> = Arc::new(b);
         let mut w = creator(&b, &p);
         w.write(b"first", 10).unwrap();
@@ -634,7 +576,7 @@ mod tests {
     #[test]
     fn toplevel_index_nothing_needed_is_created_closed_at_close() {
         use crate::meter::MeterBacking;
-        let (mem, p) = setup(LayoutMode::Both);
+        let (mem, p) = setup();
         let meter = Arc::new(MeterBacking::new(Arc::new(mem)));
         let b: Arc<dyn Backing> = meter.clone();
         let before = meter.snapshot();
@@ -664,49 +606,29 @@ mod tests {
         assert_eq!(b.stat(w.index_path()).unwrap().size, RECORD_SIZE as u64);
     }
 
-    /// Outside log mode an index flush is one `pwrite` at the index
-    /// dropping's tail, as a data write is; log mode's shared droppings are
-    /// appended to.
+    /// An index flush is one `pwrite` at the index dropping's tail, as a
+    /// data write is.
     #[test]
-    fn an_index_flush_is_one_pwrite_except_in_log_mode() {
+    fn an_index_flush_is_one_pwrite() {
         use crate::meter::MeterBacking;
+        let (mem, p) = setup();
+        let b = MeterBacking::new(Arc::new(mem));
+        let mut w = WriteFile::open(&b, "/c", &p, 3, 2).unwrap();
+        let before = b.snapshot();
         // 6 writes, 3 flushes of 2 records each.
-        for (mode, pwrites, appends) in
-            [(LayoutMode::Both, 9, 0), (LayoutMode::LogStructured, 0, 9)]
-        {
-            let (mem, p) = setup(mode);
-            let b = MeterBacking::new(Arc::new(mem));
-            let mut w = WriteFile::open(&b, "/c", &p, 3, 2).unwrap();
-            let before = b.snapshot();
-            for off in [0u64, 900, 40, 7000, 12, 300] {
-                w.write(b"xy", off).unwrap();
-            }
-            let d = b.snapshot().delta(&before);
-            assert_eq!((d.pwrite, d.append), (pwrites, appends), "{mode:?}");
-            assert_eq!(w.index_flushes(), 3, "{mode:?}");
-            let index = b.open(w.index_path(), false).unwrap();
-            assert_eq!(index.size().unwrap(), 6 * RECORD_SIZE as u64, "{mode:?}");
+        for off in [0u64, 900, 40, 7000, 12, 300] {
+            w.write(b"xy", off).unwrap();
         }
-    }
-
-    #[test]
-    fn log_mode_shares_one_data_dropping() {
-        let (b, p) = setup(LayoutMode::LogStructured);
-        let mut w1 = WriteFile::open(&b, "/c", &p, 1, 64).unwrap();
-        let mut w2 = WriteFile::open(&b, "/c", &p, 2, 64).unwrap();
-        w1.write(b"one", 0).unwrap();
-        w2.write(b"two", 3).unwrap();
-        w1.sync().unwrap();
-        w2.sync().unwrap();
-        let droppings = container::list_droppings(&b, "/c").unwrap();
-        assert_eq!(droppings.len(), 1, "one shared data dropping");
-        let f = b.open(&droppings[0].data_path, false).unwrap();
-        assert_eq!(f.size().unwrap(), 6);
+        let d = b.snapshot().delta(&before);
+        assert_eq!((d.pwrite, d.append), (9, 0));
+        assert_eq!(w.index_flushes(), 3);
+        let index = b.open(w.index_path(), false).unwrap();
+        assert_eq!(index.size().unwrap(), 6 * RECORD_SIZE as u64);
     }
 
     #[test]
     fn zero_length_write_is_a_noop() {
-        let (b, p) = setup(LayoutMode::Both);
+        let (b, p) = setup();
         let mut w = WriteFile::open(&b, "/c", &p, 1, 64).unwrap();
         assert_eq!(w.write(b"", 100).unwrap(), 0);
         w.sync().unwrap();
@@ -718,7 +640,7 @@ mod tests {
 
     #[test]
     fn drop_flushes_pending_index_entries() {
-        let (b, p) = setup(LayoutMode::Both);
+        let (b, p) = setup();
         let ip = container::index_dropping_path("/c", &p, 3, 0);
         {
             let mut w = WriteFile::open(&b, "/c", &p, 3, 1000).unwrap();
@@ -730,7 +652,7 @@ mod tests {
 
     #[test]
     fn unmerged_entries_drain_once_flushed_or_not() {
-        let (b, p) = setup(LayoutMode::Both);
+        let (b, p) = setup();
         container::ensure_hostdir(&b, "/c", &p, 1).unwrap();
         let b: Arc<dyn Backing> = Arc::new(b);
         let mut w = WriteFile::open_prepared(&b, "/c", &p, 1, 64, true, None).unwrap();
@@ -765,47 +687,37 @@ mod tests {
     }
 
     #[test]
-    fn a_write_is_one_data_pwrite_except_in_log_mode() {
+    fn a_write_is_one_data_pwrite() {
         use crate::meter::MeterBacking;
         const N: u64 = 50;
-        for (mode, pwrites, appends) in
-            [(LayoutMode::Both, N, 0), (LayoutMode::LogStructured, 0, N)]
-        {
-            let b = MeterBacking::new(std::sync::Arc::new(MemBacking::new()));
-            let p = ContainerParams {
-                num_hostdirs: 4,
-                mode,
-            };
-            create_container(&b, "/c", &p, true).unwrap();
-            let mut w = WriteFile::open(&b, "/c", &p, 3, 4096).unwrap();
-            let before = b.snapshot();
-            // Backwards offsets: the log position is the tail, not these.
-            for i in 0..N {
-                w.write(&[i as u8; 10], (N - i) * 100).unwrap();
-            }
-            let d = b.snapshot().delta(&before);
-            assert_eq!((d.pwrite, d.append), (pwrites, appends), "{mode:?}");
-            assert_eq!(d.metadata_ops(), 0, "{mode:?}");
-            w.sync().unwrap();
-            let r = crate::reader::ReadFile::open(&b, "/c").unwrap();
-            for i in 0..N {
-                let mut buf = [0u8; 10];
-                r.pread(&b, &mut buf, (N - i) * 100).unwrap();
-                assert_eq!(buf, [i as u8; 10], "{mode:?} write {i}");
-            }
-            let data = b.open(w.data_path(), false).unwrap();
-            assert_eq!(data.size().unwrap(), 10 * N, "{mode:?}: log-contiguous");
+        let b = MeterBacking::new(std::sync::Arc::new(MemBacking::new()));
+        let p = ContainerParams { num_hostdirs: 4 };
+        create_container(&b, "/c", &p, true).unwrap();
+        let mut w = WriteFile::open(&b, "/c", &p, 3, 4096).unwrap();
+        let before = b.snapshot();
+        // Backwards offsets: the log position is the tail, not these.
+        for i in 0..N {
+            w.write(&[i as u8; 10], (N - i) * 100).unwrap();
         }
+        let d = b.snapshot().delta(&before);
+        assert_eq!((d.pwrite, d.append), (N, 0));
+        assert_eq!(d.metadata_ops(), 0);
+        w.sync().unwrap();
+        let r = crate::reader::ReadFile::open(&b, "/c").unwrap();
+        for i in 0..N {
+            let mut buf = [0u8; 10];
+            r.pread(&b, &mut buf, (N - i) * 100).unwrap();
+            assert_eq!(buf, [i as u8; 10], "write {i}");
+        }
+        let data = b.open(w.data_path(), false).unwrap();
+        assert_eq!(data.size().unwrap(), 10 * N, "log-contiguous");
     }
 
     #[test]
     fn reopen_does_at_most_one_readdir() {
         use crate::meter::MeterBacking;
         let b = MeterBacking::new(std::sync::Arc::new(MemBacking::new()));
-        let p = ContainerParams {
-            num_hostdirs: 4,
-            mode: LayoutMode::Both,
-        };
+        let p = ContainerParams { num_hostdirs: 4 };
         create_container(&b, "/c", &p, true).unwrap();
         {
             let mut w = WriteFile::open(&b, "/c", &p, 9, 64).unwrap();

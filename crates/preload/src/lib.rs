@@ -77,12 +77,12 @@
 //! and maps that (a writable fd fails `ENODEV`); the kernel's fd-to-fd
 //! movers answer `EXDEV`/`EINVAL`. See DESIGN.md.
 //!
-//! Configuration rides the environment: `LDPLFS_MOUNT` and `LDPLFS_BACKEND`
-//! (required), `LDPLFS_HOSTDIRS` (hostdirs per new container), plus the
-//! env aliases of the one knob table — see the "Configuration" table in
-//! README.md, or `plfs-tools rccheck --knobs`. An unparsable value keeps
-//! its default (the shim must never refuse to start over tuning); an
-//! `LDPLFS_*` name nothing reads is reported in one stderr line at init.
+//! Configuration is the environment alone: `LDPLFS_MOUNT` and
+//! `LDPLFS_BACKEND` (required), plus the variables of the one knob table —
+//! see `plfs::conf` and the "Configuration" table in README.md. An
+//! unparsable value keeps its default (the shim must never refuse to start
+//! over tuning); an `LDPLFS_*` name nothing reads is reported in one
+//! stderr line at init.
 //!
 //! Known limitation (shared with the original): descriptors inherited
 //! *across `execve`* lose their PLFS identity, so shell output redirection
@@ -430,13 +430,6 @@ fn shim() -> Option<&'static Shim> {
     .as_ref()
 }
 
-/// Variables the shim itself reads; every other `LDPLFS_*` name must be a
-/// [`plfs::conf::KNOBS`] env alias or it is reported at init.
-const ENV_MOUNT: &str = "LDPLFS_MOUNT";
-const ENV_BACKEND: &str = "LDPLFS_BACKEND";
-const ENV_HOSTDIRS: &str = "LDPLFS_HOSTDIRS";
-const SHIM_ENV: [&str; 3] = [ENV_MOUNT, ENV_BACKEND, ENV_HOSTDIRS];
-
 /// One line on the host's stderr, through the real `write(2)`: a
 /// misconfiguration must be visible, but never through an interposed path.
 fn warn(msg: &str) {
@@ -446,8 +439,8 @@ fn warn(msg: &str) {
 }
 
 fn init_shim() -> Option<Shim> {
-    let mount = std::env::var(ENV_MOUNT).ok()?;
-    let backend = std::env::var(ENV_BACKEND).ok()?;
+    let mount = std::env::var(plfs::conf::MOUNT_ENV).ok()?;
+    let backend = std::env::var(plfs::conf::BACKEND_ENV).ok()?;
     let mount = mount.trim_end_matches('/').to_string();
     if mount.is_empty() {
         return None;
@@ -458,23 +451,14 @@ fn init_shim() -> Option<Shim> {
         .filter(|(k, _)| k.starts_with("LDPLFS_"))
         .collect();
     for (name, _) in &env {
-        if !SHIM_ENV.contains(&name.as_str()) && plfs::conf::env_knob(name).is_none() {
+        if !plfs::conf::known_env(name) {
             warn(&format!("unknown variable {name} ignored"));
         }
     }
     let conf = plfs::Conf::from_env(env);
-    let mut plfs = Plfs::new(Arc::clone(&root) as Arc<dyn plfs::Backing>).with_conf(conf);
+    let plfs = Plfs::new(Arc::clone(&root) as Arc<dyn plfs::Backing>).with_conf(conf);
     // SAFETY: the handlers are `extern "C" fn()`s that never unwind.
     unsafe { pthread_atfork(before_fork, after_fork_in_parent, after_fork_in_child) };
-    if let Some(n) = std::env::var(ENV_HOSTDIRS)
-        .ok()
-        .and_then(|n| n.parse::<u32>().ok())
-    {
-        plfs = plfs.with_params(plfs::ContainerParams {
-            num_hostdirs: n.max(1),
-            mode: plfs::LayoutMode::Both,
-        });
-    }
     let mount = ShimMount {
         mount_point: mount,
         plfs,

@@ -378,7 +378,8 @@ fn real_unix_tools_read_containers() {
 
 /// A variable nothing reads used to be accepted in silence; it is now one
 /// stderr line at init, and the host still runs. The variables of the
-/// removed batched/tiered backends are such variables.
+/// removed batched/tiered backends and of the removed hostdir count are
+/// such variables.
 #[test]
 fn misconfiguration_is_reported_once_on_stderr() {
     ensure_built();
@@ -388,6 +389,7 @@ fn misconfiguration_is_reported_once_on_stderr() {
         "LDPLFS_BACKEND_KIND",
         "LDPLFS_SUBMIT_DEPTH",
         "LDPLFS_FAST_BACKEND",
+        "LDPLFS_HOSTDIRS",
     ];
     let mut cmd = Command::new(smoke_bin());
     for name in unknown {

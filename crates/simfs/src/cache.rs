@@ -29,8 +29,6 @@ pub struct NodeCache {
     last_t: f64,
     /// Dirty bytes per file (for fsync of one file).
     per_file: HashMap<u64, f64>,
-    hits: u64,
-    misses: u64,
 }
 
 impl NodeCache {
@@ -43,8 +41,6 @@ impl NodeCache {
             dirty: 0.0,
             last_t: 0.0,
             per_file: HashMap::new(),
-            hits: 0,
-            misses: 0,
         }
     }
 
@@ -76,16 +72,13 @@ impl NodeCache {
     pub fn absorb(&mut self, t: f64, file: u64, len: u64, cacheable: bool) -> bool {
         self.settle(t);
         if !cacheable || self.capacity <= 0.0 || len > self.threshold {
-            self.misses += 1;
             return false;
         }
         if self.dirty + len as f64 > self.capacity {
-            self.misses += 1;
             return false;
         }
         self.dirty += len as f64;
         *self.per_file.entry(file).or_insert(0.0) += len as f64;
-        self.hits += 1;
         true
     }
 
@@ -109,16 +102,6 @@ impl NodeCache {
         self.last_t = done;
         done
     }
-
-    /// Absorbed write count.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Write-through count.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
 }
 
 #[cfg(test)]
@@ -140,8 +123,6 @@ mod tests {
         assert!(c.absorb(0.0, 1, MIB, true));
         assert!(!c.absorb(0.0, 1, 8 * MIB, true), "over per-op threshold");
         assert!(!c.absorb(0.0, 1, MIB, false), "caching disabled by locks");
-        assert_eq!(c.hits(), 1);
-        assert_eq!(c.misses(), 2);
     }
 
     #[test]

@@ -36,5 +36,5 @@ mod trace;
 pub use config::{CacheConfig, ClusterConfig, FsConfig, LockConfig, MdsConfig, Platform};
 pub use fs::{FileId, FsStats, SimError, SimFs, SimResult};
 pub use mds::{MetaOp, MetadataService};
-pub use mdstorm::{create_storm, storm_sweep, OpenProfile, StormOutcome};
+pub use mdstorm::{create_storm, OpenProfile, StormOutcome};
 pub use queue::{MultiQueue, SingleQueue};

@@ -12,7 +12,6 @@
 pub struct SingleQueue {
     next_free: f64,
     busy: f64,
-    served: u64,
 }
 
 impl SingleQueue {
@@ -27,7 +26,6 @@ impl SingleQueue {
         let start = arrival.max(self.next_free);
         self.next_free = start + service;
         self.busy += service;
-        self.served += 1;
         self.next_free
     }
 
@@ -36,19 +34,9 @@ impl SingleQueue {
         self.next_free
     }
 
-    /// Backlog (seconds of queued work) seen by an arrival at `t`.
-    pub fn backlog(&self, t: f64) -> f64 {
-        (self.next_free - t).max(0.0)
-    }
-
     /// Total busy seconds served.
     pub fn busy_time(&self) -> f64 {
         self.busy
-    }
-
-    /// Number of requests served.
-    pub fn served(&self) -> u64 {
-        self.served
     }
 }
 
@@ -57,8 +45,6 @@ impl SingleQueue {
 #[derive(Debug, Clone)]
 pub struct MultiQueue {
     lanes: Vec<f64>,
-    busy: f64,
-    served: u64,
 }
 
 impl MultiQueue {
@@ -66,8 +52,6 @@ impl MultiQueue {
     pub fn new(lanes: usize) -> MultiQueue {
         MultiQueue {
             lanes: vec![0.0; lanes.max(1)],
-            busy: 0.0,
-            served: 0,
         }
     }
 
@@ -82,24 +66,7 @@ impl MultiQueue {
             .unwrap();
         let start = arrival.max(self.lanes[idx]);
         self.lanes[idx] = start + service;
-        self.busy += service;
-        self.served += 1;
         self.lanes[idx]
-    }
-
-    /// Number of lanes.
-    pub fn lanes(&self) -> usize {
-        self.lanes.len()
-    }
-
-    /// Total busy seconds across lanes.
-    pub fn busy_time(&self) -> f64 {
-        self.busy
-    }
-
-    /// Requests served.
-    pub fn served(&self) -> u64 {
-        self.served
     }
 }
 
@@ -113,7 +80,6 @@ mod tests {
         assert_eq!(q.serve(0.0, 1.0), 1.0);
         assert_eq!(q.serve(0.0, 1.0), 2.0, "second request queues");
         assert_eq!(q.serve(5.0, 1.0), 6.0, "idle gap not charged");
-        assert_eq!(q.served(), 3);
         assert!((q.busy_time() - 3.0).abs() < 1e-12);
     }
 
@@ -121,8 +87,9 @@ mod tests {
     fn single_queue_backlog() {
         let mut q = SingleQueue::new();
         q.serve(0.0, 2.0);
-        assert!((q.backlog(0.5) - 1.5).abs() < 1e-12);
-        assert_eq!(q.backlog(10.0), 0.0);
+        // An arrival at 0.5 waits out 1.5 s of backlog; one at 10 none.
+        assert_eq!(q.serve(0.5, 1.0), 3.0);
+        assert_eq!(q.serve(10.0, 1.0), 11.0);
     }
 
     #[test]
@@ -131,7 +98,6 @@ mod tests {
         assert_eq!(q.serve(0.0, 1.0), 1.0);
         assert_eq!(q.serve(0.0, 1.0), 1.0, "second lane");
         assert_eq!(q.serve(0.0, 1.0), 2.0, "third request waits");
-        assert_eq!(q.lanes(), 2);
     }
 
     #[test]
@@ -145,7 +111,7 @@ mod tests {
     #[test]
     fn zero_lane_queue_clamps_to_one() {
         let mut q = MultiQueue::new(0);
-        assert_eq!(q.lanes(), 1);
         assert_eq!(q.serve(0.0, 1.0), 1.0);
+        assert_eq!(q.serve(0.0, 1.0), 2.0, "one lane");
     }
 }

@@ -3,8 +3,8 @@
 //! The command-line companions real PLFS ships (`plfs_flatten`,
 //! `plfs_map`/`plfs_query`, `plfs_check`, `plfs_recover`, `plfs_version`),
 //! reimplemented over this repo's container code. All commands operate on
-//! a *backend directory* on the host file system (the directory named in a
-//! `plfsrc` `backends` line) — no mount, no FUSE, no MPI.
+//! a *backend directory* on the host file system (the directory
+//! `LDPLFS_BACKEND` names) — no mount, no FUSE, no MPI.
 //!
 //! The library half exists so the commands are callable (and tested)
 //! programmatically; `main.rs` is a thin argument parser over it.
@@ -83,7 +83,6 @@ pub fn stat(b: &dyn Backing, container: &str) -> ToolResult {
     let _ = writeln!(out, "index entries:  {}", idx.raw_entries());
     let _ = writeln!(out, "index segments: {}", idx.segments());
     let _ = writeln!(out, "hostdirs:       {}", params.num_hostdirs);
-    let _ = writeln!(out, "layout mode:    {:?}", params.mode);
     Ok(out)
 }
 
@@ -252,8 +251,8 @@ pub fn rm(b: &dyn Backing, container: &str) -> ToolResult {
 pub fn version(b: &dyn Backing, container: &str) -> ToolResult {
     let params = plfs::container::read_params(b, container)?;
     Ok(format!(
-        "plfs-container v1 (num_hostdirs {}, mode {:?})\n",
-        params.num_hostdirs, params.mode
+        "plfs-container v1 (num_hostdirs {})\n",
+        params.num_hostdirs
     ))
 }
 
@@ -389,36 +388,6 @@ pub fn trace_summary(jsonl: &str) -> ToolResult {
         );
     }
     let _ = writeln!(out, "{} records total", recs.len());
-    Ok(out)
-}
-
-/// `rccheck`: validate a plfsrc file, printing the parsed mounts, the
-/// effective value of every knob (and whether the file set it), and a
-/// line-numbered warning for every key nothing reads.
-pub fn rccheck(text: &str) -> ToolResult {
-    let (rc, warnings) = plfs::PlfsRc::parse_with_warnings(text)?;
-    let mut out = String::new();
-    let _ = writeln!(out, "ok: {} mount(s)", rc.mounts.len());
-    for m in &rc.mounts {
-        let _ = writeln!(
-            out,
-            "  {} -> {} ({} hostdirs, {:?}, index_buffer_entries {})",
-            m.mount_point,
-            m.backends.join(","),
-            m.params.num_hostdirs,
-            m.params.mode,
-            m.index_buffer_entries
-        );
-    }
-    let default = plfs::Conf::default();
-    for k in plfs::conf::KNOBS {
-        let (value, was) = (k.render(&rc.conf), k.render(&default));
-        let origin = if value == was { "default" } else { "set" };
-        let _ = writeln!(out, "  {} {value} ({origin})", k.key);
-    }
-    for w in warnings {
-        let _ = writeln!(out, "warning: {w}");
-    }
     Ok(out)
 }
 
@@ -686,40 +655,6 @@ mod tests {
         let b = container();
         let out = version(b.as_ref(), "/c").unwrap();
         assert!(out.contains("plfs-container v1"));
-    }
-
-    #[test]
-    fn rccheck_prints_effective_conf_and_names_typos() {
-        let out = rccheck(
-            "compact_droppings_threshold 8\nmount_point /p\nbackends /b\nthreadpool_sise 9\n\
-             backend tiered\nsubmit_depth 8\n",
-        )
-        .unwrap();
-        assert!(out.contains("compact_droppings_threshold 8 (set)"), "{out}");
-        assert!(out.contains("meta_cache_entries 4096 (default)"), "{out}");
-        // A typo and the keys of the removed batched/tiered backends are
-        // all ordinary unknown keys.
-        for (line, key) in [(4, "threadpool_sise"), (5, "backend"), (6, "submit_depth")] {
-            assert!(
-                out.contains(&format!(
-                    "warning: line {line}: unknown key `{key}` ignored"
-                )),
-                "{out}"
-            );
-        }
-        assert_eq!(
-            out.lines().count(),
-            2 + plfs::conf::KNOBS.len() + 3,
-            "header, one mount, every knob row, three warnings:\n{out}"
-        );
-    }
-
-    #[test]
-    fn rccheck_accepts_and_rejects() {
-        assert!(rccheck("mount_point /p\nbackends /b\n")
-            .unwrap()
-            .contains("ok: 1"));
-        assert!(rccheck("backends /b\n").is_err());
     }
 
     #[test]

@@ -12,8 +12,6 @@
 //! plfs-tools du      /path/to/backend           # logical vs physical usage
 //! plfs-tools rm      /path/to/backend/file      # delete a container
 //! plfs-tools version /path/to/backend/file
-//! plfs-tools rccheck /path/to/plfsrc            # validate a config file, print the effective conf
-//! plfs-tools rccheck --knobs                    # the knob table as markdown
 //! plfs-tools trace   /path/to/trace.jsonl       # summarize a recorded trace
 //! plfs-tools trace   /path/to/trace.jsonl --dump  # one line per op
 //! plfs-tools pairs   RUNS.jsonl                 # parent vs change pairs: medians, wins, gain rule
@@ -38,7 +36,7 @@ fn main() {
 fn run(args: &[String]) -> plfs_tools::ToolResult {
     let usage = || {
         plfs_tools::ToolError::Usage(
-            "commands: stat|map|flatten|compact|check|repair|ls|du|rm|version|backend|rccheck|\
+            "commands: stat|map|flatten|compact|check|repair|ls|du|rm|version|backend|\
              trace|pairs|lint|sarifcheck|syscalls (see --help)"
                 .to_string(),
         )
@@ -102,14 +100,6 @@ fn run(args: &[String]) -> plfs_tools::ToolResult {
         let text = std::fs::read_to_string(path)
             .map_err(|e| plfs_tools::ToolError::Usage(format!("{path}: {e}")))?;
         return plfs_tools::pairs(&text);
-    }
-    if cmd == "rccheck" {
-        if path == "--knobs" {
-            return Ok(plfs::conf::knobs_markdown());
-        }
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| plfs_tools::ToolError::Usage(format!("{path}: {e}")))?;
-        return plfs_tools::rccheck(&text);
     }
     if cmd == "trace" {
         let text = std::fs::read_to_string(path)

@@ -17,7 +17,7 @@ fn main() {
     let _ = std::fs::remove_dir_all(&root);
 
     // 1. The "system": a real POSIX layer (libc stand-in) and a PLFS
-    //    backing directory, as a plfsrc would configure.
+    //    backing directory, as `LDPLFS_BACKEND` would name.
     let under = Arc::new(RealPosix::rooted(root.join("fs")).unwrap());
     let backing = Arc::new(RealBacking::new(root.join("plfs_backend")).unwrap());
 

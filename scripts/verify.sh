@@ -13,7 +13,9 @@ cargo build --release --offline
 # read-open's heap high-water mark), read_after_write (op counts and
 # refresh scaling), corrupt_index (hostile index droppings and access files
 # are Corrupt), create_race (racing creators of one container), prop_meta
-# (cached mount == uncached) and the concurrent_* suites.
+# (cached mount == uncached) and the concurrent_* suites. README's
+# Configuration table is held to the knob table by a `plfs` unit test
+# (`conf::tests::the_readme_prints_the_knob_table`).
 cargo test --workspace -q --offline
 # The benchmark harness is a workspace of its own: compile and test it
 # against the product crates here, so an API break under benchmark/ shows
@@ -40,17 +42,6 @@ rm -f "$sarif_tmp"
 # The pair summariser must read its fixture (the unit tests pin its
 # verdicts on it).
 cargo run --offline --release -q -p plfs-tools -- pairs crates/tools/fixtures/pairs.jsonl > /dev/null
-
-# Configuration table drift: README's block must be the knob table
-# (`crates/plfs/src/conf.rs` KNOBS) verbatim.
-knobs_tmp=$(mktemp)
-sed -n '/<!-- knobs:begin -->/,/<!-- knobs:end -->/p' README.md | sed '1d;$d' > "$knobs_tmp"
-cargo run --offline --release -q -p plfs-tools -- rccheck --knobs | diff -u "$knobs_tmp" - || {
-    echo "README.md Configuration table differs from 'plfs-tools rccheck --knobs'" >&2
-    rm -f "$knobs_tmp"
-    exit 1
-}
-rm -f "$knobs_tmp"
 
 # Bench smoke: a fast pass through the micro benches (CRITERION_QUICK
 # shrinks the measurement budget; benches still execute every group).

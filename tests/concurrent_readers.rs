@@ -6,7 +6,7 @@
 //! must be byte-identical to the serially-built reference, whatever
 //! interleaving the scheduler picks.
 
-use plfs::{Backing, ContainerParams, LayoutMode, MemBacking, OpenFlags, Plfs, ReadFile};
+use plfs::{Backing, ContainerParams, MemBacking, OpenFlags, Plfs, ReadFile};
 use std::sync::Arc;
 
 /// Write a strided N-writer pattern and return the expected logical bytes.
@@ -17,10 +17,7 @@ fn build_container(
     rows: usize,
     block: usize,
 ) -> Vec<u8> {
-    let plfs = Plfs::new(backing.clone()).with_params(ContainerParams {
-        num_hostdirs: 4,
-        mode: LayoutMode::Both,
-    });
+    let plfs = Plfs::new(backing.clone()).with_params(ContainerParams { num_hostdirs: 4 });
     let fd = plfs
         .open("/shared", OpenFlags::RDWR | OpenFlags::CREAT, 0)
         .unwrap();

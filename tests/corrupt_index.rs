@@ -259,3 +259,36 @@ fn a_one_tib_index_dropping_is_corrupt_after_one_window() {
     assert_eq!(meter.snapshot().pread, 1, "one window read");
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// An access file written by an older version carries a `mode` line: its
+/// classic-PLFS `mode both` still parses, and any other layout is Corrupt,
+/// naming the mode — no reader here knows where such droppings put data.
+#[test]
+fn an_old_access_files_mode_both_parses_and_any_other_mode_is_corrupt() {
+    for (mode, ok) in [("both", true), ("log", false), ("partitioned", false)] {
+        let b = fresh_container();
+        let access = format!("/c/{}", container::ACCESS_FILE);
+        let text = format!("plfs-container v1\nnum_hostdirs 8\nmode {mode}\n");
+        b.create(&access, true)
+            .unwrap()
+            .pwrite(text.as_bytes(), 0)
+            .unwrap();
+        let got = container::read_params(b.as_ref(), "/c");
+        // A fresh mount: no cached parameters.
+        let plfs = Plfs::new(b.clone());
+        let opened = plfs.open("/c", OpenFlags::RDONLY, 1);
+        if ok {
+            assert_eq!(got.unwrap(), plfs::ContainerParams { num_hostdirs: 8 });
+            let mut buf = [0u8; 16];
+            assert_eq!(plfs.read(&opened.unwrap(), &mut buf, 200).unwrap(), 16);
+            assert_eq!(buf, [3u8; 16]);
+            continue;
+        }
+        for err in [got.unwrap_err(), opened.err().unwrap()] {
+            match err {
+                Error::Corrupt(msg) => assert!(msg.contains(mode), "{msg}"),
+                e => panic!("mode {mode} must be Corrupt, got {e:?}"),
+            }
+        }
+    }
+}

@@ -88,10 +88,7 @@ impl Backing for Gated {
 /// Each caller mounts its own `Plfs` (its own metadata cache), like the
 /// separate processes of the original report.
 fn mount(b: &Arc<Gated>) -> Plfs {
-    Plfs::new(Arc::clone(b) as Arc<dyn Backing>).with_params(ContainerParams {
-        num_hostdirs: 7,
-        ..ContainerParams::default()
-    })
+    Plfs::new(Arc::clone(b) as Arc<dyn Backing>).with_params(ContainerParams { num_hostdirs: 7 })
 }
 
 fn assert_one_container(b: &Arc<Gated>) {
@@ -182,10 +179,7 @@ fn losers_of_the_mkdir_wait_for_the_access_file() {
                     plfs::container::create_container(
                         b.as_ref(),
                         "/f",
-                        &ContainerParams {
-                            num_hostdirs: 7,
-                            ..ContainerParams::default()
-                        },
+                        &ContainerParams { num_hostdirs: 7 },
                         false,
                     )
                 })

@@ -69,10 +69,7 @@ fn open_fault_leaves_no_half_container() {
     // The skeleton's last op: with the default params, the create of the
     // creator's data dropping; with others, the access file — its create,
     // then the write of its bytes.
-    let other = ContainerParams {
-        num_hostdirs: 8,
-        ..ContainerParams::default()
-    };
+    let other = ContainerParams { num_hostdirs: 8 };
     let cases = [
         (
             ContainerParams::default(),

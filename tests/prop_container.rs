@@ -1,7 +1,7 @@
 //! Property tests: the container's logical-file semantics against a
 //! byte-vector reference model.
 
-use plfs::{ContainerParams, GlobalIndex, IndexEntry, LayoutMode, MemBacking, OpenFlags, Plfs};
+use plfs::{ContainerParams, GlobalIndex, IndexEntry, MemBacking, OpenFlags, Plfs};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -44,9 +44,8 @@ fn reference(ws: &[W]) -> Vec<u8> {
     out
 }
 
-fn run_against_plfs(ws: &[W], mode: LayoutMode, num_hostdirs: u32) -> Vec<u8> {
-    let plfs =
-        Plfs::new(Arc::new(MemBacking::new())).with_params(ContainerParams { num_hostdirs, mode });
+fn run_against_plfs(ws: &[W], num_hostdirs: u32) -> Vec<u8> {
+    let plfs = Plfs::new(Arc::new(MemBacking::new())).with_params(ContainerParams { num_hostdirs });
     let fd = plfs
         .open("/f", OpenFlags::RDWR | OpenFlags::CREAT, 0)
         .unwrap();
@@ -67,24 +66,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Any interleaving of writers and offsets reads back byte-identical
-    /// to the reference model (classic PLFS layout).
+    /// to the reference model.
     #[test]
     fn roundtrip_matches_reference(ws in writes(24, 4096, 256)) {
-        let got = run_against_plfs(&ws, LayoutMode::Both, 4);
-        prop_assert_eq!(got, reference(&ws));
-    }
-
-    /// Same property for the partitioned-only ablation layout.
-    #[test]
-    fn roundtrip_partitioned_only(ws in writes(16, 2048, 128)) {
-        let got = run_against_plfs(&ws, LayoutMode::PartitionedOnly, 4);
-        prop_assert_eq!(got, reference(&ws));
-    }
-
-    /// Same property for the shared-log ablation layout.
-    #[test]
-    fn roundtrip_log_structured(ws in writes(16, 2048, 128)) {
-        let got = run_against_plfs(&ws, LayoutMode::LogStructured, 4);
+        let got = run_against_plfs(&ws, 4);
         prop_assert_eq!(got, reference(&ws));
     }
 

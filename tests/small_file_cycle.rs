@@ -10,11 +10,8 @@
 //! call, who gets which pair shape, and that maintenance accepts every
 //! spelling.
 
-use plfs::container::{self, ContainerParams, LayoutMode};
-use plfs::{
-    Backing, Conf, MemBacking, MeterBacking, MeterSnapshot, OpenFlags, Plfs, SpreadBacking,
-    WriteFile,
-};
+use plfs::container::{self, ContainerParams};
+use plfs::{Backing, Conf, MemBacking, MeterBacking, MeterSnapshot, OpenFlags, Plfs, WriteFile};
 use std::sync::Arc;
 
 const CREATE_RW: OpenFlags = OpenFlags(0o2 | 0o100); // RDWR|CREAT
@@ -208,17 +205,6 @@ fn only_the_creators_first_writer_gets_the_toplevel_pair() {
         (90, 46),
         "fast stat sums both shapes"
     );
-
-    // Log mode shares one pair among all writers: no top-level pair at all.
-    let log = Plfs::new(b.clone()).with_params(ContainerParams {
-        mode: LayoutMode::LogStructured,
-        ..Default::default()
-    });
-    let fd = log.open("/log", CREATE_RW, 1).unwrap();
-    log.write(&fd, b"shared", 0, 1).unwrap();
-    log.close(&fd, 1).unwrap();
-    assert_eq!(toplevel_pairs(b.as_ref(), "/log"), 0);
-    assert_eq!(lifecycle_names(b.as_ref(), "/log"), ["meta.6.6.1.0"]);
 }
 
 /// A creator that died after a sync left its index dropping un-suffixed:
@@ -633,89 +619,62 @@ fn truncate_accepts_both_shapes() {
 
 /// Regression (root-package copy of `plfs::fd`'s test): two fds of one pid
 /// on one container used to share a marker and a drop name, so the first
-/// close hid the writer still open from every other process. In log mode
-/// too, where every writer shares dropping pair 0.
+/// close hid the writer still open from every other process.
 #[test]
 fn two_fds_of_one_pid_keep_their_own_marker_and_drop() {
-    for mode in [LayoutMode::Both, LayoutMode::LogStructured] {
-        let b = Arc::new(MemBacking::new());
-        let plfs = Plfs::new(b.clone()).with_params(ContainerParams {
-            mode,
-            ..Default::default()
-        });
-        let flags = OpenFlags::RDWR | OpenFlags::CREAT;
-        let a = plfs.open("/f", flags, 9).unwrap();
-        let other = plfs.open("/f", flags, 9).unwrap();
-        plfs.write(&a, b"aaaa", 0, 9).unwrap();
-        plfs.write(&other, &[b'b'; 24], 0, 9).unwrap();
-        plfs.sync(&other, 9).unwrap();
-        plfs.close(&a, 9).unwrap();
-        // A made the container: outside log mode its names are its
-        // top-level index's, and the other fd's are pair (9, 0)'s.
-        let expect = match mode {
-            LayoutMode::LogStructured => ["meta.4.4.9.0", "open.9.1"],
-            _ => ["dropping.index.creator.0.4.4", "open.9.0"],
-        };
-        assert_eq!(lifecycle_names(b.as_ref(), "/f"), expect, "{mode:?}");
-        // A fresh process: one writer still open, so no fast stat off A's
-        // drop.
-        assert_eq!(container::open_writers(b.as_ref(), "/f").unwrap(), 1);
-        assert_eq!(Plfs::new(b.clone()).getattr("/f").unwrap().size, 24);
-        plfs.close(&other, 9).unwrap();
-        let st = Plfs::new(b.clone()).getattr("/f").unwrap();
-        assert_eq!((st.size, st.physical_bytes), (24, 28), "{mode:?}");
-        // A later writer of the pid, same eof and bytes as A's: its drop
-        // lands beside A's, not on it.
-        let again = plfs.open("/f", flags, 9).unwrap();
-        plfs.write(&again, b"cccc", 0, 9).unwrap();
-        plfs.close(&again, 9).unwrap();
-        let st = Plfs::new(b.clone()).getattr("/f").unwrap();
-        assert_eq!((st.size, st.physical_bytes), (24, 32), "{mode:?}");
-    }
+    let b = Arc::new(MemBacking::new());
+    let plfs = Plfs::new(b.clone());
+    let flags = OpenFlags::RDWR | OpenFlags::CREAT;
+    let a = plfs.open("/f", flags, 9).unwrap();
+    let other = plfs.open("/f", flags, 9).unwrap();
+    plfs.write(&a, b"aaaa", 0, 9).unwrap();
+    plfs.write(&other, &[b'b'; 24], 0, 9).unwrap();
+    plfs.sync(&other, 9).unwrap();
+    plfs.close(&a, 9).unwrap();
+    // A made the container: its names are its top-level index's, and the
+    // other fd's are pair (9, 0)'s.
+    assert_eq!(
+        lifecycle_names(b.as_ref(), "/f"),
+        ["dropping.index.creator.0.4.4", "open.9.0"]
+    );
+    // A fresh process: one writer still open, so no fast stat off A's
+    // drop.
+    assert_eq!(container::open_writers(b.as_ref(), "/f").unwrap(), 1);
+    assert_eq!(Plfs::new(b.clone()).getattr("/f").unwrap().size, 24);
+    plfs.close(&other, 9).unwrap();
+    let st = Plfs::new(b.clone()).getattr("/f").unwrap();
+    assert_eq!((st.size, st.physical_bytes), (24, 28));
+    // A later writer of the pid, same eof and bytes as A's: its drop
+    // lands beside A's, not on it.
+    let again = plfs.open("/f", flags, 9).unwrap();
+    plfs.write(&again, b"cccc", 0, 9).unwrap();
+    plfs.close(&again, 9).unwrap();
+    let st = Plfs::new(b.clone()).getattr("/f").unwrap();
+    assert_eq!((st.size, st.physical_bytes), (24, 32));
 }
 
-/// On a spread mount the lifecycle names — and with them the creator's
-/// top-level pair — live on backend 0, and a close costs it alone: the
-/// index is created there under its closed name, not broadcast to every
-/// backend.
+/// The creator's close costs one create: its index is created under its
+/// closed name, so there is no rename and no stat telling a file from a
+/// tree.
 #[test]
-fn close_on_a_spread_mount_touches_only_the_canonical_backend() {
-    let meters: Vec<Arc<MeterBacking>> = (0..3)
-        .map(|_| Arc::new(MeterBacking::new(Arc::new(MemBacking::new()))))
-        .collect();
-    let backends = meters.iter().map(|m| m.clone() as Arc<dyn Backing>);
-    let spread = SpreadBacking::new(backends.collect()).unwrap();
-    let plfs = Plfs::new(Arc::new(spread));
+fn close_of_the_creator_is_one_create_and_no_rename() {
+    let meter = Arc::new(MeterBacking::new(Arc::new(MemBacking::new())));
+    let plfs = Plfs::new(meter.clone());
     let fd = plfs
         .open("/f", OpenFlags::WRONLY | OpenFlags::CREAT, 5)
         .unwrap();
     plfs.write(&fd, &[1u8; 512], 0, 5).unwrap();
-    let before: Vec<MeterSnapshot> = meters.iter().map(|m| m.snapshot()).collect();
+    let before = meter.snapshot();
     plfs.close(&fd, 5).unwrap();
-    let cost: Vec<MeterSnapshot> = meters
-        .iter()
-        .zip(&before)
-        .map(|(m, b)| m.snapshot().delta(b))
-        .collect();
-    // One create, no rename and so no stat telling a file from a tree.
-    assert_eq!(
-        (cost[0].create, cost[0].rename, cost[0].stat),
-        (1, 0, 0),
-        "{:?}",
-        cost[0]
-    );
-    assert!(cost[1..].iter().all(|c| c.metadata_ops() == 0), "{cost:?}");
-    let total: u64 = cost.iter().map(MeterSnapshot::metadata_ops).sum();
-    assert!(total <= 3, "the create, two syncs: {cost:?}");
+    let cost = meter.snapshot().delta(&before);
+    assert_eq!((cost.create, cost.rename, cost.stat), (1, 0, 0), "{cost:?}");
+    assert!(cost.metadata_ops() <= 3, "the create, two syncs: {cost:?}");
     assert_eq!(plfs.getattr("/f").unwrap().size, 512);
-    assert_eq!(toplevel_pairs(meters[0].as_ref(), "/f"), 1);
+    assert_eq!(toplevel_pairs(meter.as_ref(), "/f"), 1);
     assert_eq!(
-        lifecycle_names(meters[0].as_ref(), "/f"),
+        lifecycle_names(meter.as_ref(), "/f"),
         ["dropping.index.creator.0.512.512"]
     );
-    for other in &meters[1..] {
-        assert!(!other.exists("/f"), "no hostdir: nothing to spread");
-    }
 }
 
 /// The marker rule's cold half: a plain directory holding an application's
@@ -777,10 +736,7 @@ fn a_plain_directory_holding_a_file_named_like_a_dropping_stays_a_directory() {
 #[test]
 fn a_container_in_the_access_file_layout_reads_back_and_unlinks_to_nothing() {
     let b = Arc::new(MemBacking::new());
-    let eight = ContainerParams {
-        num_hostdirs: 8,
-        ..ContainerParams::default()
-    };
+    let eight = ContainerParams { num_hostdirs: 8 };
     let old = Plfs::new(b.clone()).with_params(eight);
     let fd = old.open("/f", CREATE_RW, 1).unwrap();
     Plfs::new(b.clone()).create("/g", true).unwrap();
@@ -964,10 +920,7 @@ fn a_truncate_before_the_creators_first_write_keeps_what_it_writes() {
 #[test]
 fn a_creators_pair_under_its_pid_beside_the_access_file_reads_as_any_pair() {
     let b = Arc::new(MemBacking::new());
-    let plfs = Plfs::new(b.clone()).with_params(ContainerParams {
-        num_hostdirs: 8,
-        ..ContainerParams::default()
-    });
+    let plfs = Plfs::new(b.clone()).with_params(ContainerParams { num_hostdirs: 8 });
     let fd = plfs.open("/f", CREATE_RW, 7).unwrap();
     plfs.write(&fd, b"written by pid 7", 0, 7).unwrap();
     plfs.close(&fd, 7).unwrap();

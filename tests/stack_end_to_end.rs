@@ -1,31 +1,29 @@
 //! Integration: the full real-execution stack, wired the way a user would.
 //!
-//! plfsrc text → backing directories on the real file system → PLFS →
-//! LDPLFS shim → unmodified tools. Spans the `plfs`, `ldplfs` and `apps`
-//! crates.
+//! A backing directory on the real file system → PLFS → LDPLFS shim →
+//! unmodified tools. Spans the `plfs`, `ldplfs` and `apps` crates.
 
 use apps::md5::hex;
-use apps::unix_tools::{cat, cp, file_size, grep, md5sum};
-use ldplfs::{from_plfsrc, CFile, OpenFlags, PosixLayer, RealPosix, Whence};
-use plfs::RealBacking;
+use apps::unix_tools::{cat, cp, grep, md5sum};
+use ldplfs::{CFile, LdPlfsBuilder, OpenFlags, PosixLayer, RealPosix, Whence};
+use plfs::{ContainerParams, Plfs, RealBacking};
 use std::sync::Arc;
 
 fn stack(tag: &str) -> (Arc<dyn PosixLayer>, std::path::PathBuf) {
     let root = std::env::temp_dir().join(format!("ldplfs-e2e-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
     let under = Arc::new(RealPosix::rooted(root.join("fs")).unwrap());
-    let backend = root.join("backend");
-    let rc = "mount_point /plfs\nbackends /be\nnum_hostdirs 8\n";
-    let backend2 = backend.clone();
-    let shim = from_plfsrc(under, rc, move |_| {
-        Arc::new(RealBacking::new(backend2.clone()).unwrap())
-    })
-    .unwrap();
+    let backing = Arc::new(RealBacking::new(root.join("backend")).unwrap());
+    let plfs = Plfs::new(backing).with_params(ContainerParams { num_hostdirs: 8 });
+    let shim = LdPlfsBuilder::new(under)
+        .mount("/plfs", plfs)
+        .build()
+        .unwrap();
     (Arc::new(shim), root)
 }
 
 #[test]
-fn plfsrc_configured_stack_round_trips() {
+fn configured_stack_round_trips() {
     let (shim, root) = stack("rc");
     let fd = shim
         .open("/plfs/data", OpenFlags::RDWR | OpenFlags::CREAT, 0o644)
@@ -46,7 +44,8 @@ fn plfsrc_configured_stack_round_trips() {
     shim.close(fd).unwrap();
     assert_eq!(back, payload);
 
-    // The backend really holds a container (visible on the host FS).
+    // The backend really holds a container (visible on the host FS), its
+    // params in the access file.
     assert!(root.join("backend/data/.plfsaccess").exists());
     let _ = std::fs::remove_dir_all(&root);
 }
@@ -77,10 +76,7 @@ fn unix_tools_work_across_layouts() {
         hex(&md5sum(&shim, "/plfs/log.txt").unwrap()),
         hex(&md5sum(&shim, "/plain-log.txt").unwrap())
     );
-    assert_eq!(
-        file_size(&shim, "/plfs/log.txt").unwrap(),
-        lines.len() as u64
-    );
+    assert_eq!(shim.stat("/plfs/log.txt").unwrap().size, lines.len() as u64);
 
     // cp out of the mount and back in, digest-stable.
     cp(&shim, "/plfs/log.txt", "/copied.txt").unwrap();
