@@ -81,7 +81,7 @@ mod tests {
     #[test]
     fn defaults_have_one_source() {
         use plfs::Conf;
-        let from_env = Conf::from_env(Vec::<(String, String)>::new());
+        let (from_env, _) = Conf::from_env(Vec::<(String, String)>::new());
         let s = LdPlfsBuilder::new(under("one"))
             .mount("/m", Plfs::new(Arc::new(MemBacking::new())))
             .build()

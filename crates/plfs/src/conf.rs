@@ -62,19 +62,21 @@ impl Conf {
     /// environment: defaults, overridden by every variable that is some
     /// row's env alias. Names no row claims are skipped, and an unparsable
     /// value keeps the default — the shim must never refuse to start over a
-    /// tuning knob.
-    pub fn from_env<K, V>(vars: impl IntoIterator<Item = (K, V)>) -> Conf
+    /// tuning knob — and comes back as one [`Error::Config`] naming it, for
+    /// the caller to report.
+    pub fn from_env<K, V>(vars: impl IntoIterator<Item = (K, V)>) -> (Conf, Vec<Error>)
     where
         K: AsRef<str>,
         V: AsRef<str>,
     {
         let mut conf = Conf::default();
+        let mut bad = Vec::new();
         for (name, value) in vars {
             if let Some(k) = env_knob(name.as_ref()) {
-                let _ = k.set(&mut conf, value.as_ref());
+                bad.extend(k.set(&mut conf, value.as_ref()).err());
             }
         }
-        conf.validated()
+        (conf.validated(), bad)
     }
 
     /// Is the container metadata cache enabled?
@@ -244,16 +246,23 @@ mod tests {
     #[test]
     fn from_env_reaches_every_alias_and_survives_garbage() {
         let default = Conf::default();
-        assert_eq!(Conf::from_env(Vec::<(String, String)>::new()), default);
+        let (c, bad) = Conf::from_env(Vec::<(String, String)>::new());
+        assert_eq!((c, bad.len()), (default, 0));
         for k in KNOBS {
-            let c = Conf::from_env([(k.env, SAMPLE)]);
+            let (c, bad) = Conf::from_env([(k.env, SAMPLE)]);
             assert_ne!(c, default, "{}", k.env);
-            // Unparsable values and names no row claims keep the default.
-            let c = Conf::from_env([(k.env, "-lots"), (MOUNT_ENV, "/m")]);
+            assert!(bad.is_empty(), "{bad:?}");
+            // Unparsable values and names no row claims keep the default;
+            // the value is reported, naming its variable, and the name is
+            // not (the caller reports names it does not know).
+            let (c, bad) = Conf::from_env([(k.env, "-lots"), (MOUNT_ENV, "/m")]);
             assert_eq!(c, default, "{}", k.env);
+            assert_eq!(bad.len(), 1, "{bad:?}");
+            assert!(matches!(&bad[0], Error::Config(m) if m.contains(k.env)));
         }
         // Only the variable spells a knob.
-        assert_eq!(Conf::from_env([("meta_cache_entries", "8")]), default);
+        let (c, bad) = Conf::from_env([("meta_cache_entries", "8")]);
+        assert_eq!((c, bad.len()), (default, 0));
     }
 
     #[test]

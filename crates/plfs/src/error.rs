@@ -31,8 +31,6 @@ pub enum Error {
     Corrupt(String),
     /// Error from the backing store.
     Io(std::io::Error),
-    /// Operation not supported by this backing.
-    Unsupported(&'static str),
 }
 
 /// Crate-wide result alias.
@@ -53,7 +51,6 @@ impl Error {
             Error::NotEmpty(_) => libc_errno::ENOTEMPTY,
             Error::Corrupt(_) => libc_errno::EIO,
             Error::Io(e) => e.raw_os_error().unwrap_or(libc_errno::EIO),
-            Error::Unsupported(_) => libc_errno::ENOSYS,
         }
     }
 }
@@ -69,7 +66,6 @@ pub mod libc_errno {
     pub const EISDIR: i32 = 21;
     pub const EINVAL: i32 = 22;
     pub const ENOTEMPTY: i32 = 39;
-    pub const ENOSYS: i32 = 38;
 }
 
 impl fmt::Display for Error {
@@ -86,7 +82,6 @@ impl fmt::Display for Error {
             Error::NotEmpty(p) => write!(f, "directory not empty: {p}"),
             Error::Corrupt(m) => write!(f, "corrupt container: {m}"),
             Error::Io(e) => write!(f, "I/O error: {e}"),
-            Error::Unsupported(m) => write!(f, "unsupported operation: {m}"),
         }
     }
 }

@@ -20,6 +20,10 @@
 //!   re-reading every dropping. Readers share the view lock; only the
 //!   refresh takes it exclusively. A write-only fd has no reads to serve,
 //!   so its writers track nothing.
+//! - **Own bytes overwritten in place.** On a readable fd, a write the view
+//!   holds as one slice of the pid's own data dropping goes where those
+//!   bytes lie, under the view lock held exclusively; its index entry is
+//!   logged as any write's, and is already in the view.
 //!
 //! EOF coherence is per-fd, as in the C library: ranks sharing this fd see
 //! each other's appends atomically; a *different* fd (or process) appending
@@ -103,6 +107,29 @@ impl Refs {
     }
 }
 
+/// Where `view` holds all of `[offset, offset + len)` as one slice of
+/// `pid`'s current data dropping: that slice's physical offset. Callers
+/// hold the view lock, then `pid`'s shard.
+fn own_slice(
+    view: &Option<ReadFile>,
+    shard: &Writers,
+    offset: u64,
+    len: u64,
+    pid: u64,
+) -> Option<u64> {
+    let (view, writer) = (view.as_ref()?, shard.get(&pid)?);
+    let mut only = None;
+    let one = view
+        .index()
+        .for_each_slice(offset, len, |s| match only.replace(s) {
+            None => Ok(()),
+            Some(_) => Err(()),
+        });
+    let s = only.filter(|s| one.is_ok() && s.length == len)?;
+    let dropping = view.droppings().get(s.dropping_id? as usize)?;
+    (dropping.data_path == writer.data_path()).then_some(s.physical_offset)
+}
+
 /// A shared hold on the fd's read view; exists only over a built view.
 struct View<'a>(RwLockReadGuard<'a, Option<ReadFile>>);
 
@@ -146,6 +173,11 @@ pub struct PlfsFd {
     /// the read view so reads observe this process's own writes
     /// (read-your-writes, as LDPLFS needs for the UNIX-tool use case).
     dirty: AtomicBool,
+    /// The first write stamp taken after the read view became current:
+    /// read from the process write clock ahead of each refresh, stepped by
+    /// every in-place write that finds it still unclaimed. Only touched
+    /// under the exclusive view lock.
+    view_clock: AtomicU64,
     /// Cached logical EOF: the max over everything this fd has written and
     /// (once seeded) the container's on-disk EOF at open.
     eof: AtomicU64,
@@ -175,6 +207,7 @@ impl PlfsFd {
             reader: RwLock::new(None),
             orphans: Mutex::new(Vec::new()),
             dirty: AtomicBool::new(false),
+            view_clock: AtomicU64::new(0),
             eof: AtomicU64::new(0),
             eof_seeded: AtomicBool::new(false),
         }
@@ -227,14 +260,68 @@ impl PlfsFd {
     }
 
     /// Write `buf` at `offset` on behalf of `pid`. Only `pid`'s shard is
-    /// locked: ranks in distinct shards write concurrently.
+    /// locked: ranks in distinct shards write concurrently. An overwrite of
+    /// `pid`'s own bytes on a readable fd goes in place
+    /// ([`PlfsFd::overwrite_in_place`]); every other write appends.
     pub fn write(&self, buf: &[u8], offset: u64, pid: u64) -> Result<usize> {
         if !self.flags.writable() {
             return Err(Error::BadMode("file not open for writing"));
         }
+        if self.overwrites_own_bytes(buf, offset, pid)
+            && self.overwrite_in_place(buf, offset, pid)?
+        {
+            return Ok(buf.len());
+        }
         let mut shard = self.shard(pid).lock();
         // plfs-lint: allow(lock-across-io, "intentional: the per-pid shard lock IS the write path's serialization point — I/O under it blocks only this rank's shard while other ranks write through their own shards")
         self.write_sharded(&mut shard, buf, offset, pid)
+    }
+
+    /// May `buf` at `offset` go in place: on a readable fd, inside the
+    /// EOF, where the read view holds the whole range as one slice of
+    /// `pid`'s own data dropping? Past the EOF this reads one atomic;
+    /// otherwise it takes the view lock shared, then `pid`'s shard.
+    fn overwrites_own_bytes(&self, buf: &[u8], offset: u64, pid: u64) -> bool {
+        let len = buf.len() as u64;
+        // relaxed: the EOF cache only rules appends out cheaply; the check under the exclusive view lock decides
+        let eof = self.eof.load(Ordering::Relaxed);
+        if !self.flags.readable() || len == 0 || offset.saturating_add(len) > eof {
+            return false;
+        }
+        let view = self.reader.read();
+        own_slice(&view, &self.shard(pid).lock(), offset, len, pid).is_some()
+    }
+
+    /// Overwrite `pid`'s own bytes where they lie, if the range still
+    /// qualifies once the view lock is held exclusively, then `pid`'s
+    /// shard: no reader of this fd is inside the range while its bytes
+    /// change, so none sees a torn block. The index entry is logged with a
+    /// fresh stamp, as an appended write's is. It is already in the view
+    /// (it maps the range where the view has it) when it took the first
+    /// stamp since the view became current and nothing was owed to the
+    /// view; otherwise the fd turns dirty and the next read patches it in,
+    /// in stamp order. Returns false, having written nothing, when the
+    /// range no longer qualifies.
+    fn overwrite_in_place(&self, buf: &[u8], offset: u64, pid: u64) -> Result<bool> {
+        let view = self.reader.write();
+        let mut shard = self.shard(pid).lock();
+        let Some(physical) = own_slice(&view, &shard, offset, buf.len() as u64, pid) else {
+            return Ok(false);
+        };
+        let w = shard.get_mut(&pid).expect("own_slice found pid's writer");
+        // relaxed: a flag raised concurrently belongs to a write stamped after the view clock, so this write's stamp cannot match it anyway
+        let dirty = self.dirty.load(Ordering::Relaxed);
+        // relaxed: only touched under the exclusive view lock held here
+        let view_clock = self.view_clock.load(Ordering::Relaxed);
+        // 0 is no stamp: a dirty fd owes the view its patch first.
+        let clock = if dirty { 0 } else { view_clock };
+        // plfs-lint: allow(lock-across-io, "intentional: the overwrite must not interleave with a reader of the range, whose shared hold on the view lock it waits out; one pwrite, and the index flush a full buffer needs")
+        if w.overwrite_in_place(buf, offset, physical, clock)? {
+            self.view_clock.store(clock + 1, Ordering::Relaxed); // relaxed: under the exclusive view lock
+        } else {
+            self.dirty.store(true, Ordering::Relaxed); // relaxed: same flag-only role as in write_sharded
+        }
+        Ok(true)
     }
 
     /// Atomically resolve the current EOF and write `buf` there on behalf
@@ -485,6 +572,9 @@ impl PlfsFd {
     /// merge runs — every dropping's index is read and merged, the
     /// index-merge step of the paper — traced as `index_merge`.
     fn refresh_reader(&self, view: &mut Option<ReadFile>) -> Result<()> {
+        // Read ahead of the drain: every stamp below it was taken under a
+        // shard lock the drain takes after it, so its entry is in the view.
+        let clock = crate::index::write_clock();
         // relaxed: the swap needs atomicity only (exactly one refresher); banked entries are read under the shard locks taken below
         if self.dirty.swap(false, Ordering::Relaxed) {
             match view.as_mut().filter(|_| self.flags.readable()) {
@@ -524,7 +614,11 @@ impl PlfsFd {
                     }
                 }
             }
+        } else if view.is_some() {
+            // A racing refresh made the view current, and set its clock.
+            return Ok(());
         }
+        self.view_clock.store(clock, Ordering::Relaxed); // relaxed: under the exclusive view lock
         if view.is_some() {
             return Ok(());
         }
@@ -549,7 +643,7 @@ impl PlfsFd {
     /// banked ones and every live writer's since its last drain. Their
     /// bytes are already on the backing store.
     fn drain_writers(&self) -> Orphans {
-        let mut fresh: Orphans = std::mem::take(&mut *self.orphans.lock());
+        let mut fresh = Orphans::new();
         for shard in &self.shards {
             for w in shard.lock().values_mut() {
                 let ents = w.take_unmerged();
@@ -558,6 +652,9 @@ impl PlfsFd {
                 }
             }
         }
+        // After the shards: a writer closed behind the walk banked its
+        // entries here before it left its shard.
+        fresh.append(&mut self.orphans.lock());
         fresh
     }
 
@@ -565,13 +662,15 @@ impl PlfsFd {
     /// store, where the merge reads them, and forget the copies a patch
     /// would have used.
     fn flush_writers(&self) -> Result<()> {
-        self.orphans.lock().clear();
         for shard in &self.shards {
             for w in shard.lock().values_mut() {
                 w.flush_index()?;
                 w.take_unmerged();
             }
         }
+        // After the shards: a writer closed behind the walk banked its
+        // entries with their records already on the backing store.
+        self.orphans.lock().clear();
         Ok(())
     }
 
@@ -722,15 +821,25 @@ impl PlfsFd {
         };
         if remaining_for_pid == 0 {
             refs.remove(pid);
-            let writer = self.shard(pid).lock().remove(&pid);
-            if let Some(mut w) = writer {
-                w.sync_at_close()?;
-                // Entries not yet folded into the read view stay owed to its
-                // next refresh.
-                let ents = w.take_unmerged();
-                if !ents.is_empty() {
-                    self.orphans.lock().push((w.data_path().to_string(), ents));
+            let writer = {
+                let mut shard = self.shard(pid).lock();
+                let mut writer = shard.remove(&pid);
+                if let Some(w) = &mut writer {
+                    // Synced, then the entries not yet folded into the read
+                    // view banked for its next refresh, under the shard
+                    // lock: a refresh finds them in the writer, or among the
+                    // orphans with their records on the backing store.
+                    // plfs-lint: allow(lock-across-io, "intentional: the writer is leaving its shard; only a refresh, which must not see it half gone, waits on this lock")
+                    w.sync_at_close()?;
+                    let ents = w.take_unmerged();
+                    if !ents.is_empty() {
+                        self.orphans.lock().push((w.data_path().to_string(), ents));
+                        self.dirty.store(true, Ordering::Relaxed); // relaxed: same flag-only role as in write_sharded
+                    }
                 }
+                writer
+            };
+            if let Some(mut w) = writer {
                 if let Some(c) = &self.cache {
                     c.writer_dec(&self.container);
                 }

@@ -84,16 +84,29 @@ static WRITE_CLOCK_SEED: Once = Once::new();
 /// there would leave the clock one write away from wrapping to zero.
 const TIMESTAMP_MAX: u64 = i64::MAX as u64;
 
-/// Take the next write timestamp.
-pub fn next_timestamp() -> u64 {
+/// The write clock, seeded on first use.
+fn seeded_clock() -> &'static AtomicU64 {
     WRITE_CLOCK_SEED.call_once(|| {
         let now = std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
             .map_or(0, |d| d.as_nanos().min(TIMESTAMP_MAX as u128) as u64);
         observe_timestamp(now);
     });
+    &WRITE_CLOCK
+}
+
+/// Take the next write timestamp.
+pub fn next_timestamp() -> u64 {
     // relaxed: logical write clock: only uniqueness/monotonicity of the atomic add matters, never cross-thread ordering
-    WRITE_CLOCK.fetch_add(1, Ordering::Relaxed)
+    seeded_clock().fetch_add(1, Ordering::Relaxed)
+}
+
+/// The stamp the next write will take, taking none: a stamp equal to a
+/// reading taken earlier proves no stamp was taken (nor the clock stepped)
+/// in between.
+pub fn write_clock() -> u64 {
+    // relaxed: a reading of the logical clock; the caller compares it with a later fetch_add's result, which the clock's single modification order makes exact
+    seeded_clock().load(Ordering::Relaxed)
 }
 
 /// Lamport step: advance the write clock past `seen`, the largest stamp of

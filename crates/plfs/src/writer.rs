@@ -13,6 +13,10 @@
 //!    flushed to the index dropping when the buffer fills or on sync/close —
 //!    one `pwrite` at the index dropping's tail, which the writer tracks too.
 //!
+//! An overwrite of bytes the writer already holds, which its fd finds in its
+//! read view, replaces them where they lie instead of taking step 1
+//! ([`WriteFile::overwrite_in_place`]); step 2 is the same.
+//!
 //! The creator's top-level index dropping is not created until something
 //! needs it: close creates it under its closed name
 //! `dropping.index.creator.0.<eof>.<bytes>`, with no `rename`; a full
@@ -210,6 +214,46 @@ impl WriteFile {
         let physical = self.tail;
         self.data.pwrite(buf, physical)?;
         self.tail += buf.len() as u64;
+        self.log(buf.len() as u64, logical, physical);
+        self.bytes_written += buf.len() as u64;
+        self.max_eof = self.max_eof.max(logical + buf.len() as u64);
+        self.flush_if_full()?;
+        Ok(buf.len())
+    }
+
+    /// Overwrite bytes this writer already holds: `buf` replaces the bytes
+    /// of logical `logical` where they lie, at `physical` in the data
+    /// dropping, instead of going to the tail. The tail and
+    /// [`WriteFile::bytes_written`] stay. Its entry still takes a fresh
+    /// stamp, so a merge orders it against every other write exactly as it
+    /// would an appended one.
+    ///
+    /// `view_clock` is the first stamp taken after the owning fd's read
+    /// view became current (0 when it is not). An entry stamped with it,
+    /// with nothing of this writer's still owed to the view, is already in
+    /// that view — it maps the range where it was — and counts as handed
+    /// over: returns whether it did.
+    pub(crate) fn overwrite_in_place(
+        &mut self,
+        buf: &[u8],
+        logical: u64,
+        physical: u64,
+        view_clock: u64,
+    ) -> Result<bool> {
+        self.data.pwrite(buf, physical)?;
+        let stamp = self.log(buf.len() as u64, logical, physical);
+        let merged =
+            stamp == view_clock && self.unmerged.is_empty() && self.fed + 1 == self.buffered.len();
+        if merged {
+            self.fed += 1;
+        }
+        self.flush_if_full()?;
+        Ok(merged)
+    }
+
+    /// Buffer the index entry of `len` bytes of logical `logical` at
+    /// `physical`, under a fresh stamp, which it returns.
+    fn log(&mut self, len: u64, logical: u64, physical: u64) -> u64 {
         if self.buffered.capacity() == 0 {
             // Sized at the first write for what a small file's writer
             // buffers; one that buffers more grows it, up to the limit,
@@ -217,21 +261,24 @@ impl WriteFile {
             self.buffered
                 .reserve_exact(self.buffer_limit.min(INDEX_BUFFER_START));
         }
+        let timestamp = next_timestamp();
         self.buffered.push(IndexEntry {
             logical_offset: logical,
-            length: buf.len() as u64,
+            length: len,
             physical_offset: physical,
             // Local id; renumbered globally at index-merge time.
             dropping_id: 0,
-            timestamp: next_timestamp(),
+            timestamp,
             pid: self.pid,
         });
-        self.bytes_written += buf.len() as u64;
-        self.max_eof = self.max_eof.max(logical + buf.len() as u64);
+        timestamp
+    }
+
+    fn flush_if_full(&mut self) -> Result<()> {
         if self.buffered.len() >= self.buffer_limit {
             self.flush_index()?;
         }
-        Ok(buf.len())
+        Ok(())
     }
 
     /// The index dropping, created if nothing has needed it before: under

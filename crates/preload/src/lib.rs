@@ -455,7 +455,10 @@ fn init_shim() -> Option<Shim> {
             warn(&format!("unknown variable {name} ignored"));
         }
     }
-    let conf = plfs::Conf::from_env(env);
+    let (conf, bad) = plfs::Conf::from_env(env);
+    for e in bad {
+        warn(&format!("{e}; default kept"));
+    }
     let plfs = Plfs::new(Arc::clone(&root) as Arc<dyn plfs::Backing>).with_conf(conf);
     // SAFETY: the handlers are `extern "C" fn()`s that never unwind.
     unsafe { pthread_atfork(before_fork, after_fork_in_parent, after_fork_in_child) };

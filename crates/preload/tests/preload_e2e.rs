@@ -379,7 +379,8 @@ fn real_unix_tools_read_containers() {
 /// A variable nothing reads used to be accepted in silence; it is now one
 /// stderr line at init, and the host still runs. The variables of the
 /// removed batched/tiered backends and of the removed hostdir count are
-/// such variables.
+/// such variables. So is a knob's value it cannot parse, which keeps the
+/// default.
 #[test]
 fn misconfiguration_is_reported_once_on_stderr() {
     ensure_built();
@@ -395,6 +396,8 @@ fn misconfiguration_is_reported_once_on_stderr() {
     for name in unknown {
         cmd.env(name, "8");
     }
+    // A known variable with a value it cannot take: the default runs.
+    cmd.env("LDPLFS_META_CACHE", "lots");
     let out = run_preloaded(&env, cmd);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(out.status.success(), "stderr: {stderr}");
@@ -402,9 +405,14 @@ fn misconfiguration_is_reported_once_on_stderr() {
         .lines()
         .filter(|l| l.starts_with("ldplfs-preload: "))
         .collect();
-    assert_eq!(lines.len(), unknown.len(), "{stderr}");
-    for name in unknown {
-        let line = format!("ldplfs-preload: unknown variable {name} ignored");
+    assert_eq!(lines.len(), unknown.len() + 1, "{stderr}");
+    let bad_value = "ldplfs-preload: invalid configuration: \
+                     LDPLFS_META_CACHE: bad numeric value `lots`; default kept";
+    let expected = unknown
+        .iter()
+        .map(|name| format!("ldplfs-preload: unknown variable {name} ignored"))
+        .chain([bad_value.to_string()]);
+    for line in expected {
         assert_eq!(lines.iter().filter(|l| **l == line).count(), 1, "{stderr}");
     }
     // A clean environment has nothing to say.

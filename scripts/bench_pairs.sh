@@ -16,11 +16,23 @@
 # Build output and progress go to stderr. A run that exits non-zero still
 # prints its line (its result says correct:false); a run that prints no
 # result stops the script.
+#
+# BENCH_DIR (optional) is a directory to run in, made if missing, e.g.
+#   BENCH_DIR=/dev/shm/pairs scripts/bench_pairs.sh ...
+# Each run then gets run.sh --dir "$BENCH_DIR/parent" or "$BENCH_DIR/change"
+# (made and removed by the run) instead of a private tmpfs mounted under its
+# checkout, which needs CAP_SYS_ADMIN: without that capability every run
+# falls back to the checkout's own disk. An existing tmpfs such as /dev/shm
+# gives both sides RAM-backed files with no mount.
 set -euo pipefail
 
 if [ $# -lt 5 ]; then
-    sed -n '2,18p' "$0" >&2
+    sed -n '2,26p' "$0" >&2
     exit 2
+fi
+if [ -n "${BENCH_DIR:-}" ]; then
+    mkdir -p "$BENCH_DIR"
+    BENCH_DIR=$(cd "$BENCH_DIR" && pwd)
 fi
 PARENT=$(cd "$1" && pwd)
 CHANGE=$(cd "$2" && pwd)
@@ -32,10 +44,13 @@ SECONDS_PER_RUN=$4
 shift 4
 
 run() { # side dir workload pair
-    local out line
+    local out line dir_args=()
     echo "bench_pairs: $1 $3 pair $4" >&2
+    if [ -n "${BENCH_DIR:-}" ]; then
+        dir_args=(--dir "$BENCH_DIR/$1")
+    fi
     out=$(env -u CARGO_TARGET_DIR bash "$2/benchmark/run.sh" --workload "$3" --seed "$4" \
-        --seconds "$SECONDS_PER_RUN" --trace 0) || true
+        --seconds "$SECONDS_PER_RUN" --trace 0 ${dir_args[@]+"${dir_args[@]}"}) || true
     line=$(printf '%s\n' "$out" | tail -n 1)
     case $line in
         '{'*) printf '{"side":"%s","workload":"%s","pair":%d,"result":%s}\n' "$1" "$3" "$4" "$line" ;;

@@ -7,7 +7,15 @@
 //! interleaving the scheduler picks.
 
 use plfs::{Backing, ContainerParams, MemBacking, OpenFlags, Plfs, ReadFile};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
+
+/// The tests of this binary take turns: the global trace sink's counts and
+/// the process write clock, whose stamps decide whether an overwrite is
+/// already in a view, are shared by every thread of the process.
+fn turn() -> MutexGuard<'static, ()> {
+    static TURN: Mutex<()> = Mutex::new(());
+    TURN.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 /// Write a strided N-writer pattern and return the expected logical bytes.
 /// `writers` pids produce `writers` data droppings (one stream each).
@@ -75,6 +83,7 @@ fn hammer(rf: &ReadFile, b: &dyn Backing, want: &[u8], threads: usize, reads_per
 
 #[test]
 fn random_preads_match_serial_under_sharded_cache() {
+    let _turn = turn();
     let backing = Arc::new(MemBacking::new());
     let want = build_container(&backing, 8, 16, 4096);
     let rf = ReadFile::open(backing.as_ref(), "/shared").unwrap();
@@ -88,6 +97,7 @@ fn random_preads_match_serial_under_sharded_cache() {
 
 #[test]
 fn serial_conf_is_unaffected_by_concurrent_callers() {
+    let _turn = turn();
     let backing = Arc::new(MemBacking::new());
     let want = build_container(&backing, 4, 8, 1024);
     // The read loop itself is serial per call; many threads sharing one
@@ -107,38 +117,39 @@ fn traced(kind: iotrace::OpKind) -> u64 {
 }
 
 /// Four reader threads and one overwriting writer share one `O_RDWR` fd —
-/// and so one read view, patched in place under the fd's view lock. Blocks
-/// hold their round number in every word: a reader must never see a torn
-/// block, nor a round older than the one the writer's own read of that block
-/// had already seen when the reader started. The view is merged once and
-/// patched exactly once per write, whichever thread's read gets there first.
-/// (No other test in this binary reads through a `PlfsFd`, so the global
-/// sink's merge/patch counts are this test's.)
-#[test]
-fn readers_share_one_view_while_a_writer_patches_it() {
+/// and so one read view. Blocks hold their round number in every word: a
+/// reader must never see a torn block, nor a round older than the one the
+/// writer's own read of that block had already seen when the reader
+/// started. The file is filled by pid 0; with `cross_writers` each round
+/// writes its block as the pid that did not write it last. Returns the
+/// index merges and patches the global sink counted.
+fn readers_beside_an_overwriter(
+    blocks: usize,
+    block: usize,
+    rounds: u64,
+    cross_writers: bool,
+) -> (u64, u64) {
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-    const BLOCKS: usize = 64;
-    const BLOCK: usize = 512;
-    const ROUNDS: u64 = 400;
     const READERS: u64 = 4;
-    let block_of = |round: u64| round.to_le_bytes().repeat(BLOCK / 8);
+    let block_of = |round: u64| round.to_le_bytes().repeat(block / 8);
 
     let plfs = Plfs::new(Arc::new(MemBacking::new()));
     let fd = plfs
         .open("/rw_shared", OpenFlags::RDWR | OpenFlags::CREAT, 0)
         .unwrap();
+    fd.add_ref(1);
     let sink = iotrace::global();
     sink.reset();
     sink.set_enabled(true);
-    for k in 0..BLOCKS {
-        plfs.write(&fd, &block_of(0), (k * BLOCK) as u64, 0)
+    for k in 0..blocks {
+        plfs.write(&fd, &block_of(0), (k * block) as u64, 0)
             .unwrap();
     }
-    let mut buf = vec![0u8; BLOCK];
-    assert_eq!(plfs.read(&fd, &mut buf, 0).unwrap(), BLOCK); // the one merge
+    let mut buf = vec![0u8; block];
+    assert_eq!(plfs.read(&fd, &mut buf, 0).unwrap(), block); // the one merge
 
     // Round the writer's own read has seen, per block.
-    let seen: Vec<AtomicU64> = (0..BLOCKS).map(|_| AtomicU64::new(0)).collect();
+    let seen: Vec<AtomicU64> = (0..blocks).map(|_| AtomicU64::new(0)).collect();
     let reads = AtomicU64::new(0);
     let done = AtomicBool::new(false);
     let start = std::sync::Barrier::new(READERS as usize + 1);
@@ -147,13 +158,13 @@ fn readers_share_one_view_while_a_writer_patches_it() {
             let (plfs, fd, seen, reads, done, start) = (&plfs, &fd, &seen, &reads, &done, &start);
             s.spawn(move || {
                 let mut rng = 0x9E3779B97F4A7C15u64.wrapping_add(t);
-                let mut buf = vec![0u8; BLOCK];
+                let mut buf = vec![0u8; block];
                 start.wait();
                 while !done.load(Ordering::Acquire) {
-                    let k = (xorshift(&mut rng) % BLOCKS as u64) as usize;
+                    let k = (xorshift(&mut rng) % blocks as u64) as usize;
                     let floor = seen[k].load(Ordering::Acquire);
-                    let n = plfs.read(fd, &mut buf, (k * BLOCK) as u64).unwrap();
-                    assert_eq!(n, BLOCK);
+                    let n = plfs.read(fd, &mut buf, (k * block) as u64).unwrap();
+                    assert_eq!(n, block);
                     let round = u64::from_le_bytes(buf[..8].try_into().unwrap());
                     assert!(
                         buf.chunks(8).all(|w| w == &buf[..8]),
@@ -168,13 +179,17 @@ fn readers_share_one_view_while_a_writer_patches_it() {
             });
         }
         let mut rng = 0xD1B54A32D192ED03u64;
-        let mut buf = vec![0u8; BLOCK];
+        let mut buf = vec![0u8; block];
+        let mut last_pid = vec![0u64; blocks];
         start.wait();
-        for round in 1..=ROUNDS {
-            let k = (xorshift(&mut rng) % BLOCKS as u64) as usize;
-            plfs.write(&fd, &block_of(round), (k * BLOCK) as u64, 0)
+        for round in 1..=rounds {
+            let k = (xorshift(&mut rng) % blocks as u64) as usize;
+            if cross_writers {
+                last_pid[k] = 1 - last_pid[k];
+            }
+            plfs.write(&fd, &block_of(round), (k * block) as u64, last_pid[k])
                 .unwrap();
-            assert_eq!(plfs.read(&fd, &mut buf, (k * BLOCK) as u64).unwrap(), BLOCK);
+            assert_eq!(plfs.read(&fd, &mut buf, (k * block) as u64).unwrap(), block);
             assert_eq!(buf, block_of(round), "the writer reads its own write");
             seen[k].store(round, Ordering::Release);
             // Force the interleaving: no round starts before some reader
@@ -186,14 +201,32 @@ fn readers_share_one_view_while_a_writer_patches_it() {
         done.store(true, Ordering::Release);
     });
     sink.set_enabled(false);
-    assert_eq!(
+    (
         traced(iotrace::OpKind::IndexMerge),
-        1,
-        "concurrent readers must not force a re-merge"
-    );
-    assert_eq!(
         traced(iotrace::OpKind::IndexPatch),
-        ROUNDS,
-        "one in-place patch per read-after-write"
-    );
+    )
+}
+
+/// Every overwrite lands on a block the other pid wrote last, so none can
+/// go in place: each appends, and the view is patched in place under the
+/// fd's view lock exactly once per write, whichever thread's read gets
+/// there first.
+#[test]
+fn readers_share_one_view_while_a_writer_patches_it() {
+    let _turn = turn();
+    const ROUNDS: u64 = 400;
+    let (merges, patches) = readers_beside_an_overwriter(64, 512, ROUNDS, true);
+    assert_eq!(merges, 1, "concurrent readers must not force a re-merge");
+    assert_eq!(patches, ROUNDS, "one in-place patch per read-after-write");
+}
+
+/// The writer overwrites its own 64 KiB blocks: each goes in place, under
+/// the view lock held exclusively, and is already in the view it was
+/// written through, so no read ever patches it.
+#[test]
+fn readers_share_one_view_while_a_writer_overwrites_in_place() {
+    let _turn = turn();
+    let (merges, patches) = readers_beside_an_overwriter(16, 64 << 10, 200, false);
+    assert_eq!(merges, 1, "concurrent readers must not force a re-merge");
+    assert_eq!(patches, 0, "an in-place overwrite leaves the view current");
 }
