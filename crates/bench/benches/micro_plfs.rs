@@ -140,6 +140,9 @@ fn bench_read_after_write(c: &mut Criterion) {
     let mut g = c.benchmark_group("read_after_write");
     for segments in [1u64 << 10, 1 << 14, 1 << 18] {
         let (plfs, fd) = bench::fragmented_fd(segments);
+        // Each block is written as the pid that did not write it last, so
+        // no overwrite goes in place and every read patches the view.
+        let mut owner: Vec<u64> = (0..segments).map(|k| k % 2).collect();
         let mut buf = [0u8; 16];
         let mut i = 0u64;
         g.bench_with_input(
@@ -148,8 +151,10 @@ fn bench_read_after_write(c: &mut Criterion) {
             |b, &segments| {
                 b.iter(|| {
                     i += 1;
-                    let off = (i.wrapping_mul(7919) % segments) * 16;
-                    plfs.write(&fd, &[i as u8; 16], off, 0).unwrap();
+                    let k = (i.wrapping_mul(7919) % segments) as usize;
+                    owner[k] = 1 - owner[k];
+                    let off = k as u64 * 16;
+                    plfs.write(&fd, &[i as u8; 16], off, owner[k]).unwrap();
                     black_box(plfs.read(&fd, &mut buf, off).unwrap())
                 });
             },

@@ -525,9 +525,12 @@ pub fn fragmented_fd(segments: u64) -> (plfs::Plfs, std::sync::Arc<plfs::PlfsFd>
 
 /// Seconds per write→read cycle (best of three) on a [`fragmented_fd`]:
 /// each cycle overwrites one random block and reads it back, which patches
-/// the view.
+/// the view. The block is written as the pid that did not write it last:
+/// an overwrite of the writer's own bytes would go in place and patch
+/// nothing.
 fn refresh_cycle_secs(segments: usize, cycles: usize) -> f64 {
     let (plfs, fd) = fragmented_fd(segments as u64);
+    let mut owner: Vec<u64> = (0..segments as u64).map(|i| i % 2).collect();
     let mut buf = [0u8; 16];
     let mut rng = 0x2545_F491_4F6C_DD1Du64;
     let (secs, _) = best_of(3, || {
@@ -535,8 +538,10 @@ fn refresh_cycle_secs(segments: usize, cycles: usize) -> f64 {
             rng ^= rng << 13;
             rng ^= rng >> 7;
             rng ^= rng << 17;
-            let off = (rng % segments as u64) * 16;
-            plfs.write(&fd, &[i as u8; 16], off, 0).unwrap();
+            let k = (rng % segments as u64) as usize;
+            owner[k] = 1 - owner[k];
+            let off = k as u64 * 16;
+            plfs.write(&fd, &[i as u8; 16], off, owner[k]).unwrap();
             plfs.read(&fd, &mut buf, off).unwrap();
         }
         cycles as u64

@@ -105,7 +105,10 @@ fn cold_open_and_scan_of_a_shuffled_eight_writer_container() {
 }
 
 /// Seconds per write→read cycle (best of three runs of `cycles`) on a fd
-/// whose view holds `segments` segments that cannot coalesce.
+/// whose view holds `segments` segments that cannot coalesce. Each cycle
+/// writes its block as the pid that did not write it last, so it appends
+/// and the read patches the view: an overwrite of the writer's own bytes
+/// would go in place and patch nothing.
 fn cycle_secs(segments: u64, cycles: u64) -> f64 {
     let plfs = Plfs::new(Arc::new(MemBacking::new()));
     let fd = plfs
@@ -122,6 +125,7 @@ fn cycle_secs(segments: u64, cycles: u64) -> f64 {
         fd.with_view(|v| v.index().segments()).unwrap(),
         segments as usize
     );
+    let mut owner: Vec<u64> = (0..segments).map(|k| k % 2).collect();
     let mut best = Duration::MAX;
     let mut rng = 0x2545F4914F6CDD1Du64;
     for _ in 0..3 {
@@ -130,8 +134,10 @@ fn cycle_secs(segments: u64, cycles: u64) -> f64 {
             rng ^= rng << 13;
             rng ^= rng >> 7;
             rng ^= rng << 17;
-            let off = (rng % segments) * 16;
-            plfs.write(&fd, &[i as u8; 16], off, 0).unwrap();
+            let k = (rng % segments) as usize;
+            owner[k] = 1 - owner[k];
+            let off = k as u64 * 16;
+            plfs.write(&fd, &[i as u8; 16], off, owner[k]).unwrap();
             plfs.read(&fd, &mut buf, off).unwrap();
             assert_eq!(buf, [i as u8; 16]);
         }
