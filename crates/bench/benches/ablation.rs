@@ -1,15 +1,17 @@
-//! Ablation benches for the container knobs DESIGN.md calls out: the
+//! Ablation benches for the container constants DESIGN.md calls out: the
 //! hostdir count and the index write buffer.
 
 use apps::flash_io::{self, FlashConfig};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mpiio::Method;
-use plfs::{MemBacking, OpenFlags, Plfs};
+use plfs::{MemBacking, Plfs, WriteFile};
 use simfs::presets;
 use std::hint::black_box;
 use std::sync::Arc;
 
-/// Index write-buffer size: flush-per-write versus large buffering.
+/// Index write-buffer size: flush-per-write versus large buffering, the
+/// measurement behind `plfs::writer::DEFAULT_INDEX_BUFFER_ENTRIES`, swept
+/// through `WriteFile::open`'s buffer limit.
 fn bench_index_buffer(c: &mut Criterion) {
     let mut g = c.benchmark_group("ablate_index_buffer");
     for entries in [1usize, 64, 4096] {
@@ -17,17 +19,14 @@ fn bench_index_buffer(c: &mut Criterion) {
             BenchmarkId::from_parameter(entries),
             &entries,
             |b, &entries| {
-                let plfs = Plfs::new(Arc::new(MemBacking::new())).with_conf(plfs::Conf {
-                    index_buffer_entries: entries,
-                    ..Default::default()
-                });
-                let fd = plfs
-                    .open("/f", OpenFlags::WRONLY | OpenFlags::CREAT, 0)
-                    .unwrap();
+                let plfs = Plfs::new(Arc::new(MemBacking::new()));
+                plfs.create("/f", true).unwrap();
+                let backing = plfs.backing().as_ref();
+                let mut w = WriteFile::open(backing, "/f", &plfs.defaults(), 0, entries).unwrap();
                 let data = [5u8; 512];
                 let mut off = 0u64;
                 b.iter(|| {
-                    plfs.write(&fd, &data, off, 0).unwrap();
+                    w.write(&data, off).unwrap();
                     off += 512;
                 });
             },

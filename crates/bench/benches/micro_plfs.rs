@@ -2,9 +2,7 @@
 //! the log-structured write path, the reassembling read path, flatten.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use plfs::{
-    container, ContainerParams, GlobalIndex, IndexEntry, MemBacking, OpenFlags, Plfs, ReadFile,
-};
+use plfs::{container, GlobalIndex, IndexEntry, MemBacking, OpenFlags, Plfs, ReadFile};
 use std::hint::black_box;
 use std::sync::Arc;
 
@@ -166,8 +164,7 @@ fn bench_read_after_write(c: &mut Criterion) {
 fn bench_read_path(c: &mut Criterion) {
     let mut g = c.benchmark_group("read_path");
     // Container written by 16 interleaved writers, read back sequentially.
-    let plfs =
-        Plfs::new(Arc::new(MemBacking::new())).with_params(ContainerParams { num_hostdirs: 8 });
+    let plfs = Plfs::new(Arc::new(MemBacking::new()));
     let fd = plfs
         .open("/f", OpenFlags::RDWR | OpenFlags::CREAT, 0)
         .unwrap();
@@ -202,7 +199,7 @@ fn strided_container(
     block: usize,
 ) -> (Arc<MemBacking>, &'static str) {
     let backing = Arc::new(MemBacking::new());
-    let plfs = Plfs::new(backing.clone()).with_params(ContainerParams { num_hostdirs: 16 });
+    let plfs = Plfs::new(backing.clone());
     let fd = plfs
         .open("/c", OpenFlags::RDWR | OpenFlags::CREAT, 0)
         .unwrap();

@@ -432,7 +432,7 @@ fn gate_writepath(data: &Value) -> Vec<Metric> {
 /// Op-count ratios, the exact counts and the projected storm seconds are
 /// algorithm/model quantities, identical on any runner; the microsecond
 /// latencies are not gated. The `open+write+close` counts (four ranks
-/// through one fd onto an existing container, cache off and on) and the
+/// through one fd onto an existing container, cold and warm) and the
 /// small-file cycle's (create, write, close, stat, open, read, close,
 /// unlink of a 1 KiB file with the defaults) are held to absolute ceilings.
 fn gate_metadata(data: &Value) -> Vec<Metric> {

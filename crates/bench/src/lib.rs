@@ -694,16 +694,17 @@ pub fn render_writepath(report: &WritePathReport) -> String {
 // ---------------------------------------------------------------------------
 
 /// One measured phase of the metadata comparison: backing metadata ops and
-/// wall latency, eager/uncached path vs the cached fast path (steady
+/// wall latency, a fresh mount per operation vs one warm mount (steady
 /// state, in-memory backing).
 #[derive(Debug, Clone)]
 pub struct MetadataRow {
     /// Phase label: `reopen`, `getattr`, or `open+write+close`.
     pub phase: String,
-    /// Backing metadata ops with `meta_cache_entries: 0` (the pre-fast-path
-    /// behaviour: every lookup probes the backing store).
+    /// Backing metadata ops on a fresh mount per operation (the
+    /// pre-fast-path behaviour, and what another process pays: every lookup
+    /// probes the backing store).
     pub eager_ops: u64,
-    /// Backing metadata ops with the defaults (cache on).
+    /// Backing metadata ops on one warm mount.
     pub cached_ops: u64,
     /// Mean wall latency, eager path (µs).
     pub eager_us: f64,
@@ -790,11 +791,11 @@ impl MetadataReport {
 /// Sierra absorbs hundreds of clients and collapses past a few thousand.
 pub const METADATA_STORM_PROCS: [u64; 4] = [256, 1024, 4096, 8192];
 
-/// Fresh metered mount with the given metadata configuration.
-fn metered(conf: plfs::Conf) -> (std::sync::Arc<plfs::MeterBacking>, plfs::Plfs) {
+/// Fresh metered mount.
+fn metered() -> (std::sync::Arc<plfs::MeterBacking>, plfs::Plfs) {
     use std::sync::Arc;
     let meter = Arc::new(plfs::MeterBacking::new(Arc::new(plfs::MemBacking::new())));
-    let p = plfs::Plfs::new(meter.clone() as Arc<dyn plfs::Backing>).with_conf(conf);
+    let p = plfs::Plfs::new(meter.clone() as Arc<dyn plfs::Backing>);
     (meter, p)
 }
 
@@ -836,7 +837,7 @@ fn meta_cycle(p: &plfs::Plfs, base_pid: u64) {
     }
 }
 
-/// Per-conf measurement: `(ops, µs)` for each phase plus the storm profile
+/// Per-arm measurement: `(ops, µs)` for each phase plus the storm profile
 /// and cache counters.
 struct MetaSide {
     reopen: (u64, f64),
@@ -847,29 +848,45 @@ struct MetaSide {
     misses: u64,
 }
 
-fn measure_meta_side(conf: plfs::Conf, iters: usize) -> MetaSide {
+/// One arm of the comparison. `eager` runs every operation on a fresh
+/// mount over the same backing — nothing cached, as another process sees
+/// the container — and the cached arm runs them all on one warm mount.
+fn measure_meta_side(eager: bool, iters: usize) -> MetaSide {
     use plfs::OpenFlags;
     let flags = OpenFlags::RDWR | OpenFlags::CREAT;
-    let (meter, p) = metered(conf);
+    let (meter, warm) = metered();
+    let on = |op: &dyn Fn(&plfs::Plfs)| {
+        if eager {
+            op(&plfs::Plfs::new(meter.clone()))
+        } else {
+            op(&warm)
+        }
+    };
     // Warm up: create the container, write, close, and stat it once — the
     // comparison is steady-state cost, not cold-cache cost.
-    let fd = p.open("/storm", flags, 0).unwrap();
-    p.write(&fd, &[7u8; 4096], 0, 0).unwrap();
-    p.close(&fd, 0).unwrap();
-    let _ = p.getattr("/storm").unwrap();
+    let fd = warm.open("/storm", flags, 0).unwrap();
+    warm.write(&fd, &[7u8; 4096], 0, 0).unwrap();
+    warm.close(&fd, 0).unwrap();
+    let _ = warm.getattr("/storm").unwrap();
+    let reopen = |p: &plfs::Plfs| {
+        let fd = p.open("/storm", OpenFlags::RDONLY, 1).unwrap();
+        p.close(&fd, 1).unwrap();
+    };
+    let getattr = |p: &plfs::Plfs| {
+        p.getattr("/storm").unwrap();
+    };
 
     // Backing metadata ops per phase (single steady-state delta).
     let before = meter.snapshot();
-    let fd = p.open("/storm", OpenFlags::RDONLY, 1).unwrap();
-    p.close(&fd, 1).unwrap();
+    on(&reopen);
     let reopen_ops = meter.snapshot().delta(&before).metadata_ops();
 
     let before = meter.snapshot();
-    let _ = p.getattr("/storm").unwrap();
+    on(&getattr);
     let getattr_ops = meter.snapshot().delta(&before).metadata_ops();
 
     let before = meter.snapshot();
-    meta_cycle(&p, 2);
+    on(&|p| meta_cycle(p, 2));
     let cycle_delta = meter.snapshot().delta(&before);
     let cycle_ops = cycle_delta.metadata_ops();
     let cycle_profile = storm_profile(&cycle_delta);
@@ -877,15 +894,14 @@ fn measure_meta_side(conf: plfs::Conf, iters: usize) -> MetaSide {
     // Wall latencies over `iters` iterations, best of 3 rounds.
     let (secs, _) = best_of(3, || {
         for _ in 0..iters {
-            let fd = p.open("/storm", OpenFlags::RDONLY, 3).unwrap();
-            p.close(&fd, 3).unwrap();
+            on(&reopen);
         }
         iters as u64
     });
     let reopen_us = secs * 1e6 / iters as f64;
     let (secs, _) = best_of(3, || {
         for _ in 0..iters {
-            p.getattr("/storm").unwrap();
+            on(&getattr);
         }
         iters as u64
     });
@@ -893,14 +909,14 @@ fn measure_meta_side(conf: plfs::Conf, iters: usize) -> MetaSide {
     let mut next_pid = 100u64;
     let (secs, _) = best_of(3, || {
         for _ in 0..iters {
-            meta_cycle(&p, next_pid);
+            on(&|p| meta_cycle(p, next_pid));
             next_pid += META_CYCLE_RANKS;
         }
         iters as u64
     });
     let cycle_us = secs * 1e6 / iters as f64;
 
-    let (hits, misses) = p.meta_cache_counters();
+    let (hits, misses) = warm.meta_cache_counters();
     MetaSide {
         reopen: (reopen_ops, reopen_us),
         getattr: (getattr_ops, getattr_us),
@@ -928,7 +944,7 @@ fn sierra_storm(profile: &simfs::OpenProfile) -> Vec<MetadataStormRow> {
 /// Run one small-file cycle on a fresh default mount, metering each call.
 fn small_file_cycle() -> SmallFileCycle {
     use plfs::OpenFlags;
-    let (meter, p) = metered(plfs::Conf::default());
+    let (meter, p) = metered();
     let start = meter.snapshot();
     let mut calls = Vec::new();
     // `f`'s result; its backing metadata ops go on the list under `call`.
@@ -975,14 +991,8 @@ pub fn metadata_comparison(scale: Scale) -> MetadataReport {
         Scale::Paper => 5_000,
         Scale::Quick => 500,
     };
-    let eager = measure_meta_side(
-        plfs::Conf {
-            meta_cache_entries: 0,
-            ..Default::default()
-        },
-        iters,
-    );
-    let cached = measure_meta_side(plfs::Conf::default(), iters);
+    let eager = measure_meta_side(true, iters);
+    let cached = measure_meta_side(false, iters);
     let row = |phase: &str, e: (u64, f64), c: (u64, f64)| MetadataRow {
         phase: phase.to_string(),
         eager_ops: e.0,

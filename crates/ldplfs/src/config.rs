@@ -77,17 +77,4 @@ mod tests {
         s.close(fd).unwrap();
         assert!(s.mounts()[0].plfs.is_container("/f"));
     }
-
-    #[test]
-    fn defaults_have_one_source() {
-        use plfs::Conf;
-        let (from_env, _) = Conf::from_env(Vec::<(String, String)>::new());
-        let s = LdPlfsBuilder::new(under("one"))
-            .mount("/m", Plfs::new(Arc::new(MemBacking::new())))
-            .build()
-            .unwrap();
-        for c in [from_env, *s.mounts()[0].plfs.conf()] {
-            assert_eq!(c, Conf::default());
-        }
-    }
 }

@@ -1,16 +1,15 @@
 //! The PLFS API: the Rust analogue of `plfs.h`.
 //!
 //! [`Plfs`] represents one mounted PLFS file system: a backing store plus
-//! container defaults. Method names and semantics track the C entry points
-//! from the paper's Listing 1 (`plfs_open`, `plfs_read`, `plfs_write`, …):
-//! positional I/O with explicit pids, no cursors — cursor bookkeeping is
-//! exactly what the LDPLFS shim adds on top.
+//! its container metadata cache. Method names and semantics track the C
+//! entry points from the paper's Listing 1 (`plfs_open`, `plfs_read`,
+//! `plfs_write`, …): positional I/O with explicit pids, no cursors — cursor
+//! bookkeeping is exactly what the LDPLFS shim adds on top.
 //!
 //! Paths passed to these methods are *mount-relative* logical paths
 //! (`/checkpoint/dump.0001`), mapped onto backend paths internally.
 
 use crate::backing::{join, Backing};
-use crate::conf::Conf;
 use crate::container::{self, ContainerParams};
 use crate::error::{Error, Result};
 use crate::fd::PlfsFd;
@@ -52,49 +51,26 @@ pub struct Dirent {
 /// One mounted PLFS file system.
 pub struct Plfs {
     backing: Arc<dyn Backing>,
-    defaults: ContainerParams,
-    conf: Conf,
     cache: Arc<MetaCache>,
 }
+
+/// Verdicts the container metadata cache holds. The cache is per mount,
+/// so per process under the preload: a warm `getattr` here does not see
+/// another *process*'s writes to a container until its verdict is
+/// dropped (by this process's own mutation of the path) or evicted;
+/// same-process stats are always exact.
+pub(crate) const META_CACHE_ENTRIES: usize = 4096;
 
 /// Lock shards of the container metadata cache.
 const META_SHARDS: usize = 16;
 
-fn meta_cache_for(conf: &Conf) -> Arc<MetaCache> {
-    Arc::new(MetaCache::new(conf.meta_cache_entries.max(1), META_SHARDS))
-}
-
 impl Plfs {
-    /// Mount over a backing store with default container parameters and
-    /// the default [`Conf`].
+    /// Mount over a backing store.
     pub fn new(backing: Arc<dyn Backing>) -> Plfs {
-        let conf = Conf::default();
         Plfs {
             backing,
-            defaults: ContainerParams::default(),
-            cache: meta_cache_for(&conf),
-            conf,
+            cache: Arc::new(MetaCache::new(META_CACHE_ENTRIES, META_SHARDS)),
         }
-    }
-
-    /// Override container parameters used for newly created files.
-    pub fn with_params(mut self, params: ContainerParams) -> Plfs {
-        self.defaults = params;
-        self
-    }
-
-    /// Replace the whole configuration (clamped by [`Conf::validated`]);
-    /// every fd opened afterwards inherits it. Rebuilds the metadata
-    /// cache, so apply before serving traffic.
-    pub fn with_conf(mut self, conf: Conf) -> Plfs {
-        self.conf = conf.validated();
-        self.cache = meta_cache_for(&self.conf);
-        self
-    }
-
-    /// The configuration open fds inherit.
-    pub fn conf(&self) -> &Conf {
-        &self.conf
     }
 
     /// Lifetime metadata-cache `(hits, misses)` — exposed for benches and
@@ -108,9 +84,10 @@ impl Plfs {
         &self.backing
     }
 
-    /// Default parameters for new containers.
+    /// The parameters every new container gets:
+    /// [`ContainerParams::default`].
     pub fn defaults(&self) -> ContainerParams {
-        self.defaults
+        ContainerParams::default()
     }
 
     fn backend_path<'a>(&self, logical: &'a str) -> Cow<'a, str> {
@@ -150,12 +127,8 @@ impl Plfs {
         e
     }
 
-    /// The cached verdict for a backend path, if the cache is on and holds
-    /// one.
+    /// The cached verdict for a backend path, if the cache holds one.
     fn cached_entry(&self, bp: &str) -> Option<MetaEntry> {
-        if !self.conf.meta_cache_enabled() {
-            return None;
-        }
         let t0 = iotrace::global().start();
         let e = self.cache.lookup(bp)?;
         trace_op(t0, || {
@@ -171,9 +144,6 @@ impl Plfs {
     /// stale verdict behind. With `stat`, the verdict carries a closed
     /// container's fast-stat answer if the probe came by it.
     fn probed_entry(&self, bp: &str, stat: bool) -> MetaEntry {
-        if !self.conf.meta_cache_enabled() {
-            return self.probe_meta(bp, stat);
-        }
         let t0 = iotrace::global().start();
         let generation = self.cache.begin_fill(bp);
         let e = self.probe_meta(bp, stat);
@@ -194,9 +164,6 @@ impl Plfs {
     fn params_for(&self, bp: &str, e: MetaEntry) -> Result<ContainerParams> {
         if let Some(p) = e.params {
             return Ok(p);
-        }
-        if !self.conf.meta_cache_enabled() {
-            return container::read_params(self.backing.as_ref(), bp);
         }
         let generation = self.cache.begin_fill(bp);
         let p = container::read_params(self.backing.as_ref(), bp)?;
@@ -221,37 +188,14 @@ impl Plfs {
         if writers > 0 {
             return Ok(None);
         }
-        if self.conf.meta_cache_enabled() {
-            self.cache
-                .complete_fill(bp, generation, MetaEntry { meta: Some(m), ..e });
-        }
+        self.cache
+            .complete_fill(bp, generation, MetaEntry { meta: Some(m), ..e });
         Ok(m)
-    }
-
-    /// Drop any cached verdict for `bp`, killing in-flight fills. Called
-    /// *after* each backing mutation, so a fill that probed the half-mutated
-    /// state loses the generation race and is discarded.
-    fn meta_invalidate(&self, bp: &str) {
-        if self.conf.meta_cache_enabled() {
-            self.cache.invalidate(bp);
-        }
-    }
-
-    /// Drop cached verdicts for `bp` and everything under it. Renaming (or
-    /// removing) a directory moves/kills every descendant, so cached
-    /// verdicts below both endpoints must die with it.
-    fn meta_invalidate_tree(&self, bp: &str) {
-        if self.conf.meta_cache_enabled() {
-            self.cache.invalidate_tree(bp);
-        }
     }
 
     /// Install the verdict for a just-created container so the creating
     /// process reopens it warm, without a single backing probe.
     fn meta_install(&self, bp: &str, params: ContainerParams) {
-        if !self.conf.meta_cache_enabled() {
-            return;
-        }
         // Invalidate first: the pre-create "missing" verdict must never
         // survive the create.
         self.cache.invalidate(bp);
@@ -318,15 +262,12 @@ impl Plfs {
             bp.into_owned(),
             params,
             flags,
-            &self.conf,
+            Arc::clone(&self.cache),
             pid,
         ));
-        let new = Arc::get_mut(&mut fd).expect("nothing else holds a new fd");
         if let Some(dropping) = creator {
+            let new = Arc::get_mut(&mut fd).expect("nothing else holds a new fd");
             new.set_creator(dropping);
-        }
-        if self.conf.meta_cache_enabled() {
-            new.set_meta_cache(Arc::clone(&self.cache));
         }
         Ok(fd)
     }
@@ -348,8 +289,8 @@ impl Plfs {
         flags: OpenFlags,
     ) -> Result<(ContainerParams, Option<container::CreatorDropping>)> {
         let b = self.backing.as_ref();
-        match container::create_container_as(b, bp, &self.defaults, flags.excl(), flags.writable())
-        {
+        let params = ContainerParams::default();
+        match container::create_container_as(b, bp, &params, flags.excl(), flags.writable()) {
             Ok((p, how, dropping)) => {
                 if how == container::Creation::Joined && flags.trunc() {
                     self.trunc_backend(bp, 0, p)?;
@@ -375,7 +316,8 @@ impl Plfs {
     /// `plfs_create`: create a container without holding it open.
     pub fn create(&self, path: &str, excl: bool) -> Result<()> {
         let bp = self.backend_path(path);
-        let (p, _) = container::create_container(self.backing.as_ref(), &bp, &self.defaults, excl)?;
+        let params = ContainerParams::default();
+        let (p, _) = container::create_container(self.backing.as_ref(), &bp, &params, excl)?;
         self.meta_install(&bp, p);
         Ok(())
     }
@@ -465,13 +407,8 @@ impl Plfs {
         // (writer close clears it), so a warm getattr skips even the one
         // listing; a writer in *another* process can make that stale until
         // the verdict is locally dropped or evicted — see the
-        // cross-process consistency note on [`Conf::meta_cache_entries`].
-        let local_writers = if self.conf.meta_cache_enabled() {
-            self.cache.local_writers(&bp)
-        } else {
-            0
-        };
-        if local_writers == 0 {
+        // cross-process consistency note on [`META_CACHE_ENTRIES`].
+        if self.cache.local_writers(&bp) == 0 {
             let m = match e.meta {
                 Some(m) => m,
                 None => self.meta_for(&bp, e)?,
@@ -514,7 +451,7 @@ impl Plfs {
             let rm = container::remove_container(self.backing.as_ref(), &bp);
             // Removing a container deletes a directory tree; any cached
             // probe of an internal path (hostdirs) dies with it.
-            self.meta_invalidate_tree(&bp);
+            self.cache.invalidate_tree(&bp);
             return rm;
         }
         let r = if !e.exists {
@@ -524,7 +461,7 @@ impl Plfs {
         } else {
             self.backing.unlink(&bp)
         };
-        self.meta_invalidate(&bp);
+        self.cache.invalidate(&bp);
         r
     }
 
@@ -534,15 +471,15 @@ impl Plfs {
         let t = self.backend_path(to);
         if self.meta_entry(&t).is_container {
             let rm = container::remove_container(self.backing.as_ref(), &t);
-            self.meta_invalidate_tree(&t);
+            self.cache.invalidate_tree(&t);
             rm?;
         }
         let r = self.backing.rename(&f, &t);
         // Tree-wide: a directory rename moves every descendant, so cached
         // `exists` verdicts under `from` and cached `missing` verdicts
         // under `to` are both stale now.
-        self.meta_invalidate_tree(&f);
-        self.meta_invalidate_tree(&t);
+        self.cache.invalidate_tree(&f);
+        self.cache.invalidate_tree(&t);
         r
     }
 
@@ -570,7 +507,7 @@ impl Plfs {
         let r = self.trunc_backend_inner(bp, len, params);
         // After any trunc attempt the cached size/params/meta info is
         // suspect; drop the whole verdict and let the next probe rebuild it.
-        self.meta_invalidate(bp);
+        self.cache.invalidate(bp);
         r
     }
 
@@ -630,7 +567,7 @@ impl Plfs {
             bp,
             &params,
             0,
-            self.conf.index_buffer_entries,
+            crate::writer::DEFAULT_INDEX_BUFFER_ENTRIES,
         )?;
         if !data.is_empty() {
             w.write(&data, 0)?;
@@ -648,7 +585,7 @@ impl Plfs {
     pub fn mkdir(&self, path: &str) -> Result<()> {
         let bp = self.backend_path(path);
         let r = self.backing.mkdir(&bp);
-        self.meta_invalidate(&bp);
+        self.cache.invalidate(&bp);
         r
     }
 
@@ -659,7 +596,7 @@ impl Plfs {
             return Err(Error::NotDir(path.to_string()));
         }
         let r = self.backing.rmdir(&bp);
-        self.meta_invalidate(&bp);
+        self.cache.invalidate(&bp);
         r
     }
 
@@ -699,7 +636,7 @@ impl Plfs {
         let bp = self.backend_path(path);
         let r = crate::flatten::compact_container(self.backing.as_ref(), &bp);
         // Dropping layout and meta drops changed; re-derive fast stat.
-        self.meta_invalidate(&bp);
+        self.cache.invalidate(&bp);
         r
     }
 }
@@ -973,24 +910,24 @@ mod tests {
 
     // --- metadata fast path -------------------------------------------------
 
-    use crate::conf::Conf;
     use crate::meter::MeterBacking;
 
-    fn metered_plfs(conf: Conf) -> (Arc<MeterBacking>, Plfs) {
+    fn metered_plfs() -> (Arc<MeterBacking>, Plfs) {
         let meter = Arc::new(MeterBacking::new(Arc::new(MemBacking::new())));
-        let p = Plfs::new(meter.clone() as Arc<dyn Backing>).with_conf(conf);
+        let p = Plfs::new(meter.clone() as Arc<dyn Backing>);
         (meter, p)
     }
 
     /// The op-count regression test the issue pins: a warm reopen must cost
-    /// ZERO backing metadata ops, and the cached path must beat the serial
-    /// (cache-off) path by at least 3x on reopen.
+    /// ZERO backing metadata ops, and beat the same reopen on a cold mount
+    /// — what another process pays — by at least 3x.
     #[test]
     fn reopen_metadata_ops_pinned() {
-        let (meter, p) = metered_plfs(Conf::default());
+        let (meter, p) = metered_plfs();
         let fd = p.open("/f", CREATE_RW, 1).unwrap();
         p.write(&fd, b"x", 0, 1).unwrap();
         p.close(&fd, 1).unwrap();
+        p.create("/g", true).unwrap();
 
         let before = meter.snapshot();
         let fd = p.open("/f", OpenFlags::RDONLY, 1).unwrap();
@@ -1002,20 +939,13 @@ mod tests {
             "warm reopen must cost zero backing metadata ops: {warm:?}"
         );
 
-        // The same reopen with the cache off (pre-fast-path behaviour).
-        let (meter, p) = metered_plfs(Conf {
-            meta_cache_entries: 0,
-            ..Conf::default()
-        });
-        let fd = p.open("/f", CREATE_RW, 1).unwrap();
-        p.write(&fd, b"x", 0, 1).unwrap();
-        p.close(&fd, 1).unwrap();
-        p.create("/g", true).unwrap();
+        // The same reopen on a mount with nothing cached.
         let reopen = |path| {
+            let cold = Plfs::new(meter.clone() as Arc<dyn Backing>);
             let before = meter.snapshot();
-            let fd = p.open(path, OpenFlags::RDONLY, 1).unwrap();
+            let fd = cold.open(path, OpenFlags::RDONLY, 1).unwrap();
             let serial = meter.snapshot().delta(&before);
-            p.close(&fd, 1).unwrap();
+            cold.close(&fd, 1).unwrap();
             serial
         };
         // Marked by its creator's dropping: the access file's exists, the
@@ -1042,26 +972,21 @@ mod tests {
 
     /// A cold `getattr` of a closed container: the verdict, then one
     /// listing — which, for a container its creator's dropping marks, is
-    /// the verdict's own. With the cache on, the answer is kept.
+    /// the verdict's own. The answer is kept: a second `getattr` on the
+    /// same mount is free, and every other cold mount pays it again.
     #[test]
     fn cold_getattr_lists_once() {
-        for cache in [0, Conf::default().meta_cache_entries] {
-            let (meter, p) = metered_plfs(Conf {
-                meta_cache_entries: cache,
-                ..Conf::default()
-            });
-            let fd = p.open("/f", CREATE_RW, 1).unwrap();
-            p.write(&fd, b"xyz", 0, 1).unwrap();
-            p.close(&fd, 1).unwrap();
-            p.create("/g", true).unwrap();
-            let fd = p.open("/g", CREATE_RW, 1).unwrap();
-            p.write(&fd, b"xy", 0, 1).unwrap();
-            p.close(&fd, 1).unwrap();
+        let (meter, p) = metered_plfs();
+        let fd = p.open("/f", CREATE_RW, 1).unwrap();
+        p.write(&fd, b"xyz", 0, 1).unwrap();
+        p.close(&fd, 1).unwrap();
+        p.create("/g", true).unwrap();
+        let fd = p.open("/g", CREATE_RW, 1).unwrap();
+        p.write(&fd, b"xy", 0, 1).unwrap();
+        p.close(&fd, 1).unwrap();
+        for _ in 0..2 {
             for (path, size, ops) in [("/f", 3, 3), ("/g", 2, 2)] {
-                let cold = Plfs::new(meter.clone() as Arc<dyn Backing>).with_conf(Conf {
-                    meta_cache_entries: cache,
-                    ..Conf::default()
-                });
+                let cold = Plfs::new(meter.clone() as Arc<dyn Backing>);
                 let before = meter.snapshot();
                 assert_eq!(cold.getattr(path).unwrap().size, size);
                 let d = meter.snapshot().delta(&before);
@@ -1069,7 +994,7 @@ mod tests {
                 let before = meter.snapshot();
                 assert_eq!(cold.getattr(path).unwrap().size, size);
                 let again = meter.snapshot().delta(&before).metadata_ops();
-                assert_eq!(again, if cache == 0 { ops } else { 0 }, "{path}");
+                assert_eq!(again, 0, "{path}");
             }
         }
     }
@@ -1078,7 +1003,7 @@ mod tests {
     /// create itself: create_container returns the params it wrote.
     #[test]
     fn create_open_skips_params_reread() {
-        let (meter, p) = metered_plfs(Conf::default());
+        let (meter, p) = metered_plfs();
         let before = meter.snapshot();
         let fd = p.open("/f", CREATE_RW, 1).unwrap();
         let d = meter.snapshot().delta(&before);
@@ -1134,7 +1059,7 @@ mod tests {
                     p.access(path).unwrap();
                 }
             } else {
-                p.meta_invalidate("/c");
+                p.cache.invalidate("/c");
             }
             for path in ["/d", "/plain", "/c"] {
                 let r = p.open(path, excl, 1);
@@ -1153,7 +1078,7 @@ mod tests {
     /// getattr/access of a warm closed container are also metadata-free.
     #[test]
     fn warm_getattr_and_access_cost_zero_backing_ops() {
-        let (meter, p) = metered_plfs(Conf::default());
+        let (meter, p) = metered_plfs();
         let fd = p.open("/f", CREATE_RW, 1).unwrap();
         p.write(&fd, b"hello", 0, 1).unwrap();
         p.close(&fd, 1).unwrap();
@@ -1170,25 +1095,26 @@ mod tests {
         );
     }
 
-    /// Serial (cache-off) conf must behave exactly like the pre-cache code.
+    /// A mount with nothing cached probes the backing store for every
+    /// lookup, as another process does: the reference the equivalence
+    /// tests hold a warm mount to.
     #[test]
-    fn serial_conf_disables_cache_entirely() {
-        let (meter, p) = metered_plfs(Conf {
-            meta_cache_entries: 0,
-            ..Conf::default()
-        });
+    fn a_cold_mount_probes_every_lookup() {
+        let (meter, p) = metered_plfs();
         p.create("/f", true).unwrap();
         let before = meter.snapshot();
-        p.access("/f").unwrap();
-        p.access("/f").unwrap();
+        for _ in 0..2 {
+            let cold = Plfs::new(meter.clone() as Arc<dyn Backing>);
+            cold.access("/f").unwrap();
+            assert_eq!(cold.meta_cache_counters(), (0, 1));
+        }
         let d = meter.snapshot().delta(&before);
         // One probe each: the access file's exists.
-        assert_eq!(
-            (d.stat, d.exists),
-            (0, 2),
-            "cache off: every access re-probes"
-        );
-        assert_eq!(p.meta_cache_counters(), (0, 0));
+        assert_eq!((d.stat, d.exists), (0, 2), "every cold access probes");
+        let before = meter.snapshot();
+        p.access("/f").unwrap();
+        let d = meter.snapshot().delta(&before);
+        assert_eq!(d.metadata_ops(), 0, "the creating mount answers warm");
     }
 
     /// Stress: racing open/write/close/unlink/getattr on the same paths must
@@ -1239,26 +1165,23 @@ mod tests {
         // Racing create/remove may leave a marker-less plain directory
         // behind (remove_container lost its rmdir race), so the paths may
         // or may not exist — what must hold is that the cached view agrees
-        // with an uncached probe of the very same backing.
-        let serial = Plfs::new(p.backing().clone()).with_conf(Conf {
-            meta_cache_entries: 0,
-            ..Conf::default()
-        });
+        // with a cold mount's probe of the very same backing.
+        let cold = || Plfs::new(p.backing().clone());
         for path in ["/shared0", "/shared1"] {
             let _ = p.unlink(path);
             assert_eq!(
                 p.access(path).is_ok(),
-                serial.access(path).is_ok(),
+                cold().access(path).is_ok(),
                 "stale exists verdict for {path}"
             );
             assert_eq!(
                 p.is_container(path),
-                serial.is_container(path),
+                cold().is_container(path),
                 "stale container verdict for {path}"
             );
             assert_eq!(
                 p.getattr(path).ok(),
-                serial.getattr(path).ok(),
+                cold().getattr(path).ok(),
                 "stale stat verdict for {path}"
             );
         }

@@ -91,7 +91,7 @@ pub trait Backing: Send + Sync {
 
 /// Recursively delete a directory tree through any backing.
 ///
-/// Tolerates children vanishing concurrently (a racing unlink or background
+/// Tolerates children vanishing concurrently (a racing unlink or
 /// compaction): a `NotFound` on any step means someone else
 /// already removed that piece, which is exactly the goal state.
 pub fn remove_tree(b: &dyn Backing, path: &str) -> Result<()> {

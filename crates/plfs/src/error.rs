@@ -23,8 +23,6 @@ pub enum Error {
     BadMode(&'static str),
     /// Invalid argument (`EINVAL`).
     InvalidArg(&'static str),
-    /// Malformed configuration, naming the knob (`EINVAL`).
-    Config(String),
     /// Directory not empty (`ENOTEMPTY`).
     NotEmpty(String),
     /// On-disk structure failed validation.
@@ -47,7 +45,6 @@ impl Error {
             Error::NotContainer(_) => libc_errno::EINVAL,
             Error::BadMode(_) => libc_errno::EBADF,
             Error::InvalidArg(_) => libc_errno::EINVAL,
-            Error::Config(_) => libc_errno::EINVAL,
             Error::NotEmpty(_) => libc_errno::ENOTEMPTY,
             Error::Corrupt(_) => libc_errno::EIO,
             Error::Io(e) => e.raw_os_error().unwrap_or(libc_errno::EIO),
@@ -78,7 +75,6 @@ impl fmt::Display for Error {
             Error::NotContainer(p) => write!(f, "not a PLFS container: {p}"),
             Error::BadMode(m) => write!(f, "bad file mode: {m}"),
             Error::InvalidArg(m) => write!(f, "invalid argument: {m}"),
-            Error::Config(m) => write!(f, "invalid configuration: {m}"),
             Error::NotEmpty(p) => write!(f, "directory not empty: {p}"),
             Error::Corrupt(m) => write!(f, "corrupt container: {m}"),
             Error::Io(e) => write!(f, "I/O error: {e}"),
@@ -116,7 +112,6 @@ mod tests {
         assert_eq!(Error::IsDir("x".into()).errno(), 21);
         assert_eq!(Error::BadMode("r").errno(), 9);
         assert_eq!(Error::NotEmpty("d".into()).errno(), 39);
-        assert_eq!(Error::Config("LDPLFS_X: bad value".into()).errno(), 22);
     }
 
     #[test]

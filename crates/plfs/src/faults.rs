@@ -328,15 +328,13 @@ mod tests {
     fn path_filter_scopes_injection() {
         let faulty = Arc::new(Faulty::new(Arc::new(MemBacking::new())));
         faulty.arm(rule(FaultOp::Write, "dropping.index", 0, u64::MAX));
-        let plfs = Plfs::new(faulty.clone()).with_conf(crate::Conf {
-            index_buffer_entries: 1,
-            ..Default::default()
-        });
+        let plfs = Plfs::new(faulty.clone());
         let fd = plfs
             .open("/f", OpenFlags::WRONLY | OpenFlags::CREAT, 0)
             .unwrap();
-        // Data write succeeds; the index flush (buffer size 1) fails.
-        let err = plfs.write(&fd, b"x", 0, 0).unwrap_err();
+        // Data write succeeds; the index flush the sync asks for fails.
+        plfs.write(&fd, b"x", 0, 0).unwrap();
+        let err = plfs.sync(&fd, 0).unwrap_err();
         assert!(matches!(err, Error::Io(_)));
     }
 

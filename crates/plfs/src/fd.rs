@@ -30,7 +30,6 @@
 //! to the same container concurrently is not serialized against this one.
 
 use crate::backing::Backing;
-use crate::conf::Conf;
 use crate::container::{self, ContainerParams};
 use crate::error::{Error, Result};
 use crate::flags::OpenFlags;
@@ -146,12 +145,10 @@ pub struct PlfsFd {
     container: String,
     params: ContainerParams,
     flags: OpenFlags,
-    conf: Conf,
     /// Process-wide container metadata cache, shared with the owning
-    /// [`crate::api::Plfs`] (absent for directly constructed fds and when
-    /// caching is off). The fd keeps its writer counts and fast-stat
+    /// [`crate::api::Plfs`]. The fd keeps its writer counts and fast-stat
     /// verdicts honest as writers come and go.
-    cache: Option<Arc<MetaCache>>,
+    cache: Arc<MetaCache>,
     /// This fd's open made the container and, with it, this data dropping,
     /// which no writer opened through the fd has taken yet: the first one
     /// takes it, as its top-level dropping pair.
@@ -190,7 +187,7 @@ impl PlfsFd {
         container: String,
         params: ContainerParams,
         flags: OpenFlags,
-        conf: &Conf,
+        cache: Arc<MetaCache>,
         pid: u64,
     ) -> PlfsFd {
         PlfsFd {
@@ -198,8 +195,7 @@ impl PlfsFd {
             container,
             params,
             flags,
-            conf: conf.validated(),
-            cache: None,
+            cache,
             creator: Mutex::new(None),
             hostdirs_ready: Mutex::default(),
             shards: Default::default(),
@@ -213,21 +209,11 @@ impl PlfsFd {
         }
     }
 
-    /// Attach the process-wide metadata cache this fd keeps current.
-    pub(crate) fn set_meta_cache(&mut self, cache: Arc<MetaCache>) {
-        self.cache = Some(cache);
-    }
-
     /// Mark this fd as the one whose open made the container
     /// ([`container::Creation::Made`]), handing it the data dropping the
     /// create made for its first writer.
     pub(crate) fn set_creator(&mut self, dropping: container::CreatorDropping) {
         *self.creator.get_mut() = Some(dropping);
-    }
-
-    /// The configuration this fd runs under.
-    pub fn conf(&self) -> &Conf {
-        &self.conf
     }
 
     /// Backend path of the container.
@@ -470,7 +456,6 @@ impl PlfsFd {
                 &self.container,
                 &self.params,
                 pid,
-                self.conf.index_buffer_entries,
                 self.flags.readable(),
                 top_level,
             )?;
@@ -511,9 +496,7 @@ impl PlfsFd {
         // propagates before the WriteFile is installed, so no close would
         // ever decrement — the count would pin local_writers above zero
         // (and getattr off its fast path) for the life of the process.
-        if let Some(c) = &self.cache {
-            c.writer_inc(&self.container);
-        }
+        self.cache.writer_inc(&self.container);
         Ok(())
     }
 
@@ -750,9 +733,7 @@ impl PlfsFd {
                 if self.flags.readable() && !ents.is_empty() {
                     self.orphans.lock().push((w.data_path().to_string(), ents));
                 }
-                if let Some(c) = &self.cache {
-                    c.writer_dec(&self.container);
-                }
+                self.cache.writer_dec(&self.container);
                 w.abandon();
             }
         }
@@ -780,9 +761,7 @@ impl PlfsFd {
             let writers = std::mem::take(&mut *shard.lock());
             for (pid, mut w) in writers {
                 w.sync()?;
-                if let Some(c) = &self.cache {
-                    c.writer_dec(&self.container);
-                }
+                self.cache.writer_dec(&self.container);
                 if w.top_level() {
                     // Its marker is also its index: closed by rename, for
                     // the truncate that follows to remove with the rest.
@@ -840,28 +819,20 @@ impl PlfsFd {
                 writer
             };
             if let Some(mut w) = writer {
-                if let Some(c) = &self.cache {
-                    c.writer_dec(&self.container);
-                }
+                self.cache.writer_dec(&self.container);
                 let t0 = iotrace::global().start();
                 // plfs-lint: allow(lock-across-io, "intentional: last-reference teardown must be serialized; refs is close-path bookkeeping, never taken on the data plane")
                 w.close_names(self.backing.as_ref(), &self.container)?;
                 self.trace_marker(t0);
-                if let Some(c) = &self.cache {
-                    // The meta drop just changed the fast-stat answer;
-                    // keep the exists/container verdicts.
-                    c.clear_meta(&self.container);
-                }
+                // The meta drop just changed the fast-stat answer; keep the
+                // exists/container verdicts.
+                self.cache.clear_meta(&self.container);
             }
         }
         let remaining = refs.total();
-        // The compaction census runs on a detached thread either way;
-        // releasing the refs guard before spawning keeps the close path's
-        // critical section free of the thread-creation syscall.
         drop(refs);
         if remaining == 0 {
             self.release_creator()?;
-            self.maybe_compact_in_background();
         }
         Ok(remaining)
     }
@@ -875,42 +846,8 @@ impl PlfsFd {
         }
         let index = container::creator_closed_index_path(&self.container, 0, 0);
         self.backing.create(&index, true)?;
-        if let Some(c) = &self.cache {
-            c.clear_meta(&self.container);
-        }
+        self.cache.clear_meta(&self.container);
         Ok(())
-    }
-
-    /// Opt-in background compaction ([`Conf::compact_droppings_threshold`]):
-    /// when the last reference on a writable fd goes away and the container
-    /// has accumulated more droppings than the threshold, fold them into one
-    /// flattened dropping off-thread. Best-effort housekeeping: the dropping
-    /// census and the compaction itself run detached, errors are swallowed,
-    /// and a failed compaction leaves the container readable as it was.
-    fn maybe_compact_in_background(&self) {
-        let threshold = self.conf.compact_droppings_threshold;
-        if threshold == 0 || !self.flags.writable() {
-            return;
-        }
-        let b = self.backing.clone();
-        let container = self.container.clone();
-        let cache = self.cache.clone();
-        std::thread::spawn(move || {
-            let n = match container::list_droppings(b.as_ref(), &container) {
-                Ok(d) => d.len(),
-                Err(_) => return,
-            };
-            if n <= threshold {
-                return;
-            }
-            if crate::flatten::compact_container(b.as_ref(), &container).is_ok() {
-                if let Some(c) = cache {
-                    // Dropping layout and meta drops changed under the
-                    // cache's feet; fast-stat must re-derive.
-                    c.clear_meta(&container);
-                }
-            }
-        });
     }
 }
 
@@ -920,19 +857,12 @@ mod tests {
     use crate::backing::MemBacking;
     use crate::container::create_container;
 
-    /// Defaults, with an index buffer small enough for tests to overflow.
-    fn base() -> Conf {
-        Conf {
-            index_buffer_entries: 64,
-            ..Conf::default()
-        }
+    /// A metadata cache for an fd built without a mount.
+    fn cache() -> Arc<MetaCache> {
+        Arc::new(MetaCache::new(64, 4))
     }
 
     fn open_fd(flags: OpenFlags) -> (Arc<dyn Backing>, Arc<PlfsFd>) {
-        open_fd_with(flags, base())
-    }
-
-    fn open_fd_with(flags: OpenFlags, conf: Conf) -> (Arc<dyn Backing>, Arc<PlfsFd>) {
         let b: Arc<dyn Backing> = Arc::new(MemBacking::new());
         let params = ContainerParams::default();
         create_container(b.as_ref(), "/f", &params, true).unwrap();
@@ -941,74 +871,10 @@ mod tests {
             "/f".to_string(),
             params,
             flags,
-            &conf,
+            cache(),
             100,
         ));
         (b, fd)
-    }
-
-    #[test]
-    fn background_compaction_folds_droppings_after_last_close() {
-        let (b, fd) = open_fd_with(
-            OpenFlags::RDWR,
-            Conf {
-                compact_droppings_threshold: 2,
-                ..base()
-            },
-        );
-        for pid in 0..4u64 {
-            fd.add_ref(pid);
-            fd.write(&[pid as u8 + 1; 50], pid * 50, pid).unwrap();
-        }
-        fd.write(b"x", 200, 100).unwrap();
-        for pid in 0..4u64 {
-            fd.close(pid).unwrap();
-        }
-        fd.close(100).unwrap();
-        // Compaction runs on a detached thread; wait for it to land.
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-        loop {
-            let n = container::list_droppings(b.as_ref(), "/f").unwrap().len();
-            if n == 1 {
-                break;
-            }
-            assert!(
-                std::time::Instant::now() < deadline,
-                "background compaction never folded {n} droppings"
-            );
-            std::thread::sleep(std::time::Duration::from_millis(10));
-        }
-        let r = crate::reader::ReadFile::open(b.as_ref(), "/f").unwrap();
-        let mut got = vec![0u8; 201];
-        assert_eq!(r.pread(b.as_ref(), &mut got, 0).unwrap(), 201);
-        for pid in 0..4usize {
-            assert!(got[pid * 50..pid * 50 + 50]
-                .iter()
-                .all(|&x| x == pid as u8 + 1));
-        }
-        assert_eq!(got[200], b'x');
-    }
-
-    #[test]
-    fn no_background_compaction_below_threshold_or_readonly() {
-        let (b, fd) = open_fd_with(
-            OpenFlags::RDWR,
-            Conf {
-                compact_droppings_threshold: 8,
-                ..base()
-            },
-        );
-        fd.add_ref(200);
-        fd.write(b"aa", 0, 100).unwrap();
-        fd.write(b"bb", 2, 200).unwrap();
-        fd.close(100).unwrap();
-        fd.close(200).unwrap();
-        // Threshold not exceeded: both droppings survive.
-        std::thread::sleep(std::time::Duration::from_millis(50));
-        assert_eq!(
-            container::list_droppings(b.as_ref(), "/f").unwrap().len(),
-            2
-        );
     }
 
     #[test]
@@ -1096,8 +962,7 @@ mod tests {
         let b: Arc<dyn Backing> = metered.clone();
         let params = ContainerParams::default();
         create_container(b.as_ref(), "/f", &params, true).unwrap();
-        let conf = base();
-        let open = |flags| PlfsFd::new(b.clone(), "/f".to_string(), params, flags, &conf, 7);
+        let open = |flags| PlfsFd::new(b.clone(), "/f".to_string(), params, flags, cache(), 7);
         let w = open(OpenFlags::RDWR);
         w.write(b"0123456789", 0, 7).unwrap();
         w.close(7).unwrap();
@@ -1143,14 +1008,13 @@ mod tests {
         let b: Arc<dyn Backing> = Arc::new(MemBacking::new());
         let params = ContainerParams::default();
         create_container(b.as_ref(), "/f", &params, true).unwrap();
-        let conf = base();
         {
             let fd = PlfsFd::new(
                 b.clone(),
                 "/f".to_string(),
                 params,
                 OpenFlags::RDWR,
-                &conf,
+                cache(),
                 100,
             );
             fd.write(b"0123456789", 0, 100).unwrap();
@@ -1162,7 +1026,7 @@ mod tests {
             "/f".to_string(),
             params,
             OpenFlags::RDWR,
-            &conf,
+            cache(),
             200,
         );
         assert_eq!(fd.size().unwrap(), 10);
@@ -1207,7 +1071,7 @@ mod tests {
 
     #[test]
     fn patched_view_observes_writes_after_cached_read() {
-        let (_b, fd) = open_fd_with(OpenFlags::RDWR, Conf::default());
+        let (_b, fd) = open_fd(OpenFlags::RDWR);
         fd.write(b"aaaa", 0, 100).unwrap();
         let mut buf = [0u8; 4];
         fd.read(&mut buf, 0).unwrap(); // builds + caches the view
@@ -1237,7 +1101,7 @@ mod tests {
                 "/f".into(),
                 params,
                 OpenFlags::RDWR,
-                &base(),
+                cache(),
                 100,
             )
         };
@@ -1272,7 +1136,7 @@ mod tests {
             "/f".to_string(),
             params,
             OpenFlags::RDWR,
-            &Conf::default(),
+            cache(),
             1,
         );
         fd.write(b"a", 0, 1).unwrap();
@@ -1390,7 +1254,7 @@ mod tests {
         // file. Building a view over its records must step our write clock
         // past them (Lamport), or our overwrite wins in the patched view
         // (insertion order) and loses on the next fresh merge (stamps).
-        let (b, fd) = open_fd_with(OpenFlags::RDWR, Conf::default());
+        let (b, fd) = open_fd(OpenFlags::RDWR);
         let params = ContainerParams::default();
         let mut w = WriteFile::open(b.as_ref(), "/f", &params, 7, 64).unwrap();
         w.write(&[b'a'; 4096], 0).unwrap();
@@ -1431,7 +1295,7 @@ mod tests {
             "/f".into(),
             params,
             OpenFlags::RDWR,
-            &Conf::default(),
+            cache(),
             100,
         );
         fd.add_ref(200);
@@ -1460,7 +1324,9 @@ mod tests {
     fn write_only_fd_banks_no_index_entries() {
         let (_b, fd) = open_fd(OpenFlags::WRONLY);
         fd.add_ref(200);
-        let offsets = (0..1000u64).map(|i| (i * 7919) % 4096);
+        // Past a full index buffer, so the writer flushes while it writes.
+        let writes = crate::writer::DEFAULT_INDEX_BUFFER_ENTRIES as u64 + 1000;
+        let offsets = (0..writes).map(|i| (i * 7919) % 4096);
         for off in offsets.clone() {
             fd.write(b"x", off, 100).unwrap();
         }
@@ -1475,7 +1341,7 @@ mod tests {
 
     #[test]
     fn close_does_not_lose_unmerged_entries() {
-        let (_b, fd) = open_fd_with(OpenFlags::RDWR, Conf::default());
+        let (_b, fd) = open_fd(OpenFlags::RDWR);
         fd.write(b"first", 0, 100).unwrap();
         let mut buf = [0u8; 5];
         fd.read(&mut buf, 0).unwrap(); // cache a view

@@ -10,8 +10,7 @@
 //! This crate is the substrate for the LDPLFS reproduction (Wright et al.,
 //! IPDPS Workshops 2012): it provides the container format, the
 //! positional/pid-based API that the LDPLFS shim retargets POSIX calls to
-//! (see Listing 1 of the paper), and the one [`Conf`] its layers read their
-//! tuning from.
+//! (see Listing 1 of the paper).
 //!
 //! ## Quick start
 //!
@@ -64,7 +63,6 @@ pub mod writer;
 pub use api::{Dirent, Plfs, Stat};
 pub use backing::{BackStat, Backing, BackingFile, MemBacking, RealBacking};
 pub use check::{check, repair, CheckReport, Finding, RepairReport, Severity};
-pub use conf::Conf;
 pub use container::ContainerParams;
 pub use error::{Error, Result};
 pub use faults::{FaultKind, FaultOp, FaultRule, Faulty};

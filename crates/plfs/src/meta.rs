@@ -262,7 +262,9 @@ impl MetaCache {
     }
 
     /// Drop any verdict for `path` and kill in-flight fills for its shard.
-    /// Called on unlink, rename (both ends), trunc, and create.
+    /// Called on unlink, rename (both ends), trunc, and create — *after*
+    /// the backing mutation, so a fill that probed the half-mutated state
+    /// loses the generation race and is discarded.
     pub fn invalidate(&self, path: &str) {
         let mut shard = self.shard(path).lock();
         shard.invalidated = self.tick();

@@ -113,7 +113,8 @@ impl WriteFile {
         WriteFile::open_pair(b, container, params, pid, buffer_limit, false, None)
     }
 
-    /// Like [`WriteFile::open`], but trusting the caller that the pid's
+    /// Like [`WriteFile::open`] with the default buffer depth
+    /// ([`DEFAULT_INDEX_BUFFER_ENTRIES`]), but trusting the caller that the pid's
     /// hostdir already exists — `PlfsFd` memoizes `ensure_hostdir` per
     /// (container, hostdir), so repeat writers skip the mkdir entirely —
     /// and, with `track`, keeping flushed entries for
@@ -127,7 +128,6 @@ impl WriteFile {
         container: &str,
         params: &ContainerParams,
         pid: u64,
-        buffer_limit: usize,
         track: bool,
         creator: Option<container::CreatorDropping>,
     ) -> Result<WriteFile> {
@@ -137,7 +137,7 @@ impl WriteFile {
             container,
             params,
             pid,
-            buffer_limit,
+            DEFAULT_INDEX_BUFFER_ENTRIES,
             track,
             creator,
         )
@@ -592,7 +592,7 @@ mod tests {
     /// as the open that made `/c` would have.
     fn creator(b: &Arc<dyn Backing>, p: &ContainerParams) -> WriteFile {
         let dropping = container::CreatorDropping::create(b.as_ref(), "/c").unwrap();
-        WriteFile::open_prepared(b, "/c", p, 9, 64, false, Some(dropping)).unwrap()
+        WriteFile::open_prepared(b, "/c", p, 9, false, Some(dropping)).unwrap()
     }
 
     #[test]
@@ -702,7 +702,7 @@ mod tests {
         let (b, p) = setup();
         container::ensure_hostdir(&b, "/c", &p, 1).unwrap();
         let b: Arc<dyn Backing> = Arc::new(b);
-        let mut w = WriteFile::open_prepared(&b, "/c", &p, 1, 64, true, None).unwrap();
+        let mut w = WriteFile::open_prepared(&b, "/c", &p, 1, true, None).unwrap();
         // Irregular offsets: pattern compression stays out of the way.
         w.write(b"abcd", 100).unwrap();
         w.write(b"efgh", 7).unwrap();

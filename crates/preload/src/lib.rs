@@ -77,12 +77,10 @@
 //! and maps that (a writable fd fails `ENODEV`); the kernel's fd-to-fd
 //! movers answer `EXDEV`/`EINVAL`. See DESIGN.md.
 //!
-//! Configuration is the environment alone: `LDPLFS_MOUNT` and
-//! `LDPLFS_BACKEND` (required), plus the variables of the one knob table —
-//! see `plfs::conf` and the "Configuration" table in README.md. An
-//! unparsable value keeps its default (the shim must never refuse to start
-//! over tuning); an `LDPLFS_*` name nothing reads is reported in one
-//! stderr line at init.
+//! Configuration is the environment alone, and it says only where the
+//! mount is: `LDPLFS_MOUNT` and `LDPLFS_BACKEND`, both required
+//! (`plfs::conf::SHIM_ENV`); every tuning value is a constant. An
+//! `LDPLFS_*` name nothing reads is reported in one stderr line at init.
 //!
 //! Known limitation (shared with the original): descriptors inherited
 //! *across `execve`* lose their PLFS identity, so shell output redirection
@@ -446,20 +444,13 @@ fn init_shim() -> Option<Shim> {
         return None;
     }
     let root = Arc::new(RealBacking::new(backend).ok()?);
-    let env: Vec<(String, String)> = std::env::vars_os()
-        .filter_map(|(k, v)| Some((k.into_string().ok()?, v.into_string().ok()?)))
-        .filter(|(k, _)| k.starts_with("LDPLFS_"))
-        .collect();
-    for (name, _) in &env {
-        if !plfs::conf::known_env(name) {
+    for (name, _) in std::env::vars_os() {
+        let name = name.to_string_lossy();
+        if name.starts_with("LDPLFS_") && !plfs::conf::known_env(&name) {
             warn(&format!("unknown variable {name} ignored"));
         }
     }
-    let (conf, bad) = plfs::Conf::from_env(env);
-    for e in bad {
-        warn(&format!("{e}; default kept"));
-    }
-    let plfs = Plfs::new(Arc::clone(&root) as Arc<dyn plfs::Backing>).with_conf(conf);
+    let plfs = Plfs::new(Arc::clone(&root) as Arc<dyn plfs::Backing>);
     // SAFETY: the handlers are `extern "C" fn()`s that never unwind.
     unsafe { pthread_atfork(before_fork, after_fork_in_parent, after_fork_in_child) };
     let mount = ShimMount {

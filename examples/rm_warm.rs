@@ -7,7 +7,7 @@
 //! cargo run --release --example rm_warm -- [N] [DIR]
 //! ```
 //!
-//! `N` defaults to 4096, the metadata cache's default capacity; `DIR`
+//! `N` defaults to 4096, the metadata cache's capacity; `DIR`
 //! (the backing directory, made and removed) to one under the temp dir.
 
 use plfs::{Backing, MeterBacking, OpenFlags, Plfs, RealBacking};

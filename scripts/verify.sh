@@ -13,9 +13,8 @@ cargo build --release --offline
 # read-open's heap high-water mark), read_after_write (op counts and
 # refresh scaling), corrupt_index (hostile index droppings and access files
 # are Corrupt), create_race (racing creators of one container), prop_meta
-# (cached mount == uncached) and the concurrent_* suites. README's
-# Configuration table is held to the knob table by a `plfs` unit test
-# (`conf::tests::the_readme_prints_the_knob_table`).
+# (one warm mount == a fresh mount per operation) and the concurrent_*
+# suites.
 cargo test --workspace -q --offline
 # The benchmark harness is a workspace of its own: compile and test it
 # against the product crates here, so an API break under benchmark/ shows

@@ -6,7 +6,7 @@
 //! must be byte-identical to the serially-built reference, whatever
 //! interleaving the scheduler picks.
 
-use plfs::{Backing, ContainerParams, MemBacking, OpenFlags, Plfs, ReadFile};
+use plfs::{Backing, MemBacking, OpenFlags, Plfs, ReadFile};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// The tests of this binary take turns: the global trace sink's counts and
@@ -25,7 +25,7 @@ fn build_container(
     rows: usize,
     block: usize,
 ) -> Vec<u8> {
-    let plfs = Plfs::new(backing.clone()).with_params(ContainerParams { num_hostdirs: 4 });
+    let plfs = Plfs::new(backing.clone());
     let fd = plfs
         .open("/shared", OpenFlags::RDWR | OpenFlags::CREAT, 0)
         .unwrap();

@@ -88,7 +88,16 @@ impl Backing for Gated {
 /// Each caller mounts its own `Plfs` (its own metadata cache), like the
 /// separate processes of the original report.
 fn mount(b: &Arc<Gated>) -> Plfs {
-    Plfs::new(Arc::clone(b) as Arc<dyn Backing>).with_params(ContainerParams { num_hostdirs: 7 })
+    Plfs::new(Arc::clone(b) as Arc<dyn Backing>)
+}
+
+/// The params an older build wrote into a container's access file: a
+/// hostdir count other than the default, which every joiner must adopt.
+const OLD: ContainerParams = ContainerParams { num_hostdirs: 7 };
+
+/// Create `/f` as an older build did, access file and all, with [`OLD`].
+fn create_old(b: &Arc<Gated>) -> Result<()> {
+    plfs::container::create_container(b.as_ref(), "/f", &OLD, false).map(|_| ())
 }
 
 fn assert_one_container(b: &Arc<Gated>) {
@@ -117,7 +126,7 @@ fn losers_that_see_the_bare_directory_wait_for_the_access_file() {
         access_misses: AtomicUsize::new(0),
     });
     std::thread::scope(|s| {
-        let creator = s.spawn(|| mount(&b).create("/f", false));
+        let creator = s.spawn(|| create_old(&b));
         // The creator has made the directory and is held before the access
         // file: exactly the window of the report.
         entered_rx.recv().unwrap();
@@ -174,16 +183,7 @@ fn losers_of_the_mkdir_wait_for_the_access_file() {
     });
     std::thread::scope(|s| {
         let racers: Vec<_> = (0..RACERS)
-            .map(|_| {
-                s.spawn(|| {
-                    plfs::container::create_container(
-                        b.as_ref(),
-                        "/f",
-                        &ContainerParams { num_hostdirs: 7 },
-                        false,
-                    )
-                })
-            })
+            .map(|_| s.spawn(|| plfs::container::create_container(b.as_ref(), "/f", &OLD, false)))
             .collect();
         let mut made = 0;
         for (i, r) in racers.into_iter().enumerate() {

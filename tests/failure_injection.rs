@@ -3,21 +3,16 @@
 //! restores service.
 
 use ldplfs::{Errno, LdPlfsBuilder, OpenFlags, PosixLayer, RealPosix};
-use plfs::{ContainerParams, FaultKind, FaultOp, FaultRule, Faulty, MemBacking, Plfs};
+use plfs::{FaultKind, FaultOp, FaultRule, Faulty, MemBacking, Plfs};
 use std::sync::Arc;
 
 fn stack(tag: &str) -> (Arc<Faulty>, ldplfs::LdPlfs) {
-    stack_with(tag, ContainerParams::default())
-}
-
-/// [`stack`] over a mount whose new files get `params`.
-fn stack_with(tag: &str, params: ContainerParams) -> (Arc<Faulty>, ldplfs::LdPlfs) {
     let dir = std::env::temp_dir().join(format!("ldplfs-faults-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let under = Arc::new(RealPosix::rooted(dir).unwrap());
     let faulty = Arc::new(Faulty::new(Arc::new(MemBacking::new())));
     let shim = LdPlfsBuilder::new(under)
-        .mount("/plfs", Plfs::new(faulty.clone()).with_params(params))
+        .mount("/plfs", Plfs::new(faulty.clone()))
         .build()
         .unwrap();
     (faulty, shim)
@@ -66,21 +61,20 @@ fn transient_fault_heals_without_reopen() {
 
 #[test]
 fn open_fault_leaves_no_half_container() {
-    // The skeleton's last op: with the default params, the create of the
-    // creator's data dropping; with others, the access file — its create,
-    // then the write of its bytes.
-    let other = ContainerParams { num_hostdirs: 8 };
+    // The skeleton's last op: for a writer's create, the create of the
+    // creator's data dropping; for a read-only one, the access file — its
+    // create, then the write of its bytes.
     let cases = [
+        (OpenFlags::WRONLY, "dropping.data", &[FaultOp::Create][..]),
         (
-            ContainerParams::default(),
-            "dropping.data",
-            &[FaultOp::Create][..],
+            OpenFlags::RDONLY,
+            ".plfsaccess",
+            &[FaultOp::Create, FaultOp::Write][..],
         ),
-        (other, ".plfsaccess", &[FaultOp::Create, FaultOp::Write][..]),
     ];
-    for (params, file, ops) in cases {
-        let (faulty, shim) = stack_with(&format!("halfopen{}", params.num_hostdirs), params);
-        let flags = OpenFlags::WRONLY | OpenFlags::CREAT;
+    for (i, (mode, file, ops)) in cases.into_iter().enumerate() {
+        let (faulty, shim) = stack(&format!("halfopen{i}"));
+        let flags = mode | OpenFlags::CREAT;
         let backing: &dyn plfs::Backing = faulty.as_ref();
         for &op in ops {
             faulty.arm(FaultRule {
@@ -103,6 +97,8 @@ fn open_fault_leaves_no_half_container() {
         let t0 = std::time::Instant::now();
         let fd = shim.open("/plfs/f", flags, 0o644).unwrap();
         assert!(t0.elapsed() < std::time::Duration::from_millis(500));
+        shim.close(fd).unwrap();
+        let fd = shim.open("/plfs/f", OpenFlags::WRONLY, 0o644).unwrap();
         shim.write(fd, b"fine").unwrap();
         shim.close(fd).unwrap();
         assert_eq!(shim.stat("/plfs/f").unwrap().size, 4);

@@ -1,7 +1,7 @@
 //! Property tests: the container's logical-file semantics against a
 //! byte-vector reference model.
 
-use plfs::{ContainerParams, GlobalIndex, IndexEntry, MemBacking, OpenFlags, Plfs};
+use plfs::{GlobalIndex, IndexEntry, MemBacking, OpenFlags, Plfs};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -44,8 +44,8 @@ fn reference(ws: &[W]) -> Vec<u8> {
     out
 }
 
-fn run_against_plfs(ws: &[W], num_hostdirs: u32) -> Vec<u8> {
-    let plfs = Plfs::new(Arc::new(MemBacking::new())).with_params(ContainerParams { num_hostdirs });
+fn run_against_plfs(ws: &[W]) -> Vec<u8> {
+    let plfs = Plfs::new(Arc::new(MemBacking::new()));
     let fd = plfs
         .open("/f", OpenFlags::RDWR | OpenFlags::CREAT, 0)
         .unwrap();
@@ -69,7 +69,7 @@ proptest! {
     /// to the reference model.
     #[test]
     fn roundtrip_matches_reference(ws in writes(24, 4096, 256)) {
-        let got = run_against_plfs(&ws, 4);
+        let got = run_against_plfs(&ws);
         prop_assert_eq!(got, reference(&ws));
     }
 

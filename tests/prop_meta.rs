@@ -1,6 +1,7 @@
-//! Property tests: a cache-enabled mount is observationally equivalent to
-//! a `meta_cache_entries: 0` mount (the escape hatch that disables the
-//! container metadata cache) over arbitrary metadata op sequences.
+//! Property tests: a mount with its container metadata cache warm is
+//! observationally equivalent to a fresh mount per operation — nothing
+//! cached, every lookup probed, exactly what another process sees — over
+//! arbitrary metadata op sequences.
 //!
 //! Each side runs the identical sequence against its own in-memory
 //! backing; after every op the outcome summaries must match, and at the
@@ -9,7 +10,7 @@
 //! invalidation on unlink, rename, truncate, mkdir/rmdir, or a create
 //! racing its own probe — shows up as a divergence.
 
-use plfs::{Conf, Error, MemBacking, OpenFlags, Plfs};
+use plfs::{Backing, Error, MemBacking, OpenFlags, Plfs};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -148,21 +149,19 @@ fn observe(p: &Plfs, path: &str) -> String {
     )
 }
 
-fn run_equivalence(ops: &[Op], cached_conf: Conf) {
-    let cached = Plfs::new(Arc::new(MemBacking::new())).with_conf(cached_conf);
-    let serial = Plfs::new(Arc::new(MemBacking::new())).with_conf(Conf {
-        meta_cache_entries: 0,
-        ..Conf::default()
-    });
+fn run_equivalence(ops: &[Op]) {
+    let cached = Plfs::new(Arc::new(MemBacking::new()));
+    let backing: Arc<dyn Backing> = Arc::new(MemBacking::new());
+    let serial = || Plfs::new(Arc::clone(&backing));
     for (i, op) in ops.iter().enumerate() {
         let c = apply(&cached, op);
-        let s = apply(&serial, op);
+        let s = apply(&serial(), op);
         prop_assert_eq!(c, s, "op {} diverged: {:?}", i, op);
     }
     for path in PATHS {
         prop_assert_eq!(
             observe(&cached, path),
-            observe(&serial, path),
+            observe(&serial(), path),
             "end state diverged at {}",
             path
         );
@@ -177,9 +176,9 @@ fn run_equivalence(ops: &[Op], cached_conf: Conf) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Default conf (cache on, eager markers) ≡ serial conf.
+    /// One warm mount ≡ a fresh mount per operation.
     #[test]
     fn cached_mount_equivalent_to_serial(ops in ops(24)) {
-        run_equivalence(&ops, Conf::default());
+        run_equivalence(&ops);
     }
 }

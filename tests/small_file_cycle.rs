@@ -11,7 +11,7 @@
 //! spelling.
 
 use plfs::container::{self, ContainerParams};
-use plfs::{Backing, Conf, MemBacking, MeterBacking, MeterSnapshot, OpenFlags, Plfs, WriteFile};
+use plfs::{Backing, MemBacking, MeterBacking, MeterSnapshot, OpenFlags, Plfs, WriteFile};
 use std::sync::Arc;
 
 const CREATE_RW: OpenFlags = OpenFlags(0o2 | 0o100); // RDWR|CREAT
@@ -333,11 +333,7 @@ fn every_listed_index_is_a_whole_file_of_records_merging_to_eof() {
         assert_eq!((merged.eof(), reader.eof()), (eof, eof), "{container}");
     }
     let b = Arc::new(MemBacking::new());
-    let conf = Conf {
-        index_buffer_entries: 8,
-        ..Conf::default()
-    };
-    let plfs = Plfs::new(b.clone()).with_conf(conf);
+    let plfs = Plfs::new(b.clone());
 
     // A small creator, open and closed.
     let fd = plfs.open("/small", CREATE_RW, 1).unwrap();
@@ -347,12 +343,16 @@ fn every_listed_index_is_a_whole_file_of_records_merging_to_eof() {
     plfs.close(&fd, 1).unwrap();
     probe(b.as_ref(), "/small", 1000);
 
-    // A creator that flushed its index mid-stream (irregular offsets, so
-    // no run compresses away), then joiners from this mount and another.
+    // A creator that flushed its index mid-stream, every 8 writes
+    // (irregular offsets, so no run compresses away), then joiners from
+    // this mount and another.
     let fd = plfs.open("/big", CREATE_RW, 1).unwrap();
     let offsets = (0..50u64).map(|i| (i * 7919) % 4000);
-    for off in offsets.clone() {
+    for (i, off) in offsets.clone().enumerate() {
         plfs.write(&fd, &[2u8; 7], off, 1).unwrap();
+        if i % 8 == 7 {
+            plfs.sync(&fd, 1).unwrap();
+        }
     }
     plfs.close(&fd, 1).unwrap();
     probe(b.as_ref(), "/big", offsets.max().unwrap() + 7);
@@ -730,31 +730,40 @@ fn a_plain_directory_holding_a_file_named_like_a_dropping_stays_a_directory() {
 }
 
 /// A container in the layout every earlier writer's create left — the
-/// access file first, here with 8 hostdirs, or made by `Plfs::create` with
-/// the defaults — reads back byte for byte on a mount with the defaults,
-/// keeps its params for a writer that joins it, and unlinks to nothing.
+/// access file beside the creator's pair, here with 8 hostdirs as an older
+/// build could write, or made by `Plfs::create` with the defaults — reads
+/// back byte for byte, keeps its params for a writer that joins it, and
+/// unlinks to nothing.
 #[test]
 fn a_container_in_the_access_file_layout_reads_back_and_unlinks_to_nothing() {
     let b = Arc::new(MemBacking::new());
     let eight = ContainerParams { num_hostdirs: 8 };
-    let old = Plfs::new(b.clone()).with_params(eight);
-    let fd = old.open("/f", CREATE_RW, 1).unwrap();
-    Plfs::new(b.clone()).create("/g", true).unwrap();
-    let gd = old.open("/g", CREATE_RW, 1).unwrap();
+    let mount = Plfs::new(b.clone());
+    let fd = mount.open("/f", CREATE_RW, 1).unwrap();
+    container::publish_access_file(b.as_ref(), "/f", &eight).unwrap();
+    // The creator's later ranks join from another process, as the old
+    // build's would have: they read the access file.
+    let joined = Plfs::new(b.clone()).open("/f", CREATE_RW, 2).unwrap();
+    assert_eq!(joined.params(), eight);
+    joined.add_ref(3);
+    mount.create("/g", true).unwrap();
+    let gd = mount.open("/g", CREATE_RW, 1).unwrap();
+    let f_of = |pid| if pid == 1 { &fd } else { &joined };
     let mut model = Vec::new();
     for pid in 1..4u64 {
         if pid > 1 {
-            fd.add_ref(pid);
             gd.add_ref(pid);
         }
         let bytes = vec![pid as u8; 700];
-        old.write(&fd, &bytes, (pid - 1) * 700, pid).unwrap();
-        old.write(&gd, &bytes, (pid - 1) * 700, pid).unwrap();
+        mount
+            .write(f_of(pid), &bytes, (pid - 1) * 700, pid)
+            .unwrap();
+        mount.write(&gd, &bytes, (pid - 1) * 700, pid).unwrap();
         model.extend_from_slice(&bytes);
     }
     for pid in 1..4u64 {
-        old.close(&fd, pid).unwrap();
-        old.close(&gd, pid).unwrap();
+        mount.close(f_of(pid), pid).unwrap();
+        mount.close(&gd, pid).unwrap();
     }
     let names = b.readdir("/f").unwrap();
     assert!(names.iter().any(|n| n == ".plfsaccess"), "{names:?}");
@@ -920,10 +929,12 @@ fn a_truncate_before_the_creators_first_write_keeps_what_it_writes() {
 #[test]
 fn a_creators_pair_under_its_pid_beside_the_access_file_reads_as_any_pair() {
     let b = Arc::new(MemBacking::new());
-    let plfs = Plfs::new(b.clone()).with_params(ContainerParams { num_hostdirs: 8 });
+    let plfs = Plfs::new(b.clone());
     let fd = plfs.open("/f", CREATE_RW, 7).unwrap();
     plfs.write(&fd, b"written by pid 7", 0, 7).unwrap();
     plfs.close(&fd, 7).unwrap();
+    let eight = ContainerParams { num_hostdirs: 8 };
+    container::publish_access_file(b.as_ref(), "/f", &eight).unwrap();
     b.rename("/f/dropping.data.creator.0", "/f/dropping.data.7.0")
         .unwrap();
     b.rename(

@@ -6,7 +6,7 @@
 use apps::md5::hex;
 use apps::unix_tools::{cat, cp, grep, md5sum};
 use ldplfs::{CFile, LdPlfsBuilder, OpenFlags, PosixLayer, RealPosix, Whence};
-use plfs::{ContainerParams, Plfs, RealBacking};
+use plfs::{Plfs, RealBacking};
 use std::sync::Arc;
 
 fn stack(tag: &str) -> (Arc<dyn PosixLayer>, std::path::PathBuf) {
@@ -14,7 +14,7 @@ fn stack(tag: &str) -> (Arc<dyn PosixLayer>, std::path::PathBuf) {
     let _ = std::fs::remove_dir_all(&root);
     let under = Arc::new(RealPosix::rooted(root.join("fs")).unwrap());
     let backing = Arc::new(RealBacking::new(root.join("backend")).unwrap());
-    let plfs = Plfs::new(backing).with_params(ContainerParams { num_hostdirs: 8 });
+    let plfs = Plfs::new(backing);
     let shim = LdPlfsBuilder::new(under)
         .mount("/plfs", plfs)
         .build()
@@ -45,8 +45,10 @@ fn configured_stack_round_trips() {
     assert_eq!(back, payload);
 
     // The backend really holds a container (visible on the host FS), its
-    // params in the access file.
-    assert!(root.join("backend/data/.plfsaccess").exists());
+    // creator's data dropping marking it: the params are the defaults.
+    let container = root.join("backend/data");
+    assert!(container.join("dropping.data.creator.0").exists());
+    assert!(!container.join(".plfsaccess").exists());
     let _ = std::fs::remove_dir_all(&root);
 }
 
