@@ -108,8 +108,7 @@ impl<C: Cursor> Open<C> {
         Ok(self.plfs.write(buf, off, pid)?)
     }
 
-    /// `readv(2)`: one list read for the whole vector (one index query),
-    /// scattered over `bufs`.
+    /// `readv(2)`: one read of the whole range, scattered over `bufs`.
     pub fn readv(&self, bufs: &mut [&mut [u8]]) -> PosixResult<usize> {
         self.at_cursor(|off| Ok((off, scatter_read(&self.plfs, bufs, off)?)))
     }
@@ -119,32 +118,14 @@ impl<C: Cursor> Open<C> {
         Ok(scatter_read(&self.plfs, bufs, off)?)
     }
 
-    /// `writev(2)`: the vector gathered into one extent, so it costs one
-    /// index record rather than one per buffer.
+    /// `writev(2)`: [`Open::write`] of the gathered buffers.
     pub fn writev(&self, bufs: &[&[u8]], pid: u64) -> PosixResult<usize> {
-        let data = bufs.concat();
-        if data.is_empty() {
-            return Ok(0);
-        }
-        self.at_cursor(|off| match self.append {
-            true => self.plfs.append(&data, pid),
-            false => Ok((
-                off,
-                self.plfs
-                    .write_list(&data, &[(off, data.len() as u64)], pid)?,
-            )),
-        })
+        self.write(&bufs.concat(), pid)
     }
 
-    /// `pwritev(2)`.
+    /// `pwritev(2)`: [`Open::pwrite`] of the gathered buffers.
     pub fn pwritev(&self, bufs: &[&[u8]], off: u64, pid: u64) -> PosixResult<usize> {
-        let data = bufs.concat();
-        if data.is_empty() {
-            return Ok(0);
-        }
-        Ok(self
-            .plfs
-            .write_list(&data, &[(off, data.len() as u64)], pid)?)
+        self.pwrite(&bufs.concat(), off, pid)
     }
 
     /// `lseek(2)`: the cursor alone, but for `SEEK_END`'s logical size.
@@ -183,14 +164,14 @@ impl<C: Cursor> Open<C> {
     }
 }
 
-/// One list read of `bufs`' total length at `off`, scattered over them.
+/// One read of `bufs`' total length at `off`, scattered over them.
 fn scatter_read(plfs: &PlfsFd, bufs: &mut [&mut [u8]], off: u64) -> plfs::Result<usize> {
     let total: usize = bufs.iter().map(|b| b.len()).sum();
     if total == 0 {
         return Ok(0);
     }
     let mut data = vec![0u8; total];
-    let n = plfs.read_list(&mut data, &[(off, total as u64)])?;
+    let n = plfs.read(&mut data, off)?;
     let mut rest = &data[..n];
     for buf in bufs.iter_mut() {
         let take = buf.len().min(rest.len());

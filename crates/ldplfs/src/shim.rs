@@ -7,18 +7,16 @@
 //! paper's whole point.
 //!
 //! What a call on a container does is [`crate::open`]'s, the dispatcher
-//! the `LD_PRELOAD` library runs too; this type adds the counters and the
-//! trace events. As in the paper (§III.A), every PLFS open reserves a
-//! genuine descriptor of the underlying layer, so the application holds a
-//! number no other file can take: here a `dup` of one template file, made
-//! and unlinked when the shim is built. Unlike the paper, no state is kept
-//! through that descriptor: the cursor is an atomic of the open's, and a
-//! `read`, `write` or `lseek` on a container makes no call on the layer
-//! below.
+//! the `LD_PRELOAD` library runs too; this type adds the trace events. As
+//! in the paper (§III.A), every PLFS open reserves a genuine descriptor of
+//! the underlying layer, so the application holds a number no other file
+//! can take: here a `dup` of one template file, made and unlinked when the
+//! shim is built. Unlike the paper, no state is kept through that
+//! descriptor: the cursor is an atomic of the open's, and a `read`, `write`
+//! or `lseek` on a container makes no call on the layer below.
 
 use crate::open::{Cursor, Dispatcher};
 use crate::posix::{Errno, Fd, OpenFlags, PosixDirent, PosixLayer, PosixResult, PosixStat, Whence};
-use crate::stats::{OpClass, ShimStats};
 use iotrace::{Layer, OpEvent, OpKind};
 use parking_lot::Mutex;
 use std::cell::Cell;
@@ -67,7 +65,6 @@ impl Cursor for Handle {
 pub struct LdPlfs {
     under: Arc<dyn PosixLayer>,
     opens: Dispatcher<Handle>,
-    stats: ShimStats,
     /// The underlying fd every reserved fd duplicates.
     template: Mutex<Fd>,
 }
@@ -89,16 +86,15 @@ fn new_template(under: &dyn PosixLayer) -> PosixResult<Fd> {
 }
 
 /// A call on the container `$found` finds: `$mine` on it, or `$theirs` on
-/// the layer below. Counted and traced as a `$kind` call either way, the
-/// event built by `$ev` and completed from the result ([`Detail`]).
+/// the layer below. Traced as a `$kind` call either way ([`track`]).
 macro_rules! call {
-    ($self:ident, $found:expr, $kind:ident, $ev:expr, |$o:ident| $mine:expr, $theirs:expr) => {{
+    ($found:expr, $kind:ident, $ev:expr, |$o:ident| $mine:expr, $theirs:expr) => {{
         let t0 = iotrace::global().start();
         let (r, hit) = match $found {
             Some($o) => ($mine, true),
             None => ($theirs, false),
         };
-        $self.track(OpKind::$kind, hit, t0, &r, $ev);
+        track(OpKind::$kind, hit, t0, &r, $ev);
         r
     }};
 }
@@ -110,7 +106,7 @@ macro_rules! on_fd {
     ($self:ident; $($name:ident($fd:ident $(, $arg:ident: $ty:ty)*) -> $ret:ty:
         $kind:ident $(.$ev:ident($evarg:expr))* => |$o:ident| $mine:expr;)*) => {$(
         fn $name(&$self, $fd: Fd $(, $arg: $ty)*) -> PosixResult<$ret> {
-            call!($self, $self.opens.get($fd), $kind, |e| e.fd($fd as i64)$(.$ev($evarg))*,
+            call!($self.opens.get($fd), $kind, |e| e.fd($fd as i64)$(.$ev($evarg))*,
                 |$o| $mine, $self.under.$name($fd $(, $arg)*))
         }
     )*};
@@ -122,7 +118,7 @@ macro_rules! on_path {
     ($self:ident; $($name:ident($path:ident $(, $arg:ident: $ty:ty)*) -> $ret:ty:
         $kind:ident $(.$ev:ident($evarg:expr))* => |$at:ident| $mine:expr;)*) => {$(
         fn $name(&$self, $path: &str $(, $arg: $ty)*) -> PosixResult<$ret> {
-            call!($self, $self.opens.resolve($path), $kind, |e| e.path($path)$(.$ev($evarg))*,
+            call!($self.opens.resolve($path), $kind, |e| e.path($path)$(.$ev($evarg))*,
                 |$at| $mine, $self.under.$name($path $(, $arg)*))
         }
     )*};
@@ -160,15 +156,25 @@ impl Detail for () {}
 impl Detail for PosixStat {}
 impl Detail for Vec<PosixDirent> {}
 
-/// The counter class of a trace kind.
-fn class(kind: OpKind) -> OpClass {
-    match kind {
-        OpKind::Open => OpClass::Open,
-        OpKind::Read | OpKind::ListRead => OpClass::Read,
-        OpKind::Write | OpKind::ListWrite => OpClass::Write,
-        OpKind::Seek => OpClass::Seek,
-        OpKind::Close => OpClass::Close,
-        _ => OpClass::Meta,
+/// When tracing was on at span start, close the span with the event `ev`
+/// builds, completed from the result, stamped with the hit flag
+/// (intercepted or forwarded) and the span's latency. Called after the
+/// operation on both paths, so hit AND miss latencies land in the
+/// shim-layer histograms.
+fn track<'a, T: Detail>(
+    kind: OpKind,
+    hit: bool,
+    t0: Option<Instant>,
+    r: &PosixResult<T>,
+    ev: impl FnOnce(OpEvent<'a>) -> OpEvent<'a>,
+) {
+    if let Some(t0) = t0 {
+        let e = ev(OpEvent::new(Layer::Shim, kind));
+        let e = match r {
+            Ok(v) => v.detail(e),
+            Err(_) => e,
+        };
+        iotrace::global().record(t0, e.hit(hit));
     }
 }
 
@@ -180,14 +186,8 @@ impl LdPlfs {
         Ok(LdPlfs {
             under,
             opens: Dispatcher::new(mounts),
-            stats: ShimStats::default(),
             template,
         })
-    }
-
-    /// Interception counters.
-    pub fn stats(&self) -> &ShimStats {
-        &self.stats
     }
 
     /// The underlying POSIX layer.
@@ -198,34 +198,6 @@ impl LdPlfs {
     /// The configured mounts.
     pub fn mounts(&self) -> &[ShimMount] {
         self.opens.mounts()
-    }
-
-    /// Count the call as intercepted (`hit = true`) or forwarded, and —
-    /// when tracing was on at span start — close the span with the event
-    /// `ev` builds, completed from the result, stamped with the hit flag and
-    /// the span's latency. Called after the operation on both paths, so hit
-    /// AND miss latencies land in the shim-layer histograms.
-    fn track<'a, T: Detail>(
-        &self,
-        kind: OpKind,
-        hit: bool,
-        t0: Option<Instant>,
-        r: &PosixResult<T>,
-        ev: impl FnOnce(OpEvent<'a>) -> OpEvent<'a>,
-    ) {
-        if hit {
-            self.stats.hit(class(kind));
-        } else {
-            self.stats.miss(class(kind));
-        }
-        if let Some(t0) = t0 {
-            let e = ev(OpEvent::new(Layer::Shim, kind));
-            let e = match r {
-                Ok(v) => v.detail(e),
-                Err(_) => e,
-            };
-            iotrace::global().record(t0, e.hit(hit));
-        }
     }
 
     /// A new reserved fd: a `dup` of the template, remade if the
@@ -284,7 +256,6 @@ impl PosixLayer for LdPlfs {
             Ok((self.reserve()?, Handle { cursor, pid }))
         };
         call!(
-            self,
             self.opens.resolve(path),
             Open,
             |e| e.path(path),
@@ -297,7 +268,6 @@ impl PosixLayer for LdPlfs {
         // Both halves are released whatever the other does; the first error
         // is reported.
         call!(
-            self,
             self.opens.close(fd),
             Close,
             |e| e.fd(fd as i64),
@@ -313,7 +283,6 @@ impl PosixLayer for LdPlfs {
             Ok(new)
         };
         call!(
-            self,
             self.opens.get(fd),
             Meta,
             |e| e,
@@ -330,7 +299,6 @@ impl PosixLayer for LdPlfs {
             _ => Err(Errno::EXDEV),
         };
         call!(
-            self,
             (ends.0.is_some() || ends.1.is_some()).then_some(ends),
             Meta,
             |e| e.path(from),
@@ -393,7 +361,6 @@ mod tests {
     fn open_inside_mount_is_intercepted() {
         let s = shim();
         let fd = s.open("/plfs/f", CREATE_RW, 0o644).unwrap();
-        assert_eq!(s.stats().intercepted(OpClass::Open), 1);
         s.write(fd, b"via shim").unwrap();
         s.close(fd).unwrap();
         // The container lives on the PLFS backing, not the real FS.
@@ -406,7 +373,6 @@ mod tests {
     fn open_outside_mount_passes_through() {
         let s = shim();
         let fd = s.open("/normal.txt", CREATE_RW, 0o644).unwrap();
-        assert_eq!(s.stats().passthrough(OpClass::Open), 1);
         s.write(fd, b"plain").unwrap();
         s.close(fd).unwrap();
         assert_eq!(s.underlying().stat("/normal.txt").unwrap().size, 5);

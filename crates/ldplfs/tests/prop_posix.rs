@@ -25,6 +25,8 @@ enum Op {
     Dup,
     Writev(Vec<Vec<u8>>),
     Readv(Vec<usize>),
+    PWritev(Vec<Vec<u8>>, u64),
+    PReadv(Vec<usize>, u64),
 }
 
 fn ops(max: usize) -> impl Strategy<Value = Vec<Op>> {
@@ -42,6 +44,13 @@ fn ops(max: usize) -> impl Strategy<Value = Vec<Op>> {
             prop::collection::vec(prop::collection::vec(any::<u8>(), 1..16), 1..4)
                 .prop_map(Op::Writev),
             prop::collection::vec(1usize..24, 1..4).prop_map(Op::Readv),
+            (
+                prop::collection::vec(prop::collection::vec(any::<u8>(), 1..16), 1..4),
+                0u64..512
+            )
+                .prop_map(|(d, o)| Op::PWritev(d, o)),
+            (prop::collection::vec(1usize..24, 1..4), 0u64..512)
+                .prop_map(|(n, o)| Op::PReadv(n, o)),
         ],
         1..max,
     )
@@ -114,6 +123,8 @@ impl Model {
             Op::Dup => (None, None),
             Op::Writev(bufs) => self.apply(&Op::Write(bufs.concat())),
             Op::Readv(lens) => self.apply(&Op::Read(lens.iter().sum())),
+            Op::PWritev(bufs, o) => self.apply(&Op::PWrite(bufs.concat(), *o)),
+            Op::PReadv(lens, o) => self.apply(&Op::PRead(lens.iter().sum(), *o)),
         }
     }
 }
@@ -145,6 +156,20 @@ fn drive(layer: &Arc<dyn PosixLayer>, path: &str, ops: &[Op]) -> (Vec<u8>, Vec<S
                     bufs.iter_mut().map(|b| b.as_mut_slice()).collect();
                 let got = layer.readv(fd, &mut slices).unwrap();
                 log.push(format!("readv {got}"));
+                assert_eq!(&bufs.concat()[..got], want_data.unwrap().as_slice());
+            }
+            Op::PWritev(bufs, o) => {
+                let bufs: Vec<&[u8]> = bufs.iter().map(|b| b.as_slice()).collect();
+                let n = layer.pwritev(fd, &bufs, *o).unwrap();
+                log.push(format!("pwritev {n}"));
+                assert_eq!(n as u64, want_val.unwrap());
+            }
+            Op::PReadv(lens, o) => {
+                let mut bufs: Vec<Vec<u8>> = lens.iter().map(|&n| vec![0u8; n]).collect();
+                let mut slices: Vec<&mut [u8]> =
+                    bufs.iter_mut().map(|b| b.as_mut_slice()).collect();
+                let got = layer.preadv(fd, &mut slices, *o).unwrap();
+                log.push(format!("preadv {got}"));
                 assert_eq!(&bufs.concat()[..got], want_data.unwrap().as_slice());
             }
             Op::Write(d) => {

@@ -352,8 +352,9 @@ impl PlfsContainer {
 
     /// A PLFS list write: the whole extent batch appends *contiguously* to
     /// the rank's data dropping — one backend write of the total — and
-    /// buffers ONE index record for the batch (PlfsFd::write_list flushes
-    /// the batch as a unit and pattern compression folds the strided run).
+    /// buffers ONE index record for the batch (a modelled list write that
+    /// pattern compression folds into one strided run; the product's PLFS
+    /// has no list call).
     /// Contrast with the per-extent path, which pays a write op and an
     /// index record per extent, or UFS sieving, which pays a
     /// read-modify-write of the sieve buffer per extent.
@@ -666,7 +667,7 @@ impl AdioDriver for LdplfsDriver {
         node: usize,
         extents: &[(u64, u64)],
     ) -> SimResult<f64> {
-        // The shim's PlfsFd::write_list batches the extent vector into one
+        // Modelled as one list write: the extent vector batched into one
         // dropping append + one index record; one fd-table lookup pays the
         // per-op overhead once for the whole batch.
         self.container

@@ -348,24 +348,6 @@ impl Plfs {
         r
     }
 
-    /// List-I/O write: one call carries a whole `(logical_offset, len)`
-    /// extent vector (see [`PlfsFd::write_list`]).
-    pub fn write_list(
-        &self,
-        fd: &PlfsFd,
-        data: &[u8],
-        extents: &[(u64, u64)],
-        pid: u64,
-    ) -> Result<usize> {
-        fd.write_list(data, extents, pid)
-    }
-
-    /// List-I/O read: one merged-index query serves a whole extent vector
-    /// (see [`PlfsFd::read_list`]).
-    pub fn read_list(&self, fd: &PlfsFd, data: &mut [u8], extents: &[(u64, u64)]) -> Result<usize> {
-        fd.read_list(data, extents)
-    }
-
     /// `plfs_sync`: flush `pid`'s buffered index and sync droppings.
     pub fn sync(&self, fd: &PlfsFd, pid: u64) -> Result<()> {
         let t0 = iotrace::global().start();

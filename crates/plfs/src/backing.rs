@@ -35,16 +35,17 @@ pub struct BackStat {
 /// An open file on a backing store.
 ///
 /// Handles are `Send + Sync`; positional reads and writes take explicit
-/// offsets so concurrent use never races on a shared cursor, and
-/// [`BackingFile::append`] provides the atomic end-of-log append that the
-/// log-structured write path depends on.
+/// offsets so concurrent use never races on a shared cursor.
 pub trait BackingFile: Send + Sync {
     /// Read up to `buf.len()` bytes at `off`; returns bytes read (0 at EOF).
     fn pread(&self, buf: &mut [u8], off: u64) -> Result<usize>;
     /// Write all of `buf` at `off`.
     fn pwrite(&self, buf: &[u8], off: u64) -> Result<usize>;
     /// Atomically append `buf` to the end of the file, returning the offset
-    /// the data landed at.
+    /// the data landed at. Only tests call it: the write path places every
+    /// write with `pwrite` at an offset it keeps itself. It stays only
+    /// because the benchmark harness's `TimedFile` forwards it; delete the
+    /// two together.
     fn append(&self, buf: &[u8]) -> Result<u64>;
     /// Current size in bytes.
     fn size(&self) -> Result<u64>;

@@ -19,10 +19,9 @@
 //! access file or the creator's data dropping, [`CREATOR_DATA`] (a regular
 //! file: an application's container of that name is a directory). No
 //! access file means [`ContainerParams::default`]. A writable
-//! `open(O_CREAT)` that makes a container with the defaults makes its
-//! creator's data dropping in place of the access file
-//! (`create_container_as`); every other create, and a creator with other
-//! params, writes the access file first. The creator's pair has one name
+//! `open(O_CREAT)` makes a container with the defaults and its creator's
+//! data dropping in place of the access file (`create_container_as`);
+//! every other create writes the access file. The creator's pair has one name
 //! in every container, so a cold probe `stat`s it instead of listing for
 //! it. Only an unlink leaves the directory unmarked: whatever else removes
 //! the creator's data dropping of a container it alone marks publishes the
@@ -373,9 +372,9 @@ pub fn create_container(
 }
 
 /// [`create_container`] for an open that will write: a container it makes
-/// gets its [`CreatorDropping`] too, and, with the default params, no
-/// access file — the dropping marks it. With `writer` false this is
-/// [`create_container`].
+/// gets its [`CreatorDropping`] in place of the access file — the dropping
+/// marks it, and no file records params, so a writer passes the defaults.
+/// With `writer` false this is [`create_container`].
 pub(crate) fn create_container_as(
     b: &dyn Backing,
     path: &str,
@@ -391,25 +390,14 @@ pub(crate) fn create_container_as(
         }
         Err(e) => return Err(e),
     }
-    let access = !writer || *params != ContainerParams::default();
     // A bare directory would read as nascent to every later creator: on
     // failure take back down what this call made (best effort), and only
-    // that — an access file whose exclusive create failed is not ours, and
-    // `rmdir` refuses a directory that holds anything. The access file goes
-    // first, so a joiner that sees the dropping finds the params complete.
-    let made = (|| {
-        if access {
-            write_access_file(b, path, params)?;
-        }
-        if !writer {
-            return Ok(None);
-        }
-        CreatorDropping::create(b, path).map(Some).inspect_err(|_| {
-            if access {
-                let _ = b.unlink(&join(path, ACCESS_FILE));
-            }
-        })
-    })();
+    // that — a marker whose exclusive create failed is not ours, and
+    // `rmdir` refuses a directory that holds anything.
+    let made = match writer {
+        true => CreatorDropping::create(b, path).map(Some),
+        false => write_access_file(b, path, params).map(|()| None),
+    };
     match made {
         Ok(dropping) => Ok((*params, Creation::Made, dropping)),
         Err(e) => {

@@ -7,8 +7,9 @@
 //! every error path of the container, shim and tool layers without
 //! touching real hardware.
 
-use crate::backing::{BackStat, Backing, BackingFile};
+use crate::backing::Backing;
 use crate::error::{Error, Result};
+use crate::hooked::{Call, Hook, Hooked};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -28,7 +29,8 @@ pub enum FaultOp {
     Mkdir,
     /// Unlink/rmdir.
     Remove,
-    /// Everything else (stat, readdir, rename, truncate, sync).
+    /// Readdir, rename, truncate, sync. Stat, exists and a handle's size
+    /// are never failed.
     Meta,
 }
 
@@ -77,21 +79,25 @@ struct RuleState {
     fired: AtomicU64,
 }
 
-/// File wrapper that re-checks write/read rules per call.
-struct FaultyFile {
-    inner: Box<dyn BackingFile>,
-    owner: Arc<FaultyShared>,
-    path: String,
-}
-
-/// Shared rule state reachable from file handles.
-struct FaultyShared {
+/// [`Faulty`]'s hook: the armed rules, which every handle shares.
+pub struct Faults {
     rules: Mutex<Vec<Arc<RuleState>>>,
     injected: AtomicU64,
 }
 
-impl FaultyShared {
-    fn maybe_fail(&self, op: FaultOp, path: &str) -> Result<()> {
+impl Hook for Faults {
+    fn before(&self, call: Call, path: &str) -> Result<()> {
+        let op = match call {
+            Call::Create => FaultOp::Create,
+            Call::Open => FaultOp::Open,
+            Call::Pwrite | Call::Append => FaultOp::Write,
+            Call::Pread => FaultOp::Read,
+            Call::Mkdir | Call::MkdirAll => FaultOp::Mkdir,
+            Call::Unlink | Call::Rmdir => FaultOp::Remove,
+            Call::Readdir | Call::Rename | Call::Truncate | Call::Sync => FaultOp::Meta,
+            // Never failed, so a test can look at what a failed call left.
+            Call::Stat | Call::Exists | Call::Size => return Ok(()),
+        };
         let rules = self.rules.lock();
         for state in rules.iter() {
             let r = &state.rule;
@@ -121,26 +127,23 @@ impl FaultyShared {
 
 /// A backing decorator that injects failures per the configured rules;
 /// file handles opened through it share the rule state.
-pub struct Faulty {
-    inner: Arc<dyn Backing>,
-    shared: Arc<FaultyShared>,
-}
+pub type Faulty = Hooked<Faults>;
 
 impl Faulty {
     /// Wrap `inner`.
     pub fn new(inner: Arc<dyn Backing>) -> Faulty {
-        Faulty {
+        Hooked::with_hook(
             inner,
-            shared: Arc::new(FaultyShared {
+            Faults {
                 rules: Mutex::new(Vec::new()),
                 injected: AtomicU64::new(0),
-            }),
-        }
+            },
+        )
     }
 
     /// Arm an injection rule.
     pub fn arm(&self, rule: FaultRule) {
-        self.shared.rules.lock().push(Arc::new(RuleState {
+        self.hook().rules.lock().push(Arc::new(RuleState {
             rule,
             matched: AtomicU64::new(0),
             fired: AtomicU64::new(0),
@@ -149,100 +152,13 @@ impl Faulty {
 
     /// Remove all rules.
     pub fn disarm(&self) {
-        self.shared.rules.lock().clear();
+        self.hook().rules.lock().clear();
     }
 
     /// Failures injected so far.
     pub fn injected(&self) -> u64 {
         // relaxed: statistical read of the injected tally
-        self.shared.injected.load(Ordering::Relaxed)
-    }
-}
-
-impl BackingFile for FaultyFile {
-    fn pread(&self, buf: &mut [u8], off: u64) -> Result<usize> {
-        self.owner.maybe_fail(FaultOp::Read, &self.path)?;
-        self.inner.pread(buf, off)
-    }
-
-    fn pwrite(&self, buf: &[u8], off: u64) -> Result<usize> {
-        self.owner.maybe_fail(FaultOp::Write, &self.path)?;
-        self.inner.pwrite(buf, off)
-    }
-
-    fn append(&self, buf: &[u8]) -> Result<u64> {
-        self.owner.maybe_fail(FaultOp::Write, &self.path)?;
-        self.inner.append(buf)
-    }
-
-    fn size(&self) -> Result<u64> {
-        self.inner.size()
-    }
-
-    fn sync(&self) -> Result<()> {
-        self.owner.maybe_fail(FaultOp::Meta, &self.path)?;
-        self.inner.sync()
-    }
-}
-
-impl Backing for Faulty {
-    fn create(&self, path: &str, excl: bool) -> Result<Box<dyn BackingFile>> {
-        self.shared.maybe_fail(FaultOp::Create, path)?;
-        let inner = self.inner.create(path, excl)?;
-        Ok(Box::new(FaultyFile {
-            inner,
-            owner: self.shared.clone(),
-            path: path.to_string(),
-        }))
-    }
-
-    fn open(&self, path: &str, write: bool) -> Result<Box<dyn BackingFile>> {
-        self.shared.maybe_fail(FaultOp::Open, path)?;
-        let inner = self.inner.open(path, write)?;
-        Ok(Box::new(FaultyFile {
-            inner,
-            owner: self.shared.clone(),
-            path: path.to_string(),
-        }))
-    }
-
-    fn mkdir(&self, path: &str) -> Result<()> {
-        self.shared.maybe_fail(FaultOp::Mkdir, path)?;
-        self.inner.mkdir(path)
-    }
-
-    fn mkdir_all(&self, path: &str) -> Result<()> {
-        self.shared.maybe_fail(FaultOp::Mkdir, path)?;
-        self.inner.mkdir_all(path)
-    }
-
-    fn readdir(&self, path: &str) -> Result<Vec<String>> {
-        self.shared.maybe_fail(FaultOp::Meta, path)?;
-        self.inner.readdir(path)
-    }
-
-    fn unlink(&self, path: &str) -> Result<()> {
-        self.shared.maybe_fail(FaultOp::Remove, path)?;
-        self.inner.unlink(path)
-    }
-
-    fn rmdir(&self, path: &str) -> Result<()> {
-        self.shared.maybe_fail(FaultOp::Remove, path)?;
-        self.inner.rmdir(path)
-    }
-
-    fn rename(&self, from: &str, to: &str) -> Result<()> {
-        self.shared.maybe_fail(FaultOp::Meta, from)?;
-        self.inner.rename(from, to)
-    }
-
-    fn stat(&self, path: &str) -> Result<BackStat> {
-        self.inner.stat(path)
-    }
-
-    fn truncate(&self, path: &str, len: u64) -> Result<()> {
-        self.shared.maybe_fail(FaultOp::Meta, path)?;
-        self.inner.truncate(path, len)
+        self.hook().injected.load(Ordering::Relaxed)
     }
 }
 

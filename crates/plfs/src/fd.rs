@@ -52,10 +52,6 @@ type WriterShard = Mutex<Writers>;
 /// Lock shards of the pid → writer table.
 pub const WRITER_SHARDS: usize = 16;
 
-/// Extents per internal [`PlfsFd::write_list`] batch, so one huge vector
-/// cannot pin an unbounded index-entry buffer.
-pub const LIST_BATCH_EXTENTS: usize = 1024;
-
 /// Entries of writers that have since closed, still owed to the next
 /// refresh of the read view, keyed by their data-dropping path.
 type Orphans = Vec<(String, Vec<IndexEntry>)>;
@@ -341,94 +337,6 @@ impl PlfsFd {
             );
         }
         Ok((offset, n))
-    }
-
-    /// Write a noncontiguous extent vector on behalf of `pid`: `data` is
-    /// consumed sequentially, `extents[i] = (logical_offset, len)` places
-    /// the next `len` bytes. The log-structured write path makes this
-    /// nearly free: every extent appends to `pid`'s data dropping, and the
-    /// whole batch is flushed as **one** index-record write (chunked at
-    /// [`LIST_BATCH_EXTENTS`]), letting pattern compression fold strided
-    /// runs across extents into single records. Extents may overlap or
-    /// arrive out of order — later extents win, exactly as a sequence of
-    /// single-extent [`PlfsFd::write`] calls would. Returns total bytes
-    /// written.
-    pub fn write_list(&self, data: &[u8], extents: &[(u64, u64)], pid: u64) -> Result<usize> {
-        if !self.flags.writable() {
-            return Err(Error::BadMode("file not open for writing"));
-        }
-        let need: u64 = extents.iter().map(|&(_, len)| len).sum();
-        if need > data.len() as u64 {
-            return Err(Error::InvalidArg("write_list data shorter than extents"));
-        }
-        let t0 = iotrace::global().start();
-        let mut pos = 0usize;
-        let mut total = 0usize;
-        for batch in extents.chunks(LIST_BATCH_EXTENTS) {
-            // One shard-lock acquisition and one index flush per batch: the
-            // extents land back-to-back in the data dropping and their index
-            // entries leave as a single batched record write.
-            let mut shard = self.shard(pid).lock();
-            for &(off, len) in batch {
-                total +=
-                    // plfs-lint: allow(lock-across-io, "intentional: batched list-I/O holds the per-pid shard across the batch on purpose — one lock acquisition and one index flush per batch is the whole point")
-                    self.write_sharded(&mut shard, &data[pos..pos + len as usize], off, pid)?;
-                pos += len as usize;
-            }
-            // No writer yet: every extent so far was zero-length.
-            if let Some(w) = shard.get_mut(&pid) {
-                w.flush_index()?;
-            }
-        }
-        if let Some(t0) = t0 {
-            iotrace::global().record(
-                t0,
-                iotrace::OpEvent::new(iotrace::Layer::Plfs, iotrace::OpKind::ListWrite)
-                    .path(&self.container)
-                    .offset(extents.first().map(|&(o, _)| o).unwrap_or(0))
-                    .bytes(total as u64),
-            );
-        }
-        Ok(total)
-    }
-
-    /// Read a noncontiguous extent vector: `extents[i] = (logical_offset,
-    /// len)` fills the next `len` bytes of `data`. One merged-index
-    /// query serves the whole vector — the read view is resolved once and
-    /// each extent reuses it. Short reads at EOF behave exactly like a
-    /// sequence of single-extent [`PlfsFd::read`] calls: the extent's slice
-    /// is part-filled and later extents are still attempted. Returns total
-    /// bytes read.
-    pub fn read_list(&self, data: &mut [u8], extents: &[(u64, u64)]) -> Result<usize> {
-        if !self.flags.readable() {
-            return Err(Error::BadMode("file not open for reading"));
-        }
-        let need: u64 = extents.iter().map(|&(_, len)| len).sum();
-        if need > data.len() as u64 {
-            return Err(Error::InvalidArg("read_list buffer shorter than extents"));
-        }
-        let t0 = iotrace::global().start();
-        let reader = self.reader()?;
-        let mut pos = 0usize;
-        let mut total = 0usize;
-        for &(off, len) in extents {
-            total += reader.pread(
-                self.backing.as_ref(),
-                &mut data[pos..pos + len as usize],
-                off,
-            )?;
-            pos += len as usize;
-        }
-        if let Some(t0) = t0 {
-            iotrace::global().record(
-                t0,
-                iotrace::OpEvent::new(iotrace::Layer::Plfs, iotrace::OpKind::ListRead)
-                    .path(&self.container)
-                    .offset(extents.first().map(|&(o, _)| o).unwrap_or(0))
-                    .bytes(total as u64),
-            );
-        }
-        Ok(total)
     }
 
     fn write_sharded(
@@ -1152,90 +1060,6 @@ mod tests {
             0,
             "memoized: no repeat hostdir probes, got {d:?}"
         );
-    }
-
-    #[test]
-    fn write_list_read_list_roundtrip() {
-        let (_b, fd) = open_fd(OpenFlags::RDWR);
-        // Out-of-order, strided, and overlapping extents in one vector.
-        let extents = [(20u64, 4u64), (0, 4), (10, 4), (2, 2)];
-        let data = b"AAAABBBBCCCCzz";
-        assert_eq!(fd.write_list(data, &extents, 100).unwrap(), 14);
-        let mut buf = vec![0u8; 24];
-        assert_eq!(fd.read(&mut buf, 0).unwrap(), 24);
-        assert_eq!(&buf[0..4], b"BBzz", "later overlapping extent wins");
-        assert_eq!(&buf[10..14], b"CCCC");
-        assert_eq!(&buf[20..24], b"AAAA");
-        // read_list gathers the same extents back in vector order.
-        let mut out = vec![0u8; 14];
-        assert_eq!(
-            fd.read_list(&mut out, &[(20, 4), (0, 4), (10, 4), (2, 2)])
-                .unwrap(),
-            14
-        );
-        assert_eq!(&out[0..4], b"AAAA");
-        assert_eq!(&out[4..8], b"BBzz");
-        assert_eq!(&out[8..12], b"CCCC");
-        assert_eq!(&out[12..14], b"zz");
-    }
-
-    #[test]
-    fn write_list_batches_index_records() {
-        use crate::index::RECORD_SIZE;
-        // A strided vector flushed as one batch must pattern-compress into
-        // far fewer on-disk index records than one record per extent.
-        let (b, fd) = open_fd(OpenFlags::RDWR);
-        let n = 32usize;
-        let extents: Vec<(u64, u64)> = (0..n).map(|i| (i as u64 * 64, 16)).collect();
-        let data = vec![7u8; n * 16];
-        fd.write_list(&data, &extents, 100).unwrap();
-        fd.sync(100).unwrap();
-        let d = container::list_droppings(b.as_ref(), "/f").unwrap();
-        assert_eq!(d.len(), 1);
-        let idx_bytes = b.stat(d[0].index_path.as_ref().unwrap()).unwrap().size;
-        assert!(
-            idx_bytes < (n as u64 / 2) * RECORD_SIZE as u64,
-            "strided batch did not compress: {idx_bytes} bytes for {n} extents"
-        );
-    }
-
-    #[test]
-    fn write_list_rejects_short_data_and_bad_modes() {
-        let (_b, fd) = open_fd(OpenFlags::RDWR);
-        assert!(matches!(
-            fd.write_list(b"ab", &[(0, 3)], 100),
-            Err(Error::InvalidArg(_))
-        ));
-        let mut buf = [0u8; 2];
-        assert!(matches!(
-            fd.read_list(&mut buf, &[(0, 3)]),
-            Err(Error::InvalidArg(_))
-        ));
-        let (_b, ro) = open_fd(OpenFlags::RDONLY);
-        assert!(matches!(
-            ro.write_list(b"x", &[(0, 1)], 100),
-            Err(Error::BadMode(_))
-        ));
-        let (_b, wo) = open_fd(OpenFlags::WRONLY);
-        let mut buf = [0u8; 1];
-        assert!(matches!(
-            wo.read_list(&mut buf, &[(0, 1)]),
-            Err(Error::BadMode(_))
-        ));
-    }
-
-    #[test]
-    fn write_list_chunks_at_max_extents() {
-        // Two full batches and a one-extent tail; correctness must be
-        // unaffected by where the batch boundaries fall.
-        let (_b, fd) = open_fd(OpenFlags::RDWR);
-        let n = 2 * LIST_BATCH_EXTENTS + 1;
-        let extents: Vec<(u64, u64)> = (0..n as u64).map(|i| (i * 3, 1)).collect();
-        let data: Vec<u8> = (0..n).map(|i| i as u8).collect();
-        assert_eq!(fd.write_list(&data, &extents, 100).unwrap(), n);
-        let mut out = vec![0u8; n];
-        assert_eq!(fd.read_list(&mut out, &extents).unwrap(), n);
-        assert_eq!(out, data);
     }
 
     /// `(logical, length, data path, physical)` per segment of a view.

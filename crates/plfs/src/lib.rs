@@ -38,6 +38,7 @@
 //! * [`fd`] / [`api`] — `Plfs_fd` and the `plfs_*` API surface.
 //! * [`flatten`] — extracting raw data from containers.
 //! * [`check`] — container integrity checking and repair.
+//! * [`hooked`] — the forwarding base of the backing decorators.
 //! * [`faults`] — failure injection for error-path testing.
 //! * [`meta`] — the container metadata cache (the metadata fast path).
 //! * [`meter`] — a counting backing decorator for op-cost measurement.
@@ -54,6 +55,7 @@ pub mod faults;
 pub mod fd;
 pub mod flags;
 pub mod flatten;
+pub mod hooked;
 pub mod index;
 pub mod meta;
 pub mod meter;

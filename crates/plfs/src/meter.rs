@@ -13,15 +13,17 @@
 //! [`MeterSnapshot::delta`]) — e.g. "a reopen of a warm container costs N
 //! backing metadata ops".
 
-use crate::backing::{BackStat, Backing, BackingFile};
+use crate::backing::Backing;
 use crate::error::Result;
+use crate::hooked::{Call, Hook, Hooked};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 macro_rules! meter_fields {
-    ($($name:ident),* $(,)?) => {
+    ($($call:ident => $name:ident),* $(,)?) => {
+        /// [`MeterBacking`]'s hook: one counter per [`Call`].
         #[derive(Default)]
-        struct MeterShared {
+        pub struct Tally {
             $($name: AtomicU64,)*
         }
 
@@ -32,7 +34,18 @@ macro_rules! meter_fields {
             $(pub $name: u64,)*
         }
 
-        impl MeterShared {
+        impl Hook for Tally {
+            fn before(&self, call: Call, _: &str) -> Result<()> {
+                let n = match call {
+                    $(Call::$call => &self.$name,)*
+                };
+                // relaxed: statistics counter, read between call sites
+                n.fetch_add(1, Ordering::Relaxed);
+                Ok(())
+            }
+        }
+
+        impl Tally {
             fn snapshot(&self) -> MeterSnapshot {
                 MeterSnapshot {
                     // relaxed: statistics counters read between call sites
@@ -54,8 +67,22 @@ macro_rules! meter_fields {
 }
 
 meter_fields!(
-    create, open, mkdir, mkdir_all, readdir, unlink, rmdir, rename, stat, exists, truncate, size,
-    sync, pread, pwrite, append,
+    Create => create,
+    Open => open,
+    Mkdir => mkdir,
+    MkdirAll => mkdir_all,
+    Readdir => readdir,
+    Unlink => unlink,
+    Rmdir => rmdir,
+    Rename => rename,
+    Stat => stat,
+    Exists => exists,
+    Truncate => truncate,
+    Size => size,
+    Sync => sync,
+    Pread => pread,
+    Pwrite => pwrite,
+    Append => append,
 );
 
 impl MeterSnapshot {
@@ -84,135 +111,19 @@ impl MeterSnapshot {
     }
 }
 
-/// A [`Backing`] decorator that counts every call (see module docs).
-pub struct MeterBacking {
-    inner: Arc<dyn Backing>,
-    shared: Arc<MeterShared>,
-}
+/// A [`Backing`] decorator that counts every call (see module docs); an
+/// `exists` counts as itself, not as the `stat` it may stand on.
+pub type MeterBacking = Hooked<Tally>;
 
 impl MeterBacking {
     /// Wrap `inner`, counting every call that passes through.
     pub fn new(inner: Arc<dyn Backing>) -> MeterBacking {
-        MeterBacking {
-            inner,
-            shared: Arc::new(MeterShared::default()),
-        }
+        Hooked::with_hook(inner, Tally::default())
     }
 
     /// Copy out the current counters.
     pub fn snapshot(&self) -> MeterSnapshot {
-        self.shared.snapshot()
-    }
-}
-
-// relaxed everywhere below: per-op tallies are statistics read between
-// call sites; no cross-counter ordering is needed.
-macro_rules! tally {
-    ($self:ident, $field:ident) => {
-        // relaxed: statistics counter, read between call sites
-        $self.shared.$field.fetch_add(1, Ordering::Relaxed)
-    };
-}
-
-struct MeterFile {
-    inner: Box<dyn BackingFile>,
-    owner: Arc<MeterShared>,
-}
-
-impl BackingFile for MeterFile {
-    fn pread(&self, buf: &mut [u8], off: u64) -> Result<usize> {
-        // relaxed: statistics counter, read between call sites
-        self.owner.pread.fetch_add(1, Ordering::Relaxed);
-        self.inner.pread(buf, off)
-    }
-
-    fn pwrite(&self, buf: &[u8], off: u64) -> Result<usize> {
-        // relaxed: statistics counter, read between call sites
-        self.owner.pwrite.fetch_add(1, Ordering::Relaxed);
-        self.inner.pwrite(buf, off)
-    }
-
-    fn append(&self, buf: &[u8]) -> Result<u64> {
-        // relaxed: statistics counter, read between call sites
-        self.owner.append.fetch_add(1, Ordering::Relaxed);
-        self.inner.append(buf)
-    }
-
-    fn size(&self) -> Result<u64> {
-        // relaxed: statistics counter, read between call sites
-        self.owner.size.fetch_add(1, Ordering::Relaxed);
-        self.inner.size()
-    }
-
-    fn sync(&self) -> Result<()> {
-        // relaxed: statistics counter, read between call sites
-        self.owner.sync.fetch_add(1, Ordering::Relaxed);
-        self.inner.sync()
-    }
-}
-
-impl Backing for MeterBacking {
-    fn create(&self, path: &str, excl: bool) -> Result<Box<dyn BackingFile>> {
-        tally!(self, create);
-        Ok(Box::new(MeterFile {
-            inner: self.inner.create(path, excl)?,
-            owner: Arc::clone(&self.shared),
-        }))
-    }
-
-    fn open(&self, path: &str, write: bool) -> Result<Box<dyn BackingFile>> {
-        tally!(self, open);
-        Ok(Box::new(MeterFile {
-            inner: self.inner.open(path, write)?,
-            owner: Arc::clone(&self.shared),
-        }))
-    }
-
-    fn mkdir(&self, path: &str) -> Result<()> {
-        tally!(self, mkdir);
-        self.inner.mkdir(path)
-    }
-
-    fn mkdir_all(&self, path: &str) -> Result<()> {
-        tally!(self, mkdir_all);
-        self.inner.mkdir_all(path)
-    }
-
-    fn readdir(&self, path: &str) -> Result<Vec<String>> {
-        tally!(self, readdir);
-        self.inner.readdir(path)
-    }
-
-    fn unlink(&self, path: &str) -> Result<()> {
-        tally!(self, unlink);
-        self.inner.unlink(path)
-    }
-
-    fn rmdir(&self, path: &str) -> Result<()> {
-        tally!(self, rmdir);
-        self.inner.rmdir(path)
-    }
-
-    fn rename(&self, from: &str, to: &str) -> Result<()> {
-        tally!(self, rename);
-        self.inner.rename(from, to)
-    }
-
-    fn stat(&self, path: &str) -> Result<BackStat> {
-        tally!(self, stat);
-        self.inner.stat(path)
-    }
-
-    // The default trait impl would route through stat() and double-count;
-    // forward explicitly and tally it as its own kind.
-    fn exists(&self, path: &str) -> bool {
-        tally!(self, exists);
-        self.inner.exists(path)
-    }
-
-    fn truncate(&self, path: &str, len: u64) -> Result<()> {
-        tally!(self, truncate);
-        self.inner.truncate(path, len)
+        self.hook().snapshot()
     }
 }
 

@@ -1252,9 +1252,9 @@ fn main() {
     fs::remove_file(&path).expect("unlink in mount");
     assert!(fs::metadata(&path).is_err(), "gone after unlink");
 
-    // 4. Vectored I/O: same round-trip on a tracked PLFS fd (routed into
-    //    list I/O) and on a plain fd outside the mount (passthrough) —
-    //    both must behave identically.
+    // 4. Vectored I/O: same round-trip on a tracked PLFS fd (one plain
+    //    PLFS write or read of the gathered range) and on a plain fd
+    //    outside the mount (passthrough) — both must behave identically.
     {
         let f = fs::OpenOptions::new()
             .read(true)

@@ -1103,7 +1103,7 @@ unsafe fn iovecs<'a>(iov: *const IoVec, cnt: c_int) -> PosixResult<&'a [IoVec]> 
     }
 }
 
-/// A vectored read, scattered from one PLFS list read, at `off` or at the
+/// A vectored read, scattered from one PLFS read, at `off` or at the
 /// cursor.
 ///
 /// # Safety
@@ -1119,7 +1119,7 @@ unsafe fn read_vec(st: &Open<Own>, iov: *const IoVec, cnt: c_int, off: Option<Of
     }))
 }
 
-/// A vectored write, gathered into one PLFS list write, at `off` or at the
+/// A vectored write, gathered into one PLFS write, at `off` or at the
 /// cursor.
 ///
 /// # Safety

@@ -44,11 +44,6 @@ fn main() {
     shim.close(fd).unwrap();
 
     println!("wrote and re-read {} bytes through the shim", payload.len());
-    println!(
-        "intercepted {} calls, passed {} through",
-        shim.stats().total_intercepted(),
-        shim.stats().total_passthrough()
-    );
 
     // 4. Proof it's a container, not a flat file: inspect the backend.
     println!("\nbackend layout under {:?}:", backing.root());

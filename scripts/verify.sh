@@ -7,14 +7,13 @@ cargo build --release --offline
 # Tier-1's bare `cargo test -q` already runs every crate's suite through
 # `default-members`; --workspace adds the vendored stand-ins'. The root
 # package's suites: prop_read_view (patched view == fresh merge == byte
-# model), prop_listio (list call == per-extent loop), prop_backend (real
-# backing == in-memory), prop_index and prop_container (the merged index
-# against byte maps and its reference builder), open_heap_peak (the
-# read-open's heap high-water mark), read_after_write (op counts and
-# refresh scaling), corrupt_index (hostile index droppings and access files
-# are Corrupt), create_race (racing creators of one container), prop_meta
-# (one warm mount == a fresh mount per operation) and the concurrent_*
-# suites.
+# model), prop_backend (real backing == in-memory), prop_index and
+# prop_container (the merged index against byte maps and its reference
+# builder), open_heap_peak (the read-open's heap high-water mark),
+# read_after_write (op counts and refresh scaling), corrupt_index (hostile
+# index droppings and access files are Corrupt), create_race (racing
+# creators of one container), prop_meta (one warm mount == a fresh mount
+# per operation) and the concurrent_* suites.
 cargo test --workspace -q --offline
 # The benchmark harness is a workspace of its own: compile and test it
 # against the product crates here, so an API break under benchmark/ shows

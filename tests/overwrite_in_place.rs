@@ -156,3 +156,44 @@ fn stale_views_read_the_new_bytes_and_the_container_stays_clean() {
         "every overwrite kept its record"
     );
 }
+
+/// Through the shim a vectored overwrite is a plain one: on an `O_RDWR`
+/// fd that wrote 16 KiB as four `pwritev`s and read them back, the same
+/// four `pwritev`s again replace the bytes where they lie.
+#[test]
+fn a_pwritev_overwrite_through_the_shim_goes_in_place() {
+    use ldplfs::{LdPlfsBuilder, PosixLayer, RealPosix};
+    const BLOCK: usize = 4096;
+    let dir = std::env::temp_dir().join(format!("overwrite-in-place-{}", std::process::id()));
+    let backing = Arc::new(MemBacking::new());
+    let shim = LdPlfsBuilder::new(Arc::new(RealPosix::rooted(&dir).unwrap()))
+        .mount("/plfs", Plfs::new(backing.clone()))
+        .build()
+        .unwrap();
+    let rw = ldplfs::OpenFlags::RDWR | ldplfs::OpenFlags::CREAT;
+    let fd = shim.open("/plfs/f", rw, 0o644).unwrap();
+    let pwritev_all = |byte: u8| {
+        let block = [byte; BLOCK];
+        for k in 0..4 {
+            let bufs = [&block[..1000], &block[1000..]];
+            let off = (k * BLOCK) as u64;
+            assert_eq!(shim.pwritev(fd, &bufs, off).unwrap(), BLOCK);
+        }
+    };
+    let mut all = vec![0u8; 4 * BLOCK];
+
+    pwritev_all(b'a');
+    assert_eq!(shim.pread(fd, &mut all, 0).unwrap(), all.len());
+    let before = data_bytes(backing.as_ref(), "/f");
+    assert_eq!(before, all.len() as u64);
+    pwritev_all(b'b');
+    assert_eq!(
+        data_bytes(backing.as_ref(), "/f"),
+        before,
+        "the vectored overwrite went in place"
+    );
+    assert_eq!(shim.pread(fd, &mut all, 0).unwrap(), all.len());
+    assert_eq!(first_difference(&all, &[b'b'; 4 * BLOCK]), None);
+    shim.close(fd).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}

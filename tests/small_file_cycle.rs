@@ -109,6 +109,37 @@ fn small_file_cycle_costs_at_most_13_backing_metadata_ops() {
     }
 }
 
+/// Through the shim a 1 KiB file made with `writev` costs the backing store
+/// what one made with `write` does: a vectored call is a plain one.
+#[test]
+fn a_small_file_made_with_writev_costs_what_one_made_with_write_does() {
+    use ldplfs::{LdPlfsBuilder, PosixLayer, RealPosix};
+    let dir = std::env::temp_dir().join(format!("small-file-writev-{}", std::process::id()));
+    let meter = Arc::new(MeterBacking::new(Arc::new(MemBacking::new())));
+    let shim = LdPlfsBuilder::new(Arc::new(RealPosix::rooted(&dir).unwrap()))
+        .mount("/plfs", Plfs::new(meter.clone()))
+        .build()
+        .unwrap();
+    let data = [7u8; 1024];
+    let make = |path: &str, vectored: bool| {
+        let flags = ldplfs::OpenFlags::WRONLY | ldplfs::OpenFlags::CREAT;
+        cost(&meter, || {
+            let fd = shim.open(path, flags, 0o644).unwrap();
+            let n = match vectored {
+                true => shim.writev(fd, &[&data[..100], &data[100..]]),
+                false => shim.write(fd, &data),
+            };
+            assert_eq!(n.unwrap(), data.len());
+            shim.close(fd).unwrap();
+        })
+        .1
+    };
+    let written = make("/plfs/written", false);
+    assert_eq!(make("/plfs/gathered", true), written);
+    assert_eq!(make("/plfs/written.again", false), written);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// `rm` over a warm directory — a stat and an unlink per file — asks the
 /// backing store nothing but the unlinks, however many containers the
 /// cache remembers removing: each removal leaves the others' verdicts warm.

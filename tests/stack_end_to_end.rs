@@ -114,34 +114,6 @@ fn flatten_extracts_container_without_fuse() {
 }
 
 #[test]
-fn interception_counters_see_both_sides() {
-    // Stats live on the concrete shim type; build one directly.
-    let (_unused, root) = stack("stats");
-    let under = Arc::new(RealPosix::rooted(root.join("fs2")).unwrap());
-    let backing = Arc::new(plfs::MemBacking::new());
-    let shim = ldplfs::LdPlfsBuilder::new(under)
-        .mount("/plfs", plfs::Plfs::new(backing))
-        .build()
-        .unwrap();
-    let fd1 = shim
-        .open("/plfs/a", OpenFlags::WRONLY | OpenFlags::CREAT, 0o644)
-        .unwrap();
-    let fd2 = shim
-        .open("/outside", OpenFlags::WRONLY | OpenFlags::CREAT, 0o644)
-        .unwrap();
-    shim.write(fd1, b"x").unwrap();
-    shim.write(fd2, b"y").unwrap();
-    shim.close(fd1).unwrap();
-    shim.close(fd2).unwrap();
-    use ldplfs::OpClass;
-    assert_eq!(shim.stats().intercepted(OpClass::Open), 1);
-    assert_eq!(shim.stats().passthrough(OpClass::Open), 1);
-    assert_eq!(shim.stats().intercepted(OpClass::Write), 1);
-    assert_eq!(shim.stats().passthrough(OpClass::Write), 1);
-    let _ = std::fs::remove_dir_all(&root);
-}
-
-#[test]
 fn hdf5lite_checkpoint_through_the_stack() {
     let (shim, root) = stack("h5l");
     use apps::hdf5lite::{pack_f64, read, write, Dataset, Dtype};
