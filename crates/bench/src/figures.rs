@@ -385,9 +385,10 @@ fn run_noncontig(o: &Opts, e: &Emitter) -> String {
     format!(
         "# Noncontiguous I/O: list I/O vs data sieving vs per-extent lowering\n\n\
          ## Simulated block-cyclic checkpoint (write + read back)\n\n{}\n\
-         (sieving pays a 512 KiB read-modify-write per strided extent; PLFS\n          \
-         list I/O batches every extent of a view access into one op and one\n          \
-         index record — the per-extent column isolates the batching win)\n\n",
+         (sieving pays a 512 KiB read-modify-write per strided extent; the\n          \
+         PLFS ROMIO driver's list I/O batches every extent of a view access\n          \
+         into one op and one index record; per-extent is LDPLFS, whose shim\n          \
+         has no list call — the two PLFS columns isolate the batching win)\n\n",
         render_noncontig(&report)
     )
 }
@@ -461,7 +462,7 @@ fn gate_metadata(data: &Value) -> Vec<Metric> {
     }
     let small = data.get("small_file");
     if let Some(n) = small.and_then(|s| s.get("total_ops")?.as_f64()) {
-        out.push(Metric::lower("small_file_cycle_ops".to_string(), n).ceiling(13.0));
+        out.push(Metric::lower("small_file_cycle_ops".to_string(), n).ceiling(11.0));
     }
     let storms = [
         ("storm_secs", data.get("storm")),

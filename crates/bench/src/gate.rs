@@ -264,15 +264,15 @@ mod tests {
             );
             doc(4.0, 2.0).replace("},\"trace\":{}}", &tail)
         };
-        let out = check(&small(13, 9.0), "BENCH_metadata.json").unwrap();
+        let out = check(&small(11, 9.0), "BENCH_metadata.json").unwrap();
         assert!(out.contains("5 gated metric"), "{out}");
-        assert!(gate(&small(24, 9.0), &small(13, 9.0), 0.30).is_ok());
-        let err = gate(&small(13, 9.0), &small(14, 9.0), 0.30).unwrap_err();
+        assert!(gate(&small(24, 9.0), &small(11, 9.0), 0.30).is_ok());
+        let err = gate(&small(11, 9.0), &small(12, 9.0), 0.30).unwrap_err();
         assert!(
             matches!(err, BenchError::Regressed(ref m) if m.contains("small_file_cycle_ops")),
             "{err:?}"
         );
-        let err = gate(&small(13, 9.0), &small(13, 12.0), 0.30).unwrap_err();
+        let err = gate(&small(11, 9.0), &small(11, 12.0), 0.30).unwrap_err();
         assert!(
             matches!(err, BenchError::Regressed(ref m) if m.contains("small_file_storm_secs[256 procs]")),
             "{err:?}"

@@ -1080,9 +1080,9 @@ pub fn render_metadata(r: &MetadataReport) -> String {
 
 /// One row of the noncontiguous-I/O sweep: a block-cyclic strided
 /// checkpoint (every rank writes then reads its interleaved view) run
-/// three ways — data sieving on plain UFS, PLFS with the list-I/O hint
-/// off (per-extent lowering), and PLFS list I/O (one batched op per
-/// `write_view`/`read_view` call).
+/// three ways — data sieving on plain UFS, PLFS through LDPLFS (one plain
+/// write per extent: the shim has no list call), and list I/O through the
+/// PLFS ROMIO driver (one batched op per `write_view`/`read_view` call).
 #[derive(Debug, Clone)]
 pub struct NoncontigRow {
     /// MPI ranks in the job.
@@ -1095,9 +1095,9 @@ pub struct NoncontigRow {
     pub extents_per_call: usize,
     /// Simulated job completion (write + read + close), sieving on UFS.
     pub sieving_secs: f64,
-    /// Same, PLFS with `list_io` off: one op per extent.
+    /// Same, PLFS through LDPLFS: one op per extent.
     pub per_extent_secs: f64,
-    /// Same, PLFS list I/O: one batched op per call.
+    /// Same, PLFS ROMIO list I/O: one batched op per call.
     pub listio_secs: f64,
     /// Bytes the storage system moved under sieving (RMW-amplified).
     pub sieving_bytes: u64,
@@ -1174,7 +1174,9 @@ fn noncontig_run(
     )
 }
 
-/// Sweep [`NONCONTIG_JOBS`] over the three lowering strategies. Each call
+/// Sweep [`NONCONTIG_JOBS`] over the three lowering strategies: data
+/// sieving on UFS, one plain write per extent through LDPLFS (the shim has
+/// no list call), and list I/O through the PLFS ROMIO driver. Each call
 /// covers 16 block-cyclic extents (64 KiB blocks at paper scale, 16 KiB at
 /// quick), well under the 512 KiB sieve buffer, so the sieving arm pays a
 /// full buffer-sized read-modify-write per extent while list I/O moves the
@@ -1206,7 +1208,7 @@ pub fn noncontig_comparison(scale: Scale) -> NoncontigReport {
                 len_per_call,
             );
             let (listio_secs, listio_bytes, _) =
-                noncontig_run(Method::Ldplfs, true, ranks, ppn, block, calls, len_per_call);
+                noncontig_run(Method::Romio, true, ranks, ppn, block, calls, len_per_call);
             NoncontigRow {
                 ranks,
                 ppn,
@@ -1590,13 +1592,13 @@ mod tests {
             assert!(secs > procs as f64, "storm must be superlinear: {w:?}");
         }
         assert!(r.cache_hits > 0 && r.cache_hit_rate() > 0.5);
-        // The small-file cycle: eight calls, 13 ops, and its storm cheaper
+        // The small-file cycle: eight calls, 11 ops, and its storm cheaper
         // per process than the four-rank checkpoint cycle's.
         let per_call: Vec<u64> = r.small_file.calls.iter().map(|c| c.ops).collect();
-        assert_eq!(per_call, [2, 0, 3, 1, 0, 3, 0, 4], "{:?}", r.small_file);
-        assert_eq!(r.small_file.total_ops(), 13);
+        assert_eq!(per_call, [2, 0, 3, 1, 0, 2, 0, 3], "{:?}", r.small_file);
+        assert_eq!(r.small_file.total_ops(), 11);
         for (small, ckpt) in r.small_file.storm.iter().zip(&r.storm) {
-            assert_eq!((small.procs, small.ops_per_open), (ckpt.procs, 13));
+            assert_eq!((small.procs, small.ops_per_open), (ckpt.procs, 11));
             assert!(small.secs < ckpt.secs, "{small:?} vs {ckpt:?}");
         }
         let txt = render_metadata(&r);

@@ -55,10 +55,11 @@ pub trait AdioDriver {
     fn read_at(&mut self, fs: &mut SimFs, t: f64, req: IoReq) -> SimResult<f64>;
 
     /// True when the driver has a native noncontiguous list-I/O path (the
-    /// PLFS log-structured drivers: a whole extent batch is one dropping
-    /// append plus one index record). UFS has none — noncontiguous access
-    /// falls back to data sieving — and FUSE cannot express list requests
-    /// through the kernel's page-sized protocol.
+    /// PLFS ROMIO driver: a whole extent batch is one dropping append plus
+    /// one index record). UFS has none — noncontiguous access falls back to
+    /// data sieving — FUSE cannot express list requests through the
+    /// kernel's page-sized protocol, and LDPLFS has no list call: what an
+    /// application hands the shim is a POSIX call of one contiguous range.
     fn supports_list_io(&self) -> bool {
         false
     }
@@ -655,36 +656,9 @@ impl AdioDriver for LdplfsDriver {
         self.container.read(fs, t + self.per_op_overhead, req)
     }
 
-    fn supports_list_io(&self) -> bool {
-        true
-    }
-
-    fn write_list(
-        &mut self,
-        fs: &mut SimFs,
-        t: f64,
-        rank: usize,
-        node: usize,
-        extents: &[(u64, u64)],
-    ) -> SimResult<f64> {
-        // Modelled as one list write: the extent vector batched into one
-        // dropping append + one index record; one fd-table lookup pays the
-        // per-op overhead once for the whole batch.
-        self.container
-            .write_list(fs, t + self.per_op_overhead, rank, node, extents)
-    }
-
-    fn read_list(
-        &mut self,
-        fs: &mut SimFs,
-        t: f64,
-        rank: usize,
-        node: usize,
-        extents: &[(u64, u64)],
-    ) -> SimResult<f64> {
-        self.container
-            .read_list(fs, t + self.per_op_overhead, rank, node, extents)
-    }
+    // No list I/O: the shim has no list call — a POSIX vectored call names
+    // one contiguous range and is one plain PLFS write — so a noncontiguous
+    // request takes the trait's per-extent lowering.
 
     fn close(&mut self, fs: &mut SimFs, ranks: &[(usize, usize, f64)]) -> SimResult<Vec<f64>> {
         let mut out = Vec::with_capacity(ranks.len());
@@ -1103,7 +1077,7 @@ mod tests {
         let extents: Vec<(u64, u64)> = (0..8u64).map(|i| (i * 4 * MIB, 64 << 10)).collect();
         let run = |list: bool| -> u64 {
             let mut fs = fs();
-            let mut d = LdplfsDriver::new(4);
+            let mut d = PlfsRomioDriver::new(4);
             let r = ranks(1, 1);
             d.open(&mut fs, "/ckpt", true, &r).unwrap();
             if list {
@@ -1150,7 +1124,7 @@ mod tests {
             c.max(closes[0]) - 0.1
         };
         let sieved = time(Method::MpiIo.driver(4));
-        let listed = time(Method::Ldplfs.driver(4));
+        let listed = time(Method::Romio.driver(4));
         assert!(
             sieved > listed * 2.0,
             "list I/O should beat sieving by >=2x: sieving {sieved} vs list {listed}"
@@ -1159,13 +1133,14 @@ mod tests {
 
     #[test]
     fn list_io_support_matches_driver_capabilities() {
-        // Only the log-structured PLFS drivers can batch noncontiguous
-        // extents; UFS falls back to sieving and FUSE to kernel-sized
-        // requests — the honest fallback conditions the docs state.
+        // Only the PLFS ROMIO driver can batch noncontiguous extents; UFS
+        // falls back to sieving, FUSE to kernel-sized requests, and LDPLFS
+        // to one plain write per extent, as the shim has no list call — the
+        // honest fallback conditions the docs state.
         assert!(!Method::MpiIo.driver(4).supports_list_io());
         assert!(!Method::Fuse.driver(4).supports_list_io());
         assert!(Method::Romio.driver(4).supports_list_io());
-        assert!(Method::Ldplfs.driver(4).supports_list_io());
+        assert!(!Method::Ldplfs.driver(4).supports_list_io());
     }
 
     #[test]

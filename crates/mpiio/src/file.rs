@@ -504,11 +504,11 @@ mod tests {
 
     #[test]
     fn views_on_plfs_route_to_list_io() {
-        // Same interleaved views as above, but on a list-capable driver:
+        // Same interleaved views as above, but on the list-capable driver:
         // one batched append per write_view call, no sieve reads, and one
         // index record per call rather than one per extent.
         let (mut fs, mut job) = setup(4, 2);
-        let mut f = open(&mut fs, &mut job, Method::Ldplfs);
+        let mut f = open(&mut fs, &mut job, Method::Romio);
         for r in 0..4 {
             f.set_view(r, crate::view::FileView::interleaved(r, 4, 64 * 1024));
         }
@@ -536,7 +536,7 @@ mod tests {
                 ..Default::default()
             };
             let mut f =
-                MpiFile::open(&mut fs, &mut job, "/out", true, Method::Ldplfs, info, 4).unwrap();
+                MpiFile::open(&mut fs, &mut job, "/out", true, Method::Romio, info, 4).unwrap();
             f.set_view(0, crate::view::FileView::interleaved(0, 2, 64 * 1024));
             f.write_view(&mut fs, &mut job, 0, 0, 256 * 1024).unwrap();
             fs.stats().write_ops

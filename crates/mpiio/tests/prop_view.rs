@@ -106,9 +106,9 @@ proptest! {
             (s.bytes_written, s.bytes_read, s.write_ops)
         };
         let logical = ranks as u64 * len;
-        let (listed_w, listed_r, listed_ops) = run(Method::Ldplfs, true);
+        let (listed_w, listed_r, listed_ops) = run(Method::Romio, true);
         let (sieved_w, _sieved_r, sieved_ops) = run(Method::MpiIo, true);
-        let (lowered_w, _, lowered_ops) = run(Method::Ldplfs, false);
+        let (lowered_w, _, lowered_ops) = run(Method::Romio, false);
 
         // The list path moves exactly the logical bytes, no RMW reads, and
         // at most one write op per rank's write_view call.

@@ -106,7 +106,8 @@ impl Plfs {
     /// `getattr`/`access` never pay for fields they do not need — except
     /// for a container its creator's dropping marks: its params are the
     /// defaults, and, for a `getattr` (`stat`), the listing that found the
-    /// dropping answers what [`Plfs::meta_for`] would list for.
+    /// dropping answers what [`Plfs::meta_for`] would list for, and whether
+    /// it holds the creator's pair alone.
     fn probe_meta(&self, bp: &str, stat: bool) -> MetaEntry {
         let found = container::probe(self.backing.as_ref(), bp);
         let mut e = MetaEntry {
@@ -118,6 +119,7 @@ impl Plfs {
         if found.marker == Some(container::Marker::Dropping) {
             e.params = Some(ContainerParams::default());
             if let (true, Some(names)) = (stat, &found.names) {
+                e.alone = container::creator_alone(names);
                 // Only a closed container's answer is kept, as meta_for keeps it.
                 if let (0, m) = container::lifecycle(names) {
                     e.meta = Some(m);
@@ -181,15 +183,22 @@ impl Plfs {
     /// Fast-stat info from the container's `meta.*` drops, or `None` while
     /// some process's open marker stands beside them — both read off one
     /// listing of the container directory. The closed-container answer is
-    /// cached; writer close clears it.
+    /// cached, with whether the listing held the creator's pair alone;
+    /// writer close clears both.
     fn meta_for(&self, bp: &str, e: MetaEntry) -> Result<Option<(u64, u64)>> {
         let generation = self.cache.begin_fill(bp);
-        let (writers, m) = container::read_lifecycle(self.backing.as_ref(), bp)?;
+        let names = container::list_container(self.backing.as_ref(), bp)?;
+        let (writers, m) = container::lifecycle(&names);
         if writers > 0 {
             return Ok(None);
         }
-        self.cache
-            .complete_fill(bp, generation, MetaEntry { meta: Some(m), ..e });
+        let alone = container::creator_alone(&names);
+        let e = MetaEntry {
+            meta: Some(m),
+            alone,
+            ..e
+        };
+        self.cache.complete_fill(bp, generation, e);
         Ok(m)
     }
 
@@ -209,6 +218,7 @@ impl Plfs {
                 is_container: true,
                 params: Some(params),
                 meta: None,
+                alone: None,
             },
         );
     }
@@ -425,12 +435,22 @@ impl Plfs {
         }
     }
 
-    /// `plfs_unlink`: remove a container (or an empty plain file path).
+    /// `plfs_unlink`: remove a container (or an empty plain file path). A
+    /// container whose latest listing held its creator's pair alone, with
+    /// no writer of this process on it, is removed by the two names that
+    /// listing showed, with no listing of its own
+    /// ([`container::remove_creator_alone`]).
     pub fn unlink(&self, path: &str) -> Result<()> {
         let bp = self.backend_path(path);
         let e = self.meta_entry(&bp);
         if e.is_container {
-            let rm = container::remove_container(self.backing.as_ref(), &bp);
+            let b = self.backing.as_ref();
+            let rm = match e.alone {
+                Some(closed) if self.cache.local_writers(&bp) == 0 => {
+                    container::remove_creator_alone(b, &bp, closed)
+                }
+                _ => container::remove_container(b, &bp),
+            };
             // Removing a container deletes a directory tree; any cached
             // probe of an internal path (hostdirs) dies with it.
             self.cache.invalidate_tree(&bp);

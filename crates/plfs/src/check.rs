@@ -77,6 +77,14 @@ pub enum Finding {
         /// Marker count.
         count: usize,
     },
+    /// A closed index's identity name disagrees with its records: not
+    /// every one maps a logical offset to the same physical offset, or they
+    /// end elsewhere, or their newest stamp is another. A reader of the
+    /// pair alone builds its view from the name. Repair re-spells it.
+    MisnamedIndex {
+        /// Index dropping path.
+        path: String,
+    },
 }
 
 impl Finding {
@@ -91,6 +99,7 @@ impl Finding {
             Finding::IndexOverrun { .. } => Severity::DataLoss,
             Finding::StaleMeta { .. } => Severity::Note,
             Finding::OpenWriters { .. } => Severity::Note,
+            Finding::MisnamedIndex { .. } => Severity::Repairable,
         }
     }
 }
@@ -114,6 +123,9 @@ impl fmt::Display for Finding {
                 write!(f, "stale meta cache: cached size {cached}, actual {actual}")
             }
             Finding::OpenWriters { count } => write!(f, "{count} open-writer markers"),
+            Finding::MisnamedIndex { path } => {
+                write!(f, "identity name of {path} disagrees with its records")
+            }
         }
     }
 }
@@ -226,7 +238,7 @@ pub fn check(b: &dyn Backing, path: &str) -> Result<CheckReport> {
         report.droppings += pairs.len();
         for p in &pairs {
             let data_path = join(dir, p.data);
-            let Some((index, _)) = p.index else {
+            let Some((index, closed)) = p.index else {
                 // A creator's data dropping alone is a writer still open
                 // (its index comes at close): `read_lifecycle` counted it.
                 if dir != path {
@@ -236,7 +248,13 @@ pub fn check(b: &dyn Backing, path: &str) -> Result<CheckReport> {
                 }
                 continue;
             };
-            check_index(b, &join(dir, index), &data_path, &mut eof, &mut report)?;
+            let ip = join(dir, index);
+            let raw = check_index(b, &ip, &data_path, &mut eof, &mut report)?;
+            if let Some(c) = closed.filter(|c| c.identity.is_some()) {
+                if identity_of(&raw) != Some(c) {
+                    report.findings.push(Finding::MisnamedIndex { path: ip });
+                }
+            }
         }
         // Index droppings with no data partner.
         for n in names {
@@ -264,16 +282,33 @@ pub fn check(b: &dyn Backing, path: &str) -> Result<CheckReport> {
     Ok(report)
 }
 
+/// The identity name records `raw` earn ([`container::Closed`]): `None`
+/// unless there is one at least, each decodes, and each maps a logical
+/// offset to the same physical offset.
+fn identity_of(raw: &[u8]) -> Option<container::Closed> {
+    let entries = IndexEntry::decode_all(raw).ok()?;
+    if !entries
+        .iter()
+        .all(|e| e.logical_offset == e.physical_offset)
+    {
+        return None;
+    }
+    let eof = entries.iter().map(IndexEntry::logical_end).max()?;
+    let newest = entries.iter().map(|e| e.timestamp).max()?;
+    Some(container::Closed::identity(eof, newest))
+}
+
 /// Examine the index dropping `ip` against its data dropping `data_path`,
-/// raising `eof` to the end of every record whose bytes are there.
+/// raising `eof` to the end of every record whose bytes are there. Returns
+/// its whole records.
 fn check_index(
     b: &dyn Backing,
     ip: &str,
     data_path: &str,
     eof: &mut u64,
     report: &mut CheckReport,
-) -> Result<()> {
-    let raw = read_all(b, ip)?;
+) -> Result<Vec<u8>> {
+    let mut raw = read_all(b, ip)?;
     let whole = (raw.len() / RECORD_SIZE) * RECORD_SIZE;
     if whole != raw.len() {
         report.findings.push(Finding::TornIndex {
@@ -317,7 +352,8 @@ fn check_index(
             entries: overruns,
         });
     }
-    Ok(())
+    raw.truncate(whole);
+    Ok(raw)
 }
 
 /// Actions taken by [`repair`].
@@ -345,9 +381,11 @@ pub struct RepairReport {
 /// one) gets an empty closed index.
 ///
 /// Afterwards the fast-stat drops are exact: every closed top-level index
-/// carries its own records' eof and its data dropping's size, and one
-/// `meta.*` drop carries the merged eof and the hostdir droppings' bytes, so
-/// `getattr`'s fast path reports what its slow path would.
+/// carries its own records' eof and its data dropping's size — under the
+/// identity spelling exactly when its records earn it and its data
+/// dropping holds `[0, eof)` and no more — and one `meta.*` drop carries
+/// the merged eof and the hostdir droppings' bytes, so `getattr`'s fast
+/// path reports what its slow path would.
 pub fn repair(b: &dyn Backing, path: &str, clear_markers: bool) -> Result<RepairReport> {
     let before = check(b, path)?;
     if before.findings.contains(&Finding::NotAContainer) {
@@ -445,9 +483,16 @@ pub fn repair(b: &dyn Backing, path: &str, clear_markers: bool) -> Result<Repair
             continue;
         };
         let ip = join(path, index);
-        let entries = IndexEntry::decode_all(&read_all(b, &ip)?)?;
-        let eof = entries.iter().map(IndexEntry::logical_end).max();
-        container::close_toplevel(b, &ip, eof.unwrap_or(0), data_size)?;
+        let raw = read_all(b, &ip)?;
+        let closed = match identity_of(&raw) {
+            Some(c) if c.eof == data_size => c,
+            _ => {
+                let entries = IndexEntry::decode_all(&raw)?;
+                let eof = entries.iter().map(IndexEntry::logical_end).max();
+                container::Closed::sized(eof.unwrap_or(0), data_size)
+            }
+        };
+        container::close_toplevel(b, &ip, closed)?;
     }
     container::drop_meta(b, path, idx.eof(), hostdir_bytes, 0, 0)?;
     report.meta_rebuilt = true;
@@ -774,6 +819,60 @@ mod tests {
         assert!(check(b.as_ref(), "/c").unwrap().is_clean());
     }
 
+    /// What the creator's closed index name in `/c` carries, if it is
+    /// closed.
+    fn creator_closed(b: &dyn Backing) -> Option<container::Closed> {
+        let names = b.readdir("/c").unwrap();
+        names
+            .iter()
+            .find_map(|n| match container::parse_index_name(n)? {
+                (container::CREATOR_PAIR, closed) => closed,
+                _ => None,
+            })
+    }
+
+    /// An identity name its records do not earn is reported, and repair
+    /// gives the index the name they do earn: the identity one with their
+    /// own stamp, or `<eof>.<bytes>`.
+    #[test]
+    fn an_identity_name_its_records_disagree_with_is_reported_and_respelled() {
+        let b = written_container();
+        let good = creator_closed(b.as_ref()).unwrap();
+        let stamp = good.identity.expect("[0, 100) written in place: identity");
+        let ip = |c| container::creator_closed_index_path("/c", c);
+        // The wrong stamp: a reader would step its clock short of the records.
+        let wrong = container::Closed::identity(100, stamp - 1);
+        b.rename(&ip(good), &ip(wrong)).unwrap();
+        let r = check(b.as_ref(), "/c").unwrap();
+        assert_eq!(r.findings, [Finding::MisnamedIndex { path: ip(wrong) }]);
+        assert_eq!(r.worst(), Some(Severity::Repairable));
+        repair(b.as_ref(), "/c", false).unwrap();
+        assert_eq!(creator_closed(b.as_ref()), Some(good));
+        assert!(check(b.as_ref(), "/c").unwrap().is_clean());
+        // Records that map elsewhere, under an identity name.
+        let backing = Arc::new(MemBacking::new());
+        let plfs = Plfs::new(backing.clone());
+        let fd = plfs
+            .open("/c", OpenFlags::WRONLY | OpenFlags::CREAT, 4)
+            .unwrap();
+        plfs.write(&fd, &[1u8; 10], 10, 4).unwrap();
+        plfs.write(&fd, &[2u8; 10], 0, 4).unwrap();
+        plfs.close(&fd, 4).unwrap();
+        let b = backing.as_ref();
+        let sized = creator_closed(b).unwrap();
+        assert_eq!(sized, container::Closed::sized(20, 20));
+        let claimed = container::Closed::identity(20, 1);
+        b.rename(&ip(sized), &ip(claimed)).unwrap();
+        let r = check(b, "/c").unwrap();
+        assert_eq!(r.findings, [Finding::MisnamedIndex { path: ip(claimed) }]);
+        repair(b, "/c", false).unwrap();
+        assert_eq!(creator_closed(b), Some(sized));
+        assert_eq!(
+            crate::flatten::flatten_to_vec(b, "/c").unwrap(),
+            [[2u8; 10], [1u8; 10]].concat()
+        );
+    }
+
     /// What `getattr`'s slow path would report: the merged eof and the data
     /// droppings' sizes.
     fn slow_stat(b: &dyn Backing) -> (u64, u64) {
@@ -837,7 +936,10 @@ mod tests {
         assert!(b.exists("/c/dropping.index.creator.0"));
         let rep = repair(b, "/c", true).unwrap();
         assert_eq!(rep.markers_cleared, 1);
-        assert!(b.exists("/c/dropping.index.creator.0.64.64"));
+        // Its one record maps [0, 64) where it lies: the identity spelling.
+        let closed = creator_closed(b).expect("closed by repair");
+        assert_eq!((closed.eof, closed.bytes), (64, 64));
+        assert!(closed.identity.is_some(), "{closed:?}");
         assert!(check(b, "/c").unwrap().is_clean());
         let st = Plfs::new(backing.clone()).getattr("/c").unwrap();
         assert_eq!((st.size, st.physical_bytes), slow_stat(b));
@@ -858,11 +960,10 @@ mod tests {
         let rep = repair(b.as_ref(), "/c", false).unwrap();
         assert!(rep.meta_rebuilt);
         let mut drops = b.readdir("/c").unwrap();
-        drops.retain(|n| n.starts_with("meta.") || n.starts_with("dropping.index."));
-        drops.sort();
+        drops.retain(|n| n.starts_with("meta."));
         assert_eq!(
-            drops,
-            ["dropping.index.creator.0.100.100", "meta.300.200.0.0"],
+            (drops, creator_closed(b.as_ref()).map(|c| (c.eof, c.bytes))),
+            (vec!["meta.300.200.0.0".to_string()], Some((100, 100))),
             "the creator's index keeps its own drop; one rebuilt drop for the hostdirs"
         );
         let plfs = Plfs::new(b.clone());

@@ -8,6 +8,7 @@
 //!   dropping.data.creator.0                   the creator's data dropping, made by its open; alone: it is open
 //!   dropping.index.creator.0                  its index, if needed before close; the creator is open
 //!   dropping.index.creator.0.<eof>.<bytes>    its index once it closed; fast-stat info
+//!   dropping.index.creator.0.<eof>.i<stamp>   the same, its records all logical == physical
 //!   open.<pid>.<n>                            empty: hostdir writer (pid, n) is open
 //!   meta.<eof>.<bytes>.<pid>.<n>              empty: that writer closed; fast-stat info
 //!   hostdir.0/ … hostdir.K-1/                 subdirectories holding everyone else's droppings
@@ -44,7 +45,9 @@
 //!   data dropping is made by the open, for the first writer opened
 //!   through its fd (one that never writes publishes an empty closed index
 //!   at close). Close creates the index under its closed name, carrying
-//!   `<eof>.<bytes>`: the fast-stat drop. Until
+//!   `<eof>.<bytes>` — or, when every record maps a logical offset to the
+//!   same physical offset, `<eof>.i<stamp>`, a name that *is* the index
+//!   ([`Closed`]): the fast-stat drop. Until
 //!   then the data dropping alone says the creator is open — or, if a full
 //!   buffer, a sync or a truncate needed the index first, the index under
 //!   its un-suffixed name, which close renames. (A name apart from
@@ -175,22 +178,78 @@ pub fn creator_pair_paths(container: &str) -> (String, String) {
     )
 }
 
-/// The creator's index dropping under its closed name, for a creator that
-/// wrote `bytes` up to `eof`: the fast-stat drop of a top-level pair.
-pub fn creator_closed_index_path(container: &str, eof: u64, bytes: u64) -> String {
-    path_of(container, format_args!("{CREATOR_INDEX}.{eof}.{bytes}"))
+/// What a closed top-level index's name carries past its pair: its
+/// fast-stat drop, in one of two spellings.
+///
+/// * `<eof>.<bytes>`: the writer's records end at `eof`, and its data
+///   dropping holds `bytes`.
+/// * `<eof>.i<stamp>`, the **identity spelling**: every record maps a
+///   logical offset to the same physical offset, so the records say no
+///   more than "logical `[0, eof)` is physical `[0, eof)`" (`bytes` is
+///   `eof`), and the newest is stamped `stamp`. The name is then the whole
+///   index: a reader that lists the pair alone builds its view from the
+///   name ([`build_global_index`]). The records are written all the same.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Closed {
+    /// Logical end of the writer's records.
+    pub eof: u64,
+    /// Bytes of its data dropping.
+    pub bytes: u64,
+    /// The identity spelling's stamp; `None` for `<eof>.<bytes>`.
+    pub identity: Option<u64>,
+}
+
+impl Closed {
+    /// The `<eof>.<bytes>` spelling.
+    pub fn sized(eof: u64, bytes: u64) -> Closed {
+        Closed {
+            eof,
+            bytes,
+            identity: None,
+        }
+    }
+
+    /// The identity spelling of records that end at `eof`, the newest
+    /// stamped `stamp`.
+    pub fn identity(eof: u64, stamp: u64) -> Closed {
+        Closed {
+            eof,
+            bytes: eof,
+            identity: Some(stamp),
+        }
+    }
+}
+
+impl std::fmt::Display for Closed {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self.identity {
+            Some(stamp) => write!(f, "{}.i{stamp}", self.eof),
+            None => write!(f, "{}.{}", self.eof, self.bytes),
+        }
+    }
+}
+
+/// The creator's index dropping under its closed name: the fast-stat drop
+/// of a top-level pair.
+pub fn creator_closed_index_path(container: &str, closed: Closed) -> String {
+    path_of(container, format_args!("{CREATOR_INDEX}.{closed}"))
 }
 
 /// An index dropping's name taken apart: the `<pid>.<seq>` it shares with
-/// its data dropping and — on a top-level index whose writer closed — the
-/// `(eof, bytes)` its name carries.
-pub fn parse_index_name(name: &str) -> Option<(&str, Option<(u64, u64)>)> {
+/// its data dropping and — on a top-level index whose writer closed — what
+/// its name carries, in either spelling.
+pub fn parse_index_name(name: &str) -> Option<(&str, Option<Closed>)> {
     let rest = name.strip_prefix(INDEX_PREFIX)?;
     let mut dots = rest.match_indices('.').map(|(i, _)| i);
     match (dots.next()?, dots.next(), dots.next(), dots.next()) {
         (_, None, ..) => Some((rest, None)),
         (_, Some(b), Some(c), None) => {
-            let closed = (rest[b + 1..c].parse().ok()?, rest[c + 1..].parse().ok()?);
+            let eof = rest[b + 1..c].parse().ok()?;
+            let last = &rest[c + 1..];
+            let closed = match last.strip_prefix('i') {
+                Some(stamp) => Closed::identity(eof, stamp.parse().ok()?),
+                None => Closed::sized(eof, last.parse().ok()?),
+            };
             Some((&rest[..b], Some(closed)))
         }
         _ => None,
@@ -545,7 +604,7 @@ pub fn ensure_hostdir(
 /// to list is the same answer), so nothing that lists probes first; the
 /// names are trusted, as the caller holds a verdict or was handed a
 /// container.
-fn list_container(b: &dyn Backing, container: &str) -> Result<Vec<String>> {
+pub(crate) fn list_container(b: &dyn Backing, container: &str) -> Result<Vec<String>> {
     match b.readdir(container) {
         Ok(names) if marked(&names) => Ok(names),
         Err(e) if !no_such_dir(&e) => Err(e),
@@ -553,9 +612,9 @@ fn list_container(b: &dyn Backing, container: &str) -> Result<Vec<String>> {
     }
 }
 
-/// An index dropping's name, with the `(eof, bytes)` a closed top-level
-/// index's name carries.
-pub type IndexName<'a> = (&'a str, Option<(u64, u64)>);
+/// An index dropping's name, with what a closed top-level index's name
+/// carries.
+pub type IndexName<'a> = (&'a str, Option<Closed>);
 
 /// A data dropping in one directory's listing, with its index dropping.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -601,6 +660,23 @@ pub fn dropping_pairs(names: &[String]) -> impl Iterator<Item = PairNames<'_>> {
     })
 }
 
+/// Does `names`, the container directory's listing, hold the creator's
+/// pair alone, closed — its data dropping and its index under a closed
+/// name, and nothing else? What that name carries. Such a container has
+/// one writer, closed, and no other name: a read builds its view from the
+/// identity spelling, and an unlink removes the two names it knows.
+pub(crate) fn creator_alone(names: &[String]) -> Option<Closed> {
+    let [a, b] = names else { return None };
+    let index = match (a.as_str(), b.as_str()) {
+        (CREATOR_DATA, index) | (index, CREATOR_DATA) => index,
+        _ => return None,
+    };
+    match parse_index_name(index)? {
+        (CREATOR_PAIR, closed) => closed,
+        _ => None,
+    }
+}
+
 /// A discovered dropping pair (data + index) in a container.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DroppingRef {
@@ -624,9 +700,17 @@ fn pair_droppings(dir: &str, names: &[String], out: &mut Vec<DroppingRef>) {
 /// holding only its creator's pair costs the one `readdir`). The position in
 /// the returned vector is the `dropping_id` used by the global index.
 pub fn list_droppings(b: &dyn Backing, container: &str) -> Result<Vec<DroppingRef>> {
+    droppings_listed(b, container, &list_container(b, container)?)
+}
+
+/// [`list_droppings`] off `names`, the container directory's listing.
+fn droppings_listed(
+    b: &dyn Backing,
+    container: &str,
+    names: &[String],
+) -> Result<Vec<DroppingRef>> {
     let mut out = Vec::new();
-    let names = list_container(b, container)?;
-    pair_droppings(container, &names, &mut out);
+    pair_droppings(container, names, &mut out);
     let mut hostdirs: Vec<&String> = names
         .iter()
         .filter(|n| n.starts_with(HOSTDIR_PREFIX))
@@ -762,6 +846,12 @@ const RELIST_ATTEMPTS: usize = 4;
 /// Steps the process write clock past what was merged (see
 /// [`observe_timestamp`]).
 ///
+/// A listing that holds the creator's pair alone, closed under the
+/// identity spelling ([`Closed`]), needs no index read: its view is one
+/// extent, logical `[0, eof)` at physical 0 of the creator's data dropping,
+/// and the clock steps past the stamp the name carries, as past a merge of
+/// the records. The index dropping is still listed in the droppings.
+///
 /// A top-level index dropping is renamed once in its life, when its writer
 /// closes; a reader that listed the container just before finds the old
 /// name gone and lists again (bounded) for the new one.
@@ -771,7 +861,12 @@ pub fn build_global_index(
 ) -> Result<(GlobalIndex, Vec<DroppingRef>)> {
     let mut attempt = 1;
     let (index, droppings) = loop {
-        let droppings = list_droppings(b, container)?;
+        let names = list_container(b, container)?;
+        let droppings = droppings_listed(b, container, &names)?;
+        let named = creator_alone(&names).and_then(|c| GlobalIndex::identity(c.eof, c.identity?));
+        if let Some(index) = named {
+            break (index, droppings);
+        }
         let built = with_window(|window| {
             IndexBuilder::build(|builder| {
                 for (id, d) in (0u32..).zip(&droppings) {
@@ -864,7 +959,10 @@ pub(crate) fn lifecycle(names: &[String]) -> (usize, Option<(u64, u64)>) {
         };
         Some(Some((eof, bytes)))
     });
-    let creators = dropping_pairs(names).map(|p| p.index.and_then(|(_, closed)| closed));
+    let creators = dropping_pairs(names).map(|p| {
+        let (_, closed) = p.index?;
+        closed.map(|c| (c.eof, c.bytes))
+    });
     let mut writers = 0;
     let mut best: Option<(u64, u64)> = None;
     for closed in hostdir_writers.chain(creators) {
@@ -926,7 +1024,7 @@ pub fn close_writer(
 }
 
 /// Close of a top-level pair's writer: its index dropping takes the
-/// `<eof>.<bytes>` suffix in one `rename`, which drops its open marker and
+/// suffix `closed` spells in one `rename`, which drops its open marker and
 /// leaves its fast-stat drop at once (a suffix it already carries is
 /// replaced: repair). Returns the path the index now has — the one it had
 /// when a truncate took the pair away under its writer, which then has
@@ -935,14 +1033,13 @@ pub fn close_writer(
 pub fn close_toplevel<'a>(
     b: &dyn Backing,
     index_path: &'a str,
-    eof: u64,
-    bytes: u64,
+    closed: Closed,
 ) -> Result<Cow<'a, str>> {
     let name = index_path.rsplit_once('/').map_or("", |(_, n)| n);
-    if parse_index_name(name).and_then(|(_, closed)| closed) == Some((eof, bytes)) {
+    if parse_index_name(name).and_then(|(_, now)| now) == Some(closed) {
         return Ok(Cow::Borrowed(index_path));
     }
-    let closed = closed_index_path(index_path, eof, bytes)?;
+    let closed = closed_index_path(index_path, closed)?;
     match b.rename(index_path, &closed) {
         Ok(()) => Ok(Cow::Owned(closed)),
         Err(Error::NotFound(_)) if b.exists(parent(index_path)) => Ok(Cow::Borrowed(index_path)),
@@ -950,19 +1047,16 @@ pub fn close_toplevel<'a>(
     }
 }
 
-/// The closed name of a top-level index dropping, given either of its
-/// names: `dropping.index.<pid>.<seq>.<eof>.<bytes>` beside it.
-pub fn closed_index_path(index_path: &str, eof: u64, bytes: u64) -> Result<String> {
+/// The closed name of a top-level index dropping, given any of its names:
+/// `dropping.index.<pid>.<seq>.` and the suffix `closed` spells, beside it.
+pub fn closed_index_path(index_path: &str, closed: Closed) -> Result<String> {
     let parsed = index_path
         .rsplit_once('/')
         .and_then(|(dir, name)| Some((dir, parse_index_name(name)?.0)));
     let Some((dir, pair)) = parsed else {
         return Err(Error::InvalidArg("not the path of an index dropping"));
     };
-    Ok(path_of(
-        dir,
-        format_args!("{INDEX_PREFIX}{pair}.{eof}.{bytes}"),
-    ))
+    Ok(path_of(dir, format_args!("{INDEX_PREFIX}{pair}.{closed}")))
 }
 
 fn parent(path: &str) -> &str {
@@ -975,6 +1069,11 @@ fn parent(path: &str) -> &str {
 /// `openhosts/`, a foreign subdirectory) falls back to [`remove_tree`].
 /// Like it, tolerates pieces vanishing under a racing removal.
 pub fn remove_container(b: &dyn Backing, path: &str) -> Result<()> {
+    remove_listed(b, path, list_container(b, path)?)
+}
+
+/// [`remove_container`] of `names`, the container directory's listing.
+fn remove_listed(b: &dyn Backing, path: &str, names: Vec<String>) -> Result<()> {
     let gone_ok = |r: Result<()>| match r {
         Err(Error::NotFound(_)) => Ok(()),
         r => r,
@@ -986,7 +1085,7 @@ pub fn remove_container(b: &dyn Backing, path: &str) -> Result<()> {
         child.push('/');
     }
     let dir = child.len();
-    for name in list_container(b, path)? {
+    for name in names {
         child.truncate(dir);
         child.push_str(&name);
         let by_layout = if name.starts_with(HOSTDIR_PREFIX) {
@@ -1004,6 +1103,35 @@ pub fn remove_container(b: &dyn Backing, path: &str) -> Result<()> {
         }
     }
     gone_ok(b.rmdir(path))
+}
+
+/// Delete a container whose last listing held its creator's pair alone,
+/// closed under `closed` ([`creator_alone`]), by the names that listing
+/// showed: the index, then the data dropping — the marker last — then the
+/// directory, whose `rmdir` proves nothing else was there. No listing.
+/// What changed since falls back to a removal of what is there now: a name
+/// gone (a truncate, a repair) to [`remove_container`], and a directory not
+/// empty (a writer that joined) to the removal of its listing.
+pub fn remove_creator_alone(b: &dyn Backing, path: &str, closed: Closed) -> Result<()> {
+    use crate::error::libc_errno::{EEXIST, ENOTEMPTY};
+    let index = creator_closed_index_path(path, closed);
+    match b
+        .unlink(&index)
+        .and_then(|()| b.unlink(&join(path, CREATOR_DATA)))
+    {
+        Ok(()) => {}
+        Err(e) if no_such_dir(&e) => return remove_container(b, path),
+        Err(e) => return Err(e),
+    }
+    match b.rmdir(path) {
+        // The marker went with the pair: what is left is listed as it is.
+        Err(e) if [ENOTEMPTY, EEXIST].contains(&e.errno()) => match b.readdir(path) {
+            Ok(names) => remove_listed(b, path, names),
+            Err(Error::NotFound(_)) => Ok(()),
+            Err(e) => Err(e),
+        },
+        r => r,
+    }
 }
 
 #[cfg(test)]
@@ -1243,7 +1371,7 @@ mod tests {
         assert_eq!(listed(&b), ip);
         assert_eq!(read_lifecycle(&b, "/c").unwrap(), (2, None));
         // Closed, the same file is the fast-stat drop.
-        let closed = close_toplevel(&b, &ip, 100, 60).unwrap();
+        let closed = close_toplevel(&b, &ip, Closed::sized(100, 60)).unwrap();
         assert_eq!(closed, "/c/dropping.index.7.0.100.60");
         assert_eq!(listed(&b), closed);
         close_writer(&b, "/c", 80, 40, 9, 0).unwrap();
@@ -1253,7 +1381,7 @@ mod tests {
         assert_eq!(listed(&b), closed);
         // The pair gone under its writer: close has nothing to publish.
         b.unlink(&closed).unwrap();
-        assert_eq!(close_toplevel(&b, &ip, 1, 1).unwrap(), ip);
+        assert_eq!(close_toplevel(&b, &ip, Closed::sized(1, 1)).unwrap(), ip);
     }
 
     /// The third spelling: a creator whose index nothing has needed yet is
@@ -1271,7 +1399,7 @@ mod tests {
             (d[0].data_path.as_str(), d[0].index_path.as_deref()),
             (dp.as_str(), None)
         );
-        let closed = closed_index_path("/c/dropping.index.7.0", 100, 60).unwrap();
+        let closed = closed_index_path("/c/dropping.index.7.0", Closed::sized(100, 60)).unwrap();
         assert_eq!(closed, "/c/dropping.index.7.0.100.60");
         b.create(&closed, true).unwrap();
         assert_eq!(read_lifecycle(&b, "/c").unwrap(), (0, Some((100, 60))));
@@ -1310,7 +1438,7 @@ mod tests {
                 ("2.0", Some(("dropping.index.2.0", None)), true),
                 (
                     "3.0",
-                    Some(("dropping.index.3.0.100.60", Some((100, 60)))),
+                    Some(("dropping.index.3.0.100.60", Some(Closed::sized(100, 60)))),
                     false
                 ),
             ],
@@ -1334,18 +1462,120 @@ mod tests {
         assert_eq!(parse_index_name("dropping.index.7.0"), Some(("7.0", None)));
         assert_eq!(
             parse_index_name("dropping.index.7.12.4096.512"),
-            Some(("7.12", Some((4096, 512))))
+            Some(("7.12", Some(Closed::sized(4096, 512))))
         );
+        assert_eq!(
+            parse_index_name("dropping.index.creator.0.4096.i77"),
+            Some(("creator.0", Some(Closed::identity(4096, 77))))
+        );
+        for closed in [Closed::sized(9, 3), Closed::identity(9, 12345)] {
+            let name = creator_closed_index_path("/c", closed);
+            let name = name.strip_prefix("/c/").unwrap();
+            assert_eq!(parse_index_name(name), Some((CREATOR_PAIR, Some(closed))));
+        }
         for junk in [
             "dropping.index.7",
             "dropping.index.7.0.1",
             "dropping.index.7.0.x.1",
             "dropping.index.7.0.1.2.3",
+            "dropping.index.7.0.1.i",
+            "dropping.index.7.0.1.ix",
+            "dropping.index.7.0.x.i1",
             "dropping.data.7.0",
             "meta.1.2.7.0",
         ] {
             assert_eq!(parse_index_name(junk), None, "{junk}");
         }
+    }
+
+    /// The creator's pair alone, closed, is exactly two names; anything
+    /// beside it, or an open creator, is not.
+    #[test]
+    fn the_creator_alone_is_its_closed_pair_and_nothing_else() {
+        let names = |ns: &[&str]| ns.iter().map(|n| n.to_string()).collect::<Vec<_>>();
+        let identity = "dropping.index.creator.0.10.i5";
+        assert_eq!(
+            creator_alone(&names(&[CREATOR_DATA, identity])),
+            Some(Closed::identity(10, 5))
+        );
+        assert_eq!(
+            creator_alone(&names(&["dropping.index.creator.0.10.4", CREATOR_DATA])),
+            Some(Closed::sized(10, 4))
+        );
+        for other in [
+            &[CREATOR_DATA][..],
+            &[CREATOR_DATA, CREATOR_INDEX],
+            &[CREATOR_DATA, identity, ACCESS_FILE],
+            &[CREATOR_DATA, identity, "hostdir.3"],
+            &["dropping.data.7.0", "dropping.index.7.0.10.i5"],
+            &[ACCESS_FILE, identity],
+        ] {
+            assert_eq!(creator_alone(&names(other)), None, "{other:?}");
+        }
+    }
+
+    /// The pair alone under the identity spelling is read by its name: one
+    /// extent over the data dropping, no index opened, the clock stepped
+    /// past the name's stamp. Under the other spelling the records are read.
+    #[test]
+    fn an_identity_name_alone_is_the_view_and_the_index_is_not_opened() {
+        use crate::meter::MeterBacking;
+        let b = MeterBacking::new(std::sync::Arc::new(mem()));
+        b.mkdir("/c").unwrap();
+        let data = b.create(&join("/c", CREATOR_DATA), true).unwrap();
+        data.pwrite(&[5u8; 300], 0).unwrap();
+        let stamp = crate::index::write_clock() + 1000;
+        let index = creator_closed_index_path("/c", Closed::identity(300, stamp));
+        b.create(&index, true).unwrap();
+        let before = b.snapshot();
+        let (view, droppings) = build_global_index(&b, "/c").unwrap();
+        let cost = b.snapshot().delta(&before);
+        assert_eq!((cost.readdir, cost.open, cost.metadata_ops()), (1, 0, 1));
+        assert_eq!(
+            view.iter_segments().collect::<Vec<_>>(),
+            [(0, 300, 0, 0)],
+            "[0, eof) at physical 0"
+        );
+        assert_eq!(droppings[0].index_path.as_deref(), Some(index.as_str()));
+        assert!(crate::index::write_clock() > stamp, "Lamport step");
+        // The same pair under `<eof>.<bytes>`: its (empty) index is read.
+        let sized = creator_closed_index_path("/c", Closed::sized(300, 300));
+        b.rename(&index, &sized).unwrap();
+        let before = b.snapshot();
+        let (view, _) = build_global_index(&b, "/c").unwrap();
+        assert_eq!(b.snapshot().delta(&before).open, 1);
+        assert_eq!(view.eof(), 0, "the records, not the name");
+    }
+
+    /// An unlink by the names a listing showed: two unlinks and an
+    /// `rmdir`; what changed since falls back to removing what is there.
+    #[test]
+    fn the_creator_alone_unlinks_by_name_and_falls_back_on_change() {
+        use crate::meter::MeterBacking;
+        let make = |b: &MeterBacking, closed: Closed| {
+            b.mkdir("/c").unwrap();
+            b.create(&join("/c", CREATOR_DATA), true).unwrap();
+            b.create(&creator_closed_index_path("/c", closed), true)
+                .unwrap();
+        };
+        let b = MeterBacking::new(std::sync::Arc::new(mem()));
+        let closed = Closed::identity(4, 9);
+        make(&b, closed);
+        let before = b.snapshot();
+        remove_creator_alone(&b, "/c", closed).unwrap();
+        let cost = b.snapshot().delta(&before);
+        assert_eq!((cost.unlink, cost.rmdir, cost.metadata_ops()), (2, 1, 3));
+        assert!(!b.exists("/c"));
+        // A writer joined since: the rmdir finds its names.
+        make(&b, closed);
+        ensure_hostdir(&b, "/c", &ContainerParams::default(), 3).unwrap();
+        mark_open(&b, "/c", 3, 0).unwrap();
+        remove_creator_alone(&b, "/c", closed).unwrap();
+        assert!(!b.exists("/c"));
+        // Re-spelled since (a repair): the marker is still there to list.
+        make(&b, Closed::sized(4, 4));
+        remove_creator_alone(&b, "/c", closed).unwrap();
+        assert!(!b.exists("/c"));
     }
 
     #[test]

@@ -673,6 +673,7 @@ impl PlfsFd {
                 if w.top_level() {
                     // Its marker is also its index: closed by rename, for
                     // the truncate that follows to remove with the rest.
+                    w.truncated();
                     // plfs-lint: allow(lock-across-io, "intentional quiesce: truncate holds the reader lock while tearing down writers so no refresh observes a half-reset fd")
                     w.close_names(self.backing.as_ref(), &self.container)?;
                 } else {
@@ -752,7 +753,8 @@ impl PlfsFd {
         if self.creator.lock().take().is_none() {
             return Ok(());
         }
-        let index = container::creator_closed_index_path(&self.container, 0, 0);
+        let index =
+            container::creator_closed_index_path(&self.container, container::Closed::sized(0, 0));
         self.backing.create(&index, true)?;
         self.cache.clear_meta(&self.container);
         Ok(())

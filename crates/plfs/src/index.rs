@@ -674,6 +674,31 @@ impl GlobalIndex {
         built.expect("fewer than 2^32 entries in memory")
     }
 
+    /// The view an index of identity records stands for: logical
+    /// `[0, eof)` at physical 0 of dropping 0, newest stamp `stamp` — what
+    /// merging them builds, counted as one entry. `None` past one record's
+    /// span, which only a merge of the records themselves may build.
+    pub(crate) fn identity(eof: u64, stamp: u64) -> Option<GlobalIndex> {
+        if eof > MAX_RECORD_SPAN {
+            return None;
+        }
+        let e = IndexEntry {
+            logical_offset: 0,
+            length: eof,
+            physical_offset: 0,
+            dropping_id: 0,
+            timestamp: stamp,
+            pid: 0,
+        };
+        let mut idx = IndexBuilder::pass(false);
+        idx.push(&e, 0).ok()?;
+        let base = std::mem::take(&mut idx.extents);
+        Some(GlobalIndex {
+            max_ts: stamp,
+            ..idx.into_index(base)
+        })
+    }
+
     /// Number of raw entries merged in.
     pub fn raw_entries(&self) -> usize {
         self.entries

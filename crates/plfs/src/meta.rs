@@ -27,7 +27,7 @@
 //! directory while this process holds writers (cross-process writers
 //! still need the listing).
 
-use crate::container::ContainerParams;
+use crate::container::{Closed, ContainerParams};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -51,6 +51,11 @@ pub struct MetaEntry {
     /// Cached fast-stat info from `meta.*` drops: `None` = not read yet,
     /// `Some(None)` = read, no drops, `Some(Some((max eof, total bytes)))`.
     pub meta: Option<Option<(u64, u64)>>,
+    /// The latest listing of the container held its creator's pair alone,
+    /// closed, its index named for this: the two names an unlink removes
+    /// without listing again. `None` = not seen, or a local writer closed
+    /// since.
+    pub alone: Option<Closed>,
 }
 
 /// FNV-1a, the workspace's path hash: for shard choice and as the hasher
@@ -297,14 +302,16 @@ impl MetaCache {
         self.invalidate(path);
     }
 
-    /// Drop only the cached fast-stat info for `path`, keeping the
-    /// exists/container verdicts (used at writer close, which changes the
-    /// file size but not whether the path is a container).
+    /// Drop only the cached fast-stat info for `path` and the listing it
+    /// came with, keeping the exists/container verdicts (used at writer
+    /// close, which changes the file size and the names but not whether
+    /// the path is a container).
     pub fn clear_meta(&self, path: &str) {
         let mut shard = self.shard(path).lock();
         shard.invalidated = self.tick();
         if let Some(slot) = shard.map.get_mut(path) {
             slot.entry.meta = None;
+            slot.entry.alone = None;
         }
     }
 
@@ -367,6 +374,7 @@ mod tests {
             is_container: false,
             params: None,
             meta: None,
+            alone: None,
         }
     }
 
@@ -484,6 +492,7 @@ mod tests {
                 is_container: true,
                 params: None,
                 meta: Some(Some((10, 10))),
+                alone: Some(Closed::sized(10, 10)),
             },
         );
         c.clear_meta("/a");
@@ -491,6 +500,7 @@ mod tests {
         assert!(e.exists);
         assert!(e.is_container);
         assert!(e.meta.is_none());
+        assert!(e.alone.is_none());
     }
 
     #[test]

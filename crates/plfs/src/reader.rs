@@ -30,7 +30,8 @@ pub struct ReadFile {
 }
 
 impl ReadFile {
-    /// Build a read view by merging all index droppings in `container`.
+    /// Build a read view by merging all index droppings in `container`
+    /// ([`container::build_global_index`]).
     pub fn open(b: &dyn Backing, container: &str) -> Result<ReadFile> {
         let (index, droppings) = container::build_global_index(b, container)?;
         Ok(ReadFile {

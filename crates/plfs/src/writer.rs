@@ -21,10 +21,14 @@
 //! needs it: close creates it under its closed name
 //! `dropping.index.creator.0.<eof>.<bytes>`, with no `rename`; a full
 //! buffer, a sync or a truncate before that creates it under its open name,
-//! and close then renames it (see [`crate::container`]).
+//! and close then renames it (see [`crate::container`]). A creator every
+//! one of whose records maps a logical offset to the same physical offset
+//! — it wrote from 0 on, each write at its tail, or over its own bytes in
+//! place — closes under the identity spelling `<eof>.i<stamp>` instead
+//! ([`container::Closed`]): a reader of the pair alone needs no record.
 
 use crate::backing::{join, Backing, BackingFile};
-use crate::container::{self, ContainerParams};
+use crate::container::{self, Closed, ContainerParams};
 use crate::error::{Error, Result};
 use crate::index::{encode_compressed, next_timestamp, IndexEntry};
 use std::borrow::Cow;
@@ -92,6 +96,11 @@ pub struct WriteFile {
     bytes_written: u64,
     /// Highest logical end offset this writer has produced.
     max_eof: u64,
+    /// Every entry logged so far maps a logical offset to the same physical
+    /// offset: the identity spelling's condition.
+    identity: bool,
+    /// The stamp of the newest entry logged; 0 before the first.
+    newest: u64,
     /// Count of index flushes (exposed for tests and the bench harness).
     index_flushes: u64,
     /// On-disk records emitted (≤ writes, thanks to pattern compression).
@@ -200,6 +209,8 @@ impl WriteFile {
             index_tail: 0,
             bytes_written: 0,
             max_eof: 0,
+            identity: true,
+            newest: 0,
             index_flushes: 0,
             index_records: 0,
         })
@@ -262,6 +273,8 @@ impl WriteFile {
                 .reserve_exact(self.buffer_limit.min(INDEX_BUFFER_START));
         }
         let timestamp = next_timestamp();
+        self.identity &= logical == physical;
+        self.newest = timestamp;
         self.buffered.push(IndexEntry {
             logical_offset: logical,
             length: len,
@@ -360,13 +373,27 @@ impl WriteFile {
     /// under its closed name, so the close costs a `create` and no `rename`.
     pub(crate) fn sync_at_close(&mut self) -> Result<()> {
         if let IndexDropping::Deferred(_) = self.index {
-            self.index_path = container::creator_closed_index_path(
-                self.container(),
-                self.max_eof,
-                self.bytes_written,
-            );
+            self.index_path = container::creator_closed_index_path(self.container(), self.closed());
         }
         self.sync()
+    }
+
+    /// What this writer's closed top-level index is named for: the identity
+    /// spelling while every entry it logged (one at least) mapped a logical
+    /// offset to the same physical offset — its data dropping then holds
+    /// `[0, eof)` where the file has it — else `<eof>.<bytes>`.
+    fn closed(&self) -> Closed {
+        match self.identity && self.newest > 0 {
+            true => Closed::identity(self.max_eof, self.newest),
+            false => Closed::sized(self.max_eof, self.bytes_written),
+        }
+    }
+
+    /// A truncate is taking this writer's pair away: whatever it closes
+    /// under is a name of records the truncate removes, so it takes the
+    /// `<eof>.<bytes>` spelling, which claims nothing about them.
+    pub(crate) fn truncated(&mut self) {
+        self.identity = false;
     }
 
     /// The container directory a top-level pair sits in.
@@ -380,14 +407,14 @@ impl WriteFile {
     /// it), a hostdir pair's open marker becomes its `meta.*` drop. Call
     /// after the last sync.
     pub(crate) fn close_names(&mut self, b: &dyn Backing, container: &str) -> Result<()> {
-        let (eof, bytes) = (self.max_eof, self.bytes_written);
         if self.top_level {
-            let closed = container::close_toplevel(b, &self.index_path, eof, bytes)?;
+            let closed = container::close_toplevel(b, &self.index_path, self.closed())?;
             if let Cow::Owned(closed) = closed {
                 self.index_path = closed;
             }
             Ok(())
         } else {
+            let (eof, bytes) = (self.max_eof, self.bytes_written);
             container::close_writer(b, container, eof, bytes, self.pid, self.seq)
         }
     }

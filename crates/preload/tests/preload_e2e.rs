@@ -251,7 +251,8 @@ fn container_structure_created_on_backend() {
     // The container visible on the host file system. `dd` made the file,
     // so its droppings are the top-level pair, the data dropping its
     // marker: no access file (the default params), no hostdir, and the
-    // closed index's name is the fast-stat drop.
+    // closed index's name is the fast-stat drop — in the identity
+    // spelling, `dd` having written [0, 65536) in order.
     let container = env.backend.join("zeros.bin");
     assert!(!container.join(".plfsaccess").exists(), "no access file");
     let names: Vec<String> = std::fs::read_dir(&container)
@@ -263,7 +264,7 @@ fn container_structure_created_on_backend() {
     assert!(
         names
             .iter()
-            .any(|n| n.starts_with("dropping.index.") && n.ends_with(".65536.65536")),
+            .any(|n| n.starts_with("dropping.index.creator.0.65536.i")),
         "{names:?}"
     );
     assert!(
@@ -946,7 +947,7 @@ fn syscalls_of(env: &Env, [lib, smoke, tools]: &[PathBuf; 3], args: &[&str]) -> 
 /// The per-call syscall counts of DESIGN.md §13, from the tool: a smoke
 /// mode at N and at 2N calls, differenced. A container `write` is 1 (its
 /// `pwrite`), a cursor `read` resolving to one fragment is 1 (its `pread`),
-/// and the small-file cycle is at most 34.
+/// and the small-file cycle is at most 27.
 #[test]
 fn per_call_syscalls_are_pinned() {
     let bins = release_bins();
@@ -982,7 +983,7 @@ fn per_call_syscalls_are_pinned() {
     );
     let cycle = per_call(&["calls-cycle"], 200).unwrap();
     assert!(
-        cycle.round() <= 34.0,
+        cycle.round() <= 27.0,
         "the small-file cycle: {cycle} syscalls"
     );
 }

@@ -80,17 +80,17 @@ const BOUNDS: [(&str, u64); 8] = [
     ("stat", 3),
     // The fd's container path, the fd.
     ("open (reader)", 2),
-    // The listing (3); the dropping table and two paths (3); the index's
-    // handle, the merge's extents, the view's handle table, the data
-    // dropping's handle.
-    ("read", 10),
+    // The listing (3); the dropping table and two paths (3); the extents
+    // the index's identity name stands for, the view's handle table, the
+    // data dropping's handle — no index handle: the index is not opened.
+    ("read", 9),
     ("close (reader)", 0),
-    // The listing (3), one buffer for every child's path.
-    ("unlink", 4),
+    // The two paths the stat's listing named: no listing.
+    ("unlink", 2),
 ];
 
 /// Most allocator calls a whole cycle may make.
-const CYCLE_BOUND: u64 = 29;
+const CYCLE_BOUND: u64 = 26;
 
 #[test]
 fn the_small_file_cycle_allocates_at_most_its_bound() {

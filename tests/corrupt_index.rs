@@ -144,7 +144,10 @@ fn windowed_container(records: u64) -> Arc<MemBacking> {
     let fd = plfs
         .open("/c", OpenFlags::RDWR | OpenFlags::CREAT, 1)
         .unwrap();
-    let mut eof = 0;
+    // From offset 1: no record maps a logical offset to the same physical
+    // one, so the index is named `<eof>.<bytes>` and a read reads it (an
+    // identity-named index is read by its name).
+    let mut eof = 1;
     for i in 0..records {
         let len = 1 + i % 7;
         plfs.write(&fd, &vec![i as u8; len as usize], eof, 1)
@@ -217,7 +220,8 @@ fn real_container(tag: &str) -> (std::path::PathBuf, Arc<RealBacking>) {
     let fd = plfs
         .open("/c", OpenFlags::WRONLY | OpenFlags::CREAT, 1)
         .unwrap();
-    plfs.write(&fd, &[7u8; 100], 0, 1).unwrap();
+    // At offset 1, so that a read reads the index (as `windowed_container`).
+    plfs.write(&fd, &[7u8; 100], 1, 1).unwrap();
     plfs.close(&fd, 1).unwrap();
     (dir, backing)
 }
@@ -291,4 +295,42 @@ fn an_old_access_files_mode_both_parses_and_any_other_mode_is_corrupt() {
             }
         }
     }
+}
+
+/// A creator whose every record maps a logical offset to the same physical
+/// one closes under the identity name, and a read of its pair alone builds
+/// the view from that name: hostile records there are not read, and the
+/// bytes read are the data dropping's. `check` reads them, and reports
+/// them with the name they no longer earn.
+#[test]
+fn an_identity_named_index_is_read_by_its_name_and_checked_by_check() {
+    let backing = Arc::new(MemBacking::new());
+    let plfs = Plfs::new(backing.clone());
+    let fd = plfs
+        .open("/c", OpenFlags::WRONLY | OpenFlags::CREAT, 1)
+        .unwrap();
+    plfs.write(&fd, &[7u8; 100], 0, 1).unwrap();
+    plfs.close(&fd, 1).unwrap();
+    let ip = index_path(backing.as_ref());
+    assert!(ip.contains(".100.i"), "{ip}");
+    let f = backing.open(&ip, true).unwrap();
+    f.pwrite(&0xdead_beefu32.to_le_bytes(), 0).unwrap();
+    drop(f);
+    let r = ReadFile::open(backing.as_ref(), "/c").unwrap();
+    assert_eq!(r.read_all(backing.as_ref()).unwrap(), [7u8; 100]);
+    let report = plfs::check(backing.as_ref(), "/c").unwrap();
+    assert_eq!(
+        report.findings,
+        [
+            plfs::Finding::CorruptIndexRecord {
+                path: ip.clone(),
+                record: 0
+            },
+            plfs::Finding::MisnamedIndex { path: ip },
+            plfs::Finding::StaleMeta {
+                cached: 100,
+                actual: 0
+            }
+        ]
+    );
 }

@@ -227,10 +227,15 @@ fn assert_marked_by_the_creators_dropping(b: &Arc<Gated>, joiners: &[u64]) {
             .iter()
             .any(|p| n.starts_with(p))
     });
+    // Its 7 bytes at 0, where the file has them: the identity spelling,
+    // whose stamp is a clock reading.
+    let closed = plfs::container::parse_index_name(&names[names.len() - 1])
+        .and_then(|(_, closed)| closed)
+        .map(|c| (c.eof, c.identity.is_some()));
     assert_eq!(
-        names,
-        ["dropping.data.creator.0", "dropping.index.creator.0.7.7"],
-        "the creator's pair, and no access file"
+        (names.len(), names[0].as_str(), closed),
+        (2, "dropping.data.creator.0", Some((7, true))),
+        "the creator's pair, and no access file: {names:?}"
     );
     let params = plfs::container::read_params(&b.inner, "/f").unwrap();
     assert_eq!(params, ContainerParams::default());

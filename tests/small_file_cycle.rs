@@ -17,7 +17,8 @@ use std::sync::Arc;
 const CREATE_RW: OpenFlags = OpenFlags(0o2 | 0o100); // RDWR|CREAT
 
 /// Every name in the container directory that says a writer is open or
-/// has closed.
+/// has closed, an identity spelling's stamp (a clock reading) shown as
+/// `i*`.
 fn lifecycle_names(b: &dyn Backing, path: &str) -> Vec<String> {
     let mut names = b.readdir(path).unwrap();
     names.retain(|n| {
@@ -25,6 +26,13 @@ fn lifecycle_names(b: &dyn Backing, path: &str) -> Vec<String> {
             .iter()
             .any(|p| n.starts_with(p))
     });
+    for n in &mut names {
+        if let Some((_, Some(c))) = container::parse_index_name(n) {
+            if let Some(stamp) = c.identity {
+                *n = n.replace(&format!(".i{stamp}"), ".i*");
+            }
+        }
+    }
     names.sort();
     names
 }
@@ -48,9 +56,10 @@ fn cost<T>(meter: &MeterBacking, f: impl FnOnce() -> T) -> (T, MeterSnapshot) {
 /// One `meta_storm` cycle of a 1 KiB file — create, write, close, stat,
 /// open, read, close, unlink — with the backing ops of each call. Upper
 /// bounds (the inline small-file form may lower them); what no call may do
-/// is probe for something a listing or an error already told it.
+/// is probe for something a listing or an error already told it, or list
+/// for names the stat's listing already showed.
 #[test]
-fn small_file_cycle_costs_at_most_13_backing_metadata_ops() {
+fn small_file_cycle_costs_at_most_11_backing_metadata_ops() {
     let meter = Arc::new(MeterBacking::new(Arc::new(MemBacking::new())));
     let plfs = Plfs::new(meter.clone() as Arc<dyn Backing>);
     // Twice over one path: the second cycle starts from the first's
@@ -93,19 +102,20 @@ fn small_file_cycle_costs_at_most_13_backing_metadata_ops() {
         assert_eq!(stat.readdir, stat.metadata_ops(), "{stat:?}");
         assert!(stat.metadata_ops() <= 1, "stat: {stat:?}");
         assert_eq!(open.metadata_ops(), 0, "warm open: {open:?}");
-        // first read: the container listing, the index open (its one
-        // short window is the whole dropping, so no size), the data open.
+        // first read: the container listing and the data open — the
+        // creator wrote [0, 1024) in place, so its index's identity name is
+        // the whole index, and the index is not opened.
         assert_eq!((read.readdir, read.size), (1, 0), "{read:?}");
-        assert!(read.metadata_ops() <= 3, "first read: {read:?}");
+        assert!(read.metadata_ops() <= 2, "first read: {read:?}");
         assert_eq!(close_rd.metadata_ops(), 0, "{close_rd:?}");
-        // unlink: one listing, two files (data, index), one rmdir.
-        assert_eq!((unlink.readdir, unlink.rmdir), (1, 1), "{unlink:?}");
-        assert!(unlink.metadata_ops() <= 4, "unlink: {unlink:?}");
+        // unlink: the two names the stat's listing showed, one rmdir.
+        assert_eq!((unlink.readdir, unlink.rmdir), (0, 1), "{unlink:?}");
+        assert!(unlink.metadata_ops() <= 3, "unlink: {unlink:?}");
         let calls = [create, write, close, stat, open, read, close_rd, unlink];
         let probes: u64 = calls.iter().map(|c| c.stat + c.exists).sum();
         assert_eq!(probes, 0, "nothing is probed");
         let total: u64 = calls.iter().map(MeterSnapshot::metadata_ops).sum();
-        assert!(total <= 13, "cycle {cycle}: {total} metadata ops");
+        assert!(total <= 11, "cycle {cycle}: {total} metadata ops");
     }
 }
 
@@ -328,7 +338,7 @@ fn fsync_before_close_keeps_the_unsuffixed_then_rename_path() {
     );
     assert_eq!(
         lifecycle_names(meter.as_ref(), "/f"),
-        ["dropping.index.creator.0.200.200"]
+        ["dropping.index.creator.0.200.i*"]
     );
     let rfd = plfs.open("/f", OpenFlags::RDONLY, 3).unwrap();
     let mut buf = [0u8; 200];
@@ -505,7 +515,7 @@ fn mixed_shape_container_with(creator: Creator) -> (Arc<MemBacking>, Plfs, Vec<u
     let creator_name = match creator {
         Creator::Closed => {
             plfs.close(&fd, 0).unwrap();
-            vec!["dropping.index.creator.0.100.100"]
+            vec!["dropping.index.creator.0.100.i*"]
         }
         Creator::KilledAfterSync => {
             plfs.sync(&fd, 0).unwrap();
@@ -552,11 +562,12 @@ fn maintenance_leaves_no_stray_lifecycle_names() {
         let rep = plfs::repair(b.as_ref(), "/c", true).unwrap();
         assert_eq!(rep.markers_cleared, 1 + dead, "{creator:?}");
         // The creator's index keeps its records (a dead creator's unwritten
-        // ones are gone) and carries its drop; the hostdir pairs' two drops
-        // fold into one.
+        // ones are gone) and carries its drop — under the identity spelling
+        // its records earn, [0, 100) where it lies; the hostdir pairs' two
+        // drops fold into one.
         let creator_drop = match creator {
             KilledBeforeIndex => "dropping.index.creator.0.0.100",
-            _ => "dropping.index.creator.0.100.100",
+            _ => "dropping.index.creator.0.100.i*",
         };
         assert_eq!(
             lifecycle_names(b.as_ref(), "/c"),
@@ -666,7 +677,7 @@ fn two_fds_of_one_pid_keep_their_own_marker_and_drop() {
     // other fd's are pair (9, 0)'s.
     assert_eq!(
         lifecycle_names(b.as_ref(), "/f"),
-        ["dropping.index.creator.0.4.4", "open.9.0"]
+        ["dropping.index.creator.0.4.i*", "open.9.0"]
     );
     // A fresh process: one writer still open, so no fast stat off A's
     // drop.
@@ -704,7 +715,7 @@ fn close_of_the_creator_is_one_create_and_no_rename() {
     assert_eq!(toplevel_pairs(meter.as_ref(), "/f"), 1);
     assert_eq!(
         lifecycle_names(meter.as_ref(), "/f"),
-        ["dropping.index.creator.0.512.512"]
+        ["dropping.index.creator.0.512.i*"]
     );
 }
 
@@ -966,13 +977,14 @@ fn a_creators_pair_under_its_pid_beside_the_access_file_reads_as_any_pair() {
     plfs.close(&fd, 7).unwrap();
     let eight = ContainerParams { num_hostdirs: 8 };
     container::publish_access_file(b.as_ref(), "/f", &eight).unwrap();
+    // Its index under the `<eof>.<bytes>` spelling, the one the layout had.
+    let index = container::list_droppings(b.as_ref(), "/f").unwrap()[0]
+        .index_path
+        .clone()
+        .unwrap();
     b.rename("/f/dropping.data.creator.0", "/f/dropping.data.7.0")
         .unwrap();
-    b.rename(
-        "/f/dropping.index.creator.0.16.16",
-        "/f/dropping.index.7.0.16.16",
-    )
-    .unwrap();
+    b.rename(&index, "/f/dropping.index.7.0.16.16").unwrap();
     assert_eq!(
         b.readdir("/f").unwrap(),
         [
@@ -1000,4 +1012,135 @@ fn a_creators_pair_under_its_pid_beside_the_access_file_reads_as_any_pair() {
     assert_eq!(Plfs::new(b.clone()).getattr("/f").unwrap().size, 0);
     cold.unlink("/f").unwrap();
     assert!(!b.exists("/f"));
+}
+
+/// The Lamport step of a read by name. A process whose clock was seeded
+/// before the creator's — its stamps run behind every record the creator
+/// wrote — reads an identity-named file, then overwrites part of it
+/// through a new fd. The read stepped its clock past the stamp the name
+/// carries, as a merge of the records would have, so its write wins a
+/// fresh merge.
+#[test]
+fn a_read_by_name_steps_the_clock_so_a_later_write_wins_a_fresh_merge() {
+    let b = Arc::new(MemBacking::new());
+    // The creator's pair as a process whose clock runs far ahead left it.
+    let ahead = plfs::index::write_clock() + (1 << 40);
+    b.mkdir("/f").unwrap();
+    let data = b.create(&format!("/f/{}", container::CREATOR_DATA), true);
+    data.unwrap().pwrite(&[1u8; 64], 0).unwrap();
+    let mut record = Vec::new();
+    plfs::IndexEntry {
+        logical_offset: 0,
+        length: 64,
+        physical_offset: 0,
+        dropping_id: 0,
+        timestamp: ahead,
+        pid: 9,
+    }
+    .encode(&mut record);
+    let index = container::creator_closed_index_path("/f", container::Closed::identity(64, ahead));
+    b.create(&index, true).unwrap().pwrite(&record, 0).unwrap();
+    assert!(plfs::check(b.as_ref(), "/f").unwrap().is_clean());
+
+    let plfs = Plfs::new(b.clone());
+    let rfd = plfs.open("/f", OpenFlags::RDONLY, 3).unwrap();
+    let mut buf = [0u8; 64];
+    assert_eq!(
+        (plfs.read(&rfd, &mut buf, 0).unwrap(), buf),
+        (64, [1u8; 64])
+    );
+    plfs.close(&rfd, 3).unwrap();
+    let wfd = plfs.open("/f", OpenFlags::RDWR, 3).unwrap();
+    plfs.write(&wfd, &[2u8; 16], 8, 3).unwrap();
+    plfs.close(&wfd, 3).unwrap();
+
+    let fresh = plfs::ReadFile::open(b.as_ref(), "/f").unwrap();
+    let mut want = [1u8; 64];
+    want[8..24].fill(2);
+    assert_eq!(fresh.read_all(b.as_ref()).unwrap(), want);
+}
+
+/// An unlink by the names a `stat`'s listing showed, when another mount
+/// changed the container between the two: it joined as a writer — still
+/// open, or closed since — or truncated it. The unlink removes everything
+/// there is and succeeds.
+#[test]
+fn an_unlink_by_name_after_another_mount_changed_the_container_removes_it_all() {
+    #[derive(Debug, Clone, Copy)]
+    enum Change {
+        JoinedOpen,
+        JoinedClosed,
+        Truncated(u64),
+    }
+    for change in [
+        Change::JoinedOpen,
+        Change::JoinedClosed,
+        Change::Truncated(0),
+        Change::Truncated(100),
+    ] {
+        let b = Arc::new(MemBacking::new());
+        let plfs = Plfs::new(b.clone());
+        let fd = plfs.open("/f", CREATE_RW, 1).unwrap();
+        plfs.write(&fd, &[7u8; 1024], 0, 1).unwrap();
+        plfs.close(&fd, 1).unwrap();
+        assert_eq!(plfs.getattr("/f").unwrap().size, 1024);
+        let other = Plfs::new(b.clone());
+        match change {
+            Change::JoinedOpen | Change::JoinedClosed => {
+                let jfd = other.open("/f", CREATE_RW, 2).unwrap();
+                other.write(&jfd, b"joiner", 2000, 2).unwrap();
+                if let Change::JoinedClosed = change {
+                    other.close(&jfd, 2).unwrap();
+                }
+            }
+            Change::Truncated(len) => other.trunc("/f", len).unwrap(),
+        }
+        plfs.unlink("/f").unwrap();
+        assert!(!b.exists("/f"), "{change:?}");
+    }
+}
+
+/// A creator's index under the two-number spelling, as every creator
+/// closed before the identity spelling, reads, stats, checks and unlinks as
+/// before: a read opens the index and merges its records, and the unlink
+/// removes the two names its `stat`'s listing showed.
+#[test]
+fn a_two_number_creator_index_reads_stats_checks_and_unlinks_as_before() {
+    let meter = Arc::new(MeterBacking::new(Arc::new(MemBacking::new())));
+    let plfs = Plfs::new(meter.clone() as Arc<dyn Backing>);
+    let fd = plfs.open("/f", CREATE_RW, 1).unwrap();
+    plfs.write(&fd, &[7u8; 1024], 0, 1).unwrap();
+    plfs.close(&fd, 1).unwrap();
+    let index = container::list_droppings(meter.as_ref(), "/f").unwrap()[0]
+        .index_path
+        .clone()
+        .unwrap();
+    let sized = container::closed_index_path(&index, container::Closed::sized(1024, 1024));
+    meter.rename(&index, &sized.unwrap()).unwrap();
+    assert_eq!(
+        lifecycle_names(meter.as_ref(), "/f"),
+        ["dropping.index.creator.0.1024.1024"]
+    );
+
+    let cold = Plfs::new(meter.clone() as Arc<dyn Backing>);
+    let (st, _) = cost(&meter, || cold.getattr("/f").unwrap());
+    assert_eq!((st.size, st.physical_bytes), (1024, 1024));
+    let rfd = cold.open("/f", OpenFlags::RDONLY, 2).unwrap();
+    let mut buf = [0u8; 1024];
+    let (n, read) = cost(&meter, || cold.read(&rfd, &mut buf, 0).unwrap());
+    assert_eq!((n, buf), (1024, [7u8; 1024]));
+    assert_eq!(
+        (read.readdir, read.open),
+        (1, 2),
+        "the index is read: {read:?}"
+    );
+    cold.close(&rfd, 2).unwrap();
+    assert!(plfs::check(meter.as_ref(), "/f").unwrap().is_clean());
+    let ((), unlink) = cost(&meter, || cold.unlink("/f").unwrap());
+    assert_eq!(
+        (unlink.readdir, unlink.unlink, unlink.rmdir),
+        (0, 2, 1),
+        "{unlink:?}"
+    );
+    assert!(!meter.exists("/f"));
 }
