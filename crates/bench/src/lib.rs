@@ -1595,7 +1595,7 @@ mod tests {
         // The small-file cycle: eight calls, 11 ops, and its storm cheaper
         // per process than the four-rank checkpoint cycle's.
         let per_call: Vec<u64> = r.small_file.calls.iter().map(|c| c.ops).collect();
-        assert_eq!(per_call, [2, 0, 3, 1, 0, 2, 0, 3], "{:?}", r.small_file);
+        assert_eq!(per_call, [2, 0, 4, 0, 0, 2, 0, 3], "{:?}", r.small_file);
         assert_eq!(r.small_file.total_ops(), 11);
         for (small, ckpt) in r.small_file.storm.iter().zip(&r.storm) {
             assert_eq!((small.procs, small.ops_per_open), (ckpt.procs, 11));

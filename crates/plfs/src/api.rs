@@ -58,7 +58,11 @@ pub struct Plfs {
 /// so per process under the preload: a warm `getattr` here does not see
 /// another *process*'s writes to a container until its verdict is
 /// dropped (by this process's own mutation of the path) or evicted;
-/// same-process stats are always exact.
+/// same-process stats are always exact. A verdict a creator's close
+/// installs (DESIGN.md §12, "The closed creator's verdict") is warm from
+/// the close on, with the same staleness: a writer of another process
+/// whose first write comes after the close — even one that opened the
+/// file before it — is not seen until the verdict goes.
 pub(crate) const META_CACHE_ENTRIES: usize = 4096;
 
 /// Lock shards of the container metadata cache.

@@ -30,6 +30,9 @@ pub struct BackStat {
     pub is_dir: bool,
     /// Modification stamp; backing-defined units, only compared for ordering.
     pub mtime: u64,
+    /// A directory's subdirectories, where the backing counts them exactly
+    /// (`None` for a file, and wherever the count is not known to be exact).
+    pub subdirs: Option<u64>,
 }
 
 /// An open file on a backing store.
@@ -146,8 +149,15 @@ pub fn join(dir: &str, name: &str) -> String {
 /// backing is made — a relative one does not follow a later `chdir`, and a
 /// root renamed afterwards keeps being served. `..` components are rejected
 /// so a container can never escape its backend.
+///
+/// On tmpfs, ext4 and xfs (the root's file system, asked once with
+/// `fstatfs`) a directory's link count is two more than its
+/// subdirectories: [`Backing::stat`] then reports a directory's
+/// [`BackStat::subdirs`].
 pub struct RealBacking {
     root: PathBuf,
+    /// The root's file system is one of those: see above.
+    exact: bool,
     /// The root's descriptor: an `O_PATH` fd, close-on-exec.
     dir: AtomicI32,
     /// Held shared by every op while it uses `dir`'s number, and
@@ -167,8 +177,14 @@ impl RealBacking {
             .custom_flags(O_PATH | O_DIRECTORY)
             .open(&root)
             .map_err(Error::Io)?;
+        let mut fs = std::mem::MaybeUninit::<StatFs>::zeroed();
+        // SAFETY: `dir` is open; `fs` is a writable `struct statfs`.
+        let got = unsafe { fstatfs(dir.as_raw_fd(), fs.as_mut_ptr()) };
+        // SAFETY: zeroed, then filled by the kernel if it succeeded.
+        let f_type = unsafe { fs.assume_init() }.f_type;
         Ok(RealBacking {
             root,
+            exact: got == 0 && EXACT_FILE_SYSTEMS.contains(&f_type),
             dir: AtomicI32::new(dir.into_raw_fd()),
             in_use: RwLock::new(()),
         })
@@ -357,8 +373,23 @@ struct Statx {
     _spare: [u64; 16],
 }
 
-/// `STATX_TYPE | STATX_MTIME | STATX_SIZE`: what [`BackStat`] needs.
-const STATX_WANTED: c_uint = 0x1 | 0x40 | 0x200;
+/// `STATX_TYPE | STATX_NLINK | STATX_MTIME | STATX_SIZE`: what
+/// [`BackStat`] needs.
+const STATX_WANTED: c_uint = 0x1 | 0x4 | 0x40 | 0x200;
+
+/// `struct statfs`, as far as its first field: `f_type` is a `long` on the
+/// architectures this builds for, and the rest is room for the kernel.
+#[repr(C)]
+struct StatFs {
+    f_type: std::os::raw::c_long,
+    _rest: [std::os::raw::c_long; 15],
+}
+
+/// `TMPFS_MAGIC`, `EXT4_SUPER_MAGIC` (ext2 and ext3 too) and
+/// `XFS_SUPER_MAGIC`: the file systems whose directory link counts
+/// [`RealBacking`] relies on.
+const EXACT_FILE_SYSTEMS: [std::os::raw::c_long; 3] = [0x0102_1994, 0xef53, 0x5846_5342];
+
 const S_IFMT: u16 = 0o170000;
 const S_IFDIR: u16 = 0o040000;
 
@@ -377,6 +408,7 @@ extern "C" {
         out: *mut Statx,
     ) -> c_int;
     fn fcntl(fd: c_int, cmd: c_int, ...) -> c_int;
+    fn fstatfs(fd: c_int, buf: *mut StatFs) -> c_int;
 }
 
 impl RealFile {
@@ -504,7 +536,8 @@ impl Backing for RealBacking {
 
     /// One `O_DIRECTORY` open and `getdents64` into a fixed buffer until it
     /// returns 0: no `fstat` and no 32 KiB `DIR` stream, which is what
-    /// `opendir` costs.
+    /// `opendir` costs. A short call does not end the listing: with a
+    /// signal pending the kernel returns after one entry.
     fn readdir(&self, path: &str) -> Result<Vec<String>> {
         const BUF: usize = 8192;
         let dir = self.open_at(path, O_RDONLY | O_DIRECTORY)?;
@@ -571,10 +604,14 @@ impl Backing for RealBacking {
             s.saturating_mul(1_000_000_000)
                 .saturating_add(st.mtime.nsec.into())
         });
+        let is_dir = st.mode & S_IFMT == S_IFDIR;
+        // ext4 counts 1 link past 65,000 subdirectories: not a count.
+        let counted = self.exact && is_dir && st.nlink >= 2;
         Ok(BackStat {
             size: st.size,
-            is_dir: st.mode & S_IFMT == S_IFDIR,
+            is_dir,
             mtime,
+            subdirs: counted.then(|| u64::from(st.nlink - 2)),
         })
     }
 
@@ -881,10 +918,17 @@ impl Backing for MemBacking {
         let path = Self::norm(path);
         let inner = self.inner.lock();
         if inner.dirs.contains(&path) {
+            let prefix = if path == "/" { "" } else { path.as_str() };
+            let under = inner.dirs.range(format!("{prefix}/")..format!("{prefix}0"));
+            let subdirs = under.filter(|d| {
+                let name = &d[prefix.len() + 1..];
+                !name.is_empty() && !name.contains('/')
+            });
             return Ok(BackStat {
                 size: 0,
                 is_dir: true,
                 mtime: inner.clock,
+                subdirs: Some(subdirs.count() as u64),
             });
         }
         if let Some(node) = inner.files.get(&path) {
@@ -892,6 +936,7 @@ impl Backing for MemBacking {
                 size: node.lock().data.len() as u64,
                 is_dir: false,
                 mtime: inner.clock,
+                subdirs: None,
             });
         }
         Err(Error::NotFound(path))
@@ -1155,5 +1200,20 @@ mod tests {
         let mut buf = [0u8; 4];
         assert_eq!(f.pread(&mut buf, 2).unwrap(), 0);
         assert_eq!(f.pread(&mut buf, 100).unwrap(), 0);
+    }
+
+    #[test]
+    fn mem_stat_counts_a_directorys_own_subdirectories() {
+        let b = MemBacking::new();
+        assert_eq!(b.stat("/").unwrap().subdirs, Some(0));
+        b.mkdir_all("/c/h1/deep").unwrap();
+        b.mkdir("/c/h2").unwrap();
+        b.mkdir("/c2").unwrap();
+        b.create("/c/f", true).unwrap();
+        assert_eq!(b.stat("/").unwrap().subdirs, Some(2));
+        assert_eq!(b.stat("/c").unwrap().subdirs, Some(2));
+        assert_eq!(b.stat("/c/h1").unwrap().subdirs, Some(1));
+        assert_eq!(b.stat("/c2").unwrap().subdirs, Some(0));
+        assert_eq!(b.stat("/c/f").unwrap().subdirs, None);
     }
 }

@@ -709,6 +709,9 @@ impl PlfsFd {
         };
         if remaining_for_pid == 0 {
             refs.remove(pid);
+            // Taken before the closed name is published: a local
+            // invalidation after it wins over what the close installs.
+            let generation = self.cache.begin_fill(&self.container);
             let writer = {
                 let mut shard = self.shard(pid).lock();
                 let mut writer = shard.remove(&pid);
@@ -728,14 +731,20 @@ impl PlfsFd {
                 writer
             };
             if let Some(mut w) = writer {
-                self.cache.writer_dec(&self.container);
+                let last = self.cache.writer_dec(&self.container) == 0;
                 let t0 = iotrace::global().start();
                 // plfs-lint: allow(lock-across-io, "intentional: last-reference teardown must be serialized; refs is close-path bookkeeping, never taken on the data plane")
-                w.close_names(self.backing.as_ref(), &self.container)?;
+                let named = w.close_names(self.backing.as_ref(), &self.container)?;
                 self.trace_marker(t0);
-                // The meta drop just changed the fast-stat answer; keep the
-                // exists/container verdicts.
-                self.cache.clear_meta(&self.container);
+                match named.filter(|_| last) {
+                    // plfs-lint: allow(lock-across-io, "intentional: same teardown section; one stat of the container")
+                    Some(closed) if self.alone_in_container() => {
+                        self.install_closed(generation, closed)
+                    }
+                    // The meta drop just changed the fast-stat answer; keep
+                    // the exists/container verdicts.
+                    _ => self.cache.clear_meta(&self.container),
+                }
             }
         }
         let remaining = refs.total();
@@ -744,6 +753,41 @@ impl PlfsFd {
             self.release_creator()?;
         }
         Ok(remaining)
+    }
+
+    /// Is the closing creator's pair alone in the container, as far as a
+    /// writer goes? Every other writer writes into a `hostdir.N/`, which its
+    /// first write makes before it places its open marker: a backing that
+    /// counts the container directory's subdirectories exactly and counts
+    /// none says no other writer has data there. One `stat`; none once the
+    /// backing has said it does not count them.
+    fn alone_in_container(&self) -> bool {
+        if !self.cache.subdirs_counted() {
+            return false;
+        }
+        match self.backing.stat(&self.container) {
+            Ok(st) if st.is_dir => {
+                self.cache.note_subdirs(st.subdirs);
+                st.subdirs == Some(0)
+            }
+            _ => false,
+        }
+    }
+
+    /// What the last local writer of a creator's pair, alone in the
+    /// container and closed under `closed`, knows: the verdict a listing
+    /// would give — the fast-stat answer and the pair alone — installed
+    /// under `generation`, taken before the name was published.
+    fn install_closed(&self, generation: u64, closed: container::Closed) {
+        let entry = crate::meta::MetaEntry {
+            exists: true,
+            is_dir: true,
+            is_container: true,
+            params: Some(self.params),
+            meta: Some(Some((closed.eof, closed.bytes))),
+            alone: Some(closed),
+        };
+        self.cache.complete_fill(&self.container, generation, entry);
     }
 
     /// A creator's dropping no writer took is closed as a writer that wrote

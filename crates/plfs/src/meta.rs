@@ -31,7 +31,7 @@ use crate::container::{Closed, ContainerParams};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// One cached verdict about a backend path.
 #[derive(Debug, Clone, Copy, Default)]
@@ -158,6 +158,9 @@ pub struct MetaCache {
     tree_tick: AtomicU64,
     /// In-process writer counts per container path (open-marker fast path).
     writers: Mutex<HashMap<String, u64, FnvBuild>>,
+    /// Cleared by the first directory `stat` whose backing does not count
+    /// subdirectories exactly: a writer's close asks no more.
+    subdirs_counted: AtomicBool,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -177,6 +180,7 @@ impl MetaCache {
             tree_records: entries.max(1),
             tree_tick: AtomicU64::new(0),
             writers: Mutex::default(),
+            subdirs_counted: AtomicBool::new(true),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
@@ -312,6 +316,22 @@ impl MetaCache {
         if let Some(slot) = shard.map.get_mut(path) {
             slot.entry.meta = None;
             slot.entry.alone = None;
+        }
+    }
+
+    /// Should a closing writer `stat` its container to learn whether it has
+    /// subdirectories? Until a backing has answered that it does not count
+    /// them exactly.
+    pub(crate) fn subdirs_counted(&self) -> bool {
+        // relaxed: a stale true costs one stat
+        self.subdirs_counted.load(Ordering::Relaxed)
+    }
+
+    /// A directory `stat` answered `subdirs`: `None` turns the question off.
+    pub(crate) fn note_subdirs(&self, subdirs: Option<u64>) {
+        if subdirs.is_none() {
+            // relaxed: as above
+            self.subdirs_counted.store(false, Ordering::Relaxed);
         }
     }
 

@@ -405,18 +405,25 @@ impl WriteFile {
     /// top-level pair's index dropping takes its suffix unless it was
     /// created with it (and this writer's [`WriteFile::index_path`] follows
     /// it), a hostdir pair's open marker becomes its `meta.*` drop. Call
-    /// after the last sync.
-    pub(crate) fn close_names(&mut self, b: &dyn Backing, container: &str) -> Result<()> {
-        if self.top_level {
-            let closed = container::close_toplevel(b, &self.index_path, self.closed())?;
-            if let Cow::Owned(closed) = closed {
-                self.index_path = closed;
-            }
-            Ok(())
-        } else {
+    /// after the last sync. Returns what a top-level index is now named
+    /// for: `None` for a hostdir pair, and for a pair a truncate took away.
+    pub(crate) fn close_names(
+        &mut self,
+        b: &dyn Backing,
+        container: &str,
+    ) -> Result<Option<Closed>> {
+        if !self.top_level {
             let (eof, bytes) = (self.max_eof, self.bytes_written);
-            container::close_writer(b, container, eof, bytes, self.pid, self.seq)
+            container::close_writer(b, container, eof, bytes, self.pid, self.seq)?;
+            return Ok(None);
         }
+        let closed = self.closed();
+        if let Cow::Owned(path) = container::close_toplevel(b, &self.index_path, closed)? {
+            self.index_path = path;
+        }
+        let name = self.index_path.rsplit_once('/').map_or("", |(_, n)| n);
+        let named = container::parse_index_name(name).and_then(|(_, now)| now);
+        Ok(named.filter(|&now| now == closed))
     }
 
     /// Drop a writer that belongs to another process — a forked child's

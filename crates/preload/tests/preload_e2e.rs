@@ -947,7 +947,7 @@ fn syscalls_of(env: &Env, [lib, smoke, tools]: &[PathBuf; 3], args: &[&str]) -> 
 /// The per-call syscall counts of DESIGN.md §13, from the tool: a smoke
 /// mode at N and at 2N calls, differenced. A container `write` is 1 (its
 /// `pwrite`), a cursor `read` resolving to one fragment is 1 (its `pread`),
-/// and the small-file cycle is at most 27.
+/// and the small-file cycle is at most 24.
 #[test]
 fn per_call_syscalls_are_pinned() {
     let bins = release_bins();
@@ -983,7 +983,7 @@ fn per_call_syscalls_are_pinned() {
     );
     let cycle = per_call(&["calls-cycle"], 200).unwrap();
     assert!(
-        cycle.round() <= 27.0,
+        cycle.round() <= 24.0,
         "the small-file cycle: {cycle} syscalls"
     );
 }

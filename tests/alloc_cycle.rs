@@ -76,8 +76,8 @@ const BOUNDS: [(&str, u64); 8] = [
     ("write", 3),
     // The closed index's path and its handle.
     ("close (writer)", 2),
-    // The listing: its list and two names.
-    ("stat", 3),
+    // What the close installed: no listing.
+    ("stat", 0),
     // The fd's container path, the fd.
     ("open (reader)", 2),
     // The listing (3); the dropping table and two paths (3); the extents
@@ -85,12 +85,12 @@ const BOUNDS: [(&str, u64); 8] = [
     // data dropping's handle — no index handle: the index is not opened.
     ("read", 9),
     ("close (reader)", 0),
-    // The two paths the stat's listing named: no listing.
+    // The two paths the close knew: no listing.
     ("unlink", 2),
 ];
 
 /// Most allocator calls a whole cycle may make.
-const CYCLE_BOUND: u64 = 26;
+const CYCLE_BOUND: u64 = 23;
 
 #[test]
 fn the_small_file_cycle_allocates_at_most_its_bound() {

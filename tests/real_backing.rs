@@ -175,3 +175,77 @@ fn the_at_calls_keep_the_error_mapping() {
     assert!(b.unlink("/d").is_err(), "unlink of a directory");
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// Backing roots on the file systems this checkout can reach: the system
+/// temp dir's, the checkout's (under the build's scratch directory) and
+/// `/dev/shm`'s tmpfs, where there is one.
+fn roots(tag: &str) -> Vec<PathBuf> {
+    let pid = std::process::id();
+    let mut parents = vec![
+        std::env::temp_dir(),
+        PathBuf::from(env!("CARGO_TARGET_TMPDIR")),
+    ];
+    if std::path::Path::new("/dev/shm").is_dir() {
+        parents.push(PathBuf::from("/dev/shm"));
+    }
+    parents
+        .into_iter()
+        .map(|p| p.join(format!("plfs-real-backing-{tag}-{pid}")))
+        .inspect(|d| drop(std::fs::remove_dir_all(d)))
+        .collect()
+}
+
+/// A listing names what the directory holds, however many `getdents64`
+/// calls it takes: directories of 0 to 300 entries, names up to the
+/// 255-byte limit so a listing takes many calls, list the same through the
+/// backing as through `std::fs::read_dir`.
+#[test]
+fn a_listing_names_every_entry_however_many_calls_it_takes() {
+    for root in roots("listing") {
+        let b = RealBacking::new(&root).unwrap();
+        for n in [0usize, 1, 2, 28, 29, 30, 31, 100, 300] {
+            let dir = format!("/d{n}");
+            b.mkdir(&dir).unwrap();
+            for i in 0..n {
+                let name = format!("{i}.{}", "x".repeat(i * 37 % 250));
+                drop(b.create(&format!("{dir}/{name}"), true).unwrap());
+            }
+            let mut expected: Vec<String> = std::fs::read_dir(root.join(&dir[1..]))
+                .unwrap()
+                .map(|e| e.unwrap().file_name().into_string().unwrap())
+                .collect();
+            expected.sort_unstable();
+            assert_eq!(expected.len(), n, "{}", root.display());
+            assert_eq!(b.readdir(&dir).unwrap(), expected, "{} {n}", root.display());
+        }
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+}
+
+/// On tmpfs, ext4 and xfs a directory's `stat` counts its subdirectories;
+/// a file's counts nothing. Elsewhere nothing is counted.
+#[test]
+fn a_directory_stat_counts_its_subdirectories_where_the_file_system_does() {
+    for root in roots("subdirs") {
+        let b = RealBacking::new(&root).unwrap();
+        b.mkdir("/c").unwrap();
+        drop(b.create("/c/f", true).unwrap());
+        let counted = b.stat("/c").unwrap().subdirs;
+        assert!(counted.is_none_or(|n| n == 0), "{counted:?}");
+        b.mkdir("/c/hostdir.0").unwrap();
+        b.mkdir("/c/hostdir.1/").unwrap();
+        let exact = counted.is_some();
+        assert_eq!(b.stat("/c").unwrap().subdirs, exact.then_some(2));
+        assert_eq!(b.stat("/c/f").unwrap().subdirs, None);
+        let kind = std::process::Command::new("stat")
+            .args(["-f", "-c", "%t"])
+            .arg(&root)
+            .output()
+            .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string());
+        if let Ok(kind) = kind {
+            let known = ["1021994", "ef53", "58465342"].contains(&kind.as_str());
+            assert_eq!(exact, known, "{} is {kind}", root.display());
+        }
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+}
