@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 /// Index write-buffer size: flush-per-write versus large buffering, the
 /// measurement behind `plfs::writer::DEFAULT_INDEX_BUFFER_ENTRIES`, swept
-/// through `WriteFile::open`'s buffer limit.
+/// through `WriteFile::create`'s buffer limit.
 fn bench_index_buffer(c: &mut Criterion) {
     let mut g = c.benchmark_group("ablate_index_buffer");
     for entries in [1usize, 64, 4096] {
@@ -22,7 +22,7 @@ fn bench_index_buffer(c: &mut Criterion) {
                 let plfs = Plfs::new(Arc::new(MemBacking::new()));
                 plfs.create("/f", true).unwrap();
                 let backing = plfs.backing().as_ref();
-                let mut w = WriteFile::open(backing, "/f", &plfs.defaults(), 0, entries).unwrap();
+                let mut w = WriteFile::create(backing, "/f", 0, entries).unwrap();
                 let data = [5u8; 512];
                 let mut off = 0u64;
                 b.iter(|| {

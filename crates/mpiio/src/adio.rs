@@ -266,13 +266,14 @@ impl PlfsContainer {
 
     /// Create the container skeleton — the two ops of
     /// `plfs::container::create_container_as` for a writing open: the dir,
-    /// then the creator's data dropping with the default params
-    /// or the access file with others — and all hostdirs (as real PLFS does
+    /// then the creator's data dropping at the library's hostdir count, or
+    /// the access file at another, as an older build made it — and all
+    /// hostdirs (as real PLFS does
     /// at container creation — so later dropping creates are pure file
     /// creates).
     fn create_skeleton(&mut self, fs: &mut SimFs, t: f64) -> SimResult<f64> {
         let mut c = fs.mkdir(t, &self.path)?;
-        let marker = if self.num_hostdirs == plfs::ContainerParams::default().num_hostdirs {
+        let marker = if self.num_hostdirs == plfs::container::HOSTDIRS {
             plfs::container::CREATOR_DATA
         } else {
             plfs::container::ACCESS_FILE
@@ -940,7 +941,7 @@ mod tests {
     }
 
     /// The skeleton's second op follows the library: the creator's data
-    /// dropping with the default params, the access file with others.
+    /// dropping at its hostdir count, the access file at another.
     #[test]
     fn the_skeleton_is_marked_as_the_library_marks_it() {
         for (hostdirs, marker, other) in [

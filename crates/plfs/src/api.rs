@@ -10,7 +10,7 @@
 //! (`/checkpoint/dump.0001`), mapped onto backend paths internally.
 
 use crate::backing::{join, Backing};
-use crate::container::{self, ContainerParams};
+use crate::container;
 use crate::error::{Error, Result};
 use crate::fd::PlfsFd;
 use crate::flags::OpenFlags;
@@ -88,11 +88,10 @@ impl Plfs {
         &self.backing
     }
 
-    /// The parameters every new container gets:
-    /// [`ContainerParams::default`].
-    pub fn defaults(&self) -> ContainerParams {
-        ContainerParams::default()
-    }
+    /// Nothing: a container has no parameters. Kept, with
+    /// [`crate::WriteFile::open`]'s argument it fills, for the benchmark
+    /// harness, which passes one to the other.
+    pub fn defaults(&self) {}
 
     fn backend_path<'a>(&self, logical: &'a str) -> Cow<'a, str> {
         // Mount-relative logical path == backend-relative path; normalisation
@@ -105,11 +104,11 @@ impl Plfs {
     }
 
     /// One backing probe for a path's verdict: the marker rule,
-    /// [`container::probe`]. Params and meta drops are *not* read here —
-    /// [`Plfs::params_for`] / [`Plfs::meta_for`] fill them lazily, so
-    /// `getattr`/`access` never pay for fields they do not need — except
-    /// for a container its creator's dropping marks: its params are the
-    /// defaults, and, for a `getattr` (`stat`), the listing that found the
+    /// [`container::probe`]. The access file and meta drops are *not* read
+    /// here — [`Plfs::check_marker`] / [`Plfs::meta_for`] read them lazily,
+    /// so `getattr`/`access` never pay for fields they do not need — except
+    /// for a container its creator's dropping marks: it has no access file
+    /// to check, and, for a `getattr` (`stat`), the listing that found the
     /// dropping answers what [`Plfs::meta_for`] would list for, and whether
     /// it holds the creator's pair alone.
     fn probe_meta(&self, bp: &str, stat: bool) -> MetaEntry {
@@ -121,7 +120,7 @@ impl Plfs {
             ..MetaEntry::default()
         };
         if found.marker == Some(container::Marker::Dropping) {
-            e.params = Some(ContainerParams::default());
+            e.checked = true;
             if let (true, Some(names)) = (stat, &found.names) {
                 e.alone = container::creator_alone(names);
                 // Only a closed container's answer is kept, as meta_for keeps it.
@@ -166,22 +165,18 @@ impl Plfs {
             .unwrap_or_else(|| self.probed_entry(bp, false))
     }
 
-    /// Container params for `bp`, answered from the cache when warm.
-    fn params_for(&self, bp: &str, e: MetaEntry) -> Result<ContainerParams> {
-        if let Some(p) = e.params {
-            return Ok(p);
+    /// Check the marker of the container at `bp` once per verdict: its
+    /// access file's text ([`container::validate_marker`]); a warm verdict
+    /// that says it was checked answers at once.
+    fn check_marker(&self, bp: &str, e: MetaEntry) -> Result<()> {
+        if e.checked {
+            return Ok(());
         }
         let generation = self.cache.begin_fill(bp);
-        let p = container::read_params(self.backing.as_ref(), bp)?;
-        self.cache.complete_fill(
-            bp,
-            generation,
-            MetaEntry {
-                params: Some(p),
-                ..e
-            },
-        );
-        Ok(p)
+        container::validate_marker(self.backing.as_ref(), bp)?;
+        let e = MetaEntry { checked: true, ..e };
+        self.cache.complete_fill(bp, generation, e);
+        Ok(())
     }
 
     /// Fast-stat info from the container's `meta.*` drops, or `None` while
@@ -208,7 +203,7 @@ impl Plfs {
 
     /// Install the verdict for a just-created container so the creating
     /// process reopens it warm, without a single backing probe.
-    fn meta_install(&self, bp: &str, params: ContainerParams) {
+    fn meta_install(&self, bp: &str) {
         // Invalidate first: the pre-create "missing" verdict must never
         // survive the create.
         self.cache.invalidate(bp);
@@ -220,9 +215,8 @@ impl Plfs {
                 exists: true,
                 is_dir: true,
                 is_container: true,
-                params: Some(params),
-                meta: None,
-                alone: None,
+                checked: true,
+                ..MetaEntry::default()
             },
         );
     }
@@ -237,7 +231,7 @@ impl Plfs {
 
     fn open_inner(&self, path: &str, flags: OpenFlags, pid: u64) -> Result<Arc<PlfsFd>> {
         let bp = self.backend_path(path);
-        let (params, creator) = match self.cached_entry(&bp) {
+        let creator = match self.cached_entry(&bp) {
             // Nothing known about the path and the caller would create it:
             // the `mkdir` is the probe.
             None if flags.create() => self.create_for_open(&bp, path, flags)?,
@@ -247,14 +241,15 @@ impl Plfs {
                     return Err(Error::Exists(path.to_string()));
                 }
                 if e.is_container {
-                    // Params first: the truncate drops the whole verdict,
-                    // which filling it afterwards from the pre-truncate
-                    // entry would resurrect, old fast-stat size included.
-                    let params = self.params_for(&bp, e)?;
+                    // The check first: the truncate drops the whole
+                    // verdict, which filling it afterwards from the
+                    // pre-truncate entry would resurrect, old fast-stat
+                    // size included.
+                    self.check_marker(&bp, e)?;
                     if flags.trunc() {
-                        self.trunc_backend(&bp, 0, params)?;
+                        self.trunc_backend(&bp, 0)?;
                     }
-                    (params, None)
+                    None
                 } else if flags.create() && (!e.exists || e.is_dir) {
                     // Missing — or a directory with no marker, which is a
                     // plain directory or a container another process is
@@ -274,7 +269,6 @@ impl Plfs {
         let mut fd = Arc::new(PlfsFd::new(
             self.backing.clone(),
             bp.into_owned(),
-            params,
             flags,
             Arc::clone(&self.cache),
             pid,
@@ -288,29 +282,27 @@ impl Plfs {
 
     /// The creating half of an `O_CREAT` open: make the container or join
     /// the one that is there (`O_TRUNC` then empties it), and install the
-    /// verdict — the params come back from the create, with no re-read of
-    /// the access file. A writable open that makes it is its creator: the
-    /// create makes the data dropping of its first writer (with the default
-    /// params, in place of the access file), so `mkdir` + that dropping or
-    /// the access file, or both. On an existing container `mkdir`
-    /// (`EEXIST`) + the access file's `open` (and one read), or its failure
-    /// and the `stat` that finds the creator's dropping. Only a failure
-    /// pays for a probe, to report the precise errno for what is in the way.
+    /// verdict, marker checked, with no re-read of the access file. A
+    /// writable open that makes it is its creator: `mkdir` + the data
+    /// dropping of its first writer, in place of the access file. On an
+    /// existing container `mkdir` (`EEXIST`) + the access file's `open`
+    /// (and one read), or its failure and the `stat` that finds the
+    /// creator's dropping. Only a failure pays for a probe, to report the
+    /// precise errno for what is in the way.
     fn create_for_open(
         &self,
         bp: &str,
         path: &str,
         flags: OpenFlags,
-    ) -> Result<(ContainerParams, Option<container::CreatorDropping>)> {
+    ) -> Result<Option<container::CreatorDropping>> {
         let b = self.backing.as_ref();
-        let params = ContainerParams::default();
-        match container::create_container_as(b, bp, &params, flags.excl(), flags.writable()) {
-            Ok((p, how, dropping)) => {
+        match container::create_container_as(b, bp, flags.excl(), flags.writable()) {
+            Ok((how, dropping)) => {
                 if how == container::Creation::Joined && flags.trunc() {
-                    self.trunc_backend(bp, 0, p)?;
+                    self.trunc_backend(bp, 0)?;
                 }
-                self.meta_install(bp, p);
-                Ok((p, dropping))
+                self.meta_install(bp);
+                Ok(dropping)
             }
             // POSIX: O_CREAT|O_EXCL is EEXIST whatever is in the way.
             Err(Error::Exists(_)) if flags.excl() => Err(Error::Exists(path.to_string())),
@@ -330,9 +322,8 @@ impl Plfs {
     /// `plfs_create`: create a container without holding it open.
     pub fn create(&self, path: &str, excl: bool) -> Result<()> {
         let bp = self.backend_path(path);
-        let params = ContainerParams::default();
-        let (p, _) = container::create_container(self.backing.as_ref(), &bp, &params, excl)?;
-        self.meta_install(&bp, p);
+        container::create_container(self.backing.as_ref(), &bp, excl)?;
+        self.meta_install(&bp);
         Ok(())
     }
 
@@ -495,8 +486,8 @@ impl Plfs {
         let bp = self.backend_path(path);
         let e = self.meta_entry(&bp);
         let r = if e.is_container {
-            self.params_for(&bp, e)
-                .and_then(|params| self.trunc_backend(&bp, len, params))
+            self.check_marker(&bp, e)
+                .and_then(|()| self.trunc_backend(&bp, len))
         } else {
             Err(Error::NotContainer(path.to_string()))
         };
@@ -508,16 +499,16 @@ impl Plfs {
         r
     }
 
-    /// Truncate the container at `bp`, whose params are `params`.
-    fn trunc_backend(&self, bp: &str, len: u64, params: ContainerParams) -> Result<()> {
-        let r = self.trunc_backend_inner(bp, len, params);
-        // After any trunc attempt the cached size/params/meta info is
+    /// Truncate the container at `bp`.
+    fn trunc_backend(&self, bp: &str, len: u64) -> Result<()> {
+        let r = self.trunc_backend_inner(bp, len);
+        // After any trunc attempt the cached size/marker/meta info is
         // suspect; drop the whole verdict and let the next probe rebuild it.
         self.cache.invalidate(bp);
         r
     }
 
-    fn trunc_backend_inner(&self, bp: &str, len: u64, params: ContainerParams) -> Result<()> {
+    fn trunc_backend_inner(&self, bp: &str, len: u64) -> Result<()> {
         let b = self.backing.as_ref();
         if len == 0 {
             // Drop every dropping — the hostdirs and the top-level pair —
@@ -544,7 +535,7 @@ impl Plfs {
                 && b.stat(&join(bp, container::CREATOR_DATA))
                     .is_ok_and(|st| st.size == 0);
             if has(container::CREATOR_DATA) && !keep_creator && !has(container::ACCESS_FILE) {
-                container::publish_access_file(b, bp, &params)?;
+                container::publish_access_file(b, bp)?;
             }
             for n in &names {
                 if n.starts_with(container::HOSTDIR_PREFIX) {
@@ -557,34 +548,10 @@ impl Plfs {
             }
             return Ok(());
         }
-        // Shrink/extend to a nonzero length: rewrite the logical prefix into
-        // a fresh dropping set. Simpler than physically trimming shared logs
+        // Shrink/extend to a nonzero length: rewrite the kept prefix into a
+        // fresh dropping pair. Simpler than physically trimming shared logs
         // and matches observable POSIX semantics.
-        let reader = crate::reader::ReadFile::open(self.backing.as_ref(), bp)?;
-        let keep = reader.eof().min(len) as usize;
-        let mut data = vec![0u8; keep];
-        if keep > 0 {
-            reader.pread(self.backing.as_ref(), &mut data, 0)?;
-        }
-        drop(reader);
-        self.trunc_backend(bp, 0, params)?;
-        let mut w = crate::writer::WriteFile::open(
-            self.backing.as_ref(),
-            bp,
-            &params,
-            0,
-            crate::writer::DEFAULT_INDEX_BUFFER_ENTRIES,
-        )?;
-        if !data.is_empty() {
-            w.write(&data, 0)?;
-        }
-        if (len as usize) > keep {
-            // Extend with an explicit zero tail marker: write one zero byte
-            // at len-1 so EOF lands at len (holes read as zeros).
-            w.write(&[0], len - 1)?;
-        }
-        w.sync()?;
-        container::drop_meta(self.backing.as_ref(), bp, len, data.len() as u64, 0, w.seq)
+        crate::flatten::rewrite(b, bp, &crate::reader::ReadFile::open(b, bp)?, len)
     }
 
     /// `plfs_mkdir`: create a plain directory inside the mount.
@@ -741,8 +708,8 @@ mod tests {
     }
 
     /// Regression: an O_TRUNC open must not resurrect the pre-truncate
-    /// fast-stat verdict. The stale path was: getattr warms `meta` (params
-    /// still unfilled), the trunc-open invalidates, then params_for
+    /// fast-stat verdict. The stale path was: getattr warms `meta` (marker
+    /// still unchecked), the trunc-open invalidates, then the check
     /// reinstalled the captured entry — old `meta` included — and the next
     /// getattr reported the pre-truncate size.
     #[test]
@@ -753,7 +720,7 @@ mod tests {
         p.close(&fd, 1).unwrap();
         // A same-length path trunc drops the create-time verdict, so the
         // getattr below rebuilds the entry from a probe: meta filled,
-        // params still lazy — the exact shape that resurrected.
+        // the check still lazy — the exact shape that resurrected.
         p.trunc("/f", 5).unwrap();
         assert_eq!(p.getattr("/f").unwrap().size, 5);
         let flags = OpenFlags::RDWR | OpenFlags::TRUNC;
@@ -956,7 +923,7 @@ mod tests {
         };
         // Marked by its creator's dropping: the access file's exists, the
         // listing (which says it is a directory), the dropping's stat —
-        // and the default params, with nothing to read.
+        // and no access file to check.
         let serial = reopen("/f");
         assert_eq!((serial.stat, serial.exists, serial.readdir), (1, 1, 1));
         assert_eq!(serial.metadata_ops(), 3, "{serial:?}");
@@ -1006,7 +973,7 @@ mod tests {
     }
 
     /// The create-open path reads the access file zero times beyond the
-    /// create itself: create_container returns the params it wrote.
+    /// create itself: the marker a create made or joined is checked.
     #[test]
     fn create_open_skips_params_reread() {
         let (meter, p) = metered_plfs();
@@ -1016,7 +983,7 @@ mod tests {
         p.close(&fd, 1).unwrap();
         // The container skeleton and nothing else: mkdir + the creator's
         // data dropping. No probe before the mkdir (its answer is the
-        // probe), no access file (the params are the defaults).
+        // probe), no access file.
         assert_eq!((d.mkdir, d.create), (1, 1));
         assert_eq!(d.metadata_ops(), 2, "{d:?}");
         // Closed without a write: the dropping and its empty closed index.

@@ -612,22 +612,9 @@ mod tests {
 
     fn pattern_container() -> Arc<MemBacking> {
         let backing = Arc::new(MemBacking::new());
-        container::create_container(
-            backing.as_ref(),
-            "/c",
-            &crate::container::ContainerParams::default(),
-            true,
-        )
-        .unwrap();
+        container::create_container(backing.as_ref(), "/c", true).unwrap();
         // Strided writes with a large index buffer flush as pattern records.
-        let mut w = crate::writer::WriteFile::open(
-            backing.as_ref(),
-            "/c",
-            &crate::container::ContainerParams::default(),
-            1,
-            4096,
-        )
-        .unwrap();
+        let mut w = crate::writer::WriteFile::create(backing.as_ref(), "/c", 1, 4096).unwrap();
         for i in 0..16u64 {
             w.write(&[7u8; 32], i * 64).unwrap();
         }

@@ -7,8 +7,8 @@
 //! value of the stack is a constant beside the code that uses it:
 //! [`crate::writer::DEFAULT_INDEX_BUFFER_ENTRIES`] index entries a writer
 //! buffers, `api::META_CACHE_ENTRIES` verdicts in the metadata
-//! cache, and the [`crate::ContainerParams::default`] hostdir count of a
-//! new container.
+//! cache, and the [`crate::container::HOSTDIRS`] hostdirs of every
+//! container.
 
 /// The mount point the preload serves (required).
 pub const MOUNT_ENV: &str = "LDPLFS_MOUNT";

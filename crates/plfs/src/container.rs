@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! foo/                                        container directory
-//!   .plfsaccess                               marker and params; absent if a writer's open made foo with the defaults
+//!   .plfsaccess                               marker of one fixed text; absent if a writer's open made foo
 //!   dropping.data.creator.0                   the creator's data dropping, made by its open; alone: it is open
 //!   dropping.index.creator.0                  its index, if needed before close; the creator is open
 //!   dropping.index.creator.0.<eof>.<bytes>    its index once it closed; fast-stat info
@@ -18,11 +18,12 @@
 //!
 //! **The marker rule.** A directory is a container when it holds the
 //! access file or the creator's data dropping, [`CREATOR_DATA`] (a regular
-//! file: an application's container of that name is a directory). No
-//! access file means [`ContainerParams::default`]. A writable
-//! `open(O_CREAT)` makes a container with the defaults and its creator's
-//! data dropping in place of the access file (`create_container_as`);
-//! every other create writes the access file. The creator's pair has one name
+//! file: an application's container of that name is a directory). The
+//! access file is a marker and nothing more: [`ACCESS_TEXT`], checked
+//! ([`validate_marker`]) and otherwise unread. A writable `open(O_CREAT)`
+//! makes a container with its creator's data dropping in place of the
+//! access file (`create_container_as`); every other create writes the
+//! access file. The creator's pair has one name
 //! in every container, so a cold probe `stat`s it instead of listing for
 //! it. Only an unlink leaves the directory unmarked: whatever else removes
 //! the creator's data dropping of a container it alone marks publishes the
@@ -30,7 +31,7 @@
 //!
 //! Droppings mirror Figure 1 of the paper (and the real PLFS layout): n
 //! writers produce at least n data droppings and n index droppings, spread
-//! over `num_hostdirs` subdirectories. Two departures, both so that one
+//! over [`HOSTDIRS`] subdirectories. Two departures, both so that one
 //! `readdir` of the container directory answers every metadata question
 //! (is it a container, who is writing, how big is it, where are the
 //! droppings) and a small file costs no directory of its own:
@@ -53,7 +54,7 @@
 //!   its un-suffixed name, which close renames. (A name apart from
 //!   `meta.*`, so clearing the drops can never delete records.) Every
 //!   other writer — one that joined an existing container, a reopener, a
-//!   bare [`crate::WriteFile::open`] — keeps the hostdir pair with its
+//!   bare [`crate::WriteFile::create`] — keeps the hostdir pair with its
 //!   `open.*`/`meta.*` names. Which shape a writer gets is what the code
 //!   observed, never a knob.
 //!
@@ -61,7 +62,10 @@
 //! it as `dropping.{data,index}.<pid>.0` beside the access file, and reads
 //! as any other pair. A legacy container still opens, stats (slow path: no
 //! drops) and unlinks; its subdirectories are never read. A legacy access
-//! file's `mode` line must say `both`, the one layout there is.
+//! file's `mode` line must say `both`, the one layout there is, and its
+//! `num_hostdirs` line must be a nonzero count, which places no writer:
+//! readers list the hostdirs there are, and a writer joining any container
+//! goes to `hostdir.{hostdir_for_pid(pid, HOSTDIRS)}`.
 
 use crate::backing::{join, remove_tree, Backing, BackingFile};
 use crate::error::{Error, Result};
@@ -85,21 +89,12 @@ pub const DATA_PREFIX: &str = "dropping.data.";
 /// Prefix of index droppings.
 pub const INDEX_PREFIX: &str = "dropping.index.";
 
-/// Static parameters of a container, fixed at create time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ContainerParams {
-    /// Number of `hostdir.N` subdirectories writers are spread over.
-    pub num_hostdirs: u32,
-}
+/// Number of `hostdir.N` subdirectories writers are spread over, in every
+/// container: the real PLFS default.
+pub const HOSTDIRS: u32 = 32;
 
-impl Default for ContainerParams {
-    fn default() -> Self {
-        // 32 hostdirs is the real PLFS default.
-        ContainerParams { num_hostdirs: 32 }
-    }
-}
-
-/// Which hostdir a pid's droppings land in.
+/// Which of `num_hostdirs` hostdirs a pid's droppings land in (the
+/// library's writers: of [`HOSTDIRS`]).
 pub fn hostdir_for_pid(pid: u64, num_hostdirs: u32) -> u32 {
     // Real PLFS hashes the hostname; we hash the pid with a splitmix step so
     // consecutive pids spread evenly.
@@ -122,21 +117,10 @@ fn path_of(dir: &str, name: std::fmt::Arguments) -> String {
     path
 }
 
-/// Path of hostdir `n` within the container.
-pub fn hostdir_path(container: &str, n: u32) -> String {
-    path_of(container, format_args!("{HOSTDIR_PREFIX}{n}"))
-}
-
 /// Path of the dropping named `prefix` + the `<pid>.<seq>` of `(pid, seq)`
 /// in its hostdir.
-fn hostdir_dropping_path(
-    container: &str,
-    params: &ContainerParams,
-    prefix: &str,
-    pid: u64,
-    seq: u32,
-) -> String {
-    let hd = hostdir_for_pid(pid, params.num_hostdirs);
+fn hostdir_dropping_path(container: &str, prefix: &str, pid: u64, seq: u32) -> String {
+    let hd = hostdir_for_pid(pid, HOSTDIRS);
     path_of(
         container,
         format_args!("{HOSTDIR_PREFIX}{hd}/{prefix}{pid}.{seq}"),
@@ -144,18 +128,13 @@ fn hostdir_dropping_path(
 }
 
 /// Path of a data dropping for `(pid, seq)`.
-pub fn data_dropping_path(container: &str, params: &ContainerParams, pid: u64, seq: u32) -> String {
-    hostdir_dropping_path(container, params, DATA_PREFIX, pid, seq)
+pub fn data_dropping_path(container: &str, pid: u64, seq: u32) -> String {
+    hostdir_dropping_path(container, DATA_PREFIX, pid, seq)
 }
 
 /// Path of an index dropping for `(pid, seq)`.
-pub fn index_dropping_path(
-    container: &str,
-    params: &ContainerParams,
-    pid: u64,
-    seq: u32,
-) -> String {
-    hostdir_dropping_path(container, params, INDEX_PREFIX, pid, seq)
+pub fn index_dropping_path(container: &str, pid: u64, seq: u32) -> String {
+    hostdir_dropping_path(container, INDEX_PREFIX, pid, seq)
 }
 
 /// The `<pid>.<seq>` place of the creator's pair: one per container, as
@@ -168,15 +147,6 @@ pub const CREATOR_DATA: &str = "dropping.data.creator.0";
 
 /// Name of the creator's index dropping under its open (un-suffixed) name.
 pub const CREATOR_INDEX: &str = "dropping.index.creator.0";
-
-/// Paths of the creator's pair: its data dropping and its index dropping
-/// under its open (un-suffixed) name.
-pub fn creator_pair_paths(container: &str) -> (String, String) {
-    (
-        join(container, CREATOR_DATA),
-        join(container, CREATOR_INDEX),
-    )
-}
 
 /// What a closed top-level index's name carries past its pair: its
 /// fast-stat drop, in one of two spellings.
@@ -265,9 +235,9 @@ pub fn is_container(b: &dyn Backing, path: &str) -> bool {
 /// What marks a directory as a container.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Marker {
-    /// The access file, which holds the params.
+    /// The access file, checked lazily ([`validate_marker`]).
     AccessFile,
-    /// The creator's data dropping and no access file: the default params.
+    /// The creator's data dropping and no access file: nothing to check.
     Dropping,
 }
 
@@ -345,40 +315,35 @@ fn creator_marks(b: &dyn Backing, dir: &str) -> bool {
     b.stat(&join(dir, CREATOR_DATA)).is_ok_and(|st| !st.is_dir)
 }
 
-/// Serialized container parameters stored in the access file.
-fn encode_params(p: &ContainerParams) -> Vec<u8> {
-    format!("plfs-container v1\nnum_hostdirs {}\n", p.num_hostdirs).into_bytes()
-}
+/// What every access file this build writes holds: the header and the
+/// hostdir count an older build's reader wants, [`HOSTDIRS`].
+pub const ACCESS_TEXT: &[u8] = b"plfs-container v1\nnum_hostdirs 32\n";
 
-fn decode_params(data: &[u8]) -> Result<ContainerParams> {
+/// Check an access file's text: the header, then lines an older build may
+/// have written — a nonzero `num_hostdirs` (placing no writer) and the
+/// classic layout's `mode both`; any other layout is corrupt, as no reader
+/// here knows where its droppings put data.
+fn validate_access_text(data: &[u8]) -> Result<()> {
     let text =
         std::str::from_utf8(data).map_err(|_| Error::Corrupt("access file is not UTF-8".into()))?;
-    let mut p = ContainerParams::default();
     if !text.starts_with("plfs-container v1") {
         return Err(Error::Corrupt("bad access file header".into()));
     }
     for line in text.lines().skip(1) {
         let mut it = line.split_whitespace();
         match (it.next(), it.next()) {
-            (Some("num_hostdirs"), Some(v)) => {
-                p.num_hostdirs = v
-                    .parse()
-                    .map_err(|_| Error::Corrupt("bad num_hostdirs".into()))?;
+            (Some("num_hostdirs"), Some(v)) if !v.parse::<u32>().is_ok_and(|n| n > 0) => {
+                return Err(Error::Corrupt(format!(
+                    "num_hostdirs {v} is not a nonzero count"
+                )))
             }
-            // Written by older versions, which had other layouts: only
-            // classic PLFS's reads as what it says.
-            (Some("mode"), Some("both")) => {}
-            (Some("mode"), Some(other)) => {
+            (Some("mode"), Some(other)) if other != "both" => {
                 return Err(Error::Corrupt(format!("unsupported layout mode {other}")))
             }
-            (None, _) => {}
             _ => {}
         }
     }
-    if p.num_hostdirs == 0 {
-        return Err(Error::Corrupt("num_hostdirs must be nonzero".into()));
-    }
-    Ok(p)
+    Ok(())
 }
 
 /// Whether a [`create_container`] call made the container or found it.
@@ -414,38 +379,27 @@ impl CreatorDropping {
 
 /// Create a container directory at `path`: the directory and its access
 /// file, nothing else — hostdirs are made by writers, lifecycle names by
-/// open and close.
-///
-/// Returns the parameters the container now has — the ones just written on
-/// a fresh create, or the ones read back from the access file when the
-/// container already existed, so callers never re-read what they just
-/// wrote — and which of the two happened.
-pub fn create_container(
-    b: &dyn Backing,
-    path: &str,
-    params: &ContainerParams,
-    excl: bool,
-) -> Result<(ContainerParams, Creation)> {
-    let (p, how, _) = create_container_as(b, path, params, excl, false)?;
-    Ok((p, how))
+/// open and close. Says whether this call made it or found it (checking
+/// the marker of one it found).
+pub fn create_container(b: &dyn Backing, path: &str, excl: bool) -> Result<Creation> {
+    create_container_as(b, path, excl, false).map(|(how, _)| how)
 }
 
 /// [`create_container`] for an open that will write: a container it makes
 /// gets its [`CreatorDropping`] in place of the access file — the dropping
-/// marks it, and no file records params, so a writer passes the defaults.
-/// With `writer` false this is [`create_container`].
+/// marks it. With `writer` false this is [`create_container`].
 pub(crate) fn create_container_as(
     b: &dyn Backing,
     path: &str,
-    params: &ContainerParams,
     excl: bool,
     writer: bool,
-) -> Result<(ContainerParams, Creation, Option<CreatorDropping>)> {
+) -> Result<(Creation, Option<CreatorDropping>)> {
     match b.mkdir(path) {
         Ok(()) => {}
         // Already there, or lost the mkdir to a concurrent creator.
         Err(Error::Exists(_)) if !excl => {
-            return Ok((await_creator(b, path)?, Creation::Joined, None));
+            await_creator(b, path)?;
+            return Ok((Creation::Joined, None));
         }
         Err(e) => return Err(e),
     }
@@ -455,10 +409,10 @@ pub(crate) fn create_container_as(
     // `rmdir` refuses a directory that holds anything.
     let made = match writer {
         true => CreatorDropping::create(b, path).map(Some),
-        false => write_access_file(b, path, params).map(|()| None),
+        false => write_access_file(b, path).map(|()| None),
     };
     match made {
-        Ok(dropping) => Ok((*params, Creation::Made, dropping)),
+        Ok(dropping) => Ok((Creation::Made, dropping)),
         Err(e) => {
             let _ = b.rmdir(path);
             Err(e)
@@ -467,24 +421,24 @@ pub(crate) fn create_container_as(
 }
 
 /// Create the access file of the container at `path`, exclusively, and
-/// write `params` into it; a failed write takes the file back down.
-fn write_access_file(b: &dyn Backing, path: &str, params: &ContainerParams) -> Result<()> {
+/// write [`ACCESS_TEXT`] into it; a failed write takes the file back down.
+fn write_access_file(b: &dyn Backing, path: &str) -> Result<()> {
     let access = join(path, ACCESS_FILE);
     let f = b.create(&access, true)?;
-    if let Err(e) = f.pwrite(&encode_params(params), 0) {
+    if let Err(e) = f.pwrite(ACCESS_TEXT, 0) {
         let _ = b.unlink(&access);
         return Err(e);
     }
     Ok(())
 }
 
-/// Give the container at `path`, which has no access file, one holding
-/// `params` — written whole under a name of its own and renamed into
-/// place, so no reader of a container that already exists ever sees it
-/// empty. What anything but an unlink does before it removes the creator's
-/// data dropping of a container that dropping alone marks (whose params
-/// are the defaults, so two racing publishers write the same bytes).
-pub fn publish_access_file(b: &dyn Backing, path: &str, params: &ContainerParams) -> Result<()> {
+/// Give the container at `path`, which has no access file, one — written
+/// whole under a name of its own and renamed into place, so no reader of a
+/// container that already exists ever sees it empty. What anything but an
+/// unlink does before it removes the creator's data dropping of a
+/// container that dropping alone marks (two racing publishers write the
+/// same bytes).
+pub fn publish_access_file(b: &dyn Backing, path: &str) -> Result<()> {
     static NEXT: AtomicU64 = AtomicU64::new(0);
     // relaxed: only uniqueness of the number matters
     let n = NEXT.fetch_add(1, Ordering::Relaxed);
@@ -492,9 +446,7 @@ pub fn publish_access_file(b: &dyn Backing, path: &str, params: &ContainerParams
         path,
         format_args!("{ACCESS_FILE}.{}.{n}", std::process::id()),
     );
-    let written = b
-        .create(&tmp, true)
-        .and_then(|f| f.pwrite(&encode_params(params), 0));
+    let written = b.create(&tmp, true).and_then(|f| f.pwrite(ACCESS_TEXT, 0));
     let published = written.and_then(|_| b.rename(&tmp, &join(path, ACCESS_FILE)));
     if published.is_err() {
         let _ = b.unlink(&tmp);
@@ -502,32 +454,25 @@ pub fn publish_access_file(b: &dyn Backing, path: &str, params: &ContainerParams
     published
 }
 
-/// [`publish_access_file`] unless the container has an access file.
-pub fn ensure_access_file(b: &dyn Backing, path: &str, params: &ContainerParams) -> Result<()> {
-    if b.exists(&join(path, ACCESS_FILE)) {
-        return Ok(());
-    }
-    publish_access_file(b, path, params)
-}
-
 /// How long a non-exclusive creator waits for a concurrent creator of the
 /// same container to finish its skeleton.
 const CREATE_RACE_WAIT: Duration = Duration::from_secs(1);
 
-/// The parameters of the container at `path`, which exists but may still be
-/// mid-creation by another process: the skeleton is `mkdir` then the access
-/// file (create, then its bytes) and/or the creator's data dropping, and a
-/// creator that merely lost the race must not fail a *non*-exclusive create
-/// with `EEXIST`. Reads the params, retrying (bounded) while neither marker
-/// is there or the access file is still empty — but only while `path`
-/// looks like a nascent container; anything else in the way is `Exists` at
-/// once, and an error other than a missing marker is returned as it is.
-fn await_creator(b: &dyn Backing, path: &str) -> Result<ContainerParams> {
+/// Wait for the marker of the container at `path`, which exists but may
+/// still be mid-creation by another process: the skeleton is `mkdir` then
+/// the access file (create, then its bytes) or the creator's data
+/// dropping, and a creator that merely lost the race must not fail a
+/// *non*-exclusive create with `EEXIST`. Checks the marker, retrying
+/// (bounded) while neither is there or the access file is still empty —
+/// but only while `path` looks like a nascent container; anything else in
+/// the way is `Exists` at once, and an error other than a missing marker
+/// is returned as it is.
+fn await_creator(b: &dyn Backing, path: &str) -> Result<()> {
     let deadline = Instant::now() + CREATE_RACE_WAIT;
     let mut pause = Duration::from_micros(50);
     loop {
-        let err = match read_params(b, path) {
-            Ok(found) => return Ok(found),
+        let err = match validate_marker(b, path) {
+            Ok(()) => return Ok(()),
             Err(e @ Error::Corrupt(_)) => e,
             Err(Error::NotContainer(_)) => Error::Exists(path.to_string()),
             Err(e) => return Err(e),
@@ -536,7 +481,7 @@ fn await_creator(b: &dyn Backing, path: &str) -> Result<ContainerParams> {
             // Not a skeleton — or no longer one: a creator that finished
             // between the two probes (and a writer that already made a
             // hostdir) left a marker.
-            return read_params(b, path).map_err(|_| err);
+            return validate_marker(b, path).map_err(|_| err);
         }
         std::thread::sleep(pause);
         pause = (pause * 2).min(Duration::from_millis(10));
@@ -550,8 +495,8 @@ fn nascent(b: &dyn Backing, path: &str) -> bool {
         .is_ok_and(|names| names.iter().all(|n| n == ACCESS_FILE))
 }
 
-/// Largest access file [`read_params`] reads; what [`encode_params`]
-/// writes is a few dozen bytes.
+/// Largest access file [`validate_marker`] reads; [`ACCESS_TEXT`] is a few
+/// dozen bytes.
 const ACCESS_FILE_MAX: usize = 4096;
 
 /// Read the container's access file into `buf`: how many bytes it holds,
@@ -566,34 +511,29 @@ fn read_access_file(b: &dyn Backing, path: &str, buf: &mut [u8]) -> Result<Optio
     }
 }
 
-/// Read back the parameters a container was created with, by the marker
-/// rule for a path nothing is known about: the access file's, or — with
-/// none, and the creator's data dropping marking the directory — the
-/// defaults. `NotContainer` when neither marks it. The access file is read
-/// with one `pread` of up to one byte past [`ACCESS_FILE_MAX`]; one longer
-/// than that is corrupt, and so is an empty one (a creator between its
-/// create and its write, or one that died there).
-pub fn read_params(b: &dyn Backing, path: &str) -> Result<ContainerParams> {
+/// Check the marker of `path` by the marker rule for a path nothing is
+/// known about: its access file's text, or — with none — that the
+/// creator's data dropping marks the directory. `NotContainer` when
+/// neither marks it. The access file is read with one `pread` of up to one
+/// byte past [`ACCESS_FILE_MAX`]; one longer than that is corrupt, and so
+/// is an empty one (a creator between its create and its write, or one
+/// that died there).
+pub fn validate_marker(b: &dyn Backing, path: &str) -> Result<()> {
     let mut buf = [0u8; ACCESS_FILE_MAX + 1];
     match read_access_file(b, path, &mut buf)? {
         Some(n) if n > ACCESS_FILE_MAX => Err(Error::Corrupt(format!(
             "access file of {path} is over {ACCESS_FILE_MAX} bytes"
         ))),
-        Some(n) => decode_params(&buf[..n]),
-        None if creator_marks(b, path) => Ok(ContainerParams::default()),
+        Some(n) => validate_access_text(&buf[..n]),
+        None if creator_marks(b, path) => Ok(()),
         None => Err(Error::NotContainer(path.to_string())),
     }
 }
 
 /// Ensure the hostdir a pid writes into exists.
-pub fn ensure_hostdir(
-    b: &dyn Backing,
-    container: &str,
-    params: &ContainerParams,
-    pid: u64,
-) -> Result<()> {
-    let hd = hostdir_for_pid(pid, params.num_hostdirs);
-    match b.mkdir(&hostdir_path(container, hd)) {
+pub fn ensure_hostdir(b: &dyn Backing, container: &str, pid: u64) -> Result<()> {
+    let hd = hostdir_for_pid(pid, HOSTDIRS);
+    match b.mkdir(&path_of(container, format_args!("{HOSTDIR_PREFIX}{hd}"))) {
         Ok(()) | Err(Error::Exists(_)) => Ok(()),
         Err(e) => Err(e),
     }
@@ -905,7 +845,7 @@ fn meta_path(container: &str, eof: u64, bytes: u64, pid: u64, seq: u32) -> Strin
 /// writer, `(pid, seq)` being its dropping pair — unique in the container,
 /// so no two drops (or markers) ever share a name. A `stat` takes the max
 /// eof and the byte sum over the drops instead of merging indices (the real
-/// PLFS fast-stat path).
+/// PLFS fast-stat path). Returns the drop's path.
 pub fn drop_meta(
     b: &dyn Backing,
     container: &str,
@@ -913,9 +853,10 @@ pub fn drop_meta(
     bytes: u64,
     pid: u64,
     seq: u32,
-) -> Result<()> {
-    b.create(&meta_path(container, eof, bytes, pid, seq), false)?;
-    Ok(())
+) -> Result<String> {
+    let path = meta_path(container, eof, bytes, pid, seq);
+    b.create(&path, false)?;
+    Ok(path)
 }
 
 /// Unlink every lifecycle name starting with `prefix` ([`META_PREFIX`]:
@@ -1018,7 +959,7 @@ pub fn close_writer(
 ) -> Result<()> {
     let drop = meta_path(container, eof, bytes, pid, seq);
     match b.rename(&marker_path(container, pid, seq), &drop) {
-        Err(Error::NotFound(_)) => drop_meta(b, container, eof, bytes, pid, seq),
+        Err(Error::NotFound(_)) => drop_meta(b, container, eof, bytes, pid, seq).map(|_| ()),
         r => r,
     }
 }
@@ -1059,7 +1000,8 @@ pub fn closed_index_path(index_path: &str, closed: Closed) -> Result<String> {
     Ok(path_of(dir, format_args!("{INDEX_PREFIX}{pair}.{closed}")))
 }
 
-fn parent(path: &str) -> &str {
+/// The directory `path` names an entry of.
+pub(crate) fn parent(path: &str) -> &str {
     path.rsplit_once('/').map_or("/", |(dir, _)| dir)
 }
 
@@ -1156,42 +1098,52 @@ mod tests {
     #[test]
     fn create_makes_skeleton() {
         let b = mem();
-        create_container(&b, "/f", &ContainerParams::default(), true).unwrap();
+        create_container(&b, "/f", true).unwrap();
         assert!(is_container(&b, "/f"));
         assert_eq!(b.readdir("/f").unwrap(), [ACCESS_FILE], "two-op skeleton");
     }
 
+    /// A create says whether its `mkdir` made the container; one that
+    /// joined checks the marker it found with one read of the access file.
     #[test]
-    fn create_returns_params_without_reread() {
-        let b = mem();
-        let p = ContainerParams { num_hostdirs: 5 };
-        let (got, how) = create_container(&b, "/f", &p, true).unwrap();
-        assert_eq!((got.num_hostdirs, how), (5, Creation::Made));
-        // Reopening an existing container hands back the *stored* params,
-        // not the caller's defaults.
-        let other = ContainerParams { num_hostdirs: 9 };
-        let (got, how) = create_container(&b, "/f", &other, false).unwrap();
-        assert_eq!((got.num_hostdirs, how), (5, Creation::Joined));
+    fn create_says_whether_it_made_the_container() {
+        use crate::meter::MeterBacking;
+        let b = MeterBacking::new(std::sync::Arc::new(mem()));
+        assert_eq!(create_container(&b, "/f", true).unwrap(), Creation::Made);
+        let before = b.snapshot();
+        assert_eq!(create_container(&b, "/f", false).unwrap(), Creation::Joined);
+        let d = b.snapshot().delta(&before);
+        assert_eq!((d.mkdir, d.open, d.pread, d.metadata_ops()), (1, 1, 1, 2));
     }
 
+    /// Every access file this build writes is [`ACCESS_TEXT`]; an older
+    /// build's, with another hostdir count, checks as well.
     #[test]
-    fn params_roundtrip_through_access_file() {
+    fn the_access_file_is_one_fixed_text() {
         let b = mem();
-        let p = ContainerParams { num_hostdirs: 7 };
-        create_container(&b, "/f", &p, true).unwrap();
-        assert_eq!(read_params(&b, "/f").unwrap(), p);
+        create_container(&b, "/f", true).unwrap();
+        let f = b.open(&join("/f", ACCESS_FILE), false).unwrap();
+        let mut text = [0u8; 64];
+        let n = f.pread(&mut text, 0).unwrap();
+        assert_eq!(&text[..n], ACCESS_TEXT);
+        validate_marker(&b, "/f").unwrap();
+        b.mkdir("/old").unwrap();
+        let old = b.create(&join("/old", ACCESS_FILE), true).unwrap();
+        old.pwrite(b"plfs-container v1\nnum_hostdirs 7\n", 0)
+            .unwrap();
+        validate_marker(&b, "/old").unwrap();
     }
 
     #[test]
     fn excl_create_fails_if_present() {
         let b = mem();
-        create_container(&b, "/f", &ContainerParams::default(), true).unwrap();
+        create_container(&b, "/f", true).unwrap();
         assert!(matches!(
-            create_container(&b, "/f", &ContainerParams::default(), true),
+            create_container(&b, "/f", true),
             Err(Error::Exists(_))
         ));
         // Non-exclusive open of an existing container succeeds.
-        create_container(&b, "/f", &ContainerParams::default(), false).unwrap();
+        create_container(&b, "/f", false).unwrap();
     }
 
     /// An access file still empty is a creator between its create and its
@@ -1203,26 +1155,20 @@ mod tests {
         b.mkdir("/nascent").unwrap();
         b.create("/nascent/.plfsaccess", true).unwrap();
         assert!(matches!(
-            read_params(&b, "/nascent"),
+            validate_marker(&b, "/nascent"),
             Err(Error::Corrupt(_))
         ));
-        let p = ContainerParams::default();
-        let (_, how, dropping) = create_container_as(&b, "/c", &p, true, true).unwrap();
+        let (how, dropping) = create_container_as(&b, "/c", true, true).unwrap();
         assert_eq!(
             (how, b.readdir("/c").unwrap()),
             (Creation::Made, vec![CREATOR_DATA.to_string()])
         );
         drop(dropping);
-        assert_eq!(read_params(&b, "/c").unwrap(), p);
+        validate_marker(&b, "/c").unwrap();
         // Written under a name of its own, then renamed into place.
-        ensure_access_file(&b, "/c", &p).unwrap();
+        publish_access_file(&b, "/c").unwrap();
         assert_eq!(b.readdir("/c").unwrap(), [ACCESS_FILE, CREATOR_DATA]);
-        assert_eq!(read_params(&b, "/c").unwrap(), p);
-        // One that is there is left as it is.
-        let nine = ContainerParams { num_hostdirs: 9 };
-        create_container(&b, "/g", &nine, true).unwrap();
-        ensure_access_file(&b, "/g", &p).unwrap();
-        assert_eq!(read_params(&b, "/g").unwrap(), nine);
+        validate_marker(&b, "/c").unwrap();
     }
 
     /// The cold probe: the access file's `exists`; failing it, the listing
@@ -1231,8 +1177,8 @@ mod tests {
     #[test]
     fn the_probe_reads_either_marker_and_nothing_else() {
         let b = mem();
-        create_container(&b, "/g", &ContainerParams::default(), true).unwrap();
-        create_container_as(&b, "/f", &ContainerParams::default(), true, true).unwrap();
+        create_container(&b, "/g", true).unwrap();
+        create_container_as(&b, "/f", true, true).unwrap();
         b.mkdir("/d").unwrap();
         b.mkdir(&join("/d", CREATOR_DATA)).unwrap();
         drop(b.create("/file", true).unwrap());
@@ -1245,7 +1191,10 @@ mod tests {
         assert_eq!(seen("/d"), (true, true, None, true));
         assert_eq!(seen("/file"), (true, false, None, false));
         assert_eq!(seen("/missing"), (false, false, None, false));
-        assert!(matches!(read_params(&b, "/d"), Err(Error::NotContainer(_))));
+        assert!(matches!(
+            validate_marker(&b, "/d"),
+            Err(Error::NotContainer(_))
+        ));
     }
 
     #[test]
@@ -1260,7 +1209,7 @@ mod tests {
 
     #[test]
     fn hostdir_hash_spreads_and_is_stable() {
-        let k = 32;
+        let k = HOSTDIRS;
         let mut seen = std::collections::HashSet::new();
         for pid in 0..256u64 {
             let h = hostdir_for_pid(pid, k);
@@ -1274,11 +1223,10 @@ mod tests {
 
     #[test]
     fn dropping_paths_follow_figure_1() {
-        let p = ContainerParams { num_hostdirs: 4 };
-        let d = data_dropping_path("/c", &p, 42, 0);
+        let d = data_dropping_path("/c", 42, 0);
         assert!(d.starts_with("/c/hostdir."));
         assert!(d.ends_with("/dropping.data.42.0"));
-        let i = index_dropping_path("/c", &p, 42, 0);
+        let i = index_dropping_path("/c", 42, 0);
         assert!(i.ends_with("/dropping.index.42.0"));
         // Data and index for one pid share a hostdir.
         let dh = d.split('/').nth(2).unwrap().to_string();
@@ -1289,14 +1237,11 @@ mod tests {
     #[test]
     fn list_droppings_pairs_data_with_index() {
         let b = mem();
-        let p = ContainerParams::default();
-        create_container(&b, "/c", &p, true).unwrap();
+        create_container(&b, "/c", true).unwrap();
         for pid in [3u64, 9, 12] {
-            ensure_hostdir(&b, "/c", &p, pid).unwrap();
-            b.create(&data_dropping_path("/c", &p, pid, 0), true)
-                .unwrap();
-            b.create(&index_dropping_path("/c", &p, pid, 0), true)
-                .unwrap();
+            ensure_hostdir(&b, "/c", pid).unwrap();
+            b.create(&data_dropping_path("/c", pid, 0), true).unwrap();
+            b.create(&index_dropping_path("/c", pid, 0), true).unwrap();
         }
         let d = list_droppings(&b, "/c").unwrap();
         assert_eq!(d.len(), 3);
@@ -1321,7 +1266,7 @@ mod tests {
     #[test]
     fn meta_fast_stat_takes_max_eof_and_sums_bytes() {
         let b = mem();
-        create_container(&b, "/c", &ContainerParams::default(), true).unwrap();
+        create_container(&b, "/c", true).unwrap();
         assert_eq!(read_lifecycle(&b, "/c").unwrap().1, None);
         drop_meta(&b, "/c", 100, 60, 1, 0).unwrap();
         drop_meta(&b, "/c", 80, 40, 2, 0).unwrap();
@@ -1333,7 +1278,7 @@ mod tests {
     #[test]
     fn open_markers_track_writers() {
         let b = mem();
-        create_container(&b, "/c", &ContainerParams::default(), true).unwrap();
+        create_container(&b, "/c", true).unwrap();
         mark_open(&b, "/c", 1, 0).unwrap();
         mark_open(&b, "/c", 2, 0).unwrap();
         assert_eq!(open_writers(&b, "/c").unwrap(), 2);
@@ -1351,15 +1296,13 @@ mod tests {
     #[test]
     fn toplevel_pair_lists_under_either_index_spelling_and_is_its_own_lifecycle() {
         let b = mem();
-        let p = ContainerParams::default();
-        create_container(&b, "/c", &p, true).unwrap();
+        create_container(&b, "/c", true).unwrap();
         let (dp, ip) = toplevel_pair_paths("/c", 7, 0);
         b.create(&dp, true).unwrap();
         b.create(&ip, true).unwrap();
-        ensure_hostdir(&b, "/c", &p, 9).unwrap();
-        b.create(&data_dropping_path("/c", &p, 9, 0), true).unwrap();
-        b.create(&index_dropping_path("/c", &p, 9, 0), true)
-            .unwrap();
+        ensure_hostdir(&b, "/c", 9).unwrap();
+        b.create(&data_dropping_path("/c", 9, 0), true).unwrap();
+        b.create(&index_dropping_path("/c", 9, 0), true).unwrap();
         mark_open(&b, "/c", 9, 0).unwrap();
         let listed = |b: &MemBacking| {
             let d = list_droppings(b, "/c").unwrap();
@@ -1390,7 +1333,7 @@ mod tests {
     #[test]
     fn an_open_creator_may_be_its_data_dropping_alone() {
         let b = mem();
-        create_container(&b, "/c", &ContainerParams::default(), true).unwrap();
+        create_container(&b, "/c", true).unwrap();
         let (dp, _) = toplevel_pair_paths("/c", 7, 0);
         b.create(&dp, true).unwrap();
         assert_eq!(read_lifecycle(&b, "/c").unwrap(), (1, None));
@@ -1568,7 +1511,7 @@ mod tests {
         assert!(!b.exists("/c"));
         // A writer joined since: the rmdir finds its names.
         make(&b, closed);
-        ensure_hostdir(&b, "/c", &ContainerParams::default(), 3).unwrap();
+        ensure_hostdir(&b, "/c", 3).unwrap();
         mark_open(&b, "/c", 3, 0).unwrap();
         remove_creator_alone(&b, "/c", closed).unwrap();
         assert!(!b.exists("/c"));
@@ -1581,10 +1524,9 @@ mod tests {
     #[test]
     fn remove_container_deletes_everything() {
         let b = mem();
-        let p = ContainerParams::default();
-        create_container(&b, "/c", &p, true).unwrap();
-        ensure_hostdir(&b, "/c", &p, 5).unwrap();
-        b.create(&data_dropping_path("/c", &p, 5, 0), true).unwrap();
+        create_container(&b, "/c", true).unwrap();
+        ensure_hostdir(&b, "/c", 5).unwrap();
+        b.create(&data_dropping_path("/c", 5, 0), true).unwrap();
         // Entries the layout does not predict take the remove_tree path.
         b.mkdir_all("/c/openhosts/nested").unwrap();
         b.mkdir("/c/hostdir.9").unwrap();

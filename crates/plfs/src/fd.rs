@@ -30,7 +30,7 @@
 //! to the same container concurrently is not serialized against this one.
 
 use crate::backing::Backing;
-use crate::container::{self, ContainerParams};
+use crate::container;
 use crate::error::{Error, Result};
 use crate::flags::OpenFlags;
 use crate::index::IndexEntry;
@@ -38,8 +38,8 @@ use crate::meta::{FnvBuild, MetaCache};
 use crate::reader::ReadFile;
 use crate::writer::WriteFile;
 use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
-use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// The pid → writer table of one lock shard. Pids are this program's own
@@ -139,7 +139,6 @@ impl std::ops::Deref for View<'_> {
 pub struct PlfsFd {
     backing: Arc<dyn Backing>,
     container: String,
-    params: ContainerParams,
     flags: OpenFlags,
     /// Process-wide container metadata cache, shared with the owning
     /// [`crate::api::Plfs`]. The fd keeps its writer counts and fast-stat
@@ -149,10 +148,11 @@ pub struct PlfsFd {
     /// which no writer opened through the fd has taken yet: the first one
     /// takes it, as its top-level dropping pair.
     creator: Mutex<Option<container::CreatorDropping>>,
-    /// Hostdir ids already known to exist — `ensure_hostdir` runs once per
+    /// Hostdirs already known to exist, one bit each of the
+    /// [`container::HOSTDIRS`] — `ensure_hostdir` runs once per
     /// (container, hostdir) instead of once per writer open. Cleared by
     /// [`PlfsFd::reset_writers`], since truncate removes hostdir trees.
-    hostdirs_ready: Mutex<HashSet<u32, FnvBuild>>,
+    hostdirs_ready: AtomicU32,
     /// Per-pid write streams behind id-hashed lock shards: pids are dense
     /// (MPI ranks), so the modulus spreads them evenly.
     shards: [WriterShard; WRITER_SHARDS],
@@ -177,11 +177,13 @@ pub struct PlfsFd {
     eof_seeded: AtomicBool,
 }
 
+// `hostdirs_ready` holds one bit per hostdir.
+const _: () = assert!(container::HOSTDIRS <= u32::BITS);
+
 impl PlfsFd {
     pub(crate) fn new(
         backing: Arc<dyn Backing>,
         container: String,
-        params: ContainerParams,
         flags: OpenFlags,
         cache: Arc<MetaCache>,
         pid: u64,
@@ -189,11 +191,10 @@ impl PlfsFd {
         PlfsFd {
             backing,
             container,
-            params,
             flags,
             cache,
             creator: Mutex::new(None),
-            hostdirs_ready: Mutex::default(),
+            hostdirs_ready: AtomicU32::new(0),
             shards: Default::default(),
             refs: Mutex::new(Refs::one(pid)),
             reader: RwLock::new(None),
@@ -220,11 +221,6 @@ impl PlfsFd {
     /// Flags the file was opened with.
     pub fn flags(&self) -> OpenFlags {
         self.flags
-    }
-
-    /// Layout parameters of the container.
-    pub fn params(&self) -> ContainerParams {
-        self.params
     }
 
     /// Add a reference for `pid` (another opener sharing this fd).
@@ -360,12 +356,12 @@ impl PlfsFd {
                 self.ensure_hostdir_once(pid)?;
             }
             let mut w = WriteFile::open_prepared(
-                &self.backing,
+                self.backing.as_ref(),
                 &self.container,
-                &self.params,
                 pid,
+                crate::writer::DEFAULT_INDEX_BUFFER_ENTRIES,
                 self.flags.readable(),
-                top_level,
+                top_level.map(|d| (d, Arc::clone(&self.backing))),
             )?;
             self.note_writer_open(&mut w)?;
             e.insert(w);
@@ -381,12 +377,13 @@ impl PlfsFd {
     /// the first writer lands there, the mkdir is pure metadata overhead
     /// on every later writer open.
     fn ensure_hostdir_once(&self, pid: u64) -> Result<()> {
-        let hd = container::hostdir_for_pid(pid, self.params.num_hostdirs);
-        if self.hostdirs_ready.lock().contains(&hd) {
+        let bit = 1 << container::hostdir_for_pid(pid, container::HOSTDIRS);
+        // relaxed: a missed bit costs one mkdir that answers EEXIST
+        if self.hostdirs_ready.load(Ordering::Relaxed) & bit != 0 {
             return Ok(());
         }
-        container::ensure_hostdir(self.backing.as_ref(), &self.container, &self.params, pid)?;
-        self.hostdirs_ready.lock().insert(hd);
+        container::ensure_hostdir(self.backing.as_ref(), &self.container, pid)?;
+        self.hostdirs_ready.fetch_or(bit, Ordering::Relaxed); // relaxed: same as the load
         Ok(())
     }
 
@@ -683,7 +680,7 @@ impl PlfsFd {
             }
         }
         // Truncate removes hostdir trees: forget what existed.
-        self.hostdirs_ready.lock().clear();
+        self.hostdirs_ready.store(0, Ordering::Relaxed); // relaxed: same quiesced section as below
         self.orphans.lock().clear();
         *guard = None;
         // relaxed: truncate path: callers quiesced all writers via reset_writers' shard locks
@@ -783,7 +780,7 @@ impl PlfsFd {
             exists: true,
             is_dir: true,
             is_container: true,
-            params: Some(self.params),
+            checked: true,
             meta: Some(Some((closed.eof, closed.bytes))),
             alone: Some(closed),
         };
@@ -818,12 +815,10 @@ mod tests {
 
     fn open_fd(flags: OpenFlags) -> (Arc<dyn Backing>, Arc<PlfsFd>) {
         let b: Arc<dyn Backing> = Arc::new(MemBacking::new());
-        let params = ContainerParams::default();
-        create_container(b.as_ref(), "/f", &params, true).unwrap();
+        create_container(b.as_ref(), "/f", true).unwrap();
         let fd = Arc::new(PlfsFd::new(
             b.clone(),
             "/f".to_string(),
-            params,
             flags,
             cache(),
             100,
@@ -914,9 +909,8 @@ mod tests {
         let mem: Arc<dyn Backing> = Arc::new(MemBacking::new());
         let metered = Arc::new(crate::meter::MeterBacking::new(mem));
         let b: Arc<dyn Backing> = metered.clone();
-        let params = ContainerParams::default();
-        create_container(b.as_ref(), "/f", &params, true).unwrap();
-        let open = |flags| PlfsFd::new(b.clone(), "/f".to_string(), params, flags, cache(), 7);
+        create_container(b.as_ref(), "/f", true).unwrap();
+        let open = |flags| PlfsFd::new(b.clone(), "/f".to_string(), flags, cache(), 7);
         let w = open(OpenFlags::RDWR);
         w.write(b"0123456789", 0, 7).unwrap();
         w.close(7).unwrap();
@@ -960,29 +954,14 @@ mod tests {
     #[test]
     fn append_to_reopened_container_lands_at_on_disk_eof() {
         let b: Arc<dyn Backing> = Arc::new(MemBacking::new());
-        let params = ContainerParams::default();
-        create_container(b.as_ref(), "/f", &params, true).unwrap();
+        create_container(b.as_ref(), "/f", true).unwrap();
         {
-            let fd = PlfsFd::new(
-                b.clone(),
-                "/f".to_string(),
-                params,
-                OpenFlags::RDWR,
-                cache(),
-                100,
-            );
+            let fd = PlfsFd::new(b.clone(), "/f".to_string(), OpenFlags::RDWR, cache(), 100);
             fd.write(b"0123456789", 0, 100).unwrap();
             fd.close(100).unwrap();
         }
         // Fresh fd: the EOF cache must seed from the container, not zero.
-        let fd = PlfsFd::new(
-            b.clone(),
-            "/f".to_string(),
-            params,
-            OpenFlags::RDWR,
-            cache(),
-            200,
-        );
+        let fd = PlfsFd::new(b.clone(), "/f".to_string(), OpenFlags::RDWR, cache(), 200);
         assert_eq!(fd.size().unwrap(), 10);
         let (off, n) = fd.append(b"xy", 200).unwrap();
         assert_eq!((off, n), (10, 2));
@@ -1047,18 +1026,8 @@ mod tests {
     #[test]
     fn two_fds_of_one_pid_keep_their_own_marker_and_drop() {
         let b: Arc<dyn Backing> = Arc::new(MemBacking::new());
-        let params = ContainerParams::default();
-        create_container(b.as_ref(), "/f", &params, true).unwrap();
-        let open = || {
-            PlfsFd::new(
-                b.clone(),
-                "/f".into(),
-                params,
-                OpenFlags::RDWR,
-                cache(),
-                100,
-            )
-        };
+        create_container(b.as_ref(), "/f", true).unwrap();
+        let open = || PlfsFd::new(b.clone(), "/f".into(), OpenFlags::RDWR, cache(), 100);
         let (a, other) = (open(), open());
         a.write(b"aaaa", 0, 100).unwrap();
         other.write(&[b'b'; 24], 0, 100).unwrap();
@@ -1076,36 +1045,37 @@ mod tests {
         );
     }
 
+    /// A joiner's writers go to `hostdir.{hostdir_for_pid(pid, HOSTDIRS)}`,
+    /// and the hostdir is made once per fd: pids that share it probe
+    /// nothing more.
     #[test]
     fn hostdir_probe_runs_once_per_hostdir() {
         use crate::meter::MeterBacking;
         let inner: Arc<dyn Backing> = Arc::new(MemBacking::new());
-        let params = ContainerParams {
-            num_hostdirs: 1, // every pid maps to hostdir.0
-        };
-        create_container(inner.as_ref(), "/f", &params, true).unwrap();
+        create_container(inner.as_ref(), "/f", true).unwrap();
         let meter = Arc::new(MeterBacking::new(inner));
-        let fd = PlfsFd::new(
-            meter.clone(),
-            "/f".to_string(),
-            params,
-            OpenFlags::RDWR,
-            cache(),
-            1,
-        );
+        let fd = PlfsFd::new(meter.clone(), "/f".to_string(), OpenFlags::RDWR, cache(), 1);
         fd.write(b"a", 0, 1).unwrap();
+        let hd = container::hostdir_for_pid(1, container::HOSTDIRS);
+        let sharing = (2..)
+            .filter(|&pid| container::hostdir_for_pid(pid, container::HOSTDIRS) == hd)
+            .take(8);
         let before = meter.snapshot();
-        for pid in 2..10u64 {
+        for pid in sharing.clone() {
             fd.add_ref(pid);
             fd.write(b"x", pid, pid).unwrap();
         }
         let d = meter.snapshot().delta(&before);
-        assert_eq!(d.mkdir, 0, "hostdir.0 already existed");
+        assert_eq!(d.mkdir, 0, "hostdir.{hd} already existed");
         assert_eq!(
             d.exists + d.stat,
             0,
             "memoized: no repeat hostdir probes, got {d:?}"
         );
+        let listed = meter.readdir(&format!("/f/hostdir.{hd}")).unwrap();
+        for pid in sharing.chain([1]) {
+            assert!(listed.contains(&format!("dropping.data.{pid}.0")), "{pid}");
+        }
     }
 
     /// `(logical, length, data path, physical)` per segment of a view.
@@ -1125,8 +1095,7 @@ mod tests {
         // past them (Lamport), or our overwrite wins in the patched view
         // (insertion order) and loses on the next fresh merge (stamps).
         let (b, fd) = open_fd(OpenFlags::RDWR);
-        let params = ContainerParams::default();
-        let mut w = WriteFile::open(b.as_ref(), "/f", &params, 7, 64).unwrap();
+        let mut w = WriteFile::create(b.as_ref(), "/f", 7, 64).unwrap();
         w.write(&[b'a'; 4096], 0).unwrap();
         w.write(&[b'b'; 64], 100).unwrap();
         w.sync().unwrap();
@@ -1158,16 +1127,8 @@ mod tests {
     fn failed_rebuild_is_retried_in_full() {
         use crate::faults::{FaultKind, FaultOp, FaultRule, Faulty};
         let faulty = Arc::new(Faulty::new(Arc::new(MemBacking::new())));
-        let params = ContainerParams::default();
-        create_container(faulty.as_ref(), "/f", &params, true).unwrap();
-        let fd = PlfsFd::new(
-            faulty.clone(),
-            "/f".into(),
-            params,
-            OpenFlags::RDWR,
-            cache(),
-            100,
-        );
+        create_container(faulty.as_ref(), "/f", true).unwrap();
+        let fd = PlfsFd::new(faulty.clone(), "/f".into(), OpenFlags::RDWR, cache(), 100);
         fd.add_ref(200);
         fd.write(b"BBBB", 0, 100).unwrap();
         fd.write(b"cccc", 4, 200).unwrap();

@@ -7,19 +7,19 @@
 //! bytes as a plain file, and `map` dumps the logical→physical layout the
 //! way `plfs_query` does.
 
-use crate::backing::Backing;
-use crate::container;
+use crate::backing::{join, Backing};
+use crate::container::{self, DroppingRef};
 use crate::error::{Error, Result};
 use crate::reader::ReadFile;
-use crate::writer::WriteFile;
+use crate::writer::{WriteFile, DEFAULT_INDEX_BUFFER_ENTRIES};
 
-/// Chunk size used when streaming a flatten.
+/// Chunk size used when streaming a flatten or a rewrite.
 const FLATTEN_CHUNK: usize = 4 << 20;
 
-/// Pid the compaction writer signs its flattened dropping with. Any value
-/// works — `WriteFile::open` bumps the dropping sequence number past
-/// whatever already exists for this pid.
-const COMPACT_PID: u64 = 0;
+/// Pid the rewriting writer signs its dropping pair with. Any value works
+/// — `WriteFile::create` bumps the dropping sequence number past whatever
+/// already exists for this pid.
+const REWRITE_PID: u64 = 0;
 
 /// One row of the logical→physical map.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -39,14 +39,27 @@ pub struct MapEntry {
 pub fn flatten(b: &dyn Backing, container: &str, dest: &str) -> Result<u64> {
     let r = ReadFile::open(b, container)?;
     let out = b.create(dest, false)?;
+    stream(b, &r, r.eof(), |chunk, off| out.pwrite(chunk, off))
+}
+
+/// Hand the logical `[0, end)` that `r` reads to `sink`, a
+/// [`FLATTEN_CHUNK`] at a time with its offset, holes as zeros. Returns the
+/// bytes handed over.
+fn stream<T>(
+    b: &dyn Backing,
+    r: &ReadFile,
+    end: u64,
+    mut sink: impl FnMut(&[u8], u64) -> Result<T>,
+) -> Result<u64> {
+    let mut buf = vec![0u8; FLATTEN_CHUNK.min(end.max(1) as usize)];
     let mut off = 0u64;
-    let mut buf = vec![0u8; FLATTEN_CHUNK.min(r.eof().max(1) as usize)];
-    while off < r.eof() {
-        let n = r.pread(b, &mut buf, off)?;
+    while off < end {
+        let want = (end - off).min(buf.len() as u64) as usize;
+        let n = r.pread(b, &mut buf[..want], off)?;
         if n == 0 {
             break;
         }
-        out.pwrite(&buf[..n], off)?;
+        sink(&buf[..n], off)?;
         off += n as u64;
     }
     Ok(off)
@@ -87,11 +100,10 @@ pub struct CompactStats {
 }
 
 /// Fold a container's droppings into one flattened dropping pair, in place:
-/// the logical contents are streamed through a fresh writer (whose
-/// sequential appends compress to pattern records), then every old dropping
-/// is unlinked and the `meta.*` fast-stat drops are rebuilt. Logical bytes
+/// its logical contents [`rewrite`]n at their own length. Logical bytes
 /// are unchanged; holes become explicit zeros, as in [`flatten`]. Refuses to
-/// run while any writer holds the container open, and containers that are
+/// run while any writer holds the container open, and on a directory whose
+/// marker [`container::validate_marker`] refuses; containers that are
 /// already compact (≤ 1 dropping) are left untouched.
 pub fn compact_container(b: &dyn Backing, container: &str) -> Result<CompactStats> {
     if container::open_writers(b, container)? > 0 {
@@ -99,83 +111,131 @@ pub fn compact_container(b: &dyn Backing, container: &str) -> Result<CompactStat
             "cannot compact: container has open writers",
         ));
     }
-    let params = container::read_params(b, container)?;
+    container::validate_marker(b, container)?;
     let r = ReadFile::open(b, container)?;
-    let old = r.droppings().to_vec();
-    let eof = r.eof();
-    if old.len() <= 1 {
-        return Ok(CompactStats {
-            droppings_before: old.len(),
-            droppings_after: old.len(),
-            bytes: eof,
-        });
+    let (before, eof) = (r.droppings().len(), r.eof());
+    if before > 1 {
+        rewrite(b, container, &r, eof)?;
     }
-    // Stream the merged logical file into one fresh dropping. The writer's
-    // chunked appends are logically sequential and physically contiguous,
-    // so the index flush compresses them into pattern records: the
-    // compacted index is O(1), not O(chunks).
-    let mut w = WriteFile::open(b, container, &params, COMPACT_PID, 4096)?;
-    let mut off = 0u64;
-    let mut buf = vec![0u8; FLATTEN_CHUNK.min(eof.max(1) as usize)];
-    while off < eof {
-        let n = r.pread(b, &mut buf, off)?;
-        if n == 0 {
-            break;
+    Ok(CompactStats {
+        droppings_before: before,
+        droppings_after: before.min(1),
+        bytes: eof,
+    })
+}
+
+/// Rewrite a container, which `r` reads, as one fresh dropping pair
+/// holding its logical `[0, min(eof, len))`, holes as explicit zeros,
+/// extended to `len` by one zero byte at `len - 1`: a [`compact_container`]
+/// at the container's own length, a truncate at any other nonzero one. The
+/// bytes stream through one writer — whose sequential appends compress to
+/// pattern records — and its fast-stat drop says what it wrote. Only then
+/// are the droppings `r` listed retired; a failure before that removes
+/// what the rewrite wrote and leaves the container as it was.
+pub(crate) fn rewrite(b: &dyn Backing, container: &str, r: &ReadFile, len: u64) -> Result<()> {
+    let mut w = WriteFile::create(b, container, REWRITE_PID, DEFAULT_INDEX_BUFFER_ENTRIES)?;
+    let mut write = || {
+        let kept = stream(b, r, r.eof().min(len), |chunk, off| w.write(chunk, off))?;
+        if len > kept {
+            w.write(&[0], len - 1)?;
         }
-        w.write(&buf[..n], off)?;
-        off += n as u64;
-    }
-    w.sync()?;
-    let (bytes_written, seq) = (w.bytes_written(), w.seq);
-    let new_data = w.data_path().to_string();
-    drop(w);
-    drop(r);
-    // The new dropping is durable; retire the old ones — after giving the
-    // container an access file if the creator's data dropping is among
-    // them and it has none: that dropping may be its marker.
-    let (creator_data, _) = container::creator_pair_paths(container);
-    if old.iter().any(|d| d.data_path == creator_data) {
-        container::ensure_access_file(b, container, &params)?;
-    }
-    for d in &old {
-        if d.data_path == new_data {
-            continue;
+        w.sync()?;
+        container::drop_meta(b, container, len, w.bytes_written(), REWRITE_PID, w.seq)
+    };
+    match write() {
+        Ok(drop_path) => {
+            let own_dir = container::parent(w.data_path()).to_string();
+            drop(w);
+            retire(b, container, r.droppings(), &drop_path, &own_dir)
         }
+        Err(e) => {
+            let written = [w.data_path().to_string(), w.index_path().to_string()];
+            w.abandon();
+            for path in written {
+                let _ = b.unlink(&path);
+            }
+            Err(e)
+        }
+    }
+}
+
+/// Retire the droppings `old`, listed before a rewrite began, and every
+/// `meta.*` drop but the rewrite's own, `kept`: first the access file,
+/// published if the creator's data dropping goes and the container has
+/// none (that dropping may be its marker), then the droppings by the paths
+/// the listing gave, then every hostdir they leave empty but the rewrite's
+/// own, `own_dir` — a later listing reads each hostdir it finds — then the
+/// drops. The `open.*` markers of writers still open stay, theirs to
+/// remove, and so does the creator's data dropping while it has no index
+/// and no bytes, as `trunc(0)` keeps it: all its writer will write comes
+/// after the rewrite.
+fn retire(
+    b: &dyn Backing,
+    container: &str,
+    old: &[DroppingRef],
+    kept: &str,
+    own_dir: &str,
+) -> Result<()> {
+    use crate::error::libc_errno::{EEXIST, ENOENT, ENOTEMPTY};
+    let creator_data = join(container, container::CREATOR_DATA);
+    let open_creator = |d: &DroppingRef| {
+        d.data_path == creator_data
+            && d.index_path.is_none()
+            && b.stat(&d.data_path).is_ok_and(|st| st.size == 0)
+    };
+    let old: Vec<&DroppingRef> = old.iter().filter(|d| !open_creator(d)).collect();
+    let access = join(container, container::ACCESS_FILE);
+    if old.iter().any(|d| d.data_path == creator_data) && !b.exists(&access) {
+        container::publish_access_file(b, container)?;
+    }
+    let mut dirs: Vec<&str> = Vec::new();
+    for d in old {
         b.unlink(&d.data_path)?;
         if let Some(ip) = &d.index_path {
             b.unlink(ip)?;
         }
+        let dir = container::parent(&d.data_path);
+        let hostdir = dir
+            .rsplit('/')
+            .next()
+            .is_some_and(|n| n.starts_with(container::HOSTDIR_PREFIX));
+        if hostdir && dir != own_dir && !dirs.contains(&dir) {
+            dirs.push(dir);
+        }
     }
-    // Stale fast-stat drops still sum the pre-compaction physical bytes;
-    // replace them with one drop describing the flattened container.
-    container::clear_names(b, container, container::META_PREFIX)?;
-    container::drop_meta(b, container, eof, bytes_written, COMPACT_PID, seq)?;
-    Ok(CompactStats {
-        droppings_before: old.len(),
-        droppings_after: 1,
-        bytes: eof,
-    })
+    for dir in dirs {
+        match b.rmdir(dir) {
+            Err(e) if ![ENOTEMPTY, EEXIST, ENOENT].contains(&e.errno()) => return Err(e),
+            _ => {}
+        }
+    }
+    for name in container::list_container(b, container)? {
+        let path = join(container, &name);
+        if name.starts_with(container::META_PREFIX) && path != kept {
+            b.unlink(&path)?;
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::backing::MemBacking;
-    use crate::container::{create_container, ContainerParams};
+    use crate::container::create_container;
     use crate::writer::WriteFile;
 
     fn setup() -> MemBacking {
         let b = MemBacking::new();
-        create_container(&b, "/c", &ContainerParams::default(), true).unwrap();
+        create_container(&b, "/c", true).unwrap();
         b
     }
 
     #[test]
     fn flatten_reproduces_logical_bytes() {
         let b = setup();
-        let p = ContainerParams::default();
         for pid in 0..4u64 {
-            let mut w = WriteFile::open(&b, "/c", &p, pid, 64).unwrap();
+            let mut w = WriteFile::create(&b, "/c", pid, 64).unwrap();
             // Reverse order writes: pid 3 writes first region last.
             w.write(&[pid as u8; 100], (3 - pid) * 100).unwrap();
             w.sync().unwrap();
@@ -201,8 +261,7 @@ mod tests {
     #[test]
     fn flatten_preserves_holes_as_zeros() {
         let b = setup();
-        let p = ContainerParams::default();
-        let mut w = WriteFile::open(&b, "/c", &p, 1, 64).unwrap();
+        let mut w = WriteFile::create(&b, "/c", 1, 64).unwrap();
         w.write(b"tail", 1000).unwrap();
         w.sync().unwrap();
         assert_eq!(flatten(&b, "/c", "/flat").unwrap(), 1004);
@@ -216,9 +275,8 @@ mod tests {
     #[test]
     fn map_reports_droppings_in_logical_order() {
         let b = setup();
-        let p = ContainerParams::default();
-        let mut w1 = WriteFile::open(&b, "/c", &p, 1, 64).unwrap();
-        let mut w2 = WriteFile::open(&b, "/c", &p, 2, 64).unwrap();
+        let mut w1 = WriteFile::create(&b, "/c", 1, 64).unwrap();
+        let mut w2 = WriteFile::create(&b, "/c", 2, 64).unwrap();
         w2.write(b"bbbb", 4).unwrap();
         w1.write(b"aaaa", 0).unwrap();
         w1.sync().unwrap();
@@ -234,9 +292,8 @@ mod tests {
     #[test]
     fn compact_folds_droppings_and_preserves_bytes() {
         let b = setup();
-        let p = ContainerParams::default();
         for pid in 0..4u64 {
-            let mut w = WriteFile::open(&b, "/c", &p, pid, 64).unwrap();
+            let mut w = WriteFile::create(&b, "/c", pid, 64).unwrap();
             w.write(&[pid as u8 + 1; 100], (3 - pid) * 100).unwrap();
             w.sync().unwrap();
         }
@@ -254,8 +311,7 @@ mod tests {
     #[test]
     fn compact_is_noop_on_compact_container() {
         let b = setup();
-        let p = ContainerParams::default();
-        let mut w = WriteFile::open(&b, "/c", &p, 1, 64).unwrap();
+        let mut w = WriteFile::create(&b, "/c", 1, 64).unwrap();
         w.write(b"data", 0).unwrap();
         w.sync().unwrap();
         let stats = compact_container(&b, "/c").unwrap();
@@ -269,9 +325,8 @@ mod tests {
     #[test]
     fn compact_refuses_open_writers() {
         let b = setup();
-        let p = ContainerParams::default();
         for pid in 0..2u64 {
-            let mut w = WriteFile::open(&b, "/c", &p, pid, 64).unwrap();
+            let mut w = WriteFile::create(&b, "/c", pid, 64).unwrap();
             w.write(b"xx", pid * 2).unwrap();
             w.sync().unwrap();
         }
@@ -285,11 +340,34 @@ mod tests {
     }
 
     #[test]
+    fn compact_refuses_what_is_not_a_container_it_reads() {
+        let b = setup();
+        for pid in 0..2u64 {
+            let mut w = WriteFile::create(&b, "/c", pid, 64).unwrap();
+            w.write(b"xx", pid * 2).unwrap();
+            w.sync().unwrap();
+        }
+        let text = b"plfs-container v1\nnum_hostdirs 32\nmode log\n";
+        let access = join("/c", container::ACCESS_FILE);
+        b.create(&access, false).unwrap().pwrite(text, 0).unwrap();
+        let before = container::list_droppings(&b, "/c").unwrap();
+        let err = compact_container(&b, "/c").unwrap_err();
+        assert!(matches!(err, Error::Corrupt(_)), "{err}");
+        assert_eq!(container::list_droppings(&b, "/c").unwrap(), before);
+        assert!(before.iter().all(|d| b.exists(&d.data_path)));
+        // A plain directory whose files are named like droppings.
+        b.mkdir_all("/d/hostdir.1").unwrap();
+        b.create("/d/hostdir.1/dropping.data.1.0", true).unwrap();
+        let err = compact_container(&b, "/d").unwrap_err();
+        assert!(matches!(err, Error::NotContainer(_)), "{err}");
+        assert!(b.exists("/d/hostdir.1/dropping.data.1.0"));
+    }
+
+    #[test]
     fn compact_materialises_holes_and_rebuilds_meta() {
         let b = setup();
-        let p = ContainerParams::default();
-        let mut w1 = WriteFile::open(&b, "/c", &p, 1, 64).unwrap();
-        let mut w2 = WriteFile::open(&b, "/c", &p, 2, 64).unwrap();
+        let mut w1 = WriteFile::create(&b, "/c", 1, 64).unwrap();
+        let mut w2 = WriteFile::create(&b, "/c", 2, 64).unwrap();
         w1.write(b"head", 0).unwrap();
         w2.write(b"tail", 1000).unwrap();
         w1.sync().unwrap();
@@ -310,8 +388,7 @@ mod tests {
     #[test]
     fn flatten_large_multi_chunk() {
         let b = setup();
-        let p = ContainerParams::default();
-        let mut w = WriteFile::open(&b, "/c", &p, 1, 64).unwrap();
+        let mut w = WriteFile::create(&b, "/c", 1, 64).unwrap();
         let block: Vec<u8> = (0..8192).map(|i| (i % 251) as u8).collect();
         for i in 0..16u64 {
             w.write(&block, i * 8192).unwrap();

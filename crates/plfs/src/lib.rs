@@ -65,7 +65,6 @@ pub mod writer;
 pub use api::{Dirent, Plfs, Stat};
 pub use backing::{BackStat, Backing, BackingFile, MemBacking, RealBacking};
 pub use check::{check, repair, CheckReport, Finding, RepairReport, Severity};
-pub use container::ContainerParams;
 pub use error::{Error, Result};
 pub use faults::{FaultKind, FaultOp, FaultRule, Faulty};
 pub use fd::PlfsFd;

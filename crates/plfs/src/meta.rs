@@ -2,7 +2,7 @@
 //!
 //! The paper's scaling collapse (finding d) is driven by per-open metadata
 //! storms: every `open`/`stat`/`access` re-probes the backing store for
-//! "does this path exist, is it a container, what are its params". This
+//! "does this path exist, is it a container, is its marker sound". This
 //! module caches those verdicts per backend path in a sharded map so that
 //! reopen/getattr/access of a warm path costs zero backing metadata ops.
 //!
@@ -27,7 +27,7 @@
 //! directory while this process holds writers (cross-process writers
 //! still need the listing).
 
-use crate::container::{Closed, ContainerParams};
+use crate::container::Closed;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -43,11 +43,11 @@ pub struct MetaEntry {
     /// Is it a PLFS container (a directory holding its access file or a
     /// creator's data dropping: `container::probe`)?
     pub is_container: bool,
-    /// Container params, once some caller has read the access file, or a
-    /// probe found the container has none (the defaults; `None` = not read
-    /// yet; the probe leaves this lazy so `getattr` of a container never
-    /// pays for params it does not need).
-    pub params: Option<ContainerParams>,
+    /// The container's marker is checked: some caller read its access file
+    /// (`container::validate_marker`), or a probe found it has none. The
+    /// probe leaves this lazy, so `getattr` of a container never pays for
+    /// a check it does not need.
+    pub checked: bool,
     /// Cached fast-stat info from `meta.*` drops: `None` = not read yet,
     /// `Some(None)` = read, no drops, `Some(Some((max eof, total bytes)))`.
     pub meta: Option<Option<(u64, u64)>>,
@@ -390,11 +390,7 @@ mod tests {
     fn entry(exists: bool) -> MetaEntry {
         MetaEntry {
             exists,
-            is_dir: false,
-            is_container: false,
-            params: None,
-            meta: None,
-            alone: None,
+            ..MetaEntry::default()
         }
     }
 
@@ -510,7 +506,7 @@ mod tests {
                 exists: true,
                 is_dir: true,
                 is_container: true,
-                params: None,
+                checked: false,
                 meta: Some(Some((10, 10))),
                 alone: Some(Closed::sized(10, 10)),
             },

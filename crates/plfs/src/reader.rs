@@ -190,20 +190,19 @@ impl ReadFile {
 mod tests {
     use super::*;
     use crate::backing::MemBacking;
-    use crate::container::{create_container, ContainerParams};
+    use crate::container::create_container;
     use crate::writer::WriteFile;
 
-    fn setup() -> (MemBacking, ContainerParams) {
+    fn setup() -> MemBacking {
         let b = MemBacking::new();
-        let p = ContainerParams { num_hostdirs: 4 };
-        create_container(&b, "/c", &p, true).unwrap();
-        (b, p)
+        create_container(&b, "/c", true).unwrap();
+        b
     }
 
     #[test]
     fn single_writer_roundtrip() {
-        let (b, p) = setup();
-        let mut w = WriteFile::open(&b, "/c", &p, 1, 64).unwrap();
+        let b = setup();
+        let mut w = WriteFile::create(&b, "/c", 1, 64).unwrap();
         w.write(b"hello ", 0).unwrap();
         w.write(b"world", 6).unwrap();
         w.sync().unwrap();
@@ -214,12 +213,12 @@ mod tests {
 
     #[test]
     fn interleaved_writers_reassemble() {
-        let (b, p) = setup();
+        let b = setup();
         // Six ranks write 4-byte strided records: rank i owns bytes
         // [4i, 4i+4) of every 24-byte row — the Figure 1 pattern.
         let rows = 5u64;
         for pid in 0..6u64 {
-            let mut w = WriteFile::open(&b, "/c", &p, pid, 64).unwrap();
+            let mut w = WriteFile::create(&b, "/c", pid, 64).unwrap();
             for row in 0..rows {
                 let val = [pid as u8 + b'a'; 4];
                 w.write(&val, row * 24 + pid * 4).unwrap();
@@ -236,9 +235,9 @@ mod tests {
 
     #[test]
     fn latest_write_wins_across_writers() {
-        let (b, p) = setup();
-        let mut w1 = WriteFile::open(&b, "/c", &p, 1, 64).unwrap();
-        let mut w2 = WriteFile::open(&b, "/c", &p, 2, 64).unwrap();
+        let b = setup();
+        let mut w1 = WriteFile::create(&b, "/c", 1, 64).unwrap();
+        let mut w2 = WriteFile::create(&b, "/c", 2, 64).unwrap();
         w1.write(b"AAAAAAAA", 0).unwrap();
         w2.write(b"BBBB", 2).unwrap();
         w1.write(b"C", 4).unwrap();
@@ -250,8 +249,8 @@ mod tests {
 
     #[test]
     fn holes_read_as_zeros() {
-        let (b, p) = setup();
-        let mut w = WriteFile::open(&b, "/c", &p, 1, 64).unwrap();
+        let b = setup();
+        let mut w = WriteFile::create(&b, "/c", 1, 64).unwrap();
         w.write(b"end", 10).unwrap();
         w.sync().unwrap();
         let r = ReadFile::open(&b, "/c").unwrap();
@@ -263,8 +262,8 @@ mod tests {
 
     #[test]
     fn pread_at_or_past_eof_returns_zero() {
-        let (b, p) = setup();
-        let mut w = WriteFile::open(&b, "/c", &p, 1, 64).unwrap();
+        let b = setup();
+        let mut w = WriteFile::create(&b, "/c", 1, 64).unwrap();
         w.write(b"xyz", 0).unwrap();
         w.sync().unwrap();
         let r = ReadFile::open(&b, "/c").unwrap();
@@ -275,8 +274,8 @@ mod tests {
 
     #[test]
     fn short_read_clamps_at_eof() {
-        let (b, p) = setup();
-        let mut w = WriteFile::open(&b, "/c", &p, 1, 64).unwrap();
+        let b = setup();
+        let mut w = WriteFile::create(&b, "/c", 1, 64).unwrap();
         w.write(b"abcde", 0).unwrap();
         w.sync().unwrap();
         let r = ReadFile::open(&b, "/c").unwrap();
@@ -287,7 +286,7 @@ mod tests {
 
     #[test]
     fn empty_container_reads_empty() {
-        let (b, _p) = setup();
+        let b = setup();
         let r = ReadFile::open(&b, "/c").unwrap();
         assert_eq!(r.eof(), 0);
         assert_eq!(r.read_all(&b).unwrap(), b"");
@@ -295,12 +294,12 @@ mod tests {
 
     #[test]
     fn truncated_data_dropping_is_detected() {
-        let (b, p) = setup();
-        let mut w = WriteFile::open(&b, "/c", &p, 1, 64).unwrap();
+        let b = setup();
+        let mut w = WriteFile::create(&b, "/c", 1, 64).unwrap();
         w.write(b"0123456789", 0).unwrap();
         w.sync().unwrap();
         // Corrupt: shorten the data dropping behind the index's back.
-        let dp = container::data_dropping_path("/c", &p, 1, 0);
+        let dp = container::data_dropping_path("/c", 1, 0);
         b.truncate(&dp, 4).unwrap();
         let r = ReadFile::open(&b, "/c").unwrap();
         let mut buf = [0u8; 10];

@@ -28,7 +28,7 @@
 //! ([`container::Closed`]): a reader of the pair alone needs no record.
 
 use crate::backing::{join, Backing, BackingFile};
-use crate::container::{self, Closed, ContainerParams};
+use crate::container::{self, Closed};
 use crate::error::{Error, Result};
 use crate::index::{encode_compressed, next_timestamp, IndexEntry};
 use std::borrow::Cow;
@@ -108,57 +108,41 @@ pub struct WriteFile {
 }
 
 impl WriteFile {
-    /// Open (creating if needed) the dropping pair for `pid` with an
-    /// explicit index buffer depth. Nothing drains a bare stream's entries
-    /// into a read view, so it does not track them.
-    pub fn open(
+    /// Create the next free dropping pair for `pid` in its hostdir (made
+    /// if need be), with an explicit index buffer depth. Nothing drains a
+    /// bare stream's entries into a read view, so it does not track them.
+    pub fn create(
         b: &dyn Backing,
         container: &str,
-        params: &ContainerParams,
         pid: u64,
         buffer_limit: usize,
     ) -> Result<WriteFile> {
-        container::ensure_hostdir(b, container, params, pid)?;
-        WriteFile::open_pair(b, container, params, pid, buffer_limit, false, None)
+        container::ensure_hostdir(b, container, pid)?;
+        WriteFile::open_prepared(b, container, pid, buffer_limit, false, None)
     }
 
-    /// Like [`WriteFile::open`] with the default buffer depth
-    /// ([`DEFAULT_INDEX_BUFFER_ENTRIES`]), but trusting the caller that the pid's
-    /// hostdir already exists — `PlfsFd` memoizes `ensure_hostdir` per
-    /// (container, hostdir), so repeat writers skip the mkdir entirely —
-    /// and, with `track`, keeping flushed entries for
-    /// [`WriteFile::take_unmerged`]. With the `creator`'s dropping (made
-    /// by the open that made the container) the writer holds the top-level
-    /// pair, in the container directory, and needs no hostdir at all; its
-    /// index dropping is created when something first needs it, through
-    /// `b`.
-    pub(crate) fn open_prepared(
-        b: &Arc<dyn Backing>,
+    /// [`WriteFile::create`], for the benchmark harness, which passes
+    /// [`crate::Plfs::defaults`] — nothing — as the second argument.
+    pub fn open(
+        b: &dyn Backing,
         container: &str,
-        params: &ContainerParams,
+        _defaults: &(),
         pid: u64,
-        track: bool,
-        creator: Option<container::CreatorDropping>,
+        buffer_limit: usize,
     ) -> Result<WriteFile> {
-        let creator = creator.map(|d| (d, Arc::clone(b)));
-        WriteFile::open_pair(
-            b.as_ref(),
-            container,
-            params,
-            pid,
-            DEFAULT_INDEX_BUFFER_ENTRIES,
-            track,
-            creator,
-        )
+        WriteFile::create(b, container, pid, buffer_limit)
     }
 
     /// Open the creator's top-level pair, when `creator` holds its data
-    /// dropping and the backing to create its index through; else the
-    /// first free hostdir pair.
-    fn open_pair(
+    /// dropping (made by the open that made the container) and the backing
+    /// to create its index through when something first needs it; else the
+    /// first free hostdir pair, trusting the caller that the pid's hostdir
+    /// exists — `PlfsFd` memoizes `ensure_hostdir` per (container,
+    /// hostdir), so repeat writers skip the mkdir entirely. With `track`,
+    /// flushed entries are kept for [`WriteFile::take_unmerged`].
+    pub(crate) fn open_prepared(
         b: &dyn Backing,
         container: &str,
-        params: &ContainerParams,
         pid: u64,
         buffer_limit: usize,
         track: bool,
@@ -179,8 +163,8 @@ impl WriteFile {
                 // and zero readdirs.
                 let mut seq = 0u32;
                 loop {
-                    let dp = container::data_dropping_path(container, params, pid, seq);
-                    let ip = container::index_dropping_path(container, params, pid, seq);
+                    let dp = container::data_dropping_path(container, pid, seq);
+                    let ip = container::index_dropping_path(container, pid, seq);
                     match b.create(&dp, true) {
                         Ok(data) => {
                             let index = IndexDropping::Open(b.create(&ip, true)?);
@@ -491,25 +475,24 @@ impl Drop for WriteFile {
 mod tests {
     use super::*;
     use crate::backing::MemBacking;
-    use crate::container::{create_container, ContainerParams};
+    use crate::container::create_container;
     use crate::index::RECORD_SIZE;
 
-    fn setup() -> (MemBacking, ContainerParams) {
+    fn setup() -> MemBacking {
         let b = MemBacking::new();
-        let params = ContainerParams { num_hostdirs: 4 };
-        create_container(&b, "/c", &params, true).unwrap();
-        (b, params)
+        create_container(&b, "/c", true).unwrap();
+        b
     }
 
     #[test]
     fn writes_append_sequentially_regardless_of_offset() {
-        let (b, p) = setup();
-        let mut w = WriteFile::open(&b, "/c", &p, 7, 64).unwrap();
+        let b = setup();
+        let mut w = WriteFile::create(&b, "/c", 7, 64).unwrap();
         // Backwards logical offsets still append forward physically.
         w.write(b"BBBB", 1000).unwrap();
         w.write(b"AAAA", 0).unwrap();
         w.flush_index().unwrap();
-        let dp = container::data_dropping_path("/c", &p, 7, 0);
+        let dp = container::data_dropping_path("/c", 7, 0);
         let f = b.open(&dp, false).unwrap();
         let mut buf = [0u8; 8];
         f.pread(&mut buf, 0).unwrap();
@@ -520,15 +503,15 @@ mod tests {
 
     #[test]
     fn index_buffer_flushes_at_limit() {
-        let (b, p) = setup();
-        let mut w = WriteFile::open(&b, "/c", &p, 1, 3).unwrap();
+        let b = setup();
+        let mut w = WriteFile::create(&b, "/c", 1, 3).unwrap();
         // Irregular offsets so pattern compression stays out of the way.
         for &off in &[0u64, 17, 5, 900, 32, 451, 7] {
             w.write(b"z", off).unwrap();
         }
         // 7 writes with limit 3 => 2 automatic flushes, 1 entry pending.
         assert_eq!(w.index_flushes(), 2);
-        let ip = container::index_dropping_path("/c", &p, 1, 0);
+        let ip = container::index_dropping_path("/c", 1, 0);
         assert_eq!(
             b.stat(&ip).unwrap().size,
             (6 * RECORD_SIZE) as u64,
@@ -558,18 +541,18 @@ mod tests {
 
     #[test]
     fn strided_run_compresses_to_one_record() {
-        let (b, p, w) = with_quiet_clock(64, || {
-            let (b, p) = setup();
-            let mut w = WriteFile::open(&b, "/c", &p, 1, 4096).unwrap();
+        let (b, w) = with_quiet_clock(64, || {
+            let b = setup();
+            let mut w = WriteFile::create(&b, "/c", 1, 4096).unwrap();
             // 64 strided writes (the BT shape): stride 256, length 64.
             for i in 0..64u64 {
                 w.write(&[7u8; 64], i * 256).unwrap();
             }
             w.sync().unwrap();
-            (b, p, w)
+            (b, w)
         });
         assert_eq!(w.index_records(), 1, "one pattern record for the run");
-        let ip = container::index_dropping_path("/c", &p, 1, 0);
+        let ip = container::index_dropping_path("/c", 1, 0);
         assert_eq!(b.stat(&ip).unwrap().size, RECORD_SIZE as u64);
         // And it reads back exactly.
         let r = crate::reader::ReadFile::open(&b, "/c").unwrap();
@@ -583,8 +566,8 @@ mod tests {
     #[test]
     fn sequential_appends_also_compress() {
         let w = with_quiet_clock(100, || {
-            let (b, p) = setup();
-            let mut w = WriteFile::open(&b, "/c", &p, 1, 4096).unwrap();
+            let b = setup();
+            let mut w = WriteFile::create(&b, "/c", 1, 4096).unwrap();
             for i in 0..100u64 {
                 w.write(&[1u8; 128], i * 128).unwrap();
             }
@@ -596,8 +579,8 @@ mod tests {
 
     #[test]
     fn irregular_writes_do_not_compress() {
-        let (b, p) = setup();
-        let mut w = WriteFile::open(&b, "/c", &p, 1, 4096).unwrap();
+        let b = setup();
+        let mut w = WriteFile::create(&b, "/c", 1, 4096).unwrap();
         for &(off, len) in &[(0u64, 10usize), (100, 20), (7, 3), (500, 10)] {
             w.write(&vec![2u8; len], off).unwrap();
         }
@@ -607,33 +590,34 @@ mod tests {
 
     #[test]
     fn reopen_gets_fresh_dropping_pair() {
-        let (b, p) = setup();
+        let b = setup();
         {
-            let mut w = WriteFile::open(&b, "/c", &p, 9, 64).unwrap();
+            let mut w = WriteFile::create(&b, "/c", 9, 64).unwrap();
             w.write(b"first", 0).unwrap();
             w.sync().unwrap();
         }
         {
-            let mut w = WriteFile::open(&b, "/c", &p, 9, 64).unwrap();
+            let mut w = WriteFile::create(&b, "/c", 9, 64).unwrap();
             w.write(b"second", 5).unwrap();
             w.sync().unwrap();
         }
-        assert!(b.exists(&container::data_dropping_path("/c", &p, 9, 0)));
-        assert!(b.exists(&container::data_dropping_path("/c", &p, 9, 1)));
+        assert!(b.exists(&container::data_dropping_path("/c", 9, 0)));
+        assert!(b.exists(&container::data_dropping_path("/c", 9, 1)));
     }
 
     /// A top-level writer of pid 9 over the creator's dropping, made here
     /// as the open that made `/c` would have.
-    fn creator(b: &Arc<dyn Backing>, p: &ContainerParams) -> WriteFile {
+    fn creator(b: &Arc<dyn Backing>) -> WriteFile {
         let dropping = container::CreatorDropping::create(b.as_ref(), "/c").unwrap();
-        WriteFile::open_prepared(b, "/c", p, 9, false, Some(dropping)).unwrap()
+        let creator = Some((dropping, Arc::clone(b)));
+        WriteFile::open_prepared(b.as_ref(), "/c", 9, 64, false, creator).unwrap()
     }
 
     #[test]
     fn toplevel_pair_sits_in_the_container_directory_and_closes_by_rename() {
-        let (b, p) = setup();
+        let b = setup();
         let b: Arc<dyn Backing> = Arc::new(b);
-        let mut w = creator(&b, &p);
+        let mut w = creator(&b);
         w.write(b"first", 10).unwrap();
         w.sync().unwrap();
         let mut names = b.readdir("/c").unwrap();
@@ -657,11 +641,11 @@ mod tests {
     #[test]
     fn toplevel_index_nothing_needed_is_created_closed_at_close() {
         use crate::meter::MeterBacking;
-        let (mem, p) = setup();
+        let mem = setup();
         let meter = Arc::new(MeterBacking::new(Arc::new(mem)));
         let b: Arc<dyn Backing> = meter.clone();
         let before = meter.snapshot();
-        let mut w = creator(&b, &p);
+        let mut w = creator(&b);
         w.write(b"first", 10).unwrap();
         let opened = meter.snapshot().delta(&before);
         assert_eq!(
@@ -692,9 +676,9 @@ mod tests {
     #[test]
     fn an_index_flush_is_one_pwrite() {
         use crate::meter::MeterBacking;
-        let (mem, p) = setup();
+        let mem = setup();
         let b = MeterBacking::new(Arc::new(mem));
-        let mut w = WriteFile::open(&b, "/c", &p, 3, 2).unwrap();
+        let mut w = WriteFile::create(&b, "/c", 3, 2).unwrap();
         let before = b.snapshot();
         // 6 writes, 3 flushes of 2 records each.
         for off in [0u64, 900, 40, 7000, 12, 300] {
@@ -709,22 +693,22 @@ mod tests {
 
     #[test]
     fn zero_length_write_is_a_noop() {
-        let (b, p) = setup();
-        let mut w = WriteFile::open(&b, "/c", &p, 1, 64).unwrap();
+        let b = setup();
+        let mut w = WriteFile::create(&b, "/c", 1, 64).unwrap();
         assert_eq!(w.write(b"", 100).unwrap(), 0);
         w.sync().unwrap();
         assert_eq!(w.bytes_written(), 0);
         assert_eq!(w.max_eof(), 0);
-        let ip = container::index_dropping_path("/c", &p, 1, 0);
+        let ip = container::index_dropping_path("/c", 1, 0);
         assert_eq!(b.stat(&ip).unwrap().size, 0);
     }
 
     #[test]
     fn drop_flushes_pending_index_entries() {
-        let (b, p) = setup();
-        let ip = container::index_dropping_path("/c", &p, 3, 0);
+        let b = setup();
+        let ip = container::index_dropping_path("/c", 3, 0);
         {
-            let mut w = WriteFile::open(&b, "/c", &p, 3, 1000).unwrap();
+            let mut w = WriteFile::create(&b, "/c", 3, 1000).unwrap();
             w.write(b"abc", 0).unwrap();
             assert_eq!(b.stat(&ip).unwrap().size, 0, "still buffered");
         }
@@ -733,10 +717,9 @@ mod tests {
 
     #[test]
     fn unmerged_entries_drain_once_flushed_or_not() {
-        let (b, p) = setup();
-        container::ensure_hostdir(&b, "/c", &p, 1).unwrap();
-        let b: Arc<dyn Backing> = Arc::new(b);
-        let mut w = WriteFile::open_prepared(&b, "/c", &p, 1, true, None).unwrap();
+        let b = setup();
+        container::ensure_hostdir(&b, "/c", 1).unwrap();
+        let mut w = WriteFile::open_prepared(&b, "/c", 1, 64, true, None).unwrap();
         // Irregular offsets: pattern compression stays out of the way.
         w.write(b"abcd", 100).unwrap();
         w.write(b"efgh", 7).unwrap();
@@ -759,10 +742,10 @@ mod tests {
         );
         w.sync().unwrap();
         assert!(w.take_unmerged().is_empty());
-        let ip = container::index_dropping_path("/c", &p, 1, 0);
+        let ip = container::index_dropping_path("/c", 1, 0);
         assert_eq!(b.stat(&ip).unwrap().size, (4 * RECORD_SIZE) as u64);
         // A bare stream banks nothing: nobody would ever drain it.
-        let mut bare = WriteFile::open(b.as_ref(), "/c", &p, 2, 1).unwrap();
+        let mut bare = WriteFile::create(&b, "/c", 2, 1).unwrap();
         bare.write(b"qrst", 0).unwrap();
         assert!(bare.unmerged.is_empty() && bare.buffered.is_empty());
     }
@@ -772,9 +755,8 @@ mod tests {
         use crate::meter::MeterBacking;
         const N: u64 = 50;
         let b = MeterBacking::new(std::sync::Arc::new(MemBacking::new()));
-        let p = ContainerParams { num_hostdirs: 4 };
-        create_container(&b, "/c", &p, true).unwrap();
-        let mut w = WriteFile::open(&b, "/c", &p, 3, 4096).unwrap();
+        create_container(&b, "/c", true).unwrap();
+        let mut w = WriteFile::create(&b, "/c", 3, 4096).unwrap();
         let before = b.snapshot();
         // Backwards offsets: the log position is the tail, not these.
         for i in 0..N {
@@ -798,21 +780,20 @@ mod tests {
     fn reopen_does_at_most_one_readdir() {
         use crate::meter::MeterBacking;
         let b = MeterBacking::new(std::sync::Arc::new(MemBacking::new()));
-        let p = ContainerParams { num_hostdirs: 4 };
-        create_container(&b, "/c", &p, true).unwrap();
+        create_container(&b, "/c", true).unwrap();
         {
-            let mut w = WriteFile::open(&b, "/c", &p, 9, 64).unwrap();
+            let mut w = WriteFile::create(&b, "/c", 9, 64).unwrap();
             w.write(b"first", 0).unwrap();
             w.sync().unwrap();
         }
         let before = b.snapshot();
-        let mut w = WriteFile::open(&b, "/c", &p, 9, 64).unwrap();
+        let mut w = WriteFile::create(&b, "/c", 9, 64).unwrap();
         assert!(
             b.snapshot().delta(&before).readdir <= 1,
             "reopen must not scan the hostdir per pid"
         );
         w.write(b"second", 5).unwrap();
         w.sync().unwrap();
-        assert!(b.exists(&container::data_dropping_path("/c", &p, 9, 1)));
+        assert!(b.exists(&container::data_dropping_path("/c", 9, 1)));
     }
 }

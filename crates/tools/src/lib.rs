@@ -70,7 +70,8 @@ pub fn locate(host_path: &str) -> Result<(RealBacking, String), ToolError> {
 /// `stat`: logical size and structure summary of a container.
 pub fn stat(b: &dyn Backing, container: &str) -> ToolResult {
     let (idx, droppings) = plfs::container::build_global_index(b, container)?;
-    let params = plfs::container::read_params(b, container)?;
+    let mut hostdirs: Vec<String> = b.readdir(container)?;
+    hostdirs.retain(|n| n.starts_with(plfs::container::HOSTDIR_PREFIX));
     let mut phys = 0u64;
     for d in &droppings {
         phys += b.stat(&d.data_path)?.size;
@@ -82,7 +83,7 @@ pub fn stat(b: &dyn Backing, container: &str) -> ToolResult {
     let _ = writeln!(out, "droppings:      {}", droppings.len());
     let _ = writeln!(out, "index entries:  {}", idx.raw_entries());
     let _ = writeln!(out, "index segments: {}", idx.segments());
-    let _ = writeln!(out, "hostdirs:       {}", params.num_hostdirs);
+    let _ = writeln!(out, "hostdirs:       {} {hostdirs:?}", hostdirs.len());
     Ok(out)
 }
 
@@ -247,13 +248,17 @@ pub fn rm(b: &dyn Backing, container: &str) -> ToolResult {
     Ok(format!("removed {container}\n"))
 }
 
-/// `version`: print the container format version from the access file.
+/// `version`: check the container's marker and say what it is: the
+/// access file's header, or the creator's data dropping, which marks a
+/// container its writer made without an access file.
 pub fn version(b: &dyn Backing, container: &str) -> ToolResult {
-    let params = plfs::container::read_params(b, container)?;
-    Ok(format!(
-        "plfs-container v1 (num_hostdirs {})\n",
-        params.num_hostdirs
-    ))
+    use plfs::container::{ACCESS_FILE, CREATOR_DATA};
+    plfs::container::validate_marker(b, container)?;
+    Ok(if b.exists(&plfs::backing::join(container, ACCESS_FILE)) {
+        format!("plfs-container v1 ({ACCESS_FILE})\n")
+    } else {
+        format!("no {ACCESS_FILE}: marked by its creator's data dropping, {CREATOR_DATA}\n")
+    })
 }
 
 /// Parse a JSONL trace (as written by `paperbench --emit-json`, the shim,
@@ -654,7 +659,13 @@ mod tests {
     fn version_reads_access_file() {
         let b = container();
         let out = version(b.as_ref(), "/c").unwrap();
-        assert!(out.contains("plfs-container v1"));
+        assert!(
+            out.contains("marked by its creator's data dropping"),
+            "{out}"
+        );
+        plfs::container::publish_access_file(b.as_ref(), "/c").unwrap();
+        let out = version(b.as_ref(), "/c").unwrap();
+        assert_eq!(out, "plfs-container v1 (.plfsaccess)\n");
     }
 
     #[test]

@@ -232,9 +232,8 @@ fn real_container(tag: &str) -> (std::path::PathBuf, Arc<RealBacking>) {
 fn a_one_tib_access_file_is_corrupt() {
     let (dir, b) = real_container("access");
     // Its creator's dropping marks it; give it the access file that a
-    // container made by `Plfs::create`, or with other params, has.
-    let params = plfs::ContainerParams::default();
-    container::ensure_access_file(b.as_ref(), "/c", &params).unwrap();
+    // container made by `Plfs::create`, or by an older build, has.
+    container::publish_access_file(b.as_ref(), "/c").unwrap();
     b.truncate(&format!("/c/{}", container::ACCESS_FILE), TIB)
         .unwrap();
     // A fresh mount: no cached parameters.
@@ -264,9 +263,11 @@ fn a_one_tib_index_dropping_is_corrupt_after_one_window() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// An access file written by an older version carries a `mode` line: its
-/// classic-PLFS `mode both` still parses, and any other layout is Corrupt,
-/// naming the mode — no reader here knows where such droppings put data.
+/// An access file written by an older version carries a `mode` line and a
+/// hostdir count of its own: its classic-PLFS `mode both` still parses, and
+/// the container reads back, places a joiner among the library's hostdirs,
+/// checks clean and unlinks to nothing. Any other layout is Corrupt, naming
+/// the mode — no reader here knows where such droppings put data.
 #[test]
 fn an_old_access_files_mode_both_parses_and_any_other_mode_is_corrupt() {
     for (mode, ok) in [("both", true), ("log", false), ("partitioned", false)] {
@@ -277,15 +278,27 @@ fn an_old_access_files_mode_both_parses_and_any_other_mode_is_corrupt() {
             .unwrap()
             .pwrite(text.as_bytes(), 0)
             .unwrap();
-        let got = container::read_params(b.as_ref(), "/c");
-        // A fresh mount: no cached parameters.
+        let got = container::validate_marker(b.as_ref(), "/c");
+        // A fresh mount: nothing checked yet.
         let plfs = Plfs::new(b.clone());
         let opened = plfs.open("/c", OpenFlags::RDONLY, 1);
         if ok {
-            assert_eq!(got.unwrap(), plfs::ContainerParams { num_hostdirs: 8 });
+            got.unwrap();
             let mut buf = [0u8; 16];
             assert_eq!(plfs.read(&opened.unwrap(), &mut buf, 200).unwrap(), 16);
             assert_eq!(buf, [3u8; 16]);
+            let mut model = plfs::flatten::flatten_to_vec(b.as_ref(), "/c").unwrap();
+            let wfd = plfs.open("/c", OpenFlags::RDWR, 5).unwrap();
+            plfs.write(&wfd, b"joined", 316, 5).unwrap();
+            plfs.close(&wfd, 5).unwrap();
+            let hd = container::hostdir_for_pid(5, container::HOSTDIRS);
+            assert!(b.exists(&format!("/c/hostdir.{hd}/dropping.data.5.0")));
+            model.extend_from_slice(b"joined");
+            let cold = ReadFile::open(b.as_ref(), "/c").unwrap();
+            assert_eq!(cold.read_all(b.as_ref()).unwrap(), model);
+            assert!(plfs::check(b.as_ref(), "/c").unwrap().is_clean());
+            plfs.unlink("/c").unwrap();
+            assert!(!b.exists("/c"));
             continue;
         }
         for err in [got.unwrap_err(), opened.err().unwrap()] {
@@ -294,6 +307,31 @@ fn an_old_access_files_mode_both_parses_and_any_other_mode_is_corrupt() {
                 e => panic!("mode {mode} must be Corrupt, got {e:?}"),
             }
         }
+    }
+}
+
+/// Every other access-file text the validator rejects is Corrupt on a
+/// cold open too (the `mode` lines are the test above's): a bad header,
+/// bytes that are not UTF-8, and a `num_hostdirs` that is not a nonzero
+/// number.
+#[test]
+fn every_access_text_the_validator_rejects_is_corrupt_on_a_cold_open() {
+    for text in [
+        &b"plfs-container v2\nnum_hostdirs 32\n"[..],
+        b"plfs-container v1\nnum_hostdirs \xff\n",
+        b"plfs-container v1\nnum_hostdirs 0\n",
+        b"plfs-container v1\nnum_hostdirs x\n",
+    ] {
+        let b = fresh_container();
+        let access = format!("/c/{}", container::ACCESS_FILE);
+        b.create(&access, true).unwrap().pwrite(text, 0).unwrap();
+        let opened = Plfs::new(b.clone()).open("/c", OpenFlags::RDONLY, 1);
+        let what = String::from_utf8_lossy(text);
+        assert!(
+            matches!(opened, Err(Error::Corrupt(_))),
+            "{what:?}: {:?}",
+            opened.err()
+        );
     }
 }
 

@@ -4,18 +4,18 @@
 //! and used to get `EEXIST` on a non-exclusive create. Both interleavings
 //! are forced here with a gating backing, never with sleeps. The loser is
 //! also never the container's creator: whatever it writes goes to a hostdir.
-//! A writer's create with the default params makes its data dropping in
-//! place of the access file; a joiner waits for that dropping the same way.
+//! A writer's create makes its data dropping in place of the access file;
+//! a joiner waits for that dropping the same way. Every joiner writes into
+//! `hostdir.{hostdir_for_pid(pid, HOSTDIRS)}`, whatever hostdir count an
+//! older build's access file names.
 
-use plfs::{
-    BackStat, Backing, BackingFile, ContainerParams, Error, MemBacking, OpenFlags, Plfs, Result,
-};
+use plfs::container::{hostdir_for_pid, HOSTDIRS};
+use plfs::{BackStat, Backing, BackingFile, Error, MemBacking, OpenFlags, Plfs, Result};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Barrier, Mutex};
 
 const ACCESS: &str = "/f/.plfsaccess";
-/// The data dropping a writer makes when it creates `/f` with the default
-/// params.
+/// The data dropping a writer makes when it creates `/f`.
 const DROPPING: &str = "/f/dropping.data.creator.0";
 
 /// The creator announces itself on the sender and holds the gated create
@@ -91,16 +91,38 @@ fn mount(b: &Arc<Gated>) -> Plfs {
     Plfs::new(Arc::clone(b) as Arc<dyn Backing>)
 }
 
-/// The params an older build wrote into a container's access file: a
-/// hostdir count other than the default, which every joiner must adopt.
-const OLD: ContainerParams = ContainerParams { num_hostdirs: 7 };
+/// The access file an older build wrote: a hostdir count other than the
+/// library's, which places no joiner.
+const OLD: &[u8] = b"plfs-container v1\nnum_hostdirs 7\n";
 
-/// Create `/f` as an older build did, access file and all, with [`OLD`].
+/// Create `/f` as an older build did: `mkdir`, then the access file, with
+/// [`OLD`].
 fn create_old(b: &Arc<Gated>) -> Result<()> {
-    plfs::container::create_container(b.as_ref(), "/f", &OLD, false).map(|_| ())
+    b.mkdir("/f")?;
+    b.create(ACCESS, true)?.pwrite(OLD, 0).map(drop)
 }
 
-fn assert_one_container(b: &Arc<Gated>) {
+/// Each of `joiners` wrote `joined` into its own hostdir pair, placed by
+/// [`HOSTDIRS`]; the bytes read back, the container checks clean and
+/// unlinks to nothing.
+fn assert_joiners_placed(b: &Arc<Gated>, joiners: &[(u64, u64)]) {
+    let p = mount(b);
+    let fd = p.open("/f", OpenFlags::RDONLY, 0).unwrap();
+    for &(pid, at) in joiners {
+        let hd = hostdir_for_pid(pid, HOSTDIRS);
+        let data = format!("/f/hostdir.{hd}/dropping.data.{pid}.0");
+        assert!(b.exists(&data), "joiner {pid} in hostdir.{hd}");
+        let mut buf = [0u8; 6];
+        fd.read(&mut buf, at).unwrap();
+        assert_eq!(&buf, b"joined", "joiner {pid}");
+    }
+    p.close(&fd, 0).unwrap();
+    assert!(plfs::check(b.as_ref(), "/f").unwrap().is_clean());
+    p.unlink("/f").unwrap();
+    assert!(!b.exists("/f"));
+}
+
+fn assert_one_container(b: &Arc<Gated>, joiners: &[(u64, u64)]) {
     let mut names = b.inner.readdir("/f").unwrap();
     // What the losers wrote: hostdir pairs with their lifecycle names.
     names.retain(|n| {
@@ -109,8 +131,7 @@ fn assert_one_container(b: &Arc<Gated>) {
             .any(|p| n.starts_with(p))
     });
     assert_eq!(names, [".plfsaccess"], "one skeleton, no top-level pair");
-    let fd = mount(b).open("/f", OpenFlags::RDONLY, 0).unwrap();
-    assert_eq!(fd.params().num_hostdirs, 7, "the winner's params");
+    assert_joiners_placed(b, joiners);
 }
 
 #[test]
@@ -145,8 +166,7 @@ fn losers_that_see_the_bare_directory_wait_for_the_access_file() {
                     } else {
                         let flags = OpenFlags::WRONLY | OpenFlags::CREAT;
                         p.open("/f", flags, i as u64).map(|fd| {
-                            assert_eq!(fd.params().num_hostdirs, 7);
-                            fd.write(b"joined", 0, i as u64).unwrap();
+                            fd.write(b"joined", 10 * i as u64, i as u64).unwrap();
                             fd.close(i as u64).unwrap();
                         })
                     }
@@ -168,7 +188,8 @@ fn losers_that_see_the_bare_directory_wait_for_the_access_file() {
                 .unwrap_or_else(|e| panic!("loser {i}: {e}"));
         }
     });
-    assert_one_container(&b);
+    let joiners: Vec<_> = (1..LOSERS as u64).step_by(2).map(|i| (i, 10 * i)).collect();
+    assert_one_container(&b, &joiners);
 }
 
 #[test]
@@ -183,20 +204,19 @@ fn losers_of_the_mkdir_wait_for_the_access_file() {
     });
     std::thread::scope(|s| {
         let racers: Vec<_> = (0..RACERS)
-            .map(|_| s.spawn(|| plfs::container::create_container(b.as_ref(), "/f", &OLD, false)))
+            .map(|_| s.spawn(|| plfs::container::create_container(b.as_ref(), "/f", false)))
             .collect();
         let mut made = 0;
         for (i, r) in racers.into_iter().enumerate() {
-            let (p, how) = r
+            let how = r
                 .join()
                 .unwrap()
                 .unwrap_or_else(|e| panic!("racer {i}: {e}"));
-            assert_eq!(p.num_hostdirs, 7, "params agree");
             made += usize::from(how == plfs::container::Creation::Made);
         }
         assert_eq!(made, 1, "one creator, the rest joined");
     });
-    assert_one_container(&b);
+    assert_one_container(&b, &[]);
 }
 
 #[test]
@@ -215,11 +235,10 @@ fn a_plain_directory_in_the_way_is_still_an_error() {
     );
 }
 
-/// What a joiner of a container made by a writer with the default params
-/// finds: the creator's data dropping, no access file — and leaves so.
-/// Reads back the creator's bytes at 0 and each joiner's at
-/// `100 + 10·pid`, and checks the directory holds the creator's pair and
-/// no access file.
+/// What a joiner of a container a writer made finds: the creator's data
+/// dropping, no access file — and leaves so. Reads back the creator's
+/// bytes at 0 and each joiner's at `100 + 10·pid`, and checks the
+/// directory holds the creator's pair and no access file.
 fn assert_marked_by_the_creators_dropping(b: &Arc<Gated>, joiners: &[u64]) {
     let mut names = b.inner.readdir("/f").unwrap();
     names.retain(|n| {
@@ -237,19 +256,14 @@ fn assert_marked_by_the_creators_dropping(b: &Arc<Gated>, joiners: &[u64]) {
         (2, "dropping.data.creator.0", Some((7, true))),
         "the creator's pair, and no access file: {names:?}"
     );
-    let params = plfs::container::read_params(&b.inner, "/f").unwrap();
-    assert_eq!(params, ContainerParams::default());
+    plfs::container::validate_marker(b.as_ref(), "/f").unwrap();
     let p = Plfs::new(Arc::clone(b) as Arc<dyn Backing>);
     let fd = p.open("/f", OpenFlags::RDONLY, 0).unwrap();
-    assert_eq!(fd.params(), ContainerParams::default());
     let mut buf = [0u8; 7];
     assert_eq!(fd.read(&mut buf, 0).unwrap(), 7);
     assert_eq!(&buf, b"creator");
-    for &pid in joiners {
-        let mut buf = [0u8; 6];
-        fd.read(&mut buf, 100 + 10 * pid).unwrap();
-        assert_eq!(&buf, b"joined", "joiner {pid}");
-    }
+    let joiners: Vec<_> = joiners.iter().map(|&pid| (pid, 100 + 10 * pid)).collect();
+    assert_joiners_placed(b, &joiners);
 }
 
 /// The creator has made the directory and is held before its data
@@ -286,7 +300,6 @@ fn joiners_that_see_the_bare_directory_wait_for_the_creators_dropping() {
                 let p = default_mount();
                 s.spawn(move || {
                     let fd = p.open("/f", flags, pid)?;
-                    assert_eq!(fd.params(), ContainerParams::default());
                     p.write(&fd, b"joined", 100 + 10 * pid, pid)?;
                     p.close(&fd, pid).map(|_| ())
                 })
@@ -310,7 +323,7 @@ fn joiners_that_see_the_bare_directory_wait_for_the_creators_dropping() {
 }
 
 /// The creator has made its data dropping and not written yet: a joiner
-/// reads the default params off the dropping at once, with no wait, and
+/// finds the dropping marks the container at once, with no wait, and
 /// writes to a hostdir pair of its own — the dropping stays the creator's.
 #[test]
 fn a_joiner_of_a_creator_that_made_its_dropping_joins_at_once() {
@@ -330,7 +343,6 @@ fn a_joiner_of_a_creator_that_made_its_dropping_joins_at_once() {
     let joiner = mount();
     let jfd = joiner.open("/f", flags, 2).unwrap();
     assert!(t0.elapsed() < std::time::Duration::from_millis(500));
-    assert_eq!(jfd.params(), ContainerParams::default());
     joiner.write(&jfd, b"joined", 120, 2).unwrap();
     creator.write(&fd, b"creator", 0, 1).unwrap();
     joiner.close(&jfd, 2).unwrap();

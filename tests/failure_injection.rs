@@ -205,3 +205,31 @@ fn an_access_file_that_cannot_be_opened_keeps_its_errno() {
         );
     }
 }
+
+/// A truncate to a nonzero length writes the bytes it keeps before it
+/// retires a dropping: a failed `pwrite` of its rewrite fails the
+/// truncate, takes back what it wrote, and the file reads back its old
+/// bytes.
+#[test]
+fn a_failed_truncate_rewrite_keeps_the_old_bytes() {
+    use plfs::{flatten::flatten_to_vec, OpenFlags};
+    let faulty = Arc::new(Faulty::new(Arc::new(MemBacking::new())));
+    let plfs = Plfs::new(faulty.clone());
+    let fd = plfs
+        .open("/f", OpenFlags::RDWR | OpenFlags::CREAT, 1)
+        .unwrap();
+    fd.add_ref(2);
+    plfs.write(&fd, &[1u8; 100], 0, 1).unwrap();
+    plfs.write(&fd, &[2u8; 100], 100, 2).unwrap();
+    plfs.close(&fd, 2).unwrap();
+    plfs.close(&fd, 1).unwrap();
+    let old = flatten_to_vec(faulty.as_ref(), "/f").unwrap();
+    // The rewrite writes through pid 0's hostdir pair.
+    faulty.arm(rule(FaultOp::Write, "dropping.data.0.", 0, 1));
+    assert!(plfs.trunc("/f", 150).is_err());
+    assert_eq!(Plfs::new(faulty.clone()).getattr("/f").unwrap().size, 200);
+    assert_eq!(flatten_to_vec(faulty.as_ref(), "/f").unwrap(), old);
+    let droppings = plfs::container::list_droppings(faulty.as_ref(), "/f").unwrap();
+    assert_eq!(droppings.len(), 2, "nothing of the rewrite left");
+    assert!(plfs::check(faulty.as_ref(), "/f").unwrap().is_clean());
+}

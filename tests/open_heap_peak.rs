@@ -6,7 +6,7 @@
 //! result. A counting global allocator (this binary's only) tracks live
 //! heap bytes.
 
-use plfs::{Backing, MemBacking, OpenFlags, Plfs, ReadFile};
+use plfs::{Backing, MemBacking, OpenFlags, Plfs, ReadFile, RealBacking};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
@@ -122,4 +122,33 @@ fn a_read_open_holds_the_index_plus_one_window() {
         );
         assert_eq!(u64::from_le_bytes(buf), rec);
     }
+}
+
+/// A truncate to a nonzero length streams the bytes it keeps through one
+/// chunk: truncating a 32 MiB container to 24 MiB holds under 8 MiB of
+/// heap at its highest point, not the 24 MiB it keeps.
+#[test]
+fn a_truncate_holds_one_chunk_not_the_bytes_it_keeps() {
+    const MIB: u64 = 1 << 20;
+    let dir = std::env::temp_dir().join(format!("plfs-trunc-heap-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let backing = Arc::new(RealBacking::new(&dir).unwrap());
+    let plfs = Plfs::new(backing as Arc<dyn Backing>);
+    let fd = plfs
+        .open("/f", OpenFlags::WRONLY | OpenFlags::CREAT, 1)
+        .unwrap();
+    let block = vec![7u8; MIB as usize];
+    for i in 0..32 {
+        plfs.write(&fd, &block, i * MIB, 1).unwrap();
+    }
+    plfs.close(&fd, 1).unwrap();
+    drop(block);
+
+    let ((), peak) = high_water(|| plfs.trunc("/f", 24 * MIB).unwrap());
+    assert!(
+        peak < 8 * MIB as i64,
+        "the truncate peaked at {peak} B live"
+    );
+    assert_eq!(plfs.getattr("/f").unwrap().size, 24 * MIB);
+    std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -249,3 +249,32 @@ fn a_directory_stat_counts_its_subdirectories_where_the_file_system_does() {
         std::fs::remove_dir_all(&root).unwrap();
     }
 }
+
+/// An extending truncate's fast-stat drop counts every byte its rewrite
+/// wrote, the zero that puts the EOF in place included: `physical_bytes`
+/// of the truncating mount's `getattr` and of a cold one is what the data
+/// droppings hold.
+#[test]
+fn an_extending_truncate_counts_every_byte_its_droppings_hold() {
+    use plfs::{container, OpenFlags, Plfs};
+    let dir = fresh("extend");
+    let b = std::sync::Arc::new(RealBacking::new(&dir).unwrap());
+    let plfs = Plfs::new(b.clone());
+    let fd = plfs
+        .open("/f", OpenFlags::RDWR | OpenFlags::CREAT, 1)
+        .unwrap();
+    plfs.write(&fd, b"hello world", 0, 1).unwrap();
+    plfs.close(&fd, 1).unwrap();
+    plfs.trunc("/f", 100).unwrap();
+    let held: u64 = container::list_droppings(b.as_ref(), "/f")
+        .unwrap()
+        .iter()
+        .map(|d| b.stat(&d.data_path).unwrap().size)
+        .sum();
+    assert_eq!(held, 12, "11 kept bytes and the extension's zero");
+    for mount in [&plfs, &Plfs::new(b.clone())] {
+        let st = mount.getattr("/f").unwrap();
+        assert_eq!((st.size, st.physical_bytes), (100, held));
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}

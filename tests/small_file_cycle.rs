@@ -10,7 +10,7 @@
 //! call, who gets which pair shape, and that maintenance accepts every
 //! spelling.
 
-use plfs::container::{self, ContainerParams};
+use plfs::container::{self, hostdir_for_pid, HOSTDIRS};
 use plfs::{
     BackStat, Backing, BackingFile, MemBacking, MeterBacking, MeterSnapshot, OpenFlags, Plfs,
     WriteFile,
@@ -590,12 +590,11 @@ fn every_listed_index_is_a_whole_file_of_records_merging_to_eof() {
 #[test]
 fn legacy_shape_container_opens_stats_and_unlinks() {
     let b = Arc::new(MemBacking::new());
-    let params = ContainerParams::default();
-    container::create_container(b.as_ref(), "/old", &params, true).unwrap();
+    container::create_container(b.as_ref(), "/old", true).unwrap();
     b.mkdir("/old/openhosts").unwrap();
     b.mkdir("/old/meta").unwrap();
     b.create("/old/meta/999.999.7", true).unwrap();
-    let mut w = WriteFile::open(b.as_ref(), "/old", &params, 7, 64).unwrap();
+    let mut w = WriteFile::create(b.as_ref(), "/old", 7, 64).unwrap();
     w.write(b"written before this layout", 0).unwrap();
     w.sync().unwrap();
     drop(w);
@@ -618,10 +617,9 @@ fn legacy_shape_container_opens_stats_and_unlinks() {
 #[test]
 fn hostdir_only_container_opens_stats_and_unlinks() {
     let b = Arc::new(MemBacking::new());
-    let params = ContainerParams::default();
-    container::create_container(b.as_ref(), "/pr21", &params, true).unwrap();
+    container::create_container(b.as_ref(), "/pr21", true).unwrap();
     for (pid, byte) in [(3u64, b'a'), (4, b'b')] {
-        let mut w = WriteFile::open(b.as_ref(), "/pr21", &params, pid, 64).unwrap();
+        let mut w = WriteFile::create(b.as_ref(), "/pr21", pid, 64).unwrap();
         container::mark_open(b.as_ref(), "/pr21", pid, 0).unwrap();
         w.write(&[byte; 8], (pid - 3) * 8).unwrap();
         w.sync().unwrap();
@@ -827,6 +825,30 @@ fn truncate_accepts_both_shapes() {
     assert_eq!(other.getattr("/c").unwrap().size, 3);
 }
 
+/// A truncate to a nonzero length leaves one hostdir, the rewrite's own:
+/// the hostdirs its old droppings emptied go with them, so a cold read
+/// open of the truncated container lists the container and that hostdir.
+#[test]
+fn a_truncated_four_writer_container_lists_two_directories_on_a_cold_open() {
+    let meter = Arc::new(MeterBacking::new(Arc::new(MemBacking::new())));
+    let plfs = Plfs::new(meter.clone() as Arc<dyn Backing>);
+    for pid in 0..4u64 {
+        let fd = plfs.open("/f", CREATE_RW, pid).unwrap();
+        plfs.write(&fd, &[pid as u8; 100], pid * 100, pid).unwrap();
+        plfs.close(&fd, pid).unwrap();
+    }
+    plfs.trunc("/f", 250).unwrap();
+    let cold = Plfs::new(meter.clone() as Arc<dyn Backing>);
+    let mut buf = [0u8; 250];
+    let (_, ops) = cost(&meter, || {
+        let fd = cold.open("/f", OpenFlags::RDONLY, 9).unwrap();
+        assert_eq!(cold.read(&fd, &mut buf, 0).unwrap(), 250);
+    });
+    assert!(ops.readdir <= 2, "{ops:?}");
+    assert_eq!(&buf[100..200], &[1u8; 100]);
+    assert_eq!(&buf[200..], &[2u8; 50]);
+}
+
 /// Regression (root-package copy of `plfs::fd`'s test): two fds of one pid
 /// on one container used to share a marker and a drop name, so the first
 /// close hid the writer still open from every other process.
@@ -943,22 +965,34 @@ fn a_plain_directory_holding_a_file_named_like_a_dropping_stays_a_directory() {
     }
 }
 
+/// Give the container at `path` the access file an older build wrote with
+/// 8 hostdirs, a count that places no writer of this one.
+fn write_old_access_file(b: &dyn Backing, path: &str) {
+    let f = b.create(&format!("{path}/.plfsaccess"), true).unwrap();
+    f.pwrite(b"plfs-container v1\nnum_hostdirs 8\n", 0).unwrap();
+}
+
+/// Does `pid`'s first dropping pair sit in the hostdir the library places
+/// it in, `hostdir_for_pid(pid, HOSTDIRS)`?
+fn placed(b: &dyn Backing, path: &str, pid: u64) -> bool {
+    let hd = hostdir_for_pid(pid, HOSTDIRS);
+    b.exists(&format!("{path}/hostdir.{hd}/dropping.data.{pid}.0"))
+}
+
 /// A container in the layout every earlier writer's create left — the
 /// access file beside the creator's pair, here with 8 hostdirs as an older
-/// build could write, or made by `Plfs::create` with the defaults — reads
-/// back byte for byte, keeps its params for a writer that joins it, and
-/// unlinks to nothing.
+/// build could write, or made by `Plfs::create` — reads back byte for
+/// byte, places a writer that joins it among the library's hostdirs, checks
+/// clean and unlinks to nothing.
 #[test]
 fn a_container_in_the_access_file_layout_reads_back_and_unlinks_to_nothing() {
     let b = Arc::new(MemBacking::new());
-    let eight = ContainerParams { num_hostdirs: 8 };
     let mount = Plfs::new(b.clone());
     let fd = mount.open("/f", CREATE_RW, 1).unwrap();
-    container::publish_access_file(b.as_ref(), "/f", &eight).unwrap();
+    write_old_access_file(b.as_ref(), "/f");
     // The creator's later ranks join from another process, as the old
-    // build's would have: they read the access file.
+    // build's would have: they check the access file.
     let joined = Plfs::new(b.clone()).open("/f", CREATE_RW, 2).unwrap();
-    assert_eq!(joined.params(), eight);
     joined.add_ref(3);
     mount.create("/g", true).unwrap();
     let gd = mount.open("/g", CREATE_RW, 1).unwrap();
@@ -982,6 +1016,7 @@ fn a_container_in_the_access_file_layout_reads_back_and_unlinks_to_nothing() {
     let names = b.readdir("/f").unwrap();
     assert!(names.iter().any(|n| n == ".plfsaccess"), "{names:?}");
     assert_eq!(toplevel_pairs(b.as_ref(), "/f"), 1);
+    assert!([2, 3].iter().all(|&pid| placed(b.as_ref(), "/f", pid)));
     assert!(b.exists("/g/.plfsaccess"));
     assert_eq!(
         toplevel_pairs(b.as_ref(), "/g"),
@@ -990,7 +1025,7 @@ fn a_container_in_the_access_file_layout_reads_back_and_unlinks_to_nothing() {
     );
 
     let cold = Plfs::new(b.clone());
-    for (path, hostdirs) in [("/f", 8), ("/g", 32)] {
+    for path in ["/f", "/g"] {
         assert_eq!(cold.getattr(path).unwrap().size, 2100, "{path}");
         let rfd = cold.open(path, OpenFlags::RDONLY, 9).unwrap();
         let mut buf = vec![0u8; 2200];
@@ -998,9 +1033,9 @@ fn a_container_in_the_access_file_layout_reads_back_and_unlinks_to_nothing() {
         assert!(buf[..2100] == model[..], "{path}");
         cold.close(&rfd, 9).unwrap();
         let wfd = cold.open(path, CREATE_RW, 9).unwrap();
-        assert_eq!(wfd.params().num_hostdirs, hostdirs, "{path}");
         cold.write(&wfd, b"tail", 2100, 9).unwrap();
         cold.close(&wfd, 9).unwrap();
+        assert!(placed(b.as_ref(), path, 9), "{path}");
         assert!(plfs::check(b.as_ref(), path).unwrap().is_clean(), "{path}");
         assert_eq!(Plfs::new(b.clone()).getattr(path).unwrap().size, 2104);
         cold.unlink(path).unwrap();
@@ -1074,10 +1109,8 @@ fn trunc_and_compact_of_a_container_marked_by_its_dropping_keep_it_a_container()
         assert!(container::is_container(b.as_ref(), path), "{path}");
         let cold = Plfs::new(b.clone());
         assert_eq!(cold.getattr(path).unwrap().size, size, "{path}");
-        assert_eq!(
-            cold.open(path, OpenFlags::RDONLY, 3).unwrap().params(),
-            ContainerParams::default()
-        );
+        let rfd = cold.open(path, OpenFlags::RDONLY, 3).unwrap();
+        assert_eq!(rfd.size().unwrap(), size, "{path}");
         assert!(plfs::check(b.as_ref(), path).unwrap().is_clean(), "{path}");
     }
     let mut model = vec![1u8; 100];
@@ -1093,11 +1126,13 @@ fn trunc_and_compact_of_a_container_marked_by_its_dropping_keep_it_a_container()
 /// `open(O_TRUNC)` (two `fopen(path, "w")`), or a `truncate(path, 0)`, on
 /// the creator's mount or another — used to unlink it, so the creator's
 /// writes went into an unlinked file. A data dropping with no index and no
-/// bytes holds nothing to truncate: it stays, and takes the writes.
+/// bytes holds nothing to truncate: it stays, and takes the writes — a
+/// truncate to a nonzero length, whose rewrite retires the rest, keeps it
+/// too.
 #[test]
 fn a_truncate_before_the_creators_first_write_keeps_what_it_writes() {
     for other_mount in [false, true] {
-        for by_open in [true, false] {
+        for by_open in [None, Some(0), Some(5)] {
             let b = Arc::new(MemBacking::new());
             let creator = Plfs::new(b.clone());
             let cold = Plfs::new(b.clone());
@@ -1105,16 +1140,18 @@ fn a_truncate_before_the_creators_first_write_keeps_what_it_writes() {
             let fd1 = creator
                 .open("/f", OpenFlags::WRONLY | OpenFlags::CREAT, 1)
                 .unwrap();
-            let fd2 = if by_open {
-                let flags = OpenFlags::WRONLY | OpenFlags::CREAT | OpenFlags::TRUNC;
-                Some(other.open("/f", flags, 2).unwrap())
-            } else {
-                other.trunc("/f", 0).unwrap();
-                None
+            let fd2 = match by_open {
+                None => {
+                    let flags = OpenFlags::WRONLY | OpenFlags::CREAT | OpenFlags::TRUNC;
+                    Some(other.open("/f", flags, 2).unwrap())
+                }
+                Some(len) => other.trunc("/f", len).map(|()| None).unwrap(),
             };
-            let case = format!("other mount {other_mount}, by open {by_open}");
+            let case = format!("other mount {other_mount}, truncated to {by_open:?}");
+            let mut names = b.readdir("/f").unwrap();
+            names.retain(|n| !n.starts_with("hostdir.") && !n.starts_with("meta."));
             assert_eq!(
-                b.readdir("/f").unwrap(),
+                names,
                 [container::CREATOR_DATA],
                 "{case}: still marked by the creator's dropping"
             );
@@ -1147,8 +1184,7 @@ fn a_creators_pair_under_its_pid_beside_the_access_file_reads_as_any_pair() {
     let fd = plfs.open("/f", CREATE_RW, 7).unwrap();
     plfs.write(&fd, b"written by pid 7", 0, 7).unwrap();
     plfs.close(&fd, 7).unwrap();
-    let eight = ContainerParams { num_hostdirs: 8 };
-    container::publish_access_file(b.as_ref(), "/f", &eight).unwrap();
+    write_old_access_file(b.as_ref(), "/f");
     // Its index under the `<eof>.<bytes>` spelling, the one the layout had.
     let index = container::list_droppings(b.as_ref(), "/f").unwrap()[0]
         .index_path
@@ -1174,9 +1210,9 @@ fn a_creators_pair_under_its_pid_beside_the_access_file_reads_as_any_pair() {
     assert_eq!(&buf[..16], b"written by pid 7");
     cold.close(&rfd, 1).unwrap();
     let wfd = cold.open("/f", CREATE_RW, 2).unwrap();
-    assert_eq!(wfd.params().num_hostdirs, 8);
     cold.write(&wfd, b"!", 16, 2).unwrap();
     cold.close(&wfd, 2).unwrap();
+    assert!(placed(b.as_ref(), "/f", 2));
     assert_eq!(Plfs::new(b.clone()).getattr("/f").unwrap().size, 17);
     assert!(plfs::check(b.as_ref(), "/f").unwrap().is_clean());
     cold.trunc("/f", 0).unwrap();

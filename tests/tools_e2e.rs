@@ -36,6 +36,8 @@ fn stat_map_flatten_on_shim_written_container() {
 
     let stat = plfs_tools::stat(&backing, "/ckpt").unwrap();
     assert!(stat.contains("logical size:   60000 bytes"), "{stat}");
+    // Its creator alone wrote it: no hostdir in the listing.
+    assert!(stat.contains("hostdirs:       0 []\n"), "{stat}");
 
     let map = plfs_tools::map(&backing, "/ckpt").unwrap();
     assert!(map.contains("dropping.data."), "{map}");
@@ -106,8 +108,23 @@ fn ls_and_version_and_rm() {
     assert!(ls.contains(" a"), "{ls}");
     assert!(ls.contains(" b"), "{ls}");
 
+    // Made by a writer: its creator's data dropping marks it.
     let ver = plfs_tools::version(&backing, "/a").unwrap();
-    assert!(ver.contains("plfs-container v1"));
+    assert_eq!(
+        ver,
+        "no .plfsaccess: marked by its creator's data dropping, dropping.data.creator.0\n"
+    );
+    // A second open joins it, and writes into a hostdir.
+    let mut f = CFile::open(shim.clone(), "/plfs/a", "a").unwrap();
+    f.write(b"aa").unwrap();
+    f.close().unwrap();
+    let stat = plfs_tools::stat(&backing, "/a").unwrap();
+    assert!(stat.contains("logical size:   5 bytes"), "{stat}");
+    assert!(stat.contains("hostdirs:       1 [\"hostdir."), "{stat}");
+    // With an access file, its checked header.
+    plfs::container::publish_access_file(&backing, "/b").unwrap();
+    let ver = plfs_tools::version(&backing, "/b").unwrap();
+    assert_eq!(ver, "plfs-container v1 (.plfsaccess)\n");
 
     plfs_tools::rm(&backing, "/a").unwrap();
     assert!(plfs_tools::stat(&backing, "/a").is_err());
