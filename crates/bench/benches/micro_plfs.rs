@@ -82,8 +82,8 @@ fn bench_write_path(c: &mut Criterion) {
     g.finish();
 }
 
-/// `writers` threads racing a strided checkpoint through one fd, plus the
-/// O(1) append fast path.
+/// `writers` threads racing a strided checkpoint into one container, an fd
+/// each, plus the O(1) append fast path.
 fn bench_multi_writer(c: &mut Criterion) {
     let writers = 8usize;
     let rows = 64usize;
@@ -91,28 +91,23 @@ fn bench_multi_writer(c: &mut Criterion) {
     let volume = (writers * rows * block) as u64;
     let run = || {
         let plfs = Plfs::new(Arc::new(MemBacking::new()));
-        let fd = plfs
-            .open("/w", OpenFlags::RDWR | OpenFlags::CREAT, 0)
-            .unwrap();
-        for p in 1..writers as u64 {
-            fd.add_ref(p);
-        }
+        let open = |pid| plfs.open("/w", OpenFlags::RDWR | OpenFlags::CREAT, pid);
+        let fds: Vec<_> = (0..writers as u64).map(|pid| open(pid).unwrap()).collect();
         std::thread::scope(|s| {
-            for w in 0..writers {
+            for (w, fd) in fds.iter().enumerate() {
                 let plfs = &plfs;
-                let fd = fd.clone();
                 s.spawn(move || {
                     let pid = w as u64;
                     let data = vec![w as u8; block];
                     for r in 0..rows {
-                        plfs.write(&fd, &data, ((r * writers + w) * block) as u64, pid)
+                        plfs.write(fd, &data, ((r * writers + w) * block) as u64, pid)
                             .unwrap();
                     }
-                    plfs.sync(&fd, pid).unwrap();
+                    plfs.sync(fd, pid).unwrap();
                 });
             }
         });
-        black_box(fd.size().unwrap())
+        black_box(fds.iter().map(|fd| fd.size().unwrap()).max())
     };
 
     let mut g = c.benchmark_group("multi_writer");
@@ -127,7 +122,7 @@ fn bench_multi_writer(c: &mut Criterion) {
     let chunk = vec![7u8; 64];
     g.throughput(Throughput::Bytes(64));
     g.bench_function("append_fastpath_64b", |b| {
-        b.iter(|| black_box(fd.append(&chunk, 0).unwrap()));
+        b.iter(|| black_box(fd.append(&chunk).unwrap()));
     });
     g.finish();
 }
@@ -138,10 +133,7 @@ fn bench_read_after_write(c: &mut Criterion) {
     let mut g = c.benchmark_group("read_after_write");
     for segments in [1u64 << 10, 1 << 14, 1 << 18] {
         let (plfs, fd) = bench::fragmented_fd(segments);
-        // Each block is written as the pid that did not write it last, so
-        // no overwrite goes in place and every read patches the view.
-        let mut owner: Vec<u64> = (0..segments).map(|k| k % 2).collect();
-        let mut buf = [0u8; 16];
+        let mut shift = vec![12u64; segments as usize - 1];
         let mut i = 0u64;
         g.bench_with_input(
             BenchmarkId::new("pwrite_pread_16b", segments),
@@ -149,11 +141,8 @@ fn bench_read_after_write(c: &mut Criterion) {
             |b, &segments| {
                 b.iter(|| {
                     i += 1;
-                    let k = (i.wrapping_mul(7919) % segments) as usize;
-                    owner[k] = 1 - owner[k];
-                    let off = k as u64 * 16;
-                    plfs.write(&fd, &[i as u8; 16], off, owner[k]).unwrap();
-                    black_box(plfs.read(&fd, &mut buf, off).unwrap())
+                    let k = (i.wrapping_mul(7919) % (segments - 1)) as usize;
+                    black_box(bench::straddling_cycle(&plfs, &fd, &mut shift, k, i as u8))
                 });
             },
         );
@@ -165,18 +154,19 @@ fn bench_read_path(c: &mut Criterion) {
     let mut g = c.benchmark_group("read_path");
     // Container written by 16 interleaved writers, read back sequentially.
     let plfs = Plfs::new(Arc::new(MemBacking::new()));
-    let fd = plfs
-        .open("/f", OpenFlags::RDWR | OpenFlags::CREAT, 0)
-        .unwrap();
     let block = 64 * 1024u64;
     for pid in 0..16u64 {
-        fd.add_ref(pid);
+        let fd = plfs
+            .open("/f", OpenFlags::WRONLY | OpenFlags::CREAT, pid)
+            .unwrap();
         let data = vec![pid as u8; block as usize];
         for row in 0..32u64 {
             plfs.write(&fd, &data, (row * 16 + pid) * block, pid)
                 .unwrap();
         }
+        plfs.close(&fd, pid).unwrap();
     }
+    let fd = plfs.open("/f", OpenFlags::RDONLY, 0).unwrap();
     let total = 16 * 32 * block;
     g.throughput(Throughput::Bytes(block));
     g.bench_function("pread_64k_interleaved_16_writers", |b| {
@@ -200,21 +190,17 @@ fn strided_container(
 ) -> (Arc<MemBacking>, &'static str) {
     let backing = Arc::new(MemBacking::new());
     let plfs = Plfs::new(backing.clone());
-    let fd = plfs
-        .open("/c", OpenFlags::RDWR | OpenFlags::CREAT, 0)
-        .unwrap();
     for p in 0..droppings as u64 {
-        fd.add_ref(p);
+        let fd = plfs
+            .open("/c", OpenFlags::WRONLY | OpenFlags::CREAT, p)
+            .unwrap();
         let data = vec![p as u8; block];
         for r in 0..rows as u64 {
             plfs.write(&fd, &data, (r * droppings as u64 + p) * block as u64, p)
                 .unwrap();
         }
+        plfs.close(&fd, p).unwrap();
     }
-    for p in 0..droppings as u64 {
-        let _ = plfs.close(&fd, p);
-    }
-    plfs.close(&fd, 0).unwrap();
     (backing, "/c")
 }
 
@@ -259,16 +245,14 @@ fn bench_open_path(c: &mut Criterion) {
 fn bench_flatten(c: &mut Criterion) {
     let backing = Arc::new(MemBacking::new());
     let plfs = Plfs::new(backing.clone());
-    let fd = plfs
-        .open("/f", OpenFlags::WRONLY | OpenFlags::CREAT, 0)
-        .unwrap();
     for pid in 0..8u64 {
-        fd.add_ref(pid);
+        let fd = plfs
+            .open("/f", OpenFlags::WRONLY | OpenFlags::CREAT, pid)
+            .unwrap();
         plfs.write(&fd, &vec![pid as u8; 128 * 1024], pid * 128 * 1024, pid)
             .unwrap();
         plfs.close(&fd, pid).unwrap();
     }
-    plfs.close(&fd, 0).unwrap();
     let mut g = c.benchmark_group("flatten");
     g.throughput(Throughput::Bytes(8 * 128 * 1024));
     g.bench_function("flatten_1mb_8_droppings", |b| {

@@ -167,7 +167,7 @@ pub const FIGURES: &[Figure] = &[
     Figure {
         name: "writepath",
         kind: Kind::Measured,
-        help: "[--quick]  racing writers on one fd, appends, read-after-write patches",
+        help: "[--quick]  racing writers, an fd each; appends, read-after-write patches",
         run: run_writepath,
         gate: Some(Gate {
             metrics: gate_writepath,
@@ -360,7 +360,7 @@ fn run_staging(_: &Opts, e: &Emitter) -> String {
 fn run_writepath(o: &Opts, e: &Emitter) -> String {
     let report = e.output("writepath", || writepath_comparison(o.scale));
     format!(
-        "# Write path: racing writers on one fd, appends, read-after-write patches\n\n\
+        "# Write path: racing writers, an fd each; appends, read-after-write patches\n\n\
          ## Measured (in-memory backing, this host)\n\n{}\n",
         render_writepath(&report)
     )

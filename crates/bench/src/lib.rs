@@ -445,17 +445,17 @@ fn best_of<F: FnMut() -> u64>(times: usize, mut f: F) -> (f64, u64) {
 }
 
 // ---------------------------------------------------------------------------
-// Beyond the paper: the parallel write path (per-pid writer sharding,
+// Beyond the paper: the parallel write path (one fd per writer,
 // atomic-EOF appends, the read view patched in place).
 // ---------------------------------------------------------------------------
 
 /// One measured row of the write-path figure: `writers` racing pids
-/// pushing a strided checkpoint through ONE fd at the default
-/// configuration, plus the append and read-after-write latencies. Absolute
+/// pushing a strided checkpoint into one container, each through its own
+/// fd, plus the append and read-after-write latencies. Absolute
 /// numbers on this host's memory backing — there is no comparison arm.
 #[derive(Debug, Clone)]
 pub struct WritePathRow {
-    /// Concurrent writer threads (= pids) sharing the fd.
+    /// Concurrent writer threads (= pids), one fd each.
     pub writers: usize,
     /// Blocks written per writer.
     pub writes_per_writer: usize,
@@ -465,8 +465,8 @@ pub struct WritePathRow {
     pub write_mbs: f64,
     /// Mean `O_APPEND` write latency on the atomic-EOF fast path (ns).
     pub append_ns: f64,
-    /// Interleaved cycles of one append per writer then one read, which
-    /// patches the fd's read view (ms total).
+    /// Interleaved cycles of `writers` appends through one fd then one
+    /// read, which patches the fd's read view (ms total).
     pub patch_cycles_ms: f64,
 }
 
@@ -477,7 +477,8 @@ pub const WRITEPATH_WRITERS: [usize; 3] = [1, 4, 8];
 /// read view already holds `segments` segments. Measured, this host.
 #[derive(Debug, Clone)]
 pub struct RefreshSweepRow {
-    /// Segments resident in the fd's merged index (none can coalesce).
+    /// Segments resident in the fd's merged index before the cycles (none
+    /// can coalesce).
     pub segments: usize,
     /// Mean microseconds per overwrite + read-back (patch) cycle.
     pub patch_us_per_cycle: f64,
@@ -506,43 +507,55 @@ impl WritePathReport {
 }
 
 /// An `O_RDWR` fd on an in-memory container whose read view is built and
-/// holds `segments` segments: pids 0 and 1 own alternating 16-byte blocks,
-/// so no two neighbours coalesce. Shared by the `writepath` refresh sweep
-/// and the `read_after_write` criterion group.
+/// holds `segments` segments: 16-byte blocks, the even ones written before
+/// the odd ones, so no two neighbours lie side by side in the data
+/// dropping and none coalesce. Shared by the `writepath` refresh sweep and
+/// the `read_after_write` criterion group.
 pub fn fragmented_fd(segments: u64) -> (plfs::Plfs, std::sync::Arc<plfs::PlfsFd>) {
     use plfs::{MemBacking, OpenFlags, Plfs};
     let plfs = Plfs::new(std::sync::Arc::new(MemBacking::new()));
     let fd = plfs
         .open("/s", OpenFlags::RDWR | OpenFlags::CREAT, 0)
         .unwrap();
-    fd.add_ref(1);
-    for i in 0..segments {
-        plfs.write(&fd, &[i as u8; 16], i * 16, i % 2).unwrap();
+    for i in (0..segments).step_by(2).chain((1..segments).step_by(2)) {
+        plfs.write(&fd, &[i as u8; 16], i * 16, 0).unwrap();
     }
     plfs.read(&fd, &mut [0u8; 16], 0).unwrap();
     (plfs, fd)
 }
 
-/// Seconds per write→read cycle (best of three) on a [`fragmented_fd`]:
-/// each cycle overwrites one random block and reads it back, which patches
-/// the view. The block is written as the pid that did not write it last:
-/// an overwrite of the writer's own bytes would go in place and patch
-/// nothing.
+/// One write→read cycle on a [`fragmented_fd`] of `shift.len() + 1`
+/// blocks: 16 bytes of `fill` written over blocks `k` and `k + 1`, then
+/// read back, which patches the view. The write starts 4 or 12 bytes into
+/// block `k`, the other of the two than the pair's last one (`shift[k]`),
+/// so it always straddles two slices: a write the view holds as one slice
+/// of the writer's own bytes would go in place and patch nothing.
+pub fn straddling_cycle(
+    plfs: &plfs::Plfs,
+    fd: &plfs::PlfsFd,
+    shift: &mut [u64],
+    k: usize,
+    fill: u8,
+) -> usize {
+    shift[k] = 16 - shift[k];
+    let off = k as u64 * 16 + shift[k];
+    plfs.write(fd, &[fill; 16], off, fd.pid()).unwrap();
+    plfs.read(fd, &mut [0u8; 16], off).unwrap()
+}
+
+/// Seconds per [`straddling_cycle`] (best of three) over random pairs of
+/// a [`fragmented_fd`] of `segments` blocks.
 fn refresh_cycle_secs(segments: usize, cycles: usize) -> f64 {
     let (plfs, fd) = fragmented_fd(segments as u64);
-    let mut owner: Vec<u64> = (0..segments as u64).map(|i| i % 2).collect();
-    let mut buf = [0u8; 16];
+    let mut shift = vec![12u64; segments - 1];
     let mut rng = 0x2545_F491_4F6C_DD1Du64;
     let (secs, _) = best_of(3, || {
         for i in 0..cycles {
             rng ^= rng << 13;
             rng ^= rng >> 7;
             rng ^= rng << 17;
-            let k = (rng % segments as u64) as usize;
-            owner[k] = 1 - owner[k];
-            let off = k as u64 * 16;
-            plfs.write(&fd, &[i as u8; 16], off, owner[k]).unwrap();
-            plfs.read(&fd, &mut buf, off).unwrap();
+            let k = (rng % shift.len() as u64) as usize;
+            straddling_cycle(&plfs, &fd, &mut shift, k, i as u8);
         }
         cycles as u64
     });
@@ -550,30 +563,25 @@ fn refresh_cycle_secs(segments: usize, cycles: usize) -> f64 {
 }
 
 /// Wall time for `writers` threads to push a strided checkpoint (and sync)
-/// through one fd.
+/// into one container, each through an fd of its own pid.
 fn multiwriter_secs(writers: usize, rows: usize, block: usize) -> f64 {
     use plfs::{MemBacking, OpenFlags, Plfs};
     use std::sync::Arc;
     let (secs, _) = best_of(3, || {
         let plfs = Plfs::new(Arc::new(MemBacking::new()));
-        let fd = plfs
-            .open("/w", OpenFlags::RDWR | OpenFlags::CREAT, 0)
-            .unwrap();
-        for p in 1..writers as u64 {
-            fd.add_ref(p);
-        }
+        let open = |pid| plfs.open("/w", OpenFlags::RDWR | OpenFlags::CREAT, pid);
+        let fds: Vec<_> = (0..writers as u64).map(|pid| open(pid).unwrap()).collect();
         std::thread::scope(|s| {
-            for w in 0..writers {
+            for (w, fd) in fds.iter().enumerate() {
                 let plfs = &plfs;
-                let fd = fd.clone();
                 s.spawn(move || {
                     let pid = w as u64;
                     let data = vec![w as u8; block];
                     for r in 0..rows {
                         let off = ((r * writers + w) * block) as u64;
-                        plfs.write(&fd, &data, off, pid).unwrap();
+                        plfs.write(fd, &data, off, pid).unwrap();
                     }
-                    plfs.sync(&fd, pid).unwrap();
+                    plfs.sync(fd, pid).unwrap();
                 });
             }
         });
@@ -618,26 +626,23 @@ pub fn writepath_comparison(scale: Scale) -> WritePathReport {
                     .open("/a", OpenFlags::RDWR | OpenFlags::CREAT, 0)
                     .unwrap();
                 for _ in 0..appends {
-                    fd.append(&chunk, 0).unwrap();
+                    fd.append(&chunk).unwrap();
                 }
                 plfs.close(&fd, 0).unwrap();
                 appends as u64
             });
 
             // Interleaved append+read cycles: every read patches the fd's
-            // read view with what the writers appended since the last one.
+            // read view with what was appended since the last one.
             let (patch_secs, _) = best_of(3, || {
                 let plfs = Plfs::new(Arc::new(MemBacking::new()));
                 let fd = plfs
                     .open("/r", OpenFlags::RDWR | OpenFlags::CREAT, 0)
                     .unwrap();
-                for p in 1..writers as u64 {
-                    fd.add_ref(p);
-                }
                 let mut one = [0u8; 1];
                 for c in 0..cycles {
-                    for p in 0..writers as u64 {
-                        fd.append(&chunk, p).unwrap();
+                    for _ in 0..writers {
+                        fd.append(&chunk).unwrap();
                     }
                     plfs.read(&fd, &mut one, (c * chunk.len()) as u64).unwrap();
                 }
@@ -810,30 +815,30 @@ fn storm_profile(d: &plfs::MeterSnapshot) -> simfs::OpenProfile {
     }
 }
 
-/// Writer ranks sharing one process's fd in the checkpoint cycle — the
-/// shape the LDPLFS shim presents: one fd per process, every rank/thread of
-/// the process writing through it with its own pid.
+/// Writer ranks of the checkpoint cycle, each with its own pid and its own
+/// fd on the shared container, as ranks are processes under the LDPLFS
+/// shim.
 const META_CYCLE_RANKS: u64 = 4;
 
-/// One process's checkpoint cycle: open the shared container for write,
-/// every rank appends its block, every rank closes. `base_pid` must be
-/// fresh per cycle — reusing a pid makes the writer's exclusive-create
-/// dropping probe walk every dropping that pid ever left (which is the
-/// realistic shape: storm processes are distinct).
+/// One checkpoint cycle on one mount: every rank opens the shared
+/// container for write, every rank writes its block, every rank closes.
+/// `base_pid` must be fresh per cycle — reusing a pid makes the writer's
+/// exclusive-create dropping probe walk every dropping that pid ever left
+/// (which is the realistic shape: storm processes are distinct).
 fn meta_cycle(p: &plfs::Plfs, base_pid: u64) {
     use plfs::OpenFlags;
-    let fd = p
-        .open("/storm", OpenFlags::RDWR | OpenFlags::CREAT, base_pid)
-        .unwrap();
-    for r in 1..META_CYCLE_RANKS {
-        fd.add_ref(base_pid + r);
+    let pids = base_pid..base_pid + META_CYCLE_RANKS;
+    let fds: Vec<_> = pids
+        .map(|pid| {
+            let fd = p.open("/storm", OpenFlags::RDWR | OpenFlags::CREAT, pid);
+            (pid, fd.unwrap())
+        })
+        .collect();
+    for (r, (pid, fd)) in (0..).zip(&fds) {
+        p.write(fd, &[7u8; 512], 8192 + r * 512, *pid).unwrap();
     }
-    for r in 0..META_CYCLE_RANKS {
-        p.write(&fd, &[7u8; 512], 8192 + r * 512, base_pid + r)
-            .unwrap();
-    }
-    for r in 0..META_CYCLE_RANKS {
-        p.close(&fd, base_pid + r).unwrap();
+    for (pid, fd) in &fds {
+        p.close(fd, *pid).unwrap();
     }
 }
 

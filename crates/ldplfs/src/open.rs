@@ -5,8 +5,8 @@
 //! the mounts, the fd → [`Open`] table with its `dup`/`close` rules, and
 //! one body per container call. [`crate::LdPlfs`] and the `LD_PRELOAD`
 //! library both call it; what differs between them is only where a
-//! reserved fd comes from, where a cursor lives and which pid PLFS writes
-//! under, and each caller hands those in. Nothing here calls libc.
+//! reserved fd comes from, where a cursor lives and which pid an open
+//! writes under, and each caller hands those in. Nothing here calls libc.
 //!
 //! The cursor is an atomic in storage the caller owns ([`Cursor`]), not
 //! the reserved fd's file offset: a call on a container makes no call on
@@ -36,6 +36,13 @@ pub struct ShimMount {
 pub trait Cursor: Send + Sync {
     /// The offset, one for every fd of the open.
     fn offset(&self) -> &AtomicU64;
+}
+
+/// A caller that keeps nothing with an open but its cursor.
+impl Cursor for AtomicU64 {
+    fn offset(&self) -> &AtomicU64 {
+        self
+    }
 }
 
 /// A path inside a mount: the mount's index and the mount-relative path.
@@ -91,10 +98,10 @@ impl<C: Cursor> Open<C> {
 
     /// `write(2)`. With `O_APPEND`, PLFS resolves EOF and writes in one
     /// step, so concurrent appenders cannot clobber each other.
-    pub fn write(&self, buf: &[u8], pid: u64) -> PosixResult<usize> {
+    pub fn write(&self, buf: &[u8]) -> PosixResult<usize> {
         self.at_cursor(|off| match self.append {
-            true => self.plfs.append(buf, pid),
-            false => Ok((off, self.plfs.write(buf, off, pid)?)),
+            true => self.plfs.append(buf),
+            false => Ok((off, self.plfs.write(buf, off)?)),
         })
     }
 
@@ -104,8 +111,8 @@ impl<C: Cursor> Open<C> {
     }
 
     /// `pwrite(2)`.
-    pub fn pwrite(&self, buf: &[u8], off: u64, pid: u64) -> PosixResult<usize> {
-        Ok(self.plfs.write(buf, off, pid)?)
+    pub fn pwrite(&self, buf: &[u8], off: u64) -> PosixResult<usize> {
+        Ok(self.plfs.write(buf, off)?)
     }
 
     /// `readv(2)`: one read of the whole range, scattered over `bufs`.
@@ -119,13 +126,13 @@ impl<C: Cursor> Open<C> {
     }
 
     /// `writev(2)`: [`Open::write`] of the gathered buffers.
-    pub fn writev(&self, bufs: &[&[u8]], pid: u64) -> PosixResult<usize> {
-        self.write(&bufs.concat(), pid)
+    pub fn writev(&self, bufs: &[&[u8]]) -> PosixResult<usize> {
+        self.write(&bufs.concat())
     }
 
     /// `pwritev(2)`: [`Open::pwrite`] of the gathered buffers.
-    pub fn pwritev(&self, bufs: &[&[u8]], off: u64, pid: u64) -> PosixResult<usize> {
-        self.pwrite(&bufs.concat(), off, pid)
+    pub fn pwritev(&self, bufs: &[&[u8]], off: u64) -> PosixResult<usize> {
+        self.pwrite(&bufs.concat(), off)
     }
 
     /// `lseek(2)`: the cursor alone, but for `SEEK_END`'s logical size.
@@ -152,14 +159,14 @@ impl<C: Cursor> Open<C> {
     }
 
     /// `fsync(2)` (and `fdatasync`: a container has no distinction to use).
-    pub fn fsync(&self, pid: u64) -> PosixResult<()> {
-        Ok(self.plfs.sync(pid)?)
+    pub fn fsync(&self) -> PosixResult<()> {
+        Ok(self.plfs.sync()?)
     }
 
     /// The PLFS half of closing one fd of the open, after it left the
     /// table: one reference per fd, so a `dup` keeps the open alive.
-    pub fn close(&self, pid: u64) -> PosixResult<()> {
-        self.plfs.close(pid)?;
+    pub fn close(&self) -> PosixResult<()> {
+        self.plfs.close()?;
         Ok(())
     }
 }
@@ -256,7 +263,7 @@ impl<C: Cursor> Dispatcher<C> {
         }
     }
 
-    /// `open(2)` of a container path: the PLFS open, then the fd and
+    /// `open(2)` of a container path: the PLFS open, `pid`'s, then the fd and
     /// per-open state `reserve` makes for it; a failed `reserve` closes the
     /// PLFS open again and is the call's error.
     pub fn open(
@@ -274,7 +281,7 @@ impl<C: Cursor> Dispatcher<C> {
         let (fd, own) = match reserve() {
             Ok(reserved) => reserved,
             Err(e) => {
-                let _ = pfd.close(pid);
+                let _ = pfd.close();
                 return Err(e);
             }
         };
@@ -331,26 +338,25 @@ impl<C: Cursor> Dispatcher<C> {
     }
 
     /// `dup`'s bookkeeping, once the call made `newfd` a copy of `oldfd`:
-    /// `newfd` names `oldfd`'s open (one more PLFS reference, `pid`'s) or,
-    /// if `oldfd` is no container's, nothing. Returns the open `newfd`
-    /// named before, which the caller closes ([`Open::close`]; `dup2`
-    /// reports no error of it). `dup2(fd, fd)` changes nothing.
-    pub fn dup(&self, oldfd: Fd, newfd: Fd, pid: u64) -> Option<Arc<Open<C>>> {
+    /// `newfd` names `oldfd`'s open (one more PLFS reference) or, if
+    /// `oldfd` is no container's, nothing. Returns the open `newfd` named
+    /// before, which the caller closes ([`Open::close`]; `dup2` reports no
+    /// error of it). `dup2(fd, fd)` changes nothing.
+    pub fn dup(&self, oldfd: Fd, newfd: Fd) -> Option<Arc<Open<C>>> {
         if oldfd == newfd {
             return None;
         }
         match self.get(oldfd) {
             Some(open) => {
-                open.plfs.add_ref(pid);
+                open.plfs.add_ref();
                 self.mutate(|t| t.insert(newfd, open))
             }
             None => self.mutate(|t| t.remove(&newfd)),
         }
     }
 
-    /// `ftruncate(2)`: this process's writers of the open are quiesced,
-    /// then the container is truncated by path. A failure of either is the
-    /// call's errno.
+    /// `ftruncate(2)`: the open's writer is quiesced, then the container is
+    /// truncated by path. A failure of either is the call's errno.
     pub fn ftruncate(&self, open: &Open<C>, len: u64) -> PosixResult<()> {
         open.plfs.reset_writers()?;
         Ok(self.plfs(open.mount).trunc(open.path(), len)?)

@@ -15,7 +15,7 @@
 //! descriptor: the cursor is an atomic of the open's, and a `read`, `write`
 //! or `lseek` on a container makes no call on the layer below.
 
-use crate::open::{Cursor, Dispatcher};
+use crate::open::Dispatcher;
 use crate::posix::{Errno, Fd, OpenFlags, PosixDirent, PosixLayer, PosixResult, PosixStat, Whence};
 use iotrace::{Layer, OpEvent, OpKind};
 use parking_lot::Mutex;
@@ -30,7 +30,7 @@ thread_local! {
     static VIRTUAL_PID: Cell<Option<u64>> = const { Cell::new(None) };
 }
 
-/// Override the pid this thread presents to PLFS (real LDPLFS uses
+/// Override the pid this thread's opens write under (real LDPLFS uses
 /// `getpid()`; simulated ranks on threads each set their own).
 pub fn set_virtual_pid(pid: u64) {
     VIRTUAL_PID.with(|c| c.set(Some(pid)));
@@ -41,30 +41,18 @@ pub fn clear_virtual_pid() {
     VIRTUAL_PID.with(|c| c.set(None));
 }
 
-/// The pid PLFS operations run under for this thread.
+/// The pid an open made on this thread writes under.
 pub fn current_pid() -> u64 {
     VIRTUAL_PID
         .with(|c| c.get())
         .unwrap_or(std::process::id() as u64)
 }
 
-/// What `LdPlfs` keeps with an open: its cursor, and the pid that opened
-/// it, whose references every fd of the open holds.
-struct Handle {
-    cursor: AtomicU64,
-    pid: u64,
-}
-
-impl Cursor for Handle {
-    fn offset(&self) -> &AtomicU64 {
-        &self.cursor
-    }
-}
-
 /// The interposing POSIX layer (the `libldplfs` analogue).
 pub struct LdPlfs {
     under: Arc<dyn PosixLayer>,
-    opens: Dispatcher<Handle>,
+    /// What `LdPlfs` keeps with an open is its cursor alone.
+    opens: Dispatcher<AtomicU64>,
     /// The underlying fd every reserved fd duplicates.
     template: Mutex<Fd>,
 }
@@ -223,18 +211,18 @@ impl Drop for LdPlfs {
 impl PosixLayer for LdPlfs {
     on_fd! { self;
         read(fd, buf: &mut [u8]) -> usize: Read => |o| o.read(buf);
-        write(fd, buf: &[u8]) -> usize: Write => |o| o.write(buf, current_pid());
+        write(fd, buf: &[u8]) -> usize: Write => |o| o.write(buf);
         pread(fd, buf: &mut [u8], off: u64) -> usize: Read.offset(off) => |o| o.pread(buf, off);
         pwrite(fd, buf: &[u8], off: u64) -> usize:
-            Write.offset(off) => |o| o.pwrite(buf, off, current_pid());
+            Write.offset(off) => |o| o.pwrite(buf, off);
         readv(fd, bufs: &mut [&mut [u8]]) -> usize: ListRead => |o| o.readv(bufs);
-        writev(fd, bufs: &[&[u8]]) -> usize: ListWrite => |o| o.writev(bufs, current_pid());
+        writev(fd, bufs: &[&[u8]]) -> usize: ListWrite => |o| o.writev(bufs);
         preadv(fd, bufs: &mut [&mut [u8]], off: u64) -> usize:
             ListRead.offset(off) => |o| o.preadv(bufs, off);
         pwritev(fd, bufs: &[&[u8]], off: u64) -> usize:
-            ListWrite.offset(off) => |o| o.pwritev(bufs, off, current_pid());
+            ListWrite.offset(off) => |o| o.pwritev(bufs, off);
         lseek(fd, offset: i64, whence: Whence) -> u64: Seek => |o| o.lseek(offset, whence);
-        fsync(fd) -> (): Sync => |o| o.fsync(current_pid());
+        fsync(fd) -> (): Sync => |o| o.fsync();
         fstat(fd) -> PosixStat: Meta => |o| o.fstat();
         ftruncate(fd, len: u64) -> (): Trunc.bytes(len) => |o| self.opens.ftruncate(&o, len);
     }
@@ -250,16 +238,12 @@ impl PosixLayer for LdPlfs {
     }
 
     fn open(&self, path: &str, flags: OpenFlags, mode: u32) -> PosixResult<Fd> {
-        let pid = current_pid();
-        let reserve = || {
-            let cursor = AtomicU64::new(0);
-            Ok((self.reserve()?, Handle { cursor, pid }))
-        };
+        let reserve = || Ok((self.reserve()?, AtomicU64::new(0)));
         call!(
             self.opens.resolve(path),
             Open,
             |e| e.path(path),
-            |at| self.opens.open(at, flags, pid, reserve),
+            |at| self.opens.open(at, flags, current_pid(), reserve),
             self.under.open(path, flags, mode)
         )
     }
@@ -271,22 +255,22 @@ impl PosixLayer for LdPlfs {
             self.opens.close(fd),
             Close,
             |e| e.fd(fd as i64),
-            |o| o.close(o.own.pid).and(self.under.close(fd)),
+            |o| o.close().and(self.under.close(fd)),
             self.under.close(fd)
         )
     }
 
     fn dup(&self, fd: Fd) -> PosixResult<Fd> {
-        let dup = |pid| {
+        let dup = || {
             let new = self.reserve()?;
-            self.opens.dup(fd, new, pid);
+            self.opens.dup(fd, new);
             Ok(new)
         };
         call!(
             self.opens.get(fd),
             Meta,
             |e| e,
-            |o| dup(o.own.pid),
+            |_o| dup(),
             self.under.dup(fd)
         )
     }
@@ -540,23 +524,33 @@ mod tests {
         assert!(names.contains(&("sub", true)));
     }
 
+    /// Each open writes under the pid of the thread that made it, whatever
+    /// that thread's pid is by the time it writes.
     #[test]
     fn virtual_pids_separate_writers() {
         let s = shim();
-        let fd = s.open("/plfs/f", CREATE_RW, 0o644).unwrap();
-        set_virtual_pid(11);
-        s.pwrite(fd, b"aa", 0).unwrap();
-        set_virtual_pid(22);
-        s.pwrite(fd, b"bb", 2).unwrap();
+        for (pid, data, off) in [(11, b"aa", 0), (22, b"bb", 2)] {
+            set_virtual_pid(pid);
+            let fd = s.open("/plfs/f", CREATE_RW, 0o644).unwrap();
+            set_virtual_pid(33);
+            s.pwrite(fd, data, off).unwrap();
+            s.close(fd).unwrap();
+        }
         clear_virtual_pid();
+        let fd = s.open("/plfs/f", OpenFlags::RDONLY, 0).unwrap();
         let mut buf = [0u8; 4];
         s.pread(fd, &mut buf, 0).unwrap();
         assert_eq!(&buf, b"aabb");
         s.close(fd).unwrap();
-        // Two pids → at least two data droppings.
+        // The creator's pair, and pid 22's: nothing of pid 33's.
         let b = s.mounts()[0].plfs.backing().clone();
         let d = plfs::container::list_droppings(b.as_ref(), "/f").unwrap();
-        assert!(d.len() >= 2, "expected >=2 droppings, got {}", d.len());
+        let data: Vec<_> = d.iter().map(|d| d.data_path.as_str()).collect();
+        assert_eq!(data.len(), 2, "{data:?}");
+        assert!(
+            data.iter().any(|p| p.ends_with("/dropping.data.22.0")),
+            "{data:?}"
+        );
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! [`Plfs`] represents one mounted PLFS file system: a backing store plus
 //! its container metadata cache. Method names and semantics track the C
 //! entry points from the paper's Listing 1 (`plfs_open`, `plfs_read`,
-//! `plfs_write`, …): positional I/O with explicit pids, no cursors — cursor
+//! `plfs_write`, …): positional I/O naming the fd's pid, no cursors — cursor
 //! bookkeeping is exactly what the LDPLFS shim adds on top.
 //!
 //! Paths passed to these methods are *mount-relative* logical paths
@@ -25,6 +25,15 @@ use std::time::Instant;
 fn trace_op<'a>(t0: Option<Instant>, ev: impl FnOnce() -> OpEvent<'a>) {
     if let Some(t0) = t0 {
         iotrace::global().record(t0, ev());
+    }
+}
+
+/// The C API names a pid on every write, sync and close; an fd writes
+/// under one, so any other is a caller's mistake, not a new writer.
+fn owned(fd: &PlfsFd, pid: u64) -> Result<()> {
+    match fd.pid() == pid {
+        true => Ok(()),
+        false => Err(Error::BadMode("pid is not the fd's")),
     }
 }
 
@@ -327,10 +336,11 @@ impl Plfs {
         Ok(())
     }
 
-    /// `plfs_write`: positional write on behalf of `pid`.
+    /// `plfs_write`: positional write; `pid` must be the fd's
+    /// ([`Plfs::open`]'s, or a forked child's).
     pub fn write(&self, fd: &PlfsFd, buf: &[u8], offset: u64, pid: u64) -> Result<usize> {
         let t0 = iotrace::global().start();
-        let r = fd.write(buf, offset, pid);
+        let r = owned(fd, pid).and_then(|()| fd.write(buf, offset));
         trace_op(t0, || {
             OpEvent::new(Layer::Plfs, OpKind::Write)
                 .path(fd.container_path())
@@ -353,19 +363,21 @@ impl Plfs {
         r
     }
 
-    /// `plfs_sync`: flush `pid`'s buffered index and sync droppings.
+    /// `plfs_sync`: flush the fd's buffered index and sync its droppings;
+    /// `pid` must be the fd's.
     pub fn sync(&self, fd: &PlfsFd, pid: u64) -> Result<()> {
         let t0 = iotrace::global().start();
-        let r = fd.sync(pid);
+        let r = owned(fd, pid).and_then(|()| fd.sync());
         trace_op(t0, || {
             OpEvent::new(Layer::Plfs, OpKind::Sync).path(fd.container_path())
         });
         r
     }
 
-    /// `plfs_close`: release one reference; returns remaining refs.
+    /// `plfs_close`: release one reference; returns remaining refs. `pid`
+    /// must be the fd's.
     pub fn close(&self, fd: &PlfsFd, pid: u64) -> Result<u32> {
-        fd.close(pid)
+        owned(fd, pid).and_then(|()| fd.close())
     }
 
     /// `plfs_getattr`: stat a logical path.
@@ -640,14 +652,9 @@ mod tests {
     #[test]
     fn compact_folds_container_and_keeps_getattr_fresh() {
         let p = plfs();
-        let fd = p.open("/f", CREATE_RW, 1).unwrap();
         for pid in [1u64, 2, 3] {
-            if pid != 1 {
-                fd.add_ref(pid);
-            }
+            let fd = p.open("/f", CREATE_RW, pid).unwrap();
             p.write(&fd, &[pid as u8; 10], (pid - 1) * 10, pid).unwrap();
-        }
-        for pid in [1u64, 2, 3] {
             p.close(&fd, pid).unwrap();
         }
         // Warm the fast-stat cache so compact() must invalidate it.
@@ -676,6 +683,25 @@ mod tests {
         p.sync(&fd, 1).unwrap();
         assert!(matches!(p.compact("/f"), Err(Error::InvalidArg(_))));
         p.close(&fd, 1).unwrap();
+    }
+
+    /// Regression: a pid that never opened the fd got a writer of its own,
+    /// which the fd's last close neither synced nor closed, so its bytes
+    /// stayed unindexed until the fd dropped.
+    #[test]
+    fn a_pid_other_than_the_fds_is_bad_mode() {
+        let p = plfs();
+        let fd = p.open("/f", CREATE_RW, 0).unwrap();
+        p.write(&fd, b"zero", 0, 0).unwrap();
+        let listed = || container::list_droppings(p.backing().as_ref(), "/f").unwrap();
+        let before = listed();
+        let bad = |r: Result<_>| matches!(r, Err(Error::BadMode(_)));
+        assert!(bad(p.write(&fd, b"one", 4, 1).map(drop)));
+        assert!(bad(p.sync(&fd, 1)));
+        assert!(bad(p.close(&fd, 1).map(drop)));
+        assert_eq!(listed(), before, "no writer for pid 1");
+        assert_eq!(p.close(&fd, 0).unwrap(), 0);
+        assert_eq!(p.getattr("/f").unwrap().size, 4);
     }
 
     #[test]
@@ -755,12 +781,12 @@ mod tests {
     #[test]
     fn unlink_of_a_container_drops_verdicts_probed_inside_it() {
         let p = plfs();
-        let fd = p.open("/c", CREATE_RW, 1).unwrap();
-        fd.add_ref(2);
-        p.write(&fd, b"x", 0, 1).unwrap(); // the creator's pair
-        p.write(&fd, b"y", 1, 2).unwrap(); // a hostdir's
-        p.close(&fd, 2).unwrap();
-        p.close(&fd, 1).unwrap();
+        for (pid, byte) in [(1, b"x"), (2, b"y")] {
+            // The creator's pair, then a hostdir's.
+            let fd = p.open("/c", CREATE_RW, pid).unwrap();
+            p.write(&fd, byte, pid - 1, pid).unwrap();
+            p.close(&fd, pid).unwrap();
+        }
         let names = p.backing().readdir("/c").unwrap();
         let hostdir = names.iter().find(|n| n.starts_with("hostdir."));
         let inside = join("/c", hostdir.unwrap());

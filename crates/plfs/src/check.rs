@@ -511,18 +511,14 @@ mod tests {
     fn written_container() -> Arc<MemBacking> {
         let backing = Arc::new(MemBacking::new());
         let plfs = Plfs::new(backing.clone());
-        let fd = plfs
-            .open("/c", OpenFlags::RDWR | OpenFlags::CREAT, 0)
-            .unwrap();
         for pid in 0..3u64 {
-            fd.add_ref(pid);
+            let fd = plfs
+                .open("/c", OpenFlags::RDWR | OpenFlags::CREAT, pid)
+                .unwrap();
             plfs.write(&fd, &[pid as u8 + 1; 100], pid * 100, pid)
                 .unwrap();
+            plfs.close(&fd, pid).unwrap();
         }
-        for pid in 0..3 {
-            let _ = plfs.close(&fd, pid);
-        }
-        plfs.close(&fd, 0).unwrap();
         backing
     }
 

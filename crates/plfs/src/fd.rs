@@ -1,118 +1,54 @@
 //! `Plfs_fd`: the open-file state machine.
 //!
-//! Mirrors the C library's `Plfs_fd`: one struct per open logical file,
-//! reference-counted per pid (the ROMIO driver opens once and adds a
-//! reference per rank), holding one [`WriteFile`] per writing pid and a
-//! lazily built, write-invalidated [`ReadFile`].
+//! Mirrors the C library's `Plfs_fd`, which LDPLFS keeps one of per
+//! descriptor it hands out: one struct per open logical file, owned by one
+//! pid — its opener's, or a forked child's once it adopts the open — and
+//! reference-counted (a `dup` adds one). It holds at most one [`WriteFile`],
+//! opened by its first write and closed by its last reference, and a
+//! lazily built, write-invalidated [`ReadFile`]. The ranks of a parallel job
+//! are processes, each with descriptors of its own.
 //!
-//! The write path is concurrent (the write-side twin of the sharded read
-//! path):
-//!
-//! - **Per-pid writer sharding.** The pid → [`WriteFile`] table is split
-//!   over [`WRITER_SHARDS`] id-hashed lock shards, so N ranks writing one
-//!   fd only contend when their pids collide in a shard.
 //! - **O(1) EOF.** A cached atomic max-EOF is bumped on every write, so
 //!   `append()` and `size()` answer without an index merge; the merge (or
 //!   a patch) happens only on actual reads.
 //! - **Read view patched in place.** A readable fd keeps one long-lived
-//!   read view; a post-write read patches it with this process's fresh
+//!   read view; a post-write read patches it with the writer's fresh
 //!   entries — O(k log n), open dropping handles kept — instead of
 //!   re-reading every dropping. Readers share the view lock; only the
 //!   refresh takes it exclusively. A write-only fd has no reads to serve,
-//!   so its writers track nothing.
+//!   so its writer tracks nothing.
 //! - **Own bytes overwritten in place.** On a readable fd, a write the view
-//!   holds as one slice of the pid's own data dropping goes where those
+//!   holds as one slice of the writer's own data dropping goes where those
 //!   bytes lie, under the view lock held exclusively; its index entry is
 //!   logged as any write's, and is already in the view.
 //!
-//! EOF coherence is per-fd, as in the C library: ranks sharing this fd see
-//! each other's appends atomically; a *different* fd (or process) appending
-//! to the same container concurrently is not serialized against this one.
+//! Lock order: the view lock, then the writer lock, then the view's
+//! handle-cache shards. EOF coherence is per-fd, as in the C library:
+//! threads sharing this fd see each other's appends atomically; a
+//! *different* fd (or process) appending to the same container
+//! concurrently is not serialized against this one.
 
 use crate::backing::Backing;
 use crate::container;
 use crate::error::{Error, Result};
 use crate::flags::OpenFlags;
-use crate::index::IndexEntry;
-use crate::meta::{FnvBuild, MetaCache};
+use crate::meta::MetaCache;
 use crate::reader::ReadFile;
 use crate::writer::WriteFile;
 use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// The pid → writer table of one lock shard. Pids are this program's own
-/// numbers, hashed with FNV: no random keys to draw per map.
-type Writers = HashMap<u64, WriteFile, FnvBuild>;
-
-/// One lock shard of the pid → writer table.
-type WriterShard = Mutex<Writers>;
-
-/// Lock shards of the pid → writer table.
-pub const WRITER_SHARDS: usize = 16;
-
-/// Entries of writers that have since closed, still owed to the next
-/// refresh of the read view, keyed by their data-dropping path.
-type Orphans = Vec<(String, Vec<IndexEntry>)>;
-
-/// References per pid. Nearly every open has one pid, whose count is kept
-/// inline: only a second pid makes a map.
-struct Refs {
-    /// A pid and its count; a count of 0 leaves the slot free.
-    first: (u64, u32),
-    more: HashMap<u64, u32, FnvBuild>,
-}
-
-impl Refs {
-    fn one(pid: u64) -> Refs {
-        Refs {
-            first: (pid, 1),
-            more: HashMap::default(),
-        }
-    }
-
-    fn add(&mut self, pid: u64) {
-        if let Some(n) = self.more.get_mut(&pid) {
-            *n += 1;
-        } else if self.first.1 == 0 || self.first.0 == pid {
-            self.first = (pid, self.first.1 + 1);
-        } else {
-            self.more.insert(pid, 1);
-        }
-    }
-
-    /// `pid`'s count, if it holds a reference.
-    fn get_mut(&mut self, pid: u64) -> Option<&mut u32> {
-        if self.first.1 > 0 && self.first.0 == pid {
-            return Some(&mut self.first.1);
-        }
-        self.more.get_mut(&pid)
-    }
-
-    /// Forget `pid`, whose count went to 0.
-    fn remove(&mut self, pid: u64) {
-        if self.first.0 != pid {
-            self.more.remove(&pid);
-        }
-    }
-
-    fn total(&self) -> u32 {
-        self.first.1 + self.more.values().sum::<u32>()
-    }
-}
-
 /// Where `view` holds all of `[offset, offset + len)` as one slice of
-/// `pid`'s current data dropping: that slice's physical offset. Callers
-/// hold the view lock, then `pid`'s shard.
+/// `writer`'s data dropping: that slice's physical offset. Callers hold
+/// the view lock, then the writer lock.
 fn own_slice(
     view: &Option<ReadFile>,
-    shard: &Writers,
+    writer: &Option<WriteFile>,
     offset: u64,
     len: u64,
-    pid: u64,
 ) -> Option<u64> {
-    let (view, writer) = (view.as_ref()?, shard.get(&pid)?);
+    let (view, writer) = (view.as_ref()?, writer.as_ref()?);
     let mut only = None;
     let one = view
         .index()
@@ -142,27 +78,25 @@ pub struct PlfsFd {
     flags: OpenFlags,
     /// Process-wide container metadata cache, shared with the owning
     /// [`crate::api::Plfs`]. The fd keeps its writer counts and fast-stat
-    /// verdicts honest as writers come and go.
+    /// verdicts honest as its writer comes and goes.
     cache: Arc<MetaCache>,
     /// This fd's open made the container and, with it, this data dropping,
-    /// which no writer opened through the fd has taken yet: the first one
-    /// takes it, as its top-level dropping pair.
+    /// which the fd's writer has not taken yet: its first one takes it, as
+    /// its top-level dropping pair.
     creator: Mutex<Option<container::CreatorDropping>>,
-    /// Hostdirs already known to exist, one bit each of the
-    /// [`container::HOSTDIRS`] — `ensure_hostdir` runs once per
-    /// (container, hostdir) instead of once per writer open. Cleared by
-    /// [`PlfsFd::reset_writers`], since truncate removes hostdir trees.
-    hostdirs_ready: AtomicU32,
-    /// Per-pid write streams behind id-hashed lock shards: pids are dense
-    /// (MPI ranks), so the modulus spreads them evenly.
-    shards: [WriterShard; WRITER_SHARDS],
-    refs: Mutex<Refs>,
+    /// The pid the fd writes under: its opener's, or the forked child's
+    /// that adopted it ([`PlfsFd::forked`]).
+    pid: AtomicU64,
+    /// Outstanding references: the open's own and one per
+    /// [`PlfsFd::add_ref`].
+    refs: AtomicU32,
+    /// The fd's write stream, opened by its first write, closed by its
+    /// last reference (or taken away by a truncate).
+    writer: Mutex<Option<WriteFile>>,
     /// The one long-lived read view: built by the first read, patched in
-    /// place by reads after writes, dropped by truncate. Lock order: this,
-    /// then writer shard locks, then the view's handle-cache shards.
+    /// place by reads after writes, dropped by truncate.
     reader: RwLock<Option<ReadFile>>,
-    orphans: Mutex<Orphans>,
-    /// Set on every write; the next read flushes the writers and refreshes
+    /// Set on every write; the next read drains the writer and refreshes
     /// the read view so reads observe this process's own writes
     /// (read-your-writes, as LDPLFS needs for the UNIX-tool use case).
     dirty: AtomicBool,
@@ -176,9 +110,6 @@ pub struct PlfsFd {
     eof: AtomicU64,
     eof_seeded: AtomicBool,
 }
-
-// `hostdirs_ready` holds one bit per hostdir.
-const _: () = assert!(container::HOSTDIRS <= u32::BITS);
 
 impl PlfsFd {
     pub(crate) fn new(
@@ -194,11 +125,10 @@ impl PlfsFd {
             flags,
             cache,
             creator: Mutex::new(None),
-            hostdirs_ready: AtomicU32::new(0),
-            shards: Default::default(),
-            refs: Mutex::new(Refs::one(pid)),
+            pid: AtomicU64::new(pid),
+            refs: AtomicU32::new(1),
+            writer: Mutex::new(None),
             reader: RwLock::new(None),
-            orphans: Mutex::new(Vec::new()),
             dirty: AtomicBool::new(false),
             view_clock: AtomicU64::new(0),
             eof: AtomicU64::new(0),
@@ -223,43 +153,38 @@ impl PlfsFd {
         self.flags
     }
 
-    /// Add a reference for `pid` (another opener sharing this fd).
-    pub fn add_ref(&self, pid: u64) {
-        self.refs.lock().add(pid);
+    /// The pid this fd writes under.
+    pub fn pid(&self) -> u64 {
+        // relaxed: set at open and by an adopting fork child before any other use of the fd there
+        self.pid.load(Ordering::Relaxed)
     }
 
-    /// Total outstanding references across all pids.
-    pub fn ref_count(&self) -> u32 {
-        self.refs.lock().total()
+    /// Add a reference (another descriptor naming this open).
+    pub fn add_ref(&self) {
+        // relaxed: a count; the decrement that takes it to 0 alone closes
+        self.refs.fetch_add(1, Ordering::Relaxed);
     }
 
-    fn shard(&self, pid: u64) -> &WriterShard {
-        &self.shards[pid as usize % WRITER_SHARDS]
-    }
-
-    /// Write `buf` at `offset` on behalf of `pid`. Only `pid`'s shard is
-    /// locked: ranks in distinct shards write concurrently. An overwrite of
-    /// `pid`'s own bytes on a readable fd goes in place
-    /// ([`PlfsFd::overwrite_in_place`]); every other write appends.
-    pub fn write(&self, buf: &[u8], offset: u64, pid: u64) -> Result<usize> {
+    /// Write `buf` at `offset`. An overwrite of the writer's own bytes on a
+    /// readable fd goes in place ([`PlfsFd::overwrite_in_place`]); every
+    /// other write appends.
+    pub fn write(&self, buf: &[u8], offset: u64) -> Result<usize> {
         if !self.flags.writable() {
             return Err(Error::BadMode("file not open for writing"));
         }
-        if self.overwrites_own_bytes(buf, offset, pid)
-            && self.overwrite_in_place(buf, offset, pid)?
-        {
+        if self.overwrites_own_bytes(buf, offset) && self.overwrite_in_place(buf, offset)? {
             return Ok(buf.len());
         }
-        let mut shard = self.shard(pid).lock();
-        // plfs-lint: allow(lock-across-io, "intentional: the per-pid shard lock IS the write path's serialization point — I/O under it blocks only this rank's shard while other ranks write through their own shards")
-        self.write_sharded(&mut shard, buf, offset, pid)
+        let mut writer = self.writer.lock();
+        // plfs-lint: allow(lock-across-io, "intentional: the writer lock IS the write path's serialization point — one stream, one tail")
+        self.write_locked(&mut writer, buf, offset)
     }
 
     /// May `buf` at `offset` go in place: on a readable fd, inside the
-    /// EOF, where the read view holds the whole range as one slice of
-    /// `pid`'s own data dropping? Past the EOF this reads one atomic;
-    /// otherwise it takes the view lock shared, then `pid`'s shard.
-    fn overwrites_own_bytes(&self, buf: &[u8], offset: u64, pid: u64) -> bool {
+    /// EOF, where the read view holds the whole range as one slice of the
+    /// writer's own data dropping? Past the EOF this reads one atomic;
+    /// otherwise it takes the view lock shared, then the writer lock.
+    fn overwrites_own_bytes(&self, buf: &[u8], offset: u64) -> bool {
         let len = buf.len() as u64;
         // relaxed: the EOF cache only rules appends out cheaply; the check under the exclusive view lock decides
         let eof = self.eof.load(Ordering::Relaxed);
@@ -267,12 +192,12 @@ impl PlfsFd {
             return false;
         }
         let view = self.reader.read();
-        own_slice(&view, &self.shard(pid).lock(), offset, len, pid).is_some()
+        own_slice(&view, &self.writer.lock(), offset, len).is_some()
     }
 
-    /// Overwrite `pid`'s own bytes where they lie, if the range still
-    /// qualifies once the view lock is held exclusively, then `pid`'s
-    /// shard: no reader of this fd is inside the range while its bytes
+    /// Overwrite the writer's own bytes where they lie, if the range still
+    /// qualifies once the view lock is held exclusively, then the writer
+    /// lock: no reader of this fd is inside the range while its bytes
     /// change, so none sees a torn block. The index entry is logged with a
     /// fresh stamp, as an appended write's is. It is already in the view
     /// (it maps the range where the view has it) when it took the first
@@ -280,13 +205,13 @@ impl PlfsFd {
     /// view; otherwise the fd turns dirty and the next read patches it in,
     /// in stamp order. Returns false, having written nothing, when the
     /// range no longer qualifies.
-    fn overwrite_in_place(&self, buf: &[u8], offset: u64, pid: u64) -> Result<bool> {
+    fn overwrite_in_place(&self, buf: &[u8], offset: u64) -> Result<bool> {
         let view = self.reader.write();
-        let mut shard = self.shard(pid).lock();
-        let Some(physical) = own_slice(&view, &shard, offset, buf.len() as u64, pid) else {
+        let mut writer = self.writer.lock();
+        let Some(physical) = own_slice(&view, &writer, offset, buf.len() as u64) else {
             return Ok(false);
         };
-        let w = shard.get_mut(&pid).expect("own_slice found pid's writer");
+        let w = writer.as_mut().expect("own_slice found the writer");
         // relaxed: a flag raised concurrently belongs to a write stamped after the view clock, so this write's stamp cannot match it anyway
         let dirty = self.dirty.load(Ordering::Relaxed);
         // relaxed: only touched under the exclusive view lock held here
@@ -297,31 +222,31 @@ impl PlfsFd {
         if w.overwrite_in_place(buf, offset, physical, clock)? {
             self.view_clock.store(clock + 1, Ordering::Relaxed); // relaxed: under the exclusive view lock
         } else {
-            self.dirty.store(true, Ordering::Relaxed); // relaxed: same flag-only role as in write_sharded
+            self.dirty.store(true, Ordering::Relaxed); // relaxed: same flag-only role as in write_locked
         }
         Ok(true)
     }
 
-    /// Atomically resolve the current EOF and write `buf` there on behalf
-    /// of `pid` (the `O_APPEND` contract). Returns `(offset, written)`.
+    /// Atomically resolve the current EOF and write `buf` there (the
+    /// `O_APPEND` contract). Returns `(offset, written)`.
     ///
     /// The fast path: a `fetch_add` on the cached EOF reserves a disjoint
     /// `[offset, offset + len)` slot for this append, so concurrent
     /// appenders never overlap and no index merge runs — traced as
     /// `append_fastpath`. The EOF cache is seeded once per fd from the
     /// container's on-disk index.
-    pub fn append(&self, buf: &[u8], pid: u64) -> Result<(u64, usize)> {
+    pub fn append(&self, buf: &[u8]) -> Result<(u64, usize)> {
         if !self.flags.writable() {
             return Err(Error::BadMode("file not open for writing"));
         }
         self.ensure_eof_seeded()?;
         let t0 = iotrace::global().start();
-        // relaxed: only the atomicity of the add matters: it reserves a disjoint [offset, offset+len) slot; the data itself is published under the writer shard lock
+        // relaxed: only the atomicity of the add matters: it reserves a disjoint [offset, offset+len) slot; the data itself is published under the writer lock
         let offset = self.eof.fetch_add(buf.len() as u64, Ordering::Relaxed);
         let n = {
-            let mut shard = self.shard(pid).lock();
-            // plfs-lint: allow(lock-across-io, "intentional: append lands the reserved slot through the same per-pid shard serialization as write; only this rank's shard blocks")
-            self.write_sharded(&mut shard, buf, offset, pid)?
+            let mut writer = self.writer.lock();
+            // plfs-lint: allow(lock-across-io, "intentional: append lands the reserved slot through the same writer-lock serialization as write")
+            self.write_locked(&mut writer, buf, offset)?
         };
         if let Some(t0) = t0 {
             iotrace::global().record(
@@ -335,62 +260,55 @@ impl PlfsFd {
         Ok((offset, n))
     }
 
-    fn write_sharded(
+    fn write_locked(
         &self,
-        shard: &mut Writers,
+        writer: &mut Option<WriteFile>,
         buf: &[u8],
         offset: u64,
-        pid: u64,
     ) -> Result<usize> {
         if buf.is_empty() {
             // POSIX: a zero-length write changes nothing — in particular
             // not the EOF, which `offset + 0` below would have raised.
             return Ok(0);
         }
-        if let std::collections::hash_map::Entry::Vacant(e) = shard.entry(pid) {
-            // The creator's first writer, and only that one: whatever else
-            // happens to this fd (a failed open, a truncate) the rest get
-            // hostdir pairs.
-            let top_level = self.creator.lock().take();
-            if top_level.is_none() {
-                self.ensure_hostdir_once(pid)?;
-            }
-            let mut w = WriteFile::open_prepared(
-                self.backing.as_ref(),
-                &self.container,
-                pid,
-                crate::writer::DEFAULT_INDEX_BUFFER_ENTRIES,
-                self.flags.readable(),
-                top_level.map(|d| (d, Arc::clone(&self.backing))),
-            )?;
-            self.note_writer_open(&mut w)?;
-            e.insert(w);
-        }
-        let n = shard.get_mut(&pid).unwrap().write(buf, offset)?;
+        let w = match writer {
+            Some(w) => w,
+            None => writer.insert(self.open_writer()?),
+        };
+        let n = w.write(buf, offset)?;
         // relaxed: EOF cache is a monotonic high-water mark; readers that miss this max re-derive EOF from the merged index
         self.eof.fetch_max(offset + n as u64, Ordering::Relaxed);
-        self.dirty.store(true, Ordering::Relaxed); // relaxed: flag only schedules a reader refresh; index data is published by the shard lock release
+        self.dirty.store(true, Ordering::Relaxed); // relaxed: flag only schedules a reader refresh; index data is published by the writer lock release
         Ok(n)
     }
 
-    /// Run `ensure_hostdir` for `pid`'s hostdir at most once per fd: after
-    /// the first writer lands there, the mkdir is pure metadata overhead
-    /// on every later writer open.
-    fn ensure_hostdir_once(&self, pid: u64) -> Result<()> {
-        let bit = 1 << container::hostdir_for_pid(pid, container::HOSTDIRS);
-        // relaxed: a missed bit costs one mkdir that answers EEXIST
-        if self.hostdirs_ready.load(Ordering::Relaxed) & bit != 0 {
-            return Ok(());
+    /// Open the fd's writer: the creator's top-level pair if this fd's open
+    /// made the container and no writer of the fd took it yet — whatever
+    /// else happens to the fd (a failed open, a truncate), later writers
+    /// get hostdir pairs — else a pair in the pid's hostdir, made if need
+    /// be.
+    fn open_writer(&self) -> Result<WriteFile> {
+        let pid = self.pid();
+        let top_level = self.creator.lock().take();
+        if top_level.is_none() {
+            container::ensure_hostdir(self.backing.as_ref(), &self.container, pid)?;
         }
-        container::ensure_hostdir(self.backing.as_ref(), &self.container, pid)?;
-        self.hostdirs_ready.fetch_or(bit, Ordering::Relaxed); // relaxed: same as the load
-        Ok(())
+        let mut w = WriteFile::open_prepared(
+            self.backing.as_ref(),
+            &self.container,
+            pid,
+            crate::writer::DEFAULT_INDEX_BUFFER_ENTRIES,
+            self.flags.readable(),
+            top_level.map(|d| (d, Arc::clone(&self.backing))),
+        )?;
+        self.note_writer_open(&mut w)?;
+        Ok(w)
     }
 
     /// Record a new writer: place the open marker of its dropping pair —
-    /// one per pair, so every fd and pid keeps its own, visible to any
-    /// process listing the container; a top-level pair's index dropping
-    /// already is one — and bump the cached writer count.
+    /// one per pair, so every fd keeps its own, visible to any process
+    /// listing the container; a top-level pair's index dropping already is
+    /// one — and bump the cached writer count.
     fn note_writer_open(&self, w: &mut WriteFile) -> Result<()> {
         if !w.top_level() {
             let t0 = iotrace::global().start();
@@ -440,7 +358,7 @@ impl PlfsFd {
             }
         }
         let mut guard = self.reader.write();
-        // plfs-lint: allow(lock-across-io, "intentional: the view lock must be held exclusively while the view is built or patched — racing refreshers would flush and merge the same shards twice, and readers must not see a half-patched index; same latch rationale as ensure_eof_seeded")
+        // plfs-lint: allow(lock-across-io, "intentional: the view lock must be held exclusively while the view is built or patched — racing refreshers would flush and merge the same writer twice, and readers must not see a half-patched index; same latch rationale as ensure_eof_seeded")
         self.refresh_reader(&mut guard)?;
         Ok(View(RwLockWriteGuard::downgrade(guard)))
     }
@@ -455,28 +373,31 @@ impl PlfsFd {
     /// the view lock exclusively: leaves a current view in `view`.
     ///
     /// A dirty readable fd with a view patches it in place with the entries
-    /// its writers hold (traced as `index_patch`) — nothing in that arm
+    /// its writer holds (traced as `index_patch`) — nothing in that arm
     /// touches the backing store, so it cannot fail. Otherwise the full
     /// merge runs — every dropping's index is read and merged, the
     /// index-merge step of the paper — traced as `index_merge`.
     fn refresh_reader(&self, view: &mut Option<ReadFile>) -> Result<()> {
-        // Read ahead of the drain: every stamp below it was taken under a
-        // shard lock the drain takes after it, so its entry is in the view.
+        // Read ahead of the drain: every stamp below it was taken under the
+        // writer lock the drain takes after it, so its entry is in the view.
         let clock = crate::index::write_clock();
-        // relaxed: the swap needs atomicity only (exactly one refresher); banked entries are read under the shard locks taken below
+        // relaxed: the swap needs atomicity only (exactly one refresher); the writer's entries are read under the writer lock taken below
         if self.dirty.swap(false, Ordering::Relaxed) {
             match view.as_mut().filter(|_| self.flags.readable()) {
                 Some(v) => {
                     // Valid because the write clock steps past every view
                     // it builds: `fresh` is stamped after everything
                     // merged, the order `GlobalIndex::insert` requires.
-                    let fresh = self.drain_writers();
+                    let fresh = self.writer.lock().as_mut().map(|w| {
+                        let ents = w.take_unmerged();
+                        (w.data_path().to_string(), ents)
+                    });
                     // Dirty with nothing owed (a racing refresh already
-                    // drained the write that set the flag): the view is
-                    // current.
-                    if !fresh.is_empty() {
+                    // drained the write that set the flag, or the writer
+                    // left): the view is current.
+                    if let Some(fresh) = fresh.filter(|(_, ents)| !ents.is_empty()) {
                         let t0 = iotrace::global().start();
-                        let patched_bytes = v.patch(fresh);
+                        let patched_bytes = v.patch(vec![fresh]);
                         if let Some(t0) = t0 {
                             iotrace::global().record(
                                 t0,
@@ -490,14 +411,13 @@ impl PlfsFd {
                         }
                     }
                 }
-                // No view to patch, or a write-only fd's (its writers track
+                // No view to patch, or a write-only fd's (its writer tracks
                 // nothing): rebuild from the backing store.
                 None => {
                     *view = None;
-                    if let Err(e) = self.flush_writers() {
-                        // Some writers are flushed and forgotten, others
-                        // not: the next read must try the rebuild again.
-                        self.dirty.store(true, Ordering::Relaxed); // relaxed: under the exclusive view lock; same flag-only role as in write_sharded
+                    if let Err(e) = self.flush_writer() {
+                        // The next read must try the rebuild again.
+                        self.dirty.store(true, Ordering::Relaxed); // relaxed: under the exclusive view lock; same flag-only role as in write_locked
                         return Err(e);
                     }
                 }
@@ -527,38 +447,14 @@ impl PlfsFd {
         Ok(())
     }
 
-    /// Collect the entries the read view has not seen: closed writers'
-    /// banked ones and every live writer's since its last drain. Their
-    /// bytes are already on the backing store.
-    fn drain_writers(&self) -> Orphans {
-        let mut fresh = Orphans::new();
-        for shard in &self.shards {
-            for w in shard.lock().values_mut() {
-                let ents = w.take_unmerged();
-                if !ents.is_empty() {
-                    fresh.push((w.data_path().to_string(), ents));
-                }
-            }
-        }
-        // After the shards: a writer closed behind the walk banked its
-        // entries here before it left its shard.
-        fresh.append(&mut self.orphans.lock());
-        fresh
-    }
-
-    /// Ahead of a rebuild: put every writer's index records on the backing
+    /// Ahead of a rebuild: put the writer's index records on the backing
     /// store, where the merge reads them, and forget the copies a patch
     /// would have used.
-    fn flush_writers(&self) -> Result<()> {
-        for shard in &self.shards {
-            for w in shard.lock().values_mut() {
-                w.flush_index()?;
-                w.take_unmerged();
-            }
+    fn flush_writer(&self) -> Result<()> {
+        if let Some(w) = self.writer.lock().as_mut() {
+            w.flush_index()?;
+            w.take_unmerged();
         }
-        // After the shards: a writer closed behind the walk banked its
-        // entries with their records already on the backing store.
-        self.orphans.lock().clear();
         Ok(())
     }
 
@@ -596,51 +492,45 @@ impl PlfsFd {
         Ok(())
     }
 
-    /// Flush `pid`'s buffers and sync its droppings.
-    pub fn sync(&self, pid: u64) -> Result<()> {
-        let mut shard = self.shard(pid).lock();
-        if let Some(w) = shard.get_mut(&pid) {
-            w.sync()?;
+    /// Flush the writer's buffers and sync its droppings.
+    pub fn sync(&self) -> Result<()> {
+        match self.writer.lock().as_mut() {
+            Some(w) => w.sync(),
+            None => Ok(()),
         }
-        Ok(())
     }
 
-    /// Write every writer's buffered index records to the backing store,
+    /// Write the writer's buffered index records to the backing store,
     /// syncing nothing: what a process does ahead of a `fork`, so that the
-    /// child — which drops its copies of the writers ([`PlfsFd::forked`])
-    /// — reads every byte written before it.
+    /// child — which drops its copy of the writer ([`PlfsFd::forked`]) —
+    /// reads every byte written before it.
     pub fn flush_index(&self) -> Result<()> {
-        for shard in &self.shards {
-            for w in shard.lock().values_mut() {
-                w.flush_index()?;
-            }
+        match self.writer.lock().as_mut() {
+            Some(w) => w.flush_index(),
+            None => Ok(()),
         }
-        Ok(())
     }
 
-    /// In a forked child, whose pid is `pid`: every reference this fd holds
-    /// becomes `pid`'s, and every writer is the parent's — dropped without
-    /// writing a record (they are the parent's to write, and
-    /// [`PlfsFd::flush_index`] wrote them at the fork), what the read view
-    /// has not seen of them banked for its next refresh. The child's own
-    /// writes open droppings of their own under `pid`.
+    /// In a forked child, whose pid is `pid`: the fd becomes `pid`'s, and
+    /// its writer is the parent's — dropped without writing a record (they
+    /// are the parent's to write, and [`PlfsFd::flush_index`] wrote them at
+    /// the fork). A read view that has not seen all of that writer's
+    /// entries goes with it, for the next read to rebuild from those
+    /// records. The child's own writes open droppings of their own under
+    /// `pid`.
     pub fn forked(&self, pid: u64) {
-        let mut refs = self.refs.lock();
-        *refs = Refs {
-            first: (pid, refs.total()),
-            more: HashMap::default(),
-        };
+        let mut view = self.reader.write();
+        // relaxed: see pid
+        self.pid.store(pid, Ordering::Relaxed);
         // The creator's dropping is the parent's, for its first writer.
         drop(self.creator.lock().take());
-        for shard in &self.shards {
-            for (_, mut w) in shard.lock().drain() {
-                let ents = w.take_unmerged();
-                if self.flags.readable() && !ents.is_empty() {
-                    self.orphans.lock().push((w.data_path().to_string(), ents));
-                }
-                self.cache.writer_dec(&self.container);
-                w.abandon();
+        let writer = self.writer.lock().take();
+        if let Some(mut w) = writer {
+            if !w.take_unmerged().is_empty() {
+                *view = None;
             }
+            self.cache.writer_dec(&self.container);
+            w.abandon();
         }
     }
 
@@ -652,106 +542,79 @@ impl PlfsFd {
         Ok(self.eof.load(Ordering::Relaxed))
     }
 
-    /// Flush and drop every pid's write stream. The next write per pid
-    /// reopens a fresh dropping pair. Used by truncate-while-open: after the
-    /// container is rewritten, stale writer handles must not keep appending
-    /// to unlinked droppings, and the cached EOF must be re-seeded from the
-    /// rewritten container.
+    /// Flush and drop the write stream; the next write opens a fresh
+    /// dropping pair. Used by truncate-while-open: after the container is
+    /// rewritten, a stale writer must not keep appending to unlinked
+    /// droppings, and the cached EOF must be re-seeded from the rewritten
+    /// container.
     pub fn reset_writers(&self) -> Result<()> {
         // An untaken creator's dropping closes as a writer that wrote
         // nothing; the truncate that follows removes it with the rest.
         self.release_creator()?;
         let mut guard = self.reader.write();
-        for shard in self.shards.iter() {
-            let writers = std::mem::take(&mut *shard.lock());
-            for (pid, mut w) in writers {
-                w.sync()?;
-                self.cache.writer_dec(&self.container);
-                if w.top_level() {
-                    // Its marker is also its index: closed by rename, for
-                    // the truncate that follows to remove with the rest.
-                    w.truncated();
-                    // plfs-lint: allow(lock-across-io, "intentional quiesce: truncate holds the reader lock while tearing down writers so no refresh observes a half-reset fd")
-                    w.close_names(self.backing.as_ref(), &self.container)?;
-                } else {
-                    // plfs-lint: allow(lock-across-io, "intentional quiesce: same section as close_names above")
-                    container::mark_closed(self.backing.as_ref(), &self.container, pid, w.seq)?;
-                }
+        let writer = self.writer.lock().take();
+        if let Some(mut w) = writer {
+            w.sync()?;
+            self.cache.writer_dec(&self.container);
+            if w.top_level() {
+                // Its marker is also its index: closed by rename, for the
+                // truncate that follows to remove with the rest.
+                w.truncated();
+                // plfs-lint: allow(lock-across-io, "intentional quiesce: truncate holds the reader lock while tearing down the writer so no refresh observes a half-reset fd")
+                w.close_names(self.backing.as_ref(), &self.container)?;
+            } else {
+                // plfs-lint: allow(lock-across-io, "intentional quiesce: same section as close_names above")
+                container::mark_closed(self.backing.as_ref(), &self.container, w.pid(), w.seq)?;
             }
         }
-        // Truncate removes hostdir trees: forget what existed.
-        self.hostdirs_ready.store(0, Ordering::Relaxed); // relaxed: same quiesced section as below
-        self.orphans.lock().clear();
         *guard = None;
-        // relaxed: truncate path: callers quiesced all writers via reset_writers' shard locks
+        // relaxed: truncate path: the writer is gone and the view lock is held exclusively
         self.dirty.store(false, Ordering::Relaxed);
         self.eof.store(0, Ordering::Relaxed); // relaxed: same quiesced section
         self.eof_seeded.store(false, Ordering::Relaxed); // relaxed: same quiesced section
         Ok(())
     }
 
-    /// Drop one reference for `pid`; when the pid's last reference goes,
-    /// its writer is flushed and its open marker becomes the metadata drop
-    /// fast stat reads, and when the fd's last goes, a creator's dropping
-    /// no writer took gets its empty closed index. Returns remaining
-    /// references across all pids (the C `plfs_close` contract).
-    pub fn close(&self, pid: u64) -> Result<u32> {
-        let mut refs = self.refs.lock();
-        let remaining_for_pid = {
-            let r = refs
-                .get_mut(pid)
-                .ok_or(Error::BadMode("close of pid that never opened"))?;
-            *r = r.saturating_sub(1);
-            *r
-        };
-        if remaining_for_pid == 0 {
-            refs.remove(pid);
-            // Taken before the closed name is published: a local
-            // invalidation after it wins over what the close installs.
-            let generation = self.cache.begin_fill(&self.container);
-            let writer = {
-                let mut shard = self.shard(pid).lock();
-                let mut writer = shard.remove(&pid);
-                if let Some(w) = &mut writer {
-                    // Synced, then the entries not yet folded into the read
-                    // view banked for its next refresh, under the shard
-                    // lock: a refresh finds them in the writer, or among the
-                    // orphans with their records on the backing store.
-                    // plfs-lint: allow(lock-across-io, "intentional: the writer is leaving its shard; only a refresh, which must not see it half gone, waits on this lock")
-                    w.sync_at_close()?;
-                    let ents = w.take_unmerged();
-                    if !ents.is_empty() {
-                        self.orphans.lock().push((w.data_path().to_string(), ents));
-                        self.dirty.store(true, Ordering::Relaxed); // relaxed: same flag-only role as in write_sharded
-                    }
+    /// Drop one reference. The last one closes the writer — flushed, its
+    /// open marker turned into the metadata drop fast stat reads — and
+    /// gives a creator's dropping no writer took its empty closed index.
+    /// Returns the references left (the C `plfs_close` contract).
+    pub fn close(&self) -> Result<u32> {
+        let refs = self
+            .refs
+            // relaxed: the count alone; the one decrement that reaches 0 closes
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1));
+        let left = refs.map_err(|_| Error::BadMode("close of an fd with no references"))? - 1;
+        if left > 0 {
+            return Ok(left);
+        }
+        // Taken before the closed name is published: a local invalidation
+        // after it wins over what the close installs.
+        let generation = self.cache.begin_fill(&self.container);
+        let writer = self.writer.lock().take();
+        if let Some(mut w) = writer {
+            w.sync_at_close()?;
+            // A view that has not seen all of the writer is rebuilt by a
+            // read after the close, from the records just synced.
+            if !w.take_unmerged().is_empty() {
+                *self.reader.write() = None;
+            }
+            let last = self.cache.writer_dec(&self.container) == 0;
+            let t0 = iotrace::global().start();
+            let named = w.close_names(self.backing.as_ref(), &self.container)?;
+            self.trace_marker(t0);
+            match named.filter(|_| last) {
+                Some(closed) if self.alone_in_container() => {
+                    self.install_closed(generation, closed)
                 }
-                writer
-            };
-            if let Some(mut w) = writer {
-                let last = self.cache.writer_dec(&self.container) == 0;
-                let t0 = iotrace::global().start();
-                // plfs-lint: allow(lock-across-io, "intentional: last-reference teardown must be serialized; refs is close-path bookkeeping, never taken on the data plane")
-                let named = w.close_names(self.backing.as_ref(), &self.container)?;
-                self.trace_marker(t0);
-                match named.filter(|_| last) {
-                    // plfs-lint: allow(lock-across-io, "intentional: same teardown section; one stat of the container")
-                    Some(closed) if self.alone_in_container() => {
-                        self.install_closed(generation, closed)
-                    }
-                    // The meta drop just changed the fast-stat answer; keep
-                    // the exists/container verdicts.
-                    _ => self.cache.clear_meta(&self.container),
-                }
+                // The meta drop just changed the fast-stat answer; keep
+                // the exists/container verdicts.
+                _ => self.cache.clear_meta(&self.container),
             }
         }
-        let remaining = refs.total();
-        drop(refs);
-        if remaining == 0 {
-            self.release_creator()?;
-        }
-        Ok(remaining)
+        self.release_creator()?;
+        Ok(0)
     }
-
     /// Is the closing creator's pair alone in the container, as far as a
     /// writer goes? Every other writer writes into a `hostdir.N/`, which its
     /// first write makes before it places its open marker: a backing that
@@ -807,6 +670,7 @@ mod tests {
     use super::*;
     use crate::backing::MemBacking;
     use crate::container::create_container;
+    use crate::index::IndexEntry;
 
     /// A metadata cache for an fd built without a mount.
     fn cache() -> Arc<MetaCache> {
@@ -829,12 +693,12 @@ mod tests {
     #[test]
     fn read_your_own_writes() {
         let (_b, fd) = open_fd(OpenFlags::RDWR);
-        fd.write(b"hello", 0, 100).unwrap();
+        fd.write(b"hello", 0).unwrap();
         let mut buf = [0u8; 5];
         assert_eq!(fd.read(&mut buf, 0).unwrap(), 5);
         assert_eq!(&buf, b"hello");
         // And writes after a read invalidate the cached reader.
-        fd.write(b"HELLO", 0, 100).unwrap();
+        fd.write(b"HELLO", 0).unwrap();
         fd.read(&mut buf, 0).unwrap();
         assert_eq!(&buf, b"HELLO");
     }
@@ -842,40 +706,44 @@ mod tests {
     #[test]
     fn write_on_readonly_fd_fails() {
         let (_b, fd) = open_fd(OpenFlags::RDONLY);
-        assert!(matches!(fd.write(b"x", 0, 100), Err(Error::BadMode(_))));
+        assert!(matches!(fd.write(b"x", 0), Err(Error::BadMode(_))));
     }
 
     #[test]
     fn read_on_writeonly_fd_fails() {
         let (_b, fd) = open_fd(OpenFlags::WRONLY);
-        fd.write(b"x", 0, 100).unwrap();
+        fd.write(b"x", 0).unwrap();
         let mut buf = [0u8; 1];
         assert!(matches!(fd.read(&mut buf, 0), Err(Error::BadMode(_))));
     }
 
     #[test]
     fn refcounting_matches_c_contract() {
-        let (_b, fd) = open_fd(OpenFlags::RDWR);
-        fd.add_ref(200);
-        fd.add_ref(100);
-        assert_eq!(fd.ref_count(), 3);
-        assert_eq!(fd.close(100).unwrap(), 2);
-        assert_eq!(fd.close(200).unwrap(), 1);
-        assert_eq!(fd.close(100).unwrap(), 0);
+        let (b, fd) = open_fd(OpenFlags::RDWR);
+        fd.add_ref();
+        fd.add_ref();
+        fd.write(b"abc", 0).unwrap();
+        assert_eq!(fd.close().unwrap(), 2);
+        assert_eq!(fd.close().unwrap(), 1);
+        // The writer stays open until the last reference goes.
+        assert_eq!(container::open_writers(b.as_ref(), "/f").unwrap(), 1);
+        assert_eq!(fd.close().unwrap(), 0);
+        assert_eq!(container::open_writers(b.as_ref(), "/f").unwrap(), 0);
     }
 
     #[test]
-    fn close_of_unknown_pid_is_error() {
+    fn close_past_the_last_reference_is_error() {
         let (_b, fd) = open_fd(OpenFlags::RDWR);
-        assert!(fd.close(42).is_err());
+        assert_eq!(fd.close().unwrap(), 0);
+        assert!(matches!(fd.close(), Err(Error::BadMode(_))));
     }
 
     #[test]
     fn close_drops_meta_and_open_marker() {
         let (b, fd) = open_fd(OpenFlags::RDWR);
-        fd.write(b"0123456789", 0, 100).unwrap();
+        fd.write(b"0123456789", 0).unwrap();
         assert_eq!(container::open_writers(b.as_ref(), "/f").unwrap(), 1);
-        fd.close(100).unwrap();
+        fd.close().unwrap();
         assert_eq!(container::open_writers(b.as_ref(), "/f").unwrap(), 0);
         assert_eq!(
             container::read_lifecycle(b.as_ref(), "/f").unwrap().1,
@@ -885,12 +753,16 @@ mod tests {
 
     #[test]
     fn multiple_pids_write_distinct_droppings() {
-        let (b, fd) = open_fd(OpenFlags::RDWR);
-        fd.add_ref(200);
-        fd.write(b"aa", 0, 100).unwrap();
-        fd.write(b"bb", 2, 200).unwrap();
+        let b: Arc<dyn Backing> = Arc::new(MemBacking::new());
+        create_container(b.as_ref(), "/f", true).unwrap();
+        let open = |flags, pid| PlfsFd::new(b.clone(), "/f".to_string(), flags, cache(), pid);
+        for (pid, data, off) in [(100, b"aa", 0), (200, b"bb", 2)] {
+            let fd = open(OpenFlags::WRONLY, pid);
+            fd.write(data, off).unwrap();
+            fd.close().unwrap();
+        }
         let mut buf = [0u8; 4];
-        fd.read(&mut buf, 0).unwrap();
+        open(OpenFlags::RDONLY, 1).read(&mut buf, 0).unwrap();
         assert_eq!(&buf, b"aabb");
         let d = container::list_droppings(b.as_ref(), "/f").unwrap();
         assert_eq!(d.len(), 2);
@@ -900,7 +772,7 @@ mod tests {
     fn size_tracks_writes() {
         let (_b, fd) = open_fd(OpenFlags::RDWR);
         assert_eq!(fd.size().unwrap(), 0);
-        fd.write(b"xyz", 100, 100).unwrap();
+        fd.write(b"xyz", 100).unwrap();
         assert_eq!(fd.size().unwrap(), 103);
     }
 
@@ -912,8 +784,8 @@ mod tests {
         create_container(b.as_ref(), "/f", true).unwrap();
         let open = |flags| PlfsFd::new(b.clone(), "/f".to_string(), flags, cache(), 7);
         let w = open(OpenFlags::RDWR);
-        w.write(b"0123456789", 0, 7).unwrap();
-        w.close(7).unwrap();
+        w.write(b"0123456789", 0).unwrap();
+        w.close().unwrap();
 
         let cost_of = |fd: &PlfsFd| {
             let before = metered.snapshot();
@@ -941,10 +813,10 @@ mod tests {
     #[test]
     fn append_lands_at_current_eof() {
         let (_b, fd) = open_fd(OpenFlags::RDWR);
-        fd.write(b"head", 0, 100).unwrap();
-        let (off, n) = fd.append(b"tail", 100).unwrap();
+        fd.write(b"head", 0).unwrap();
+        let (off, n) = fd.append(b"tail").unwrap();
         assert_eq!((off, n), (4, 4));
-        let (off, n) = fd.append(b"!", 100).unwrap();
+        let (off, n) = fd.append(b"!").unwrap();
         assert_eq!((off, n), (8, 1));
         let mut buf = [0u8; 9];
         fd.read(&mut buf, 0).unwrap();
@@ -957,13 +829,13 @@ mod tests {
         create_container(b.as_ref(), "/f", true).unwrap();
         {
             let fd = PlfsFd::new(b.clone(), "/f".to_string(), OpenFlags::RDWR, cache(), 100);
-            fd.write(b"0123456789", 0, 100).unwrap();
-            fd.close(100).unwrap();
+            fd.write(b"0123456789", 0).unwrap();
+            fd.close().unwrap();
         }
         // Fresh fd: the EOF cache must seed from the container, not zero.
         let fd = PlfsFd::new(b.clone(), "/f".to_string(), OpenFlags::RDWR, cache(), 200);
         assert_eq!(fd.size().unwrap(), 10);
-        let (off, n) = fd.append(b"xy", 200).unwrap();
+        let (off, n) = fd.append(b"xy").unwrap();
         assert_eq!((off, n), (10, 2));
         let mut buf = [0u8; 12];
         fd.read(&mut buf, 0).unwrap();
@@ -973,26 +845,23 @@ mod tests {
     #[test]
     fn concurrent_appends_never_overlap() {
         let (_b, fd) = open_fd(OpenFlags::RDWR);
-        const THREADS: u64 = 4;
+        const THREADS: u8 = 4;
         const PER_THREAD: usize = 25;
         std::thread::scope(|s| {
             for t in 0..THREADS {
                 let fd = fd.clone();
                 s.spawn(move || {
-                    fd.add_ref(1000 + t);
                     for _ in 0..PER_THREAD {
-                        fd.append(&[b'a' + t as u8; 8], 1000 + t).unwrap();
+                        fd.append(&[b'a' + t; 8]).unwrap();
                     }
                 });
             }
         });
         // Every append reserved a distinct EOF slot: total size is exact,
         // and every 8-byte slot is one thread's payload, unmixed.
-        assert_eq!(
-            fd.size().unwrap() as usize,
-            THREADS as usize * PER_THREAD * 8
-        );
-        let mut buf = vec![0u8; THREADS as usize * PER_THREAD * 8];
+        let total = THREADS as usize * PER_THREAD * 8;
+        assert_eq!(fd.size().unwrap() as usize, total);
+        let mut buf = vec![0u8; total];
         fd.read(&mut buf, 0).unwrap();
         for chunk in buf.chunks(8) {
             assert!(
@@ -1005,19 +874,18 @@ mod tests {
     #[test]
     fn patched_view_observes_writes_after_cached_read() {
         let (_b, fd) = open_fd(OpenFlags::RDWR);
-        fd.write(b"aaaa", 0, 100).unwrap();
+        fd.write(b"aaaa", 0).unwrap();
         let mut buf = [0u8; 4];
         fd.read(&mut buf, 0).unwrap(); // builds + caches the view
         assert_eq!(&buf, b"aaaa");
-        // Overwrite + extend from two pids, then read again: the patched
+        // Overwrite across the EOF + extend, then read again: the patched
         // view must show both, latest-wins included.
-        fd.add_ref(200);
-        fd.write(b"BB", 1, 100).unwrap();
-        fd.write(b"cc", 4, 200).unwrap();
-        let mut buf = [0u8; 6];
-        assert_eq!(fd.read(&mut buf, 0).unwrap(), 6);
-        assert_eq!(&buf, b"aBBacc");
-        assert_eq!(fd.size().unwrap(), 6);
+        fd.write(b"BBB", 2).unwrap();
+        fd.write(b"cc", 5).unwrap();
+        let mut buf = [0u8; 7];
+        assert_eq!(fd.read(&mut buf, 0).unwrap(), 7);
+        assert_eq!(&buf, b"aaBBBcc");
+        assert_eq!(fd.size().unwrap(), 7);
     }
 
     /// Regression: marker and drop were named by pid alone, so the first
@@ -1029,51 +897,48 @@ mod tests {
         create_container(b.as_ref(), "/f", true).unwrap();
         let open = || PlfsFd::new(b.clone(), "/f".into(), OpenFlags::RDWR, cache(), 100);
         let (a, other) = (open(), open());
-        a.write(b"aaaa", 0, 100).unwrap();
-        other.write(&[b'b'; 24], 0, 100).unwrap();
-        other.sync(100).unwrap();
-        a.close(100).unwrap();
+        a.write(b"aaaa", 0).unwrap();
+        other.write(&[b'b'; 24], 0).unwrap();
+        other.sync().unwrap();
+        a.close().unwrap();
         // What a fresh process sees: one writer still open, so no fast
         // stat.
         assert_eq!(container::open_writers(b.as_ref(), "/f").unwrap(), 1);
         let fresh = crate::api::Plfs::new(b.clone());
         assert_eq!(fresh.getattr("/f").unwrap().size, 24);
-        other.close(100).unwrap();
+        other.close().unwrap();
         assert_eq!(
             container::read_lifecycle(b.as_ref(), "/f").unwrap(),
             (0, Some((24, 28)))
         );
     }
 
-    /// A joiner's writers go to `hostdir.{hostdir_for_pid(pid, HOSTDIRS)}`,
-    /// and the hostdir is made once per fd: pids that share it probe
-    /// nothing more.
+    /// A joiner's writer goes to `hostdir.{hostdir_for_pid(pid, HOSTDIRS)}`,
+    /// which its fd makes once, with one `mkdir` and no probe: fds of pids
+    /// that share it find it there.
     #[test]
-    fn hostdir_probe_runs_once_per_hostdir() {
+    fn a_writer_makes_its_hostdir_once() {
         use crate::meter::MeterBacking;
         let inner: Arc<dyn Backing> = Arc::new(MemBacking::new());
         create_container(inner.as_ref(), "/f", true).unwrap();
         let meter = Arc::new(MeterBacking::new(inner));
-        let fd = PlfsFd::new(meter.clone(), "/f".to_string(), OpenFlags::RDWR, cache(), 1);
-        fd.write(b"a", 0, 1).unwrap();
+        let open = |pid| PlfsFd::new(meter.clone(), "/f".into(), OpenFlags::RDWR, cache(), pid);
         let hd = container::hostdir_for_pid(1, container::HOSTDIRS);
-        let sharing = (2..)
+        let sharing = (1..)
             .filter(|&pid| container::hostdir_for_pid(pid, container::HOSTDIRS) == hd)
             .take(8);
         let before = meter.snapshot();
         for pid in sharing.clone() {
-            fd.add_ref(pid);
-            fd.write(b"x", pid, pid).unwrap();
+            let fd = open(pid);
+            fd.write(b"x", pid).unwrap();
+            fd.write(b"y", pid + 1).unwrap();
+            fd.close().unwrap();
         }
         let d = meter.snapshot().delta(&before);
-        assert_eq!(d.mkdir, 0, "hostdir.{hd} already existed");
-        assert_eq!(
-            d.exists + d.stat,
-            0,
-            "memoized: no repeat hostdir probes, got {d:?}"
-        );
+        assert_eq!(d.mkdir, 8, "one mkdir per fd");
+        assert_eq!(d.exists + d.stat, 0, "no hostdir probes, got {d:?}");
         let listed = meter.readdir(&format!("/f/hostdir.{hd}")).unwrap();
-        for pid in sharing.chain([1]) {
+        for pid in sharing {
             assert!(listed.contains(&format!("dropping.data.{pid}.0")), "{pid}");
         }
     }
@@ -1111,10 +976,10 @@ mod tests {
 
         let mut buf = vec![0u8; 4096];
         fd.read(&mut buf, 0).unwrap(); // builds the view
-        fd.write(&[b'C'; 1000], 50, 100).unwrap();
+        fd.write(&[b'C'; 1000], 50).unwrap();
         fd.read(&mut buf, 0).unwrap(); // patches it
         assert!(buf[50..1050].iter().all(|&x| x == b'C'));
-        fd.sync(100).unwrap();
+        fd.sync().unwrap();
         let fresh = ReadFile::open(b.as_ref(), "/f").unwrap();
         let patched = fd.with_view(segments).unwrap();
         assert_eq!(patched, segments(&fresh), "patched view == fresh merge");
@@ -1129,21 +994,20 @@ mod tests {
         let faulty = Arc::new(Faulty::new(Arc::new(MemBacking::new())));
         create_container(faulty.as_ref(), "/f", true).unwrap();
         let fd = PlfsFd::new(faulty.clone(), "/f".into(), OpenFlags::RDWR, cache(), 100);
-        fd.add_ref(200);
-        fd.write(b"BBBB", 0, 100).unwrap();
-        fd.write(b"cccc", 4, 200).unwrap();
-        // pid 100's shard flushes first; pid 200's index flush then fails.
+        fd.write(b"BBBB", 0).unwrap();
+        fd.write(b"cccc", 4).unwrap();
+        // The writer's index flush ahead of the first rebuild fails.
         faulty.arm(FaultRule {
             op: FaultOp::Write,
-            path_contains: "dropping.index.200".into(),
+            path_contains: "dropping.index.100".into(),
             after: 0,
             times: 1,
             errno_like: FaultKind::Io,
         });
         let mut buf = [0u8; 8];
         assert!(fd.read(&mut buf, 0).is_err());
-        // The retry must flush pid 200 before it merges, not serve a view
-        // built without its records.
+        // The retry must flush the writer before it merges, not serve a
+        // view built without its records.
         assert_eq!(fd.read(&mut buf, 0).unwrap(), 8);
         assert_eq!(&buf, b"BBBBcccc");
     }
@@ -1154,33 +1018,56 @@ mod tests {
     #[test]
     fn write_only_fd_banks_no_index_entries() {
         let (_b, fd) = open_fd(OpenFlags::WRONLY);
-        fd.add_ref(200);
         // Past a full index buffer, so the writer flushes while it writes.
         let writes = crate::writer::DEFAULT_INDEX_BUFFER_ENTRIES as u64 + 1000;
         let offsets = (0..writes).map(|i| (i * 7919) % 4096);
         for off in offsets.clone() {
-            fd.write(b"x", off, 100).unwrap();
+            fd.write(b"x", off).unwrap();
         }
-        fd.close(100).unwrap();
-        assert!(fd.orphans.lock().is_empty(), "nothing reads through it");
+        fd.flush_index().unwrap();
+        let banked = fd.writer.lock().as_mut().unwrap().take_unmerged();
+        assert!(banked.is_empty(), "nothing reads through it");
+        fd.close().unwrap();
         // Inspection still works: it rebuilds from the backing store.
         let eof = offsets.max().unwrap() + 1;
         assert_eq!(fd.with_view(|v| v.eof()).unwrap(), eof);
-        fd.write(b"y", 5000, 200).unwrap();
-        assert_eq!(fd.with_view(|v| v.eof()).unwrap(), 5001);
     }
 
     #[test]
     fn close_does_not_lose_unmerged_entries() {
         let (_b, fd) = open_fd(OpenFlags::RDWR);
-        fd.write(b"first", 0, 100).unwrap();
+        fd.write(b"first", 0).unwrap();
         let mut buf = [0u8; 5];
         fd.read(&mut buf, 0).unwrap(); // cache a view
-        fd.add_ref(200);
-        fd.write(b"SECOND", 5, 200).unwrap();
-        fd.close(200).unwrap(); // pid 200's writer leaves before any read
+        fd.write(b"SECOND", 5).unwrap();
+        fd.close().unwrap(); // the writer leaves before any read
         let mut buf = [0u8; 11];
         assert_eq!(fd.read(&mut buf, 0).unwrap(), 11);
         assert_eq!(&buf, b"firstSECOND");
+    }
+
+    /// A forked child drops its copy of the parent's writer unwritten; its
+    /// reads see what the parent wrote before the fork (whose records the
+    /// parent flushed) and its writes go to droppings of its own pid.
+    #[test]
+    fn a_forked_child_reads_the_parents_bytes_and_writes_its_own() {
+        let (b, fd) = open_fd(OpenFlags::RDWR);
+        fd.write(b"parent", 0).unwrap();
+        let mut buf = [0u8; 6];
+        fd.read(&mut buf, 0).unwrap(); // a view the write after it outdates
+        fd.write(b"PA", 0).unwrap();
+        fd.flush_index().unwrap(); // the parent's side of the fork
+        fd.forked(300);
+        assert_eq!(fd.pid(), 300);
+        fd.read(&mut buf, 0).unwrap();
+        assert_eq!(&buf, b"PArent");
+        fd.write(b"c", 6).unwrap();
+        fd.close().unwrap();
+        let names = container::list_droppings(b.as_ref(), "/f").unwrap();
+        let ours = |pid: u64| {
+            let data = format!("dropping.data.{pid}.0");
+            names.iter().any(|d| d.data_path.ends_with(&data))
+        };
+        assert!(ours(100) && ours(300), "{names:?}");
     }
 }

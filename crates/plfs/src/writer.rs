@@ -137,8 +137,7 @@ impl WriteFile {
     /// dropping (made by the open that made the container) and the backing
     /// to create its index through when something first needs it; else the
     /// first free hostdir pair, trusting the caller that the pid's hostdir
-    /// exists — `PlfsFd` memoizes `ensure_hostdir` per (container,
-    /// hostdir), so repeat writers skip the mkdir entirely. With `track`,
+    /// exists (`PlfsFd` makes it ahead of its writer). With `track`,
     /// flushed entries are kept for [`WriteFile::take_unmerged`].
     pub(crate) fn open_prepared(
         b: &dyn Backing,

@@ -43,8 +43,8 @@
 //!   `MAP_SHARED|MAP_ANONYMOUS` page. `dup`'d fds share one open and so one
 //!   slot; a forked child shares the page: both share the cursor exactly as
 //!   they shared the kernel's file offset.
-//! * The pid PLFS writes under is read once, and forgotten in the child of
-//!   a `fork`.
+//! * The pid an open writes under is read once, at the first open, and
+//!   forgotten in the child of a `fork`.
 //!
 //! Each backend directory is opened once, at the first call, and every
 //! PLFS op resolves its path against that descriptor (so a relative
@@ -53,15 +53,15 @@
 //! `close_range`/`closefrom` close around them, and `dup2`/`dup3` onto one
 //! move it to a new number first (DESIGN.md §11).
 //!
-//! `fork` (`pthread_atfork`): the parent first writes every writer's
+//! `fork` (`pthread_atfork`): the parent first writes every open's writer's
 //! buffered index records, so the child reads every byte written before
 //! the fork. The child's handler waits on no lock — it forgets the pid,
 //! counts the fork, moves the fd table to a fresh lock if a parent thread
 //! was reading it, and takes cursor slots from a page of its own from then
 //! on; a slot live at the fork is never handed out again on either side.
-//! Each inherited open is adopted at the child's first call on it: its
-//! references become the child's, its copies of the parent's writers are
-//! dropped without writing a record, and it writes through droppings of
+//! Each inherited open is adopted at the child's first call on it: it
+//! becomes the child's, its copy of the parent's writer is dropped without
+//! writing a record, and it writes through droppings of
 //! its own; one the child closes unused is let go without a PLFS call. A
 //! child that moves and closes descriptors and `exec`s runs no PLFS code
 //! at all. A child's writes reach the container when it closes the
@@ -335,8 +335,8 @@ impl Own {
     }
 
     /// Adopt `plfs`, an open inherited across a `fork`, once, before
-    /// anything else of this process uses it: its references become this
-    /// pid's and the parent's writers are dropped unwritten
+    /// anything else of this process uses it: it becomes this pid's and the
+    /// parent's writer is dropped unwritten
     /// ([`PlfsFd::forked`]). Done at the child's first call on the open,
     /// not in the fork's child handler: a child that only `exec`s takes no
     /// PLFS lock, any of which another of its parent's threads may have
@@ -646,8 +646,8 @@ extern "C" fn before_fork() {
         let sh = SHIM.get().and_then(Option::as_ref);
         if let Some(sh) = sh {
             let _in_plfs = InPlfs::enter();
-            // An open inherited and not adopted holds its parent's writers,
-            // which are not this process's to write.
+            // An open inherited and not adopted holds its parent's writer,
+            // whose records are not this process's to write.
             for st in sh.opens.opens().iter().filter(|st| st.own.ours()) {
                 // Best effort: a failed flush leaves the child unable to
                 // read those bytes, never other bytes.
@@ -862,7 +862,7 @@ interpose! {
         via lookup(fd) => |st| lseek_in(&st, off, whence);
     // A container has no metadata/data split to exploit: both flush all.
     fn fsync | fdatasync(fd: c_int) -> c_int = -1;
-        via lookup(fd) => |st| status(st.fsync(pid()));
+        via lookup(fd) => |st| status(st.fsync());
     fn ftruncate | ftruncate64(fd: c_int, len: OffT) -> c_int = -1;
         via shim().zip(lookup(fd)) => |(sh, st)| {
             status(unsigned(len).and_then(|len| sh.opens.ftruncate(&st, len)))
@@ -1069,8 +1069,8 @@ unsafe fn read_at(st: &Open<Own>, buf: *mut c_void, n: SizeT, off: Option<OffT>)
 unsafe fn write_at(st: &Open<Own>, buf: *const c_void, n: SizeT, off: Option<OffT>) -> SsizeT {
     let buf = bytes(buf, n);
     count(match off {
-        None => st.write(buf, pid()),
-        Some(off) => unsigned(off).and_then(|off| st.pwrite(buf, off, pid())),
+        None => st.write(buf),
+        Some(off) => unsigned(off).and_then(|off| st.pwrite(buf, off)),
     })
 }
 
@@ -1129,8 +1129,8 @@ unsafe fn write_vec(st: &Open<Own>, iov: *const IoVec, cnt: c_int, off: Option<O
     count(iovecs(iov, cnt).and_then(|v| {
         let bufs: Vec<&[u8]> = v.iter().map(|v| bytes(v.iov_base, v.iov_len)).collect();
         match off {
-            None => st.writev(&bufs, pid()),
-            Some(off) => st.pwritev(&bufs, unsigned(off)?, pid()),
+            None => st.writev(&bufs),
+            Some(off) => st.pwritev(&bufs, unsigned(off)?),
         }
     }))
 }
@@ -1173,12 +1173,12 @@ fn close_fd(fd: c_int) -> c_int {
 /// before `exec` takes no PLFS lock.
 fn release(st: &Open<Own>) -> PosixResult<()> {
     if !st.own.ours() {
-        // Never dropped here: its copies of the parent's writers would
+        // Never dropped here: its copy of the parent's writer would
         // write the parent's buffered records.
         std::mem::forget(Arc::clone(st.plfs()));
         return Ok(());
     }
-    inside_plfs(|| st.close(pid()))
+    inside_plfs(|| st.close())
 }
 
 /// What [`close_fd`] does before its real close, for every fd in `lo..=hi`
@@ -1293,7 +1293,7 @@ fn dup_bookkeeping(oldfd: c_int, newfd: c_int) {
     if let Some(st) = sh.opens.get(oldfd) {
         st.own.adopt(st.plfs());
     }
-    if let Some(displaced) = sh.opens.dup(oldfd, newfd, pid()) {
+    if let Some(displaced) = sh.opens.dup(oldfd, newfd) {
         // Outside the table lock: releasing the open closes its droppings
         // through the interposed `close`, which takes that lock.
         // dup2(2): errors of the implied close are not reported.

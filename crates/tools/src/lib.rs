@@ -550,15 +550,13 @@ mod tests {
     fn container() -> Arc<MemBacking> {
         let backing = Arc::new(MemBacking::new());
         let plfs = Plfs::new(backing.clone());
-        let fd = plfs
-            .open("/c", OpenFlags::RDWR | OpenFlags::CREAT, 0)
-            .unwrap();
         for pid in 0..2u64 {
-            fd.add_ref(pid);
+            let fd = plfs
+                .open("/c", OpenFlags::RDWR | OpenFlags::CREAT, pid)
+                .unwrap();
             plfs.write(&fd, &[7u8; 64], pid * 64, pid).unwrap();
-            plfs.close(&fd, pid).unwrap_or(0);
+            plfs.close(&fd, pid).unwrap();
         }
-        plfs.close(&fd, 0).unwrap();
         backing
     }
 

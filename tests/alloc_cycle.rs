@@ -71,9 +71,9 @@ const BOUNDS: [(&str, u64); 8] = [
     // The fd's container path, the creator's data dropping's path and its
     // handle, the cached verdict's key, the fd.
     ("create", 5),
-    // The writer's slot in its shard's table, its index buffer, the
-    // container's key in the in-process writer counts.
-    ("write", 3),
+    // The writer's index buffer, the container's key in the in-process
+    // writer counts.
+    ("write", 2),
     // The closed index's path and its handle.
     ("close (writer)", 2),
     // What the close installed: no listing.
@@ -90,7 +90,7 @@ const BOUNDS: [(&str, u64); 8] = [
 ];
 
 /// Most allocator calls a whole cycle may make.
-const CYCLE_BOUND: u64 = 23;
+const CYCLE_BOUND: u64 = 22;
 
 #[test]
 fn the_small_file_cycle_allocates_at_most_its_bound() {

@@ -26,24 +26,21 @@ fn build_container(
     block: usize,
 ) -> Vec<u8> {
     let plfs = Plfs::new(backing.clone());
-    let fd = plfs
-        .open("/shared", OpenFlags::RDWR | OpenFlags::CREAT, 0)
-        .unwrap();
     let mut want = vec![0u8; writers * rows * block];
     for r in 0..writers {
-        fd.add_ref(r as u64);
+        let pid = r as u64;
+        let fd = plfs
+            .open("/shared", OpenFlags::WRONLY | OpenFlags::CREAT, pid)
+            .unwrap();
         let fill = (r as u8).wrapping_mul(37).wrapping_add(1);
         let data = vec![fill; block];
         for row in 0..rows {
             let off = (row * writers + r) * block;
-            plfs.write(&fd, &data, off as u64, r as u64).unwrap();
+            plfs.write(&fd, &data, off as u64, pid).unwrap();
             want[off..off + block].fill(fill);
         }
+        plfs.close(&fd, pid).unwrap();
     }
-    for r in 0..writers {
-        let _ = plfs.close(&fd, r as u64);
-    }
-    plfs.close(&fd, 0).unwrap();
     want
 }
 
@@ -120,9 +117,11 @@ fn traced(kind: iotrace::OpKind) -> u64 {
 /// and so one read view. Blocks hold their round number in every word: a
 /// reader must never see a torn block, nor a round older than the one the
 /// writer's own read of that block had already seen when the reader
-/// started. The file is filled by pid 0; with `cross_writers` each round
-/// writes its block as the pid that did not write it last. Returns the
-/// index merges and patches the global sink counted.
+/// started. The file is filled by pid 0 through the fd; with
+/// `cross_writers` it is filled through another fd, closed before pid 1
+/// opens the shared one, and each round overwrites a block no round wrote
+/// before (`blocks`, a power of two, at least `rounds`). Returns the index
+/// merges and patches the global sink counted.
 fn readers_beside_an_overwriter(
     blocks: usize,
     block: usize,
@@ -134,17 +133,27 @@ fn readers_beside_an_overwriter(
     let block_of = |round: u64| round.to_le_bytes().repeat(block / 8);
 
     let plfs = Plfs::new(Arc::new(MemBacking::new()));
-    let fd = plfs
-        .open("/rw_shared", OpenFlags::RDWR | OpenFlags::CREAT, 0)
-        .unwrap();
-    fd.add_ref(1);
+    let open = |pid| {
+        plfs.open("/rw_shared", OpenFlags::RDWR | OpenFlags::CREAT, pid)
+            .unwrap()
+    };
     let sink = iotrace::global();
     sink.reset();
     sink.set_enabled(true);
+    let filler = open(0);
     for k in 0..blocks {
-        plfs.write(&fd, &block_of(0), (k * block) as u64, 0)
+        plfs.write(&filler, &block_of(0), (k * block) as u64, 0)
             .unwrap();
     }
+    let fd = match cross_writers {
+        true => {
+            assert!(blocks.is_power_of_two() && rounds <= blocks as u64);
+            plfs.close(&filler, 0).unwrap();
+            open(1)
+        }
+        false => filler,
+    };
+    let pid = fd.pid();
     let mut buf = vec![0u8; block];
     assert_eq!(plfs.read(&fd, &mut buf, 0).unwrap(), block); // the one merge
 
@@ -180,14 +189,15 @@ fn readers_beside_an_overwriter(
         }
         let mut rng = 0xD1B54A32D192ED03u64;
         let mut buf = vec![0u8; block];
-        let mut last_pid = vec![0u64; blocks];
         start.wait();
         for round in 1..=rounds {
-            let k = (xorshift(&mut rng) % blocks as u64) as usize;
-            if cross_writers {
-                last_pid[k] = 1 - last_pid[k];
-            }
-            plfs.write(&fd, &block_of(round), (k * block) as u64, last_pid[k])
+            let k = match cross_writers {
+                // Each block once: an odd stride is a bijection modulo a
+                // power of two.
+                true => (round * 7919 % blocks as u64) as usize,
+                false => (xorshift(&mut rng) % blocks as u64) as usize,
+            };
+            plfs.write(&fd, &block_of(round), (k * block) as u64, pid)
                 .unwrap();
             assert_eq!(plfs.read(&fd, &mut buf, (k * block) as u64).unwrap(), block);
             assert_eq!(buf, block_of(round), "the writer reads its own write");
@@ -207,15 +217,15 @@ fn readers_beside_an_overwriter(
     )
 }
 
-/// Every overwrite lands on a block the other pid wrote last, so none can
-/// go in place: each appends, and the view is patched in place under the
+/// Every overwrite lands on a block another fd wrote, so none can go in
+/// place: each appends, and the view is patched in place under the
 /// fd's view lock exactly once per write, whichever thread's read gets
 /// there first.
 #[test]
 fn readers_share_one_view_while_a_writer_patches_it() {
     let _turn = turn();
     const ROUNDS: u64 = 400;
-    let (merges, patches) = readers_beside_an_overwriter(64, 512, ROUNDS, true);
+    let (merges, patches) = readers_beside_an_overwriter(512, 512, ROUNDS, true);
     assert_eq!(merges, 1, "concurrent readers must not force a re-merge");
     assert_eq!(patches, ROUNDS, "one in-place patch per read-after-write");
 }

@@ -172,41 +172,39 @@ fn many_files_concurrently() {
 }
 
 // ---------------------------------------------------------------------------
-// One PlfsFd hammered by racing pids through the sharded write path.
+// Racing pids on one mount, each fd shared by racing threads.
 // ---------------------------------------------------------------------------
 
-/// Racing threads × pids doing write/sync/read through ONE `PlfsFd`. Each
-/// rank re-reads its own region through the same fd while the others keep writing
-/// (read-your-writes under contention), and the final file is byte-exact.
+/// Racing ranks doing write/sync/read: four pids with an fd each, every fd
+/// shared by two threads. Each rank re-reads its own region through its
+/// fd while the others keep writing (read-your-writes under contention),
+/// and the final file is byte-exact.
 #[test]
 fn racing_pids_share_one_fd_read_your_writes() {
     let plfs = Plfs::new(Arc::new(MemBacking::new()));
     let ranks = 8usize;
     let rows = 16usize;
     let block = 64usize;
-    let fd = plfs
-        .open("/stress", OpenFlags::RDWR | OpenFlags::CREAT, 0)
-        .unwrap();
-    for r in 1..ranks as u64 {
-        fd.add_ref(r);
-    }
+    let pids = 0..ranks as u64 / 2;
+    let open = |pid| plfs.open("/stress", OpenFlags::RDWR | OpenFlags::CREAT, pid);
+    let fds: Vec<_> = pids.clone().map(|pid| open(pid).unwrap()).collect();
     std::thread::scope(|scope| {
         for r in 0..ranks {
             let plfs = &plfs;
-            let fd = fd.clone();
+            let fd = &fds[r / 2];
             scope.spawn(move || {
-                let pid = r as u64;
+                let pid = fd.pid();
                 let pat = vec![r as u8 + 1; block];
                 for row in 0..rows {
                     let off = ((row * ranks + r) * block) as u64;
-                    assert_eq!(plfs.write(&fd, &pat, off, pid).unwrap(), block);
+                    assert_eq!(plfs.write(fd, &pat, off, pid).unwrap(), block);
                     if row % 4 == 3 {
-                        plfs.sync(&fd, pid).unwrap();
+                        plfs.sync(fd, pid).unwrap();
                     }
                     let mut got = vec![0u8; block];
                     let mut done = 0;
                     while done < block {
-                        let n = plfs.read(&fd, &mut got[done..], off + done as u64).unwrap();
+                        let n = plfs.read(fd, &mut got[done..], off + done as u64).unwrap();
                         assert!(n > 0, "rank {r} short read at row {row}");
                         done += n;
                     }
@@ -215,8 +213,8 @@ fn racing_pids_share_one_fd_read_your_writes() {
             });
         }
     });
-    for r in 0..ranks as u64 {
-        plfs.close(&fd, r).unwrap();
+    for (pid, fd) in pids.zip(&fds) {
+        plfs.close(fd, pid).unwrap();
     }
 
     let fd = plfs.open("/stress", OpenFlags::RDONLY, 99).unwrap();
@@ -241,9 +239,6 @@ fn racing_appenders_account_for_every_byte() {
     let fd = plfs
         .open("/applog", OpenFlags::RDWR | OpenFlags::CREAT, 0)
         .unwrap();
-    for r in 1..ranks as u64 {
-        fd.add_ref(r);
-    }
     // Every thread records where its appends landed.
     let slots = std::sync::Mutex::new(Vec::new());
     std::thread::scope(|scope| {
@@ -252,16 +247,15 @@ fn racing_appenders_account_for_every_byte() {
             let fd = fd.clone();
             let slots = &slots;
             scope.spawn(move || {
-                let pid = r as u64;
                 let len = 16 + r * 3; // distinct lengths per rank
                 let chunk = vec![r as u8 + 1; len];
                 let mut mine = Vec::with_capacity(appends);
                 for i in 0..appends {
-                    let (off, n) = fd.append(&chunk, pid).unwrap();
+                    let (off, n) = fd.append(&chunk).unwrap();
                     assert_eq!(n, len);
                     mine.push((off, len, r as u8 + 1));
                     if i % 8 == 7 {
-                        plfs.sync(&fd, pid).unwrap();
+                        plfs.sync(&fd, 0).unwrap();
                     }
                 }
                 slots.lock().unwrap().extend(mine);
@@ -270,9 +264,7 @@ fn racing_appenders_account_for_every_byte() {
     });
     let total: usize = (0..ranks).map(|r| (16 + r * 3) * appends).sum();
     assert_eq!(fd.size().unwrap(), total as u64, "appends lost bytes");
-    for r in 0..ranks as u64 {
-        plfs.close(&fd, r).unwrap();
-    }
+    plfs.close(&fd, 0).unwrap();
 
     let fd = plfs.open("/applog", OpenFlags::RDONLY, 99).unwrap();
     let mut got = vec![0u8; total];
@@ -300,40 +292,26 @@ fn racing_appenders_account_for_every_byte() {
 }
 
 // ---------------------------------------------------------------------------
-// Property: any single-threaded op sequence over four pids on one fd reads
-// back as the byte-vector model says, at every interleaved read.
+// Property: any single-threaded op sequence on one fd reads back as the
+// byte-vector model says, at every interleaved read.
 // ---------------------------------------------------------------------------
 
 #[derive(Debug, Clone)]
 enum Op {
-    Write {
-        pid: u64,
-        offset: u64,
-        data: Vec<u8>,
-    },
-    Append {
-        pid: u64,
-        data: Vec<u8>,
-    },
+    Write { offset: u64, data: Vec<u8> },
+    Append { data: Vec<u8> },
     Read,
-    Sync {
-        pid: u64,
-    },
+    Sync,
 }
 
 fn ops_strategy(max_ops: usize) -> impl Strategy<Value = Vec<Op>> {
     prop::collection::vec(
         prop_oneof![
-            (
-                0u64..4,
-                0u64..2048,
-                prop::collection::vec(any::<u8>(), 1..96)
-            )
-                .prop_map(|(pid, offset, data)| Op::Write { pid, offset, data }),
-            (0u64..4, prop::collection::vec(any::<u8>(), 1..96))
-                .prop_map(|(pid, data)| Op::Append { pid, data }),
+            (0u64..2048, prop::collection::vec(any::<u8>(), 1..96))
+                .prop_map(|(offset, data)| Op::Write { offset, data }),
+            prop::collection::vec(any::<u8>(), 1..96).prop_map(|data| Op::Append { data }),
             Just(Op::Read),
-            (0u64..4).prop_map(|pid| Op::Sync { pid }),
+            Just(Op::Sync),
         ],
         1..max_ops,
     )
@@ -347,9 +325,6 @@ fn apply_ops(ops: &[Op]) {
     let fd = plfs
         .open("/prop", OpenFlags::RDWR | OpenFlags::CREAT, 0)
         .unwrap();
-    for p in 1..4u64 {
-        fd.add_ref(p);
-    }
     let mut model: Vec<u8> = Vec::new();
     let place = |model: &mut Vec<u8>, off: usize, data: &[u8]| {
         if model.len() < off + data.len() {
@@ -359,12 +334,12 @@ fn apply_ops(ops: &[Op]) {
     };
     for op in ops {
         match op {
-            Op::Write { pid, offset, data } => {
-                assert_eq!(plfs.write(&fd, data, *offset, *pid).unwrap(), data.len());
+            Op::Write { offset, data } => {
+                assert_eq!(plfs.write(&fd, data, *offset, 0).unwrap(), data.len());
                 place(&mut model, *offset as usize, data);
             }
-            Op::Append { pid, data } => {
-                let (off, n) = fd.append(data, *pid).unwrap();
+            Op::Append { data } => {
+                let (off, n) = fd.append(data).unwrap();
                 assert_eq!(n, data.len());
                 assert_eq!(off as usize, model.len(), "append missed EOF");
                 place(&mut model, off as usize, data);
@@ -381,7 +356,7 @@ fn apply_ops(ops: &[Op]) {
                 }
                 assert_eq!(got, model, "interleaved read diverged from model");
             }
-            Op::Sync { pid } => plfs.sync(&fd, *pid).unwrap(),
+            Op::Sync => plfs.sync(&fd, 0).unwrap(),
         }
     }
     let size = fd.size().unwrap() as usize;
@@ -392,9 +367,7 @@ fn apply_ops(ops: &[Op]) {
         assert!(n > 0);
         done += n;
     }
-    for p in 0..4u64 {
-        plfs.close(&fd, p).unwrap();
-    }
+    plfs.close(&fd, 0).unwrap();
     assert_eq!(out, model);
 }
 

@@ -166,8 +166,8 @@ fn losers_that_see_the_bare_directory_wait_for_the_access_file() {
                     } else {
                         let flags = OpenFlags::WRONLY | OpenFlags::CREAT;
                         p.open("/f", flags, i as u64).map(|fd| {
-                            fd.write(b"joined", 10 * i as u64, i as u64).unwrap();
-                            fd.close(i as u64).unwrap();
+                            fd.write(b"joined", 10 * i as u64).unwrap();
+                            fd.close().unwrap();
                         })
                     }
                 })

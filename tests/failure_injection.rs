@@ -215,14 +215,14 @@ fn a_failed_truncate_rewrite_keeps_the_old_bytes() {
     use plfs::{flatten::flatten_to_vec, OpenFlags};
     let faulty = Arc::new(Faulty::new(Arc::new(MemBacking::new())));
     let plfs = Plfs::new(faulty.clone());
-    let fd = plfs
-        .open("/f", OpenFlags::RDWR | OpenFlags::CREAT, 1)
-        .unwrap();
-    fd.add_ref(2);
-    plfs.write(&fd, &[1u8; 100], 0, 1).unwrap();
-    plfs.write(&fd, &[2u8; 100], 100, 2).unwrap();
-    plfs.close(&fd, 2).unwrap();
-    plfs.close(&fd, 1).unwrap();
+    for pid in [1u8, 2] {
+        let fd = plfs
+            .open("/f", OpenFlags::RDWR | OpenFlags::CREAT, pid.into())
+            .unwrap();
+        let off = 100 * u64::from(pid - 1);
+        plfs.write(&fd, &[pid; 100], off, pid.into()).unwrap();
+        plfs.close(&fd, pid.into()).unwrap();
+    }
     let old = flatten_to_vec(faulty.as_ref(), "/f").unwrap();
     // The rewrite writes through pid 0's hostdir pair.
     faulty.arm(rule(FaultOp::Write, "dropping.data.0.", 0, 1));

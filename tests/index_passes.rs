@@ -28,22 +28,18 @@ fn shuffled(n: u64, mut rng: u64) -> Vec<u64> {
 fn container(pids: u64, writes: &[(u64, u64)]) -> (Arc<MeterBacking>, Vec<u8>) {
     let meter = Arc::new(MeterBacking::new(Arc::new(MemBacking::new())));
     let plfs = Plfs::new(meter.clone() as Arc<dyn Backing>);
-    let fd = plfs
-        .open("/f", OpenFlags::WRONLY | OpenFlags::CREAT, 0)
-        .unwrap();
-    for pid in 1..pids {
-        fd.add_ref(pid);
-    }
+    let open = |pid| plfs.open("/f", OpenFlags::WRONLY | OpenFlags::CREAT, pid);
+    let fds: Vec<_> = (0..pids).map(|pid| open(pid).unwrap()).collect();
     let mut model = Vec::new();
     for (i, &(pid, rec)) in (0u64..).zip(writes) {
         let at = (rec * RECORD) as usize;
         model.resize(model.len().max(at + RECORD as usize), 0);
         model[at..at + RECORD as usize].copy_from_slice(&i.to_le_bytes());
-        plfs.write(&fd, &i.to_le_bytes(), rec * RECORD, pid)
+        plfs.write(&fds[pid as usize], &i.to_le_bytes(), rec * RECORD, pid)
             .unwrap();
     }
-    for pid in 0..pids {
-        plfs.close(&fd, pid).unwrap();
+    for (pid, fd) in (0..).zip(&fds) {
+        plfs.close(fd, pid).unwrap();
     }
     (meter, model)
 }

@@ -68,12 +68,8 @@ fn a_read_open_holds_the_index_plus_one_window() {
     const RECORD: u64 = 8;
     let backing = Arc::new(MemBacking::new());
     let plfs = Plfs::new(backing.clone() as Arc<dyn Backing>);
-    let fd = plfs
-        .open("/f", OpenFlags::WRONLY | OpenFlags::CREAT, 0)
-        .unwrap();
-    for pid in 1..PIDS {
-        fd.add_ref(pid);
-    }
+    let open = |pid| plfs.open("/f", OpenFlags::WRONLY | OpenFlags::CREAT, pid);
+    let fds: Vec<_> = (0..PIDS).map(|pid| open(pid).unwrap()).collect();
     let mut order: Vec<u64> = (0..RECORDS).collect();
     let mut rng = 0x9E37_79B9_7F4A_7C15u64;
     for i in (1..order.len()).rev() {
@@ -83,11 +79,12 @@ fn a_read_open_holds_the_index_plus_one_window() {
         order.swap(i, (rng % (i as u64 + 1)) as usize);
     }
     for rec in order {
-        plfs.write(&fd, &rec.to_le_bytes(), rec * RECORD, rec % PIDS)
+        let pid = rec % PIDS;
+        plfs.write(&fds[pid as usize], &rec.to_le_bytes(), rec * RECORD, pid)
             .unwrap();
     }
-    for pid in 0..PIDS {
-        plfs.close(&fd, pid).unwrap();
+    for (pid, fd) in (0..).zip(&fds) {
+        plfs.close(fd, pid).unwrap();
     }
 
     let (reader, peak) = high_water(|| ReadFile::open(backing.as_ref(), "/f").unwrap());

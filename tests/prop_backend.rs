@@ -35,27 +35,17 @@ fn workloads() -> impl Strategy<Value = Vec<Op>> {
 /// logical bytes read back through a fresh open.
 fn run_workload(plfs: &Plfs, ops: &[Op]) -> Vec<Vec<u8>> {
     let used: BTreeSet<usize> = ops.iter().map(|op| op.0).collect();
+    // An fd per (file, pid), opened at the pid's first write to the file.
     let mut fds = BTreeMap::new();
-    let mut pids: BTreeMap<usize, BTreeSet<u64>> = BTreeMap::new();
-    for &i in &used {
-        fds.insert(
-            i,
-            plfs.open(FILES[i], OpenFlags::RDWR | OpenFlags::CREAT, 0)
-                .unwrap(),
-        );
-    }
     for (i, pid, off, data) in ops {
-        let fd = &fds[i];
-        if pids.entry(*i).or_default().insert(*pid) {
-            fd.add_ref(*pid);
-        }
+        let fd = fds.entry((*i, *pid)).or_insert_with(|| {
+            plfs.open(FILES[*i], OpenFlags::RDWR | OpenFlags::CREAT, *pid)
+                .unwrap()
+        });
         assert_eq!(plfs.write(fd, data, *off, *pid).unwrap(), data.len());
     }
-    for (&i, fd) in &fds {
-        for &pid in &pids[&i] {
-            let _ = plfs.close(fd, pid);
-        }
-        let _ = plfs.close(fd, 0);
+    for ((_, pid), fd) in fds {
+        plfs.close(&fd, pid).unwrap();
     }
     FILES
         .iter()

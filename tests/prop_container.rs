@@ -3,6 +3,7 @@
 
 use plfs::{GlobalIndex, IndexEntry, MemBacking, OpenFlags, Plfs};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// A write in a generated workload: pid picks the writer, the data lands at
@@ -44,15 +45,28 @@ fn reference(ws: &[W]) -> Vec<u8> {
     out
 }
 
+/// Write `ws` as separate processes would: pid 0 opens (and so makes) the
+/// file, every other pid opens an fd of its own at its first write, and
+/// every fd closes once all writes are done.
+fn write_through_fds(plfs: &Plfs, ws: &[W]) {
+    let open = |pid| {
+        plfs.open("/f", OpenFlags::RDWR | OpenFlags::CREAT, pid)
+            .unwrap()
+    };
+    let mut fds = BTreeMap::from([(0, open(0))]);
+    for w in ws {
+        let fd = fds.entry(w.pid).or_insert_with(|| open(w.pid));
+        plfs.write(fd, &w.data, w.offset, w.pid).unwrap();
+    }
+    for (pid, fd) in fds {
+        plfs.close(&fd, pid).unwrap();
+    }
+}
+
 fn run_against_plfs(ws: &[W]) -> Vec<u8> {
     let plfs = Plfs::new(Arc::new(MemBacking::new()));
-    let fd = plfs
-        .open("/f", OpenFlags::RDWR | OpenFlags::CREAT, 0)
-        .unwrap();
-    for w in ws {
-        fd.add_ref(w.pid);
-        plfs.write(&fd, &w.data, w.offset, w.pid).unwrap();
-    }
+    write_through_fds(&plfs, ws);
+    let fd = plfs.open("/f", OpenFlags::RDONLY, 0).unwrap();
     let size = fd.size().unwrap() as usize;
     let mut buf = vec![0u8; size];
     if size > 0 {
@@ -78,15 +92,7 @@ proptest! {
     fn flatten_equals_logical(ws in writes(16, 2048, 128)) {
         let backing = Arc::new(MemBacking::new());
         let plfs = Plfs::new(backing.clone());
-        let fd = plfs.open("/f", OpenFlags::RDWR | OpenFlags::CREAT, 0).unwrap();
-        for w in &ws {
-            fd.add_ref(w.pid);
-            plfs.write(&fd, &w.data, w.offset, w.pid).unwrap();
-        }
-        for w in &ws {
-            let _ = plfs.close(&fd, w.pid);
-        }
-        plfs.close(&fd, 0).unwrap();
+        write_through_fds(&plfs, &ws);
         let flat = plfs::flatten::flatten_to_vec(backing.as_ref(), "/f").unwrap();
         prop_assert_eq!(flat, reference(&ws));
     }
@@ -96,15 +102,7 @@ proptest! {
     #[test]
     fn stat_size_matches(ws in writes(12, 1024, 64)) {
         let plfs = Plfs::new(Arc::new(MemBacking::new()));
-        let fd = plfs.open("/f", OpenFlags::RDWR | OpenFlags::CREAT, 0).unwrap();
-        for w in &ws {
-            fd.add_ref(w.pid);
-            plfs.write(&fd, &w.data, w.offset, w.pid).unwrap();
-        }
-        for w in &ws {
-            let _ = plfs.close(&fd, w.pid);
-        }
-        plfs.close(&fd, 0).unwrap();
+        write_through_fds(&plfs, &ws);
         let st = plfs.getattr("/f").unwrap();
         prop_assert_eq!(st.size as usize, reference(&ws).len());
     }
@@ -117,11 +115,8 @@ proptest! {
     ) {
         let rf = reference(&ws);
         let plfs = Plfs::new(Arc::new(MemBacking::new()));
-        let fd = plfs.open("/f", OpenFlags::RDWR | OpenFlags::CREAT, 0).unwrap();
-        for w in &ws {
-            fd.add_ref(w.pid);
-            plfs.write(&fd, &w.data, w.offset, w.pid).unwrap();
-        }
+        write_through_fds(&plfs, &ws);
+        let fd = plfs.open("/f", OpenFlags::RDONLY, 0).unwrap();
         for (off, len) in reads {
             let mut buf = vec![0xA5u8; len];
             let n = plfs.read(&fd, &mut buf, off).unwrap();
@@ -191,15 +186,7 @@ proptest! {
     fn truncate_matches_resize(ws in writes(8, 512, 64), new_len in 0u64..1024) {
         let mut rf = reference(&ws);
         let plfs = Plfs::new(Arc::new(MemBacking::new()));
-        let fd = plfs.open("/f", OpenFlags::RDWR | OpenFlags::CREAT, 0).unwrap();
-        for w in &ws {
-            fd.add_ref(w.pid);
-            plfs.write(&fd, &w.data, w.offset, w.pid).unwrap();
-        }
-        for w in &ws {
-            let _ = plfs.close(&fd, w.pid);
-        }
-        plfs.close(&fd, 0).unwrap();
+        write_through_fds(&plfs, &ws);
         plfs.trunc("/f", new_len).unwrap();
         rf.resize(new_len as usize, 0);
         let got = {

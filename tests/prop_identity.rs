@@ -22,8 +22,9 @@ enum Op {
     Overwrite(u64, usize),
     /// `ftruncate` through the creator's fd.
     Ftruncate(u64),
-    /// A fork: the parent flushes its index records, and the child writes
-    /// through the inherited fd under a pid of its own.
+    /// A fork: the parent flushes its index records, and the child — a
+    /// process of its own, whose copy of the fd an open of its own stands
+    /// in for — writes under its pid and closes.
     ForkChildWrite(u64, usize),
     /// Another process opens the file, writes and closes.
     Join(u64, usize),
@@ -114,10 +115,11 @@ fn run(ops: &[Op]) -> (Arc<MemBacking>, Model) {
             }
             Op::ForkChildWrite(off, len) => {
                 fd.flush_index().unwrap();
-                let child = 1000 + i as u64;
-                fd.add_ref(child);
-                plfs.write(&fd, &bytes(i, len), off, child).unwrap();
-                plfs.close(&fd, child).unwrap();
+                let child = Plfs::new(backing.clone());
+                let pid = 1000 + i as u64;
+                let cfd = child.open("/f", OpenFlags::RDWR, pid).unwrap();
+                child.write(&cfd, &bytes(i, len), off, pid).unwrap();
+                child.close(&cfd, pid).unwrap();
                 model.write(off, &bytes(i, len));
             }
             Op::Join(off, len) => {

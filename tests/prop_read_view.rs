@@ -1,14 +1,14 @@
 //! Property test: the fd's long-lived, patched-in-place read view.
 //!
 //! Random interleavings of write / rewrite / append / overwrite /
-//! zero-length write / read / sync / ftruncate-to-0 across 1–4 pids on one
-//! `O_RDWR` fd, or on two. A rewrite writes the range of an earlier write
-//! again, as the same pid through the same fd: where that fd's view still
-//! holds the range as the pid's own bytes it goes in place, which the run
+//! zero-length write / read / sync / ftruncate-to-0 on one `O_RDWR` fd, or
+//! on two, each of its own pid. A rewrite writes the range of an earlier
+//! write again through the same fd: where that fd's view still holds the
+//! range as the fd's own bytes it goes in place, which the run
 //! counts by the data droppings not growing. After every read through an
 //! fd, the bytes its own writes were the last to touch equal an in-memory
 //! model (with one fd: every byte). Wherever the index records have been
-//! flushed (a `deep` read syncs every pid of every fd first — which must
+//! flushed (a `deep` read syncs every fd first — which must
 //! not feed a view the same entries twice), a freshly merged
 //! `ReadFile::open` of the container reads back the model, and the view of
 //! an fd no other fd has written beside equals it: same EOF, same
@@ -25,7 +25,6 @@ use std::sync::Arc;
 enum Op {
     Write {
         fd: usize,
-        pid: u64,
         off: u64,
         data: Vec<u8>,
     },
@@ -37,7 +36,6 @@ enum Op {
     },
     Append {
         fd: usize,
-        pid: u64,
         data: Vec<u8>,
     },
     Read {
@@ -46,23 +44,15 @@ enum Op {
         len: usize,
         deep: bool,
     },
-    Sync {
-        pid: u64,
-    },
+    Sync,
     Truncate,
 }
 
-fn ops(pids: u64, len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<Op>> {
+fn ops(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<Op>> {
     // Lengths start at 0: a zero-length write must change nothing.
     let data = || prop::collection::vec(any::<u8>(), 0..96);
-    let write = || {
-        (0..2usize, 0..pids, 0u64..2048, data()).prop_map(|(fd, pid, off, data)| Op::Write {
-            fd,
-            pid,
-            off,
-            data,
-        })
-    };
+    let write =
+        || (0..2usize, 0u64..2048, data()).prop_map(|(fd, off, data)| Op::Write { fd, off, data });
     let read = || {
         (0..2usize, 0u64..2304, 1usize..512, any::<bool>())
             .prop_map(|(fd, off, len, deep)| Op::Read { fd, off, len, deep })
@@ -73,10 +63,10 @@ fn ops(pids: u64, len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<Op>>
             write(),
             write(),
             (0usize..1024, any::<u8>()).prop_map(|(pick, byte)| Op::Rewrite { pick, byte }),
-            (0..2usize, 0..pids, data()).prop_map(|(fd, pid, data)| Op::Append { fd, pid, data }),
+            (0..2usize, data()).prop_map(|(fd, data)| Op::Append { fd, data }),
             read(),
             read(),
-            (0..pids).prop_map(|pid| Op::Sync { pid }),
+            Just(Op::Sync),
             Just(Op::Truncate),
         ],
         len,
@@ -124,12 +114,12 @@ struct Model {
     owner: Vec<Option<usize>>,
     /// Per fd: has another fd written since the last truncate?
     foreign: Vec<bool>,
-    /// `(fd, pid, offset, length)` of every non-empty write, for rewrites.
-    writes: Vec<(usize, u64, u64, usize)>,
+    /// `(fd, offset, length)` of every non-empty write, for rewrites.
+    writes: Vec<(usize, u64, usize)>,
 }
 
 impl Model {
-    fn write(&mut self, fd: usize, pid: u64, off: u64, data: &[u8]) {
+    fn write(&mut self, fd: usize, off: u64, data: &[u8]) {
         if data.is_empty() {
             return;
         }
@@ -143,7 +133,7 @@ impl Model {
         for (other, foreign) in self.foreign.iter_mut().enumerate() {
             *foreign |= other != fd;
         }
-        self.writes.push((fd, pid, off, data.len()));
+        self.writes.push((fd, off, data.len()));
     }
 
     fn truncate(&mut self) {
@@ -177,16 +167,9 @@ impl Model {
     }
 }
 
-fn assert_views_equal_fresh_merge(
-    backing: &MemBacking,
-    fds: &[Arc<PlfsFd>],
-    pids: u64,
-    model: &Model,
-) {
+fn assert_views_equal_fresh_merge(backing: &MemBacking, fds: &[Arc<PlfsFd>], model: &Model) {
     for fd in fds {
-        for pid in 0..pids {
-            fd.sync(pid).unwrap();
-        }
+        fd.sync().unwrap();
     }
     let fresh = ReadFile::open(backing, fds[0].container_path()).unwrap();
     let reference = reference_index(backing, &fresh);
@@ -225,20 +208,15 @@ fn assert_views_equal_fresh_merge(
     }
 }
 
-/// Run `ops` through `fds` fds of one container; returns how many writes
-/// went in place.
-fn run(ops: &[Op], pids: u64, fds: usize) -> u64 {
+/// Run `ops` through `fds` fds of one container, fd `i` opened by pid `i`;
+/// returns how many writes went in place.
+fn run(ops: &[Op], fds: usize) -> u64 {
     let backing = Arc::new(MemBacking::new());
     let plfs = Plfs::new(backing.clone());
-    let fds: Vec<Arc<PlfsFd>> = (0..fds)
-        .map(|_| {
-            let fd = plfs
-                .open("/f", OpenFlags::RDWR | OpenFlags::CREAT, 0)
-                .unwrap();
-            for pid in 1..pids {
-                fd.add_ref(pid);
-            }
-            fd
+    let fds: Vec<Arc<PlfsFd>> = (0..fds as u64)
+        .map(|pid| {
+            plfs.open("/f", OpenFlags::RDWR | OpenFlags::CREAT, pid)
+                .unwrap()
         })
         .collect();
     let container = fds[0].container_path().to_string();
@@ -248,23 +226,23 @@ fn run(ops: &[Op], pids: u64, fds: usize) -> u64 {
     };
     let mut in_place = 0;
     for op in ops {
-        let (fd, pid, off, data) = match op {
-            Op::Write { fd, pid, off, data } => (*fd, *pid, *off, data.clone()),
+        let (fd, off, data) = match op {
+            Op::Write { fd, off, data } => (*fd, *off, data.clone()),
             Op::Rewrite { pick, byte } => {
-                let Some(&(fd, pid, off, len)) = model.writes.get(pick % model.writes.len().max(1))
+                let Some(&(fd, off, len)) = model.writes.get(pick % model.writes.len().max(1))
                 else {
                     continue;
                 };
                 let data = (0..len).map(|i| byte.wrapping_add(i as u8)).collect();
-                (fd, pid, off, data)
+                (fd, off, data)
             }
-            Op::Append { fd, pid, data } => {
-                let (off, n) = fds[*fd].append(data, *pid).unwrap();
+            Op::Append { fd, data } => {
+                let (off, n) = fds[*fd].append(data).unwrap();
                 assert_eq!(n, data.len());
                 if fds.len() == 1 {
                     assert_eq!(off, model.bytes.len() as u64);
                 }
-                model.write(*fd, *pid, off, data);
+                model.write(*fd, off, data);
                 continue;
             }
             Op::Read { fd, off, len, deep } => {
@@ -272,13 +250,13 @@ fn run(ops: &[Op], pids: u64, fds: usize) -> u64 {
                 let n = plfs.read(&fds[*fd], &mut buf, *off).unwrap();
                 model.check_read(*fd, *off, *len, &buf[..n]);
                 if *deep {
-                    assert_views_equal_fresh_merge(&backing, &fds, pids, &model);
+                    assert_views_equal_fresh_merge(&backing, &fds, &model);
                 }
                 continue;
             }
-            Op::Sync { pid } => {
+            Op::Sync => {
                 for fd in &fds {
-                    plfs.sync(fd, *pid).unwrap();
+                    plfs.sync(fd, fd.pid()).unwrap();
                 }
                 continue;
             }
@@ -293,16 +271,20 @@ fn run(ops: &[Op], pids: u64, fds: usize) -> u64 {
             }
         };
         let before = data_bytes(backing.as_ref(), &container);
-        assert_eq!(plfs.write(&fds[fd], &data, off, pid).unwrap(), data.len());
+        let fd_pid = fds[fd].pid();
+        assert_eq!(
+            plfs.write(&fds[fd], &data, off, fd_pid).unwrap(),
+            data.len()
+        );
         if !data.is_empty() && data_bytes(backing.as_ref(), &container) == before {
             in_place += 1;
         }
-        model.write(fd, pid, off, &data);
+        model.write(fd, off, &data);
     }
     if fds.len() == 1 {
         assert_eq!(fds[0].size().unwrap(), model.bytes.len() as u64);
     }
-    assert_views_equal_fresh_merge(&backing, &fds, pids, &model);
+    assert_views_equal_fresh_merge(&backing, &fds, &model);
     for (fd, _) in fds
         .iter()
         .zip(&model.foreign)
@@ -318,29 +300,22 @@ fn run(ops: &[Op], pids: u64, fds: usize) -> u64 {
     in_place
 }
 
-/// Bind every op's pid to one of the first `pids` and its fd to one of the
-/// first `fds`.
-fn bound(ops: Vec<Op>, pids: u64, fds: usize) -> Vec<Op> {
+/// Bind every op's fd to one of the first `fds`.
+fn bound(ops: Vec<Op>, fds: usize) -> Vec<Op> {
     ops.into_iter()
         .map(|op| match op {
-            Op::Write { fd, pid, off, data } => Op::Write {
+            Op::Write { fd, off, data } => Op::Write {
                 fd: fd % fds,
-                pid: pid % pids,
                 off,
                 data,
             },
-            Op::Append { fd, pid, data } => Op::Append {
-                fd: fd % fds,
-                pid: pid % pids,
-                data,
-            },
+            Op::Append { fd, data } => Op::Append { fd: fd % fds, data },
             Op::Read { fd, off, len, deep } => Op::Read {
                 fd: fd % fds,
                 off,
                 len,
                 deep,
             },
-            Op::Sync { pid } => Op::Sync { pid: pid % pids },
             op => op,
         })
         .collect()
@@ -350,8 +325,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
-    fn patched_view_equals_fresh_merge_and_model(pids in 1u64..5, ops in ops(4, 1..48)) {
-        run(&bound(ops, pids, 1), pids, 1);
+    fn patched_view_equals_fresh_merge_and_model(ops in ops(1..48)) {
+        run(&bound(ops, 1), 1);
     }
 }
 
@@ -363,9 +338,9 @@ proptest! {
     /// base: folds land between patches and reads, and the view still
     /// equals a fresh merge and the model.
     #[test]
-    fn patched_view_survives_folds(pids in 1u64..5, ops in ops(4, 300..400)) {
+    fn patched_view_survives_folds(ops in ops(300..400)) {
         let ops = ops.into_iter().filter(|op| !matches!(op, Op::Truncate)).collect();
-        run(&bound(ops, pids, 1), pids, 1);
+        run(&bound(ops, 1), 1);
     }
 }
 
@@ -379,20 +354,19 @@ proptest! {
 fn a_second_fd_beside_in_place_writes() {
     use proptest::test_runner::Rng;
     const CASES: u32 = 96;
-    let strategy = (1u64..5, ops(4, 1..64));
+    let strategy = ops(1..64);
     let mut rng = Rng::from_name(concat!(
         module_path!(),
         "::a_second_fd_beside_in_place_writes"
     ));
     let mut in_place = 0;
     for case in 1..=CASES {
-        let (pids, ops) = strategy.generate(&mut rng);
-        let ops = bound(ops, pids, 2);
-        let outcome = std::panic::catch_unwind(|| run(&ops, pids, 2));
+        let ops = bound(strategy.generate(&mut rng), 2);
+        let outcome = std::panic::catch_unwind(|| run(&ops, 2));
         match outcome {
             Ok(n) => in_place += n,
             Err(panic) => {
-                eprintln!("case {case}/{CASES} failed: pids = {pids}; ops = {ops:?}");
+                eprintln!("case {case}/{CASES} failed: ops = {ops:?}");
                 std::panic::resume_unwind(panic);
             }
         }

@@ -55,22 +55,23 @@ fn cold_open_and_scan_of_a_shuffled_eight_writer_container() {
     const RECORDS: u64 = 512;
     let meter = Arc::new(MeterBacking::new(Arc::new(MemBacking::new())));
     let plfs = Plfs::new(meter.clone() as Arc<dyn Backing>);
-    let fd = plfs
-        .open("/f", OpenFlags::WRONLY | OpenFlags::CREAT, 0)
-        .unwrap();
-    for pid in 1..PIDS {
-        fd.add_ref(pid);
-    }
+    let open = |pid| plfs.open("/f", OpenFlags::WRONLY | OpenFlags::CREAT, pid);
+    let fds: Vec<_> = (0..PIDS).map(|pid| open(pid).unwrap()).collect();
     // 211 is coprime to 512: every record once, in no logical order, and
     // a pid that does not follow from the record's position.
     for i in 0..RECORDS {
         let rec = i * 211 % RECORDS;
         let pid = (rec * 5 + rec / 8) % PIDS;
-        plfs.write(&fd, &[rec as u8; RECORD], rec * RECORD as u64, pid)
-            .unwrap();
+        plfs.write(
+            &fds[pid as usize],
+            &[rec as u8; RECORD],
+            rec * RECORD as u64,
+            pid,
+        )
+        .unwrap();
     }
-    for pid in 0..PIDS {
-        plfs.close(&fd, pid).unwrap();
+    for (pid, fd) in (0..).zip(&fds) {
+        plfs.close(fd, pid).unwrap();
     }
 
     let before = meter.snapshot();
@@ -106,18 +107,20 @@ fn cold_open_and_scan_of_a_shuffled_eight_writer_container() {
 
 /// Seconds per write→read cycle (best of three runs of `cycles`) on a fd
 /// whose view holds `segments` segments that cannot coalesce. Each cycle
-/// writes its block as the pid that did not write it last, so it appends
-/// and the read patches the view: an overwrite of the writer's own bytes
-/// would go in place and patch nothing.
+/// writes 16 bytes over two neighbouring blocks, starting 4 or 12 bytes
+/// into the first — the other of the two than that pair's last write — so
+/// it straddles two slices, appends, and the read patches the view: a
+/// write inside one slice of the writer's own bytes would go in place and
+/// patch nothing.
 fn cycle_secs(segments: u64, cycles: u64) -> f64 {
     let plfs = Plfs::new(Arc::new(MemBacking::new()));
     let fd = plfs
         .open("/f", OpenFlags::RDWR | OpenFlags::CREAT, 0)
         .unwrap();
-    fd.add_ref(1);
-    // Neighbouring blocks come from different droppings: one segment each.
-    for i in 0..segments {
-        plfs.write(&fd, &[i as u8; 16], i * 16, i % 2).unwrap();
+    // The even blocks, then the odd: no neighbours lie side by side in the
+    // data dropping, so each is a segment of its own.
+    for i in (0..segments).step_by(2).chain((1..segments).step_by(2)) {
+        plfs.write(&fd, &[i as u8; 16], i * 16, 0).unwrap();
     }
     let mut buf = [0u8; 16];
     plfs.read(&fd, &mut buf, 0).unwrap();
@@ -125,7 +128,7 @@ fn cycle_secs(segments: u64, cycles: u64) -> f64 {
         fd.with_view(|v| v.index().segments()).unwrap(),
         segments as usize
     );
-    let mut owner: Vec<u64> = (0..segments).map(|k| k % 2).collect();
+    let mut shift = vec![12u64; segments as usize - 1];
     let mut best = Duration::MAX;
     let mut rng = 0x2545F4914F6CDD1Du64;
     for _ in 0..3 {
@@ -134,10 +137,10 @@ fn cycle_secs(segments: u64, cycles: u64) -> f64 {
             rng ^= rng << 13;
             rng ^= rng >> 7;
             rng ^= rng << 17;
-            let k = (rng % segments) as usize;
-            owner[k] = 1 - owner[k];
-            let off = k as u64 * 16;
-            plfs.write(&fd, &[i as u8; 16], off, owner[k]).unwrap();
+            let k = (rng % (segments - 1)) as usize;
+            shift[k] = 16 - shift[k];
+            let off = k as u64 * 16 + shift[k];
+            plfs.write(&fd, &[i as u8; 16], off, 0).unwrap();
             plfs.read(&fd, &mut buf, off).unwrap();
             assert_eq!(buf, [i as u8; 16]);
         }

@@ -368,22 +368,29 @@ fn only_the_creators_first_writer_gets_the_toplevel_pair() {
     );
     assert_eq!(lifecycle_names(b.as_ref(), "/f"), ["open.2.0"]);
 
-    for rank in [1u64, 3, 4] {
-        if rank != 1 {
-            creator.add_ref(rank);
-        }
-        plfs.write(&creator, &[rank as u8; 10], rank * 20, rank)
+    // More ranks of the creating process, an fd each.
+    let ranks = [
+        (1u64, creator),
+        (3, plfs.open("/f", CREATE_RW, 3).unwrap()),
+        (4, plfs.open("/f", CREATE_RW, 4).unwrap()),
+    ];
+    for (rank, fd) in &ranks {
+        plfs.write(fd, &[*rank as u8; 10], rank * 20, *rank)
             .unwrap();
     }
-    assert_eq!(toplevel_pairs(b.as_ref(), "/f"), 1, "the first writer only");
+    assert_eq!(
+        toplevel_pairs(b.as_ref(), "/f"),
+        1,
+        "the creating fd's only"
+    );
     // The creator's index waits for its close.
     assert_eq!(
         lifecycle_names(b.as_ref(), "/f"),
         ["open.2.0", "open.3.0", "open.4.0"]
     );
     assert_eq!(container::open_writers(b.as_ref(), "/f").unwrap(), 4);
-    for rank in [1u64, 3, 4] {
-        plfs.close(&creator, rank).unwrap();
+    for (rank, fd) in &ranks {
+        plfs.close(fd, *rank).unwrap();
     }
     joiner_mount.close(&joiner, 2).unwrap();
     assert_eq!(
@@ -666,17 +673,14 @@ fn mixed_shape_container_with(creator: Creator) -> (Arc<MemBacking>, Plfs, Vec<u
     let b = Arc::new(MemBacking::new());
     let plfs = Plfs::new(b.clone());
     let fd = plfs.open("/c", CREATE_RW, 0).unwrap();
-    let mut model = Vec::new();
-    for pid in 0..3u64 {
-        if pid > 0 {
-            fd.add_ref(pid);
-        }
-        plfs.write(&fd, &[pid as u8 + 1; 100], pid * 100, pid)
+    plfs.write(&fd, &[1; 100], 0, 0).unwrap();
+    let mut model = vec![1; 100];
+    for pid in 1..3u64 {
+        let rank = plfs.open("/c", CREATE_RW, pid).unwrap();
+        plfs.write(&rank, &[pid as u8 + 1; 100], pid * 100, pid)
             .unwrap();
+        plfs.close(&rank, pid).unwrap();
         model.extend_from_slice(&[pid as u8 + 1; 100]);
-    }
-    for pid in 1..3 {
-        plfs.close(&fd, pid).unwrap();
     }
     let creator_name = match creator {
         Creator::Closed => {
@@ -992,26 +996,26 @@ fn a_container_in_the_access_file_layout_reads_back_and_unlinks_to_nothing() {
     write_old_access_file(b.as_ref(), "/f");
     // The creator's later ranks join from another process, as the old
     // build's would have: they check the access file.
-    let joined = Plfs::new(b.clone()).open("/f", CREATE_RW, 2).unwrap();
-    joined.add_ref(3);
+    let other = Plfs::new(b.clone());
     mount.create("/g", true).unwrap();
-    let gd = mount.open("/g", CREATE_RW, 1).unwrap();
-    let f_of = |pid| if pid == 1 { &fd } else { &joined };
     let mut model = Vec::new();
+    let mut fds = Vec::new();
     for pid in 1..4u64 {
-        if pid > 1 {
-            gd.add_ref(pid);
-        }
+        let f = match pid {
+            1 => fd.clone(),
+            _ => other.open("/f", CREATE_RW, pid).unwrap(),
+        };
+        let g = mount.open("/g", CREATE_RW, pid).unwrap();
         let bytes = vec![pid as u8; 700];
-        mount
-            .write(f_of(pid), &bytes, (pid - 1) * 700, pid)
-            .unwrap();
-        mount.write(&gd, &bytes, (pid - 1) * 700, pid).unwrap();
+        for fd in [&f, &g] {
+            mount.write(fd, &bytes, (pid - 1) * 700, pid).unwrap();
+        }
         model.extend_from_slice(&bytes);
+        fds.push((pid, f, g));
     }
-    for pid in 1..4u64 {
-        mount.close(f_of(pid), pid).unwrap();
-        mount.close(&gd, pid).unwrap();
+    for (pid, f, g) in &fds {
+        mount.close(f, *pid).unwrap();
+        mount.close(g, *pid).unwrap();
     }
     let names = b.readdir("/f").unwrap();
     assert!(names.iter().any(|n| n == ".plfsaccess"), "{names:?}");
