@@ -100,6 +100,10 @@ pub struct PlfsFd {
     /// the read view so reads observe this process's own writes
     /// (read-your-writes, as LDPLFS needs for the UNIX-tool use case).
     dirty: AtomicBool,
+    /// Set with `dirty` when a writer left with entries the view has not
+    /// seen: the next refresh rebuilds the view from the records the
+    /// writer put on the backing store, where a patch would miss them.
+    rebuild: AtomicBool,
     /// The first write stamp taken after the read view became current:
     /// read from the process write clock ahead of each refresh, stepped by
     /// every in-place write that finds it still unclaimed. Only touched
@@ -130,6 +134,7 @@ impl PlfsFd {
             writer: Mutex::new(None),
             reader: RwLock::new(None),
             dirty: AtomicBool::new(false),
+            rebuild: AtomicBool::new(false),
             view_clock: AtomicU64::new(0),
             eof: AtomicU64::new(0),
             eof_seeded: AtomicBool::new(false),
@@ -381,9 +386,11 @@ impl PlfsFd {
         // Read ahead of the drain: every stamp below it was taken under the
         // writer lock the drain takes after it, so its entry is in the view.
         let clock = crate::index::write_clock();
-        // relaxed: the swap needs atomicity only (exactly one refresher); the writer's entries are read under the writer lock taken below
-        if self.dirty.swap(false, Ordering::Relaxed) {
-            match view.as_mut().filter(|_| self.flags.readable()) {
+        // acquire: pairs with the release in stale_view, so a refresher that takes its flag also sees the rebuild it asks for; the writer's entries are read under the writer lock taken below
+        if self.dirty.swap(false, Ordering::Acquire) {
+            // relaxed: ordered by the dirty swap above
+            let rebuild = self.rebuild.swap(false, Ordering::Relaxed);
+            match view.as_mut().filter(|_| self.flags.readable() && !rebuild) {
                 Some(v) => {
                     // Valid because the write clock steps past every view
                     // it builds: `fresh` is stamped after everything
@@ -395,9 +402,9 @@ impl PlfsFd {
                     // Dirty with nothing owed (a racing refresh already
                     // drained the write that set the flag, or the writer
                     // left): the view is current.
-                    if let Some(fresh) = fresh.filter(|(_, ents)| !ents.is_empty()) {
+                    if let Some((data_path, ents)) = fresh.filter(|(_, ents)| !ents.is_empty()) {
                         let t0 = iotrace::global().start();
-                        let patched_bytes = v.patch(vec![fresh]);
+                        let patched_bytes = v.patch(data_path, ents);
                         if let Some(t0) = t0 {
                             iotrace::global().record(
                                 t0,
@@ -411,8 +418,10 @@ impl PlfsFd {
                         }
                     }
                 }
-                // No view to patch, or a write-only fd's (its writer tracks
-                // nothing): rebuild from the backing store.
+                // No view to patch, a write-only fd's (its writer tracks
+                // nothing), or one that has not seen all of a writer that
+                // left ([`PlfsFd::stale_view`]): rebuild from the backing
+                // store.
                 None => {
                     *view = None;
                     if let Err(e) = self.flush_writer() {
@@ -518,8 +527,10 @@ impl PlfsFd {
     /// entries goes with it, for the next read to rebuild from those
     /// records. The child's own writes open droppings of their own under
     /// `pid`.
+    ///
+    /// It takes no view lock: a parent thread reading through this open at
+    /// the fork left the child's copy of that lock held shared, by no one.
     pub fn forked(&self, pid: u64) {
-        let mut view = self.reader.write();
         // relaxed: see pid
         self.pid.store(pid, Ordering::Relaxed);
         // The creator's dropping is the parent's, for its first writer.
@@ -527,11 +538,21 @@ impl PlfsFd {
         let writer = self.writer.lock().take();
         if let Some(mut w) = writer {
             if !w.take_unmerged().is_empty() {
-                *view = None;
+                self.stale_view();
             }
             self.cache.writer_dec(&self.container);
             w.abandon();
         }
+    }
+
+    /// The writer just taken away left entries the read view has not seen,
+    /// which only its records hold: have the next read rebuild the view,
+    /// taking no view lock here.
+    fn stale_view(&self) {
+        // relaxed: published by the release store of dirty below
+        self.rebuild.store(true, Ordering::Relaxed);
+        // release: a refresher that takes this flag sees rebuild set
+        self.dirty.store(true, Ordering::Release);
     }
 
     /// Logical size as visible through this fd right now: answered from
@@ -570,6 +591,7 @@ impl PlfsFd {
         *guard = None;
         // relaxed: truncate path: the writer is gone and the view lock is held exclusively
         self.dirty.store(false, Ordering::Relaxed);
+        self.rebuild.store(false, Ordering::Relaxed); // relaxed: same quiesced section
         self.eof.store(0, Ordering::Relaxed); // relaxed: same quiesced section
         self.eof_seeded.store(false, Ordering::Relaxed); // relaxed: same quiesced section
         Ok(())
@@ -597,7 +619,7 @@ impl PlfsFd {
             // A view that has not seen all of the writer is rebuilt by a
             // read after the close, from the records just synced.
             if !w.take_unmerged().is_empty() {
-                *self.reader.write() = None;
+                self.stale_view();
             }
             let last = self.cache.writer_dec(&self.container) == 0;
             let t0 = iotrace::global().start();
@@ -1027,10 +1049,14 @@ mod tests {
         fd.flush_index().unwrap();
         let banked = fd.writer.lock().as_mut().unwrap().take_unmerged();
         assert!(banked.is_empty(), "nothing reads through it");
-        fd.close().unwrap();
-        // Inspection still works: it rebuilds from the backing store.
+        // Inspection still works: it rebuilds from the backing store, and
+        // a write after it turns the fd dirty, so the next one rebuilds
+        // again rather than serve the stale view.
         let eof = offsets.max().unwrap() + 1;
         assert_eq!(fd.with_view(|v| v.eof()).unwrap(), eof);
+        fd.write(b"y", 5000).unwrap();
+        assert_eq!(fd.with_view(|v| v.eof()).unwrap(), 5001);
+        fd.close().unwrap();
     }
 
     #[test]
@@ -1069,5 +1095,36 @@ mod tests {
             names.iter().any(|d| d.data_path.ends_with(&data))
         };
         assert!(ours(100) && ours(300), "{names:?}");
+    }
+
+    /// A parent thread reading through an open at the fork leaves the
+    /// child's copy of the view lock held shared, by no one: adopting the
+    /// open, and the child's first write and close on it, must not wait
+    /// for that lock to be released. Here the main thread's held view
+    /// stands for that reader; the "child" runs on another thread.
+    #[test]
+    fn a_forked_child_never_waits_for_a_reader_left_behind() {
+        let (_b, fd) = open_fd(OpenFlags::RDWR);
+        fd.write(b"parent", 0).unwrap();
+        let held = fd.reader().unwrap();
+        fd.write(b"PA", 6).unwrap(); // entries the held view has not seen
+        fd.flush_index().unwrap(); // the parent's side of the fork
+        let (done, finished) = std::sync::mpsc::channel();
+        let child = Arc::clone(&fd);
+        std::thread::spawn(move || {
+            child.forked(300);
+            child.write(b"c", 8).unwrap();
+            child.close().unwrap();
+            done.send(()).unwrap();
+        });
+        let waited = finished.recv_timeout(std::time::Duration::from_secs(10));
+        assert!(waited.is_ok(), "the child waited on the view lock");
+        assert_eq!(held.eof(), 6, "the reader's view is untouched");
+        drop(held);
+        // The view had not seen the parent's last write: the next read
+        // rebuilds it from the records.
+        let mut buf = [0u8; 9];
+        assert_eq!(fd.read(&mut buf, 0).unwrap(), 9);
+        assert_eq!(&buf, b"parentPAc");
     }
 }

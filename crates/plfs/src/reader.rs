@@ -42,15 +42,20 @@ impl ReadFile {
         })
     }
 
-    /// Fold freshly flushed entries into this view **in place** — the
-    /// incremental refresh. `fresh` holds one batch per writer: its data
-    /// dropping's path and its entries in write order, every one stamped
-    /// after everything already merged (the process write clock steps past
-    /// each view it builds). Amortized O(log k) per entry, in the index's
+    /// Fold one writer's fresh entries into this view **in place** — the
+    /// incremental refresh. `data_path` is the writer's data dropping and
+    /// `entries` its entries in write order, which is stamp order (one
+    /// writer stamps under its own lock), every one stamped after
+    /// everything already merged (the process write clock steps past each
+    /// view it builds). Amortized O(log k) per entry, in the index's
     /// overlay: nothing is cloned, and as dropping ids are positions that
     /// only grow, an unknown dropping is *appended* to the table, so open
     /// handles stay valid. Returns the bytes patched.
-    pub(crate) fn patch(&mut self, fresh: Vec<(String, Vec<IndexEntry>)>) -> u64 {
+    pub(crate) fn patch(&mut self, data_path: String, entries: Vec<IndexEntry>) -> u64 {
+        debug_assert!(
+            entries.windows(2).all(|w| w[0].timestamp < w[1].timestamp),
+            "one writer's entries come in stamp order"
+        );
         if self.ids_by_path.is_empty() {
             // First patch of this view: clean views never pay for the map.
             self.ids_by_path = (0u32..)
@@ -58,33 +63,26 @@ impl ReadFile {
                 .map(|(id, d)| (d.data_path.clone(), id))
                 .collect();
         }
-        let mut entries: Vec<IndexEntry> = Vec::new();
-        for (data_path, ents) in fresh {
-            let id = match self.ids_by_path.get(&data_path) {
-                Some(&id) => id,
-                None => {
-                    let id = self.droppings.len() as u32;
-                    self.ids_by_path.insert(data_path.clone(), id);
-                    self.droppings.push(DroppingRef {
-                        data_path,
-                        index_path: None,
-                    });
-                    self.handles.push(OnceLock::new());
-                    id
-                }
-            };
-            entries.extend(ents.into_iter().map(|e| IndexEntry {
-                dropping_id: id,
-                ..e
-            }));
-        }
-        // Writers flush independently; restore global write order across
-        // pids before inserting.
-        entries.sort_by_key(|e| e.timestamp);
+        let id = match self.ids_by_path.get(&data_path) {
+            Some(&id) => id,
+            None => {
+                let id = self.droppings.len() as u32;
+                self.ids_by_path.insert(data_path.clone(), id);
+                self.droppings.push(DroppingRef {
+                    data_path,
+                    index_path: None,
+                });
+                self.handles.push(OnceLock::new());
+                id
+            }
+        };
         let mut bytes = 0;
         for e in entries {
             bytes += e.length;
-            self.index.insert(e);
+            self.index.insert(IndexEntry {
+                dropping_id: id,
+                ..e
+            });
         }
         bytes
     }
