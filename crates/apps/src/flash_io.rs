@@ -14,7 +14,7 @@
 //! slowly under shared-file locks.
 
 use crate::result::{BenchPoint, IoTimer};
-use mpiio::{Access, Job, Method, MpiFile, MpiInfo};
+use mpiio::{Access, Job, Method, MpiFile};
 use simfs::{Platform, SimFs, SimResult};
 
 /// Number of FLASH "unknowns" checkpointed (24 mesh variables).
@@ -76,7 +76,6 @@ pub fn run(platform: &Platform, cfg: &FlashConfig, method: Method) -> SimResult<
         "/flash_hdf5_chk_0001",
         true,
         method,
-        MpiInfo::default(),
         cfg.num_hostdirs,
     )?;
     let t_open1 = job.max_time();
@@ -166,16 +165,7 @@ mod tests {
         // Count metadata ops for PLFS vs plain MPI-IO.
         let mut fs = SimFs::new(p.clone());
         let mut job = Job::new(cfg.procs, cfg.ppn);
-        let mut f = MpiFile::open(
-            &mut fs,
-            &mut job,
-            "/c",
-            true,
-            Method::Romio,
-            MpiInfo::default(),
-            8,
-        )
-        .unwrap();
+        let mut f = MpiFile::open(&mut fs, &mut job, "/c", true, Method::Romio, 8).unwrap();
         for r in 0..cfg.procs {
             f.write_at(
                 &mut fs,
@@ -191,16 +181,7 @@ mod tests {
 
         let mut fs2 = SimFs::new(p.clone());
         let mut job2 = Job::new(cfg.procs, cfg.ppn);
-        let mut f2 = MpiFile::open(
-            &mut fs2,
-            &mut job2,
-            "/c",
-            true,
-            Method::MpiIo,
-            MpiInfo::default(),
-            8,
-        )
-        .unwrap();
+        let mut f2 = MpiFile::open(&mut fs2, &mut job2, "/c", true, Method::MpiIo, 8).unwrap();
         for r in 0..cfg.procs {
             f2.write_at(
                 &mut fs2,

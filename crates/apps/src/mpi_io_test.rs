@@ -7,7 +7,7 @@
 //! step into one large aggregator write per node.
 
 use crate::result::{BenchPoint, IoTimer};
-use mpiio::{Job, Method, MpiFile, MpiInfo, RankIo};
+use mpiio::{Job, Method, MpiFile, RankIo};
 use simfs::{Platform, SimFs, SimResult};
 
 /// Parameters of one MPI-IO Test run.
@@ -77,7 +77,6 @@ pub fn run(
         "/mpiio_test.out",
         true,
         method,
-        MpiInfo::default(),
         cfg.num_hostdirs,
     )?;
 

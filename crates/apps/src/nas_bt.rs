@@ -15,7 +15,7 @@
 //! plain log appends.
 
 use crate::result::{BenchPoint, IoTimer};
-use mpiio::{Access, Job, Method, MpiFile, MpiInfo};
+use mpiio::{Access, Job, Method, MpiFile};
 use simfs::{Platform, SimFs, SimResult};
 
 /// NAS problem classes used in the paper.
@@ -107,7 +107,6 @@ pub fn run(platform: &Platform, cfg: &BtConfig, method: Method) -> SimResult<Ben
         "/btio.out",
         true,
         method,
-        MpiInfo::default(),
         cfg.num_hostdirs,
     )?;
 
@@ -183,16 +182,7 @@ mod tests {
         let cfg = BtConfig::paper(BtClass::C, 256);
         let mut fs = SimFs::new(p.clone());
         let mut job = Job::new(cfg.procs, cfg.ppn);
-        let mut file = MpiFile::open(
-            &mut fs,
-            &mut job,
-            "/bt",
-            true,
-            Method::Romio,
-            MpiInfo::default(),
-            32,
-        )
-        .unwrap();
+        let mut file = MpiFile::open(&mut fs, &mut job, "/bt", true, Method::Romio, 32).unwrap();
         for r in 0..cfg.procs {
             file.write_at(
                 &mut fs,

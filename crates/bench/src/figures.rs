@@ -151,20 +151,6 @@ pub const FIGURES: &[Figure] = &[
         gate: None,
     },
     Figure {
-        name: "ior",
-        kind: Kind::Modeled,
-        help: "IOR layouts/APIs/transfer sizes on Sierra",
-        run: run_ior,
-        gate: None,
-    },
-    Figure {
-        name: "staging",
-        kind: Kind::Modeled,
-        help: "Zest-style staging vs PLFS vs plain Lustre",
-        run: run_staging,
-        gate: None,
-    },
-    Figure {
         name: "writepath",
         kind: Kind::Measured,
         help: "[--quick]  racing writers, an fd each; appends, read-after-write patches",
@@ -181,16 +167,6 @@ pub const FIGURES: &[Figure] = &[
         run: run_metadata,
         gate: Some(Gate {
             metrics: gate_metadata,
-            scale: Scale::Quick,
-        }),
-    },
-    Figure {
-        name: "noncontig",
-        kind: Kind::Modeled,
-        help: "[--quick]  list I/O vs data sieving on strided views",
-        run: run_noncontig,
-        gate: Some(Gate {
-            metrics: gate_noncontig,
             scale: Scale::Quick,
         }),
     },
@@ -338,25 +314,6 @@ fn run_crossover(_: &Opts, e: &Emitter) -> String {
     out
 }
 
-fn run_ior(_: &Opts, e: &Emitter) -> String {
-    let rows = e.output("ior", || ior_sweep(96));
-    format!(
-        "# IOR parameter sweep on Sierra (write, 96 processes)\n\n{}\n",
-        render_ior(&rows)
-    )
-}
-
-fn run_staging(_: &Opts, e: &Emitter) -> String {
-    let rows = e.output("staging", staging_comparison);
-    format!(
-        "# Zest-style staging vs PLFS vs plain Lustre (FLASH-IO)\n\n{}\n\
-         (per-node staging lanes scale linearly with node count and dodge\n          \
-         shared-FS contention entirely — but the data still needs a later\n          \
-         copy-out to the real file system, which PLFS does not)\n\n",
-        render_staging(&rows)
-    )
-}
-
 fn run_writepath(o: &Opts, e: &Emitter) -> String {
     let report = e.output("writepath", || writepath_comparison(o.scale));
     format!(
@@ -377,19 +334,6 @@ fn run_metadata(o: &Opts, e: &Emitter) -> String {
          rows replay the measured whole-cycle profile the same way, every\n          \
          process cycling a file of its own)\n\n",
         render_metadata(&report)
-    )
-}
-
-fn run_noncontig(o: &Opts, e: &Emitter) -> String {
-    let report = e.output("noncontig", || noncontig_comparison(o.scale));
-    format!(
-        "# Noncontiguous I/O: list I/O vs data sieving vs per-extent lowering\n\n\
-         ## Simulated block-cyclic checkpoint (write + read back)\n\n{}\n\
-         (sieving pays a 512 KiB read-modify-write per strided extent; the\n          \
-         PLFS ROMIO driver's list I/O batches every extent of a view access\n          \
-         into one op and one index record; per-extent is LDPLFS, whose shim\n          \
-         has no list call — the two PLFS columns isolate the batching win)\n\n",
-        render_noncontig(&report)
     )
 }
 
@@ -479,17 +423,4 @@ fn gate_metadata(data: &Value) -> Vec<Metric> {
         }
     }
     out
-}
-
-/// Both ratios come from simulated clocks, identical on any runner.
-/// `listio_vs_sieving` is the headline: list I/O must stay ≥ 2x over data
-/// sieving, and the committed baseline holds that bar.
-fn gate_noncontig(data: &Value) -> Vec<Metric> {
-    ["listio_vs_sieving", "listio_vs_per_extent"]
-        .into_iter()
-        .filter_map(|name| {
-            let v = data.get(name)?.as_f64()?;
-            Some(Metric::higher(name.to_string(), v))
-        })
-        .collect()
 }

@@ -343,14 +343,15 @@ mod tests {
 
     #[test]
     fn gate_fails_on_a_gated_metric_missing_from_the_fresh_file() {
-        let base = "{\"figure\":\"noncontig\",\"kind\":\"modeled\",\"data\":\
-                    {\"listio_vs_sieving\":3.0,\"listio_vs_per_extent\":1.5}}";
-        let fresh = "{\"figure\":\"noncontig\",\"kind\":\"modeled\",\"data\":\
-                     {\"listio_vs_sieving\":3.0}}";
+        let base = "{\"figure\":\"metadata\",\"kind\":\"measured\",\"data\":\
+                    {\"measured\":[{\"phase\":\"reopen\",\"ops_reduction\":4.0},\
+                    {\"phase\":\"stat\",\"ops_reduction\":2.0}]}}";
+        let fresh = "{\"figure\":\"metadata\",\"kind\":\"measured\",\"data\":\
+                     {\"measured\":[{\"phase\":\"reopen\",\"ops_reduction\":4.0}]}}";
         let err = gate(base, fresh, 0.30).unwrap_err();
         assert!(
             matches!(err, BenchError::Regressed(ref m)
-                if m.contains("listio_vs_per_extent: missing from fresh snapshot")),
+                if m.contains("ops_reduction[stat]: missing from fresh snapshot")),
             "{err:?}"
         );
         // A fresh file may carry more than its baseline.
@@ -394,32 +395,6 @@ mod tests {
     }
 
     #[test]
-    fn gate_noncontig_gates_listio_ratios() {
-        let doc = |sieve: f64, per_ext: f64| {
-            format!(
-                "{{\"figure\":\"noncontig\",\"kind\":\"modeled\",\"data\":{{\"rows\":[],\
-                 \"listio_vs_sieving\":{sieve},\"listio_vs_per_extent\":{per_ext}}},\
-                 \"trace\":{{}}}}"
-            )
-        };
-        let out = check(&doc(3.0, 1.5), "BENCH_noncontig.json").unwrap();
-        assert!(out.contains("2 gated metric"), "{out}");
-        // Higher is better: a small dip passes, a collapse of either ratio
-        // fails on that metric.
-        assert!(gate(&doc(3.0, 1.5), &doc(2.5, 1.4), 0.30).is_ok());
-        let err = gate(&doc(3.0, 1.5), &doc(1.5, 1.4), 0.30).unwrap_err();
-        assert!(
-            matches!(err, BenchError::Regressed(ref m) if m.contains("listio_vs_sieving")),
-            "{err:?}"
-        );
-        let err = gate(&doc(3.0, 1.5), &doc(3.0, 0.5), 0.30).unwrap_err();
-        assert!(
-            matches!(err, BenchError::Regressed(ref m) if m.contains("listio_vs_per_extent")),
-            "{err:?}"
-        );
-    }
-
-    #[test]
     fn gate_rejects_figure_mismatch_and_unknown_passes() {
         let a = "{\"figure\":\"fig3\",\"kind\":\"modeled\",\"data\":[],\"trace\":{}}";
         let b = "{\"figure\":\"fig5\",\"kind\":\"modeled\",\"data\":[],\"trace\":{}}";
@@ -450,7 +425,7 @@ mod tests {
             assert!(out.ends_with(" 0 regression(s)\n"), "{name}: {out}");
             seen += 1;
         }
-        assert!(seen >= 12, "only {seen} baselines under {}", dir.display());
+        assert!(seen >= 9, "only {seen} baselines under {}", dir.display());
         // Every gated figure has its baseline, with metrics to gate.
         for f in crate::figures::FIGURES.iter().filter(|f| f.gate.is_some()) {
             let text = std::fs::read_to_string(dir.join(format!("BENCH_{}.json", f.name))).unwrap();

@@ -20,8 +20,8 @@ use apps::mpi_io_test::{self, MpiIoTestConfig, Phase};
 use apps::nas_bt::{self, BtClass, BtConfig};
 use apps::unix_tools::sim::{tool_time, FileKind, Tool};
 use jsonlite::{ToJson, Value};
-use mpiio::{FileView, Job, Method, MpiFile, MpiInfo};
-use simfs::{presets, Platform, SimFs};
+use mpiio::Method;
+use simfs::{presets, Platform};
 
 /// How big to run the experiments.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -274,163 +274,6 @@ pub fn crossover(platform: &Platform, label: &str) -> Crossover {
         speedup,
         harmful_at,
     }
-}
-
-// ---------------------------------------------------------------------------
-// Beyond the paper: Zest-style staging tier (related work, §II).
-// ---------------------------------------------------------------------------
-
-/// One row of the staging comparison.
-#[derive(Debug, Clone)]
-pub struct StagingRow {
-    /// Core count.
-    pub cores: usize,
-    /// Plain MPI-IO on Lustre (MB/s).
-    pub lustre_mpiio: f64,
-    /// LDPLFS/PLFS on Lustre (MB/s).
-    pub lustre_plfs: f64,
-    /// MPI-IO over the Zest-style staging tier (MB/s, as the *application*
-    /// observes — durability drains later, like Zest's delayed copy-out).
-    pub staging: f64,
-}
-
-/// Compare FLASH-IO on plain Lustre, PLFS, and a Zest-style staging tier
-/// (the related-work design the paper contrasts PLFS against: log-writes
-/// to a no-read-back staging area, drained at non-critical times).
-pub fn staging_comparison() -> Vec<StagingRow> {
-    let lustre = presets::sierra();
-    let zest = presets::zest_staging();
-    FlashConfig::core_sweep()
-        .iter()
-        .take(7) // up to 768 cores keeps this quick
-        .map(|&cores| {
-            let cfg = FlashConfig::paper(cores);
-            let lustre_mpiio = flash_io::run(&lustre, &cfg, Method::MpiIo)
-                .expect("staging base")
-                .bandwidth_mbs();
-            let lustre_plfs = flash_io::run(&lustre, &cfg, Method::Ldplfs)
-                .expect("staging plfs")
-                .bandwidth_mbs();
-            let staging = flash_io::run(&zest, &cfg, Method::MpiIo)
-                .expect("staging zest")
-                .bandwidth_mbs();
-            StagingRow {
-                cores,
-                lustre_mpiio,
-                lustre_plfs,
-                staging,
-            }
-        })
-        .collect()
-}
-
-/// Render the staging comparison.
-pub fn render_staging(rows: &[StagingRow]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{:>8}{:>14}{:>14}{:>16}
-",
-        "Cores", "Lustre MPI-IO", "Lustre PLFS", "Zest staging"
-    ));
-    for r in rows {
-        out.push_str(&format!(
-            "{:>8}{:>14.1}{:>14.1}{:>16.1}
-",
-            r.cores, r.lustre_mpiio, r.lustre_plfs, r.staging
-        ));
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
-// Beyond the paper: IOR parameter sweep.
-// ---------------------------------------------------------------------------
-
-/// One row of the IOR exploration table.
-#[derive(Debug, Clone)]
-pub struct IorRow {
-    /// Layout label.
-    pub layout: String,
-    /// API label.
-    pub api: String,
-    /// Transfer size (bytes).
-    pub transfer: u64,
-    /// Plain POSIX bandwidth (MB/s).
-    pub mpiio: f64,
-    /// LDPLFS bandwidth (MB/s).
-    pub ldplfs: f64,
-}
-
-/// Sweep IOR layouts/APIs/transfer-sizes on Sierra, comparing plain MPI-IO
-/// with LDPLFS — the generalisation of the paper's fixed workloads.
-pub fn ior_sweep(procs: usize) -> Vec<IorRow> {
-    use apps::ior::{run_write, ApiMode, FileLayout, IorConfig};
-    let platform = presets::sierra();
-    let mut rows = Vec::new();
-    let layouts = [
-        ("shared-segmented", FileLayout::SharedSegmented),
-        ("shared-strided", FileLayout::SharedStrided),
-        ("file-per-process", FileLayout::FilePerProcess),
-    ];
-    let apis = [
-        ("independent", ApiMode::Independent),
-        ("collective", ApiMode::Collective),
-    ];
-    for &(lname, layout) in &layouts {
-        for &(aname, api) in &apis {
-            if layout == FileLayout::FilePerProcess && api == ApiMode::Collective {
-                continue; // no collective over per-process files
-            }
-            for transfer in [64 << 10u64, 1 << 20, 8 << 20] {
-                let cfg = IorConfig {
-                    procs,
-                    ppn: 12,
-                    transfer,
-                    transfers_per_block: 8,
-                    layout,
-                    api,
-                    num_hostdirs: 32,
-                };
-                let mpiio = run_write(&platform, &cfg, Method::MpiIo)
-                    .expect("ior mpiio")
-                    .bandwidth_mbs();
-                let ldplfs = run_write(&platform, &cfg, Method::Ldplfs)
-                    .expect("ior ldplfs")
-                    .bandwidth_mbs();
-                rows.push(IorRow {
-                    layout: lname.to_string(),
-                    api: aname.to_string(),
-                    transfer,
-                    mpiio,
-                    ldplfs,
-                });
-            }
-        }
-    }
-    rows
-}
-
-/// Render the IOR sweep.
-pub fn render_ior(rows: &[IorRow]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{:<18}{:<13}{:>10}{:>12}{:>12}{:>10}
-",
-        "layout", "api", "transfer", "MPI-IO", "LDPLFS", "speedup"
-    ));
-    for r in rows {
-        out.push_str(&format!(
-            "{:<18}{:<13}{:>10}{:>12.1}{:>12.1}{:>9.2}x
-",
-            r.layout,
-            r.api,
-            r.transfer,
-            r.mpiio,
-            r.ldplfs,
-            r.ldplfs / r.mpiio
-        ));
-    }
-    out
 }
 
 fn best_of<F: FnMut() -> u64>(times: usize, mut f: F) -> (f64, u64) {
@@ -1079,190 +922,6 @@ pub fn render_metadata(r: &MetadataReport) -> String {
 }
 
 // ---------------------------------------------------------------------------
-// Beyond the paper: noncontiguous I/O — list I/O vs data sieving vs the
-// per-extent lowering (romio_plfs_listio in spirit).
-// ---------------------------------------------------------------------------
-
-/// One row of the noncontiguous-I/O sweep: a block-cyclic strided
-/// checkpoint (every rank writes then reads its interleaved view) run
-/// three ways — data sieving on plain UFS, PLFS through LDPLFS (one plain
-/// write per extent: the shim has no list call), and list I/O through the
-/// PLFS ROMIO driver (one batched op per `write_view`/`read_view` call).
-#[derive(Debug, Clone)]
-pub struct NoncontigRow {
-    /// MPI ranks in the job.
-    pub ranks: usize,
-    /// Ranks per node.
-    pub ppn: usize,
-    /// Block-cyclic block size (bytes).
-    pub block: u64,
-    /// Strided extents each `write_view`/`read_view` call lowers to.
-    pub extents_per_call: usize,
-    /// Simulated job completion (write + read + close), sieving on UFS.
-    pub sieving_secs: f64,
-    /// Same, PLFS through LDPLFS: one op per extent.
-    pub per_extent_secs: f64,
-    /// Same, PLFS ROMIO list I/O: one batched op per call.
-    pub listio_secs: f64,
-    /// Bytes the storage system moved under sieving (RMW-amplified).
-    pub sieving_bytes: u64,
-    /// Bytes moved under list I/O (exactly the logical volume, twice —
-    /// once written, once read back).
-    pub listio_bytes: u64,
-}
-
-impl NoncontigRow {
-    /// Sieving time over list-I/O time at this scale.
-    pub fn listio_speedup(&self) -> f64 {
-        self.sieving_secs / self.listio_secs.max(1e-12)
-    }
-}
-
-/// The sweep plus its gated summary ratios (taken at the largest job).
-#[derive(Debug, Clone)]
-pub struct NoncontigReport {
-    /// One row per [`NONCONTIG_JOBS`] entry.
-    pub rows: Vec<NoncontigRow>,
-    /// Sieving time over list-I/O time at the largest job — the paper-style
-    /// headline: list I/O must beat sieving by ≥2× on strided checkpoints.
-    pub listio_vs_sieving: f64,
-    /// Per-extent-lowering time over list-I/O time at the largest job:
-    /// what batching alone buys once sieving's RMW is already gone.
-    pub listio_vs_per_extent: f64,
-}
-
-/// `(ranks, ppn)` pairs swept, smallest to largest.
-pub const NONCONTIG_JOBS: [(usize, usize); 3] = [(4, 2), (8, 4), (16, 4)];
-
-/// Run the block-cyclic checkpoint one way and report
-/// `(completion secs, bytes moved, data ops)`. Everything is simulated
-/// (simfs clocks), so the numbers are deterministic across runners.
-fn noncontig_run(
-    method: Method,
-    list_io: bool,
-    ranks: usize,
-    ppn: usize,
-    block: u64,
-    calls: usize,
-    len_per_call: u64,
-) -> (f64, u64, u64) {
-    let mut fs = SimFs::new(presets::toy());
-    let mut job = Job::new(ranks, ppn);
-    let info = MpiInfo {
-        list_io,
-        ..Default::default()
-    };
-    let mut f =
-        MpiFile::open(&mut fs, &mut job, "/ckpt", true, method, info, 4).expect("noncontig open");
-    for r in 0..ranks {
-        f.set_view(r, FileView::interleaved(r, ranks, block));
-    }
-    for c in 0..calls as u64 {
-        for r in 0..ranks {
-            f.write_view(&mut fs, &mut job, r, c * len_per_call, len_per_call)
-                .expect("noncontig write_view");
-        }
-    }
-    job.barrier();
-    for c in 0..calls as u64 {
-        for r in 0..ranks {
-            f.read_view(&mut fs, &mut job, r, c * len_per_call, len_per_call)
-                .expect("noncontig read_view");
-        }
-    }
-    let done = f.close(&mut fs, &mut job).expect("noncontig close");
-    let s = fs.stats();
-    (
-        done,
-        s.bytes_written + s.bytes_read,
-        s.write_ops + s.read_ops,
-    )
-}
-
-/// Sweep [`NONCONTIG_JOBS`] over the three lowering strategies: data
-/// sieving on UFS, one plain write per extent through LDPLFS (the shim has
-/// no list call), and list I/O through the PLFS ROMIO driver. Each call
-/// covers 16 block-cyclic extents (64 KiB blocks at paper scale, 16 KiB at
-/// quick), well under the 512 KiB sieve buffer, so the sieving arm pays a
-/// full buffer-sized read-modify-write per extent while list I/O moves the
-/// logical bytes in one batched op per call.
-pub fn noncontig_comparison(scale: Scale) -> NoncontigReport {
-    let block = match scale {
-        Scale::Paper => 64u64 << 10,
-        Scale::Quick => 16 << 10,
-    };
-    let extents_per_call = 16usize;
-    let calls = match scale {
-        Scale::Paper => 4usize,
-        Scale::Quick => 2,
-    };
-    let len_per_call = block * extents_per_call as u64;
-
-    let rows: Vec<NoncontigRow> = NONCONTIG_JOBS
-        .iter()
-        .map(|&(ranks, ppn)| {
-            let (sieving_secs, sieving_bytes, _) =
-                noncontig_run(Method::MpiIo, true, ranks, ppn, block, calls, len_per_call);
-            let (per_extent_secs, _, _) = noncontig_run(
-                Method::Ldplfs,
-                false,
-                ranks,
-                ppn,
-                block,
-                calls,
-                len_per_call,
-            );
-            let (listio_secs, listio_bytes, _) =
-                noncontig_run(Method::Romio, true, ranks, ppn, block, calls, len_per_call);
-            NoncontigRow {
-                ranks,
-                ppn,
-                block,
-                extents_per_call,
-                sieving_secs,
-                per_extent_secs,
-                listio_secs,
-                sieving_bytes,
-                listio_bytes,
-            }
-        })
-        .collect();
-
-    let last = rows.last().unwrap();
-    NoncontigReport {
-        listio_vs_sieving: last.listio_speedup(),
-        listio_vs_per_extent: last.per_extent_secs / last.listio_secs.max(1e-12),
-        rows,
-    }
-}
-
-/// Render the noncontiguous-I/O sweep.
-pub fn render_noncontig(r: &NoncontigReport) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{:>8}{:>6}{:>10}{:>14}{:>14}{:>12}{:>10}\n",
-        "Ranks", "PPN", "ext/call", "sieving", "per-extent", "list I/O", "speedup"
-    ));
-    for row in &r.rows {
-        out.push_str(&format!(
-            "{:>8}{:>6}{:>10}{:>12.3}s{:>12.3}s{:>10.3}s{:>9.2}x\n",
-            row.ranks,
-            row.ppn,
-            row.extents_per_call,
-            row.sieving_secs,
-            row.per_extent_secs,
-            row.listio_secs,
-            row.listio_speedup()
-        ));
-    }
-    out.push_str(&format!(
-        "\nlist I/O vs sieving {:.2}x, vs per-extent lowering {:.2}x (largest job)\n",
-        r.listio_vs_sieving, r.listio_vs_per_extent
-    ));
-    out
-}
-
-// ---------------------------------------------------------------------------
 // Rendering helpers.
 // ---------------------------------------------------------------------------
 
@@ -1353,16 +1012,6 @@ impl ToJson for Crossover {
     }
 }
 
-impl ToJson for StagingRow {
-    fn to_json_value(&self) -> Value {
-        Value::object()
-            .with("cores", self.cores as u64)
-            .with("lustre_mpiio", self.lustre_mpiio)
-            .with("lustre_plfs", self.lustre_plfs)
-            .with("staging", self.staging)
-    }
-}
-
 impl ToJson for WritePathRow {
     fn to_json_value(&self) -> Value {
         Value::object()
@@ -1443,42 +1092,6 @@ impl ToJson for MetadataReport {
             .with("cache_hits", self.cache_hits)
             .with("cache_misses", self.cache_misses)
             .with("cache_hit_rate", self.cache_hit_rate())
-    }
-}
-
-impl ToJson for NoncontigRow {
-    fn to_json_value(&self) -> Value {
-        Value::object()
-            .with("ranks", self.ranks as u64)
-            .with("ppn", self.ppn as u64)
-            .with("block", self.block)
-            .with("extents_per_call", self.extents_per_call as u64)
-            .with("sieving_secs", self.sieving_secs)
-            .with("per_extent_secs", self.per_extent_secs)
-            .with("listio_secs", self.listio_secs)
-            .with("sieving_bytes", self.sieving_bytes)
-            .with("listio_bytes", self.listio_bytes)
-            .with("listio_speedup", self.listio_speedup())
-    }
-}
-
-impl ToJson for NoncontigReport {
-    fn to_json_value(&self) -> Value {
-        Value::object()
-            .with("rows", self.rows.to_json_value())
-            .with("listio_vs_sieving", self.listio_vs_sieving)
-            .with("listio_vs_per_extent", self.listio_vs_per_extent)
-    }
-}
-
-impl ToJson for IorRow {
-    fn to_json_value(&self) -> Value {
-        Value::object()
-            .with("layout", self.layout.as_str())
-            .with("api", self.api.as_str())
-            .with("transfer", self.transfer)
-            .with("mpiio", self.mpiio)
-            .with("ldplfs", self.ldplfs)
     }
 }
 
@@ -1609,39 +1222,6 @@ mod tests {
         let txt = render_metadata(&r);
         assert!(txt.contains("reopen") && txt.contains("Procs") && txt.contains("time to open"));
         assert!(txt.contains("Small-file cycle") && txt.contains("time to drain"));
-    }
-
-    #[test]
-    fn quick_noncontig_listio_beats_sieving() {
-        let r = noncontig_comparison(Scale::Quick);
-        assert_eq!(r.rows.len(), NONCONTIG_JOBS.len());
-        for row in &r.rows {
-            assert!(row.sieving_secs > 0.0 && row.per_extent_secs > 0.0 && row.listio_secs > 0.0);
-            // List I/O never loses to either fallback at any scale, and
-            // sieving always moves more bytes (buffer-sized RMW per extent).
-            assert!(
-                row.listio_secs <= row.per_extent_secs,
-                "batching must not slow the PLFS path: {row:?}"
-            );
-            assert!(
-                row.listio_secs < row.sieving_secs,
-                "list I/O must beat sieving: {row:?}"
-            );
-            assert!(
-                row.sieving_bytes > row.listio_bytes,
-                "sieving must show RMW amplification: {row:?}"
-            );
-        }
-        // The acceptance bar (same ratio the committed baseline gates):
-        // ≥2x over sieving on the largest job, deterministic because both
-        // times come from the simulated clocks.
-        assert!(
-            r.listio_vs_sieving >= 2.0,
-            "list I/O should be >=2x sieving: {r:?}"
-        );
-        assert!(r.listio_vs_per_extent >= 1.0, "{r:?}");
-        let txt = render_noncontig(&r);
-        assert!(txt.contains("Ranks") && txt.contains("sieving") && txt.contains("speedup"));
     }
 
     #[test]

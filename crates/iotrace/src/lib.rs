@@ -45,19 +45,11 @@ pub enum Layer {
     Index,
     /// The discrete-event simulator (`simfs`); times are simulated seconds.
     Sim,
-    /// The MPI-IO layer (`mpiio`).
-    Mpi,
 }
 
 impl Layer {
     /// Every layer, in reporting order.
-    pub const ALL: [Layer; 5] = [
-        Layer::Shim,
-        Layer::Plfs,
-        Layer::Index,
-        Layer::Sim,
-        Layer::Mpi,
-    ];
+    pub const ALL: [Layer; 4] = [Layer::Shim, Layer::Plfs, Layer::Index, Layer::Sim];
 
     /// Stable lower-case name (JSON field value).
     pub fn as_str(self) -> &'static str {
@@ -66,7 +58,6 @@ impl Layer {
             Layer::Plfs => "plfs",
             Layer::Index => "index",
             Layer::Sim => "sim",
-            Layer::Mpi => "mpi",
         }
     }
 
@@ -81,7 +72,6 @@ impl Layer {
             Layer::Plfs => 1,
             Layer::Index => 2,
             Layer::Sim => 3,
-            Layer::Mpi => 4,
         }
     }
 }
@@ -122,20 +112,17 @@ pub enum OpKind {
     /// An open-writer marker's create, or its rename into the fast-stat
     /// drop at close.
     OpenMarker,
-    /// A noncontiguous extent vector written through the list-I/O path
-    /// (one index-record batch for the whole vector).
+    /// A vectored write (`writev`/`pwritev`): one contiguous file range
+    /// gathered from several buffers.
     ListWrite,
-    /// A noncontiguous extent vector read through the list-I/O path (one
-    /// merged-index query serving all extents).
+    /// A vectored read (`readv`/`preadv`): one contiguous file range
+    /// scattered into several buffers.
     ListRead,
-    /// A noncontiguous access lowered to the read-modify-write data-sieving
-    /// path because list I/O was unavailable or disabled.
-    SieveFallback,
 }
 
 impl OpKind {
     /// Every op kind, in reporting order.
-    pub const ALL: [OpKind; 17] = [
+    pub const ALL: [OpKind; 16] = [
         OpKind::Open,
         OpKind::Close,
         OpKind::Read,
@@ -152,7 +139,6 @@ impl OpKind {
         OpKind::OpenMarker,
         OpKind::ListWrite,
         OpKind::ListRead,
-        OpKind::SieveFallback,
     ];
 
     /// Stable lower-case name (JSON field value).
@@ -174,7 +160,6 @@ impl OpKind {
             OpKind::OpenMarker => "open_marker",
             OpKind::ListWrite => "list_write",
             OpKind::ListRead => "list_read",
-            OpKind::SieveFallback => "sieve_fallback",
         }
     }
 
@@ -194,7 +179,6 @@ impl OpKind {
                 | OpKind::AppendFastpath
                 | OpKind::ListWrite
                 | OpKind::ListRead
-                | OpKind::SieveFallback
         )
     }
 
@@ -216,7 +200,6 @@ impl OpKind {
             OpKind::OpenMarker => 13,
             OpKind::ListWrite => 14,
             OpKind::ListRead => 15,
-            OpKind::SieveFallback => 16,
         }
     }
 }
@@ -1097,7 +1080,6 @@ mod tests {
         assert_eq!(OpKind::OpenMarker.as_str(), "open_marker");
         assert_eq!(OpKind::ListWrite.as_str(), "list_write");
         assert_eq!(OpKind::ListRead.as_str(), "list_read");
-        assert_eq!(OpKind::SieveFallback.as_str(), "sieve_fallback");
     }
 
     #[test]

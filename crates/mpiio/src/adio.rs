@@ -54,72 +54,6 @@ pub trait AdioDriver {
     /// Positional read from one rank; returns completion time.
     fn read_at(&mut self, fs: &mut SimFs, t: f64, req: IoReq) -> SimResult<f64>;
 
-    /// True when the driver has a native noncontiguous list-I/O path (the
-    /// PLFS ROMIO driver: a whole extent batch is one dropping append plus
-    /// one index record). UFS has none — noncontiguous access falls back to
-    /// data sieving — FUSE cannot express list requests through the
-    /// kernel's page-sized protocol, and LDPLFS has no list call: what an
-    /// application hands the shim is a POSIX call of one contiguous range.
-    fn supports_list_io(&self) -> bool {
-        false
-    }
-
-    /// List write from one rank: lower all `extents` ((offset, len) pairs
-    /// of one noncontiguous datatype) in a single call. The default lowers
-    /// to one strided `write_at` per extent — on UFS that is exactly the
-    /// data-sieving fallback the paper's §III.C measures.
-    fn write_list(
-        &mut self,
-        fs: &mut SimFs,
-        t: f64,
-        rank: usize,
-        node: usize,
-        extents: &[(u64, u64)],
-    ) -> SimResult<f64> {
-        let mut c = t;
-        for &(offset, len) in extents {
-            c = self.write_at(
-                fs,
-                c,
-                IoReq {
-                    rank,
-                    node,
-                    offset,
-                    len,
-                    access: Access::Strided,
-                },
-            )?;
-        }
-        Ok(c)
-    }
-
-    /// List read from one rank; default lowers to one strided `read_at`
-    /// per extent.
-    fn read_list(
-        &mut self,
-        fs: &mut SimFs,
-        t: f64,
-        rank: usize,
-        node: usize,
-        extents: &[(u64, u64)],
-    ) -> SimResult<f64> {
-        let mut c = t;
-        for &(offset, len) in extents {
-            c = self.read_at(
-                fs,
-                c,
-                IoReq {
-                    rank,
-                    node,
-                    offset,
-                    len,
-                    access: Access::Strided,
-                },
-            )?;
-        }
-        Ok(c)
-    }
-
     /// Collective close; returns per-rank completions.
     fn close(&mut self, fs: &mut SimFs, ranks: &[(usize, usize, f64)]) -> SimResult<Vec<f64>>;
 }
@@ -128,31 +62,21 @@ pub trait AdioDriver {
 // UFS: one shared file.
 // ---------------------------------------------------------------------------
 
-/// Data-sieving configuration for strided independent writes on UFS
-/// (ROMIO's read-modify-write fallback for non-contiguous access).
-#[derive(Debug, Clone, Copy)]
-pub struct SieveConfig {
-    /// Sieve buffer size (bytes) — the granule read and written back.
-    pub buffer: u64,
-}
-
-impl Default for SieveConfig {
-    fn default() -> Self {
-        // ROMIO's historical default ind_wr_buffer_size is 512 KiB.
-        SieveConfig { buffer: 512 << 10 }
-    }
-}
+/// ROMIO's data-sieving buffer for strided independent writes on UFS (its
+/// historical `ind_wr_buffer_size`, 512 KiB): a strided write smaller than
+/// this reads and writes back the whole buffer around its target.
+pub const SIEVE_BUFFER: u64 = 512 << 10;
 
 /// Plain POSIX driver: all ranks share one file.
+#[derive(Default)]
 pub struct UfsDriver {
     file: Option<FileId>,
-    sieve: Option<SieveConfig>,
 }
 
 impl UfsDriver {
-    /// New driver; `sieve` enables data sieving for strided writes.
-    pub fn new(sieve: Option<SieveConfig>) -> UfsDriver {
-        UfsDriver { file: None, sieve }
+    /// New driver; strided writes are sieved.
+    pub fn new() -> UfsDriver {
+        UfsDriver { file: None }
     }
 
     fn fid(&self) -> SimResult<FileId> {
@@ -192,13 +116,13 @@ impl AdioDriver for UfsDriver {
 
     fn write_at(&mut self, fs: &mut SimFs, t: f64, req: IoReq) -> SimResult<f64> {
         let fid = self.fid()?;
-        match (req.access, self.sieve) {
-            (Access::Strided, Some(s)) if req.len < s.buffer => {
+        match req.access {
+            Access::Strided if req.len < SIEVE_BUFFER => {
                 // Read-modify-write of the sieve buffer around the target
                 // (the read is block-aligned streaming, no seek storm).
-                let start = (req.offset / s.buffer) * s.buffer;
-                let t1 = fs.read_aligned(t, req.node, fid, start, s.buffer)?;
-                fs.write(t1, req.node, fid, start, s.buffer)
+                let start = (req.offset / SIEVE_BUFFER) * SIEVE_BUFFER;
+                let t1 = fs.read_aligned(t, req.node, fid, start, SIEVE_BUFFER)?;
+                fs.write(t1, req.node, fid, start, SIEVE_BUFFER)
             }
             _ => fs.write(t, req.node, fid, req.offset, req.len),
         }
@@ -350,63 +274,6 @@ impl PlfsContainer {
         };
         self.logical_eof = self.logical_eof.max(req.offset + req.len);
         Ok(c)
-    }
-
-    /// A PLFS list write: the whole extent batch appends *contiguously* to
-    /// the rank's data dropping — one backend write of the total — and
-    /// buffers ONE index record for the batch (a modelled list write that
-    /// pattern compression folds into one strided run; the product's PLFS
-    /// has no list call).
-    /// Contrast with the per-extent path, which pays a write op and an
-    /// index record per extent, or UFS sieving, which pays a
-    /// read-modify-write of the sieve buffer per extent.
-    fn write_list(
-        &mut self,
-        fs: &mut SimFs,
-        t: f64,
-        rank: usize,
-        node: usize,
-        extents: &[(u64, u64)],
-    ) -> SimResult<f64> {
-        let total: u64 = extents.iter().map(|&(_, len)| len).sum();
-        if total == 0 {
-            return Ok(t);
-        }
-        let (t_ready, stream) = self.stream(fs, t, rank)?;
-        let cursor = stream.cursor;
-        stream.cursor += total;
-        stream.pending_index += plfs::index::RECORD_SIZE as u64;
-        let data = stream.data;
-        let c = fs.write(t_ready, node, data, cursor, total)?;
-        for &(offset, len) in extents {
-            self.logical_eof = self.logical_eof.max(offset + len);
-        }
-        Ok(c)
-    }
-
-    /// A PLFS list read: one merged-index query resolves every extent, then
-    /// the total bytes stream from the dropping in one fan-out read.
-    fn read_list(
-        &mut self,
-        fs: &mut SimFs,
-        t: f64,
-        rank: usize,
-        node: usize,
-        extents: &[(u64, u64)],
-    ) -> SimResult<f64> {
-        let total: u64 = extents.iter().map(|&(_, len)| len).sum();
-        if total == 0 {
-            return Ok(t);
-        }
-        let fid = match self.streams.get(&rank) {
-            Some(s) => s.data,
-            None => match self.streams.values().next() {
-                Some(s) => s.data,
-                None => return Ok(t), // nothing written yet: zero-fill
-            },
-        };
-        let first = extents.first().map(|&(off, _)| off).unwrap_or(0);
-        fs.read(t, node, fid, first.min(self.stream_size(fs, fid)), total)
     }
 
     /// A PLFS read. N-N re-reads hit the rank's own dropping (the common
@@ -561,35 +428,6 @@ impl AdioDriver for PlfsRomioDriver {
         self.container.read(fs, t + self.per_op_overhead, req)
     }
 
-    fn supports_list_io(&self) -> bool {
-        true
-    }
-
-    fn write_list(
-        &mut self,
-        fs: &mut SimFs,
-        t: f64,
-        rank: usize,
-        node: usize,
-        extents: &[(u64, u64)],
-    ) -> SimResult<f64> {
-        // One ADIO call for the whole batch: one overhead, not per extent.
-        self.container
-            .write_list(fs, t + self.per_op_overhead, rank, node, extents)
-    }
-
-    fn read_list(
-        &mut self,
-        fs: &mut SimFs,
-        t: f64,
-        rank: usize,
-        node: usize,
-        extents: &[(u64, u64)],
-    ) -> SimResult<f64> {
-        self.container
-            .read_list(fs, t + self.per_op_overhead, rank, node, extents)
-    }
-
     fn close(&mut self, fs: &mut SimFs, ranks: &[(usize, usize, f64)]) -> SimResult<Vec<f64>> {
         let mut out = Vec::with_capacity(ranks.len());
         let mut seen_nodes = std::collections::HashSet::new();
@@ -656,10 +494,6 @@ impl AdioDriver for LdplfsDriver {
     fn read_at(&mut self, fs: &mut SimFs, t: f64, req: IoReq) -> SimResult<f64> {
         self.container.read(fs, t + self.per_op_overhead, req)
     }
-
-    // No list I/O: the shim has no list call — a POSIX vectored call names
-    // one contiguous range and is one plain PLFS write — so a noncontiguous
-    // request takes the trait's per-extent lowering.
 
     fn close(&mut self, fs: &mut SimFs, ranks: &[(usize, usize, f64)]) -> SimResult<Vec<f64>> {
         let mut out = Vec::with_capacity(ranks.len());
@@ -841,10 +675,10 @@ impl Method {
         }
     }
 
-    /// Instantiate the driver (UFS gets sieving enabled for strided loads).
+    /// Instantiate the driver.
     pub fn driver(self, num_hostdirs: u32) -> Box<dyn AdioDriver> {
         match self {
-            Method::MpiIo => Box::new(UfsDriver::new(Some(SieveConfig::default()))),
+            Method::MpiIo => Box::new(UfsDriver::new()),
             Method::Romio => Box::new(PlfsRomioDriver::new(num_hostdirs)),
             Method::Ldplfs => Box::new(LdplfsDriver::new(num_hostdirs)),
             Method::Fuse => Box::new(FuseDriver::new(num_hostdirs)),
@@ -870,7 +704,7 @@ mod tests {
     #[test]
     fn ufs_shares_one_file() {
         let mut fs = fs();
-        let mut d = UfsDriver::new(None);
+        let mut d = UfsDriver::new();
         d.open(&mut fs, "/shared", true, &ranks(4, 2)).unwrap();
         // Two ranks on different nodes write: extent locks contend.
         let mut c = 0.0f64;
@@ -899,44 +733,33 @@ mod tests {
 
     #[test]
     fn ufs_sieving_amplifies_strided_writes() {
-        let mut fs1 = fs();
-        let mut plain = UfsDriver::new(None);
-        plain.open(&mut fs1, "/f", true, &ranks(1, 1)).unwrap();
-        plain
-            .write_at(
-                &mut fs1,
+        let bytes_moved = |access: Access| -> u64 {
+            let mut fs = fs();
+            let mut d = UfsDriver::new();
+            d.open(&mut fs, "/f", true, &ranks(1, 1)).unwrap();
+            d.write_at(
+                &mut fs,
                 0.0,
                 IoReq {
                     rank: 0,
                     node: 0,
                     offset: 0,
                     len: 64 << 10,
-                    access: Access::Strided,
+                    access,
                 },
             )
             .unwrap();
-        let plain_bytes = fs1.stats().bytes_written + fs1.stats().bytes_read;
-
-        let mut fs2 = fs();
-        let mut sieved = UfsDriver::new(Some(SieveConfig::default()));
-        sieved.open(&mut fs2, "/f", true, &ranks(1, 1)).unwrap();
-        sieved
-            .write_at(
-                &mut fs2,
-                0.0,
-                IoReq {
-                    rank: 0,
-                    node: 0,
-                    offset: 0,
-                    len: 64 << 10,
-                    access: Access::Strided,
-                },
-            )
-            .unwrap();
-        let sieved_bytes = fs2.stats().bytes_written + fs2.stats().bytes_read;
-        assert!(
-            sieved_bytes > plain_bytes,
-            "sieve RMW moves more bytes: {sieved_bytes} vs {plain_bytes}"
+            fs.stats().bytes_written + fs.stats().bytes_read
+        };
+        let (contiguous, strided) = (
+            bytes_moved(Access::Contiguous),
+            bytes_moved(Access::Strided),
+        );
+        assert_eq!(contiguous, 64 << 10);
+        assert_eq!(
+            strided,
+            2 * SIEVE_BUFFER,
+            "a strided extent reads and writes back the sieve buffer"
         );
     }
 
@@ -1068,115 +891,6 @@ mod tests {
             done
         };
         assert!(run(Method::Fuse) > run(Method::Romio) * 1.2);
-    }
-
-    #[test]
-    fn list_write_batches_one_index_record() {
-        // N extents through write_list buffer ONE index record; the same
-        // extents through per-extent write_at buffer N. Observable at close:
-        // the pending index flush is one append of RECORD_SIZE vs N of them.
-        let extents: Vec<(u64, u64)> = (0..8u64).map(|i| (i * 4 * MIB, 64 << 10)).collect();
-        let run = |list: bool| -> u64 {
-            let mut fs = fs();
-            let mut d = PlfsRomioDriver::new(4);
-            let r = ranks(1, 1);
-            d.open(&mut fs, "/ckpt", true, &r).unwrap();
-            if list {
-                d.write_list(&mut fs, 0.1, 0, 0, &extents).unwrap();
-            } else {
-                let mut c = 0.1;
-                for &(offset, len) in &extents {
-                    c = d
-                        .write_at(
-                            &mut fs,
-                            c,
-                            IoReq {
-                                rank: 0,
-                                node: 0,
-                                offset,
-                                len,
-                                access: Access::Strided,
-                            },
-                        )
-                        .unwrap();
-                }
-            }
-            let before = fs.stats().bytes_written;
-            d.close(&mut fs, &r).unwrap();
-            fs.stats().bytes_written - before
-        };
-        let rec = plfs::index::RECORD_SIZE as u64;
-        assert_eq!(run(true), rec, "batched list write flushes one record");
-        assert_eq!(run(false), 8 * rec, "per-extent path flushes one per op");
-    }
-
-    #[test]
-    fn list_io_is_faster_than_sieving_on_strided_extents() {
-        // A block-cyclic strided pattern: list I/O on PLFS appends the batch
-        // in one op, UFS sieving read-modify-writes a 512 KiB buffer per
-        // 64 KiB extent. The paper's motivating gap.
-        let extents: Vec<(u64, u64)> = (0..16u64).map(|i| (i * 4 * MIB, 64 << 10)).collect();
-        let time = |mut d: Box<dyn AdioDriver>| -> f64 {
-            let mut fs = fs();
-            let r = ranks(1, 1);
-            d.open(&mut fs, "/ckpt", true, &r).unwrap();
-            let c = d.write_list(&mut fs, 0.1, 0, 0, &extents).unwrap();
-            let closes = d.close(&mut fs, &r).unwrap();
-            c.max(closes[0]) - 0.1
-        };
-        let sieved = time(Method::MpiIo.driver(4));
-        let listed = time(Method::Romio.driver(4));
-        assert!(
-            sieved > listed * 2.0,
-            "list I/O should beat sieving by >=2x: sieving {sieved} vs list {listed}"
-        );
-    }
-
-    #[test]
-    fn list_io_support_matches_driver_capabilities() {
-        // Only the PLFS ROMIO driver can batch noncontiguous extents; UFS
-        // falls back to sieving, FUSE to kernel-sized requests, and LDPLFS
-        // to one plain write per extent, as the shim has no list call — the
-        // honest fallback conditions the docs state.
-        assert!(!Method::MpiIo.driver(4).supports_list_io());
-        assert!(!Method::Fuse.driver(4).supports_list_io());
-        assert!(Method::Romio.driver(4).supports_list_io());
-        assert!(!Method::Ldplfs.driver(4).supports_list_io());
-    }
-
-    #[test]
-    fn default_list_lowering_matches_per_extent_writes() {
-        // The trait-default write_list on UFS must be bit-identical (in
-        // simulated cost accounting) to issuing the strided writes one by
-        // one — it IS the sieving fallback, not a new code path.
-        let extents: Vec<(u64, u64)> = (0..4u64).map(|i| (i * MIB, 128 << 10)).collect();
-        let mut fs1 = fs();
-        let mut d1 = UfsDriver::new(Some(SieveConfig::default()));
-        d1.open(&mut fs1, "/f", true, &ranks(1, 1)).unwrap();
-        let c1 = d1.write_list(&mut fs1, 0.0, 0, 0, &extents).unwrap();
-
-        let mut fs2 = fs();
-        let mut d2 = UfsDriver::new(Some(SieveConfig::default()));
-        d2.open(&mut fs2, "/f", true, &ranks(1, 1)).unwrap();
-        let mut c2 = 0.0;
-        for &(offset, len) in &extents {
-            c2 = d2
-                .write_at(
-                    &mut fs2,
-                    c2,
-                    IoReq {
-                        rank: 0,
-                        node: 0,
-                        offset,
-                        len,
-                        access: Access::Strided,
-                    },
-                )
-                .unwrap();
-        }
-        assert_eq!(c1, c2);
-        assert_eq!(fs1.stats().bytes_written, fs2.stats().bytes_written);
-        assert_eq!(fs1.stats().bytes_read, fs2.stats().bytes_read);
     }
 
     #[test]

@@ -14,15 +14,9 @@
 pub mod adio;
 pub mod comm;
 pub mod file;
-pub mod hints;
-pub mod view;
 pub mod writeops;
 
-pub use adio::{
-    AdioDriver, FuseDriver, IoReq, LdplfsDriver, Method, PlfsRomioDriver, SieveConfig, UfsDriver,
-};
+pub use adio::{AdioDriver, FuseDriver, IoReq, LdplfsDriver, Method, PlfsRomioDriver, UfsDriver};
 pub use comm::{CommCosts, Job};
 pub use file::MpiFile;
-pub use hints::MpiInfo;
-pub use view::FileView;
 pub use writeops::{Access, RankIo};

@@ -1094,6 +1094,41 @@ mod tests {
         );
     }
 
+    /// A last close whose sync fails still gives up the mount's count of
+    /// its writer: a `getattr` after it costs what it costs after a close
+    /// that succeeded, not a listing and a merge each.
+    #[test]
+    fn a_failed_close_leaves_getattr_on_the_fast_path() {
+        use crate::faults::{FaultKind, FaultOp, FaultRule, Faulty};
+        let getattr_ops = |fail: bool| {
+            let faulty = Arc::new(Faulty::new(Arc::new(MemBacking::new())));
+            let meter = Arc::new(MeterBacking::new(faulty.clone()));
+            let p = Plfs::new(meter.clone() as Arc<dyn Backing>);
+            let fd = p.open("/f", CREATE_RW, 1).unwrap();
+            p.write(&fd, b"hello", 0, 1).unwrap();
+            if fail {
+                // Sync is a metadata-class op to the fault rules.
+                faulty.arm(FaultRule {
+                    op: FaultOp::Meta,
+                    path_contains: "dropping.data".into(),
+                    after: 0,
+                    times: 1,
+                    errno_like: FaultKind::Io,
+                });
+            }
+            assert_eq!(p.close(&fd, 1).is_err(), fail);
+            assert_eq!(p.getattr("/f").unwrap().size, 5);
+            let before = meter.snapshot();
+            for _ in 0..10 {
+                assert_eq!(p.getattr("/f").unwrap().size, 5);
+            }
+            let d = meter.snapshot().delta(&before);
+            (d.readdir, d.metadata_ops() + d.data_ops())
+        };
+        assert_eq!(getattr_ops(false), (0, 0));
+        assert_eq!(getattr_ops(true), getattr_ops(false));
+    }
+
     /// A mount with nothing cached probes the backing store for every
     /// lookup, as another process does: the reference the equivalence
     /// tests hold a warm mount to.

@@ -575,8 +575,9 @@ impl PlfsFd {
         let mut guard = self.reader.write();
         let writer = self.writer.lock().take();
         if let Some(mut w) = writer {
-            w.sync()?;
+            let synced = w.sync();
             self.cache.writer_dec(&self.container);
+            synced?;
             if w.top_level() {
                 // Its marker is also its index: closed by rename, for the
                 // truncate that follows to remove with the rest.
@@ -614,29 +615,45 @@ impl PlfsFd {
         // after it wins over what the close installs.
         let generation = self.cache.begin_fill(&self.container);
         let writer = self.writer.lock().take();
-        if let Some(mut w) = writer {
-            w.sync_at_close()?;
-            // A view that has not seen all of the writer is rebuilt by a
-            // read after the close, from the records just synced.
-            if !w.take_unmerged().is_empty() {
-                self.stale_view();
-            }
-            let last = self.cache.writer_dec(&self.container) == 0;
+        let closed = writer.map_or(Ok(()), |w| self.close_writer(w, generation));
+        // A failed writer close still releases the creator's dropping; the
+        // first error is the one returned.
+        let released = self.release_creator();
+        closed.and(released).map(|()| 0)
+    }
+
+    /// Sync the last writer, give up the mount's count of it — also when
+    /// the sync fails: a count left behind sends every later `getattr` of
+    /// the container down the slow path — then leave its closed names.
+    fn close_writer(&self, mut w: WriteFile, generation: u64) -> Result<()> {
+        let synced = w.sync_at_close();
+        // A view that has not seen all of the writer is rebuilt by a
+        // read after the close, from the records synced.
+        if !w.take_unmerged().is_empty() {
+            self.stale_view();
+        }
+        let last = self.cache.writer_dec(&self.container) == 0;
+        let named = synced.and_then(|()| {
             let t0 = iotrace::global().start();
-            let named = w.close_names(self.backing.as_ref(), &self.container)?;
+            let named = w.close_names(self.backing.as_ref(), &self.container);
             self.trace_marker(t0);
-            match named.filter(|_| last) {
-                Some(closed) if self.alone_in_container() => {
-                    self.install_closed(generation, closed)
-                }
-                // The meta drop just changed the fast-stat answer; keep
-                // the exists/container verdicts.
-                _ => self.cache.clear_meta(&self.container),
+            named
+        });
+        match named {
+            Ok(Some(closed)) if last && self.alone_in_container() => {
+                self.install_closed(generation, closed);
+                Ok(())
+            }
+            // The meta drop just changed the fast-stat answer, or a failure
+            // left it for a listing to say; keep the exists/container
+            // verdicts.
+            other => {
+                self.cache.clear_meta(&self.container);
+                other.map(drop)
             }
         }
-        self.release_creator()?;
-        Ok(0)
     }
+
     /// Is the closing creator's pair alone in the container, as far as a
     /// writer goes? Every other writer writes into a `hostdir.N/`, which its
     /// first write makes before it places its open marker: a backing that

@@ -165,25 +165,6 @@ pub fn login_node() -> Platform {
     }
 }
 
-/// A Zest-style staging tier (related work, Nowoczynski et al. PDSW'08):
-/// writes land in a fast log-structured staging area "via the fastest
-/// available path" with no read-back, draining to the real file system at
-/// non-critical times. Modelled as Sierra with an aggressive client tier:
-/// large absorbing caches with slow background drain — checkpoint *write*
-/// calls see staging speed; durability waits for the drain.
-pub fn zest_staging() -> Platform {
-    let mut p = sierra();
-    p.fs.name = "Zest-style staging over Lustre".into();
-    p.fs.cache = CacheConfig {
-        capacity: 8 * 1024 * MIB,
-        per_op_threshold: 1024 * MIB,
-        drain_bw: 80.0e6,
-    };
-    // The staging tier is per-node and lock-free.
-    p.fs.lock.revoke_cache_on_shared = false;
-    p
-}
-
 /// A small deterministic platform for unit tests: 4 nodes, 2 servers.
 pub fn toy() -> Platform {
     Platform {
@@ -248,22 +229,6 @@ mod tests {
         let l = login_node();
         assert_eq!(l.cluster.nodes, 1);
         assert_eq!(l.fs.cache.capacity, 0);
-    }
-
-    #[test]
-    fn zest_staging_absorbs_checkpoint_writes() {
-        use crate::fs::SimFs;
-        let p = zest_staging();
-        let mut f = SimFs::new(p);
-        let (t, id) = f.create(0.0, "/ckpt", None).unwrap();
-        f.open(t, "/ckpt", true).unwrap();
-        // A 64 MiB write completes at memory speed into the staging tier...
-        let c = f.write(t, 0, id, 0, 64 * MIB).unwrap();
-        assert!(c - t < 0.1, "staged write too slow: {}", c - t);
-        assert_eq!(f.stats().cache_hits, 1);
-        // ...but durability (fsync) pays the slow drain.
-        let d = f.fsync(c, 0, id).unwrap();
-        assert!(d - c > 0.5, "drain should be slow: {}", d - c);
     }
 
     #[test]

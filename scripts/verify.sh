@@ -61,6 +61,21 @@ cargo run --offline --release -q -p bench --bin paperbench -- \
     all --quick --emit-json "$tmp" > /dev/null
 cargo run --offline --release -q -p bench --bin paperbench -- check "$tmp"/BENCH_*.json
 
+# The committed baselines: each must be a figure of the registry (`check`
+# fails on one that is not, so a deleted figure cannot leave its file
+# behind), and each modeled one must be what the figure code regenerates
+# at paper scale, byte for byte. Which files are modeled is what `check`
+# reads from the registry.
+cargo run --offline --release -q -p bench --bin paperbench -- check results/BENCH_*.json \
+    > "$tmp/committed"
+cargo run --offline --release -q -p bench --bin paperbench -- \
+    all --emit-json "$tmp/paper" > /dev/null
+# Emitted file names are shell words: the emitter maps every other
+# character to `_`.
+for f in $(sed -n 's/^ok: \([^:]*\): .*, modeled, .*/\1/p' "$tmp/committed"); do
+    cmp "$f" "$tmp/paper/${f##*/}"
+done
+
 # The harness build above rewrites benchmark/Cargo.lock (it prunes entries
 # the product crates no longer pull in). benchmark/ is frozen between
 # [benchmark] PRs: put the lock file back, then nothing under it — nor
