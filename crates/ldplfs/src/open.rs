@@ -21,6 +21,7 @@ use plfs::meta::FnvBuild;
 use plfs::{Plfs, PlfsFd};
 use std::collections::HashMap;
 use std::marker::PhantomData;
+use std::os::fd::RawFd;
 use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -133,6 +134,52 @@ impl<C: Cursor> Open<C> {
     /// `pwritev(2)`: [`Open::pwrite`] of the gathered buffers.
     pub fn pwritev(&self, bufs: &[&[u8]], off: u64) -> PosixResult<usize> {
         self.pwrite(&bufs.concat(), off)
+    }
+
+    /// A call at `*off`, which it then advances past the bytes moved, or
+    /// at the cursor, which moves instead: `copy_file_range(2)`'s rule for
+    /// each of its ends.
+    fn at_offset(
+        &self,
+        off: Option<&mut u64>,
+        f: impl FnOnce(u64) -> plfs::Result<usize>,
+    ) -> PosixResult<usize> {
+        match off {
+            None => self.at_cursor(|at| Ok((at, f(at)?))),
+            Some(off) => {
+                let n = f(*off)?;
+                *off += n as u64;
+                Ok(n)
+            }
+        }
+    }
+
+    /// `copy_file_range(2)` out of the container, at `off` or the cursor:
+    /// `mover` moves each slice out of its data dropping in the kernel
+    /// ([`PlfsFd::copy_out`]).
+    pub fn copy_out(
+        &self,
+        off: Option<&mut u64>,
+        len: usize,
+        mover: impl FnMut(RawFd, u64, usize) -> std::io::Result<usize>,
+    ) -> PosixResult<usize> {
+        self.at_offset(off, |at| self.plfs.copy_out(at, len as u64, mover))
+    }
+
+    /// `copy_file_range(2)` into the container, at `off` or the cursor:
+    /// `mover` places the bytes at its writer's data-dropping tail in the
+    /// kernel ([`PlfsFd::copy_in`]). An `O_APPEND` open is `EBADF`, the
+    /// kernel's rule for any file.
+    pub fn copy_in(
+        &self,
+        off: Option<&mut u64>,
+        len: usize,
+        mover: impl FnOnce(RawFd, u64) -> std::io::Result<usize>,
+    ) -> PosixResult<usize> {
+        if self.append {
+            return Err(Errno::EBADF);
+        }
+        self.at_offset(off, |at| self.plfs.copy_in(len, at, mover))
     }
 
     /// `lseek(2)`: the cursor alone, but for `SEEK_END`'s logical size.

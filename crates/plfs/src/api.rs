@@ -1129,6 +1129,57 @@ mod tests {
         assert_eq!(getattr_ops(true), getattr_ops(false));
     }
 
+    /// A joiner whose last close fails its sync still turns its open
+    /// marker into its meta drop, recording what reached its index
+    /// dropping: a marker left behind had every other process list and
+    /// merge the container on each `getattr`, for good.
+    #[test]
+    fn a_joiner_whose_close_fails_leaves_no_open_marker() {
+        use crate::faults::{FaultKind, FaultOp, FaultRule, Faulty};
+        // The data dropping's sync fails, or the index flush ahead of it.
+        let cold_getattrs = |fault: Option<(FaultOp, &str)>| {
+            let faulty = Arc::new(Faulty::new(Arc::new(MemBacking::new())));
+            let meter = Arc::new(MeterBacking::new(faulty.clone()));
+            let b = meter.clone() as Arc<dyn Backing>;
+            let creator = Plfs::new(b.clone());
+            let fd = creator.open("/f", CREATE_RW, 1).unwrap();
+            creator.write(&fd, b"hello", 0, 1).unwrap();
+            creator.close(&fd, 1).unwrap();
+            let joiner = Plfs::new(b.clone());
+            let fd = joiner.open("/f", CREATE_RW, 2).unwrap();
+            joiner.write(&fd, b"world!", 5, 2).unwrap();
+            if let Some((op, path)) = fault {
+                faulty.arm(FaultRule {
+                    op,
+                    path_contains: path.into(),
+                    after: 0,
+                    times: 1,
+                    errno_like: FaultKind::Io,
+                });
+            }
+            assert_eq!(joiner.close(&fd, 2).is_err(), fault.is_some());
+            drop(fd);
+            assert_eq!(container::open_writers(b.as_ref(), "/f").unwrap(), 0);
+            let merged = crate::reader::ReadFile::open(b.as_ref(), "/f").unwrap();
+            let cold = Plfs::new(b.clone());
+            let before = meter.snapshot();
+            for _ in 0..10 {
+                assert_eq!(cold.getattr("/f").unwrap().size, merged.eof());
+            }
+            let d = meter.snapshot().delta(&before);
+            (merged.eof(), d.readdir, d.metadata_ops() + d.data_ops())
+        };
+        let closed = cold_getattrs(None);
+        assert_eq!(closed.0, 11);
+        // Sync is a metadata-class op to the fault rules.
+        let synced = cold_getattrs(Some((FaultOp::Meta, "dropping.data.2")));
+        assert_eq!(synced, closed);
+        // The joiner's records never reached its index: the creator's
+        // five bytes are the file, at the same cost.
+        let flushed = cold_getattrs(Some((FaultOp::Write, "dropping.index.2")));
+        assert_eq!(flushed, (5, closed.1, closed.2));
+    }
+
     /// A mount with nothing cached probes the backing store for every
     /// lookup, as another process does: the reference the equivalence
     /// tests hold a warm mount to.

@@ -54,6 +54,13 @@ pub trait BackingFile: Send + Sync {
     fn size(&self) -> Result<u64>;
     /// Flush to stable storage.
     fn sync(&self) -> Result<()>;
+    /// The file's own descriptor, for a caller that moves bytes into or
+    /// out of it in the kernel (`copy_file_range`). `None` where there is
+    /// none (an in-memory file), and on a decorator's handle, whose hook
+    /// must see every byte.
+    fn raw_fd(&self) -> Option<RawFd> {
+        None
+    }
 }
 
 /// A backing store: the slice of POSIX that the container layer needs.
@@ -496,6 +503,10 @@ impl BackingFile for RealFile {
 
     fn sync(&self) -> Result<()> {
         self.file.sync_data().map_err(Error::Io)
+    }
+
+    fn raw_fd(&self) -> Option<RawFd> {
+        Some(self.file.as_raw_fd())
     }
 }
 

@@ -35,6 +35,12 @@ pub enum Error {
 pub type Result<T> = std::result::Result<T, Error>;
 
 impl Error {
+    /// The bytes cannot move in the kernel (`EXDEV`): a caller of
+    /// `copy_file_range` moves them with reads and writes instead.
+    pub(crate) fn no_kernel_copy() -> Error {
+        Error::Io(std::io::Error::from_raw_os_error(libc_errno::EXDEV))
+    }
+
     /// Map to the closest POSIX `errno`, as the C library would return.
     pub fn errno(&self) -> i32 {
         match self {
@@ -59,6 +65,7 @@ pub mod libc_errno {
     pub const EIO: i32 = 5;
     pub const EBADF: i32 = 9;
     pub const EEXIST: i32 = 17;
+    pub const EXDEV: i32 = 18;
     pub const ENOTDIR: i32 = 20;
     pub const EISDIR: i32 = 21;
     pub const EINVAL: i32 = 22;

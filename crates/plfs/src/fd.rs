@@ -28,7 +28,7 @@
 //! *different* fd (or process) appending to the same container
 //! concurrently is not serialized against this one.
 
-use crate::backing::Backing;
+use crate::backing::{Backing, BackingFile};
 use crate::container;
 use crate::error::{Error, Result};
 use crate::flags::OpenFlags;
@@ -36,6 +36,7 @@ use crate::meta::MetaCache;
 use crate::reader::ReadFile;
 use crate::writer::WriteFile;
 use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::os::fd::RawFd;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -182,7 +183,49 @@ impl PlfsFd {
         }
         let mut writer = self.writer.lock();
         // plfs-lint: allow(lock-across-io, "intentional: the writer lock IS the write path's serialization point — one stream, one tail")
-        self.write_locked(&mut writer, buf, offset)
+        self.place_locked(&mut writer, buf.len(), offset, |data, at| {
+            data.pwrite(buf, at)
+        })
+    }
+
+    /// Put up to `len` bytes at `offset` by the kernel's copy into the
+    /// writer's data dropping: `mover` is handed the dropping's descriptor
+    /// and the offset of its tail and says how many bytes it placed there,
+    /// which are logged as one write. A dropping without a descriptor is
+    /// `EXDEV`: the caller moves the bytes with reads and writes.
+    pub fn copy_in(
+        &self,
+        len: usize,
+        offset: u64,
+        mover: impl FnOnce(RawFd, u64) -> std::io::Result<usize>,
+    ) -> Result<usize> {
+        if !self.flags.writable() {
+            return Err(Error::BadMode("file not open for writing"));
+        }
+        let mut writer = self.writer.lock();
+        // plfs-lint: allow(lock-across-io, "intentional: the copy is a write, serialized on the writer lock as write is")
+        self.place_locked(&mut writer, len, offset, |data, at| {
+            let fd = data.raw_fd().ok_or_else(Error::no_kernel_copy)?;
+            mover(fd, at).map_err(Error::Io)
+        })
+    }
+
+    /// Move logical `[offset, offset + len)` out of the container in the
+    /// kernel, through the read view: `mover` is handed each slice's
+    /// dropping descriptor, physical offset and length and says how many
+    /// bytes it moved. A hole or a dropping without a descriptor ends the
+    /// copy short, or is `EXDEV` before any byte moved.
+    pub fn copy_out(
+        &self,
+        offset: u64,
+        len: u64,
+        mover: impl FnMut(RawFd, u64, usize) -> std::io::Result<usize>,
+    ) -> Result<usize> {
+        if !self.flags.readable() {
+            return Err(Error::BadMode("file not open for reading"));
+        }
+        self.reader()?
+            .copy_out(self.backing.as_ref(), offset, len, mover)
     }
 
     /// May `buf` at `offset` go in place: on a readable fd, inside the
@@ -251,7 +294,9 @@ impl PlfsFd {
         let n = {
             let mut writer = self.writer.lock();
             // plfs-lint: allow(lock-across-io, "intentional: append lands the reserved slot through the same writer-lock serialization as write")
-            self.write_locked(&mut writer, buf, offset)?
+            self.place_locked(&mut writer, buf.len(), offset, |data, at| {
+                data.pwrite(buf, at)
+            })?
         };
         if let Some(t0) = t0 {
             iotrace::global().record(
@@ -265,13 +310,18 @@ impl PlfsFd {
         Ok((offset, n))
     }
 
-    fn write_locked(
+    /// A write of `len` bytes at `offset`, which `mover` places at the
+    /// data dropping's tail ([`WriteFile::place`]), under the writer lock:
+    /// the writer opened by the fd's first write, the EOF cache and the
+    /// dirty flag kept.
+    fn place_locked(
         &self,
         writer: &mut Option<WriteFile>,
-        buf: &[u8],
+        len: usize,
         offset: u64,
+        mover: impl FnOnce(&dyn BackingFile, u64) -> Result<usize>,
     ) -> Result<usize> {
-        if buf.is_empty() {
+        if len == 0 {
             // POSIX: a zero-length write changes nothing — in particular
             // not the EOF, which `offset + 0` below would have raised.
             return Ok(0);
@@ -280,7 +330,10 @@ impl PlfsFd {
             Some(w) => w,
             None => writer.insert(self.open_writer()?),
         };
-        let n = w.write(buf, offset)?;
+        let n = w.place(len, offset, mover)?;
+        if n == 0 {
+            return Ok(0);
+        }
         // relaxed: EOF cache is a monotonic high-water mark; readers that miss this max re-derive EOF from the merged index
         self.eof.fetch_max(offset + n as u64, Ordering::Relaxed);
         self.dirty.store(true, Ordering::Relaxed); // relaxed: flag only schedules a reader refresh; index data is published by the writer lock release
@@ -624,7 +677,11 @@ impl PlfsFd {
 
     /// Sync the last writer, give up the mount's count of it — also when
     /// the sync fails: a count left behind sends every later `getattr` of
-    /// the container down the slow path — then leave its closed names.
+    /// the container down the slow path — then leave its closed names. A
+    /// hostdir writer leaves them after a failed sync too, its meta drop
+    /// recording what reached its index dropping: an open marker left
+    /// behind would have every process list and merge the container on
+    /// each `getattr` for good. The sync's error is still the close's.
     fn close_writer(&self, mut w: WriteFile, generation: u64) -> Result<()> {
         let synced = w.sync_at_close();
         // A view that has not seen all of the writer is rebuilt by a
@@ -633,12 +690,15 @@ impl PlfsFd {
             self.stale_view();
         }
         let last = self.cache.writer_dec(&self.container) == 0;
-        let named = synced.and_then(|()| {
-            let t0 = iotrace::global().start();
-            let named = w.close_names(self.backing.as_ref(), &self.container);
-            self.trace_marker(t0);
-            named
-        });
+        let named = match synced {
+            Err(e) if w.top_level() => Err(e),
+            synced => {
+                let t0 = iotrace::global().start();
+                let named = w.close_names(self.backing.as_ref(), &self.container);
+                self.trace_marker(t0);
+                synced.and(named)
+            }
+        };
         match named {
             Ok(Some(closed)) if last && self.alone_in_container() => {
                 self.install_closed(generation, closed);

@@ -13,6 +13,7 @@ use crate::index::{ChunkSlice, GlobalIndex, IndexEntry};
 use crate::meta::FnvBuild;
 use std::borrow::Cow;
 use std::collections::HashMap;
+use std::os::fd::RawFd;
 use std::sync::OnceLock;
 
 /// An open read view of a container.
@@ -171,6 +172,42 @@ impl ReadFile {
             )));
         }
         Ok(())
+    }
+
+    /// Move logical `[off, off + len)` out of the data droppings in the
+    /// kernel, in logical order: `mover` is handed each slice's dropping
+    /// descriptor, physical offset and length, and says how many bytes it
+    /// moved. Returns the bytes moved, clamped at EOF; 0 at EOF. A hole, a
+    /// short move or an error ends the copy short once bytes have moved;
+    /// before that, a hole or a dropping without a descriptor is
+    /// [`Error::no_kernel_copy`], and an error is the copy's.
+    pub(crate) fn copy_out(
+        &self,
+        b: &dyn Backing,
+        off: u64,
+        len: u64,
+        mut mover: impl FnMut(RawFd, u64, usize) -> std::io::Result<usize>,
+    ) -> Result<usize> {
+        let mut moved = 0usize;
+        // `Err(None)` ends the copy short.
+        let walked = self.index.for_each_slice(off, len, |s| {
+            let fd = match s.dropping_id {
+                Some(id) => self.handle(b, id).map_err(Some)?.raw_fd(),
+                None => None,
+            };
+            let fd = fd.ok_or_else(|| Some(Error::no_kernel_copy()))?;
+            let want = s.length as usize;
+            let n = mover(fd, s.physical_offset, want).map_err(|e| Some(Error::Io(e)))?;
+            moved += n;
+            match n < want {
+                true => Err(None),
+                false => Ok(()),
+            }
+        });
+        match walked {
+            Err(Some(e)) if moved == 0 => Err(e),
+            _ => Ok(moved),
+        }
     }
 
     /// Read the entire logical file into a vector (test and flatten helper).

@@ -96,6 +96,10 @@ pub struct WriteFile {
     bytes_written: u64,
     /// Highest logical end offset this writer has produced.
     max_eof: u64,
+    /// `(max_eof, bytes_written)` as of the last index flush: what the
+    /// records on the index dropping account for, which a close whose
+    /// sync failed publishes.
+    flushed: (u64, u64),
     /// Every entry logged so far maps a logical offset to the same physical
     /// offset: the identity spelling's condition.
     identity: bool,
@@ -192,6 +196,7 @@ impl WriteFile {
             index_tail: 0,
             bytes_written: 0,
             max_eof: 0,
+            flushed: (0, 0),
             identity: true,
             newest: 0,
             index_flushes: 0,
@@ -201,18 +206,35 @@ impl WriteFile {
 
     /// Write `buf` at logical offset `logical`, returning bytes written.
     pub fn write(&mut self, buf: &[u8], logical: u64) -> Result<usize> {
-        if buf.is_empty() {
+        self.place(buf.len(), logical, |data, at| data.pwrite(buf, at))
+    }
+
+    /// Put up to `len` bytes of logical `logical` at the data dropping's
+    /// tail and log them as one entry: `mover` is handed the dropping and
+    /// the tail's offset, places the bytes there — one positional write, or
+    /// the kernel's copy into the dropping's descriptor — and says how
+    /// many it placed. Returns that count.
+    pub(crate) fn place(
+        &mut self,
+        len: usize,
+        logical: u64,
+        mover: impl FnOnce(&dyn BackingFile, u64) -> Result<usize>,
+    ) -> Result<usize> {
+        if len == 0 {
             return Ok(0);
         }
-        // One positional write at the tail: nothing else appends here.
+        // Nothing else appends here: the tail is this writer's alone.
         let physical = self.tail;
-        self.data.pwrite(buf, physical)?;
-        self.tail += buf.len() as u64;
-        self.log(buf.len() as u64, logical, physical);
-        self.bytes_written += buf.len() as u64;
-        self.max_eof = self.max_eof.max(logical + buf.len() as u64);
+        let n = mover(self.data.as_ref(), physical)?;
+        if n == 0 {
+            return Ok(0);
+        }
+        self.tail += n as u64;
+        self.log(n as u64, logical, physical);
+        self.bytes_written += n as u64;
+        self.max_eof = self.max_eof.max(logical + n as u64);
         self.flush_if_full()?;
-        Ok(buf.len())
+        Ok(n)
     }
 
     /// Overwrite bytes this writer already holds: `buf` replaces the bytes
@@ -318,6 +340,7 @@ impl WriteFile {
         written?;
         self.index_records += records as u64;
         self.index_tail += len;
+        self.flushed = (self.max_eof, self.bytes_written);
         if self.track {
             self.unmerged.extend_from_slice(&self.buffered[self.fed..]);
         }
@@ -387,17 +410,22 @@ impl WriteFile {
     /// Leave the names of a closed writer, at most one `rename`: a
     /// top-level pair's index dropping takes its suffix unless it was
     /// created with it (and this writer's [`WriteFile::index_path`] follows
-    /// it), a hostdir pair's open marker becomes its `meta.*` drop. Call
-    /// after the last sync. Returns what a top-level index is now named
-    /// for: `None` for a hostdir pair, and for a pair a truncate took away.
+    /// it), a hostdir pair's open marker becomes its `meta.*` drop, which
+    /// records what the index dropping holds — after a sync that failed,
+    /// the entries of the last flush that succeeded. Call after the last
+    /// sync. Returns what a top-level index is now named for: `None` for a
+    /// hostdir pair, and for a pair a truncate took away.
     pub(crate) fn close_names(
         &mut self,
         b: &dyn Backing,
         container: &str,
     ) -> Result<Option<Closed>> {
         if !self.top_level {
-            let (eof, bytes) = (self.max_eof, self.bytes_written);
+            let (eof, bytes) = self.flushed;
             container::close_writer(b, container, eof, bytes, self.pid, self.seq)?;
+            // Records the drop does not count must not follow it (the
+            // drop's last-ditch flush).
+            self.buffered.clear();
             return Ok(None);
         }
         let closed = self.closed();

@@ -79,6 +79,10 @@ extern "C" {
     fn fseek(stream: *mut c_void, off: c_long, whence: c_int) -> c_int;
     fn ftell(stream: *mut c_void) -> c_long;
     fn fileno(stream: *mut c_void) -> c_int;
+    fn fgetc(stream: *mut c_void) -> c_int;
+    fn ungetc(c: c_int, stream: *mut c_void) -> c_int;
+    fn feof(stream: *mut c_void) -> c_int;
+    fn clearerr(stream: *mut c_void);
     fn fclose(stream: *mut c_void) -> c_int;
     fn dup(fd: c_int) -> c_int;
     fn dup2(oldfd: c_int, newfd: c_int) -> c_int;
@@ -164,75 +168,125 @@ fn check_fstat(container: &str, twin: &[u8]) {
     }
 }
 
-/// The in-kernel byte movers refuse a shim fd with their "use read/write"
-/// errno and move nothing; between two plain files they still work.
+/// `copy_file_range` moves a container's bytes in the kernel either way,
+/// as between two files: the bytes are the twin's, a null offset moves
+/// its fd's cursor, and a given one is advanced by the bytes moved and
+/// leaves the cursor alone; at EOF it moves 0. Flags are `EINVAL`, an
+/// `O_APPEND` destination `EBADF` and a container at both ends `EXDEV`.
+/// `sendfile` and `splice` on a container are refused with `EINVAL`; the
+/// calls still work between two plain files.
 fn check_movers(container: &str, twin: &[u8]) {
     let null = std::ptr::null_mut::<i64>();
-    let src = fs::File::open(container).expect("open container");
-    let in_mount = format!("{}/movers.dst", mount_dir());
-    let dst = fs::File::create(&in_mount).expect("create in mount");
-    let plain_path = format!("{}/movers.plain", outside_dir());
-    let plain = fs::File::create(&plain_path).expect("create outside");
-    let (s, d, p) = (src.as_raw_fd(), dst.as_raw_fd(), plain.as_raw_fd());
     let n = twin.len();
+    let copy = |src: &fs::File, off_src: *mut i64, dst: &fs::File, off_dst: *mut i64, len| unsafe {
+        copy_file_range(src.as_raw_fd(), off_src, dst.as_raw_fd(), off_dst, len, 0)
+    };
+    // At the cursors, until it moves nothing, as `cp` copies.
+    let copy_all = |src: &fs::File, dst: &fs::File| {
+        let mut total = 0;
+        loop {
+            match copy(src, null, dst, null, 1 << 30) {
+                0 => return total,
+                got => total += usize::try_from(got).expect("copy_file_range failed"),
+            }
+        }
+    };
+    let out = outside_dir();
+    let plain_path = format!("{out}/movers.twin");
+    fs::write(&plain_path, twin).expect("write the plain source");
+
+    // container -> plain
+    let src = fs::File::open(container).expect("open container");
+    let dst_path = format!("{out}/movers.out");
+    let dst = fs::File::create(&dst_path).expect("create outside");
+    assert_eq!(copy_all(&src, &dst), n, "container -> plain");
+    assert_eq!((cursor(&src), cursor(&dst)), (n as u64, n as u64));
+    assert!(
+        fs::read(&dst_path).expect("read copy") == twin,
+        "copied bytes"
+    );
+    let (mut at_src, mut at_dst) = (1000i64, 7i64);
+    let got = copy(&src, &mut at_src, &dst, &mut at_dst, 5000);
+    assert_eq!((got, at_src, at_dst), (5000, 6000, 5007), "given offsets");
+    assert_eq!((cursor(&src), cursor(&dst)), (n as u64, n as u64));
+    let copied = fs::read(&dst_path).expect("read copy");
+    assert!(
+        copied[7..5007] == twin[1000..6000],
+        "bytes at given offsets"
+    );
+    let mut eof = n as i64;
+    assert_eq!(copy(&src, &mut eof, &dst, null, 100), 0, "at EOF");
+    let mut negative = -1i64;
+    let got = copy(&src, &mut negative, &dst, null, 100);
+    assert_eq!((got, errno()), (-1, EINVAL), "negative offset");
+
+    // plain -> container
+    let plain = fs::File::open(&plain_path).expect("open plain");
+    let in_mount = format!("{}/movers.dst", mount_dir());
+    let dst = fs::OpenOptions::new()
+        .read(true)
+        .write(true)
+        .create(true)
+        .truncate(true)
+        .open(&in_mount)
+        .expect("create in mount");
+    assert_eq!(copy_all(&plain, &dst), n, "plain -> container");
+    assert_eq!((cursor(&plain), cursor(&dst)), (n as u64, n as u64));
+    let mut read_back = vec![0u8; n];
+    dst.read_exact_at(&mut read_back, 0).expect("read own copy");
+    assert!(read_back == twin, "copied in");
+    let (mut at_src, mut at_dst) = (2000i64, 100i64);
+    let got = copy(&plain, &mut at_src, &dst, &mut at_dst, 3000);
+    assert_eq!((got, at_src, at_dst), (3000, 5000, 3100), "given offsets");
+    assert_eq!((cursor(&plain), cursor(&dst)), (n as u64, n as u64));
+    let mut want = twin.to_vec();
+    want.copy_within(2000..5000, 100);
+    dst.read_exact_at(&mut read_back, 0).expect("read own copy");
+    assert!(read_back == want, "read-your-writes of a copy");
+    let mut at_eof = n as i64;
+    assert_eq!(copy(&plain, &mut at_eof, &dst, null, 100), 0, "at EOF");
+
+    let flagged = unsafe { copy_file_range(plain.as_raw_fd(), null, dst.as_raw_fd(), null, 10, 1) };
+    assert_eq!((flagged, errno()), (-1, EINVAL), "flags into the mount");
+    let flagged = unsafe { copy_file_range(src.as_raw_fd(), null, plain.as_raw_fd(), null, 10, 1) };
+    assert_eq!((flagged, errno()), (-1, EINVAL), "flags out of the mount");
+    let appending = fs::OpenOptions::new()
+        .append(true)
+        .open(&in_mount)
+        .expect("open O_APPEND");
+    let got = copy(&plain, &mut 0, &appending, null, 10);
+    assert_eq!((got, errno()), (-1, EBADF), "O_APPEND destination");
+    let got = copy(&src, &mut 0, &dst, &mut 0, 10);
+    assert_eq!((got, errno()), (-1, EXDEV), "container -> container");
+    drop((dst, appending));
+    assert!(
+        fs::read(&in_mount).expect("read back") == want,
+        "nothing moved"
+    );
+
     let mut fds = [0 as c_int; 2];
     assert_eq!(unsafe { pipe(&mut fds) }, 0);
-    type Mover<'a> = &'a dyn Fn() -> isize;
-    let movers: [(&str, Mover, i32); 6] = [
-        (
-            "copy_file_range mount->mount",
-            &|| unsafe { copy_file_range(s, null, d, null, n, 0) },
-            EXDEV,
-        ),
-        (
-            "copy_file_range mount->plain",
-            &|| unsafe { copy_file_range(s, null, p, null, n, 0) },
-            EXDEV,
-        ),
-        (
-            "copy_file_range plain->mount",
-            &|| unsafe { copy_file_range(p, null, d, null, n, 0) },
-            EXDEV,
-        ),
-        (
-            "sendfile mount->plain",
-            &|| unsafe { sendfile(p, s, null, n) },
-            EINVAL,
-        ),
-        (
-            "sendfile mount->mount",
-            &|| unsafe { sendfile(d, s, null, n) },
-            EINVAL,
-        ),
-        (
-            "splice mount->pipe",
-            &|| unsafe { splice(s, null, fds[1], null, n, 0) },
-            EINVAL,
-        ),
+    let (s, p) = (src.as_raw_fd(), plain.as_raw_fd());
+    let refused: [(&str, isize); 3] = [
+        ("sendfile out of the mount", unsafe {
+            sendfile(p, s, null, 10)
+        }),
+        ("sendfile into the mount", unsafe {
+            sendfile(s, p, null, 10)
+        }),
+        ("splice out of the mount", unsafe {
+            splice(s, null, fds[1], null, 10, 0)
+        }),
     ];
-    for (what, call, want) in movers {
-        assert_eq!((call(), errno()), (-1, want), "{what}");
+    for (what, got) in refused {
+        assert_eq!((got, errno()), (-1, EINVAL), "{what}");
     }
-    drop((dst, plain));
-    assert_eq!(
-        fs::metadata(&in_mount).expect("stat").len(),
-        0,
-        "nothing written in the mount"
-    );
-    assert_eq!(
-        fs::metadata(&plain_path).expect("stat").len(),
-        0,
-        "nothing written outside"
-    );
-    assert_eq!(cursor(&src), 0, "source cursor untouched");
     // Passthrough: plain -> plain still copies in the kernel.
-    fs::write(&plain_path, b"kernel copy").expect("write outside");
     let a = fs::File::open(&plain_path).expect("reopen");
-    let b_path = format!("{}/movers.copy", outside_dir());
+    let b_path = format!("{out}/movers.copy");
     let b = fs::File::create(&b_path).expect("create copy");
-    let n = unsafe { copy_file_range(a.as_raw_fd(), null, b.as_raw_fd(), null, 11, 0) };
-    assert_eq!(n, 11, "copy_file_range outside the mount");
-    assert_eq!(fs::read(&b_path).expect("read copy"), b"kernel copy");
+    assert_eq!(copy(&a, null, &b, null, 11), 11, "outside the mount");
+    assert_eq!(fs::read(&b_path).expect("read copy"), twin[..11]);
 }
 
 /// `lseek(fd, 0, SEEK_CUR)`.
@@ -315,24 +369,36 @@ fn check_mmap(container: &str, twin: &[u8]) {
 }
 
 /// stdio over the mount: `fopen` and `fdopen` streams read, seek and tell
-/// through the shim; `fileno` of a cookie stream is -1 by glibc's contract.
-fn check_stdio(container: &str, twin: &[u8]) {
+/// through the shim, `fstat(fileno(fp))` is the container's, and a long
+/// run of interleaved `fgetc`, `ungetc`, `fread`, `ftell` and `fseek`
+/// calls answers as the same calls on a stream of the flat twin.
+fn check_stdio(container: &str, twin_path: &str, twin: &[u8]) {
     const SEEK_SET: c_int = 0;
+    const SEEK_CUR: c_int = 1;
     const SEEK_END: c_int = 2;
     assert!(twin.len() > 100_000, "twin too small for the seek pattern");
     let cpath = std::ffi::CString::new(container).expect("path");
     let mode = c"r".as_ptr();
     let by_fopen = unsafe { fopen(cpath.as_ptr(), mode) };
     assert!(!by_fopen.is_null(), "fopen: errno {}", errno());
+    let mut raw = [0u64; 18]; // x86_64 struct stat: st_size at 48
+    let fd = unsafe { fileno(by_fopen) };
     assert_eq!(
-        unsafe { fileno(by_fopen) },
-        -1,
-        "cookie streams have no fileno"
+        unsafe { fstat(fd, &mut raw) },
+        0,
+        "fstat(fileno): errno {}",
+        errno()
     );
+    assert_eq!(raw[6] as usize, twin.len(), "fstat(fileno) size");
     let file = fs::File::open(container).expect("open container");
     let fd = unsafe { dup(file.as_raw_fd()) };
     let by_fdopen = unsafe { fdopen(fd, mode) };
     assert!(!by_fdopen.is_null(), "fdopen: errno {}", errno());
+    assert_eq!(
+        unsafe { fileno(by_fdopen) },
+        fd,
+        "fileno of an fdopen stream"
+    );
     for (tag, stream) in [("fopen", by_fopen), ("fdopen", by_fdopen)] {
         let mut buf = vec![0u8; 70_000]; // > BUFSIZ: buffered and direct reads
         let n = unsafe { fread(buf.as_mut_ptr() as *mut c_void, 1, 10, stream) };
@@ -370,6 +436,48 @@ fn check_stdio(container: &str, twin: &[u8]) {
     let mut b = [0u8; 4];
     file.read_exact_at(&mut b, 0).expect("pread after fclose");
     assert_eq!(b, twin[..4]);
+
+    // The same calls on both streams, drawn from one seeded sequence.
+    let open = |path: &str| {
+        let path = std::ffi::CString::new(path).expect("path");
+        let stream = unsafe { fopen(path.as_ptr(), mode) };
+        assert!(!stream.is_null(), "fopen: errno {}", errno());
+        stream
+    };
+    let (ours, flat) = (open(container), open(twin_path));
+    let len = twin.len() as c_long;
+    let mut x = 0x2545_f491_4f6c_dd1du64;
+    let (mut a, mut b) = (vec![0u8; 70_000], vec![0u8; 70_000]);
+    for step in 0..2000 {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        let pick = (x >> 40) as usize;
+        let on = |stream| unsafe {
+            match x % 8 {
+                0 | 1 => fgetc(stream) as c_long,
+                2 => ungetc(b'A' as c_int + (pick % 26) as c_int, stream) as c_long,
+                3 => ftell(stream),
+                4 => fseek(stream, (pick as c_long) % (len + 50), SEEK_SET) as c_long,
+                5 => fseek(stream, (pick % 20_001) as c_long - 10_000, SEEK_CUR) as c_long,
+                6 => fseek(stream, -((pick as c_long) % 9000), SEEK_END) as c_long,
+                _ => feof(stream) as c_long,
+            }
+        };
+        let what = format!("step {step}, call {}", x % 8);
+        assert_eq!(on(ours), on(flat), "{what}");
+        let size = [1, 3, 100, 4096, 8191, 8192, 8193, 32 << 10, 70_000][pick % 9];
+        let got = unsafe { fread(a.as_mut_ptr() as *mut c_void, 1, size, ours) };
+        let want = unsafe { fread(b.as_mut_ptr() as *mut c_void, 1, size, flat) };
+        assert_eq!(got, want, "{what}, fread of {size}");
+        assert!(a[..got] == b[..want], "{what}, fread bytes");
+        let positions = unsafe { (ftell(ours), ftell(flat)) };
+        assert_eq!(positions.0, positions.1, "{what}, ftell after fread");
+        if pick.is_multiple_of(5) {
+            unsafe { (clearerr(ours), clearerr(flat)) };
+        }
+    }
+    assert_eq!(unsafe { (fclose(ours), fclose(flat)) }, (0, 0));
 }
 
 /// `dup`'d descriptors of a read-only open share one cursor, and the open
@@ -1193,7 +1301,7 @@ fn main() {
             "fstat" => check_fstat(container, &twin),
             "movers" => check_movers(container, &twin),
             "mmap" => check_mmap(container, &twin),
-            "stdio" => check_stdio(container, &twin),
+            "stdio" => check_stdio(container, twin_path, &twin),
             "dup" => check_dup(container, &twin),
             "dup2-writer" => check_dup2_writer(container, &twin),
             "dup2-self" => check_dup2_self(container, &twin),

@@ -72,10 +72,13 @@
 //! reserved fd holds *no data* and reads are served by PLFS straight into
 //! the caller's buffer. For I/O that passes no interposed symbol: stdio
 //! streams over the mount are `fopencookie` streams on the shim's own
-//! read/seek/close (so `fileno()` is -1); `mmap` of a read-only
-//! fd fills a memfd of its own with the container's bytes once, on demand,
-//! and maps that (a writable fd fails `ENODEV`); the kernel's fd-to-fd
-//! movers answer `EXDEV`/`EINVAL`. See DESIGN.md.
+//! read/seek/close, whose large `fread`s the shim reads straight into the
+//! caller's buffer and whose `fileno()` is the registered fd; `mmap` of a
+//! read-only fd fills a memfd of its own with the container's bytes once,
+//! on demand, and maps that (a writable fd fails `ENODEV`);
+//! `copy_file_range` moves the bytes between the other end and the data
+//! droppings in the kernel, and `sendfile`/`splice` answer `EINVAL`. See
+//! DESIGN.md.
 //!
 //! Configuration is the environment alone, and it says only where the
 //! mount is: `LDPLFS_MOUNT` and `LDPLFS_BACKEND`, both required
@@ -99,7 +102,7 @@ use std::ffi::CStr;
 use std::hash::Hasher;
 use std::ops::Deref;
 use std::os::raw::{c_char, c_int, c_uint, c_void};
-use std::sync::atomic::{AtomicI32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 // ---------------------------------------------------------------------------
@@ -156,11 +159,9 @@ extern "C" {
     ) -> c_int;
     fn __chk_fail() -> !;
     fn fopencookie(cookie: *mut c_void, mode: *const c_char, io: CookieIo) -> *mut c_void;
-    fn setvbuf(stream: *mut c_void, buf: *mut c_char, mode: c_int, size: SizeT) -> c_int;
+    fn flockfile(stream: *mut c_void);
+    fn funlockfile(stream: *mut c_void);
 }
-
-/// `setvbuf`'s full-buffering mode.
-const IOFBF: c_int = 0;
 
 fn set_errno(e: c_int) {
     unsafe { *__errno_location() = e };
@@ -386,27 +387,31 @@ thread_local! {
     /// PLFS's own I/O on its backing store reaches the interposed symbols
     /// again; each sends it straight to the next definition of its name.
     /// Without the latch a backend directory under the mount recursed until
-    /// the stack ran out.
-    static IN_PLFS: Cell<bool> = const { Cell::new(false) };
+    /// the stack ran out. A count of the [`InPlfs`] alive on the thread.
+    static IN_PLFS: Cell<u32> = const { Cell::new(0) };
 }
 
 fn in_plfs() -> bool {
-    IN_PLFS.get()
+    IN_PLFS.get() > 0
 }
 
-/// This thread is inside PLFS while one of these lives. Restores what it
-/// found, so holding one inside another is harmless.
-struct InPlfs(bool);
+/// This thread is inside PLFS while one of these lives. They are counted,
+/// so those held together may be let go in any order: a call that holds
+/// two (`copy_file_range` between two containers) once left the latch set
+/// for good when they were let go in the order they were taken, and every
+/// later call of the process bypassed the shim.
+struct InPlfs(());
 
 impl InPlfs {
     fn enter() -> InPlfs {
-        InPlfs(IN_PLFS.replace(true))
+        IN_PLFS.set(IN_PLFS.get() + 1);
+        InPlfs(())
     }
 }
 
 impl Drop for InPlfs {
     fn drop(&mut self) {
-        IN_PLFS.set(self.0);
+        IN_PLFS.set(IN_PLFS.get() - 1);
     }
 }
 
@@ -624,16 +629,18 @@ fn pid() -> u64 {
 type HeldAtFork = (
     Option<MutexGuard<'static, ()>>,
     MutexGuard<'static, Slots>,
+    MutexGuard<'static, Vec<(usize, c_int)>>,
     Option<RwLockWriteGuard<'static, ()>>,
 );
 
 thread_local! {
-    /// The fd table's [`Dispatcher::hold`], [`SLOTS`] and the backing root's
-    /// [`RealBacking::pause`], held by the forking thread from
-    /// `pthread_atfork`'s prepare handler to its parent or child handler:
-    /// neither side's copy of the fd table or the slot allocator can be
-    /// caught half changed, nor a root's lock caught held by an op in
-    /// flight.
+    /// The fd table's [`Dispatcher::hold`], [`SLOTS`], [`STREAMS`] and the
+    /// backing root's [`RealBacking::pause`], held by the forking thread
+    /// from `pthread_atfork`'s prepare handler to its parent or child
+    /// handler: neither side's copy of the fd table, the slot allocator or
+    /// the stream list can be caught half changed (the child's first
+    /// `fread` would wait on a lock no thread of it holds), nor a root's
+    /// lock caught held by an op in flight.
     static HELD_AT_FORK: RefCell<Option<HeldAtFork>> = const { RefCell::new(None) };
 }
 
@@ -657,6 +664,7 @@ extern "C" fn before_fork() {
         let held = (
             sh.map(|sh| sh.opens.hold()),
             SLOTS.lock(),
+            STREAMS.lock(),
             sh.map(|sh| sh.root.pause()),
         );
         HELD_AT_FORK.with(|h| *h.borrow_mut() = Some(held));
@@ -667,7 +675,7 @@ extern "C" fn before_fork() {
 /// allocator's epoch: slots live at the fork are never reused.
 fn release_at_fork(child: bool) {
     HELD_AT_FORK.with(|h| {
-        if let Some((_one, mut slots, _root)) = h.borrow_mut().take() {
+        if let Some((_one, mut slots, _streams, _root)) = h.borrow_mut().take() {
             slots.epoch += 1;
             if child {
                 slots.page = 0;
@@ -780,12 +788,29 @@ unsafe fn stat_at<'a>(dirfd: c_int, path: *const c_char, flags: c_int) -> Option
     resolve_at(dirfd, path).map(|(sh, at)| Target::Path(sh, at))
 }
 
-/// `Some` if either end of an in-kernel byte mover is registered: the kernel
-/// would move bytes from or into the (empty) reserved fd (`cp` inside the
-/// mount "succeeded" with an empty destination). The mover fails instead,
-/// with the documented errno every caller follows with a read/write loop.
+/// The ends of an in-kernel byte mover that are containers, if any is: the
+/// kernel would move bytes from or into the (empty) reserved fd (`cp`
+/// inside the mount once "succeeded" with an empty destination).
+enum Ends {
+    Src(Registered),
+    Dst(Registered),
+    Both,
+}
+
+fn mover_ends(src: c_int, dst: c_int) -> Option<Ends> {
+    match (lookup(src), lookup(dst)) {
+        (None, None) => None,
+        (Some(src), None) => Some(Ends::Src(src)),
+        (None, Some(dst)) => Some(Ends::Dst(dst)),
+        (Some(_), Some(_)) => Some(Ends::Both),
+    }
+}
+
+/// `Some` if either end of a mover the shim refuses is a container: it
+/// fails with the documented errno every caller follows with a read/write
+/// loop.
 fn owned_pair(a: c_int, b: c_int) -> Option<()> {
-    (lookup(a).is_some() || lookup(b).is_some()).then_some(())
+    mover_ends(a, b).map(drop)
 }
 
 /// Whether `open` flags need a mode: the fortified `__open_2` family,
@@ -893,10 +918,12 @@ interpose! {
     fn mmap | mmap64(addr: *mut c_void, len: SizeT, prot: c_int, flags: c_int, fd: c_int, off: OffT)
         -> *mut c_void = MAP_FAILED;
         via lookup(fd) => |st| map_container(&st, addr, len, prot, flags, off);
+    // The kernel moves the bytes between the other end and the data
+    // droppings; two containers are `EXDEV`, and `cp` reads and writes.
     fn copy_file_range(
         src: c_int, off_src: *mut OffT, dst: c_int, off_dst: *mut OffT, len: SizeT, flags: c_uint
     ) -> SsizeT = -1;
-        via owned_pair(src, dst) => |()| fail(EXDEV);
+        via mover_ends(src, dst) => |ends| copy_range(ends, src, off_src, dst, off_dst, len, flags);
     fn splice(
         src: c_int, off_src: *mut OffT, dst: c_int, off_dst: *mut OffT, len: SizeT, flags: c_uint
     ) -> SsizeT = -1;
@@ -915,8 +942,12 @@ interpose! {
     fn statx(dirfd: c_int, path: *const c_char, flags: c_int, mask: c_uint, out: *mut CStatx)
         -> c_int = -1;
         via stat_at(dirfd, path, flags) => |t| fill_statx(out, t);
-    fn access(path: *const c_char, amode: c_int) -> c_int = -1;
+    // `euidaccess` is glibc's own call of `access` (`sort` checks its
+    // inputs with it), which passes no interposed symbol.
+    fn access | euidaccess | eaccess(path: *const c_char, amode: c_int) -> c_int = -1;
         via resolve(path) => |(sh, at)| status(inside_plfs(|| sh.opens.access(at)));
+    fn faccessat(dirfd: c_int, path: *const c_char, amode: c_int, flags: c_int) -> c_int = -1;
+        via resolve_at(dirfd, path) => |(sh, at)| status(inside_plfs(|| sh.opens.access(at)));
     fn unlink(path: *const c_char) -> c_int = -1;
         via resolve(path) => |(sh, at)| status(inside_plfs(|| sh.opens.unlink(at)));
     fn unlinkat(dirfd: c_int, path: *const c_char, flags: c_int) -> c_int = -1;
@@ -934,12 +965,23 @@ interpose! {
         };
 
     // stdio: glibc's `fopen` does not call the exported `open`, and a
-    // FILE's reads never pass `read`.
+    // FILE's reads never pass `read`. A large `fread` of a stream of the
+    // shim's reads straight into the caller's buffer, as glibc's does on a
+    // file; `fileno` of one is its registered fd.
     fn fopen | fopen64(path: *const c_char, mode: *const c_char)
         -> *mut c_void = std::ptr::null_mut();
         via resolve(path).filter(|_| read_only(mode)) => |(sh, at)| open_stream(sh, at, mode);
     fn fdopen(fd: c_int, mode: *const c_char) -> *mut c_void = std::ptr::null_mut();
         via lookup(fd) => |_| cookie_stream(fd, mode);
+    fn fread | fread_unlocked(buf: *mut c_void, size: SizeT, n: SizeT, stream: *mut c_void)
+        -> SizeT = 0;
+        via stream_fd(stream) => |fd| fread_direct(buf, size, n, stream, fd);
+    fn __fread_chk | __fread_unlocked_chk(
+        buf: *mut c_void, len: SizeT, size: SizeT, n: SizeT, stream: *mut c_void
+    ) -> SizeT = 0, chk_fail if size.checked_mul(n).is_none_or(|want| want > len);
+        via stream_fd(stream) => |fd| fread_direct(buf, size, n, stream, fd);
+    fn fileno | fileno_unlocked(stream: *mut c_void) -> c_int = -1;
+        via stream_fd(stream) => |fd| fd;
 
     // fork: the `pthread_atfork` handlers do its part — the parent writes
     // its index buffers; the child, waiting on no lock, forgets the cached
@@ -1143,6 +1185,78 @@ fn lseek_in(st: &Open<Own>, off: OffT, whence: c_int) -> OffT {
         _ => Err(Errno::EINVAL),
     };
     ret(whence.and_then(|w| st.lseek(off, w)), |at| at as OffT)
+}
+
+/// The next `copy_file_range` as a `Result`: -1 is its errno.
+///
+/// # Safety
+/// As `copy_file_range(2)`'s.
+unsafe fn kernel_copy(
+    src: c_int,
+    off_src: *mut OffT,
+    dst: c_int,
+    off_dst: *mut OffT,
+    len: SizeT,
+) -> std::io::Result<usize> {
+    match next::copy_file_range(src, off_src, dst, off_dst, len, 0) {
+        n if n < 0 => Err(std::io::Error::last_os_error()),
+        n => Ok(n as usize),
+    }
+}
+
+/// A C offset pointer as [`Open::copy_in`]/[`Open::copy_out`] take it:
+/// `None` for null (the cursor), else the offset, written back advanced.
+///
+/// # Safety
+/// `off` is null or points to a readable, writable offset.
+unsafe fn with_offset(
+    off: *mut OffT,
+    f: impl FnOnce(Option<&mut u64>) -> PosixResult<usize>,
+) -> PosixResult<usize> {
+    if off.is_null() {
+        return f(None);
+    }
+    let mut at = unsigned(*off)?;
+    let n = f(Some(&mut at))?;
+    *off = at as OffT;
+    Ok(n)
+}
+
+/// `copy_file_range` with a container at one end: the kernel moves the
+/// bytes between the other end and the container's data droppings — out
+/// of each slice the read view resolves, or into the writer's tail, one
+/// write — so they are copied once, as between two files. A container at
+/// each end is `EXDEV`, which `cp` follows with reads and writes.
+///
+/// # Safety
+/// As `copy_file_range(2)`'s.
+unsafe fn copy_range(
+    ends: Ends,
+    src: c_int,
+    off_src: *mut OffT,
+    dst: c_int,
+    off_dst: *mut OffT,
+    len: SizeT,
+    flags: c_uint,
+) -> SsizeT {
+    if flags != 0 {
+        return fail(EINVAL);
+    }
+    count(match ends {
+        Ends::Both => Err(Errno(EXDEV)),
+        Ends::Src(st) => with_offset(off_src, |off| {
+            st.copy_out(off, len, |fd, at, n| {
+                let mut at = at as OffT;
+                kernel_copy(fd, &mut at, dst, off_dst, n)
+            })
+        }),
+        Ends::Dst(st) => with_offset(off_dst, |off| {
+            st.copy_in(off, len, |fd, at| {
+                let mut at = at as OffT;
+                kernel_copy(src, off_src, fd, &mut at, len)
+            })
+        }),
+    })
 }
 
 /// `close`: a registered fd's two halves, the PLFS open and the reserved
@@ -1508,8 +1622,7 @@ unsafe fn fill_statx(out: *mut CStatx, what: Target) -> c_int {
 // ---------------------------------------------------------------------------
 // stdio: a stream over the mount is a `fopencookie` stream whose callbacks
 // are the shim's own `read`/`write`/`lseek`/`close` on a registered fd (in
-// the cookie). `fileno()` on one is -1, glibc's contract for cookie
-// streams.
+// the cookie), listed in [`STREAMS`] with that fd.
 // ---------------------------------------------------------------------------
 
 /// glibc `cookie_io_functions_t`.
@@ -1521,21 +1634,42 @@ struct CookieIo {
     close: unsafe extern "C" fn(*mut c_void) -> c_int,
 }
 
-/// Bytes of the buffer a stream over the mount reads through. glibc gives
-/// a cookie stream `BUFSIZ` (8 KiB), there being no `st_blksize` to read,
-/// and fills its buffer for every `fread` smaller than the buffer: a loop
-/// of 32 KiB `fread`s (`md5sum`'s) made four 8 KiB container reads each,
-/// where a flat stream reads each straight into the caller's buffer. An
-/// `fread` at least this large is read straight into the caller's buffer
-/// here too, as one container read, and leaves this buffer's pages
-/// untouched; smaller ones share one container read per 32 KiB.
-const STREAM_BUFFER: usize = 32 << 10;
+/// The streams of the shim's, by address, each with the registered fd it
+/// reads. [`before_fork`] holds the lock across a `fork`, so that neither
+/// side's copy is caught half changed.
+static STREAMS: Mutex<Vec<(usize, c_int)>> = Mutex::new(Vec::new());
 
-/// A stream's cookie: the registered fd it reads, and the buffer the
-/// stream reads through, the stream's until its close callback frees it.
+/// How many streams [`STREAMS`] lists: a process with none pays one load
+/// per `fread`.
+static STREAM_COUNT: AtomicUsize = AtomicUsize::new(0);
+
+/// The registered fd `stream` reads, if it is one of the shim's.
+fn stream_fd(stream: *mut c_void) -> Option<c_int> {
+    // relaxed: a stream's registration happens before any call on it that another thread makes
+    if STREAM_COUNT.load(Ordering::Relaxed) == 0 {
+        return None;
+    }
+    STREAMS
+        .lock()
+        .iter()
+        .find(|s| s.0 == stream as usize)
+        .map(|s| s.1)
+}
+
+/// List `stream`, or (with `None`) take it off the list.
+fn list_stream(stream: *mut c_void, fd: Option<c_int>) {
+    let mut streams = STREAMS.lock();
+    streams.retain(|s| s.0 != stream as usize);
+    streams.extend(fd.map(|fd| (stream as usize, fd)));
+    // relaxed: see stream_fd
+    STREAM_COUNT.store(streams.len(), Ordering::Relaxed);
+}
+
+/// A stream's cookie: the registered fd it reads, and the stream, once
+/// made.
 struct Cookie {
     fd: c_int,
-    buf: Box<[std::mem::MaybeUninit<u8>]>,
+    stream: *mut c_void,
 }
 
 /// The fd of the stream whose cookie is `cookie`.
@@ -1563,16 +1697,18 @@ unsafe extern "C" fn cookie_seek(cookie: *mut c_void, off: *mut OffT, whence: c_
     })
 }
 
-/// glibc calls this once, last: it reads nothing of the buffer afterwards,
-/// which it does not free either — it is the caller's (`setvbuf`).
+/// glibc calls this once, last, from `fclose`.
 unsafe extern "C" fn cookie_close(cookie: *mut c_void) -> c_int {
     // SAFETY: the cookie is the `Box` cookie_stream leaked, freed once here.
     let cookie = Box::from_raw(cookie as *mut Cookie);
-    ffi_guard!(-1, close(cookie.fd))
+    ffi_guard!(-1, {
+        list_stream(cookie.stream, None);
+        close(cookie.fd)
+    })
 }
 
-/// A stream over registered `fd`, reading through a [`STREAM_BUFFER`];
-/// on failure the fd stays the caller's.
+/// A stream over registered `fd`, listed in [`STREAMS`]; on failure the fd
+/// stays the caller's.
 unsafe fn cookie_stream(fd: c_int, mode: *const c_char) -> *mut c_void {
     let io = CookieIo {
         read: cookie_read,
@@ -1582,7 +1718,7 @@ unsafe fn cookie_stream(fd: c_int, mode: *const c_char) -> *mut c_void {
     };
     let cookie = Box::into_raw(Box::new(Cookie {
         fd,
-        buf: Box::new_uninit_slice(STREAM_BUFFER),
+        stream: std::ptr::null_mut(),
     }));
     let stream = fopencookie(cookie as *mut c_void, mode, io);
     if stream.is_null() {
@@ -1590,10 +1726,8 @@ unsafe fn cookie_stream(fd: c_int, mode: *const c_char) -> *mut c_void {
         drop(Box::from_raw(cookie));
         return stream;
     }
-    // Before any I/O on the stream, as setvbuf requires. Failing, the
-    // stream keeps glibc's own buffer, and the cookie this one.
-    let buf = (*cookie).buf.as_mut_ptr() as *mut c_char;
-    setvbuf(stream, buf, IOFBF, STREAM_BUFFER);
+    (*cookie).stream = stream;
+    list_stream(stream, Some(fd));
     stream
 }
 
@@ -1611,4 +1745,229 @@ unsafe fn open_stream(sh: &Shim, at: At, mode: *const c_char) -> *mut c_void {
         close(fd);
     }
     stream
+}
+
+/// glibc's `FILE` (`struct _IO_FILE`) as far as its buffer: the public
+/// fields gnulib's `freadahead` reads too.
+#[repr(C)]
+struct IoFile {
+    flags: c_int,
+    read_ptr: *mut u8,
+    read_end: *mut u8,
+    read_base: *mut u8,
+    write_base: *mut u8,
+    write_ptr: *mut u8,
+    write_end: *mut u8,
+    buf_base: *mut u8,
+    buf_end: *mut u8,
+}
+
+/// The states of a stream only glibc's `fread` reads in, setting its
+/// flags: no reads (`_IO_NO_READS`), EOF or an error seen
+/// (`_IO_EOF_SEEN`, `_IO_ERR_SEEN`), reading `ungetc`'s backup area
+/// (`_IO_IN_BACKUP`) or writing (`_IO_CURRENTLY_PUTTING`).
+const GLIBC_READS: c_int = 0x4 | 0x10 | 0x20 | 0x100 | 0x800;
+
+/// glibc's buffer size for a stream that has not allocated one yet.
+const BUFSIZ: usize = 8192;
+
+/// The bytes of `want` at `dst` a read can fill without glibc: those the
+/// stream holds buffered, then as many whole buffers as are left, read by
+/// one `read` straight into `dst`. What is left — less than a buffer, or
+/// what a short read did not fill — is glibc's `fread`'s, which fills the
+/// buffer or sets the stream's EOF or error flag. Returns the bytes
+/// filled, 0 in a state glibc must read in ([`GLIBC_READS`]). This is what
+/// glibc's `fread` does on a file stream; on a cookie stream it copies
+/// every byte through the buffer.
+///
+/// # Safety
+/// `file` is a live stream, locked by this thread; `dst` has `want`
+/// writable bytes; `read(p, n)` reads at most `n` bytes to `p`.
+unsafe fn fill_direct(
+    file: *mut IoFile,
+    dst: *mut u8,
+    want: usize,
+    mut read: impl FnMut(*mut u8, usize) -> SsizeT,
+) -> usize {
+    let f = &mut *file;
+    if f.flags & GLIBC_READS != 0 {
+        return 0;
+    }
+    let held = (f.read_end as usize).saturating_sub(f.read_ptr as usize);
+    let mut done = held.min(want);
+    if done > 0 {
+        std::ptr::copy_nonoverlapping(f.read_ptr, dst, done);
+        f.read_ptr = f.read_ptr.add(done);
+    }
+    let block = match f.buf_base.is_null() {
+        true => BUFSIZ,
+        false => f.buf_end as usize - f.buf_base as usize,
+    };
+    let rest = want - done;
+    if rest >= block {
+        // The buffer is empty: glibc's own state after a direct read.
+        if !f.buf_base.is_null() {
+            (f.read_base, f.read_ptr, f.read_end) = (f.buf_base, f.buf_base, f.buf_base);
+        }
+        done += read(dst.add(done), rest - rest % block).max(0) as usize;
+    }
+    done
+}
+
+/// `fread` of a stream of the shim's, reading `fd`: [`fill_direct`]
+/// through the shim's `read`, then glibc's `fread` of the rest, under the
+/// stream's lock.
+///
+/// # Safety
+/// As `fread(3)`'s.
+unsafe fn fread_direct(
+    buf: *mut c_void,
+    size: SizeT,
+    n: SizeT,
+    stream: *mut c_void,
+    fd: c_int,
+) -> SizeT {
+    let Some(want) = size.checked_mul(n).filter(|&want| want > 0) else {
+        return next::fread(buf, size, n, stream);
+    };
+    let dst = buf as *mut u8;
+    flockfile(stream);
+    let done = fill_direct(stream as *mut IoFile, dst, want, |p, k| {
+        read(fd, p as *mut c_void, k)
+    });
+    let rest = match want - done {
+        0 => 0,
+        rest => next::fread(dst.add(done) as *mut c_void, 1, rest, stream),
+    };
+    funlockfile(stream);
+    (done + rest) / size
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    extern "C" {
+        fn fgetc(stream: *mut c_void) -> c_int;
+        fn ungetc(c: c_int, stream: *mut c_void) -> c_int;
+        fn fclose(stream: *mut c_void) -> c_int;
+    }
+
+    /// An endless source of bytes `i % 251`, which notes where each of its
+    /// reads was asked to put them.
+    #[derive(Default)]
+    struct Source {
+        at: usize,
+        reads: Vec<(usize, usize)>,
+    }
+
+    unsafe extern "C" fn source_read(cookie: *mut c_void, buf: *mut c_char, n: SizeT) -> SsizeT {
+        let src = &mut *(cookie as *mut Source);
+        src.reads.push((buf as usize, n));
+        for i in 0..n {
+            *buf.add(i) = ((src.at + i) % 251) as c_char;
+        }
+        src.at += n;
+        n as SsizeT
+    }
+
+    unsafe extern "C" fn no_write(_: *mut c_void, _: *const c_char, _: SizeT) -> SsizeT {
+        0
+    }
+
+    unsafe extern "C" fn no_seek(_: *mut c_void, _: *mut OffT, _: c_int) -> c_int {
+        -1
+    }
+
+    unsafe extern "C" fn no_close(_: *mut c_void) -> c_int {
+        0
+    }
+
+    fn pattern(from: usize, len: usize) -> Vec<u8> {
+        (from..from + len).map(|i| (i % 251) as u8).collect()
+    }
+
+    /// A cookie stream of glibc's over `src`.
+    fn stream(src: &mut Source) -> *mut c_void {
+        let io = CookieIo {
+            read: source_read,
+            write: no_write,
+            seek: no_seek,
+            close: no_close,
+        };
+        let cookie = src as *mut Source as *mut c_void;
+        let stream = unsafe { fopencookie(cookie, c"r".as_ptr(), io) };
+        assert!(!stream.is_null());
+        stream
+    }
+
+    /// The container read a large `fread` makes is handed the caller's
+    /// buffer, after the bytes the stream held; glibc's own `fread` of a
+    /// cookie stream hands the cookie its buffer and copies out of it.
+    #[test]
+    fn a_large_fread_reads_straight_into_the_callers_buffer() {
+        let mut src = Source::default();
+        let fp = stream(&mut src);
+        // The first `fgetc` allocates the stream's buffer and fills it.
+        assert_eq!(unsafe { fgetc(fp) }, 0);
+        let file = fp as *mut IoFile;
+        let (base, end) = unsafe { ((*file).buf_base as usize, (*file).buf_end as usize) };
+        assert_eq!(src.reads, [(base, BUFSIZ)]);
+        assert_eq!(
+            (end - base, unsafe { (*file).read_ptr } as usize),
+            (BUFSIZ, base + 1)
+        );
+
+        let mut buf = vec![0u8; 100_000];
+        let dst = buf.as_mut_ptr();
+        let mut reads = Vec::new();
+        let done = unsafe {
+            fill_direct(file, dst, buf.len(), |p, n| {
+                reads.push((p as usize, n));
+                source_read(&mut src as *mut Source as *mut c_void, p as *mut c_char, n)
+            })
+        };
+        // 8191 held bytes, then the whole buffers of the rest: one read,
+        // into the caller's buffer, right after them.
+        let direct = (100_000 - (BUFSIZ - 1)) / BUFSIZ * BUFSIZ;
+        assert_eq!(reads, [(dst as usize + BUFSIZ - 1, direct)]);
+        assert_eq!(done, BUFSIZ - 1 + direct);
+        assert!(buf[..done] == pattern(1, done));
+        // The buffer is empty, as glibc leaves it after a direct read.
+        let f = unsafe { &*file };
+        assert_eq!((f.read_ptr, f.read_end), (f.buf_base, f.buf_base));
+
+        // The rest is less than a buffer: glibc's, through its buffer.
+        let rest = unsafe { next::fread(dst.add(done) as *mut c_void, 1, buf.len() - done, fp) };
+        assert_eq!(done + rest, buf.len());
+        assert!(buf == pattern(1, buf.len()));
+        assert_eq!(*src.reads.last().unwrap(), (base, BUFSIZ));
+
+        // glibc's own fread of 32 KiB: four reads into its buffer, none
+        // into the caller's.
+        let before = src.reads.len();
+        let mut big = vec![0u8; 32 << 10];
+        let got = unsafe { next::fread(big.as_mut_ptr() as *mut c_void, 1, big.len(), fp) };
+        assert_eq!(got, big.len());
+        assert!(src.reads[before..].iter().all(|&r| r == (base, BUFSIZ)));
+        assert_eq!(unsafe { fclose(fp) }, 0);
+    }
+
+    /// A small read is served from the stream's buffer alone, and a stream
+    /// reading `ungetc`'s backup area is left to glibc.
+    #[test]
+    fn small_reads_and_pushed_back_bytes_stay_with_the_buffer() {
+        let mut src = Source::default();
+        let fp = stream(&mut src);
+        assert_eq!(unsafe { fgetc(fp) }, 0);
+        let file = fp as *mut IoFile;
+        let mut buf = [0u8; 100];
+        let no_read = |_: *mut u8, _: usize| -> SsizeT { panic!("no read wanted") };
+        let done = unsafe { fill_direct(file, buf.as_mut_ptr(), 100, no_read) };
+        assert_eq!((done, buf.to_vec()), (100, pattern(1, 100)));
+        assert_eq!(unsafe { ungetc(b'x' as c_int, fp) }, b'x' as c_int);
+        let done = unsafe { fill_direct(file, buf.as_mut_ptr(), 100, no_read) };
+        assert_eq!(done, 0, "the backup area is glibc's");
+        assert_eq!(unsafe { fclose(fp) }, 0);
+    }
 }

@@ -47,6 +47,12 @@ rm -f "$sarif_tmp"
 # verdicts on it).
 cargo run --offline --release -q -p plfs-tools -- pairs crates/tools/fixtures/pairs.jsonl > /dev/null
 
+# The per-tool account of `unix_tools`, one round on a 2 MiB file as a
+# smoke test: it fails only if a tool fails under the release preload or
+# the container arm's `grep -c`, `md5sum` or `cp` out differs from the flat
+# arm's. Its timings are for reading; nothing gates them.
+SIZE_MB=2 scripts/tools_account.sh 1 > /dev/null
+
 # Bench smoke: a fast pass through the micro benches (CRITERION_QUICK
 # shrinks the measurement budget; benches still execute every group).
 CRITERION_QUICK=1 cargo bench --offline -p bench --bench micro_plfs
