@@ -43,10 +43,8 @@ pub mod open;
 pub mod posix;
 pub mod realposix;
 pub mod shim;
-pub mod stdio;
 
 pub use config::LdPlfsBuilder;
 pub use posix::{Errno, Fd, OpenFlags, PosixDirent, PosixLayer, PosixResult, PosixStat, Whence};
 pub use realposix::RealPosix;
 pub use shim::{clear_virtual_pid, current_pid, set_virtual_pid, LdPlfs, ShimMount};
-pub use stdio::CFile;

@@ -83,7 +83,10 @@
 //! Configuration is the environment alone, and it says only where the
 //! mount is: `LDPLFS_MOUNT` and `LDPLFS_BACKEND`, both required
 //! (`plfs::conf::SHIM_ENV`); every tuning value is a constant. An
-//! `LDPLFS_*` name nothing reads is reported in one stderr line at init.
+//! `LDPLFS_*` name nothing reads is reported in one stderr line at init,
+//! and so is a mount that is set but cannot start (a required variable
+//! missing, a mount point of `/`, a backend that cannot be opened): the
+//! process then runs with no PLFS mount.
 //!
 //! Known limitation (shared with the original): descriptors inherited
 //! *across `execve`* lose their PLFS identity, so shell output redirection
@@ -442,19 +445,26 @@ fn warn(msg: &str) {
 }
 
 fn init_shim() -> Option<Shim> {
-    let mount = std::env::var(plfs::conf::MOUNT_ENV).ok()?;
-    let backend = std::env::var(plfs::conf::BACKEND_ENV).ok()?;
-    let mount = mount.trim_end_matches('/').to_string();
-    if mount.is_empty() {
-        return None;
-    }
-    let root = Arc::new(RealBacking::new(backend).ok()?);
+    let mut configured = false;
     for (name, _) in std::env::vars_os() {
         let name = name.to_string_lossy();
-        if name.starts_with("LDPLFS_") && !plfs::conf::known_env(&name) {
-            warn(&format!("unknown variable {name} ignored"));
+        if name.starts_with("LDPLFS_") {
+            configured = true;
+            if !plfs::conf::known_env(&name) {
+                warn(&format!("unknown variable {name} ignored"));
+            }
         }
     }
+    let (mount, root) = match mount_from_env() {
+        Ok(found) => found,
+        Err(cause) => {
+            // A process that set no `LDPLFS_*` variable asked for no mount.
+            if configured {
+                warn(&format!("no PLFS mount: {cause}"));
+            }
+            return None;
+        }
+    };
     let plfs = Plfs::new(Arc::clone(&root) as Arc<dyn plfs::Backing>);
     // SAFETY: the handlers are `extern "C" fn()`s that never unwind.
     unsafe { pthread_atfork(before_fork, after_fork_in_parent, after_fork_in_child) };
@@ -466,6 +476,21 @@ fn init_shim() -> Option<Shim> {
         opens: Dispatcher::new(vec![mount]),
         root,
     })
+}
+
+/// The mount point and the backing root the environment names, or why
+/// they cannot be used.
+fn mount_from_env() -> Result<(String, Arc<RealBacking>), String> {
+    use plfs::conf::{BACKEND_ENV, MOUNT_ENV};
+    let var = |name: &str| std::env::var(name).map_err(|e| format!("{name}: {e}"));
+    let given = var(MOUNT_ENV)?;
+    let backend = var(BACKEND_ENV)?;
+    let mount = given.trim_end_matches('/');
+    if mount.is_empty() {
+        return Err(format!("{MOUNT_ENV}={given:?} is not a mount point"));
+    }
+    let root = RealBacking::new(&backend).map_err(|e| format!("{BACKEND_ENV}={backend}: {e}"))?;
+    Ok((mount.to_string(), Arc::new(root)))
 }
 
 unsafe fn cstr<'a>(p: *const c_char) -> Option<&'a str> {

@@ -416,6 +416,61 @@ fn misconfiguration_is_reported_once_on_stderr() {
     assert!(!String::from_utf8_lossy(&out.stderr).contains("ldplfs-preload: "));
 }
 
+/// A mount that is asked for but cannot be used says why in one line,
+/// after any unknown-variable line, and the process runs on without PLFS:
+/// a missing (here misspelled) variable, a mount point that trims to
+/// nothing, a backend that cannot be opened. With no `LDPLFS_*` variable
+/// set the library stays silent.
+#[test]
+fn a_mount_that_cannot_start_says_why_on_stderr() {
+    ensure_built();
+    let env = setup("unusable");
+    let file = env.outside.join("regular");
+    std::fs::write(&file, b"flat").unwrap();
+    let (mount, backend) = (env.mount.to_str().unwrap(), env.backend.to_str().unwrap());
+    let not_a_dir = file.to_str().unwrap();
+    // The `ldplfs-preload:` lines of `cat FILE` under these variables alone.
+    let said = |vars: &[(&str, &str)]| -> Vec<String> {
+        let mut cat = Command::new("cat");
+        cat.arg(&file).env("LD_PRELOAD", preload_lib());
+        for (name, _) in std::env::vars_os() {
+            if name.to_string_lossy().starts_with("LDPLFS_") {
+                cat.env_remove(name);
+            }
+        }
+        let out = cat.envs(vars.iter().copied()).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{vars:?}: {stderr}");
+        assert_eq!(out.stdout, b"flat", "{vars:?}");
+        let lines = stderr
+            .lines()
+            .filter_map(|l| l.strip_prefix("ldplfs-preload: "));
+        lines.map(str::to_string).collect()
+    };
+    assert_eq!(
+        said(&[("LDPLFS_MOUNT", mount), ("LDPLFS_BACKND", backend)]),
+        [
+            "unknown variable LDPLFS_BACKND ignored",
+            "no PLFS mount: LDPLFS_BACKEND: environment variable not found",
+        ]
+    );
+    assert_eq!(
+        said(&[("LDPLFS_BACKEND", backend)]),
+        ["no PLFS mount: LDPLFS_MOUNT: environment variable not found"]
+    );
+    assert_eq!(
+        said(&[("LDPLFS_MOUNT", "/"), ("LDPLFS_BACKEND", backend)]),
+        ["no PLFS mount: LDPLFS_MOUNT=\"/\" is not a mount point"]
+    );
+    assert_eq!(
+        said(&[("LDPLFS_MOUNT", mount), ("LDPLFS_BACKEND", not_a_dir)]),
+        [format!(
+            "no PLFS mount: LDPLFS_BACKEND={not_a_dir}: I/O error: File exists (os error 17)"
+        )]
+    );
+    assert!(said(&[]).is_empty());
+}
+
 /// Overlapping writes from different processes resolve newest-wins on a
 /// fresh merge: process A `dd`s a file in, process B overwrites the middle
 /// (`conv=notrunc`), process C `cat`s it. The write clock used to be a
@@ -557,9 +612,11 @@ fn same_stdout(env: &Env, twin: &std::path::Path, container: &str, tool: &str, a
         tool,
     );
     assert!(!want.is_empty(), "{tool} {args:?} printed nothing");
-    // md5sum prints the path after the digest: compare up to it.
+    // md5sum and wc print the path after the digest or the counts: compare
+    // up to it.
     let cut = |v: &[u8]| match tool {
         "md5sum" => v[..32].to_vec(),
+        "wc" => v[..v.iter().rposition(|&b| b == b' ').unwrap()].to_vec(),
         _ => v.to_vec(),
     };
     assert!(
@@ -574,6 +631,10 @@ fn read_tools_match_a_flat_twin_on_one_and_many_droppings() {
     let env = setup("readtools");
     let (twin, containers) = twin_and_containers(&env);
     let want = std::fs::read(&twin).unwrap();
+    let changed = env.outside.join("changed.bin");
+    let mut bytes = want.clone();
+    bytes[BLOCK * 50 + 17] ^= 1;
+    std::fs::write(&changed, bytes).unwrap();
     for c in &containers {
         same_stdout(&env, &twin, c, "cat", &[]);
         same_stdout(&env, &twin, c, "grep", &["-c", "a"]);
@@ -584,9 +645,22 @@ fn read_tools_match_a_flat_twin_on_one_and_many_droppings() {
         // `fstat(fileno(fp))`.
         same_stdout(&env, &twin, c, "sort", &[]);
         same_stdout(&env, &twin, c, "sort", &["-u", "-r", "-k2"]);
+        same_stdout(&env, &twin, c, "wc", &[]);
         let mut cmp = Command::new("cmp");
         cmp.arg(c).arg(&twin);
         ok(run_preloaded(&env, cmp), "cmp");
+        // Against a file that differs, cmp exits 1 and names the same byte
+        // and line as on the twin.
+        let first_difference = |out: std::process::Output| {
+            assert_eq!(out.status.code(), Some(1), "cmp of {c} and a changed copy");
+            let out = String::from_utf8(out.stdout).unwrap();
+            out.split_once(" differ: ").unwrap().1.to_string()
+        };
+        let flat = Command::new("cmp").arg(&twin).arg(&changed).output();
+        let mut cmp = Command::new("cmp");
+        cmp.arg(c).arg(&changed);
+        let on_mount = run_preloaded(&env, cmp);
+        assert_eq!(first_difference(on_mount), first_difference(flat.unwrap()));
         let out = env.outside.join("out.bin");
         let mut cp = Command::new("cp");
         cp.arg(c).arg(&out);

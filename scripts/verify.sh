@@ -3,6 +3,8 @@
 # Run from the repo root.
 set -eu
 
+# Formatting, as the CI verify job checks it.
+cargo fmt --all -- --check
 cargo build --release --offline
 # Tier-1's bare `cargo test -q` already runs every crate's suite through
 # `default-members`; --workspace adds the vendored stand-ins'. The root

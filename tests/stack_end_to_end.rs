@@ -1,11 +1,9 @@
 //! Integration: the full real-execution stack, wired the way a user would.
 //!
 //! A backing directory on the real file system → PLFS → LDPLFS shim →
-//! unmodified tools. Spans the `plfs`, `ldplfs` and `apps` crates.
+//! plain POSIX calls. Spans the `plfs` and `ldplfs` crates.
 
-use apps::md5::hex;
-use apps::unix_tools::{cat, cp, grep, md5sum};
-use ldplfs::{CFile, LdPlfsBuilder, OpenFlags, PosixLayer, RealPosix, Whence};
+use ldplfs::{LdPlfsBuilder, OpenFlags, PosixLayer, RealPosix, Whence};
 use plfs::{Plfs, RealBacking};
 use std::sync::Arc;
 
@@ -53,50 +51,14 @@ fn configured_stack_round_trips() {
 }
 
 #[test]
-fn unix_tools_work_across_layouts() {
-    let (shim, root) = stack("tools");
-    // Write the same lines to a container and a plain file through stdio.
-    let lines: String = (0..2000)
-        .map(|i| format!("line {i} {}\n", if i % 37 == 0 { "MATCH" } else { "noise" }))
-        .collect();
-    for path in ["/plfs/log.txt", "/plain-log.txt"] {
-        let mut f = CFile::open(shim.clone(), path, "w").unwrap();
-        f.write(lines.as_bytes()).unwrap();
-        f.close().unwrap();
-    }
-
-    assert_eq!(
-        cat(&shim, "/plfs/log.txt").unwrap(),
-        cat(&shim, "/plain-log.txt").unwrap()
-    );
-    assert_eq!(
-        grep(&shim, b"MATCH", "/plfs/log.txt").unwrap(),
-        grep(&shim, b"MATCH", "/plain-log.txt").unwrap()
-    );
-    assert_eq!(grep(&shim, b"MATCH", "/plfs/log.txt").unwrap(), 55);
-    assert_eq!(
-        hex(&md5sum(&shim, "/plfs/log.txt").unwrap()),
-        hex(&md5sum(&shim, "/plain-log.txt").unwrap())
-    );
-    assert_eq!(shim.stat("/plfs/log.txt").unwrap().size, lines.len() as u64);
-
-    // cp out of the mount and back in, digest-stable.
-    cp(&shim, "/plfs/log.txt", "/copied.txt").unwrap();
-    cp(&shim, "/copied.txt", "/plfs/copied-back.txt").unwrap();
-    assert_eq!(
-        hex(&md5sum(&shim, "/plfs/copied-back.txt").unwrap()),
-        hex(&md5sum(&shim, "/plain-log.txt").unwrap())
-    );
-    let _ = std::fs::remove_dir_all(&root);
-}
-
-#[test]
 fn flatten_extracts_container_without_fuse() {
     let (shim, root) = stack("flatten");
     let data: Vec<u8> = (0..50_000u32).map(|i| (i * 7 % 256) as u8).collect();
-    let mut f = CFile::open(shim.clone(), "/plfs/dump", "w").unwrap();
-    f.write(&data).unwrap();
-    f.close().unwrap();
+    let fd = shim
+        .open("/plfs/dump", OpenFlags::WRONLY | OpenFlags::CREAT, 0o644)
+        .unwrap();
+    assert_eq!(shim.write(fd, &data).unwrap(), data.len());
+    shim.close(fd).unwrap();
 
     // Raw-data extraction via the library (the paper's "get data out of
     // PLFS structures" use case).
@@ -110,25 +72,5 @@ fn flatten_extracts_container_without_fuse() {
     for e in &map {
         assert!(e.dropping.contains("dropping.data."));
     }
-    let _ = std::fs::remove_dir_all(&root);
-}
-
-#[test]
-fn hdf5lite_checkpoint_through_the_stack() {
-    let (shim, root) = stack("h5l");
-    use apps::hdf5lite::{pack_f64, read, write, Dataset, Dtype};
-    let dens = pack_f64(&(0..4096).map(|i| i as f64).collect::<Vec<_>>());
-    write(
-        &shim,
-        "/plfs/chk",
-        &[Dataset {
-            name: "dens",
-            dtype: Dtype::F64,
-            data: &dens,
-        }],
-    )
-    .unwrap();
-    let back = read(&shim, "/plfs/chk").unwrap();
-    assert_eq!(back[0].data, dens);
     let _ = std::fs::remove_dir_all(&root);
 }

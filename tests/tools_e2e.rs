@@ -2,7 +2,7 @@
 //! produced by the real shim on a real backend directory — the full
 //! operator workflow (write through LDPLFS, inspect/repair with the tools).
 
-use ldplfs::{CFile, LdPlfsBuilder, PosixLayer, RealPosix};
+use ldplfs::{LdPlfsBuilder, OpenFlags, PosixLayer, RealPosix};
 use plfs::{Plfs, RealBacking};
 use std::sync::Arc;
 
@@ -22,17 +22,21 @@ fn stack(tag: &str) -> (Arc<dyn PosixLayer>, RealBacking, std::path::PathBuf) {
     (shim, tool_backing, root)
 }
 
-fn write_via_shim(shim: &Arc<dyn PosixLayer>, path: &str, data: &[u8]) {
-    let mut f = CFile::open(shim.clone(), path, "w").unwrap();
-    f.write(data).unwrap();
-    f.close().unwrap();
+fn write_via_shim(shim: &Arc<dyn PosixLayer>, path: &str, flags: OpenFlags, data: &[u8]) {
+    let fd = shim.open(path, OpenFlags::WRONLY | flags, 0o644).unwrap();
+    assert_eq!(shim.write(fd, data).unwrap(), data.len());
+    shim.close(fd).unwrap();
+}
+
+fn create_via_shim(shim: &Arc<dyn PosixLayer>, path: &str, data: &[u8]) {
+    write_via_shim(shim, path, OpenFlags::CREAT | OpenFlags::TRUNC, data);
 }
 
 #[test]
 fn stat_map_flatten_on_shim_written_container() {
     let (shim, backing, root) = stack("smf");
     let data: Vec<u8> = (0..60_000u32).map(|i| (i % 253) as u8).collect();
-    write_via_shim(&shim, "/plfs/ckpt", &data);
+    create_via_shim(&shim, "/plfs/ckpt", &data);
 
     let stat = plfs_tools::stat(&backing, "/ckpt").unwrap();
     assert!(stat.contains("logical size:   60000 bytes"), "{stat}");
@@ -53,7 +57,7 @@ fn stat_map_flatten_on_shim_written_container() {
 #[test]
 fn check_repair_cycle_on_real_backend() {
     let (shim, backing, root) = stack("repair");
-    write_via_shim(&shim, "/plfs/f", &vec![9u8; 10_000]);
+    create_via_shim(&shim, "/plfs/f", &vec![9u8; 10_000]);
     assert!(plfs_tools::check(&backing, "/f").unwrap().contains("clean"));
 
     // Crash-tear the index on the host file system directly.
@@ -83,17 +87,19 @@ fn check_repair_cycle_on_real_backend() {
     assert!(plfs_tools::check(&backing, "/f").unwrap().contains("clean"));
 
     // And the shim still reads the full data afterwards.
-    let mut f = CFile::open(shim.clone(), "/plfs/f", "r").unwrap();
-    let mut buf = vec![0u8; 10_000];
+    let fd = shim.open("/plfs/f", OpenFlags::RDONLY, 0).unwrap();
+    let mut buf = vec![0u8; 10_001];
     let mut got = 0;
-    while got < buf.len() {
-        let n = f.read(&mut buf[got..]).unwrap();
+    loop {
+        let n = shim.read(fd, &mut buf[got..]).unwrap();
         if n == 0 {
             break;
         }
         got += n;
     }
+    shim.close(fd).unwrap();
     assert_eq!(got, 10_000);
+    buf.truncate(got);
     assert!(buf.iter().all(|&b| b == 9));
     let _ = std::fs::remove_dir_all(&root);
 }
@@ -101,8 +107,8 @@ fn check_repair_cycle_on_real_backend() {
 #[test]
 fn ls_and_version_and_rm() {
     let (shim, backing, root) = stack("lsrm");
-    write_via_shim(&shim, "/plfs/a", b"aaa");
-    write_via_shim(&shim, "/plfs/b", b"bbbbbb");
+    create_via_shim(&shim, "/plfs/a", b"aaa");
+    create_via_shim(&shim, "/plfs/b", b"bbbbbb");
     let ls = plfs_tools::ls(&backing, "/").unwrap();
     assert!(ls.contains("container"), "{ls}");
     assert!(ls.contains(" a"), "{ls}");
@@ -115,9 +121,7 @@ fn ls_and_version_and_rm() {
         "no .plfsaccess: marked by its creator's data dropping, dropping.data.creator.0\n"
     );
     // A second open joins it, and writes into a hostdir.
-    let mut f = CFile::open(shim.clone(), "/plfs/a", "a").unwrap();
-    f.write(b"aa").unwrap();
-    f.close().unwrap();
+    write_via_shim(&shim, "/plfs/a", OpenFlags::APPEND, b"aa");
     let stat = plfs_tools::stat(&backing, "/a").unwrap();
     assert!(stat.contains("logical size:   5 bytes"), "{stat}");
     assert!(stat.contains("hostdirs:       1 [\"hostdir."), "{stat}");
