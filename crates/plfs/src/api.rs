@@ -523,8 +523,9 @@ impl Plfs {
     fn trunc_backend_inner(&self, bp: &str, len: u64) -> Result<()> {
         let b = self.backing.as_ref();
         if len == 0 {
-            // Drop every dropping — the hostdirs and the top-level pair —
-            // and every meta drop; the access file stays, and so do the
+            // Drop the merged index first, then every dropping — the
+            // hostdirs and the top-level pair — and every meta drop; the
+            // access file stays, and so do the
             // `open.*` markers of writers still open (theirs to remove).
             // So does the creator's data dropping while it has no index
             // and no bytes: its writer, if it has one yet, has written
@@ -549,6 +550,7 @@ impl Plfs {
             if has(container::CREATOR_DATA) && !keep_creator && !has(container::ACCESS_FILE) {
                 container::publish_access_file(b, bp)?;
             }
+            container::remove_merged(b, bp, &names)?;
             for n in &names {
                 if n.starts_with(container::HOSTDIR_PREFIX) {
                     crate::backing::remove_tree(b, &join(bp, n))?;

@@ -6,11 +6,12 @@
 //! droppings can be orphaned, and the fast-stat metadata can go stale.
 //! [`check`] diagnoses all of these; [`repair`] fixes what can be fixed
 //! mechanically (truncating torn indices to whole records, trimming index
-//! entries that overrun their data, rebuilding the `meta.*` drops), and reports what
-//! cannot (missing data).
+//! entries that overrun their data, rebuilding the `meta.*` drops, removing
+//! a merged index readers would not load), and reports what cannot
+//! (missing data).
 
 use crate::backing::{join, Backing};
-use crate::container::{self, DroppingRef};
+use crate::container::{self, DroppingRef, MergedState};
 use crate::error::{Error, Result};
 use crate::index::{IndexEntry, PatternRecord, PATTERN_MAGIC, RECORD_SIZE};
 use std::fmt;
@@ -85,6 +86,20 @@ pub enum Finding {
         /// Index dropping path.
         path: String,
     },
+    /// A merged index readers ignore: not the one of the closed writers, a
+    /// writer is open, or it is a temporary name left behind. Repair
+    /// removes it.
+    StaleMerged {
+        /// Its path.
+        path: String,
+    },
+    /// The merged index of the closed writers does not read as a fresh
+    /// merge of the index droppings; readers merge around it. Repair
+    /// removes it.
+    CorruptMerged {
+        /// Its path.
+        path: String,
+    },
 }
 
 impl Finding {
@@ -100,6 +115,7 @@ impl Finding {
             Finding::StaleMeta { .. } => Severity::Note,
             Finding::OpenWriters { .. } => Severity::Note,
             Finding::MisnamedIndex { .. } => Severity::Repairable,
+            Finding::StaleMerged { .. } | Finding::CorruptMerged { .. } => Severity::Repairable,
         }
     }
 }
@@ -126,6 +142,8 @@ impl fmt::Display for Finding {
             Finding::MisnamedIndex { path } => {
                 write!(f, "identity name of {path} disagrees with its records")
             }
+            Finding::StaleMerged { path } => write!(f, "stale merged index {path}"),
+            Finding::CorruptMerged { path } => write!(f, "corrupt merged index {path}"),
         }
     }
 }
@@ -139,6 +157,9 @@ pub struct CheckReport {
     pub droppings: usize,
     /// Index records validated.
     pub records: u64,
+    /// The merged index readers see: valid if one is, else corrupt, stale
+    /// or absent, in that order.
+    pub merged: MergedState,
 }
 
 impl CheckReport {
@@ -267,6 +288,15 @@ pub fn check(b: &dyn Backing, path: &str) -> Result<CheckReport> {
         }
     }
 
+    for (path, state) in container::merged_files(b, path)? {
+        report.merged = report.merged.max(state);
+        match state {
+            MergedState::Stale => report.findings.push(Finding::StaleMerged { path }),
+            MergedState::Corrupt => report.findings.push(Finding::CorruptMerged { path }),
+            _ => {}
+        }
+    }
+
     // Meta cache consistency (only meaningful with no open writers).
     if writers == 0 {
         if let Some((cached_eof, _)) = meta {
@@ -369,6 +399,9 @@ pub struct RepairReport {
     pub markers_cleared: usize,
     /// Whether the meta cache was rebuilt.
     pub meta_rebuilt: bool,
+    /// Merged index names removed: every one, as the rebuilt drops give
+    /// the closed writers names of their own.
+    pub merged_removed: usize,
     /// Findings that could not be repaired (data loss).
     pub unrepairable: Vec<Finding>,
 }
@@ -391,7 +424,12 @@ pub fn repair(b: &dyn Backing, path: &str, clear_markers: bool) -> Result<Repair
     if before.findings.contains(&Finding::NotAContainer) {
         return Err(Error::NotContainer(path.to_string()));
     }
-    let mut report = RepairReport::default();
+    // First, as it rewrites droppings and drops: no merged index describes
+    // what it leaves.
+    let mut report = RepairReport {
+        merged_removed: container::remove_merged(b, path, &container::list_container(b, path)?)?,
+        ..RepairReport::default()
+    };
 
     for finding in &before.findings {
         match finding {

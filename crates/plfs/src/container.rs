@@ -11,6 +11,7 @@
 //!   dropping.index.creator.0.<eof>.i<stamp>   the same, its records all logical == physical
 //!   open.<pid>.<n>                            empty: hostdir writer (pid, n) is open
 //!   meta.<eof>.<bytes>.<pid>.<n>              empty: that writer closed; fast-stat info
+//!   merged.<fingerprint>                      the merged index, left by the last writer's close
 //!   hostdir.0/ … hostdir.K-1/                 subdirectories holding everyone else's droppings
 //!     dropping.data.<pid>.<n>                 log-structured data
 //!     dropping.index.<pid>.<n>                index records for that data
@@ -58,6 +59,17 @@
 //!   `open.*`/`meta.*` names. Which shape a writer gets is what the code
 //!   observed, never a knob.
 //!
+//! **The merged index.** The close that leaves no writer open, having
+//! logged at least a full index buffer of records itself, merges every
+//! index dropping once and publishes the view as `merged.<fingerprint>`
+//! ([`publish_merged`]) when that file is smaller than the index droppings
+//! it summarises; a container holding its creator's pair alone never gets
+//! one. The fingerprint hashes the closed writers' names ([`merged_name`]),
+//! so any writer that opens since makes the file stale: a reader loads it
+//! only when its listing shows no open writer and the same closed writers
+//! ([`build_global_index`]), and merges otherwise. Whatever rewrites or
+//! removes droppings — a truncate, `compact`, `repair` — deletes it first.
+//!
 //! A container made before the creator's pair had a name of its own holds
 //! it as `dropping.{data,index}.<pid>.0` beside the access file, and reads
 //! as any other pair. A legacy container still opens, stats (slow path: no
@@ -69,10 +81,13 @@
 
 use crate::backing::{join, remove_tree, Backing, BackingFile};
 use crate::error::{Error, Result};
-use crate::index::{observe_timestamp, GlobalIndex, IndexBuilder, IndexEntry, RECORD_SIZE};
+use crate::index::{
+    observe_timestamp, GlobalIndex, IndexBuilder, IndexEntry, EXTENT_BYTES, RECORD_SIZE,
+};
 use std::borrow::Cow;
 use std::cell::Cell;
 use std::fmt::Write;
+use std::hash::Hasher;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -88,6 +103,8 @@ pub const HOSTDIR_PREFIX: &str = "hostdir.";
 pub const DATA_PREFIX: &str = "dropping.data.";
 /// Prefix of index droppings.
 pub const INDEX_PREFIX: &str = "dropping.index.";
+/// Prefix of the merged index file and of its temporary names.
+pub const MERGED_PREFIX: &str = "merged.";
 
 /// Number of `hostdir.N` subdirectories writers are spread over, in every
 /// container: the real PLFS default.
@@ -773,9 +790,10 @@ pub fn read_index_runs(b: &dyn Backing, droppings: &[DroppingRef]) -> Result<Vec
     })
 }
 
-/// How often [`build_global_index`] lists again when an index dropping it
-/// was shown is gone by the time it opens it.
-const RELIST_ATTEMPTS: usize = 4;
+/// How often [`build_global_index`] lists again when an index dropping or
+/// a hostdir it was shown is gone by the time it opens it: often enough to
+/// outlast compactions run back to back beside the reader.
+const RELIST_ATTEMPTS: usize = 16;
 
 /// Load and merge every index dropping into a [`GlobalIndex`], numbering
 /// droppings by their position in [`list_droppings`] order: each dropping
@@ -792,42 +810,341 @@ const RELIST_ATTEMPTS: usize = 4;
 /// and the clock steps past the stamp the name carries, as past a merge of
 /// the records. The index dropping is still listed in the droppings.
 ///
+/// A listing that shows no open writer and holds the merged index of its
+/// closed writers ([`merged_name`]) reads that one file instead of the
+/// index droppings; a merged index that cannot be read or fails its checks
+/// is merged around, as if it were not there.
+///
 /// A top-level index dropping is renamed once in its life, when its writer
-/// closes; a reader that listed the container just before finds the old
-/// name gone and lists again (bounded) for the new one.
+/// closes, and a rewrite retires droppings and the hostdirs they leave
+/// empty; a reader that listed the container just before finds a name gone
+/// and lists again (bounded).
 pub fn build_global_index(
     b: &dyn Backing,
     container: &str,
 ) -> Result<(GlobalIndex, Vec<DroppingRef>)> {
     let mut attempt = 1;
     let (index, droppings) = loop {
-        let names = list_container(b, container)?;
-        let droppings = droppings_listed(b, container, &names)?;
-        let named = creator_alone(&names).and_then(|c| GlobalIndex::identity(c.eof, c.identity?));
-        if let Some(index) = named {
-            break (index, droppings);
-        }
-        let built = with_window(|window| {
-            IndexBuilder::build(|builder| {
-                for (id, d) in (0u32..).zip(&droppings) {
-                    let Some(ip) = &d.index_path else { continue };
-                    let mut file = IndexFile::open(b, ip, window)?;
-                    builder.reserve(file.records());
-                    while let Some(bytes) = file.next(window)? {
-                        builder.decode(bytes, id)?;
-                    }
-                }
-                Ok(())
-            })
-        });
-        match built {
-            Ok(index) => break (index, droppings),
+        match view_listed(b, container, &list_container(b, container)?) {
             Err(Error::NotFound(_)) if attempt < RELIST_ATTEMPTS => attempt += 1,
-            Err(e) => return Err(e),
+            built => break built?,
         }
     };
     observe_timestamp(index.max_timestamp());
     Ok((index, droppings))
+}
+
+/// One attempt of [`build_global_index`], off `names`, the container
+/// directory's listing. `NotFound` when a dropping or a hostdir it shows
+/// is gone.
+fn view_listed(
+    b: &dyn Backing,
+    container: &str,
+    names: &[String],
+) -> Result<(GlobalIndex, Vec<DroppingRef>)> {
+    let droppings = droppings_listed(b, container, names)?;
+    let named = creator_alone(names).and_then(|c| GlobalIndex::identity(c.eof, c.identity?));
+    let merged = || {
+        let name = current_merged(names)?;
+        read_merged(b, container, &join(container, &name), &droppings).ok()
+    };
+    let index = match named.or_else(merged) {
+        Some(index) => index,
+        None => merge_droppings(b, &droppings)?.0,
+    };
+    Ok((index, droppings))
+}
+
+/// Merge the index droppings of `droppings` (see [`build_global_index`]):
+/// the view, and the bytes of index droppings it was built from.
+fn merge_droppings(b: &dyn Backing, droppings: &[DroppingRef]) -> Result<(GlobalIndex, u64)> {
+    let mut index_bytes = 0;
+    let index = with_window(|window| {
+        IndexBuilder::build(|builder| {
+            index_bytes = 0;
+            for (id, d) in (0u32..).zip(droppings) {
+                let Some(ip) = &d.index_path else { continue };
+                let mut file = IndexFile::open(b, ip, window)?;
+                index_bytes += file.size;
+                builder.reserve(file.records());
+                while let Some(bytes) = file.next(window)? {
+                    builder.decode(bytes, id)?;
+                }
+            }
+            Ok(())
+        })
+    })?;
+    Ok((index, index_bytes))
+}
+
+/// First bytes of a merged index file.
+const MERGED_MAGIC: &[u8; 8] = b"PLFSMRG1";
+
+/// Bytes of a merged index file's fixed header: [`MERGED_MAGIC`], then
+/// `eof`, the entry count, the newest stamp and the extent count, each a
+/// little-endian `u64`.
+const MERGED_HEADER: usize = 40;
+
+/// Bytes of a merged index file a load reads first: the header, and the
+/// dropping paths of any container with fewer than about a hundred data
+/// droppings.
+const MERGED_HEAD_READ: usize = 4096;
+
+/// The name of the merged index that describes the closed writers of
+/// `names`, the container directory's listing: [`MERGED_PREFIX`] and the
+/// FNV-1a hash of their sorted names — every `meta.*` drop and every
+/// top-level index under a closed name. A writer that closes later leaves
+/// a name of its own, and the hash moves on.
+pub fn merged_name(names: &[String]) -> String {
+    let mut closed: Vec<&str> = names
+        .iter()
+        .map(String::as_str)
+        .filter(|n| {
+            n.starts_with(META_PREFIX) || parse_index_name(n).is_some_and(|(_, c)| c.is_some())
+        })
+        .collect();
+    closed.sort_unstable();
+    let mut h = crate::meta::Fnv::default();
+    for n in closed {
+        h.write(n.as_bytes());
+        h.write(b"\n");
+    }
+    format!("{MERGED_PREFIX}{:016x}", h.finish())
+}
+
+/// The merged index a reader of `names`, the container directory's
+/// listing, may load: none unless the listing holds a merged index (a
+/// container without one pays nothing more), shows no open writer, and
+/// names the one of its closed writers.
+fn current_merged(names: &[String]) -> Option<String> {
+    if !names.iter().any(|n| n.starts_with(MERGED_PREFIX)) || lifecycle(names).0 > 0 {
+        return None;
+    }
+    let name = merged_name(names);
+    names.contains(&name).then_some(name)
+}
+
+/// `path` relative to `container`, which holds it.
+fn relative<'a>(container: &str, path: &'a str) -> &'a str {
+    path.strip_prefix(container)
+        .map_or(path, |rest| rest.trim_start_matches('/'))
+}
+
+/// A merged index file of `index`, the fresh merge of `droppings`: the
+/// header, the data droppings' paths relative to `container` in dropping
+/// order (a `u32` count, then each a `u16` length and its bytes), then the
+/// extents, whose dropping numbers are positions in that list.
+fn encode_merged(container: &str, index: &GlobalIndex, droppings: &[DroppingRef]) -> Vec<u8> {
+    let paths: Vec<&str> = droppings
+        .iter()
+        .map(|d| relative(container, &d.data_path))
+        .collect();
+    let path_bytes: usize = paths.iter().map(|p| 2 + p.len()).sum();
+    let extents = index.base_extents();
+    let mut out = Vec::with_capacity(MERGED_HEADER + 4 + path_bytes + extents * EXTENT_BYTES);
+    out.extend_from_slice(MERGED_MAGIC);
+    for field in [
+        index.eof(),
+        index.raw_entries() as u64,
+        index.max_timestamp(),
+        extents as u64,
+    ] {
+        out.extend_from_slice(&field.to_le_bytes());
+    }
+    out.extend_from_slice(&(paths.len() as u32).to_le_bytes());
+    for p in paths {
+        out.extend_from_slice(&(p.len() as u16).to_le_bytes());
+        out.extend_from_slice(p.as_bytes());
+    }
+    index.encode_extents(&mut out);
+    out
+}
+
+/// Read the merged index file at `path` of `container` as a view over
+/// `droppings`, the container's listed droppings: its dropping paths
+/// mapped to their positions there by name, its extents read straight into
+/// the view's base ([`GlobalIndex::read_extents`]). A file that does not
+/// parse, or names a dropping the listing lacks, is corrupt.
+fn read_merged(
+    b: &dyn Backing,
+    container: &str,
+    path: &str,
+    droppings: &[DroppingRef],
+) -> Result<GlobalIndex> {
+    let corrupt = |what: &str| Error::Corrupt(format!("merged index {path}: {what}"));
+    let f = b.open(path, false)?;
+    let mut head = [0u8; MERGED_HEAD_READ];
+    let got = f.pread(&mut head, 0)?;
+    if got < MERGED_HEADER || &head[..8] != MERGED_MAGIC {
+        return Err(corrupt("bad header"));
+    }
+    let field = |i: usize| u64::from_le_bytes(head[8 * i..8 * i + 8].try_into().unwrap());
+    let (eof, entries, max_ts, extents) = (field(1), field(2), field(3), field(4));
+    // The extents fill the file's tail: the head is what comes before.
+    let at = extents
+        .checked_mul(EXTENT_BYTES as u64)
+        .and_then(|bytes| f.size().ok()?.checked_sub(bytes))
+        .filter(|&at| at >= MERGED_HEADER as u64 + 4)
+        .ok_or_else(|| corrupt("extents do not fit the file"))?;
+    let rest;
+    let paths = match usize::try_from(at) {
+        Ok(at) if at <= got => &head[MERGED_HEADER..at],
+        _ => {
+            let len = usize::try_from(at).map_err(|_| corrupt("paths past memory"))?;
+            let mut buf = Vec::new();
+            buf.try_reserve_exact(len)
+                .map_err(|_| corrupt("paths past memory"))?;
+            buf.resize(len, 0);
+            if f.pread(&mut buf, 0)? != len {
+                return Err(corrupt("short read of its paths"));
+            }
+            rest = buf;
+            &rest[MERGED_HEADER..]
+        }
+    };
+    let ids = dropping_ids(container, paths, droppings).ok_or_else(|| corrupt("bad paths"))?;
+    let counts = (eof, usize::try_from(entries).unwrap_or(usize::MAX), max_ts);
+    GlobalIndex::read_extents(f.as_ref(), at, extents as usize, counts, &ids)
+}
+
+/// The position in `droppings` of each data dropping `paths` names (a
+/// `u32` count, then each a `u16` length and its bytes, relative to
+/// `container`), matched by name; `None` unless `paths` parses exactly and
+/// every one is there.
+fn dropping_ids(container: &str, paths: &[u8], droppings: &[DroppingRef]) -> Option<Vec<u32>> {
+    let (count, mut rest) = paths.split_first_chunk::<4>()?;
+    let count = u32::from_le_bytes(*count) as usize;
+    let mut ids = Vec::with_capacity(count.min(droppings.len()));
+    for _ in 0..count {
+        let (len, tail) = rest.split_first_chunk::<2>()?;
+        let len = u16::from_le_bytes(*len) as usize;
+        let name = std::str::from_utf8(tail.get(..len)?).ok()?;
+        rest = &tail[len..];
+        let id = droppings
+            .iter()
+            .position(|d| relative(container, &d.data_path) == name)?;
+        ids.push(id as u32);
+    }
+    rest.is_empty().then_some(ids)
+}
+
+/// Publish the merged index of `container`, if its listing shows no open
+/// writer and a writer beside its creator, and no merged index of its
+/// closed writers is there yet: merge the index droppings once, and write
+/// the view under a temporary name, renamed into place, when it is smaller
+/// than the index droppings it summarises. Any other merged index the
+/// listing held is stale, and removed. Says whether it published. What the
+/// close that leaves no writer open calls; a failure leaves readers
+/// merging, as before.
+pub fn publish_merged(b: &dyn Backing, container: &str) -> Result<bool> {
+    let names = list_container(b, container)?;
+    let name = merged_name(&names);
+    if lifecycle(&names).0 > 0
+        || !names.iter().any(|n| n.starts_with(HOSTDIR_PREFIX))
+        || names.contains(&name)
+    {
+        return Ok(false);
+    }
+    let droppings = droppings_listed(b, container, &names)?;
+    let (index, index_bytes) = merge_droppings(b, &droppings)?;
+    let bytes = encode_merged(container, &index, &droppings);
+    if bytes.len() as u64 >= index_bytes {
+        return Ok(false);
+    }
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    // relaxed: only uniqueness of the number matters
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    let tmp = path_of(
+        container,
+        format_args!("{name}.tmp.{}.{n}", std::process::id()),
+    );
+    let written = b.create(&tmp, true).and_then(|f| f.pwrite(&bytes, 0));
+    let published = written.and_then(|_| b.rename(&tmp, &join(container, &name)));
+    if let Err(e) = published {
+        let _ = b.unlink(&tmp);
+        return Err(e);
+    }
+    let stale: Vec<String> = names
+        .into_iter()
+        .filter(|n| n.starts_with(MERGED_PREFIX))
+        .collect();
+    remove_merged(b, container, &stale)?;
+    Ok(true)
+}
+
+/// Remove every merged index name among `names`, the container
+/// directory's listing — what a path that rewrites or removes droppings
+/// does first. Returns how many it removed.
+pub fn remove_merged(b: &dyn Backing, container: &str, names: &[String]) -> Result<usize> {
+    let mut removed = 0;
+    for n in names.iter().filter(|n| n.starts_with(MERGED_PREFIX)) {
+        match b.unlink(&join(container, n)) {
+            Ok(()) => removed += 1,
+            Err(Error::NotFound(_)) => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(removed)
+}
+
+/// What a merged index file is to a reader; ordered so that of several
+/// names the one readers see ranks highest.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
+pub enum MergedState {
+    /// The container has none.
+    #[default]
+    Absent,
+    /// Its name is not the closed writers' — a writer opened since it was
+    /// published, or it is a temporary name left behind — or a writer is
+    /// open: readers ignore it.
+    Stale,
+    /// Its name is current, but it does not read as a fresh merge: readers
+    /// merge around it.
+    Corrupt,
+    /// Its name is the closed writers' and no writer is open, and it holds
+    /// what a fresh merge of the index droppings builds: readers load it.
+    Valid,
+}
+
+impl std::fmt::Display for MergedState {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            MergedState::Absent => "absent",
+            MergedState::Valid => "valid",
+            MergedState::Stale => "stale",
+            MergedState::Corrupt => "corrupt",
+        })
+    }
+}
+
+/// Every merged index name in `container` with its [`MergedState`]; the
+/// current one is checked against a fresh merge of the index droppings,
+/// extent for extent.
+pub fn merged_files(b: &dyn Backing, container: &str) -> Result<Vec<(String, MergedState)>> {
+    let names = list_container(b, container)?;
+    let current = current_merged(&names);
+    let mut out = Vec::new();
+    for n in names.iter().filter(|n| n.starts_with(MERGED_PREFIX)) {
+        let path = join(container, n);
+        if current.as_ref() != Some(n) {
+            out.push((path, MergedState::Stale));
+            continue;
+        }
+        let droppings = droppings_listed(b, container, &names)?;
+        let loaded = read_merged(b, container, &path, &droppings);
+        let (fresh, _) = merge_droppings(b, &droppings)?;
+        let same = loaded.is_ok_and(|m| {
+            (m.eof(), m.raw_entries(), m.max_timestamp())
+                == (fresh.eof(), fresh.raw_entries(), fresh.max_timestamp())
+                && m.iter_segments().eq(fresh.iter_segments())
+        });
+        let state = match same {
+            true => MergedState::Valid,
+            false => MergedState::Corrupt,
+        };
+        out.push((path, state));
+    }
+    Ok(out)
 }
 
 fn marker_path(container: &str, pid: u64, seq: u32) -> String {
@@ -1533,5 +1850,213 @@ mod tests {
         b.mkdir("/c/hostdir.9/sub").unwrap();
         remove_container(&b, "/c").unwrap();
         assert!(!b.exists("/c"));
+    }
+
+    /// A container three writers filled with 16-byte records in a
+    /// shuffled order, every fd closed: small enough that no close
+    /// publishes, so a test calls [`publish_merged`] itself. Returns the
+    /// mount and the bytes it holds.
+    fn scattered(b: &std::sync::Arc<MemBacking>) -> (crate::api::Plfs, Vec<u8>) {
+        use crate::flags::OpenFlags;
+        const RECORDS: u64 = 96;
+        let plfs = crate::api::Plfs::new(b.clone());
+        let fds: Vec<_> = (0..3u64)
+            .map(|pid| plfs.open("/f", OpenFlags::WRONLY | OpenFlags::CREAT, pid))
+            .collect::<Result<_>>()
+            .unwrap();
+        let mut bytes = vec![0u8; RECORDS as usize * 16];
+        for k in 0..RECORDS {
+            let rec = k * 37 % RECORDS;
+            let data = [rec as u8 ^ 0x5a; 16];
+            plfs.write(&fds[(k % 3) as usize], &data, rec * 16, k % 3)
+                .unwrap();
+            bytes[rec as usize * 16..][..16].copy_from_slice(&data);
+        }
+        for (pid, fd) in (0..).zip(&fds) {
+            plfs.close(fd, pid).unwrap();
+        }
+        (plfs, bytes)
+    }
+
+    /// The listing's merged index names.
+    fn merged_names(b: &dyn Backing) -> Vec<String> {
+        let mut names = b.readdir("/f").unwrap();
+        names.retain(|n| n.starts_with(MERGED_PREFIX));
+        names
+    }
+
+    /// A reader of a container with a valid merged index opens that one
+    /// file and no index dropping, and its view is a fresh merge's; the
+    /// index droppings stay listed with the data droppings.
+    #[test]
+    fn a_published_merged_index_is_what_readers_load() {
+        use crate::meter::MeterBacking;
+        let b = std::sync::Arc::new(mem());
+        let (_plfs, bytes) = scattered(&b);
+        assert!(
+            merged_names(b.as_ref()).is_empty(),
+            "too few records to publish at close"
+        );
+        let (fresh, droppings) = build_global_index(b.as_ref(), "/f").unwrap();
+        assert!(publish_merged(b.as_ref(), "/f").unwrap());
+        assert!(!publish_merged(b.as_ref(), "/f").unwrap(), "already there");
+        assert_eq!(
+            merged_names(b.as_ref()),
+            [merged_name(&b.readdir("/f").unwrap())]
+        );
+        assert_eq!(
+            merged_files(b.as_ref(), "/f").unwrap()[0].1,
+            MergedState::Valid
+        );
+        let m = MeterBacking::new(b.clone());
+        let before = m.snapshot();
+        let (loaded, listed) = build_global_index(&m, "/f").unwrap();
+        let cost = m.snapshot().delta(&before);
+        assert_eq!(cost.open, 1, "the merged index alone is opened");
+        assert_eq!(listed, droppings);
+        assert_eq!(
+            (loaded.eof(), loaded.raw_entries(), loaded.max_timestamp()),
+            (fresh.eof(), fresh.raw_entries(), fresh.max_timestamp())
+        );
+        assert!(loaded.iter_segments().eq(fresh.iter_segments()));
+        let r = crate::reader::ReadFile::open(b.as_ref(), "/f").unwrap();
+        assert_eq!(r.read_all(b.as_ref()).unwrap(), bytes);
+    }
+
+    /// The merged file names its droppings, and a load maps them by name:
+    /// a data dropping that shifts every listing position (one with no
+    /// index, which no closed writer's name covers) leaves the view right.
+    #[test]
+    fn a_load_maps_droppings_by_name_not_position() {
+        let b = std::sync::Arc::new(mem());
+        let (_plfs, bytes) = scattered(&b);
+        publish_merged(b.as_ref(), "/f").unwrap();
+        ensure_hostdir(b.as_ref(), "/f", 0).unwrap();
+        let stray = data_dropping_path("/f", 0, 7);
+        drop(b.create(&stray, true).unwrap());
+        let r = crate::reader::ReadFile::open(b.as_ref(), "/f").unwrap();
+        assert!(r.droppings().iter().any(|d| d.data_path == stray));
+        assert_eq!(r.read_all(b.as_ref()).unwrap(), bytes);
+        assert_eq!(
+            merged_files(b.as_ref(), "/f").unwrap()[0].1,
+            MergedState::Valid
+        );
+    }
+
+    /// A writer that joins after the publish makes the file stale: while
+    /// it is open readers see an open writer, and once it closed its drop
+    /// moves the fingerprint. Either way they merge, and read its bytes.
+    #[test]
+    fn a_joiner_after_the_publish_makes_readers_merge() {
+        use crate::flags::OpenFlags;
+        let b = std::sync::Arc::new(mem());
+        let (plfs, mut bytes) = scattered(&b);
+        publish_merged(b.as_ref(), "/f").unwrap();
+        let fd = plfs.open("/f", OpenFlags::WRONLY, 9).unwrap();
+        plfs.write(&fd, b"joined", 40, 9).unwrap();
+        bytes[40..46].copy_from_slice(b"joined");
+        plfs.sync(&fd, 9).unwrap();
+        let read = || {
+            let r = crate::reader::ReadFile::open(b.as_ref(), "/f").unwrap();
+            r.read_all(b.as_ref()).unwrap()
+        };
+        assert_eq!(read(), bytes, "an open writer");
+        let stale = |b: &MemBacking| merged_files(b, "/f").unwrap()[0].1;
+        assert_eq!(stale(b.as_ref()), MergedState::Stale);
+        plfs.close(&fd, 9).unwrap();
+        assert_eq!(read(), bytes, "a closed writer the file does not cover");
+        assert_eq!(stale(b.as_ref()), MergedState::Stale);
+        let report = crate::check::check(b.as_ref(), "/f").unwrap();
+        assert_eq!(report.merged, MergedState::Stale);
+        // The next publish replaces it.
+        assert!(publish_merged(b.as_ref(), "/f").unwrap());
+        assert_eq!(merged_names(b.as_ref()).len(), 1);
+        assert_eq!(stale(b.as_ref()), MergedState::Valid);
+        assert_eq!(read(), bytes);
+    }
+
+    /// A merged file that fails its checks is merged around — the
+    /// reader's bytes are right. `check` compares one that passes them with
+    /// a fresh merge: either way it calls the file corrupt, and `repair`
+    /// removes it. (A reader trusts a file that parses, as it trusts the
+    /// index droppings' records.)
+    #[test]
+    fn a_corrupt_merged_index_falls_back_to_the_merge() {
+        let b = std::sync::Arc::new(mem());
+        let (_plfs, bytes) = scattered(&b);
+        publish_merged(b.as_ref(), "/f").unwrap();
+        let path = join("/f", &merged_names(b.as_ref())[0]);
+        let size = b.stat(&path).unwrap().size;
+        let f = b.open(&path, true).unwrap();
+        let good = {
+            let mut v = vec![0u8; size as usize];
+            f.pread(&mut v, 0).unwrap();
+            v
+        };
+        // A physical offset moved: it parses, and maps the wrong bytes.
+        let mut moved = good.clone();
+        moved[size as usize - 16] ^= 1;
+        let cut = &good[..size as usize - 5];
+        for (bad, parses) in [(&b"garbage"[..], false), (cut, false), (&moved, true)] {
+            let f = b.create(&path, false).unwrap();
+            f.pwrite(bad, 0).unwrap();
+            if !parses {
+                let r = crate::reader::ReadFile::open(b.as_ref(), "/f").unwrap();
+                assert_eq!(r.read_all(b.as_ref()).unwrap(), bytes);
+            }
+            let report = crate::check::check(b.as_ref(), "/f").unwrap();
+            assert_eq!(report.merged, MergedState::Corrupt);
+            assert_eq!(
+                report.findings,
+                [crate::check::Finding::CorruptMerged { path: path.clone() }]
+            );
+        }
+        let repaired = crate::check::repair(b.as_ref(), "/f", false).unwrap();
+        assert_eq!(repaired.merged_removed, 1);
+        assert!(merged_names(b.as_ref()).is_empty());
+        assert!(crate::check::check(b.as_ref(), "/f").unwrap().is_clean());
+    }
+
+    /// Every path that rewrites or removes droppings deletes the merged
+    /// index before it retires them — a truncate to 0, an `O_TRUNC` open, a
+    /// truncate to another length, `compact`, `repair` — and an unlink takes
+    /// it with the container. A leftover temporary name goes the same way.
+    #[test]
+    fn every_path_that_rewrites_droppings_deletes_the_merged_index() {
+        use crate::flags::OpenFlags;
+        type Path = fn(&crate::api::Plfs, &MemBacking);
+        let paths: [(&str, Path); 6] = [
+            ("trunc 0", |p, _| p.trunc("/f", 0).unwrap()),
+            ("O_TRUNC", |p, _| {
+                let fd = p
+                    .open("/f", OpenFlags::WRONLY | OpenFlags::TRUNC, 1)
+                    .unwrap();
+                p.close(&fd, 1).unwrap();
+            }),
+            ("trunc 100", |p, _| p.trunc("/f", 100).unwrap()),
+            ("compact", |p, _| {
+                p.compact("/f").unwrap();
+            }),
+            ("repair", |_, b| {
+                crate::check::repair(b, "/f", false).unwrap();
+            }),
+            ("unlink", |p, _| p.unlink("/f").unwrap()),
+        ];
+        for (what, path) in paths {
+            let b = std::sync::Arc::new(mem());
+            let (plfs, _) = scattered(&b);
+            assert!(publish_merged(b.as_ref(), "/f").unwrap(), "{what}");
+            let tmp = format!("/f/{}.tmp.1.1", merged_names(b.as_ref())[0]);
+            drop(b.create(&tmp, true).unwrap());
+            path(&plfs, b.as_ref());
+            if b.exists("/f") {
+                assert!(
+                    merged_names(b.as_ref()).is_empty(),
+                    "{what} left the merged index"
+                );
+                let report = crate::check::check(b.as_ref(), "/f").unwrap();
+                assert_eq!(report.merged, MergedState::Absent, "{what}");
+            }
+        }
     }
 }

@@ -34,7 +34,7 @@ use crate::error::{Error, Result};
 use crate::flags::OpenFlags;
 use crate::meta::MetaCache;
 use crate::reader::ReadFile;
-use crate::writer::WriteFile;
+use crate::writer::{WriteFile, DEFAULT_INDEX_BUFFER_ENTRIES};
 use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::os::fd::RawFd;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
@@ -61,6 +61,10 @@ fn own_slice(
     let dropping = view.droppings().get(s.dropping_id? as usize)?;
     (dropping.data_path == writer.data_path()).then_some(s.physical_offset)
 }
+
+/// Views a read builds, the first included, when it keeps finding a data
+/// dropping of its view gone ([`PlfsFd::through_view`]).
+const VIEW_ATTEMPTS: usize = 4;
 
 /// A shared hold on the fd's read view; exists only over a built view.
 struct View<'a>(RwLockReadGuard<'a, Option<ReadFile>>);
@@ -224,8 +228,8 @@ impl PlfsFd {
         if !self.flags.readable() {
             return Err(Error::BadMode("file not open for reading"));
         }
-        self.reader()?
-            .copy_out(self.backing.as_ref(), offset, len, mover)
+        let mut mover = mover;
+        self.through_view(|view| view.copy_out(self.backing.as_ref(), offset, len, &mut mover))
     }
 
     /// May `buf` at `offset` go in place: on a readable fd, inside the
@@ -355,7 +359,8 @@ impl PlfsFd {
             self.backing.as_ref(),
             &self.container,
             pid,
-            crate::writer::DEFAULT_INDEX_BUFFER_ENTRIES,
+            0,
+            DEFAULT_INDEX_BUFFER_ENTRIES,
             self.flags.readable(),
             top_level.map(|d| (d, Arc::clone(&self.backing))),
         )?;
@@ -400,7 +405,60 @@ impl PlfsFd {
         // The view lock is held *shared* across the backing reads, so no
         // refresh can mutate the index under them; readers never block each
         // other, only a refresh excludes them.
-        self.reader()?.pread(self.backing.as_ref(), buf, offset)
+        self.through_view(|view| view.pread(self.backing.as_ref(), buf, offset))
+    }
+
+    /// `f` over the read view ([`PlfsFd::reader`]). When it fails because a
+    /// data dropping the view names is gone, the view is built again from
+    /// the container as it is now and `f` tried again — a bounded number
+    /// of times — if the new view holds at least as many bytes as the old
+    /// ([`PlfsFd::rebuild_unshrunk`]): a compaction moved the same bytes
+    /// into new droppings. Otherwise the failure stands.
+    fn through_view<T>(&self, mut f: impl FnMut(&ReadFile) -> Result<T>) -> Result<T> {
+        let mut attempt = 1;
+        loop {
+            let view = self.reader()?;
+            match f(&view) {
+                Err(e) if crate::reader::vanished(&e) && attempt < VIEW_ATTEMPTS => {
+                    let eof = view.eof();
+                    drop(view);
+                    if !self.rebuild_unshrunk(eof)? {
+                        return Err(e);
+                    }
+                    attempt += 1;
+                }
+                r => return r,
+            }
+        }
+    }
+
+    /// Build the read view again from the backing store — the writer's
+    /// records put there first — and install it if it ends at or past
+    /// `eof`, the end of the view a read found a dropping of gone; say
+    /// whether it did. A view that ends short of it is a truncate's, whose
+    /// retired bytes read as `EIO`: the old view stays, so every read
+    /// through it gets open-time bytes or that error.
+    fn rebuild_unshrunk(&self, eof: u64) -> Result<bool> {
+        let clock = crate::index::write_clock();
+        let mut view = self.reader.write();
+        let mut writer = self.writer.lock();
+        if let Some(w) = writer.as_mut() {
+            // plfs-lint: allow(lock-across-io, "intentional: the records of this fd's writes must reach the backing store before the view is rebuilt from it, and none may land between the rebuild and the drain below")
+            w.flush_index()?;
+        }
+        // plfs-lint: allow(lock-across-io, "intentional: same rebuild section as the flush above; the view lock excludes every reader of this fd while its view is replaced")
+        let fresh = ReadFile::open(self.backing.as_ref(), &self.container)?;
+        if fresh.eof() < eof {
+            return Ok(false);
+        }
+        // The fresh view holds every entry the writer logged.
+        if let Some(w) = writer.as_mut() {
+            w.take_unmerged();
+        }
+        self.view_clock.store(clock, Ordering::Relaxed); // relaxed: under the exclusive view lock
+        self.eof.fetch_max(fresh.eof(), Ordering::Relaxed); // relaxed: a monotonic high-water mark, as in refresh_reader
+        *view = Some(fresh);
+        Ok(true)
     }
 
     /// A shared hold on the merged read view, built or refreshed first if
@@ -681,7 +739,9 @@ impl PlfsFd {
     /// hostdir writer leaves them after a failed sync too, its meta drop
     /// recording what reached its index dropping: an open marker left
     /// behind would have every process list and merge the container on
-    /// each `getattr` for good. The sync's error is still the close's.
+    /// each `getattr` for good. The sync's error is still the close's. The
+    /// mount's last writer may then publish the merged index
+    /// ([`container::publish_merged`]).
     fn close_writer(&self, mut w: WriteFile, generation: u64) -> Result<()> {
         let synced = w.sync_at_close();
         // A view that has not seen all of the writer is rebuilt by a
@@ -709,6 +769,14 @@ impl PlfsFd {
             // verdicts.
             other => {
                 self.cache.clear_meta(&self.container);
+                // This mount's last writer, having logged at least a full
+                // index buffer of records, leaves readers the merged index
+                // if no writer of any process is left open. Without the
+                // file readers merge, so a failure to publish fails nothing.
+                if last && other.is_ok() && w.index_records() >= DEFAULT_INDEX_BUFFER_ENTRIES as u64
+                {
+                    let _ = container::publish_merged(self.backing.as_ref(), &self.container);
+                }
                 other.map(drop)
             }
         }
@@ -1118,7 +1186,7 @@ mod tests {
     fn write_only_fd_banks_no_index_entries() {
         let (_b, fd) = open_fd(OpenFlags::WRONLY);
         // Past a full index buffer, so the writer flushes while it writes.
-        let writes = crate::writer::DEFAULT_INDEX_BUFFER_ENTRIES as u64 + 1000;
+        let writes = DEFAULT_INDEX_BUFFER_ENTRIES as u64 + 1000;
         let offsets = (0..writes).map(|i| (i * 7919) % 4096);
         for off in offsets.clone() {
             fd.write(b"x", off).unwrap();
@@ -1203,5 +1271,71 @@ mod tests {
         let mut buf = [0u8; 9];
         assert_eq!(fd.read(&mut buf, 0).unwrap(), 9);
         assert_eq!(&buf, b"parentPAc");
+    }
+
+    /// Record slots `0..n` in a shuffled order: no strided run for
+    /// pattern compression to fold, so each write is one index record.
+    fn shuffled(n: u64) -> Vec<u64> {
+        let mut order: Vec<u64> = (0..n).collect();
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for i in (1..order.len()).rev() {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            order.swap(i, (x % (i as u64 + 1)) as usize);
+        }
+        order
+    }
+
+    /// The close that leaves no writer open publishes the merged index
+    /// when its own writer logged a full index buffer of records — not
+    /// one record fewer, not while another writer is open — and a creator
+    /// alone in its container never does.
+    #[test]
+    fn the_last_close_of_a_full_index_buffer_publishes_the_merged_index() {
+        use crate::api::Plfs;
+        let full = DEFAULT_INDEX_BUFFER_ENTRIES as u64;
+        let merged = |b: &MemBacking, path: &str| {
+            let names = b.readdir(path).unwrap();
+            names
+                .iter()
+                .filter(|n| n.starts_with(container::MERGED_PREFIX))
+                .count()
+        };
+        // Two writers of interleaved slots, the second closing last: the
+        // merged index files after each close.
+        let run = |path: &str, records: [u64; 2]| {
+            let b = Arc::new(MemBacking::new());
+            let plfs = Plfs::new(b.clone());
+            plfs.create(path, true).unwrap();
+            let fds = [1u64, 2].map(|pid| plfs.open(path, OpenFlags::WRONLY, pid).unwrap());
+            for (i, (fd, n)) in (0u64..).zip(fds.iter().zip(records)) {
+                for slot in shuffled(n) {
+                    let off = (slot * 2 + i) * 8;
+                    plfs.write(fd, &off.to_le_bytes(), off, i + 1).unwrap();
+                }
+            }
+            plfs.close(&fds[0], 1).unwrap();
+            let first = merged(&b, path);
+            plfs.close(&fds[1], 2).unwrap();
+            (first, merged(&b, path))
+        };
+        assert_eq!(run("/f", [full, full]), (0, 1));
+        assert_eq!(
+            run("/f", [full, full - 1]),
+            (0, 0),
+            "the last closer's own records count"
+        );
+        // A creator alone: the close's `stat` saw no hostdir.
+        let b = Arc::new(MemBacking::new());
+        let plfs = Plfs::new(b.clone());
+        let fd = plfs
+            .open("/c", OpenFlags::RDWR | OpenFlags::CREAT, 1)
+            .unwrap();
+        for slot in shuffled(full) {
+            plfs.write(&fd, &[slot as u8; 8], slot * 8, 1).unwrap();
+        }
+        plfs.close(&fd, 1).unwrap();
+        assert_eq!(merged(&b, "/c"), 0);
     }
 }

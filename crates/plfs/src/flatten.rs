@@ -133,7 +133,30 @@ pub fn compact_container(b: &dyn Backing, container: &str) -> Result<CompactStat
 /// are the droppings `r` listed retired; a failure before that removes
 /// what the rewrite wrote and leaves the container as it was.
 pub(crate) fn rewrite(b: &dyn Backing, container: &str, r: &ReadFile, len: u64) -> Result<()> {
-    let mut w = WriteFile::create(b, container, REWRITE_PID, DEFAULT_INDEX_BUFFER_ENTRIES)?;
+    // Past every pair of its pid `r` lists, which the retire removes: a
+    // reader whose view names one of them must find it gone, never a
+    // later rewrite's pair under the same name.
+    let prefix = format!("{}{REWRITE_PID}.", container::DATA_PREFIX);
+    let first = r
+        .droppings()
+        .iter()
+        .filter_map(|d| {
+            d.data_path
+                .rsplit_once('/')?
+                .1
+                .strip_prefix(&prefix)?
+                .parse::<u32>()
+                .ok()
+        })
+        .max()
+        .map_or(0, |seq| seq.saturating_add(1));
+    let mut w = WriteFile::create_from(
+        b,
+        container,
+        REWRITE_PID,
+        first,
+        DEFAULT_INDEX_BUFFER_ENTRIES,
+    )?;
     let mut write = || {
         let kept = stream(b, r, r.eof().min(len), |chunk, off| w.write(chunk, off))?;
         if len > kept {
@@ -160,7 +183,8 @@ pub(crate) fn rewrite(b: &dyn Backing, container: &str, r: &ReadFile, len: u64) 
 }
 
 /// Retire the droppings `old`, listed before a rewrite began, and every
-/// `meta.*` drop but the rewrite's own, `kept`: first the access file,
+/// `meta.*` drop but the rewrite's own, `kept`: first the merged index, so
+/// no reader loads a view of droppings about to go, then the access file,
 /// published if the creator's data dropping goes and the container has
 /// none (that dropping may be its marker), then the droppings by the paths
 /// the listing gave, then every hostdir they leave empty but the rewrite's
@@ -184,6 +208,7 @@ fn retire(
             && b.stat(&d.data_path).is_ok_and(|st| st.size == 0)
     };
     let old: Vec<&DroppingRef> = old.iter().filter(|d| !open_creator(d)).collect();
+    container::remove_merged(b, container, &container::list_container(b, container)?)?;
     let access = join(container, container::ACCESS_FILE);
     if old.iter().any(|d| d.data_path == creator_data) && !b.exists(&access) {
         container::publish_access_file(b, container)?;

@@ -22,6 +22,7 @@
 //! physical_offset: u64 | timestamp: u64 | pid: u64
 //! ```
 
+use crate::backing::BackingFile;
 use crate::error::{Error, Result};
 use std::collections::{btree_map, BTreeMap};
 use std::iter::Peekable;
@@ -397,8 +398,11 @@ pub struct ChunkSlice {
 
 /// One extent of the merged index: logical `[start, start + len)` is held
 /// by data dropping `dropping_id` from `physical_offset` on. 24 bytes; it
-/// never crosses a multiple of [`CUT`].
+/// never crosses a multiple of [`CUT`]. Laid out as a merged index file
+/// holds it ([`EXTENT_BYTES`]), so a load reads the file's extents straight
+/// into the base.
 #[derive(Debug, Default, Clone, Copy)]
+#[repr(C)]
 struct Extent {
     start: u64,
     physical_offset: u64,
@@ -406,7 +410,12 @@ struct Extent {
     dropping_id: u32,
 }
 
-const _: () = assert!(std::mem::size_of::<Extent>() == 24);
+/// Bytes of one extent in a merged index file: `start` and
+/// `physical_offset` (`u64`), then `len` and `dropping_id` (`u32`),
+/// little-endian, with no padding — [`Extent`]'s own layout.
+pub(crate) const EXTENT_BYTES: usize = 24;
+
+const _: () = assert!(std::mem::size_of::<Extent>() == EXTENT_BYTES);
 
 impl Extent {
     /// `e` as extents of `dropping_id`, cut at every multiple of [`CUT`] it
@@ -696,6 +705,89 @@ impl GlobalIndex {
         Some(GlobalIndex {
             max_ts: stamp,
             ..idx.into_index(base)
+        })
+    }
+
+    /// Extents of the base, which is the whole view once the overlay is
+    /// empty (a fresh build's is).
+    pub(crate) fn base_extents(&self) -> usize {
+        self.base.len()
+    }
+
+    /// Append the base's extents to `out`, [`EXTENT_BYTES`] each in a
+    /// merged index file's layout. Only a view with an empty overlay (a
+    /// fresh build) is written.
+    pub(crate) fn encode_extents(&self, out: &mut Vec<u8>) {
+        debug_assert!(self.overlay.is_empty(), "a fresh build has no overlay");
+        out.reserve(self.base.len() * EXTENT_BYTES);
+        for x in &self.base {
+            out.extend_from_slice(&x.start.to_le_bytes());
+            out.extend_from_slice(&x.physical_offset.to_le_bytes());
+            out.extend_from_slice(&x.len.to_le_bytes());
+            out.extend_from_slice(&x.dropping_id.to_le_bytes());
+        }
+    }
+
+    /// The view a merged index file holds: its `n` extents, read from `f`
+    /// at `at` with one `pread` straight into the vector that keeps them,
+    /// each one's dropping number mapped through `ids`, and the counts its
+    /// header gives. Checked as it is read: every extent non-empty, inside
+    /// `off_t` and one [`CUT`] span, after the one before it, its number in
+    /// `ids`; the last ending at `eof`. Anything else — a short read
+    /// included — is corrupt.
+    pub(crate) fn read_extents(
+        f: &dyn BackingFile,
+        at: u64,
+        n: usize,
+        (eof, entries, max_ts): (u64, usize, u64),
+        ids: &[u32],
+    ) -> Result<GlobalIndex> {
+        let corrupt = |what: &str| Error::Corrupt(format!("merged index: {what}"));
+        let mut base: Vec<Extent> = Vec::new();
+        base.try_reserve_exact(n)
+            .map_err(|_| corrupt("extent count past memory"))?;
+        base.resize(n, Extent::default());
+        // SAFETY: `Extent` is `repr(C)`, 24 bytes of integers with no
+        // padding, so its vector is `n * EXTENT_BYTES` initialized bytes
+        // and any bytes written there are a valid `Extent`.
+        let bytes = unsafe {
+            std::slice::from_raw_parts_mut(base.as_mut_ptr().cast::<u8>(), n * EXTENT_BYTES)
+        };
+        if f.pread(bytes, at)? != bytes.len() {
+            return Err(corrupt("short read of its extents"));
+        }
+        let mut end = 0u64;
+        for x in &mut base {
+            // No-ops on a little-endian host.
+            x.start = u64::from_le(x.start);
+            x.physical_offset = u64::from_le(x.physical_offset);
+            x.len = u32::from_le(x.len);
+            x.dropping_id = *ids
+                .get(u32::from_le(x.dropping_id) as usize)
+                .ok_or_else(|| corrupt("dropping number out of range"))?;
+            let e = IndexEntry {
+                logical_offset: x.start,
+                length: x.len as u64,
+                physical_offset: x.physical_offset,
+                dropping_id: x.dropping_id,
+                timestamp: 0,
+                pid: 0,
+            };
+            let one_span = x.start / CUT == (x.end().max(1) - 1) / CUT;
+            if x.len == 0 || x.start < end || !fits_off_t(&e) || !one_span {
+                return Err(corrupt("extents out of order, empty or out of range"));
+            }
+            end = x.end();
+        }
+        if end != eof {
+            return Err(corrupt("extents do not end at its eof"));
+        }
+        Ok(GlobalIndex {
+            base,
+            overlay: BTreeMap::new(),
+            eof,
+            entries,
+            max_ts,
         })
     }
 

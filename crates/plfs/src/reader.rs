@@ -16,6 +16,16 @@ use std::collections::HashMap;
 use std::os::fd::RawFd;
 use std::sync::OnceLock;
 
+/// How the error of a read that found a data dropping of its view gone
+/// ends ([`vanished`]).
+const VANISHED: &str = "vanished under a reader";
+
+/// Did a read fail because a data dropping its view names is gone — a
+/// compaction or a truncate retired it after the view was built?
+pub(crate) fn vanished(e: &Error) -> bool {
+    matches!(e, Error::Corrupt(m) if m.ends_with(VANISHED))
+}
+
 /// An open read view of a container.
 pub struct ReadFile {
     index: GlobalIndex,
@@ -125,9 +135,7 @@ impl ReadFile {
             // The index names it, so it existed when this view was built: a
             // truncate or unlink raced the reader. To the caller of read()
             // that is an I/O error on an open file, not "no such file".
-            Error::NotFound(p) => {
-                Error::Corrupt(format!("data dropping {p} vanished under a reader"))
-            }
+            Error::NotFound(p) => Error::Corrupt(format!("data dropping {p} {VANISHED}")),
             e => e,
         })?;
         Ok(slot.get_or_init(|| opened).as_ref())

@@ -121,8 +121,19 @@ impl WriteFile {
         pid: u64,
         buffer_limit: usize,
     ) -> Result<WriteFile> {
+        WriteFile::create_from(b, container, pid, 0, buffer_limit)
+    }
+
+    /// [`WriteFile::create`], the pair's number probed for from `seq` up.
+    pub(crate) fn create_from(
+        b: &dyn Backing,
+        container: &str,
+        pid: u64,
+        seq: u32,
+        buffer_limit: usize,
+    ) -> Result<WriteFile> {
         container::ensure_hostdir(b, container, pid)?;
-        WriteFile::open_prepared(b, container, pid, buffer_limit, false, None)
+        WriteFile::open_prepared(b, container, pid, seq, buffer_limit, false, None)
     }
 
     /// [`WriteFile::create`], for the benchmark harness, which passes
@@ -140,13 +151,15 @@ impl WriteFile {
     /// Open the creator's top-level pair, when `creator` holds its data
     /// dropping (made by the open that made the container) and the backing
     /// to create its index through when something first needs it; else the
-    /// first free hostdir pair, trusting the caller that the pid's hostdir
-    /// exists (`PlfsFd` makes it ahead of its writer). With `track`,
-    /// flushed entries are kept for [`WriteFile::take_unmerged`].
+    /// first free hostdir pair from number `first` up, trusting the caller
+    /// that the pid's hostdir exists (`PlfsFd` makes it ahead of its
+    /// writer). With `track`, flushed entries are kept for
+    /// [`WriteFile::take_unmerged`].
     pub(crate) fn open_prepared(
         b: &dyn Backing,
         container: &str,
         pid: u64,
+        first: u32,
         buffer_limit: usize,
         track: bool,
         creator: Option<(container::CreatorDropping, Arc<dyn Backing>)>,
@@ -164,7 +177,7 @@ impl WriteFile {
                 // the per-open metadata storm the paper blames for the
                 // Lustre open() collapse. A reopen costs `seq + 1` creates
                 // and zero readdirs.
-                let mut seq = 0u32;
+                let mut seq = first;
                 loop {
                     let dp = container::data_dropping_path(container, pid, seq);
                     let ip = container::index_dropping_path(container, pid, seq);
@@ -637,7 +650,7 @@ mod tests {
     fn creator(b: &Arc<dyn Backing>) -> WriteFile {
         let dropping = container::CreatorDropping::create(b.as_ref(), "/c").unwrap();
         let creator = Some((dropping, Arc::clone(b)));
-        WriteFile::open_prepared(b.as_ref(), "/c", 9, 64, false, creator).unwrap()
+        WriteFile::open_prepared(b.as_ref(), "/c", 9, 0, 64, false, creator).unwrap()
     }
 
     #[test]
@@ -746,7 +759,7 @@ mod tests {
     fn unmerged_entries_drain_once_flushed_or_not() {
         let b = setup();
         container::ensure_hostdir(&b, "/c", 1).unwrap();
-        let mut w = WriteFile::open_prepared(&b, "/c", 1, 64, true, None).unwrap();
+        let mut w = WriteFile::open_prepared(&b, "/c", 1, 0, 64, true, None).unwrap();
         // Irregular offsets: pattern compression stays out of the way.
         w.write(b"abcd", 100).unwrap();
         w.write(b"efgh", 7).unwrap();

@@ -17,7 +17,9 @@
 //! 4 KiB writes to a new file in the mount), `read` (N 4 KiB reads of
 //! CONTAINER, one fragment each), `fread` (N 32 KiB `fread`s of FILE,
 //! in the mount or not, through one stream) and `cycle` (N small-file
-//! cycles).
+//! cycles). `preload-smoke stride RANK RANKS RECORDS FILE TWIN` writes
+//! one rank's shuffled stride of 1 KiB records into FILE and its flat twin
+//! (see `stride`).
 
 use std::fs;
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -1177,6 +1179,49 @@ fn check_backing_root(twin: &[u8]) {
     }
 }
 
+/// Bytes of one `stride` record.
+const STRIDE_RECORD: u64 = 1024;
+
+/// One rank's share of an N-to-1 checkpoint, as a parallel job writes it:
+/// records `rank`, `rank + ranks`, … (`records` of them, 1 KiB each, every
+/// byte seeded by its record number) in a shuffled order, with `pwrite`
+/// into `file` (opened `O_WRONLY|O_CREAT`, never truncated) and into
+/// `twin` outside the mount, its flat copy. With `records` 0 it only
+/// creates the two files.
+fn stride(rank: u64, ranks: u64, records: u64, file: &str, twin: &str) {
+    let open = |path: &str| {
+        fs::OpenOptions::new()
+            .write(true)
+            .create(true)
+            .truncate(false)
+            .open(path)
+            .unwrap_or_else(|e| panic!("open {path}: {e}"))
+    };
+    let (f, t) = (open(file), open(twin));
+    let mut order: Vec<u64> = (0..records).map(|i| rank + i * ranks).collect();
+    let mut x = 0x9E37_79B9_7F4A_7C15u64 ^ rank;
+    for i in (1..order.len()).rev() {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        order.swap(i, (x % (i as u64 + 1)) as usize);
+    }
+    let mut record = [0u8; STRIDE_RECORD as usize];
+    for k in order {
+        let mut y = k.wrapping_mul(0x2545_F491_4F6C_DD1D) | 1;
+        for b in &mut record {
+            y ^= y << 13;
+            y ^= y >> 7;
+            y ^= y << 17;
+            *b = y as u8;
+        }
+        f.write_all_at(&record, k * STRIDE_RECORD)
+            .expect("pwrite the container");
+        t.write_all_at(&record, k * STRIDE_RECORD)
+            .expect("pwrite the twin");
+    }
+}
+
 /// N 4 KiB writes to a new file in the mount.
 fn calls_write(n: usize) {
     let path = std::ffi::CString::new(format!("{}/calls.w", mount_dir())).expect("path");
@@ -1293,6 +1338,15 @@ fn main() {
             "cycle" => calls_cycle(n),
             other => panic!("unknown call kind {other}"),
         }
+        return;
+    }
+    if let [mode, rank, ranks, records, file, twin] = args.as_slice() {
+        assert_eq!(
+            mode, "stride",
+            "usage: preload-smoke stride RANK RANKS RECORDS FILE TWIN"
+        );
+        let n = |v: &String| v.parse::<u64>().expect("a count");
+        stride(n(rank), n(ranks), n(records), file, twin);
         return;
     }
     if let [mode, container, twin_path] = args.as_slice() {

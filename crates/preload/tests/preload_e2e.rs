@@ -1180,3 +1180,81 @@ fn cp_moves_a_containers_bytes_in_the_kernel() {
         "the bytes made the round trip"
     );
 }
+
+/// The deployment form of the merged index: four processes under the
+/// release preload write one file, each a shuffled stride of 4096 1 KiB
+/// records — a full index buffer each — and the last one's close leaves
+/// `merged.*` beside the droppings, which readers load. A fifth process
+/// then appends: the file goes stale, readers merge, and `md5sum` and
+/// `cmp` match the flat twin throughout.
+#[test]
+fn the_last_of_four_writers_leaves_a_merged_index_readers_load() {
+    use plfs::container::{self, MergedState};
+    const RANKS: u64 = 4;
+    let [lib, smoke, _] = release_bins();
+    let env = setup("merged");
+    let file = format!("{}/ckpt.bin", env.mount.display());
+    let twin = env.outside.join("ckpt.twin");
+    let preloaded = |cmd: &mut Command| {
+        cmd.env("LD_PRELOAD", &lib)
+            .env("LDPLFS_MOUNT", &env.mount)
+            .env("LDPLFS_BACKEND", &env.backend);
+    };
+    let stride = |rank: u64, records: u64| {
+        let mut cmd = Command::new(&smoke);
+        cmd.arg("stride")
+            .arg(rank.to_string())
+            .arg(RANKS.to_string());
+        cmd.arg(records.to_string()).arg(&file).arg(&twin);
+        preloaded(&mut cmd);
+        cmd
+    };
+    // Rank 0 makes the file, as an MPI job's does before the barrier.
+    ok(stride(0, 0).output().unwrap(), "stride create");
+    let ranks: Vec<_> = (0..RANKS)
+        .map(|rank| stride(rank, 4096).spawn().expect("spawn a rank"))
+        .collect();
+    for rank in ranks {
+        ok(rank.wait_with_output().unwrap(), "stride rank");
+    }
+    let backing = plfs::RealBacking::new(&env.backend).unwrap();
+    let state = || {
+        let files = container::merged_files(&backing, "/ckpt.bin").unwrap();
+        files
+            .into_iter()
+            .map(|(_, state)| state)
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(state(), [MergedState::Valid], "after the last close");
+    let same_as_twin = |what: &str| {
+        let mut md5 = Command::new("md5sum");
+        md5.arg(&file);
+        preloaded(&mut md5);
+        let got = ok(md5.output().unwrap(), "md5sum");
+        let want = ok(
+            Command::new("md5sum").arg(&twin).output().unwrap(),
+            "md5sum",
+        );
+        assert_eq!(got[..32], want[..32], "md5sum {what}");
+        let mut cmp = Command::new("cmp");
+        cmp.arg(&file).arg(&twin);
+        preloaded(&mut cmp);
+        ok(cmp.output().unwrap(), &format!("cmp {what}"));
+    };
+    same_as_twin("of the merged index");
+    let tail = env.outside.join("tail.bin");
+    std::fs::write(&tail, payload(5000)).unwrap();
+    let mut dd = Command::new("dd");
+    dd.arg(format!("if={}", tail.display()))
+        .arg(format!("of={file}"))
+        .args(["oflag=append", "conv=notrunc", "status=none"]);
+    preloaded(&mut dd);
+    ok(dd.output().unwrap(), "dd append");
+    let mut flat = std::fs::OpenOptions::new()
+        .append(true)
+        .open(&twin)
+        .unwrap();
+    std::io::Write::write_all(&mut flat, &std::fs::read(&tail).unwrap()).unwrap();
+    assert_eq!(state(), [MergedState::Stale], "after the fifth writer");
+    same_as_twin("after the append");
+}

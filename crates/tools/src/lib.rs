@@ -140,6 +140,7 @@ pub fn check(b: &dyn Backing, container: &str) -> ToolResult {
         "checked {} droppings, {} index records",
         report.droppings, report.records
     );
+    let _ = writeln!(out, "merged index: {}", report.merged);
     if report.is_clean() {
         let _ = writeln!(out, "clean");
     } else {
@@ -164,6 +165,7 @@ pub fn repair(b: &dyn Backing, container: &str, clear_markers: bool) -> ToolResu
     );
     let _ = writeln!(out, "markers cleared:        {}", rep.markers_cleared);
     let _ = writeln!(out, "meta cache rebuilt:     {}", rep.meta_rebuilt);
+    let _ = writeln!(out, "merged files removed:   {}", rep.merged_removed);
     for f in &rep.unrepairable {
         let _ = writeln!(out, "UNREPAIRABLE: {f}");
     }
@@ -613,6 +615,63 @@ mod tests {
         let out = repair(b.as_ref(), "/c", true).unwrap();
         assert!(out.contains("indices truncated:      1"));
         assert!(check(b.as_ref(), "/c").unwrap().contains("clean"));
+    }
+
+    /// `check` says what the merged index is — absent, valid, stale or
+    /// corrupt — and `repair` removes a stale or corrupt one with any
+    /// temporary name left behind.
+    #[test]
+    fn check_reports_the_merged_index_and_repair_removes_a_bad_one() {
+        let b = Arc::new(MemBacking::new());
+        let plfs = Plfs::new(b.clone());
+        for pid in 0..2u64 {
+            let fd = plfs
+                .open("/c", OpenFlags::WRONLY | OpenFlags::CREAT, pid)
+                .unwrap();
+            for k in 0..32u64 {
+                let slot = (k * 13 % 32) * 2 + pid;
+                plfs.write(&fd, &[k as u8; 16], slot * 16, pid).unwrap();
+            }
+            plfs.close(&fd, pid).unwrap();
+        }
+        let state = |b: &MemBacking| check(b, "/c").unwrap();
+        assert!(state(&b).contains("merged index: absent"));
+        assert!(plfs::container::publish_merged(b.as_ref(), "/c").unwrap());
+        let out = state(&b);
+        assert!(
+            out.contains("merged index: valid") && out.contains("clean"),
+            "{out}"
+        );
+        let merged = b
+            .readdir("/c")
+            .unwrap()
+            .into_iter()
+            .find(|n| n.starts_with(plfs::container::MERGED_PREFIX))
+            .unwrap();
+        let path = format!("/c/{merged}");
+        b.create(&path, false).unwrap().pwrite(b"torn", 0).unwrap();
+        let out = state(&b);
+        assert!(out.contains("merged index: corrupt"), "{out}");
+        assert!(
+            out.contains(&format!("corrupt merged index {path}")),
+            "{out}"
+        );
+        // A temporary name left by a publisher that died, beside it.
+        drop(b.create(&format!("{path}.tmp.7.0"), true).unwrap());
+        assert!(state(&b).contains(&format!("stale merged index {path}.tmp.7.0")));
+        let out = repair(b.as_ref(), "/c", false).unwrap();
+        assert!(out.contains("merged files removed:   2"), "{out}");
+        let out = state(&b);
+        assert!(
+            out.contains("merged index: absent") && out.contains("clean"),
+            "{out}"
+        );
+        // A writer that joins after a publish leaves the file stale.
+        assert!(plfs::container::publish_merged(b.as_ref(), "/c").unwrap());
+        let fd = plfs.open("/c", OpenFlags::WRONLY, 5).unwrap();
+        plfs.write(&fd, b"late", 0, 5).unwrap();
+        plfs.close(&fd, 5).unwrap();
+        assert!(state(&b).contains("merged index: stale"));
     }
 
     #[test]

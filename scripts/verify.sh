@@ -11,8 +11,12 @@ cargo build --release --offline
 # package's suites: prop_read_view (patched view == fresh merge == byte
 # model), prop_backend (real backing == in-memory), prop_index and
 # prop_container (the merged index against byte maps and its reference
-# builder), open_heap_peak (the read-open's heap high-water mark, and a
-# truncate's: one chunk, not the bytes it keeps), read_after_write (op
+# builder; prop_container's a_merged_index_reads_as_a_fresh_merge_and_the_model
+# also holds the view loaded from a published merged index file to a fresh
+# merge and the byte model over joins, closes, O_TRUNC, truncates and
+# compact), open_heap_peak (the read-open's heap high-water mark, with and
+# without a merged index file, and a truncate's: one chunk, not the bytes
+# it keeps), read_after_write (op
 # counts and refresh scaling), corrupt_index (hostile index droppings and
 # access files are Corrupt: every text the marker validator rejects, on a
 # cold open), create_race (racing creators of one container; joiners
@@ -21,7 +25,7 @@ cargo build --release --offline
 # truncate rewrite keeps the old bytes), small_file_cycle (lifecycle op
 # counts; a truncated container keeps only the rewrite's hostdir),
 # prop_meta (one warm mount == a fresh mount per operation) and the
-# concurrent_* suites.
+# concurrent_* suites (readers never fail beside back-to-back compactions).
 cargo test --workspace -q --offline
 # The benchmark harness is a workspace of its own: compile and test it
 # against the product crates here, so an API break under benchmark/ shows

@@ -240,3 +240,85 @@ fn readers_share_one_view_while_a_writer_overwrites_in_place() {
     assert_eq!(merges, 1, "concurrent readers must not force a re-merge");
     assert_eq!(patches, 0, "an in-place overwrite leaves the view current");
 }
+
+/// Readers of their own mounts (processes, to the container) open the
+/// file and read it through while another mount, again and again, has a
+/// joiner rewrite a share of it — the same bytes, in new droppings —
+/// and compacts it, retiring every dropping the readers' views name.
+/// With `merged`, a merged index is published after each join, so readers
+/// load views from it too. Every read must come back whole and right.
+/// Returns the reads made, the failed ones and the merged indexes
+/// published.
+fn readers_beside_compaction(merged: bool, rounds: u64) -> (u64, u64, u64) {
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    const BLOCK: usize = 512;
+    const REWRITE: u64 = 64;
+    let backing = Arc::new(MemBacking::new());
+    let want = build_container(&backing, 3, 64, BLOCK);
+    let done = AtomicBool::new(false);
+    let (reads, failed, published) = (AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0));
+    std::thread::scope(|scope| {
+        for t in 0..2u64 {
+            let (backing, want, done) = (&backing, &want, &done);
+            let (reads, failed) = (&reads, &failed);
+            scope.spawn(move || {
+                let plfs = Plfs::new(backing.clone());
+                let mut buf = vec![0u8; 4096];
+                while !done.load(Ordering::Relaxed) {
+                    let fd = plfs.open("/shared", OpenFlags::RDONLY, 10 + t).unwrap();
+                    for (i, chunk) in want.chunks(buf.len()).enumerate() {
+                        let got = plfs.read(&fd, &mut buf[..chunk.len()], (i * 4096) as u64);
+                        reads.fetch_add(1, Ordering::Relaxed);
+                        if !got.is_ok_and(|n| n == chunk.len() && &buf[..n] == chunk) {
+                            failed.fetch_add(1, Ordering::Relaxed);
+                        }
+                    }
+                    plfs.close(&fd, 10 + t).unwrap();
+                }
+            });
+        }
+        let plfs = Plfs::new(backing.clone());
+        for round in 0..rounds {
+            let pid = 100 + round;
+            let fd = plfs.open("/shared", OpenFlags::WRONLY, pid).unwrap();
+            // Shuffled 64-byte records: plain index records, so the
+            // merged index is smaller than the droppings it summarises.
+            for k in 0..REWRITE {
+                let off = (k * 29 % REWRITE * 64 + round % 7 * 4096) as usize;
+                plfs.write(&fd, &want[off..off + 64], off as u64, pid)
+                    .unwrap();
+            }
+            plfs.close(&fd, pid).unwrap();
+            if merged && plfs::container::publish_merged(backing.as_ref(), "/shared").unwrap() {
+                published.fetch_add(1, Ordering::Relaxed);
+            }
+            plfs.compact("/shared").unwrap();
+        }
+        done.store(true, Ordering::Relaxed);
+    });
+    (
+        reads.into_inner(),
+        failed.into_inner(),
+        published.into_inner(),
+    )
+}
+
+/// Compaction retires droppings under readers: none of their reads fails,
+/// with a merged index or without.
+#[test]
+fn readers_never_fail_beside_compaction() {
+    let _turn = turn();
+    for merged in [false, true] {
+        let (reads, failed, published) = readers_beside_compaction(merged, 150);
+        assert!(reads > 0, "the readers read nothing");
+        assert_eq!(
+            failed, 0,
+            "{failed} of {reads} reads failed (merged: {merged})"
+        );
+        assert_eq!(
+            published > 0,
+            merged,
+            "merged indexes published: {published}"
+        );
+    }
+}

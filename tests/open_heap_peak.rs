@@ -121,6 +121,70 @@ fn a_read_open_holds_the_index_plus_one_window() {
     }
 }
 
+/// The same shape, its last close leaving the merged index: an open loads
+/// the extents straight into the index it keeps, so it holds 24 bytes per
+/// extent and a constant — no window, no sort order, no second copy. With
+/// the merged index gone, the open merges within the bound above.
+#[test]
+fn a_read_open_of_a_merged_index_holds_the_index_alone() {
+    use plfs::container::{self, MergedState};
+    const PIDS: u64 = 8;
+    const RECORDS: u64 = 65_536;
+    let backing = Arc::new(MemBacking::new());
+    let plfs = Plfs::new(backing.clone() as Arc<dyn Backing>);
+    let fds: Vec<_> = (0..PIDS)
+        .map(|pid| plfs.open("/f", OpenFlags::WRONLY | OpenFlags::CREAT, pid))
+        .collect::<Result<_, _>>()
+        .unwrap();
+    let mut rng = 0x2545_F491_4F6C_DD1Du64;
+    let mut order: Vec<u64> = (0..RECORDS).collect();
+    for i in (1..order.len()).rev() {
+        rng ^= rng << 13;
+        rng ^= rng >> 7;
+        rng ^= rng << 17;
+        order.swap(i, (rng % (i as u64 + 1)) as usize);
+    }
+    for rec in order {
+        let pid = rec % PIDS;
+        plfs.write(&fds[pid as usize], &rec.to_le_bytes(), rec * 8, pid)
+            .unwrap();
+    }
+    for (pid, fd) in (0..).zip(&fds) {
+        plfs.close(fd, pid).unwrap();
+    }
+    let files = container::merged_files(backing.as_ref(), "/f").unwrap();
+    assert!(
+        matches!(files[..], [(_, MergedState::Valid)]),
+        "the last close left {files:?}"
+    );
+
+    let (reader, peak) = high_water(|| ReadFile::open(backing.as_ref(), "/f").unwrap());
+    assert_eq!(reader.index().raw_entries(), RECORDS as usize);
+    assert_eq!(reader.index().segments(), RECORDS as usize);
+    let bound = 24 * RECORDS as i64 + (16 << 10);
+    assert!(
+        peak <= bound,
+        "the open of a merged index peaked at {peak} B live (bound {bound} B: \
+         24 B per extent and 16 KiB)"
+    );
+    let mut buf = [0u8; 8];
+    for rec in [0, 1, 4099, RECORDS - 1] {
+        reader.pread(backing.as_ref(), &mut buf, rec * 8).unwrap();
+        assert_eq!(u64::from_le_bytes(buf), rec);
+    }
+    drop(reader);
+
+    let names = backing.readdir("/f").unwrap();
+    assert_eq!(
+        container::remove_merged(backing.as_ref(), "/f", &names).unwrap(),
+        1
+    );
+    let (merged, peak) = high_water(|| ReadFile::open(backing.as_ref(), "/f").unwrap());
+    assert_eq!(merged.index().segments(), RECORDS as usize);
+    let bound = 26 * RECORDS as i64 + (128 << 10);
+    assert!(peak <= bound, "the merge peaked at {peak} B live");
+}
+
 /// A truncate to a nonzero length streams the bytes it keeps through one
 /// chunk: truncating a 32 MiB container to 24 MiB holds under 8 MiB of
 /// heap at its highest point, not the 24 MiB it keeps.
