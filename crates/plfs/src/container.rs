@@ -1924,18 +1924,27 @@ mod tests {
     }
 
     /// The merged file names its droppings, and a load maps them by name:
-    /// a data dropping that shifts every listing position (one with no
-    /// index, which no closed writer's name covers) leaves the view right.
+    /// a data dropping listed ahead of the joiners' (in a hostdir of a
+    /// lower number; with no index, no closed writer's name covers it)
+    /// shifts their positions and leaves the view right.
     #[test]
     fn a_load_maps_droppings_by_name_not_position() {
         let b = std::sync::Arc::new(mem());
         let (_plfs, bytes) = scattered(&b);
         publish_merged(b.as_ref(), "/f").unwrap();
-        ensure_hostdir(b.as_ref(), "/f", 0).unwrap();
-        let stray = data_dropping_path("/f", 0, 7);
+        let first = hostdir_for_pid(1, HOSTDIRS).min(hostdir_for_pid(2, HOSTDIRS));
+        let pid = (3..)
+            .find(|&p| hostdir_for_pid(p, HOSTDIRS) < first)
+            .unwrap();
+        ensure_hostdir(b.as_ref(), "/f", pid).unwrap();
+        let stray = data_dropping_path("/f", pid, 7);
         drop(b.create(&stray, true).unwrap());
         let r = crate::reader::ReadFile::open(b.as_ref(), "/f").unwrap();
-        assert!(r.droppings().iter().any(|d| d.data_path == stray));
+        assert_eq!(
+            r.droppings()[1].data_path,
+            stray,
+            "listed ahead of the joiners"
+        );
         assert_eq!(r.read_all(b.as_ref()).unwrap(), bytes);
         assert_eq!(
             merged_files(b.as_ref(), "/f").unwrap()[0].1,
