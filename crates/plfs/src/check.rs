@@ -7,7 +7,7 @@
 //! [`check`] diagnoses all of these; [`repair`] fixes what can be fixed
 //! mechanically (truncating torn indices to whole records, trimming index
 //! entries that overrun their data, rebuilding the `meta.*` drops, removing
-//! a merged index readers would not load), and reports what cannot
+//! the merged index and any stray name of one), and reports what cannot
 //! (missing data).
 
 use crate::backing::{join, Backing};
@@ -86,16 +86,15 @@ pub enum Finding {
         /// Index dropping path.
         path: String,
     },
-    /// A merged index readers ignore: not the one of the closed writers, a
-    /// writer is open, or it is a temporary name left behind. Repair
-    /// removes it.
-    StaleMerged {
+    /// A `merged.*` name readers never open: a publisher's temporary name
+    /// left behind, or an older build's merged index. Repair removes it.
+    StrayMerged {
         /// Its path.
         path: String,
     },
-    /// The merged index of the closed writers does not read as a fresh
-    /// merge of the index droppings; readers merge around it. Repair
-    /// removes it.
+    /// The merged index, with the index droppings it does not cover on
+    /// top, does not read as a fresh merge of them all; readers merge
+    /// around it. Repair removes it.
     CorruptMerged {
         /// Its path.
         path: String,
@@ -115,7 +114,7 @@ impl Finding {
             Finding::StaleMeta { .. } => Severity::Note,
             Finding::OpenWriters { .. } => Severity::Note,
             Finding::MisnamedIndex { .. } => Severity::Repairable,
-            Finding::StaleMerged { .. } | Finding::CorruptMerged { .. } => Severity::Repairable,
+            Finding::StrayMerged { .. } | Finding::CorruptMerged { .. } => Severity::Repairable,
         }
     }
 }
@@ -142,7 +141,7 @@ impl fmt::Display for Finding {
             Finding::MisnamedIndex { path } => {
                 write!(f, "identity name of {path} disagrees with its records")
             }
-            Finding::StaleMerged { path } => write!(f, "stale merged index {path}"),
+            Finding::StrayMerged { path } => write!(f, "stray merged index name {path}"),
             Finding::CorruptMerged { path } => write!(f, "corrupt merged index {path}"),
         }
     }
@@ -157,8 +156,7 @@ pub struct CheckReport {
     pub droppings: usize,
     /// Index records validated.
     pub records: u64,
-    /// The merged index readers see: valid if one is, else corrupt, stale
-    /// or absent, in that order.
+    /// What the merged index is to readers.
     pub merged: MergedState,
 }
 
@@ -288,13 +286,16 @@ pub fn check(b: &dyn Backing, path: &str) -> Result<CheckReport> {
         }
     }
 
-    for (path, state) in container::merged_files(b, path)? {
-        report.merged = report.merged.max(state);
-        match state {
-            MergedState::Stale => report.findings.push(Finding::StaleMerged { path }),
-            MergedState::Corrupt => report.findings.push(Finding::CorruptMerged { path }),
-            _ => {}
-        }
+    report.merged = container::merged_state(b, path)?;
+    if report.merged == MergedState::Corrupt {
+        let path = join(path, container::MERGED_FILE);
+        report.findings.push(Finding::CorruptMerged { path });
+    }
+    let stray = |n: &&String| n.starts_with(container::MERGED_PREFIX);
+    for n in dirs[0].1.iter().filter(stray) {
+        report.findings.push(Finding::StrayMerged {
+            path: join(path, n),
+        });
     }
 
     // Meta cache consistency (only meaningful with no open writers).
@@ -399,8 +400,8 @@ pub struct RepairReport {
     pub markers_cleared: usize,
     /// Whether the meta cache was rebuilt.
     pub meta_rebuilt: bool,
-    /// Merged index names removed: every one, as the rebuilt drops give
-    /// the closed writers names of their own.
+    /// Merged index names removed: the file, as a repair may rewrite index
+    /// droppings it covers, and every stray name.
     pub merged_removed: usize,
     /// Findings that could not be repaired (data loss).
     pub unrepairable: Vec<Finding>,

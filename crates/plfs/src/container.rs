@@ -11,7 +11,7 @@
 //!   dropping.index.creator.0.<eof>.i<stamp>   the same, its records all logical == physical
 //!   open.<pid>.<n>                            empty: hostdir writer (pid, n) is open
 //!   meta.<eof>.<bytes>.<pid>.<n>              empty: that writer closed; fast-stat info
-//!   merged.<fingerprint>                      the merged index, left by the last writer's close
+//!   merged                                    the merged index, left by the last writer's close
 //!   hostdir.0/ … hostdir.K-1/                 subdirectories holding everyone else's droppings
 //!     dropping.data.<pid>.<n>                 log-structured data
 //!     dropping.index.<pid>.<n>                index records for that data
@@ -60,15 +60,16 @@
 //!   observed, never a knob.
 //!
 //! **The merged index.** The close that leaves no writer open, having
-//! logged at least a full index buffer of records itself, merges every
-//! index dropping once and publishes the view as `merged.<fingerprint>`
-//! ([`publish_merged`]) when that file is smaller than the index droppings
-//! it summarises; a container holding its creator's pair alone never gets
-//! one. The fingerprint hashes the closed writers' names ([`merged_name`]),
-//! so any writer that opens since makes the file stale: a reader loads it
-//! only when its listing shows no open writer and the same closed writers
-//! ([`build_global_index`]), and merges otherwise. Whatever rewrites or
-//! removes droppings — a truncate, `compact`, `repair` — deletes it first.
+//! logged at least a full index buffer of records itself, publishes the
+//! view as [`MERGED_FILE`] ([`publish_merged`]) when that is smaller than
+//! the index droppings it summarises; a creator's pair alone never gets
+//! one. The file names the data droppings it covers: a reader builds its
+//! view on it and merges on top the index droppings of the rest, open
+//! writers' included ([`build_global_index`]). That rests on one
+//! invariant: **a data dropping the file names is never written again
+//! under that name** — every writer creates its pair exclusively, and a
+//! truncate, `O_TRUNC`, `compact` or `repair` deletes the file first. Any
+//! other `merged.*` name is stray, never read.
 //!
 //! A container made before the creator's pair had a name of its own holds
 //! it as `dropping.{data,index}.<pid>.0` beside the access file, and reads
@@ -87,7 +88,6 @@ use crate::index::{
 use std::borrow::Cow;
 use std::cell::Cell;
 use std::fmt::Write;
-use std::hash::Hasher;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -103,7 +103,10 @@ pub const HOSTDIR_PREFIX: &str = "hostdir.";
 pub const DATA_PREFIX: &str = "dropping.data.";
 /// Prefix of index droppings.
 pub const INDEX_PREFIX: &str = "dropping.index.";
-/// Prefix of the merged index file and of its temporary names.
+/// Name of the merged index file.
+pub const MERGED_FILE: &str = "merged";
+/// Prefix of a stray merged-index name, never read: a publisher's leftover
+/// temporary, or an older build's `merged.<fingerprint>`.
 pub const MERGED_PREFIX: &str = "merged.";
 
 /// Number of `hostdir.N` subdirectories writers are spread over, in every
@@ -450,21 +453,25 @@ fn write_access_file(b: &dyn Backing, path: &str) -> Result<()> {
 }
 
 /// Give the container at `path`, which has no access file, one — written
-/// whole under a name of its own and renamed into place, so no reader of a
+/// whole and renamed into place ([`publish_file`]), so no reader of a
 /// container that already exists ever sees it empty. What anything but an
 /// unlink does before it removes the creator's data dropping of a
 /// container that dropping alone marks (two racing publishers write the
 /// same bytes).
 pub fn publish_access_file(b: &dyn Backing, path: &str) -> Result<()> {
+    publish_file(b, path, ACCESS_FILE, ACCESS_TEXT)
+}
+
+/// Write `bytes` into `dir` as `name`, whole: under a temporary name of
+/// its own, `<name>.tmp.<pid>.<n>`, renamed into place. A failure takes
+/// the temporary name back down.
+fn publish_file(b: &dyn Backing, dir: &str, name: &str, bytes: &[u8]) -> Result<()> {
     static NEXT: AtomicU64 = AtomicU64::new(0);
     // relaxed: only uniqueness of the number matters
     let n = NEXT.fetch_add(1, Ordering::Relaxed);
-    let tmp = path_of(
-        path,
-        format_args!("{ACCESS_FILE}.{}.{n}", std::process::id()),
-    );
-    let written = b.create(&tmp, true).and_then(|f| f.pwrite(ACCESS_TEXT, 0));
-    let published = written.and_then(|_| b.rename(&tmp, &join(path, ACCESS_FILE)));
+    let tmp = path_of(dir, format_args!("{name}.tmp.{}.{n}", std::process::id()));
+    let written = b.create(&tmp, true).and_then(|f| f.pwrite(bytes, 0));
+    let published = written.and_then(|_| b.rename(&tmp, &join(dir, name)));
     if published.is_err() {
         let _ = b.unlink(&tmp);
     }
@@ -810,10 +817,11 @@ const RELIST_ATTEMPTS: usize = 16;
 /// and the clock steps past the stamp the name carries, as past a merge of
 /// the records. The index dropping is still listed in the droppings.
 ///
-/// A listing that shows no open writer and holds the merged index of its
-/// closed writers ([`merged_name`]) reads that one file instead of the
-/// index droppings; a merged index that cannot be read or fails its checks
-/// is merged around, as if it were not there.
+/// A listing that holds the merged index, [`MERGED_FILE`], builds the view
+/// on that file and merges on top only the index droppings of data
+/// droppings it does not cover, open writers' included: the same view, as
+/// none it covers is written again. One that fails to load, or a record on
+/// top no newer than its newest, leaves the reader merging them all.
 ///
 /// A top-level index dropping is renamed once in its life, when its writer
 /// closes, and a rewrite retires droppings and the hostdirs they leave
@@ -825,7 +833,10 @@ pub fn build_global_index(
 ) -> Result<(GlobalIndex, Vec<DroppingRef>)> {
     let mut attempt = 1;
     let (index, droppings) = loop {
-        match view_listed(b, container, &list_container(b, container)?) {
+        let names = list_container(b, container)?;
+        let built = droppings_listed(b, container, &names)
+            .and_then(|d| Ok((view_of(b, container, &names, &d)?.0, d)));
+        match built {
             Err(Error::NotFound(_)) if attempt < RELIST_ATTEMPTS => attempt += 1,
             built => break built?,
         }
@@ -834,94 +845,108 @@ pub fn build_global_index(
     Ok((index, droppings))
 }
 
-/// One attempt of [`build_global_index`], off `names`, the container
-/// directory's listing. `NotFound` when a dropping or a hostdir it shows
-/// is gone.
-fn view_listed(
+/// The view of `droppings`, listed off `names` ([`build_global_index`]):
+/// the identity name's; or built on the merged index, if it loads and all
+/// put on top is newer ([`GlobalIndex::extend_newer`]); else a merge. With
+/// it, the index bytes it summarises and, if built on the merged index,
+/// the bytes put on top.
+fn view_of(
     b: &dyn Backing,
     container: &str,
     names: &[String],
-) -> Result<(GlobalIndex, Vec<DroppingRef>)> {
-    let droppings = droppings_listed(b, container, names)?;
+    droppings: &[DroppingRef],
+) -> Result<(GlobalIndex, u64, Option<u64>)> {
     let named = creator_alone(names).and_then(|c| GlobalIndex::identity(c.eof, c.identity?));
-    let merged = || {
-        let name = current_merged(names)?;
-        read_merged(b, container, &join(container, &name), &droppings).ok()
-    };
-    let index = match named.or_else(merged) {
-        Some(index) => index,
-        None => merge_droppings(b, &droppings)?.0,
-    };
-    Ok((index, droppings))
+    if let Some(index) = named {
+        return Ok((index, 0, None));
+    }
+    if names.iter().any(|n| n == MERGED_FILE) {
+        if let Ok((mut index, covered, summarised)) = read_merged(b, container, droppings) {
+            let mut delta = 0;
+            let newer = index.extend_newer(|builder| {
+                delta = feed_indexes(b, droppings, |id| !covered[id], builder)?;
+                Ok(())
+            })?;
+            if newer {
+                return Ok((index, summarised + delta, Some(delta)));
+            }
+        }
+    }
+    let (index, summarised) = merge_droppings(b, droppings)?;
+    Ok((index, summarised, None))
 }
 
 /// Merge the index droppings of `droppings` (see [`build_global_index`]):
 /// the view, and the bytes of index droppings it was built from.
 fn merge_droppings(b: &dyn Backing, droppings: &[DroppingRef]) -> Result<(GlobalIndex, u64)> {
     let mut index_bytes = 0;
-    let index = with_window(|window| {
-        IndexBuilder::build(|builder| {
-            index_bytes = 0;
-            for (id, d) in (0u32..).zip(droppings) {
-                let Some(ip) = &d.index_path else { continue };
-                let mut file = IndexFile::open(b, ip, window)?;
-                index_bytes += file.size;
-                builder.reserve(file.records());
-                while let Some(bytes) = file.next(window)? {
-                    builder.decode(bytes, id)?;
-                }
-            }
-            Ok(())
-        })
+    let index = IndexBuilder::build(|builder| {
+        index_bytes = feed_indexes(b, droppings, |_| true, builder)?;
+        Ok(())
     })?;
     Ok((index, index_bytes))
 }
 
-/// First bytes of a merged index file.
-const MERGED_MAGIC: &[u8; 8] = b"PLFSMRG1";
-
-/// Bytes of a merged index file's fixed header: [`MERGED_MAGIC`], then
-/// `eof`, the entry count, the newest stamp and the extent count, each a
-/// little-endian `u64`.
-const MERGED_HEADER: usize = 40;
-
-/// Bytes of a merged index file a load reads first: the header, and the
-/// dropping paths of any container with fewer than about a hundred data
-/// droppings.
-const MERGED_HEAD_READ: usize = 4096;
-
-/// The name of the merged index that describes the closed writers of
-/// `names`, the container directory's listing: [`MERGED_PREFIX`] and the
-/// FNV-1a hash of their sorted names — every `meta.*` drop and every
-/// top-level index under a closed name. A writer that closes later leaves
-/// a name of its own, and the hash moves on.
-pub fn merged_name(names: &[String]) -> String {
-    let mut closed: Vec<&str> = names
-        .iter()
-        .map(String::as_str)
-        .filter(|n| {
-            n.starts_with(META_PREFIX) || parse_index_name(n).is_some_and(|(_, c)| c.is_some())
-        })
-        .collect();
-    closed.sort_unstable();
-    let mut h = crate::meta::Fnv::default();
-    for n in closed {
-        h.write(n.as_bytes());
-        h.write(b"\n");
-    }
-    format!("{MERGED_PREFIX}{:016x}", h.finish())
+/// Decode into `builder`, through this thread's window, the index
+/// dropping of each data dropping of `droppings` whose position `wanted`
+/// picks, its entries numbered by that position. The bytes read.
+fn feed_indexes(
+    b: &dyn Backing,
+    droppings: &[DroppingRef],
+    wanted: impl Fn(usize) -> bool,
+    builder: &mut IndexBuilder,
+) -> Result<u64> {
+    with_window(|window| {
+        let mut bytes = 0;
+        for (id, d) in (0u32..).zip(droppings) {
+            let Some(ip) = d.index_path.as_deref().filter(|_| wanted(id as usize)) else {
+                continue;
+            };
+            let mut file = IndexFile::open(b, ip, window)?;
+            bytes += file.size;
+            builder.reserve(file.records());
+            while let Some(records) = file.next(window)? {
+                builder.decode(records, id)?;
+            }
+        }
+        Ok(bytes)
+    })
 }
 
-/// The merged index a reader of `names`, the container directory's
-/// listing, may load: none unless the listing holds a merged index (a
-/// container without one pays nothing more), shows no open writer, and
-/// names the one of its closed writers.
-fn current_merged(names: &[String]) -> Option<String> {
-    if !names.iter().any(|n| n.starts_with(MERGED_PREFIX)) || lifecycle(names).0 > 0 {
-        return None;
+/// First bytes of a merged index file.
+const MERGED_MAGIC: &[u8; 8] = b"PLFSMRG2";
+
+/// Bytes of a merged index file's fixed header: [`MERGED_MAGIC`], then
+/// `eof`, the entry count, the newest stamp, the extent count, the bytes
+/// of index droppings the file summarises, and the [`checksum`] of all
+/// else in the file, each a little-endian `u64`.
+const MERGED_HEADER: usize = 56;
+
+/// Bytes of a merged index file a load reads first: the header, and the
+/// paths of a container with fewer than about a hundred data droppings.
+const MERGED_HEAD_READ: usize = 4096;
+
+/// The merged index file's checksum of `bytes`, carried on from `sum`:
+/// four lanes of 8-byte words, each step `(lane ^ word) · K` rotated — a
+/// bijection, so one changed word always changes the sum — then the length
+/// and the lanes folded by the same step. 0.09 ms for 1.5 MB.
+fn checksum(sum: u64, bytes: &[u8]) -> u64 {
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+    let step = |lane: u64, word: u64| (lane ^ word).wrapping_mul(K).rotate_left(31);
+    let word = |b: &[u8], at: usize| u64::from_le_bytes(b[at..at + 8].try_into().expect("8 bytes"));
+    let block = |l: [u64; 4], b: &[u8]| std::array::from_fn(|i| step(l[i], word(b, 8 * i)));
+    let mut lanes = [sum, sum ^ K, sum.rotate_left(16) ^ 1, !sum];
+    let mut blocks = bytes.chunks_exact(32);
+    for b in &mut blocks {
+        lanes = block(lanes, b);
     }
-    let name = merged_name(names);
-    names.contains(&name).then_some(name)
+    let rest = blocks.remainder();
+    if !rest.is_empty() {
+        let mut last = [0u8; 32];
+        last[..rest.len()].copy_from_slice(rest);
+        lanes = block(lanes, &last);
+    }
+    lanes.into_iter().fold(bytes.len() as u64, step)
 }
 
 /// `path` relative to `container`, which holds it.
@@ -930,49 +955,55 @@ fn relative<'a>(container: &str, path: &'a str) -> &'a str {
         .map_or(path, |rest| rest.trim_start_matches('/'))
 }
 
-/// A merged index file of `index`, the fresh merge of `droppings`: the
+/// A merged index file of `index`, a view with an empty overlay of
+/// `droppings` that summarises `summarised` bytes of index droppings: the
 /// header, the data droppings' paths relative to `container` in dropping
 /// order (a `u32` count, then each a `u16` length and its bytes), then the
 /// extents, whose dropping numbers are positions in that list.
-fn encode_merged(container: &str, index: &GlobalIndex, droppings: &[DroppingRef]) -> Vec<u8> {
-    let paths: Vec<&str> = droppings
-        .iter()
-        .map(|d| relative(container, &d.data_path))
-        .collect();
-    let path_bytes: usize = paths.iter().map(|p| 2 + p.len()).sum();
+fn encode_merged(
+    container: &str,
+    index: &GlobalIndex,
+    summarised: u64,
+    droppings: &[DroppingRef],
+) -> Vec<u8> {
+    let paths = droppings.iter().map(|d| relative(container, &d.data_path));
+    let path_bytes: usize = paths.clone().map(|p| 2 + p.len()).sum();
     let extents = index.base_extents();
     let mut out = Vec::with_capacity(MERGED_HEADER + 4 + path_bytes + extents * EXTENT_BYTES);
     out.extend_from_slice(MERGED_MAGIC);
-    for field in [
-        index.eof(),
-        index.raw_entries() as u64,
-        index.max_timestamp(),
-        extents as u64,
-    ] {
+    let (eof, entries, max_ts) = (index.eof(), index.raw_entries(), index.max_timestamp());
+    for field in [eof, entries as u64, max_ts, extents as u64, summarised, 0] {
         out.extend_from_slice(&field.to_le_bytes());
     }
-    out.extend_from_slice(&(paths.len() as u32).to_le_bytes());
+    out.extend_from_slice(&(droppings.len() as u32).to_le_bytes());
     for p in paths {
         out.extend_from_slice(&(p.len() as u16).to_le_bytes());
         out.extend_from_slice(p.as_bytes());
     }
+    let at = out.len();
     index.encode_extents(&mut out);
+    let sum = checksum(
+        checksum(0, &out[..MERGED_HEADER - 8]),
+        &out[MERGED_HEADER..at],
+    );
+    let sum = checksum(sum, &out[at..]).to_le_bytes();
+    out[MERGED_HEADER - 8..MERGED_HEADER].copy_from_slice(&sum);
     out
 }
 
-/// Read the merged index file at `path` of `container` as a view over
-/// `droppings`, the container's listed droppings: its dropping paths
-/// mapped to their positions there by name, its extents read straight into
-/// the view's base ([`GlobalIndex::read_extents`]). A file that does not
-/// parse, or names a dropping the listing lacks, is corrupt.
+/// Read `container`'s merged index file as a view over `droppings`, the
+/// listed droppings — its paths mapped to positions there by name, its
+/// extents read straight into the base ([`GlobalIndex::read_extents`]):
+/// the view, which droppings it covers, and the index bytes it summarises.
+/// Corrupt unless it parses, passes its checksum and names listed ones.
 fn read_merged(
     b: &dyn Backing,
     container: &str,
-    path: &str,
     droppings: &[DroppingRef],
-) -> Result<GlobalIndex> {
+) -> Result<(GlobalIndex, Vec<bool>, u64)> {
+    let path = join(container, MERGED_FILE);
     let corrupt = |what: &str| Error::Corrupt(format!("merged index {path}: {what}"));
-    let f = b.open(path, false)?;
+    let f = b.open(&path, false)?;
     let mut head = [0u8; MERGED_HEAD_READ];
     let got = f.pread(&mut head, 0)?;
     if got < MERGED_HEADER || &head[..8] != MERGED_MAGIC {
@@ -980,31 +1011,35 @@ fn read_merged(
     }
     let field = |i: usize| u64::from_le_bytes(head[8 * i..8 * i + 8].try_into().unwrap());
     let (eof, entries, max_ts, extents) = (field(1), field(2), field(3), field(4));
+    let (summarised, sum) = (field(5), field(6));
     // The extents fill the file's tail: the head is what comes before.
     let at = extents
         .checked_mul(EXTENT_BYTES as u64)
         .and_then(|bytes| f.size().ok()?.checked_sub(bytes))
         .filter(|&at| at >= MERGED_HEADER as u64 + 4)
         .ok_or_else(|| corrupt("extents do not fit the file"))?;
-    let rest;
-    let paths = match usize::try_from(at) {
-        Ok(at) if at <= got => &head[MERGED_HEADER..at],
-        _ => {
-            let len = usize::try_from(at).map_err(|_| corrupt("paths past memory"))?;
-            let mut buf = Vec::new();
-            buf.try_reserve_exact(len)
+    let len = usize::try_from(at).map_err(|_| corrupt("paths past memory"))?;
+    let mut long = Vec::new();
+    let paths = match len <= got {
+        true => &head[MERGED_HEADER..len],
+        false => {
+            long.try_reserve_exact(len)
                 .map_err(|_| corrupt("paths past memory"))?;
-            buf.resize(len, 0);
-            if f.pread(&mut buf, 0)? != len {
+            long.resize(len, 0);
+            if f.pread(&mut long, 0)? != len {
                 return Err(corrupt("short read of its paths"));
             }
-            rest = buf;
-            &rest[MERGED_HEADER..]
+            &long[MERGED_HEADER..]
         }
     };
     let ids = dropping_ids(container, paths, droppings).ok_or_else(|| corrupt("bad paths"))?;
+    let summed = checksum(checksum(0, &head[..MERGED_HEADER - 8]), paths);
+    let verify = |extents: &[u8]| checksum(summed, extents) == sum;
     let counts = (eof, usize::try_from(entries).unwrap_or(usize::MAX), max_ts);
-    GlobalIndex::read_extents(f.as_ref(), at, extents as usize, counts, &ids)
+    let index = GlobalIndex::read_extents(f.as_ref(), at, extents as usize, counts, &ids, verify)?;
+    let mut covered = vec![false; droppings.len()];
+    ids.into_iter().for_each(|id| covered[id as usize] = true);
+    Ok((index, covered, summarised))
 }
 
 /// The position in `droppings` of each data dropping `paths` names (a
@@ -1028,56 +1063,36 @@ fn dropping_ids(container: &str, paths: &[u8], droppings: &[DroppingRef]) -> Opt
     rest.is_empty().then_some(ids)
 }
 
-/// Publish the merged index of `container`, if its listing shows no open
-/// writer and a writer beside its creator, and no merged index of its
-/// closed writers is there yet: merge the index droppings once, and write
-/// the view under a temporary name, renamed into place, when it is smaller
-/// than the index droppings it summarises. Any other merged index the
-/// listing held is stale, and removed. Says whether it published. What the
-/// close that leaves no writer open calls; a failure leaves readers
-/// merging, as before.
+/// Publish the merged index of `container` when its listing shows no open
+/// writer — the file names only droppings no one writes again — and a
+/// writer beside its creator: the view a reader builds, unless that is the
+/// merged index with nothing on top, over [`MERGED_FILE`] when smaller than
+/// the index droppings it summarises. Says whether it published; a failure
+/// leaves readers as they were.
 pub fn publish_merged(b: &dyn Backing, container: &str) -> Result<bool> {
     let names = list_container(b, container)?;
-    let name = merged_name(&names);
-    if lifecycle(&names).0 > 0
-        || !names.iter().any(|n| n.starts_with(HOSTDIR_PREFIX))
-        || names.contains(&name)
-    {
+    if lifecycle(&names).0 > 0 || !names.iter().any(|n| n.starts_with(HOSTDIR_PREFIX)) {
         return Ok(false);
     }
     let droppings = droppings_listed(b, container, &names)?;
-    let (index, index_bytes) = merge_droppings(b, &droppings)?;
-    let bytes = encode_merged(container, &index, &droppings);
-    if bytes.len() as u64 >= index_bytes {
+    let (mut index, summarised, delta) = view_of(b, container, &names, &droppings)?;
+    if delta == Some(0) {
         return Ok(false);
     }
-    static NEXT: AtomicU64 = AtomicU64::new(0);
-    // relaxed: only uniqueness of the number matters
-    let n = NEXT.fetch_add(1, Ordering::Relaxed);
-    let tmp = path_of(
-        container,
-        format_args!("{name}.tmp.{}.{n}", std::process::id()),
-    );
-    let written = b.create(&tmp, true).and_then(|f| f.pwrite(&bytes, 0));
-    let published = written.and_then(|_| b.rename(&tmp, &join(container, &name)));
-    if let Err(e) = published {
-        let _ = b.unlink(&tmp);
-        return Err(e);
+    index.fold();
+    let bytes = encode_merged(container, &index, summarised, &droppings);
+    if bytes.len() as u64 >= summarised {
+        return Ok(false);
     }
-    let stale: Vec<String> = names
-        .into_iter()
-        .filter(|n| n.starts_with(MERGED_PREFIX))
-        .collect();
-    remove_merged(b, container, &stale)?;
-    Ok(true)
+    publish_file(b, container, MERGED_FILE, &bytes).map(|()| true)
 }
 
-/// Remove every merged index name among `names`, the container
-/// directory's listing — what a path that rewrites or removes droppings
-/// does first. Returns how many it removed.
+/// Remove every name among `names`, the container directory's listing,
+/// that starts with [`MERGED_FILE`] — the merged index and stray names —
+/// as a path that rewrites or removes droppings does first. How many.
 pub fn remove_merged(b: &dyn Backing, container: &str, names: &[String]) -> Result<usize> {
     let mut removed = 0;
-    for n in names.iter().filter(|n| n.starts_with(MERGED_PREFIX)) {
+    for n in names.iter().filter(|n| n.starts_with(MERGED_FILE)) {
         match b.unlink(&join(container, n)) {
             Ok(()) => removed += 1,
             Err(Error::NotFound(_)) => {}
@@ -1087,23 +1102,18 @@ pub fn remove_merged(b: &dyn Backing, container: &str, names: &[String]) -> Resu
     Ok(removed)
 }
 
-/// What a merged index file is to a reader; ordered so that of several
-/// names the one readers see ranks highest.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
+/// What a container's merged index is to a reader.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MergedState {
     /// The container has none.
     #[default]
     Absent,
-    /// Its name is not the closed writers' — a writer opened since it was
-    /// published, or it is a temporary name left behind — or a writer is
-    /// open: readers ignore it.
-    Stale,
-    /// Its name is current, but it does not read as a fresh merge: readers
-    /// merge around it.
-    Corrupt,
-    /// Its name is the closed writers' and no writer is open, and it holds
-    /// what a fresh merge of the index droppings builds: readers load it.
+    /// A reader builds its view on it, and that is the view a fresh merge
+    /// of every index dropping builds.
     Valid,
+    /// It fails its checks, a record put on top of it is no newer than its
+    /// newest, or the view differs: readers merge around it.
+    Corrupt,
 }
 
 impl std::fmt::Display for MergedState {
@@ -1111,40 +1121,26 @@ impl std::fmt::Display for MergedState {
         f.write_str(match self {
             MergedState::Absent => "absent",
             MergedState::Valid => "valid",
-            MergedState::Stale => "stale",
             MergedState::Corrupt => "corrupt",
         })
     }
 }
 
-/// Every merged index name in `container` with its [`MergedState`]; the
-/// current one is checked against a fresh merge of the index droppings,
-/// extent for extent.
-pub fn merged_files(b: &dyn Backing, container: &str) -> Result<Vec<(String, MergedState)>> {
+/// The [`MergedState`] of `container`'s merged index: the view a reader
+/// builds on it against a fresh merge, extent for extent.
+pub fn merged_state(b: &dyn Backing, container: &str) -> Result<MergedState> {
     let names = list_container(b, container)?;
-    let current = current_merged(&names);
-    let mut out = Vec::new();
-    for n in names.iter().filter(|n| n.starts_with(MERGED_PREFIX)) {
-        let path = join(container, n);
-        if current.as_ref() != Some(n) {
-            out.push((path, MergedState::Stale));
-            continue;
-        }
-        let droppings = droppings_listed(b, container, &names)?;
-        let loaded = read_merged(b, container, &path, &droppings);
-        let (fresh, _) = merge_droppings(b, &droppings)?;
-        let same = loaded.is_ok_and(|m| {
-            (m.eof(), m.raw_entries(), m.max_timestamp())
-                == (fresh.eof(), fresh.raw_entries(), fresh.max_timestamp())
-                && m.iter_segments().eq(fresh.iter_segments())
-        });
-        let state = match same {
-            true => MergedState::Valid,
-            false => MergedState::Corrupt,
-        };
-        out.push((path, state));
+    if !names.iter().any(|n| n == MERGED_FILE) {
+        return Ok(MergedState::Absent);
     }
-    Ok(out)
+    let droppings = droppings_listed(b, container, &names)?;
+    let based = view_of(b, container, &names, &droppings).ok();
+    let based = based.and_then(|(view, _, delta)| delta.map(|_| view));
+    let fresh = merge_droppings(b, &droppings).ok().map(|(view, _)| view);
+    Ok(match based.is_some() && based == fresh {
+        true => MergedState::Valid,
+        false => MergedState::Corrupt,
+    })
 }
 
 fn marker_path(container: &str, pid: u64, seq: u32) -> String {
@@ -1878,11 +1874,19 @@ mod tests {
         (plfs, bytes)
     }
 
-    /// The listing's merged index names.
+    /// The listing's merged index names, stray ones included.
     fn merged_names(b: &dyn Backing) -> Vec<String> {
         let mut names = b.readdir("/f").unwrap();
-        names.retain(|n| n.starts_with(MERGED_PREFIX));
+        names.retain(|n| n.starts_with(MERGED_FILE));
         names
+    }
+
+    /// A reader's view of `/f` and what building it opened.
+    fn metered_view(b: &std::sync::Arc<MemBacking>) -> (GlobalIndex, u64) {
+        let m = crate::meter::MeterBacking::new(b.clone());
+        let before = m.snapshot();
+        let (view, _) = build_global_index(&m, "/f").unwrap();
+        (view, m.snapshot().delta(&before).open)
     }
 
     /// A reader of a container with a valid merged index opens that one
@@ -1890,7 +1894,6 @@ mod tests {
     /// index droppings stay listed with the data droppings.
     #[test]
     fn a_published_merged_index_is_what_readers_load() {
-        use crate::meter::MeterBacking;
         let b = std::sync::Arc::new(mem());
         let (_plfs, bytes) = scattered(&b);
         assert!(
@@ -1899,34 +1902,21 @@ mod tests {
         );
         let (fresh, droppings) = build_global_index(b.as_ref(), "/f").unwrap();
         assert!(publish_merged(b.as_ref(), "/f").unwrap());
-        assert!(!publish_merged(b.as_ref(), "/f").unwrap(), "already there");
-        assert_eq!(
-            merged_names(b.as_ref()),
-            [merged_name(&b.readdir("/f").unwrap())]
-        );
-        assert_eq!(
-            merged_files(b.as_ref(), "/f").unwrap()[0].1,
-            MergedState::Valid
-        );
-        let m = MeterBacking::new(b.clone());
-        let before = m.snapshot();
-        let (loaded, listed) = build_global_index(&m, "/f").unwrap();
-        let cost = m.snapshot().delta(&before);
-        assert_eq!(cost.open, 1, "the merged index alone is opened");
-        assert_eq!(listed, droppings);
-        assert_eq!(
-            (loaded.eof(), loaded.raw_entries(), loaded.max_timestamp()),
-            (fresh.eof(), fresh.raw_entries(), fresh.max_timestamp())
-        );
-        assert!(loaded.iter_segments().eq(fresh.iter_segments()));
+        assert!(!publish_merged(b.as_ref(), "/f").unwrap(), "nothing new");
+        assert_eq!(merged_names(b.as_ref()), [MERGED_FILE]);
+        assert_eq!(merged_state(b.as_ref(), "/f").unwrap(), MergedState::Valid);
+        let (loaded, opened) = metered_view(&b);
+        assert_eq!(opened, 1, "the merged index alone is opened");
+        assert_eq!(list_droppings(b.as_ref(), "/f").unwrap(), droppings);
+        assert!(loaded == fresh);
         let r = crate::reader::ReadFile::open(b.as_ref(), "/f").unwrap();
         assert_eq!(r.read_all(b.as_ref()).unwrap(), bytes);
     }
 
     /// The merged file names its droppings, and a load maps them by name:
     /// a data dropping listed ahead of the joiners' (in a hostdir of a
-    /// lower number; with no index, no closed writer's name covers it)
-    /// shifts their positions and leaves the view right.
+    /// lower number; with no index, it adds no record) shifts their
+    /// positions and leaves the view right.
     #[test]
     fn a_load_maps_droppings_by_name_not_position() {
         let b = std::sync::Arc::new(mem());
@@ -1946,17 +1936,15 @@ mod tests {
             "listed ahead of the joiners"
         );
         assert_eq!(r.read_all(b.as_ref()).unwrap(), bytes);
-        assert_eq!(
-            merged_files(b.as_ref(), "/f").unwrap()[0].1,
-            MergedState::Valid
-        );
+        assert_eq!(merged_state(b.as_ref(), "/f").unwrap(), MergedState::Valid);
     }
 
-    /// A writer that joins after the publish makes the file stale: while
-    /// it is open readers see an open writer, and once it closed its drop
-    /// moves the fingerprint. Either way they merge, and read its bytes.
+    /// A writer that joins after the publish is a delta: open (its index
+    /// synced) or closed, a reader opens the merged index and its index
+    /// dropping alone, and reads its bytes. The next publish loads the
+    /// file and that one dropping, not every index, and covers it.
     #[test]
-    fn a_joiner_after_the_publish_makes_readers_merge() {
+    fn a_joiner_after_the_publish_is_read_as_a_delta() {
         use crate::flags::OpenFlags;
         let b = std::sync::Arc::new(mem());
         let (plfs, mut bytes) = scattered(&b);
@@ -1969,32 +1957,151 @@ mod tests {
             let r = crate::reader::ReadFile::open(b.as_ref(), "/f").unwrap();
             r.read_all(b.as_ref()).unwrap()
         };
-        assert_eq!(read(), bytes, "an open writer");
-        let stale = |b: &MemBacking| merged_files(b, "/f").unwrap()[0].1;
-        assert_eq!(stale(b.as_ref()), MergedState::Stale);
-        plfs.close(&fd, 9).unwrap();
-        assert_eq!(read(), bytes, "a closed writer the file does not cover");
-        assert_eq!(stale(b.as_ref()), MergedState::Stale);
-        let report = crate::check::check(b.as_ref(), "/f").unwrap();
-        assert_eq!(report.merged, MergedState::Stale);
-        // The next publish replaces it.
-        assert!(publish_merged(b.as_ref(), "/f").unwrap());
-        assert_eq!(merged_names(b.as_ref()).len(), 1);
-        assert_eq!(stale(b.as_ref()), MergedState::Valid);
+        let fresh = || merge_droppings(b.as_ref(), &list_droppings(b.as_ref(), "/f").unwrap());
+        for what in ["an open writer", "a closed writer"] {
+            assert_eq!(read(), bytes, "{what}");
+            let (view, opened) = metered_view(&b);
+            assert_eq!(opened, 2, "{what}: the merged index and one index dropping");
+            assert!(view == fresh().unwrap().0);
+            assert_eq!(merged_state(b.as_ref(), "/f").unwrap(), MergedState::Valid);
+            assert!(crate::check::check(b.as_ref(), "/f")
+                .unwrap()
+                .findings
+                .iter()
+                .all(|f| !matches!(f, crate::check::Finding::CorruptMerged { .. })));
+            if what == "an open writer" {
+                assert!(
+                    !publish_merged(b.as_ref(), "/f").unwrap(),
+                    "a writer is open"
+                );
+                plfs.close(&fd, 9).unwrap();
+            }
+        }
+        let m = crate::meter::MeterBacking::new(b.clone());
+        let before = m.snapshot();
+        assert!(publish_merged(&m, "/f").unwrap());
+        assert_eq!(
+            m.snapshot().delta(&before).open,
+            2,
+            "the file and the delta"
+        );
+        assert_eq!(merged_names(b.as_ref()), [MERGED_FILE]);
+        let (view, opened) = metered_view(&b);
+        assert_eq!(opened, 1, "the new file covers the joiner");
+        assert!(view == fresh().unwrap().0);
         assert_eq!(read(), bytes);
     }
 
-    /// A merged file that fails its checks is merged around — the
-    /// reader's bytes are right. `check` compares one that passes them with
-    /// a fresh merge: either way it calls the file corrupt, and `repair`
-    /// removes it. (A reader trusts a file that parses, as it trusts the
-    /// index droppings' records.)
+    /// A data dropping the merged index names is never written again under
+    /// that name: writers that reopen after the publish, the creator's pid
+    /// among them, each make a pair of their own, and every covered
+    /// dropping keeps its bytes.
+    #[test]
+    fn a_dropping_the_merged_index_names_is_never_written_again() {
+        use crate::flags::OpenFlags;
+        let b = std::sync::Arc::new(mem());
+        let (plfs, mut bytes) = scattered(&b);
+        assert!(publish_merged(b.as_ref(), "/f").unwrap());
+        let droppings = list_droppings(b.as_ref(), "/f").unwrap();
+        let (_, covered, _) = read_merged(b.as_ref(), "/f", &droppings).unwrap();
+        assert!(covered.iter().all(|&c| c), "it covers every dropping");
+        let contents = |b: &MemBacking| -> Vec<Vec<u8>> {
+            droppings
+                .iter()
+                .map(|d| {
+                    let f = b.open(&d.data_path, false).unwrap();
+                    let mut v = vec![0u8; f.size().unwrap() as usize];
+                    f.pread(&mut v, 0).unwrap();
+                    v
+                })
+                .collect()
+        };
+        let before = contents(b.as_ref());
+        assert!(droppings
+            .iter()
+            .any(|d| d.data_path.ends_with(CREATOR_DATA)));
+        for pid in 0..3u64 {
+            let fd = plfs
+                .open("/f", OpenFlags::WRONLY | OpenFlags::CREAT, pid)
+                .unwrap();
+            let data = [pid as u8 + 1; 16];
+            plfs.write(&fd, &data, pid * 100, pid).unwrap();
+            bytes[pid as usize * 100..][..16].copy_from_slice(&data);
+            plfs.close(&fd, pid).unwrap();
+        }
+        assert_eq!(contents(b.as_ref()), before);
+        assert_eq!(
+            list_droppings(b.as_ref(), "/f").unwrap().len(),
+            covered.len() + 3
+        );
+        let r = crate::reader::ReadFile::open(b.as_ref(), "/f").unwrap();
+        assert_eq!(r.read_all(b.as_ref()).unwrap(), bytes);
+        assert_eq!(merged_state(b.as_ref(), "/f").unwrap(), MergedState::Valid);
+    }
+
+    /// An index dropping on top of the merged index whose records are no
+    /// newer than its newest stamp cannot be ordered after it: the reader
+    /// merges every index dropping, and the older record loses to the
+    /// newer bytes it overlaps (the one at the newest stamp goes where the
+    /// merge's order puts it). `check` calls the file corrupt; the next
+    /// publish replaces it.
+    #[test]
+    fn a_delta_no_newer_than_the_merged_index_falls_back_to_the_merge() {
+        let b = std::sync::Arc::new(mem());
+        let (_plfs, bytes) = scattered(&b);
+        assert!(publish_merged(b.as_ref(), "/f").unwrap());
+        let (base, _) = build_global_index(b.as_ref(), "/f").unwrap();
+        // A closed hostdir writer, written by hand: 16 bytes at 0, stamped
+        // at and below the merged index's newest.
+        let pid = 77;
+        ensure_hostdir(b.as_ref(), "/f", pid).unwrap();
+        let data = b.create(&data_dropping_path("/f", pid, 0), true).unwrap();
+        data.pwrite(&[0xee; 32], 0).unwrap();
+        let mut records = Vec::new();
+        for (k, stamp) in [1, base.max_timestamp()].into_iter().enumerate() {
+            let k = k as u64;
+            IndexEntry {
+                logical_offset: k * 16,
+                length: 16,
+                physical_offset: k * 16,
+                dropping_id: 0,
+                timestamp: stamp,
+                pid,
+            }
+            .encode(&mut records);
+        }
+        let index = b.create(&index_dropping_path("/f", pid, 0), true).unwrap();
+        index.pwrite(&records, 0).unwrap();
+        drop_meta(b.as_ref(), "/f", 32, 32, pid, 0).unwrap();
+        let droppings = list_droppings(b.as_ref(), "/f").unwrap();
+        let (fresh, _) = merge_droppings(b.as_ref(), &droppings).unwrap();
+        let (view, _) = build_global_index(b.as_ref(), "/f").unwrap();
+        assert!(view == fresh);
+        let read = || {
+            let r = crate::reader::ReadFile::open(b.as_ref(), "/f").unwrap();
+            r.read_all(b.as_ref()).unwrap()
+        };
+        let merged = read();
+        assert_eq!(merged[..16], bytes[..16], "the older record loses");
+        assert_eq!(
+            merged_state(b.as_ref(), "/f").unwrap(),
+            MergedState::Corrupt
+        );
+        assert!(publish_merged(b.as_ref(), "/f").unwrap());
+        assert_eq!(merged_state(b.as_ref(), "/f").unwrap(), MergedState::Valid);
+        assert_eq!(read(), merged);
+    }
+
+    /// A merged file that fails its checks is merged around, and the
+    /// reader's bytes are right — one whose extent maps other bytes too,
+    /// as the checksum fails. `check` calls the file corrupt, `repair`
+    /// removes it, and stray names beside it go the same way.
     #[test]
     fn a_corrupt_merged_index_falls_back_to_the_merge() {
         let b = std::sync::Arc::new(mem());
         let (_plfs, bytes) = scattered(&b);
         publish_merged(b.as_ref(), "/f").unwrap();
-        let path = join("/f", &merged_names(b.as_ref())[0]);
+        let path = join("/f", MERGED_FILE);
         let size = b.stat(&path).unwrap().size;
         let f = b.open(&path, true).unwrap();
         let good = {
@@ -2006,13 +2113,11 @@ mod tests {
         let mut moved = good.clone();
         moved[size as usize - 16] ^= 1;
         let cut = &good[..size as usize - 5];
-        for (bad, parses) in [(&b"garbage"[..], false), (cut, false), (&moved, true)] {
+        for bad in [&b"garbage"[..], cut, &moved] {
             let f = b.create(&path, false).unwrap();
             f.pwrite(bad, 0).unwrap();
-            if !parses {
-                let r = crate::reader::ReadFile::open(b.as_ref(), "/f").unwrap();
-                assert_eq!(r.read_all(b.as_ref()).unwrap(), bytes);
-            }
+            let r = crate::reader::ReadFile::open(b.as_ref(), "/f").unwrap();
+            assert_eq!(r.read_all(b.as_ref()).unwrap(), bytes);
             let report = crate::check::check(b.as_ref(), "/f").unwrap();
             assert_eq!(report.merged, MergedState::Corrupt);
             assert_eq!(
@@ -2020,16 +2125,47 @@ mod tests {
                 [crate::check::Finding::CorruptMerged { path: path.clone() }]
             );
         }
+        let strays = ["/f/merged.tmp.7.0", "/f/merged.0123456789abcdef"];
+        for stray in strays {
+            drop(b.create(stray, true).unwrap());
+        }
+        let report = crate::check::check(b.as_ref(), "/f").unwrap();
+        let mut found: Vec<String> = report.findings.iter().map(|f| f.to_string()).collect();
+        found.sort();
+        assert_eq!(
+            found,
+            [
+                "corrupt merged index /f/merged",
+                "stray merged index name /f/merged.0123456789abcdef",
+                "stray merged index name /f/merged.tmp.7.0",
+            ]
+        );
         let repaired = crate::check::repair(b.as_ref(), "/f", false).unwrap();
-        assert_eq!(repaired.merged_removed, 1);
+        assert_eq!(repaired.merged_removed, 3);
         assert!(merged_names(b.as_ref()).is_empty());
         assert!(crate::check::check(b.as_ref(), "/f").unwrap().is_clean());
+    }
+
+    /// The checksum sees one changed word anywhere, and where the bytes
+    /// are cut between calls.
+    #[test]
+    fn the_checksum_sees_every_word_and_the_length() {
+        let bytes: Vec<u8> = (0..100u8).collect();
+        let sum = checksum(0, &bytes);
+        for i in 0..bytes.len() {
+            let mut flipped = bytes.clone();
+            flipped[i] ^= 0x80;
+            assert_ne!(checksum(0, &flipped), sum, "byte {i}");
+        }
+        assert_ne!(checksum(0, &bytes[..99]), sum);
+        assert_ne!(checksum(checksum(0, &bytes[..40]), &bytes[40..]), sum);
+        assert_ne!(checksum(0, &[0; 32]), checksum(0, &[0; 64]));
     }
 
     /// Every path that rewrites or removes droppings deletes the merged
     /// index before it retires them — a truncate to 0, an `O_TRUNC` open, a
     /// truncate to another length, `compact`, `repair` — and an unlink takes
-    /// it with the container. A leftover temporary name goes the same way.
+    /// it with the container. A stray name goes the same way.
     #[test]
     fn every_path_that_rewrites_droppings_deletes_the_merged_index() {
         use crate::flags::OpenFlags;
@@ -2055,8 +2191,7 @@ mod tests {
             let b = std::sync::Arc::new(mem());
             let (plfs, _) = scattered(&b);
             assert!(publish_merged(b.as_ref(), "/f").unwrap(), "{what}");
-            let tmp = format!("/f/{}.tmp.1.1", merged_names(b.as_ref())[0]);
-            drop(b.create(&tmp, true).unwrap());
+            drop(b.create("/f/merged.tmp.1.1", true).unwrap());
             path(&plfs, b.as_ref());
             if b.exists("/f") {
                 assert!(

@@ -1299,7 +1299,7 @@ mod tests {
             let names = b.readdir(path).unwrap();
             names
                 .iter()
-                .filter(|n| n.starts_with(container::MERGED_PREFIX))
+                .filter(|n| n.starts_with(container::MERGED_FILE))
                 .count()
         };
         // Two writers of interleaved slots, the second closing last: the

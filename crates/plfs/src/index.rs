@@ -731,16 +731,18 @@ impl GlobalIndex {
     /// The view a merged index file holds: its `n` extents, read from `f`
     /// at `at` with one `pread` straight into the vector that keeps them,
     /// each one's dropping number mapped through `ids`, and the counts its
-    /// header gives. Checked as it is read: every extent non-empty, inside
-    /// `off_t` and one [`CUT`] span, after the one before it, its number in
-    /// `ids`; the last ending at `eof`. Anything else — a short read
-    /// included — is corrupt.
+    /// header gives. Checked as it is read: the bytes read pass `verify`
+    /// (the file's checksum); every extent non-empty, inside `off_t` and
+    /// one [`CUT`] span, after the one before it, its number in `ids`; the
+    /// last ending at `eof`. Anything else — a short read included — is
+    /// corrupt.
     pub(crate) fn read_extents(
         f: &dyn BackingFile,
         at: u64,
         n: usize,
         (eof, entries, max_ts): (u64, usize, u64),
         ids: &[u32],
+        verify: impl FnOnce(&[u8]) -> bool,
     ) -> Result<GlobalIndex> {
         let corrupt = |what: &str| Error::Corrupt(format!("merged index: {what}"));
         let mut base: Vec<Extent> = Vec::new();
@@ -755,6 +757,9 @@ impl GlobalIndex {
         };
         if f.pread(bytes, at)? != bytes.len() {
             return Err(corrupt("short read of its extents"));
+        }
+        if !verify(bytes) {
+            return Err(corrupt("checksum mismatch"));
         }
         let mut end = 0u64;
         for x in &mut base {
@@ -834,6 +839,30 @@ impl GlobalIndex {
         }
     }
 
+    /// Put on top of this view the entries `feed` pushes into a builder,
+    /// newest wins, through the overlay every insert takes: oldest stamp
+    /// first, ties in the order fed — where a merge of the view's entries
+    /// and these would place them, as long as every one is newer than all
+    /// the view holds. `false`, the view untouched, when one is not: only
+    /// that merge may order them.
+    pub(crate) fn extend_newer(
+        &mut self,
+        feed: impl FnOnce(&mut IndexBuilder) -> Result<()>,
+    ) -> Result<bool> {
+        let mut pass = IndexBuilder::pass(true);
+        feed(&mut pass)?;
+        let mut items = std::mem::take(&mut pass.items);
+        if items.iter().any(|&(_, ts, _)| ts <= self.max_ts) {
+            return Ok(false);
+        }
+        items.sort_unstable_by_key(|&(_, ts, position)| (ts, position));
+        self.entries += pass.entries;
+        self.eof = self.eof.max(pass.eof);
+        self.max_ts = self.max_ts.max(pass.max_ts);
+        items.into_iter().for_each(|(x, ..)| self.put(x));
+        Ok(true)
+    }
+
     /// Add `x` to the overlay over everything there, then fold if the
     /// overlay has outgrown its bound.
     fn put(&mut self, x: Extent) {
@@ -864,8 +893,12 @@ impl GlobalIndex {
     /// Merge the overlay into the base in one linear pass, in place: the
     /// base moves up by twice the overlay's length (each overlay extent adds
     /// at most itself and one cut), and the walk writes from the front,
-    /// never past what it has read.
-    fn fold(&mut self) {
+    /// never past what it has read. An empty overlay leaves the base as it
+    /// is.
+    pub(crate) fn fold(&mut self) {
+        if self.overlay.is_empty() {
+            return;
+        }
         let overlay = std::mem::take(&mut self.overlay);
         let (n, slack) = (self.base.len(), 2 * overlay.len());
         self.base.resize(n + slack, Extent::default());
@@ -928,6 +961,15 @@ impl GlobalIndex {
     pub fn iter_segments(&self) -> impl Iterator<Item = (u64, u64, u32, u64)> + '_ {
         self.extents(0)
             .map(|x| (x.start, x.len as u64, x.dropping_id, x.physical_offset))
+    }
+}
+
+/// Two views are equal when they count the same entries, end and newest
+/// stamp and map every byte alike, however each was built or patched.
+impl PartialEq for GlobalIndex {
+    fn eq(&self, other: &GlobalIndex) -> bool {
+        (self.eof, self.entries, self.max_ts) == (other.eof, other.entries, other.max_ts)
+            && self.iter_segments().eq(other.iter_segments())
     }
 }
 

@@ -1184,12 +1184,14 @@ fn cp_moves_a_containers_bytes_in_the_kernel() {
 /// The deployment form of the merged index: four processes under the
 /// release preload write one file, each a shuffled stride of 4096 1 KiB
 /// records — a full index buffer each — and the last one's close leaves
-/// `merged.*` beside the droppings, which readers load. A fifth process
-/// then appends: the file goes stale, readers merge, and `md5sum` and
-/// `cmp` match the flat twin throughout.
+/// `merged` beside the droppings, which readers load. A fifth process
+/// then appends: readers load the file and the fifth's one index dropping
+/// on top, no other `merged*` name is left, and `md5sum` and `cmp` match
+/// the flat twin throughout.
 #[test]
 fn the_last_of_four_writers_leaves_a_merged_index_readers_load() {
     use plfs::container::{self, MergedState};
+    use plfs::Backing;
     const RANKS: u64 = 4;
     let [lib, smoke, _] = release_bins();
     let env = setup("merged");
@@ -1217,15 +1219,25 @@ fn the_last_of_four_writers_leaves_a_merged_index_readers_load() {
     for rank in ranks {
         ok(rank.wait_with_output().unwrap(), "stride rank");
     }
-    let backing = plfs::RealBacking::new(&env.backend).unwrap();
+    let backing = std::sync::Arc::new(plfs::RealBacking::new(&env.backend).unwrap());
+    // The merged index's state, its names, and the files a reader's view
+    // opens.
     let state = || {
-        let files = container::merged_files(&backing, "/ckpt.bin").unwrap();
-        files
-            .into_iter()
-            .map(|(_, state)| state)
-            .collect::<Vec<_>>()
+        let mut names = backing.readdir("/ckpt.bin").unwrap();
+        names.retain(|n| n.starts_with(container::MERGED_FILE));
+        let metered = plfs::MeterBacking::new(backing.clone());
+        let before = metered.snapshot();
+        container::build_global_index(&metered, "/ckpt.bin").unwrap();
+        let opened = metered.snapshot().delta(&before).open;
+        let state = container::merged_state(backing.as_ref(), "/ckpt.bin").unwrap();
+        (state, names, opened)
     };
-    assert_eq!(state(), [MergedState::Valid], "after the last close");
+    let merged = vec![container::MERGED_FILE.to_string()];
+    assert_eq!(
+        state(),
+        (MergedState::Valid, merged.clone(), 1),
+        "after the last close: the merged index alone"
+    );
     let same_as_twin = |what: &str| {
         let mut md5 = Command::new("md5sum");
         md5.arg(&file);
@@ -1255,6 +1267,10 @@ fn the_last_of_four_writers_leaves_a_merged_index_readers_load() {
         .open(&twin)
         .unwrap();
     std::io::Write::write_all(&mut flat, &std::fs::read(&tail).unwrap()).unwrap();
-    assert_eq!(state(), [MergedState::Stale], "after the fifth writer");
     same_as_twin("after the append");
+    assert_eq!(
+        state(),
+        (MergedState::Valid, merged, 2),
+        "after the fifth writer: the merged index and its index dropping"
+    );
 }

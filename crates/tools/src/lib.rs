@@ -617,9 +617,10 @@ mod tests {
         assert!(check(b.as_ref(), "/c").unwrap().contains("clean"));
     }
 
-    /// `check` says what the merged index is — absent, valid, stale or
-    /// corrupt — and `repair` removes a stale or corrupt one with any
-    /// temporary name left behind.
+    /// `check` says what the merged index is — absent, valid or corrupt —
+    /// and names a stray `merged.*` name; `repair` removes a corrupt file
+    /// and the strays. A writer that joins after a publish is read on top
+    /// of the file, which stays valid.
     #[test]
     fn check_reports_the_merged_index_and_repair_removes_a_bad_one() {
         let b = Arc::new(MemBacking::new());
@@ -642,13 +643,7 @@ mod tests {
             out.contains("merged index: valid") && out.contains("clean"),
             "{out}"
         );
-        let merged = b
-            .readdir("/c")
-            .unwrap()
-            .into_iter()
-            .find(|n| n.starts_with(plfs::container::MERGED_PREFIX))
-            .unwrap();
-        let path = format!("/c/{merged}");
+        let path = format!("/c/{}", plfs::container::MERGED_FILE);
         b.create(&path, false).unwrap().pwrite(b"torn", 0).unwrap();
         let out = state(&b);
         assert!(out.contains("merged index: corrupt"), "{out}");
@@ -658,7 +653,7 @@ mod tests {
         );
         // A temporary name left by a publisher that died, beside it.
         drop(b.create(&format!("{path}.tmp.7.0"), true).unwrap());
-        assert!(state(&b).contains(&format!("stale merged index {path}.tmp.7.0")));
+        assert!(state(&b).contains(&format!("stray merged index name {path}.tmp.7.0")));
         let out = repair(b.as_ref(), "/c", false).unwrap();
         assert!(out.contains("merged files removed:   2"), "{out}");
         let out = state(&b);
@@ -666,12 +661,12 @@ mod tests {
             out.contains("merged index: absent") && out.contains("clean"),
             "{out}"
         );
-        // A writer that joins after a publish leaves the file stale.
+        // A writer that joins after a publish is a delta on top of it.
         assert!(plfs::container::publish_merged(b.as_ref(), "/c").unwrap());
         let fd = plfs.open("/c", OpenFlags::WRONLY, 5).unwrap();
         plfs.write(&fd, b"late", 0, 5).unwrap();
         plfs.close(&fd, 5).unwrap();
-        assert!(state(&b).contains("merged index: stale"));
+        assert!(state(&b).contains("merged index: valid"));
     }
 
     #[test]

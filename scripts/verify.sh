@@ -12,9 +12,10 @@ cargo build --release --offline
 # model), prop_backend (real backing == in-memory), prop_index and
 # prop_container (the merged index against byte maps and its reference
 # builder; prop_container's a_merged_index_reads_as_a_fresh_merge_and_the_model
-# also holds the view loaded from a published merged index file to a fresh
-# merge and the byte model over joins, closes, O_TRUNC, truncates and
-# compact), open_heap_peak (the read-open's heap high-water mark, with and
+# also holds the view built on a published merged index file, later
+# writers' records on top, open or closed, to a fresh merge and the byte
+# model over joins, appends, closes, O_TRUNC, truncates and compact),
+# open_heap_peak (the read-open's heap high-water mark, with and
 # without a merged index file, and a truncate's: one chunk, not the bytes
 # it keeps), read_after_write (op
 # counts and refresh scaling), corrupt_index (hostile index droppings and

@@ -152,10 +152,10 @@ fn a_read_open_of_a_merged_index_holds_the_index_alone() {
     for (pid, fd) in (0..).zip(&fds) {
         plfs.close(fd, pid).unwrap();
     }
-    let files = container::merged_files(backing.as_ref(), "/f").unwrap();
-    assert!(
-        matches!(files[..], [(_, MergedState::Valid)]),
-        "the last close left {files:?}"
+    assert_eq!(
+        container::merged_state(backing.as_ref(), "/f").unwrap(),
+        MergedState::Valid,
+        "the last close leaves the merged index"
     );
 
     let (reader, peak) = high_water(|| ReadFile::open(backing.as_ref(), "/f").unwrap());
